@@ -5,18 +5,15 @@
 //! pre-sharding 1-shard configuration: a serial per-trace
 //! `decode` + `Hive::ingest` loop per program.
 //!
-//! Also quantifies (a) the imbalance penalty under a skewed program mix
-//! (one hot program dominating the traffic) via `imbalance_ratio`, and
-//! (b) the cross-worker shared memo versus the per-worker memo it
-//! replaced, at the same total cache budget (the satellite delta the
-//! E14 single-CPU baseline anchors).
+//! Also quantifies the imbalance penalty under a skewed program mix
+//! (one hot program dominating the traffic) via `imbalance_ratio`.
 //!
 //! Writes `BENCH_shard.json` into the current directory. `--seed N`
 //! rebases the per-pod trace seeds (default 1000).
 
 use softborg_bench::{arg_seed, banner, cell, table_header};
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, MemoMode};
+use softborg_ingest::{BackpressurePolicy, IngestConfig};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::ProgramId;
@@ -30,7 +27,7 @@ const PER_POD: usize = 1200;
 const BATCH: usize = 64;
 /// Pinned decode+reconstruct budget shared by every configuration.
 const WORKERS: usize = 4;
-/// Pool-total memo entries (per-worker runs get an equal split).
+/// Pool-total memo entries, split equally over the workers' caches.
 const MEMO_TOTAL: usize = 4096;
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Best-of-N timing: single-CPU container scheduling is noisy.
@@ -115,18 +112,13 @@ fn serial_baseline<'p>(loads: &'p [Workload]) -> (Vec<Hive<'p>>, f64) {
     (hives, best)
 }
 
-fn ingest_cfg(memo_mode: MemoMode) -> IngestConfig {
-    let memo_capacity = match memo_mode {
-        MemoMode::Shared { .. } => MEMO_TOTAL,
-        MemoMode::PerWorker => MEMO_TOTAL / WORKERS,
-    };
+fn ingest_cfg() -> IngestConfig {
     IngestConfig {
         workers: WORKERS,
         queue_capacity: 64,
         merge_capacity: 64,
         policy: BackpressurePolicy::Block,
-        memo_capacity,
-        memo_mode,
+        memo_capacity: MEMO_TOTAL / WORKERS,
         ..IngestConfig::default()
     }
 }
@@ -152,7 +144,6 @@ fn interleave(mix: &[(&Workload, usize)]) -> Vec<(ProgramId, Vec<u8>)> {
 fn sharded_run(
     mix: &[(&Workload, usize)],
     n_shards: usize,
-    memo_mode: MemoMode,
     reference: Option<&[Hive<'_>]>,
 ) -> ShardRunStats {
     let programs: Vec<&softborg_program::Program> =
@@ -165,7 +156,7 @@ fn sharded_run(
         // being measured, not the benchmark's own frame duplication.
         let stream = interleave(mix);
         let stats = sharded
-            .ingest_frames(&ingest_cfg(memo_mode), move |tx| {
+            .ingest_frames(&ingest_cfg(), move |tx| {
                 for (program, frame) in stream {
                     tx.submit_for(program, frame).expect("placed program");
                 }
@@ -250,7 +241,7 @@ fn main() {
         }
     }
 
-    // The sweep: shards x programs, shared memo, pinned workers.
+    // The sweep: shards x programs, pinned workers.
     println!();
     table_header(&[
         ("shards", 7),
@@ -265,12 +256,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for (pi, &p) in SWEEP.iter().enumerate() {
         for &s in &SWEEP {
-            let stats = sharded_run(
-                &uniform(p),
-                s,
-                MemoMode::Shared { stripes: 8 },
-                Some(&serial_hives[..p]),
-            );
+            let stats = sharded_run(&uniform(p), s, Some(&serial_hives[..p]));
             let wall_ms = stats.wall_ns as f64 / 1e6;
             let c = Cell {
                 shards: s,
@@ -313,7 +299,7 @@ fn main() {
             )
         })
         .collect();
-    let skew_stats = sharded_run(&skewed, 4, MemoMode::Shared { stripes: 8 }, None);
+    let skew_stats = sharded_run(&skewed, 4, None);
     let uniform_4x4 = cells
         .iter()
         .find(|c| c.shards == 4 && c.programs == 4)
@@ -323,20 +309,6 @@ fn main() {
         skew_stats.imbalance_ratio(),
         uniform_4x4.imbalance,
         skew_stats.throughput_traces_per_sec()
-    );
-
-    // Satellite: cross-worker shared memo vs the per-worker memo it
-    // replaced, same total cache budget, 4 shards / 4 programs.
-    let shared = sharded_run(&uniform(4), 4, MemoMode::Shared { stripes: 8 }, None);
-    let per_worker = sharded_run(&uniform(4), 4, MemoMode::PerWorker, None);
-    let memo_delta =
-        shared.throughput_traces_per_sec() / per_worker.throughput_traces_per_sec().max(1e-9);
-    println!(
-        "memo: shared {:.0} traces/s ({:.0}% hits) vs per-worker {:.0} traces/s ({:.0}% hits) — {memo_delta:.2}x",
-        shared.throughput_traces_per_sec(),
-        shared.cache_hit_rate() * 100.0,
-        per_worker.throughput_traces_per_sec(),
-        per_worker.cache_hit_rate() * 100.0,
     );
 
     // Acceptance. On a multi-core host the 4-shard pipeline beats the
@@ -405,16 +377,6 @@ fn main() {
         skew_stats.imbalance_ratio(),
         uniform_4x4.imbalance,
         skew_stats.throughput_traces_per_sec()
-    );
-    let _ = writeln!(
-        json,
-        "  \"memo\": {{\"shared\": {{\"traces_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \"evictions\": {}}}, \"per_worker\": {{\"traces_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \"evictions\": {}}}, \"shared_over_per_worker\": {memo_delta:.3}, \"baseline\": \"E14 measured per-worker memo at 4 workers on one program (BENCH_ingest.json); this delta holds total cache budget fixed at {MEMO_TOTAL} entries across a 4-program mix\", \"default\": \"IngestConfig keeps MemoMode::PerWorker as the default: on a single-CPU host the shared cache's striped locking costs about what cross-worker reuse saves; multi-core hosts can opt in via memo_mode\"}},",
-        shared.throughput_traces_per_sec(),
-        shared.cache_hit_rate(),
-        shared.cache_evictions,
-        per_worker.throughput_traces_per_sec(),
-        per_worker.cache_hit_rate(),
-        per_worker.cache_evictions
     );
     let _ = writeln!(
         json,

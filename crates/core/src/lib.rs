@@ -55,6 +55,8 @@
 
 #![warn(missing_docs)]
 
+mod durable;
+mod fleet;
 pub mod multi;
 pub mod platform;
 

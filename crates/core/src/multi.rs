@@ -21,30 +21,25 @@
 //! state is byte-identical to an uninterrupted run at the same committed
 //! round.
 
-use crate::platform::{
-    chain_dir, decode_pod_states, encode_pod_states, io_err, restore_pod_states, CommitStats,
-    DurabilityConfig, DurabilityError, IngestSettings, RoundTelemetry,
+use crate::durable::{
+    io_err, put_promotion, read_promotion, DurabilityConfig, DurabilityError, DurableStore,
+    Recovered, SegmentWalker,
 };
-use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
-use softborg_guidance::Directive;
+use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
+use crate::platform::{commit_observed, IngestSettings, RoundTelemetry};
+use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
-    self, JournalRecord, REC_ABORT, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
-    SESSION_PROMOTE, SESSION_ROUND,
+    self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{
-    outcome_signature, scrub_campaign, scrub_chained_campaign, scrub_page_dir, FileJournal,
-    HiveConfig, HiveSnapshot, JournalStore, LoadReport, PageScrub, ScrubReport, SnapshotSource,
-    SnapshotStore,
-};
+use softborg_hive::{scrub_page_dir, Hive, HiveConfig, LoadReport, PageScrub, ScrubReport};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
-use softborg_program::{Program, ProgramId};
+use softborg_program::{Overlay, Program, ProgramId};
 use softborg_shard::{ShardRunStats, ShardedHive};
-use softborg_store::{ChainReport, ChainSource, ChainStore, PageStats, PagedConfig, RecordKind};
+use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// One program's fleet specification: the program plus the pod template
 /// its population is built from (each pod gets a derived seed).
@@ -74,8 +69,7 @@ pub struct MultiPlatformConfig {
     /// Passing cases required before a predicted (zero-failing-case)
     /// deadlock fix may distribute on preservation evidence alone.
     pub min_preservation_cases: usize,
-    /// Execution/ingest tuning. `pipelined` is ignored: multi-program
-    /// rounds always flow through the sharded pipeline.
+    /// Execution/ingest tuning for the shared sharded pipeline.
     pub ingest: IngestSettings,
     /// Crash-only durability root. Each shard persists under its own
     /// `shard-<i>/` subdirectory of [`DurabilityConfig::dir`].
@@ -230,39 +224,6 @@ pub struct MultiResumeReport {
     pub shards: Vec<ShardResumeReport>,
 }
 
-/// A round's durable frame log: `(lane, seq, frame)` triples mirrored
-/// from the sharded ingest path, shared across pod threads.
-type FrameLog = Mutex<Vec<(u64, u64, Vec<u8>)>>;
-
-/// One shard's open durable state.
-#[derive(Debug)]
-struct ShardDurable {
-    store: SnapshotStore,
-    /// Delta-snapshot chain, open iff [`DurabilityConfig::chain`] is
-    /// set.
-    chain: Option<ChainStore>,
-    journal: FileJournal,
-}
-
-/// The live durable half of a multi-program campaign.
-#[derive(Debug)]
-struct MultiDurableState {
-    cfg: DurabilityConfig,
-    shards: Vec<ShardDurable>,
-    /// Next sequence number for `REC_PROMOTE` records (global across
-    /// shards, so promotion order is totally ordered).
-    promote_seq: u64,
-    /// Per-lane frame floors (`lane → next seq`), snapshotted per shard.
-    frame_floors: BTreeMap<u64, u64>,
-}
-
-/// One program's fleet: the program, its lane, and its pods.
-struct Fleet<'p> {
-    id: ProgramId,
-    program: &'p Program,
-    pods: Vec<Pod<'p>>,
-}
-
 /// One fleet's slice of work handed to a
 /// [`MultiPlatform::round_driven`] driver.
 #[derive(Debug)]
@@ -298,7 +259,29 @@ pub struct MultiPlatform<'p> {
     history: Vec<MultiRoundReport>,
     telemetry: Vec<RoundTelemetry>,
     last_run: Option<ShardRunStats>,
-    durable: Option<MultiDurableState>,
+    /// One open durable store per shard, under `shard-<i>/` of the
+    /// campaign directory.
+    durable: Option<Vec<DurableStore>>,
+    /// Next sequence number for `REC_PROMOTE` records (global across
+    /// shards, so promotion order is totally ordered).
+    promote_seq: u64,
+}
+
+/// Shard `shard`'s own durability config: the campaign policy rooted at
+/// its `shard-<i>/` subdirectory.
+fn shard_cfg(root: &DurabilityConfig, shard: usize) -> DurabilityConfig {
+    DurabilityConfig {
+        dir: root.dir.join(format!("shard-{shard}")),
+        ..root.clone()
+    }
+}
+
+fn hive_of<'a, 'p>(sharded: &'a ShardedHive<'p>, fleet: &Fleet<'p>) -> &'a Hive<'p> {
+    sharded.hive(fleet.id).expect("fleet program is placed")
+}
+
+fn hive_of_mut<'a, 'p>(sharded: &'a mut ShardedHive<'p>, fleet: &Fleet<'p>) -> &'a mut Hive<'p> {
+    sharded.hive_mut(fleet.id).expect("fleet program is placed")
 }
 
 impl<'p> MultiPlatform<'p> {
@@ -310,26 +293,13 @@ impl<'p> MultiPlatform<'p> {
         let programs: Vec<&'p Program> = specs.iter().map(|s| s.program).collect();
         let sharded = ShardedHive::new(&programs, config.n_shards, &config.hive)
             .expect("sharded hive placement failed");
+        let seed_base = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let fleets = specs
             .iter()
             .enumerate()
             .map(|(lane, spec)| {
-                let pods = (0..config.n_pods)
-                    .map(|i| {
-                        let mut pc = spec.pod.clone();
-                        pc.seed = config
-                            .seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add((lane as u64) << 20)
-                            .wrapping_add(u64::from(i) + 1);
-                        Pod::new(spec.program, pc)
-                    })
-                    .collect();
-                Fleet {
-                    id: spec.program.id(),
-                    program: spec.program,
-                    pods,
-                }
+                let lane_base = seed_base.wrapping_add((lane as u64) << 20);
+                Fleet::new(spec.program, &spec.pod, config.n_pods, lane_base)
             })
             .collect();
         MultiPlatform {
@@ -341,6 +311,7 @@ impl<'p> MultiPlatform<'p> {
             telemetry: Vec::new(),
             last_run: None,
             durable: None,
+            promote_seq: 0,
         }
     }
 
@@ -358,6 +329,14 @@ impl<'p> MultiPlatform<'p> {
                 .map_err(|e| io_err("page-store", &e))?;
         }
         Ok(())
+    }
+
+    /// The shard whose journal carries `lane`'s frames.
+    fn shard_of_lane(&self, lane: usize) -> usize {
+        self.sharded
+            .map()
+            .shard_of(self.fleets[lane].id)
+            .expect("lane program is placed")
     }
 
     /// Builds a multi-program platform. With durability configured this
@@ -378,57 +357,27 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when any shard directory
-    /// already holds a snapshot or non-empty journal;
-    /// [`DurabilityError::Io`] when a shard's journal or snapshot store
-    /// cannot be opened.
+    /// already holds a snapshot, a non-empty journal, or chain records
+    /// (in either checkpoint format); [`DurabilityError::Io`] when a
+    /// shard's journal or snapshot store cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
     ) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(specs, config);
         platform.enable_tree_paging()?;
-        if let Some(dcfg) = platform.config.durability.clone() {
-            let mut shards = Vec::with_capacity(platform.sharded.n_shards());
-            for i in 0..platform.sharded.n_shards() {
-                let dir = dcfg.dir.join(format!("shard-{i}"));
-                let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-                if store.snap_path().exists() || store.prev_path().exists() {
-                    return Err(DurabilityError::CampaignExists(dir));
-                }
-                let journal =
-                    FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-                if !journal.is_empty() {
-                    return Err(DurabilityError::CampaignExists(dir));
-                }
-                let chain = if dcfg.chain.is_some() {
-                    let chain =
-                        ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                    if chain.head_generation().is_some() {
-                        return Err(DurabilityError::CampaignExists(dir));
-                    }
-                    Some(chain)
-                } else {
-                    None
-                };
-                shards.push(ShardDurable {
-                    store,
-                    chain,
-                    journal,
-                });
-            }
-            platform.durable = Some(MultiDurableState {
-                cfg: dcfg,
-                shards,
-                promote_seq: 0,
-                frame_floors: BTreeMap::new(),
-            });
+        if let Some(root) = platform.config.durability.clone() {
+            let stores = (0..platform.sharded.n_shards())
+                .map(|i| DurableStore::create(shard_cfg(&root, i)))
+                .collect::<Result<_, _>>()?;
+            platform.durable = Some(stores);
         }
         Ok(platform)
     }
 
     /// Resumes (or cold-starts) a durable multi-program campaign.
     ///
-    /// Every shard recovers independently — newest valid snapshot
+    /// Every shard recovers independently — newest valid checkpoint
     /// (falling back a generation if torn), then journal replay — and
     /// the campaign's committed round is the **minimum** across shards:
     /// a round was acked only once phase A fsynced it on every shard, so
@@ -442,88 +391,41 @@ impl<'p> MultiPlatform<'p> {
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage.
+    /// garbage, or when a shard directory holds a campaign in the other
+    /// checkpoint format (classic vs chained).
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
     ) -> Result<(Self, MultiResumeReport), DurabilityError> {
-        let dcfg = config
+        let root = config
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
         let mut platform = Self::base(specs, config);
         let n_shards = platform.sharded.n_shards();
-        let lanes: Vec<ProgramId> = platform.fleets.iter().map(|f| f.id).collect();
+        let lanes = platform.programs();
 
-        // Pass 1: load every shard's snapshot + journal and count its
-        // committed rounds (snapshot rounds + connected ROUND records).
+        // Pass 1: load every shard's checkpoint + journal and count its
+        // committed rounds (checkpoint rounds + connected ROUND records).
         struct ShardScan {
-            store: SnapshotStore,
-            chain: Option<ChainStore>,
-            chain_load: Option<softborg_store::ChainLoad>,
-            journal: FileJournal,
-            /// The authoritative checkpoint meta: the loaded snapshot, or
-            /// in chain mode the decoded *last* chain record (its
-            /// sessions/wal-coverage/app_meta describe the chain head).
-            snap: Option<HiveSnapshot>,
-            load: LoadReport,
-            wal: Vec<u8>,
-            replay_from: usize,
+            store: DurableStore,
+            rec: Recovered,
+            // Decoded from the head checkpoint's `app_meta`:
+            snap_round: u64,
+            history: Vec<MultiRoundReport>,
+            lane_pods: Vec<(u64, Vec<PodState>)>,
             records: Vec<JournalRecord>,
             tail_dropped: u64,
-            snap_round: u64,
             committed: u64,
         }
         let mut scans = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
-            let dir = dcfg.dir.join(format!("shard-{i}"));
-            let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            let (snap, load, chain_load, chain) = if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                let cl = chain.load();
-                let snap = match cl.records.last() {
-                    Some(rec) => Some(HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "shard {i} chain record {}: {e}",
-                            rec.generation
-                        ))
-                    })?),
-                    None => {
-                        if store.snap_path().exists() || store.prev_path().exists() {
-                            return Err(DurabilityError::Corrupt(format!(
-                                "shard {i}: chain mode found no chain records but a hive.snap \
-                                 exists (legacy campaign); resume it without chain settings"
-                            )));
-                        }
-                        None
-                    }
-                };
-                let load = LoadReport {
-                    source: match cl.report.source {
-                        ChainSource::Primary => SnapshotSource::Primary,
-                        ChainSource::Fallback => SnapshotSource::Fallback,
-                        ChainSource::None => SnapshotSource::None,
-                    },
-                    primary_error: None,
-                    fallback_error: None,
-                };
-                (snap, load, Some(cl), Some(chain))
-            } else {
-                let (snap, load) = store.load();
-                (snap, load, None, None)
+            let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
+            let (snap_round, history, lane_pods) = match &rec.app_meta {
+                Some(meta) => decode_multi_app_meta(meta)?,
+                None => (0, Vec::new(), Vec::new()),
             };
-            let journal =
-                FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-            let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let (snap_round, replay_from) = match &snap {
-                Some(s) => {
-                    let (round, _, _) = decode_multi_app_meta(&s.app_meta)?;
-                    (round, s.replay_offset(&wal))
-                }
-                None => (0, 0),
-            };
-            let (records, scan) = journal::scan(&wal[replay_from..]);
+            let (records, scan) = journal::scan(&rec.wal[rec.replay_from..]);
             if let Some(err) = scan.tail_error {
                 platform.config.obs.recorder.warn_or_ops(
                     "multi.resume",
@@ -541,246 +443,131 @@ impl<'p> MultiPlatform<'p> {
                 );
             }
             let mut committed = snap_round;
-            let mut expected = snap_round;
-            for rec in &records {
-                match rec.kind {
-                    REC_ROUND => {
-                        let mut r = codec::Reader::new(&rec.frame);
-                        let report = MultiRoundReport::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                        if report.round != expected {
-                            // Disconnected suffix (snapshot generation
-                            // fell back); nothing past here counts.
-                            break;
-                        }
-                        expected += 1;
-                        committed = expected;
-                    }
-                    REC_FRAME | REC_PROMOTE | REC_PODS | REC_TOMBSTONE | REC_ABORT => {}
-                    other => {
-                        return Err(DurabilityError::Corrupt(format!(
-                            "unknown journal record kind {other}"
-                        )));
-                    }
+            let mut walker = SegmentWalker::new(&records, rec.replay_from);
+            while let Some(seg) = walker.next_segment()? {
+                if decode_round(seg.round)?.round != committed {
+                    // Disconnected suffix (the checkpoint fell back a
+                    // generation); nothing past here counts.
+                    break;
                 }
+                committed += 1;
             }
             scans.push(ShardScan {
                 store,
-                chain,
-                chain_load,
-                journal,
-                snap,
-                load,
-                wal,
-                replay_from,
+                rec,
+                snap_round,
+                history,
+                lane_pods,
                 records,
                 tail_dropped: scan.tail_dropped as u64,
-                snap_round,
                 committed,
             });
         }
         let target = scans.iter().map(|s| s.committed).min().unwrap_or(0);
 
-        // Pass 2: restore each shard's snapshot state and replay its
+        // Pass 2: restore each shard's checkpoint state and replay its
         // journal up to (exactly) the target round, truncating whatever
         // lies beyond — ahead rounds, partial segments, damaged tails.
         let mut shard_reports = Vec::with_capacity(n_shards);
-        let mut durable_shards = Vec::with_capacity(n_shards);
-        let mut promote_seq = 0u64;
-        let mut frame_floors: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut stores = Vec::with_capacity(n_shards);
         let mut recovered_history: Option<Vec<MultiRoundReport>> = None;
         // Per-lane durable pod populations: seeded from each shard's
-        // snapshot, then overwritten by committed `REC_PODS` records
+        // checkpoint, then overwritten by committed `REC_PODS` records
         // replayed from that shard's journal suffix.
         let mut lane_pod_states: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
         for (shard, mut sc) in scans.into_iter().enumerate() {
             if sc.snap_round > target {
                 // Phase B runs only after phase A committed on every
-                // shard, so a snapshot can never be ahead of the
+                // shard, so a checkpoint can never be ahead of the
                 // campaign minimum.
                 return Err(DurabilityError::Corrupt(format!(
                     "shard {shard} snapshot is at round {} but the campaign minimum is {target}",
                     sc.snap_round
                 )));
             }
-            let mut history = Vec::new();
-            let mut chain_deltas_applied = 0u64;
-            if let Some(load) = &sc.chain_load {
-                // Chain mode: rebuild the shard from the oldest full
-                // record, then fold every delta on top in generation
-                // order. Meta (sessions, wal coverage, pods) comes from
-                // the already-decoded chain head in `sc.snap`.
-                if let Some((first, rest)) = load.records.split_first() {
-                    let full = HiveSnapshot::decode(&first.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "shard {shard} chain record {}: {e}",
-                            first.generation
-                        ))
-                    })?;
-                    platform
-                        .sharded
-                        .decode_shard_state(shard, &full.state, &platform.config.hive)
-                        .map_err(|e| {
-                            DurabilityError::Corrupt(format!("shard {shard} state: {e}"))
-                        })?;
-                    let skip_last = dcfg.chain.as_ref().is_some_and(|c| c.skip_last_delta);
-                    for (k, rec) in rest.iter().enumerate() {
-                        if skip_last && k + 1 == rest.len() {
-                            // Planted bug (`skip_delta` canary): the
-                            // head's metadata (already in `sc.snap`) is
-                            // trusted while its state changes are
-                            // silently dropped.
-                            continue;
-                        }
-                        let delta = HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                            DurabilityError::Corrupt(format!(
-                                "shard {shard} chain record {}: {e}",
-                                rec.generation
-                            ))
-                        })?;
-                        platform
-                            .sharded
-                            .apply_shard_state_delta(shard, &delta.state)
-                            .map_err(|e| {
-                                DurabilityError::Corrupt(format!(
-                                    "shard {shard} chain delta {}: {e}",
-                                    rec.generation
-                                ))
-                            })?;
-                        chain_deltas_applied += 1;
-                    }
-                }
-            } else if let Some(s) = &sc.snap {
+            if let Some((full, deltas)) = sc.rec.states.split_first() {
+                let corrupt =
+                    |e| DurabilityError::Corrupt(format!("shard {shard} checkpoint state: {e}"));
                 platform
                     .sharded
-                    .decode_shard_state(shard, &s.state, &platform.config.hive)
-                    .map_err(|e| DurabilityError::Corrupt(format!("shard {shard} state: {e}")))?;
-            }
-            if let Some(s) = &sc.snap {
-                let (_, h, snap_pods) = decode_multi_app_meta(&s.app_meta)?;
-                history = h;
-                for (lane, states) in snap_pods {
-                    lane_pod_states.insert(lane, states);
-                }
-                for (&session, &floor) in &s.sessions {
-                    let f = frame_floors.entry(session).or_insert(0);
-                    *f = (*f).max(floor);
+                    .decode_shard_state(shard, full, &platform.config.hive)
+                    .map_err(corrupt)?;
+                for delta in deltas {
+                    platform
+                        .sharded
+                        .apply_shard_state_delta(shard, delta)
+                        .map_err(corrupt)?;
                 }
             }
+            lane_pod_states.extend(sc.lane_pods);
+            let mut history = sc.history;
             let mut rounds_applied = sc.snap_round;
-            let mut seg_frames: Vec<&JournalRecord> = Vec::new();
-            let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
-            let mut seg_pods: BTreeMap<u64, &JournalRecord> = BTreeMap::new();
-            let mut offset = sc.replay_from;
             // End of the last fully-applied round (the truncation
             // boundary if anything uncommitted follows).
-            let mut boundary = sc.replay_from;
+            let mut boundary = sc.rec.replay_from;
             let mut applied_records = 0usize;
-            for (idx, rec) in sc.records.iter().enumerate() {
-                if rounds_applied == target {
+            let mut walker = SegmentWalker::new(&sc.records, sc.rec.replay_from);
+            while rounds_applied < target {
+                let Some(seg) = walker.next_segment()? else {
                     break;
+                };
+                let report = decode_round(seg.round)?;
+                if report.round != rounds_applied {
+                    break; // disconnected: truncated below
                 }
-                let rec_end = offset + rec.encoded_len();
-                match rec.kind {
-                    REC_FRAME => seg_frames.push(rec),
-                    REC_PROMOTE => seg_promotes.push(rec),
-                    REC_PODS => {
-                        seg_pods.insert(rec.session, rec);
-                    }
-                    REC_TOMBSTONE => {}
-                    REC_ABORT => {
-                        // Fenced by an earlier recovery: never apply.
-                        seg_frames.clear();
-                        seg_promotes.clear();
-                        seg_pods.clear();
-                        boundary = rec_end;
-                        applied_records = idx + 1;
-                    }
-                    REC_ROUND => {
-                        let mut r = codec::Reader::new(&rec.frame);
-                        let report = MultiRoundReport::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                        if report.round != rounds_applied {
-                            break; // disconnected: truncated below
-                        }
-                        seg_frames.sort_by_key(|r| (r.session, r.seq));
-                        for fr in seg_frames.drain(..) {
-                            let lane = usize::try_from(fr.session)
-                                .ok()
-                                .filter(|&l| l < lanes.len());
-                            let Some(lane) = lane else {
-                                return Err(DurabilityError::Corrupt(format!(
-                                    "frame record on unknown lane {}",
-                                    fr.session
-                                )));
-                            };
-                            let traces = wire::decode_batch(&fr.frame).map_err(|e| {
-                                DurabilityError::Corrupt(format!("frame batch: {e}"))
-                            })?;
-                            let hive = platform
-                                .sharded
-                                .hive_mut(lanes[lane])
-                                .expect("lane program is placed");
-                            for trace in &traces {
-                                hive.ingest(trace);
-                            }
-                            let floor = frame_floors.entry(fr.session).or_insert(0);
-                            *floor = (*floor).max(fr.seq + 1);
-                        }
-                        for pr in seg_promotes.drain(..) {
-                            let mut r = codec::Reader::new(&pr.frame);
-                            let program = ProgramId(
-                                r.u64("promote.program")
-                                    .map_err(|e| DurabilityError::Corrupt(e.to_string()))?,
-                            );
-                            let signature = r
-                                .str("promote.signature")
-                                .map_err(|e| DurabilityError::Corrupt(e.to_string()))?
-                                .to_string();
-                            let overlay = softborg_program::Overlay::decode(&mut r)
-                                .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-                            platform
-                                .sharded
-                                .hive_mut(program)
-                                .map_err(|e| {
-                                    DurabilityError::Corrupt(format!("promote record: {e}"))
-                                })?
-                                .promote(
-                                    &signature,
-                                    &FixCandidate {
-                                        overlay,
-                                        description: String::new(),
-                                    },
-                                );
-                            promote_seq = promote_seq.max(pr.seq + 1);
-                        }
-                        if platform.config.guidance_enabled {
-                            for id in platform.sharded.map().programs_on(shard) {
-                                let _ = platform
-                                    .sharded
-                                    .hive_mut(id)
-                                    .expect("placed program")
-                                    .guidance();
-                            }
-                        }
-                        for (lane, pr) in std::mem::take(&mut seg_pods) {
-                            lane_pod_states.insert(lane, decode_pod_states(&pr.frame)?);
-                        }
-                        rounds_applied += 1;
-                        history.push(report);
-                        boundary = rec_end;
-                        applied_records = idx + 1;
-                    }
-                    other => {
+                for fr in &seg.frames {
+                    let Some(&id) = usize::try_from(fr.session).ok().and_then(|l| lanes.get(l))
+                    else {
                         return Err(DurabilityError::Corrupt(format!(
-                            "unknown journal record kind {other}"
+                            "frame record on unknown lane {}",
+                            fr.session
                         )));
+                    };
+                    let traces = wire::decode_batch(&fr.frame)
+                        .map_err(|e| DurabilityError::Corrupt(format!("frame batch: {e}")))?;
+                    let hive = platform
+                        .sharded
+                        .hive_mut(id)
+                        .expect("lane program is placed");
+                    for trace in &traces {
+                        hive.ingest(trace);
+                    }
+                    sc.store.raise_floor(fr.session, fr.seq);
+                }
+                for pr in &seg.promotes {
+                    let mut r = codec::Reader::new(&pr.frame);
+                    let program = ProgramId(r.u64("promote.program")?);
+                    let (signature, overlay) = read_promotion(&mut r)?;
+                    platform
+                        .sharded
+                        .hive_mut(program)
+                        .map_err(|e| DurabilityError::Corrupt(format!("promote record: {e}")))?
+                        .promote(
+                            &signature,
+                            &FixCandidate {
+                                overlay,
+                                description: String::new(),
+                            },
+                        );
+                    platform.promote_seq = platform.promote_seq.max(pr.seq + 1);
+                }
+                if platform.config.guidance_enabled {
+                    // Advance hive-internal guidance state; the directives
+                    // themselves are already inside the pod images.
+                    for id in platform.sharded.map().programs_on(shard) {
+                        let hive = platform.sharded.hive_mut(id).expect("placed program");
+                        let _ = hive.guidance();
                     }
                 }
-                offset = rec_end;
+                for pr in &seg.pods {
+                    lane_pod_states.insert(pr.session, fleet::decode_pod_states(&pr.frame)?);
+                }
+                rounds_applied += 1;
+                history.push(report);
+                (boundary, applied_records) = (seg.end, seg.end_idx);
             }
             let records_discarded = (sc.records.len() - applied_records) as u64;
-            if (boundary as u64) < sc.wal.len() as u64 {
+            if boundary < sc.rec.wal.len() {
                 if records_discarded > 0 {
                     platform.config.obs.recorder.warn_or_ops(
                         "multi.resume",
@@ -796,7 +583,7 @@ impl<'p> MultiPlatform<'p> {
                         ),
                     );
                 }
-                sc.journal.truncate(boundary as u64)?;
+                sc.store.truncate_wal(boundary as u64)?;
             }
             if rounds_applied != target {
                 return Err(DurabilityError::Corrupt(format!(
@@ -809,19 +596,15 @@ impl<'p> MultiPlatform<'p> {
             }
             shard_reports.push(ShardResumeReport {
                 shard,
-                snapshot: sc.load,
-                chain: sc.chain_load.map(|l| l.report),
-                chain_deltas_applied,
+                chain_deltas_applied: sc.rec.deltas_applied(),
+                snapshot: sc.rec.snapshot,
+                chain: sc.rec.chain,
                 rounds_from_snapshot: sc.snap_round,
                 rounds_replayed: rounds_applied - sc.snap_round,
                 wal_tail_dropped: sc.tail_dropped,
                 records_discarded,
             });
-            durable_shards.push(ShardDurable {
-                store: sc.store,
-                chain: sc.chain,
-                journal: sc.journal,
-            });
+            stores.push(sc.store);
         }
 
         // Paging attaches only after every shard's state is final:
@@ -830,12 +613,12 @@ impl<'p> MultiPlatform<'p> {
         platform.enable_tree_paging()?;
 
         // Process equivalence: install every fleet's freshest committed
-        // pod images (journal beats snapshot; lanes with no durable
+        // pod images (journal beats checkpoint; lanes with no durable
         // record — a cold campaign — keep their seed-derived round-0
         // population).
         for (lane, fleet) in platform.fleets.iter_mut().enumerate() {
             if let Some(states) = lane_pod_states.remove(&(lane as u64)) {
-                restore_pod_states(&mut fleet.pods, states)?;
+                fleet.restore_pod_states(states)?;
             }
         }
         if let Some((&lane, _)) = lane_pod_states.iter().next() {
@@ -846,12 +629,7 @@ impl<'p> MultiPlatform<'p> {
 
         platform.round_idx = target;
         platform.history = recovered_history.unwrap_or_default();
-        platform.durable = Some(MultiDurableState {
-            cfg: dcfg,
-            shards: durable_shards,
-            promote_seq,
-            frame_floors,
-        });
+        platform.durable = Some(stores);
         Ok((
             platform,
             MultiResumeReport {
@@ -934,10 +712,7 @@ impl<'p> MultiPlatform<'p> {
     /// pod half of the process-equivalence invariant checked by the
     /// kill/restart harness.
     pub fn export_pod_states(&self) -> Vec<Vec<PodState>> {
-        self.fleets
-            .iter()
-            .map(|f| f.pods.iter().map(Pod::export_state).collect())
-            .collect()
+        self.fleets.iter().map(Fleet::export_pod_states).collect()
     }
 
     /// Scrubs every shard's durable files for bit rot *before*
@@ -951,22 +726,13 @@ impl<'p> MultiPlatform<'p> {
     /// otherwise the first failing shard's error (I/O, or a shard whose
     /// durable data was entirely destroyed).
     pub fn scrub(config: &MultiPlatformConfig) -> Result<Vec<ScrubReport>, DurabilityError> {
-        let dcfg = config
+        let root = config
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
-        let mut reports = Vec::with_capacity(config.n_shards);
-        for i in 0..config.n_shards {
-            let dir = dcfg.dir.join(format!("shard-{i}"));
-            let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            reports.push(if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                scrub_chained_campaign(&store, &chain, &config.obs.recorder)?
-            } else {
-                scrub_campaign(&store, &config.obs.recorder)?
-            });
-        }
+        let mut reports = (0..config.n_shards)
+            .map(|i| DurableStore::scrub(&shard_cfg(root, i), &config.obs.recorder))
+            .collect::<Result<Vec<_>, _>>()?;
         // Page stores are per program (`prog-<id>/` under the paging
         // root), not per shard; their merged verdict rides on the first
         // shard's report.
@@ -1016,14 +782,7 @@ impl<'p> MultiPlatform<'p> {
         self.distribute_overlays();
 
         // 2. Execute all fleets through the shared sharded pipeline.
-        let frame_log = self
-            .durable
-            .is_some()
-            .then(|| Mutex::new(Vec::<(u64, u64, Vec<u8>)>::new()));
-        let per_lane = self.execute_sharded(execs_per_pod, frame_log.as_ref());
-        let frames = frame_log
-            .map(|m| m.into_inner().expect("frame log poisoned"))
-            .unwrap_or_default();
+        let (per_lane, frames) = self.execute(execs_per_pod);
 
         // 3-6. Fix pipelines, guidance, report, durable commit.
         self.finish_round(per_lane, frames)
@@ -1054,7 +813,6 @@ impl<'p> MultiPlatform<'p> {
         F: for<'a> FnOnce(Vec<LaneTask<'a, 'p>>, u64) -> MultiDrivenExecution,
     {
         self.distribute_overlays();
-        let batch = self.config.ingest.batch_size.max(1) as u64;
         let n_lanes = self.fleets.len();
         let tasks: Vec<LaneTask<'_, 'p>> = self
             .fleets
@@ -1066,7 +824,7 @@ impl<'p> MultiPlatform<'p> {
                 pods: &mut fleet.pods,
             })
             .collect();
-        let drv = driver(tasks, batch);
+        let drv = driver(tasks, self.config.ingest.batch());
         assert_eq!(
             drv.per_lane.len(),
             n_lanes,
@@ -1075,18 +833,15 @@ impl<'p> MultiPlatform<'p> {
         let mut frames = drv.frames;
         frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
         for (lane, _, frame) in &frames {
-            let id = self.fleets[*lane as usize].id;
             let traces = wire::decode_batch(frame).expect("driver produced a corrupt frame");
-            let hive = self.sharded.hive_mut(id).expect("fleet program is placed");
+            let hive = hive_of_mut(&mut self.sharded, &self.fleets[*lane as usize]);
             for trace in &traces {
                 hive.ingest(trace);
             }
         }
-        let frames = if self.durable.is_some() {
-            frames
-        } else {
-            Vec::new()
-        };
+        if self.durable.is_none() {
+            frames.clear();
+        }
         self.finish_round(drv.per_lane, frames)
     }
 
@@ -1095,157 +850,83 @@ impl<'p> MultiPlatform<'p> {
     fn distribute_overlays(&mut self) {
         if self.config.fixes_enabled {
             for fleet in &mut self.fleets {
-                let (overlay, version) = {
-                    let (o, v) = self
-                        .sharded
-                        .hive(fleet.id)
-                        .expect("fleet program is placed")
-                        .current_overlay();
-                    (o.clone(), v)
-                };
-                for pod in &mut fleet.pods {
-                    pod.install_fix(overlay.clone(), version);
-                }
+                fleet.install_overlay(hive_of(&self.sharded, fleet));
             }
         }
+    }
+
+    /// Step 2 of [`round`](Self::round): executes every fleet's pods on
+    /// scoped threads, submitting batch frames into pre-partitioned
+    /// per-program sequence slots (pod `j` of a fleet owns slots
+    /// `j*k..(j+1)*k`), so each program's merge order is pod-major —
+    /// byte-identical to a serial per-program loop — regardless of
+    /// thread scheduling. Returns the counters per lane.
+    fn execute(&mut self, execs_per_pod: u32) -> (Vec<Counters>, Vec<Frame>) {
+        let batch = self.config.ingest.batch();
+        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
+        let threads = self.config.ingest.pod_threads;
+        let keep_frames = self.durable.is_some();
+        let lanes = self.programs();
+        let cfg = self.config.ingest.pipeline_with(&self.config.obs);
+        let mut per_lane = vec![(0u64, 0u64, 0u64); lanes.len()];
+        let mut slots: Vec<PodSlot<'_, 'p>> = Vec::new();
+        for (lane, fleet) in self.fleets.iter_mut().enumerate() {
+            slots.extend(fleet.pods.iter_mut().enumerate().map(|(j, pod)| PodSlot {
+                session: lane as u64,
+                first_seq: j as u64 * frames_per_pod,
+                pod,
+            }));
+        }
+        let ((per_pod, frames), stats) = self.sharded.ingest_frames(&cfg, move |tx| {
+            let submit = move |lane: u64, seq, frame| {
+                tx.submit_for_at(lanes[lane as usize], seq, frame)
+                    .expect("lane program is placed");
+            };
+            fleet::run_threaded(slots, threads, execs_per_pod, batch, keep_frames, submit)
+        });
+        self.last_run = Some(stats);
+        for (lane, (e, f, d)) in per_pod {
+            let entry = &mut per_lane[lane as usize];
+            *entry = (entry.0 + e, entry.1 + f, entry.2 + d);
+        }
+        (per_lane, frames)
     }
 
     /// Steps 3–6 of a round, shared by [`round`](Self::round) and
     /// [`round_driven`](Self::round_driven): fix pipelines, guidance,
     /// report, durable two-phase commit.
-    fn finish_round(
-        &mut self,
-        per_lane: Vec<(u64, u64, u64)>,
-        frames: Vec<(u64, u64, Vec<u8>)>,
-    ) -> MultiRoundReport {
+    fn finish_round(&mut self, per_lane: Vec<Counters>, frames: Vec<Frame>) -> MultiRoundReport {
         // 3. Per-program fix pipeline. Proposals from every program are
-        //    validated concurrently on scoped threads (each against its
-        //    own program's round-start overlay), then promoted
-        //    sequentially in (lane, proposal) order — deterministic
-        //    regardless of scheduling, and replayed from recorded
-        //    promotion decisions on resume.
-        let mut promoted: Vec<(ProgramId, String, softborg_program::Overlay)> = Vec::new();
+        //    validated concurrently (each against its own program's
+        //    round-start overlay), then promoted sequentially in (lane,
+        //    proposal) order — deterministic regardless of scheduling,
+        //    and replayed from recorded promotion decisions on resume.
+        let mut promoted: Vec<(usize, String, Overlay)> = Vec::new();
         let mut fixes_by_lane = vec![0u64; self.fleets.len()];
         if self.config.fixes_enabled {
-            struct Trial {
-                lane: usize,
-                signature: String,
-                candidates: Vec<FixCandidate>,
-                failing: Vec<TestCase>,
-                passing: Vec<TestCase>,
-                base: softborg_program::Overlay,
-            }
-            let mut trials: Vec<Trial> = Vec::new();
-            for (lane, fleet) in self.fleets.iter().enumerate() {
-                let hive = self
-                    .sharded
-                    .hive(fleet.id)
-                    .expect("fleet program is placed");
-                let base = hive.current_overlay().0.clone();
-                for proposal in hive.propose_fixes() {
-                    let failing: Vec<TestCase> = fleet
-                        .pods
-                        .iter()
-                        .flat_map(|p| p.failing_cases())
-                        .filter(|(_, o)| {
-                            outcome_signature(o).as_deref() == Some(proposal.signature.as_str())
-                        })
-                        .map(|(c, _)| c.clone())
-                        .take(16)
-                        .collect();
-                    let passing: Vec<TestCase> = fleet
-                        .pods
-                        .iter()
-                        .flat_map(|p| p.passing_cases())
-                        .take(32)
-                        .cloned()
-                        .collect();
-                    trials.push(Trial {
-                        lane,
-                        signature: proposal.signature,
-                        candidates: proposal.candidates,
-                        failing,
-                        passing,
-                        base: base.clone(),
-                    });
+            let trials: Vec<Trial<'p>> = self
+                .fleets
+                .iter()
+                .enumerate()
+                .flat_map(|(lane, fleet)| fleet.trials(lane, hive_of(&self.sharded, fleet)))
+                .collect();
+            let winners = fleet::validate_trials(&trials, self.config.min_preservation_cases);
+            for (trial, winner) in trials.into_iter().zip(winners) {
+                let Some(candidate) = winner else { continue };
+                hive_of_mut(&mut self.sharded, &self.fleets[trial.lane])
+                    .promote(&trial.signature, &candidate);
+                if self.durable.is_some() {
+                    promoted.push((trial.lane, trial.signature, candidate.overlay));
                 }
-            }
-            let fleets = &self.fleets;
-            let winners: Vec<_> = std::thread::scope(|s| {
-                let handles: Vec<_> = trials
-                    .iter()
-                    .map(|t| {
-                        let program = fleets[t.lane].program;
-                        s.spawn(move || {
-                            rank(
-                                program,
-                                &t.base,
-                                &t.candidates,
-                                &t.failing,
-                                &t.passing,
-                                LabConfig::default(),
-                            )
-                            .into_iter()
-                            .next()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trial validation thread panicked"))
-                    .collect()
-            });
-            for (t, winner) in trials.iter().zip(winners) {
-                let Some((candidate, validation)) = winner else {
-                    continue;
-                };
-                let distribute = match validation.verdict {
-                    Verdict::Distribute => true,
-                    Verdict::Reject | Verdict::Suggest => {
-                        t.signature.starts_with("lock-cycle:")
-                            && t.failing.is_empty()
-                            && validation.passing_total as usize
-                                >= self.config.min_preservation_cases
-                            && validation.passing_preserved == validation.passing_total
-                    }
-                };
-                if distribute {
-                    let id = self.fleets[t.lane].id;
-                    self.sharded
-                        .hive_mut(id)
-                        .expect("fleet program is placed")
-                        .promote(&t.signature, &candidate);
-                    if self.durable.is_some() {
-                        promoted.push((id, t.signature.clone(), candidate.overlay.clone()));
-                    }
-                    fixes_by_lane[t.lane] += 1;
-                }
+                fixes_by_lane[trial.lane] += 1;
             }
         }
 
         // 4. Guidance, per program.
         if self.config.guidance_enabled {
             for fleet in &mut self.fleets {
-                let (plan, _stats) = self
-                    .sharded
-                    .hive_mut(fleet.id)
-                    .expect("fleet program is placed")
-                    .guidance();
-                if !plan.directives.is_empty() {
-                    let n = fleet.pods.len();
-                    for (i, d) in plan.directives.into_iter().enumerate() {
-                        match d {
-                            Directive::InputSeed { .. } => {
-                                for k in 0..3usize {
-                                    fleet.pods[(i * 3 + k) % n].receive_guidance([d.clone()]);
-                                }
-                            }
-                            other => {
-                                fleet.pods[i % n].receive_guidance([other]);
-                            }
-                        }
-                    }
-                }
+                let (plan, _stats) = hive_of_mut(&mut self.sharded, fleet).guidance();
+                fleet.spread_guidance(plan.directives);
             }
         }
 
@@ -1253,28 +934,26 @@ impl<'p> MultiPlatform<'p> {
         let programs: Vec<ProgramRoundReport> = self
             .fleets
             .iter()
-            .enumerate()
-            .map(|(lane, fleet)| {
-                let (e, f, d) = per_lane[lane];
-                ProgramRoundReport {
-                    program: fleet.id.0,
-                    executions: e,
-                    failures: f,
-                    fixes_promoted: fixes_by_lane[lane],
-                    overlay_version: self
-                        .sharded
-                        .hive(fleet.id)
-                        .expect("fleet program is placed")
-                        .current_overlay()
-                        .1,
-                    directed: d,
-                }
-            })
+            .zip(&per_lane)
+            .zip(&fixes_by_lane)
+            .map(
+                |((fleet, &(executions, failures, directed)), &fixes_promoted)| {
+                    ProgramRoundReport {
+                        program: fleet.id.0,
+                        executions,
+                        failures,
+                        fixes_promoted,
+                        overlay_version: hive_of(&self.sharded, fleet).current_overlay().1,
+                        directed,
+                    }
+                },
+            )
             .collect();
         let executions: u64 = programs.iter().map(|p| p.executions).sum();
         let failures: u64 = programs.iter().map(|p| p.failures).sum();
+        let round = self.round_idx;
         let report = MultiRoundReport {
-            round: self.round_idx,
+            round,
             executions,
             failures,
             failure_rate_per_10k: if executions == 0 {
@@ -1290,51 +969,12 @@ impl<'p> MultiPlatform<'p> {
 
         // 6. Durable two-phase commit.
         let obs = self.config.obs.clone();
-        let clock = obs.span_clock();
-        let commit_hist = obs
-            .registry
-            .as_ref()
-            .map(|r| r.histogram("multi.round_commit_ns"));
-        let frames_journaled = frames.len() as u64;
-        let promotions_journaled = promoted.len() as u64;
-        let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
-        let commit = self
-            .commit_round(&report, frames, &promoted)
-            .expect("durable round commit failed");
-        let commit_ns = commit_span.map_or(0, SpanTimer::stop);
-        self.telemetry.push(RoundTelemetry {
-            round: report.round,
-            commit_ns,
-            fsync_ns: commit.fsync_ns,
-            frames_journaled,
-            promotions_journaled,
-            compacted: commit.compacted,
-            checkpoint_ns: commit.checkpoint_ns,
-            checkpoint_bytes: commit.checkpoint_bytes,
+        let totals = (round, executions, failures, report.fixes_promoted);
+        let journaled = (frames.len() as u64, promoted.len() as u64);
+        let telemetry = commit_observed(&obs, "multi", totals, &[], journaled, || {
+            self.commit_round(&report, frames, &promoted)
         });
-        if let Some(reg) = obs.registry.as_ref() {
-            reg.counter("multi.rounds").incr();
-            reg.counter("multi.executions").add(report.executions);
-            reg.counter("multi.failures").add(report.failures);
-            reg.counter("multi.fixes_promoted")
-                .add(report.fixes_promoted);
-        }
-        // Content-determined fields only, so events_hash stays replay-
-        // and host-stable.
-        obs.recorder.info(
-            "multi",
-            "round_committed",
-            &[
-                ("round", report.round),
-                ("executions", report.executions),
-                ("failures", report.failures),
-                ("fixes_promoted", report.fixes_promoted),
-            ],
-            format_args!(
-                "round {} committed: {} executions, {} failures, {} fix(es) promoted",
-                report.round, report.executions, report.failures, report.fixes_promoted
-            ),
-        );
+        self.telemetry.push(telemetry);
         report
     }
 
@@ -1346,401 +986,146 @@ impl<'p> MultiPlatform<'p> {
         self.history()
     }
 
-    /// Executes every fleet's pods on scoped threads, submitting batch
-    /// frames into pre-partitioned per-program sequence slots (pod `j`
-    /// of a fleet owns slots `j*k..(j+1)*k`), so each program's merge
-    /// order is pod-major — byte-identical to a serial per-program loop
-    /// — regardless of thread scheduling. Returns `(executions,
-    /// failures, directed)` per lane.
-    fn execute_sharded(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> Vec<(u64, u64, u64)> {
-        let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let n_lanes = self.fleets.len();
-        let MultiPlatform {
-            sharded,
-            fleets,
-            config,
-            last_run,
-            ..
-        } = self;
-        let mut units: Vec<(u64, ProgramId, u64, &mut Pod<'p>)> = Vec::new();
-        for (lane, fleet) in fleets.iter_mut().enumerate() {
-            for (j, pod) in fleet.pods.iter_mut().enumerate() {
-                units.push((lane as u64, fleet.id, j as u64, pod));
-            }
-        }
-        let threads = config.ingest.pod_threads.max(1).min(units.len().max(1));
-        let chunk_size = units.len().div_ceil(threads).max(1);
-        let mut cfg = config.ingest.pipeline.clone();
-        if !cfg.obs.is_enabled() {
-            // One attach point: platform-level telemetry flows into the
-            // sharded ingest stage unless the pipeline has its own sinks.
-            cfg.obs = config.obs.clone();
-        }
-        let (per_unit, stats) = sharded.ingest_frames(&cfg, move |tx| {
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for chunk in units.chunks_mut(chunk_size) {
-                    let tx = tx.clone();
-                    handles.push(s.spawn(move || {
-                        let mut out: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(chunk.len());
-                        for (lane, id, pod_index, pod) in chunk {
-                            let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-                            let mut next_seq = *pod_index * frames_per_pod;
-                            let mut buf: Vec<softborg_trace::ExecutionTrace> =
-                                Vec::with_capacity(batch as usize);
-                            let flush =
-                                |buf: &mut Vec<softborg_trace::ExecutionTrace>,
-                                 next_seq: &mut u64| {
-                                    let frame = wire::encode_batch(&*buf);
-                                    if let Some(log) = frame_log {
-                                        log.lock().expect("frame log poisoned").push((
-                                            *lane,
-                                            *next_seq,
-                                            frame.clone(),
-                                        ));
-                                    }
-                                    tx.submit_for_at(*id, *next_seq, frame)
-                                        .expect("lane program is placed");
-                                    *next_seq += 1;
-                                    buf.clear();
-                                };
-                            for _ in 0..execs_per_pod {
-                                let run = pod.run_once();
-                                executions += 1;
-                                if run.result.outcome.is_failure() {
-                                    failures += 1;
-                                }
-                                if run.directed {
-                                    directed += 1;
-                                }
-                                buf.push(run.trace);
-                                if buf.len() as u64 == batch {
-                                    flush(&mut buf, &mut next_seq);
-                                }
-                            }
-                            if !buf.is_empty() {
-                                flush(&mut buf, &mut next_seq);
-                            }
-                            out.push((*lane, executions, failures, directed));
-                        }
-                        out
-                    }));
-                }
-                drop(tx);
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("pod thread panicked"))
-                    .collect::<Vec<_>>()
-            })
-        });
-        *last_run = Some(stats);
-        let mut per_lane = vec![(0u64, 0u64, 0u64); n_lanes];
-        for (lane, e, f, d) in per_unit {
-            let entry = &mut per_lane[lane as usize];
-            entry.0 += e;
-            entry.1 += f;
-            entry.2 += d;
-        }
-        per_lane
-    }
-
     /// Commits one round durably. Phase A: append this round's frames
-    /// (per-lane, in merge order), promotions, and the round record to
-    /// **every** shard journal, then fsync them all — only after every
-    /// fsync is the round acked. Phase B: per-shard snapshot compaction,
-    /// which can therefore never capture a round some journal lacks.
-    /// Returns `(fsync_ns, compacted)` for the round's telemetry entry
-    /// (fsync is timed only when a registry is attached).
+    /// (per-lane, in merge order), promotions, pod populations, and the
+    /// round record to **every** shard journal, then fsync them all —
+    /// only after every fsync is the round acked. Phase B: per-shard
+    /// compaction, which can therefore never capture a round some
+    /// journal lacks. Returns the commit's telemetry slice (fsync is
+    /// timed only when a registry is attached).
     fn commit_round(
         &mut self,
         report: &MultiRoundReport,
-        mut frames: Vec<(u64, u64, Vec<u8>)>,
-        promoted: &[(ProgramId, String, softborg_program::Overlay)],
-    ) -> Result<CommitStats, DurabilityError> {
-        let obs = self.config.obs.clone();
-        let lanes: Vec<ProgramId> = self.fleets.iter().map(|f| f.id).collect();
+        mut frames: Vec<Frame>,
+        promoted: &[(usize, String, Overlay)],
+    ) -> Result<RoundTelemetry, DurabilityError> {
         if self.durable.is_none() {
-            return Ok(CommitStats::default());
+            return Ok(RoundTelemetry::default());
         }
         // Capture every fleet's pod population *after* guidance queued
         // next-round directives — the exact state an uninterrupted
         // process carries into the next round.
-        let pod_bodies: Vec<Vec<u8>> = self
-            .fleets
-            .iter()
-            .map(|f| encode_pod_states(&f.pods))
+        let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
+        let lane_shards: Vec<usize> = (0..self.fleets.len())
+            .map(|lane| self.shard_of_lane(lane))
             .collect();
-        let d = self.durable.as_mut().expect("checked above");
+        let stores = self.durable.as_mut().expect("checked above");
         frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
 
         // Phase A: append everywhere…
-        let mut rec = Vec::new();
         for (lane, seq, bytes) in &frames {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(lanes[*lane as usize])
-                .expect("lane program is placed");
-            rec.clear();
-            journal::append_record(&mut rec, REC_FRAME, *lane, *seq, bytes);
-            d.shards[shard].journal.append(&rec)?;
-            let floor = d.frame_floors.entry(*lane).or_insert(0);
-            *floor = (*floor).max(seq + 1);
-        }
-        for (program, signature, overlay) in promoted {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(*program)
-                .expect("promoted program is placed");
-            let mut body = Vec::new();
-            codec::put_u64(&mut body, program.0);
-            codec::put_str(&mut body, signature);
-            overlay.encode_into(&mut body);
-            rec.clear();
-            journal::append_record(&mut rec, REC_PROMOTE, SESSION_PROMOTE, d.promote_seq, &body);
-            d.promote_seq += 1;
-            d.shards[shard].journal.append(&rec)?;
-        }
-        for (lane, pod_body) in pod_bodies.iter().enumerate() {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(lanes[lane])
-                .expect("lane program is placed");
-            rec.clear();
-            journal::append_record(&mut rec, REC_PODS, lane as u64, report.round, pod_body);
-            d.shards[shard].journal.append(&rec)?;
+            stores[lane_shards[*lane as usize]].append_frame(*lane, *seq, bytes)?;
         }
         let mut body = Vec::new();
+        for (lane, signature, overlay) in promoted {
+            body.clear();
+            codec::put_u64(&mut body, self.fleets[*lane].id.0);
+            put_promotion(&mut body, signature, overlay);
+            let store = &mut stores[lane_shards[*lane]];
+            store.append(REC_PROMOTE, SESSION_PROMOTE, self.promote_seq, &body)?;
+            self.promote_seq += 1;
+        }
+        for (lane, pod_body) in pod_bodies.iter().enumerate() {
+            stores[lane_shards[lane]].append(REC_PODS, lane as u64, report.round, pod_body)?;
+        }
+        body.clear();
         report.encode_into(&mut body);
-        rec.clear();
-        journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        for sd in &mut d.shards {
-            sd.journal.append(&rec)?;
+        for store in stores.iter_mut() {
+            store.append(REC_ROUND, SESSION_ROUND, report.round, &body)?;
         }
         // …then fsync everywhere. A crash between fsyncs leaves some
         // shards one round ahead; resume truncates them back to the
         // minimum (the round was never acked).
+        let obs = &self.config.obs;
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
         let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        for sd in &mut d.shards {
-            sd.journal.sync()?;
+        for store in stores.iter_mut() {
+            store.sync()?;
         }
-        let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
+        let mut stats = RoundTelemetry {
+            fsync_ns: fsync_span.map_or(0, SpanTimer::stop),
+            ..RoundTelemetry::default()
+        };
 
         // Phase B: per-shard compaction.
-        let mut stats = CommitStats {
-            fsync_ns,
-            ..CommitStats::default()
-        };
-        let (ratio, min_bytes) = (d.cfg.compact_ratio, d.cfg.min_compact_wal_bytes);
-        if ratio > 0 {
-            for shard in 0..d.shards.len() {
-                let wal_len = d.shards[shard].journal.len();
-                if wal_len < min_bytes {
-                    continue;
-                }
-                // In chain mode the trigger compares against the chain's
-                // own bookkeeping (last full + deltas since), so the
-                // check itself is O(1) instead of re-encoding the shard.
-                let (due, kind, state) = if let Some(cs) = &d.cfg.chain {
-                    let chain = d.shards[shard]
-                        .chain
-                        .as_ref()
-                        .expect("chain mode shards carry a chain store");
-                    let footprint = chain
-                        .last_full_payload_bytes()
-                        .saturating_add(chain.delta_payload_bytes_since_full())
-                        .max(1);
-                    let due = wal_len >= ratio.saturating_mul(footprint);
-                    let kind = if due && chain.rebase_due(cs.rebase_ratio) {
-                        RecordKind::Full
-                    } else {
-                        RecordKind::Delta
-                    };
-                    (due, kind, None)
-                } else {
-                    let state = self
-                        .sharded
-                        .encode_shard_state(shard)
-                        .expect("shard index in range");
-                    let due = wal_len >= ratio.saturating_mul(state.len() as u64);
-                    (due, RecordKind::Full, Some(state))
-                };
-                if due {
-                    let started = std::time::Instant::now();
-                    let state = match (kind, state) {
-                        (RecordKind::Delta, _) => self
-                            .sharded
-                            .encode_shard_state_delta(shard)
-                            .expect("shard index in range"),
-                        (RecordKind::Full, Some(s)) => s,
-                        (RecordKind::Full, None) => self
-                            .sharded
-                            .encode_shard_state(shard)
-                            .expect("shard index in range"),
-                    };
-                    stats.checkpoint_bytes += write_shard_checkpoint(
-                        d,
-                        shard,
-                        &lanes,
-                        self.sharded.map(),
-                        kind,
-                        state,
-                        self.round_idx,
-                        &self.history,
-                        &pod_bodies,
-                        true,
-                    )?;
-                    if d.cfg.chain.is_some() {
-                        self.sharded.mark_shard_clean(shard);
-                    }
-                    stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
-                    stats.compacted = true;
-                }
+        for shard in 0..stores.len() {
+            let encode_full = || self.shard_state(shard);
+            let due =
+                self.durable.as_ref().expect("checked above")[shard].checkpoint_due(encode_full);
+            if let Some(full_state) = due {
+                let started = std::time::Instant::now();
+                stats.checkpoint_bytes += self.checkpoint_shard(shard, full_state, &pod_bodies)?;
+                stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
+                stats.compacted = true;
             }
         }
         Ok(stats)
     }
 
+    /// Writes one checkpoint of shard `shard` and truncates its journal
+    /// (see [`DurableStore::write_checkpoint`]); in chain mode the
+    /// shard's delta tracking is then reset. The checkpoint's pod
+    /// populations cover only the lanes whose frames land in this
+    /// shard's journal. `lane_pods` holds every lane's encoded pod
+    /// population, in lane order.
+    fn checkpoint_shard(
+        &mut self,
+        shard: usize,
+        full_state: Option<Vec<u8>>,
+        lane_pods: &[Vec<u8>],
+    ) -> Result<u64, DurabilityError> {
+        let shard_pods: Vec<(u64, &[u8])> = lane_pods
+            .iter()
+            .enumerate()
+            .filter(|&(lane, _)| self.shard_of_lane(lane) == shard)
+            .map(|(lane, body)| (lane as u64, body.as_slice()))
+            .collect();
+        let app_meta = encode_multi_app_meta(self.round_idx, &self.history, &shard_pods);
+        let sharded = &self.sharded;
+        let encode = |kind| {
+            match kind {
+                RecordKind::Full => sharded.encode_shard_state(shard),
+                RecordKind::Delta => sharded.encode_shard_state_delta(shard),
+            }
+            .expect("shard index in range")
+        };
+        let stores = self
+            .durable
+            .as_mut()
+            .ok_or(DurabilityError::NotConfigured)?;
+        let written = stores[shard].write_checkpoint(full_state, encode, app_meta, true)?;
+        if stores[shard].is_chained() {
+            self.sharded.mark_shard_clean(shard);
+        }
+        Ok(written)
+    }
+
     /// On-demand compaction of every shard: each folds its journal into
-    /// a fresh snapshot generation and truncates it.
+    /// a fresh checkpoint and truncates it. Returns the payload bytes
+    /// written, summed over shards.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
     /// [`DurabilityError::Io`] when a snapshot swap fails.
-    pub fn checkpoint(&mut self) -> Result<(), DurabilityError> {
-        let lanes: Vec<ProgramId> = self.fleets.iter().map(|f| f.id).collect();
-        let pod_bodies: Vec<Vec<u8>> = self
-            .fleets
-            .iter()
-            .map(|f| encode_pod_states(&f.pods))
-            .collect();
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or(DurabilityError::NotConfigured)?;
-        for shard in 0..self.sharded.n_shards() {
-            let kind = match &d.cfg.chain {
-                Some(cs) => {
-                    let chain = d.shards[shard]
-                        .chain
-                        .as_ref()
-                        .expect("chain mode shards carry a chain store");
-                    if chain.rebase_due(cs.rebase_ratio) {
-                        RecordKind::Full
-                    } else {
-                        RecordKind::Delta
-                    }
-                }
-                None => RecordKind::Full,
-            };
-            let state = match kind {
-                RecordKind::Full => self
-                    .sharded
-                    .encode_shard_state(shard)
-                    .expect("shard index in range"),
-                RecordKind::Delta => self
-                    .sharded
-                    .encode_shard_state_delta(shard)
-                    .expect("shard index in range"),
-            };
-            write_shard_checkpoint(
-                d,
-                shard,
-                &lanes,
-                self.sharded.map(),
-                kind,
-                state,
-                self.round_idx,
-                &self.history,
-                &pod_bodies,
-                true,
-            )?;
-            if d.cfg.chain.is_some() {
-                self.sharded.mark_shard_clean(shard);
-            }
-        }
-        Ok(())
+    pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
+        let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
+        (0..self.sharded.n_shards())
+            .map(|shard| self.checkpoint_shard(shard, None, &pod_bodies))
+            .sum()
     }
 }
 
-/// Writes one shard's checkpoint generation covering its whole journal,
-/// then (when `truncate`) empties that journal. The snapshot's session
-/// floors and pod populations cover only the lanes whose frames land in
-/// this shard's journal.
-///
-/// In chain mode the record is appended to the shard's delta chain
-/// (`kind` picks full rebase vs delta, and `state` must hold the
-/// matching encoding); otherwise `kind` is ignored and a classic
-/// two-generation snapshot is swapped in. Returns the checkpoint
-/// payload size in bytes.
-#[allow(clippy::too_many_arguments)]
-fn write_shard_checkpoint(
-    d: &mut MultiDurableState,
-    shard: usize,
-    lanes: &[ProgramId],
-    map: &softborg_shard::ShardMap,
-    kind: RecordKind,
-    state: Vec<u8>,
-    round_idx: u64,
-    history: &[MultiRoundReport],
-    lane_pods: &[Vec<u8>],
-    truncate: bool,
-) -> Result<u64, DurabilityError> {
-    let sd = &mut d.shards[shard];
-    let wal_bytes = sd.journal.read().map_err(|e| io_err("wal-read", &e))?;
-    let on_shard = |lane: u64| {
-        lanes
-            .get(lane as usize)
-            .is_some_and(|&id| map.shard_of(id) == Ok(shard))
-    };
-    let sessions: BTreeMap<u64, u64> = d
-        .frame_floors
-        .iter()
-        .filter(|(&lane, _)| on_shard(lane))
-        .map(|(&lane, &floor)| (lane, floor))
-        .collect();
-    let shard_pods: Vec<(u64, &[u8])> = lane_pods
-        .iter()
-        .enumerate()
-        .filter(|&(lane, _)| on_shard(lane as u64))
-        .map(|(lane, body)| (lane as u64, body.as_slice()))
-        .collect();
-    let snap = HiveSnapshot {
-        state,
-        sessions,
-        wal_covered: wal_bytes.len() as u64,
-        wal_covered_hash: wire::fnv1a(&wal_bytes),
-        app_meta: encode_multi_app_meta(round_idx, history, &shard_pods),
-    };
-    let written = if let Some(chain) = sd.chain.as_mut() {
-        let payload = snap.encode();
-        chain
-            .append(kind, &payload)
-            .map_err(|e| io_err("chain-append", &e))?;
-        payload.len() as u64
-    } else {
-        sd.store.write_snapshot(&snap)?
-    };
-    if truncate {
-        sd.journal.truncate(0)?;
-    }
-    Ok(written)
+fn decode_round(rec: &JournalRecord) -> Result<MultiRoundReport, DurabilityError> {
+    MultiRoundReport::decode(&mut codec::Reader::new(&rec.frame))
+        .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))
 }
 
-/// Shard-snapshot `app_meta` payload: committed-round counter, the full
-/// multi-round history, and this shard's lanes' durable pod populations
-/// (`u32 count` then `u64 lane | bytes` per lane), in the deterministic
-/// byte codec.
+/// Shard-checkpoint `app_meta` payload: committed-round counter, the
+/// full multi-round history, and this shard's lanes' durable pod
+/// populations (`u32 count` then `u64 lane | bytes` per lane), in the
+/// deterministic byte codec.
 fn encode_multi_app_meta(
     round_idx: u64,
     history: &[MultiRoundReport],
@@ -1775,7 +1160,7 @@ fn decode_multi_app_meta(bytes: &[u8]) -> Result<MultiAppMeta, DurabilityError> 
     for _ in 0..n_lanes {
         let lane = r.u64("multi_app_meta.lane")?;
         let body = r.bytes("multi_app_meta.pods")?;
-        lane_pods.push((lane, decode_pod_states(body)?));
+        lane_pods.push((lane, fleet::decode_pod_states(body)?));
     }
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(

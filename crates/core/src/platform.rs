@@ -10,29 +10,26 @@
 //! rate across rounds — "the more a program is used, the more reliable
 //! it should become" (§2).
 
+use crate::durable::{io_err, put_promotion, read_promotion, DurableStore, SegmentWalker};
+use crate::fleet::{self, run_pod, Counters, Fleet, Frame, PodSlot};
 use serde::{Deserialize, Serialize};
-use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
-use softborg_guidance::Directive;
+use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
-    self, JournalRecord, REC_ABORT, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
-    SESSION_PROMOTE, SESSION_ROUND,
+    self, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{
-    diagnosis_signature, outcome_signature, scrub_campaign, scrub_chained_campaign, scrub_page_dir,
-    FileJournal, Hive, HiveConfig, HiveSnapshot, JournalIoError, JournalStore, LoadReport,
-    ScrubError, ScrubReport, SnapshotSource, SnapshotStore,
+    diagnosis_signature, scrub_page_dir, Hive, HiveConfig, LoadReport, ScrubReport,
 };
 use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program};
-use softborg_store::{ChainReport, ChainSource, ChainStore, PageStats, PagedConfig, RecordKind};
+use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
 use softborg_tree::CoverageStats;
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::Mutex;
+
+pub use crate::durable::{ChainSettings, DurabilityConfig, DurabilityError};
 
 /// Platform configuration.
 #[derive(Debug, Clone)]
@@ -73,153 +70,11 @@ pub struct PlatformConfig {
     pub obs: ObsHandles,
 }
 
-/// Where and how a durable campaign persists itself.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Directory holding the campaign's `hive.wal`, `hive.snap`, and
-    /// `hive.snap.prev` files (created if absent).
-    pub dir: PathBuf,
-    /// Snapshot compaction trigger: compact when the journal is at
-    /// least this many times larger than the live serialized hive
-    /// state. `0` disables compaction.
-    pub compact_ratio: u64,
-    /// Journal size below which compaction never triggers, so tiny
-    /// campaigns don't churn snapshots every round.
-    pub min_compact_wal_bytes: u64,
-    /// Incremental snapshot chains: when set, checkpoints append
-    /// checksummed full/delta records to a `chain/` subdirectory instead
-    /// of rewriting `hive.snap` whole — a compaction writes O(changes
-    /// since the last checkpoint), not O(hive). `None` keeps the classic
-    /// two-generation full-snapshot store, byte-for-byte.
-    pub chain: Option<ChainSettings>,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default compaction policy
-    /// (compact once the journal exceeds 4× the live state and 64 KiB).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            dir: dir.into(),
-            compact_ratio: 4,
-            min_compact_wal_bytes: 64 * 1024,
-            chain: None,
-        }
-    }
-
-    /// Same policy, with delta-snapshot chains enabled at the default
-    /// rebase ratio.
-    pub fn chained(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            chain: Some(ChainSettings::default()),
-            ..DurabilityConfig::new(dir)
-        }
-    }
-}
-
-/// Delta-snapshot chain policy.
-#[derive(Debug, Clone)]
-pub struct ChainSettings {
-    /// Full-rebase trigger: append a fresh full record once accumulated
-    /// delta payload bytes exceed this many times the newest full's
-    /// size, bounding chain length and recovery work. `0` = never rebase
-    /// (deltas forever; only sensible in fault harnesses).
-    pub rebase_ratio: u64,
-    /// **Injected bug** — resume silently drops the newest delta record
-    /// when folding the chain, rebuilding state one checkpoint stale
-    /// while trusting the head's metadata (the `skip_delta` canary for
-    /// the durable fault-search campaign). Must stay `false` outside
-    /// fault harnesses.
-    pub skip_last_delta: bool,
-}
-
-impl Default for ChainSettings {
-    fn default() -> Self {
-        ChainSettings {
-            rebase_ratio: 4,
-            skip_last_delta: false,
-        }
-    }
-}
-
-/// The chain subdirectory under a campaign (or shard) durability dir.
-pub(crate) fn chain_dir(dir: &std::path::Path) -> PathBuf {
-    dir.join("chain")
-}
-
-/// Why a durable platform could not be created or resumed, or why a
-/// durable round commit failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DurabilityError {
-    /// The operation requires [`PlatformConfig::durability`] to be set.
-    NotConfigured,
-    /// [`Platform::try_new`] found campaign state already on disk; use
-    /// [`Platform::resume`] instead of silently clobbering it.
-    CampaignExists(PathBuf),
-    /// An underlying journal or snapshot I/O operation failed.
-    Io(JournalIoError),
-    /// A durable record decoded to garbage (wrong program, torn bytes
-    /// that passed no checksum, or a version this build cannot read).
-    Corrupt(String),
-}
-
-impl std::fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurabilityError::NotConfigured => {
-                write!(f, "platform has no durability configuration")
-            }
-            DurabilityError::CampaignExists(dir) => write!(
-                f,
-                "campaign state already exists in {} (resume it instead)",
-                dir.display()
-            ),
-            DurabilityError::Io(e) => write!(f, "durability I/O failure: {e}"),
-            DurabilityError::Corrupt(what) => write!(f, "durable state corrupt: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {}
-
-impl From<JournalIoError> for DurabilityError {
-    fn from(e: JournalIoError) -> Self {
-        DurabilityError::Io(e)
-    }
-}
-
-impl From<CodecError> for DurabilityError {
-    fn from(e: CodecError) -> Self {
-        DurabilityError::Corrupt(e.to_string())
-    }
-}
-
-impl From<ScrubError> for DurabilityError {
-    fn from(e: ScrubError) -> Self {
-        match e {
-            ScrubError::Io(io) => DurabilityError::Io(io),
-            ScrubError::NothingRecoverable => {
-                DurabilityError::Corrupt(ScrubError::NothingRecoverable.to_string())
-            }
-        }
-    }
-}
-
-pub(crate) fn io_err(op: &'static str, e: &std::io::Error) -> DurabilityError {
-    DurabilityError::Io(JournalIoError {
-        op,
-        kind: e.kind(),
-        msg: e.to_string(),
-    })
-}
-
-/// How a round's executions flow into the hive.
+/// How a round's executions flow into the hive: pods run on scoped
+/// threads and report through the staged ingest pipeline (wire-encoded
+/// batch frames, decode+reconstruct worker pool, ordered merger).
 #[derive(Debug, Clone)]
 pub struct IngestSettings {
-    /// `true`: pods run on scoped threads and report through the staged
-    /// ingest pipeline (wire-encoded batch frames, decode+reconstruct
-    /// worker pool, ordered merger). `false`: the original serial loop.
-    /// Both produce byte-identical hive state.
-    pub pipelined: bool,
     /// Threads executing pods (pods are partitioned into contiguous
     /// chunks, one per thread).
     pub pod_threads: usize,
@@ -232,11 +87,28 @@ pub struct IngestSettings {
 impl Default for IngestSettings {
     fn default() -> Self {
         IngestSettings {
-            pipelined: true,
             pod_threads: 2,
             batch_size: 32,
             pipeline: IngestConfig::default(),
         }
+    }
+}
+
+impl IngestSettings {
+    /// Traces per batch frame, floored at 1.
+    pub(crate) fn batch(&self) -> u64 {
+        self.batch_size.max(1) as u64
+    }
+
+    /// The pipeline config for one round. One attach point: platform
+    /// telemetry flows into the ingest stage unless the pipeline has its
+    /// own sinks.
+    pub(crate) fn pipeline_with(&self, obs: &ObsHandles) -> IngestConfig {
+        let mut cfg = self.pipeline.clone();
+        if !cfg.obs.is_enabled() {
+            cfg.obs = obs.clone();
+        }
+        cfg
     }
 }
 
@@ -397,18 +269,60 @@ pub struct RoundTelemetry {
     pub checkpoint_bytes: u64,
 }
 
-/// What one durable round commit did (feeds [`RoundTelemetry`]).
-#[derive(Debug, Default)]
-pub(crate) struct CommitStats {
-    pub(crate) fsync_ns: u64,
-    pub(crate) compacted: bool,
-    pub(crate) checkpoint_ns: u64,
-    pub(crate) checkpoint_bytes: u64,
+/// Step 6 of a round on either platform: runs the durable `commit`
+/// (which reports its fsync and checkpoint slice of the telemetry)
+/// under the `<source>.round_commit_ns` span, then files the round's
+/// telemetry entry, `<source>.*` counters, and `round_committed` event.
+/// `totals` is `(round, executions, failures, fixes_promoted)` and
+/// `journaled` is `(frames, promotions)`. Event fields are
+/// content-determined (no timings), so a run's `events_hash` is replay-
+/// and host-stable. A commit failure panics: crash-only software dies
+/// loudly rather than run on with unpersisted state.
+pub(crate) fn commit_observed(
+    obs: &ObsHandles,
+    source: &'static str,
+    (round, executions, failures, fixes_promoted): (u64, u64, u64, u64),
+    extra_fields: &[(&'static str, u64)],
+    (frames_journaled, promotions_journaled): (u64, u64),
+    commit: impl FnOnce() -> Result<RoundTelemetry, DurabilityError>,
+) -> RoundTelemetry {
+    let clock = obs.span_clock();
+    let registry = obs.registry.as_ref();
+    let commit_hist = registry.map(|r| r.histogram(&format!("{source}.round_commit_ns")));
+    let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
+    let commit = commit().expect("durable round commit failed");
+    let commit_ns = commit_span.map_or(0, SpanTimer::stop);
+    if let Some(reg) = registry {
+        reg.counter(&format!("{source}.rounds")).incr();
+        reg.counter(&format!("{source}.executions")).add(executions);
+        reg.counter(&format!("{source}.failures")).add(failures);
+        reg.counter(&format!("{source}.fixes_promoted"))
+            .add(fixes_promoted);
+    }
+    let mut fields = vec![
+        ("round", round),
+        ("executions", executions),
+        ("failures", failures),
+        ("fixes_promoted", fixes_promoted),
+    ];
+    fields.extend_from_slice(extra_fields);
+    obs.recorder.info(
+        source,
+        "round_committed",
+        &fields,
+        format_args!(
+            "round {round} committed: {executions} executions, {failures} failures, \
+             {fixes_promoted} fix(es) promoted"
+        ),
+    );
+    RoundTelemetry {
+        round,
+        commit_ns,
+        frames_journaled,
+        promotions_journaled,
+        ..commit
+    }
 }
-
-/// A round's durable frame log: `(session, seq, frame)` triples mirrored
-/// from the ingest path, shared across pod threads.
-type FrameLog = Mutex<Vec<(u64, u64, Vec<u8>)>>;
 
 /// What an external driver executed during one
 /// [`Platform::round_driven`] round.
@@ -426,37 +340,48 @@ pub struct DrivenExecution {
     pub frames: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// The live half of a durable campaign: the open journal, the snapshot
-/// store, and the bookkeeping replay needs.
-#[derive(Debug)]
-struct DurableState {
-    cfg: DurabilityConfig,
-    store: SnapshotStore,
-    /// Delta-snapshot chain, open iff [`DurabilityConfig::chain`] is
-    /// set. With a chain, checkpoints append here and `hive.snap` is
-    /// never written.
-    chain: Option<ChainStore>,
-    journal: FileJournal,
-    /// Next sequence number for `REC_PROMOTE` records.
-    promote_seq: u64,
-    /// Per-pod frame floors (`session → next seq`), carried into
-    /// snapshots so transports resuming against this campaign can
-    /// deduplicate across the restart.
-    frame_floors: BTreeMap<u64, u64>,
+impl DrivenExecution {
+    /// The serial reference executor: runs each pod `execs_per_pod`
+    /// times on the calling thread, pod after pod, over the same
+    /// pod-execution loop and frame layout [`Platform::round`] uses.
+    /// Feed it to [`Platform::round_driven`] —
+    /// `p.round_driven(|pods, batch| DrivenExecution::serial(pods, n, batch))`
+    /// — for the no-threads, no-pipeline round the equivalence suites
+    /// compare the pipelined executor against.
+    pub fn serial(pods: &mut [Pod<'_>], execs_per_pod: u32, batch: u64) -> Self {
+        let batch = batch.max(1);
+        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
+        let mut out = DrivenExecution::default();
+        for (i, pod) in pods.iter_mut().enumerate() {
+            let session = i as u64;
+            let frames = &mut out.frames;
+            let first_seq = session * frames_per_pod;
+            let (executions, failures, directed) =
+                run_pod(pod, execs_per_pod, batch, first_seq, |seq, frame| {
+                    frames.push((session, seq, frame));
+                });
+            out.executions += executions;
+            out.failures += failures;
+            out.directed += directed;
+        }
+        out
+    }
 }
 
 /// The platform. See the [module docs](self).
 #[derive(Debug)]
 pub struct Platform<'p> {
-    program: &'p Program,
+    fleet: Fleet<'p>,
     hive: Hive<'p>,
-    pods: Vec<Pod<'p>>,
     config: PlatformConfig,
     round_idx: u64,
     history: Vec<RoundReport>,
     telemetry: Vec<RoundTelemetry>,
     last_ingest: Option<IngestStats>,
-    durable: Option<DurableState>,
+    /// The open durable store of a durable campaign.
+    durable: Option<DurableStore>,
+    /// Next sequence number for `REC_PROMOTE` records.
+    promote_seq: u64,
 }
 
 impl<'p> Platform<'p> {
@@ -464,26 +389,29 @@ impl<'p> Platform<'p> {
     /// with derived seeds. Durability (if configured) is attached by the
     /// caller.
     fn base(program: &'p Program, config: PlatformConfig) -> Self {
-        let pods = (0..config.n_pods)
-            .map(|i| {
-                let mut pc = config.pod.clone();
-                pc.seed = config
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(u64::from(i) + 1);
-                Pod::new(program, pc)
-            })
-            .collect();
+        let seed_base = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Platform {
+            fleet: Fleet::new(program, &config.pod, config.n_pods, seed_base),
             hive: Hive::new(program, config.hive.clone()),
-            pods,
             config,
-            program,
             round_idx: 0,
             history: Vec::new(),
             telemetry: Vec::new(),
             last_ingest: None,
             durable: None,
+            promote_seq: 0,
+        }
+    }
+
+    /// Moves the hive's tree behind the paged store when
+    /// [`PlatformConfig::tree_paging`] is set.
+    fn enable_tree_paging(&mut self) -> Result<(), DurabilityError> {
+        match self.config.tree_paging.clone() {
+            Some(pcfg) => self
+                .hive
+                .enable_tree_paging(pcfg)
+                .map_err(|e| io_err("page-store", &e)),
+            None => Ok(()),
         }
     }
 
@@ -502,55 +430,24 @@ impl<'p> Platform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the configured directory
-    /// already holds a snapshot or a non-empty journal, and
-    /// [`DurabilityError::Io`] when the journal or snapshot store cannot
-    /// be opened.
+    /// already holds a snapshot, a non-empty journal, or chain records
+    /// (in either checkpoint format), and [`DurabilityError::Io`] when
+    /// the journal or snapshot store cannot be opened.
     pub fn try_new(program: &'p Program, config: PlatformConfig) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(program, config);
-        if let Some(pcfg) = platform.config.tree_paging.clone() {
-            platform
-                .hive
-                .enable_tree_paging(pcfg)
-                .map_err(|e| io_err("page-store", &e))?;
-        }
+        platform.enable_tree_paging()?;
         if let Some(dcfg) = platform.config.durability.clone() {
-            let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            if store.snap_path().exists() || store.prev_path().exists() {
-                return Err(DurabilityError::CampaignExists(dcfg.dir));
-            }
-            let journal =
-                FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-            if !journal.is_empty() {
-                return Err(DurabilityError::CampaignExists(dcfg.dir));
-            }
-            let chain = if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-                if chain.head_generation().is_some() {
-                    return Err(DurabilityError::CampaignExists(dcfg.dir));
-                }
-                Some(chain)
-            } else {
-                None
-            };
-            platform.durable = Some(DurableState {
-                cfg: dcfg,
-                store,
-                chain,
-                journal,
-                promote_seq: 0,
-                frame_floors: BTreeMap::new(),
-            });
+            platform.durable = Some(DurableStore::create(dcfg)?);
         }
         Ok(platform)
     }
 
     /// Resumes (or cold-starts) a durable campaign from
-    /// [`PlatformConfig::durability`]: loads the newest valid snapshot
-    /// (falling back to the previous generation if the newest is torn),
-    /// replays the journal suffix round by round — re-ingesting frames
-    /// in merge order, re-applying promotions, re-running guidance — and
-    /// fences any uncommitted partial round behind a `REC_ABORT` record.
+    /// [`PlatformConfig::durability`]: loads the newest valid checkpoint
+    /// (falling back a generation if the newest is torn), replays the
+    /// journal suffix round by round — re-ingesting frames in merge
+    /// order, re-applying promotions, re-running guidance — and fences
+    /// any uncommitted partial round behind a `REC_ABORT` record.
     /// Recovery **is** the startup path: an empty directory resumes into
     /// a fresh campaign.
     ///
@@ -568,7 +465,9 @@ impl<'p> Platform<'p> {
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
     /// garbage (journal records damaged *behind* a valid checksum, e.g.
-    /// a snapshot for a different program).
+    /// a snapshot for a different program), or when the directory holds
+    /// a campaign in the other checkpoint format (classic vs chained) —
+    /// refused before anything on disk is touched.
     pub fn resume(
         program: &'p Program,
         config: PlatformConfig,
@@ -577,117 +476,35 @@ impl<'p> Platform<'p> {
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
-        let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        // Chain mode never reads `hive.snap` — the chain is the
-        // checkpoint store of record.
-        let (snap, load_report) = if dcfg.chain.is_none() {
-            store.load()
-        } else {
-            (
-                None,
-                LoadReport {
-                    source: SnapshotSource::None,
-                    primary_error: None,
-                    fallback_error: None,
-                },
-            )
-        };
-        let mut wal_file =
-            FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-        let wal = wal_file.read().map_err(|e| io_err("wal-read", &e))?;
-
+        let (mut store, rec) = DurableStore::resume(dcfg)?;
         let mut platform = Self::base(program, config);
-        let mut frame_floors = BTreeMap::new();
+        if let Some((full, deltas)) = rec.states.split_first() {
+            platform.hive = Hive::decode_state(program, platform.config.hive.clone(), full)
+                .map_err(|e| DurabilityError::Corrupt(format!("checkpoint state: {e}")))?;
+            for delta in deltas {
+                platform
+                    .hive
+                    .apply_state_delta(delta)
+                    .map_err(|e| DurabilityError::Corrupt(format!("checkpoint delta: {e}")))?;
+            }
+        }
         // The freshest durable pod population seen so far: the
-        // snapshot's, then overwritten by each committed `REC_PODS`
+        // checkpoint's, then overwritten by each committed `REC_PODS`
         // record replayed from the journal suffix.
         let mut pod_states: Option<Vec<PodState>> = None;
-        let mut chain_report: Option<ChainReport> = None;
-        let mut chain_deltas_applied = 0u64;
-        let mut chain_store: Option<ChainStore> = None;
-        let replay_from = if dcfg.chain.is_some() {
-            let chain =
-                ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-            let load = chain.load();
-            let offset = if let Some((first, rest)) = load.records.split_first() {
-                // The lineage starts at a full record; every later
-                // record is a delta against its predecessor.
-                let full = HiveSnapshot::decode(&first.payload).map_err(|e| {
-                    DurabilityError::Corrupt(format!("chain full record {}: {e}", first.generation))
-                })?;
-                platform.hive =
-                    Hive::decode_state(program, platform.config.hive.clone(), &full.state)
-                        .map_err(|e| {
-                            DurabilityError::Corrupt(format!("chain snapshot state: {e}"))
-                        })?;
-                let skip_last = dcfg.chain.as_ref().is_some_and(|c| c.skip_last_delta);
-                let mut last = full;
-                for (k, rec) in rest.iter().enumerate() {
-                    let delta = HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "chain delta record {}: {e}",
-                            rec.generation
-                        ))
-                    })?;
-                    if skip_last && k + 1 == rest.len() {
-                        // Planted bug (`skip_delta` canary): the head's
-                        // metadata is trusted below while its state
-                        // changes are silently dropped.
-                        last = delta;
-                        continue;
-                    }
-                    platform.hive.apply_state_delta(&delta.state).map_err(|e| {
-                        DurabilityError::Corrupt(format!("chain delta {}: {e}", rec.generation))
-                    })?;
-                    chain_deltas_applied += 1;
-                    last = delta;
-                }
-                let (round_idx, history, snap_pods) = decode_app_meta(&last.app_meta)?;
-                platform.round_idx = round_idx;
-                platform.history = history;
-                pod_states = Some(snap_pods);
-                frame_floors = last.sessions.clone();
-                last.replay_offset(&wal)
-            } else {
-                if store.snap_path().exists() || store.prev_path().exists() {
-                    // A legacy full-snapshot campaign lives here; a
-                    // chain-mode resume would silently cold-start over
-                    // it. Refuse instead.
-                    return Err(DurabilityError::Corrupt(
-                        "chain mode found no chain records but a hive.snap exists \
-                         (legacy campaign); resume it without chain settings"
-                            .to_string(),
-                    ));
-                }
-                0
-            };
-            chain_report = Some(load.report);
-            chain_store = Some(chain);
-            offset
-        } else if let Some(s) = &snap {
-            platform.hive = Hive::decode_state(program, platform.config.hive.clone(), &s.state)
-                .map_err(|e| DurabilityError::Corrupt(format!("snapshot state: {e}")))?;
-            let (round_idx, history, snap_pods) = decode_app_meta(&s.app_meta)?;
+        if let Some(meta) = &rec.app_meta {
+            let (round_idx, history, pods) = decode_app_meta(meta)?;
             platform.round_idx = round_idx;
             platform.history = history;
-            pod_states = Some(snap_pods);
-            frame_floors = s.sessions.clone();
-            s.replay_offset(&wal)
-        } else {
-            0
-        };
+            pod_states = Some(pods);
+        }
         // Recovered trees are decoded in-memory; move them behind the
         // paged store (if configured) before journal replay so the
         // resident budget holds during re-ingest too.
-        if let Some(pcfg) = platform.config.tree_paging.clone() {
-            platform
-                .hive
-                .enable_tree_paging(pcfg)
-                .map_err(|e| io_err("page-store", &e))?;
-        }
+        platform.enable_tree_paging()?;
         let rounds_from_snapshot = platform.round_idx;
 
-        let (records, scan) = journal::scan(&wal[replay_from..]);
+        let (records, scan) = journal::scan(&rec.wal[rec.replay_from..]);
         if let Some(err) = scan.tail_error {
             platform.config.obs.recorder.warn_or_ops(
                 "platform.resume",
@@ -704,179 +521,100 @@ impl<'p> Platform<'p> {
             );
             // Cut the damaged tail so future appends land on a clean
             // record boundary.
-            wal_file.truncate((replay_from + scan.valid_len) as u64)?;
+            store.truncate_wal((rec.replay_from + scan.valid_len) as u64)?;
         }
 
-        let mut promote_seq = 0u64;
-        let mut seg_frames: Vec<&JournalRecord> = Vec::new();
-        let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
-        let mut seg_pods: Option<&JournalRecord> = None;
-        let mut fenced_records = 0u64;
         let mut rounds_replayed = 0u64;
         let mut disconnected_records = 0u64;
-        // Byte offset (in the whole journal) of the next record, and of
-        // the first record of the segment currently being buffered.
-        let mut offset = replay_from;
-        let mut seg_start = replay_from;
-        let mut seg_start_idx = 0usize;
-        for (idx, rec) in records.iter().enumerate() {
-            let rec_end = offset + rec.encoded_len();
-            match rec.kind {
-                REC_FRAME => seg_frames.push(rec),
-                REC_PROMOTE => seg_promotes.push(rec),
-                REC_PODS => seg_pods = Some(rec),
-                REC_TOMBSTONE => {} // transport-only; the platform journals no tombstones
-                REC_ABORT => {
-                    // A previous resume fenced these: an uncommitted
-                    // partial round that must never be applied.
-                    seg_frames.clear();
-                    seg_promotes.clear();
-                    seg_pods = None;
-                    seg_start = rec_end;
-                    seg_start_idx = idx + 1;
-                }
-                REC_ROUND => {
-                    // Decode the boundary *before* applying the segment:
-                    // if the newest snapshot was destroyed and recovery
-                    // fell back a generation, the journal suffix covers
-                    // rounds the fallback state never saw. Merging it
-                    // would skip the rounds in between, so discard the
-                    // disconnected suffix instead and resume from the
-                    // older — but consistent — state.
-                    let mut r = codec::Reader::new(&rec.frame);
-                    let report = RoundReport::decode(&mut r)
-                        .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                    if report.round != platform.round_idx {
-                        disconnected_records = (records.len() - seg_start_idx) as u64;
-                        platform.config.obs.recorder.warn_or_ops(
-                            "platform.resume",
-                            "disconnected_records",
-                            &[
-                                ("records", disconnected_records),
-                                ("journal_round", report.round),
-                                ("state_round", platform.round_idx),
-                            ],
-                            format_args!(
-                                "platform resume discarding {disconnected_records} \
-                                 disconnected journal record(s): round record says {} but the \
-                                 recovered state is at round {}",
-                                report.round, platform.round_idx
-                            ),
-                        );
-                        seg_frames.clear();
-                        seg_promotes.clear();
-                        seg_pods = None;
-                        wal_file.truncate(seg_start as u64)?;
-                        break;
-                    }
-                    seg_frames.sort_by_key(|r| (r.session, r.seq));
-                    for fr in seg_frames.drain(..) {
-                        let traces = wire::decode_batch(&fr.frame)
-                            .map_err(|e| DurabilityError::Corrupt(format!("frame batch: {e}")))?;
-                        for trace in &traces {
-                            platform.hive.ingest(trace);
-                        }
-                        let floor = frame_floors.entry(fr.session).or_insert(0);
-                        *floor = (*floor).max(fr.seq + 1);
-                    }
-                    for pr in seg_promotes.drain(..) {
-                        let mut r = codec::Reader::new(&pr.frame);
-                        let signature = r
-                            .str("promote.signature")
-                            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?
-                            .to_string();
-                        let overlay = Overlay::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-                        platform.hive.promote(
-                            &signature,
-                            &FixCandidate {
-                                overlay,
-                                description: String::new(),
-                            },
-                        );
-                        promote_seq = promote_seq.max(pr.seq + 1);
-                    }
-                    if platform.config.guidance_enabled {
-                        // Re-run guidance to advance hive-internal state;
-                        // the directives it produced are already queued
-                        // inside the committed pod images, so the copies
-                        // here are discarded.
-                        let _ = platform.hive.guidance();
-                    }
-                    if let Some(pr) = seg_pods.take() {
-                        pod_states = Some(decode_pod_states(&pr.frame)?);
-                    }
-                    platform.round_idx += 1;
-                    rounds_replayed += 1;
-                    platform.history.push(report);
-                    seg_start = rec_end;
-                    seg_start_idx = idx + 1;
-                }
-                other => {
-                    return Err(DurabilityError::Corrupt(format!(
-                        "unknown journal record kind {other}"
-                    )));
-                }
+        let mut walker = SegmentWalker::new(&records, rec.replay_from);
+        while let Some(seg) = walker.next_segment()? {
+            // Decode the boundary *before* applying the segment: if the
+            // newest snapshot was destroyed and recovery fell back a
+            // generation, the journal suffix covers rounds the fallback
+            // state never saw. Merging it would skip the rounds in
+            // between, so discard the disconnected suffix instead and
+            // resume from the older — but consistent — state.
+            let report = RoundReport::decode(&mut codec::Reader::new(&seg.round.frame))
+                .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
+            if report.round != platform.round_idx {
+                disconnected_records = (records.len() - seg.start_idx) as u64;
+                platform.config.obs.recorder.warn_or_ops(
+                    "platform.resume",
+                    "disconnected_records",
+                    &[
+                        ("records", disconnected_records),
+                        ("journal_round", report.round),
+                        ("state_round", platform.round_idx),
+                    ],
+                    format_args!(
+                        "platform resume discarding {disconnected_records} \
+                         disconnected journal record(s): round record says {} but the \
+                         recovered state is at round {}",
+                        report.round, platform.round_idx
+                    ),
+                );
+                store.truncate_wal(seg.start as u64)?;
+                break;
             }
-            offset = rec_end;
+            for fr in &seg.frames {
+                let traces = wire::decode_batch(&fr.frame)
+                    .map_err(|e| DurabilityError::Corrupt(format!("frame batch: {e}")))?;
+                for trace in &traces {
+                    platform.hive.ingest(trace);
+                }
+                store.raise_floor(fr.session, fr.seq);
+            }
+            for pr in &seg.promotes {
+                let (signature, overlay) = read_promotion(&mut codec::Reader::new(&pr.frame))?;
+                platform.hive.promote(
+                    &signature,
+                    &FixCandidate {
+                        overlay,
+                        description: String::new(),
+                    },
+                );
+                platform.promote_seq = platform.promote_seq.max(pr.seq + 1);
+            }
+            if platform.config.guidance_enabled {
+                // Re-run guidance to advance hive-internal state; the
+                // directives it produced are already queued inside the
+                // committed pod images, so the copies here are discarded.
+                let _ = platform.hive.guidance();
+            }
+            if let Some(pr) = seg.pods.last() {
+                pod_states = Some(fleet::decode_pod_states(&pr.frame)?);
+            }
+            platform.round_idx += 1;
+            rounds_replayed += 1;
+            platform.history.push(report);
         }
-        let partial =
-            (seg_frames.len() + seg_promotes.len() + usize::from(seg_pods.is_some())) as u64;
-        if partial > 0 {
-            // The process died mid-round: those records were never acked
-            // (the round never returned), so discard them — and fence
-            // them so every future replay discards them too.
-            let mut rec = Vec::new();
-            journal::append_record(&mut rec, REC_ABORT, SESSION_ROUND, platform.round_idx, &[]);
-            wal_file.append(&rec)?;
-            wal_file.sync()?;
-            fenced_records = partial;
+        // The process died mid-round: the trailing records were never
+        // acked (the round never returned), so discard them — and fence
+        // them so every future replay discards them too.
+        let fenced_records = walker.partial_records();
+        if fenced_records > 0 {
+            store.fence(platform.round_idx)?;
         }
 
         // Process equivalence: install the freshest committed pod images
         // (journal beats snapshot; a cold start keeps the seed-derived
         // population, which *is* the round-0 state).
         if let Some(states) = pod_states {
-            restore_pod_states(&mut platform.pods, states)?;
+            platform.fleet.restore_pod_states(states)?;
         }
-
-        platform.durable = Some(DurableState {
-            cfg: dcfg,
-            store,
-            chain: chain_store,
-            journal: wal_file,
-            promote_seq,
-            frame_floors,
-        });
-        // In chain mode the "snapshot" load report mirrors the chain
-        // walk (primary/fallback lineage, or cold); the full defect
-        // detail rides in `chain`.
-        let snapshot_report = match &chain_report {
-            Some(cr) => LoadReport {
-                source: match cr.source {
-                    ChainSource::Primary => SnapshotSource::Primary,
-                    ChainSource::Fallback => SnapshotSource::Fallback,
-                    ChainSource::None => SnapshotSource::None,
-                },
-                primary_error: None,
-                fallback_error: None,
-            },
-            None => load_report,
+        platform.durable = Some(store);
+        let report = ResumeReport {
+            chain_deltas_applied: rec.deltas_applied(),
+            snapshot: rec.snapshot,
+            rounds_from_snapshot,
+            rounds_replayed,
+            wal_replay_offset: rec.replay_from as u64,
+            wal_tail_dropped: scan.tail_dropped as u64,
+            fenced_records,
+            disconnected_records,
+            chain: rec.chain,
         };
-        Ok((
-            platform,
-            ResumeReport {
-                snapshot: snapshot_report,
-                rounds_from_snapshot,
-                rounds_replayed,
-                wal_replay_offset: replay_from as u64,
-                wal_tail_dropped: scan.tail_dropped as u64,
-                fenced_records,
-                disconnected_records,
-                chain: chain_report,
-                chain_deltas_applied,
-            },
-        ))
+        Ok((platform, report))
     }
 
     /// The hive (read access for experiments).
@@ -886,7 +624,7 @@ impl<'p> Platform<'p> {
 
     /// The pods.
     pub fn pods(&self) -> &[Pod<'p>] {
-        &self.pods
+        &self.fleet.pods
     }
 
     /// All round reports so far.
@@ -906,32 +644,22 @@ impl<'p> Platform<'p> {
         // 1. Distribute the current overlay.
         self.distribute_overlay();
 
-        // 2. Execute and ingest (mirroring every batch frame into the
-        //    durable frame log when durability is on).
-        let frame_log = self
-            .durable
-            .is_some()
-            .then(|| Mutex::new(Vec::<(u64, u64, Vec<u8>)>::new()));
-        let (executions, failures, directed) = if self.config.ingest.pipelined {
-            self.execute_pipelined(execs_per_pod, frame_log.as_ref())
-        } else {
-            self.execute_serial(execs_per_pod, frame_log.as_ref())
-        };
-        let frames = frame_log
-            .map(|m| m.into_inner().expect("frame log poisoned"))
-            .unwrap_or_default();
+        // 2. Execute and ingest (keeping a copy of every batch frame for
+        //    the journal when durability is on).
+        let (counters, frames) = self.execute(execs_per_pod);
 
         // 3-6. Fix pipeline, guidance, report, durable commit.
-        self.finish_round(executions, failures, directed, frames)
+        self.finish_round(counters, frames)
     }
 
     /// Advances one round with execution *driven from outside*: `driver`
     /// receives the pods (overlay already distributed) and the
     /// configured batch size, runs them however it likes — a
-    /// virtual-time scheduler interleaving pods at simulated instants —
-    /// and returns the counters plus every wire-encoded batch frame as
+    /// virtual-time scheduler interleaving pods at simulated instants,
+    /// or the serial reference [`DrivenExecution::serial`] — and returns
+    /// the counters plus every wire-encoded batch frame as
     /// `(session = pod index, seq, frame)` triples using the same
-    /// pre-partitioned sequence layout as the built-in paths
+    /// pre-partitioned sequence layout as [`round`](Self::round)
     /// (`seq = pod_index * ceil(execs_per_pod / batch) + k`).
     ///
     /// The platform ingests the frames in `(session, seq)` order —
@@ -951,8 +679,7 @@ impl<'p> Platform<'p> {
         F: FnOnce(&mut [Pod<'p>], u64) -> DrivenExecution,
     {
         self.distribute_overlay();
-        let batch = self.config.ingest.batch_size.max(1) as u64;
-        let drv = driver(&mut self.pods, batch);
+        let drv = driver(&mut self.fleet.pods, self.config.ingest.batch());
         let mut frames = drv.frames;
         frames.sort_by_key(|&(session, seq, _)| (session, seq));
         for (_, _, frame) in &frames {
@@ -961,25 +688,55 @@ impl<'p> Platform<'p> {
                 self.hive.ingest(trace);
             }
         }
-        let frames = if self.durable.is_some() {
-            frames
-        } else {
-            Vec::new()
-        };
-        self.finish_round(drv.executions, drv.failures, drv.directed, frames)
+        if self.durable.is_none() {
+            frames.clear();
+        }
+        self.finish_round((drv.executions, drv.failures, drv.directed), frames)
     }
 
     /// Step 1 of a round: push the hive's current overlay to every pod.
     fn distribute_overlay(&mut self) {
-        let (overlay, version) = {
-            let (o, v) = self.hive.current_overlay();
-            (o.clone(), v)
-        };
         if self.config.fixes_enabled {
-            for pod in &mut self.pods {
-                pod.install_fix(overlay.clone(), version);
-            }
+            self.fleet.install_overlay(&self.hive);
         }
+    }
+
+    /// Step 2 of [`round`](Self::round): pods run on scoped threads and
+    /// report wire-encoded batch frames into the hive's staged ingest
+    /// pipeline while it decodes, reconstructs, and merges concurrently.
+    ///
+    /// Frame sequence numbers are pre-partitioned by pod index (each pod
+    /// produces exactly `ceil(execs_per_pod / batch)` frames), so the
+    /// ordered merger replays traces in exact pod-major order. Pods
+    /// carry their own RNG and receive no mid-round feedback, so the
+    /// resulting hive state is byte-identical to the serial reference
+    /// ([`DrivenExecution::serial`]).
+    fn execute(&mut self, execs_per_pod: u32) -> (Counters, Vec<Frame>) {
+        let batch = self.config.ingest.batch();
+        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
+        let threads = self.config.ingest.pod_threads;
+        let keep_frames = self.durable.is_some();
+        let cfg = self.config.ingest.pipeline_with(&self.config.obs);
+        let slots: Vec<PodSlot<'_, 'p>> = self
+            .fleet
+            .pods
+            .iter_mut()
+            .enumerate()
+            .map(|(i, pod)| PodSlot {
+                session: i as u64,
+                first_seq: i as u64 * frames_per_pod,
+                pod,
+            })
+            .collect();
+        let ((per_pod, frames), stats) = self.hive.ingest_frames(&cfg, move |tx| {
+            let submit = move |_session, seq, frame| tx.submit_at(seq, frame);
+            fleet::run_threaded(slots, threads, execs_per_pod, batch, keep_frames, submit)
+        });
+        self.last_ingest = Some(stats);
+        let counters = per_pod
+            .into_iter()
+            .fold((0, 0, 0), |(a, b, c), (_, (x, y, z))| (a + x, b + y, c + z));
+        (counters, frames)
     }
 
     /// Steps 3–6 of a round, shared by [`round`](Self::round) and
@@ -987,133 +744,39 @@ impl<'p> Platform<'p> {
     /// report, durable commit.
     fn finish_round(
         &mut self,
-        executions: u64,
-        failures: u64,
-        directed: u64,
-        frames: Vec<(u64, u64, Vec<u8>)>,
+        (executions, failures, directed): Counters,
+        frames: Vec<Frame>,
     ) -> RoundReport {
-        // 3. Fix pipeline. Trial validation (the expensive part: each
-        //    candidate re-executes every pooled case in the repair lab)
-        //    runs on scoped threads, one proposal per thread — proposal
-        //    count is bounded by distinct diagnosed failure modes, so
-        //    the fan-out is small. Every proposal is validated against
-        //    the *round-start* overlay; promotions are then applied
-        //    sequentially in proposal order, so the chosen fixes and
-        //    the overlay-version sequence are deterministic regardless
-        //    of thread scheduling. (Resume replays recorded promotion
-        //    decisions, never re-validation, so durable recovery is
-        //    unaffected by the validation base.)
+        // 3. Fix pipeline. Every proposal is validated against the
+        //    *round-start* overlay; promotions are then applied
+        //    sequentially in proposal order. (Resume replays recorded
+        //    promotion decisions, never re-validation, so durable
+        //    recovery is unaffected by the validation base.)
         let mut fixes_promoted = 0u64;
         let mut promoted: Vec<(String, Overlay)> = Vec::new();
         if self.config.fixes_enabled {
-            let proposals = self.hive.propose_fixes();
-            if !proposals.is_empty() {
-                // Pool each proposal's trial cases from pods: failing
-                // cases of that mode + passing regression cases.
-                let trials: Vec<(Vec<TestCase>, Vec<TestCase>)> = proposals
-                    .iter()
-                    .map(|proposal| {
-                        let failing: Vec<TestCase> = self
-                            .pods
-                            .iter()
-                            .flat_map(|p| p.failing_cases())
-                            .filter(|(_, o)| {
-                                outcome_signature(o).as_deref() == Some(proposal.signature.as_str())
-                            })
-                            .map(|(c, _)| c.clone())
-                            .take(16)
-                            .collect();
-                        let passing: Vec<TestCase> = self
-                            .pods
-                            .iter()
-                            .flat_map(|p| p.passing_cases())
-                            .take(32)
-                            .cloned()
-                            .collect();
-                        (failing, passing)
-                    })
-                    .collect();
-                let base = self.hive.current_overlay().0.clone();
-                let program = self.program;
-                let winners: Vec<_> = std::thread::scope(|s| {
-                    let handles: Vec<_> = proposals
-                        .iter()
-                        .zip(&trials)
-                        .map(|(proposal, (failing, passing))| {
-                            let base = &base;
-                            s.spawn(move || {
-                                rank(
-                                    program,
-                                    base,
-                                    &proposal.candidates,
-                                    failing,
-                                    passing,
-                                    LabConfig::default(),
-                                )
-                                .into_iter()
-                                .next()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("trial validation thread panicked"))
-                        .collect()
-                });
-                for ((proposal, (failing, _)), winner) in proposals.iter().zip(&trials).zip(winners)
-                {
-                    let Some((candidate, validation)) = winner else {
-                        continue;
-                    };
-                    let distribute = match validation.verdict {
-                        Verdict::Distribute => true,
-                        // Predicted deadlock fixes have no failing cases
-                        // yet; distribute on perfect preservation
-                        // evidence.
-                        Verdict::Reject | Verdict::Suggest => {
-                            proposal.signature.starts_with("lock-cycle:")
-                                && failing.is_empty()
-                                && validation.passing_total as usize
-                                    >= self.config.min_preservation_cases
-                                && validation.passing_preserved == validation.passing_total
-                        }
-                    };
-                    if distribute {
-                        self.hive.promote(&proposal.signature, &candidate);
-                        if self.durable.is_some() {
-                            promoted.push((proposal.signature.clone(), candidate.overlay.clone()));
-                        }
-                        fixes_promoted += 1;
-                    }
+            let trials = self.fleet.trials(0, &self.hive);
+            let winners = fleet::validate_trials(&trials, self.config.min_preservation_cases);
+            for (trial, winner) in trials.into_iter().zip(winners) {
+                let Some(candidate) = winner else { continue };
+                self.hive.promote(&trial.signature, &candidate);
+                if self.durable.is_some() {
+                    promoted.push((trial.signature, candidate.overlay));
                 }
+                fixes_promoted += 1;
             }
         }
 
         // 4. Guidance.
         if self.config.guidance_enabled {
             let (plan, _stats) = self.hive.guidance();
-            if !plan.directives.is_empty() {
-                let n = self.pods.len();
-                for (i, d) in plan.directives.into_iter().enumerate() {
-                    // Spread directives; replicate input seeds to a few
-                    // pods so one lost/odd pod cannot stall exploration.
-                    match d {
-                        Directive::InputSeed { .. } => {
-                            for k in 0..3usize {
-                                self.pods[(i * 3 + k) % n].receive_guidance([d.clone()]);
-                            }
-                        }
-                        other => {
-                            self.pods[i % n].receive_guidance([other]);
-                        }
-                    }
-                }
-            }
+            self.fleet.spread_guidance(plan.directives);
         }
 
         // 5. Report.
+        let round = self.round_idx;
         let report = RoundReport {
-            round: self.round_idx,
+            round,
             executions,
             failures,
             failure_rate_per_10k: if executions == 0 {
@@ -1134,223 +797,90 @@ impl<'p> Platform<'p> {
         //    hit the journal and are fsynced before the report (the ack)
         //    leaves this function.
         let obs = self.config.obs.clone();
-        let clock = obs.span_clock();
-        let commit_hist = obs
-            .registry
-            .as_ref()
-            .map(|r| r.histogram("platform.round_commit_ns"));
-        let frames_journaled = frames.len() as u64;
-        let promotions_journaled = promoted.len() as u64;
-        let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
-        let commit = self
-            .commit_round(&report, frames, &promoted)
-            .expect("durable round commit failed");
-        let commit_ns = commit_span.map_or(0, SpanTimer::stop);
-        self.telemetry.push(RoundTelemetry {
-            round: report.round,
-            commit_ns,
-            fsync_ns: commit.fsync_ns,
-            frames_journaled,
-            promotions_journaled,
-            compacted: commit.compacted,
-            checkpoint_ns: commit.checkpoint_ns,
-            checkpoint_bytes: commit.checkpoint_bytes,
+        let totals = (round, executions, failures, fixes_promoted);
+        let extra = [("overlay_version", report.overlay_version)];
+        let journaled = (frames.len() as u64, promoted.len() as u64);
+        let telemetry = commit_observed(&obs, "platform", totals, &extra, journaled, || {
+            self.commit_round(&report, frames, &promoted)
         });
-        if let Some(reg) = obs.registry.as_ref() {
-            reg.counter("platform.rounds").incr();
-            reg.counter("platform.executions").add(report.executions);
-            reg.counter("platform.failures").add(report.failures);
-            reg.counter("platform.fixes_promoted")
-                .add(report.fixes_promoted);
-        }
-        // Event fields are content-determined (no timings), so the
-        // events_hash of a platform run is replay- and host-stable.
-        obs.recorder.info(
-            "platform",
-            "round_committed",
-            &[
-                ("round", report.round),
-                ("executions", report.executions),
-                ("failures", report.failures),
-                ("fixes_promoted", report.fixes_promoted),
-                ("overlay_version", report.overlay_version),
-            ],
-            format_args!(
-                "round {} committed: {} executions, {} failures, {} fix(es) promoted",
-                report.round, report.executions, report.failures, report.fixes_promoted
-            ),
-        );
+        self.telemetry.push(telemetry);
         report
     }
 
     /// Appends one committed round to the journal (frames in merge
-    /// order, then promotions, then the round record), fsyncs, and
-    /// compacts into a snapshot when the journal dwarfs the live state.
-    /// Returns the commit's telemetry slice (fsync is timed only when a
-    /// registry is attached; the checkpoint stall is always timed).
+    /// order, then promotions, the pod population, and the round
+    /// record), fsyncs, and compacts into a checkpoint when the journal
+    /// dwarfs the live state. Returns the commit's telemetry slice
+    /// (fsync is timed only when a registry is attached; the checkpoint
+    /// stall is always timed).
     fn commit_round(
         &mut self,
         report: &RoundReport,
-        mut frames: Vec<(u64, u64, Vec<u8>)>,
+        mut frames: Vec<Frame>,
         promoted: &[(String, Overlay)],
-    ) -> Result<CommitStats, DurabilityError> {
-        let obs = self.config.obs.clone();
-        if self.durable.is_none() {
-            return Ok(CommitStats::default());
-        }
-        // Capture the pod population *after* guidance queued next-round
-        // directives, so the durable image is exactly what an
-        // uninterrupted process would carry into the next round.
-        let pod_body = encode_pod_states(&self.pods);
-        let d = self.durable.as_mut().expect("checked above");
+    ) -> Result<RoundTelemetry, DurabilityError> {
+        let Some(store) = self.durable.as_mut() else {
+            return Ok(RoundTelemetry::default());
+        };
         frames.sort_by_key(|&(session, seq, _)| (session, seq));
-        let mut rec = Vec::new();
         for (session, seq, bytes) in &frames {
-            rec.clear();
-            journal::append_record(&mut rec, REC_FRAME, *session, *seq, bytes);
-            d.journal.append(&rec)?;
-            let floor = d.frame_floors.entry(*session).or_insert(0);
-            *floor = (*floor).max(seq + 1);
+            store.append_frame(*session, *seq, bytes)?;
         }
-        for (signature, overlay) in promoted {
-            let mut body = Vec::new();
-            codec::put_str(&mut body, signature);
-            overlay.encode_into(&mut body);
-            rec.clear();
-            journal::append_record(&mut rec, REC_PROMOTE, SESSION_PROMOTE, d.promote_seq, &body);
-            d.promote_seq += 1;
-            d.journal.append(&rec)?;
-        }
-        rec.clear();
-        journal::append_record(&mut rec, REC_PODS, 0, report.round, &pod_body);
-        d.journal.append(&rec)?;
         let mut body = Vec::new();
+        for (signature, overlay) in promoted {
+            body.clear();
+            put_promotion(&mut body, signature, overlay);
+            store.append(REC_PROMOTE, SESSION_PROMOTE, self.promote_seq, &body)?;
+            self.promote_seq += 1;
+        }
+        // The pod population is captured *after* guidance queued
+        // next-round directives, so the durable image is exactly what an
+        // uninterrupted process would carry into the next round.
+        store.append(REC_PODS, 0, report.round, &self.fleet.encode_pod_states())?;
+        body.clear();
         report.encode_into(&mut body);
-        rec.clear();
-        journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        d.journal.append(&rec)?;
+        store.append(REC_ROUND, SESSION_ROUND, report.round, &body)?;
+        let obs = &self.config.obs;
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
         let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        d.journal.sync()?;
-        let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
-
-        // Snapshot compaction: when the journal is `compact_ratio` times
-        // the live state footprint (and big enough to matter), fold it
-        // into a checkpoint and truncate. In chain mode the footprint is
-        // taken from the chain's own bookkeeping (last full + deltas
-        // since) so the trigger check never pays an O(hive) encode.
-        let (ratio, min_bytes, wal_len) = (
-            d.cfg.compact_ratio,
-            d.cfg.min_compact_wal_bytes,
-            d.journal.len(),
-        );
-        let mut stats = CommitStats {
-            fsync_ns,
-            ..CommitStats::default()
+        store.sync()?;
+        let mut stats = RoundTelemetry {
+            fsync_ns: fsync_span.map_or(0, SpanTimer::stop),
+            ..RoundTelemetry::default()
         };
-        if ratio > 0 && wal_len >= min_bytes {
-            let (due, state) = match &d.chain {
-                Some(chain) => {
-                    let footprint = chain
-                        .last_full_payload_bytes()
-                        .saturating_add(chain.delta_payload_bytes_since_full())
-                        .max(1);
-                    (wal_len >= ratio.saturating_mul(footprint), None)
-                }
-                None => {
-                    let state = self.hive.encode_state();
-                    (
-                        wal_len >= ratio.saturating_mul(state.len() as u64),
-                        Some(state),
-                    )
-                }
-            };
-            if due {
-                let started = std::time::Instant::now();
-                stats.checkpoint_bytes = self.write_checkpoint(state, true)?;
-                stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
-                stats.compacted = true;
-            }
+        if let Some(full_state) = store.checkpoint_due(|| self.hive.encode_state()) {
+            let started = std::time::Instant::now();
+            stats.checkpoint_bytes = self.write_checkpoint(full_state, true)?;
+            stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
+            stats.compacted = true;
         }
         Ok(stats)
     }
 
-    /// Writes one checkpoint covering the whole journal, then (when
-    /// `truncate`) empties the journal. Classic mode: a full
-    /// [`HiveSnapshot`] swapped into `hive.snap`. Chain mode: a full or
-    /// delta record appended to the chain ([`ChainStore::rebase_due`]
-    /// decides), after which the hive's delta tracking is reset so the
-    /// next delta covers exactly the rounds since this one. Returns the
-    /// bytes written.
-    ///
-    /// `full_state` lets a caller that already encoded the full state
-    /// (the classic compaction trigger) pass it in; `None` encodes
-    /// whatever this checkpoint needs.
+    /// Writes one checkpoint of the current state (see
+    /// [`DurableStore::write_checkpoint`]); in chain mode the hive's
+    /// delta tracking is then reset so the next delta covers exactly the
+    /// rounds since this one. `full_state` lets the compaction trigger
+    /// pass in the full encoding it already made.
     fn write_checkpoint(
         &mut self,
         full_state: Option<Vec<u8>>,
         truncate: bool,
     ) -> Result<u64, DurabilityError> {
-        let round_idx = self.round_idx;
-        let chain_settings = self
+        let store = self
             .durable
-            .as_ref()
-            .ok_or(DurabilityError::NotConfigured)?
-            .cfg
-            .chain
-            .clone();
-        let written = if let Some(cs) = chain_settings {
-            let rebase = self
-                .durable
-                .as_ref()
-                .and_then(|d| d.chain.as_ref())
-                .expect("chain store open when chain settings set")
-                .rebase_due(cs.rebase_ratio);
-            let (kind, state) = if rebase {
-                (
-                    RecordKind::Full,
-                    full_state.unwrap_or_else(|| self.hive.encode_state()),
-                )
-            } else {
-                (RecordKind::Delta, self.hive.encode_state_delta())
-            };
-            let app_meta = encode_app_meta(round_idx, &self.history, &self.pods);
-            let d = self.durable.as_mut().expect("checked above");
-            let wal_bytes = d.journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let snap = HiveSnapshot {
-                state,
-                sessions: d.frame_floors.clone(),
-                wal_covered: wal_bytes.len() as u64,
-                wal_covered_hash: wire::fnv1a(&wal_bytes),
-                app_meta,
-            };
-            let payload = snap.encode();
-            d.chain
-                .as_mut()
-                .expect("chain store open")
-                .append(kind, &payload)
-                .map_err(|e| io_err("chain-append", &e))?;
-            // From here on, deltas cover changes since *this* record.
-            self.hive.mark_clean();
-            payload.len() as u64
-        } else {
-            let state = full_state.unwrap_or_else(|| self.hive.encode_state());
-            let app_meta = encode_app_meta(round_idx, &self.history, &self.pods);
-            let d = self.durable.as_mut().expect("checked above");
-            let wal_bytes = d.journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let snap = HiveSnapshot {
-                state,
-                sessions: d.frame_floors.clone(),
-                wal_covered: wal_bytes.len() as u64,
-                wal_covered_hash: wire::fnv1a(&wal_bytes),
-                app_meta,
-            };
-            d.store.write_snapshot(&snap)?
+            .as_mut()
+            .ok_or(DurabilityError::NotConfigured)?;
+        let hive = &self.hive;
+        let encode = |kind| match kind {
+            RecordKind::Full => hive.encode_state(),
+            RecordKind::Delta => hive.encode_state_delta(),
         };
-        let d = self.durable.as_mut().expect("checked above");
-        if truncate {
-            d.journal.truncate(0)?;
+        let app_meta = encode_app_meta(self.round_idx, &self.history, &self.fleet);
+        let written = store.write_checkpoint(full_state, encode, app_meta, truncate)?;
+        if store.is_chained() {
+            self.hive.mark_clean();
         }
         Ok(written)
     }
@@ -1393,7 +923,7 @@ impl<'p> Platform<'p> {
     /// process-equivalence invariant: a resumed platform's pod states
     /// equal the uninterrupted run's at the same committed round.
     pub fn export_pod_states(&self) -> Vec<PodState> {
-        self.pods.iter().map(Pod::export_state).collect()
+        self.fleet.export_pod_states()
     }
 
     /// Rounds committed so far.
@@ -1420,14 +950,7 @@ impl<'p> Platform<'p> {
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
-        let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        let mut report = if dcfg.chain.is_some() {
-            let chain =
-                ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-            scrub_chained_campaign(&store, &chain, &config.obs.recorder)?
-        } else {
-            scrub_campaign(&store, &config.obs.recorder)?
-        };
+        let mut report = DurableStore::scrub(dcfg, &config.obs.recorder)?;
         if let Some(pcfg) = &config.tree_paging {
             report.pages = Some(scrub_page_dir(&pcfg.dir, &config.obs.recorder)?);
         }
@@ -1439,7 +962,7 @@ impl<'p> Platform<'p> {
     /// this stays below `compact_ratio × live state size` plus one
     /// round's worth of records.
     pub fn wal_len(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.journal.len())
+        self.durable.as_ref().map(DurableStore::wal_len)
     }
 
     /// Generation of the chain head (`None` when chain mode is off or
@@ -1447,8 +970,7 @@ impl<'p> Platform<'p> {
     pub fn chain_head_generation(&self) -> Option<u64> {
         self.durable
             .as_ref()
-            .and_then(|d| d.chain.as_ref())
-            .and_then(ChainStore::head_generation)
+            .and_then(DurableStore::chain_head_generation)
     }
 
     /// Paged-tree counters (zeros when [`PlatformConfig::tree_paging`]
@@ -1457,147 +979,8 @@ impl<'p> Platform<'p> {
         self.hive.tree().page_stats()
     }
 
-    /// The original serial loop: run, ingest, repeat. When `frame_log`
-    /// is set, traces are additionally batched into wire frames with the
-    /// same `(session = pod index, seq)` layout the pipelined path uses,
-    /// so the durable journal is identical either way.
-    fn execute_serial(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> (u64, u64, u64) {
-        let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-        for (pod_index, pod) in self.pods.iter_mut().enumerate() {
-            let pod_index = pod_index as u64;
-            let mut next_seq = pod_index * frames_per_pod;
-            let mut buf: Vec<softborg_trace::ExecutionTrace> = Vec::new();
-            for _ in 0..execs_per_pod {
-                let run = pod.run_once();
-                executions += 1;
-                if run.result.outcome.is_failure() {
-                    failures += 1;
-                }
-                if run.directed {
-                    directed += 1;
-                }
-                if let Some(log) = frame_log {
-                    buf.push(run.trace.clone());
-                    if buf.len() as u64 == batch {
-                        let frame = wire::encode_batch(&buf);
-                        log.lock()
-                            .expect("frame log poisoned")
-                            .push((pod_index, next_seq, frame));
-                        next_seq += 1;
-                        buf.clear();
-                    }
-                }
-                self.hive.ingest(&run.trace);
-            }
-            if !buf.is_empty() {
-                let frame = wire::encode_batch(&buf);
-                if let Some(log) = frame_log {
-                    log.lock()
-                        .expect("frame log poisoned")
-                        .push((pod_index, next_seq, frame));
-                }
-                buf.clear();
-            }
-        }
-        (executions, failures, directed)
-    }
-
-    /// Pods run on scoped threads and report wire-encoded batch frames
-    /// into the hive's staged ingest pipeline while it decodes,
-    /// reconstructs, and merges concurrently.
-    ///
-    /// Frame sequence numbers are pre-partitioned by pod index (each pod
-    /// produces exactly `ceil(execs_per_pod / batch)` frames), so the
-    /// ordered merger replays traces in exact pod-major order — the same
-    /// order the serial loop ingests in. Pods carry their own RNG and
-    /// receive no mid-round feedback, so the resulting hive state is
-    /// byte-identical to [`execute_serial`](Self::execute_serial).
-    fn execute_pipelined(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> (u64, u64, u64) {
-        let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let n_pods = self.pods.len();
-        let threads = self.config.ingest.pod_threads.max(1).min(n_pods.max(1));
-        let chunk_size = n_pods.div_ceil(threads).max(1);
-        let mut cfg = self.config.ingest.pipeline.clone();
-        if !cfg.obs.is_enabled() {
-            // One attach point: platform-level telemetry flows into the
-            // ingest stage unless the pipeline has its own sinks.
-            cfg.obs = self.config.obs.clone();
-        }
-        let pods = &mut self.pods;
-        let (counters, stats) = self.hive.ingest_frames(&cfg, move |tx| {
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (ci, chunk) in pods.chunks_mut(chunk_size).enumerate() {
-                    let tx = tx.clone();
-                    handles.push(s.spawn(move || {
-                        let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-                        for (j, pod) in chunk.iter_mut().enumerate() {
-                            let pod_index = (ci * chunk_size + j) as u64;
-                            let mut next_seq = pod_index * frames_per_pod;
-                            let mut buf: Vec<softborg_trace::ExecutionTrace> =
-                                Vec::with_capacity(batch as usize);
-                            for _ in 0..execs_per_pod {
-                                let run = pod.run_once();
-                                executions += 1;
-                                if run.result.outcome.is_failure() {
-                                    failures += 1;
-                                }
-                                if run.directed {
-                                    directed += 1;
-                                }
-                                buf.push(run.trace);
-                                if buf.len() as u64 == batch {
-                                    let frame = wire::encode_batch(&buf);
-                                    if let Some(log) = frame_log {
-                                        log.lock().expect("frame log poisoned").push((
-                                            pod_index,
-                                            next_seq,
-                                            frame.clone(),
-                                        ));
-                                    }
-                                    tx.submit_at(next_seq, frame);
-                                    next_seq += 1;
-                                    buf.clear();
-                                }
-                            }
-                            if !buf.is_empty() {
-                                let frame = wire::encode_batch(&buf);
-                                if let Some(log) = frame_log {
-                                    log.lock().expect("frame log poisoned").push((
-                                        pod_index,
-                                        next_seq,
-                                        frame.clone(),
-                                    ));
-                                }
-                                tx.submit_at(next_seq, frame);
-                            }
-                        }
-                        (executions, failures, directed)
-                    }));
-                }
-                drop(tx);
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pod thread panicked"))
-                    .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z))
-            })
-        });
-        self.last_ingest = Some(stats);
-        counters
-    }
-
-    /// Pipeline statistics from the most recent pipelined round, if any.
+    /// Pipeline statistics from the most recent [`round`](Self::round),
+    /// if any.
     pub fn last_ingest(&self) -> Option<&IngestStats> {
         self.last_ingest.as_ref()
     }
@@ -1634,19 +1017,19 @@ impl<'p> Platform<'p> {
     }
 }
 
-/// Snapshot `app_meta` payload: committed-round counter, the full round
-/// history, and the durable pod population, in the deterministic byte
-/// codec. The pod images make snapshot-only recovery (a fully compacted
-/// journal) restore every pod mid-stream, exactly like replaying the
-/// journal's `REC_PODS` records would.
-fn encode_app_meta(round_idx: u64, history: &[RoundReport], pods: &[Pod<'_>]) -> Vec<u8> {
+/// Checkpoint `app_meta` payload: committed-round counter, the full
+/// round history, and the durable pod population, in the deterministic
+/// byte codec. The pod images make checkpoint-only recovery (a fully
+/// compacted journal) restore every pod mid-stream, exactly like
+/// replaying the journal's `REC_PODS` records would.
+fn encode_app_meta(round_idx: u64, history: &[RoundReport], fleet: &Fleet<'_>) -> Vec<u8> {
     let mut buf = Vec::new();
     codec::put_u64(&mut buf, round_idx);
     codec::put_u32(&mut buf, history.len() as u32);
     for report in history {
         report.encode_into(&mut buf);
     }
-    buf.extend_from_slice(&encode_pod_states(pods));
+    buf.extend_from_slice(&fleet.encode_pod_states());
     buf
 }
 
@@ -1660,7 +1043,7 @@ fn decode_app_meta(
     for _ in 0..n {
         history.push(RoundReport::decode(&mut r)?);
     }
-    let pods = decode_pod_states_reader(&mut r)?;
+    let pods = fleet::read_pod_states(&mut r)?;
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(
             "app_meta has {} trailing byte(s)",
@@ -1668,68 +1051,4 @@ fn decode_app_meta(
         )));
     }
     Ok((round_idx, history, pods))
-}
-
-/// Encodes the whole pod population for a `REC_PODS` journal record or a
-/// snapshot's `app_meta`: `u32 count` then one length-prefixed
-/// [`PodState`] image (itself versioned and checksummed) per pod.
-pub(crate) fn encode_pod_states(pods: &[Pod<'_>]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    codec::put_u32(&mut buf, pods.len() as u32);
-    for pod in pods {
-        codec::put_bytes(&mut buf, &pod.export_state().encode());
-    }
-    buf
-}
-
-/// Decodes a pod population written by [`encode_pod_states`]. Every pod
-/// image re-verifies its own checksum, so torn bytes behind a valid
-/// journal checksum still fail loudly.
-pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
-    let mut r = codec::Reader::new(bytes);
-    let states = decode_pod_states_reader(&mut r)?;
-    if !r.is_empty() {
-        return Err(DurabilityError::Corrupt(format!(
-            "pod-state record has {} trailing byte(s)",
-            r.remaining()
-        )));
-    }
-    Ok(states)
-}
-
-fn decode_pod_states_reader(r: &mut codec::Reader<'_>) -> Result<Vec<PodState>, DurabilityError> {
-    let n = r
-        .seq_len("pod_states", 9)
-        .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-    let mut states = Vec::with_capacity(n);
-    for i in 0..n {
-        let bytes = r
-            .bytes("pod_states.image")
-            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-        states.push(
-            PodState::decode(bytes)
-                .map_err(|e| DurabilityError::Corrupt(format!("pod {i} state: {e}")))?,
-        );
-    }
-    Ok(states)
-}
-
-/// Installs decoded pod images onto a freshly built population,
-/// requiring an exact count match — a mismatch means the durable record
-/// belongs to a differently-configured campaign.
-pub(crate) fn restore_pod_states(
-    pods: &mut [Pod<'_>],
-    states: Vec<PodState>,
-) -> Result<(), DurabilityError> {
-    if states.len() != pods.len() {
-        return Err(DurabilityError::Corrupt(format!(
-            "pod-state record holds {} pod(s) but the campaign is configured for {}",
-            states.len(),
-            pods.len()
-        )));
-    }
-    for (pod, state) in pods.iter_mut().zip(states) {
-        pod.restore_state(state);
-    }
-    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, MemoMode};
+use softborg_ingest::{BackpressurePolicy, IngestConfig};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_trace::{wire, ExecutionTrace};
@@ -74,7 +74,6 @@ proptest! {
         workers in 1usize..5,
         queue_capacity in 1usize..9,
         memo in 0usize..2,
-        shared_memo in 0usize..2,
     ) {
         let s = scenario(scenario_idx);
         let traces = pod_traces(&s, seed, n);
@@ -88,14 +87,8 @@ proptest! {
                 queue_capacity,
                 merge_capacity: queue_capacity,
                 policy: BackpressurePolicy::Block,
-                // Exercise the recycling path, the cold path, and the
-                // pool-shared cache.
+                // Exercise both the recycling path and the cold path.
                 memo_capacity: memo * 4096,
-                memo_mode: if shared_memo == 1 {
-                    MemoMode::Shared { stripes: 8 }
-                } else {
-                    MemoMode::PerWorker
-                },
                 ..IngestConfig::default()
             },
         );

@@ -32,7 +32,7 @@ pub mod queue;
 pub mod stats;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use memo::{MemoCache, SharedMemoCache, WorkerMemo};
-pub use pipeline::{run, FrameSender, IngestConfig, MemoMode, ProcessedTrace, ReconstructContext};
+pub use memo::MemoCache;
+pub use pipeline::{run, FrameSender, IngestConfig, ProcessedTrace, ReconstructContext};
 pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 pub use stats::IngestStats;

@@ -11,9 +11,7 @@
 //! slot and O(1) amortized per operation — a deliberate approximation of
 //! LRU without the linked-list bookkeeping.
 
-use softborg_trace::wire;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 struct Slot<V> {
     key: Vec<u8>,
@@ -115,117 +113,6 @@ impl<V: Clone> MemoCache<V> {
     }
 }
 
-/// A memo cache shared across a whole worker pool: the keyspace is
-/// striped over independently-locked [`MemoCache`] stripes (stripe =
-/// FNV-1a of the key, so placement is deterministic), turning the
-/// per-worker shared-nothing memo into pool-wide recycling. A trace
-/// reconstructed once by *any* worker is a hit for *every* worker —
-/// which is what lifts hit rates at high worker counts, where the
-/// per-worker caches each pay their own cold miss for the same popular
-/// payload.
-///
-/// The workload is read-mostly (population ingest re-sees the same
-/// payloads constantly), and a striped mutex is only contended when two
-/// workers touch the same stripe at the same instant; with `stripes` a
-/// few times the worker count, that is rare.
-pub struct SharedMemoCache<V> {
-    stripes: Vec<Mutex<MemoCache<V>>>,
-}
-
-impl<V: Clone> SharedMemoCache<V> {
-    /// Creates a shared cache of `capacity` total entries split evenly
-    /// over `stripes` locked stripes (both floored at 1 internally; zero
-    /// `capacity` disables the cache exactly like [`MemoCache::new`]).
-    pub fn new(capacity: usize, stripes: usize) -> Self {
-        let stripes = stripes.max(1);
-        let per_stripe = capacity / stripes;
-        // Don't silently round a small-but-nonzero capacity down to a
-        // disabled cache.
-        let per_stripe = if capacity > 0 { per_stripe.max(1) } else { 0 };
-        SharedMemoCache {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(MemoCache::new(per_stripe)))
-                .collect(),
-        }
-    }
-
-    fn stripe(&self, key: &[u8]) -> &Mutex<MemoCache<V>> {
-        let h = wire::fnv1a(key) as usize;
-        &self.stripes[h % self.stripes.len()]
-    }
-
-    /// Looks `key` up in its stripe, marking it recently used on a hit.
-    pub fn get(&self, key: &[u8]) -> Option<V> {
-        self.stripe(key).lock().expect("memo stripe").get(key)
-    }
-
-    /// Inserts `key → value` into its stripe (second-chance eviction at
-    /// stripe capacity).
-    pub fn insert(&self, key: Vec<u8>, value: V) {
-        let stripe = self.stripe(&key);
-        stripe.lock().expect("memo stripe").insert(key, value);
-    }
-
-    /// Total evictions across all stripes.
-    pub fn evictions(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("memo stripe").evictions())
-            .sum()
-    }
-
-    /// Total entries cached across all stripes.
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("memo stripe").len())
-            .sum()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A worker's view of whichever memo scope its run uses: a private
-/// [`MemoCache`] or a borrowed pool-wide [`SharedMemoCache`]. Lets the
-/// decode loops stay scope-agnostic.
-pub enum WorkerMemo<'a, V> {
-    /// Shared-nothing per-worker cache.
-    Local(MemoCache<V>),
-    /// Striped cache shared across the pool.
-    Shared(&'a SharedMemoCache<V>),
-}
-
-impl<V: Clone> WorkerMemo<'_, V> {
-    /// Looks `key` up in the underlying cache.
-    pub fn get(&mut self, key: &[u8]) -> Option<V> {
-        match self {
-            WorkerMemo::Local(c) => c.get(key),
-            WorkerMemo::Shared(c) => c.get(key),
-        }
-    }
-
-    /// Inserts `key → value` into the underlying cache.
-    pub fn insert(&mut self, key: Vec<u8>, value: V) {
-        match self {
-            WorkerMemo::Local(c) => c.insert(key, value),
-            WorkerMemo::Shared(c) => c.insert(key, value),
-        }
-    }
-
-    /// Evictions attributable to *this worker's* view: the private
-    /// cache's count, or 0 for a shared cache (counted once pool-wide
-    /// by the run, not per worker).
-    pub fn local_evictions(&self) -> u64 {
-        match self {
-            WorkerMemo::Local(c) => c.evictions(),
-            WorkerMemo::Shared(_) => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,53 +175,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&k(1)), Some(100));
         assert_eq!(c.evictions(), 0);
-    }
-
-    #[test]
-    fn shared_cache_is_visible_across_threads() {
-        // Plenty of per-stripe headroom: stripe placement is hash-skewed,
-        // so a tight capacity could evict within a single hot stripe.
-        let c = std::sync::Arc::new(SharedMemoCache::new(256, 4));
-        std::thread::scope(|s| {
-            let writer = c.clone();
-            s.spawn(move || {
-                for b in 0u8..32 {
-                    writer.insert(k(b), u32::from(b));
-                }
-            })
-            .join()
-            .unwrap();
-        });
-        // Every insert from the other thread is a hit here.
-        for b in 0u8..32 {
-            assert_eq!(c.get(&k(b)), Some(u32::from(b)), "miss for {b}");
-        }
-        assert_eq!(c.len(), 32);
-    }
-
-    #[test]
-    fn shared_cache_bounds_capacity_per_stripe() {
-        let c = SharedMemoCache::<u32>::new(8, 4);
-        for b in 0u8..=255 {
-            c.insert(vec![b; 3], u32::from(b));
-        }
-        assert!(c.len() <= 8, "capacity exceeded: {}", c.len());
-        assert!(c.evictions() > 0);
-    }
-
-    #[test]
-    fn shared_cache_zero_capacity_disables() {
-        let c = SharedMemoCache::<u32>::new(0, 4);
-        c.insert(k(1), 1);
-        assert_eq!(c.get(&k(1)), None);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn shared_cache_small_capacity_still_caches() {
-        let c = SharedMemoCache::<u32>::new(2, 16);
-        c.insert(k(1), 1);
-        assert_eq!(c.get(&k(1)), Some(1));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   ingest path.
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::memo::{MemoCache, SharedMemoCache};
+use crate::memo::MemoCache;
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 use crate::stats::{IngestStats, StatsCore};
 use softborg_obs::ObsHandles;
@@ -40,24 +40,6 @@ use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How the reconstruction memo is scoped across the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoMode {
-    /// Each worker owns a private cache (shared-nothing; zero
-    /// synchronization, but every worker pays its own cold miss for the
-    /// same popular payload).
-    #[default]
-    PerWorker,
-    /// One striped cache shared by every worker ([`SharedMemoCache`]):
-    /// a payload reconstructed once is a hit pool-wide. `stripes` is
-    /// the lock-striping factor (floored at 1; a few times the worker
-    /// count keeps contention negligible).
-    Shared {
-        /// Number of independently-locked cache stripes.
-        stripes: usize,
-    },
-}
-
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
@@ -69,13 +51,11 @@ pub struct IngestConfig {
     pub merge_capacity: usize,
     /// What producers do when the frame queue is full.
     pub policy: BackpressurePolicy,
-    /// Memo entries for recycling reconstructions; at capacity the
+    /// Memo entries for recycling reconstructions, per worker (each
+    /// worker owns a private, shared-nothing cache); at capacity the
     /// cache evicts with a second-chance (clock) sweep (0 disables the
-    /// cache). Per worker under [`MemoMode::PerWorker`], pool-total
-    /// under [`MemoMode::Shared`].
+    /// cache).
     pub memo_capacity: usize,
-    /// Whether the memo is per-worker or shared across the pool.
-    pub memo_mode: MemoMode,
     /// Time source for the latency/throughput gauges. Defaults to the
     /// monotonic wall clock; a virtual-time scheduler injects its own so
     /// `wall_ns`, `worker_busy_ns`, and `frame_latency_ns` stay
@@ -96,7 +76,6 @@ impl Default for IngestConfig {
             merge_capacity: 64,
             policy: BackpressurePolicy::Block,
             memo_capacity: 4096,
-            memo_mode: MemoMode::PerWorker,
             clock: Arc::new(MonotonicClock::new()),
             obs: ObsHandles::default(),
         }
@@ -260,17 +239,13 @@ fn worker_loop(
     shared: &Shared,
     ctx: ReconstructContext<'_>,
     memo_capacity: usize,
-    shared_memo: Option<&SharedMemoCache<Arc<ProcessedTrace>>>,
     active: &AtomicUsize,
 ) {
     let _guard = WorkerGuard {
         active,
         merged: &shared.merged,
     };
-    let mut memo: crate::memo::WorkerMemo<'_, Arc<ProcessedTrace>> = match shared_memo {
-        Some(pool) => crate::memo::WorkerMemo::Shared(pool),
-        None => crate::memo::WorkerMemo::Local(MemoCache::new(memo_capacity)),
-    };
+    let mut memo: MemoCache<Arc<ProcessedTrace>> = MemoCache::new(memo_capacity);
     while let Some(frame) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
         let out = match wire::batch_payloads(&frame.bytes) {
@@ -321,7 +296,7 @@ fn worker_loop(
             out,
         });
     }
-    shared.stats.cache_evictions.add(memo.local_evictions());
+    shared.stats.cache_evictions.add(memo.evictions());
 }
 
 /// Heap entry ordered by ascending sequence number.
@@ -438,10 +413,6 @@ where
     let n_workers = config.workers.max(1);
     let active = AtomicUsize::new(n_workers);
     let memo_capacity = config.memo_capacity;
-    let pool_memo: Option<SharedMemoCache<Arc<ProcessedTrace>>> = match config.memo_mode {
-        MemoMode::PerWorker => None,
-        MemoMode::Shared { stripes } => Some(SharedMemoCache::new(memo_capacity, stripes)),
-    };
     let started = config.clock.now_ns();
     let result = std::thread::scope(|s| {
         let producer_handle = s.spawn(move || producer(sender));
@@ -449,8 +420,7 @@ where
             .map(|_| {
                 let shared = &shared;
                 let active = &active;
-                let pool_memo = pool_memo.as_ref();
-                s.spawn(move || worker_loop(shared, ctx, memo_capacity, pool_memo, active))
+                s.spawn(move || worker_loop(shared, ctx, memo_capacity, active))
             })
             .collect();
         merger_loop(&shared, &mut sink);
@@ -464,9 +434,6 @@ where
             Err(p) => std::panic::resume_unwind(p),
         }
     });
-    if let Some(pool) = &pool_memo {
-        shared.stats.cache_evictions.add(pool.evictions());
-    }
     let stats = shared.stats.snapshot(
         n_workers,
         shared.frames.high_water(),

@@ -10,8 +10,8 @@
 //! * [`pipeline`] — the sharded pipeline: producers claim per-program
 //!   sequence slots through a [`ShardFrameSender`]; **one shared**
 //!   decode+reconstruct worker pool (reusing `softborg-ingest`'s
-//!   bounded queues, backpressure, and memo recycling — including the
-//!   pool-wide shared cache) classifies each frame by the program id
+//!   bounded queues, backpressure, and memo recycling) classifies each
+//!   frame by the program id
 //!   embedded in its bytes; per-shard sequence-ordered mergers apply
 //!   each program's traces in exact submission order.
 //! * [`sharded`] — [`ShardedHive`]: N hive shards behind the router,

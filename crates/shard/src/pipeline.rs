@@ -37,8 +37,8 @@ use crate::map::{ShardError, ShardMap};
 use crate::stats::{RunCore, ShardCore};
 use softborg_ingest::Clock;
 use softborg_ingest::{
-    BackpressurePolicy, BoundedQueue, IngestConfig, MemoCache, MemoMode, ProcessedTrace,
-    PushOutcome, ReconstructContext, SharedMemoCache, WorkerMemo,
+    BackpressurePolicy, BoundedQueue, IngestConfig, MemoCache, ProcessedTrace, PushOutcome,
+    ReconstructContext,
 };
 use softborg_program::ProgramId;
 use softborg_trace::wire;
@@ -244,7 +244,7 @@ fn process_frame(
     shared: &ShardShared,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memo: &mut WorkerMemo<'_, Arc<ProcessedTrace>>,
+    memo: &mut MemoCache<Arc<ProcessedTrace>>,
     item: &ShardFrameItem,
 ) -> ShardWorkerOut {
     let core = &shared.core;
@@ -316,17 +316,13 @@ fn worker_loop(
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     memo_capacity: usize,
-    shared_memo: Option<&SharedMemoCache<Arc<ProcessedTrace>>>,
     active: &AtomicUsize,
 ) {
     let _guard = WorkerGuard {
         active,
         merge: &shared.merge,
     };
-    let mut memo: WorkerMemo<'_, Arc<ProcessedTrace>> = match shared_memo {
-        Some(pool) => WorkerMemo::Shared(pool),
-        None => WorkerMemo::Local(MemoCache::new(memo_capacity)),
-    };
+    let mut memo: MemoCache<Arc<ProcessedTrace>> = MemoCache::new(memo_capacity);
     while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
         let out = process_frame(shared, map, ctxs, &mut memo, &item);
@@ -347,7 +343,7 @@ fn worker_loop(
     }
     shared
         .core
-        .add(&shared.core.cache_evictions, memo.local_evictions());
+        .add(&shared.core.cache_evictions, memo.evictions());
 }
 
 /// Heap entry ordered by ascending claimed sequence number.
@@ -493,18 +489,13 @@ where
     let n_workers = config.workers.max(1);
     let active = AtomicUsize::new(n_workers);
     let memo_capacity = config.memo_capacity;
-    let pool_memo: Option<SharedMemoCache<Arc<ProcessedTrace>>> = match config.memo_mode {
-        MemoMode::PerWorker => None,
-        MemoMode::Shared { stripes } => Some(SharedMemoCache::new(memo_capacity, stripes)),
-    };
     let result = std::thread::scope(|s| {
         let producer_handle = s.spawn(move || producer(sender));
         let worker_handles: Vec<_> = (0..n_workers)
             .map(|_| {
                 let shared = &shared;
                 let active = &active;
-                let pool_memo = pool_memo.as_ref();
-                s.spawn(move || worker_loop(shared, map, ctxs, memo_capacity, pool_memo, active))
+                s.spawn(move || worker_loop(shared, map, ctxs, memo_capacity, active))
             })
             .collect();
         let merger_handles: Vec<_> = sinks
@@ -525,11 +516,6 @@ where
             Err(p) => std::panic::resume_unwind(p),
         }
     });
-    if let Some(pool) = &pool_memo {
-        shared
-            .core
-            .add(&shared.core.cache_evictions, pool.evictions());
-    }
     let rerouted = {
         let mut r = shared.rerouted.lock().expect("reroute set");
         let mut r = std::mem::take(&mut *r);

@@ -7,7 +7,7 @@
 //! [`ShardedHive`] instead places every program on one of `n_shards`
 //! shards ([`ShardMap`], explicit deterministic hash placement), runs
 //! **one** worker pool over all traffic (so idle capacity from a quiet
-//! program is immediately usable by a busy one, and a pool-shared memo
+//! program is immediately usable by a busy one, and each worker's memo
 //! recycles reconstructions across the whole fleet), and gives each
 //! shard its own sequence-ordered merger — preserving the per-program
 //! byte-identity-with-serial-ingest invariant the single-program
@@ -211,7 +211,7 @@ impl<'p> ShardedHive<'p> {
     /// Runs the sharded pipeline: `producer` claims (program, seq)
     /// slots through its [`ShardFrameSender`]; the shared worker pool
     /// classifies frames by content, decodes and reconstructs them
-    /// through the configured memo scope; per-shard mergers apply each
+    /// through its per-worker memo; per-shard mergers apply each
     /// program's traces in exact claimed-sequence order. Returns the
     /// producer's result and the run's stats.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, ShardRunStats)

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, MemoMode};
+use softborg_ingest::{BackpressurePolicy, IngestConfig};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::ProgramId;
@@ -82,7 +82,6 @@ proptest! {
         n_shards in 1usize..5,
         workers in 1usize..5,
         queue_capacity in 1usize..9,
-        shared_memo in 0usize..2,
         mix in 0u64..1_000,
     ) {
         let scs = fleet(n_programs);
@@ -117,11 +116,6 @@ proptest! {
                     merge_capacity: queue_capacity,
                     policy: BackpressurePolicy::Block,
                     memo_capacity: 4096,
-                    memo_mode: if shared_memo == 1 {
-                        MemoMode::Shared { stripes: 8 }
-                    } else {
-                        MemoMode::PerWorker
-                    },
                     ..IngestConfig::default()
                 },
             )
@@ -216,7 +210,6 @@ fn drop_oldest_conserves_slots_across_shards() {
                 merge_capacity: 1,
                 policy: BackpressurePolicy::DropOldest,
                 memo_capacity: 0,
-                memo_mode: MemoMode::PerWorker,
                 ..IngestConfig::default()
             },
         )

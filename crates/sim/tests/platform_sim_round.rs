@@ -1,6 +1,7 @@
 //! Platform rounds under the virtual-time scheduler: [`sim_round`]
-//! must leave the platform in *byte-identical* state to the serial and
-//! pipelined [`Platform::round`] paths on shared seeds, replays must
+//! must leave the platform in *byte-identical* state to the serial
+//! reference ([`DrivenExecution::serial`]) and the pipelined
+//! [`Platform::round`] on shared seeds, replays must
 //! reproduce the `sched_trace_hash`, and the simulated round must
 //! actually exercise the blocking-point catalogue (bounded-channel
 //! stalls, fsyncs, wakes). [`sim_round_multi`] gets the same treatment
@@ -8,18 +9,18 @@
 
 use softborg::pod::PodConfig;
 use softborg::{
-    FleetSpec, IngestSettings, MultiPlatform, MultiPlatformConfig, Platform, PlatformConfig,
+    DrivenExecution, FleetSpec, IngestSettings, MultiPlatform, MultiPlatformConfig, Platform,
+    PlatformConfig,
 };
 use softborg_ingest::IngestConfig;
 use softborg_program::scenarios::{self, Scenario};
 use softborg_sim::{sim_round, sim_round_multi, SimRoundConfig};
 
-fn config(pipelined: bool, pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
+fn config(pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
     PlatformConfig {
         n_pods: 6,
         seed: 42,
         ingest: IngestSettings {
-            pipelined,
             pod_threads,
             batch_size: batch,
             pipeline: IngestConfig {
@@ -45,15 +46,17 @@ fn assert_same_platform(what: &str, a: &Platform<'_>, b: &Platform<'_>) {
 #[test]
 fn sim_round_matches_serial_and_pipelined_rounds() {
     let s = scenarios::token_parser();
-    let mut serial = Platform::new(&s.program, config(false, 1, 1, 1));
-    serial.run(3, 20);
-    let mut piped = Platform::new(&s.program, config(true, 2, 2, 7));
+    let mut serial = Platform::new(&s.program, config(1, 1, 1));
+    for _ in 0..3 {
+        serial.round_driven(|pods, batch| DrivenExecution::serial(pods, 20, batch));
+    }
+    let mut piped = Platform::new(&s.program, config(2, 2, 7));
     piped.run(3, 20);
     assert_same_platform("serial vs pipelined", &serial, &piped);
 
     // The simulated platform uses the pipelined batch size (7) so the
     // frame layout matches; interleaving differs wildly, state must not.
-    let mut simmed = Platform::new(&s.program, config(true, 2, 2, 7));
+    let mut simmed = Platform::new(&s.program, config(2, 2, 7));
     let sim_cfg = SimRoundConfig::default();
     for _ in 0..3 {
         sim_round(&mut simmed, 20, &sim_cfg);
@@ -65,7 +68,7 @@ fn sim_round_matches_serial_and_pipelined_rounds() {
 fn sim_round_replays_to_identical_hash_and_state() {
     let run = || {
         let s = scenarios::record_processor();
-        let mut p = Platform::new(&s.program, config(true, 2, 2, 5));
+        let mut p = Platform::new(&s.program, config(2, 2, 5));
         let (report, stats) = sim_round(&mut p, 24, &SimRoundConfig::default());
         (
             report,
@@ -85,7 +88,7 @@ fn sim_round_replays_to_identical_hash_and_state() {
 #[test]
 fn sim_round_exercises_every_blocking_point() {
     let s = scenarios::triangle();
-    let mut p = Platform::new(&s.program, config(true, 2, 2, 3));
+    let mut p = Platform::new(&s.program, config(2, 2, 3));
     // All pods start at the same instant and share a 1-slot channel:
     // sends MUST block, the collector MUST drain under wakes, and the
     // journal disk MUST fsync — while the hive state stays identical to
@@ -105,7 +108,7 @@ fn sim_round_exercises_every_blocking_point() {
     // and retry), so everything sent is eventually drained.
     assert_eq!(stats.io.chan_recvs, stats.io.chan_sends);
 
-    let mut roomy_p = Platform::new(&s.program, config(true, 2, 2, 3));
+    let mut roomy_p = Platform::new(&s.program, config(2, 2, 3));
     let (roomy_report, roomy_stats) = sim_round(&mut roomy_p, 18, &SimRoundConfig::default());
     assert_eq!(roomy_stats.io.chan_full, 0, "capacity 8 never fills here");
     assert_eq!(report, roomy_report, "backpressure must not change state");

@@ -11,7 +11,8 @@ use softborg::hive::SnapshotSource;
 use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
 use softborg::pod::PodState;
 use softborg::{
-    DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig, RoundReport,
+    DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig,
+    RoundReport,
 };
 use softborg_ingest::IngestConfig;
 use softborg_program::scenarios;
@@ -439,7 +440,6 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
     let piped_dir = campaign_dir("pipe-piped");
     let piped_cfg = |dir: PathBuf| PlatformConfig {
         ingest: IngestSettings {
-            pipelined: true,
             pod_threads: 3,
             batch_size: 7,
             pipeline: IngestConfig {
@@ -454,7 +454,9 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
             &s.program,
             config(Some(DurabilityConfig::new(serial_dir.clone()))),
         );
-        serial.run(3, EXECS);
+        for _ in 0..3 {
+            serial.round_driven(|pods, batch| DrivenExecution::serial(pods, EXECS, batch));
+        }
         let mut piped = Platform::new(&s.program, piped_cfg(piped_dir.clone()));
         piped.run(3, EXECS);
         assert_eq!(serial.hive_state(), piped.hive_state());
@@ -560,6 +562,51 @@ fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
         }
         other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
     }
+}
+
+#[test]
+fn classic_mode_refuses_a_chained_campaign() {
+    let s = scenarios::token_parser();
+    let dir = campaign_dir("classic-over-chain");
+    let lazily_chained = |dir: PathBuf| DurabilityConfig {
+        compact_ratio: 2,
+        min_compact_wal_bytes: 4096,
+        ..DurabilityConfig::chained(dir)
+    };
+    const ACKED: u64 = 9;
+    {
+        let mut p = Platform::new(&s.program, config(Some(lazily_chained(dir.clone()))));
+        p.run(ACKED as u32, EXECS);
+    }
+    let wal_len = || std::fs::metadata(dir.join("hive.wal")).unwrap().len();
+    let acked_wal = wal_len();
+    assert!(acked_wal > 0, "need acked rounds past the chain head");
+    // A classic-mode resume never reads `chain/`: it would cold-start at
+    // round 0, find the journal disconnected, and truncate acked rounds
+    // away. It must refuse instead, before touching the journal.
+    match Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir.clone())))) {
+        Err(DurabilityError::Corrupt(msg)) => {
+            assert!(msg.contains("chained campaign"), "unhelpful refusal: {msg}");
+        }
+        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(wal_len(), acked_wal, "a refused resume cut the journal");
+    // The campaign is intact: the right settings recover every round.
+    {
+        let (mut resumed, _) =
+            Platform::resume(&s.program, config(Some(chained(dir.clone())))).unwrap();
+        assert_eq!(resumed.committed_rounds(), ACKED);
+        // Fold everything into the chain, leaving an empty journal — the
+        // state in which a classic fresh start sees no classic files.
+        resumed.checkpoint().unwrap();
+    }
+    assert_eq!(wal_len(), 0);
+    match Platform::try_new(&s.program, config(Some(DurabilityConfig::new(dir.clone())))) {
+        Err(DurabilityError::CampaignExists(_)) => {}
+        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+    }
+    let (resumed, _) = Platform::resume(&s.program, config(Some(chained(dir)))).unwrap();
+    assert_eq!(resumed.committed_rounds(), ACKED);
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! byte-identical to the uninterrupted run at the recovered committed
 //! round (the minimum across shards).
 
-use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig, MultiRoundReport};
+use softborg::{
+    DurabilityConfig, DurabilityError, FleetSpec, MultiPlatform, MultiPlatformConfig,
+    MultiRoundReport,
+};
 use softborg_program::scenarios::{self, Scenario};
 use std::path::PathBuf;
 
@@ -319,6 +322,58 @@ fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
         assert_eq!(sr.wal_tail_dropped, 0);
     }
     assert_eq!(again.committed_rounds(), ROUNDS - 1);
+}
+
+#[test]
+fn classic_mode_refuses_a_chained_fleet_campaign() {
+    let scs = fleet_scenarios();
+    let dir = campaign_dir("classic-over-chain");
+    // Chains, checkpointed on demand only: every shard ends with chain
+    // records *and* one acked round in its journal past the chain head.
+    let chained = |dir: PathBuf| DurabilityConfig {
+        compact_ratio: 0,
+        ..DurabilityConfig::chained(dir)
+    };
+    {
+        let mut p = MultiPlatform::new(&specs(&scs), config(Some(chained(dir.clone()))));
+        p.run(ROUNDS as u32 - 1, EXECS);
+        assert!(p.checkpoint().unwrap() > 0, "checkpoint wrote nothing");
+        p.round(EXECS);
+    }
+    let wal_lens = || -> Vec<u64> {
+        (0..N_SHARDS)
+            .map(|i| dir.join(format!("shard-{i}")).join("hive.wal"))
+            .map(|wal| std::fs::metadata(wal).unwrap().len())
+            .collect()
+    };
+    let acked = wal_lens();
+    assert!(
+        acked.iter().all(|&len| len > 0),
+        "need acked journal rounds"
+    );
+    // Classic mode never reads `chain/`: resuming would cold-start every
+    // shard and truncate the acked round away; a fresh start would run a
+    // second campaign on top. Both refuse, naming the shard, and neither
+    // touches a journal.
+    let classic = || config(Some(DurabilityConfig::new(dir.clone())));
+    match MultiPlatform::resume(&specs(&scs), classic()) {
+        Err(DurabilityError::Corrupt(msg)) => {
+            assert!(
+                msg.contains("shard-0") && msg.contains("chained campaign"),
+                "unhelpful refusal: {msg}"
+            );
+        }
+        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
+    }
+    match MultiPlatform::try_new(&specs(&scs), classic()) {
+        Err(DurabilityError::CampaignExists(shard_dir)) => {
+            assert_eq!(shard_dir, dir.join("shard-0"));
+        }
+        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(wal_lens(), acked, "a refused open touched a journal");
+    let (resumed, _) = MultiPlatform::resume(&specs(&scs), config(Some(chained(dir)))).unwrap();
+    assert_eq!(resumed.committed_rounds(), ROUNDS);
 }
 
 #[test]

@@ -1,17 +1,17 @@
 //! The platform's pipelined round (pods on scoped threads reporting
 //! through the staged ingest pipeline) must produce exactly the same
-//! round reports and hive state as the original serial round loop.
+//! round reports and hive state as the serial reference
+//! (`DrivenExecution::serial` fed to `round_driven`).
 
-use softborg::{IngestSettings, Platform, PlatformConfig};
+use softborg::{DrivenExecution, IngestSettings, Platform, PlatformConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig};
 use softborg_program::scenarios;
 
-fn config(pipelined: bool, pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
+fn config(pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
     PlatformConfig {
         n_pods: 8,
         seed: 42,
         ingest: IngestSettings {
-            pipelined,
             pod_threads,
             batch_size: batch,
             pipeline: IngestConfig {
@@ -26,11 +26,13 @@ fn config(pipelined: bool, pod_threads: usize, workers: usize, batch: usize) -> 
 #[test]
 fn pipelined_rounds_match_serial_rounds_exactly() {
     let s = scenarios::token_parser();
-    let mut serial = Platform::new(&s.program, config(false, 1, 1, 1));
-    serial.run(3, 20);
+    let mut serial = Platform::new(&s.program, config(1, 1, 1));
+    for _ in 0..3 {
+        serial.round_driven(|pods, batch| DrivenExecution::serial(pods, 20, batch));
+    }
 
     for (pod_threads, workers, batch) in [(1, 1, 1), (2, 2, 7), (3, 4, 32)] {
-        let mut piped = Platform::new(&s.program, config(true, pod_threads, workers, batch));
+        let mut piped = Platform::new(&s.program, config(pod_threads, workers, batch));
         piped.run(3, 20);
         assert_eq!(
             serial.history(),
@@ -46,7 +48,7 @@ fn pipelined_rounds_match_serial_rounds_exactly() {
 #[test]
 fn pipelined_round_reports_ingest_statistics() {
     let s = scenarios::record_processor();
-    let mut p = Platform::new(&s.program, config(true, 2, 2, 8));
+    let mut p = Platform::new(&s.program, config(2, 2, 8));
     assert!(p.last_ingest().is_none());
     p.round(16);
     let stats = p.last_ingest().expect("pipelined round records stats");
@@ -61,7 +63,7 @@ fn pipelined_round_reports_ingest_statistics() {
 #[test]
 fn drop_oldest_platform_round_still_completes() {
     let s = scenarios::token_parser();
-    let mut cfg = config(true, 2, 1, 4);
+    let mut cfg = config(2, 1, 4);
     cfg.ingest.pipeline.queue_capacity = 1;
     cfg.ingest.pipeline.policy = BackpressurePolicy::DropOldest;
     let mut p = Platform::new(&s.program, cfg);
