@@ -787,7 +787,7 @@ impl<'p> Platform<'p> {
             fixes_promoted,
             overlay_version: self.hive.current_overlay().1,
             coverage: self.hive.coverage(),
-            proofs: self.hive.proofs().len() as u64,
+            proofs: self.hive.proof_count(),
             directed,
         };
         self.round_idx += 1;

@@ -62,6 +62,60 @@ pub fn arm_score(arm: &FrontierArm) -> f64 {
     arm.depth as f64 + 10.0 * rarity
 }
 
+/// The symbolic crash hunt — the cooperative prover's counterexample
+/// search. Crash forks found symbolically are solved into concrete
+/// inputs and dispatched so a pod *confirms* the bug with a real
+/// execution (whose trace then drives diagnosis + fixing). A pure
+/// function of its arguments: a caller that plans every round computes
+/// it once and passes it to [`plan_with_crash_seeds`].
+pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> {
+    let mut seeds = Vec::new();
+    if program.threads.len() != 1 || config.max_crash_seeds == 0 {
+        return seeds;
+    }
+    let Ok(exploration) = explore(program, &config.sym) else {
+        return seeds;
+    };
+    // One counterexample per distinct crash *site*: several symbolic
+    // paths can reach the same crash and some of them are contradictory
+    // (e.g. a fork taken under a conflicting earlier arm), so keep
+    // solving alternatives per site until one yields a model.
+    let mut by_site: std::collections::BTreeMap<
+        softborg_program::Loc,
+        Vec<&softborg_symex::SymPath>,
+    > = std::collections::BTreeMap::new();
+    for path in exploration.crashing() {
+        if let softborg_symex::SymOutcome::Crash { loc, .. } = &path.outcome {
+            by_site.entry(*loc).or_default().push(path);
+        }
+    }
+    let mut solve_attempts = 0usize;
+    for (_, paths) in by_site {
+        if seeds.len() >= config.max_crash_seeds {
+            break;
+        }
+        for path in paths {
+            solve_attempts += 1;
+            if solve_attempts > 128 {
+                break;
+            }
+            if let Feasibility::Feasible(model) =
+                path.solve(&config.sym.input_box, config.sym.solve_budget)
+            {
+                let inputs = model[..program.n_inputs as usize].to_vec();
+                let target = path
+                    .decisions
+                    .last()
+                    .copied()
+                    .unwrap_or((softborg_program::BranchSiteId::new(0), true));
+                seeds.push(Directive::InputSeed { inputs, target });
+                break; // next site
+            }
+        }
+    }
+    seeds
+}
+
 /// Produces a guidance plan for `program` from its current tree, marking
 /// proven-infeasible arms as a side effect.
 pub fn plan(
@@ -69,8 +123,23 @@ pub fn plan(
     tree: &mut ExecutionTree,
     config: &PlannerConfig,
 ) -> (GuidancePlan, PlanStats) {
+    plan_with_crash_seeds(program, tree, config, &crash_seeds(program, config))
+}
+
+/// [`plan`] with the tree-independent part, [`crash_seeds`], supplied by
+/// the caller.
+pub fn plan_with_crash_seeds(
+    program: &Program,
+    tree: &mut ExecutionTree,
+    config: &PlannerConfig,
+    crash_seeds: &[Directive],
+) -> (GuidancePlan, PlanStats) {
     let mut plan = GuidancePlan::new(tree.program());
-    let mut stats = PlanStats::default();
+    plan.directives.extend_from_slice(crash_seeds);
+    let mut stats = PlanStats {
+        crash_seeds: crash_seeds.len() as u64,
+        ..PlanStats::default()
+    };
     let mut frontier = tree.frontier();
     frontier.sort_by(|a, b| {
         arm_score(b)
@@ -80,55 +149,6 @@ pub fn plan(
     frontier.truncate(config.max_targets);
 
     let single_threaded = program.threads.len() == 1;
-
-    // Symbolic crash hunt: the cooperative prover's counterexample
-    // search. Crash forks found symbolically are solved into concrete
-    // inputs and dispatched so a pod *confirms* the bug with a real
-    // execution (whose trace then drives diagnosis + fixing).
-    if single_threaded && config.max_crash_seeds > 0 {
-        if let Ok(exploration) = explore(program, &config.sym) {
-            // One counterexample per distinct crash *site*: several
-            // symbolic paths can reach the same crash and some of them
-            // are contradictory (e.g. a fork taken under a conflicting
-            // earlier arm), so keep solving alternatives per site until
-            // one yields a model.
-            let mut by_site: std::collections::BTreeMap<
-                softborg_program::Loc,
-                Vec<&softborg_symex::SymPath>,
-            > = std::collections::BTreeMap::new();
-            for path in exploration.crashing() {
-                if let softborg_symex::SymOutcome::Crash { loc, .. } = &path.outcome {
-                    by_site.entry(*loc).or_default().push(path);
-                }
-            }
-            let mut solve_attempts = 0usize;
-            for (_, paths) in by_site {
-                if stats.crash_seeds as usize >= config.max_crash_seeds {
-                    break;
-                }
-                for path in paths {
-                    solve_attempts += 1;
-                    if solve_attempts > 128 {
-                        break;
-                    }
-                    if let Feasibility::Feasible(model) =
-                        path.solve(&config.sym.input_box, config.sym.solve_budget)
-                    {
-                        let inputs = model[..program.n_inputs as usize].to_vec();
-                        let target = path
-                            .decisions
-                            .last()
-                            .copied()
-                            .unwrap_or((softborg_program::BranchSiteId::new(0), true));
-                        plan.directives
-                            .push(Directive::InputSeed { inputs, target });
-                        stats.crash_seeds += 1;
-                        break; // next site
-                    }
-                }
-            }
-        }
-    }
 
     let mut any_unknown = false;
     for arm in &frontier {

@@ -16,7 +16,7 @@ use softborg_analysis::deadlock::LockOrderGraph;
 use softborg_analysis::race::{RaceDetector, RaceReport};
 use softborg_analysis::treeloc::{Diagnosis, FailureLedger};
 use softborg_fix::{crash_guards, deadlock_immunity, hang_bounds, FixCandidate};
-use softborg_guidance::{GuidancePlan, PlanStats, PlannerConfig};
+use softborg_guidance::{frontier, Directive, GuidancePlan, PlanStats, PlannerConfig};
 use softborg_ingest::{FrameSender, IngestConfig, IngestStats, ReconstructContext};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::overlay::Overlay;
@@ -102,6 +102,11 @@ pub struct Hive<'p> {
     fixed: BTreeSet<String>,
     stats: HiveStats,
     config: HiveConfig,
+    /// The planner's symbolic crash hunt: a pure function of `program`
+    /// and `config.planner`, both fixed for the hive's life, so it is
+    /// computed by the first [`guidance`](Hive::guidance) call and never
+    /// invalidated. Derived, not state: never serialised.
+    crash_seeds: Option<Vec<Directive>>,
 }
 
 impl<'p> Hive<'p> {
@@ -118,6 +123,7 @@ impl<'p> Hive<'p> {
             stats: HiveStats::default(),
             program,
             config,
+            crash_seeds: None,
         }
     }
 
@@ -375,7 +381,11 @@ impl<'p> Hive<'p> {
     /// Computes a guidance plan from the current tree (marking
     /// proven-infeasible arms as a side effect).
     pub fn guidance(&mut self) -> (GuidancePlan, PlanStats) {
-        softborg_guidance::plan(self.program, &mut self.tree, &self.config.planner)
+        let planner = &self.config.planner;
+        let crash_seeds = self
+            .crash_seeds
+            .get_or_insert_with(|| frontier::crash_seeds(self.program, planner));
+        frontier::plan_with_crash_seeds(self.program, &mut self.tree, planner, crash_seeds)
     }
 
     /// Current execution tree (read-only).
@@ -412,6 +422,12 @@ impl<'p> Hive<'p> {
     /// (paper §3.3).
     pub fn proofs(&self) -> Vec<crate::proofs::ProofCertificate> {
         crate::proofs::assemble(&self.tree)
+    }
+
+    /// `self.proofs().len()` without assembling the certificates — what
+    /// a round report needs.
+    pub fn proof_count(&self) -> u64 {
+        crate::proofs::count(&self.tree)
     }
 
     /// Serializes the hive's complete mutable state — tree (with outcome
@@ -618,6 +634,7 @@ impl<'p> Hive<'p> {
             stats,
             program,
             config,
+            crash_seeds: None,
         })
     }
 }

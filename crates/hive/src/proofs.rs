@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use softborg_program::{BranchSiteId, ProgramId};
-use softborg_tree::{ExecutionTree, NodeId};
+use softborg_tree::{ExecutionTree, NodeId, TreeSummary};
 use std::fmt;
 
 /// The property a certificate asserts over a subtree.
@@ -91,53 +91,50 @@ impl fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-fn subtree_nodes(tree: &ExecutionTree, root: NodeId) -> u64 {
-    let mut count = 0;
-    let mut stack = vec![root];
+/// Roots of the *maximal* closed, failure-free, witnessed subtrees (a
+/// closed parent subsumes its children) with their visit counts, in
+/// publication order: a walk from the root that stops at every proven
+/// subtree.
+fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary) -> Vec<(NodeId, u64)> {
+    let mut roots = Vec::new();
+    let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {
-        count += 1;
-        stack.extend(tree.with_node(id, children_of));
+        let provable = summary.subtree_failures(id) == 0 && summary.is_closed(id);
+        tree.with_node(id, |n| {
+            if provable && n.visits > 0 {
+                roots.push((id, n.visits)); // maximality: don't descend
+                return;
+            }
+            for site in n.sites() {
+                stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
+            }
+        });
     }
-    count
+    roots
 }
 
-/// All explored children of a node, pulled out under one arena borrow
-/// (the tree may be paged, so node access is closure-scoped).
-fn children_of(n: &softborg_tree::Node) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for site in n.sites() {
-        for taken in [false, true] {
-            if let Some(c) = n.child(site, taken) {
-                out.push(c);
-            }
-        }
-    }
-    out
+/// How many certificates [`assemble`] would publish, without building
+/// them (no digest, no prefixes).
+pub fn count(tree: &ExecutionTree) -> u64 {
+    proven_roots(tree, &tree.summary()).len() as u64
 }
 
 /// Scans the tree and assembles certificates for the *maximal* closed,
-/// failure-free subtrees (a closed parent subsumes its children).
+/// failure-free subtrees.
 pub fn assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
+    let summary = tree.summary();
     let digest = tree.digest();
-    let mut certs = Vec::new();
-    let mut queue = vec![NodeId::ROOT];
-    while let Some(id) = queue.pop() {
-        let clean = tree.subtree_failures(id) == 0;
-        let visits = tree.with_node(id, |n| n.visits);
-        if clean && tree.is_closed(id) && visits > 0 {
-            certs.push(ProofCertificate {
-                program: tree.program(),
-                prefix: tree.prefix(id),
-                property: PROPERTY_NO_FAILURE.to_string(),
-                nodes: subtree_nodes(tree, id),
-                visits,
-                tree_digest: digest,
-            });
-            continue; // maximality: don't descend into a proven subtree
-        }
-        queue.extend(tree.with_node(id, children_of));
-    }
-    certs
+    proven_roots(tree, &summary)
+        .into_iter()
+        .map(|(id, visits)| ProofCertificate {
+            program: tree.program(),
+            prefix: tree.prefix(id),
+            property: PROPERTY_NO_FAILURE.to_string(),
+            nodes: summary.subtree_nodes(id),
+            visits,
+            tree_digest: digest,
+        })
+        .collect()
 }
 
 /// Independently re-checks a certificate against the tree.

@@ -12,6 +12,7 @@ pub mod tree;
 
 pub use tree::{
     CoverageStats, DeltaError, ExecutionTree, FrontierArm, MergeStats, Node, NodeId, OutcomeTally,
+    TreeSummary,
 };
 
 #[cfg(test)]

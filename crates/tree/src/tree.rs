@@ -146,6 +146,47 @@ impl Node {
     pub fn is_terminal(&self) -> bool {
         self.terminal.total() > 0
     }
+
+    /// The one branch site every outgoing edge shares, if there are
+    /// edges and they agree (the allocation-free common case of
+    /// [`sites`](Self::sites)).
+    fn single_site(&self) -> Option<BranchSiteId> {
+        let site = self.edges.first()?.site;
+        self.edges.iter().all(|e| e.site == site).then_some(site)
+    }
+
+    /// Calls `f` for every arm of an observed site that is neither
+    /// explored nor infeasible, sites ascending, `false` before `true`.
+    fn for_each_open_arm(&self, mut f: impl FnMut(BranchSiteId, bool)) {
+        let mut arms_of = |site| {
+            for taken in [false, true] {
+                if self.child(site, taken).is_none() && !self.is_infeasible(site, taken) {
+                    f(site, taken);
+                }
+            }
+        };
+        match self.single_site() {
+            Some(site) => arms_of(site),
+            None => self.sites().into_iter().for_each(arms_of),
+        }
+    }
+
+    /// Whether this node's subtree is closed, given the closure of every
+    /// child (the rule [`ExecutionTree::is_closed`] applies per node).
+    fn closed_given(&self, closed: &[bool]) -> bool {
+        if self.edges.is_empty() {
+            return self.is_terminal();
+        }
+        // Interleaving-divergent nodes (multiple sites) cannot be
+        // declared closed: unseen schedules may surface yet more arms.
+        let Some(site) = self.single_site() else {
+            return false;
+        };
+        [false, true].into_iter().all(|taken| {
+            self.is_infeasible(site, taken)
+                || self.child(site, taken).is_some_and(|c| closed[c.index()])
+        })
+    }
 }
 
 /// Writes one node in the durable byte format (shared by full snapshots,
@@ -343,6 +384,48 @@ enum ArmInfo {
     Infeasible,
     Missing,
     Child(NodeId),
+}
+
+/// Per-node facts about a tree, derived from the whole arena in two
+/// linear sweeps ([`ExecutionTree::summary`]) instead of one walk per
+/// node. A summary describes the tree at the moment it was computed: it
+/// is transient, never serialised, and never kept across a mutation.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TreeSummary {
+    depth: Vec<u32>,
+    subtree_nodes: Vec<u32>,
+    subtree_failures: Vec<u64>,
+    closed: Vec<bool>,
+}
+
+impl TreeSummary {
+    /// Depth of `node` ([`ExecutionTree::depth`]).
+    pub fn depth(&self, node: NodeId) -> u64 {
+        u64::from(self.depth[node.index()])
+    }
+
+    /// Nodes in the subtree rooted at `node`, itself included.
+    pub fn subtree_nodes(&self, node: NodeId) -> u64 {
+        u64::from(self.subtree_nodes[node.index()])
+    }
+
+    /// Failure outcomes recorded in the subtree of `node`
+    /// ([`ExecutionTree::subtree_failures`]).
+    pub fn subtree_failures(&self, node: NodeId) -> u64 {
+        self.subtree_failures[node.index()]
+    }
+
+    /// Whether the subtree of `node` is closed
+    /// ([`ExecutionTree::is_closed`]).
+    pub fn is_closed(&self, node: NodeId) -> bool {
+        self.closed[node.index()]
+    }
+
+    /// Fraction of nodes inside closed subtrees.
+    pub fn closed_fraction(&self) -> f64 {
+        let closed_nodes = self.closed.iter().filter(|c| **c).count();
+        closed_nodes as f64 / self.closed.len() as f64
+    }
 }
 
 /// The collective execution tree. See the [module docs](self).
@@ -568,38 +651,60 @@ impl ExecutionTree {
         d
     }
 
+    /// Derives depth, subtree size, subtree failures and closure for
+    /// every node. Children are always allocated after their parents (an
+    /// invariant [`decode`](Self::decode) and
+    /// [`apply_delta`](Self::apply_delta) enforce on outside bytes), so
+    /// one sweep from the last node to the root sees every child before
+    /// its parent, and one sweep from the root down sees every parent
+    /// before its child: O(nodes), each arena page touched once per
+    /// sweep.
+    pub fn summary(&self) -> TreeSummary {
+        let len = self.nodes.len();
+        let mut s = TreeSummary {
+            depth: vec![0; len],
+            subtree_nodes: vec![1; len],
+            subtree_failures: vec![0; len],
+            closed: vec![false; len],
+        };
+        for i in (0..len).rev() {
+            self.nodes.with(i, |n| {
+                let mut failures = n.terminal.failures();
+                for e in &n.edges {
+                    let c = e.child.index();
+                    s.subtree_nodes[i] += s.subtree_nodes[c];
+                    failures = failures.saturating_add(s.subtree_failures[c]);
+                }
+                s.subtree_failures[i] = failures;
+                s.closed[i] = n.closed_given(&s.closed);
+            });
+        }
+        self.nodes.for_each(|i, n| {
+            if let Some((parent, ..)) = n.parent {
+                s.depth[i] = s.depth[parent.index()] + 1;
+            }
+        });
+        s
+    }
+
     /// Enumerates unexplored arms: nodes where one direction of an
     /// observed site has been taken but the other is neither explored nor
     /// infeasible.
     pub fn frontier(&self) -> Vec<FrontierArm> {
+        let summary = self.summary();
         let mut out = Vec::new();
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
-            let (missing, visits) = self.nodes.with(i, |n| {
-                let mut missing = Vec::new();
-                for site in n.sites() {
-                    for taken in [false, true] {
-                        if n.child(site, taken).is_none() && !n.is_infeasible(site, taken) {
-                            missing.push((site, taken));
-                        }
-                    }
-                }
-                (missing, n.visits)
-            });
-            if missing.is_empty() {
-                continue;
-            }
-            let depth = self.depth(id);
-            for (site, missing_taken) in missing {
+        self.nodes.for_each(|i, n| {
+            let node = NodeId(i as u32);
+            n.for_each_open_arm(|site, missing_taken| {
                 out.push(FrontierArm {
-                    node: id,
+                    node,
                     site,
                     missing_taken,
-                    depth,
-                    visits,
+                    depth: summary.depth(node),
+                    visits: n.visits,
                 });
-            }
-        }
+            });
+        });
         out
     }
 
@@ -680,14 +785,7 @@ impl ExecutionTree {
 
     /// Fraction of nodes inside closed subtrees.
     pub fn closed_fraction(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let mut memo = vec![None::<bool>; self.nodes.len()];
-        let closed_nodes = (0..self.nodes.len())
-            .filter(|i| self.closed_rec(NodeId(*i as u32), &mut memo))
-            .count();
-        closed_nodes as f64 / self.nodes.len() as f64
+        self.summary().closed_fraction()
     }
 
     /// Sum of failure outcomes recorded anywhere in the subtree of `node`.
@@ -710,17 +808,19 @@ impl ExecutionTree {
     /// Coverage summary.
     pub fn coverage(&self) -> CoverageStats {
         let mut sites: HashSet<BranchSiteId> = HashSet::new();
+        let mut frontier_arms = 0u64;
         self.nodes.for_each(|_, n| {
             for e in &n.edges {
                 sites.insert(e.site);
             }
+            n.for_each_open_arm(|_, _| frontier_arms += 1);
         });
         CoverageStats {
             nodes: self.node_count(),
             distinct_paths: self.distinct_paths,
             sites_seen: sites.len() as u64,
             paths_merged: self.paths_merged,
-            frontier_arms: self.frontier().len() as u64,
+            frontier_arms,
             closed_fraction: self.closed_fraction(),
         }
     }
@@ -845,6 +945,12 @@ impl ExecutionTree {
     pub fn decode(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
         let program = ProgramId(r.u64("Tree.program")?);
         let n_nodes = r.seq_len("Tree.nodes", 42)?;
+        if n_nodes == 0 {
+            return Err(CodecError::BadLen {
+                what: "Tree.nodes",
+                len: 0,
+            });
+        }
         let mut nodes = ItemStore::new_mem();
         for _ in 0..n_nodes {
             nodes.push(decode_node(r)?);
@@ -856,7 +962,7 @@ impl ExecutionTree {
         for _ in 0..n_hashes {
             path_hashes.insert(r.u64("Tree.path_hash")?);
         }
-        Ok(ExecutionTree {
+        let tree = ExecutionTree {
             program,
             clean_len: nodes.len(),
             nodes,
@@ -865,7 +971,48 @@ impl ExecutionTree {
             path_hashes,
             dirty: BTreeSet::new(),
             fresh_hashes: Vec::new(),
-        })
+        };
+        for i in 0..n_nodes {
+            tree.check_links(i)?;
+        }
+        Ok(tree)
+    }
+
+    /// Checks node `i` of an arena read from outside bytes against the
+    /// forward-allocation invariant every traversal relies on: only the
+    /// root lacks a parent, a parent precedes its child, and every edge
+    /// is the only one for its arm and points forward to an existing
+    /// node that names this node, site and arm as its parent. Without it
+    /// a forged id indexes past the arena or makes a parent walk loop.
+    fn check_links(&self, i: usize) -> Result<(), CodecError> {
+        let bad = |what, id: NodeId| {
+            Err(CodecError::BadLen {
+                what,
+                len: id.index(),
+            })
+        };
+        let (parent, edges) = self.nodes.with(i, |n| (n.parent, n.edges.clone()));
+        match parent {
+            None if i == 0 => {}
+            Some((p, ..)) if p.index() < i => {}
+            _ => return bad("Node.parent.id", parent.map_or(NodeId::ROOT, |(p, ..)| p)),
+        }
+        for (k, e) in edges.iter().enumerate() {
+            if e.child.index() <= i || e.child.index() >= self.nodes.len() {
+                return bad("Edge.child", e.child);
+            }
+            if edges[..k]
+                .iter()
+                .any(|d| (d.site, d.taken) == (e.site, e.taken))
+            {
+                return bad("Edge.arm", e.child);
+            }
+            let names = self.nodes.with(e.child.index(), |c| c.parent);
+            if names != Some((NodeId(i as u32), e.site, e.taken)) {
+                return bad("Edge.child.parent", e.child);
+            }
+        }
+        Ok(())
     }
 
     /// Nodes mutated or created since the last
@@ -945,6 +1092,7 @@ impl ExecutionTree {
             }));
         }
         let n_dirty = r.seq_len("TreeDelta.dirty", 46)?;
+        let mut patched = Vec::with_capacity(n_dirty);
         for _ in 0..n_dirty {
             let idx = r.u32("TreeDelta.dirty.index")?;
             if idx >= from_len {
@@ -954,10 +1102,29 @@ impl ExecutionTree {
                 }));
             }
             let node = decode_node(r)?;
-            self.nodes.with_mut(idx as usize, |n| *n = node);
+            // A node never changes parents, so edges of unpatched nodes
+            // that point at this one stay true.
+            let reparented = self.nodes.with_mut(idx as usize, |n| {
+                let reparented = n.parent != node.parent;
+                *n = node;
+                reparented
+            });
+            if reparented {
+                return Err(DeltaError::Codec(CodecError::BadLen {
+                    what: "TreeDelta.dirty.parent",
+                    len: idx as usize,
+                }));
+            }
+            patched.push(idx as usize);
         }
         for _ in from_len..to_len {
             self.nodes.push(decode_node(r)?);
+        }
+        for i in patched
+            .into_iter()
+            .chain(from_len as usize..to_len as usize)
+        {
+            self.check_links(i)?;
         }
         self.paths_merged = r.u64("TreeDelta.paths_merged")?;
         self.distinct_paths = r.u64("TreeDelta.distinct_paths")?;

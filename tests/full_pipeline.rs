@@ -68,9 +68,10 @@ fn lock_inversion_gets_gated_in_generated_programs() {
     assert_eq!(tail_failures, 0, "deadlocks persist: {history:?}");
 }
 
-/// Runs the closed loop on `spin_wait` and checks that the hang fires,
-/// a bound is promoted, and the last round is clean.
-fn assert_hang_gets_bounded(pod: PodConfig, hive: softborg::hive::HiveConfig) {
+#[test]
+fn hang_bug_gets_bounded() {
+    // Default budgets: every hung execution burns 200 000 steps and
+    // leaves a path tens of thousands of decisions deep in the tree.
     let s = softborg_program::scenarios::spin_wait();
     let mut platform = Platform::new(
         &s.program,
@@ -78,9 +79,8 @@ fn assert_hang_gets_bounded(pod: PodConfig, hive: softborg::hive::HiveConfig) {
             n_pods: 30,
             pod: PodConfig {
                 input_range: s.input_range,
-                ..pod
+                ..PodConfig::default()
             },
-            hive,
             seed: 5,
             ..PlatformConfig::default()
         },
@@ -92,33 +92,6 @@ fn assert_hang_gets_bounded(pod: PodConfig, hive: softborg::hive::HiveConfig) {
     assert!(promoted > 0, "hang bound never promoted: {history:?}");
     let last = history.last().expect("history");
     assert_eq!(last.failures, 0, "hangs persist: {history:?}");
-}
-
-#[test]
-fn hang_bug_gets_bounded() {
-    // Every hung execution burns its whole step budget, and in a debug
-    // build tree reads are quadratic in path depth, so the default
-    // 200 000-step budget makes this one test ~95% of tier-1. Scale the
-    // budget down, and the promoted bound with it: a 10 000-iteration
-    // bound can never fire inside a 5 000-step budget.
-    assert_hang_gets_bounded(
-        PodConfig {
-            exec: softborg_program::interp::ExecConfig { max_steps: 5_000 },
-            ..PodConfig::default()
-        },
-        softborg::hive::HiveConfig {
-            hang_bound: 500,
-            ..softborg::hive::HiveConfig::default()
-        },
-    );
-}
-
-/// The default-budget twin of [`hang_bug_gets_bounded`] (minutes in a
-/// debug build; CI runs it in release via `-- --ignored`).
-#[test]
-#[ignore = "default 200k-step budget: ~10 min in a debug build, ~1 min in release"]
-fn hang_bug_gets_bounded_at_default_budget() {
-    assert_hang_gets_bounded(PodConfig::default(), softborg::hive::HiveConfig::default());
 }
 
 #[test]
