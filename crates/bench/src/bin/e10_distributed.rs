@@ -196,6 +196,7 @@ fn main() {
                 faults,
                 ..TransportConfig::default()
             },
+            &[],
         )
         .expect("E10 transport configs are valid");
         println!(

@@ -123,6 +123,7 @@ fn main() {
                         ack_timeout_us: 15_000,
                         ..TransportConfig::default()
                     },
+                    &[],
                 )
                 .expect("E15 sweep plans are valid");
 

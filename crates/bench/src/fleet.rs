@@ -7,10 +7,10 @@
 //! byte-identical to the original E18 run.
 
 use softborg_netsim::{
-    Addr, Crash, DiskCrashPoint, FaultPlan, LinkConfig, Partition, SimConfig, SimStats, SimTime,
+    Addr, Crash, DiskCrashPoint, DiskId, FaultPlan, IoStats, LinkConfig, Partition, Proc,
+    SchedStats, SimConfig, SimStats, SimTime, Wake, World, WorldCtx,
 };
 use softborg_obs::FlightRecorder;
-use softborg_sim::{DiskId, IoStats, Proc, SchedStats, Wake, World, WorldCtx};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
@@ -235,19 +235,16 @@ pub struct DayConfig {
 ///
 /// Panics when the world exhausts its fuel — a fleet day never does.
 pub fn run_day(cfg: &DayConfig) -> (DayOutcome, f64, Option<FlightRecorder>) {
-    let mut world = World::new(
-        SimConfig {
-            seed: cfg.seed,
-            link: LinkConfig {
-                base_latency_us: 15_000,
-                jitter_us: 25_000,
-                loss_per_mille: 5,
-            },
-            max_events: 0, // World ignores this; fuel bounds the run
-            faults: fault_plan(cfg.pods, cfg.seed, cfg.crash_shift_us),
+    let mut world = World::new(SimConfig {
+        seed: cfg.seed,
+        link: LinkConfig {
+            base_latency_us: 15_000,
+            jitter_us: 25_000,
+            loss_per_mille: 5,
         },
-        u64::MAX,
-    );
+        max_events: u64::MAX,
+        faults: fault_plan(cfg.pods, cfg.seed, cfg.crash_shift_us),
+    });
     let recorder = cfg.recorder_capacity.map(|cap| world.attach_recorder(cap));
     // Aggregators first so they own Addr 0..AGGS (the fault plan's
     // crash/partition targets).

@@ -49,7 +49,7 @@
 //! | [`analysis`] | §3.3/§5 | detectors + WER/CBI baselines |
 //! | [`fix`] | §3.3 | fix synthesis + repair lab |
 //! | [`guidance`] | §3.3/§4 | steering + Markowitz allocation |
-//! | [`netsim`] | §4 | discrete-event network simulator |
+//! | [`netsim`] | §4 | the discrete-event engine: virtual time, faulty links, channels, disks |
 //! | [`pod`] | §3 | the per-instance agent |
 //! | [`hive`] | §3–§4 | aggregation, fixes, proofs, distribution |
 

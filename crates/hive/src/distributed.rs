@@ -18,7 +18,7 @@
 //!   and outages at the cost of occasional duplicated work.
 
 use serde::{Deserialize, Serialize};
-use softborg_netsim::{Addr, Ctx, FaultPlanError, NetNode, Sim, SimConfig, SimTime};
+use softborg_netsim::{Addr, FaultPlanError, Proc, SimConfig, SimTime, World, WorldCtx};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -168,7 +168,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn start_next(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_next(&mut self, ctx: &mut WorldCtx<'_>) {
         if self.current.is_none() {
             if let Some(next) = self.queue.pop_front() {
                 self.current = Some(next);
@@ -178,8 +178,8 @@ impl Worker {
     }
 }
 
-impl NetNode for Worker {
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+impl Proc for Worker {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         let Some((TAG_TASK, chunk)) = parse(&payload) else {
             return;
         };
@@ -208,7 +208,7 @@ impl NetNode for Worker {
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {
         let chunk = tag as u32;
         if self.completed.contains(&chunk) || self.current != Some(chunk) {
             return; // stale duplicate
@@ -235,15 +235,15 @@ struct Coordinator {
 }
 
 impl Coordinator {
-    fn assign(&mut self, chunk: u32, worker_idx: usize, ctx: &mut Ctx<'_>) {
+    fn assign(&mut self, chunk: u32, worker_idx: usize, ctx: &mut WorldCtx<'_>) {
         self.assignee[chunk as usize] = worker_idx;
         ctx.send(self.workers[worker_idx], msg(TAG_TASK, chunk));
         ctx.set_timer(self.timeout_us, u64::from(chunk));
     }
 }
 
-impl NetNode for Coordinator {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for Coordinator {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         match self.partitioning {
             Partitioning::Static => {
                 for chunk in 0..self.n_chunks {
@@ -266,7 +266,7 @@ impl NetNode for Coordinator {
         }
     }
 
-    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         let Some((TAG_DONE, chunk)) = parse(&payload) else {
             return;
         };
@@ -288,7 +288,7 @@ impl NetNode for Coordinator {
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {
         let chunk = tag as u32;
         if self.shared.borrow().done[chunk as usize] {
             return;
@@ -327,7 +327,7 @@ pub fn run_exploration(config: &DistConfig) -> Result<DistReport, FaultPlanError
         done: vec![false; config.n_chunks as usize],
         completion_time: None,
     }));
-    let mut sim = Sim::new(SimConfig {
+    let mut world = World::new(SimConfig {
         seed: config.seed,
         link: softborg_netsim::LinkConfig {
             base_latency_us: 2_000,
@@ -341,7 +341,7 @@ pub fn run_exploration(config: &DistConfig) -> Result<DistReport, FaultPlanError
     // Workers are added first; coordinator last (it needs their addrs).
     let worker_addrs: Vec<Addr> = (0..config.workers)
         .map(|_| {
-            sim.add_node(Box::new(Worker {
+            world.add_proc(Box::new(Worker {
                 coordinator: Addr(config.workers), // the next node added
                 work_us: config.work_us_per_chunk,
                 completed: HashSet::new(),
@@ -351,7 +351,7 @@ pub fn run_exploration(config: &DistConfig) -> Result<DistReport, FaultPlanError
             }))
         })
         .collect();
-    let coordinator = sim.add_node(Box::new(Coordinator {
+    let coordinator = world.add_proc(Box::new(Coordinator {
         workers: worker_addrs.clone(),
         n_chunks: config.n_chunks,
         timeout_us: config.timeout_us,
@@ -366,11 +366,11 @@ pub fn run_exploration(config: &DistConfig) -> Result<DistReport, FaultPlanError
     for o in &config.outages {
         // validate() already rejected out-of-range workers and inverted
         // windows; every entry schedules.
-        sim.schedule_outage(Addr(o.worker), SimTime(o.at_us), SimTime(o.until_us));
+        world.schedule_outage(Addr(o.worker), SimTime(o.at_us), SimTime(o.until_us));
     }
     // Horizon: generous multiple of the serial time.
     let serial = config.work_us_per_chunk * u64::from(config.n_chunks);
-    sim.run_until(SimTime(serial * 20 + 10_000_000));
+    world.run_until(SimTime(serial * 20 + 10_000_000));
 
     let s = shared.borrow();
     let executions: u64 = s.executions_per_chunk.iter().sum();
@@ -381,11 +381,11 @@ pub fn run_exploration(config: &DistConfig) -> Result<DistReport, FaultPlanError
         .sum();
     Ok(DistReport {
         completed: s.completion_time.is_some(),
-        completion_time_us: s.completion_time.unwrap_or(sim.now().0),
+        completion_time_us: s.completion_time.unwrap_or(world.now().0),
         chunk_executions: executions,
         duplicated_executions: duplicated,
-        messages_sent: sim.stats().sent,
-        messages_dropped: sim.stats().dropped,
+        messages_sent: world.net_stats().sent,
+        messages_dropped: world.net_stats().dropped,
     })
 }
 

@@ -46,7 +46,4 @@ pub use scrub::{
     ScrubError, ScrubReport, WalScrubAction,
 };
 pub use snapshot::{HiveSnapshot, LoadReport, SnapshotSource, SnapshotStore};
-pub use transport::{
-    run_reliable_ingest, run_reliable_ingest_hosted, run_reliable_ingest_resumed, CanaryBug,
-    NetHost, PodClient, TransportConfig, TransportReport,
-};
+pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

@@ -10,7 +10,7 @@
 //! [`softborg_tree::ExecutionTree::absorb`]-equivalent but streamed
 //! path-by-path.
 
-use softborg_netsim::{Addr, Ctx, NetNode, Sim, SimConfig, SimTime};
+use softborg_netsim::{Addr, Proc, SimConfig, SimTime, World, WorldCtx};
 use softborg_program::interp::Outcome;
 use softborg_program::{BranchSiteId, ProgramId};
 use softborg_tree::ExecutionTree;
@@ -163,7 +163,7 @@ impl Replica {
         }
     }
 
-    fn gossip(&mut self, ctx: &mut Ctx<'_>) {
+    fn gossip(&mut self, ctx: &mut WorldCtx<'_>) {
         if self.peers.is_empty() || self.store.is_empty() {
             return;
         }
@@ -192,18 +192,18 @@ impl Replica {
     }
 }
 
-impl NetNode for Replica {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for Replica {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         ctx.set_timer(self.gossip_us, 0);
     }
 
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, _ctx: &mut Ctx<'_>) {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, _ctx: &mut WorldCtx<'_>) {
         if let Some(paths) = decode_paths(&payload) {
             self.learn(paths);
         }
     }
 
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, _tag: u64, ctx: &mut WorldCtx<'_>) {
         self.gossip(ctx);
         ctx.set_timer(self.gossip_us, 0);
     }
@@ -224,7 +224,7 @@ pub fn run_replica_sync(
         shards.len(),
         n
     );
-    let mut sim = Sim::new(SimConfig {
+    let mut world = World::new(SimConfig {
         seed: config.seed,
         link: softborg_netsim::LinkConfig {
             loss_per_mille: config.loss_per_mille,
@@ -255,18 +255,18 @@ pub fn run_replica_sync(
             next_peer: i, // stagger peer rotation
         };
         replica.learn(shard);
-        let addr = sim.add_node(Box::new(replica));
+        let addr = world.add_proc(Box::new(replica));
         debug_assert_eq!(addr.0 as usize, i);
     }
-    sim.run_until(SimTime(config.horizon_us));
+    world.run_until(SimTime(config.horizon_us));
     let digests: Vec<u64> = trees.iter().map(|t| t.borrow().digest()).collect();
     let converged = digests.windows(2).all(|w| w[0] == w[1]);
     ReplicaReport {
         converged,
         paths_per_replica: trees.iter().map(|t| t.borrow().distinct_paths()).collect(),
         digests,
-        messages_sent: sim.stats().sent,
-        messages_dropped: sim.stats().dropped,
+        messages_sent: world.net_stats().sent,
+        messages_dropped: world.net_stats().dropped,
     }
 }
 

@@ -36,13 +36,15 @@ use crate::hive::Hive;
 use crate::journal::{self, JournalIoError, JournalStore, MemJournal, REC_FRAME, REC_TOMBSTONE};
 use softborg_ingest::{BackpressurePolicy, FrameSender, IngestConfig, IngestStats};
 use softborg_netsim::{
-    Addr, Ctx, FaultPlan, FaultPlanError, LinkConfig, NetNode, Sim, SimConfig, SimStats,
+    Addr, FaultPlan, FaultPlanError, LinkConfig, Proc, SchedStats, SimClock, SimConfig, SimStats,
+    World, WorldCtx,
 };
 use softborg_obs::{EventSink, ObsHandles, Severity};
 use softborg_trace::wire;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Message tag: a data frame (or tombstone) from pod to hive.
 const MSG_DATA: u8 = 0;
@@ -179,7 +181,8 @@ pub struct TransportConfig {
     /// Journal fsync-batching interval (µs): accepted frames are synced,
     /// submitted to the pipeline, and acked at this cadence.
     pub sync_interval_us: u64,
-    /// Safety cap on simulated events.
+    /// The world's fuel: the run stops after this many dispatched
+    /// events (a safety cap, and the prefix length of a bisection probe).
     pub max_events: u64,
     /// Injected platform bug for fault-search canary testing
     /// ([`CanaryBug`]). `None` (the default) is the correct protocol.
@@ -251,6 +254,9 @@ pub struct TransportReport {
     pub journal: Vec<u8>,
     /// Network-level counters.
     pub net: SimStats,
+    /// Scheduler counters and the dispatch-trace hash — the run's
+    /// replay identity.
+    pub sched: SchedStats,
 }
 
 struct OutFrame {
@@ -259,7 +265,7 @@ struct OutFrame {
     shed: bool,
 }
 
-/// The pod side of one ingest session: a netsim node that reliably
+/// The pod side of one ingest session: a [`Proc`] that reliably
 /// streams pre-encoded batch frames to the hive server.
 pub struct PodClient {
     server: Addr,
@@ -340,7 +346,7 @@ impl PodClient {
         backed + jitter
     }
 
-    fn arm(&mut self, ctx: &mut Ctx<'_>) {
+    fn arm(&mut self, ctx: &mut WorldCtx<'_>) {
         self.epoch += 1;
         ctx.set_timer(self.rto(), self.epoch);
     }
@@ -348,7 +354,7 @@ impl PodClient {
     /// Sends the go-back-N window `[base, base+window)`. On the normal
     /// path (`rewind == false`) only frames not yet sent go out; a
     /// timeout rewinds to `base` and resends everything unacked.
-    fn send_window(&mut self, ctx: &mut Ctx<'_>, rewind: bool) {
+    fn send_window(&mut self, ctx: &mut WorldCtx<'_>, rewind: bool) {
         let total = self.frames.len() as u64;
         let end = (self.base + self.window).min(total);
         let start = if rewind {
@@ -432,8 +438,8 @@ impl PodClient {
     }
 }
 
-impl NetNode for PodClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for PodClient {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         if self.finish_if_done() {
             return; // nothing to stream
         }
@@ -441,7 +447,7 @@ impl NetNode for PodClient {
         self.arm(ctx);
     }
 
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         if self.done || payload.len() != 17 {
             return;
         }
@@ -475,7 +481,7 @@ impl NetNode for PodClient {
         }
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {
         if self.done || tag != self.epoch {
             return; // finished, or a stale timer from a superseded epoch
         }
@@ -495,7 +501,7 @@ struct SessionState {
     dirty: bool,
 }
 
-/// The hive side: a netsim node that accepts session frames, journals
+/// The hive side: a [`Proc`] that accepts session frames, journals
 /// them ahead of merge, acks after sync, and feeds a long-lived ingest
 /// pipeline session ([`FrameSender`]).
 pub struct HiveServer {
@@ -584,8 +590,8 @@ impl HiveServer {
     }
 }
 
-impl NetNode for HiveServer {
-    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+impl Proc for HiveServer {
+    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         if payload.len() < 18 || payload[0] != MSG_DATA {
             return;
         }
@@ -666,7 +672,7 @@ impl NetNode for HiveServer {
         }
     }
 
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, _tag: u64, ctx: &mut WorldCtx<'_>) {
         // Sync tick: one fsync batch covers every frame accepted since
         // the last tick. Only now do the frames enter the pipeline and
         // the acks go out — the ack-after-sync invariant.
@@ -732,7 +738,7 @@ impl NetNode for HiveServer {
         self.tick_armed = false;
     }
 
-    fn on_restart(&mut self, _ctx: &mut Ctx<'_>) {
+    fn on_restart(&mut self, _ctx: &mut WorldCtx<'_>) {
         // Recovery is a journal scan: rebuild every session's cumulative
         // floor from the synced prefix. Synced frames were already
         // submitted to the pipeline (sync and submit are one atomic tick
@@ -755,44 +761,27 @@ impl NetNode for HiveServer {
     }
 }
 
-/// An event loop capable of hosting the transport's [`NetNode`]s.
-///
-/// [`run_reliable_ingest`] uses the threaded path's default host — the
-/// netsim [`Sim`] — but the orchestration itself only needs these three
-/// operations, so a virtual-time scheduler (`softborg-sim`) can host the
-/// *same* `PodClient`/`HiveServer` code and produce the same
-/// [`TransportReport`]. A conforming host must reproduce [`Sim`]'s
-/// observable semantics: FIFO-per-instant event dispatch in insertion
-/// order, the link/fault model's RNG draw order, crash pre-queueing, and
-/// `on_start` in node-index order.
-pub trait NetHost {
-    /// Adds a node; addresses must be assigned densely from `Addr(0)` in
-    /// insertion order (the session protocol equates session id and node
-    /// address).
-    fn add_node(&mut self, node: Box<dyn NetNode>) -> Addr;
-    /// Runs to quiescence (or the host's event cap); returns the number
-    /// of events processed.
-    fn run(&mut self) -> u64;
-    /// Network-level counters accumulated so far.
-    fn stats(&self) -> SimStats;
-}
-
-impl NetHost for Sim {
-    fn add_node(&mut self, node: Box<dyn NetNode>) -> Addr {
-        Sim::add_node(self, node)
-    }
-    fn run(&mut self) -> u64 {
-        Sim::run(self)
-    }
-    fn stats(&self) -> SimStats {
-        Sim::stats(self)
-    }
-}
-
 /// Streams every pod's frames to the hive over the simulated network
 /// with the full session protocol, feeding the hive's staged ingest
-/// pipeline as frames become durable. Pods are nodes `0..pods.len()`,
-/// the server is node `pods.len()` (address fault plans accordingly).
+/// pipeline as frames become durable. Pods are procs `0..pods.len()`,
+/// the server is proc `pods.len()` (address fault plans accordingly).
+///
+/// The whole network runs in one [`World`] on the pipeline's producer
+/// thread. The pipeline's gauges and the caller's flight recorders
+/// (`ingest_cfg.obs`, `cfg.obs`) are driven by the world's [`SimClock`]
+/// for the duration of the run, so latency and event stamps read in
+/// virtual time; the recorders' previous clocks are restored afterwards.
+/// `cfg.max_events` is the world's fuel: a run cut at `k` events reports
+/// the dispatch-trace hash of the full run's first `k` dispatches in
+/// [`TransportReport::sched`], which is what a divergence bisection
+/// probes.
+///
+/// The server's session dedup floors start seeded from `prior_journal` —
+/// the synced journal of a *previous process*
+/// ([`TransportReport::journal`]; empty for a fresh campaign). Clients
+/// that re-send frames the prior process already acked (retransmits
+/// racing a restart, or replays of an entire session) see them
+/// deduplicated and re-acked instead of double-ingested.
 ///
 /// The ingest policy is forced to [`BackpressurePolicy::Block`]: an
 /// acked frame is a durability promise, so the pipeline may stall the
@@ -807,100 +796,42 @@ pub fn run_reliable_ingest(
     pods: Vec<Vec<(u8, Vec<u8>)>>,
     ingest_cfg: &IngestConfig,
     cfg: &TransportConfig,
-) -> Result<(TransportReport, IngestStats), FaultPlanError> {
-    run_reliable_ingest_inner(hive, pods, ingest_cfg, cfg, Vec::new())
-}
-
-/// Like [`run_reliable_ingest`], but the server starts with its session
-/// dedup floors seeded from `prior_journal` — the synced journal of a
-/// *previous process* ([`TransportReport::journal`]). Clients that
-/// re-send frames the prior process already acked (retransmits racing a
-/// restart, or replays of an entire session) see them deduplicated and
-/// re-acked instead of double-ingested.
-///
-/// # Errors
-///
-/// Returns a [`FaultPlanError`] when the fault plan fails validation
-/// against the node count.
-pub fn run_reliable_ingest_resumed(
-    hive: &mut Hive<'_>,
-    pods: Vec<Vec<(u8, Vec<u8>)>>,
-    ingest_cfg: &IngestConfig,
-    cfg: &TransportConfig,
     prior_journal: &[u8],
 ) -> Result<(TransportReport, IngestStats), FaultPlanError> {
-    run_reliable_ingest_inner(hive, pods, ingest_cfg, cfg, prior_journal.to_vec())
-}
-
-fn run_reliable_ingest_inner(
-    hive: &mut Hive<'_>,
-    pods: Vec<Vec<(u8, Vec<u8>)>>,
-    ingest_cfg: &IngestConfig,
-    cfg: &TransportConfig,
-    prior_journal: Vec<u8>,
-) -> Result<(TransportReport, IngestStats), FaultPlanError> {
-    run_reliable_ingest_hosted(hive, pods, ingest_cfg, cfg, &prior_journal, |c| {
-        Sim::new(SimConfig {
-            seed: c.seed,
-            link: c.link,
-            max_events: c.max_events,
-            faults: c.faults.clone(),
-        })
-    })
-}
-
-/// [`run_reliable_ingest`] generalized over the event loop: `build`
-/// constructs the [`NetHost`] (on the producer thread) from the run's
-/// config, and the *same* session protocol runs on top of it. With a
-/// conforming host and a shared seed, the whole [`TransportReport`] —
-/// journal bytes included — must be identical to the [`Sim`]-hosted run;
-/// `softborg-sim` asserts exactly that. `prior_journal` seeds the
-/// server's dedup floors as in [`run_reliable_ingest_resumed`] (empty
-/// for a fresh campaign).
-///
-/// # Errors
-///
-/// Returns a [`FaultPlanError`] when the fault plan fails validation
-/// against the node count.
-pub fn run_reliable_ingest_hosted<H, B>(
-    hive: &mut Hive<'_>,
-    pods: Vec<Vec<(u8, Vec<u8>)>>,
-    ingest_cfg: &IngestConfig,
-    cfg: &TransportConfig,
-    prior_journal: &[u8],
-    build: B,
-) -> Result<(TransportReport, IngestStats), FaultPlanError>
-where
-    H: NetHost,
-    B: FnOnce(&TransportConfig) -> H + Send,
-{
     let n_pods = pods.len() as u32;
     cfg.faults.validate(n_pods + 1)?;
+    let clock = SimClock::new();
     let mut ingest_cfg = ingest_cfg.clone();
     ingest_cfg.policy = BackpressurePolicy::Block;
-    let obs = cfg.obs.clone();
-    let cfg = cfg.clone();
-    let prior_journal = prior_journal.to_vec();
+    ingest_cfg.clock = Arc::new(clock.clone());
+    let prev_transport_clock = cfg.obs.recorder.clock();
+    let prev_ingest_clock = ingest_cfg.obs.recorder.clock();
+    cfg.obs.recorder.set_clock(Arc::new(clock.clone()));
+    ingest_cfg.obs.recorder.set_clock(Arc::new(clock.clone()));
     let (report, stats) = hive.ingest_frames(&ingest_cfg, move |tx| {
         // The producer thread hosts the whole simulated network; only
         // `tx` crosses back into the pipeline.
         let metrics = Rc::new(RefCell::new(Metrics::default()));
         let journal = Rc::new(RefCell::new(MemJournal::new()));
-        let mut host = build(&cfg);
+        let mut world = World::new(SimConfig {
+            seed: cfg.seed,
+            link: cfg.link,
+            max_events: cfg.max_events,
+            faults: cfg.faults.clone(),
+        });
+        world.drive_clock(clock);
         let server_addr = Addr(n_pods);
         let n_sessions = pods.len() as u64;
         for (i, frames) in pods.into_iter().enumerate() {
-            host.add_node(Box::new(
-                PodClient::new(i as u64, server_addr, frames, &cfg).with_metrics(metrics.clone()),
+            world.add_proc(Box::new(
+                PodClient::new(i as u64, server_addr, frames, cfg).with_metrics(metrics.clone()),
             ));
         }
-        let mut server = HiveServer::new(tx, journal.clone(), &cfg).with_metrics(metrics.clone());
-        if !prior_journal.is_empty() {
-            server.seed_sessions(&prior_journal);
-        }
-        let placed = host.add_node(Box::new(server));
+        let mut server = HiveServer::new(tx, journal.clone(), cfg).with_metrics(metrics.clone());
+        server.seed_sessions(prior_journal); // no-op for a fresh campaign
+        let placed = world.add_proc(Box::new(server));
         debug_assert_eq!(placed, server_addr, "server must sit at Addr(n_pods)");
-        host.run();
+        world.run();
 
         let m = metrics.borrow();
         let j = journal.borrow();
@@ -922,10 +853,17 @@ where
             recovery_tail_dropped: m.recovery_tail_dropped,
             journal_error: m.journal_error.clone(),
             journal: synced,
-            net: host.stats(),
+            net: world.net_stats(),
+            sched: world.sched_stats(),
         }
     });
-    publish_transport_telemetry(&obs, &report);
+    if let Some(prev) = prev_transport_clock {
+        cfg.obs.recorder.set_clock(prev);
+    }
+    if let Some(prev) = prev_ingest_clock {
+        ingest_cfg.obs.recorder.set_clock(prev);
+    }
+    publish_transport_telemetry(&cfg.obs, &report);
     Ok((report, stats))
 }
 

@@ -5,63 +5,17 @@
 //! snapshots reject every corruption, falling back a generation when
 //! the newest one is torn.
 
+mod common;
+
+use common::{assert_same_state, pod_traces, scenario, serial_hive, sessions_of};
 use proptest::prelude::*;
 use softborg_hive::journal::{self, REC_FRAME, REC_TOMBSTONE};
 use softborg_hive::snapshot::{HiveSnapshot, SnapshotSource, SnapshotStore};
-use softborg_hive::transport::{run_reliable_ingest, run_reliable_ingest_resumed, TransportConfig};
+use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
-use softborg_program::scenarios::{self, Scenario};
-use softborg_trace::{wire, ExecutionTrace};
+use softborg_trace::wire;
 use std::collections::BTreeMap;
-
-fn scenario(idx: usize) -> Scenario {
-    match idx % 4 {
-        0 => scenarios::token_parser(),
-        1 => scenarios::triangle(),
-        2 => scenarios::record_processor(),
-        _ => scenarios::bank_transfer(),
-    }
-}
-
-fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
-    let mut pod = softborg_pod::Pod::new(
-        &s.program,
-        softborg_pod::PodConfig {
-            input_range: s.input_range,
-            seed,
-            ..softborg_pod::PodConfig::default()
-        },
-    );
-    (0..n).map(|_| pod.run_once().trace).collect()
-}
-
-/// Splits `traces` into `pods` sessions of batch frames (priority 1).
-fn sessions_of(traces: &[ExecutionTrace], pods: usize, batch: usize) -> Vec<Vec<(u8, Vec<u8>)>> {
-    let mut out = vec![Vec::new(); pods.max(1)];
-    for (i, chunk) in traces.chunks(batch.max(1)).enumerate() {
-        out[i % pods.max(1)].push((1u8, wire::encode_batch(chunk)));
-    }
-    out
-}
-
-fn serial_hive<'p>(s: &'p Scenario, traces: &[ExecutionTrace]) -> Hive<'p> {
-    let mut hive = Hive::new(&s.program, HiveConfig::default());
-    for t in traces {
-        hive.ingest(t);
-    }
-    hive
-}
-
-fn assert_same_state(what: &str, a: &Hive<'_>, b: &Hive<'_>) {
-    assert_eq!(a.stats(), b.stats(), "{what}: HiveStats diverged");
-    assert_eq!(
-        a.tree().digest(),
-        b.tree().digest(),
-        "{what}: tree digest diverged"
-    );
-    assert_eq!(a.coverage(), b.coverage(), "{what}: coverage diverged");
-}
 
 /// The satellite regression: the server process crashes *after* the
 /// journal sync but *before* any ack reaches the clients. On restart
@@ -77,9 +31,14 @@ fn resends_after_restart_are_deduplicated_not_double_ingested() {
     let cfg = TransportConfig::default();
 
     let mut first = Hive::new(&s.program, HiveConfig::default());
-    let (report, _) =
-        run_reliable_ingest(&mut first, sessions.clone(), &IngestConfig::default(), &cfg)
-            .expect("valid default plan");
+    let (report, _) = run_reliable_ingest(
+        &mut first,
+        sessions.clone(),
+        &IngestConfig::default(),
+        &cfg,
+        &[],
+    )
+    .expect("valid default plan");
     assert!(report.completed);
     let prior = report.journal;
 
@@ -92,7 +51,7 @@ fn resends_after_restart_are_deduplicated_not_double_ingested() {
         &prior,
     );
     assert!(!rec.tail_damaged);
-    let (resumed, _) = run_reliable_ingest_resumed(
+    let (resumed, _) = run_reliable_ingest(
         &mut restarted,
         sessions.clone(),
         &IngestConfig::default(),
@@ -122,7 +81,7 @@ fn resends_after_restart_are_deduplicated_not_double_ingested() {
         &prior,
     );
     let (naive_report, _) =
-        run_reliable_ingest(&mut naive, sessions, &IngestConfig::default(), &cfg)
+        run_reliable_ingest(&mut naive, sessions, &IngestConfig::default(), &cfg, &[])
             .expect("valid default plan");
     assert!(naive_report.completed);
     assert_eq!(
@@ -145,9 +104,14 @@ fn partial_journal_resume_completes_without_loss_or_duplication() {
     let cfg = TransportConfig::default();
 
     let mut first = Hive::new(&s.program, HiveConfig::default());
-    let (report, _) =
-        run_reliable_ingest(&mut first, sessions.clone(), &IngestConfig::default(), &cfg)
-            .expect("valid default plan");
+    let (report, _) = run_reliable_ingest(
+        &mut first,
+        sessions.clone(),
+        &IngestConfig::default(),
+        &cfg,
+        &[],
+    )
+    .expect("valid default plan");
     // The crash cuts the journal mid-byte; scan finds the record
     // boundary for us.
     let cut = report.journal.len() * 3 / 5;
@@ -161,7 +125,7 @@ fn partial_journal_resume_completes_without_loss_or_duplication() {
         &IngestConfig::default(),
         prior,
     );
-    let (resumed, _) = run_reliable_ingest_resumed(
+    let (resumed, _) = run_reliable_ingest(
         &mut restarted,
         sessions,
         &IngestConfig::default(),
@@ -218,7 +182,7 @@ proptest! {
 
         let mut live = Hive::new(&s.program, HiveConfig::default());
         let (report, _) = run_reliable_ingest(
-            &mut live, sessions.clone(), &IngestConfig::default(), &cfg,
+            &mut live, sessions.clone(), &IngestConfig::default(), &cfg, &[],
         ).expect("valid default plan");
         prop_assert!(report.completed);
 
@@ -261,7 +225,7 @@ proptest! {
         // resent frames below the floor are deduplicated, the rest are
         // ingested once — landing on the full serial state.
         let mut restarted = recovered;
-        let (resumed, _) = run_reliable_ingest_resumed(
+        let (resumed, _) = run_reliable_ingest(
             &mut restarted, sessions, &IngestConfig::default(), &cfg,
             &damaged[..scan.valid_len],
         ).expect("valid default plan");

@@ -3,60 +3,20 @@
 //! coverage — for *any* batch size, worker count, and queue bound, and
 //! corrupt frames must be counted and skipped without panicking.
 
+mod common;
+
+use common::{assert_same_state, pod_traces, scenario, serial_hive};
 use proptest::prelude::*;
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig};
-use softborg_pod::{Pod, PodConfig};
-use softborg_program::scenarios::{self, Scenario};
+use softborg_program::scenarios;
 use softborg_trace::{wire, ExecutionTrace};
-
-fn scenario(idx: usize) -> Scenario {
-    match idx % 4 {
-        0 => scenarios::token_parser(),
-        1 => scenarios::triangle(),
-        2 => scenarios::record_processor(),
-        _ => scenarios::bank_transfer(),
-    }
-}
-
-fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
-    let mut pod = Pod::new(
-        &s.program,
-        PodConfig {
-            input_range: s.input_range,
-            seed,
-            ..PodConfig::default()
-        },
-    );
-    (0..n).map(|_| pod.run_once().trace).collect()
-}
 
 fn frames_of(traces: &[ExecutionTrace], batch: usize) -> Vec<Vec<u8>> {
     traces
         .chunks(batch.max(1))
         .map(wire::encode_batch)
         .collect()
-}
-
-/// Serial reference: ingest every trace with the classic single-trace
-/// entry point.
-fn serial_hive<'p>(s: &'p Scenario, traces: &[ExecutionTrace]) -> Hive<'p> {
-    let mut hive = Hive::new(&s.program, HiveConfig::default());
-    for t in traces {
-        hive.ingest(t);
-    }
-    hive
-}
-
-fn assert_same_state(a: &Hive<'_>, b: &Hive<'_>) {
-    assert_eq!(a.stats(), b.stats(), "HiveStats diverged");
-    assert_eq!(a.tree().digest(), b.tree().digest(), "tree digest diverged");
-    assert_eq!(a.coverage(), b.coverage(), "coverage diverged");
-    assert_eq!(
-        a.diagnoses().len(),
-        b.diagnoses().len(),
-        "diagnosis count diverged"
-    );
 }
 
 proptest! {
@@ -92,7 +52,7 @@ proptest! {
                 ..IngestConfig::default()
             },
         );
-        assert_same_state(&reference, &hive);
+        assert_same_state("pipelined vs serial", &reference, &hive);
         prop_assert_eq!(stats.frames_corrupt, 0);
         prop_assert_eq!(stats.frames_dropped, 0);
         prop_assert_eq!(stats.traces_merged, n as u64);
@@ -124,7 +84,7 @@ fn corrupt_frame_is_counted_and_skipped() {
         "corrupt frame still consumes its slot"
     );
     assert_eq!(stats.traces_merged, 20);
-    assert_same_state(&reference, &hive);
+    assert_same_state("pipelined vs serial", &reference, &hive);
 }
 
 #[test]
@@ -156,7 +116,7 @@ fn unknown_overlay_version_counts_unreconstructed_in_both_paths() {
 
     let mut hive = Hive::new(&s.program, HiveConfig::default());
     hive.ingest_batch(frames_of(&traces, 5), &IngestConfig::default());
-    assert_same_state(&reference, &hive);
+    assert_same_state("pipelined vs serial", &reference, &hive);
 }
 
 #[test]

@@ -4,67 +4,14 @@
 //! state of a fault-free serial ingest of the same traces, and a hive
 //! rebuilt from the write-ahead journal ([`Hive::recover`]) matches both.
 
+mod common;
+
+use common::{assert_same_state, pod_traces, scenario, serial_hive, sessions_of};
 use proptest::prelude::*;
 use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
 use softborg_netsim::{Addr, Crash, FaultPlan, LinkConfig, Partition};
-use softborg_pod::{Pod, PodConfig};
-use softborg_program::scenarios::{self, Scenario};
-use softborg_trace::{wire, ExecutionTrace};
-
-fn scenario(idx: usize) -> Scenario {
-    match idx % 4 {
-        0 => scenarios::token_parser(),
-        1 => scenarios::triangle(),
-        2 => scenarios::record_processor(),
-        _ => scenarios::bank_transfer(),
-    }
-}
-
-fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
-    let mut pod = Pod::new(
-        &s.program,
-        PodConfig {
-            input_range: s.input_range,
-            seed,
-            ..PodConfig::default()
-        },
-    );
-    (0..n).map(|_| pod.run_once().trace).collect()
-}
-
-/// Splits `traces` into `pods` sessions of batch frames (priority 1).
-fn sessions_of(traces: &[ExecutionTrace], pods: usize, batch: usize) -> Vec<Vec<(u8, Vec<u8>)>> {
-    let mut out = vec![Vec::new(); pods.max(1)];
-    for (i, chunk) in traces.chunks(batch.max(1)).enumerate() {
-        out[i % pods.max(1)].push((1u8, wire::encode_batch(chunk)));
-    }
-    out
-}
-
-fn serial_hive<'p>(s: &'p Scenario, traces: &[ExecutionTrace]) -> Hive<'p> {
-    let mut hive = Hive::new(&s.program, HiveConfig::default());
-    for t in traces {
-        hive.ingest(t);
-    }
-    hive
-}
-
-fn assert_same_state(what: &str, a: &Hive<'_>, b: &Hive<'_>) {
-    assert_eq!(a.stats(), b.stats(), "{what}: HiveStats diverged");
-    assert_eq!(
-        a.tree().digest(),
-        b.tree().digest(),
-        "{what}: tree digest diverged"
-    );
-    assert_eq!(a.coverage(), b.coverage(), "{what}: coverage diverged");
-    assert_eq!(
-        a.diagnoses().len(),
-        b.diagnoses().len(),
-        "{what}: diagnosis count diverged"
-    );
-}
 
 #[test]
 fn lossless_transport_equals_serial_ingest() {
@@ -86,6 +33,7 @@ fn lossless_transport_equals_serial_ingest() {
             },
             ..TransportConfig::default()
         },
+        &[],
     )
     .expect("valid default plan");
     assert!(report.completed, "fault-free run must complete: {report:?}");
@@ -119,6 +67,7 @@ fn crash_mid_stream_recovers_from_journal() {
         sessions_of(&traces, pods, 3),
         &IngestConfig::default(),
         &cfg,
+        &[],
     )
     .expect("valid plan");
     assert!(
@@ -161,8 +110,8 @@ fn backpressure_sheds_lowest_priority_first_and_journals_tombstones() {
         ..TransportConfig::default()
     };
     let mut hive = Hive::new(&s.program, HiveConfig::default());
-    let (report, _) =
-        run_reliable_ingest(&mut hive, pods, &IngestConfig::default(), &cfg).expect("valid plan");
+    let (report, _) = run_reliable_ingest(&mut hive, pods, &IngestConfig::default(), &cfg, &[])
+        .expect("valid plan");
     assert!(
         report.completed,
         "shedding must not stall the stream: {report:?}"
@@ -250,6 +199,7 @@ proptest! {
             sessions_of(&traces, pods, batch),
             &IngestConfig::default(),
             &cfg,
+            &[],
         ).expect("generated plans are valid");
 
         prop_assert!(report.completed, "stream did not complete: {report:?}");

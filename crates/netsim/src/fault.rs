@@ -14,18 +14,17 @@
 //! * **Partitions** — a pair of addresses cannot exchange messages during
 //!   a time window (checked symmetrically at send time).
 //! * **Crash/restart** — a node goes down at a scheduled time and comes
-//!   back later; unlike a plain [`Sim::schedule_outage`] the node is told
-//!   about it via [`NetNode::on_crash`] / [`NetNode::on_restart`], so
-//!   stateful nodes can model volatile-state loss and recovery.
+//!   back later; the proc is told about it via [`Proc::on_crash`] /
+//!   [`Proc::on_restart`], so stateful procs can model volatile-state
+//!   loss and recovery.
 //!
 //! Plans are *validated up front* ([`FaultPlan::validate`]) with typed
 //! [`FaultPlanError`]s — an inverted window or out-of-range node is a
 //! configuration bug and must fail loudly at config time, never degrade
 //! into a silent no-op mid-experiment.
 //!
-//! [`Sim::schedule_outage`]: crate::Sim::schedule_outage
-//! [`NetNode::on_crash`]: crate::NetNode::on_crash
-//! [`NetNode::on_restart`]: crate::NetNode::on_restart
+//! [`Proc::on_crash`]: crate::Proc::on_crash
+//! [`Proc::on_restart`]: crate::Proc::on_restart
 
 use crate::{Addr, SimTime};
 use serde::{Deserialize, Serialize};
@@ -54,9 +53,9 @@ impl Partition {
 }
 
 /// A scheduled crash: the node goes down at `at_us` (its volatile state
-/// is declared lost via [`NetNode::on_crash`](crate::NetNode::on_crash))
+/// is declared lost via [`Proc::on_crash`](crate::Proc::on_crash))
 /// and restarts at `restart_us`
-/// ([`NetNode::on_restart`](crate::NetNode::on_restart)).
+/// ([`Proc::on_restart`](crate::Proc::on_restart)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Crash {
     /// The node to crash.

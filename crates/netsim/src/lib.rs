@@ -1,61 +1,77 @@
-//! # softborg-netsim — a discrete-event network simulator
+//! # softborg-netsim — the deterministic discrete-event engine
 //!
 //! The paper's hive nodes are "mostly end-user machines communicating
-//! over a potentially unreliable network" (§4). This crate provides the
-//! deterministic substrate for simulating that: virtual time, nodes with
-//! message/timer callbacks, links with latency, jitter, and loss, and
-//! node churn (crash/recover). The distributed-hive experiments (E10)
-//! run entirely on top of it.
+//! over a potentially unreliable network" (§4). This crate is the one
+//! event loop every simulation in the workspace runs on: virtual time,
+//! processes with message/timer/wake callbacks, links with latency,
+//! jitter, loss and injected faults, node churn (crash/restart), and the
+//! two blocking points real pipelines have and networks don't — bounded
+//! channels and disks with asynchronous fsync.
+//!
+//! Three layers:
+//!
+//! - [`Scheduler`] / [`SimClock`] / [`SchedStats`] — the event heap
+//!   keyed by `(virtual_time, tie_break_key)`, fuel bounding, and the
+//!   `trace_hash` over the dispatch sequence. Dispatch order is a pure
+//!   function of the scheduled set, independent of insertion order.
+//! - [`World`] — the cooperative runtime on top: [`Proc`]s talking over
+//!   the link/fault model ([`SimConfig`], [`FaultPlan`]), plus channels
+//!   and disks, every blocking point explicit.
+//! - [`fault`] / [`fault_text`] — composable, validated fault plans and
+//!   their lossless corpus text format.
+//!
+//! ## Replay contract
+//!
+//! A run is identified by its configuration and seed. Re-running with
+//! the same inputs must reproduce (a) the same final state, byte for
+//! byte, and (b) the same [`SchedStats::trace_hash`] — the FNV-1a hash
+//! of the `(time, key)` dispatch sequence. The hash is the cheap
+//! first-line check: state equality says *where you ended up*, the
+//! trace hash says *you took the same path*.
 //!
 //! # Examples
 //!
 //! ```
-//! use softborg_netsim::{Addr, Ctx, NetNode, Sim, SimConfig};
+//! use softborg_netsim::{Addr, Proc, SimConfig, World, WorldCtx};
 //!
 //! struct Echo;
-//! impl NetNode for Echo {
-//!     fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+//! impl Proc for Echo {
+//!     fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
 //!         ctx.send(from, payload); // bounce it back
 //!     }
 //! }
 //!
 //! struct Probe {
 //!     peer: Addr,
-//!     got_reply: bool,
 //! }
-//! impl NetNode for Probe {
-//!     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+//! impl Proc for Probe {
+//!     fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
 //!         ctx.send(self.peer, b"ping".to_vec());
-//!     }
-//!     fn on_message(&mut self, _from: Addr, _payload: Vec<u8>, _ctx: &mut Ctx<'_>) {
-//!         self.got_reply = true;
 //!     }
 //! }
 //!
-//! let mut sim = Sim::new(SimConfig::default());
-//! let echo = sim.add_node(Box::new(Echo));
-//! let probe = sim.add_node(Box::new(Probe { peer: echo, got_reply: false }));
-//! sim.run();
-//! assert!(sim.stats().delivered >= 2);
-//! # let _ = probe;
+//! let mut world = World::new(SimConfig::default());
+//! let echo = world.add_proc(Box::new(Echo));
+//! world.add_proc(Box::new(Probe { peer: echo }));
+//! world.run();
+//! assert_eq!(world.net_stats().delivered, 2);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod fault;
 pub mod fault_text;
-pub mod host;
+pub mod sched;
+pub mod world;
 
 pub use fault::{
     Crash, DiskCrashPoint, FaultPlan, FaultPlanError, Partition, SectorCorruption, SECTOR_BYTES,
 };
 pub use fault_text::{PlanTextError, PLAN_TEXT_HEADER};
+pub use sched::{SchedStats, Scheduler, SimClock};
+pub use world::{ChanId, DiskId, IoStats, Proc, Wake, World, WorldCtx};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// A node address within one simulation.
@@ -115,7 +131,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Link model between every pair of nodes.
     pub link: LinkConfig,
-    /// Safety cap on processed events.
+    /// The world's fuel: events dispatched over its whole life, summed
+    /// across every [`World::run`] / [`World::run_until`] call. Callers
+    /// that run a world once (transport, replica, distributed) get a
+    /// per-run cap.
     pub max_events: u64,
     /// Injected faults on top of the link model (duplication, reordering,
     /// partitions, scheduled crash/restart). Validate with
@@ -134,10 +153,10 @@ impl Default for SimConfig {
     }
 }
 
-/// Counters accumulated over a run.
+/// Network counters accumulated over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
-    /// Messages submitted via [`Ctx::send`].
+    /// Messages submitted via [`WorldCtx::send`].
     pub sent: u64,
     /// Messages delivered to a live node.
     pub delivered: u64,
@@ -154,745 +173,4 @@ pub struct SimStats {
     pub bytes_delivered: u64,
     /// Timers fired.
     pub timers: u64,
-}
-
-/// Behaviour of one simulated node.
-///
-/// All callbacks receive a [`Ctx`] for sending messages and arming
-/// timers. Default implementations do nothing.
-#[allow(unused_variables)]
-pub trait NetNode {
-    /// Called once when the simulation starts (or the node is added).
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {}
-    /// A message arrived.
-    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {}
-    /// A timer armed with [`Ctx::set_timer`] fired.
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {}
-    /// The node crashed (scheduled [`Crash`] or
-    /// [`Sim::schedule_outage`]). Stateful nodes should discard whatever
-    /// would not survive a real process death (volatile queues, unsynced
-    /// buffers); durable state (a journal's synced prefix) survives. No
-    /// `Ctx` is provided — a dead node cannot send or arm timers.
-    fn on_crash(&mut self) {}
-    /// The node restarted after a crash; timers armed before the crash
-    /// that came due while it was down have been discarded, so re-arm
-    /// whatever the recovery path needs.
-    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {}
-}
-
-/// Node-side API surface during a callback.
-#[derive(Debug)]
-pub struct Ctx<'a> {
-    now: SimTime,
-    me: Addr,
-    outbox: &'a mut Vec<Action>,
-}
-
-/// One intent a node expressed during a callback. [`Sim`] interprets
-/// these internally; external hosts (a virtual-time scheduler embedding
-/// `NetNode` impls) obtain them through [`host`] and must apply the same
-/// semantics: `Send` is subject to link latency/loss/faults, `Timer`
-/// delays are clamped to ≥ 1µs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Send `payload` to `to` over the (faulty) link.
-    Send {
-        /// Destination node.
-        to: Addr,
-        /// Message bytes.
-        payload: Vec<u8>,
-    },
-    /// Arm a one-shot timer on the calling node.
-    Timer {
-        /// Delay before firing, in µs (hosts clamp to ≥ 1).
-        delay_us: u64,
-        /// Tag passed back to [`NetNode::on_timer`].
-        tag: u64,
-    },
-}
-
-impl Ctx<'_> {
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// This node's address.
-    pub fn me(&self) -> Addr {
-        self.me
-    }
-
-    /// Sends `payload` to `to` (subject to link latency and loss).
-    pub fn send(&mut self, to: Addr, payload: Vec<u8>) {
-        self.outbox.push(Action::Send { to, payload });
-    }
-
-    /// Arms a one-shot timer that fires after `delay_us` with `tag`.
-    pub fn set_timer(&mut self, delay_us: u64, tag: u64) {
-        self.outbox.push(Action::Timer { delay_us, tag });
-    }
-}
-
-#[derive(Debug)]
-enum Event {
-    Deliver {
-        from: Addr,
-        to: Addr,
-        payload: Vec<u8>,
-    },
-    Timer {
-        node: Addr,
-        tag: u64,
-    },
-    NodeUp(Addr),
-    NodeDown(Addr),
-}
-
-/// The simulator. Add nodes, then [`Sim::run`].
-pub struct Sim {
-    config: SimConfig,
-    rng: SmallRng,
-    now: SimTime,
-    queue: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    events: Vec<Option<Event>>,
-    nodes: Vec<Option<Box<dyn NetNode>>>,
-    alive: Vec<bool>,
-    started: Vec<bool>,
-    stats: SimStats,
-    seq: u64,
-}
-
-impl fmt::Debug for Sim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sim")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("pending", &self.queue.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl Sim {
-    /// Creates a simulator. Crashes scheduled in the config's
-    /// [`FaultPlan`] are queued immediately (validate the plan with
-    /// [`FaultPlan::validate`] first — an unknown address is silently
-    /// inert at fire time).
-    pub fn new(config: SimConfig) -> Self {
-        let mut sim = Sim {
-            rng: SmallRng::seed_from_u64(config.seed),
-            now: SimTime(0),
-            queue: BinaryHeap::new(),
-            events: Vec::new(),
-            nodes: Vec::new(),
-            alive: Vec::new(),
-            started: Vec::new(),
-            stats: SimStats::default(),
-            seq: 0,
-            config,
-        };
-        for c in sim.config.faults.crashes.clone() {
-            sim.push_event(SimTime(c.at_us), Event::NodeDown(c.node));
-            sim.push_event(SimTime(c.restart_us), Event::NodeUp(c.node));
-        }
-        sim
-    }
-
-    /// Adds a node; its `on_start` runs when the simulation (re)starts.
-    pub fn add_node(&mut self, node: Box<dyn NetNode>) -> Addr {
-        let addr = Addr(self.nodes.len() as u32);
-        self.nodes.push(Some(node));
-        self.alive.push(true);
-        self.started.push(false);
-        addr
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Run statistics so far.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// Schedules a node crash at `at`; it stays down until `until`.
-    /// Messages to a down node are dropped, and its timers are discarded
-    /// while it is down.
-    pub fn schedule_outage(&mut self, node: Addr, at: SimTime, until: SimTime) {
-        self.push_event(at, Event::NodeDown(node));
-        self.push_event(until, Event::NodeUp(node));
-    }
-
-    fn push_event(&mut self, at: SimTime, event: Event) {
-        let idx = self.events.len() as u32;
-        self.events.push(Some(event));
-        self.queue.push(Reverse((at, self.seq, idx)));
-        self.seq += 1;
-    }
-
-    /// One independent latency draw: base + jitter, plus the reordering
-    /// window when that fault fires.
-    fn delivery_delay(&mut self) -> u64 {
-        let link = self.config.link;
-        let mut delay = link.base_latency_us;
-        if link.jitter_us > 0 {
-            delay += self.rng.gen_range(0..=link.jitter_us);
-        }
-        let reorder_pm = self.config.faults.reorder_per_mille;
-        let window = self.config.faults.reorder_window_us;
-        if reorder_pm > 0 && window > 0 && self.rng.gen_range(0..1000) < reorder_pm {
-            delay += self.rng.gen_range(0..=window);
-        }
-        delay
-    }
-
-    fn flush_actions(&mut self, me: Addr, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Send { to, payload } => {
-                    self.stats.sent += 1;
-                    if self.config.faults.partitioned(me, to, self.now) {
-                        self.stats.dropped += 1;
-                        self.stats.partition_dropped += 1;
-                        continue;
-                    }
-                    let lost = self.config.link.loss_per_mille > 0
-                        && self.rng.gen_range(0..1000) < self.config.link.loss_per_mille;
-                    if lost {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
-                    let dup_pm = self.config.faults.dup_per_mille;
-                    if dup_pm > 0 && self.rng.gen_range(0..1000) < dup_pm {
-                        self.stats.duplicated += 1;
-                        let at = self.now.after(self.delivery_delay());
-                        self.push_event(
-                            at,
-                            Event::Deliver {
-                                from: me,
-                                to,
-                                payload: payload.clone(),
-                            },
-                        );
-                    }
-                    let at = self.now.after(self.delivery_delay());
-                    self.push_event(
-                        at,
-                        Event::Deliver {
-                            from: me,
-                            to,
-                            payload,
-                        },
-                    );
-                }
-                Action::Timer { delay_us, tag } => {
-                    let at = self.now.after(delay_us.max(1));
-                    self.push_event(at, Event::Timer { node: me, tag });
-                }
-            }
-        }
-    }
-
-    fn start_pending(&mut self) {
-        for i in 0..self.nodes.len() {
-            if self.started[i] || !self.alive[i] {
-                continue;
-            }
-            self.started[i] = true;
-            let addr = Addr(i as u32);
-            let mut outbox = Vec::new();
-            if let Some(node) = self.nodes[i].as_mut() {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    me: addr,
-                    outbox: &mut outbox,
-                };
-                node.on_start(&mut ctx);
-            }
-            self.flush_actions(addr, outbox);
-        }
-    }
-
-    /// Runs until the event queue is empty or the event cap is reached.
-    /// Returns the number of events processed.
-    pub fn run(&mut self) -> u64 {
-        self.run_until(SimTime(u64::MAX))
-    }
-
-    /// Runs until `deadline` (exclusive), the queue drains, or the event
-    /// cap is reached. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.start_pending();
-        let mut processed = 0u64;
-        while processed < self.config.max_events {
-            let Some(Reverse((at, _, idx))) = self.queue.peek().copied() else {
-                break;
-            };
-            if at >= deadline {
-                break;
-            }
-            self.queue.pop();
-            self.now = at;
-            processed += 1;
-            let event = self.events[idx as usize]
-                .take()
-                .expect("event consumed once");
-            match event {
-                Event::Deliver { from, to, payload } => {
-                    let ti = to.0 as usize;
-                    if ti >= self.nodes.len() || !self.alive[ti] {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.stats.bytes_delivered += payload.len() as u64;
-                    let mut outbox = Vec::new();
-                    if let Some(node) = self.nodes[ti].as_mut() {
-                        let mut ctx = Ctx {
-                            now: self.now,
-                            me: to,
-                            outbox: &mut outbox,
-                        };
-                        node.on_message(from, payload, &mut ctx);
-                    }
-                    self.flush_actions(to, outbox);
-                }
-                Event::Timer { node, tag } => {
-                    let ni = node.0 as usize;
-                    if ni >= self.nodes.len() || !self.alive[ni] {
-                        continue;
-                    }
-                    self.stats.timers += 1;
-                    let mut outbox = Vec::new();
-                    if let Some(n) = self.nodes[ni].as_mut() {
-                        let mut ctx = Ctx {
-                            now: self.now,
-                            me: node,
-                            outbox: &mut outbox,
-                        };
-                        n.on_timer(tag, &mut ctx);
-                    }
-                    self.flush_actions(node, outbox);
-                }
-                Event::NodeDown(a) => {
-                    let i = a.0 as usize;
-                    if i < self.alive.len() && self.alive[i] {
-                        self.alive[i] = false;
-                        self.stats.crashes += 1;
-                        if let Some(node) = self.nodes[i].as_mut() {
-                            node.on_crash();
-                        }
-                    }
-                }
-                Event::NodeUp(a) => {
-                    let i = a.0 as usize;
-                    if i < self.alive.len() && !self.alive[i] {
-                        self.alive[i] = true;
-                        let mut outbox = Vec::new();
-                        if let Some(node) = self.nodes[i].as_mut() {
-                            let mut ctx = Ctx {
-                                now: self.now,
-                                me: a,
-                                outbox: &mut outbox,
-                            };
-                            node.on_restart(&mut ctx);
-                        }
-                        self.flush_actions(a, outbox);
-                    }
-                }
-            }
-        }
-        processed
-    }
-
-    /// Mutable access to a node (for inspecting state after a run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `addr` is unknown.
-    pub fn node_mut(&mut self, addr: Addr) -> &mut dyn NetNode {
-        self.nodes[addr.0 as usize]
-            .as_mut()
-            .expect("node present")
-            .as_mut()
-    }
-
-    /// Takes a node out of the simulator (for downcasting in callers).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `addr` is unknown or already taken.
-    pub fn take_node(&mut self, addr: Addr) -> Box<dyn NetNode> {
-        self.nodes[addr.0 as usize].take().expect("node present")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::{Cell, RefCell};
-    use std::rc::Rc;
-
-    struct Counter {
-        hits: Rc<Cell<u64>>,
-    }
-    impl NetNode for Counter {
-        fn on_message(&mut self, _f: Addr, _p: Vec<u8>, _c: &mut Ctx<'_>) {
-            self.hits.set(self.hits.get() + 1);
-        }
-    }
-
-    struct Sender {
-        to: Addr,
-        n: u32,
-    }
-    impl NetNode for Sender {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            for i in 0..self.n {
-                ctx.send(self.to, vec![i as u8]);
-            }
-        }
-    }
-
-    #[test]
-    fn messages_are_delivered_with_latency() {
-        let mut sim = Sim::new(SimConfig::default());
-        let hits = Rc::new(Cell::new(0));
-        let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-        sim.add_node(Box::new(Sender { to: c, n: 5 }));
-        sim.run();
-        assert_eq!(hits.get(), 5);
-        assert!(sim.now().0 >= 1_000, "latency must advance time");
-        assert_eq!(sim.stats().delivered, 5);
-    }
-
-    #[test]
-    fn total_loss_drops_everything() {
-        let mut sim = Sim::new(SimConfig {
-            link: LinkConfig {
-                loss_per_mille: 1000,
-                ..LinkConfig::default()
-            },
-            ..SimConfig::default()
-        });
-        let hits = Rc::new(Cell::new(0));
-        let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-        sim.add_node(Box::new(Sender { to: c, n: 10 }));
-        sim.run();
-        assert_eq!(hits.get(), 0);
-        assert_eq!(sim.stats().dropped, 10);
-    }
-
-    #[test]
-    fn partial_loss_is_seeded_and_partial() {
-        let run = |seed| {
-            let mut sim = Sim::new(SimConfig {
-                seed,
-                link: LinkConfig {
-                    loss_per_mille: 500,
-                    ..LinkConfig::default()
-                },
-                ..SimConfig::default()
-            });
-            let hits = Rc::new(Cell::new(0));
-            let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-            sim.add_node(Box::new(Sender { to: c, n: 100 }));
-            sim.run();
-            hits.get()
-        };
-        let a = run(1);
-        let b = run(1);
-        assert_eq!(a, b, "same seed, same delivery");
-        assert!(a > 10 && a < 90, "roughly half delivered, got {a}");
-    }
-
-    struct Ticker {
-        ticks: Rc<Cell<u64>>,
-        remaining: u32,
-    }
-    impl NetNode for Ticker {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(100, 0);
-        }
-        fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
-            self.ticks.set(self.ticks.get() + 1);
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                ctx.set_timer(100, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn timers_fire_in_order() {
-        let mut sim = Sim::new(SimConfig::default());
-        let ticks = Rc::new(Cell::new(0));
-        sim.add_node(Box::new(Ticker {
-            ticks: ticks.clone(),
-            remaining: 4,
-        }));
-        sim.run();
-        assert_eq!(ticks.get(), 5);
-        assert_eq!(sim.now().0, 500);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Sim::new(SimConfig::default());
-        let ticks = Rc::new(Cell::new(0));
-        sim.add_node(Box::new(Ticker {
-            ticks: ticks.clone(),
-            remaining: 100,
-        }));
-        sim.run_until(SimTime(250));
-        assert_eq!(ticks.get(), 2, "only timers before 250us fire");
-        sim.run();
-        assert_eq!(ticks.get(), 101);
-    }
-
-    #[test]
-    fn outage_drops_messages_then_recovers() {
-        struct DelayedSender {
-            to: Addr,
-            delay: u64,
-        }
-        impl NetNode for DelayedSender {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(self.delay, 0);
-            }
-            fn on_timer(&mut self, _t: u64, ctx: &mut Ctx<'_>) {
-                ctx.send(self.to, vec![1]);
-            }
-        }
-        let mut sim = Sim::new(SimConfig::default());
-        let hits = Rc::new(Cell::new(0));
-        let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-        sim.add_node(Box::new(DelayedSender { to: c, delay: 10 }));
-        sim.add_node(Box::new(DelayedSender {
-            to: c,
-            delay: 50_000,
-        }));
-        sim.schedule_outage(c, SimTime(0), SimTime(10_000));
-        sim.run();
-        assert_eq!(hits.get(), 1, "only the post-recovery message lands");
-        assert_eq!(sim.stats().dropped, 1);
-    }
-
-    #[test]
-    fn determinism_across_identical_runs() {
-        let build_and_run = || {
-            let mut sim = Sim::new(SimConfig {
-                seed: 42,
-                link: LinkConfig {
-                    loss_per_mille: 100,
-                    jitter_us: 700,
-                    base_latency_us: 900,
-                },
-                ..SimConfig::default()
-            });
-            let hits = Rc::new(Cell::new(0));
-            let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-            sim.add_node(Box::new(Sender { to: c, n: 50 }));
-            sim.run();
-            (hits.get(), sim.now(), sim.stats())
-        };
-        assert_eq!(build_and_run(), build_and_run());
-    }
-
-    #[test]
-    fn duplication_delivers_extra_copies() {
-        let mut sim = Sim::new(SimConfig {
-            faults: FaultPlan {
-                dup_per_mille: 1000,
-                ..FaultPlan::default()
-            },
-            ..SimConfig::default()
-        });
-        let hits = Rc::new(Cell::new(0));
-        let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-        sim.add_node(Box::new(Sender { to: c, n: 10 }));
-        sim.run();
-        assert_eq!(hits.get(), 20, "every message doubled");
-        assert_eq!(sim.stats().duplicated, 10);
-    }
-
-    #[test]
-    fn reordering_window_shuffles_arrival_order() {
-        struct OrderProbe {
-            got: Rc<RefCell<Vec<u8>>>,
-        }
-        impl NetNode for OrderProbe {
-            fn on_message(&mut self, _f: Addr, p: Vec<u8>, _c: &mut Ctx<'_>) {
-                self.got.borrow_mut().push(p[0]);
-            }
-        }
-        let run = |reorder_pm| {
-            let mut sim = Sim::new(SimConfig {
-                seed: 7,
-                link: LinkConfig {
-                    jitter_us: 0,
-                    ..LinkConfig::default()
-                },
-                faults: FaultPlan {
-                    reorder_per_mille: reorder_pm,
-                    reorder_window_us: if reorder_pm > 0 { 50_000 } else { 0 },
-                    ..FaultPlan::default()
-                },
-                ..SimConfig::default()
-            });
-            let got = Rc::new(RefCell::new(Vec::new()));
-            let probe = sim.add_node(Box::new(OrderProbe { got: got.clone() }));
-            sim.add_node(Box::new(Sender { to: probe, n: 30 }));
-            sim.run();
-            let order = got.borrow().clone();
-            order
-        };
-        let in_order = run(0);
-        assert!(in_order.windows(2).all(|w| w[0] <= w[1]), "no jitter, FIFO");
-        let shuffled = run(500);
-        assert_eq!(shuffled.len(), 30, "reordering never loses messages");
-        assert!(
-            shuffled.windows(2).any(|w| w[0] > w[1]),
-            "a 50ms window over 1ms latency must overtake: {shuffled:?}"
-        );
-    }
-
-    #[test]
-    fn partition_blocks_both_directions_then_heals() {
-        struct TimedSender {
-            to: Addr,
-            at: Vec<u64>,
-        }
-        impl NetNode for TimedSender {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for (i, t) in self.at.iter().enumerate() {
-                    ctx.set_timer(*t, i as u64);
-                }
-            }
-            fn on_timer(&mut self, _t: u64, ctx: &mut Ctx<'_>) {
-                ctx.send(self.to, vec![1]);
-            }
-        }
-        let mut sim = Sim::new(SimConfig {
-            faults: FaultPlan {
-                partitions: vec![Partition {
-                    a: Addr(0),
-                    b: Addr(1),
-                    from_us: 0,
-                    until_us: 100_000,
-                }],
-                ..FaultPlan::default()
-            },
-            ..SimConfig::default()
-        });
-        let hits = Rc::new(Cell::new(0));
-        let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-        sim.add_node(Box::new(TimedSender {
-            to: c,
-            at: vec![10, 200_000],
-        }));
-        sim.run();
-        assert_eq!(hits.get(), 1, "only the post-heal message lands");
-        assert_eq!(sim.stats().partition_dropped, 1);
-    }
-
-    #[test]
-    fn scheduled_crash_fires_callbacks_and_discards_state() {
-        struct Crashy {
-            volatile: u32,
-            crashes: Rc<Cell<u32>>,
-            restarts: Rc<Cell<u32>>,
-        }
-        impl NetNode for Crashy {
-            fn on_message(&mut self, _f: Addr, _p: Vec<u8>, _c: &mut Ctx<'_>) {
-                self.volatile += 1;
-            }
-            fn on_crash(&mut self) {
-                self.volatile = 0;
-                self.crashes.set(self.crashes.get() + 1);
-            }
-            fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-                self.restarts.set(self.restarts.get() + 1);
-                ctx.set_timer(10, 99); // recovery path can re-arm timers
-            }
-        }
-        let crashes = Rc::new(Cell::new(0));
-        let restarts = Rc::new(Cell::new(0));
-        let mut sim = Sim::new(SimConfig {
-            faults: FaultPlan {
-                crashes: vec![Crash {
-                    node: Addr(0),
-                    at_us: 5_000,
-                    restart_us: 20_000,
-                }],
-                ..FaultPlan::default()
-            },
-            ..SimConfig::default()
-        });
-        sim.add_node(Box::new(Crashy {
-            volatile: 0,
-            crashes: crashes.clone(),
-            restarts: restarts.clone(),
-        }));
-        let victim = Addr(0);
-        sim.add_node(Box::new(Sender { to: victim, n: 3 }));
-        sim.run();
-        assert_eq!(crashes.get(), 1);
-        assert_eq!(restarts.get(), 1);
-        assert_eq!(sim.stats().crashes, 1);
-        assert!(sim.stats().timers >= 1, "restart timer fired");
-    }
-
-    #[test]
-    fn faulty_runs_stay_deterministic() {
-        let build_and_run = || {
-            let mut sim = Sim::new(SimConfig {
-                seed: 11,
-                link: LinkConfig {
-                    loss_per_mille: 100,
-                    ..LinkConfig::default()
-                },
-                faults: FaultPlan {
-                    dup_per_mille: 200,
-                    reorder_per_mille: 300,
-                    reorder_window_us: 30_000,
-                    ..FaultPlan::default()
-                },
-                ..SimConfig::default()
-            });
-            let hits = Rc::new(Cell::new(0));
-            let c = sim.add_node(Box::new(Counter { hits: hits.clone() }));
-            sim.add_node(Box::new(Sender { to: c, n: 64 }));
-            sim.run();
-            (hits.get(), sim.now(), sim.stats())
-        };
-        assert_eq!(build_and_run(), build_and_run());
-    }
-
-    #[test]
-    fn event_cap_stops_runaway_simulations() {
-        struct PingPong {
-            peer: Option<Addr>,
-        }
-        impl NetNode for PingPong {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                if let Some(p) = self.peer {
-                    ctx.send(p, vec![0]);
-                }
-            }
-            fn on_message(&mut self, from: Addr, p: Vec<u8>, ctx: &mut Ctx<'_>) {
-                ctx.send(from, p); // forever
-            }
-        }
-        let mut sim = Sim::new(SimConfig {
-            max_events: 500,
-            ..SimConfig::default()
-        });
-        let a = sim.add_node(Box::new(PingPong { peer: None }));
-        sim.add_node(Box::new(PingPong { peer: Some(a) }));
-        let processed = sim.run();
-        assert_eq!(processed, 500);
-    }
 }

@@ -5,8 +5,8 @@
 //! function of the scheduled `(time, key)` pairs**, independent of the
 //! order events were inserted. The heap orders by `(time, key)`; callers
 //! must supply keys that are unique per virtual instant (the
-//! [`World`](crate::World) uses a global monotonic counter, reproducing
-//! the netsim simulator's insertion-sequence tie-break exactly). Two
+//! [`World`](crate::World) uses a global monotonic counter, so
+//! same-instant events dispatch in insertion order). Two
 //! runs that schedule the same `(time, key, event)` set — in any order —
 //! dispatch identically and produce the same [`SchedStats::trace_hash`].
 //!
@@ -15,27 +15,13 @@
 //! happens at an exact event index, so a fuel-capped run is replayable
 //! too.
 
-use softborg_ingest::Clock;
+use crate::SimTime;
+use softborg_obs::{fnv1a_step, Clock, FNV_OFFSET};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-pub use softborg_netsim::SimTime;
-
-/// FNV-1a offset basis (matches `softborg_trace::wire::fnv1a`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_step(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Counters and the schedule-trace hash for one scheduler run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +45,7 @@ pub struct SchedStats {
 }
 
 /// A shareable read handle on a scheduler's virtual clock. Implements
-/// [`softborg_ingest::Clock`], so pipelines running under the simulator
+/// [`softborg_obs::Clock`], so pipelines running under the simulator
 /// report *virtual* latency/throughput gauges instead of the
 /// microseconds of wall time the whole simulation actually takes.
 #[derive(Debug, Clone, Default)]

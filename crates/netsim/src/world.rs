@@ -1,13 +1,11 @@
 //! The [`World`]: one deterministic event loop hosting network nodes,
 //! bounded channels, and simulated disks under virtual time.
 //!
-//! A `World` is a superset of the netsim [`Sim`](softborg_netsim::Sim):
-//! it replays the *same* link/fault model with the same RNG draw order,
-//! the same crash pre-queueing, and the same `on_start` ordering, so a
-//! fleet of [`NetNode`]s hosted here (via [`NetProc`]) behaves
-//! byte-for-byte like the threaded path's simulator on a shared seed.
-//! On top of that it adds the two blocking points real pipelines have
-//! and networks don't: bounded channels (send blocks when full, receive
+//! Nodes are [`Proc`]s talking over the link/fault model of
+//! [`SimConfig`]: per-message latency draws, loss, duplication,
+//! reordering, partitions, and crashes pre-queued from the fault plan.
+//! On top of that come the two blocking points real pipelines have and
+//! networks don't: bounded channels (send blocks when full, receive
 //! blocks when empty) and disks with asynchronous fsync. Every blocking
 //! point is explicit — a proc that cannot make progress registers a
 //! waiter and returns, and the world wakes it with a [`Wake`] event at
@@ -29,9 +27,9 @@
 //! the seed and the proc set.
 
 use crate::sched::{SchedStats, Scheduler, SimClock};
+use crate::{Addr, DiskCrashPoint, SimConfig, SimStats, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use softborg_netsim::{host, Action, Addr, DiskCrashPoint, NetNode, SimConfig, SimStats, SimTime};
 use softborg_obs::{FlightRecorder, Severity};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -57,12 +55,13 @@ pub enum Wake {
     FsyncDone(DiskId),
 }
 
-/// Behaviour of one simulated process. A superset of
-/// [`NetNode`]'s callbacks with [`Wake`] added for the channel/disk
-/// blocking points; [`NetProc`] adapts any `NetNode` onto it.
+/// Behaviour of one simulated process. All callbacks receive a
+/// [`WorldCtx`] for sending messages, arming timers, and using channels
+/// and disks. Default implementations do nothing.
 #[allow(unused_variables)]
 pub trait Proc {
-    /// Called once when the world starts.
+    /// Called once when the world starts (or, for a proc added later,
+    /// at the next run).
     fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {}
     /// A network message arrived.
     fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {}
@@ -70,59 +69,23 @@ pub trait Proc {
     fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {}
     /// A blocking point the proc waited on resolved.
     fn on_wake(&mut self, wake: Wake, ctx: &mut WorldCtx<'_>) {}
-    /// The proc crashed. Volatile state is gone; the world has already
-    /// truncated this proc's disks to their synced prefixes.
+    /// The proc crashed (a scheduled [`Crash`](crate::Crash) or
+    /// [`World::schedule_outage`]). Volatile state is gone; the world has
+    /// already truncated this proc's disks to their synced prefixes. No
+    /// `WorldCtx` is provided — a dead proc cannot send or arm timers.
     fn on_crash(&mut self) {}
-    /// The proc restarted after a crash; re-arm timers and re-register
-    /// waiters (pre-crash ones were discarded).
+    /// The proc restarted after a crash; timers that came due while it
+    /// was down were discarded, so re-arm timers and re-register waiters.
     fn on_restart(&mut self, ctx: &mut WorldCtx<'_>) {}
 }
 
-/// Adapts a [`NetNode`] onto [`Proc`], driving its callbacks through
-/// [`softborg_netsim::host`] so the node code is bit-identical to what
-/// the threaded path runs.
-pub struct NetProc {
-    node: Box<dyn NetNode>,
-}
-
-impl NetProc {
-    /// Wraps `node` for hosting in a [`World`].
-    pub fn new(node: Box<dyn NetNode>) -> Self {
-        NetProc { node }
-    }
-
-    /// The wrapped node (for post-run inspection).
-    pub fn into_inner(self) -> Box<dyn NetNode> {
-        self.node
-    }
-}
-
-impl fmt::Debug for NetProc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetProc").finish_non_exhaustive()
-    }
-}
-
-impl Proc for NetProc {
-    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
-        let acts = host::start(self.node.as_mut(), ctx.now(), ctx.me());
-        ctx.queue_actions(acts);
-    }
-    fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
-        let acts = host::message(self.node.as_mut(), ctx.now(), ctx.me(), from, payload);
-        ctx.queue_actions(acts);
-    }
-    fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {
-        let acts = host::timer(self.node.as_mut(), ctx.now(), ctx.me(), tag);
-        ctx.queue_actions(acts);
-    }
-    fn on_crash(&mut self) {
-        self.node.on_crash();
-    }
-    fn on_restart(&mut self, ctx: &mut WorldCtx<'_>) {
-        let acts = host::restart(self.node.as_mut(), ctx.now(), ctx.me());
-        ctx.queue_actions(acts);
-    }
+/// One network intent a proc expressed during a callback, applied after
+/// the callback returns: `Send` goes through the link/fault model,
+/// `Timer` delays are clamped to ≥ 1µs.
+#[derive(Debug)]
+enum Action {
+    Send { to: Addr, payload: Vec<u8> },
+    Timer { delay_us: u64, tag: u64 },
 }
 
 /// Channel/disk counters accumulated over a run (the network-level
@@ -221,8 +184,8 @@ impl Inner {
         self.sched.schedule(at, key, event);
     }
 
-    /// One independent latency draw — netsim's `delivery_delay`, same
-    /// RNG consumption.
+    /// One independent latency draw: base + jitter, plus the reordering
+    /// window when that fault fires.
     fn delivery_delay(&mut self) -> u64 {
         let link = self.config.link;
         let mut delay = link.base_latency_us;
@@ -237,9 +200,9 @@ impl Inner {
         delay
     }
 
-    /// netsim's `flush_actions`: identical branch structure, identical
-    /// RNG draw order (loss, then duplication, then the duplicate's
-    /// delay, then the original's delay).
+    /// Applies a callback's buffered actions in order. RNG draw order
+    /// per send is part of the replay contract: loss, then duplication,
+    /// then the duplicate's delay, then the original's delay.
     fn flush_actions(&mut self, me: Addr, actions: Vec<Action>) {
         let now = self.sched.now();
         for a in actions {
@@ -330,8 +293,8 @@ impl Inner {
 /// The deterministic world. See the [module docs](self).
 ///
 /// The lifetime `'w` bounds the procs, so drivers can host procs that
-/// borrow external state (a [`Pod`](softborg_pod::Pod) slice) for the
-/// duration of one run.
+/// borrow external state (a hive, a slice of pods) for the duration of
+/// one run.
 pub struct World<'w> {
     procs: Vec<Option<Box<dyn Proc + 'w>>>,
     inner: Inner,
@@ -350,16 +313,20 @@ impl fmt::Debug for World<'_> {
 }
 
 impl<'w> World<'w> {
-    /// A world with netsim-compatible `config` and a dispatch budget of
-    /// `fuel` events. Crashes scheduled in the config's fault plan are
-    /// pre-queued immediately, exactly like
-    /// [`Sim::new`](softborg_netsim::Sim::new).
-    pub fn new(config: SimConfig, fuel: u64) -> Self {
+    /// A world over `config`. Its fuel is
+    /// [`config.max_events`](SimConfig::max_events): the events
+    /// dispatched over the world's whole life, summed across
+    /// [`run`](Self::run) / [`run_until`](Self::run_until) calls — for a
+    /// caller that runs the world once, a per-run cap. Crashes scheduled
+    /// in the config's fault plan are pre-queued immediately (validate
+    /// the plan with [`FaultPlan::validate`](crate::FaultPlan::validate)
+    /// first — an unknown address is silently inert at fire time).
+    pub fn new(config: SimConfig) -> Self {
         let mut world = World {
             procs: Vec::new(),
             inner: Inner {
                 rng: SmallRng::seed_from_u64(config.seed),
-                sched: Scheduler::new(fuel),
+                sched: Scheduler::new(config.max_events),
                 seq: 0,
                 alive: Vec::new(),
                 started: Vec::new(),
@@ -420,7 +387,8 @@ impl<'w> World<'w> {
     }
 
     /// Schedules a crash window for `node` (down at `at`, back at
-    /// `until`), like [`Sim::schedule_outage`](softborg_netsim::Sim::schedule_outage).
+    /// `until`). Messages to a down node are dropped and its timers are
+    /// discarded while it is down.
     pub fn schedule_outage(&mut self, node: Addr, at: SimTime, until: SimTime) {
         self.inner.push_event(at, Event::NodeDown(node));
         self.inner.push_event(until, Event::NodeUp(node));
@@ -462,21 +430,11 @@ impl<'w> World<'w> {
     /// [`softborg_obs::explain_recorders`].
     pub fn attach_recorder(&mut self, capacity: usize) -> FlightRecorder {
         let recorder = FlightRecorder::new(Arc::new(self.clock()), capacity);
-        self.set_recorder(recorder.clone());
+        self.inner.recorder = recorder.clone();
         recorder
     }
 
-    /// Adopts an externally created recorder for the world's
-    /// infrastructure events (see [`attach_recorder`]
-    /// (World::attach_recorder)) and retimes it onto this world's
-    /// virtual clock, so the caller keeps their handle to the shared
-    /// rings while events are stamped in virtual time.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        recorder.set_clock(Arc::new(self.clock()));
-        self.inner.recorder = recorder;
-    }
-
-    /// Network counters (netsim-compatible).
+    /// Network counters.
     pub fn net_stats(&self) -> SimStats {
         self.inner.net
     }
@@ -505,15 +463,6 @@ impl<'w> World<'w> {
     /// A disk's durable prefix length.
     pub fn disk_synced(&self, disk: DiskId) -> usize {
         self.inner.disks[disk.0 as usize].synced
-    }
-
-    /// Takes a proc back out of the world (post-run inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `addr` is unknown or already taken.
-    pub fn take_proc(&mut self, addr: Addr) -> Box<dyn Proc + 'w> {
-        self.procs[addr.0 as usize].take().expect("proc present")
     }
 
     /// Runs until the event heap drains or fuel runs out. Returns the
@@ -552,7 +501,7 @@ impl<'w> World<'w> {
     }
 
     /// Runs one callback with the proc temporarily out of the table,
-    /// then flushes its buffered network actions in netsim order.
+    /// then flushes its buffered network actions in order.
     fn call(&mut self, addr: Addr, f: impl FnOnce(&mut (dyn Proc + 'w), &mut WorldCtx<'_>)) {
         let i = addr.0 as usize;
         let Some(mut proc_) = self.procs[i].take() else {
@@ -700,8 +649,8 @@ impl<'w> World<'w> {
 }
 
 /// Proc-side API surface during a callback. Network sends/timers are
-/// buffered and flushed after the callback (netsim semantics: the
-/// link's RNG draws happen in action order, after the node returns);
+/// buffered and flushed after the callback (the link's RNG draws
+/// happen in action order, after the proc returns);
 /// channel and disk operations take effect immediately.
 pub struct WorldCtx<'a> {
     inner: &'a mut Inner,
@@ -738,12 +687,6 @@ impl WorldCtx<'_> {
     /// with `tag` — the explicit *sleep* blocking point.
     pub fn set_timer(&mut self, delay_us: u64, tag: u64) {
         self.outbox.push(Action::Timer { delay_us, tag });
-    }
-
-    /// Queues raw netsim [`Action`]s (from a
-    /// [`host`] callback) preserving their order.
-    pub fn queue_actions(&mut self, actions: Vec<Action>) {
-        self.outbox.extend(actions);
     }
 
     /// Attempts a non-blocking bounded-channel send. On a full channel
@@ -866,6 +809,7 @@ impl WorldCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Crash, FaultPlan, LinkConfig, Partition};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
@@ -912,7 +856,7 @@ mod tests {
 
     #[test]
     fn bounded_channel_blocks_and_wakes_in_fifo_order() {
-        let mut w = World::new(SimConfig::default(), u64::MAX);
+        let mut w = World::new(SimConfig::default());
         let chan = w.add_chan(3);
         let got = Rc::new(RefCell::new(Vec::new()));
         w.add_proc(Box::new(Pipe {
@@ -950,7 +894,7 @@ mod tests {
 
     #[test]
     fn fsync_covers_only_bytes_written_before_the_request() {
-        let mut w = World::new(SimConfig::default(), u64::MAX);
+        let mut w = World::new(SimConfig::default());
         let synced_seen = Rc::new(Cell::new(0));
         let owner = Addr(0);
         let disk = w.add_disk(owner, 500);
@@ -980,7 +924,7 @@ mod tests {
 
     #[test]
     fn crash_truncates_disks_to_the_synced_prefix() {
-        let mut w = World::new(SimConfig::default(), u64::MAX);
+        let mut w = World::new(SimConfig::default());
         let disk = w.add_disk(Addr(0), 100);
         w.add_proc(Box::new(CrashyWriter { disk }));
         w.schedule_outage(Addr(0), SimTime(50_000), SimTime(60_000));
@@ -1001,7 +945,7 @@ mod tests {
                 ctx.disk_fsync(self.disk);
             }
         }
-        let mut w = World::new(SimConfig::default(), u64::MAX);
+        let mut w = World::new(SimConfig::default());
         let disk = w.add_disk(Addr(0), 10);
         w.add_proc(Box::new(W { disk }));
         w.schedule_disk_fault(
@@ -1035,7 +979,10 @@ mod tests {
                 ctx.send(from, p);
             }
         }
-        let mut w = World::new(SimConfig::default(), 500);
+        let mut w = World::new(SimConfig {
+            max_events: 500,
+            ..SimConfig::default()
+        });
         let a = w.add_proc(Box::new(PingPong { peer: None }));
         w.add_proc(Box::new(PingPong { peer: Some(a) }));
         let processed = w.run();
@@ -1043,5 +990,324 @@ mod tests {
         assert!(w.fuel_exhausted());
         let again = w.run();
         assert_eq!(again, 0, "an exhausted world refuses to dispatch");
+    }
+
+    // --- the link/fault model -------------------------------------------
+
+    struct Counter {
+        hits: Rc<Cell<u64>>,
+    }
+    impl Proc for Counter {
+        fn on_message(&mut self, _f: Addr, _p: Vec<u8>, _c: &mut WorldCtx<'_>) {
+            self.hits.set(self.hits.get() + 1);
+        }
+    }
+
+    struct Sender {
+        to: Addr,
+        n: u32,
+    }
+    impl Proc for Sender {
+        fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
+            for i in 0..self.n {
+                ctx.send(self.to, vec![i as u8]);
+            }
+        }
+    }
+
+    /// `n` messages from a fresh sender to a counter under `config`:
+    /// (delivered, final clock, net stats).
+    fn send_burst(config: SimConfig, n: u32) -> (u64, SimTime, SimStats) {
+        let mut w = World::new(config);
+        let hits = Rc::new(Cell::new(0));
+        let c = w.add_proc(Box::new(Counter { hits: hits.clone() }));
+        w.add_proc(Box::new(Sender { to: c, n }));
+        w.run();
+        (hits.get(), w.now(), w.net_stats())
+    }
+
+    #[test]
+    fn messages_are_delivered_with_latency() {
+        let (hits, now, net) = send_burst(SimConfig::default(), 5);
+        assert_eq!(hits, 5);
+        assert!(now.0 >= 1_000, "latency must advance time");
+        assert_eq!(net.delivered, 5);
+    }
+
+    #[test]
+    fn total_loss_drops_everything() {
+        let config = SimConfig {
+            link: LinkConfig {
+                loss_per_mille: 1000,
+                ..LinkConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let (hits, _, net) = send_burst(config, 10);
+        assert_eq!(hits, 0);
+        assert_eq!(net.dropped, 10);
+    }
+
+    #[test]
+    fn partial_loss_is_seeded_and_partial() {
+        let run = |seed| {
+            let config = SimConfig {
+                seed,
+                link: LinkConfig {
+                    loss_per_mille: 500,
+                    ..LinkConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            send_burst(config, 100).0
+        };
+        let a = run(1);
+        assert_eq!(a, run(1), "same seed, same delivery");
+        assert!(a > 10 && a < 90, "roughly half delivered, got {a}");
+    }
+
+    #[test]
+    fn duplication_delivers_extra_copies() {
+        let config = SimConfig {
+            faults: FaultPlan {
+                dup_per_mille: 1000,
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
+        };
+        let (hits, _, net) = send_burst(config, 10);
+        assert_eq!(hits, 20, "every message doubled");
+        assert_eq!(net.duplicated, 10);
+    }
+
+    #[test]
+    fn reordering_window_shuffles_arrival_order() {
+        struct OrderProbe {
+            got: Rc<RefCell<Vec<u8>>>,
+        }
+        impl Proc for OrderProbe {
+            fn on_message(&mut self, _f: Addr, p: Vec<u8>, _c: &mut WorldCtx<'_>) {
+                self.got.borrow_mut().push(p[0]);
+            }
+        }
+        let run = |reorder_pm| {
+            let mut w = World::new(SimConfig {
+                seed: 7,
+                link: LinkConfig {
+                    jitter_us: 0,
+                    ..LinkConfig::default()
+                },
+                faults: FaultPlan {
+                    reorder_per_mille: reorder_pm,
+                    reorder_window_us: if reorder_pm > 0 { 50_000 } else { 0 },
+                    ..FaultPlan::default()
+                },
+                ..SimConfig::default()
+            });
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let probe = w.add_proc(Box::new(OrderProbe { got: got.clone() }));
+            w.add_proc(Box::new(Sender { to: probe, n: 30 }));
+            w.run();
+            let order = got.borrow().clone();
+            order
+        };
+        let in_order = run(0);
+        assert!(in_order.windows(2).all(|w| w[0] <= w[1]), "no jitter, FIFO");
+        let shuffled = run(500);
+        assert_eq!(shuffled.len(), 30, "reordering never loses messages");
+        assert!(
+            shuffled.windows(2).any(|w| w[0] > w[1]),
+            "a 50ms window over 1ms latency must overtake: {shuffled:?}"
+        );
+    }
+
+    /// Sends one message to `to` at each listed instant.
+    struct TimedSender {
+        to: Addr,
+        at: Vec<u64>,
+    }
+    impl Proc for TimedSender {
+        fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
+            for (i, t) in self.at.iter().enumerate() {
+                ctx.set_timer(*t, i as u64);
+            }
+        }
+        fn on_timer(&mut self, _t: u64, ctx: &mut WorldCtx<'_>) {
+            ctx.send(self.to, vec![1]);
+        }
+    }
+
+    #[test]
+    fn partition_blocks_both_directions_then_heals() {
+        // Node 0 sends to node 1 and node 1 to node 0, once inside the
+        // window and once after it heals.
+        let mut w = World::new(SimConfig {
+            faults: FaultPlan {
+                partitions: vec![Partition {
+                    a: Addr(0),
+                    b: Addr(1),
+                    from_us: 0,
+                    until_us: 100_000,
+                }],
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
+        });
+        w.add_proc(Box::new(TimedSender {
+            to: Addr(1),
+            at: vec![10, 200_000],
+        }));
+        w.add_proc(Box::new(TimedSender {
+            to: Addr(0),
+            at: vec![20, 200_000],
+        }));
+        w.run();
+        let net = w.net_stats();
+        assert_eq!(net.partition_dropped, 2, "one per direction");
+        assert_eq!(net.delivered, 2, "only the post-heal messages land");
+    }
+
+    #[test]
+    fn outage_drops_messages_then_recovers() {
+        let mut w = World::new(SimConfig::default());
+        let hits = Rc::new(Cell::new(0));
+        let c = w.add_proc(Box::new(Counter { hits: hits.clone() }));
+        w.add_proc(Box::new(TimedSender {
+            to: c,
+            at: vec![10, 50_000],
+        }));
+        w.schedule_outage(c, SimTime(0), SimTime(10_000));
+        w.run();
+        assert_eq!(hits.get(), 1, "only the post-recovery message lands");
+        assert_eq!(w.net_stats().dropped, 1);
+    }
+
+    #[test]
+    fn scheduled_crash_fires_callbacks_and_discards_timers() {
+        struct Crashy {
+            crashes: Rc<Cell<u32>>,
+            restarts: Rc<Cell<u32>>,
+            ticks: Rc<Cell<u32>>,
+        }
+        impl Proc for Crashy {
+            fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
+                ctx.set_timer(10_000, 0); // comes due while down: discarded
+            }
+            fn on_timer(&mut self, _t: u64, _c: &mut WorldCtx<'_>) {
+                self.ticks.set(self.ticks.get() + 1);
+            }
+            fn on_crash(&mut self) {
+                self.crashes.set(self.crashes.get() + 1);
+            }
+            fn on_restart(&mut self, ctx: &mut WorldCtx<'_>) {
+                self.restarts.set(self.restarts.get() + 1);
+                ctx.set_timer(10, 99); // recovery path can re-arm timers
+            }
+        }
+        let crashes = Rc::new(Cell::new(0));
+        let restarts = Rc::new(Cell::new(0));
+        let ticks = Rc::new(Cell::new(0));
+        let mut w = World::new(SimConfig {
+            faults: FaultPlan {
+                crashes: vec![Crash {
+                    node: Addr(0),
+                    at_us: 5_000,
+                    restart_us: 20_000,
+                }],
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
+        });
+        w.add_proc(Box::new(Crashy {
+            crashes: crashes.clone(),
+            restarts: restarts.clone(),
+            ticks: ticks.clone(),
+        }));
+        w.run();
+        assert_eq!(crashes.get(), 1);
+        assert_eq!(restarts.get(), 1);
+        assert_eq!(ticks.get(), 1, "only the re-armed timer fires");
+        assert_eq!(w.net_stats().crashes, 1);
+        assert_eq!(w.net_stats().timers, 1);
+        assert_eq!(w.now(), SimTime(20_010));
+    }
+
+    #[test]
+    fn faulty_runs_stay_deterministic() {
+        let run = || {
+            let mut w = World::new(SimConfig {
+                seed: 11,
+                link: LinkConfig {
+                    loss_per_mille: 100,
+                    ..LinkConfig::default()
+                },
+                faults: FaultPlan {
+                    dup_per_mille: 200,
+                    reorder_per_mille: 300,
+                    reorder_window_us: 30_000,
+                    ..FaultPlan::default()
+                },
+                ..SimConfig::default()
+            });
+            let hits = Rc::new(Cell::new(0));
+            let c = w.add_proc(Box::new(Counter { hits: hits.clone() }));
+            w.add_proc(Box::new(Sender { to: c, n: 64 }));
+            w.run();
+            (hits.get(), w.now(), w.net_stats(), w.sched_stats())
+        };
+        let (hits, now, net, sched) = run();
+        assert_eq!((hits, now, net, sched), run());
+        assert!(
+            net.dropped > 0 && net.duplicated > 0,
+            "faults fired: {net:?}"
+        );
+    }
+
+    struct Ticker {
+        ticks: Rc<Cell<u64>>,
+        delay_us: u64,
+        remaining: u32,
+    }
+    impl Proc for Ticker {
+        fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
+            ctx.set_timer(self.delay_us, 0);
+        }
+        fn on_timer(&mut self, _tag: u64, ctx: &mut WorldCtx<'_>) {
+            self.ticks.set(self.ticks.get() + 1);
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                ctx.set_timer(self.delay_us, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_delay_timer_fires_one_microsecond_later() {
+        let mut w = World::new(SimConfig::default());
+        let ticks = Rc::new(Cell::new(0));
+        w.add_proc(Box::new(Ticker {
+            ticks: ticks.clone(),
+            delay_us: 0,
+            remaining: 0,
+        }));
+        w.run();
+        assert_eq!(ticks.get(), 1);
+        assert_eq!(w.now(), SimTime(1), "clamped to ≥ 1µs");
+    }
+
+    #[test]
+    fn run_until_respects_deadline() {
+        let mut w = World::new(SimConfig::default());
+        let ticks = Rc::new(Cell::new(0));
+        w.add_proc(Box::new(Ticker {
+            ticks: ticks.clone(),
+            delay_us: 100,
+            remaining: 100,
+        }));
+        w.run_until(SimTime(250));
+        assert_eq!(ticks.get(), 2, "only timers before 250us fire");
+        w.run();
+        assert_eq!(ticks.get(), 101);
+        assert_eq!(w.now(), SimTime(10_100));
     }
 }

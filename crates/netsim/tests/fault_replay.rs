@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use softborg_netsim::{
-    Addr, Crash, Ctx, FaultPlan, LinkConfig, NetNode, Partition, Sim, SimConfig,
+    Addr, Crash, FaultPlan, LinkConfig, Partition, Proc, SimConfig, World, WorldCtx,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,8 +28,8 @@ struct Probe {
     log: Rc<RefCell<Vec<Observed>>>,
 }
 
-impl NetNode for Probe {
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+impl Proc for Probe {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         self.log
             .borrow_mut()
             .push(Observed::Message(ctx.now().0, payload));
@@ -37,7 +37,7 @@ impl NetNode for Probe {
     fn on_crash(&mut self) {
         self.log.borrow_mut().push(Observed::Crash);
     }
-    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_restart(&mut self, ctx: &mut WorldCtx<'_>) {
         self.log.borrow_mut().push(Observed::Restart(ctx.now().0));
     }
 }
@@ -49,11 +49,11 @@ struct Pinger {
     remaining: u32,
 }
 
-impl NetNode for Pinger {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for Pinger {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         ctx.set_timer(self.gap_us, 0);
     }
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, _tag: u64, ctx: &mut WorldCtx<'_>) {
         ctx.send(self.to, self.remaining.to_le_bytes().to_vec());
         if self.remaining > 0 {
             self.remaining -= 1;
@@ -98,7 +98,7 @@ fn template(
 /// timestamps), the final virtual clock, and the stats counters.
 fn run_under(plan: FaultPlan, seed: u64) -> (Vec<Observed>, u64, softborg_netsim::SimStats) {
     plan.validate(2).expect("derived plan must stay valid");
-    let mut sim = Sim::new(SimConfig {
+    let mut sim = World::new(SimConfig {
         seed,
         link: LinkConfig {
             base_latency_us: 500,
@@ -109,15 +109,15 @@ fn run_under(plan: FaultPlan, seed: u64) -> (Vec<Observed>, u64, softborg_netsim
         faults: plan,
     });
     let log = Rc::new(RefCell::new(Vec::new()));
-    let probe = sim.add_node(Box::new(Probe { log: log.clone() }));
-    sim.add_node(Box::new(Pinger {
+    let probe = sim.add_proc(Box::new(Probe { log: log.clone() }));
+    sim.add_proc(Box::new(Pinger {
         to: probe,
         gap_us: 1_000,
         remaining: 63,
     }));
     sim.run();
     let observed = log.borrow().clone();
-    (observed, sim.now().0, sim.stats())
+    (observed, sim.now().0, sim.net_stats())
 }
 
 proptest! {

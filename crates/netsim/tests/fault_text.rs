@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use softborg_netsim::{
-    Addr, Crash, Ctx, DiskCrashPoint, FaultPlan, LinkConfig, NetNode, Partition, Sim, SimConfig,
+    Addr, Crash, DiskCrashPoint, FaultPlan, LinkConfig, Partition, Proc, SimConfig, World, WorldCtx,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -116,8 +116,8 @@ struct Probe {
     log: DeliveryLog,
 }
 
-impl NetNode for Probe {
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+impl Proc for Probe {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
         self.log.borrow_mut().push((ctx.now().0, payload));
     }
 }
@@ -127,11 +127,11 @@ struct Pinger {
     remaining: u32,
 }
 
-impl NetNode for Pinger {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for Pinger {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         ctx.set_timer(1_000, 0);
     }
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, _tag: u64, ctx: &mut WorldCtx<'_>) {
         ctx.send(self.to, self.remaining.to_le_bytes().to_vec());
         if self.remaining > 0 {
             self.remaining -= 1;
@@ -143,7 +143,7 @@ impl NetNode for Pinger {
 /// Runs a seeded two-node sim under `plan` and returns every observable:
 /// the delivery log with virtual timestamps, the final clock, and stats.
 fn replay(plan: FaultPlan, seed: u64) -> (Vec<(u64, Vec<u8>)>, u64, softborg_netsim::SimStats) {
-    let mut sim = Sim::new(SimConfig {
+    let mut sim = World::new(SimConfig {
         seed,
         link: LinkConfig {
             base_latency_us: 500,
@@ -154,14 +154,14 @@ fn replay(plan: FaultPlan, seed: u64) -> (Vec<(u64, Vec<u8>)>, u64, softborg_net
         faults: plan,
     });
     let log = Rc::new(RefCell::new(Vec::new()));
-    let probe = sim.add_node(Box::new(Probe { log: log.clone() }));
-    sim.add_node(Box::new(Pinger {
+    let probe = sim.add_proc(Box::new(Probe { log: log.clone() }));
+    sim.add_proc(Box::new(Pinger {
         to: probe,
         remaining: 47,
     }));
     sim.run();
     let observed = log.borrow().clone();
-    (observed, sim.now().0, sim.stats())
+    (observed, sim.now().0, sim.net_stats())
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! times) dispatch identically and hash identically.
 
 use proptest::prelude::*;
-use softborg_sim::{Scheduler, SimTime};
+use softborg_netsim::{Scheduler, SimTime};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

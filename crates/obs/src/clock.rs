@@ -6,7 +6,7 @@
 //! under a virtual-time scheduler: the whole run completes in
 //! microseconds of wall time while simulating hours. A [`Clock`]
 //! decouples "what time is it" from the OS so a simulator can drive
-//! telemetry with virtual time ([`ManualClock`], or the `softborg-sim`
+//! telemetry with virtual time ([`ManualClock`], or the `softborg-netsim`
 //! scheduler's clock handle) while production keeps the monotonic
 //! default.
 

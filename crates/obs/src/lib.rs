@@ -6,7 +6,7 @@
 //! The layer is **deterministic under the simulator** by construction:
 //!
 //! * Timestamps come from the injectable [`Clock`] abstraction — wall
-//!   time on real threads, virtual time under the `softborg-sim`
+//!   time on real threads, virtual time under the `softborg-netsim`
 //!   scheduler's clock — so telemetry from a simulated fleet day is in
 //!   fleet time, not host time.
 //! * Every flight-recorder [`Event`] carries a monotonic per-source

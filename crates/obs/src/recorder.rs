@@ -214,9 +214,9 @@ impl FlightRecorder {
     /// Swaps the stamping clock in place, visible to every clone of
     /// this recorder. The simulator paths use this to retime a
     /// recorder the caller built on wall time onto the run's virtual
-    /// [`SimClock`]: events recorded from inside the simulation then
-    /// carry virtual instants. Already-recorded timestamps are
-    /// untouched. No-op on a disabled recorder.
+    /// clock (`softborg-netsim`'s `SimClock`): events recorded inside
+    /// the simulation then carry virtual instants. Already-recorded
+    /// timestamps are untouched. No-op on a disabled recorder.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
         if let Some(inner) = &self.inner {
             *inner.clock.lock().expect("clock") = clock;

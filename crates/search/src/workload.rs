@@ -11,13 +11,12 @@
 //! replays minimized plans years later expecting the same
 //! `sched_trace_hash` byte for byte.
 
-use softborg_hive::{CanaryBug, Hive, HiveConfig, TransportConfig};
+use softborg_hive::{run_reliable_ingest, CanaryBug, Hive, HiveConfig, TransportConfig};
 use softborg_ingest::IngestConfig;
-use softborg_netsim::{FaultPlan, FaultPlanError, LinkConfig};
+use softborg_netsim::{FaultPlan, FaultPlanError, LinkConfig, SchedStats};
 use softborg_obs::{FlightRecorder, ManualClock, ObsHandles};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
-use softborg_sim::{run_reliable_ingest_prefix, run_reliable_ingest_sim, SchedStats};
 use softborg_trace::wire;
 use std::sync::Arc;
 
@@ -83,8 +82,6 @@ pub struct RunOutcome {
     /// byte-identity oracle's subject. Deliberately *not*
     /// [`Hive::encode_state`]: the full encoding pins insertion order
     /// (overlay history, node ids), which faults legitimately permute.
-    /// This is the same fault-invariant surface the threaded-vs-sim
-    /// equivalence suite compares across different interleavings.
     pub state: Vec<u8>,
     /// Scheduler statistics, including the dispatch-trace hash.
     pub sched: SchedStats,
@@ -144,12 +141,17 @@ impl Workload {
         out
     }
 
-    fn transport_config(&self, plan: &FaultPlan, recorder: FlightRecorder) -> TransportConfig {
+    fn transport_config(
+        &self,
+        plan: &FaultPlan,
+        max_events: u64,
+        recorder: FlightRecorder,
+    ) -> TransportConfig {
         TransportConfig {
             seed: self.sim_seed,
             link: self.link,
             faults: plan.clone(),
-            max_events: self.max_events,
+            max_events,
             canary: self.canary,
             obs: ObsHandles {
                 registry: None,
@@ -168,9 +170,9 @@ impl Workload {
     pub fn run(&self, plan: &FaultPlan) -> Result<RunOutcome, FaultPlanError> {
         let s = self.scenario_def();
         let recorder = FlightRecorder::new(Arc::new(ManualClock::new(0)), self.recorder_cap);
-        let cfg = self.transport_config(plan, recorder.clone());
+        let cfg = self.transport_config(plan, self.max_events, recorder.clone());
         let mut hive = Hive::new(&s.program, HiveConfig::default());
-        let (report, stats, sched) = run_reliable_ingest_sim(
+        let (report, stats) = run_reliable_ingest(
             &mut hive,
             self.sessions(&s),
             &IngestConfig::default(),
@@ -186,7 +188,7 @@ impl Workload {
         .into_bytes();
         Ok(RunOutcome {
             state,
-            sched,
+            sched: report.sched,
             completed: report.completed,
             delivered: report.delivered,
             tombstones: report.tombstones,
@@ -198,10 +200,11 @@ impl Workload {
         })
     }
 
-    /// A prefix probe: the same run cut at `max_events` dispatches,
-    /// yielding the prefix trace hash (see
-    /// [`run_reliable_ingest_prefix`]). The bisector binary-searches
-    /// these to localize two runs' first divergent dispatch.
+    /// A prefix probe: the same run with its fuel cut to `max_events`
+    /// dispatches. The dispatch-trace hash folds events in dispatch
+    /// order, so the probe yields the hash of the full run's first
+    /// `max_events` dispatches; the bisector binary-searches these to
+    /// localize two runs' first divergent dispatch.
     ///
     /// # Errors
     ///
@@ -213,16 +216,16 @@ impl Workload {
         max_events: u64,
     ) -> Result<SchedStats, FaultPlanError> {
         let s = self.scenario_def();
-        let cfg = self.transport_config(plan, FlightRecorder::disabled());
+        let cfg = self.transport_config(plan, max_events, FlightRecorder::disabled());
         let mut hive = Hive::new(&s.program, HiveConfig::default());
-        run_reliable_ingest_prefix(
+        let (report, _) = run_reliable_ingest(
             &mut hive,
             self.sessions(&s),
             &IngestConfig::default(),
             &cfg,
             &[],
-            max_events,
-        )
+        )?;
+        Ok(report.sched)
     }
 }
 

@@ -1,48 +1,24 @@
-//! # softborg-sim — the virtual-time deterministic fleet simulator
+//! # softborg-sim — platform rounds under virtual time
 //!
 //! The paper's pitch is a *million-user day*: a whole fleet of pods
 //! executing, failing, and recycling information through the hive. A
 //! threaded test can only sample that day; this crate compresses it.
-//! Everything runs on one thread under a discrete-event [`Scheduler`]
-//! with **virtual time**: a diurnal day of fleet traffic is just events
-//! on a heap, so CI can simulate ≥100k pods' worth of arrivals, churn,
-//! partitions, and crash sweeps in seconds of wall time — and replay the
-//! run bit-for-bit from a seed.
+//! [`sim_round`] / [`sim_round_multi`] run one `Platform` /
+//! `MultiPlatform` round entirely inside a
+//! [`World`](softborg_netsim::World) — the one discrete-event engine,
+//! which lives in `softborg-netsim` — so a diurnal day of fleet traffic
+//! is just events on a heap, CI can simulate ≥100k pods' worth of
+//! arrivals, churn, partitions, and crash sweeps in seconds of wall
+//! time, and the run replays bit-for-bit from a seed. The rounds run the
+//! *same* production code as the threaded paths and are asserted
+//! byte-identical to them.
 //!
-//! Three layers:
-//!
-//! - [`Scheduler`] / [`SimClock`] / [`SchedStats`] — the event heap
-//!   keyed by `(virtual_time, tie_break_key)`, fuel bounding, and the
-//!   `trace_hash` over the dispatch sequence. Dispatch order is a pure
-//!   function of the scheduled set, independent of insertion order.
-//! - [`World`] — the cooperative runtime on top: network procs with the
-//!   netsim link/fault model (byte-compatible with
-//!   [`softborg_netsim::Sim`] on shared seeds), plus the blocking
-//!   points networks don't have — bounded channels and disks with
-//!   asynchronous fsync. [`NetProc`] hosts unmodified
-//!   [`NetNode`](softborg_netsim::NetNode) impls.
-//! - The product loops: [`run_reliable_ingest_sim`] (the transport
-//!   session protocol) and [`sim_round`] / [`sim_round_multi`]
-//!   (platform rounds) run the *same* production code under the
-//!   scheduler and are asserted byte-identical to the threaded paths.
-//!
-//! ## Replay contract
-//!
-//! A run is identified by its configuration and seed. Re-running with
-//! the same inputs must reproduce (a) the same final state, byte for
-//! byte, and (b) the same [`SchedStats::trace_hash`] — the FNV-1a hash
-//! of the `(time, key)` dispatch sequence. The hash is the cheap
-//! first-line check: state equality says *where you ended up*, the
-//! trace hash says *you took the same path*.
+//! A run is identified by its configuration and seed: re-running
+//! reproduces the same final state and the same
+//! [`SchedStats::trace_hash`](softborg_netsim::SchedStats::trace_hash).
 
 #![warn(missing_docs)]
 
 pub mod platform;
-pub mod sched;
-pub mod transport;
-pub mod world;
 
 pub use platform::{sim_round, sim_round_multi, SimRoundConfig, SimRoundStats};
-pub use sched::{SchedStats, Scheduler, SimClock, SimTime};
-pub use transport::{run_reliable_ingest_prefix, run_reliable_ingest_sim, WorldHost};
-pub use world::{ChanId, DiskId, IoStats, NetProc, Proc, Wake, World, WorldCtx};

@@ -15,11 +15,11 @@
 //! crate's tests). [`sim_round_multi`] is the multi-program
 //! counterpart.
 
-use crate::sched::{SchedStats, SimClock};
-use crate::world::{ChanId, DiskId, IoStats, Proc, Wake, World, WorldCtx};
 use softborg::multi::{MultiDrivenExecution, MultiPlatform, MultiRoundReport};
 use softborg::platform::{DrivenExecution, Platform, RoundReport};
-use softborg_netsim::{Addr, SimConfig};
+use softborg_netsim::{
+    Addr, ChanId, DiskId, IoStats, Proc, SchedStats, SimClock, SimConfig, Wake, World, WorldCtx,
+};
 use softborg_obs::FlightRecorder;
 use softborg_pod::Pod;
 use softborg_trace::wire;
@@ -55,7 +55,8 @@ pub struct SimRoundConfig {
     pub fsync_interval_frames: u64,
     /// Fsync completion latency (µs).
     pub fsync_latency_us: u64,
-    /// Dispatch budget for the round's world.
+    /// Dispatch budget for the round's world (its
+    /// [`SimConfig::max_events`]).
     pub fuel: u64,
 }
 
@@ -246,13 +247,11 @@ pub fn sim_round(
         let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
         let counters = Rc::new(RefCell::new((0u64, 0u64, 0u64)));
         let n_pods = pods.len();
-        let mut world = World::new(
-            SimConfig {
-                seed: cfg.seed,
-                ..SimConfig::default()
-            },
-            cfg.fuel,
-        );
+        let mut world = World::new(SimConfig {
+            seed: cfg.seed,
+            max_events: cfg.fuel,
+            ..SimConfig::default()
+        });
         world.drive_clock(clock.clone());
         let chan = world.add_chan(cfg.chan_capacity);
         let collector_addr = Addr(n_pods as u32);
@@ -336,13 +335,11 @@ pub fn sim_round_multi(
         let lane_counters: Vec<Rc<RefCell<(u64, u64, u64)>>> = (0..n_lanes)
             .map(|_| Rc::new(RefCell::new((0u64, 0u64, 0u64))))
             .collect();
-        let mut world = World::new(
-            SimConfig {
-                seed: cfg.seed,
-                ..SimConfig::default()
-            },
-            cfg.fuel,
-        );
+        let mut world = World::new(SimConfig {
+            seed: cfg.seed,
+            max_events: cfg.fuel,
+            ..SimConfig::default()
+        });
         world.drive_clock(clock.clone());
         let chan = world.add_chan(cfg.chan_capacity);
         let frames = Rc::new(RefCell::new(Vec::new()));

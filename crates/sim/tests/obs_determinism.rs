@@ -4,46 +4,29 @@
 //!   byte-identical state (recording is passive);
 //! * a simulated run replays to the same `events_hash` *and* the same
 //!   JSONL export (timestamps are virtual, so even they replay);
-//! * the threaded and simulated transport paths hash to the same event
-//!   stream on a shared seed;
+//! * a transport run hands the caller's recorder back on its own clock;
 //! * when two runs genuinely diverge (fault plans differing at one
 //!   crash instant), [`explain_recorders`] pinpoints the first
 //!   divergent event at or after the earlier crash instant.
 
+#[path = "../../hive/tests/common/mod.rs"]
+mod common;
+
+use common::{pod_traces, sessions_of};
 use softborg::pod::PodConfig;
 use softborg::{Platform, PlatformConfig};
 use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
-use softborg_netsim::{Addr, Crash, DiskCrashPoint, FaultPlan, LinkConfig, Partition, SimConfig};
+use softborg_netsim::{
+    Addr, Crash, DiskCrashPoint, DiskId, FaultPlan, LinkConfig, Partition, Proc, SimConfig,
+    SimTime, World, WorldCtx,
+};
 use softborg_obs::{
     explain_recorders, FlightRecorder, ManualClock, MetricsRegistry, ObsHandles, Severity,
 };
-use softborg_pod::Pod;
-use softborg_program::scenarios::{self, Scenario};
-use softborg_sim::{run_reliable_ingest_sim, Proc, SimTime, World, WorldCtx};
-use softborg_trace::{wire, ExecutionTrace};
+use softborg_program::scenarios;
 use std::sync::Arc;
-
-fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
-    let mut pod = Pod::new(
-        &s.program,
-        PodConfig {
-            input_range: s.input_range,
-            seed,
-            ..PodConfig::default()
-        },
-    );
-    (0..n).map(|_| pod.run_once().trace).collect()
-}
-
-fn sessions_of(traces: &[ExecutionTrace], pods: usize, batch: usize) -> Vec<Vec<(u8, Vec<u8>)>> {
-    let mut out = vec![Vec::new(); pods.max(1)];
-    for (i, chunk) in traces.chunks(batch.max(1)).enumerate() {
-        out[i % pods.max(1)].push((1u8, wire::encode_batch(chunk)));
-    }
-    out
-}
 
 fn live_obs() -> ObsHandles {
     ObsHandles::new(
@@ -91,7 +74,7 @@ fn sim_campaign(seed: u64, crash_at_us: u64) -> (FlightRecorder, u64, u64, u64) 
     let recorder = obs.recorder.clone();
     let cfg = faulty_config(seed, 3, crash_at_us, obs);
     let mut hive = Hive::new(&s.program, HiveConfig::default());
-    let (_, _, sched) = run_reliable_ingest_sim(
+    let (report, _) = run_reliable_ingest(
         &mut hive,
         sessions_of(&traces, 3, 4),
         &IngestConfig::default(),
@@ -101,7 +84,7 @@ fn sim_campaign(seed: u64, crash_at_us: u64) -> (FlightRecorder, u64, u64, u64) 
     .expect("valid plan");
     let digest = hive.tree().digest();
     let events_hash = recorder.events_hash();
-    (recorder, events_hash, sched.trace_hash, digest)
+    (recorder, events_hash, report.sched.trace_hash, digest)
 }
 
 #[test]
@@ -162,43 +145,30 @@ fn sim_transport_replays_to_identical_events_hash_and_jsonl() {
 }
 
 #[test]
-fn threaded_and_sim_transport_events_hash_agree() {
+fn transport_run_restores_the_callers_recorder_clock() {
     let s = scenarios::record_processor();
     let traces = pod_traces(&s, 9 ^ 0xABCD, 36);
-
-    let threaded_obs = live_obs();
-    let cfg = faulty_config(9, 3, 15_000, threaded_obs.clone());
-    let mut threaded_hive = Hive::new(&s.program, HiveConfig::default());
-    run_reliable_ingest(
-        &mut threaded_hive,
-        sessions_of(&traces, 3, 4),
-        &IngestConfig::default(),
-        &cfg,
-    )
-    .expect("valid plan");
-
-    let sim_obs = live_obs();
-    let cfg = faulty_config(9, 3, 15_000, sim_obs.clone());
-    let mut sim_hive = Hive::new(&s.program, HiveConfig::default());
-    run_reliable_ingest_sim(
-        &mut sim_hive,
+    let obs = live_obs();
+    let cfg = faulty_config(9, 3, 15_000, obs.clone());
+    let mut hive = Hive::new(&s.program, HiveConfig::default());
+    let (report, _) = run_reliable_ingest(
+        &mut hive,
         sessions_of(&traces, 3, 4),
         &IngestConfig::default(),
         &cfg,
         &[],
     )
     .expect("valid plan");
-
-    assert_eq!(
-        threaded_obs.recorder.events_hash(),
-        sim_obs.recorder.events_hash(),
-        "threaded and simulated event streams must hash identically;\n{}",
-        explain_recorders(&threaded_obs.recorder, &sim_obs.recorder).map_or_else(
-            || "(no stable-field divergence)".to_string(),
-            |d| d.to_string()
-        )
+    let recorded = obs.recorder.events();
+    assert!(
+        recorded.iter().any(|e| e.at_ns > 0),
+        "events are stamped on the world's virtual clock"
     );
-    assert!(!sim_obs.recorder.events().is_empty());
+    assert!(recorded
+        .iter()
+        .all(|e| e.at_ns <= report.sched.virtual_end_us * 1_000));
+    let clock = obs.recorder.clock().expect("live recorder");
+    assert_eq!(clock.now_ns(), 0, "the caller's manual clock is back");
 }
 
 #[test]
@@ -228,7 +198,7 @@ fn explainer_pinpoints_first_divergent_event_between_fault_plans() {
 /// scheduled disk faults, and for a shifted crash instant to lose a
 /// *different* number of unsynced bytes.
 struct Journaler {
-    disk: softborg_sim::DiskId,
+    disk: DiskId,
     writes_left: u32,
     since_sync: u32,
 }
@@ -257,21 +227,18 @@ impl Proc for Journaler {
 }
 
 fn journal_world(seed: u64, crash_at_us: u64) -> (FlightRecorder, u64) {
-    let mut world = World::new(
-        SimConfig {
-            seed,
-            faults: FaultPlan {
-                crashes: vec![Crash {
-                    node: Addr(0),
-                    at_us: crash_at_us,
-                    restart_us: crash_at_us + 20_000,
-                }],
-                ..FaultPlan::default()
-            },
-            ..SimConfig::default()
+    let mut world = World::new(SimConfig {
+        seed,
+        faults: FaultPlan {
+            crashes: vec![Crash {
+                node: Addr(0),
+                at_us: crash_at_us,
+                restart_us: crash_at_us + 20_000,
+            }],
+            ..FaultPlan::default()
         },
-        1_000_000,
-    );
+        ..SimConfig::default()
+    });
     let recorder = world.attach_recorder(1024);
     let owner = Addr(0);
     let disk = world.add_disk(owner, 500);

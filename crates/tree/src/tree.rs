@@ -21,6 +21,7 @@
 //! (ExecutionTree::encode_delta_into)) instead of the whole arena.
 
 use serde::{Deserialize, Serialize};
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::Outcome;
 use softborg_program::{BranchSiteId, ProgramId};
@@ -827,9 +828,12 @@ impl ExecutionTree {
 
     /// A structural digest (ignores tallies): two replicas that explored
     /// the same decision structure agree. Iterative pre-order with
-    /// push/pop markers (trees can be very deep).
+    /// push/pop markers (trees can be very deep). FNV-1a over explicit
+    /// little-endian bytes, so the value is stable across Rust releases
+    /// and platforms — it is stored in proof certificates and compared
+    /// across replicas.
     pub fn digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = FNV_OFFSET;
         enum Item {
             Enter(NodeId),
             Exit,
@@ -837,7 +841,7 @@ impl ExecutionTree {
         let mut stack = vec![Item::Enter(NodeId::ROOT)];
         while let Some(item) = stack.pop() {
             match item {
-                Item::Exit => 0xE21Du16.hash(&mut h),
+                Item::Exit => h = fnv1a_step(h, &0xE21Du16.to_le_bytes()),
                 Item::Enter(node) => {
                     let (terminal, labels, children) = self.nodes.with(node.index(), |n| {
                         let mut edges: Vec<&EdgeRec> = n.edges.iter().collect();
@@ -848,13 +852,14 @@ impl ExecutionTree {
                             edges.iter().map(|e| e.child).collect::<Vec<_>>(),
                         )
                     });
-                    terminal.hash(&mut h);
-                    labels.len().hash(&mut h);
+                    h = fnv1a_step(h, &[u8::from(terminal)]);
+                    h = fnv1a_step(h, &(labels.len() as u64).to_le_bytes());
                     stack.push(Item::Exit);
                     // Hash labels in sorted order; push children in
                     // reverse so traversal visits edges in sorted order.
-                    for label in &labels {
-                        label.hash(&mut h);
+                    for (site, taken) in &labels {
+                        h = fnv1a_step(h, &site.0.to_le_bytes());
+                        h = fnv1a_step(h, &[u8::from(*taken)]);
                     }
                     for c in children.into_iter().rev() {
                         stack.push(Item::Enter(c));
@@ -862,7 +867,7 @@ impl ExecutionTree {
                 }
             }
         }
-        h.finish()
+        h
     }
 
     /// Merges another tree for the same program into this one (used by
@@ -1194,6 +1199,22 @@ mod tests {
             std::env::temp_dir().join(format!("softborg-tree-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn digest_is_pinned_across_releases() {
+        // FNV-1a over the documented byte layout, computed by hand: a
+        // change here invalidates every stored certificate digest.
+        assert_eq!(
+            ExecutionTree::new(ProgramId(1)).digest(),
+            0xc823_9cdc_0345_f0ac
+        );
+        let mut t = ExecutionTree::new(ProgramId(1));
+        t.merge_path(&path(&[(0, true), (1, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(0, true), (1, true)]), &crash());
+        t.merge_path(&path(&[(0, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(0, false)]), &Outcome::Success); // tallies ignored
+        assert_eq!(t.digest(), 0x2226_f6b0_c799_2ee5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! traces must match one built from the originals.
 
 use softborg_hive::{Hive, HiveConfig};
-use softborg_netsim::{Addr, Ctx, NetNode, Sim, SimConfig};
+use softborg_netsim::{Addr, LinkConfig, Proc, SimConfig, World, WorldCtx};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios;
 use softborg_trace::wire;
@@ -58,28 +58,28 @@ fn hive_state_identical_via_wire_or_direct() {
     assert_eq!(direct_hive.coverage(), wire_hive.coverage());
 }
 
-/// A hive node living in the network simulator: decodes trace payloads
+/// A hive proc living in the simulated network: decodes trace payloads
 /// and ingests them.
 struct HiveNode<'p> {
     hive: Rc<RefCell<Hive<'p>>>,
 }
 
-impl NetNode for HiveNode<'_> {
-    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, _ctx: &mut Ctx<'_>) {
+impl Proc for HiveNode<'_> {
+    fn on_message(&mut self, _from: Addr, payload: Vec<u8>, _ctx: &mut WorldCtx<'_>) {
         if let Ok(trace) = wire::decode(&payload) {
             self.hive.borrow_mut().ingest(&trace);
         }
     }
 }
 
-/// A pod node that ships `n` traces at start.
+/// A pod proc that ships its traces at start.
 struct PodNode {
     hive_addr: Addr,
     payloads: Vec<Vec<u8>>,
 }
 
-impl NetNode for PodNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl Proc for PodNode {
+    fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
         for p in self.payloads.drain(..) {
             ctx.send(self.hive_addr, p);
         }
@@ -89,12 +89,9 @@ impl NetNode for PodNode {
 #[test]
 fn traces_survive_the_simulated_network() {
     let s = scenarios::token_parser();
-    // The simulator's nodes are `'static` trait objects; give the hive a
-    // leaked program reference (test-scoped).
-    let program: &'static softborg_program::Program = Box::leak(Box::new(s.program.clone()));
-    let hive = Rc::new(RefCell::new(Hive::new(program, HiveConfig::default())));
-    let mut sim = Sim::new(SimConfig::default());
-    let hive_addr = sim.add_node(Box::new(HiveNode { hive: hive.clone() }));
+    let hive = Rc::new(RefCell::new(Hive::new(&s.program, HiveConfig::default())));
+    let mut world = World::new(SimConfig::default());
+    let hive_addr = world.add_proc(Box::new(HiveNode { hive: hive.clone() }));
     let n_pods = 5u64;
     let per_pod = 20u64;
     for p in 0..n_pods {
@@ -109,12 +106,12 @@ fn traces_survive_the_simulated_network() {
         let payloads: Vec<Vec<u8>> = (0..per_pod)
             .map(|_| wire::encode(&pod.run_once().trace))
             .collect();
-        sim.add_node(Box::new(PodNode {
+        world.add_proc(Box::new(PodNode {
             hive_addr,
             payloads,
         }));
     }
-    sim.run();
+    world.run();
     let stats = hive.borrow().stats();
     assert_eq!(
         stats.traces,
@@ -128,17 +125,16 @@ fn traces_survive_the_simulated_network() {
 #[test]
 fn lossy_network_degrades_gracefully() {
     let s = scenarios::token_parser();
-    let program: &'static softborg_program::Program = Box::leak(Box::new(s.program.clone()));
-    let hive = Rc::new(RefCell::new(Hive::new(program, HiveConfig::default())));
-    let mut sim = Sim::new(SimConfig {
-        link: softborg_netsim::LinkConfig {
+    let hive = Rc::new(RefCell::new(Hive::new(&s.program, HiveConfig::default())));
+    let mut world = World::new(SimConfig {
+        link: LinkConfig {
             loss_per_mille: 400,
             ..Default::default()
         },
         seed: 3,
         ..SimConfig::default()
     });
-    let hive_addr = sim.add_node(Box::new(HiveNode { hive: hive.clone() }));
+    let hive_addr = world.add_proc(Box::new(HiveNode { hive: hive.clone() }));
     let mut pod = Pod::new(
         &s.program,
         PodConfig {
@@ -150,11 +146,11 @@ fn lossy_network_degrades_gracefully() {
     let payloads: Vec<Vec<u8>> = (0..200)
         .map(|_| wire::encode(&pod.run_once().trace))
         .collect();
-    sim.add_node(Box::new(PodNode {
+    world.add_proc(Box::new(PodNode {
         hive_addr,
         payloads,
     }));
-    sim.run();
+    world.run();
     let stats = hive.borrow().stats();
     assert!(stats.traces > 50, "most traces should still arrive");
     assert!(stats.traces < 200, "≈40% loss must drop some");
