@@ -1,14 +1,16 @@
 //! E16 — crash-only durability of the hive platform: run a long durable
 //! campaign, kill the process at **every** round boundary and at
 //! arbitrary on-disk crash points (torn journal tails, flipped bits,
-//! torn snapshots, the rename/truncate window), and verify that every
-//! recovery lands on hive state **byte-identical** to the uninterrupted
-//! run at the recovered round — while snapshot compaction keeps the
-//! journal bounded by `compact_ratio × live state`.
+//! flipped, zeroed, and torn delta-chain checkpoint records, the
+//! append/truncate window), and verify that every recovery lands on hive
+//! state **byte-identical** to the uninterrupted run at the recovered
+//! round — while compaction keeps the journal below `compact_ratio ×`
+//! the newest full checkpoint's payload.
 //!
 //! Writes `BENCH_durability.json` into the current directory.
 //! `--seed N` reseeds the platform campaign (default 29).
 
+use softborg::store::chain::decode_record;
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
 use softborg_bench::{arg_seed, banner, cell, table_header};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
@@ -39,15 +41,41 @@ fn config(s: &Scenario, dir: PathBuf, seed: u64) -> PlatformConfig {
     }
 }
 
-/// Clones a campaign directory: the on-disk state a kill at this moment
-/// would leave behind.
+/// Clones a campaign directory (journal plus `chain/`): the on-disk
+/// state a kill at this moment would leave behind.
 fn copy_campaign(from: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
     std::fs::create_dir_all(to).expect("mkdir");
     for entry in std::fs::read_dir(from).expect("read campaign dir") {
         let e = entry.expect("dir entry");
-        std::fs::copy(e.path(), to.join(e.file_name())).expect("copy campaign file");
+        if e.path().is_dir() {
+            copy_campaign(&e.path(), &to.join(e.file_name()));
+        } else {
+            std::fs::copy(e.path(), to.join(e.file_name())).expect("copy campaign file");
+        }
     }
+}
+
+/// The campaign's chain record files, oldest generation first.
+fn chain_records(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
+        .map(|entries| entries.filter_map(|e| e.ok()).map(|e| e.path()).collect())
+        .unwrap_or_default();
+    files.retain(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"));
+    files.sort();
+    files
+}
+
+/// Payload bytes of the newest full chain record: what the compaction
+/// rule weighs the journal against.
+fn newest_full_payload(dir: &Path) -> u64 {
+    chain_records(dir)
+        .iter()
+        .rev()
+        .find(|p| p.extension().is_some_and(|x| x == "full"))
+        .and_then(|p| std::fs::read(p).ok())
+        .and_then(|b| decode_record(&b).ok().map(|d| d.payload.len() as u64))
+        .unwrap_or(0)
 }
 
 fn flip_bit(path: &Path, byte: usize) {
@@ -98,9 +126,9 @@ fn main() {
         "setup: {PODS} pods x {EXECS} execs/round, {ROUNDS}-round durable campaign, WAL + fsync"
     );
     println!(
-        "per round, snapshot compaction at {COMPACT_RATIO}x live state (min {MIN_COMPACT_BYTES} B),"
+        "per round, compaction at {COMPACT_RATIO}x the newest full checkpoint (min {MIN_COMPACT_BYTES} B),"
     );
-    println!("checksummed snapshots with atomic swap and generation fallback.\n");
+    println!("checksummed delta-chain checkpoints with lineage fallback.\n");
 
     let s = scenarios::token_parser();
     let base = std::env::temp_dir().join(format!("softborg-e16-{}", std::process::id()));
@@ -120,7 +148,7 @@ fn main() {
     for k in 1..=ROUNDS {
         reference.round(EXECS);
         let wal = reference.wal_len().expect("durable");
-        let state = reference.hive_state();
+        let full = newest_full_payload(&ref_dir);
         // Since pod state rides in every round commit, the journal can
         // cross the compaction threshold within a single round; count
         // compactions from the commit telemetry, not from observed
@@ -132,18 +160,19 @@ fn main() {
         {
             compactions += 1;
         }
-        let ratio = wal as f64 / state.len() as f64;
-        max_ratio = max_ratio.max(ratio);
+        if full > 0 {
+            max_ratio = max_ratio.max(wal as f64 / full as f64);
+        }
         // The compaction contract: a post-round journal either just
         // compacted (empty) or sits below the trigger threshold.
-        if wal >= MIN_COMPACT_BYTES.max(COMPACT_RATIO * state.len() as u64) {
+        if wal >= MIN_COMPACT_BYTES.max(COMPACT_RATIO * full) {
             wal_bounded = false;
         }
-        states.push(state);
+        states.push(reference.hive_state());
         copy_campaign(&ref_dir, &base.join(format!("boundary-{k}")));
     }
-    // Compaction stall percentiles: the wall-clock pause each snapshot
-    // generation cost the committing round.
+    // Compaction stall percentiles: the wall-clock pause each checkpoint
+    // cost the committing round.
     let mut stalls_ns: Vec<u64> = reference
         .round_telemetry()
         .iter()
@@ -169,7 +198,7 @@ fn main() {
             .sum::<u64>()
     );
     println!(
-        "{compactions} compactions, max journal/state ratio {max_ratio:.2} (bound {}) — {}",
+        "{compactions} compactions, max journal/full-checkpoint ratio {max_ratio:.2} (bound {}) — {}",
         COMPACT_RATIO,
         if wal_bounded && compactions > 0 {
             "journal BOUNDED"
@@ -177,7 +206,7 @@ fn main() {
             "journal UNBOUNDED"
         }
     );
-    println!("compaction stall per generation: p50 {stall_p50_us:.1}us, p99 {stall_p99_us:.1}us\n");
+    println!("compaction stall per checkpoint: p50 {stall_p50_us:.1}us, p99 {stall_p99_us:.1}us\n");
 
     // ── Phase 2: kill + restart at every round boundary ──────────────
     let mut boundary_identical = 0u64;
@@ -209,22 +238,23 @@ fn main() {
         rng ^= rng << 17;
         rng
     };
-    let mut plan = FaultPlan {
-        disk: vec![
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 250,
-            },
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 700,
-            },
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 999,
-            },
-            DiskCrashPoint::BetweenRenameAndTruncate,
-            DiskCrashPoint::FlipSnapshotBit { offset: 8 },
-        ],
-        ..FaultPlan::default()
-    };
+    // Checkpoint damage: the head record and the one before it, each
+    // flipped, zeroed, and torn.
+    let mut plan = FaultPlan::default();
+    for back in [0, 1] {
+        for kind in [
+            SectorCorruption::FlipBit { bit: 64 },
+            SectorCorruption::ZeroRange { sectors: 1 },
+            SectorCorruption::TornWrite { keep_bytes: 250 },
+        ] {
+            plan.disk.push(DiskCrashPoint::CorruptChainRecord {
+                back,
+                sector: 0,
+                kind,
+            });
+        }
+    }
+    plan.disk.push(DiskCrashPoint::BetweenRenameAndTruncate);
     for _ in 0..6 {
         plan.disk.push(DiskCrashPoint::TruncateWalTail {
             drop_bytes: next() % 4096,
@@ -232,8 +262,11 @@ fn main() {
         plan.disk.push(DiskCrashPoint::FlipWalBit {
             back_offset: next() % 4096,
         });
-        plan.disk
-            .push(DiskCrashPoint::FlipSnapshotBit { offset: next() });
+        plan.disk.push(DiskCrashPoint::CorruptChainRecord {
+            back: next() % 2,
+            sector: next(),
+            kind: SectorCorruption::FlipBit { bit: next() as u32 },
+        });
         plan.disk.push(DiskCrashPoint::AtRoundBoundary {
             round: 1 + next() % ROUNDS,
         });
@@ -252,14 +285,13 @@ fn main() {
     let mut rows: Vec<CrashRow> = Vec::new();
     for (i, point) in plan.disk.iter().enumerate() {
         // Spread the injections across the campaign, later boundaries
-        // first so snapshot cases hit multi-generation stores.
+        // first so checkpoint cases hit multi-record chains.
         let boundary = match point {
             DiskCrashPoint::AtRoundBoundary { round } => *round,
             _ => ROUNDS - (i as u64 * 7) % ROUNDS,
         };
         copy_campaign(&base.join(format!("boundary-{boundary}")), &scratch);
         let wal = scratch.join("hive.wal");
-        let snap = scratch.join("hive.snap");
         match *point {
             DiskCrashPoint::AtRoundBoundary { .. } => {}
             DiskCrashPoint::TruncateWalTail { drop_bytes } => {
@@ -272,27 +304,21 @@ fn main() {
                     flip_bit(&wal, (len.saturating_sub(1 + back_offset % len)) as usize);
                 }
             }
-            DiskCrashPoint::TornSnapshot { keep_per_mille } => {
-                if let Ok(m) = std::fs::metadata(&snap) {
-                    truncate_file(&snap, m.len() * u64::from(keep_per_mille) / 1000);
-                }
-            }
-            DiskCrashPoint::FlipSnapshotBit { offset } => {
-                if snap.exists() {
-                    flip_bit(&snap, offset as usize);
-                }
-            }
             DiskCrashPoint::CorruptWal { sector, kind } => corrupt_sector(&wal, sector, kind),
-            DiskCrashPoint::CorruptSnapshot { sector, kind } => {
-                corrupt_sector(&snap, sector, kind);
+            DiskCrashPoint::CorruptChainRecord { back, sector, kind } => {
+                let records = chain_records(&scratch);
+                if let Some(n) = records.len().checked_sub(1) {
+                    let victim = &records[n - back as usize % records.len()];
+                    corrupt_sector(victim, sector, kind);
+                }
             }
-            DiskCrashPoint::CorruptChainRecord { .. } | DiskCrashPoint::CorruptPage { .. } => {
-                // This campaign runs the classic full-snapshot store;
-                // chain/page targets are exercised by e22.
+            DiskCrashPoint::CorruptPage { .. } => {
+                // This campaign keeps its tree in memory; page targets
+                // are exercised by e21's store sweep.
             }
             DiskCrashPoint::BetweenRenameAndTruncate => {
-                // Reproduce the exact window: resume, write the new
-                // snapshot generation, die before the journal truncate.
+                // Reproduce the exact window: resume, append the new
+                // checkpoint record, die before the journal truncate.
                 let (mut p, _) = Platform::resume(&s.program, config(&s, scratch.clone(), seed))
                     .expect("resume for checkpoint");
                 p.checkpoint_interrupted().expect("interrupted checkpoint");
@@ -341,11 +367,12 @@ fn main() {
         "disk crash point — recovers byte-identical state, journal stays bounded — {}",
         if all_ok { "PASS" } else { "FAIL" }
     );
-    println!("\nexpected shape: boundary kills replay the journal suffix exactly; torn");
-    println!("or bit-flipped snapshots fall back a generation and discard the now-");
-    println!("disconnected journal suffix; torn journal tails are dropped at the last");
-    println!("intact record; the rename/truncate window never double-applies. The");
-    println!("campaign itself never loses a committed round to compaction.");
+    println!("\nexpected shape: boundary kills replay the journal suffix exactly; a");
+    println!("rotten checkpoint record ends its lineage there (or falls back to the");
+    println!("previous full's) and the now-disconnected journal suffix is discarded;");
+    println!("torn journal tails are dropped at the last intact record; the");
+    println!("append/truncate window never double-applies. The campaign itself never");
+    println!("loses a committed round to compaction.");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -357,7 +384,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"compaction\": {{\"ratio\": {COMPACT_RATIO}, \"min_wal_bytes\": {MIN_COMPACT_BYTES}, \"compactions\": {compactions}, \"max_wal_state_ratio\": {max_ratio:.3}, \"bounded\": {wal_bounded}, \"stall_p50_us\": {stall_p50_us:.1}, \"stall_p99_us\": {stall_p99_us:.1}}},"
+        "  \"compaction\": {{\"ratio\": {COMPACT_RATIO}, \"min_wal_bytes\": {MIN_COMPACT_BYTES}, \"compactions\": {compactions}, \"max_wal_full_ratio\": {max_ratio:.3}, \"bounded\": {wal_bounded}, \"stall_p50_us\": {stall_p50_us:.1}, \"stall_p99_us\": {stall_p99_us:.1}}},"
     );
     let _ = writeln!(
         json,

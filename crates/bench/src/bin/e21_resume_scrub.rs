@@ -2,7 +2,7 @@
 //! repro): turn the fault searcher loose on the *recovery* path of the
 //! sharded multi-program fleet. Where E16 replays a hand-written kill
 //! matrix, E21 sweeps generated disk-fault plans — round-boundary
-//! kills, journal/snapshot sector rot — through kill → corrupt → scrub
+//! kills, journal/checkpoint-record sector rot — through kill → corrupt → scrub
 //! → resume cycles and judges every cycle with the durable oracles:
 //! scrub soundness (rot that changed stored bytes must be flagged) and
 //! resume equivalence (a resumed fleet must match the uninterrupted
@@ -14,11 +14,12 @@
 //!   disk-fault sweep with **zero** divergences: every kill resumes
 //!   process-equivalent, every applied corruption is flagged.
 //! * **B — scrub sweep.** Each corruption kind (bit flip, zeroed
-//!   range, torn write) against each target (journal, snapshot) is
-//!   injected explicitly; zero silent acceptances allowed.
-//! * **C — canary detection.** Each harness canary — a journal with
-//!   its pod-state records stripped, a skipped scrub pass — must be
-//!   found, shrunk to a minimal plan, and pinned in the corpus.
+//!   range, torn write) against each target (journal, head chain
+//!   record) is injected explicitly; zero silent acceptances allowed.
+//! * **C — canary detection.** Each recovery canary — a journal with
+//!   its pod-state records stripped, a skipped scrub pass, a dropped
+//!   chain delta, an adopted stale page — must be found, shrunk to a
+//!   minimal plan, and pinned in the corpus.
 //! * **D — corpus regression.** Every pinned entry replays exactly:
 //!   same outcome digest, same final round, same oracle verdict.
 //!
@@ -91,7 +92,7 @@ fn main() {
     );
     println!(
         "campaign: 3 fleets x 3 pods over 2 shards, 4 committed rounds\n\
-         fault space: round-boundary kills, journal/snapshot sector corruption\n\
+         fault space: round-boundary kills, journal/checkpoint-record sector corruption\n\
          seed {seed} · clean budget {clean_budget} · per-canary budget {canary_budget}\n\
          corpus: {}\n",
         corpus_root.display()
@@ -131,8 +132,8 @@ fn main() {
     let mut scrub_rows = Vec::new();
     let mut applied_total = 0u64;
     for (kname, kind) in kinds {
-        for (tname, wal) in [("wal", true), ("snap", false)] {
-            // Snapshot targets want compaction on (so a snapshot
+        for (tname, wal) in [("wal", true), ("chain", false)] {
+            // Checkpoint targets want compaction on (so a chain record
             // exists); journal targets want it off (so the journal is
             // never truncated away underneath the corruption).
             let workload = DurableWorkload {
@@ -142,7 +143,11 @@ fn main() {
             let point = if wal {
                 DiskCrashPoint::CorruptWal { sector: 1, kind }
             } else {
-                DiskCrashPoint::CorruptSnapshot { sector: 0, kind }
+                DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
+                    sector: 0,
+                    kind,
+                }
             };
             let plan = FaultPlan {
                 disk: vec![DiskCrashPoint::AtRoundBoundary { round: 3 }, point],

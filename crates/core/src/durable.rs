@@ -1,29 +1,29 @@
 //! One durable store: a campaign (or shard) directory's write-ahead
-//! journal plus its checkpoint store — classic `hive.snap` generations
-//! or a delta chain — and every decision about what is written there
-//! and what a resume trusts.
+//! journal (`hive.wal`) plus its delta-chain checkpoint records
+//! (`chain/`), and every decision about what is written there and what
+//! a resume trusts.
 //!
 //! [`Platform`](crate::Platform) holds one [`DurableStore`];
 //! [`MultiPlatform`](crate::MultiPlatform) holds one per shard and adds
 //! only what is genuinely its own (lane→shard routing, the two-phase
 //! commit, the minimum-committed-round rule). Everything else lives
-//! here exactly once: fresh-open and campaign-exists detection,
-//! checkpoint load (newest valid generation, or chain full→deltas),
-//! the journal [`SegmentWalker`], the compaction trigger, the
-//! checkpoint write, and scrub dispatch.
+//! here exactly once: fresh-open and campaign-exists detection, the
+//! legacy-directory refusal, checkpoint load (the chain's newest valid
+//! lineage, full→deltas), the journal [`SegmentWalker`], the compaction
+//! trigger, the checkpoint write, and scrub dispatch.
 
 use softborg_hive::journal::{
     self, JournalRecord, REC_ABORT, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
     SESSION_ROUND,
 };
 use softborg_hive::{
-    scrub_campaign, scrub_chained_campaign, FileJournal, HiveSnapshot, JournalIoError,
-    JournalStore, LoadReport, ScrubError, ScrubReport, SnapshotSource, SnapshotStore,
+    scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
+    ScrubReport,
 };
-use softborg_obs::FlightRecorder;
+use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::Overlay;
-use softborg_store::{ChainReport, ChainSource, ChainStore, RecordKind};
+use softborg_store::{ChainLoad, ChainReport, ChainStore, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -31,49 +31,17 @@ use std::path::{Path, PathBuf};
 /// Where and how a durable campaign persists itself.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the campaign's `hive.wal`, `hive.snap`, and
-    /// `hive.snap.prev` files (created if absent).
+    /// Directory holding the campaign's `hive.wal` journal and its
+    /// `chain/` checkpoint records (created if absent).
     pub dir: PathBuf,
-    /// Snapshot compaction trigger: compact when the journal is at
-    /// least this many times larger than the live serialized hive
-    /// state. `0` disables compaction.
+    /// Compaction trigger: checkpoint once the journal is at least this
+    /// many times what a checkpoint writes — the newest full chain
+    /// record's payload (hive state, frame floors, and app-meta: round
+    /// history and pod state). `0` disables compaction.
     pub compact_ratio: u64,
     /// Journal size below which compaction never triggers, so tiny
-    /// campaigns don't churn snapshots every round.
+    /// campaigns don't churn checkpoints every round.
     pub min_compact_wal_bytes: u64,
-    /// Incremental snapshot chains: when set, checkpoints append
-    /// checksummed full/delta records to a `chain/` subdirectory instead
-    /// of rewriting `hive.snap` whole — a compaction writes O(changes
-    /// since the last checkpoint), not O(hive). `None` keeps the classic
-    /// two-generation full-snapshot store, byte-for-byte.
-    pub chain: Option<ChainSettings>,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default compaction policy
-    /// (compact once the journal exceeds 4× the live state and 64 KiB).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            dir: dir.into(),
-            compact_ratio: 4,
-            min_compact_wal_bytes: 64 * 1024,
-            chain: None,
-        }
-    }
-
-    /// Same policy, with delta-snapshot chains enabled at the default
-    /// rebase ratio.
-    pub fn chained(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            chain: Some(ChainSettings::default()),
-            ..DurabilityConfig::new(dir)
-        }
-    }
-}
-
-/// Delta-snapshot chain policy.
-#[derive(Debug, Clone)]
-pub struct ChainSettings {
     /// Full-rebase trigger: append a fresh full record once accumulated
     /// delta payload bytes exceed this many times the newest full's
     /// size, bounding chain length and recovery work. `0` = never rebase
@@ -87,9 +55,15 @@ pub struct ChainSettings {
     pub skip_last_delta: bool,
 }
 
-impl Default for ChainSettings {
-    fn default() -> Self {
-        ChainSettings {
+impl DurabilityConfig {
+    /// Durability rooted at `dir` with the default policy: compact once
+    /// the journal exceeds 4× the newest full checkpoint and 64 KiB, and
+    /// rebase the chain once its deltas outweigh that full 4×.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DurabilityConfig {
+            dir: dir.into(),
+            compact_ratio: 4,
+            min_compact_wal_bytes: 64 * 1024,
             rebase_ratio: 4,
             skip_last_delta: false,
         }
@@ -105,11 +79,11 @@ pub enum DurabilityError {
     /// A fresh start found campaign state already on disk; resume it
     /// instead of silently clobbering it.
     CampaignExists(PathBuf),
-    /// An underlying journal or snapshot I/O operation failed.
+    /// An underlying journal or checkpoint I/O operation failed.
     Io(JournalIoError),
     /// A durable record decoded to garbage (wrong program, torn bytes
     /// that passed no checksum, or a version this build cannot read),
-    /// or the directory holds a campaign in the other checkpoint format.
+    /// or the directory holds a legacy full-snapshot campaign.
     Corrupt(String),
 }
 
@@ -163,31 +137,32 @@ pub(crate) fn io_err(op: &'static str, e: &std::io::Error) -> DurabilityError {
     })
 }
 
-/// The chain subdirectory under a store's directory.
-fn chain_dir(dir: &Path) -> PathBuf {
-    dir.join("chain")
+fn wal_path(dir: &Path) -> PathBuf {
+    dir.join("hive.wal")
 }
 
-/// Whether `dir` holds delta-chain record files (live or quarantined) —
-/// the mark of a chained campaign. Read-only: a classic-mode open must
-/// be able to ask without creating `chain/`.
-fn holds_chain_records(dir: &Path) -> Result<bool, DurabilityError> {
-    match std::fs::read_dir(chain_dir(dir)) {
-        Ok(entries) => Ok(entries
-            .filter_map(Result::ok)
-            .any(|e| e.file_name().to_string_lossy().starts_with("chain-"))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(io_err("chain-dir", &e)),
-    }
+/// Opens (creating if needed) the chain under `dir`, with the walk the
+/// open already did.
+fn open_chain(dir: &Path) -> Result<(ChainStore, ChainLoad), DurabilityError> {
+    ChainStore::open(&dir.join("chain")).map_err(|e| io_err("chain-dir", &e))
 }
 
-fn open_chain(cfg: &DurabilityConfig) -> Result<Option<ChainStore>, DurabilityError> {
-    match cfg.chain {
-        Some(_) => ChainStore::open(&chain_dir(&cfg.dir))
-            .map(Some)
-            .map_err(|e| io_err("chain-dir", &e)),
-        None => Ok(None),
+/// Refuses a directory left by the retired full-snapshot checkpoint
+/// format (`hive.snap` generations): this build would silently
+/// cold-start over it and discard its journal. Runs before anything in
+/// the directory is opened or created.
+fn refuse_legacy(dir: &Path) -> Result<(), DurabilityError> {
+    if ["hive.snap", "hive.snap.prev"]
+        .iter()
+        .any(|f| dir.join(f).exists())
+    {
+        return Err(DurabilityError::Corrupt(format!(
+            "{}: legacy full-snapshot campaign (hive.snap); this build checkpoints only to \
+             delta chains and cannot resume it",
+            dir.display()
+        )));
     }
+    Ok(())
 }
 
 /// What [`DurableStore::resume`] loaded: the newest valid checkpoint and
@@ -205,11 +180,9 @@ pub(crate) struct Recovered {
     /// Offset in `wal` where the suffix the head checkpoint does not
     /// cover begins.
     pub(crate) replay_from: usize,
-    /// How the checkpoint load went; in chain mode this mirrors the
-    /// chain walk (primary / fallback lineage, or cold).
-    pub(crate) snapshot: LoadReport,
-    /// The chain walk itself (`None` in classic mode).
-    pub(crate) chain: Option<ChainReport>,
+    /// The chain walk: which lineage was adopted (primary, fallback, or
+    /// none — a cold start) and every damaged record found.
+    pub(crate) chain: ChainReport,
 }
 
 impl Recovered {
@@ -224,12 +197,14 @@ impl Recovered {
 pub(crate) struct DurableStore {
     /// This store's policy; `cfg.dir` is its own directory.
     cfg: DurabilityConfig,
-    store: SnapshotStore,
-    /// Delta-snapshot chain, open iff [`DurabilityConfig::chain`] is
-    /// set. With a chain, checkpoints append here and `hive.snap` is
-    /// never written.
-    chain: Option<ChainStore>,
+    /// The checkpoint store: each checkpoint appends a full or delta
+    /// record here.
+    chain: ChainStore,
     journal: FileJournal,
+    /// FNV-1a of every byte in the journal, kept current as records are
+    /// appended and the journal is cut, so a checkpoint can stamp the
+    /// prefix it covers without reading the journal back.
+    wal_hash: u64,
     /// Frame floors (`session → next seq`) of every frame journaled
     /// here, carried into checkpoints so transports resuming against
     /// this campaign can deduplicate across the restart.
@@ -244,110 +219,69 @@ impl DurableStore {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the directory already
-    /// holds a snapshot, a non-empty journal, or chain records — in
-    /// either checkpoint format, whichever one `cfg` asks for;
+    /// holds chain records, a non-empty journal, or a legacy
+    /// full-snapshot campaign;
     /// [`DurabilityError::Io`] when a file cannot be opened.
     pub(crate) fn create(cfg: DurabilityConfig) -> Result<Self, DurabilityError> {
-        let store = SnapshotStore::open(&cfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
         let exists = || DurabilityError::CampaignExists(cfg.dir.clone());
-        if store.snap_path().exists() || store.prev_path().exists() {
+        refuse_legacy(&cfg.dir).map_err(|_| exists())?;
+        let (chain, load) = open_chain(&cfg.dir)?;
+        if load.report.records > 0 || !load.report.defects.is_empty() {
             return Err(exists());
         }
-        if cfg.chain.is_none() && holds_chain_records(&cfg.dir)? {
-            return Err(exists());
-        }
-        let journal = FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
+        let journal = FileJournal::open(wal_path(&cfg.dir)).map_err(|e| io_err("wal-open", &e))?;
         if !journal.is_empty() {
-            return Err(exists());
-        }
-        let chain = open_chain(&cfg)?;
-        if chain
-            .as_ref()
-            .is_some_and(|c| c.head_generation().is_some())
-        {
             return Err(exists());
         }
         Ok(DurableStore {
             cfg,
-            store,
             chain,
             journal,
+            wal_hash: FNV_OFFSET,
             frame_floors: BTreeMap::new(),
             rec: Vec::new(),
         })
     }
 
     /// Opens `cfg.dir` to continue a campaign and loads its newest valid
-    /// checkpoint: the classic store's newest valid generation, or the
-    /// chain's newest valid lineage (a full record plus every delta
-    /// after it). An empty directory is a cold start. The format check
-    /// runs before the journal is opened for writing.
+    /// checkpoint: the chain's newest valid lineage (a full record plus
+    /// every delta after it), from the one walk the chain open makes. An
+    /// empty directory is a cold start.
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Corrupt`] when the directory holds a campaign
-    /// in the *other* checkpoint format (resuming would silently
-    /// cold-start over it and discard its journal), or when a chain
-    /// record's payload is not a snapshot; [`DurabilityError::Io`] on
-    /// filesystem failures.
+    /// [`DurabilityError::Corrupt`] when the directory holds a legacy
+    /// full-snapshot campaign (refused before anything is opened), or
+    /// when a chain record's payload is not a snapshot;
+    /// [`DurabilityError::Io`] on filesystem failures.
     pub(crate) fn resume(cfg: DurabilityConfig) -> Result<(Self, Recovered), DurabilityError> {
-        let store = SnapshotStore::open(&cfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        // Refusals name the directory (for a fleet, the shard's).
-        let corrupt =
-            |what: &str| DurabilityError::Corrupt(format!("{}: {what}", cfg.dir.display()));
-        let (chain, mut snaps, snapshot, chain_report) = if cfg.chain.is_none() {
-            if holds_chain_records(&cfg.dir)? {
-                return Err(corrupt(
-                    "classic mode found chain records (chained campaign); resume it with chain \
-                     settings",
-                ));
-            }
-            let (snap, load) = store.load();
-            (None, Vec::from_iter(snap), load, None)
-        } else {
-            // Chain mode never reads `hive.snap` — the chain is the
-            // checkpoint store of record.
-            let chain = open_chain(&cfg)?.expect("chain settings are set");
-            let load = chain.load();
-            let mut snaps = Vec::with_capacity(load.records.len());
-            for rec in &load.records {
-                let snap = HiveSnapshot::decode(&rec.payload)
-                    .map_err(|e| corrupt(&format!("chain record {}: {e}", rec.generation)))?;
-                snaps.push(snap);
-            }
-            if snaps.is_empty() && (store.snap_path().exists() || store.prev_path().exists()) {
-                return Err(corrupt(
-                    "chain mode found no chain records but a hive.snap exists (legacy campaign); \
-                     resume it without chain settings",
-                ));
-            }
-            let snapshot = LoadReport {
-                source: match load.report.source {
-                    ChainSource::Primary => SnapshotSource::Primary,
-                    ChainSource::Fallback => SnapshotSource::Fallback,
-                    ChainSource::None => SnapshotSource::None,
-                },
-                primary_error: None,
-                fallback_error: None,
-            };
-            (Some(chain), snaps, snapshot, Some(load.report))
-        };
-        let journal = FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-        let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
+        refuse_legacy(&cfg.dir)?;
+        let (chain, ChainLoad { records, report }) = open_chain(&cfg.dir)?;
         // The lineage starts at a full record; every later record is a
         // delta against its predecessor, and the last one is the head
-        // whose metadata describes the whole checkpoint.
-        let mut states: Vec<Vec<u8>> = snaps
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.state))
-            .collect();
-        if cfg.chain.as_ref().is_some_and(|c| c.skip_last_delta) && states.len() > 1 {
+        // whose metadata describes the whole checkpoint. Only the head's
+        // metadata is kept.
+        let mut states = Vec::with_capacity(records.len());
+        let mut head = None;
+        for rec in records {
+            let mut snap = HiveSnapshot::decode(&rec.payload).map_err(|e| {
+                DurabilityError::Corrupt(format!(
+                    "{}: chain record {}: {e}",
+                    cfg.dir.display(),
+                    rec.generation
+                ))
+            })?;
+            states.push(std::mem::take(&mut snap.state));
+            head = Some(snap);
+        }
+        let journal = FileJournal::open(wal_path(&cfg.dir)).map_err(|e| io_err("wal-open", &e))?;
+        let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
+        if cfg.skip_last_delta && states.len() > 1 {
             // Planted bug (`skip_delta` canary): the head's metadata is
             // trusted below while its state changes are silently
             // dropped.
             states.pop();
         }
-        let head = snaps.pop();
         let replay_from = head.as_ref().map_or(0, |h| h.replay_offset(&wal));
         let (frame_floors, app_meta) = match head {
             Some(h) => (h.sessions, Some(h.app_meta)),
@@ -356,9 +290,9 @@ impl DurableStore {
         Ok((
             DurableStore {
                 cfg,
-                store,
                 chain,
                 journal,
+                wal_hash: wire::fnv1a(&wal),
                 frame_floors,
                 rec: Vec::new(),
             },
@@ -367,8 +301,7 @@ impl DurableStore {
                 app_meta,
                 wal,
                 replay_from,
-                snapshot,
-                chain: chain_report,
+                chain: report,
             },
         ))
     }
@@ -384,7 +317,9 @@ impl DurableStore {
     ) -> Result<(), DurabilityError> {
         self.rec.clear();
         journal::append_record(&mut self.rec, kind, session, seq, body);
-        Ok(self.journal.append(&self.rec)?)
+        self.journal.append(&self.rec)?;
+        self.wal_hash = fnv1a_step(self.wal_hash, &self.rec);
+        Ok(())
     }
 
     /// Appends one batch frame and raises its session's frame floor.
@@ -412,10 +347,14 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Cuts the journal at `len` — a damaged tail, a disconnected
-    /// suffix, or rounds that were never acked.
-    pub(crate) fn truncate_wal(&mut self, len: u64) -> Result<(), DurabilityError> {
-        Ok(self.journal.truncate(len)?)
+    /// Cuts the journal back to `kept`, a prefix of the journal as a
+    /// resume read it (or nothing, after a checkpoint) — dropping a
+    /// damaged tail, a disconnected suffix, or rounds that were never
+    /// acked.
+    pub(crate) fn truncate_wal(&mut self, kept: &[u8]) -> Result<(), DurabilityError> {
+        self.journal.truncate(kept.len() as u64)?;
+        self.wal_hash = wire::fnv1a(kept);
+        Ok(())
     }
 
     /// Fences a trailing partial segment (the process died mid-round, so
@@ -431,112 +370,74 @@ impl DurableStore {
         self.journal.len()
     }
 
-    /// Generation of the chain head (`None` in classic mode or on a
-    /// cold chain).
+    /// Generation of the chain head (`None` on a cold chain).
     pub(crate) fn chain_head_generation(&self) -> Option<u64> {
-        self.chain.as_ref().and_then(ChainStore::head_generation)
-    }
-
-    /// Whether checkpoints go to a delta chain — in which case the
-    /// caller resets its delta tracking after each one, so the next
-    /// delta covers exactly the changes since.
-    pub(crate) fn is_chained(&self) -> bool {
-        self.chain.is_some()
+        self.chain.head_generation()
     }
 
     /// The compaction trigger, asked after every committed round: is the
-    /// journal at least `compact_ratio` times the live state footprint
-    /// (and big enough to matter)? Classic mode measures the footprint
-    /// by encoding the full state with `encode_full` and hands that
-    /// encoding back for [`write_checkpoint`](Self::write_checkpoint) to
-    /// reuse; chain mode reads it off the chain's own bookkeeping (last
-    /// full + deltas since), so the check never pays an O(hive) encode.
-    /// `None` = not due.
-    pub(crate) fn checkpoint_due(
-        &self,
-        encode_full: impl FnOnce() -> Vec<u8>,
-    ) -> Option<Option<Vec<u8>>> {
-        let (ratio, wal_len) = (self.cfg.compact_ratio, self.journal.len());
-        if ratio == 0 || wal_len < self.cfg.min_compact_wal_bytes {
-            return None;
-        }
-        let (footprint, full) = match &self.chain {
-            Some(chain) => (
-                chain
-                    .last_full_payload_bytes()
-                    .saturating_add(chain.delta_payload_bytes_since_full())
-                    .max(1),
-                None,
-            ),
-            None => {
-                let state = encode_full();
-                (state.len() as u64, Some(state))
-            }
-        };
-        (wal_len >= ratio.saturating_mul(footprint)).then_some(full)
+    /// journal at least `compact_ratio` times what a checkpoint writes —
+    /// the newest full record's payload — and past
+    /// `min_compact_wal_bytes`? Read off the chain's bookkeeping, so the
+    /// check costs nothing; a cold chain weighs nothing, so the first
+    /// checkpoint comes at the minimum.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        let ratio = self.cfg.compact_ratio;
+        let full = self.chain.last_full_payload_bytes().max(1);
+        ratio > 0
+            && self.journal.len()
+                >= ratio
+                    .saturating_mul(full)
+                    .max(self.cfg.min_compact_wal_bytes)
     }
 
-    /// Writes one checkpoint covering the whole journal, then (when
-    /// `truncate`) empties the journal. Classic mode swaps a full
-    /// [`HiveSnapshot`] into `hive.snap`; chain mode appends a full or
-    /// delta record ([`ChainStore::rebase_due`] decides). `encode`
-    /// produces whichever state encoding is needed, unless `full_state`
-    /// already holds the full one. Returns the bytes written.
+    /// Appends one checkpoint covering the whole journal to the chain —
+    /// a full record when [`ChainStore::rebase_due`] says so, else a
+    /// delta, with `encode` producing that kind's state encoding — then
+    /// (when `truncate`) empties the journal. Returns the payload bytes
+    /// written. The caller then resets its delta tracking, so the next
+    /// delta covers exactly the changes since.
     ///
     /// Without `truncate` the disk is left exactly as a crash between
-    /// the checkpoint rename and the journal truncate leaves it.
+    /// the chain append and the journal truncate leaves it.
     pub(crate) fn write_checkpoint(
         &mut self,
-        full_state: Option<Vec<u8>>,
         encode: impl FnOnce(RecordKind) -> Vec<u8>,
         app_meta: Vec<u8>,
         truncate: bool,
     ) -> Result<u64, DurabilityError> {
-        let rebase_ratio = self.cfg.chain.as_ref().map_or(0, |c| c.rebase_ratio);
-        let kind = match &self.chain {
-            Some(chain) if !chain.rebase_due(rebase_ratio) => RecordKind::Delta,
-            _ => RecordKind::Full,
+        let kind = if self.chain.rebase_due(self.cfg.rebase_ratio) {
+            RecordKind::Full
+        } else {
+            RecordKind::Delta
         };
-        let state = match (kind, full_state) {
-            (RecordKind::Full, Some(state)) => state,
-            _ => encode(kind),
-        };
-        let wal_bytes = self.journal.read().map_err(|e| io_err("wal-read", &e))?;
-        let snap = HiveSnapshot {
-            state,
+        let payload = HiveSnapshot {
+            state: encode(kind),
             sessions: self.frame_floors.clone(),
-            wal_covered: wal_bytes.len() as u64,
-            wal_covered_hash: wire::fnv1a(&wal_bytes),
+            wal_covered: self.journal.len(),
+            wal_covered_hash: self.wal_hash,
             app_meta,
-        };
-        let written = match self.chain.as_mut() {
-            Some(chain) => {
-                let payload = snap.encode();
-                chain
-                    .append(kind, &payload)
-                    .map_err(|e| io_err("chain-append", &e))?;
-                payload.len() as u64
-            }
-            None => self.store.write_snapshot(&snap)?,
-        };
-        if truncate {
-            self.journal.truncate(0)?;
         }
-        Ok(written)
+        .encode();
+        self.chain
+            .append(kind, &payload)
+            .map_err(|e| io_err("chain-append", &e))?;
+        if truncate {
+            self.truncate_wal(&[])?;
+        }
+        Ok(payload.len() as u64)
     }
 
-    /// Scrubs the store at `cfg.dir` for bit rot *before* a resume, in
-    /// whichever checkpoint format `cfg` names (see
-    /// [`softborg_hive::scrub`]).
+    /// Scrubs the store at `cfg.dir` for bit rot *before* a resume (see
+    /// [`softborg_hive::scrub`]). A legacy full-snapshot directory is
+    /// refused, as [`resume`](Self::resume) refuses it.
     pub(crate) fn scrub(
         cfg: &DurabilityConfig,
         obs: &FlightRecorder,
     ) -> Result<ScrubReport, DurabilityError> {
-        let store = SnapshotStore::open(&cfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        Ok(match open_chain(cfg)? {
-            Some(chain) => scrub_chained_campaign(&store, &chain, obs)?,
-            None => scrub_campaign(&store, obs)?,
-        })
+        refuse_legacy(&cfg.dir)?;
+        let (chain, _) = open_chain(&cfg.dir)?;
+        Ok(scrub_campaign(&wal_path(&cfg.dir), &chain, obs)?)
     }
 }
 
@@ -674,6 +575,7 @@ impl<'a> SegmentWalker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Builds journal bytes from `(kind, session, seq)` triples.
     fn journal_of(records: &[(u8, u64, u64)]) -> Vec<u8> {
@@ -835,5 +737,51 @@ mod tests {
         let (_, rec) = DurableStore::resume(cfg).unwrap();
         assert_eq!(aborts(&rec.wal), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    static NEXT_DIR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The running hash a checkpoint stamps as `wal_covered_hash`
+        /// equals FNV-1a of the journal file after any sequence of
+        /// appends, cuts (at any byte), checkpoints with and without the
+        /// truncate, and resumes.
+        #[test]
+        fn the_running_wal_hash_is_the_hash_of_the_file(
+            ops in collection::vec((any::<u8>(), any::<u16>()), 0..24),
+        ) {
+            let n = NEXT_DIR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("softborg-walhash-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = DurabilityConfig::new(&dir);
+            let file = || std::fs::read(wal_path(&dir)).unwrap();
+            let mut store = DurableStore::create(cfg.clone()).unwrap();
+            for (op, arg) in ops {
+                match op % 5 {
+                    0 | 1 => store.append(REC_FRAME, 0, u64::from(arg), &vec![op; usize::from(arg % 300)]).unwrap(),
+                    2 => {
+                        let bytes = file();
+                        store.truncate_wal(&bytes[..usize::from(arg) % (bytes.len() + 1)]).unwrap();
+                    }
+                    3 => {
+                        let truncate = arg % 2 == 0;
+                        let before = file();
+                        store.write_checkpoint(|_| vec![op], Vec::new(), truncate).unwrap();
+                        let head = store.chain.load().records.pop().unwrap();
+                        let snap = HiveSnapshot::decode(&head.payload).unwrap();
+                        prop_assert_eq!(snap.replay_offset(&before), before.len());
+                    }
+                    _ => {
+                        drop(store);
+                        store = DurableStore::resume(cfg.clone()).unwrap().0;
+                    }
+                }
+                prop_assert_eq!(store.wal_hash, wire::fnv1a(&file()));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -65,8 +65,8 @@ pub use multi::{
     MultiResumeReport, MultiRoundReport, ProgramRoundReport, ShardResumeReport,
 };
 pub use platform::{
-    ChainSettings, DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, Platform,
-    PlatformConfig, ResumeReport, RoundReport, RoundTelemetry,
+    DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig,
+    ResumeReport, RoundReport, RoundTelemetry,
 };
 
 pub use softborg_analysis as analysis;

@@ -9,12 +9,12 @@
 //! shard and sees its own traces in exact submission order.
 //!
 //! Durability composes with sharding by construction: each shard owns
-//! its own `shard-<i>/` directory (journal + snapshot generations), and
-//! a round commits in two phases — first the round's frames, promotions,
-//! and round record are appended and fsynced to **every** shard journal
-//! (phase A), only then may any shard compact into a snapshot (phase B).
-//! A crash can therefore leave shards at *different* committed rounds,
-//! but never with a snapshot ahead of another shard's journal;
+//! its own `shard-<i>/` directory (journal + delta chain), and a round
+//! commits in two phases — first the round's frames, promotions, and
+//! round record are appended and fsynced to **every** shard journal
+//! (phase A), only then may any shard compact into a checkpoint (phase
+//! B). A crash can therefore leave shards at *different* committed
+//! rounds, but never with a checkpoint ahead of another shard's journal;
 //! [`MultiPlatform::resume`] recovers every shard, takes the *minimum*
 //! committed round as the campaign's truth, and truncates any shard that
 //! got ahead (those rounds were never acked). The recovered per-shard
@@ -31,7 +31,7 @@ use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{scrub_page_dir, Hive, HiveConfig, LoadReport, PageScrub, ScrubReport};
+use softborg_hive::{scrub_page_dir, Hive, HiveConfig, PageScrub, ScrubReport};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
@@ -194,9 +194,12 @@ impl MultiRoundReport {
 pub struct ShardResumeReport {
     /// Shard index.
     pub shard: usize,
-    /// How this shard's snapshot load went.
-    pub snapshot: LoadReport,
-    /// Committed rounds restored from the snapshot alone.
+    /// This shard's chain walk: which lineage validated and every
+    /// damaged record file found.
+    pub chain: ChainReport,
+    /// Delta records applied on top of this shard's chain full record.
+    pub chain_deltas_applied: u64,
+    /// Committed rounds restored from the checkpoint alone.
     pub rounds_from_snapshot: u64,
     /// Committed rounds replayed from this shard's journal suffix.
     pub rounds_replayed: u64,
@@ -206,12 +209,8 @@ pub struct ShardResumeReport {
     /// minimum committed round: an uncommitted partial segment, a round
     /// this shard journaled while another shard's fsync never happened
     /// (the round was never acked), or a suffix disconnected from a
-    /// fallback snapshot generation. All are truncated.
+    /// fallback chain lineage. All are truncated.
     pub records_discarded: u64,
-    /// Chain-walk report when [`DurabilityConfig::chain`] is set.
-    pub chain: Option<ChainReport>,
-    /// Delta records applied on top of this shard's chain full record.
-    pub chain_deltas_applied: u64,
 }
 
 /// What [`MultiPlatform::resume`] found and did across all shards.
@@ -357,9 +356,9 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when any shard directory
-    /// already holds a snapshot, a non-empty journal, or chain records
-    /// (in either checkpoint format); [`DurabilityError::Io`] when a
-    /// shard's journal or snapshot store cannot be opened.
+    /// already holds chain records, a non-empty journal, or a legacy
+    /// full-snapshot campaign; [`DurabilityError::Io`] when a shard's journal or
+    /// chain cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -378,7 +377,7 @@ impl<'p> MultiPlatform<'p> {
     /// Resumes (or cold-starts) a durable multi-program campaign.
     ///
     /// Every shard recovers independently — newest valid checkpoint
-    /// (falling back a generation if torn), then journal replay — and
+    /// (falling back a chain lineage if torn), then journal replay — and
     /// the campaign's committed round is the **minimum** across shards:
     /// a round was acked only once phase A fsynced it on every shard, so
     /// any shard past the minimum holds rounds that were never acked.
@@ -391,8 +390,8 @@ impl<'p> MultiPlatform<'p> {
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage, or when a shard directory holds a campaign in the other
-    /// checkpoint format (classic vs chained).
+    /// garbage, or when a shard directory holds a legacy full-snapshot
+    /// campaign.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -481,7 +480,7 @@ impl<'p> MultiPlatform<'p> {
                 // shard, so a checkpoint can never be ahead of the
                 // campaign minimum.
                 return Err(DurabilityError::Corrupt(format!(
-                    "shard {shard} snapshot is at round {} but the campaign minimum is {target}",
+                    "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
                     sc.snap_round
                 )));
             }
@@ -583,7 +582,7 @@ impl<'p> MultiPlatform<'p> {
                         ),
                     );
                 }
-                sc.store.truncate_wal(boundary as u64)?;
+                sc.store.truncate_wal(&sc.rec.wal[..boundary])?;
             }
             if rounds_applied != target {
                 return Err(DurabilityError::Corrupt(format!(
@@ -597,7 +596,6 @@ impl<'p> MultiPlatform<'p> {
             shard_reports.push(ShardResumeReport {
                 shard,
                 chain_deltas_applied: sc.rec.deltas_applied(),
-                snapshot: sc.rec.snapshot,
                 chain: sc.rec.chain,
                 rounds_from_snapshot: sc.snap_round,
                 rounds_replayed: rounds_applied - sc.snap_round,
@@ -1050,12 +1048,9 @@ impl<'p> MultiPlatform<'p> {
 
         // Phase B: per-shard compaction.
         for shard in 0..stores.len() {
-            let encode_full = || self.shard_state(shard);
-            let due =
-                self.durable.as_ref().expect("checked above")[shard].checkpoint_due(encode_full);
-            if let Some(full_state) = due {
+            if self.durable.as_ref().expect("checked above")[shard].checkpoint_due() {
                 let started = std::time::Instant::now();
-                stats.checkpoint_bytes += self.checkpoint_shard(shard, full_state, &pod_bodies)?;
+                stats.checkpoint_bytes += self.checkpoint_shard(shard, &pod_bodies)?;
                 stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
                 stats.compacted = true;
             }
@@ -1064,15 +1059,14 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Writes one checkpoint of shard `shard` and truncates its journal
-    /// (see [`DurableStore::write_checkpoint`]); in chain mode the
-    /// shard's delta tracking is then reset. The checkpoint's pod
+    /// (see [`DurableStore::write_checkpoint`]), then resets the shard's
+    /// delta tracking. The checkpoint's pod
     /// populations cover only the lanes whose frames land in this
     /// shard's journal. `lane_pods` holds every lane's encoded pod
     /// population, in lane order.
     fn checkpoint_shard(
         &mut self,
         shard: usize,
-        full_state: Option<Vec<u8>>,
         lane_pods: &[Vec<u8>],
     ) -> Result<u64, DurabilityError> {
         let shard_pods: Vec<(u64, &[u8])> = lane_pods
@@ -1094,10 +1088,8 @@ impl<'p> MultiPlatform<'p> {
             .durable
             .as_mut()
             .ok_or(DurabilityError::NotConfigured)?;
-        let written = stores[shard].write_checkpoint(full_state, encode, app_meta, true)?;
-        if stores[shard].is_chained() {
-            self.sharded.mark_shard_clean(shard);
-        }
+        let written = stores[shard].write_checkpoint(encode, app_meta, true)?;
+        self.sharded.mark_shard_clean(shard);
         Ok(written)
     }
 
@@ -1108,11 +1100,11 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
-    /// [`DurabilityError::Io`] when a snapshot swap fails.
+    /// [`DurabilityError::Io`] when a chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
         let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
         (0..self.sharded.n_shards())
-            .map(|shard| self.checkpoint_shard(shard, None, &pod_bodies))
+            .map(|shard| self.checkpoint_shard(shard, &pod_bodies))
             .sum()
     }
 }

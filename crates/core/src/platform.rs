@@ -17,9 +17,7 @@ use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{
-    diagnosis_signature, scrub_page_dir, Hive, HiveConfig, LoadReport, ScrubReport,
-};
+use softborg_hive::{diagnosis_signature, scrub_page_dir, Hive, HiveConfig, ScrubReport};
 use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
@@ -29,7 +27,7 @@ use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
 use softborg_tree::CoverageStats;
 
-pub use crate::durable::{ChainSettings, DurabilityConfig, DurabilityError};
+pub use crate::durable::{DurabilityConfig, DurabilityError};
 
 /// Platform configuration.
 #[derive(Debug, Clone)]
@@ -53,7 +51,7 @@ pub struct PlatformConfig {
     /// How round executions report into the hive.
     pub ingest: IngestSettings,
     /// Crash-only durability: when set, every round is committed to a
-    /// write-ahead journal (with periodic snapshot compaction) before
+    /// write-ahead journal (with periodic delta-chain checkpoints) before
     /// its report is returned, and a killed process can continue the
     /// campaign via [`Platform::resume`]. `None` = in-memory only.
     pub durability: Option<DurabilityConfig>,
@@ -204,15 +202,18 @@ impl RoundReport {
 /// What [`Platform::resume`] found and did, for recovery observability.
 #[derive(Debug, Clone)]
 pub struct ResumeReport {
-    /// How the snapshot load went (primary, fallback, or cold start).
-    pub snapshot: LoadReport,
-    /// Committed rounds restored from the snapshot alone.
+    /// The chain walk: which lineage validated (primary, fallback, or
+    /// none — a cold start) and every damaged record file found.
+    pub chain: ChainReport,
+    /// Delta records applied on top of the chain's full record.
+    pub chain_deltas_applied: u64,
+    /// Committed rounds restored from the checkpoint alone.
     pub rounds_from_snapshot: u64,
     /// Committed rounds replayed from the journal suffix.
     pub rounds_replayed: u64,
     /// Byte offset of the journal suffix that was replayed (nonzero
-    /// exactly when a crash hit between snapshot rename and journal
-    /// truncate).
+    /// exactly when a crash hit between the checkpoint append and the
+    /// journal truncate).
     pub wal_replay_offset: u64,
     /// Corrupt/unsynced journal-tail bytes dropped (warned, not silent).
     pub wal_tail_dropped: u64,
@@ -220,18 +221,11 @@ pub struct ResumeReport {
     /// fenced behind a `REC_ABORT` so later replays skip them too.
     pub fenced_records: u64,
     /// Intact records discarded because their round index did not
-    /// continue from the recovered snapshot — the newest snapshot was
-    /// lost and recovery fell back a generation, so the journal suffix
-    /// belongs to rounds the fallback never saw. The suffix is
-    /// truncated; the campaign resumes from the older (consistent)
-    /// state.
+    /// continue from the recovered checkpoint — the newest chain record
+    /// was lost and recovery fell back, so the journal suffix belongs to
+    /// rounds the fallback never saw. The suffix is truncated; the
+    /// campaign resumes from the older (consistent) state.
     pub disconnected_records: u64,
-    /// Chain-walk report when [`DurabilityConfig::chain`] is set: which
-    /// lineage validated and every damaged record file found. `None` in
-    /// classic full-snapshot mode.
-    pub chain: Option<ChainReport>,
-    /// Delta records applied on top of the chain's full record.
-    pub chain_deltas_applied: u64,
 }
 
 /// Per-round telemetry the platform keeps *beside* the journaled
@@ -254,7 +248,7 @@ pub struct RoundTelemetry {
     pub frames_journaled: u64,
     /// Fix promotions appended to the journal this round.
     pub promotions_journaled: u64,
-    /// Whether this round's commit triggered snapshot compaction.
+    /// Whether this round's commit triggered a checkpoint.
     pub compacted: bool,
     /// Wall-clock duration of this round's checkpoint write — the
     /// compaction stall — in ns (0 when no checkpoint ran). Unlike
@@ -262,10 +256,9 @@ pub struct RoundTelemetry {
     /// durability benches can report stall percentiles without a
     /// registry attached.
     pub checkpoint_ns: u64,
-    /// Bytes the checkpoint wrote (full snapshot record, or chain
-    /// full/delta record payload). The deterministic stall proxy: with
-    /// chains on, a steady-state compaction writes O(changes) instead of
-    /// O(hive).
+    /// Payload bytes the checkpoint wrote (a chain full or delta
+    /// record). The deterministic stall proxy: a steady-state delta
+    /// writes O(changes) instead of O(hive).
     pub checkpoint_bytes: u64,
 }
 
@@ -430,9 +423,9 @@ impl<'p> Platform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the configured directory
-    /// already holds a snapshot, a non-empty journal, or chain records
-    /// (in either checkpoint format), and [`DurabilityError::Io`] when
-    /// the journal or snapshot store cannot be opened.
+    /// already holds chain records, a non-empty journal, or a legacy
+    /// full-snapshot campaign, and [`DurabilityError::Io`] when the journal or
+    /// chain cannot be opened.
     pub fn try_new(program: &'p Program, config: PlatformConfig) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(program, config);
         platform.enable_tree_paging()?;
@@ -444,7 +437,7 @@ impl<'p> Platform<'p> {
 
     /// Resumes (or cold-starts) a durable campaign from
     /// [`PlatformConfig::durability`]: loads the newest valid checkpoint
-    /// (falling back a generation if the newest is torn), replays the
+    /// (falling back a chain lineage if the newest is torn), replays the
     /// journal suffix round by round — re-ingesting frames in merge
     /// order, re-applying promotions, re-running guidance — and fences
     /// any uncommitted partial round behind a `REC_ABORT` record.
@@ -465,9 +458,9 @@ impl<'p> Platform<'p> {
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
     /// garbage (journal records damaged *behind* a valid checksum, e.g.
-    /// a snapshot for a different program), or when the directory holds
-    /// a campaign in the other checkpoint format (classic vs chained) —
-    /// refused before anything on disk is touched.
+    /// a checkpoint for a different program), or when the directory
+    /// holds a legacy full-snapshot campaign — refused before anything
+    /// on disk is touched.
     pub fn resume(
         program: &'p Program,
         config: PlatformConfig,
@@ -521,7 +514,7 @@ impl<'p> Platform<'p> {
             );
             // Cut the damaged tail so future appends land on a clean
             // record boundary.
-            store.truncate_wal((rec.replay_from + scan.valid_len) as u64)?;
+            store.truncate_wal(&rec.wal[..rec.replay_from + scan.valid_len])?;
         }
 
         let mut rounds_replayed = 0u64;
@@ -529,8 +522,8 @@ impl<'p> Platform<'p> {
         let mut walker = SegmentWalker::new(&records, rec.replay_from);
         while let Some(seg) = walker.next_segment()? {
             // Decode the boundary *before* applying the segment: if the
-            // newest snapshot was destroyed and recovery fell back a
-            // generation, the journal suffix covers rounds the fallback
+            // newest checkpoint was destroyed and recovery fell back a
+            // lineage, the journal suffix covers rounds the fallback
             // state never saw. Merging it would skip the rounds in
             // between, so discard the disconnected suffix instead and
             // resume from the older — but consistent — state.
@@ -553,7 +546,7 @@ impl<'p> Platform<'p> {
                         report.round, platform.round_idx
                     ),
                 );
-                store.truncate_wal(seg.start as u64)?;
+                store.truncate_wal(&rec.wal[..seg.start])?;
                 break;
             }
             for fr in &seg.frames {
@@ -597,7 +590,7 @@ impl<'p> Platform<'p> {
         }
 
         // Process equivalence: install the freshest committed pod images
-        // (journal beats snapshot; a cold start keeps the seed-derived
+        // (journal beats checkpoint; a cold start keeps the seed-derived
         // population, which *is* the round-0 state).
         if let Some(states) = pod_states {
             platform.fleet.restore_pod_states(states)?;
@@ -605,14 +598,13 @@ impl<'p> Platform<'p> {
         platform.durable = Some(store);
         let report = ResumeReport {
             chain_deltas_applied: rec.deltas_applied(),
-            snapshot: rec.snapshot,
+            chain: rec.chain,
             rounds_from_snapshot,
             rounds_replayed,
             wal_replay_offset: rec.replay_from as u64,
             wal_tail_dropped: scan.tail_dropped as u64,
             fenced_records,
             disconnected_records,
-            chain: rec.chain,
         };
         Ok((platform, report))
     }
@@ -849,9 +841,9 @@ impl<'p> Platform<'p> {
             fsync_ns: fsync_span.map_or(0, SpanTimer::stop),
             ..RoundTelemetry::default()
         };
-        if let Some(full_state) = store.checkpoint_due(|| self.hive.encode_state()) {
+        if store.checkpoint_due() {
             let started = std::time::Instant::now();
-            stats.checkpoint_bytes = self.write_checkpoint(full_state, true)?;
+            stats.checkpoint_bytes = self.write_checkpoint(true)?;
             stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
             stats.compacted = true;
         }
@@ -859,15 +851,9 @@ impl<'p> Platform<'p> {
     }
 
     /// Writes one checkpoint of the current state (see
-    /// [`DurableStore::write_checkpoint`]); in chain mode the hive's
-    /// delta tracking is then reset so the next delta covers exactly the
-    /// rounds since this one. `full_state` lets the compaction trigger
-    /// pass in the full encoding it already made.
-    fn write_checkpoint(
-        &mut self,
-        full_state: Option<Vec<u8>>,
-        truncate: bool,
-    ) -> Result<u64, DurabilityError> {
+    /// [`DurableStore::write_checkpoint`]), then resets the hive's delta
+    /// tracking so the next delta covers exactly the rounds since.
+    fn write_checkpoint(&mut self, truncate: bool) -> Result<u64, DurabilityError> {
         let store = self
             .durable
             .as_mut()
@@ -878,38 +864,35 @@ impl<'p> Platform<'p> {
             RecordKind::Delta => hive.encode_state_delta(),
         };
         let app_meta = encode_app_meta(self.round_idx, &self.history, &self.fleet);
-        let written = store.write_checkpoint(full_state, encode, app_meta, truncate)?;
-        if store.is_chained() {
-            self.hive.mark_clean();
-        }
+        let written = store.write_checkpoint(encode, app_meta, truncate)?;
+        self.hive.mark_clean();
         Ok(written)
     }
 
-    /// On-demand compaction: folds the journal into a fresh checkpoint
-    /// (snapshot generation, or chain record in chain mode) and
-    /// truncates it, regardless of the automatic
+    /// On-demand compaction: folds the journal into a fresh chain
+    /// checkpoint record and truncates it, regardless of the automatic
     /// [`DurabilityConfig::compact_ratio`] trigger. Returns the payload
     /// bytes written — the deterministic stall proxy benches report.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
-    /// [`DurabilityError::Io`] when the snapshot swap fails.
+    /// [`DurabilityError::Io`] when the chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
-        self.write_checkpoint(None, true)
+        self.write_checkpoint(true)
     }
 
     /// Like [`checkpoint`](Self::checkpoint) but dies before the journal
     /// truncate: on return, the disk is exactly the crash window between
-    /// the snapshot rename and the truncate. Crash-injection harnesses
-    /// use this to prove [`resume`](Self::resume) never double-applies
-    /// journal records a snapshot already covers.
+    /// the chain append and the truncate. Crash-injection harnesses use
+    /// this to prove [`resume`](Self::resume) never double-applies
+    /// journal records a checkpoint already covers.
     ///
     /// # Errors
     ///
     /// Same as [`checkpoint`](Self::checkpoint).
     pub fn checkpoint_interrupted(&mut self) -> Result<(), DurabilityError> {
-        self.write_checkpoint(None, false).map(|_| ())
+        self.write_checkpoint(false).map(|_| ())
     }
 
     /// Serialized hive state (the byte-identity invariant checked by the
@@ -932,7 +915,7 @@ impl<'p> Platform<'p> {
     }
 
     /// Scrubs the campaign's durable files for bit rot *before*
-    /// resuming: corrupt snapshot generations are quarantined, journal
+    /// resuming: corrupt chain records are quarantined, journal
     /// damage is cut or repaired around (see
     /// [`softborg_hive::scrub`]), and every detection records a Warn
     /// event on [`PlatformConfig::obs`]. Run this after a suspected
@@ -944,7 +927,8 @@ impl<'p> Platform<'p> {
     /// [`DurabilityError::Io`] on filesystem failures; and
     /// [`DurabilityError::Corrupt`] when the directory held campaign
     /// data but nothing valid survived — resuming would silently
-    /// cold-start over it, which the scrub refuses to sanction.
+    /// cold-start over it, which the scrub refuses to sanction — or is a
+    /// legacy full-snapshot campaign.
     pub fn scrub(config: &PlatformConfig) -> Result<ScrubReport, DurabilityError> {
         let dcfg = config
             .durability
@@ -959,14 +943,14 @@ impl<'p> Platform<'p> {
 
     /// Current write-ahead-journal size in bytes (`None` when the
     /// platform is not durable). The compaction bound asserted by E16:
-    /// this stays below `compact_ratio × live state size` plus one
-    /// round's worth of records.
+    /// after a commit this stays below `compact_ratio` times the newest
+    /// full checkpoint's payload (or `min_compact_wal_bytes`).
     pub fn wal_len(&self) -> Option<u64> {
         self.durable.as_ref().map(DurableStore::wal_len)
     }
 
-    /// Generation of the chain head (`None` when chain mode is off or
-    /// the chain is cold).
+    /// Generation of the chain head (`None` when the platform is not
+    /// durable or the chain is cold).
     pub fn chain_head_generation(&self) -> Option<u64> {
         self.durable
             .as_ref()

@@ -10,8 +10,10 @@
 //! * [`proofs`] — proof certificates and their independent verifier.
 //! * [`journal`] — the write-ahead journal accepted frames hit before
 //!   merge, and the crash-tolerant scan that rebuilds from it.
-//! * [`snapshot`] — checksummed hive snapshots with atomic swap and
-//!   torn-write fallback, bounding journal growth via compaction.
+//! * [`snapshot`] — the checksummed checkpoint payload every delta-chain
+//!   record carries, bounding journal growth via compaction.
+//! * [`scrub`] — the bit-rot scrubber for a campaign's journal, chain,
+//!   and page files.
 //! * [`transport`] — the reliable pod→hive session protocol
 //!   (ack/retry/backoff over the network simulator).
 //! * [`distributed`] — static vs dynamic tree partitioning over the
@@ -42,8 +44,7 @@ pub use journal::{
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
 pub use replica::{run_replica_sync, OutcomePath, ReplicaConfig, ReplicaReport};
 pub use scrub::{
-    scrub_campaign, scrub_chained_campaign, scrub_page_dir, ChainScrub, FileScrub, PageScrub,
-    ScrubError, ScrubReport, WalScrubAction,
+    scrub_campaign, scrub_page_dir, ChainScrub, PageScrub, ScrubError, ScrubReport, WalScrubAction,
 };
-pub use snapshot::{HiveSnapshot, LoadReport, SnapshotSource, SnapshotStore};
+pub use snapshot::HiveSnapshot;
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

@@ -1,7 +1,7 @@
 //! Bit-rot scrubber for a campaign's durable files: detect media
-//! damage in the snapshot generations and the write-ahead journal,
-//! quarantine the damaged bytes, and repair around them where a valid
-//! older generation or journal suffix makes that sound — failing
+//! damage in the delta-chain checkpoint records and the write-ahead
+//! journal, quarantine the damaged bytes, and repair around them where
+//! a valid older lineage or journal suffix makes that sound — failing
 //! loudly (typed [`ScrubError`], Warn flight-recorder events) in every
 //! case, never silently ingesting garbage.
 //!
@@ -12,22 +12,23 @@
 //! `*.quarantined` files so the damage stays inspectable. The
 //! interesting decision is where the cut is sound:
 //!
-//! * A corrupt **snapshot generation** is renamed to
-//!   `hive.snap.quarantined` (or `hive.snap.prev.quarantined`);
-//!   recovery then proceeds from the remaining generation, exactly as
-//!   [`SnapshotStore::load`]'s fallback would.
+//! * A corrupt **chain record** (bad magic, torn body, checksum
+//!   mismatch, broken lineage link, or a payload that no longer decodes
+//!   as a [`HiveSnapshot`]) is renamed to `<record>.quarantined`;
+//!   recovery then proceeds from the surviving lineage, exactly as the
+//!   chain load's own fallback would.
 //! * Damage in the journal's **unsynced tail** (the classic torn
 //!   append) is cut at the last valid record boundary — the same
 //!   prefix [`journal::scan`] recovers — with the dropped bytes
 //!   preserved in `hive.wal.quarantined`.
-//! * Damage **inside the snapshot-covered prefix** — journal bytes the
-//!   snapshot already summarizes, kept only because the post-compaction
-//!   truncate hadn't happened yet — is repaired by *dropping the
-//!   prefix*: the journal is atomically rewritten to the intact suffix
-//!   the snapshot does not cover, which replays onto the snapshot
-//!   exactly as it would have before the damage. Without this, the
-//!   covered-prefix hash check fails and recovery discards the whole
-//!   journal, losing every round committed after the snapshot.
+//! * Damage **inside the checkpoint-covered prefix** — journal bytes
+//!   the chain head already summarizes, kept only because the
+//!   post-compaction truncate hadn't happened yet — is repaired by
+//!   *dropping the prefix*: the journal is atomically rewritten to the
+//!   intact suffix the checkpoint does not cover, which replays onto the
+//!   checkpoint exactly as it would have before the damage. Without
+//!   this, the covered-prefix hash check fails and recovery discards the
+//!   whole journal, losing every round committed after the checkpoint.
 //! * Damage in the **live replay region** with valid records beyond it
 //!   cannot be repaired around — replaying across a hole would merge a
 //!   different history than was acknowledged — so everything from the
@@ -35,7 +36,7 @@
 //!
 //! # Deciding which region the damage is in
 //!
-//! The snapshot's `wal_covered` cannot be taken at face value: after a
+//! The head's `wal_covered` cannot be taken at face value: after a
 //! *completed* compaction the journal restarts at byte 0 while
 //! `wal_covered` still describes the pre-truncate file, so a journal
 //! whose prefix hash does not match may be either freshly live from
@@ -55,8 +56,8 @@
 //!   a true record boundary, which a regrown journal would only offer
 //!   by 2⁻⁶⁴ accident → the prefix is summarized, drop it.
 //! * Otherwise the prefix can be neither trusted (replaying it may
-//!   double-apply records the snapshot holds) nor skipped (the suffix
-//!   is damaged too) → discard the journal, resume from the snapshot.
+//!   double-apply records the checkpoint holds) nor skipped (the suffix
+//!   is damaged too) → discard the journal, resume from the checkpoint.
 //!
 //! A directory that held durable data but retains *nothing* valid
 //! after scrubbing is a [`ScrubError::NothingRecoverable`]: resuming
@@ -64,7 +65,7 @@
 //! one thing a crash-only system must never do quietly.
 
 use crate::journal::{self, fsync_parent_dir, JournalIoError};
-use crate::snapshot::{HiveSnapshot, SnapshotStore};
+use crate::snapshot::HiveSnapshot;
 use softborg_obs::FlightRecorder;
 use softborg_store::page::validate_page_bytes;
 use softborg_store::{ChainReport, ChainStore, RecordKind};
@@ -76,22 +77,6 @@ use std::path::{Path, PathBuf};
 /// Flight-recorder source every scrub event is recorded under.
 pub const SCRUB_SOURCE: &str = "hive.scrub";
 
-/// What the scrubber found (and did) for one snapshot file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileScrub {
-    /// The file does not exist (not damage: young campaigns have no
-    /// snapshot generations yet).
-    Absent,
-    /// The file decoded and checksum-verified.
-    Clean,
-    /// The file failed verification and was renamed to its
-    /// `*.quarantined` sibling.
-    Quarantined {
-        /// The decode error that condemned it.
-        error: String,
-    },
-}
-
 /// How the scrubber left the write-ahead journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalScrubAction {
@@ -99,12 +84,12 @@ pub enum WalScrubAction {
     Clean,
     /// A damaged tail was cut at the last valid record boundary.
     TailCut,
-    /// Damage inside the snapshot-covered prefix: the journal was
-    /// rewritten to the intact post-snapshot suffix.
+    /// Damage inside the checkpoint-covered prefix: the journal was
+    /// rewritten to the intact post-checkpoint suffix.
     PrefixDropped,
     /// Damage in the live region made everything from the first hole
     /// onward unusable; the journal was truncated there and recovery
-    /// falls back to the snapshot alone.
+    /// falls back to the checkpoint alone.
     Discarded,
 }
 
@@ -147,18 +132,14 @@ impl PageScrub {
 /// The scrubber's findings for one campaign directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Verdict for `hive.snap`.
-    pub primary: FileScrub,
-    /// Verdict for `hive.snap.prev`.
-    pub fallback: FileScrub,
     /// What happened to `hive.wal`.
     pub wal_action: WalScrubAction,
     /// Journal bytes retained as verified-valid.
     pub wal_valid_bytes: u64,
     /// Journal bytes moved into `hive.wal.quarantined`.
     pub wal_quarantined_bytes: u64,
-    /// Chain-mode findings ([`scrub_chained_campaign`] only).
-    pub chain: Option<ChainScrub>,
+    /// What happened to the delta chain.
+    pub chain: ChainScrub,
     /// Page-store findings (populated when the caller scrubs a paging
     /// directory alongside the campaign).
     pub pages: Option<PageScrub>,
@@ -167,10 +148,8 @@ pub struct ScrubReport {
 impl ScrubReport {
     /// `true` when the scrub found no damage anywhere.
     pub fn is_clean(&self) -> bool {
-        !matches!(self.primary, FileScrub::Quarantined { .. })
-            && !matches!(self.fallback, FileScrub::Quarantined { .. })
-            && self.wal_action == WalScrubAction::Clean
-            && self.chain.as_ref().is_none_or(ChainScrub::is_clean)
+        self.wal_action == WalScrubAction::Clean
+            && self.chain.is_clean()
             && self.pages.as_ref().is_none_or(PageScrub::is_clean)
     }
 }
@@ -182,9 +161,9 @@ pub enum ScrubError {
     /// A filesystem operation failed mid-scrub.
     Io(JournalIoError),
     /// The directory held durable campaign data, but nothing valid
-    /// survived scrubbing: every snapshot generation and every journal
-    /// record failed verification. Resuming would cold-start over an
-    /// existing campaign, so the scrub refuses instead.
+    /// survived scrubbing: every chain record and every journal record
+    /// failed verification. Resuming would cold-start over an existing
+    /// campaign, so the scrub refuses instead.
     NothingRecoverable,
 }
 
@@ -218,42 +197,6 @@ fn quarantine_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".quarantined");
     path.with_file_name(name)
-}
-
-/// Verifies one snapshot file; on failure renames it aside and records
-/// a Warn event. Returns the verdict plus the decoded snapshot when it
-/// was clean.
-fn scrub_snapshot_file(
-    path: &Path,
-    obs: &FlightRecorder,
-) -> Result<(FileScrub, Option<HiveSnapshot>), ScrubError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((FileScrub::Absent, None));
-        }
-        Err(e) => return Err(io_err("scrub-read-snapshot", &e)),
-    };
-    match HiveSnapshot::decode(&bytes) {
-        Ok(snap) => Ok((FileScrub::Clean, Some(snap))),
-        Err(e) => {
-            let q = quarantine_path(path);
-            fs::rename(path, &q).map_err(|e| io_err("scrub-quarantine-snapshot", &e))?;
-            fsync_parent_dir(path).map_err(|e| io_err("scrub-dir-fsync", &e))?;
-            obs.warn_or_ops(
-                SCRUB_SOURCE,
-                "snapshot_quarantined",
-                &[("bytes", bytes.len() as u64)],
-                format!("{}: {e}; moved to {}", path.display(), q.display()),
-            );
-            Ok((
-                FileScrub::Quarantined {
-                    error: e.to_string(),
-                },
-                None,
-            ))
-        }
-    }
 }
 
 /// Appends `bytes` to the journal's quarantine file and syncs it.
@@ -298,61 +241,52 @@ fn truncate_wal(wal_path: &Path, len: u64) -> Result<(), ScrubError> {
     Ok(())
 }
 
-/// Scrubs one campaign directory: both snapshot generations, then the
-/// journal (using the newest valid snapshot to decide whether damage
-/// lies in the covered prefix). Damage is quarantined and, where
-/// sound, repaired around; every detection records a Warn event under
-/// [`SCRUB_SOURCE`].
-///
-/// # Errors
-///
-/// [`ScrubError::Io`] when a filesystem operation fails, and
-/// [`ScrubError::NothingRecoverable`] when the directory held durable
-/// data but no snapshot generation and no journal record survived
-/// verification — resuming would silently cold-start, so the caller
-/// must decide explicitly.
-pub fn scrub_campaign(
-    store: &SnapshotStore,
+/// Moves one condemned chain record aside and records a Warn event.
+fn quarantine_record(
+    chain: &ChainStore,
+    generation: u64,
+    kind: RecordKind,
+    why: &dyn fmt::Display,
     obs: &FlightRecorder,
-) -> Result<ScrubReport, ScrubError> {
-    let (primary, primary_snap) = scrub_snapshot_file(&store.snap_path(), obs)?;
-    let (fallback, fallback_snap) = scrub_snapshot_file(&store.prev_path(), obs)?;
-    // The newest valid generation decides the covered-prefix question;
-    // load() prefers the primary the same way.
-    let snap = primary_snap.or(fallback_snap);
-
-    let wal = scrub_wal(&store.wal_path(), snap.as_ref(), obs)?;
-    let had_data = wal.had_bytes
-        || !matches!(primary, FileScrub::Absent)
-        || !matches!(fallback, FileScrub::Absent);
-    if had_data && snap.is_none() && wal.valid_bytes == 0 {
-        return Err(ScrubError::NothingRecoverable);
-    }
-    Ok(ScrubReport {
-        primary,
-        fallback,
-        wal_action: wal.action,
-        wal_valid_bytes: wal.valid_bytes,
-        wal_quarantined_bytes: wal.quarantined_bytes,
-        chain: None,
-        pages: None,
-    })
+    quarantined: &mut Vec<String>,
+) -> Result<(), ScrubError> {
+    let Some(q) = chain
+        .quarantine(generation, kind)
+        .map_err(|e| io_err("scrub-quarantine-chain", &e))?
+    else {
+        return Ok(());
+    };
+    // `<record>.quarantined`: the stem is the record's own file name.
+    let name = q
+        .file_stem()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    obs.warn_or_ops(
+        SCRUB_SOURCE,
+        "chain_record_quarantined",
+        &[("generation", generation)],
+        format!("{name}: {why}; moved to {}", q.display()),
+    );
+    quarantined.push(name);
+    Ok(())
 }
 
-/// Scrubs a *chain-mode* campaign: every chain record that fails
-/// validation (bad magic, torn body, checksum mismatch, broken lineage
-/// link) is renamed to `*.quarantined`, a record whose payload passes
-/// the chain checksum but no longer decodes as a snapshot is condemned
-/// the same way, and the journal is then scrubbed against the surviving
-/// chain head's coverage exactly as [`scrub_campaign`] would.
+/// Scrubs one campaign: every chain record that fails validation (bad
+/// magic, torn body, checksum mismatch, broken lineage link) is renamed
+/// to `*.quarantined`, a record whose payload passes the chain checksum
+/// but no longer decodes as a [`HiveSnapshot`] is condemned the same
+/// way, and the journal at `wal_path` is then scrubbed against the
+/// surviving chain head's coverage (see the [module docs](self)). Every
+/// detection records a Warn event under [`SCRUB_SOURCE`].
 ///
 /// # Errors
 ///
 /// [`ScrubError::Io`] on filesystem failures;
 /// [`ScrubError::NothingRecoverable`] when chain files or journal bytes
-/// existed but no chain record and no journal record survived.
-pub fn scrub_chained_campaign(
-    store: &SnapshotStore,
+/// existed but no chain record and no journal record survived — resuming
+/// would silently cold-start, so the caller must decide explicitly.
+pub fn scrub_campaign(
+    wal_path: &Path,
     chain: &ChainStore,
     obs: &FlightRecorder,
 ) -> Result<ScrubReport, ScrubError> {
@@ -367,74 +301,43 @@ pub fn scrub_chained_campaign(
         } else {
             RecordKind::Delta
         };
-        if let Some(q) = chain
-            .quarantine(defect.generation, kind)
-            .map_err(|e| io_err("scrub-quarantine-chain", &e))?
-        {
-            obs.warn_or_ops(
-                SCRUB_SOURCE,
-                "chain_record_quarantined",
-                &[("generation", defect.generation)],
-                format!(
-                    "{}: {}; moved to {}",
-                    defect.file,
-                    defect.error,
-                    q.display()
-                ),
-            );
-            quarantined.push(defect.file.clone());
-        }
+        quarantine_record(
+            chain,
+            defect.generation,
+            kind,
+            &defect.error,
+            obs,
+            &mut quarantined,
+        )?;
     }
     // The chain layer only vouches for framing and lineage; the payload
     // must still decode as a snapshot. A record that fails that is just
     // as condemned — quarantine and re-walk until the head is usable.
     let (snap, report) = loop {
         let load = chain.load();
-        match load.records.last() {
-            None => break (None, load.report),
-            Some(rec) => match HiveSnapshot::decode(&rec.payload) {
-                Ok(snap) => break (Some(snap), load.report),
-                Err(e) => {
-                    let kind = rec.kind;
-                    if let Some(q) = chain
-                        .quarantine(rec.generation, kind)
-                        .map_err(|e| io_err("scrub-quarantine-chain", &e))?
-                    {
-                        obs.warn_or_ops(
-                            SCRUB_SOURCE,
-                            "chain_record_quarantined",
-                            &[("generation", rec.generation)],
-                            format!(
-                                "generation {}: {e}; moved to {}",
-                                rec.generation,
-                                q.display()
-                            ),
-                        );
-                        quarantined.push(
-                            q.file_name()
-                                .map(|n| n.to_string_lossy().into_owned())
-                                .unwrap_or_default(),
-                        );
-                    }
-                }
-            },
+        let Some(rec) = load.records.last() else {
+            break (None, load.report);
+        };
+        match HiveSnapshot::decode(&rec.payload) {
+            Ok(snap) => break (Some(snap), load.report),
+            Err(e) => {
+                quarantine_record(chain, rec.generation, rec.kind, &e, obs, &mut quarantined)?;
+            }
         }
     };
 
-    let wal = scrub_wal(&store.wal_path(), snap.as_ref(), obs)?;
+    let wal = scrub_wal(wal_path, snap.as_ref(), obs)?;
     if (had_chain_files || wal.had_bytes) && snap.is_none() && wal.valid_bytes == 0 {
         return Err(ScrubError::NothingRecoverable);
     }
     Ok(ScrubReport {
-        primary: FileScrub::Absent,
-        fallback: FileScrub::Absent,
         wal_action: wal.action,
         wal_valid_bytes: wal.valid_bytes,
         wal_quarantined_bytes: wal.quarantined_bytes,
-        chain: Some(ChainScrub {
+        chain: ChainScrub {
             report,
             quarantined,
-        }),
+        },
         pages: None,
     })
 }
@@ -502,9 +405,8 @@ struct WalScrub {
     had_bytes: bool,
 }
 
-/// The journal half of a campaign scrub, shared by the classic and
-/// chain-mode entry points: `snap` (the newest valid checkpoint, from
-/// either store) decides whether damage lies in the covered prefix.
+/// The journal half of a campaign scrub: `snap` (the newest valid
+/// checkpoint) decides whether damage lies in the covered prefix.
 fn scrub_wal(
     wal_path: &Path,
     snap: Option<&HiveSnapshot>,
@@ -543,8 +445,8 @@ fn scrub_wal(
             if srep.tail_dropped == 0 && !srecs.is_empty() {
                 // The covered offset lands on a checksummed record
                 // boundary: the prefix is genuinely summarized by the
-                // snapshot, and the intact suffix carries everything
-                // the snapshot lacks.
+                // checkpoint, and the intact suffix carries everything
+                // the checkpoint lacks.
                 quarantine_wal_bytes(wal_path, &wal_bytes[..covered])?;
                 rewrite_wal(wal_path, suffix)?;
                 report.action = WalScrubAction::PrefixDropped;
@@ -552,7 +454,7 @@ fn scrub_wal(
                 report.quarantined_bytes = covered as u64;
             } else {
                 // The prefix may double-apply and the suffix is
-                // damaged too: the snapshot alone is the only state
+                // damaged too: the checkpoint alone is the only state
                 // recovery can trust.
                 quarantine_wal_bytes(wal_path, &wal_bytes)?;
                 truncate_wal(wal_path, 0)?;
@@ -589,13 +491,18 @@ fn scrub_wal(
 mod tests {
     use super::*;
     use crate::journal::{append_record, REC_FRAME, REC_ROUND, SESSION_ROUND};
+    use softborg_store::ChainSource;
     use softborg_trace::wire;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A fresh campaign directory: its journal path and opened chain.
+    fn campaign(tag: &str) -> (PathBuf, ChainStore) {
         let d = std::env::temp_dir().join(format!("softborg-scrub-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();
-        d
+        (
+            d.join("hive.wal"),
+            ChainStore::open(&d.join("chain")).unwrap().0,
+        )
     }
 
     fn record(kind: u8, session: u64, seq: u64, frame: &[u8]) -> Vec<u8> {
@@ -604,98 +511,166 @@ mod tests {
         buf
     }
 
-    /// A store with a valid snapshot covering `covered` wal bytes, the
-    /// wal itself being `covered` + one extra round's records.
-    fn seeded_store(tag: &str) -> (SnapshotStore, Vec<u8>, usize) {
-        let dir = tmpdir(tag);
-        let store = SnapshotStore::open(&dir).unwrap();
-        let mut wal = Vec::new();
-        wal.extend_from_slice(&record(REC_FRAME, 1, 0, &[0xAA; 40]));
-        wal.extend_from_slice(&record(REC_ROUND, SESSION_ROUND, 0, b"round-0"));
-        let covered = wal.len();
-        wal.extend_from_slice(&record(REC_FRAME, 1, 1, &[0xBB; 40]));
-        wal.extend_from_slice(&record(REC_ROUND, SESSION_ROUND, 1, b"round-1"));
-        let snap = HiveSnapshot {
+    fn snapshot_covering(wal: &[u8]) -> HiveSnapshot {
+        HiveSnapshot {
             state: vec![1, 2, 3],
             sessions: [(1u64, 1u64)].into_iter().collect(),
-            wal_covered: covered as u64,
-            wal_covered_hash: wire::fnv1a(&wal[..covered]),
+            wal_covered: wal.len() as u64,
+            wal_covered_hash: wire::fnv1a(wal),
             app_meta: b"meta".to_vec(),
-        };
-        store.write_snapshot(&snap).unwrap();
-        fs::write(store.wal_path(), &wal).unwrap();
-        (store, wal, covered)
+        }
+    }
+
+    /// A campaign whose chain head (one full record) covers the first
+    /// `covered` journal bytes; the journal holds one more round.
+    struct Seeded {
+        wal_path: PathBuf,
+        chain: ChainStore,
+        wal: Vec<u8>,
+        covered: usize,
+    }
+
+    impl Seeded {
+        fn new(tag: &str) -> Self {
+            let (wal_path, mut chain) = campaign(tag);
+            let mut wal = Vec::new();
+            wal.extend_from_slice(&record(REC_FRAME, 1, 0, &[0xAA; 40]));
+            wal.extend_from_slice(&record(REC_ROUND, SESSION_ROUND, 0, b"round-0"));
+            let covered = wal.len();
+            wal.extend_from_slice(&record(REC_FRAME, 1, 1, &[0xBB; 40]));
+            wal.extend_from_slice(&record(REC_ROUND, SESSION_ROUND, 1, b"round-1"));
+            chain
+                .append(
+                    RecordKind::Full,
+                    &snapshot_covering(&wal[..covered]).encode(),
+                )
+                .unwrap();
+            fs::write(&wal_path, &wal).unwrap();
+            Seeded {
+                wal_path,
+                chain,
+                wal,
+                covered,
+            }
+        }
+
+        fn scrub(&self, obs: &FlightRecorder) -> Result<ScrubReport, ScrubError> {
+            scrub_campaign(&self.wal_path, &self.chain, obs)
+        }
+
+        fn quiet_scrub(&self) -> ScrubReport {
+            self.scrub(&FlightRecorder::disabled()).unwrap()
+        }
+
+        /// The snapshot a resume would adopt.
+        fn head(&self) -> Option<HiveSnapshot> {
+            let load = self.chain.load();
+            load.records
+                .last()
+                .map(|r| HiveSnapshot::decode(&r.payload).unwrap())
+        }
+
+        fn damage(&self, at: usize, mask: u8) -> Vec<u8> {
+            let mut bytes = self.wal.clone();
+            bytes[at] ^= mask;
+            fs::write(&self.wal_path, &bytes).unwrap();
+            bytes
+        }
     }
 
     #[test]
     fn clean_campaign_scrubs_clean() {
-        let (store, wal, _) = seeded_store("clean");
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
+        let s = Seeded::new("clean");
+        let report = s.quiet_scrub();
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.wal_valid_bytes, wal.len() as u64);
-        assert_eq!(fs::read(store.wal_path()).unwrap(), wal);
-        assert!(!quarantine_path(&store.wal_path()).exists());
+        assert_eq!(report.wal_valid_bytes, s.wal.len() as u64);
+        assert_eq!(report.chain.report.records, 1);
+        assert_eq!(fs::read(&s.wal_path).unwrap(), s.wal);
+        assert!(!quarantine_path(&s.wal_path).exists());
     }
 
     #[test]
     fn empty_directory_scrubs_clean() {
-        let store = SnapshotStore::open(tmpdir("empty")).unwrap();
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
+        let (wal_path, chain) = campaign("empty");
+        let report = scrub_campaign(&wal_path, &chain, &FlightRecorder::disabled()).unwrap();
         assert!(report.is_clean());
-        assert_eq!(report.primary, FileScrub::Absent);
+        assert_eq!(report.chain.report.source, ChainSource::None);
     }
 
     #[test]
-    fn corrupt_primary_snapshot_is_quarantined_not_deleted() {
-        let (store, _, _) = seeded_store("snap-rot");
-        let mut bytes = fs::read(store.snap_path()).unwrap();
+    fn corrupt_chain_record_is_quarantined_not_deleted() {
+        let mut s = Seeded::new("record-rot");
+        // A newer delta head covering the whole journal, then rot in it.
+        let delta = snapshot_covering(&s.wal).encode();
+        let g = s.chain.append(RecordKind::Delta, &delta).unwrap();
+        let name = format!("chain-{g:020}.delta");
+        let path = s.chain.dir().join(&name);
+        let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
-        fs::write(store.snap_path(), &bytes).unwrap();
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
-        assert!(matches!(report.primary, FileScrub::Quarantined { .. }));
-        assert!(!store.snap_path().exists(), "corrupt primary left in place");
+        fs::write(&path, &bytes).unwrap();
+
+        let report = s.quiet_scrub();
+        assert!(!report.is_clean());
+        assert_eq!(report.chain.quarantined, vec![name]);
+        assert!(!path.exists(), "corrupt record left in place");
         assert_eq!(
-            fs::read(quarantine_path(&store.snap_path())).unwrap(),
+            fs::read(quarantine_path(&path)).unwrap(),
             bytes,
             "quarantine must preserve the damaged bytes exactly"
         );
-        // load() now falls back cleanly (no primary to reject).
-        let (snap, _) = store.load();
-        assert!(snap.is_none(), "no fallback generation existed");
+        // Resume falls back to the full, whose coverage still matches
+        // the untouched journal.
+        assert_eq!(report.chain.report.head_generation, Some(0));
+        assert_eq!(report.wal_action, WalScrubAction::Clean);
+        assert_eq!(s.head().unwrap().wal_covered, s.covered as u64);
+    }
+
+    #[test]
+    fn a_record_whose_payload_is_not_a_snapshot_is_quarantined_too() {
+        let mut s = Seeded::new("bad-payload");
+        // Framing and checksum are valid; the payload is not a snapshot.
+        let g = s
+            .chain
+            .append(RecordKind::Delta, b"not a snapshot")
+            .unwrap();
+        let report = s.quiet_scrub();
+        assert_eq!(
+            report.chain.quarantined,
+            vec![format!("chain-{g:020}.delta")]
+        );
+        assert_eq!(report.chain.report.head_generation, Some(0));
+        assert!(s.head().is_some(), "the full still resumes the campaign");
     }
 
     #[test]
     fn damaged_tail_is_cut_and_quarantined() {
-        let (store, wal, covered) = seeded_store("tail");
-        let mut bytes = wal.clone();
-        let hit = covered + 10; // inside the live region's first record
-        bytes[hit] ^= 0xFF;
-        fs::write(store.wal_path(), &bytes).unwrap();
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
+        let s = Seeded::new("tail");
+        let (wal, covered) = (&s.wal, s.covered);
+        let bytes = s.damage(covered + 10, 0xFF); // the live region's first record
+        let report = s.quiet_scrub();
         assert_eq!(report.wal_action, WalScrubAction::TailCut);
         assert_eq!(report.wal_valid_bytes, covered as u64);
         assert_eq!(report.wal_quarantined_bytes, (wal.len() - covered) as u64);
-        let left = fs::read(store.wal_path()).unwrap();
+        let left = fs::read(&s.wal_path).unwrap();
         assert_eq!(left, &wal[..covered]);
         let (_, rep) = journal::scan(&left);
         assert_eq!(rep.tail_dropped, 0, "scrubbed journal must scan clean");
         assert_eq!(
-            fs::read(quarantine_path(&store.wal_path())).unwrap(),
+            fs::read(quarantine_path(&s.wal_path)).unwrap(),
             &bytes[covered..]
         );
     }
 
     #[test]
     fn hole_in_covered_prefix_is_repaired_around() {
-        let (store, wal, covered) = seeded_store("prefix");
-        let mut bytes = wal.clone();
-        bytes[5] ^= 0x80; // first record: squarely inside the covered prefix
-        fs::write(store.wal_path(), &bytes).unwrap();
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
+        let s = Seeded::new("prefix");
+        let (wal, covered) = (&s.wal, s.covered);
+        s.damage(5, 0x80); // first record: squarely inside the covered prefix
+        let report = s.quiet_scrub();
         assert_eq!(report.wal_action, WalScrubAction::PrefixDropped);
         assert_eq!(report.wal_valid_bytes, (wal.len() - covered) as u64);
-        let left = fs::read(store.wal_path()).unwrap();
+        let left = fs::read(&s.wal_path).unwrap();
         assert_eq!(
             left,
             &wal[covered..],
@@ -704,61 +679,59 @@ mod tests {
         let (recs, rep) = journal::scan(&left);
         assert_eq!(rep.tail_dropped, 0);
         assert_eq!(recs.len(), 2, "the uncovered round survives intact");
-        // The snapshot + rewritten journal still form a consistent pair:
-        // the covered-prefix hash no longer matches, so replay starts
-        // at 0 — which is exactly where the suffix now begins.
-        let (snap, _) = store.load();
-        assert_eq!(snap.unwrap().replay_offset(&left), 0);
+        // The checkpoint + rewritten journal still form a consistent
+        // pair: the covered-prefix hash no longer matches, so replay
+        // starts at 0 — which is exactly where the suffix now begins.
+        assert_eq!(s.head().unwrap().replay_offset(&left), 0);
     }
 
     #[test]
     fn hole_spanning_into_the_live_region_discards_the_journal() {
-        let (store, wal, covered) = seeded_store("span");
-        let mut bytes = wal.clone();
-        bytes[5] ^= 0x80; // covered prefix…
-        bytes[covered + 10] ^= 0x80; // …and the live region
-        fs::write(store.wal_path(), &bytes).unwrap();
-        let report = scrub_campaign(&store, &FlightRecorder::disabled()).unwrap();
+        let s = Seeded::new("span");
+        let mut bytes = s.damage(5, 0x80); // covered prefix…
+        bytes[s.covered + 10] ^= 0x80; // …and the live region
+        fs::write(&s.wal_path, &bytes).unwrap();
+        let report = s.quiet_scrub();
         assert_eq!(report.wal_action, WalScrubAction::Discarded);
         assert_eq!(report.wal_valid_bytes, 0);
-        assert_eq!(report.wal_quarantined_bytes, wal.len() as u64);
-        assert_eq!(fs::read(store.wal_path()).unwrap().len(), 0);
-        // The snapshot still resumes the campaign: not NothingRecoverable.
-        let (snap, _) = store.load();
-        assert!(snap.is_some());
+        assert_eq!(report.wal_quarantined_bytes, s.wal.len() as u64);
+        assert_eq!(fs::read(&s.wal_path).unwrap().len(), 0);
+        // The checkpoint still resumes the campaign: not NothingRecoverable.
+        assert!(s.head().is_some());
     }
 
     #[test]
     fn total_loss_is_a_loud_error_not_a_cold_start() {
-        let dir = tmpdir("total");
-        let store = SnapshotStore::open(&dir).unwrap();
-        fs::write(store.snap_path(), b"snapshot-shaped garbage").unwrap();
-        fs::write(store.wal_path(), b"journal-shaped garbage").unwrap();
+        let (wal_path, chain) = campaign("total");
+        let record = chain.dir().join(format!("chain-{:020}.full", 0));
+        fs::write(&record, b"checkpoint-shaped garbage").unwrap();
+        fs::write(&wal_path, b"journal-shaped garbage").unwrap();
         assert_eq!(
-            scrub_campaign(&store, &FlightRecorder::disabled()),
+            scrub_campaign(&wal_path, &chain, &FlightRecorder::disabled()),
             Err(ScrubError::NothingRecoverable)
         );
         // The evidence was still quarantined before the refusal.
-        assert!(quarantine_path(&store.snap_path()).exists());
-        assert!(quarantine_path(&store.wal_path()).exists());
+        assert!(quarantine_path(&record).exists());
+        assert!(quarantine_path(&wal_path).exists());
     }
 
     #[test]
     fn scrub_records_warn_events_for_every_detection() {
         use softborg_obs::{ManualClock, Severity};
         use std::sync::Arc;
-        let (store, wal, covered) = seeded_store("events");
-        let mut bytes = wal.clone();
-        bytes[covered + 10] ^= 0xFF;
-        fs::write(store.wal_path(), &bytes).unwrap();
+        let mut s = Seeded::new("events");
+        s.chain.append(RecordKind::Delta, b"rotten").unwrap();
+        s.damage(s.covered + 10, 0xFF);
         let rec = FlightRecorder::new(Arc::new(ManualClock::new(0)), 64);
-        scrub_campaign(&store, &rec).unwrap();
+        s.scrub(&rec).unwrap();
         let events = rec.events();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.kind == "wal_tail_cut" && e.severity == Severity::Warn),
-            "no Warn event for the cut tail: {events:?}"
-        );
+        for kind in ["chain_record_quarantined", "wal_tail_cut"] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.kind == kind && e.severity == Severity::Warn),
+                "no Warn {kind} event: {events:?}"
+            );
+        }
     }
 }

@@ -1,38 +1,25 @@
-//! Checksummed hive snapshots with atomic swap and torn-write fallback.
+//! The checkpoint payload: one checksummed, length-prefixed record of
+//! everything a process needs to resume a durable campaign.
 //!
 //! A durable campaign's write-ahead journal grows without bound; once it
 //! dwarfs the live hive state, recovery time and disk usage are wasted
-//! on history the state already summarizes. Compaction fixes that:
-//! serialize the hive (tree, proofs, outcome labels, session table) into
-//! one checksummed, length-prefixed record, swap it into place
-//! atomically, and truncate the journal.
+//! on history the state already summarizes. Compaction fixes that: the
+//! hive (tree, proofs, outcome labels, session table) is serialized into
+//! a [`HiveSnapshot`], appended to the delta chain (`softborg_store::chain`)
+//! as a full or delta record, and the journal is truncated.
 //!
-//! The swap is crash-safe at every byte:
-//!
-//! 1. write `hive.snap.tmp`, `fsync` it, `fsync` the directory;
-//! 2. rename `hive.snap` → `hive.snap.prev` (keeping one generation of
-//!    fallback);
-//! 3. rename `hive.snap.tmp` → `hive.snap`, `fsync` the directory;
-//! 4. (caller) truncate the journal.
-//!
-//! Recovery loads the newest snapshot whose checksum verifies — falling
-//! back to `hive.snap.prev` if `hive.snap` is torn — then replays the
-//! journal suffix. A crash *between step 3 and step 4* leaves a journal
-//! that still contains records the snapshot already covers; the snapshot
-//! records the covered length and a hash of that prefix
+//! A crash *between the chain append and the journal truncate* leaves a
+//! journal that still contains records the checkpoint already covers;
+//! the snapshot records the covered length and a hash of that prefix
 //! ([`HiveSnapshot::wal_covered`] / [`HiveSnapshot::wal_covered_hash`])
 //! so [`HiveSnapshot::replay_offset`] can tell "journal not yet
 //! truncated" apart from "journal truncated and regrown".
 
-use crate::journal::{fsync_parent_dir, JournalIoError};
 use softborg_program::codec::{self, CodecError};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 
-/// Magic prefix identifying a snapshot file (version in the last byte).
+/// Magic prefix identifying a snapshot record (version in the last byte).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SBSNAP\x00\x01";
 
 /// Everything a process needs to resume a durable campaign.
@@ -152,149 +139,6 @@ impl HiveSnapshot {
     }
 }
 
-/// Where a loaded snapshot came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotSource {
-    /// `hive.snap` verified.
-    Primary,
-    /// `hive.snap` was torn or missing; `hive.snap.prev` verified.
-    Fallback,
-    /// Neither file yielded a valid snapshot: cold start.
-    None,
-}
-
-/// What [`SnapshotStore::load`] found, for recovery observability.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Which file supplied the snapshot.
-    pub source: SnapshotSource,
-    /// Why `hive.snap` was rejected, if it was.
-    pub primary_error: Option<String>,
-    /// Why `hive.snap.prev` was rejected, if it was.
-    pub fallback_error: Option<String>,
-}
-
-/// A directory holding one campaign's durable files: `hive.snap`,
-/// `hive.snap.prev`, `hive.snap.tmp`, and (by convention, owned by the
-/// caller) the `hive.wal` journal.
-#[derive(Debug, Clone)]
-pub struct SnapshotStore {
-    dir: PathBuf,
-}
-
-impl SnapshotStore {
-    /// Opens (creating if needed) the durability directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(SnapshotStore { dir })
-    }
-
-    /// The durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the current snapshot.
-    pub fn snap_path(&self) -> PathBuf {
-        self.dir.join("hive.snap")
-    }
-
-    /// Path of the previous-generation fallback snapshot.
-    pub fn prev_path(&self) -> PathBuf {
-        self.dir.join("hive.snap.prev")
-    }
-
-    /// Path of the in-flight temporary used by the atomic swap.
-    pub fn tmp_path(&self) -> PathBuf {
-        self.dir.join("hive.snap.tmp")
-    }
-
-    /// Conventional path of the write-ahead journal next to the
-    /// snapshots.
-    pub fn wal_path(&self) -> PathBuf {
-        self.dir.join("hive.wal")
-    }
-
-    /// Writes `snap` with the full crash-safe swap: temp file, fsync,
-    /// directory fsync, generation rename, final rename, directory
-    /// fsync. After this returns, `hive.snap` is the new snapshot and
-    /// `hive.snap.prev` is the previous one (if any). The caller
-    /// truncates the journal *after* this returns. Returns the encoded
-    /// record size in bytes (the checkpoint's write amplification).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`JournalIoError`] naming the failed operation;
-    /// on error the previous `hive.snap`/`hive.snap.prev` pair is still
-    /// loadable (the swap never overwrites in place).
-    pub fn write_snapshot(&self, snap: &HiveSnapshot) -> Result<u64, JournalIoError> {
-        let bytes = snap.encode();
-        let tmp = self.tmp_path();
-        let io = |op: &'static str| move |e: std::io::Error| JournalIoError::from_io(op, &e);
-        let mut f = fs::File::create(&tmp).map_err(io("snapshot-create"))?;
-        f.write_all(&bytes).map_err(io("snapshot-write"))?;
-        f.sync_all().map_err(io("snapshot-fsync"))?;
-        drop(f);
-        fsync_parent_dir(&tmp).map_err(io("snapshot-dir-fsync"))?;
-        let snap_path = self.snap_path();
-        if snap_path.exists() {
-            fs::rename(&snap_path, self.prev_path()).map_err(io("snapshot-rotate"))?;
-        }
-        fs::rename(&tmp, &snap_path).map_err(io("snapshot-rename"))?;
-        fsync_parent_dir(&snap_path).map_err(io("snapshot-dir-fsync"))?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Loads the newest valid snapshot: `hive.snap` first, then the
-    /// `hive.snap.prev` fallback if the primary is torn or missing.
-    /// Every rejection is recorded in the report — a torn primary is
-    /// survivable but never silent.
-    pub fn load(&self) -> (Option<HiveSnapshot>, LoadReport) {
-        let mut report = LoadReport {
-            source: SnapshotSource::None,
-            primary_error: None,
-            fallback_error: None,
-        };
-        match Self::load_file(&self.snap_path()) {
-            Ok(Some(snap)) => {
-                report.source = SnapshotSource::Primary;
-                return (Some(snap), report);
-            }
-            Ok(None) => {}
-            Err(e) => report.primary_error = Some(e),
-        }
-        match Self::load_file(&self.prev_path()) {
-            Ok(Some(snap)) => {
-                report.source = SnapshotSource::Fallback;
-                (Some(snap), report)
-            }
-            Ok(None) => (None, report),
-            Err(e) => {
-                report.fallback_error = Some(e);
-                (None, report)
-            }
-        }
-    }
-
-    /// `Ok(None)` = file absent (not an error); `Err` = present but
-    /// unreadable or failing verification.
-    fn load_file(path: &Path) -> Result<Option<HiveSnapshot>, String> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("read {}: {e}", path.display())),
-        };
-        HiveSnapshot::decode(&bytes)
-            .map(Some)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,12 +152,6 @@ mod tests {
             wal_covered_hash: wire::fnv1a(&wal),
             app_meta: b"meta".to_vec(),
         }
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("softborg-snap-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
     }
 
     #[test]
@@ -351,67 +189,5 @@ mod tests {
         assert_eq!(snap.replay_offset(&regrown), 0);
         // Truncated to empty -> shorter than covered -> replay from 0.
         assert_eq!(snap.replay_offset(b""), 0);
-    }
-
-    #[test]
-    fn store_swap_keeps_previous_generation_and_load_prefers_newest() {
-        let dir = tmpdir("swap");
-        let store = SnapshotStore::open(&dir).expect("open");
-        let mut first = sample();
-        first.app_meta = b"gen-1".to_vec();
-        store.write_snapshot(&first).expect("write 1");
-        let (got, rep) = store.load();
-        assert_eq!(rep.source, SnapshotSource::Primary);
-        assert_eq!(got.expect("snap").app_meta, b"gen-1");
-        let mut second = sample();
-        second.app_meta = b"gen-2".to_vec();
-        store.write_snapshot(&second).expect("write 2");
-        let (got, rep) = store.load();
-        assert_eq!(rep.source, SnapshotSource::Primary);
-        assert_eq!(got.expect("snap").app_meta, b"gen-2");
-        // The previous generation is retained as the fallback.
-        let prev = fs::read(store.prev_path()).expect("prev exists");
-        assert_eq!(
-            HiveSnapshot::decode(&prev).expect("prev").app_meta,
-            b"gen-1"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_primary_falls_back_to_previous_snapshot_with_report() {
-        let dir = tmpdir("torn");
-        let store = SnapshotStore::open(&dir).expect("open");
-        let mut first = sample();
-        first.app_meta = b"gen-1".to_vec();
-        store.write_snapshot(&first).expect("write 1");
-        let mut second = sample();
-        second.app_meta = b"gen-2".to_vec();
-        store.write_snapshot(&second).expect("write 2");
-        // Tear the primary: keep only half its bytes.
-        let full = fs::read(store.snap_path()).expect("read");
-        fs::write(store.snap_path(), &full[..full.len() / 2]).expect("tear");
-        let (got, rep) = store.load();
-        assert_eq!(rep.source, SnapshotSource::Fallback);
-        assert!(rep.primary_error.is_some(), "torn primary is reported");
-        assert_eq!(got.expect("fallback").app_meta, b"gen-1");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cold_start_and_doubly_torn_store_report_cleanly() {
-        let dir = tmpdir("cold");
-        let store = SnapshotStore::open(&dir).expect("open");
-        let (got, rep) = store.load();
-        assert!(got.is_none());
-        assert_eq!(rep.source, SnapshotSource::None);
-        assert_eq!(rep.primary_error, None, "absent files are not errors");
-        // Both generations corrupt -> None, with both rejections named.
-        fs::write(store.snap_path(), b"garbage").expect("write");
-        fs::write(store.prev_path(), b"more garbage").expect("write");
-        let (got, rep) = store.load();
-        assert!(got.is_none());
-        assert!(rep.primary_error.is_some() && rep.fallback_error.is_some());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -137,7 +137,7 @@ impl SectorCorruption {
 /// what the disk looks like when the process comes back. The simulator
 /// itself has no filesystem — these are declarative instructions that a
 /// durability harness (the platform's kill/restart driver) interprets
-/// against the real snapshot + write-ahead-journal files. Keeping them
+/// against the real checkpoint + write-ahead-journal files. Keeping them
 /// in the fault plan gives one vocabulary for "everything the
 /// environment may do to you", network and disk alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -161,23 +161,9 @@ pub enum DiskCrashPoint {
         /// Distance from the end of the journal (clamped to its length).
         back_offset: u64,
     },
-    /// A torn snapshot write: the process dies mid-`write`, leaving only
-    /// the first `keep_per_mille`/1000 of the new snapshot record on
-    /// disk. Recovery must fall back to the previous snapshot.
-    TornSnapshot {
-        /// Fraction of the snapshot record that reached disk (‰, ≤1000).
-        keep_per_mille: u32,
-    },
-    /// One flipped bit at byte `offset` (taken modulo the file length)
-    /// of the current snapshot. The checksum must reject it and recovery
-    /// must fall back.
-    FlipSnapshotBit {
-        /// Byte position of the flip (wrapped modulo the file length).
-        offset: u64,
-    },
-    /// Crash after the new snapshot is renamed into place but before the
-    /// journal truncate: the journal still holds records the snapshot
-    /// already covers, and recovery must not double-apply them.
+    /// Crash after the new checkpoint is durable but before the journal
+    /// truncate: the journal still holds records the checkpoint already
+    /// covers, and recovery must not double-apply them.
     BetweenRenameAndTruncate,
     /// Sector-granularity media damage to the write-ahead journal while
     /// the process is down. The scrubber must detect it and either
@@ -189,21 +175,12 @@ pub enum DiskCrashPoint {
         /// The damage applied to it.
         kind: SectorCorruption,
     },
-    /// Sector-granularity media damage to the current snapshot while the
-    /// process is down. The scrubber must detect it, quarantine the
-    /// generation, and recover from an older valid one — never load a
-    /// corrupt image.
-    CorruptSnapshot {
-        /// Target sector (wrapped modulo the snapshot's sector count).
-        sector: u64,
-        /// The damage applied to it.
-        kind: SectorCorruption,
-    },
-    /// Sector-granularity media damage to one record file of the
-    /// delta-snapshot chain while the process is down. The scrubber
-    /// must quarantine the record and recovery must rebuild from the
-    /// surviving lineage (or refuse loudly) — never fold a rotten
-    /// delta. A no-op on campaigns not running in chain mode.
+    /// Sector-granularity media damage to one checkpoint record file of
+    /// the delta chain while the process is down — a flip, a zeroed
+    /// range, or a torn write. The scrubber must quarantine the record
+    /// and recovery must rebuild from the surviving lineage (or refuse
+    /// loudly) — never fold a rotten record. A no-op before the first
+    /// checkpoint.
     CorruptChainRecord {
         /// Which record, counted back from the newest (0 = chain head).
         back: u64,
@@ -233,7 +210,6 @@ impl DiskCrashPoint {
     pub fn corruption(&self) -> Option<SectorCorruption> {
         match *self {
             DiskCrashPoint::CorruptWal { kind, .. }
-            | DiskCrashPoint::CorruptSnapshot { kind, .. }
             | DiskCrashPoint::CorruptChainRecord { kind, .. }
             | DiskCrashPoint::CorruptPage { kind, .. } => Some(kind),
             _ => None,
@@ -243,7 +219,6 @@ impl DiskCrashPoint {
     fn corruption_mut(&mut self) -> Option<&mut SectorCorruption> {
         match self {
             DiskCrashPoint::CorruptWal { kind, .. }
-            | DiskCrashPoint::CorruptSnapshot { kind, .. }
             | DiskCrashPoint::CorruptChainRecord { kind, .. }
             | DiskCrashPoint::CorruptPage { kind, .. } => Some(kind),
             _ => None,
@@ -393,23 +368,13 @@ impl FaultPlan {
                 }
             }
         }
-        for d in &self.disk {
-            match *d {
-                DiskCrashPoint::TornSnapshot { keep_per_mille } if keep_per_mille > 1000 => {
-                    return Err(FaultPlanError::RateOutOfRange {
-                        what: "torn_snapshot.keep_per_mille",
-                        per_mille: keep_per_mille,
-                    });
-                }
-                d if matches!(
-                    d.corruption(),
-                    Some(SectorCorruption::ZeroRange { sectors: 0 })
-                ) =>
-                {
-                    return Err(FaultPlanError::EmptyCorruptionRange);
-                }
-                _ => {}
-            }
+        if self.disk.iter().any(|d| {
+            matches!(
+                d.corruption(),
+                Some(SectorCorruption::ZeroRange { sectors: 0 })
+            )
+        }) {
+            return Err(FaultPlanError::EmptyCorruptionRange);
         }
         for c in &self.crashes {
             if c.restart_us <= c.at_us {
@@ -663,15 +628,13 @@ mod tests {
             }],
             disk: vec![
                 DiskCrashPoint::AtRoundBoundary { round: 3 },
-                DiskCrashPoint::TornSnapshot {
-                    keep_per_mille: 500,
-                },
                 DiskCrashPoint::BetweenRenameAndTruncate,
                 DiskCrashPoint::CorruptWal {
                     sector: 7,
                     kind: SectorCorruption::ZeroRange { sectors: 6 },
                 },
-                DiskCrashPoint::CorruptSnapshot {
+                DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
                     sector: 1,
                     kind: SectorCorruption::FlipBit { bit: 4000 },
                 },
@@ -756,26 +719,10 @@ mod tests {
     }
 
     #[test]
-    fn torn_snapshot_over_one_thousand_per_mille_is_rejected() {
-        let p = FaultPlan {
-            disk: vec![DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 1001,
-            }],
-            ..FaultPlan::default()
-        };
-        assert_eq!(
-            p.validate(1),
-            Err(FaultPlanError::RateOutOfRange {
-                what: "torn_snapshot.keep_per_mille",
-                per_mille: 1001
-            })
-        );
-    }
-
-    #[test]
     fn zero_sector_corruption_range_is_rejected() {
         let p = FaultPlan {
-            disk: vec![DiskCrashPoint::CorruptSnapshot {
+            disk: vec![DiskCrashPoint::CorruptChainRecord {
+                back: 1,
                 sector: 3,
                 kind: SectorCorruption::ZeroRange { sectors: 0 },
             }],

@@ -157,20 +157,11 @@ impl FaultPlan {
                 DiskCrashPoint::FlipWalBit { back_offset } => {
                     format!("disk = flip_wal_bit {back_offset}")
                 }
-                DiskCrashPoint::TornSnapshot { keep_per_mille } => {
-                    format!("disk = torn_snapshot {keep_per_mille}")
-                }
-                DiskCrashPoint::FlipSnapshotBit { offset } => {
-                    format!("disk = flip_snapshot_bit {offset}")
-                }
                 DiskCrashPoint::BetweenRenameAndTruncate => {
                     "disk = between_rename_and_truncate".to_string()
                 }
                 DiskCrashPoint::CorruptWal { sector, kind } => {
                     format!("disk = corrupt_wal {sector} {}", corruption_text(kind))
-                }
-                DiskCrashPoint::CorruptSnapshot { sector, kind } => {
-                    format!("disk = corrupt_snapshot {sector} {}", corruption_text(kind))
                 }
                 DiskCrashPoint::CorruptChainRecord { back, sector, kind } => {
                     format!(
@@ -267,19 +258,9 @@ impl FaultPlan {
                         ["flip_wal_bit", n] => DiskCrashPoint::FlipWalBit {
                             back_offset: parse_u64(n, line, "disk.flip_wal_bit")?,
                         },
-                        ["torn_snapshot", n] => DiskCrashPoint::TornSnapshot {
-                            keep_per_mille: parse_u32(n, line, "disk.torn_snapshot")?,
-                        },
-                        ["flip_snapshot_bit", n] => DiskCrashPoint::FlipSnapshotBit {
-                            offset: parse_u64(n, line, "disk.flip_snapshot_bit")?,
-                        },
                         ["between_rename_and_truncate"] => DiskCrashPoint::BetweenRenameAndTruncate,
                         ["corrupt_wal", s, what, n] => DiskCrashPoint::CorruptWal {
                             sector: parse_u64(s, line, "disk.corrupt_wal.sector")?,
-                            kind: parse_corruption(what, n, line)?,
-                        },
-                        ["corrupt_snapshot", s, what, n] => DiskCrashPoint::CorruptSnapshot {
-                            sector: parse_u64(s, line, "disk.corrupt_snapshot.sector")?,
                             kind: parse_corruption(what, n, line)?,
                         },
                         ["corrupt_chain_record", b, s, what, n] => {
@@ -342,10 +323,6 @@ mod tests {
                 DiskCrashPoint::AtRoundBoundary { round: 3 },
                 DiskCrashPoint::TruncateWalTail { drop_bytes: 64 },
                 DiskCrashPoint::FlipWalBit { back_offset: 32 },
-                DiskCrashPoint::TornSnapshot {
-                    keep_per_mille: 500,
-                },
-                DiskCrashPoint::FlipSnapshotBit { offset: 7 },
                 DiskCrashPoint::BetweenRenameAndTruncate,
                 DiskCrashPoint::CorruptWal {
                     sector: 9,
@@ -355,7 +332,8 @@ mod tests {
                     sector: 0,
                     kind: SectorCorruption::ZeroRange { sectors: 4 },
                 },
-                DiskCrashPoint::CorruptSnapshot {
+                DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
                     sector: 2,
                     kind: SectorCorruption::TornWrite { keep_bytes: 100 },
                 },

@@ -109,8 +109,8 @@ pub struct IoStats {
     pub disk_bytes_lost: u64,
     /// Disk crash points applied ([`DiskCrashPoint`] WAL variants).
     pub disk_faults: u64,
-    /// Disk crash points that target state this in-memory model does not
-    /// have (snapshot-file variants); counted, not applied.
+    /// Disk crash points that target files this in-memory model does not
+    /// have (kills, checkpoint records, pages); counted, not applied.
     pub disk_faults_ignored: u64,
 }
 
@@ -395,8 +395,8 @@ impl<'w> World<'w> {
     }
 
     /// Schedules a [`DiskCrashPoint`] against `disk` at an exact virtual
-    /// instant. The WAL variants mutate the disk bytes; snapshot-file
-    /// variants have no in-memory analogue and are counted in
+    /// instant. The WAL variants mutate the disk bytes; the rest have no
+    /// in-memory analogue and are counted in
     /// [`IoStats::disk_faults_ignored`].
     pub fn schedule_disk_fault(&mut self, at: SimTime, disk: DiskId, point: DiskCrashPoint) {
         self.inner.push_event(at, Event::DiskFault { disk, point });

@@ -12,15 +12,22 @@
 
 use proptest::prelude::*;
 use softborg_netsim::{
-    Addr, Crash, DiskCrashPoint, FaultPlan, LinkConfig, Partition, Proc, SimConfig, World, WorldCtx,
+    Addr, Crash, DiskCrashPoint, FaultPlan, LinkConfig, Partition, Proc, SectorCorruption,
+    SimConfig, World, WorldCtx,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Decodes one `(selector, arg)` pair into a disk crash point, covering
-/// every variant of the enum.
+/// every variant of the enum and every sector-corruption kind.
 fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
-    match selector % 6 {
+    let n = (arg >> 2) as u32;
+    let kind = match arg % 3 {
+        0 => SectorCorruption::FlipBit { bit: n },
+        1 => SectorCorruption::ZeroRange { sectors: n },
+        _ => SectorCorruption::TornWrite { keep_bytes: n },
+    };
+    match selector % 7 {
         0 => DiskCrashPoint::AtRoundBoundary { round: arg % 100 },
         1 => DiskCrashPoint::TruncateWalTail {
             drop_bytes: arg % 10_000,
@@ -28,11 +35,16 @@ fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
         2 => DiskCrashPoint::FlipWalBit {
             back_offset: arg % 10_000,
         },
-        3 => DiskCrashPoint::TornSnapshot {
-            keep_per_mille: (arg % 1001) as u32,
+        3 => DiskCrashPoint::CorruptWal { sector: arg, kind },
+        4 => DiskCrashPoint::CorruptChainRecord {
+            back: arg % 5,
+            sector: arg,
+            kind,
         },
-        4 => DiskCrashPoint::FlipSnapshotBit {
-            offset: arg % 10_000,
+        5 => DiskCrashPoint::CorruptPage {
+            page: arg % 17,
+            sector: arg,
+            kind,
         },
         _ => DiskCrashPoint::BetweenRenameAndTruncate,
     }

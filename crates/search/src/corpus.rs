@@ -40,9 +40,8 @@
 //! `campaign = durable` line followed by the [`DurableWorkload`]
 //! coordinates (`scenarios`, `shards`, `fleet_pods`, `rounds`, `execs`,
 //! `platform_seed`, `compact_ratio`, `min_compact_wal`,
-//! `durable_canary`, and the storage-mode flags `store_chain` /
-//! `store_paging`, written only when on so older entries parse
-//! unchanged); the `campaign` line always precedes its keys. For those
+//! `durable_canary`, and the storage-mode flag `store_paging`, written
+//! only when on); the `campaign` line always precedes its keys. For those
 //! entries `trace_hash` pins the outcome digest and `virtual_end_us`
 //! pins the final committed round.
 
@@ -171,10 +170,6 @@ impl CorpusEntry {
             out.push_str(&format!("platform_seed = {}\n", d.seed));
             out.push_str(&format!("compact_ratio = {}\n", d.compact_ratio));
             out.push_str(&format!("min_compact_wal = {}\n", d.min_compact_wal_bytes));
-            // Emitted only when on: pre-store entries stay byte-stable.
-            if d.chain {
-                out.push_str("store_chain = 1\n");
-            }
             if d.paging {
                 out.push_str("store_paging = 1\n");
             }
@@ -288,7 +283,6 @@ impl CorpusEntry {
                 "platform_seed" => dur!().seed = num(value)?,
                 "compact_ratio" => dur!().compact_ratio = num(value)?,
                 "min_compact_wal" => dur!().min_compact_wal_bytes = num(value)?,
-                "store_chain" => dur!().chain = num(value)? != 0,
                 "store_paging" => dur!().paging = num(value)? != 0,
                 "durable_canary" => {
                     dur!().canary = Some(
@@ -561,21 +555,19 @@ mod tests {
         let mut e2 = e.clone();
         e2.campaign.as_mut().unwrap().canary = None;
         assert_eq!(CorpusEntry::from_text(&e2.to_text()).expect("parses"), e2);
-        // Storage-mode flags ride along when set — and are absent from
-        // the text when off, so pre-store entries stay byte-stable.
+        // The paging flag rides along when set — and is absent from the
+        // text when off.
         let mut e3 = e.clone();
         {
             let c = e3.campaign.as_mut().unwrap();
-            c.chain = true;
             c.paging = true;
             c.canary = Some(DurableCanary::SkipDelta);
         }
         let text = e3.to_text();
-        assert!(text.contains("store_chain = 1"));
         assert!(text.contains("store_paging = 1"));
         assert!(text.contains("durable_canary = skip_delta"));
         assert_eq!(CorpusEntry::from_text(&text).expect("parses"), e3);
-        assert!(!e.to_text().contains("store_chain"));
+        assert!(!e.to_text().contains("store_paging"));
     }
 
     #[test]

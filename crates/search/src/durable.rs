@@ -10,32 +10,32 @@
 //!
 //! * [`DiskCrashPoint::AtRoundBoundary`] — kill the whole fleet after
 //!   that committed round, then scrub and resume.
-//! * [`DiskCrashPoint::CorruptWal`] / [`DiskCrashPoint::CorruptSnapshot`]
-//!   — while the fleet is down, rot a sector of a shard's journal or
-//!   snapshot (bit flip, zeroed range, torn write). Corruption points
-//!   with no kill of their own attach to a synthetic mid-campaign kill.
-//!
-//! * [`DiskCrashPoint::CorruptChainRecord`] / [`DiskCrashPoint::CorruptPage`]
-//!   — the same, aimed at delta-chain record files and paged-tree page
-//!   files. No-ops unless the campaign runs with
-//!   [`DurableWorkload::chain`] / [`DurableWorkload::paging`].
+//! * [`DiskCrashPoint::CorruptWal`] / [`DiskCrashPoint::CorruptChainRecord`]
+//!   — while the fleet is down, rot a sector of a shard's journal or of
+//!   one of its checkpoint records (bit flip, zeroed range, torn write).
+//!   Corruption points with no kill of their own attach to a synthetic
+//!   mid-campaign kill.
+//! * [`DiskCrashPoint::CorruptPage`] — the same, aimed at paged-tree
+//!   page files. A no-op unless the campaign runs with
+//!   [`DurableWorkload::paging`].
 //!
 //! The oracle ladder judging the outcome (see [`check_durable`]): every
 //! corruption that changed stored bytes must be flagged by the scrub
-//! pass ([`OracleFailure::ScrubSilent`] otherwise); a chain-mode rebuild
-//! whose shard state differs from the reference is a
-//! [`OracleFailure::DeltaChainDivergence`]; a paged store that adopted
-//! page files instead of rebuilding them is a
-//! [`OracleFailure::PageLost`]; and every resumed fleet must otherwise
-//! be process-equivalent to an uninterrupted reference run — same shard
-//! states, same pod populations (RNG streams, repair-lab corpora), same
-//! round history ([`OracleFailure::ResumeDivergence`] otherwise).
+//! pass ([`OracleFailure::ScrubSilent`] otherwise); a paged store that
+//! adopted page files instead of rebuilding them is a
+//! [`OracleFailure::PageLost`]; a rebuild whose shard state differs
+//! from the reference — the state came out of the delta chain — is a
+//! [`OracleFailure::DeltaChainDivergence`]; and every resumed fleet
+//! must otherwise be process-equivalent to an uninterrupted reference
+//! run — same shard states, same pod populations (RNG streams,
+//! repair-lab corpora), same round history
+//! ([`OracleFailure::ResumeDivergence`] otherwise).
 //! Network-level plan knobs are inert here; the shrinker strips them
 //! from any minimized plan.
 
 use crate::oracle::OracleFailure;
 use softborg::store::PagedConfig;
-use softborg::{ChainSettings, DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
+use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
 use softborg_hive::journal::{self, REC_PODS};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption, SECTOR_BYTES};
 use softborg_pod::{PodConfig, PodState};
@@ -60,7 +60,7 @@ pub enum DurableCanary {
     /// Skip the scrub pass entirely: injected rot reaches resume
     /// unflagged, which [`OracleFailure::ScrubSilent`] must catch.
     BlindScrub,
-    /// Arm [`ChainSettings::skip_last_delta`]: resume silently drops the
+    /// Arm [`DurabilityConfig::skip_last_delta`]: resume silently drops the
     /// newest delta record while trusting the chain head's metadata, so
     /// the rebuilt shard state is one checkpoint stale. The chain on
     /// disk is pristine — nothing for a scrubber to flag — which is why
@@ -116,15 +116,10 @@ pub struct DurableWorkload {
     pub execs: u32,
     /// Master platform seed.
     pub seed: u64,
-    /// Snapshot compaction ratio (`0` disables compaction).
+    /// Checkpoint compaction ratio (`0` disables compaction).
     pub compact_ratio: u64,
     /// Journal size below which compaction never triggers.
     pub min_compact_wal_bytes: u64,
-    /// Run the campaign's durability in delta-snapshot-chain mode
-    /// (checkpoints append full/delta records instead of rewriting
-    /// `hive.snap`). The reference run shares the mode; equivalence must
-    /// hold either way.
-    pub chain: bool,
     /// Run the *campaign* (never the reference) with every execution
     /// tree behind the paged store — the reference stays in memory, so
     /// the equivalence oracle doubles as the paging-on/off byte-identity
@@ -145,7 +140,6 @@ impl Default for DurableWorkload {
             seed: 41,
             compact_ratio: 2,
             min_compact_wal_bytes: 1024,
-            chain: false,
             paging: false,
             canary: None,
         }
@@ -170,9 +164,9 @@ pub struct DurableOutcome {
     /// First committed round where a resumed fleet was not
     /// process-equivalent to the reference run, if any.
     pub divergence: Option<u64>,
-    /// First committed round where a *chain-mode* rebuild produced wrong
-    /// shard state (set instead of `divergence` when the state half of
-    /// the equivalence check fails under [`DurableWorkload::chain`]).
+    /// First committed round where a rebuild from the delta chain
+    /// produced wrong shard state (set instead of `divergence` when the
+    /// state half of a resume's equivalence check fails).
     pub chain_divergence: Option<u64>,
     /// Page files the campaign's paged stores adopted instead of
     /// rebuilding, summed over every fleet incarnation. Nonzero only
@@ -191,7 +185,7 @@ static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
 impl DurableWorkload {
     /// The default workload with `canary` armed, compaction adjusted so
     /// the canary's storage-level tampering cannot be masked by
-    /// snapshotted pod state.
+    /// checkpointed pod state.
     pub fn with_canary(canary: DurableCanary) -> Self {
         DurableWorkload {
             canary: Some(canary),
@@ -207,24 +201,27 @@ impl DurableWorkload {
             } else {
                 DurableWorkload::default().min_compact_wal_bytes
             },
-            chain: canary == DurableCanary::SkipDelta,
+            // One shard: disk damage then falls back along the chain
+            // instead of tripping the fleet's cross-shard refusal (a
+            // shard's checkpoint ahead of the campaign minimum), which
+            // would mask the dropped delta.
+            shards: if canary == DurableCanary::SkipDelta {
+                1
+            } else {
+                DurableWorkload::default().shards
+            },
             paging: canary == DurableCanary::StalePage,
             ..DurableWorkload::default()
         }
     }
 
     fn config(&self, dir: &Path, paged: bool) -> MultiPlatformConfig {
-        let mut durability = DurabilityConfig {
+        let durability = DurabilityConfig {
             compact_ratio: self.compact_ratio,
             min_compact_wal_bytes: self.min_compact_wal_bytes,
+            skip_last_delta: self.canary == Some(DurableCanary::SkipDelta),
             ..DurabilityConfig::new(dir)
         };
-        if self.chain {
-            durability.chain = Some(ChainSettings {
-                skip_last_delta: self.canary == Some(DurableCanary::SkipDelta),
-                ..ChainSettings::default()
-            });
-        }
         // Tiny pages and a tight budget so eviction actually bites at
         // this campaign's scale.
         let tree_paging = paged.then(|| PagedConfig {
@@ -305,7 +302,6 @@ impl DurableWorkload {
                 matches!(
                     p,
                     DiskCrashPoint::CorruptWal { .. }
-                        | DiskCrashPoint::CorruptSnapshot { .. }
                         | DiskCrashPoint::CorruptChainRecord { .. }
                         | DiskCrashPoint::CorruptPage { .. }
                 )
@@ -376,9 +372,10 @@ impl DurableWorkload {
                     let rest_ok = r <= self.rounds
                         && p.export_pod_states() == ref_pods[r as usize]
                         && p.history() == &ref_history[..r as usize];
-                    // Wrong shard state out of a chain-mode rebuild is the
-                    // delta chain's fault specifically, not generic drift.
-                    if !state_ok && self.chain && out.chain_divergence.is_none() {
+                    // Wrong shard state straight out of a rebuild is the
+                    // delta chain's fault specifically, not generic drift:
+                    // the chain is what the state was rebuilt from.
+                    if !state_ok && out.chain_divergence.is_none() {
                         out.chain_divergence = Some(r);
                     } else if !(state_ok && rest_ok) && out.divergence.is_none() {
                         out.divergence = Some(r);
@@ -389,7 +386,7 @@ impl DurableWorkload {
                 Err(e) => {
                     // A typed refusal, not a divergence: the fleet said
                     // loudly that it cannot reach a consistent round
-                    // (e.g. a quarantined snapshot whose journal was
+                    // (e.g. a quarantined checkpoint whose journal was
                     // already compacted away on another shard) instead
                     // of resuming into an inconsistent one.
                     out.aborted = Some(format!("resume failed: {e:?}"));
@@ -406,9 +403,9 @@ impl DurableWorkload {
             let state_ok = self.shard_states(p) == ref_states[self.rounds as usize];
             let rest_ok = p.export_pod_states() == ref_pods[self.rounds as usize]
                 && p.history() == &ref_history[..];
-            if !state_ok && self.chain && out.chain_divergence.is_none() {
-                out.chain_divergence = Some(self.rounds);
-            } else if !(state_ok && rest_ok) && out.divergence.is_none() {
+            // Every rebuild was judged at its resume; drift that shows
+            // only in the continuation is a process-equivalence failure.
+            if !(state_ok && rest_ok) && out.divergence.is_none() {
                 out.divergence = Some(self.rounds);
             }
             out.rounds = p.committed_rounds();
@@ -433,7 +430,6 @@ impl DurableWorkload {
         if let Some(d) = out.divergence {
             buf.extend_from_slice(&d.to_le_bytes());
         }
-        // Appended only when set so pre-chain corpus digests age cleanly.
         if let Some(d) = out.chain_divergence {
             buf.extend_from_slice(&d.to_le_bytes());
         }
@@ -450,22 +446,24 @@ impl DurableWorkload {
 
 /// The durable campaign's oracle ladder. Scrub soundness is judged
 /// first (accepting rotten bytes silently is worse than diverging
-/// loudly), then the storage-specific rungs — a chain rebuild that got
-/// the state wrong, a paged store that trusted stale files — and last
-/// the catch-all process-equivalence of every resume.
+/// loudly), then the storage-specific rungs — a paged store that
+/// trusted stale files (its honest counter is direct evidence, and
+/// stale pages also spoil the rebuilt state), a chain rebuild that got
+/// the state wrong — and last the catch-all process-equivalence of
+/// every resume.
 pub fn check_durable(out: &DurableOutcome) -> Option<OracleFailure> {
     if let Some(point) = &out.undetected {
         return Some(OracleFailure::ScrubSilent {
             point: point.clone(),
         });
     }
-    if let Some(round) = out.chain_divergence {
-        return Some(OracleFailure::DeltaChainDivergence { round });
-    }
     if out.pages_trusted > 0 {
         return Some(OracleFailure::PageLost {
             pages_trusted: out.pages_trusted,
         });
+    }
+    if let Some(round) = out.chain_divergence {
+        return Some(OracleFailure::DeltaChainDivergence { round });
     }
     if let Some(round) = out.divergence {
         return Some(OracleFailure::ResumeDivergence { round });
@@ -508,7 +506,8 @@ fn strip_pod_records(dir: &Path, shards: usize) {
 /// Applies one corruption point to shard `shard`'s on-disk file.
 /// Returns a stable description when the file's bytes actually changed,
 /// `None` when the point was a no-op (absent file, empty journal, no
-/// chain/page files because the mode is off). The requested sector is
+/// checkpoint yet, no page files because paging is off). The requested
+/// sector is
 /// folded into the file's real extent so small campaigns still see
 /// mid-file rot.
 fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<String> {
@@ -517,12 +516,6 @@ fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<
             DiskCrashPoint::CorruptWal { sector, kind } => (
                 dir.join(format!("shard-{shard}")).join("hive.wal"),
                 format!("shard-{shard}/hive.wal"),
-                *sector,
-                *kind,
-            ),
-            DiskCrashPoint::CorruptSnapshot { sector, kind } => (
-                dir.join(format!("shard-{shard}")).join("hive.snap"),
-                format!("shard-{shard}/hive.snap"),
                 *sector,
                 *kind,
             ),
@@ -730,11 +723,10 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        // Chain mode for the whole campaign (reference included) plus a
-        // paged campaign against an in-memory reference: equivalence
-        // here is the byte-identity proof for both storage modes.
+        // A paged campaign against an in-memory reference, both
+        // compacting aggressively: equivalence here is the byte-identity
+        // proof for chains and paging together.
         let w = DurableWorkload {
-            chain: true,
             paging: true,
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
@@ -806,7 +798,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let w = DurableWorkload {
-            chain: true,
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
             ..small()

@@ -47,12 +47,11 @@ pub struct GenConfig {
     /// Generated [`DiskCrashPoint::AtRoundBoundary`] kills land in
     /// rounds `1..=disk_round_horizon` of the durable campaign.
     pub disk_round_horizon: u64,
-    /// Also target the delta-snapshot chain and paged-tree store
-    /// ([`DiskCrashPoint::CorruptChainRecord`] /
-    /// [`DiskCrashPoint::CorruptPage`]). Off by default: the wider
-    /// variant draw would reshuffle every plan of an existing sweep,
-    /// and the points are no-ops on campaigns without chain/paging.
-    pub store_targets: bool,
+    /// Also target the paged-tree store ([`DiskCrashPoint::CorruptPage`]).
+    /// Off by default: the wider variant draw would reshuffle every plan
+    /// of an existing sweep, and the point is a no-op on campaigns
+    /// without paging.
+    pub page_targets: bool,
 }
 
 impl Default for GenConfig {
@@ -68,16 +67,16 @@ impl Default for GenConfig {
             max_partition_len_us: 20_000,
             max_disk_points: 0,
             disk_round_horizon: 8,
-            store_targets: false,
+            page_targets: false,
         }
     }
 }
 
 impl GenConfig {
     /// Bounds for sweeping the durable multi-program campaign: only
-    /// disk faults (round-boundary kills plus journal/snapshot sector
-    /// corruption) — network-level knobs are inert there and would
-    /// only pad plan weight.
+    /// disk faults (round-boundary kills plus journal/checkpoint-record
+    /// sector corruption) — network-level knobs are inert there and
+    /// would only pad plan weight.
     pub fn disk_only(rounds: u64) -> Self {
         GenConfig {
             max_crashes: 0,
@@ -176,7 +175,7 @@ pub fn generate_plan(seed: u64, case: u64, cfg: &GenConfig, workload: &Workload)
     if cfg.max_disk_points > 0 {
         let rounds = cfg.disk_round_horizon.max(1);
         let n_disk = rng.up_to(cfg.max_disk_points as u64) as usize;
-        let variants = if cfg.store_targets { 4 } else { 2 };
+        let variants = if cfg.page_targets { 3 } else { 2 };
         for _ in 0..n_disk {
             disk.push(match rng.up_to(variants) {
                 0 => DiskCrashPoint::AtRoundBoundary {
@@ -186,11 +185,7 @@ pub fn generate_plan(seed: u64, case: u64, cfg: &GenConfig, workload: &Workload)
                     sector: rng.up_to(63),
                     kind: corruption(&mut rng),
                 },
-                2 => DiskCrashPoint::CorruptSnapshot {
-                    sector: rng.up_to(7),
-                    kind: corruption(&mut rng),
-                },
-                3 => DiskCrashPoint::CorruptChainRecord {
+                2 => DiskCrashPoint::CorruptChainRecord {
                     back: rng.up_to(3),
                     sector: rng.up_to(7),
                     kind: corruption(&mut rng),
@@ -307,7 +302,7 @@ mod tests {
     fn disk_only_sweeps_cover_kills_and_both_corruption_targets() {
         let w = Workload::default();
         let cfg = GenConfig::disk_only(5);
-        let (mut kills, mut wal, mut snap) = (0, 0, 0);
+        let (mut kills, mut wal, mut chain) = (0, 0, 0);
         for case in 0..256 {
             let p = generate_plan(11, case, &cfg, &w);
             assert!(p.crashes.is_empty() && p.partitions.is_empty());
@@ -320,47 +315,48 @@ mod tests {
                         kills += 1;
                     }
                     DiskCrashPoint::CorruptWal { .. } => wal += 1,
-                    DiskCrashPoint::CorruptSnapshot { .. } => snap += 1,
+                    DiskCrashPoint::CorruptChainRecord { back, .. } => {
+                        assert!(*back <= 3);
+                        chain += 1;
+                    }
                     other => panic!("unexpected disk point {other:?}"),
                 }
             }
         }
-        assert!(kills > 10 && wal > 10 && snap > 10, "{kills}/{wal}/{snap}");
+        assert!(
+            kills > 10 && wal > 10 && chain > 10,
+            "{kills}/{wal}/{chain}"
+        );
     }
 
     #[test]
-    fn store_targets_widen_the_draw_without_touching_the_kill_rounds() {
+    fn page_targets_widen_the_draw_without_touching_the_kill_rounds() {
         let w = Workload::default();
         let base = GenConfig::disk_only(5);
-        let store = GenConfig {
-            store_targets: true,
+        let paged = GenConfig {
+            page_targets: true,
             ..base.clone()
         };
-        let (mut chain, mut page) = (0, 0);
+        let mut page = 0;
         for case in 0..512 {
             let p = generate_plan(13, case, &base, &w);
-            for d in &p.disk {
-                assert!(
-                    !matches!(
-                        d,
-                        DiskCrashPoint::CorruptChainRecord { .. }
-                            | DiskCrashPoint::CorruptPage { .. }
-                    ),
-                    "store target generated while disabled"
-                );
-            }
-            let q = generate_plan(13, case, &store, &w);
+            assert!(
+                !p.disk
+                    .iter()
+                    .any(|d| matches!(d, DiskCrashPoint::CorruptPage { .. })),
+                "page target generated while disabled"
+            );
+            let q = generate_plan(13, case, &paged, &w);
             assert_eq!(q.validate(w.node_count()), Ok(()), "case {case}");
             for d in &q.disk {
                 match d {
                     DiskCrashPoint::AtRoundBoundary { round } => assert!((1..=5).contains(round)),
-                    DiskCrashPoint::CorruptChainRecord { .. } => chain += 1,
                     DiskCrashPoint::CorruptPage { .. } => page += 1,
                     _ => {}
                 }
             }
         }
-        assert!(chain > 10 && page > 10, "{chain}/{page}");
+        assert!(page > 10, "{page}");
     }
 
     #[test]

@@ -327,7 +327,7 @@ pub fn run_search(cfg: &SearchConfig) -> Result<SearchReport, SearchError> {
 }
 
 /// A durable-campaign search: sweep disk fault plans (round-boundary
-/// kills, journal/snapshot sector rot) over the sharded multi-program
+/// kills, journal/checkpoint sector rot) over the sharded multi-program
 /// fleet and judge every kill/scrub/resume cycle.
 #[derive(Debug, Clone)]
 pub struct DurableSearchConfig {

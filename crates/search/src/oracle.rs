@@ -79,11 +79,10 @@ pub enum OracleFailure {
         /// The corruption point no scrub flagged.
         point: String,
     },
-    /// A chain-mode resume rebuilt shard state (full record + folded
-    /// deltas) that differs from the uninterrupted reference run at
-    /// committed round `round`: a delta was skipped, misapplied, or
-    /// applied against the wrong base (durable campaign, chain mode
-    /// only).
+    /// A resume rebuilt shard state (full record + folded deltas) that
+    /// differs from the uninterrupted reference run at committed round
+    /// `round`: a delta was skipped, misapplied, or applied against the
+    /// wrong base (durable campaign only).
     DeltaChainDivergence {
         /// First committed round at which the rebuilt state differed.
         round: u64,

@@ -26,8 +26,7 @@
 //! step), and parent links. The first invalid record ends the lineage —
 //! later records are reported as defects, never applied. If the newest
 //! full itself is damaged, loading falls back to the previous full's
-//! lineage (exactly one is retained, mirroring the two-file snapshot
-//! store's `hive.snap.prev` fallback); if that fails too, the chain
+//! lineage (exactly one is retained); if that fails too, the chain
 //! reports [`ChainSource::None`] and the caller treats the campaign as
 //! cold.
 //!
@@ -314,12 +313,14 @@ pub struct ChainStore {
 
 impl ChainStore {
     /// Opens (creating if needed) the chain directory and recovers the
-    /// append-side bookkeeping from whatever lineage validates.
+    /// append-side bookkeeping from whatever lineage validates. Returns
+    /// that walk too — the same as a [`load`](Self::load) right after —
+    /// so a resume reads and checksums the directory once.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn open(dir: &Path) -> io::Result<ChainStore> {
+    pub fn open(dir: &Path) -> io::Result<(ChainStore, ChainLoad)> {
         fs::create_dir_all(dir)?;
         let mut store = ChainStore {
             dir: dir.to_path_buf(),
@@ -329,7 +330,7 @@ impl ChainStore {
             delta_bytes_since_full: 0,
             last_full_bytes: 0,
         };
-        let load = store.load();
+        let (load, head_checksum) = store.walk(true);
         if let Some(full) = load.report.full_generation {
             store.newest_full = Some(full);
             store.prev_full = store
@@ -344,14 +345,9 @@ impl ChainStore {
                     RecordKind::Delta => store.delta_bytes_since_full += rec.payload.len() as u64,
                 }
             }
-            if let Some(last) = load.records.last() {
-                let bytes = fs::read(store.record_path(last.generation, last.kind))?;
-                if let Ok(d) = decode_record(&bytes) {
-                    store.head = Some((d.generation, d.body_checksum));
-                }
-            }
+            store.head = load.records.last().map(|r| (r.generation, head_checksum));
         }
-        Ok(store)
+        Ok((store, load))
     }
 
     /// The chain directory.
@@ -367,11 +363,6 @@ impl ChainStore {
     /// Payload bytes of the newest full record (0 on a cold chain).
     pub fn last_full_payload_bytes(&self) -> u64 {
         self.last_full_bytes
-    }
-
-    /// Delta payload bytes appended since the newest full.
-    pub fn delta_payload_bytes_since_full(&self) -> u64 {
-        self.delta_bytes_since_full
     }
 
     fn record_path(&self, generation: u64, kind: RecordKind) -> PathBuf {
@@ -490,16 +481,18 @@ impl ChainStore {
     /// validate forward (checksums, `+1` generations, parent links),
     /// fall back to the previous full's lineage when the newest fails.
     pub fn load(&self) -> ChainLoad {
-        self.walk(true)
+        self.walk(true).0
     }
 
     /// Validates the chain without retaining payloads — the scrubber's
     /// and the fault-search harness's view.
     pub fn validate(&self) -> ChainReport {
-        self.walk(false).report
+        self.walk(false).0.report
     }
 
-    fn walk(&self, keep_payloads: bool) -> ChainLoad {
+    /// The walk behind [`load`](Self::load), plus the body checksum of
+    /// the adopted lineage's head (what the next delta links to).
+    fn walk(&self, keep_payloads: bool) -> (ChainLoad, u64) {
         let files = self.list_files();
         let mut defects: Vec<ChainDefect> = Vec::new();
         let mut fulls: Vec<u64> = files
@@ -510,7 +503,7 @@ impl ChainStore {
         fulls.sort_unstable();
         fulls.reverse();
 
-        let mut chosen: Option<(u64, Vec<ChainRecord>)> = None;
+        let mut chosen: Option<(u64, Vec<ChainRecord>, u64)> = None;
         let mut source = ChainSource::None;
         for (try_idx, &full_gen) in fulls.iter().take(2).enumerate() {
             let mut records = Vec::new();
@@ -563,14 +556,14 @@ impl ChainStore {
                 } else {
                     ChainSource::Fallback
                 };
-                chosen = Some((full_gen, records));
+                chosen = Some((full_gen, records, prev_checksum));
                 break;
             }
         }
 
-        let (full_generation, records) = match chosen {
-            Some((f, r)) => (Some(f), r),
-            None => (None, Vec::new()),
+        let (full_generation, records, head_checksum) = match chosen {
+            Some((f, r, c)) => (Some(f), r, c),
+            None => (None, Vec::new(), 0),
         };
         // Sweep every file the lineage walk did not visit: at-rest
         // damage anywhere (including the retained fallback lineage) and
@@ -609,7 +602,7 @@ impl ChainStore {
                 error,
             });
         }
-        ChainLoad {
+        let load = ChainLoad {
             report: ChainReport {
                 source,
                 full_generation,
@@ -618,67 +611,8 @@ impl ChainStore {
                 defects,
             },
             records,
-        }
-    }
-
-    /// The **unvalidated** loader: newest full plus every later
-    /// delta whose own checksum parses, applied in generation order
-    /// *ignoring* continuity and parent links.
-    ///
-    /// This is an intentionally planted recovery bug — the
-    /// `skip_delta` canary the durable fault-search campaign must
-    /// catch. It exists so the `delta_chain_divergence` oracle has a
-    /// real defect to find; production code paths must never call it.
-    pub fn load_skipping_validation(&self) -> ChainLoad {
-        let files = self.list_files();
-        let full_gen = files
-            .iter()
-            .filter(|(g, k, _)| {
-                *k == RecordKind::Full
-                    && fs::read(self.record_path(*g, RecordKind::Full))
-                        .ok()
-                        .and_then(|b| decode_record(&b).ok().map(|_| ()))
-                        .is_some()
-            })
-            .map(|(g, _, _)| *g)
-            .max();
-        let Some(full_gen) = full_gen else {
-            return ChainLoad {
-                records: Vec::new(),
-                report: ChainReport {
-                    source: ChainSource::None,
-                    full_generation: None,
-                    head_generation: None,
-                    records: 0,
-                    defects: Vec::new(),
-                },
-            };
         };
-        let mut records = Vec::new();
-        for (g, k, path) in files {
-            if g < full_gen || (g == full_gen && k != RecordKind::Full) {
-                continue;
-            }
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok(d) = decode_record(&bytes) else {
-                continue;
-            };
-            records.push(ChainRecord {
-                generation: d.generation,
-                kind: d.kind,
-                payload: d.payload.to_vec(),
-            });
-        }
-        ChainLoad {
-            report: ChainReport {
-                source: ChainSource::Primary,
-                full_generation: Some(full_gen),
-                head_generation: records.last().map(|r| r.generation),
-                records: records.len() as u64,
-                defects: Vec::new(),
-            },
-            records,
-        }
+        (load, head_checksum)
     }
 
     /// Quarantines generation `generation`'s record file by renaming it
@@ -753,12 +687,12 @@ mod tests {
     #[test]
     fn full_then_deltas_load_in_order() {
         let dir = tmp_dir("basic");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         assert!(c.rebase_due(2));
         c.append(RecordKind::Full, b"state-0").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         c.append(RecordKind::Delta, b"d2").unwrap();
-        let load = ChainStore::open(&dir).unwrap().load();
+        let load = ChainStore::open(&dir).unwrap().1;
         assert_eq!(load.report.source, ChainSource::Primary);
         assert_eq!(load.records.len(), 3);
         assert_eq!(load.records[0].payload, b"state-0");
@@ -770,7 +704,7 @@ mod tests {
     #[test]
     fn delta_on_cold_chain_is_refused() {
         let dir = tmp_dir("cold");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         assert!(c.append(RecordKind::Delta, b"d").is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -778,7 +712,7 @@ mod tests {
     #[test]
     fn corrupt_delta_truncates_the_lineage() {
         let dir = tmp_dir("rot");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, b"state").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         c.append(RecordKind::Delta, b"d2").unwrap();
@@ -788,7 +722,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&p, &bytes).unwrap();
-        let load = ChainStore::open(&dir).unwrap().load();
+        let load = ChainStore::open(&dir).unwrap().1;
         assert_eq!(load.records.len(), 1, "only the full survives");
         assert!(!load.report.is_clean());
         assert!(load
@@ -804,7 +738,7 @@ mod tests {
     #[test]
     fn damaged_newest_full_falls_back_to_previous_lineage() {
         let dir = tmp_dir("fallback");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, b"gen0").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         c.append(RecordKind::Full, b"gen2").unwrap();
@@ -812,7 +746,7 @@ mod tests {
         let mut bytes = fs::read(&p).unwrap();
         bytes[30] ^= 0x40;
         fs::write(&p, &bytes).unwrap();
-        let load = ChainStore::open(&dir).unwrap().load();
+        let load = ChainStore::open(&dir).unwrap().1;
         assert_eq!(load.report.source, ChainSource::Fallback);
         assert_eq!(load.report.full_generation, Some(0));
         assert_eq!(load.records.len(), 2);
@@ -822,7 +756,7 @@ mod tests {
     #[test]
     fn rebase_prunes_generations_before_the_previous_full() {
         let dir = tmp_dir("prune");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, b"gen0").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         c.append(RecordKind::Full, b"gen2").unwrap();
@@ -836,7 +770,7 @@ mod tests {
     #[test]
     fn rebase_ratio_trips_on_accumulated_delta_bytes() {
         let dir = tmp_dir("ratio");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, &[0u8; 100]).unwrap();
         assert!(!c.rebase_due(2));
         c.append(RecordKind::Delta, &[0u8; 150]).unwrap();
@@ -847,18 +781,41 @@ mod tests {
     }
 
     #[test]
-    fn skipping_validation_jumps_holes() {
-        let dir = tmp_dir("skipv");
-        let mut c = ChainStore::open(&dir).unwrap();
+    fn a_missing_delta_ends_the_lineage_loudly() {
+        let dir = tmp_dir("hole");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, b"state").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         c.append(RecordKind::Delta, b"d2").unwrap();
         fs::remove_file(dir.join(format!("chain-{:020}.delta", 1))).unwrap();
-        let honest = ChainStore::open(&dir).unwrap().load();
-        assert_eq!(honest.records.len(), 1, "honest loader stops at the hole");
-        let canary = ChainStore::open(&dir).unwrap().load_skipping_validation();
-        assert_eq!(canary.records.len(), 2, "canary loader jumps the hole");
-        assert_eq!(canary.records[1].payload, b"d2");
+        let load = ChainStore::open(&dir).unwrap().1;
+        assert_eq!(load.records.len(), 1, "the loader stops at the hole");
+        assert!(load.report.defects.iter().any(
+            |d| d.generation == 2 && d.error == RecordError::MissingGeneration { expected: 1 }
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_hands_back_the_walk_a_load_would_take() {
+        let dir = tmp_dir("open-walk");
+        let (mut c, cold) = ChainStore::open(&dir).unwrap();
+        assert_eq!(cold.report.source, ChainSource::None);
+        c.append(RecordKind::Full, b"gen0").unwrap();
+        c.append(RecordKind::Delta, b"d1").unwrap();
+        let (reopened, walk) = ChainStore::open(&dir).unwrap();
+        let again = reopened.load();
+        assert_eq!(walk.records, again.records);
+        assert_eq!(walk.report, again.report);
+        assert_eq!(reopened.head_generation(), Some(1));
+        assert_eq!(reopened.last_full_payload_bytes(), 4);
+        // The recovered head link is live: a delta appended after the
+        // reopen chains on cleanly.
+        let mut reopened = reopened;
+        reopened.append(RecordKind::Delta, b"d2").unwrap();
+        let load = ChainStore::open(&dir).unwrap().1;
+        assert_eq!(load.records.len(), 3);
+        assert!(load.report.is_clean(), "{:?}", load.report);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,8 +10,8 @@
 //!   versioned delta against the previous generation, with periodic
 //!   ratio-triggered full rebases. Loading validates the chain
 //!   (generation links + per-record checksums) and falls back to the
-//!   previous full's lineage when the newest lineage is damaged — the
-//!   same fallback discipline as the two-file snapshot store.
+//!   previous full's lineage when the newest lineage is damaged. It is
+//!   the hive's only checkpoint format.
 //! * [`page`] — **paged item storage**: a `NodeStore` abstraction with
 //!   an in-memory impl and a paged impl that evicts cold fixed-size
 //!   pages to checksummed page files under a configurable resident

@@ -152,7 +152,7 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let dir = scratch("prefix");
-        let mut c = ChainStore::open(&dir).unwrap();
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
         for (i, p) in payloads.iter().enumerate() {
             let kind = if i % rebase_every == 0 { RecordKind::Full } else { RecordKind::Delta };
             c.append(kind, p).unwrap();
@@ -167,7 +167,7 @@ proptest! {
         bytes[pos] ^= mask;
         std::fs::write(victim, &bytes).unwrap();
 
-        let load = ChainStore::open(&dir).unwrap().load();
+        let load = ChainStore::open(&dir).unwrap().1;
         if let Some(first) = load.records.first() {
             prop_assert_eq!(first.kind, RecordKind::Full);
             for w in load.records.windows(2) {
@@ -183,6 +183,35 @@ proptest! {
             prop_assert_eq!(load.report.source, ChainSource::None);
         }
         prop_assert!(!load.report.is_clean(), "damage is never silent");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Generation fallback: tear the newest full record at any byte and
+    /// the load adopts the previous full's lineage — every record of it,
+    /// payloads intact — while reporting the torn record.
+    #[test]
+    fn torn_newest_full_falls_back_to_the_previous_lineage(
+        older in collection::vec(collection::vec(any::<u8>(), 1..48), 1..5),
+        newest in collection::vec(any::<u8>(), 1..48),
+        cut_seed in any::<u32>(),
+    ) {
+        let dir = scratch("fallback");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
+        for (i, p) in older.iter().enumerate() {
+            let kind = if i == 0 { RecordKind::Full } else { RecordKind::Delta };
+            c.append(kind, p).unwrap();
+        }
+        let g = c.append(RecordKind::Full, &newest).unwrap();
+        let path = dir.join(format!("chain-{g:020}.full"));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..cut_seed as usize % bytes.len()]).unwrap();
+
+        let load = ChainStore::open(&dir).unwrap().1;
+        prop_assert_eq!(load.report.source, ChainSource::Fallback);
+        prop_assert_eq!(load.report.full_generation, Some(0));
+        let loaded: Vec<&Vec<u8>> = load.records.iter().map(|r| &r.payload).collect();
+        prop_assert_eq!(loaded, older.iter().collect::<Vec<_>>());
+        prop_assert!(load.report.defects.iter().any(|d| d.generation == g));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,20 +3,22 @@
 //! state, pod populations (RNG streams, repair-lab corpora, queued
 //! directives), history, and round telemetry all byte-identical to an
 //! uninterrupted run at the same committed round — through journal
-//! replay alone, through snapshot compaction, and through snapshot
-//! corruption with generation fallback.
+//! replay alone, through delta-chain checkpoints, and through checkpoint
+//! corruption with lineage fallback.
 
 use softborg::hive::journal::{self, REC_FRAME};
-use softborg::hive::SnapshotSource;
+use softborg::hive::HiveSnapshot;
 use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
 use softborg::pod::PodState;
+use softborg::store::chain::decode_record;
+use softborg::store::ChainSource;
 use softborg::{
-    DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig,
-    RoundReport,
+    DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings, MultiPlatform,
+    MultiPlatformConfig, Platform, PlatformConfig, RoundReport,
 };
 use softborg_ingest::IngestConfig;
 use softborg_program::scenarios;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const ROUNDS: u64 = 5;
@@ -45,7 +47,7 @@ fn config(durability: Option<DurabilityConfig>) -> PlatformConfig {
     }
 }
 
-/// Aggressive compaction so short campaigns exercise the snapshot path.
+/// Aggressive compaction so short campaigns exercise the checkpoint path.
 fn compacting(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 2,
@@ -235,6 +237,30 @@ fn resumed_telemetry_matches_the_uninterrupted_run() {
     );
 }
 
+/// Chain record files under `dir/chain`, sorted by name (= generation).
+fn chain_records(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Payload bytes of the newest full chain record (0 on a cold chain):
+/// what the compaction rule weighs the journal against.
+fn newest_full_payload(dir: &Path) -> u64 {
+    chain_records(dir)
+        .iter()
+        .rev()
+        .find(|p| p.extension().is_some_and(|x| x == "full"))
+        .map_or(0, |p| {
+            let bytes = std::fs::read(p).unwrap();
+            decode_record(&bytes).unwrap().payload.len() as u64
+        })
+}
+
 #[test]
 fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
     let s = scenarios::token_parser();
@@ -244,20 +270,22 @@ fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
         let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
         for _ in 0..ROUNDS {
             p.round(EXECS);
+            // The rule: a commit leaves the journal below `compact_ratio`
+            // times what the newest full checkpoint wrote (and the floor).
             let wal = p.wal_len().unwrap();
-            let bound = 2 * p.hive_state().len() as u64 + 1024;
+            let bound = (2 * newest_full_payload(&dir)).max(1024);
             assert!(wal < bound, "journal unbounded: {wal} >= {bound}");
         }
     }
     assert!(
-        dir.join("hive.snap").exists(),
-        "compaction never wrote a snapshot"
+        newest_full_payload(&dir) > 0,
+        "compaction never wrote a checkpoint"
     );
     let (resumed, report) = Platform::resume(&s.program, config(Some(compacting(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::Primary);
+    assert_eq!(report.chain.source, ChainSource::Primary);
     assert!(
         report.rounds_from_snapshot > 0,
-        "resume ignored the snapshot"
+        "resume ignored the checkpoint"
     );
     assert_eq!(resumed.committed_rounds(), ROUNDS);
     assert_eq!(resumed.hive_state(), reference[ROUNDS as usize]);
@@ -266,29 +294,30 @@ fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
 #[test]
 fn corrupt_primary_snapshot_falls_back_to_a_consistent_generation() {
     let s = scenarios::token_parser();
-    let reference = reference_states(compacting(campaign_dir("fallback-ref")));
+    let reference = reference_states(eager(campaign_dir("fallback-ref")));
     let dir = campaign_dir("fallback");
     {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
-    let snap = dir.join("hive.snap");
-    let prev = dir.join("hive.snap.prev");
+    let records = chain_records(&dir);
     assert!(
-        snap.exists() && prev.exists(),
-        "campaign too short to roll two snapshot generations"
+        records.len() >= 2,
+        "campaign too short to write two checkpoint generations"
     );
-    // Media corruption of the newest snapshot, after its swap committed.
-    let mut bytes = std::fs::read(&snap).unwrap();
+    // Media corruption of the newest checkpoint, after it committed.
+    let head = records.last().unwrap();
+    let mut bytes = std::fs::read(head).unwrap();
+    let head_gen = decode_record(&bytes).unwrap().generation;
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    std::fs::write(&snap, bytes).unwrap();
+    std::fs::write(head, bytes).unwrap();
 
-    let (resumed, report) = Platform::resume(&s.program, config(Some(compacting(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::Fallback);
-    assert!(report.snapshot.primary_error.is_some());
+    let (resumed, report) = Platform::resume(&s.program, config(Some(eager(dir)))).unwrap();
+    assert!(!report.chain.is_clean(), "the rotten head went unreported");
+    assert!(report.chain.head_generation < Some(head_gen));
     // The journal suffix belongs to rounds after the (destroyed) newest
-    // snapshot; recovery must discard it rather than merge it out of
+    // checkpoint; recovery must discard it rather than merge it out of
     // order onto the older generation.
     assert!(report.disconnected_records > 0 || report.rounds_replayed == 0);
     let k = resumed.committed_rounds();
@@ -338,7 +367,7 @@ fn uncommitted_partial_round_is_fenced_and_corrupt_tail_is_dropped() {
 
 #[test]
 fn sector_corruption_is_scrubbed_never_silently_accepted() {
-    use softborg::hive::{FileScrub, WalScrubAction};
+    use softborg::hive::WalScrubAction;
     use softborg::netsim::{SectorCorruption, SECTOR_BYTES};
     let s = scenarios::token_parser();
 
@@ -377,26 +406,32 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
     // A second scrub finds nothing: the repair is durable.
     assert!(Platform::scrub(&cfg()).unwrap().is_clean());
 
-    // Snapshot bit rot: the primary generation is quarantined and
-    // recovery proceeds from the previous generation.
-    let reference = reference_states(compacting(campaign_dir("scrub-snap-ref")));
-    let dir = campaign_dir("scrub-snap");
+    // Checkpoint bit rot: the newest chain record is quarantined and
+    // recovery proceeds from the generation before it.
+    let reference = reference_states(eager(campaign_dir("scrub-chain-ref")));
+    let dir = campaign_dir("scrub-chain");
     {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
-    let snap = dir.join("hive.snap");
-    assert!(dir.join("hive.snap.prev").exists(), "need two generations");
-    let mut bytes = std::fs::read(&snap).unwrap();
+    let records = chain_records(&dir);
+    assert!(records.len() >= 2, "need two checkpoint generations");
+    let head = records.last().unwrap();
+    let mut bytes = std::fs::read(head).unwrap();
+    let head_gen = decode_record(&bytes).unwrap().generation;
     assert!(SectorCorruption::TornWrite { keep_bytes: 17 }.apply(&mut bytes, 0));
-    std::fs::write(&snap, &bytes).unwrap();
-    let cfg = || config(Some(compacting(dir.clone())));
+    std::fs::write(head, &bytes).unwrap();
+    let cfg = || config(Some(eager(dir.clone())));
     let report = Platform::scrub(&cfg()).unwrap();
-    assert!(matches!(report.primary, FileScrub::Quarantined { .. }));
-    assert_eq!(report.fallback, FileScrub::Clean);
-    assert!(dir.join("hive.snap.quarantined").exists());
+    let name = head.file_name().unwrap().to_string_lossy().into_owned();
+    assert_eq!(report.chain.quarantined, vec![name.clone()]);
+    assert!(dir
+        .join("chain")
+        .join(format!("{name}.quarantined"))
+        .exists());
+    assert!(report.chain.report.head_generation < Some(head_gen));
     let (resumed, rep) = Platform::resume(&s.program, cfg()).unwrap();
-    assert_eq!(rep.snapshot.source, SnapshotSource::Fallback);
+    assert!(rep.chain.is_clean(), "the scrub left the chain damaged");
     let k = resumed.committed_rounds();
     assert!(k > 0 && k <= ROUNDS);
     assert_eq!(resumed.hive_state(), reference[k as usize]);
@@ -408,7 +443,7 @@ fn fresh_directory_resumes_into_a_cold_start() {
     let dir = campaign_dir("cold");
     let (mut p, report) =
         Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::None);
+    assert_eq!(report.chain.source, ChainSource::None);
     assert_eq!(report.rounds_from_snapshot + report.rounds_replayed, 0);
     assert_eq!(p.committed_rounds(), 0);
     p.round(EXECS);
@@ -471,11 +506,10 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
     assert_eq!(from_serial.history(), from_piped.history());
 }
 
-/// Delta-snapshot chains under the aggressive compaction policy, so
-/// short campaigns append real delta records.
-fn chained(dir: PathBuf) -> DurabilityConfig {
+/// Eager compaction, so short campaigns append several chain records
+/// (a full, then deltas).
+fn eager(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
-        chain: Some(softborg::ChainSettings::default()),
         compact_ratio: 1,
         min_compact_wal_bytes: 1,
         ..DurabilityConfig::new(dir)
@@ -484,22 +518,22 @@ fn chained(dir: PathBuf) -> DurabilityConfig {
 
 #[test]
 fn chained_kill_at_every_round_boundary_is_process_equivalent() {
-    // The reference runs the *classic* full-snapshot store and is never
-    // killed; a delta-chain resume must land on the same states, pods,
-    // and continuation — the cross-mode byte-identity proof.
+    // The reference runs the default policy and is never killed; a resume
+    // from eagerly written chain records must land on the same states,
+    // pods, and continuation.
     let s = scenarios::token_parser();
     let r = full_reference(DurabilityConfig::new(campaign_dir("chain-ref")));
     for k in 1..=ROUNDS {
         let dir = campaign_dir(&format!("chain-{k}"));
         {
-            let mut p = Platform::new(&s.program, config(Some(chained(dir.clone()))));
+            let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
             p.run(k as u32, EXECS);
         } // drop = kill
-        let (resumed, report) = Platform::resume(&s.program, config(Some(chained(dir)))).unwrap();
-        let chain = report.chain.expect("chain-mode resume reports its walk");
+        let (resumed, report) = Platform::resume(&s.program, config(Some(eager(dir)))).unwrap();
         assert!(
-            chain.defects.is_empty(),
-            "clean chain had defects: {chain:?}"
+            report.chain.is_clean(),
+            "clean chain had defects: {:?}",
+            report.chain
         );
         assert_eq!(resumed.committed_rounds(), k, "lost rounds at kill {k}");
         assert_eq!(resumed.hive_state(), r.states[k as usize]);
@@ -517,13 +551,9 @@ fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
     let s = scenarios::token_parser();
     let dir = campaign_dir("chain-deltas");
     {
-        let mut p = Platform::new(&s.program, config(Some(chained(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
-    assert!(
-        !dir.join("hive.snap").exists(),
-        "chain mode must not write the classic snapshot"
-    );
     let mut fulls: Vec<u64> = Vec::new();
     let mut deltas: Vec<u64> = Vec::new();
     for e in std::fs::read_dir(dir.join("chain")).unwrap() {
@@ -545,68 +575,115 @@ fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
     // steady state dwarfs a round's churn; e22 proves it at scale.)
 }
 
-#[test]
-fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("chain-legacy");
-    {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    assert!(dir.join("hive.snap").exists(), "need a legacy snapshot");
-    // A chain-mode resume over a full-snapshot campaign would silently
-    // cold-start (the chain never reads `hive.snap`); it must refuse.
-    match Platform::resume(&s.program, config(Some(chained(dir)))) {
-        Err(DurabilityError::Corrupt(msg)) => {
-            assert!(msg.contains("legacy"), "unhelpful refusal: {msg}");
+/// Every entry under `dir`, with each file's bytes: two equal trees
+/// hold exactly the same bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    for e in std::fs::read_dir(dir).unwrap() {
+        let path = e.unwrap().path();
+        if path.is_dir() {
+            out.push((path.clone(), None));
+            out.extend(tree(&path));
+        } else {
+            out.push((path.clone(), Some(std::fs::read(&path).unwrap())));
         }
-        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
     }
+    out.sort();
+    out
+}
+
+/// Turns a freshly killed campaign directory into what the retired
+/// full-snapshot format left behind: journal plus `hive.snap`, no chain.
+fn make_legacy(dir: &Path, state: Vec<u8>) {
+    let snap = HiveSnapshot {
+        state,
+        sessions: Default::default(),
+        wal_covered: 0,
+        wal_covered_hash: 0,
+        app_meta: Vec::new(),
+    };
+    std::fs::write(dir.join("hive.snap"), snap.encode()).unwrap();
+    std::fs::remove_dir(dir.join("chain")).unwrap();
 }
 
 #[test]
-fn classic_mode_refuses_a_chained_campaign() {
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("classic-over-chain");
-    let lazily_chained = |dir: PathBuf| DurabilityConfig {
-        compact_ratio: 2,
-        min_compact_wal_bytes: 4096,
-        ..DurabilityConfig::chained(dir)
+fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
+    let uncompacted = |dir: PathBuf| DurabilityConfig {
+        compact_ratio: 0,
+        ..DurabilityConfig::new(dir)
     };
-    const ACKED: u64 = 9;
+    let refused_as_legacy = |what: &str, err: Option<DurabilityError>, dir: &Path| match err {
+        Some(DurabilityError::Corrupt(msg)) => assert!(
+            msg.contains("legacy") && msg.contains(&dir.display().to_string()),
+            "{what}: unhelpful refusal: {msg}"
+        ),
+        other => panic!("{what}: expected a Corrupt refusal, got {other:?}"),
+    };
+
+    // One platform.
+    let s = scenarios::token_parser();
+    let dir = campaign_dir("legacy");
     {
-        let mut p = Platform::new(&s.program, config(Some(lazily_chained(dir.clone()))));
-        p.run(ACKED as u32, EXECS);
+        let mut p = Platform::new(&s.program, config(Some(uncompacted(dir.clone()))));
+        p.run(ROUNDS as u32, EXECS);
+        make_legacy(&dir, p.hive_state());
     }
-    let wal_len = || std::fs::metadata(dir.join("hive.wal")).unwrap().len();
-    let acked_wal = wal_len();
-    assert!(acked_wal > 0, "need acked rounds past the chain head");
-    // A classic-mode resume never reads `chain/`: it would cold-start at
-    // round 0, find the journal disconnected, and truncate acked rounds
-    // away. It must refuse instead, before touching the journal.
-    match Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir.clone())))) {
-        Err(DurabilityError::Corrupt(msg)) => {
-            assert!(msg.contains("chained campaign"), "unhelpful refusal: {msg}");
-        }
-        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
-    }
-    assert_eq!(wal_len(), acked_wal, "a refused resume cut the journal");
-    // The campaign is intact: the right settings recover every round.
-    {
-        let (mut resumed, _) =
-            Platform::resume(&s.program, config(Some(chained(dir.clone())))).unwrap();
-        assert_eq!(resumed.committed_rounds(), ACKED);
-        // Fold everything into the chain, leaving an empty journal — the
-        // state in which a classic fresh start sees no classic files.
-        resumed.checkpoint().unwrap();
-    }
-    assert_eq!(wal_len(), 0);
-    match Platform::try_new(&s.program, config(Some(DurabilityConfig::new(dir.clone())))) {
-        Err(DurabilityError::CampaignExists(_)) => {}
+    let before = tree(&dir);
+    let cfg = || config(Some(uncompacted(dir.clone())));
+    // Resuming would silently cold-start over the campaign (the chain
+    // never reads `hive.snap`) and cut its journal; a fresh start would
+    // run a second campaign on top. Every entry point refuses instead.
+    refused_as_legacy("resume", Platform::resume(&s.program, cfg()).err(), &dir);
+    refused_as_legacy("scrub", Platform::scrub(&cfg()).err(), &dir);
+    match Platform::try_new(&s.program, cfg()) {
+        Err(DurabilityError::CampaignExists(d)) => assert_eq!(d, dir),
         other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
     }
-    let (resumed, _) = Platform::resume(&s.program, config(Some(chained(dir)))).unwrap();
-    assert_eq!(resumed.committed_rounds(), ACKED);
+    assert_eq!(tree(&dir), before, "a refused open changed the directory");
+
+    // A sharded fleet: every shard directory is a legacy campaign.
+    let scs = [scenarios::token_parser(), scenarios::triangle()];
+    let specs: Vec<FleetSpec<'_>> = scs
+        .iter()
+        .map(|s| FleetSpec {
+            program: &s.program,
+            pod: softborg::pod::PodConfig {
+                input_range: s.input_range,
+                ..softborg::pod::PodConfig::default()
+            },
+        })
+        .collect();
+    let root = campaign_dir("legacy-fleet");
+    let fleet_cfg = || MultiPlatformConfig {
+        n_pods: 2,
+        n_shards: 2,
+        durability: Some(uncompacted(root.clone())),
+        ..MultiPlatformConfig::default()
+    };
+    {
+        let mut p = MultiPlatform::new(&specs, fleet_cfg());
+        p.run(2, EXECS);
+        for shard in 0..2 {
+            make_legacy(&root.join(format!("shard-{shard}")), p.shard_state(shard));
+        }
+    }
+    let before = tree(&root);
+    let shard0 = root.join("shard-0");
+    refused_as_legacy(
+        "fleet resume",
+        MultiPlatform::resume(&specs, fleet_cfg()).err(),
+        &shard0,
+    );
+    refused_as_legacy(
+        "fleet scrub",
+        MultiPlatform::scrub(&fleet_cfg()).err(),
+        &shard0,
+    );
+    match MultiPlatform::try_new(&specs, fleet_cfg()) {
+        Err(DurabilityError::CampaignExists(d)) => assert_eq!(d, shard0),
+        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(tree(&root), before, "a refused open changed the directory");
 }
 
 #[test]
@@ -653,7 +730,7 @@ fn chained_paged_resume_composes_with_both_stores() {
     let dir = campaign_dir("chain-page");
     let cfg = |d: PathBuf| PlatformConfig {
         tree_paging: Some(PagedConfig::new(&d.join("pages"), 8, 2)),
-        ..config(Some(chained(d)))
+        ..config(Some(eager(d)))
     };
     let kill = 2u64;
     {
@@ -661,7 +738,7 @@ fn chained_paged_resume_composes_with_both_stores() {
         p.run(kill as u32, EXECS);
     } // drop = kill
     let (mut resumed, report) = Platform::resume(&s.program, cfg(dir)).unwrap();
-    assert!(report.chain.is_some());
+    assert!(report.chain.records > 0, "resume walked no checkpoint");
     assert_eq!(resumed.committed_rounds(), kill);
     assert_eq!(resumed.hive_state(), r.states[kill as usize]);
     resumed.run((ROUNDS - kill) as u32, EXECS);

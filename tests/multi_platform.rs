@@ -4,10 +4,7 @@
 //! byte-identical to the uninterrupted run at the recovered committed
 //! round (the minimum across shards).
 
-use softborg::{
-    DurabilityConfig, DurabilityError, FleetSpec, MultiPlatform, MultiPlatformConfig,
-    MultiRoundReport,
-};
+use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig, MultiRoundReport};
 use softborg_program::scenarios::{self, Scenario};
 use std::path::PathBuf;
 
@@ -55,7 +52,7 @@ fn campaign_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Aggressive compaction so short campaigns exercise the snapshot path.
+/// Aggressive compaction so short campaigns exercise the checkpoint path.
 fn compacting(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 2,
@@ -67,7 +64,7 @@ fn compacting(dir: PathBuf) -> DurabilityConfig {
 /// Compaction disabled: used by the torn-phase-A test, whose simulated
 /// crash (a journal tail lost *after* the process exited) is only a
 /// state the two-phase protocol can produce if no shard compacted the
-/// final round into a snapshot.
+/// final round into a checkpoint.
 fn no_compaction(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 0,
@@ -240,16 +237,19 @@ fn shard_compaction_composes_with_resume() {
     {
         let mut p = MultiPlatform::new(&specs(&scs), config(Some(compacting(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
-        // Force at least one snapshot generation on every shard so the
-        // snapshot path is exercised even for lightly-loaded shards.
+        // Force at least one checkpoint on every shard so the checkpoint
+        // path is exercised even for lightly-loaded shards.
         p.checkpoint().unwrap();
     }
     for shard in 0..N_SHARDS {
+        let chain = dir.join(format!("shard-{shard}")).join("chain");
         assert!(
-            dir.join(format!("shard-{shard}"))
-                .join("hive.snap")
-                .exists(),
-            "shard {shard} never wrote a snapshot"
+            std::fs::read_dir(&chain).unwrap().any(|e| e
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "full")),
+            "shard {shard} never wrote a checkpoint"
         );
     }
     let (resumed, report) =
@@ -258,7 +258,7 @@ fn shard_compaction_composes_with_resume() {
     for sr in &report.shards {
         assert!(
             sr.rounds_from_snapshot > 0,
-            "shard {} resume ignored its snapshot",
+            "shard {} resume ignored its checkpoint",
             sr.shard
         );
     }
@@ -325,69 +325,16 @@ fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
 }
 
 #[test]
-fn classic_mode_refuses_a_chained_fleet_campaign() {
-    let scs = fleet_scenarios();
-    let dir = campaign_dir("classic-over-chain");
-    // Chains, checkpointed on demand only: every shard ends with chain
-    // records *and* one acked round in its journal past the chain head.
-    let chained = |dir: PathBuf| DurabilityConfig {
-        compact_ratio: 0,
-        ..DurabilityConfig::chained(dir)
-    };
-    {
-        let mut p = MultiPlatform::new(&specs(&scs), config(Some(chained(dir.clone()))));
-        p.run(ROUNDS as u32 - 1, EXECS);
-        assert!(p.checkpoint().unwrap() > 0, "checkpoint wrote nothing");
-        p.round(EXECS);
-    }
-    let wal_lens = || -> Vec<u64> {
-        (0..N_SHARDS)
-            .map(|i| dir.join(format!("shard-{i}")).join("hive.wal"))
-            .map(|wal| std::fs::metadata(wal).unwrap().len())
-            .collect()
-    };
-    let acked = wal_lens();
-    assert!(
-        acked.iter().all(|&len| len > 0),
-        "need acked journal rounds"
-    );
-    // Classic mode never reads `chain/`: resuming would cold-start every
-    // shard and truncate the acked round away; a fresh start would run a
-    // second campaign on top. Both refuse, naming the shard, and neither
-    // touches a journal.
-    let classic = || config(Some(DurabilityConfig::new(dir.clone())));
-    match MultiPlatform::resume(&specs(&scs), classic()) {
-        Err(DurabilityError::Corrupt(msg)) => {
-            assert!(
-                msg.contains("shard-0") && msg.contains("chained campaign"),
-                "unhelpful refusal: {msg}"
-            );
-        }
-        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
-    }
-    match MultiPlatform::try_new(&specs(&scs), classic()) {
-        Err(DurabilityError::CampaignExists(shard_dir)) => {
-            assert_eq!(shard_dir, dir.join("shard-0"));
-        }
-        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
-    }
-    assert_eq!(wal_lens(), acked, "a refused open touched a journal");
-    let (resumed, _) = MultiPlatform::resume(&specs(&scs), config(Some(chained(dir)))).unwrap();
-    assert_eq!(resumed.committed_rounds(), ROUNDS);
-}
-
-#[test]
 fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
     use softborg::store::PagedConfig;
-    use softborg::ChainSettings;
     let scs = fleet_scenarios();
-    // Classic-store, never-killed reference: the chained + paged fleet
-    // must be indistinguishable from it at every recovered round.
+    // Default-policy, never-killed reference: the eagerly checkpointed,
+    // paged fleet must be indistinguishable from it at every recovered
+    // round.
     let (reference, ref_history) = reference_run(DurabilityConfig::new(campaign_dir("cp-ref")));
     let cfg = |dir: PathBuf| MultiPlatformConfig {
         tree_paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
         ..config(Some(DurabilityConfig {
-            chain: Some(ChainSettings::default()),
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
             ..DurabilityConfig::new(dir)
@@ -403,7 +350,7 @@ fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
         assert_eq!(report.target_round, k, "lost rounds at kill {k}");
         for sr in &report.shards {
             assert!(
-                sr.chain.is_some(),
+                sr.chain.records > 0,
                 "shard {} resumed without walking its chain",
                 sr.shard
             );
@@ -412,7 +359,7 @@ fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
             assert_eq!(
                 &resumed.shard_state(shard),
                 expected,
-                "shard {shard} diverged from the classic-store reference at round {k}"
+                "shard {shard} diverged from the reference at round {k}"
             );
         }
         // The continuation replays the reference byte for byte, paging
