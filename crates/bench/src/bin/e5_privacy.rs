@@ -77,7 +77,7 @@ fn main() {
         Anonymizer::OutcomeOnly,
     ];
     for level in levels {
-        let released: Vec<_> = raw_traces.iter().map(|t| level.apply(t)).collect();
+        let released: Vec<_> = raw_traces.iter().map(|t| level.apply(t.clone())).collect();
         let info: usize = released.iter().map(information_bits).sum::<usize>() / released.len();
         let bucketable = released.iter().filter(|t| t.is_failure()).count() as f64
             / crashes.max(1) as f64

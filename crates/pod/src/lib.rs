@@ -254,7 +254,7 @@ impl<'p> Pod<'p> {
         }
 
         let raw = recorder.finish(result.outcome.clone(), result.steps);
-        let trace = self.config.anonymizer.apply(&raw);
+        let trace = self.config.anonymizer.apply(raw);
         PodRun {
             trace,
             result,

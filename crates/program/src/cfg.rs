@@ -352,9 +352,13 @@ impl Program {
     }
 
     fn check_expr(&self, expr: &Expr) -> Result<(), ValidationError> {
-        for p in expr.places() {
-            self.check_place(p)?;
-        }
+        let mut places = Ok(());
+        expr.visit(&mut |e| {
+            if let (Expr::Load(p), Ok(())) = (e, &places) {
+                places = self.check_place(*p);
+            }
+        });
+        places?;
         for i in expr.inputs() {
             if i.0 >= self.n_inputs {
                 return Err(ValidationError::IndexOutOfRange {

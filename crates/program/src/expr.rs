@@ -182,17 +182,6 @@ impl Expr {
         found
     }
 
-    /// Collects the places read by the expression.
-    pub fn places(&self) -> Vec<Place> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let Expr::Load(p) = e {
-                out.push(*p);
-            }
-        });
-        out
-    }
-
     /// Collects the input cells read by the expression.
     pub fn inputs(&self) -> Vec<InputId> {
         let mut out = Vec::new();
@@ -415,18 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn places_and_inputs_collected() {
+    fn inputs_collected() {
         let e = Expr::bin(
             BinOp::Add,
             Expr::local(1),
             Expr::bin(BinOp::Mul, Expr::global(0), Expr::input(2)),
-        );
-        assert_eq!(
-            e.places(),
-            vec![
-                Place::Local(LocalId::new(1)),
-                Place::Global(GlobalId::new(0))
-            ]
         );
         assert_eq!(e.inputs(), vec![InputId::new(2)]);
     }

@@ -378,6 +378,7 @@ impl<'p> Executor<'p> {
                 })
                 .collect(),
             locks: HashMap::new(),
+            stale_gates: Vec::new(),
             emitted: Vec::new(),
             n_branches: 0,
             n_syscalls: 0,
@@ -385,14 +386,16 @@ impl<'p> Executor<'p> {
             overlay_hits: 0,
         };
         let mut steps: u64 = 0;
+        let mut runnable: Vec<ThreadId> = Vec::with_capacity(m.threads.len());
         loop {
-            let runnable: Vec<ThreadId> = m
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.status == Status::Runnable)
-                .map(|(i, _)| ThreadId::new(i as u32))
-                .collect();
+            runnable.clear();
+            runnable.extend(
+                m.threads
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.status == Status::Runnable)
+                    .map(|(i, _)| ThreadId::new(i as u32)),
+            );
             if runnable.is_empty() {
                 let blocked: Vec<(ThreadId, LockId)> = m
                     .threads
@@ -442,6 +445,9 @@ struct Machine<'a> {
     globals: Vec<i64>,
     threads: Vec<ThreadState>,
     locks: HashMap<LockId, ThreadId>,
+    /// Reused by [`Machine::release_stale_gates`] so unlocks do not
+    /// allocate per call.
+    stale_gates: Vec<LockId>,
     emitted: Vec<(ThreadId, i64)>,
     n_branches: u64,
     n_syscalls: u64,
@@ -490,15 +496,15 @@ impl Machine<'_> {
         }
     }
 
-    /// Reports global reads inside `e` to the observer.
+    /// Reports global reads inside `e` to the observer, in pre-order.
     fn observe_reads(&self, t: ThreadId, e: &Expr, obs: &mut dyn Observer) {
         let loc = self.loc(t);
         let held = &self.threads[t.index()].held;
-        for p in e.places() {
-            if let Place::Global(g) = p {
-                obs.on_global_access(t, g, false, loc, held);
+        e.visit(&mut |x| {
+            if let Expr::Load(Place::Global(g)) = x {
+                obs.on_global_access(t, *g, false, loc, held);
             }
-        }
+        });
     }
 
     fn store(&mut self, t: ThreadId, place: Place, value: i64, obs: &mut dyn Observer) {
@@ -506,8 +512,7 @@ impl Machine<'_> {
             Place::Local(l) => self.threads[t.index()].locals[l.index()] = value,
             Place::Global(g) => {
                 let loc = self.loc(t);
-                let held = self.threads[t.index()].held.clone();
-                obs.on_global_access(t, g, true, loc, &held);
+                obs.on_global_access(t, g, true, loc, &self.threads[t.index()].held);
                 self.globals[g.index()] = value;
             }
         }
@@ -587,21 +592,20 @@ impl Machine<'_> {
 
     /// Releases gates whose protected locks are no longer held by `t`.
     fn release_stale_gates(&mut self, t: ThreadId, obs: &mut dyn Observer) {
-        let to_release: Vec<LockId> = self
-            .overlay
-            .lock_gates
-            .iter()
-            .filter(|g| {
-                self.threads[t.index()].held.contains(&g.gate)
-                    && g.locks
-                        .iter()
-                        .all(|l| !self.threads[t.index()].held.contains(l))
-            })
-            .map(|g| g.gate)
-            .collect();
-        for gate in to_release {
+        let held = &self.threads[t.index()].held;
+        let mut stale = std::mem::take(&mut self.stale_gates);
+        stale.extend(
+            self.overlay
+                .lock_gates
+                .iter()
+                .filter(|g| held.contains(&g.gate) && g.locks.iter().all(|l| !held.contains(l)))
+                .map(|g| g.gate),
+        );
+        for &gate in &stale {
             self.release(t, gate, obs);
         }
+        stale.clear();
+        self.stale_gates = stale;
     }
 
     /// Executes one step of thread `t`. Returns a terminal outcome if the
@@ -615,7 +619,10 @@ impl Machine<'_> {
         let ti = t.index();
         let block = self.threads[ti].block;
         let stmt_idx = self.threads[ti].stmt;
-        let blk = &self.program.threads[ti].blocks[block as usize];
+        // Borrowed for the program's lifetime, not `self`'s, so the step
+        // reads statements in place while mutating the machine.
+        let program = self.program;
+        let blk = &program.threads[ti].blocks[block as usize];
 
         // Site guards fire before the statement/terminator at their Loc.
         if let Some(guard) = self.overlay.guard_at(self.loc(t)) {
@@ -648,11 +655,10 @@ impl Machine<'_> {
         }
 
         if stmt_idx < blk.stmts.len() as u32 {
-            let stmt = blk.stmts[stmt_idx as usize].clone();
-            match stmt {
-                Stmt::Assign(place, e) => {
-                    self.observe_reads(t, &e, obs);
-                    match self.eval(t, &e) {
+            match blk.stmts[stmt_idx as usize] {
+                Stmt::Assign(place, ref e) => {
+                    self.observe_reads(t, e, obs);
+                    match self.eval(t, e) {
                         Ok(v) => self.store(t, place, v, obs),
                         Err(f) => return Some(self.fault_outcome(t, f)),
                     }
@@ -692,9 +698,9 @@ impl Machine<'_> {
                     self.release_stale_gates(t, obs);
                     self.threads[ti].stmt += 1;
                 }
-                Stmt::Syscall { kind, arg, ret } => {
-                    self.observe_reads(t, &arg, obs);
-                    let a = match self.eval(t, &arg) {
+                Stmt::Syscall { kind, ref arg, ret } => {
+                    self.observe_reads(t, arg, obs);
+                    let a = match self.eval(t, arg) {
                         Ok(v) => v,
                         Err(f) => return Some(self.fault_outcome(t, f)),
                     };
@@ -705,9 +711,9 @@ impl Machine<'_> {
                     self.store(t, ret, r, obs);
                     self.threads[ti].stmt += 1;
                 }
-                Stmt::Assert(e) => {
-                    self.observe_reads(t, &e, obs);
-                    match self.eval(t, &e) {
+                Stmt::Assert(ref e) => {
+                    self.observe_reads(t, e, obs);
+                    match self.eval(t, e) {
                         Ok(0) => {
                             return Some(Outcome::Crash {
                                 loc: self.loc(t),
@@ -718,9 +724,9 @@ impl Machine<'_> {
                         Err(f) => return Some(self.fault_outcome(t, f)),
                     }
                 }
-                Stmt::Emit(e) => {
-                    self.observe_reads(t, &e, obs);
-                    match self.eval(t, &e) {
+                Stmt::Emit(ref e) => {
+                    self.observe_reads(t, e, obs);
+                    match self.eval(t, e) {
                         Ok(v) => {
                             self.emitted.push((t, v));
                             obs.on_emit(t, v);
@@ -737,14 +743,14 @@ impl Machine<'_> {
         }
 
         // Terminator.
-        match blk.term.clone() {
+        match blk.term {
             Terminator::Goto(target) => {
                 self.threads[ti].block = target.0;
                 self.threads[ti].stmt = 0;
             }
             Terminator::Branch {
                 site,
-                cond,
+                ref cond,
                 then_bb,
                 else_bb,
             } => {
@@ -759,8 +765,8 @@ impl Machine<'_> {
                         return None;
                     }
                 }
-                self.observe_reads(t, &cond, obs);
-                let v = match self.eval(t, &cond) {
+                self.observe_reads(t, cond, obs);
+                let v = match self.eval(t, cond) {
                     Ok(v) => v,
                     Err(f) => return Some(self.fault_outcome(t, f)),
                 };
@@ -780,8 +786,9 @@ impl Machine<'_> {
     /// Marks a thread finished, releasing any locks it still holds so that
     /// exits (graceful or overlay-forced) never strand waiters.
     fn thread_done(&mut self, t: ThreadId, obs: &mut dyn Observer) {
-        let held: Vec<LockId> = self.threads[t.index()].held.iter().copied().collect();
-        for lock in held {
+        // `release` removes exactly `lock` from `held`: ascending order, as
+        // iterating a snapshot would give.
+        while let Some(&lock) = self.threads[t.index()].held.first() {
             self.release(t, lock, obs);
         }
         self.threads[t.index()].status = Status::Done;

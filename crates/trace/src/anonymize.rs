@@ -29,9 +29,9 @@ pub enum Anonymizer {
 }
 
 impl Anonymizer {
-    /// Applies the anonymizer to a trace, producing the released form.
-    pub fn apply(&self, trace: &ExecutionTrace) -> ExecutionTrace {
-        let mut t = trace.clone();
+    /// Applies the anonymizer to a trace, producing the released form in
+    /// place of the raw one.
+    pub fn apply(&self, mut t: ExecutionTrace) -> ExecutionTrace {
         match self {
             Anonymizer::None => {}
             Anonymizer::CoarsenSyscalls => {
@@ -123,27 +123,27 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let t = trace(&[true, false], vec![64]);
-        assert_eq!(Anonymizer::None.apply(&t), t);
+        assert_eq!(Anonymizer::None.apply(t.clone()), t);
     }
 
     #[test]
     fn coarsen_maps_to_sign_classes() {
         let t = trace(&[], vec![64, 0, -1, 7]);
-        let a = Anonymizer::CoarsenSyscalls.apply(&t);
+        let a = Anonymizer::CoarsenSyscalls.apply(t);
         assert_eq!(a.syscall_rets, vec![1, 0, -1, 1]);
     }
 
     #[test]
     fn truncate_keeps_prefix() {
         let t = trace(&[true, false, true, true], vec![]);
-        let a = Anonymizer::TruncatePath { max_bits: 2 }.apply(&t);
+        let a = Anonymizer::TruncatePath { max_bits: 2 }.apply(t);
         assert_eq!(a.bits.iter().collect::<Vec<_>>(), vec![true, false]);
     }
 
     #[test]
     fn outcome_only_strips_everything_but_outcome() {
         let t = trace(&[true], vec![64]);
-        let a = Anonymizer::OutcomeOnly.apply(&t);
+        let a = Anonymizer::OutcomeOnly.apply(t.clone());
         assert!(a.bits.is_empty());
         assert!(a.syscall_rets.is_empty());
         assert!(a.schedule.is_empty());
@@ -175,18 +175,19 @@ mod tests {
             Anonymizer::TruncatePath { max_bits: 8 },
             Anonymizer::OutcomeOnly,
         ] {
-            let released = information_bits(&a.apply(&t));
+            let released = information_bits(&a.apply(t.clone()));
             assert!(released < base, "{} did not reduce information", a.label());
         }
         // Composition is monotone: coarsen then truncate releases less
         // than either alone, and outcome-only releases only schedule-free
         // metadata.
-        let composed =
-            Anonymizer::TruncatePath { max_bits: 8 }.apply(&Anonymizer::CoarsenSyscalls.apply(&t));
+        let composed = Anonymizer::TruncatePath { max_bits: 8 }
+            .apply(Anonymizer::CoarsenSyscalls.apply(t.clone()));
         assert!(
-            information_bits(&composed) < information_bits(&Anonymizer::CoarsenSyscalls.apply(&t))
+            information_bits(&composed)
+                < information_bits(&Anonymizer::CoarsenSyscalls.apply(t.clone()))
         );
-        let stripped = Anonymizer::OutcomeOnly.apply(&t);
+        let stripped = Anonymizer::OutcomeOnly.apply(t);
         assert_eq!(information_bits(&stripped), 0);
     }
 

@@ -175,11 +175,10 @@ impl Observer for TraceRecorder {
         } else {
             g.reader_mask |= bit;
         }
-        let current: BTreeSet<u32> = locks_held.iter().map(|l| l.0).collect();
-        g.lockset = Some(match g.lockset.take() {
-            None => current,
-            Some(prev) => prev.intersection(&current).copied().collect(),
-        });
+        match &mut g.lockset {
+            None => g.lockset = Some(locks_held.iter().map(|l| l.0).collect()),
+            Some(prev) => prev.retain(|&l| locks_held.contains(&LockId::new(l))),
+        }
     }
 }
 
