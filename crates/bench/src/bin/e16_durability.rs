@@ -41,8 +41,9 @@ fn config(s: &Scenario, dir: PathBuf, seed: u64) -> PlatformConfig {
     }
 }
 
-/// Clones a campaign directory (journal plus `chain/`): the on-disk
-/// state a kill at this moment would leave behind.
+/// Clones a campaign directory (`shard-0/` with its journal and
+/// `chain/`): the on-disk state a kill at this moment would leave
+/// behind.
 fn copy_campaign(from: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
     std::fs::create_dir_all(to).expect("mkdir");
@@ -56,9 +57,14 @@ fn copy_campaign(from: &Path, to: &Path) {
     }
 }
 
+/// The one shard's directory: where its journal and chain live.
+fn shard0(dir: &Path) -> PathBuf {
+    dir.join("shard-0")
+}
+
 /// The campaign's chain record files, oldest generation first.
 fn chain_records(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
+    let mut files: Vec<PathBuf> = std::fs::read_dir(shard0(dir).join("chain"))
         .map(|entries| entries.filter_map(|e| e.ok()).map(|e| e.path()).collect())
         .unwrap_or_default();
     files.retain(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"));
@@ -110,8 +116,7 @@ struct CrashRow {
     point: String,
     recovered_rounds: u64,
     replayed: u64,
-    fenced: u64,
-    disconnected: u64,
+    discarded: u64,
     identical: bool,
 }
 
@@ -215,8 +220,9 @@ fn main() {
         copy_campaign(&base.join(format!("boundary-{k}")), &scratch);
         let (resumed, report) = Platform::resume(&s.program, config(&s, scratch.clone(), seed))
             .expect("resume boundary");
+        let shard = &report.shards[0];
         let ok = resumed.committed_rounds() == k
-            && report.rounds_from_snapshot + report.rounds_replayed == k
+            && shard.rounds_from_snapshot + shard.rounds_replayed == k
             && resumed.hive_state() == states[k as usize];
         if ok {
             boundary_identical += 1;
@@ -278,8 +284,7 @@ fn main() {
         ("crash point", 34),
         ("recovered", 10),
         ("replayed", 9),
-        ("fenced", 7),
-        ("disc", 5),
+        ("discarded", 10),
         ("state", 10),
     ]);
     let mut rows: Vec<CrashRow> = Vec::new();
@@ -291,7 +296,7 @@ fn main() {
             _ => ROUNDS - (i as u64 * 7) % ROUNDS,
         };
         copy_campaign(&base.join(format!("boundary-{boundary}")), &scratch);
-        let wal = scratch.join("hive.wal");
+        let wal = shard0(&scratch).join("hive.wal");
         match *point {
             DiskCrashPoint::AtRoundBoundary { .. } => {}
             DiskCrashPoint::TruncateWalTail { drop_bytes } => {
@@ -339,23 +344,22 @@ fn main() {
             _ => {}
         }
         let label = format!("{point:?}");
+        let shard = &report.shards[0];
         println!(
-            "{}{}{}{}{}{}{}",
+            "{}{}{}{}{}{}",
             cell(boundary, 9),
             cell(&label[..label.len().min(33)], 34),
             cell(format!("r{r}"), 10),
-            cell(report.rounds_replayed, 9),
-            cell(report.fenced_records, 7),
-            cell(report.disconnected_records, 5),
+            cell(shard.rounds_replayed, 9),
+            cell(shard.records_discarded, 10),
             cell(if identical { "IDENTICAL" } else { "DIVERGED" }, 10),
         );
         rows.push(CrashRow {
             boundary,
             point: label,
             recovered_rounds: r,
-            replayed: report.rounds_replayed,
-            fenced: report.fenced_records,
-            disconnected: report.disconnected_records,
+            replayed: shard.rounds_replayed,
+            discarded: shard.records_discarded,
             identical,
         });
     }
@@ -395,13 +399,12 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"boundary\": {}, \"point\": \"{}\", \"recovered_rounds\": {}, \"rounds_replayed\": {}, \"fenced_records\": {}, \"disconnected_records\": {}, \"state_identical\": {}}}",
+            "    {{\"boundary\": {}, \"point\": \"{}\", \"recovered_rounds\": {}, \"rounds_replayed\": {}, \"records_discarded\": {}, \"state_identical\": {}}}",
             r.boundary,
             r.point.replace('"', "'"),
             r.recovered_rounds,
             r.replayed,
-            r.fenced,
-            r.disconnected,
+            r.discarded,
             r.identical
         );
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });

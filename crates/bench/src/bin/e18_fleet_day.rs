@@ -1,6 +1,6 @@
-//! E18 — the million-user day in CI (softborg-sim, this repro): a full
-//! 24-virtual-hour fleet day under the virtual-time deterministic
-//! scheduler. ≥100k pods arrive on a diurnal curve, hold churning
+//! E18 — the million-user day in CI (softborg-netsim's `World`, this
+//! repro): a full 24-virtual-hour fleet day under the virtual-time
+//! deterministic scheduler. ≥100k pods arrive on a diurnal curve, hold churning
 //! heartbeat sessions against a small tier of aggregators (some come
 //! back for an evening session), while the fault plan partitions pod
 //! uplinks, crashes every aggregator once, and fires disk crash points
@@ -54,7 +54,7 @@ fn main() {
     banner(
         "E18",
         "the million-user day in CI: virtual-time fleet simulation",
-        "Candea, \"Exterminating bugs via collective information recycling\" §4 (fleets of hundreds of thousands of pods), this repro's softborg-sim subsystem",
+        "Candea, \"Exterminating bugs via collective information recycling\" §4 (fleets of hundreds of thousands of pods), this repro's virtual-time `World` (softborg-netsim)",
     );
     println!(
         "{pods} pods · {AGGS} aggregators · 24 virtual hours · seed {seed}\n\

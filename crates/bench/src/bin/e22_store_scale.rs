@@ -162,7 +162,9 @@ fn main() {
     println!(
         "resume: byte-identical at round {rounds}; chain walked gen {:?}..{:?} \
          ({} delta(s) applied)\n",
-        rep.chain.full_generation, rep.chain.head_generation, rep.chain_deltas_applied
+        rep.shards[0].chain.full_generation,
+        rep.shards[0].chain.head_generation,
+        rep.shards[0].chain_deltas_applied
     );
 
     // ── Phase 2: paged tree residency vs growth ──────────────────────
@@ -222,7 +224,7 @@ fn main() {
     let _ = writeln!(
         section,
         "    \"chain\": {{\"full_state_bytes\": {full_bytes:.0}, \"chain_ckpt_bytes\": {chain_bytes:.0}, \"ratio\": {ratio:.2}, \"chain_stall_p50_us\": {chain_p50:.1}, \"chain_stall_p99_us\": {chain_p99:.1}, \"deltas_applied_on_resume\": {}}},",
-        rep.chain_deltas_applied
+        rep.shards[0].chain_deltas_applied
     );
     let _ = writeln!(
         section,

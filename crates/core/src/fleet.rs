@@ -3,10 +3,10 @@
 //! fix-trial pooling and validation, the distribution policy, guidance
 //! spreading, and the durable pod-population codec.
 //!
-//! [`Platform`](crate::Platform) is one fleet plus a
-//! [`Hive`]; [`MultiPlatform`](crate::MultiPlatform) is a `Vec` of
-//! fleets plus a sharded hive. Which validated candidate is distributed
-//! is decided here, once ([`should_distribute`]).
+//! The campaign core ([`MultiPlatform`](crate::MultiPlatform)) is a
+//! `Vec` of fleets plus a sharded hive; [`Platform`](crate::Platform)
+//! is its one-fleet case. Which validated candidate is distributed is
+//! decided here, once ([`should_distribute`]).
 
 use crate::durable::DurabilityError;
 use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Validation, Verdict};
@@ -23,11 +23,9 @@ pub(crate) type Counters = (u64, u64, u64);
 /// One wire-encoded batch frame as journaled: `(session, seq, frame)`.
 pub(crate) type Frame = (u64, u64, Vec<u8>);
 
-/// Runs `pod` `execs` times, bundling its traces into wire-encoded batch
-/// frames of `batch` traces (the last one possibly short) and handing
-/// each to `emit(seq, frame)` with `seq = first_seq + k` for the pod's
-/// `k`-th frame — `ceil(execs / batch)` frames in all. This is the one
-/// pod-execution loop: executors differ only in their `emit`.
+/// The one pod-execution loop: runs `pod` `execs` times, bundling its
+/// traces into batch frames of `batch` (the last possibly short), and
+/// hands the `k`-th to `emit(first_seq + k, frame)`.
 pub(crate) fn run_pod(
     pod: &mut Pod<'_>,
     execs: u32,
@@ -62,13 +60,10 @@ pub(crate) struct PodSlot<'a, 'p> {
 }
 
 /// Runs every slot's pod `execs` times on up to `threads` scoped threads
-/// (contiguous chunks of slots, one per thread), handing each batch
-/// frame to `submit(session, seq, frame)` — after keeping a copy when
-/// `keep_frames` (a durable round journals them). Sequence slots are
-/// pre-partitioned per pod, so the merge order downstream is independent
-/// of thread scheduling. Returns `(session, counters)` per slot plus the
-/// kept frames, in no particular order; `submit` is dropped once every
-/// thread has finished.
+/// (contiguous chunks), handing each frame to `submit(session, seq,
+/// frame)` after keeping a copy when `keep_frames` (a durable round
+/// journals them). Returns `(session, counters)` per slot plus the kept
+/// frames, unordered; `submit` is dropped once every thread finished.
 pub(crate) fn run_threaded(
     mut slots: Vec<PodSlot<'_, '_>>,
     threads: usize,
@@ -150,13 +145,11 @@ pub(crate) struct Trial<'p> {
     base: Overlay,
 }
 
-/// Validates every trial's candidates in the repair lab (the expensive
-/// part: each candidate re-executes every pooled case) on scoped
-/// threads, one trial per thread — trial count is bounded by distinct
-/// diagnosed failure modes, so the fan-out is small — and returns, per
-/// trial, the best candidate if [`should_distribute`] approves it.
-/// Callers promote sequentially in trial order, so the chosen fixes and
-/// the overlay-version sequence do not depend on thread scheduling.
+/// Validates every trial's candidates in the repair lab, one scoped
+/// thread per trial (trials are bounded by distinct failure modes), and
+/// returns per trial the best candidate if [`should_distribute`]
+/// approves it. Callers promote in trial order, so the outcome does not
+/// depend on thread scheduling.
 pub(crate) fn validate_trials(
     trials: &[Trial<'_>],
     min_preservation_cases: usize,
@@ -289,9 +282,8 @@ impl<'p> Fleet<'p> {
         self.pods.iter().map(Pod::export_state).collect()
     }
 
-    /// Encodes the whole pod population for a `REC_PODS` journal record
-    /// or a checkpoint's `app_meta`: `u32 count` then one length-prefixed
-    /// [`PodState`] image (itself versioned and checksummed) per pod.
+    /// Encodes the pod population for a `REC_PODS` record or checkpoint:
+    /// `u32 count`, then one length-prefixed (checksummed) image per pod.
     pub(crate) fn encode_pod_states(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         codec::put_u32(&mut buf, self.pods.len() as u32);
@@ -322,27 +314,18 @@ impl<'p> Fleet<'p> {
     }
 }
 
-/// Decodes a pod population written by
-/// [`Fleet::encode_pod_states`] from the front of `r`. Every pod image
-/// re-verifies its own checksum, so torn bytes behind a valid journal
-/// checksum still fail loudly.
-pub(crate) fn read_pod_states(r: &mut codec::Reader<'_>) -> Result<Vec<PodState>, DurabilityError> {
+/// Decodes a whole `REC_PODS` body written by
+/// [`Fleet::encode_pod_states`] (no trailing bytes allowed). Every pod
+/// image re-verifies its own checksum, so torn bytes behind a valid
+/// journal checksum still fail loudly.
+pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
+    let mut r = codec::Reader::new(bytes);
     let n = r.seq_len("pod_states", 9)?;
     let mut states = Vec::with_capacity(n);
     for i in 0..n {
-        let bytes = r.bytes("pod_states.image")?;
-        states.push(
-            PodState::decode(bytes)
-                .map_err(|e| DurabilityError::Corrupt(format!("pod {i} state: {e}")))?,
-        );
+        let image = PodState::decode(r.bytes("pod_states.image")?);
+        states.push(image.map_err(|e| DurabilityError::Corrupt(format!("pod {i} state: {e}")))?);
     }
-    Ok(states)
-}
-
-/// Decodes a whole `REC_PODS` record body (no trailing bytes allowed).
-pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
-    let mut r = codec::Reader::new(bytes);
-    let states = read_pod_states(&mut r)?;
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(
             "pod-state record has {} trailing byte(s)",

@@ -9,8 +9,10 @@
 //! the quality feedback loop so that *the more a program is used, the
 //! more reliable it becomes*.
 //!
-//! This facade crate re-exports every subsystem and provides the
-//! [`Platform`]: the closed-loop population simulation of Figure 1.
+//! This facade crate re-exports every subsystem and provides the one
+//! campaign core, [`MultiPlatform`] (pod fleets over a sharded hive, one
+//! durable round, one resume), and [`Platform`], its one-fleet view: the
+//! closed-loop population simulation of Figure 1.
 //!
 //! ## Quickstart
 //!
@@ -60,14 +62,12 @@ mod fleet;
 pub mod multi;
 pub mod platform;
 
+pub use durable::{DurabilityConfig, DurabilityError};
 pub use multi::{
-    FleetSpec, LaneTask, MultiDrivenExecution, MultiPlatform, MultiPlatformConfig,
-    MultiResumeReport, MultiRoundReport, ProgramRoundReport, ShardResumeReport,
+    FleetSpec, IngestSettings, LaneTask, MultiDrivenExecution, MultiPlatform, MultiPlatformConfig,
+    MultiRoundReport, ProgramRoundReport, ResumeReport, RoundTelemetry, ShardResumeReport,
 };
-pub use platform::{
-    DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig,
-    ResumeReport, RoundReport, RoundTelemetry,
-};
+pub use platform::{DrivenExecution, Platform, PlatformConfig, RoundReport};
 
 pub use softborg_analysis as analysis;
 pub use softborg_fix as fix;

@@ -1,37 +1,39 @@
-//! The multi-program platform: several pod fleets, one sharded hive.
+//! The campaign core: pod fleets, one sharded hive, one durable round.
 //!
-//! [`Platform`](crate::Platform) closes the quality-feedback loop for a
-//! single program. A real deployment recycles information from *many*
-//! programs at once, so a [`MultiPlatform`] runs one pod fleet per
-//! program and drives every fleet's traffic through the sharded ingest
-//! layer (`softborg-shard`): all fleets share **one** decode+reconstruct
-//! worker pool, while each program's hive lives on its deterministic
-//! shard and sees its own traces in exact submission order.
+//! The paper's hive recycles executions from many programs at once, so
+//! a [`MultiPlatform`] runs one pod fleet per program and drives every
+//! fleet's traffic through the sharded ingest layer (`softborg-shard`):
+//! all fleets share **one** decode+reconstruct worker pool, while each
+//! program's hive lives on its deterministic shard and sees its own
+//! traces in exact submission order. [`Platform`](crate::Platform) is
+//! the one-fleet, one-shard view of this core.
 //!
-//! Durability composes with sharding by construction: each shard owns
-//! its own `shard-<i>/` directory (journal + delta chain), and a round
-//! commits in two phases — first the round's frames, promotions, and
-//! round record are appended and fsynced to **every** shard journal
-//! (phase A), only then may any shard compact into a checkpoint (phase
-//! B). A crash can therefore leave shards at *different* committed
-//! rounds, but never with a checkpoint ahead of another shard's journal;
-//! [`MultiPlatform::resume`] recovers every shard, takes the *minimum*
-//! committed round as the campaign's truth, and truncates any shard that
-//! got ahead (those rounds were never acked). The recovered per-shard
-//! state is byte-identical to an uninterrupted run at the same committed
-//! round.
+//! # Durability directory
+//!
+//! Shard `i` owns `shard-<i>/{hive.wal, chain/}` under
+//! [`DurabilityConfig::dir`]; paged trees live under `prog-<id>/` of the
+//! paging directory. A round commits in two phases: its records are
+//! appended and fsynced to **every** shard journal (phase A), and only
+//! then may a shard compact into a checkpoint (phase B). Shards can thus
+//! crash at *different* committed rounds, but no checkpoint is ever
+//! ahead of another shard's journal; [`MultiPlatform::resume`] takes the
+//! *minimum* committed round as the campaign's truth and truncates what
+//! lies past it — unacked rounds and any uncommitted partial round.
+//! Older layouts are refused with their bytes untouched: a root holding
+//! `hive.wal`, `chain/` or `hive.snap` (the single-program layout), a
+//! shard holding `hive.snap`, or a round record this codec cannot read.
 
 use crate::durable::{
-    io_err, put_promotion, read_promotion, DurabilityConfig, DurabilityError, DurableStore,
-    Recovered, SegmentWalker,
+    io_err, put_promotion, read_journal, read_promotion, refuse_legacy, segments, DurabilityConfig,
+    DurabilityError, DurableStore, Recovered, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
-use crate::platform::{commit_observed, IngestSettings, RoundTelemetry};
 use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{scrub_page_dir, Hive, HiveConfig, PageScrub, ScrubReport};
+use softborg_ingest::IngestConfig;
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
@@ -39,6 +41,7 @@ use softborg_program::{Overlay, Program, ProgramId};
 use softborg_shard::{ShardRunStats, ShardedHive};
 use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
+use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
 
 /// One program's fleet specification: the program plus the pod template
@@ -102,7 +105,49 @@ impl Default for MultiPlatformConfig {
     }
 }
 
-/// One program's slice of a multi-program round.
+/// How a round's executions flow into the hive: pods run on scoped
+/// threads and report through the staged ingest pipeline (wire-encoded
+/// batch frames, decode+reconstruct worker pool, ordered merger).
+#[derive(Debug, Clone)]
+pub struct IngestSettings {
+    /// Threads executing pods (pods are partitioned into contiguous
+    /// chunks, one per thread).
+    pub pod_threads: usize,
+    /// Traces bundled per batch frame.
+    pub batch_size: usize,
+    /// Pipeline tuning (workers, queue bounds, backpressure, memo).
+    pub pipeline: IngestConfig,
+}
+
+impl Default for IngestSettings {
+    fn default() -> Self {
+        IngestSettings {
+            pod_threads: 2,
+            batch_size: 32,
+            pipeline: IngestConfig::default(),
+        }
+    }
+}
+
+impl IngestSettings {
+    /// Traces per batch frame, floored at 1.
+    pub(crate) fn batch(&self) -> u64 {
+        self.batch_size.max(1) as u64
+    }
+
+    /// The pipeline config for one round. One attach point: platform
+    /// telemetry flows into the ingest stage unless the pipeline has its
+    /// own sinks.
+    pub(crate) fn pipeline_with(&self, obs: &ObsHandles) -> IngestConfig {
+        let mut cfg = self.pipeline.clone();
+        if !cfg.obs.is_enabled() {
+            cfg.obs = obs.clone();
+        }
+        cfg
+    }
+}
+
+/// One program's slice of a round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramRoundReport {
     /// Raw program id.
@@ -117,9 +162,14 @@ pub struct ProgramRoundReport {
     pub overlay_version: u64,
     /// Directed (guided) executions in this fleet.
     pub directed: u64,
+    /// The program's tree coverage after the round.
+    pub coverage: CoverageStats,
+    /// The program's published proof certificates after the round.
+    pub proofs: u64,
 }
 
-/// Metrics for one multi-program round (aggregate + per program).
+/// Metrics for one round (aggregate + per program) — the one journaled
+/// round record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiRoundReport {
     /// Round index (0-based).
@@ -136,8 +186,60 @@ pub struct MultiRoundReport {
     pub programs: Vec<ProgramRoundReport>,
 }
 
+/// Failures per 10k executions (0 for an empty round).
+pub(crate) fn failure_rate(executions: u64, failures: u64) -> f64 {
+    if executions == 0 {
+        0.0
+    } else {
+        failures as f64 * 10_000.0 / executions as f64
+    }
+}
+
+impl ProgramRoundReport {
+    /// The report's fields in round-codec order, floats as bits.
+    fn fields(&self) -> [u64; 13] {
+        let c = &self.coverage;
+        [
+            self.program,
+            self.executions,
+            self.failures,
+            self.fixes_promoted,
+            self.overlay_version,
+            self.directed,
+            c.nodes,
+            c.distinct_paths,
+            c.sites_seen,
+            c.paths_merged,
+            c.frontier_arms,
+            c.closed_fraction.to_bits(),
+            self.proofs,
+        ]
+    }
+
+    fn from_fields(f: [u64; 13]) -> Self {
+        ProgramRoundReport {
+            program: f[0],
+            executions: f[1],
+            failures: f[2],
+            fixes_promoted: f[3],
+            overlay_version: f[4],
+            directed: f[5],
+            coverage: CoverageStats {
+                nodes: f[6],
+                distinct_paths: f[7],
+                sites_seen: f[8],
+                paths_merged: f[9],
+                frontier_arms: f[10],
+                closed_fraction: f64::from_bits(f[11]),
+            },
+            proofs: f[12],
+        }
+    }
+}
+
 impl MultiRoundReport {
-    /// Serializes the report for durable `REC_ROUND` records.
+    /// Serializes the report for durable `REC_ROUND` records (floats as
+    /// IEEE-754 bit patterns, so the roundtrip is exact).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         codec::put_u64(buf, self.round);
         codec::put_u64(buf, self.executions);
@@ -145,38 +247,45 @@ impl MultiRoundReport {
         codec::put_f64(buf, self.failure_rate_per_10k);
         codec::put_u64(buf, self.fixes_promoted);
         codec::put_u32(buf, self.programs.len() as u32);
-        for p in &self.programs {
-            codec::put_u64(buf, p.program);
-            codec::put_u64(buf, p.executions);
-            codec::put_u64(buf, p.failures);
-            codec::put_u64(buf, p.fixes_promoted);
-            codec::put_u64(buf, p.overlay_version);
-            codec::put_u64(buf, p.directed);
+        for v in self.programs.iter().flat_map(ProgramRoundReport::fields) {
+            codec::put_u64(buf, v);
         }
     }
 
-    /// Decodes a report written by [`encode_into`](Self::encode_into).
+    /// Decodes one whole round record written by
+    /// [`encode_into`](Self::encode_into).
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncated or malformed input.
-    pub fn decode(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
+    /// [`DurabilityError::Corrupt`] on truncated or malformed input, or
+    /// when bytes trail the report — a record of another layout.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DurabilityError> {
+        let mut r = codec::Reader::new(bytes);
+        let report = Self::read(&mut r).map_err(|e| corrupt("round record", e))?;
+        if !r.is_empty() {
+            return Err(DurabilityError::Corrupt(format!(
+                "round record has {} trailing byte(s)",
+                r.remaining()
+            )));
+        }
+        Ok(report)
+    }
+
+    /// Reads one report from the front of `r`.
+    fn read(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
         let round = r.u64("MultiRoundReport.round")?;
         let executions = r.u64("MultiRoundReport.executions")?;
         let failures = r.u64("MultiRoundReport.failures")?;
         let failure_rate_per_10k = r.f64("MultiRoundReport.failure_rate_per_10k")?;
         let fixes_promoted = r.u64("MultiRoundReport.fixes_promoted")?;
-        let n = r.seq_len("MultiRoundReport.programs", 40)?;
+        let n = r.seq_len("MultiRoundReport.programs", 13 * 8)?;
         let mut programs = Vec::with_capacity(n);
         for _ in 0..n {
-            programs.push(ProgramRoundReport {
-                program: r.u64("ProgramRoundReport.program")?,
-                executions: r.u64("ProgramRoundReport.executions")?,
-                failures: r.u64("ProgramRoundReport.failures")?,
-                fixes_promoted: r.u64("ProgramRoundReport.fixes_promoted")?,
-                overlay_version: r.u64("ProgramRoundReport.overlay_version")?,
-                directed: r.u64("ProgramRoundReport.directed")?,
-            });
+            let mut f = [0u64; 13];
+            for v in &mut f {
+                *v = r.u64("ProgramRoundReport")?;
+            }
+            programs.push(ProgramRoundReport::from_fields(f));
         }
         Ok(MultiRoundReport {
             round,
@@ -189,7 +298,11 @@ impl MultiRoundReport {
     }
 }
 
-/// What [`MultiPlatform::resume`] found and did on one shard.
+fn corrupt(what: &str, e: impl std::fmt::Display) -> DurabilityError {
+    DurabilityError::Corrupt(format!("{what}: {e}"))
+}
+
+/// What a resume found and did on one shard.
 #[derive(Debug, Clone)]
 pub struct ShardResumeReport {
     /// Shard index.
@@ -206,21 +319,49 @@ pub struct ShardResumeReport {
     /// Corrupt/unsynced journal-tail bytes dropped.
     pub wal_tail_dropped: u64,
     /// Intact records discarded because they belong past the campaign's
-    /// minimum committed round: an uncommitted partial segment, a round
+    /// minimum committed round: an uncommitted partial round, a round
     /// this shard journaled while another shard's fsync never happened
     /// (the round was never acked), or a suffix disconnected from a
     /// fallback chain lineage. All are truncated.
     pub records_discarded: u64,
 }
 
-/// What [`MultiPlatform::resume`] found and did across all shards.
+/// What [`MultiPlatform::resume`] or
+/// [`Platform::resume`](crate::Platform::resume) found and did.
 #[derive(Debug, Clone)]
-pub struct MultiResumeReport {
+pub struct ResumeReport {
     /// The campaign's recovered committed round: the *minimum* across
     /// shards (a round is acked only once every shard fsynced it).
     pub target_round: u64,
     /// Per-shard recovery detail.
     pub shards: Vec<ShardResumeReport>,
+}
+
+/// Per-round telemetry kept *beside* the journaled history, never in it:
+/// timings are host-dependent, and reports must stay byte-identical
+/// with telemetry on or off. `commit_ns` / `fsync_ns` come from the
+/// span timers behind the `<source>.round_commit_ns` / `hive.fsync_ns`
+/// histograms, so they are zero without a registry attached.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoundTelemetry {
+    /// Round index this entry describes.
+    pub round: u64,
+    /// Durable-commit duration (append + fsync + compaction), ns.
+    pub commit_ns: u64,
+    /// The fsync portion of the commit, ns.
+    pub fsync_ns: u64,
+    /// Batch frames appended to the journal this round.
+    pub frames_journaled: u64,
+    /// Fix promotions appended to the journal this round.
+    pub promotions_journaled: u64,
+    /// Whether this round's commit triggered a checkpoint.
+    pub compacted: bool,
+    /// Wall-clock compaction stall of this round's checkpoint writes, ns
+    /// (0 when none ran); measured even without a registry.
+    pub checkpoint_ns: u64,
+    /// Payload bytes the checkpoints wrote — the deterministic stall
+    /// proxy (a steady-state delta writes O(changes), not O(hive)).
+    pub checkpoint_bytes: u64,
 }
 
 /// One fleet's slice of work handed to a
@@ -247,20 +388,23 @@ pub struct MultiDrivenExecution {
     pub frames: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// The multi-program platform. See the [module docs](self).
+/// The campaign core. See the [module docs](self).
+#[derive(Debug)]
 pub struct MultiPlatform<'p> {
-    sharded: ShardedHive<'p>,
+    pub(crate) sharded: ShardedHive<'p>,
     /// Fleets in lane order (sorted by program id) — lane index is the
     /// durable journal session for that program's frames.
-    fleets: Vec<Fleet<'p>>,
-    config: MultiPlatformConfig,
+    pub(crate) fleets: Vec<Fleet<'p>>,
+    pub(crate) config: MultiPlatformConfig,
+    /// Telemetry source: `multi`, or `platform` for the one-fleet view.
+    pub(crate) source: &'static str,
     round_idx: u64,
     history: Vec<MultiRoundReport>,
     telemetry: Vec<RoundTelemetry>,
     last_run: Option<ShardRunStats>,
     /// One open durable store per shard, under `shard-<i>/` of the
     /// campaign directory.
-    durable: Option<Vec<DurableStore>>,
+    pub(crate) durable: Option<Vec<DurableStore>>,
     /// Next sequence number for `REC_PROMOTE` records (global across
     /// shards, so promotion order is totally ordered).
     promote_seq: u64,
@@ -305,6 +449,7 @@ impl<'p> MultiPlatform<'p> {
             sharded,
             fleets,
             config,
+            source: "multi",
             round_idx: 0,
             history: Vec::new(),
             telemetry: Vec::new(),
@@ -338,15 +483,13 @@ impl<'p> MultiPlatform<'p> {
             .expect("lane program is placed")
     }
 
-    /// Builds a multi-program platform. With durability configured this
-    /// starts a *fresh* campaign and panics if any shard directory
-    /// already holds campaign state (use [`try_new`](Self::try_new) to
-    /// handle the error, or [`resume`](Self::resume) to continue).
+    /// Builds a multi-program platform; with durability configured, a
+    /// *fresh* campaign ([`resume`](Self::resume) continues one).
     ///
     /// # Panics
     ///
-    /// On duplicate programs, zero shards, or durable initialization
-    /// failure.
+    /// On duplicate programs, zero shards, or whatever
+    /// [`try_new`](Self::try_new) refuses.
     pub fn new(specs: &[FleetSpec<'p>], config: MultiPlatformConfig) -> Self {
         Self::try_new(specs, config).expect("durable multi-platform initialization failed")
     }
@@ -355,10 +498,9 @@ impl<'p> MultiPlatform<'p> {
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::CampaignExists`] when any shard directory
-    /// already holds chain records, a non-empty journal, or a legacy
-    /// full-snapshot campaign; [`DurabilityError::Io`] when a shard's journal or
-    /// chain cannot be opened.
+    /// [`DurabilityError::CampaignExists`] when the directory already
+    /// holds a campaign, in any layout; [`DurabilityError::Io`] when a
+    /// shard's journal or chain cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -366,6 +508,8 @@ impl<'p> MultiPlatform<'p> {
         let mut platform = Self::base(specs, config);
         platform.enable_tree_paging()?;
         if let Some(root) = platform.config.durability.clone() {
+            refuse_legacy(&root.dir, LEGACY_ROOT)
+                .map_err(|_| DurabilityError::CampaignExists(root.dir.clone()))?;
             let stores = (0..platform.sharded.n_shards())
                 .map(|i| DurableStore::create(shard_cfg(&root, i)))
                 .collect::<Result<_, _>>()?;
@@ -374,34 +518,32 @@ impl<'p> MultiPlatform<'p> {
         Ok(platform)
     }
 
-    /// Resumes (or cold-starts) a durable multi-program campaign.
-    ///
-    /// Every shard recovers independently — newest valid checkpoint
-    /// (falling back a chain lineage if torn), then journal replay — and
-    /// the campaign's committed round is the **minimum** across shards:
-    /// a round was acked only once phase A fsynced it on every shard, so
-    /// any shard past the minimum holds rounds that were never acked.
-    /// Those suffixes (and any uncommitted partial segment) are
-    /// truncated, leaving every shard byte-identical to the
-    /// uninterrupted run at the recovered round.
+    /// Resumes (or, from an empty directory, cold-starts) a durable
+    /// campaign. Every shard loads its newest valid checkpoint (falling
+    /// back a chain lineage if torn) and replays its journal up to the
+    /// campaign's **minimum** committed round; anything past it is
+    /// truncated. Shards and pods — RNG positions, repair-lab corpora,
+    /// overlays, queued directives — come back byte-identical to the
+    /// uninterrupted run at that round.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage, or when a shard directory holds a legacy full-snapshot
-    /// campaign.
+    /// garbage, or when the directory holds an older layout — refused
+    /// before anything on disk is touched.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
-    ) -> Result<(Self, MultiResumeReport), DurabilityError> {
+    ) -> Result<(Self, ResumeReport), DurabilityError> {
         let root = config
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
+        refuse_legacy(&root.dir, LEGACY_ROOT)?;
         let mut platform = Self::base(specs, config);
-        let n_shards = platform.sharded.n_shards();
+        let recorder = platform.config.obs.recorder.clone();
         let lanes = platform.programs();
 
         // Pass 1: load every shard's checkpoint + journal and count its
@@ -409,7 +551,6 @@ impl<'p> MultiPlatform<'p> {
         struct ShardScan {
             store: DurableStore,
             rec: Recovered,
-            // Decoded from the head checkpoint's `app_meta`:
             snap_round: u64,
             history: Vec<MultiRoundReport>,
             lane_pods: Vec<(u64, Vec<PodState>)>,
@@ -417,37 +558,18 @@ impl<'p> MultiPlatform<'p> {
             tail_dropped: u64,
             committed: u64,
         }
-        let mut scans = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
+        let mut scans = Vec::with_capacity(platform.sharded.n_shards());
+        for i in 0..platform.sharded.n_shards() {
             let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
             let (snap_round, history, lane_pods) = match &rec.app_meta {
-                Some(meta) => decode_multi_app_meta(meta)?,
+                Some(meta) => decode_app_meta(meta)?,
                 None => (0, Vec::new(), Vec::new()),
             };
             let (records, scan) = journal::scan(&rec.wal[rec.replay_from..]);
-            if let Some(err) = scan.tail_error {
-                platform.config.obs.recorder.warn_or_ops(
-                    "multi.resume",
-                    "wal_tail_dropped",
-                    &[
-                        ("shard", i as u64),
-                        ("tail_bytes", scan.tail_dropped as u64),
-                        ("intact_records", scan.records as u64),
-                    ],
-                    format_args!(
-                        "shard {i} resume dropped {} journal tail byte(s) after {} intact \
-                         record(s): {err}",
-                        scan.tail_dropped, scan.records
-                    ),
-                );
-            }
             let mut committed = snap_round;
-            let mut walker = SegmentWalker::new(&records, rec.replay_from);
-            while let Some(seg) = walker.next_segment()? {
-                if decode_round(seg.round)?.round != committed {
-                    // Disconnected suffix (the checkpoint fell back a
-                    // generation); nothing past here counts.
-                    break;
+            for seg in segments(&records, rec.replay_from)? {
+                if MultiRoundReport::decode(&seg.round.frame)?.round != committed {
+                    break; // disconnected: the checkpoint fell back a generation
                 }
                 committed += 1;
             }
@@ -466,52 +588,43 @@ impl<'p> MultiPlatform<'p> {
 
         // Pass 2: restore each shard's checkpoint state and replay its
         // journal up to (exactly) the target round, truncating whatever
-        // lies beyond — ahead rounds, partial segments, damaged tails.
-        let mut shard_reports = Vec::with_capacity(n_shards);
-        let mut stores = Vec::with_capacity(n_shards);
-        let mut recovered_history: Option<Vec<MultiRoundReport>> = None;
-        // Per-lane durable pod populations: seeded from each shard's
-        // checkpoint, then overwritten by committed `REC_PODS` records
-        // replayed from that shard's journal suffix.
+        // lies beyond — ahead rounds, partial rounds, damaged tails.
+        let mut shard_reports = Vec::with_capacity(scans.len());
+        let mut stores = Vec::with_capacity(scans.len());
+        // Per-lane pod populations: each shard's checkpoint, overwritten
+        // by the committed `REC_PODS` records its journal replays.
         let mut lane_pod_states: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
         for (shard, mut sc) in scans.into_iter().enumerate() {
             if sc.snap_round > target {
-                // Phase B runs only after phase A committed on every
-                // shard, so a checkpoint can never be ahead of the
-                // campaign minimum.
+                // Phase B follows phase A on every shard: impossible.
                 return Err(DurabilityError::Corrupt(format!(
                     "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
                     sc.snap_round
                 )));
             }
             if let Some((full, deltas)) = sc.rec.states.split_first() {
-                let corrupt =
-                    |e| DurabilityError::Corrupt(format!("shard {shard} checkpoint state: {e}"));
+                let what = format!("shard {shard} checkpoint state");
                 platform
                     .sharded
                     .decode_shard_state(shard, full, &platform.config.hive)
-                    .map_err(corrupt)?;
+                    .map_err(|e| corrupt(&what, e))?;
                 for delta in deltas {
                     platform
                         .sharded
                         .apply_shard_state_delta(shard, delta)
-                        .map_err(corrupt)?;
+                        .map_err(|e| corrupt(&what, e))?;
                 }
             }
             lane_pod_states.extend(sc.lane_pods);
-            let mut history = sc.history;
-            let mut rounds_applied = sc.snap_round;
-            // End of the last fully-applied round (the truncation
-            // boundary if anything uncommitted follows).
-            let mut boundary = sc.rec.replay_from;
-            let mut applied_records = 0usize;
-            let mut walker = SegmentWalker::new(&sc.records, sc.rec.replay_from);
-            while rounds_applied < target {
-                let Some(seg) = walker.next_segment()? else {
+            let (mut history, mut applied) = (sc.history, sc.snap_round);
+            // End of the last applied round: where the journal is cut.
+            let (mut boundary, mut applied_records) = (sc.rec.replay_from, 0);
+            for seg in segments(&sc.records, sc.rec.replay_from)? {
+                if applied == target {
                     break;
-                };
-                let report = decode_round(seg.round)?;
-                if report.round != rounds_applied {
+                }
+                let report = MultiRoundReport::decode(&seg.round.frame)?;
+                if report.round != applied {
                     break; // disconnected: truncated below
                 }
                 for fr in &seg.frames {
@@ -522,98 +635,80 @@ impl<'p> MultiPlatform<'p> {
                             fr.session
                         )));
                     };
-                    let traces = wire::decode_batch(&fr.frame)
-                        .map_err(|e| DurabilityError::Corrupt(format!("frame batch: {e}")))?;
-                    let hive = platform
-                        .sharded
-                        .hive_mut(id)
-                        .expect("lane program is placed");
+                    let traces = wire::decode_batch(&fr.frame).map_err(|e| corrupt("frame", e))?;
+                    let hive = platform.sharded.hive_mut(id).expect("lane program");
                     for trace in &traces {
                         hive.ingest(trace);
                     }
                     sc.store.raise_floor(fr.session, fr.seq);
                 }
                 for pr in &seg.promotes {
-                    let mut r = codec::Reader::new(&pr.frame);
-                    let program = ProgramId(r.u64("promote.program")?);
-                    let (signature, overlay) = read_promotion(&mut r)?;
+                    let (program, signature, overlay) = read_promotion(&pr.frame)?;
+                    let candidate = FixCandidate {
+                        overlay,
+                        description: String::new(),
+                    };
                     platform
                         .sharded
                         .hive_mut(program)
-                        .map_err(|e| DurabilityError::Corrupt(format!("promote record: {e}")))?
-                        .promote(
-                            &signature,
-                            &FixCandidate {
-                                overlay,
-                                description: String::new(),
-                            },
-                        );
+                        .map_err(|e| corrupt("promote record", e))?
+                        .promote(&signature, &candidate);
                     platform.promote_seq = platform.promote_seq.max(pr.seq + 1);
                 }
                 if platform.config.guidance_enabled {
                     // Advance hive-internal guidance state; the directives
-                    // themselves are already inside the pod images.
+                    // are already in the pod images.
                     for id in platform.sharded.map().programs_on(shard) {
-                        let hive = platform.sharded.hive_mut(id).expect("placed program");
-                        let _ = hive.guidance();
+                        let _ = platform.sharded.hive_mut(id).expect("placed").guidance();
                     }
                 }
                 for pr in &seg.pods {
                     lane_pod_states.insert(pr.session, fleet::decode_pod_states(&pr.frame)?);
                 }
-                rounds_applied += 1;
                 history.push(report);
+                applied += 1;
                 (boundary, applied_records) = (seg.end, seg.end_idx);
             }
             let records_discarded = (sc.records.len() - applied_records) as u64;
             if boundary < sc.rec.wal.len() {
-                if records_discarded > 0 {
-                    platform.config.obs.recorder.warn_or_ops(
-                        "multi.resume",
-                        "records_truncated",
-                        &[
-                            ("shard", shard as u64),
-                            ("records", records_discarded),
-                            ("target_round", target),
-                        ],
-                        format_args!(
-                            "shard {shard} resume truncating {records_discarded} journal \
-                             record(s) past committed round {target}"
-                        ),
-                    );
-                }
+                recorder.warn_or_ops(
+                    "campaign.resume",
+                    "journal_truncated",
+                    &[
+                        ("shard", shard as u64),
+                        ("tail_bytes", sc.tail_dropped),
+                        ("records", records_discarded),
+                        ("target_round", target),
+                    ],
+                    format_args!(
+                        "shard {shard} resume dropped {} damaged tail byte(s) and {records_discarded} \
+                         intact record(s) past committed round {target}",
+                        sc.tail_dropped
+                    ),
+                );
                 sc.store.truncate_wal(&sc.rec.wal[..boundary])?;
-            }
-            if rounds_applied != target {
-                return Err(DurabilityError::Corrupt(format!(
-                    "shard {shard} replayed to round {rounds_applied} but the campaign minimum \
-                     is {target}"
-                )));
-            }
-            if recovered_history.is_none() {
-                recovered_history = Some(history);
             }
             shard_reports.push(ShardResumeReport {
                 shard,
                 chain_deltas_applied: sc.rec.deltas_applied(),
                 chain: sc.rec.chain,
                 rounds_from_snapshot: sc.snap_round,
-                rounds_replayed: rounds_applied - sc.snap_round,
+                rounds_replayed: target - sc.snap_round,
                 wal_tail_dropped: sc.tail_dropped,
                 records_discarded,
             });
+            if shard == 0 {
+                platform.history = history;
+            }
             stores.push(sc.store);
         }
 
-        // Paging attaches only after every shard's state is final:
-        // decode_shard_state replaces whole hives, so an earlier enable
-        // would be silently discarded.
+        // Paging attaches only once every shard's state is final:
+        // decode_shard_state replaces whole hives.
         platform.enable_tree_paging()?;
 
-        // Process equivalence: install every fleet's freshest committed
-        // pod images (journal beats checkpoint; lanes with no durable
-        // record — a cold campaign — keep their seed-derived round-0
-        // population).
+        // Install the freshest committed pod images; lanes with none (a
+        // cold campaign) keep their seed-derived round-0 population.
         for (lane, fleet) in platform.fleets.iter_mut().enumerate() {
             if let Some(states) = lane_pod_states.remove(&(lane as u64)) {
                 fleet.restore_pod_states(states)?;
@@ -626,15 +721,12 @@ impl<'p> MultiPlatform<'p> {
         }
 
         platform.round_idx = target;
-        platform.history = recovered_history.unwrap_or_default();
         platform.durable = Some(stores);
-        Ok((
-            platform,
-            MultiResumeReport {
-                target_round: target,
-                shards: shard_reports,
-            },
-        ))
+        let report = ResumeReport {
+            target_round: target,
+            shards: shard_reports,
+        };
+        Ok((platform, report))
     }
 
     /// The sharded hive (read access for experiments).
@@ -687,15 +779,12 @@ impl<'p> MultiPlatform<'p> {
         &self.telemetry
     }
 
-    /// The configuration the platform was built with (telemetry sinks
-    /// included — the simulator paths use this to retime the attached
-    /// flight recorder onto virtual time).
+    /// The configuration the platform was built with.
     pub fn config(&self) -> &MultiPlatformConfig {
         &self.config
     }
 
-    /// Serialized state of shard `shard` — the byte-identity invariant
-    /// checked by the kill/restart harness.
+    /// Serialized state of shard `shard` (the byte-identity invariant).
     ///
     /// # Panics
     ///
@@ -706,75 +795,71 @@ impl<'p> MultiPlatform<'p> {
             .expect("shard index in range")
     }
 
-    /// Exports every fleet's durable pod images, in lane order — the
-    /// pod half of the process-equivalence invariant checked by the
-    /// kill/restart harness.
+    /// Every fleet's durable pod images, in lane order.
     pub fn export_pod_states(&self) -> Vec<Vec<PodState>> {
         self.fleets.iter().map(Fleet::export_pod_states).collect()
     }
 
-    /// Scrubs every shard's durable files for bit rot *before*
-    /// resuming, in shard order — the multi-shard analogue of
-    /// [`Platform::scrub`](crate::Platform::scrub). Returns one
-    /// [`ScrubReport`] per shard.
+    /// Scrubs every shard for bit rot *before* a resume (see
+    /// [`softborg_hive::scrub`]): corrupt chain records are quarantined,
+    /// journal damage is cut, and each detection is a Warn event on the
+    /// config's `obs`. One [`ScrubReport`] per shard; the paged trees'
+    /// verdict rides on the first.
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::NotConfigured`] without a durability config;
-    /// otherwise the first failing shard's error (I/O, or a shard whose
-    /// durable data was entirely destroyed).
+    /// As [`resume`](Self::resume), and [`DurabilityError::Corrupt`]
+    /// when a shard's durable data was entirely destroyed.
     pub fn scrub(config: &MultiPlatformConfig) -> Result<Vec<ScrubReport>, DurabilityError> {
         let root = config
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
-        let mut reports = (0..config.n_shards)
-            .map(|i| DurableStore::scrub(&shard_cfg(root, i), &config.obs.recorder))
+        refuse_legacy(&root.dir, LEGACY_ROOT)?;
+        let shards: Vec<DurabilityConfig> =
+            (0..config.n_shards).map(|i| shard_cfg(root, i)).collect();
+        // A round record this build cannot read is an older layout, not
+        // bit rot: refuse it before the scrub writes anything.
+        for shard in &shards {
+            for rec in read_journal(&shard.dir)? {
+                if rec.kind == REC_ROUND {
+                    MultiRoundReport::decode(&rec.frame)?;
+                }
+            }
+        }
+        let mut reports = shards
+            .iter()
+            .map(|cfg| DurableStore::scrub(cfg, &config.obs.recorder))
             .collect::<Result<Vec<_>, _>>()?;
-        // Page stores are per program (`prog-<id>/` under the paging
-        // root), not per shard; their merged verdict rides on the first
-        // shard's report.
-        if let Some(pcfg) = &config.tree_paging {
-            let mut merged = PageScrub {
+        if let (Some(pcfg), Some(first)) = (&config.tree_paging, reports.first_mut()) {
+            let mut pages = PageScrub {
                 pages_valid: 0,
                 quarantined: Vec::new(),
             };
-            let mut prog_dirs: Vec<std::path::PathBuf> = match std::fs::read_dir(&pcfg.dir) {
-                Ok(entries) => entries
-                    .filter_map(Result::ok)
-                    .map(|e| e.path())
-                    .filter(|p| {
-                        p.is_dir()
-                            && p.file_name()
-                                .is_some_and(|n| n.to_string_lossy().starts_with("prog-"))
-                    })
+            let mut names: Vec<String> = match std::fs::read_dir(&pcfg.dir) {
+                Ok(entries) => (entries.filter_map(Result::ok))
+                    .filter(|e| e.path().is_dir())
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|n| n.starts_with("prog-"))
                     .collect(),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
                 Err(e) => return Err(io_err("page-root", &e)),
             };
-            prog_dirs.sort();
-            for dir in prog_dirs {
-                let sub = scrub_page_dir(&dir, &config.obs.recorder)?;
-                merged.pages_valid += sub.pages_valid;
-                let prefix = dir
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                merged
-                    .quarantined
-                    .extend(sub.quarantined.into_iter().map(|f| format!("{prefix}/{f}")));
+            names.sort();
+            for name in names {
+                let sub = scrub_page_dir(&pcfg.dir.join(&name), &config.obs.recorder)?;
+                pages.pages_valid += sub.pages_valid;
+                let quarantined = sub.quarantined.into_iter().map(|f| format!("{name}/{f}"));
+                pages.quarantined.extend(quarantined);
             }
-            if let Some(first) = reports.first_mut() {
-                first.pages = Some(merged);
-            }
+            first.pages = Some(pages);
         }
         Ok(reports)
     }
 
-    /// Advances one round: distribute overlays, execute every fleet
-    /// through the sharded pipeline, validate and promote fixes per
-    /// program, distribute guidance, and (when durable) commit the round
-    /// to every shard journal before returning the report.
+    /// Advances one round: distribute overlays, execute every fleet,
+    /// promote fixes, guide, and (when durable) commit to every shard
+    /// before returning the report — the ack. A failed commit panics.
     pub fn round(&mut self, execs_per_pod: u32) -> MultiRoundReport {
         // 1. Distribute each program's current overlay to its fleet.
         self.distribute_overlays();
@@ -786,20 +871,16 @@ impl<'p> MultiPlatform<'p> {
         self.finish_round(per_lane, frames)
     }
 
-    /// Advances one round with execution *driven from outside*, the
-    /// multi-program counterpart of
-    /// [`Platform::round_driven`](crate::Platform::round_driven):
-    /// `driver` receives one [`LaneTask`] per fleet (overlays already
-    /// distributed) plus the configured batch size, runs the pods
-    /// however it likes, and returns per-lane counters plus every
-    /// wire-encoded batch frame as `(lane, seq, frame)` triples in the
-    /// pre-partitioned per-lane sequence layout (pod `j` owns slots
-    /// `j*k..(j+1)*k`, `k = ceil(execs_per_pod / batch)`).
-    ///
-    /// Frames are ingested in `(lane, seq)` order — each lane's order is
-    /// exactly the sharded merger's release order and the durable resume
-    /// replay order — then the identical fix / guidance / report /
-    /// commit pipeline runs.
+    /// Advances one round with execution *driven from outside* — a
+    /// virtual-time scheduler, say, or a serial loop. `driver` gets one
+    /// [`LaneTask`] per fleet plus the batch size and returns per-lane
+    /// counters and every batch frame as `(lane, seq, frame)`, pod `j`
+    /// owning slots `j*k..(j+1)*k` (`k = ceil(execs_per_pod / batch)`).
+    /// Frames are ingested in `(lane, seq)` order — the merger's and the
+    /// replay's order — and the rest of the round runs as usual. Pods
+    /// carry their own RNG, so any driver that runs each pod
+    /// `execs_per_pod` times leaves the state [`round`](Self::round)
+    /// would.
     ///
     /// # Panics
     ///
@@ -845,7 +926,7 @@ impl<'p> MultiPlatform<'p> {
 
     /// Step 1 of a round: push each program's current overlay to its
     /// fleet.
-    fn distribute_overlays(&mut self) {
+    pub(crate) fn distribute_overlays(&mut self) {
         if self.config.fixes_enabled {
             for fleet in &mut self.fleets {
                 fleet.install_overlay(hive_of(&self.sharded, fleet));
@@ -853,12 +934,9 @@ impl<'p> MultiPlatform<'p> {
         }
     }
 
-    /// Step 2 of [`round`](Self::round): executes every fleet's pods on
-    /// scoped threads, submitting batch frames into pre-partitioned
-    /// per-program sequence slots (pod `j` of a fleet owns slots
-    /// `j*k..(j+1)*k`), so each program's merge order is pod-major —
-    /// byte-identical to a serial per-program loop — regardless of
-    /// thread scheduling. Returns the counters per lane.
+    /// Step 2 of [`round`](Self::round): every fleet's pods on scoped
+    /// threads, frames in pre-partitioned per-lane slots, so each
+    /// program's merge order is pod-major whatever the scheduling.
     fn execute(&mut self, execs_per_pod: u32) -> (Vec<Counters>, Vec<Frame>) {
         let batch = self.config.ingest.batch();
         let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
@@ -890,15 +968,16 @@ impl<'p> MultiPlatform<'p> {
         (per_lane, frames)
     }
 
-    /// Steps 3–6 of a round, shared by [`round`](Self::round) and
-    /// [`round_driven`](Self::round_driven): fix pipelines, guidance,
+    /// Steps 3–6 of a round, after execution: fix pipelines, guidance,
     /// report, durable two-phase commit.
-    fn finish_round(&mut self, per_lane: Vec<Counters>, frames: Vec<Frame>) -> MultiRoundReport {
-        // 3. Per-program fix pipeline. Proposals from every program are
-        //    validated concurrently (each against its own program's
-        //    round-start overlay), then promoted sequentially in (lane,
-        //    proposal) order — deterministic regardless of scheduling,
-        //    and replayed from recorded promotion decisions on resume.
+    pub(crate) fn finish_round(
+        &mut self,
+        per_lane: Vec<Counters>,
+        frames: Vec<Frame>,
+    ) -> MultiRoundReport {
+        // 3. Fixes: every program's proposals are validated concurrently
+        //    against its round-start overlay, then promoted in (lane,
+        //    proposal) order; resume replays the recorded decisions.
         let mut promoted: Vec<(usize, String, Overlay)> = Vec::new();
         let mut fixes_by_lane = vec![0u64; self.fleets.len()];
         if self.config.fixes_enabled {
@@ -934,45 +1013,73 @@ impl<'p> MultiPlatform<'p> {
             .iter()
             .zip(&per_lane)
             .zip(&fixes_by_lane)
-            .map(
-                |((fleet, &(executions, failures, directed)), &fixes_promoted)| {
-                    ProgramRoundReport {
-                        program: fleet.id.0,
-                        executions,
-                        failures,
-                        fixes_promoted,
-                        overlay_version: hive_of(&self.sharded, fleet).current_overlay().1,
-                        directed,
-                    }
-                },
-            )
+            .map(|((fleet, &(executions, failures, directed)), &fixes)| {
+                let hive = hive_of(&self.sharded, fleet);
+                ProgramRoundReport {
+                    program: fleet.id.0,
+                    executions,
+                    failures,
+                    fixes_promoted: fixes,
+                    overlay_version: hive.current_overlay().1,
+                    directed,
+                    coverage: hive.coverage(),
+                    proofs: hive.proof_count(),
+                }
+            })
             .collect();
         let executions: u64 = programs.iter().map(|p| p.executions).sum();
         let failures: u64 = programs.iter().map(|p| p.failures).sum();
-        let round = self.round_idx;
         let report = MultiRoundReport {
-            round,
+            round: self.round_idx,
             executions,
             failures,
-            failure_rate_per_10k: if executions == 0 {
-                0.0
-            } else {
-                failures as f64 * 10_000.0 / executions as f64
-            },
+            failure_rate_per_10k: failure_rate(executions, failures),
             fixes_promoted: fixes_by_lane.iter().sum(),
             programs,
         };
         self.round_idx += 1;
         self.history.push(report.clone());
 
-        // 6. Durable two-phase commit.
-        let obs = self.config.obs.clone();
-        let totals = (round, executions, failures, report.fixes_promoted);
+        // 6. Durable commit, timed, then counters and a content-only
+        //    `round_committed` event (so `events_hash` replays). A failed
+        //    commit panics: crash-only software never runs on unpersisted.
+        let (obs, source) = (self.config.obs.clone(), self.source);
+        let registry = obs.registry.as_ref();
+        let commit_hist = registry.map(|r| r.histogram(&format!("{source}.round_commit_ns")));
+        let clock = obs.span_clock();
+        let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
         let journaled = (frames.len() as u64, promoted.len() as u64);
-        let telemetry = commit_observed(&obs, "multi", totals, &[], journaled, || {
-            self.commit_round(&report, frames, &promoted)
+        let commit =
+            (self.commit_round(&report, frames, &promoted)).expect("durable round commit failed");
+        let commit_ns = commit_span.map_or(0, SpanTimer::stop);
+        let (round, fixes) = (report.round, report.fixes_promoted);
+        if let Some(reg) = registry {
+            reg.counter(&format!("{source}.rounds")).incr();
+            reg.counter(&format!("{source}.executions")).add(executions);
+            reg.counter(&format!("{source}.failures")).add(failures);
+            reg.counter(&format!("{source}.fixes_promoted")).add(fixes);
+        }
+        obs.recorder.info(
+            source,
+            "round_committed",
+            &[
+                ("round", round),
+                ("executions", executions),
+                ("failures", failures),
+                ("fixes_promoted", fixes),
+            ],
+            format_args!(
+                "round {round} committed: {executions} executions, {failures} failures, \
+                 {fixes} fix(es) promoted"
+            ),
+        );
+        self.telemetry.push(RoundTelemetry {
+            round,
+            commit_ns,
+            frames_journaled: journaled.0,
+            promotions_journaled: journaled.1,
+            ..commit
         });
-        self.telemetry.push(telemetry);
         report
     }
 
@@ -984,13 +1091,9 @@ impl<'p> MultiPlatform<'p> {
         self.history()
     }
 
-    /// Commits one round durably. Phase A: append this round's frames
-    /// (per-lane, in merge order), promotions, pod populations, and the
-    /// round record to **every** shard journal, then fsync them all —
-    /// only after every fsync is the round acked. Phase B: per-shard
-    /// compaction, which can therefore never capture a round some
-    /// journal lacks. Returns the commit's telemetry slice (fsync is
-    /// timed only when a registry is attached).
+    /// Commits one round: phase A appends its frames, promotions, pod
+    /// images and round record to every shard journal and fsyncs them
+    /// all (the ack); phase B then compacts the shards that are due.
     fn commit_round(
         &mut self,
         report: &MultiRoundReport,
@@ -1000,9 +1103,7 @@ impl<'p> MultiPlatform<'p> {
         if self.durable.is_none() {
             return Ok(RoundTelemetry::default());
         }
-        // Capture every fleet's pod population *after* guidance queued
-        // next-round directives — the exact state an uninterrupted
-        // process carries into the next round.
+        // Pod images *after* guidance queued next-round directives.
         let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
         let lane_shards: Vec<usize> = (0..self.fleets.len())
             .map(|lane| self.shard_of_lane(lane))
@@ -1017,8 +1118,7 @@ impl<'p> MultiPlatform<'p> {
         let mut body = Vec::new();
         for (lane, signature, overlay) in promoted {
             body.clear();
-            codec::put_u64(&mut body, self.fleets[*lane].id.0);
-            put_promotion(&mut body, signature, overlay);
+            put_promotion(&mut body, self.fleets[*lane].id.0, signature, overlay);
             let store = &mut stores[lane_shards[*lane]];
             store.append(REC_PROMOTE, SESSION_PROMOTE, self.promote_seq, &body)?;
             self.promote_seq += 1;
@@ -1031,9 +1131,8 @@ impl<'p> MultiPlatform<'p> {
         for store in stores.iter_mut() {
             store.append(REC_ROUND, SESSION_ROUND, report.round, &body)?;
         }
-        // …then fsync everywhere. A crash between fsyncs leaves some
-        // shards one round ahead; resume truncates them back to the
-        // minimum (the round was never acked).
+        // …then fsync everywhere; a crash in between leaves some shards
+        // one unacked round ahead.
         let obs = &self.config.obs;
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
@@ -1050,7 +1149,7 @@ impl<'p> MultiPlatform<'p> {
         for shard in 0..stores.len() {
             if self.durable.as_ref().expect("checked above")[shard].checkpoint_due() {
                 let started = std::time::Instant::now();
-                stats.checkpoint_bytes += self.checkpoint_shard(shard, &pod_bodies)?;
+                stats.checkpoint_bytes += self.checkpoint_shard(shard, &pod_bodies, true)?;
                 stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
                 stats.compacted = true;
             }
@@ -1058,16 +1157,13 @@ impl<'p> MultiPlatform<'p> {
         Ok(stats)
     }
 
-    /// Writes one checkpoint of shard `shard` and truncates its journal
-    /// (see [`DurableStore::write_checkpoint`]), then resets the shard's
-    /// delta tracking. The checkpoint's pod
-    /// populations cover only the lanes whose frames land in this
-    /// shard's journal. `lane_pods` holds every lane's encoded pod
-    /// population, in lane order.
+    /// Checkpoints shard `shard` (with the pod images of its lanes, from
+    /// `lane_pods` in lane order) and resets its delta tracking.
     fn checkpoint_shard(
         &mut self,
         shard: usize,
         lane_pods: &[Vec<u8>],
+        truncate: bool,
     ) -> Result<u64, DurabilityError> {
         let shard_pods: Vec<(u64, &[u8])> = lane_pods
             .iter()
@@ -1075,7 +1171,7 @@ impl<'p> MultiPlatform<'p> {
             .filter(|&(lane, _)| self.shard_of_lane(lane) == shard)
             .map(|(lane, body)| (lane as u64, body.as_slice()))
             .collect();
-        let app_meta = encode_multi_app_meta(self.round_idx, &self.history, &shard_pods);
+        let app_meta = encode_app_meta(self.round_idx, &self.history, &shard_pods);
         let sharded = &self.sharded;
         let encode = |kind| {
             match kind {
@@ -1088,37 +1184,37 @@ impl<'p> MultiPlatform<'p> {
             .durable
             .as_mut()
             .ok_or(DurabilityError::NotConfigured)?;
-        let written = stores[shard].write_checkpoint(encode, app_meta, true)?;
+        let written = stores[shard].write_checkpoint(encode, app_meta, truncate)?;
         self.sharded.mark_shard_clean(shard);
         Ok(written)
     }
 
-    /// On-demand compaction of every shard: each folds its journal into
-    /// a fresh checkpoint and truncates it. Returns the payload bytes
-    /// written, summed over shards.
+    /// On-demand compaction of every shard; returns the payload bytes
+    /// written.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
     /// [`DurabilityError::Io`] when a chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
+        self.checkpoint_all(true)
+    }
+
+    /// Checkpoints every shard; without `truncate` the disk is left as a
+    /// crash between the chain appends and the journal truncates leaves
+    /// it.
+    pub(crate) fn checkpoint_all(&mut self, truncate: bool) -> Result<u64, DurabilityError> {
         let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
         (0..self.sharded.n_shards())
-            .map(|shard| self.checkpoint_shard(shard, &pod_bodies))
+            .map(|shard| self.checkpoint_shard(shard, &pod_bodies, truncate))
             .sum()
     }
 }
 
-fn decode_round(rec: &JournalRecord) -> Result<MultiRoundReport, DurabilityError> {
-    MultiRoundReport::decode(&mut codec::Reader::new(&rec.frame))
-        .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))
-}
-
-/// Shard-checkpoint `app_meta` payload: committed-round counter, the
-/// full multi-round history, and this shard's lanes' durable pod
-/// populations (`u32 count` then `u64 lane | bytes` per lane), in the
-/// deterministic byte codec.
-fn encode_multi_app_meta(
+/// Shard-checkpoint `app_meta`: committed-round counter, full history,
+/// and this shard's lanes' pod images (`u32 count`, then `u64 lane |
+/// bytes` each), so a fully compacted journal still restores every pod.
+fn encode_app_meta(
     round_idx: u64,
     history: &[MultiRoundReport],
     lane_pods: &[(u64, &[u8])],
@@ -1137,26 +1233,26 @@ fn encode_multi_app_meta(
     buf
 }
 
-type MultiAppMeta = (u64, Vec<MultiRoundReport>, Vec<(u64, Vec<PodState>)>);
+type AppMeta = (u64, Vec<MultiRoundReport>, Vec<(u64, Vec<PodState>)>);
 
-fn decode_multi_app_meta(bytes: &[u8]) -> Result<MultiAppMeta, DurabilityError> {
+fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let round_idx = r.u64("multi_app_meta.round_idx")?;
-    let n = r.seq_len("multi_app_meta.history", 112)?;
+    let round_idx = r.u64("app_meta.round_idx")?;
+    let n = r.seq_len("app_meta.history", 44)?;
     let mut history = Vec::with_capacity(n);
     for _ in 0..n {
-        history.push(MultiRoundReport::decode(&mut r)?);
+        history.push(MultiRoundReport::read(&mut r)?);
     }
-    let n_lanes = r.seq_len("multi_app_meta.lane_pods", 12)?;
+    let n_lanes = r.seq_len("app_meta.lane_pods", 12)?;
     let mut lane_pods = Vec::with_capacity(n_lanes);
     for _ in 0..n_lanes {
-        let lane = r.u64("multi_app_meta.lane")?;
-        let body = r.bytes("multi_app_meta.pods")?;
+        let lane = r.u64("app_meta.lane")?;
+        let body = r.bytes("app_meta.pods")?;
         lane_pods.push((lane, fleet::decode_pod_states(body)?));
     }
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(
-            "multi_app_meta has {} trailing byte(s)",
+            "app_meta has {} trailing byte(s)",
             r.remaining()
         )));
     }

@@ -21,9 +21,9 @@
 //! bytes carry the promoted signature + overlay so replay re-applies the
 //! fix pipeline's *decision* rather than re-running its search),
 //! [`REC_ROUND`] (a platform round boundary: the frame bytes carry the
-//! caller's opaque round metadata), or [`REC_ABORT`] (a fence written on
-//! resume: everything since the previous round boundary belongs to a
-//! round that never committed and must not be merged).
+//! caller's opaque round metadata), or [`REC_PODS`] (a platform lane's
+//! pod population). Kind 4, a retired abort fence, still scans; the
+//! platform's replay refuses it.
 //!
 //! # Durability model
 //!
@@ -52,9 +52,6 @@ pub const REC_PROMOTE: u8 = 2;
 /// Record kind: a platform round boundary carrying opaque caller
 /// metadata; written on the [`SESSION_ROUND`] pseudo-session.
 pub const REC_ROUND: u8 = 3;
-/// Record kind: an abort fence — frames since the last [`REC_ROUND`]
-/// belong to an uncommitted round and are discarded by replay.
-pub const REC_ABORT: u8 = 4;
 /// Record kind: a durable pod-state image for one platform lane
 /// (`session` = lane index, `seq` = round index; the frame bytes carry
 /// the platform's encoded pod population for that round). Written inside
@@ -64,7 +61,7 @@ pub const REC_PODS: u8 = 5;
 /// Highest valid record kind; [`scan`] rejects anything above it.
 const MAX_KIND: u8 = REC_PODS;
 
-/// Pseudo-session carrying [`REC_ROUND`] / [`REC_ABORT`] records. Real
+/// Pseudo-session carrying [`REC_ROUND`] records. Real
 /// transport sessions are small pod indices, so the top of the `u64`
 /// space is free.
 pub const SESSION_ROUND: u64 = u64::MAX;
@@ -620,18 +617,16 @@ mod tests {
         let mut buf = Vec::new();
         append_record(&mut buf, REC_PROMOTE, SESSION_PROMOTE, 0, b"overlay");
         append_record(&mut buf, REC_ROUND, SESSION_ROUND, 0, b"round-meta");
-        append_record(&mut buf, REC_ABORT, SESSION_ROUND, 1, &[]);
         append_record(&mut buf, REC_PODS, 0, 2, b"pod-states");
         let (recs, report) = scan(&buf);
-        assert_eq!(report.records, 4);
+        assert_eq!(report.records, 3);
         assert_eq!(report.tail_error, None);
         assert_eq!(recs[0].kind, REC_PROMOTE);
         assert_eq!(recs[0].session, SESSION_PROMOTE);
         assert_eq!(recs[1].kind, REC_ROUND);
         assert_eq!(recs[1].frame, b"round-meta");
-        assert_eq!(recs[2].kind, REC_ABORT);
-        assert_eq!(recs[3].kind, REC_PODS);
-        assert_eq!(recs[3].frame, b"pod-states");
+        assert_eq!(recs[2].kind, REC_PODS);
+        assert_eq!(recs[2].frame, b"pod-states");
     }
 
     #[test]

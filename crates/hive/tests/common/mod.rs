@@ -1,5 +1,5 @@
 //! Workload helpers shared by the hive's ingest and transport suites
-//! (and `softborg-sim`'s `obs_determinism.rs`, which includes this file
+//! (and the root `obs_determinism.rs`, which includes this file
 //! by path): the canonical scenarios, seeded pod traces, transport
 //! sessions, and the serial-ingest reference hive.
 

@@ -113,6 +113,7 @@ impl From<CodecError> for ShardStateError {
 }
 
 /// N hive shards, a router, and a shared ingest worker pool.
+#[derive(Debug)]
 pub struct ShardedHive<'p> {
     map: ShardMap,
     programs: BTreeMap<ProgramId, &'p Program>,

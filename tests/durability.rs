@@ -1,50 +1,266 @@
-//! Crash-only durability: a durable campaign killed at any round
-//! boundary and resumed must recover **process-equivalent** — hive
-//! state, pod populations (RNG streams, repair-lab corpora, queued
-//! directives), history, and round telemetry all byte-identical to an
-//! uninterrupted run at the same committed round — through journal
-//! replay alone, through delta-chain checkpoints, and through checkpoint
-//! corruption with lineage fallback.
+//! Crash-only durability of the one campaign core, on both of its
+//! shapes: a one-fleet [`Platform`] and a three-fleet, two-shard
+//! [`MultiPlatform`]. A campaign killed at any round boundary and
+//! resumed must recover **process-equivalent** — every shard's state,
+//! every pod (RNG streams, repair-lab corpora, queued directives),
+//! history, and round telemetry byte-identical to an uninterrupted run
+//! at the same committed round — through journal replay, delta-chain
+//! checkpoints, chain fallback, truncated partial rounds, torn tails,
+//! sector rot and paging. Older directory layouts are refused with
+//! their bytes untouched.
 
-use softborg::hive::journal::{self, REC_FRAME};
-use softborg::hive::HiveSnapshot;
+use softborg::hive::journal::{self, REC_FRAME, REC_ROUND};
+use softborg::hive::{HiveSnapshot, ScrubReport};
 use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
-use softborg::pod::PodState;
+use softborg::pod::{PodConfig, PodState};
+use softborg::program::codec;
+use softborg::program::scenarios::{self, Scenario};
 use softborg::store::chain::decode_record;
-use softborg::store::ChainSource;
+use softborg::store::{ChainSource, PageStats, PagedConfig};
 use softborg::{
-    DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings, MultiPlatform,
-    MultiPlatformConfig, Platform, PlatformConfig, RoundReport,
+    DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings,
+    MultiDrivenExecution, MultiPlatform, MultiPlatformConfig, MultiRoundReport, Platform,
+    PlatformConfig, ResumeReport,
 };
-use softborg_ingest::IngestConfig;
-use softborg_program::scenarios;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const ROUNDS: u64 = 5;
-const EXECS: u32 = 12;
+const EXECS: u32 = 10;
+
+/// The two shapes of a campaign every check runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// One fleet (`token_parser`, 8 pods) on one shard: a `Platform`.
+    One,
+    /// Three fleets (4 pods each) on two shards: a `MultiPlatform`.
+    Fleet,
+}
+
+const KINDS: [Kind; 2] = [Kind::One, Kind::Fleet];
+
+/// What a campaign is built with besides its kind.
+#[derive(Clone, Default)]
+struct Setup {
+    durability: Option<DurabilityConfig>,
+    paging: Option<PagedConfig>,
+    ingest: IngestSettings,
+    obs: ObsHandles,
+}
+
+impl Setup {
+    fn durable(durability: DurabilityConfig) -> Self {
+        Setup {
+            durability: Some(durability),
+            ..Setup::default()
+        }
+    }
+}
+
+/// A running campaign of either kind.
+enum Run<'p> {
+    One(Platform<'p>),
+    Fleet(MultiPlatform<'p>),
+}
+
+fn pod_config(s: &Scenario) -> PodConfig {
+    PodConfig {
+        input_range: s.input_range,
+        ..PodConfig::default()
+    }
+}
+
+impl Kind {
+    fn scenarios(self) -> Vec<Scenario> {
+        match self {
+            Kind::One => vec![scenarios::token_parser()],
+            Kind::Fleet => vec![
+                scenarios::token_parser(),
+                scenarios::triangle(),
+                scenarios::record_processor(),
+            ],
+        }
+    }
+
+    fn shards(self) -> usize {
+        match self {
+            Kind::One => 1,
+            Kind::Fleet => 2,
+        }
+    }
+
+    fn one_config(s: &Scenario, setup: &Setup) -> PlatformConfig {
+        PlatformConfig {
+            n_pods: 8,
+            pod: pod_config(s),
+            seed: 17,
+            ingest: setup.ingest.clone(),
+            durability: setup.durability.clone(),
+            tree_paging: setup.paging.clone(),
+            obs: setup.obs.clone(),
+            ..PlatformConfig::default()
+        }
+    }
+
+    fn fleet_config(setup: &Setup) -> MultiPlatformConfig {
+        MultiPlatformConfig {
+            n_pods: 4,
+            n_shards: 2,
+            seed: 23,
+            ingest: setup.ingest.clone(),
+            durability: setup.durability.clone(),
+            tree_paging: setup.paging.clone(),
+            obs: setup.obs.clone(),
+            ..MultiPlatformConfig::default()
+        }
+    }
+
+    fn specs(scs: &[Scenario]) -> Vec<FleetSpec<'_>> {
+        scs.iter()
+            .map(|s| FleetSpec {
+                program: &s.program,
+                pod: pod_config(s),
+            })
+            .collect()
+    }
+
+    fn try_start<'p>(self, scs: &'p [Scenario], setup: &Setup) -> Result<Run<'p>, DurabilityError> {
+        match self {
+            Kind::One => {
+                Platform::try_new(&scs[0].program, Self::one_config(&scs[0], setup)).map(Run::One)
+            }
+            Kind::Fleet => {
+                MultiPlatform::try_new(&Self::specs(scs), Self::fleet_config(setup)).map(Run::Fleet)
+            }
+        }
+    }
+
+    fn start<'p>(self, scs: &'p [Scenario], setup: &Setup) -> Run<'p> {
+        self.try_start(scs, setup).expect("fresh campaign")
+    }
+
+    fn resume<'p>(
+        self,
+        scs: &'p [Scenario],
+        setup: &Setup,
+    ) -> Result<(Run<'p>, ResumeReport), DurabilityError> {
+        match self {
+            Kind::One => Platform::resume(&scs[0].program, Self::one_config(&scs[0], setup))
+                .map(|(p, r)| (Run::One(p), r)),
+            Kind::Fleet => MultiPlatform::resume(&Self::specs(scs), Self::fleet_config(setup))
+                .map(|(p, r)| (Run::Fleet(p), r)),
+        }
+    }
+
+    fn scrub(self, scs: &[Scenario], setup: &Setup) -> Result<Vec<ScrubReport>, DurabilityError> {
+        match self {
+            Kind::One => Platform::scrub(&Self::one_config(&scs[0], setup)).map(|r| vec![r]),
+            Kind::Fleet => MultiPlatform::scrub(&Self::fleet_config(setup)),
+        }
+    }
+}
+
+impl Run<'_> {
+    fn round(&mut self) {
+        match self {
+            Run::One(p) => {
+                p.round(EXECS);
+            }
+            Run::Fleet(p) => {
+                p.round(EXECS);
+            }
+        }
+    }
+
+    fn run(&mut self, rounds: u64) {
+        for _ in 0..rounds {
+            self.round();
+        }
+    }
+
+    /// One round through `round_driven` and the serial reference
+    /// executor.
+    fn serial_round(&mut self) {
+        match self {
+            Run::One(p) => {
+                p.round_driven(|pods, batch| DrivenExecution::serial(pods, EXECS, batch));
+            }
+            Run::Fleet(p) => {
+                p.round_driven(|lanes, batch| {
+                    let mut out = MultiDrivenExecution::default();
+                    for lane in lanes {
+                        let d = DrivenExecution::serial(lane.pods, EXECS, batch);
+                        out.per_lane.push((d.executions, d.failures, d.directed));
+                        let frames = d.frames.into_iter().map(|(_, s, f)| (lane.lane, s, f));
+                        out.frames.extend(frames);
+                    }
+                    out
+                });
+            }
+        }
+    }
+
+    /// The hive state (`Platform`) or every shard's state.
+    fn states(&self) -> Vec<Vec<u8>> {
+        match self {
+            Run::One(p) => vec![p.hive_state()],
+            Run::Fleet(p) => (0..Kind::Fleet.shards())
+                .map(|i| p.shard_state(i))
+                .collect(),
+        }
+    }
+
+    fn pods(&self) -> Vec<PodState> {
+        match self {
+            Run::One(p) => p.export_pod_states(),
+            Run::Fleet(p) => p.export_pod_states().concat(),
+        }
+    }
+
+    /// Every round report, one `Debug` line each.
+    fn history(&self) -> Vec<String> {
+        match self {
+            Run::One(p) => p.history().iter().map(|r| format!("{r:?}")).collect(),
+            Run::Fleet(p) => p.history().iter().map(|r| format!("{r:?}")).collect(),
+        }
+    }
+
+    fn committed(&self) -> u64 {
+        match self {
+            Run::One(p) => p.committed_rounds(),
+            Run::Fleet(p) => p.committed_rounds(),
+        }
+    }
+
+    fn checkpoint(&mut self) -> u64 {
+        match self {
+            Run::One(p) => p.checkpoint(),
+            Run::Fleet(p) => p.checkpoint(),
+        }
+        .expect("checkpoint")
+    }
+
+    fn page_stats(&self) -> PageStats {
+        match self {
+            Run::One(p) => p.page_stats(),
+            Run::Fleet(p) => p.page_stats(),
+        }
+    }
+}
 
 /// A fresh, empty campaign directory unique to this test + process.
-fn campaign_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("softborg-durability-{}-{tag}", std::process::id()));
+fn campaign_dir(kind: Kind, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "softborg-durability-{}-{kind:?}-{tag}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-fn config(durability: Option<DurabilityConfig>) -> PlatformConfig {
-    let s = scenarios::token_parser();
-    PlatformConfig {
-        n_pods: 8,
-        pod: softborg::pod::PodConfig {
-            input_range: s.input_range,
-            ..softborg::pod::PodConfig::default()
-        },
-        seed: 17,
-        durability,
-        ..PlatformConfig::default()
-    }
+fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard}"))
 }
 
 /// Aggressive compaction so short campaigns exercise the checkpoint path.
@@ -56,17 +272,22 @@ fn compacting(dir: PathBuf) -> DurabilityConfig {
     }
 }
 
-/// Hive states of an uninterrupted durable run, indexed by committed
-/// round count (`states[0]` = fresh hive, `states[k]` = after round k).
-fn reference_states(dcfg: DurabilityConfig) -> Vec<Vec<u8>> {
-    let s = scenarios::token_parser();
-    let mut p = Platform::new(&s.program, config(Some(dcfg)));
-    let mut states = vec![p.hive_state()];
-    for _ in 0..ROUNDS {
-        p.round(EXECS);
-        states.push(p.hive_state());
+/// Eager compaction: short campaigns append several chain records (a
+/// full, then deltas).
+fn eager(dir: PathBuf) -> DurabilityConfig {
+    DurabilityConfig {
+        compact_ratio: 1,
+        min_compact_wal_bytes: 1,
+        ..DurabilityConfig::new(dir)
     }
-    states
+}
+
+/// No automatic compaction: checkpoints happen only when a test asks.
+fn uncompacted(dir: PathBuf) -> DurabilityConfig {
+    DurabilityConfig {
+        compact_ratio: 0,
+        ..DurabilityConfig::new(dir)
+    }
 }
 
 /// Handles recording into a manual-clock flight recorder. The events
@@ -89,152 +310,33 @@ fn committed_fields(rec: &FlightRecorder) -> Vec<Vec<(&'static str, u64)>> {
 }
 
 /// Everything an uninterrupted durable run produces, indexed by
-/// committed round count where applicable: hive states, full pod
-/// populations, history, and per-round commit telemetry.
+/// committed round count where applicable.
 struct Reference {
-    states: Vec<Vec<u8>>,
+    states: Vec<Vec<Vec<u8>>>,
     pods: Vec<Vec<PodState>>,
-    history: Vec<RoundReport>,
+    history: Vec<String>,
     round_events: Vec<Vec<(&'static str, u64)>>,
 }
 
-fn full_reference(dcfg: DurabilityConfig) -> Reference {
-    let s = scenarios::token_parser();
+fn reference(kind: Kind, scs: &[Scenario], durability: DurabilityConfig) -> Reference {
     let (obs, rec) = recording();
-    let mut p = Platform::new(
-        &s.program,
-        PlatformConfig {
-            obs,
-            ..config(Some(dcfg))
-        },
-    );
-    let mut states = vec![p.hive_state()];
-    let mut pods = vec![p.export_pod_states()];
+    let setup = Setup {
+        obs,
+        ..Setup::durable(durability)
+    };
+    let mut p = kind.start(scs, &setup);
+    let (mut states, mut pods) = (vec![p.states()], vec![p.pods()]);
     for _ in 0..ROUNDS {
-        p.round(EXECS);
-        states.push(p.hive_state());
-        pods.push(p.export_pod_states());
+        p.round();
+        states.push(p.states());
+        pods.push(p.pods());
     }
     Reference {
         states,
         pods,
-        history: p.history().to_vec(),
+        history: p.history(),
         round_events: committed_fields(&rec),
     }
-}
-
-#[test]
-fn durable_rounds_match_in_memory_rounds_exactly() {
-    let s = scenarios::token_parser();
-    let mut plain = Platform::new(&s.program, config(None));
-    plain.run(ROUNDS as u32, EXECS);
-    let dir = campaign_dir("vs-plain");
-    let mut durable = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir))));
-    durable.run(ROUNDS as u32, EXECS);
-    assert_eq!(plain.history(), durable.history());
-    assert_eq!(plain.hive_state(), durable.hive_state());
-}
-
-#[test]
-fn kill_at_every_round_boundary_recovers_byte_identical_state() {
-    let s = scenarios::token_parser();
-    let reference = reference_states(DurabilityConfig::new(campaign_dir("boundary-ref")));
-    for k in 1..=ROUNDS {
-        let dir = campaign_dir(&format!("boundary-{k}"));
-        {
-            let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-            p.run(k as u32, EXECS);
-        } // drop = kill: nothing beyond the synced journal survives
-        let (resumed, report) =
-            Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-        assert_eq!(resumed.committed_rounds(), k, "lost rounds at kill {k}");
-        assert_eq!(report.rounds_from_snapshot + report.rounds_replayed, k);
-        assert_eq!(report.fenced_records, 0);
-        assert_eq!(report.disconnected_records, 0);
-        assert_eq!(
-            resumed.hive_state(),
-            reference[k as usize],
-            "recovered hive diverged from uninterrupted run at round {k}"
-        );
-        assert_eq!(resumed.history().len(), k as usize);
-        // The campaign keeps going after recovery.
-        let mut resumed = resumed;
-        let r = resumed.round(EXECS);
-        assert_eq!(r.executions, 8 * u64::from(EXECS));
-        assert_eq!(resumed.committed_rounds(), k + 1);
-    }
-}
-
-#[test]
-fn kill_at_every_round_boundary_restores_every_pod_mid_stream() {
-    let s = scenarios::token_parser();
-    let r = full_reference(DurabilityConfig::new(campaign_dir("pods-ref")));
-    for k in 1..=ROUNDS {
-        let dir = campaign_dir(&format!("pods-{k}"));
-        {
-            let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-            p.run(k as u32, EXECS);
-        } // drop = kill
-        let (resumed, _) =
-            Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-        assert_eq!(
-            resumed.export_pod_states(),
-            r.pods[k as usize],
-            "pod population diverged from the uninterrupted run at round {k}"
-        );
-        // The restored pods carry their RNG positions, corpora, and
-        // queued directives, so the *continuation* is byte-identical
-        // too: every future draw replays the uninterrupted stream.
-        let mut resumed = resumed;
-        resumed.run((ROUNDS - k) as u32, EXECS);
-        assert_eq!(
-            resumed.history(),
-            &r.history[..],
-            "continued history diverged after resume at round {k}"
-        );
-        assert_eq!(resumed.hive_state(), r.states[ROUNDS as usize]);
-        assert_eq!(resumed.export_pod_states(), r.pods[ROUNDS as usize]);
-    }
-}
-
-#[test]
-fn resumed_telemetry_matches_the_uninterrupted_run() {
-    let s = scenarios::token_parser();
-    let r = full_reference(DurabilityConfig::new(campaign_dir("telemetry-ref")));
-    let kill = 2u64;
-    let run_killed = |tag: &str| {
-        let dir = campaign_dir(tag);
-        let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-        p.run(kill as u32, EXECS);
-        dir
-    };
-    let resume_and_finish = |dir: PathBuf| {
-        let (obs, rec) = recording();
-        let (mut p, _) = Platform::resume(
-            &s.program,
-            PlatformConfig {
-                obs,
-                ..config(Some(DurabilityConfig::new(dir)))
-            },
-        )
-        .unwrap();
-        p.run((ROUNDS - kill) as u32, EXECS);
-        (p.hive_state(), rec)
-    };
-    let (state_a, rec_a) = resume_and_finish(run_killed("telemetry-a"));
-    let (state_b, rec_b) = resume_and_finish(run_killed("telemetry-b"));
-    // Two independently resumed processes replay identical telemetry,
-    // down to the events hash, and converge on the same state.
-    assert!(!rec_a.events().is_empty(), "resumed run recorded nothing");
-    assert_eq!(rec_a.events_hash(), rec_b.events_hash());
-    assert_eq!(state_a, state_b);
-    assert_eq!(state_a, r.states[ROUNDS as usize]);
-    // And the suffix each records is, event for event, exactly what
-    // the uninterrupted run recorded for the same rounds.
-    assert_eq!(
-        committed_fields(&rec_a),
-        r.round_events[kill as usize..].to_vec()
-    );
 }
 
 /// Chain record files under `dir/chain`, sorted by name (= generation).
@@ -261,320 +363,6 @@ fn newest_full_payload(dir: &Path) -> u64 {
         })
 }
 
-#[test]
-fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
-    let s = scenarios::token_parser();
-    let reference = reference_states(compacting(campaign_dir("compact-ref")));
-    let dir = campaign_dir("compact");
-    {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
-        for _ in 0..ROUNDS {
-            p.round(EXECS);
-            // The rule: a commit leaves the journal below `compact_ratio`
-            // times what the newest full checkpoint wrote (and the floor).
-            let wal = p.wal_len().unwrap();
-            let bound = (2 * newest_full_payload(&dir)).max(1024);
-            assert!(wal < bound, "journal unbounded: {wal} >= {bound}");
-        }
-    }
-    assert!(
-        newest_full_payload(&dir) > 0,
-        "compaction never wrote a checkpoint"
-    );
-    let (resumed, report) = Platform::resume(&s.program, config(Some(compacting(dir)))).unwrap();
-    assert_eq!(report.chain.source, ChainSource::Primary);
-    assert!(
-        report.rounds_from_snapshot > 0,
-        "resume ignored the checkpoint"
-    );
-    assert_eq!(resumed.committed_rounds(), ROUNDS);
-    assert_eq!(resumed.hive_state(), reference[ROUNDS as usize]);
-}
-
-#[test]
-fn corrupt_primary_snapshot_falls_back_to_a_consistent_generation() {
-    let s = scenarios::token_parser();
-    let reference = reference_states(eager(campaign_dir("fallback-ref")));
-    let dir = campaign_dir("fallback");
-    {
-        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    let records = chain_records(&dir);
-    assert!(
-        records.len() >= 2,
-        "campaign too short to write two checkpoint generations"
-    );
-    // Media corruption of the newest checkpoint, after it committed.
-    let head = records.last().unwrap();
-    let mut bytes = std::fs::read(head).unwrap();
-    let head_gen = decode_record(&bytes).unwrap().generation;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(head, bytes).unwrap();
-
-    let (resumed, report) = Platform::resume(&s.program, config(Some(eager(dir)))).unwrap();
-    assert!(!report.chain.is_clean(), "the rotten head went unreported");
-    assert!(report.chain.head_generation < Some(head_gen));
-    // The journal suffix belongs to rounds after the (destroyed) newest
-    // checkpoint; recovery must discard it rather than merge it out of
-    // order onto the older generation.
-    assert!(report.disconnected_records > 0 || report.rounds_replayed == 0);
-    let k = resumed.committed_rounds();
-    assert!(k > 0 && k <= ROUNDS);
-    assert_eq!(
-        resumed.hive_state(),
-        reference[k as usize],
-        "fallback produced a state no uninterrupted run ever had (round {k})"
-    );
-}
-
-#[test]
-fn uncommitted_partial_round_is_fenced_and_corrupt_tail_is_dropped() {
-    let s = scenarios::token_parser();
-    let reference = reference_states(DurabilityConfig::new(campaign_dir("fence-ref")));
-    let dir = campaign_dir("fence");
-    {
-        let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-        p.run(2, EXECS);
-    }
-    // A crash mid-round leaves intact-but-uncommitted frame records
-    // (no closing round record), then a torn half-written record.
-    let wal = dir.join("hive.wal");
-    let mut bytes = std::fs::read(&wal).unwrap();
-    let mut partial = Vec::new();
-    journal::append_record(&mut partial, REC_FRAME, 3, 99, b"uncommitted frame");
-    journal::append_record(&mut partial, REC_FRAME, 4, 99, b"another one");
-    bytes.extend_from_slice(&partial);
-    bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE]); // torn append
-    std::fs::write(&wal, bytes).unwrap();
-
-    let (resumed, report) =
-        Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir.clone())))).unwrap();
-    assert_eq!(report.wal_tail_dropped, 3);
-    assert_eq!(report.fenced_records, 2);
-    assert_eq!(resumed.committed_rounds(), 2);
-    assert_eq!(resumed.hive_state(), reference[2]);
-    drop(resumed);
-    // The fence is durable: a second resume skips the same records
-    // without re-fencing them.
-    let (again, report) =
-        Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-    assert_eq!(report.wal_tail_dropped, 0);
-    assert_eq!(report.fenced_records, 0);
-    assert_eq!(again.hive_state(), reference[2]);
-}
-
-#[test]
-fn sector_corruption_is_scrubbed_never_silently_accepted() {
-    use softborg::hive::WalScrubAction;
-    use softborg::netsim::{SectorCorruption, SECTOR_BYTES};
-    let s = scenarios::token_parser();
-
-    // Journal bit rot: flip one bit in a late sector. The scrub must
-    // cut (and quarantine) the damaged region, and recovery must land
-    // on a state some uninterrupted run actually had.
-    let reference = reference_states(DurabilityConfig::new(campaign_dir("scrub-ref")));
-    let dir = campaign_dir("scrub-wal");
-    {
-        let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    let wal = dir.join("hive.wal");
-    let mut bytes = std::fs::read(&wal).unwrap();
-    let sectors = bytes.len() as u64 / SECTOR_BYTES;
-    assert!(sectors > 3, "campaign too small to corrupt mid-file");
-    assert!(SectorCorruption::FlipBit { bit: 999 }.apply(&mut bytes, sectors - 2));
-    std::fs::write(&wal, &bytes).unwrap();
-    let cfg = || config(Some(DurabilityConfig::new(dir.clone())));
-    let report = Platform::scrub(&cfg()).unwrap();
-    assert!(!report.is_clean(), "corruption went undetected");
-    assert_eq!(report.wal_action, WalScrubAction::TailCut);
-    assert!(report.wal_quarantined_bytes > 0);
-    assert!(
-        dir.join("hive.wal.quarantined").exists(),
-        "damaged bytes must be preserved for post-mortem"
-    );
-    let (resumed, _) = Platform::resume(&s.program, cfg()).unwrap();
-    let k = resumed.committed_rounds();
-    assert!(k < ROUNDS, "the cut must cost at least the damaged round");
-    assert_eq!(
-        resumed.hive_state(),
-        reference[k as usize],
-        "post-scrub recovery produced a state no uninterrupted run had"
-    );
-    // A second scrub finds nothing: the repair is durable.
-    assert!(Platform::scrub(&cfg()).unwrap().is_clean());
-
-    // Checkpoint bit rot: the newest chain record is quarantined and
-    // recovery proceeds from the generation before it.
-    let reference = reference_states(eager(campaign_dir("scrub-chain-ref")));
-    let dir = campaign_dir("scrub-chain");
-    {
-        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    let records = chain_records(&dir);
-    assert!(records.len() >= 2, "need two checkpoint generations");
-    let head = records.last().unwrap();
-    let mut bytes = std::fs::read(head).unwrap();
-    let head_gen = decode_record(&bytes).unwrap().generation;
-    assert!(SectorCorruption::TornWrite { keep_bytes: 17 }.apply(&mut bytes, 0));
-    std::fs::write(head, &bytes).unwrap();
-    let cfg = || config(Some(eager(dir.clone())));
-    let report = Platform::scrub(&cfg()).unwrap();
-    let name = head.file_name().unwrap().to_string_lossy().into_owned();
-    assert_eq!(report.chain.quarantined, vec![name.clone()]);
-    assert!(dir
-        .join("chain")
-        .join(format!("{name}.quarantined"))
-        .exists());
-    assert!(report.chain.report.head_generation < Some(head_gen));
-    let (resumed, rep) = Platform::resume(&s.program, cfg()).unwrap();
-    assert!(rep.chain.is_clean(), "the scrub left the chain damaged");
-    let k = resumed.committed_rounds();
-    assert!(k > 0 && k <= ROUNDS);
-    assert_eq!(resumed.hive_state(), reference[k as usize]);
-}
-
-#[test]
-fn fresh_directory_resumes_into_a_cold_start() {
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("cold");
-    let (mut p, report) =
-        Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-    assert_eq!(report.chain.source, ChainSource::None);
-    assert_eq!(report.rounds_from_snapshot + report.rounds_replayed, 0);
-    assert_eq!(p.committed_rounds(), 0);
-    p.round(EXECS);
-    assert_eq!(p.committed_rounds(), 1);
-}
-
-#[test]
-fn new_refuses_to_clobber_an_existing_campaign() {
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("clobber");
-    {
-        let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
-        p.round(EXECS);
-    }
-    match Platform::try_new(&s.program, config(Some(DurabilityConfig::new(dir)))) {
-        Err(DurabilityError::CampaignExists(_)) => {}
-        other => panic!("expected CampaignExists, got {other:?}"),
-    }
-    match Platform::resume(&s.program, config(None)) {
-        Err(DurabilityError::NotConfigured) => {}
-        other => panic!("expected NotConfigured, got {:?}", other.map(|_| ())),
-    }
-}
-
-#[test]
-fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
-    let s = scenarios::token_parser();
-    let serial_dir = campaign_dir("pipe-serial");
-    let piped_dir = campaign_dir("pipe-piped");
-    let piped_cfg = |dir: PathBuf| PlatformConfig {
-        ingest: IngestSettings {
-            pod_threads: 3,
-            batch_size: 7,
-            pipeline: IngestConfig {
-                workers: 2,
-                ..IngestConfig::default()
-            },
-        },
-        ..config(Some(DurabilityConfig::new(dir)))
-    };
-    {
-        let mut serial = Platform::new(
-            &s.program,
-            config(Some(DurabilityConfig::new(serial_dir.clone()))),
-        );
-        for _ in 0..3 {
-            serial.round_driven(|pods, batch| DrivenExecution::serial(pods, EXECS, batch));
-        }
-        let mut piped = Platform::new(&s.program, piped_cfg(piped_dir.clone()));
-        piped.run(3, EXECS);
-        assert_eq!(serial.hive_state(), piped.hive_state());
-    }
-    // Both journals replay to the same hive, killed and resumed.
-    let (from_serial, _) =
-        Platform::resume(&s.program, config(Some(DurabilityConfig::new(serial_dir)))).unwrap();
-    let (from_piped, _) = Platform::resume(&s.program, piped_cfg(piped_dir)).unwrap();
-    assert_eq!(from_serial.committed_rounds(), 3);
-    assert_eq!(from_piped.committed_rounds(), 3);
-    assert_eq!(from_serial.hive_state(), from_piped.hive_state());
-    assert_eq!(from_serial.history(), from_piped.history());
-}
-
-/// Eager compaction, so short campaigns append several chain records
-/// (a full, then deltas).
-fn eager(dir: PathBuf) -> DurabilityConfig {
-    DurabilityConfig {
-        compact_ratio: 1,
-        min_compact_wal_bytes: 1,
-        ..DurabilityConfig::new(dir)
-    }
-}
-
-#[test]
-fn chained_kill_at_every_round_boundary_is_process_equivalent() {
-    // The reference runs the default policy and is never killed; a resume
-    // from eagerly written chain records must land on the same states,
-    // pods, and continuation.
-    let s = scenarios::token_parser();
-    let r = full_reference(DurabilityConfig::new(campaign_dir("chain-ref")));
-    for k in 1..=ROUNDS {
-        let dir = campaign_dir(&format!("chain-{k}"));
-        {
-            let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
-            p.run(k as u32, EXECS);
-        } // drop = kill
-        let (resumed, report) = Platform::resume(&s.program, config(Some(eager(dir)))).unwrap();
-        assert!(
-            report.chain.is_clean(),
-            "clean chain had defects: {:?}",
-            report.chain
-        );
-        assert_eq!(resumed.committed_rounds(), k, "lost rounds at kill {k}");
-        assert_eq!(resumed.hive_state(), r.states[k as usize]);
-        assert_eq!(resumed.export_pod_states(), r.pods[k as usize]);
-        let mut resumed = resumed;
-        resumed.run((ROUNDS - k) as u32, EXECS);
-        assert_eq!(resumed.history(), &r.history[..]);
-        assert_eq!(resumed.hive_state(), r.states[ROUNDS as usize]);
-        assert_eq!(resumed.export_pod_states(), r.pods[ROUNDS as usize]);
-    }
-}
-
-#[test]
-fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("chain-deltas");
-    {
-        let mut p = Platform::new(&s.program, config(Some(eager(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    let mut fulls: Vec<u64> = Vec::new();
-    let mut deltas: Vec<u64> = Vec::new();
-    for e in std::fs::read_dir(dir.join("chain")).unwrap() {
-        let e = e.unwrap();
-        let name = e.file_name().to_string_lossy().into_owned();
-        let len = e.metadata().unwrap().len();
-        if name.ends_with(".full") {
-            fulls.push(len);
-        } else if name.ends_with(".delta") {
-            deltas.push(len);
-        }
-    }
-    assert!(!fulls.is_empty(), "chain has no full record");
-    assert!(
-        !deltas.is_empty(),
-        "aggressive chain compaction never appended a delta"
-    );
-    // (The O(changes) vs O(hive) byte-ratio claim needs a hive whose
-    // steady state dwarfs a round's churn; e22 proves it at scale.)
-}
-
 /// Every entry under `dir`, with each file's bytes: two equal trees
 /// hold exactly the same bytes.
 fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
@@ -592,9 +380,478 @@ fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
     out
 }
 
-/// Turns a freshly killed campaign directory into what the retired
-/// full-snapshot format left behind: journal plus `hive.snap`, no chain.
-fn make_legacy(dir: &Path, state: Vec<u8>) {
+#[test]
+fn durable_rounds_match_in_memory_rounds_exactly() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let mut plain = kind.start(&scs, &Setup::default());
+        plain.run(ROUNDS);
+        let dcfg = DurabilityConfig::new(campaign_dir(kind, "vs-plain"));
+        let mut durable = kind.start(&scs, &Setup::durable(dcfg));
+        durable.run(ROUNDS);
+        assert_eq!(plain.history(), durable.history(), "{kind:?}");
+        assert_eq!(plain.states(), durable.states(), "{kind:?}");
+    }
+}
+
+#[test]
+fn kill_at_every_round_boundary_recovers_byte_identical_state() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "b-ref")),
+        );
+        for k in 1..=ROUNDS {
+            let dir = campaign_dir(kind, &format!("boundary-{k}"));
+            let setup = Setup::durable(DurabilityConfig::new(dir));
+            kind.start(&scs, &setup).run(k); // drop = kill: only synced journals survive
+            let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
+            assert_eq!(report.target_round, k, "{kind:?} lost rounds at kill {k}");
+            assert_eq!(resumed.committed(), k);
+            assert_eq!(report.shards.len(), kind.shards());
+            for sr in &report.shards {
+                assert_eq!(sr.rounds_from_snapshot + sr.rounds_replayed, k);
+                assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
+            }
+            assert_eq!(resumed.states(), r.states[k as usize], "{kind:?} round {k}");
+            assert_eq!(resumed.history(), r.history[..k as usize]);
+            // The campaign keeps going after recovery.
+            resumed.round();
+            assert_eq!(resumed.committed(), k + 1);
+        }
+    }
+}
+
+#[test]
+fn kill_at_every_round_boundary_restores_every_pod_mid_stream() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "p-ref")),
+        );
+        for k in 1..=ROUNDS {
+            let dir = campaign_dir(kind, &format!("pods-{k}"));
+            let setup = Setup::durable(DurabilityConfig::new(dir));
+            kind.start(&scs, &setup).run(k); // drop = kill
+            let (mut resumed, _) = kind.resume(&scs, &setup).unwrap();
+            assert_eq!(
+                resumed.pods(),
+                r.pods[k as usize],
+                "{kind:?} pods diverged from the uninterrupted run at round {k}"
+            );
+            // The restored pods carry their RNG positions, corpora, and
+            // queued directives, so the *continuation* is byte-identical
+            // too: every future draw replays the uninterrupted stream.
+            resumed.run(ROUNDS - k);
+            assert_eq!(resumed.history(), r.history, "{kind:?} after resume at {k}");
+            assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
+            assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
+        }
+    }
+}
+
+#[test]
+fn resumed_telemetry_matches_the_uninterrupted_run() {
+    const KILL: u64 = 2;
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "t-ref")),
+        );
+        let resume_and_finish = |tag: &str| {
+            let dcfg = DurabilityConfig::new(campaign_dir(kind, tag));
+            kind.start(&scs, &Setup::durable(dcfg.clone())).run(KILL);
+            let (obs, rec) = recording();
+            let setup = Setup {
+                obs,
+                ..Setup::durable(dcfg)
+            };
+            let (mut p, _) = kind.resume(&scs, &setup).unwrap();
+            p.run(ROUNDS - KILL);
+            (p.states(), rec)
+        };
+        let (state_a, rec_a) = resume_and_finish("telemetry-a");
+        let (state_b, rec_b) = resume_and_finish("telemetry-b");
+        // Two independently resumed processes replay identical
+        // telemetry, down to the events hash, and converge on the same
+        // state.
+        assert!(!rec_a.events().is_empty(), "resumed run recorded nothing");
+        assert_eq!(rec_a.events_hash(), rec_b.events_hash(), "{kind:?}");
+        assert_eq!(state_a, state_b);
+        assert_eq!(state_a, r.states[ROUNDS as usize]);
+        // And the suffix each records is, event for event, exactly what
+        // the uninterrupted run recorded for the same rounds.
+        assert_eq!(committed_fields(&rec_a), r.round_events[KILL as usize..]);
+    }
+}
+
+#[test]
+fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(kind, &scs, compacting(campaign_dir(kind, "c-ref")));
+        let dir = campaign_dir(kind, "compact");
+        let setup = Setup::durable(compacting(dir.clone()));
+        let mut p = kind.start(&scs, &setup);
+        for _ in 0..ROUNDS {
+            p.round();
+            // The rule: a commit leaves every journal below
+            // `compact_ratio` times what its newest full checkpoint
+            // wrote (and the floor).
+            for i in 0..kind.shards() {
+                let wal = std::fs::metadata(shard_dir(&dir, i).join("hive.wal")).unwrap();
+                let bound = (2 * newest_full_payload(&shard_dir(&dir, i))).max(1024);
+                assert!(
+                    wal.len() < bound,
+                    "{kind:?} shard {i}: {} >= {bound}",
+                    wal.len()
+                );
+            }
+        }
+        drop(p);
+        let fulls = (0..kind.shards()).filter(|&i| newest_full_payload(&shard_dir(&dir, i)) > 0);
+        assert!(
+            fulls.count() > 0,
+            "{kind:?}: compaction never wrote a checkpoint"
+        );
+        let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
+        assert!(report.shards.iter().any(|s| s.rounds_from_snapshot > 0));
+        for sr in report.shards.iter().filter(|s| s.chain.records > 0) {
+            assert_eq!(sr.chain.source, ChainSource::Primary);
+        }
+        assert_eq!(resumed.committed(), ROUNDS);
+        assert_eq!(resumed.states(), r.states[ROUNDS as usize], "{kind:?}");
+
+        // An on-demand checkpoint composes too: every shard then resumes
+        // from its own checkpoint alone.
+        resumed.checkpoint();
+        drop(resumed);
+        let (resumed, report) = kind.resume(&scs, &setup).unwrap();
+        for sr in &report.shards {
+            assert_eq!((sr.rounds_from_snapshot, sr.rounds_replayed), (ROUNDS, 0));
+        }
+        assert_eq!(resumed.states(), r.states[ROUNDS as usize], "{kind:?}");
+    }
+}
+
+/// A campaign with a checkpoint after every round but the last, so each
+/// shard's chain has `ROUNDS - 1` records (its head at round
+/// `ROUNDS - 1`) and each journal holds the last round.
+fn checkpointed_campaign(kind: Kind, scs: &[Scenario], setup: &Setup) {
+    let mut p = kind.start(scs, setup);
+    for round in 1..=ROUNDS {
+        p.round();
+        if round < ROUNDS {
+            p.checkpoint();
+        }
+    }
+}
+
+#[test]
+fn corrupt_primary_snapshot_falls_back_to_a_consistent_generation() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "f-ref")),
+        );
+        let dir = campaign_dir(kind, "fallback");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        checkpointed_campaign(kind, &scs, &setup);
+        // Media corruption of every shard's newest checkpoint, after it
+        // committed.
+        let mut head_gens = Vec::new();
+        for i in 0..kind.shards() {
+            let records = chain_records(&shard_dir(&dir, i));
+            let head = records.last().unwrap();
+            let mut bytes = std::fs::read(head).unwrap();
+            head_gens.push(decode_record(&bytes).unwrap().generation);
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(head, bytes).unwrap();
+        }
+        let (resumed, report) = kind.resume(&scs, &setup).unwrap();
+        for (sr, head_gen) in report.shards.iter().zip(head_gens) {
+            assert!(!sr.chain.is_clean(), "the rotten head went unreported");
+            assert!(sr.chain.head_generation < Some(head_gen));
+            // The journal suffix belongs to rounds after the destroyed
+            // checkpoint; recovery discards it rather than merge it out
+            // of order onto the older generation.
+            assert!(sr.records_discarded > 0, "{kind:?}: {sr:?}");
+        }
+        let k = resumed.committed();
+        assert_eq!(k, ROUNDS - 2, "{kind:?}");
+        assert_eq!(
+            resumed.states(),
+            r.states[k as usize],
+            "{kind:?}: fallback produced a state no uninterrupted run ever had"
+        );
+    }
+}
+
+#[test]
+fn uncommitted_partial_round_is_truncated_and_corrupt_tail_is_dropped() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "u-ref")),
+        );
+        let dir = campaign_dir(kind, "partial");
+        let setup = Setup::durable(DurabilityConfig::new(dir.clone()));
+        kind.start(&scs, &setup).run(2);
+        // A crash mid-round leaves intact-but-uncommitted frame records
+        // (no closing round record), then a torn half-written record.
+        let wal = shard_dir(&dir, 0).join("hive.wal");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        journal::append_record(&mut bytes, REC_FRAME, 0, 99, b"uncommitted frame");
+        journal::append_record(&mut bytes, REC_FRAME, 0, 100, b"another one");
+        bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE]); // torn append
+        std::fs::write(&wal, bytes).unwrap();
+
+        let (resumed, report) = kind.resume(&scs, &setup).unwrap();
+        let shard0 = &report.shards[0];
+        assert_eq!((shard0.wal_tail_dropped, shard0.records_discarded), (3, 2));
+        assert_eq!(resumed.committed(), 2);
+        assert_eq!(resumed.states(), r.states[2], "{kind:?}");
+        drop(resumed);
+        // The truncation is durable: a second resume finds nothing.
+        let (again, report) = kind.resume(&scs, &setup).unwrap();
+        for sr in &report.shards {
+            assert_eq!((sr.wal_tail_dropped, sr.records_discarded), (0, 0));
+        }
+        assert_eq!(again.states(), r.states[2]);
+    }
+}
+
+#[test]
+fn sector_corruption_is_scrubbed_never_silently_accepted() {
+    use softborg::hive::WalScrubAction;
+    use softborg::netsim::{SectorCorruption, SECTOR_BYTES};
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "s-ref")),
+        );
+
+        // Journal bit rot: flip one bit in a late sector. The scrub must
+        // cut (and quarantine) the damaged region, and recovery must
+        // land on a state some uninterrupted run actually had.
+        let dir = campaign_dir(kind, "scrub-wal");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.start(&scs, &setup).run(ROUNDS);
+        let wal = shard_dir(&dir, 0).join("hive.wal");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        let sectors = bytes.len() as u64 / SECTOR_BYTES;
+        assert!(sectors > 3, "campaign too small to corrupt mid-file");
+        assert!(SectorCorruption::FlipBit { bit: 999 }.apply(&mut bytes, sectors - 2));
+        std::fs::write(&wal, &bytes).unwrap();
+        let reports = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(reports.len(), kind.shards());
+        assert!(!reports[0].is_clean(), "corruption went undetected");
+        assert_eq!(reports[0].wal_action, WalScrubAction::TailCut);
+        assert!(reports[0].wal_quarantined_bytes > 0);
+        assert!(
+            shard_dir(&dir, 0).join("hive.wal.quarantined").exists(),
+            "damaged bytes must be preserved for post-mortem"
+        );
+        let (resumed, _) = kind.resume(&scs, &setup).unwrap();
+        let k = resumed.committed();
+        assert!(k < ROUNDS, "the cut must cost at least the damaged round");
+        assert_eq!(resumed.states(), r.states[k as usize], "{kind:?}");
+        drop(resumed);
+        // A second scrub finds nothing: the repair is durable.
+        let again = kind.scrub(&scs, &setup).unwrap();
+        assert!(again.iter().all(ScrubReport::is_clean));
+
+        // Checkpoint bit rot: every shard's newest chain record is
+        // quarantined and recovery proceeds from the generation before.
+        let dir = campaign_dir(kind, "scrub-chain");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        checkpointed_campaign(kind, &scs, &setup);
+        let mut heads = Vec::new();
+        for i in 0..kind.shards() {
+            let head = chain_records(&shard_dir(&dir, i)).pop().unwrap();
+            let mut bytes = std::fs::read(&head).unwrap();
+            let generation = decode_record(&bytes).unwrap().generation;
+            assert!(SectorCorruption::TornWrite { keep_bytes: 17 }.apply(&mut bytes, 0));
+            std::fs::write(&head, &bytes).unwrap();
+            heads.push((head, generation));
+        }
+        let reports = kind.scrub(&scs, &setup).unwrap();
+        for (report, (head, generation)) in reports.iter().zip(&heads) {
+            let name = head.file_name().unwrap().to_string_lossy().into_owned();
+            assert_eq!(report.chain.quarantined, vec![name.clone()]);
+            assert!(head.with_file_name(format!("{name}.quarantined")).exists());
+            assert!(report.chain.report.head_generation < Some(*generation));
+        }
+        let (resumed, report) = kind.resume(&scs, &setup).unwrap();
+        assert!(report.shards.iter().all(|s| s.chain.is_clean()));
+        let k = resumed.committed();
+        assert!(k > 0 && k <= ROUNDS);
+        assert_eq!(resumed.states(), r.states[k as usize], "{kind:?}");
+    }
+}
+
+#[test]
+fn fresh_directory_resumes_into_a_cold_start() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let setup = Setup::durable(DurabilityConfig::new(campaign_dir(kind, "cold")));
+        let (mut p, report) = kind.resume(&scs, &setup).unwrap();
+        assert_eq!(report.target_round, 0);
+        for sr in &report.shards {
+            assert_eq!(sr.chain.source, ChainSource::None);
+            assert_eq!(sr.rounds_from_snapshot + sr.rounds_replayed, 0);
+        }
+        assert_eq!(p.committed(), 0);
+        p.round();
+        assert_eq!(p.committed(), 1);
+    }
+}
+
+#[test]
+fn new_refuses_to_clobber_an_existing_campaign() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let setup = Setup::durable(DurabilityConfig::new(campaign_dir(kind, "clobber")));
+        kind.start(&scs, &setup).round();
+        match kind.try_start(&scs, &setup) {
+            Err(DurabilityError::CampaignExists(_)) => {}
+            other => panic!("expected CampaignExists, got {:?}", other.err()),
+        }
+        match kind.resume(&scs, &Setup::default()) {
+            Err(DurabilityError::NotConfigured) => {}
+            other => panic!("expected NotConfigured, got {:?}", other.err()),
+        }
+    }
+}
+
+#[test]
+fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let serial = Setup::durable(DurabilityConfig::new(campaign_dir(kind, "pipe-serial")));
+        let piped = Setup {
+            ingest: IngestSettings {
+                pod_threads: 3,
+                batch_size: 7,
+                pipeline: softborg::ingest::IngestConfig {
+                    workers: 2,
+                    ..softborg::ingest::IngestConfig::default()
+                },
+            },
+            ..Setup::durable(DurabilityConfig::new(campaign_dir(kind, "pipe-piped")))
+        };
+        {
+            let mut s = kind.start(&scs, &serial);
+            for _ in 0..3 {
+                s.serial_round();
+            }
+            let mut p = kind.start(&scs, &piped);
+            p.run(3);
+            assert_eq!(s.states(), p.states(), "{kind:?}");
+        }
+        // Both journals replay to the same state, killed and resumed.
+        let (from_serial, _) = kind.resume(&scs, &serial).unwrap();
+        let (from_piped, _) = kind.resume(&scs, &piped).unwrap();
+        assert_eq!(from_serial.committed(), 3);
+        assert_eq!(from_piped.committed(), 3);
+        assert_eq!(from_serial.states(), from_piped.states(), "{kind:?}");
+        assert_eq!(from_serial.history(), from_piped.history());
+    }
+}
+
+#[test]
+fn chained_kill_at_every_round_boundary_is_process_equivalent() {
+    // The reference runs the default policy and is never killed; a
+    // resume from eagerly written chain records must land on the same
+    // states, pods, and continuation.
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "ch-ref")),
+        );
+        for k in 1..=ROUNDS {
+            let setup = Setup::durable(eager(campaign_dir(kind, &format!("chain-{k}"))));
+            kind.start(&scs, &setup).run(k); // drop = kill
+            let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
+            for sr in &report.shards {
+                assert!(sr.chain.is_clean(), "clean chain had defects: {sr:?}");
+            }
+            assert_eq!(resumed.committed(), k, "{kind:?} lost rounds at kill {k}");
+            assert_eq!(resumed.states(), r.states[k as usize]);
+            assert_eq!(resumed.pods(), r.pods[k as usize]);
+            resumed.run(ROUNDS - k);
+            assert_eq!(resumed.history(), r.history);
+            assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
+            assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
+        }
+    }
+}
+
+#[test]
+fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "chain-deltas");
+        kind.start(&scs, &Setup::durable(eager(dir.clone())))
+            .run(ROUNDS);
+        for i in 0..kind.shards() {
+            let records = chain_records(&shard_dir(&dir, i));
+            let has = |ext: &str| records.iter().any(|p| p.extension().unwrap() == ext);
+            assert!(has("full"), "{kind:?} shard {i} chain has no full record");
+            assert!(has("delta"), "{kind:?} shard {i} never appended a delta");
+        }
+        // (The O(changes) vs O(hive) byte-ratio claim needs a hive whose
+        // steady state dwarfs a round's churn; e22 proves it at scale.)
+    }
+}
+
+/// Asserts every entry point refuses the campaign at `dir` with a typed
+/// error and leaves every byte under it as it was.
+fn assert_refused_untouched(kind: Kind, scs: &[Scenario], setup: &Setup, dir: &Path, what: &str) {
+    let before = tree(dir);
+    match kind.try_start(scs, setup) {
+        Err(DurabilityError::CampaignExists(_)) => {}
+        other => panic!(
+            "{kind:?} {what}: new: expected CampaignExists, got {:?}",
+            other.err()
+        ),
+    }
+    match kind.resume(scs, setup) {
+        Err(DurabilityError::Corrupt(_)) => {}
+        other => panic!(
+            "{kind:?} {what}: resume: expected Corrupt, got {:?}",
+            other.err()
+        ),
+    }
+    match kind.scrub(scs, setup) {
+        Err(DurabilityError::Corrupt(_)) => {}
+        other => panic!("{kind:?} {what}: scrub: expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(
+        tree(dir),
+        before,
+        "{kind:?} {what}: a refused open changed the directory"
+    );
+}
+
+/// What the retired full-snapshot format left behind: a journal beside
+/// `hive.snap`, no chain.
+fn make_snapshot_layout(dir: &Path, state: Vec<u8>) {
     let snap = HiveSnapshot {
         state,
         sessions: Default::default(),
@@ -603,147 +860,277 @@ fn make_legacy(dir: &Path, state: Vec<u8>) {
         app_meta: Vec::new(),
     };
     std::fs::write(dir.join("hive.snap"), snap.encode()).unwrap();
-    std::fs::remove_dir(dir.join("chain")).unwrap();
+    let _ = std::fs::remove_dir_all(dir.join("chain"));
 }
 
 #[test]
 fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
-    let uncompacted = |dir: PathBuf| DurabilityConfig {
-        compact_ratio: 0,
-        ..DurabilityConfig::new(dir)
-    };
-    let refused_as_legacy = |what: &str, err: Option<DurabilityError>, dir: &Path| match err {
-        Some(DurabilityError::Corrupt(msg)) => assert!(
-            msg.contains("legacy") && msg.contains(&dir.display().to_string()),
-            "{what}: unhelpful refusal: {msg}"
-        ),
-        other => panic!("{what}: expected a Corrupt refusal, got {other:?}"),
-    };
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        // A single-program `hive.snap` campaign at the root.
+        let dir = campaign_dir(kind, "legacy-root");
+        std::fs::write(dir.join("hive.wal"), b"").unwrap();
+        make_snapshot_layout(&dir, Vec::new());
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        assert_refused_untouched(kind, &scs, &setup, &dir, "root hive.snap");
 
-    // One platform.
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("legacy");
-    {
-        let mut p = Platform::new(&s.program, config(Some(uncompacted(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-        make_legacy(&dir, p.hive_state());
-    }
-    let before = tree(&dir);
-    let cfg = || config(Some(uncompacted(dir.clone())));
-    // Resuming would silently cold-start over the campaign (the chain
-    // never reads `hive.snap`) and cut its journal; a fresh start would
-    // run a second campaign on top. Every entry point refuses instead.
-    refused_as_legacy("resume", Platform::resume(&s.program, cfg()).err(), &dir);
-    refused_as_legacy("scrub", Platform::scrub(&cfg()).err(), &dir);
-    match Platform::try_new(&s.program, cfg()) {
-        Err(DurabilityError::CampaignExists(d)) => assert_eq!(d, dir),
-        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
-    }
-    assert_eq!(tree(&dir), before, "a refused open changed the directory");
-
-    // A sharded fleet: every shard directory is a legacy campaign.
-    let scs = [scenarios::token_parser(), scenarios::triangle()];
-    let specs: Vec<FleetSpec<'_>> = scs
-        .iter()
-        .map(|s| FleetSpec {
-            program: &s.program,
-            pod: softborg::pod::PodConfig {
-                input_range: s.input_range,
-                ..softborg::pod::PodConfig::default()
-            },
-        })
-        .collect();
-    let root = campaign_dir("legacy-fleet");
-    let fleet_cfg = || MultiPlatformConfig {
-        n_pods: 2,
-        n_shards: 2,
-        durability: Some(uncompacted(root.clone())),
-        ..MultiPlatformConfig::default()
-    };
-    {
-        let mut p = MultiPlatform::new(&specs, fleet_cfg());
-        p.run(2, EXECS);
-        for shard in 0..2 {
-            make_legacy(&root.join(format!("shard-{shard}")), p.shard_state(shard));
+        // Every shard directory holds `hive.snap` generations.
+        let dir = campaign_dir(kind, "legacy-shards");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        let mut p = kind.start(&scs, &setup);
+        p.run(2);
+        for (i, state) in p.states().into_iter().enumerate() {
+            make_snapshot_layout(&shard_dir(&dir, i), state);
         }
+        drop(p);
+        assert_refused_untouched(kind, &scs, &setup, &dir, "shard hive.snap");
     }
-    let before = tree(&root);
-    let shard0 = root.join("shard-0");
-    refused_as_legacy(
-        "fleet resume",
-        MultiPlatform::resume(&specs, fleet_cfg()).err(),
-        &shard0,
-    );
-    refused_as_legacy(
-        "fleet scrub",
-        MultiPlatform::scrub(&fleet_cfg()).err(),
-        &shard0,
-    );
-    match MultiPlatform::try_new(&specs, fleet_cfg()) {
-        Err(DurabilityError::CampaignExists(d)) => assert_eq!(d, shard0),
-        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+}
+
+/// Rewrites every `REC_ROUND` body in `shard`'s journal with `rewrite`,
+/// re-appending each record with `journal::append_record`.
+fn rewrite_round_records(dir: &Path, shard: usize, rewrite: impl Fn(&[u8]) -> Vec<u8>) {
+    let wal = shard_dir(dir, shard).join("hive.wal");
+    let (records, scan) = journal::scan(&std::fs::read(&wal).unwrap());
+    assert!(scan.tail_error.is_none());
+    let mut bytes = Vec::new();
+    for rec in &records {
+        let body = match rec.kind {
+            REC_ROUND => rewrite(&rec.frame),
+            _ => rec.frame.clone(),
+        };
+        journal::append_record(&mut bytes, rec.kind, rec.session, rec.seq, &body);
     }
-    assert_eq!(tree(&root), before, "a refused open changed the directory");
+    std::fs::write(&wal, bytes).unwrap();
+}
+
+#[test]
+fn every_older_layout_is_refused_untouched() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+
+        // (a) The single-program layout before this one: `hive.wal` and
+        // `chain/` at the campaign root.
+        let dir = campaign_dir(kind, "legacy-single");
+        let one = Kind::One.scenarios();
+        Kind::One
+            .start(&one, &Setup::durable(eager(dir.clone())))
+            .run(2);
+        for entry in ["hive.wal", "chain"] {
+            std::fs::rename(shard_dir(&dir, 0).join(entry), dir.join(entry)).unwrap();
+        }
+        std::fs::remove_dir(shard_dir(&dir, 0)).unwrap();
+        let setup = Setup::durable(eager(dir.clone()));
+        assert_refused_untouched(kind, &scs, &setup, &dir, "root hive.wal + chain/");
+
+        // (c) Round records in the shape before per-program coverage and
+        // proofs: 48 bytes per program.
+        let dir = campaign_dir(kind, "legacy-rounds");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.start(&scs, &setup).run(2);
+        rewrite_round_records(&dir, 0, |body| {
+            let r = MultiRoundReport::decode(body).unwrap();
+            let mut old = Vec::new();
+            for v in [r.round, r.executions, r.failures] {
+                codec::put_u64(&mut old, v);
+            }
+            codec::put_f64(&mut old, r.failure_rate_per_10k);
+            codec::put_u64(&mut old, r.fixes_promoted);
+            codec::put_u32(&mut old, r.programs.len() as u32);
+            for p in &r.programs {
+                let fields = [
+                    p.program,
+                    p.executions,
+                    p.failures,
+                    p.fixes_promoted,
+                    p.overlay_version,
+                    p.directed,
+                ];
+                for v in fields {
+                    codec::put_u64(&mut old, v);
+                }
+            }
+            old
+        });
+        assert_refused_untouched(kind, &scs, &setup, &dir, "48-byte round records");
+    }
+}
+
+#[test]
+fn a_round_record_with_a_trailing_byte_is_refused_untouched() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "trailing");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.start(&scs, &setup).run(2);
+        let last_round = 1u64;
+        rewrite_round_records(&dir, 0, |body| {
+            let mut body = body.to_vec();
+            if MultiRoundReport::decode(&body).unwrap().round == last_round {
+                body.push(0);
+            }
+            body
+        });
+        let before = tree(&dir);
+        match kind.resume(&scs, &setup) {
+            Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("{kind:?}: expected Corrupt, got {:?}", other.err()),
+        }
+        assert_eq!(
+            tree(&dir),
+            before,
+            "{kind:?}: a refused resume changed the directory"
+        );
+    }
 }
 
 #[test]
 fn paged_tree_is_byte_identical_with_paging_off() {
-    use softborg::store::PagedConfig;
-    let s = scenarios::token_parser();
-    let dir = campaign_dir("paging");
-    let mut plain = Platform::new(&s.program, config(None));
-    // A tiny page and resident budget so eviction bites immediately.
-    let mut paged = Platform::new(
-        &s.program,
-        PlatformConfig {
-            tree_paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
-            ..config(None)
-        },
-    );
-    for round in 0..ROUNDS {
-        plain.round(EXECS);
-        paged.round(EXECS);
-        assert_eq!(
-            plain.hive_state(),
-            paged.hive_state(),
-            "paged hive diverged at round {round}"
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "paging");
+        let mut plain = kind.start(&scs, &Setup::default());
+        // A tiny page and resident budget so eviction bites immediately.
+        let paged_setup = Setup {
+            paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
+            ..Setup::default()
+        };
+        let mut paged = kind.start(&scs, &paged_setup);
+        for round in 0..ROUNDS {
+            plain.round();
+            paged.round();
+            assert_eq!(plain.states(), paged.states(), "{kind:?} round {round}");
+        }
+        assert_eq!(plain.history(), paged.history());
+        let stats = paged.page_stats();
+        assert!(
+            stats.evictions > 0 && stats.faults > 0,
+            "the resident budget never bit: {stats:?}"
         );
+        assert!(
+            stats.resident_items < stats.total_items,
+            "nothing was actually evicted to disk: {stats:?}"
+        );
+        assert_eq!(stats.pages_trusted, 0, "clean run adopted stale pages");
     }
-    assert_eq!(plain.history(), paged.history());
-    let stats = paged.page_stats();
-    assert!(
-        stats.evictions > 0 && stats.faults > 0,
-        "the resident budget never bit: {stats:?}"
-    );
-    assert!(
-        stats.resident_items < stats.total_items,
-        "nothing was actually evicted to disk: {stats:?}"
-    );
-    assert_eq!(stats.pages_trusted, 0, "clean run adopted stale pages");
 }
 
 #[test]
 fn chained_paged_resume_composes_with_both_stores() {
-    use softborg::store::PagedConfig;
-    let s = scenarios::token_parser();
-    let r = full_reference(DurabilityConfig::new(campaign_dir("chain-page-ref")));
-    let dir = campaign_dir("chain-page");
-    let cfg = |d: PathBuf| PlatformConfig {
-        tree_paging: Some(PagedConfig::new(&d.join("pages"), 8, 2)),
-        ..config(Some(eager(d)))
+    const KILL: u64 = 2;
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(
+            kind,
+            &scs,
+            DurabilityConfig::new(campaign_dir(kind, "cp-ref")),
+        );
+        let dir = campaign_dir(kind, "chain-page");
+        let setup = Setup {
+            paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
+            ..Setup::durable(eager(dir.clone()))
+        };
+        kind.start(&scs, &setup).run(KILL); // drop = kill
+        let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
+        for sr in &report.shards {
+            assert!(
+                sr.chain.records > 0,
+                "shard {} walked no checkpoint",
+                sr.shard
+            );
+        }
+        assert_eq!(resumed.committed(), KILL);
+        assert_eq!(resumed.states(), r.states[KILL as usize], "{kind:?}");
+        resumed.run(ROUNDS - KILL);
+        assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
+        assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
+        assert_eq!(resumed.history(), r.history);
+        let stats = resumed.page_stats();
+        assert_eq!(stats.pages_trusted, 0, "clean campaign adopted stale pages");
+        assert!(stats.total_pages > 0, "paging never engaged: {stats:?}");
+    }
+}
+
+#[test]
+fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
+    // Needs two shards: the one-shard campaign has no "between".
+    let kind = Kind::Fleet;
+    let scs = kind.scenarios();
+    let r = reference(kind, &scs, uncompacted(campaign_dir(kind, "torn-ref")));
+    let dir = campaign_dir(kind, "torn");
+    let setup = Setup::durable(uncompacted(dir.clone()));
+    kind.start(&scs, &setup).run(ROUNDS);
+    // A crash inside phase A of the final round's commit: one shard's
+    // journal loses the tail of its last append (the closing round
+    // record), so that shard never committed the round while its peer
+    // did.
+    let victim = shard_dir(&dir, 0).join("hive.wal");
+    let bytes = std::fs::read(&victim).unwrap();
+    std::fs::write(&victim, &bytes[..bytes.len() - 5]).unwrap();
+
+    let (resumed, report) = kind.resume(&scs, &setup).unwrap();
+    // The final round was never acked; the campaign's truth is the
+    // minimum committed round, and the shard that got ahead is truncated
+    // back to it.
+    assert_eq!(report.target_round, ROUNDS - 1);
+    assert_eq!(resumed.committed(), ROUNDS - 1);
+    assert!(
+        report.shards[1].records_discarded > 0,
+        "the shard that got ahead kept its unacked round: {report:?}"
+    );
+    assert_eq!(resumed.states(), r.states[(ROUNDS - 1) as usize]);
+    // A second resume is clean: the truncation is durable.
+    drop(resumed);
+    let (again, report) = kind.resume(&scs, &setup).unwrap();
+    assert_eq!(report.target_round, ROUNDS - 1);
+    for sr in &report.shards {
+        assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
+    }
+    assert_eq!(again.committed(), ROUNDS - 1);
+}
+
+#[test]
+fn multi_round_runs_every_fleet_through_the_shared_pool() {
+    let scs = Kind::Fleet.scenarios();
+    let Run::Fleet(mut p) = Kind::Fleet.start(&scs, &Setup::default()) else {
+        unreachable!()
     };
-    let kill = 2u64;
-    {
-        let mut p = Platform::new(&s.program, cfg(dir.clone()));
-        p.run(kill as u32, EXECS);
-    } // drop = kill
-    let (mut resumed, report) = Platform::resume(&s.program, cfg(dir)).unwrap();
-    assert!(report.chain.records > 0, "resume walked no checkpoint");
-    assert_eq!(resumed.committed_rounds(), kill);
-    assert_eq!(resumed.hive_state(), r.states[kill as usize]);
-    resumed.run((ROUNDS - kill) as u32, EXECS);
-    assert_eq!(resumed.hive_state(), r.states[ROUNDS as usize]);
-    assert_eq!(resumed.export_pod_states(), r.pods[ROUNDS as usize]);
-    assert_eq!(resumed.history(), &r.history[..]);
-    assert_eq!(resumed.page_stats().pages_trusted, 0);
+    let report = p.round(EXECS);
+    assert_eq!(report.programs.len(), scs.len());
+    for pr in &report.programs {
+        assert_eq!(pr.executions, 4 * u64::from(EXECS));
+    }
+    let total: u64 = report.programs.iter().map(|p| p.executions).sum();
+    assert_eq!(report.executions, total);
+    let stats = p.last_run().expect("round ran the sharded pipeline");
+    assert_eq!(stats.frames_corrupt, 0);
+    assert_eq!(stats.frames_rerouted, 0);
+    assert_eq!(stats.frames_unknown_program, 0);
+    assert_eq!(stats.frames_dropped, 0);
+    assert_eq!(stats.traces_merged, report.executions);
+    // Every fleet's traffic reached its own hive, and its report slice
+    // reads that hive.
+    for (id, hive) in p.sharded().hives() {
+        let pr = report
+            .programs
+            .iter()
+            .find(|pr| pr.program == id.0)
+            .unwrap();
+        assert_eq!(hive.stats().traces, pr.executions);
+        assert_eq!(hive.stats().unreconstructed, 0);
+        assert_eq!(hive.coverage(), pr.coverage);
+        assert_eq!(hive.proof_count(), pr.proofs);
+    }
+    assert_eq!(p.run(2, EXECS).len(), 3);
+}
+
+#[test]
+fn multi_rounds_are_deterministic_across_identical_runs() {
+    let scs = Kind::Fleet.scenarios();
+    let mut a = Kind::Fleet.start(&scs, &Setup::default());
+    let mut b = Kind::Fleet.start(&scs, &Setup::default());
+    a.run(2);
+    b.run(2);
+    assert_eq!(a.history(), b.history());
+    assert_eq!(a.states(), b.states());
 }

@@ -9,10 +9,13 @@
 //!   crash instant), [`explain_recorders`] pinpoints the first
 //!   divergent event at or after the earlier crash instant.
 
-#[path = "../../hive/tests/common/mod.rs"]
+#[path = "../crates/hive/tests/common/mod.rs"]
 mod common;
 
 use common::{pod_traces, sessions_of};
+use softborg::obs::{
+    explain_recorders, FlightRecorder, ManualClock, MetricsRegistry, ObsHandles, Severity,
+};
 use softborg::pod::PodConfig;
 use softborg::{Platform, PlatformConfig};
 use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
@@ -21,9 +24,6 @@ use softborg_ingest::IngestConfig;
 use softborg_netsim::{
     Addr, Crash, DiskCrashPoint, DiskId, FaultPlan, LinkConfig, Partition, Proc, SimConfig,
     SimTime, World, WorldCtx,
-};
-use softborg_obs::{
-    explain_recorders, FlightRecorder, ManualClock, MetricsRegistry, ObsHandles, Severity,
 };
 use softborg_program::scenarios;
 use std::sync::Arc;

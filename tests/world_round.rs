@@ -1,20 +1,22 @@
-//! Platform rounds under the virtual-time scheduler: [`sim_round`]
-//! must leave the platform in *byte-identical* state to the serial
-//! reference ([`DrivenExecution::serial`]) and the pipelined
-//! [`Platform::round`] on shared seeds, replays must
-//! reproduce the `sched_trace_hash`, and the simulated round must
-//! actually exercise the blocking-point catalogue (bounded-channel
-//! stalls, fsyncs, wakes). [`sim_round_multi`] gets the same treatment
-//! against [`MultiPlatform::round`] via per-shard state bytes.
+//! Campaign rounds under the virtual-time world driver
+//! ([`support::drive`]): a driven round must leave a platform in
+//! *byte-identical* state to the serial reference
+//! ([`DrivenExecution::serial`]) and the threaded round on shared seeds,
+//! replays must reproduce the `sched_trace_hash`, and the driven round
+//! must actually exercise the blocking-point catalogue (bounded-channel
+//! stalls, fsyncs, wakes) — for a `Platform` and for a `MultiPlatform`,
+//! through the one driver.
 
+mod support;
+
+use softborg::ingest::IngestConfig;
 use softborg::pod::PodConfig;
+use softborg::program::scenarios::{self, Scenario};
 use softborg::{
     DrivenExecution, FleetSpec, IngestSettings, MultiPlatform, MultiPlatformConfig, Platform,
     PlatformConfig,
 };
-use softborg_ingest::IngestConfig;
-use softborg_program::scenarios::{self, Scenario};
-use softborg_sim::{sim_round, sim_round_multi, SimRoundConfig};
+use support::{world_round, world_round_one, WorldRoundConfig};
 
 fn config(pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
     PlatformConfig {
@@ -40,11 +42,11 @@ fn assert_same_platform(what: &str, a: &Platform<'_>, b: &Platform<'_>) {
         b.hive().tree().digest(),
         "{what}: tree digest"
     );
-    assert_eq!(a.hive().coverage(), b.hive().coverage(), "{what}: coverage");
+    assert_eq!(a.hive_state(), b.hive_state(), "{what}: hive state");
 }
 
 #[test]
-fn sim_round_matches_serial_and_pipelined_rounds() {
+fn world_round_matches_serial_and_pipelined_rounds() {
     let s = scenarios::token_parser();
     let mut serial = Platform::new(&s.program, config(1, 1, 1));
     for _ in 0..3 {
@@ -54,52 +56,45 @@ fn sim_round_matches_serial_and_pipelined_rounds() {
     piped.run(3, 20);
     assert_same_platform("serial vs pipelined", &serial, &piped);
 
-    // The simulated platform uses the pipelined batch size (7) so the
-    // frame layout matches; interleaving differs wildly, state must not.
-    let mut simmed = Platform::new(&s.program, config(2, 2, 7));
-    let sim_cfg = SimRoundConfig::default();
+    // The driven platform uses the pipelined batch size (7) so the frame
+    // layout matches; interleaving differs wildly, state must not.
+    let mut driven = Platform::new(&s.program, config(2, 2, 7));
     for _ in 0..3 {
-        sim_round(&mut simmed, 20, &sim_cfg);
+        world_round_one(&mut driven, 20, &WorldRoundConfig::default());
     }
-    assert_same_platform("serial vs sim", &serial, &simmed);
+    assert_same_platform("serial vs world", &serial, &driven);
 }
 
 #[test]
-fn sim_round_replays_to_identical_hash_and_state() {
+fn world_round_replays_to_identical_hash_and_state() {
     let run = || {
         let s = scenarios::record_processor();
         let mut p = Platform::new(&s.program, config(2, 2, 5));
-        let (report, stats) = sim_round(&mut p, 24, &SimRoundConfig::default());
-        (
-            report,
-            stats.sched.trace_hash,
-            p.hive().tree().digest(),
-            p.hive().stats(),
-        )
+        let (report, stats) = world_round_one(&mut p, 24, &WorldRoundConfig::default());
+        (report, stats.sched.trace_hash, p.hive_state())
     };
-    let (report_a, hash_a, digest_a, stats_a) = run();
-    let (report_b, hash_b, digest_b, stats_b) = run();
+    let (report_a, hash_a, state_a) = run();
+    let (report_b, hash_b, state_b) = run();
     assert_eq!(report_a, report_b, "round report must replay identically");
     assert_eq!(hash_a, hash_b, "sched_trace_hash must replay identically");
-    assert_eq!(digest_a, digest_b);
-    assert_eq!(stats_a, stats_b);
+    assert_eq!(state_a, state_b);
 }
 
 #[test]
-fn sim_round_exercises_every_blocking_point() {
+fn world_round_exercises_every_blocking_point() {
     let s = scenarios::triangle();
     let mut p = Platform::new(&s.program, config(2, 2, 3));
     // All pods start at the same instant and share a 1-slot channel:
     // sends MUST block, the collector MUST drain under wakes, and the
     // journal disk MUST fsync — while the hive state stays identical to
-    // an unconstrained sim round.
-    let tight = SimRoundConfig {
+    // an unconstrained round.
+    let tight = WorldRoundConfig {
         start_spread_us: 0,
         chan_capacity: 1,
         fsync_interval_frames: 1,
-        ..SimRoundConfig::default()
+        ..WorldRoundConfig::default()
     };
-    let (report, stats) = sim_round(&mut p, 18, &tight);
+    let (report, stats) = world_round_one(&mut p, 18, &tight);
     assert!(stats.io.chan_full > 0, "no send ever blocked: {stats:?}");
     assert!(stats.io.wakes > 0, "no proc was ever woken: {stats:?}");
     assert!(stats.io.fsyncs > 0, "journal never fsynced: {stats:?}");
@@ -109,7 +104,8 @@ fn sim_round_exercises_every_blocking_point() {
     assert_eq!(stats.io.chan_recvs, stats.io.chan_sends);
 
     let mut roomy_p = Platform::new(&s.program, config(2, 2, 3));
-    let (roomy_report, roomy_stats) = sim_round(&mut roomy_p, 18, &SimRoundConfig::default());
+    let (roomy_report, roomy_stats) =
+        world_round_one(&mut roomy_p, 18, &WorldRoundConfig::default());
     assert_eq!(roomy_stats.io.chan_full, 0, "capacity 8 never fills here");
     assert_eq!(report, roomy_report, "backpressure must not change state");
     assert_same_platform("tight vs roomy", &p, &roomy_p);
@@ -146,38 +142,37 @@ fn multi_config() -> MultiPlatformConfig {
 }
 
 #[test]
-fn sim_round_multi_matches_threaded_multi_platform() {
+fn world_round_matches_threaded_multi_platform() {
     let scs = fleet_scenarios();
 
     let mut threaded = MultiPlatform::new(&specs(&scs), multi_config());
     threaded.run(3, 8);
 
-    let mut simmed = MultiPlatform::new(&specs(&scs), multi_config());
-    let sim_cfg = SimRoundConfig::default();
+    let mut driven = MultiPlatform::new(&specs(&scs), multi_config());
     for _ in 0..3 {
-        sim_round_multi(&mut simmed, 8, &sim_cfg);
+        world_round(&mut driven, 8, &WorldRoundConfig::default());
     }
 
     assert_eq!(
         threaded.history(),
-        simmed.history(),
-        "multi round reports diverged"
+        driven.history(),
+        "round reports diverged"
     );
     for shard in 0..3 {
         assert_eq!(
             threaded.shard_state(shard),
-            simmed.shard_state(shard),
+            driven.shard_state(shard),
             "shard {shard} state bytes diverged"
         );
     }
 }
 
 #[test]
-fn sim_round_multi_replays_to_identical_hash() {
+fn multi_world_round_replays_to_identical_hash() {
     let scs = fleet_scenarios();
     let run = |scs: &[Scenario]| {
         let mut p = MultiPlatform::new(&specs(scs), multi_config());
-        let (report, stats) = sim_round_multi(&mut p, 6, &SimRoundConfig::default());
+        let (report, stats) = world_round(&mut p, 6, &WorldRoundConfig::default());
         let states: Vec<Vec<u8>> = (0..3).map(|i| p.shard_state(i)).collect();
         (report, stats.sched.trace_hash, states)
     };
