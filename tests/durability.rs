@@ -1,384 +1,29 @@
-//! Crash-only durability of the one campaign core, on both of its
-//! shapes: a one-fleet [`Platform`] and a three-fleet, two-shard
-//! [`MultiPlatform`]. A campaign killed at any round boundary and
-//! resumed must recover **process-equivalent** — every shard's state,
-//! every pod (RNG streams, repair-lab corpora, queued directives),
-//! history, and round telemetry byte-identical to an uninterrupted run
-//! at the same committed round — through journal replay, delta-chain
-//! checkpoints, chain fallback, truncated partial rounds, torn tails,
-//! sector rot and paging. Older directory layouts are refused with
-//! their bytes untouched.
+//! Crash-only durability of the one campaign core. A campaign killed
+//! at any round boundary and resumed must recover
+//! **process-equivalent** — every shard's state, every pod (RNG
+//! streams, repair-lab corpora, queued directives), history, and round
+//! telemetry byte-identical to an uninterrupted run at the same
+//! committed round — through journal replay, delta-chain checkpoints,
+//! chain fallback, truncated partial rounds, torn tails, sector rot and
+//! paging. Older directory layouts are refused with their bytes
+//! untouched.
+//!
+//! Most checks here run on both shapes of a campaign (see
+//! `tests/campaign`). The four checks shared with
+//! `tests/multi_platform.rs` run here on the one-fleet `Platform`, and
+//! there on the three-fleet, two-shard `MultiPlatform`.
 
+mod campaign;
+
+use campaign::*;
 use softborg::hive::journal::{self, REC_FRAME, REC_ROUND};
 use softborg::hive::{HiveSnapshot, ScrubReport};
-use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
-use softborg::pod::{PodConfig, PodState};
 use softborg::program::codec;
-use softborg::program::scenarios::{self, Scenario};
+use softborg::program::scenarios::Scenario;
 use softborg::store::chain::decode_record;
-use softborg::store::{ChainSource, PageStats, PagedConfig};
-use softborg::{
-    DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings,
-    MultiDrivenExecution, MultiPlatform, MultiPlatformConfig, MultiRoundReport, Platform,
-    PlatformConfig, ResumeReport,
-};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-const ROUNDS: u64 = 5;
-const EXECS: u32 = 10;
-
-/// The two shapes of a campaign every check runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    /// One fleet (`token_parser`, 8 pods) on one shard: a `Platform`.
-    One,
-    /// Three fleets (4 pods each) on two shards: a `MultiPlatform`.
-    Fleet,
-}
-
-const KINDS: [Kind; 2] = [Kind::One, Kind::Fleet];
-
-/// What a campaign is built with besides its kind.
-#[derive(Clone, Default)]
-struct Setup {
-    durability: Option<DurabilityConfig>,
-    paging: Option<PagedConfig>,
-    ingest: IngestSettings,
-    obs: ObsHandles,
-}
-
-impl Setup {
-    fn durable(durability: DurabilityConfig) -> Self {
-        Setup {
-            durability: Some(durability),
-            ..Setup::default()
-        }
-    }
-}
-
-/// A running campaign of either kind.
-enum Run<'p> {
-    One(Platform<'p>),
-    Fleet(MultiPlatform<'p>),
-}
-
-fn pod_config(s: &Scenario) -> PodConfig {
-    PodConfig {
-        input_range: s.input_range,
-        ..PodConfig::default()
-    }
-}
-
-impl Kind {
-    fn scenarios(self) -> Vec<Scenario> {
-        match self {
-            Kind::One => vec![scenarios::token_parser()],
-            Kind::Fleet => vec![
-                scenarios::token_parser(),
-                scenarios::triangle(),
-                scenarios::record_processor(),
-            ],
-        }
-    }
-
-    fn shards(self) -> usize {
-        match self {
-            Kind::One => 1,
-            Kind::Fleet => 2,
-        }
-    }
-
-    fn one_config(s: &Scenario, setup: &Setup) -> PlatformConfig {
-        PlatformConfig {
-            n_pods: 8,
-            pod: pod_config(s),
-            seed: 17,
-            ingest: setup.ingest.clone(),
-            durability: setup.durability.clone(),
-            tree_paging: setup.paging.clone(),
-            obs: setup.obs.clone(),
-            ..PlatformConfig::default()
-        }
-    }
-
-    fn fleet_config(setup: &Setup) -> MultiPlatformConfig {
-        MultiPlatformConfig {
-            n_pods: 4,
-            n_shards: 2,
-            seed: 23,
-            ingest: setup.ingest.clone(),
-            durability: setup.durability.clone(),
-            tree_paging: setup.paging.clone(),
-            obs: setup.obs.clone(),
-            ..MultiPlatformConfig::default()
-        }
-    }
-
-    fn specs(scs: &[Scenario]) -> Vec<FleetSpec<'_>> {
-        scs.iter()
-            .map(|s| FleetSpec {
-                program: &s.program,
-                pod: pod_config(s),
-            })
-            .collect()
-    }
-
-    fn try_start<'p>(self, scs: &'p [Scenario], setup: &Setup) -> Result<Run<'p>, DurabilityError> {
-        match self {
-            Kind::One => {
-                Platform::try_new(&scs[0].program, Self::one_config(&scs[0], setup)).map(Run::One)
-            }
-            Kind::Fleet => {
-                MultiPlatform::try_new(&Self::specs(scs), Self::fleet_config(setup)).map(Run::Fleet)
-            }
-        }
-    }
-
-    fn start<'p>(self, scs: &'p [Scenario], setup: &Setup) -> Run<'p> {
-        self.try_start(scs, setup).expect("fresh campaign")
-    }
-
-    fn resume<'p>(
-        self,
-        scs: &'p [Scenario],
-        setup: &Setup,
-    ) -> Result<(Run<'p>, ResumeReport), DurabilityError> {
-        match self {
-            Kind::One => Platform::resume(&scs[0].program, Self::one_config(&scs[0], setup))
-                .map(|(p, r)| (Run::One(p), r)),
-            Kind::Fleet => MultiPlatform::resume(&Self::specs(scs), Self::fleet_config(setup))
-                .map(|(p, r)| (Run::Fleet(p), r)),
-        }
-    }
-
-    fn scrub(self, scs: &[Scenario], setup: &Setup) -> Result<Vec<ScrubReport>, DurabilityError> {
-        match self {
-            Kind::One => Platform::scrub(&Self::one_config(&scs[0], setup)).map(|r| vec![r]),
-            Kind::Fleet => MultiPlatform::scrub(&Self::fleet_config(setup)),
-        }
-    }
-}
-
-impl Run<'_> {
-    fn round(&mut self) {
-        match self {
-            Run::One(p) => {
-                p.round(EXECS);
-            }
-            Run::Fleet(p) => {
-                p.round(EXECS);
-            }
-        }
-    }
-
-    fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.round();
-        }
-    }
-
-    /// One round through `round_driven` and the serial reference
-    /// executor.
-    fn serial_round(&mut self) {
-        match self {
-            Run::One(p) => {
-                p.round_driven(|pods, batch| DrivenExecution::serial(pods, EXECS, batch));
-            }
-            Run::Fleet(p) => {
-                p.round_driven(|lanes, batch| {
-                    let mut out = MultiDrivenExecution::default();
-                    for lane in lanes {
-                        let d = DrivenExecution::serial(lane.pods, EXECS, batch);
-                        out.per_lane.push((d.executions, d.failures, d.directed));
-                        let frames = d.frames.into_iter().map(|(_, s, f)| (lane.lane, s, f));
-                        out.frames.extend(frames);
-                    }
-                    out
-                });
-            }
-        }
-    }
-
-    /// The hive state (`Platform`) or every shard's state.
-    fn states(&self) -> Vec<Vec<u8>> {
-        match self {
-            Run::One(p) => vec![p.hive_state()],
-            Run::Fleet(p) => (0..Kind::Fleet.shards())
-                .map(|i| p.shard_state(i))
-                .collect(),
-        }
-    }
-
-    fn pods(&self) -> Vec<PodState> {
-        match self {
-            Run::One(p) => p.export_pod_states(),
-            Run::Fleet(p) => p.export_pod_states().concat(),
-        }
-    }
-
-    /// Every round report, one `Debug` line each.
-    fn history(&self) -> Vec<String> {
-        match self {
-            Run::One(p) => p.history().iter().map(|r| format!("{r:?}")).collect(),
-            Run::Fleet(p) => p.history().iter().map(|r| format!("{r:?}")).collect(),
-        }
-    }
-
-    fn committed(&self) -> u64 {
-        match self {
-            Run::One(p) => p.committed_rounds(),
-            Run::Fleet(p) => p.committed_rounds(),
-        }
-    }
-
-    fn checkpoint(&mut self) -> u64 {
-        match self {
-            Run::One(p) => p.checkpoint(),
-            Run::Fleet(p) => p.checkpoint(),
-        }
-        .expect("checkpoint")
-    }
-
-    fn page_stats(&self) -> PageStats {
-        match self {
-            Run::One(p) => p.page_stats(),
-            Run::Fleet(p) => p.page_stats(),
-        }
-    }
-}
-
-/// A fresh, empty campaign directory unique to this test + process.
-fn campaign_dir(kind: Kind, tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "softborg-durability-{}-{kind:?}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}"))
-}
-
-/// Aggressive compaction so short campaigns exercise the checkpoint path.
-fn compacting(dir: PathBuf) -> DurabilityConfig {
-    DurabilityConfig {
-        compact_ratio: 2,
-        min_compact_wal_bytes: 1024,
-        ..DurabilityConfig::new(dir)
-    }
-}
-
-/// Eager compaction: short campaigns append several chain records (a
-/// full, then deltas).
-fn eager(dir: PathBuf) -> DurabilityConfig {
-    DurabilityConfig {
-        compact_ratio: 1,
-        min_compact_wal_bytes: 1,
-        ..DurabilityConfig::new(dir)
-    }
-}
-
-/// No automatic compaction: checkpoints happen only when a test asks.
-fn uncompacted(dir: PathBuf) -> DurabilityConfig {
-    DurabilityConfig {
-        compact_ratio: 0,
-        ..DurabilityConfig::new(dir)
-    }
-}
-
-/// Handles recording into a manual-clock flight recorder. The events
-/// hash covers kinds, fields, and per-source sequence numbers — never
-/// wall time — so two equivalent runs must hash identically.
-fn recording() -> (ObsHandles, FlightRecorder) {
-    let rec = FlightRecorder::new(Arc::new(ManualClock::new(0)), 4096);
-    (ObsHandles::new(MetricsRegistry::new(), rec.clone()), rec)
-}
-
-/// The content of every `round_committed` event a recorder retained,
-/// in order. `seq` is process-local (a resumed process restarts it for
-/// the suffix it records), so only the field vectors are compared.
-fn committed_fields(rec: &FlightRecorder) -> Vec<Vec<(&'static str, u64)>> {
-    rec.events()
-        .into_iter()
-        .filter(|e| e.kind == "round_committed")
-        .map(|e| e.fields)
-        .collect()
-}
-
-/// Everything an uninterrupted durable run produces, indexed by
-/// committed round count where applicable.
-struct Reference {
-    states: Vec<Vec<Vec<u8>>>,
-    pods: Vec<Vec<PodState>>,
-    history: Vec<String>,
-    round_events: Vec<Vec<(&'static str, u64)>>,
-}
-
-fn reference(kind: Kind, scs: &[Scenario], durability: DurabilityConfig) -> Reference {
-    let (obs, rec) = recording();
-    let setup = Setup {
-        obs,
-        ..Setup::durable(durability)
-    };
-    let mut p = kind.start(scs, &setup);
-    let (mut states, mut pods) = (vec![p.states()], vec![p.pods()]);
-    for _ in 0..ROUNDS {
-        p.round();
-        states.push(p.states());
-        pods.push(p.pods());
-    }
-    Reference {
-        states,
-        pods,
-        history: p.history(),
-        round_events: committed_fields(&rec),
-    }
-}
-
-/// Chain record files under `dir/chain`, sorted by name (= generation).
-fn chain_records(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"))
-        .collect();
-    files.sort();
-    files
-}
-
-/// Payload bytes of the newest full chain record (0 on a cold chain):
-/// what the compaction rule weighs the journal against.
-fn newest_full_payload(dir: &Path) -> u64 {
-    chain_records(dir)
-        .iter()
-        .rev()
-        .find(|p| p.extension().is_some_and(|x| x == "full"))
-        .map_or(0, |p| {
-            let bytes = std::fs::read(p).unwrap();
-            decode_record(&bytes).unwrap().payload.len() as u64
-        })
-}
-
-/// Every entry under `dir`, with each file's bytes: two equal trees
-/// hold exactly the same bytes.
-fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
-    let mut out = Vec::new();
-    for e in std::fs::read_dir(dir).unwrap() {
-        let path = e.unwrap().path();
-        if path.is_dir() {
-            out.push((path.clone(), None));
-            out.extend(tree(&path));
-        } else {
-            out.push((path.clone(), Some(std::fs::read(&path).unwrap())));
-        }
-    }
-    out.sort();
-    out
-}
+use softborg::store::{ChainSource, PagedConfig};
+use softborg::{DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
+use std::path::Path;
 
 #[test]
 fn durable_rounds_match_in_memory_rounds_exactly() {
@@ -396,62 +41,12 @@ fn durable_rounds_match_in_memory_rounds_exactly() {
 
 #[test]
 fn kill_at_every_round_boundary_recovers_byte_identical_state() {
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let r = reference(
-            kind,
-            &scs,
-            DurabilityConfig::new(campaign_dir(kind, "b-ref")),
-        );
-        for k in 1..=ROUNDS {
-            let dir = campaign_dir(kind, &format!("boundary-{k}"));
-            let setup = Setup::durable(DurabilityConfig::new(dir));
-            kind.start(&scs, &setup).run(k); // drop = kill: only synced journals survive
-            let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
-            assert_eq!(report.target_round, k, "{kind:?} lost rounds at kill {k}");
-            assert_eq!(resumed.committed(), k);
-            assert_eq!(report.shards.len(), kind.shards());
-            for sr in &report.shards {
-                assert_eq!(sr.rounds_from_snapshot + sr.rounds_replayed, k);
-                assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
-            }
-            assert_eq!(resumed.states(), r.states[k as usize], "{kind:?} round {k}");
-            assert_eq!(resumed.history(), r.history[..k as usize]);
-            // The campaign keeps going after recovery.
-            resumed.round();
-            assert_eq!(resumed.committed(), k + 1);
-        }
-    }
+    check_kill_recovers_state(Kind::One);
 }
 
 #[test]
 fn kill_at_every_round_boundary_restores_every_pod_mid_stream() {
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let r = reference(
-            kind,
-            &scs,
-            DurabilityConfig::new(campaign_dir(kind, "p-ref")),
-        );
-        for k in 1..=ROUNDS {
-            let dir = campaign_dir(kind, &format!("pods-{k}"));
-            let setup = Setup::durable(DurabilityConfig::new(dir));
-            kind.start(&scs, &setup).run(k); // drop = kill
-            let (mut resumed, _) = kind.resume(&scs, &setup).unwrap();
-            assert_eq!(
-                resumed.pods(),
-                r.pods[k as usize],
-                "{kind:?} pods diverged from the uninterrupted run at round {k}"
-            );
-            // The restored pods carry their RNG positions, corpora, and
-            // queued directives, so the *continuation* is byte-identical
-            // too: every future draw replays the uninterrupted stream.
-            resumed.run(ROUNDS - k);
-            assert_eq!(resumed.history(), r.history, "{kind:?} after resume at {k}");
-            assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
-            assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
-        }
-    }
+    check_kill_restores_pods(Kind::One);
 }
 
 #[test]
@@ -493,51 +88,7 @@ fn resumed_telemetry_matches_the_uninterrupted_run() {
 
 #[test]
 fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let r = reference(kind, &scs, compacting(campaign_dir(kind, "c-ref")));
-        let dir = campaign_dir(kind, "compact");
-        let setup = Setup::durable(compacting(dir.clone()));
-        let mut p = kind.start(&scs, &setup);
-        for _ in 0..ROUNDS {
-            p.round();
-            // The rule: a commit leaves every journal below
-            // `compact_ratio` times what its newest full checkpoint
-            // wrote (and the floor).
-            for i in 0..kind.shards() {
-                let wal = std::fs::metadata(shard_dir(&dir, i).join("hive.wal")).unwrap();
-                let bound = (2 * newest_full_payload(&shard_dir(&dir, i))).max(1024);
-                assert!(
-                    wal.len() < bound,
-                    "{kind:?} shard {i}: {} >= {bound}",
-                    wal.len()
-                );
-            }
-        }
-        drop(p);
-        let fulls = (0..kind.shards()).filter(|&i| newest_full_payload(&shard_dir(&dir, i)) > 0);
-        assert!(
-            fulls.count() > 0,
-            "{kind:?}: compaction never wrote a checkpoint"
-        );
-        let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
-        assert!(report.shards.iter().any(|s| s.rounds_from_snapshot > 0));
-        for sr in report.shards.iter().filter(|s| s.chain.records > 0) {
-            assert_eq!(sr.chain.source, ChainSource::Primary);
-        }
-        assert_eq!(resumed.committed(), ROUNDS);
-        assert_eq!(resumed.states(), r.states[ROUNDS as usize], "{kind:?}");
-
-        // An on-demand checkpoint composes too: every shard then resumes
-        // from its own checkpoint alone.
-        resumed.checkpoint();
-        drop(resumed);
-        let (resumed, report) = kind.resume(&scs, &setup).unwrap();
-        for sr in &report.shards {
-            assert_eq!((sr.rounds_from_snapshot, sr.rounds_replayed), (ROUNDS, 0));
-        }
-        assert_eq!(resumed.states(), r.states[ROUNDS as usize], "{kind:?}");
-    }
+    check_compaction_bounds_journal(Kind::One);
 }
 
 /// A campaign with a checkpoint after every round but the last, so each
@@ -1017,120 +568,5 @@ fn paged_tree_is_byte_identical_with_paging_off() {
 
 #[test]
 fn chained_paged_resume_composes_with_both_stores() {
-    const KILL: u64 = 2;
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let r = reference(
-            kind,
-            &scs,
-            DurabilityConfig::new(campaign_dir(kind, "cp-ref")),
-        );
-        let dir = campaign_dir(kind, "chain-page");
-        let setup = Setup {
-            paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
-            ..Setup::durable(eager(dir.clone()))
-        };
-        kind.start(&scs, &setup).run(KILL); // drop = kill
-        let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
-        for sr in &report.shards {
-            assert!(
-                sr.chain.records > 0,
-                "shard {} walked no checkpoint",
-                sr.shard
-            );
-        }
-        assert_eq!(resumed.committed(), KILL);
-        assert_eq!(resumed.states(), r.states[KILL as usize], "{kind:?}");
-        resumed.run(ROUNDS - KILL);
-        assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
-        assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
-        assert_eq!(resumed.history(), r.history);
-        let stats = resumed.page_stats();
-        assert_eq!(stats.pages_trusted, 0, "clean campaign adopted stale pages");
-        assert!(stats.total_pages > 0, "paging never engaged: {stats:?}");
-    }
-}
-
-#[test]
-fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
-    // Needs two shards: the one-shard campaign has no "between".
-    let kind = Kind::Fleet;
-    let scs = kind.scenarios();
-    let r = reference(kind, &scs, uncompacted(campaign_dir(kind, "torn-ref")));
-    let dir = campaign_dir(kind, "torn");
-    let setup = Setup::durable(uncompacted(dir.clone()));
-    kind.start(&scs, &setup).run(ROUNDS);
-    // A crash inside phase A of the final round's commit: one shard's
-    // journal loses the tail of its last append (the closing round
-    // record), so that shard never committed the round while its peer
-    // did.
-    let victim = shard_dir(&dir, 0).join("hive.wal");
-    let bytes = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &bytes[..bytes.len() - 5]).unwrap();
-
-    let (resumed, report) = kind.resume(&scs, &setup).unwrap();
-    // The final round was never acked; the campaign's truth is the
-    // minimum committed round, and the shard that got ahead is truncated
-    // back to it.
-    assert_eq!(report.target_round, ROUNDS - 1);
-    assert_eq!(resumed.committed(), ROUNDS - 1);
-    assert!(
-        report.shards[1].records_discarded > 0,
-        "the shard that got ahead kept its unacked round: {report:?}"
-    );
-    assert_eq!(resumed.states(), r.states[(ROUNDS - 1) as usize]);
-    // A second resume is clean: the truncation is durable.
-    drop(resumed);
-    let (again, report) = kind.resume(&scs, &setup).unwrap();
-    assert_eq!(report.target_round, ROUNDS - 1);
-    for sr in &report.shards {
-        assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
-    }
-    assert_eq!(again.committed(), ROUNDS - 1);
-}
-
-#[test]
-fn multi_round_runs_every_fleet_through_the_shared_pool() {
-    let scs = Kind::Fleet.scenarios();
-    let Run::Fleet(mut p) = Kind::Fleet.start(&scs, &Setup::default()) else {
-        unreachable!()
-    };
-    let report = p.round(EXECS);
-    assert_eq!(report.programs.len(), scs.len());
-    for pr in &report.programs {
-        assert_eq!(pr.executions, 4 * u64::from(EXECS));
-    }
-    let total: u64 = report.programs.iter().map(|p| p.executions).sum();
-    assert_eq!(report.executions, total);
-    let stats = p.last_run().expect("round ran the sharded pipeline");
-    assert_eq!(stats.frames_corrupt, 0);
-    assert_eq!(stats.frames_rerouted, 0);
-    assert_eq!(stats.frames_unknown_program, 0);
-    assert_eq!(stats.frames_dropped, 0);
-    assert_eq!(stats.traces_merged, report.executions);
-    // Every fleet's traffic reached its own hive, and its report slice
-    // reads that hive.
-    for (id, hive) in p.sharded().hives() {
-        let pr = report
-            .programs
-            .iter()
-            .find(|pr| pr.program == id.0)
-            .unwrap();
-        assert_eq!(hive.stats().traces, pr.executions);
-        assert_eq!(hive.stats().unreconstructed, 0);
-        assert_eq!(hive.coverage(), pr.coverage);
-        assert_eq!(hive.proof_count(), pr.proofs);
-    }
-    assert_eq!(p.run(2, EXECS).len(), 3);
-}
-
-#[test]
-fn multi_rounds_are_deterministic_across_identical_runs() {
-    let scs = Kind::Fleet.scenarios();
-    let mut a = Kind::Fleet.start(&scs, &Setup::default());
-    let mut b = Kind::Fleet.start(&scs, &Setup::default());
-    a.run(2);
-    b.run(2);
-    assert_eq!(a.history(), b.history());
-    assert_eq!(a.states(), b.states());
+    check_chained_paged_resume(Kind::One);
 }
