@@ -249,27 +249,12 @@ pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<Suspicious
     let mut out = Vec::new();
     for i in 0..tree.node_count() {
         let id = NodeId(i as u32);
-        // Pull arm structure out under one arena borrow — the tree may be
-        // paged, so node access is closure-scoped.
-        type ArmChildren = Vec<(bool, Option<NodeId>)>;
-        let arms: Vec<(BranchSiteId, ArmChildren)> = tree.with_node(id, |node| {
-            node.sites()
-                .into_iter()
-                .map(|site| {
-                    (
-                        site,
-                        [false, true]
-                            .into_iter()
-                            .map(|d| (d, node.child(site, d)))
-                            .collect(),
-                    )
-                })
-                .collect()
-        });
-        for (site, children) in arms {
+        let node = tree.node(id);
+        for site in node.sites() {
+            let children = [false, true].map(|d| (d, node.child(site, d)));
             for (dir, child) in &children {
                 let Some(child) = child else { continue };
-                let child_visits = tree.with_node(*child, |n| n.visits);
+                let child_visits = tree.node(*child).visits;
                 if child_visits < min_support {
                     continue;
                 }
@@ -279,7 +264,7 @@ pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<Suspicious
                     .find(|(d, _)| d != dir)
                     .and_then(|(_, c)| *c);
                 let (sib_failures, sib_visits) = match sibling {
-                    Some(s) => (summary.subtree_failures(s), tree.with_node(s, |n| n.visits)),
+                    Some(s) => (summary.subtree_failures(s), tree.node(s).visits),
                     None => (0, 0),
                 };
                 let arm_rate = arm_failures as f64 / child_visits as f64;

@@ -317,10 +317,6 @@ fn main() {
                     corrupt_sector(victim, sector, kind);
                 }
             }
-            DiskCrashPoint::CorruptPage { .. } => {
-                // This campaign keeps its tree in memory; page targets
-                // are exercised by e21's store sweep.
-            }
             DiskCrashPoint::BetweenRenameAndTruncate => {
                 // Reproduce the exact window: resume, append the new
                 // checkpoint record, die before the journal truncate.

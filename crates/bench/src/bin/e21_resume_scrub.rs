@@ -18,8 +18,8 @@
 //!   record) is injected explicitly; zero silent acceptances allowed.
 //! * **C — canary detection.** Each recovery canary — a journal with
 //!   its pod-state records stripped, a skipped scrub pass, a dropped
-//!   chain delta, an adopted stale page — must be found, shrunk to a
-//!   minimal plan, and pinned in the corpus.
+//!   chain delta — must be found, shrunk to a minimal plan, and pinned
+//!   in the corpus.
 //! * **D — corpus regression.** Every pinned entry replays exactly:
 //!   same outcome digest, same final round, same oracle verdict.
 //!

@@ -1,26 +1,20 @@
-//! E22 — storage at scale: delta-snapshot chains and paged tree
-//! storage, judged on the two claims the softborg-store subsystem
-//! makes.
+//! E22 — storage at scale: delta-snapshot chains, judged on the claim
+//! the softborg-store subsystem makes.
 //!
-//! * **Chains cut the compaction stall from O(hive) to O(changes).**
-//!   A campaign checkpoints after every round, and its steady-state
-//!   checkpoint **bytes** (the deterministic stall proxy
-//!   `RoundTelemetry::checkpoint_bytes`) must be ≥5× smaller than the
-//!   encoded hive state a full checkpoint would carry at the same
-//!   rounds (a lower bound on a full record: it also holds app-meta).
-//!   Wall stall percentiles are reported alongside, informationally.
-//! * **Paging bounds residency while the tree grows.** A paged
-//!   campaign's execution tree keeps growing on disk while the
-//!   resident page count stays pinned under the configured budget —
-//!   and the hive state stays byte-identical to the unpaged run at
-//!   every round.
+//! **Chains cut the compaction stall from O(hive) to O(changes).** A
+//! campaign checkpoints after every round, and its steady-state
+//! checkpoint **bytes** (the deterministic stall proxy
+//! `RoundTelemetry::checkpoint_bytes`) must be ≥5× smaller than the
+//! encoded hive state a full checkpoint would carry at the same rounds
+//! (a lower bound on a full record: it also holds app-meta). Wall stall
+//! percentiles are reported alongside, informationally. A kill + resume
+//! at the end must rebuild the uninterrupted hive state byte for byte.
 //!
 //! Merges its results into `BENCH_durability.json` (preserving E16's
 //! and E21's sections when present). `--smoke` shrinks the campaign
 //! for CI and lowers the ratio bar to 2× (a short campaign's hive
 //! never outgrows the delta floor); `--seed N` reseeds it (default 37).
 
-use softborg::store::PagedConfig;
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
 use softborg_bench::{arg_u64, banner, cell, table_header};
 use softborg_program::scenarios::{self, Scenario};
@@ -30,8 +24,6 @@ use std::time::Instant;
 
 const PODS: u32 = 8;
 const EXECS: u32 = 10;
-const PAGE_LEN: usize = 32;
-const RESIDENT_BUDGET: usize = 8;
 
 fn config(s: &Scenario, seed: u64, durability: Option<DurabilityConfig>) -> PlatformConfig {
     PlatformConfig {
@@ -82,12 +74,11 @@ fn main() {
 
     banner(
         "E22",
-        "storage at scale: delta-snapshot chains + paged execution trees",
-        "checkpoint O(changes) not O(hive); tree residency bounded by the active frontier",
+        "storage at scale: delta-snapshot chains",
+        "checkpoint O(changes) not O(hive)",
     );
     println!(
-        "campaign: {PODS} pods x {EXECS} execs/round, {rounds} rounds, checkpoint every round\n\
-         paging: {PAGE_LEN}-item pages, resident budget {RESIDENT_BUDGET}\n"
+        "campaign: {PODS} pods x {EXECS} execs/round, {rounds} rounds, checkpoint every round\n"
     );
 
     // record_processor grows the largest execution tree of the scenario
@@ -97,7 +88,7 @@ fn main() {
     let base = std::env::temp_dir().join(format!("softborg-e22-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    // ── Phase 1: what a checkpoint writes vs the hive it protects ────
+    // What a checkpoint writes vs the hive it protects.
     let mut chained = Platform::new(
         &s.program,
         config(&s, seed, Some(every_round(base.join("chained")))),
@@ -167,51 +158,9 @@ fn main() {
         rep.shards[0].chain_deltas_applied
     );
 
-    // ── Phase 2: paged tree residency vs growth ──────────────────────
-    let mut plain = Platform::new(&s.program, config(&s, seed, None));
-    let mut paged = Platform::new(
-        &s.program,
-        PlatformConfig {
-            tree_paging: Some(PagedConfig::new(
-                &base.join("pages"),
-                PAGE_LEN,
-                RESIDENT_BUDGET,
-            )),
-            ..config(&s, seed, None)
-        },
-    );
-    let mut max_resident = 0u64;
-    let mut growth: Vec<(u64, u64, u64)> = Vec::new(); // (round, total_items, resident_pages)
-    let mut identical = true;
-    for k in 1..=rounds {
-        plain.round(EXECS);
-        paged.round(EXECS);
-        identical &= plain.hive_state() == paged.hive_state();
-        let st = paged.page_stats();
-        max_resident = max_resident.max(st.resident_pages);
-        if k % (rounds / 8).max(1) == 0 || k == rounds {
-            growth.push((k, st.total_items, st.resident_pages));
-        }
-    }
-    let end = paged.page_stats();
-    table_header(&[("round", 7), ("tree items", 12), ("resident pages", 15)]);
-    for (k, items, resident) in &growth {
-        println!("{}{}{}", cell(*k, 7), cell(*items, 12), cell(*resident, 15),);
-    }
-    // The tail page is never evicted, so the budget allows one page of
-    // slack over the configured residency.
-    let resident_bound = RESIDENT_BUDGET as u64 + 1;
-    let grew = end.total_pages >= 4 * RESIDENT_BUDGET as u64;
+    let pass = ratio >= ratio_bar;
     println!(
-        "\npaging: {} items across {} pages on disk, max resident {max_resident} \
-         (bound {resident_bound}), {} fault(s), {} eviction(s), byte-identical: {identical}\n",
-        end.total_items, end.total_pages, end.faults, end.evictions
-    );
-
-    let pass = ratio >= ratio_bar && identical && max_resident <= resident_bound && grew;
-    println!(
-        "acceptance: checkpoint bytes >= {ratio_bar}x below the hive state, paged tree byte-identical\n\
-         with residency bounded while the tree grows — {}",
+        "acceptance: checkpoint bytes >= {ratio_bar}x below the hive state — {}",
         if pass { "PASS" } else { "FAIL" }
     );
 
@@ -225,11 +174,6 @@ fn main() {
         section,
         "    \"chain\": {{\"full_state_bytes\": {full_bytes:.0}, \"chain_ckpt_bytes\": {chain_bytes:.0}, \"ratio\": {ratio:.2}, \"chain_stall_p50_us\": {chain_p50:.1}, \"chain_stall_p99_us\": {chain_p99:.1}, \"deltas_applied_on_resume\": {}}},",
         rep.shards[0].chain_deltas_applied
-    );
-    let _ = writeln!(
-        section,
-        "    \"paging\": {{\"page_len\": {PAGE_LEN}, \"resident_budget\": {RESIDENT_BUDGET}, \"total_items\": {}, \"total_pages\": {}, \"max_resident_pages\": {max_resident}, \"faults\": {}, \"evictions\": {}, \"byte_identical\": {identical}}},",
-        end.total_items, end.total_pages, end.faults, end.evictions
     );
     let _ = writeln!(section, "    \"all_ok\": {pass}");
     section.push_str("  }");

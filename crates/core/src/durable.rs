@@ -22,7 +22,6 @@ use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
 use softborg_store::{ChainLoad, ChainReport, ChainStore, RecordKind};
-use softborg_trace::wire;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -291,7 +290,7 @@ impl DurableStore {
                 cfg,
                 chain,
                 journal,
-                wal_hash: wire::fnv1a(&wal),
+                wal_hash: fnv1a_step(FNV_OFFSET, &wal),
                 frame_floors,
                 rec: Vec::new(),
             },
@@ -350,7 +349,7 @@ impl DurableStore {
     /// it (or nothing, after a checkpoint).
     pub(crate) fn truncate_wal(&mut self, kept: &[u8]) -> Result<(), DurabilityError> {
         self.journal.truncate(kept.len() as u64)?;
-        self.wal_hash = wire::fnv1a(kept);
+        self.wal_hash = fnv1a_step(FNV_OFFSET, kept);
         Ok(())
     }
 
@@ -634,7 +633,7 @@ mod tests {
                         store = DurableStore::resume(cfg.clone()).unwrap().0;
                     }
                 }
-                prop_assert_eq!(store.wal_hash, wire::fnv1a(&file()));
+                prop_assert_eq!(store.wal_hash, fnv1a_step(FNV_OFFSET, &file()));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

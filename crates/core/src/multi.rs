@@ -11,8 +11,7 @@
 //! # Durability directory
 //!
 //! Shard `i` owns `shard-<i>/{hive.wal, chain/}` under
-//! [`DurabilityConfig::dir`]; paged trees live under `prog-<id>/` of the
-//! paging directory. A round commits in two phases: its records are
+//! [`DurabilityConfig::dir`]. A round commits in two phases: its records are
 //! appended and fsynced to **every** shard journal (phase A), and only
 //! then may a shard compact into a checkpoint (phase B). Shards can thus
 //! crash at *different* committed rounds, but no checkpoint is ever
@@ -24,7 +23,7 @@
 //! shard holding `hive.snap`, or a round record this codec cannot read.
 
 use crate::durable::{
-    io_err, put_promotion, read_journal, read_promotion, refuse_legacy, segments, DurabilityConfig,
+    put_promotion, read_journal, read_promotion, refuse_legacy, segments, DurabilityConfig,
     DurabilityError, DurableStore, Recovered, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
@@ -32,14 +31,14 @@ use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{scrub_page_dir, Hive, HiveConfig, PageScrub, ScrubReport};
+use softborg_hive::{Hive, HiveConfig, ScrubReport};
 use softborg_ingest::IngestConfig;
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
 use softborg_shard::{ShardRunStats, ShardedHive};
-use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
+use softborg_store::{ChainReport, RecordKind};
 use softborg_trace::wire;
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
@@ -77,10 +76,6 @@ pub struct MultiPlatformConfig {
     /// Crash-only durability root. Each shard persists under its own
     /// `shard-<i>/` subdirectory of [`DurabilityConfig::dir`].
     pub durability: Option<DurabilityConfig>,
-    /// Paged execution-tree storage: each program's tree pages into a
-    /// `prog-<id>/` subdirectory of the configured page dir, under the
-    /// same resident budget. Byte-identical state with paging on or off.
-    pub tree_paging: Option<PagedConfig>,
     /// Telemetry sinks: per-round `multi.*` counters, commit/fsync span
     /// histograms, and `round_committed` events. Passive — shard state
     /// is byte-identical with telemetry on or off.
@@ -99,7 +94,6 @@ impl Default for MultiPlatformConfig {
             min_preservation_cases: 5,
             ingest: IngestSettings::default(),
             durability: None,
-            tree_paging: None,
             obs: ObsHandles::default(),
         }
     }
@@ -459,22 +453,6 @@ impl<'p> MultiPlatform<'p> {
         }
     }
 
-    /// Moves every hive's tree behind the paged store (when
-    /// [`MultiPlatformConfig::tree_paging`] is set), one `prog-<id>/`
-    /// page directory per program.
-    fn enable_tree_paging(&mut self) -> Result<(), DurabilityError> {
-        let Some(root) = self.config.tree_paging.clone() else {
-            return Ok(());
-        };
-        for (id, hive) in self.sharded.hives_mut() {
-            let mut cfg = root.clone();
-            cfg.dir = root.dir.join(format!("prog-{}", id.0));
-            hive.enable_tree_paging(cfg)
-                .map_err(|e| io_err("page-store", &e))?;
-        }
-        Ok(())
-    }
-
     /// The shard whose journal carries `lane`'s frames.
     fn shard_of_lane(&self, lane: usize) -> usize {
         self.sharded
@@ -506,7 +484,6 @@ impl<'p> MultiPlatform<'p> {
         config: MultiPlatformConfig,
     ) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(specs, config);
-        platform.enable_tree_paging()?;
         if let Some(root) = platform.config.durability.clone() {
             refuse_legacy(&root.dir, LEGACY_ROOT)
                 .map_err(|_| DurabilityError::CampaignExists(root.dir.clone()))?;
@@ -703,10 +680,6 @@ impl<'p> MultiPlatform<'p> {
             stores.push(sc.store);
         }
 
-        // Paging attaches only once every shard's state is final:
-        // decode_shard_state replaces whole hives.
-        platform.enable_tree_paging()?;
-
         // Install the freshest committed pod images; lanes with none (a
         // cold campaign) keep their seed-derived round-0 population.
         for (lane, fleet) in platform.fleets.iter_mut().enumerate() {
@@ -754,24 +727,6 @@ impl<'p> MultiPlatform<'p> {
         self.last_run.as_ref()
     }
 
-    /// Paged-tree counters summed over every program's execution tree
-    /// (all zeros when [`MultiPlatformConfig::tree_paging`] is off).
-    pub fn page_stats(&self) -> PageStats {
-        let mut total = PageStats::default();
-        for (_, hive) in self.sharded.hives() {
-            let s = hive.tree().page_stats();
-            total.faults += s.faults;
-            total.evictions += s.evictions;
-            total.writes += s.writes;
-            total.pages_trusted += s.pages_trusted;
-            total.resident_pages += s.resident_pages;
-            total.total_pages += s.total_pages;
-            total.total_items += s.total_items;
-            total.resident_items += s.resident_items;
-        }
-        total
-    }
-
     /// Per-round telemetry for every round this *process* ran, parallel
     /// to [`history`](Self::history) but never journaled (resumed rounds
     /// therefore have no entries — see [`RoundTelemetry`]).
@@ -803,8 +758,7 @@ impl<'p> MultiPlatform<'p> {
     /// Scrubs every shard for bit rot *before* a resume (see
     /// [`softborg_hive::scrub`]): corrupt chain records are quarantined,
     /// journal damage is cut, and each detection is a Warn event on the
-    /// config's `obs`. One [`ScrubReport`] per shard; the paged trees'
-    /// verdict rides on the first.
+    /// config's `obs`. One [`ScrubReport`] per shard.
     ///
     /// # Errors
     ///
@@ -827,34 +781,10 @@ impl<'p> MultiPlatform<'p> {
                 }
             }
         }
-        let mut reports = shards
+        shards
             .iter()
             .map(|cfg| DurableStore::scrub(cfg, &config.obs.recorder))
-            .collect::<Result<Vec<_>, _>>()?;
-        if let (Some(pcfg), Some(first)) = (&config.tree_paging, reports.first_mut()) {
-            let mut pages = PageScrub {
-                pages_valid: 0,
-                quarantined: Vec::new(),
-            };
-            let mut names: Vec<String> = match std::fs::read_dir(&pcfg.dir) {
-                Ok(entries) => (entries.filter_map(Result::ok))
-                    .filter(|e| e.path().is_dir())
-                    .map(|e| e.file_name().to_string_lossy().into_owned())
-                    .filter(|n| n.starts_with("prog-"))
-                    .collect(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(io_err("page-root", &e)),
-            };
-            names.sort();
-            for name in names {
-                let sub = scrub_page_dir(&pcfg.dir.join(&name), &config.obs.recorder)?;
-                pages.pages_valid += sub.pages_valid;
-                let quarantined = sub.quarantined.into_iter().map(|f| format!("{name}/{f}"));
-                pages.quarantined.extend(quarantined);
-            }
-            first.pages = Some(pages);
-        }
-        Ok(reports)
+            .collect()
     }
 
     /// Advances one round: distribute overlays, execute every fleet,

@@ -29,7 +29,6 @@ use softborg_ingest::IngestStats;
 use softborg_obs::ObsHandles;
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::Program;
-use softborg_store::{PageStats, PagedConfig};
 use softborg_tree::CoverageStats;
 
 /// Platform configuration: a [`MultiPlatformConfig`] for one fleet on
@@ -57,9 +56,6 @@ pub struct PlatformConfig {
     /// before its report returns, and [`Platform::resume`] continues a
     /// killed campaign. `None` = in-memory only.
     pub durability: Option<DurabilityConfig>,
-    /// As [`MultiPlatformConfig::tree_paging`]. `None` = fully in-memory
-    /// tree.
-    pub tree_paging: Option<PagedConfig>,
     /// Telemetry sinks, as [`MultiPlatformConfig::obs`] with `platform.*`
     /// counters.
     pub obs: ObsHandles,
@@ -77,7 +73,6 @@ impl Default for PlatformConfig {
             min_preservation_cases: 5,
             ingest: IngestSettings::default(),
             durability: None,
-            tree_paging: None,
             obs: ObsHandles::default(),
         }
     }
@@ -95,7 +90,6 @@ fn core_config(c: &PlatformConfig) -> MultiPlatformConfig {
         min_preservation_cases: c.min_preservation_cases,
         ingest: c.ingest.clone(),
         durability: c.durability.clone(),
-        tree_paging: c.tree_paging.clone(),
         obs: c.obs.clone(),
     }
 }
@@ -370,11 +364,6 @@ impl<'p> Platform<'p> {
     /// payload (or `min_compact_wal_bytes`).
     pub fn wal_len(&self) -> Option<u64> {
         self.core.durable.as_ref().map(|stores| stores[0].wal_len())
-    }
-
-    /// Paged-tree counters (zeros when paging is off).
-    pub fn page_stats(&self) -> PageStats {
-        self.core.page_stats()
     }
 
     /// Pipeline statistics from the most recent [`round`](Self::round).

@@ -560,18 +560,6 @@ impl<'p> Hive<'p> {
         self.tree.mark_clean();
     }
 
-    /// Moves the tree arena behind budget-bounded paged storage (see
-    /// [`ExecutionTree::enable_paging`]). Logical state is unchanged, so
-    /// snapshots, digests, and guidance are byte-identical with paging on
-    /// or off.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors creating the page directory.
-    pub fn enable_tree_paging(&mut self, cfg: softborg_store::PagedConfig) -> std::io::Result<()> {
-        self.tree.enable_paging(cfg)
-    }
-
     /// Rebuilds a hive from [`encode_state`](Self::encode_state) bytes.
     /// The caller supplies the program and config (they are identity, not
     /// state); whether the bytes actually belong to `program` is checked

@@ -5,8 +5,8 @@
 //!
 //! # Record format
 //!
-//! Every record is length-prefixed and checksummed, reusing the wire
-//! layer's FNV-1a ([`wire::fnv1a`]):
+//! Every record is length-prefixed and checksummed with the FNV-1a every
+//! storage format shares ([`fnv1a_step`] from [`FNV_OFFSET`]):
 //!
 //! ```text
 //! u32 body_len | u64 fnv1a(body) | body
@@ -36,9 +36,8 @@
 //! recovered intact.
 //!
 //! [`wire::encode_batch`]: softborg_trace::wire::encode_batch
-//! [`wire::fnv1a`]: softborg_trace::wire::fnv1a
 
-use softborg_trace::wire;
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use std::fmt;
 use std::io::Write;
 
@@ -154,7 +153,7 @@ pub fn append_record(buf: &mut Vec<u8>, kind: u8, session: u64, seq: u64, frame:
     buf.extend_from_slice(&session.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(frame);
-    let checksum = wire::fnv1a(&buf[body_start..]);
+    let checksum = fnv1a_step(FNV_OFFSET, &buf[body_start..]);
     buf[body_start - 8..body_start].copy_from_slice(&checksum.to_le_bytes());
 }
 
@@ -229,7 +228,7 @@ fn read_record(
         return None;
     }
     let body = &bytes[header_end..header_end + body_len];
-    let got = wire::fnv1a(body);
+    let got = fnv1a_step(FNV_OFFSET, body);
     if got != expected {
         *tail_error = Some(TailError::ChecksumMismatch { expected, got });
         return None;
@@ -563,7 +562,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&wire::fnv1a(&body).to_le_bytes());
+        buf.extend_from_slice(&fnv1a_step(FNV_OFFSET, &body).to_le_bytes());
         buf.extend_from_slice(&body);
         let (recs, report) = scan(&buf);
         assert!(recs.is_empty());

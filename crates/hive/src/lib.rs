@@ -12,8 +12,8 @@
 //!   merge, and the crash-tolerant scan that rebuilds from it.
 //! * [`snapshot`] — the checksummed checkpoint payload every delta-chain
 //!   record carries, bounding journal growth via compaction.
-//! * [`scrub`] — the bit-rot scrubber for a campaign's journal, chain,
-//!   and page files.
+//! * [`scrub`] — the bit-rot scrubber for a campaign's journal and
+//!   chain.
 //! * [`transport`] — the reliable pod→hive session protocol
 //!   (ack/retry/backoff over the network simulator).
 //! * [`distributed`] — static vs dynamic tree partitioning over the
@@ -43,8 +43,6 @@ pub use journal::{
 };
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
 pub use replica::{run_replica_sync, OutcomePath, ReplicaConfig, ReplicaReport};
-pub use scrub::{
-    scrub_campaign, scrub_page_dir, ChainScrub, PageScrub, ScrubError, ScrubReport, WalScrubAction,
-};
+pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, WalScrubAction};
 pub use snapshot::HiveSnapshot;
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

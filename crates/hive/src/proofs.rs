@@ -100,15 +100,14 @@ fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary) -> Vec<(NodeId, u64
     let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {
         let provable = summary.subtree_failures(id) == 0 && summary.is_closed(id);
-        tree.with_node(id, |n| {
-            if provable && n.visits > 0 {
-                roots.push((id, n.visits)); // maximality: don't descend
-                return;
-            }
-            for site in n.sites() {
-                stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
-            }
-        });
+        let n = tree.node(id);
+        if provable && n.visits > 0 {
+            roots.push((id, n.visits)); // maximality: don't descend
+            continue;
+        }
+        for site in n.sites() {
+            stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
+        }
     }
     roots
 }
@@ -154,7 +153,8 @@ pub fn verify(cert: &ProofCertificate, tree: &ExecutionTree) -> Result<(), Proof
     let mut node = NodeId::ROOT;
     for (site, taken) in &cert.prefix {
         node = tree
-            .with_node(node, |n| n.child(*site, *taken))
+            .node(node)
+            .child(*site, *taken)
             .ok_or(ProofError::UnknownPrefix)?;
     }
     if !tree.is_closed(node) {

@@ -67,7 +67,6 @@
 use crate::journal::{self, fsync_parent_dir, JournalIoError};
 use crate::snapshot::HiveSnapshot;
 use softborg_obs::FlightRecorder;
-use softborg_store::page::validate_page_bytes;
 use softborg_store::{ChainReport, ChainStore, RecordKind};
 use std::fmt;
 use std::fs;
@@ -111,24 +110,6 @@ impl ChainScrub {
     }
 }
 
-/// What the scrubber found in a page-store directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageScrub {
-    /// Page files whose checksum and framing verified.
-    pub pages_valid: u64,
-    /// Page files renamed to `*.quarantined` (names only). A faulted
-    /// access to a quarantined page fails loudly instead of decoding
-    /// rotten bytes.
-    pub quarantined: Vec<String>,
-}
-
-impl PageScrub {
-    /// `true` when every page file verified.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-}
-
 /// The scrubber's findings for one campaign directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -140,17 +121,12 @@ pub struct ScrubReport {
     pub wal_quarantined_bytes: u64,
     /// What happened to the delta chain.
     pub chain: ChainScrub,
-    /// Page-store findings (populated when the caller scrubs a paging
-    /// directory alongside the campaign).
-    pub pages: Option<PageScrub>,
 }
 
 impl ScrubReport {
     /// `true` when the scrub found no damage anywhere.
     pub fn is_clean(&self) -> bool {
-        self.wal_action == WalScrubAction::Clean
-            && self.chain.is_clean()
-            && self.pages.as_ref().is_none_or(PageScrub::is_clean)
+        self.wal_action == WalScrubAction::Clean && self.chain.is_clean()
     }
 }
 
@@ -338,63 +314,7 @@ pub fn scrub_campaign(
             report,
             quarantined,
         },
-        pages: None,
     })
-}
-
-/// Scrubs a page-store directory: every `page-*.pg` whose framing or
-/// checksum fails verification is renamed to `*.quarantined` (a later
-/// faulted access then fails loudly instead of decoding rot). A missing
-/// directory is clean — paging may simply be off.
-///
-/// # Errors
-///
-/// [`ScrubError::Io`] when the directory or a page file cannot be read
-/// or renamed.
-pub fn scrub_page_dir(dir: &Path, obs: &FlightRecorder) -> Result<PageScrub, ScrubError> {
-    let mut report = PageScrub {
-        pages_valid: 0,
-        quarantined: Vec::new(),
-    };
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-        Err(e) => return Err(io_err("scrub-read-page-dir", &e)),
-    };
-    let mut pages: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "pg")
-                && p.file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with("page-"))
-        })
-        .collect();
-    pages.sort();
-    for path in pages {
-        let bytes = fs::read(&path).map_err(|e| io_err("scrub-read-page", &e))?;
-        match validate_page_bytes(&bytes) {
-            Ok(_) => report.pages_valid += 1,
-            Err(e) => {
-                let q = quarantine_path(&path);
-                fs::rename(&path, &q).map_err(|e| io_err("scrub-quarantine-page", &e))?;
-                fsync_parent_dir(&path).map_err(|e| io_err("scrub-dir-fsync", &e))?;
-                obs.warn_or_ops(
-                    SCRUB_SOURCE,
-                    "page_quarantined",
-                    &[("bytes", bytes.len() as u64)],
-                    format!("{}: {e}; moved to {}", path.display(), q.display()),
-                );
-                report.quarantined.push(
-                    path.file_name()
-                        .unwrap_or_default()
-                        .to_string_lossy()
-                        .into_owned(),
-                );
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// What [`scrub_wal`] did to one journal file.
@@ -491,8 +411,8 @@ fn scrub_wal(
 mod tests {
     use super::*;
     use crate::journal::{append_record, REC_FRAME, REC_ROUND, SESSION_ROUND};
+    use softborg_obs::{fnv1a_step, FNV_OFFSET};
     use softborg_store::ChainSource;
-    use softborg_trace::wire;
 
     /// A fresh campaign directory: its journal path and opened chain.
     fn campaign(tag: &str) -> (PathBuf, ChainStore) {
@@ -516,7 +436,7 @@ mod tests {
             state: vec![1, 2, 3],
             sessions: [(1u64, 1u64)].into_iter().collect(),
             wal_covered: wal.len() as u64,
-            wal_covered_hash: wire::fnv1a(wal),
+            wal_covered_hash: fnv1a_step(FNV_OFFSET, wal),
             app_meta: b"meta".to_vec(),
         }
     }

@@ -15,8 +15,8 @@
 //! so [`HiveSnapshot::replay_offset`] can tell "journal not yet
 //! truncated" apart from "journal truncated and regrown".
 
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
-use softborg_trace::wire;
 use std::collections::BTreeMap;
 
 /// Magic prefix identifying a snapshot record (version in the last byte).
@@ -58,7 +58,7 @@ impl HiveSnapshot {
         let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 12 + body.len());
         out.extend_from_slice(SNAPSHOT_MAGIC);
         codec::put_u32(&mut out, body.len() as u32);
-        codec::put_u64(&mut out, wire::fnv1a(&body));
+        codec::put_u64(&mut out, fnv1a_step(FNV_OFFSET, &body));
         out.extend_from_slice(&body);
         out
     }
@@ -92,7 +92,7 @@ impl HiveSnapshot {
             });
         }
         let body = &bytes[SNAPSHOT_MAGIC.len() + 12..];
-        if wire::fnv1a(body) != checksum {
+        if fnv1a_step(FNV_OFFSET, body) != checksum {
             return Err(CodecError::BadTag {
                 what: "snapshot.checksum",
                 tag: 0,
@@ -131,7 +131,8 @@ impl HiveSnapshot {
     /// this snapshot).
     pub fn replay_offset(&self, wal: &[u8]) -> usize {
         let covered = self.wal_covered as usize;
-        if wal.len() >= covered && wire::fnv1a(&wal[..covered]) == self.wal_covered_hash {
+        if wal.len() >= covered && fnv1a_step(FNV_OFFSET, &wal[..covered]) == self.wal_covered_hash
+        {
             covered
         } else {
             0
@@ -149,7 +150,7 @@ mod tests {
             state: vec![1, 2, 3, 4, 5],
             sessions: [(0u64, 7u64), (3, 2)].into_iter().collect(),
             wal_covered: wal.len() as u64,
-            wal_covered_hash: wire::fnv1a(&wal),
+            wal_covered_hash: fnv1a_step(FNV_OFFSET, &wal),
             app_meta: b"meta".to_vec(),
         }
     }

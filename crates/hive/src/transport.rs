@@ -39,8 +39,7 @@ use softborg_netsim::{
     Addr, FaultPlan, FaultPlanError, LinkConfig, Proc, SchedStats, SimClock, SimConfig, SimStats,
     World, WorldCtx,
 };
-use softborg_obs::{EventSink, ObsHandles, Severity};
-use softborg_trace::wire;
+use softborg_obs::{fnv1a_step, EventSink, ObsHandles, Severity, FNV_OFFSET};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -341,8 +340,10 @@ impl PodClient {
             .saturating_mul(1u64 << self.backoff_exp.min(MAX_BACKOFF_EXP))
             .min(self.max_backoff_us);
         let jitter_span = (self.ack_timeout_us / 2).max(1);
-        let jitter = wire::fnv1a(&[self.session.to_le_bytes(), self.epoch.to_le_bytes()].concat())
-            % jitter_span;
+        let jitter = fnv1a_step(
+            FNV_OFFSET,
+            &[self.session.to_le_bytes(), self.epoch.to_le_bytes()].concat(),
+        ) % jitter_span;
         backed + jitter
     }
 

@@ -30,7 +30,7 @@ use softborg_ingest::IngestConfig;
 use softborg_netsim::{
     Addr, Crash, FaultPlan, LinkConfig, Partition, Proc, SimConfig, SimStats, World, WorldCtx,
 };
-use softborg_trace::wire;
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -91,7 +91,7 @@ fn transport_fingerprint(r: &TransportReport, hive: &Hive<'_>) -> String {
     format!(
         "journal {:#018x} net {} report {} {}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{} {:?} \
          hive {}/{}/{}/{} cov {}/{}/{}/{}/{}/{}",
-        wire::fnv1a(&r.journal),
+        fnv1a_step(FNV_OFFSET, &r.journal),
         net_fingerprint(&r.net),
         r.completed,
         r.delivered,
@@ -207,7 +207,7 @@ fn log_hash(log: &[Observed]) -> u64 {
             }
         }
     }
-    wire::fnv1a(&bytes)
+    fnv1a_step(FNV_OFFSET, &bytes)
 }
 
 struct Probe {

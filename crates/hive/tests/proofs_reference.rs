@@ -1,18 +1,14 @@
 //! `proofs::assemble` reads one summary of the tree where it used to
-//! walk a subtree per dequeued node. Two checks hold it there: it
+//! walk a subtree per dequeued node. One property holds it there: it
 //! publishes exactly what the walk-per-node assembler published (same
 //! certificates, same order, each accepted by the from-scratch
-//! `verify`), and on a paged tree the hive's per-round reads cost a
-//! bounded number of page faults per page.
+//! `verify`), on the live tree and on a delta-chained replica.
 
 #[path = "../../tree/tests/common/mod.rs"]
 mod common;
 
 use proptest::prelude::*;
 use softborg_hive::proofs::{self, ProofCertificate, PROPERTY_NO_FAILURE};
-use softborg_program::interp::Outcome;
-use softborg_program::BranchSiteId;
-use softborg_store::PagedConfig;
 use softborg_tree::{ExecutionTree, Node, NodeId};
 
 fn children_of(n: &Node) -> Vec<NodeId> {
@@ -30,7 +26,7 @@ fn subtree_nodes(tree: &ExecutionTree, root: NodeId) -> u64 {
     let mut stack = vec![root];
     while let Some(id) = stack.pop() {
         count += 1;
-        stack.extend(tree.with_node(id, children_of));
+        stack.extend(children_of(tree.node(id)));
     }
     count
 }
@@ -43,7 +39,7 @@ fn reference_assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
     let mut queue = vec![NodeId::ROOT];
     while let Some(id) = queue.pop() {
         let clean = tree.subtree_failures(id) == 0;
-        let visits = tree.with_node(id, |n| n.visits);
+        let visits = tree.node(id).visits;
         if clean && tree.is_closed(id) && visits > 0 {
             certs.push(ProofCertificate {
                 program: tree.program(),
@@ -55,7 +51,7 @@ fn reference_assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
             });
             continue;
         }
-        queue.extend(tree.with_node(id, children_of));
+        queue.extend(children_of(tree.node(id)));
     }
     certs
 }
@@ -73,7 +69,6 @@ proptest! {
         let expected = reference_assemble(&trees.mem);
         for (kind, tree) in [
             ("memory", &trees.mem),
-            ("paged", &trees.paged),
             ("delta-chained", &trees.chained),
         ] {
             let certs = proofs::assemble(tree);
@@ -84,41 +79,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Counters first, wall time second: a hang path 4,096 decisions deep
-/// in a paged tree with four resident pages. Each read sweeps the arena
-/// a fixed number of times, so it faults each page a fixed number of
-/// times (312 faults here); a walk per node faults O(pages) per *node*
-/// (398,461 before the summary).
-#[test]
-fn paged_reads_fault_each_page_a_bounded_number_of_times() {
-    let dir = common::scratch("read-gate");
-    let mut tree =
-        ExecutionTree::new_paged(common::PROGRAM, PagedConfig::new(&dir, 64, 4)).expect("dir");
-    let spin: Vec<_> = (0..4_096)
-        .map(|d| (BranchSiteId::new(d % 3), true))
-        .collect();
-    tree.merge_path(&spin, &Outcome::Hang { stuck: vec![] });
-    tree.merge_path(&spin[..4_000], &Outcome::Success);
-
-    let before = tree.page_stats();
-    assert!(before.total_pages >= 64, "{before:?}");
-    let certs = proofs::assemble(&tree);
-    let coverage = tree.coverage();
-    let frontier = tree.frontier();
-    let faults = tree.page_stats().faults - before.faults;
-
-    assert!(
-        certs.is_empty(),
-        "every subtree holds the hang or an open arm"
-    );
-    assert_eq!(frontier.len(), 4_096);
-    assert_eq!(coverage.frontier_arms, 4_096);
-    assert!(
-        faults <= 8 * before.total_pages,
-        "{faults} faults reading {} pages",
-        before.total_pages
-    );
-    std::fs::remove_dir_all(&dir).expect("scratch dir");
 }

@@ -189,19 +189,6 @@ pub enum DiskCrashPoint {
         /// The damage applied to it.
         kind: SectorCorruption,
     },
-    /// Sector-granularity media damage to one page file of the paged
-    /// tree store while the process is down. Page files are a rebuilt
-    /// cache, so resume must wipe or overwrite them — rot here may
-    /// never influence post-resume state, and the scrubber still
-    /// reports it. A no-op on campaigns not running with paging.
-    CorruptPage {
-        /// Target page file (wrapped modulo the page-file count).
-        page: u64,
-        /// Target sector (wrapped modulo the file's sector count).
-        sector: u64,
-        /// The damage applied to it.
-        kind: SectorCorruption,
-    },
 }
 
 impl DiskCrashPoint {
@@ -210,8 +197,7 @@ impl DiskCrashPoint {
     pub fn corruption(&self) -> Option<SectorCorruption> {
         match *self {
             DiskCrashPoint::CorruptWal { kind, .. }
-            | DiskCrashPoint::CorruptChainRecord { kind, .. }
-            | DiskCrashPoint::CorruptPage { kind, .. } => Some(kind),
+            | DiskCrashPoint::CorruptChainRecord { kind, .. } => Some(kind),
             _ => None,
         }
     }
@@ -219,8 +205,7 @@ impl DiskCrashPoint {
     fn corruption_mut(&mut self) -> Option<&mut SectorCorruption> {
         match self {
             DiskCrashPoint::CorruptWal { kind, .. }
-            | DiskCrashPoint::CorruptChainRecord { kind, .. }
-            | DiskCrashPoint::CorruptPage { kind, .. } => Some(kind),
+            | DiskCrashPoint::CorruptChainRecord { kind, .. } => Some(kind),
             _ => None,
         }
     }
@@ -642,11 +627,6 @@ mod tests {
                     back: 2,
                     sector: 0,
                     kind: SectorCorruption::TornWrite { keep_bytes: 17 },
-                },
-                DiskCrashPoint::CorruptPage {
-                    page: 5,
-                    sector: 2,
-                    kind: SectorCorruption::ZeroRange { sectors: 3 },
                 },
             ],
         }

@@ -169,12 +169,6 @@ impl FaultPlan {
                         corruption_text(kind)
                     )
                 }
-                DiskCrashPoint::CorruptPage { page, sector, kind } => {
-                    format!(
-                        "disk = corrupt_page {page} {sector} {}",
-                        corruption_text(kind)
-                    )
-                }
             };
             out.push_str(&line);
             out.push('\n');
@@ -270,11 +264,6 @@ impl FaultPlan {
                                 kind: parse_corruption(what, n, line)?,
                             }
                         }
-                        ["corrupt_page", p, s, what, n] => DiskCrashPoint::CorruptPage {
-                            page: parse_u64(p, line, "disk.corrupt_page.page")?,
-                            sector: parse_u64(s, line, "disk.corrupt_page.sector")?,
-                            kind: parse_corruption(what, n, line)?,
-                        },
                         _ => {
                             return Err(PlanTextError::BadValue {
                                 line,
@@ -342,11 +331,6 @@ mod tests {
                     sector: 0,
                     kind: SectorCorruption::FlipBit { bit: 9 },
                 },
-                DiskCrashPoint::CorruptPage {
-                    page: 3,
-                    sector: 1,
-                    kind: SectorCorruption::ZeroRange { sectors: 2 },
-                },
             ],
         }
     }
@@ -400,6 +384,16 @@ mod tests {
             FaultPlan::from_text(&t),
             Err(PlanTextError::BadValue { line: 2, .. })
         ));
+        // A retired point (the paged tree store is gone) is an unknown
+        // disk crash point, never read as another one.
+        let t = format!("{PLAN_TEXT_HEADER}\ndisk = corrupt_page 3 1 zero_range 2\n");
+        assert_eq!(
+            FaultPlan::from_text(&t),
+            Err(PlanTextError::BadValue {
+                line: 2,
+                what: "disk crash point",
+            })
+        );
     }
 
     #[test]

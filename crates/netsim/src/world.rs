@@ -110,7 +110,7 @@ pub struct IoStats {
     /// Disk crash points applied ([`DiskCrashPoint`] WAL variants).
     pub disk_faults: u64,
     /// Disk crash points that target files this in-memory model does not
-    /// have (kills, checkpoint records, pages); counted, not applied.
+    /// have (kills, checkpoint records); counted, not applied.
     pub disk_faults_ignored: u64,
 }
 

@@ -27,7 +27,7 @@ fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
         1 => SectorCorruption::ZeroRange { sectors: n },
         _ => SectorCorruption::TornWrite { keep_bytes: n },
     };
-    match selector % 7 {
+    match selector % 6 {
         0 => DiskCrashPoint::AtRoundBoundary { round: arg % 100 },
         1 => DiskCrashPoint::TruncateWalTail {
             drop_bytes: arg % 10_000,
@@ -38,11 +38,6 @@ fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
         3 => DiskCrashPoint::CorruptWal { sector: arg, kind },
         4 => DiskCrashPoint::CorruptChainRecord {
             back: arg % 5,
-            sector: arg,
-            kind,
-        },
-        5 => DiskCrashPoint::CorruptPage {
-            page: arg % 17,
             sector: arg,
             kind,
         },

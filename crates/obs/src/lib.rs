@@ -45,8 +45,9 @@ pub use span::SpanTimer;
 
 use std::sync::{Mutex, OnceLock};
 
-/// FNV-1a offset basis (matches `softborg_trace::wire::fnv1a` and the
-/// simulator's `sched_trace_hash`).
+/// FNV-1a offset basis. `fnv1a_step(FNV_OFFSET, data)` is the one hash
+/// behind every stored checksum (wire frames, journal and chain records,
+/// pod images), shard placement, and the simulator's `sched_trace_hash`.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -160,6 +161,14 @@ mod tests {
     fn fnv_matches_reference_vector() {
         // FNV-1a of "a" from the reference implementation.
         assert_eq!(fnv1a_step(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn fnv1a_is_pinned_across_releases() {
+        // Computed by hand: every checksum on disk and every shard
+        // placement depends on this function, so a change here
+        // invalidates every stored byte.
+        assert_eq!(fnv1a_step(FNV_OFFSET, b"softborg"), 0x11b2_1a8e_1477_0a49);
     }
 
     #[test]

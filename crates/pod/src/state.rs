@@ -17,13 +17,13 @@ use crate::{Pod, PodStats};
 use rand::rngs::SmallRng;
 use softborg_fix::TestCase;
 use softborg_guidance::Directive;
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError, Reader};
 use softborg_program::interp::Outcome;
 use softborg_program::sched::ScheduleHint;
 use softborg_program::syscall::{EnvConfig, ForcedFault};
 use softborg_program::{cfg::Loc, BranchSiteId, LockId, ThreadId};
 use softborg_program::{interp::CrashKind, Overlay};
-use softborg_trace::wire;
 
 /// Current on-disk version of the [`PodState`] encoding.
 pub const POD_STATE_VERSION: u8 = 1;
@@ -318,7 +318,7 @@ impl PodState {
         for case in &self.passing_cases {
             put_case(&mut buf, case);
         }
-        let checksum = wire::fnv1a(&buf);
+        let checksum = fnv1a_step(FNV_OFFSET, &buf);
         codec::put_u64(&mut buf, checksum);
         buf
     }
@@ -337,7 +337,7 @@ impl PodState {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-        let got = wire::fnv1a(body);
+        let got = fnv1a_step(FNV_OFFSET, body);
         if expected != got {
             return Err(PodStateError::BadChecksum { expected, got });
         }

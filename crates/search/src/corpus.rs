@@ -39,9 +39,9 @@
 //! see [`crate::durable`]) replace the ingest-workload keys with a
 //! `campaign = durable` line followed by the [`DurableWorkload`]
 //! coordinates (`scenarios`, `shards`, `fleet_pods`, `rounds`, `execs`,
-//! `platform_seed`, `compact_ratio`, `min_compact_wal`,
-//! `durable_canary`, and the storage-mode flag `store_paging`, written
-//! only when on); the `campaign` line always precedes its keys. For those
+//! `platform_seed`, `compact_ratio`, `min_compact_wal`, and
+//! `durable_canary` when one is armed); the `campaign` line always
+//! precedes its keys. For those
 //! entries `trace_hash` pins the outcome digest and `virtual_end_us`
 //! pins the final committed round.
 
@@ -170,9 +170,6 @@ impl CorpusEntry {
             out.push_str(&format!("platform_seed = {}\n", d.seed));
             out.push_str(&format!("compact_ratio = {}\n", d.compact_ratio));
             out.push_str(&format!("min_compact_wal = {}\n", d.min_compact_wal_bytes));
-            if d.paging {
-                out.push_str("store_paging = 1\n");
-            }
             if let Some(canary) = d.canary {
                 out.push_str(&format!("durable_canary = {}\n", canary.name()));
             }
@@ -283,7 +280,6 @@ impl CorpusEntry {
                 "platform_seed" => dur!().seed = num(value)?,
                 "compact_ratio" => dur!().compact_ratio = num(value)?,
                 "min_compact_wal" => dur!().min_compact_wal_bytes = num(value)?,
-                "store_paging" => dur!().paging = num(value)? != 0,
                 "durable_canary" => {
                     dur!().canary = Some(
                         DurableCanary::parse(value)
@@ -555,19 +551,11 @@ mod tests {
         let mut e2 = e.clone();
         e2.campaign.as_mut().unwrap().canary = None;
         assert_eq!(CorpusEntry::from_text(&e2.to_text()).expect("parses"), e2);
-        // The paging flag rides along when set — and is absent from the
-        // text when off.
         let mut e3 = e.clone();
-        {
-            let c = e3.campaign.as_mut().unwrap();
-            c.paging = true;
-            c.canary = Some(DurableCanary::SkipDelta);
-        }
+        e3.campaign.as_mut().unwrap().canary = Some(DurableCanary::SkipDelta);
         let text = e3.to_text();
-        assert!(text.contains("store_paging = 1"));
         assert!(text.contains("durable_canary = skip_delta"));
         assert_eq!(CorpusEntry::from_text(&text).expect("parses"), e3);
-        assert!(!e.to_text().contains("store_paging"));
     }
 
     #[test]
@@ -586,6 +574,32 @@ mod tests {
         assert!(CorpusEntry::from_text(&missing_plan).is_err());
         let bad_canary = entry().to_text().replace("floor_off_by_one", "melt_cpu");
         assert!(CorpusEntry::from_text(&bad_canary).is_err());
+        // The words of the retired `page_lost` entry: the paged tree
+        // store's mode flag, canary and disk point are gone, and none of
+        // them may parse as anything else.
+        let durable = CorpusEntry {
+            campaign: Some(DurableWorkload::default()),
+            ..entry()
+        }
+        .to_text();
+        let keys = "min_compact_wal = 1024\n";
+        let plan = "plan:\nsoftborg-fault-plan v1\n";
+        for (at, line, word) in [
+            (keys, "store_paging = 1\n", "store_paging"),
+            (keys, "durable_canary = stale_page\n", "stale_page"),
+            (
+                plan,
+                "disk = corrupt_page 3 1 zero_range 2\n",
+                "disk crash point",
+            ),
+        ] {
+            let text = durable.replace(at, &format!("{at}{line}"));
+            assert_ne!(text, durable, "{word}");
+            match CorpusEntry::from_text(&text) {
+                Err(CorpusError::Parse(what)) => assert!(what.contains(word), "{what}"),
+                other => panic!("{word} was not refused: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,10 @@
 //!   one of its checkpoint records (bit flip, zeroed range, torn write).
 //!   Corruption points with no kill of their own attach to a synthetic
 //!   mid-campaign kill.
-//! * [`DiskCrashPoint::CorruptPage`] — the same, aimed at paged-tree
-//!   page files. A no-op unless the campaign runs with
-//!   [`DurableWorkload::paging`].
 //!
 //! The oracle ladder judging the outcome (see [`check_durable`]): every
 //! corruption that changed stored bytes must be flagged by the scrub
-//! pass ([`OracleFailure::ScrubSilent`] otherwise); a paged store that
-//! adopted page files instead of rebuilding them is a
-//! [`OracleFailure::PageLost`]; a rebuild whose shard state differs
+//! pass ([`OracleFailure::ScrubSilent`] otherwise); a rebuild whose shard state differs
 //! from the reference — the state came out of the delta chain — is a
 //! [`OracleFailure::DeltaChainDivergence`]; and every resumed fleet
 //! must otherwise be process-equivalent to an uninterrupted reference
@@ -34,20 +29,19 @@
 //! from any minimized plan.
 
 use crate::oracle::OracleFailure;
-use softborg::store::PagedConfig;
 use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
 use softborg_hive::journal::{self, REC_PODS};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption, SECTOR_BYTES};
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_pod::{PodConfig, PodState};
 use softborg_program::scenarios::{self, Scenario};
-use softborg_trace::wire::fnv1a;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An intentionally planted recovery bug, armed by tests and benches to
-/// prove the durable campaign's oracles can see. Both are injected by
-/// the harness at the storage boundary — the platform under test is
-/// unmodified.
+/// prove the durable campaign's oracles can see. Each fires only at a
+/// kill, a scrub or a resume, injected by the harness at the storage
+/// boundary or through a planted recovery seam.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurableCanary {
     /// Strip every `REC_PODS` record from each shard journal at every
@@ -66,20 +60,14 @@ pub enum DurableCanary {
     /// disk is pristine — nothing for a scrubber to flag — which is why
     /// [`OracleFailure::DeltaChainDivergence`] needs its own rung.
     SkipDelta,
-    /// Arm the paged store's `trust_cache` planted bug: page files left
-    /// by a previous process incarnation (or an earlier eviction) are
-    /// adopted instead of rebuilt, which [`OracleFailure::PageLost`]
-    /// must catch via the honest `pages_trusted` counter.
-    StalePage,
 }
 
 impl DurableCanary {
     /// Every canary, for sweep-all benches.
-    pub const ALL: [DurableCanary; 4] = [
+    pub const ALL: [DurableCanary; 3] = [
         DurableCanary::ForgetPodState,
         DurableCanary::BlindScrub,
         DurableCanary::SkipDelta,
-        DurableCanary::StalePage,
     ];
 
     /// Stable name (corpus entries, bench JSON).
@@ -88,7 +76,6 @@ impl DurableCanary {
             DurableCanary::ForgetPodState => "forget_pod_state",
             DurableCanary::BlindScrub => "blind_scrub",
             DurableCanary::SkipDelta => "skip_delta",
-            DurableCanary::StalePage => "stale_page",
         }
     }
 
@@ -120,11 +107,6 @@ pub struct DurableWorkload {
     pub compact_ratio: u64,
     /// Journal size below which compaction never triggers.
     pub min_compact_wal_bytes: u64,
-    /// Run the *campaign* (never the reference) with every execution
-    /// tree behind the paged store — the reference stays in memory, so
-    /// the equivalence oracle doubles as the paging-on/off byte-identity
-    /// proof.
-    pub paging: bool,
     /// Armed recovery canary, if any.
     pub canary: Option<DurableCanary>,
 }
@@ -140,7 +122,6 @@ impl Default for DurableWorkload {
             seed: 41,
             compact_ratio: 2,
             min_compact_wal_bytes: 1024,
-            paging: false,
             canary: None,
         }
     }
@@ -168,10 +149,6 @@ pub struct DurableOutcome {
     /// produced wrong shard state (set instead of `divergence` when the
     /// state half of a resume's equivalence check fails).
     pub chain_divergence: Option<u64>,
-    /// Page files the campaign's paged stores adopted instead of
-    /// rebuilding, summed over every fleet incarnation. Nonzero only
-    /// when the `trust_cache` planted bug is armed and firing.
-    pub pages_trusted: u64,
     /// A loud, typed refusal (scrub or resume error) that ended the
     /// campaign early. Loud failure is permitted behavior — it never
     /// trips an oracle by itself.
@@ -210,30 +187,22 @@ impl DurableWorkload {
             } else {
                 DurableWorkload::default().shards
             },
-            paging: canary == DurableCanary::StalePage,
             ..DurableWorkload::default()
         }
     }
 
-    fn config(&self, dir: &Path, paged: bool) -> MultiPlatformConfig {
+    fn config(&self, dir: &Path) -> MultiPlatformConfig {
         let durability = DurabilityConfig {
             compact_ratio: self.compact_ratio,
             min_compact_wal_bytes: self.min_compact_wal_bytes,
             skip_last_delta: self.canary == Some(DurableCanary::SkipDelta),
             ..DurabilityConfig::new(dir)
         };
-        // Tiny pages and a tight budget so eviction actually bites at
-        // this campaign's scale.
-        let tree_paging = paged.then(|| PagedConfig {
-            trust_cache: self.canary == Some(DurableCanary::StalePage),
-            ..PagedConfig::new(&dir.join("pages"), 8, 2)
-        });
         MultiPlatformConfig {
             n_pods: self.pods,
             n_shards: self.shards,
             seed: self.seed,
             durability: Some(durability),
-            tree_paging,
             ..MultiPlatformConfig::default()
         }
     }
@@ -269,7 +238,7 @@ impl DurableWorkload {
         let mut ref_states: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut ref_pods: Vec<Vec<Vec<PodState>>> = Vec::new();
         let ref_history = {
-            let mut p = MultiPlatform::new(&specs, self.config(&root.join("reference"), false));
+            let mut p = MultiPlatform::new(&specs, self.config(&root.join("reference")));
             ref_states.push(self.shard_states(&p));
             ref_pods.push(p.export_pod_states());
             for _ in 0..self.rounds {
@@ -301,9 +270,7 @@ impl DurableWorkload {
             .filter(|p| {
                 matches!(
                     p,
-                    DiskCrashPoint::CorruptWal { .. }
-                        | DiskCrashPoint::CorruptChainRecord { .. }
-                        | DiskCrashPoint::CorruptPage { .. }
+                    DiskCrashPoint::CorruptWal { .. } | DiskCrashPoint::CorruptChainRecord { .. }
                 )
             })
             .collect();
@@ -313,10 +280,7 @@ impl DurableWorkload {
 
         let run_dir = root.join("run");
         let mut out = DurableOutcome::default();
-        let mut platform = Some(MultiPlatform::new(
-            &specs,
-            self.config(&run_dir, self.paging),
-        ));
+        let mut platform = Some(MultiPlatform::new(&specs, self.config(&run_dir)));
         let mut current = 0u64;
         for (idx, &k) in kills.iter().enumerate() {
             if k > current {
@@ -325,11 +289,6 @@ impl DurableWorkload {
                     p.round(self.execs);
                 }
                 current = k;
-            }
-            // Per-incarnation paging counters are harvested at the kill;
-            // `pages_trusted` stays honest across every process life.
-            if let Some(p) = &platform {
-                out.pages_trusted += p.page_stats().pages_trusted;
             }
             platform = None; // the kill: every fleet process gone
             out.kills += 1;
@@ -349,7 +308,7 @@ impl DurableWorkload {
 
             let mut flagged = false;
             if self.canary != Some(DurableCanary::BlindScrub) {
-                match MultiPlatform::scrub(&self.config(&run_dir, self.paging)) {
+                match MultiPlatform::scrub(&self.config(&run_dir)) {
                     Ok(reports) => flagged = reports.iter().any(|r| !r.is_clean()),
                     Err(e) => {
                         flagged = true;
@@ -364,7 +323,7 @@ impl DurableWorkload {
                 break;
             }
 
-            match MultiPlatform::resume(&specs, self.config(&run_dir, self.paging)) {
+            match MultiPlatform::resume(&specs, self.config(&run_dir)) {
                 Ok((p, report)) => {
                     let r = report.target_round;
                     let state_ok =
@@ -409,7 +368,6 @@ impl DurableWorkload {
                 out.divergence = Some(self.rounds);
             }
             out.rounds = p.committed_rounds();
-            out.pages_trusted += p.page_stats().pages_trusted;
         }
 
         let mut buf = Vec::new();
@@ -433,10 +391,7 @@ impl DurableWorkload {
         if let Some(d) = out.chain_divergence {
             buf.extend_from_slice(&d.to_le_bytes());
         }
-        if out.pages_trusted > 0 {
-            buf.extend_from_slice(&out.pages_trusted.to_le_bytes());
-        }
-        out.digest = fnv1a(&buf);
+        out.digest = fnv1a_step(FNV_OFFSET, &buf);
 
         drop(platform);
         let _ = std::fs::remove_dir_all(&root);
@@ -446,20 +401,12 @@ impl DurableWorkload {
 
 /// The durable campaign's oracle ladder. Scrub soundness is judged
 /// first (accepting rotten bytes silently is worse than diverging
-/// loudly), then the storage-specific rungs — a paged store that
-/// trusted stale files (its honest counter is direct evidence, and
-/// stale pages also spoil the rebuilt state), a chain rebuild that got
-/// the state wrong — and last the catch-all process-equivalence of
-/// every resume.
+/// loudly), then a chain rebuild that got the state wrong, and last the
+/// catch-all process-equivalence of every resume.
 pub fn check_durable(out: &DurableOutcome) -> Option<OracleFailure> {
     if let Some(point) = &out.undetected {
         return Some(OracleFailure::ScrubSilent {
             point: point.clone(),
-        });
-    }
-    if out.pages_trusted > 0 {
-        return Some(OracleFailure::PageLost {
-            pages_trusted: out.pages_trusted,
         });
     }
     if let Some(round) = out.chain_divergence {
@@ -506,10 +453,8 @@ fn strip_pod_records(dir: &Path, shards: usize) {
 /// Applies one corruption point to shard `shard`'s on-disk file.
 /// Returns a stable description when the file's bytes actually changed,
 /// `None` when the point was a no-op (absent file, empty journal, no
-/// checkpoint yet, no page files because paging is off). The requested
-/// sector is
-/// folded into the file's real extent so small campaigns still see
-/// mid-file rot.
+/// checkpoint yet). The requested sector is folded into the file's real
+/// extent so small campaigns still see mid-file rot.
 fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<String> {
     let (path, label, sector, kind): (std::path::PathBuf, String, u64, SectorCorruption) =
         match point {
@@ -528,20 +473,6 @@ fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<
                 let label = format!(
                     "shard-{shard}/chain/{}",
                     path.file_name().unwrap_or_default().to_string_lossy()
-                );
-                (path, label, *sector, *kind)
-            }
-            DiskCrashPoint::CorruptPage { page, sector, kind } => {
-                let files = page_files(&dir.join("pages"));
-                if files.is_empty() {
-                    return None;
-                }
-                let path = files[*page as usize % files.len()].clone();
-                let label = format!(
-                    "pages/{}",
-                    path.strip_prefix(dir.join("pages"))
-                        .unwrap_or(&path)
-                        .display()
                 );
                 (path, label, *sector, *kind)
             }
@@ -574,28 +505,6 @@ fn chain_record_files(chain_dir: &Path) -> Vec<std::path::PathBuf> {
             name.starts_with("chain-") && (name.ends_with(".full") || name.ends_with(".delta"))
         })
         .collect();
-    files.sort();
-    files
-}
-
-/// Sorted `page-*.pg` files across every `prog-*` subdirectory.
-fn page_files(pages_dir: &Path) -> Vec<std::path::PathBuf> {
-    let Ok(progs) = std::fs::read_dir(pages_dir) else {
-        return Vec::new();
-    };
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    for prog in progs.filter_map(|e| e.ok()) {
-        let Ok(entries) = std::fs::read_dir(prog.path()) else {
-            continue;
-        };
-        for e in entries.filter_map(|e| e.ok()) {
-            let p = e.path();
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("page-") && name.ends_with(".pg") {
-                files.push(p);
-            }
-        }
-    }
     files.sort();
     files
 }
@@ -715,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn chain_and_paging_resume_process_equivalent() {
+    fn compacting_chain_resumes_process_equivalent() {
         let plan = FaultPlan {
             disk: vec![
                 DiskCrashPoint::AtRoundBoundary { round: 1 },
@@ -723,11 +632,10 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        // A paged campaign against an in-memory reference, both
-        // compacting aggressively: equivalence here is the byte-identity
-        // proof for chains and paging together.
+        // A campaign compacting aggressively against an in-memory
+        // reference: equivalence here is the byte-identity proof for
+        // resumes rebuilt from the delta chain.
         let w = DurableWorkload {
-            paging: true,
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
             ..small()
@@ -736,7 +644,6 @@ mod tests {
         assert_eq!(check_durable(&out), None, "{out:?}");
         assert_eq!(out.kills, 2);
         assert_eq!(out.rounds, 3);
-        assert_eq!(out.pages_trusted, 0, "{out:?}");
     }
 
     #[test]
@@ -759,27 +666,6 @@ mod tests {
                 check_durable(&out),
                 Some(OracleFailure::DeltaChainDivergence { .. })
             ),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn stale_page_canary_trips_page_lost() {
-        let plan = FaultPlan {
-            disk: vec![DiskCrashPoint::AtRoundBoundary { round: 2 }],
-            ..FaultPlan::default()
-        };
-        let w = DurableWorkload {
-            scenarios: vec![0, 1],
-            shards: 2,
-            pods: 2,
-            rounds: 3,
-            execs: 5,
-            ..DurableWorkload::with_canary(DurableCanary::StalePage)
-        };
-        let out = w.run(&plan);
-        assert!(
-            matches!(check_durable(&out), Some(OracleFailure::PageLost { .. })),
             "{out:?}"
         );
     }

@@ -47,11 +47,6 @@ pub struct GenConfig {
     /// Generated [`DiskCrashPoint::AtRoundBoundary`] kills land in
     /// rounds `1..=disk_round_horizon` of the durable campaign.
     pub disk_round_horizon: u64,
-    /// Also target the paged-tree store ([`DiskCrashPoint::CorruptPage`]).
-    /// Off by default: the wider variant draw would reshuffle every plan
-    /// of an existing sweep, and the point is a no-op on campaigns
-    /// without paging.
-    pub page_targets: bool,
 }
 
 impl Default for GenConfig {
@@ -67,7 +62,6 @@ impl Default for GenConfig {
             max_partition_len_us: 20_000,
             max_disk_points: 0,
             disk_round_horizon: 8,
-            page_targets: false,
         }
     }
 }
@@ -175,9 +169,8 @@ pub fn generate_plan(seed: u64, case: u64, cfg: &GenConfig, workload: &Workload)
     if cfg.max_disk_points > 0 {
         let rounds = cfg.disk_round_horizon.max(1);
         let n_disk = rng.up_to(cfg.max_disk_points as u64) as usize;
-        let variants = if cfg.page_targets { 3 } else { 2 };
         for _ in 0..n_disk {
-            disk.push(match rng.up_to(variants) {
+            disk.push(match rng.up_to(2) {
                 0 => DiskCrashPoint::AtRoundBoundary {
                     round: 1 + rng.up_to(rounds - 1),
                 },
@@ -185,14 +178,9 @@ pub fn generate_plan(seed: u64, case: u64, cfg: &GenConfig, workload: &Workload)
                     sector: rng.up_to(63),
                     kind: corruption(&mut rng),
                 },
-                2 => DiskCrashPoint::CorruptChainRecord {
+                _ => DiskCrashPoint::CorruptChainRecord {
                     back: rng.up_to(3),
                     sector: rng.up_to(7),
-                    kind: corruption(&mut rng),
-                },
-                _ => DiskCrashPoint::CorruptPage {
-                    page: rng.up_to(15),
-                    sector: rng.up_to(3),
                     kind: corruption(&mut rng),
                 },
             });
@@ -327,36 +315,6 @@ mod tests {
             kills > 10 && wal > 10 && chain > 10,
             "{kills}/{wal}/{chain}"
         );
-    }
-
-    #[test]
-    fn page_targets_widen_the_draw_without_touching_the_kill_rounds() {
-        let w = Workload::default();
-        let base = GenConfig::disk_only(5);
-        let paged = GenConfig {
-            page_targets: true,
-            ..base.clone()
-        };
-        let mut page = 0;
-        for case in 0..512 {
-            let p = generate_plan(13, case, &base, &w);
-            assert!(
-                !p.disk
-                    .iter()
-                    .any(|d| matches!(d, DiskCrashPoint::CorruptPage { .. })),
-                "page target generated while disabled"
-            );
-            let q = generate_plan(13, case, &paged, &w);
-            assert_eq!(q.validate(w.node_count()), Ok(()), "case {case}");
-            for d in &q.disk {
-                match d {
-                    DiskCrashPoint::AtRoundBoundary { round } => assert!((1..=5).contains(round)),
-                    DiskCrashPoint::CorruptPage { .. } => page += 1,
-                    _ => {}
-                }
-            }
-        }
-        assert!(page > 10, "{page}");
     }
 
     #[test]

@@ -381,11 +381,8 @@ pub fn run_durable_search(cfg: &DurableSearchConfig) -> Result<SearchReport, Sea
 
     let baseline = w.run(&FaultPlan::default());
     report.runs_executed += 1;
-    // An armed canary may fire without any plan at all (the paged
-    // store's trust_cache bug bites on plain eviction churn), so only
-    // unarmed campaigns owe a clean fault-free baseline.
     debug_assert!(
-        w.canary.is_some() || durable::check_durable(&baseline).is_none(),
+        durable::check_durable(&baseline).is_none(),
         "fault-free fleet campaign must be clean: {baseline:?}"
     );
 

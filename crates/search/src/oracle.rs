@@ -87,14 +87,6 @@ pub enum OracleFailure {
         /// First committed round at which the rebuilt state differed.
         round: u64,
     },
-    /// The paged tree store treated its page-file cache as a source of
-    /// truth: it adopted page files left by a previous process
-    /// incarnation instead of rebuilding them, so evicted subtrees can
-    /// resurrect stale bytes (durable campaign, paging only).
-    PageLost {
-        /// Page files adopted instead of rebuilt.
-        pages_trusted: u64,
-    },
     /// A resumed fleet's shard state, pod population (RNG streams,
     /// repair-lab corpora), or round history diverged from the
     /// uninterrupted reference run at committed round `round` — resume
@@ -119,7 +111,6 @@ impl OracleFailure {
             OracleFailure::StateDivergence => "state_divergence",
             OracleFailure::ScrubSilent { .. } => "scrub_silent",
             OracleFailure::DeltaChainDivergence { .. } => "delta_chain_divergence",
-            OracleFailure::PageLost { .. } => "page_lost",
             OracleFailure::ResumeDivergence { .. } => "resume_divergence",
         }
     }
@@ -174,13 +165,6 @@ impl fmt::Display for OracleFailure {
                     f,
                     "chain-rebuilt shard state diverged from the uninterrupted run at committed \
                      round {round}"
-                )
-            }
-            OracleFailure::PageLost { pages_trusted } => {
-                write!(
-                    f,
-                    "paged store adopted {pages_trusted} cached page file(s) instead of \
-                     rebuilding them"
                 )
             }
             OracleFailure::ResumeDivergence { round } => {

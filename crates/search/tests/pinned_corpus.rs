@@ -18,7 +18,7 @@ fn pinned_divergence_corpus_replays_exactly() {
         rep.failures
     );
     assert!(
-        rep.replayed >= 4,
+        rep.replayed >= 3,
         "expected the pinned durable entries, replayed {}",
         rep.replayed
     );

@@ -8,8 +8,8 @@
 //! testable, and a future rebalancer can swap in any explicit table
 //! without touching the router.
 
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::ProgramId;
-use softborg_trace::wire;
 use std::collections::BTreeMap;
 
 /// Typed routing/sharding failures. Every variant is a condition the
@@ -67,7 +67,7 @@ pub struct ShardMap {
 /// same hash the wire format uses for checksums, so placement is stable
 /// across hosts and builds (no `DefaultHasher` seed dependence).
 fn placement(id: ProgramId, n_shards: usize) -> usize {
-    (wire::fnv1a(&id.0.to_le_bytes()) % n_shards as u64) as usize
+    (fnv1a_step(FNV_OFFSET, &id.0.to_le_bytes()) % n_shards as u64) as usize
 }
 
 impl ShardMap {

@@ -202,13 +202,6 @@ impl<'p> ShardedHive<'p> {
             .flat_map(|m| m.iter().map(|(&id, h)| (id, h)))
     }
 
-    /// Mutable [`hives`](Self::hives).
-    pub fn hives_mut(&mut self) -> impl Iterator<Item = (ProgramId, &mut Hive<'p>)> {
-        self.shards
-            .iter_mut()
-            .flat_map(|m| m.iter_mut().map(|(&id, h)| (id, h)))
-    }
-
     /// Runs the sharded pipeline: `producer` claims (program, seq)
     /// slots through its [`ShardFrameSender`]; the shared worker pool
     /// classifies frames by content, decodes and reconstructs them

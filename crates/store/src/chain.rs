@@ -41,7 +41,7 @@
 //! Decoding is total: any byte-level damage produces a typed
 //! [`RecordError`], never a panic.
 
-use crate::checksum;
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -232,7 +232,7 @@ pub fn encode_record(kind: RecordKind, generation: u64, parent: u64, payload: &[
     let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
     out.extend_from_slice(CHAIN_MAGIC);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(&body).to_le_bytes());
+    out.extend_from_slice(&fnv1a_step(FNV_OFFSET, &body).to_le_bytes());
     out.extend_from_slice(&body);
     out
 }
@@ -273,7 +273,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
         return Err(RecordError::Truncated);
     }
     let body = &rest[..body_len];
-    let actual = checksum(body);
+    let actual = fnv1a_step(FNV_OFFSET, body);
     if actual != stored {
         return Err(RecordError::ChecksumMismatch { stored, actual });
     }
@@ -405,7 +405,7 @@ impl ChainStore {
             }
         };
         let bytes = encode_record(kind, generation, parent, payload);
-        let body_checksum = checksum(&bytes[HEADER_BYTES..]);
+        let body_checksum = fnv1a_step(FNV_OFFSET, &bytes[HEADER_BYTES..]);
         let tmp = self.dir.join("chain.tmp");
         {
             let mut f = OpenOptions::new()

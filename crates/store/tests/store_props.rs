@@ -1,55 +1,11 @@
-//! Property suites for the storage formats: delta-chain records and
-//! page files round-trip exactly, and every byte-level damage mode —
-//! torn tails, flipped bits, truncated chains — produces a typed error,
-//! never a panic. Runs at `PROPTEST_CASES` like the snapshot suites.
+//! Property suites for the delta-chain format: records round-trip
+//! exactly, and every byte-level damage mode — torn tails, flipped
+//! bits, truncated chains — produces a typed error, never a panic. Runs at `PROPTEST_CASES` like the snapshot suites.
 
 use proptest::prelude::*;
-use softborg_program::codec::{self, CodecError, Reader};
 use softborg_store::chain::{decode_record, encode_record, ChainSource, ChainStore, RecordKind};
-use softborg_store::page::{decode_page, encode_page, validate_page_bytes, PageItem};
-use softborg_store::{ItemStore, PagedConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A representative variable-length page item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Rec {
-    a: u64,
-    b: u32,
-    blob: Vec<u8>,
-}
-
-impl PageItem for Rec {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        codec::put_u64(buf, self.a);
-        codec::put_u32(buf, self.b);
-        codec::put_bytes(buf, &self.blob);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Rec {
-            a: r.u64("Rec.a")?,
-            b: r.u32("Rec.b")?,
-            blob: r.bytes("Rec.blob")?.to_vec(),
-        })
-    }
-}
-
-/// The raw tuple the vendored proptest can generate, lifted into [`Rec`].
-type RawRec = (u64, u32, Vec<u8>);
-
-fn recs(raw: Vec<RawRec>) -> Vec<Rec> {
-    raw.into_iter()
-        .map(|(a, b, blob)| Rec { a, b, blob })
-        .collect()
-}
-
-fn raw_rec() -> (Any<u64>, Any<u32>, collection::VecStrategy<Any<u8>>) {
-    (
-        any::<u64>(),
-        any::<u32>(),
-        collection::vec(any::<u8>(), 0..24),
-    )
-}
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -100,43 +56,6 @@ proptest! {
         let pos = pos_seed as usize % bytes.len();
         bytes[pos] ^= mask;
         prop_assert!(decode_record(&bytes).is_err());
-    }
-
-    #[test]
-    fn page_roundtrips(
-        page_index in any::<u64>(),
-        raw in collection::vec(raw_rec(), 0..32),
-    ) {
-        let items = recs(raw);
-        let bytes = encode_page(page_index, &items);
-        let (idx, n) = validate_page_bytes(&bytes).expect("clean page validates");
-        prop_assert_eq!(idx, page_index);
-        prop_assert_eq!(n as usize, items.len());
-        let back: Vec<Rec> = decode_page(&bytes, page_index).expect("clean page decodes");
-        prop_assert_eq!(back, items);
-    }
-
-    #[test]
-    fn torn_page_is_a_typed_error(
-        raw in collection::vec(raw_rec(), 0..16),
-        cut_seed in any::<u32>(),
-    ) {
-        let bytes = encode_page(5, &recs(raw));
-        let cut = cut_seed as usize % bytes.len();
-        prop_assert!(validate_page_bytes(&bytes[..cut]).is_err());
-        prop_assert!(decode_page::<Rec>(&bytes[..cut], 5).is_err());
-    }
-
-    #[test]
-    fn flipped_page_is_rejected(
-        raw in collection::vec(raw_rec(), 1..16),
-        pos_seed in any::<u32>(),
-        mask in 1u8..=255,
-    ) {
-        let mut bytes = encode_page(2, &recs(raw));
-        let pos = pos_seed as usize % bytes.len();
-        bytes[pos] ^= mask;
-        prop_assert!(decode_page::<Rec>(&bytes, 2).is_err());
     }
 
     /// A chain with one record file damaged at an arbitrary byte never
@@ -212,44 +131,6 @@ proptest! {
         let loaded: Vec<&Vec<u8>> = load.records.iter().map(|r| &r.payload).collect();
         prop_assert_eq!(loaded, older.iter().collect::<Vec<_>>());
         prop_assert!(load.report.defects.iter().any(|d| d.generation == g));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Paged and in-memory stores agree under a random push/read/write
-    /// interleaving, and the resident-page budget holds.
-    #[test]
-    fn paged_store_matches_memory(
-        raw in collection::vec(raw_rec(), 1..64),
-        ops in collection::vec((any::<u16>(), any::<bool>()), 0..64),
-        page_len in 1usize..8,
-        budget in 1usize..4,
-    ) {
-        let items = recs(raw);
-        let dir = scratch("equiv");
-        let mut mem: ItemStore<Rec> = ItemStore::new_mem();
-        let mut pg: ItemStore<Rec> =
-            ItemStore::new_paged(PagedConfig::new(&dir, page_len, budget)).unwrap();
-        for it in &items {
-            mem.push(it.clone());
-            pg.push(it.clone());
-        }
-        for (raw_idx, write) in ops {
-            let idx = raw_idx as usize % items.len();
-            if write {
-                mem.with_mut(idx, |r| r.a = r.a.wrapping_add(1));
-                pg.with_mut(idx, |r| r.a = r.a.wrapping_add(1));
-            } else {
-                let a = mem.with(idx, |r| r.clone());
-                let b = pg.with(idx, |r| r.clone());
-                prop_assert_eq!(a, b);
-            }
-            prop_assert!(pg.stats().resident_pages <= budget as u64 + 1);
-        }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        mem.for_each(|_, r| a.push(r.clone()));
-        pg.for_each(|_, r| b.push(r.clone()));
-        prop_assert_eq!(a, b);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

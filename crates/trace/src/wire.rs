@@ -19,6 +19,7 @@
 
 use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, RecordingPolicy};
+use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::cfg::Loc;
 use softborg_program::interp::{CrashKind, Outcome};
 use softborg_program::{BlockId, LockId, ProgramId, ThreadId};
@@ -345,7 +346,7 @@ where
     put_u32(&mut frame, count);
     put_u64(&mut frame, payload.len() as u64);
     frame.extend_from_slice(&payload);
-    let checksum = fnv1a(&frame[4..]);
+    let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
     put_u64(&mut frame, checksum);
     frame
 }
@@ -407,7 +408,7 @@ pub fn batch_payloads(data: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     }
     let payload = r.take(payload_len as usize, "batch payload")?;
     let expected = r.u64("batch checksum")?;
-    let got = fnv1a(&data[4..data.len() - 8]);
+    let got = fnv1a_step(FNV_OFFSET, &data[4..data.len() - 8]);
     if got != expected {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
@@ -467,18 +468,6 @@ pub fn frame_program_id(data: &[u8]) -> Result<Option<ProgramId>, WireError> {
         }
     }
     Ok(id)
-}
-
-/// FNV-1a 64-bit hash — the checksum used by batch frames and by the
-/// hive's write-ahead journal records (exposed so the journal layer
-/// shares one checksum definition with the wire format).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Run-length encodes a pick sequence.
@@ -833,7 +822,7 @@ mod tests {
         put_u32(&mut frame, u32::MAX); // count
         put_u64(&mut frame, 4); // payload length
         put_u32(&mut frame, 0); // payload
-        let checksum = fnv1a(&frame[4..]);
+        let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
         put_u64(&mut frame, checksum);
         assert_eq!(
             decode_batch(&frame),

@@ -12,20 +12,19 @@
 //! by symbolic analysis, which is what lets finite exploration close a
 //! subtree (and ultimately yield a proof, §3.3).
 //!
-//! Storage-wise the arena lives behind [`softborg_store::ItemStore`]:
-//! in-memory by default, or paged to checksummed page files under a
-//! resident budget ([`ExecutionTree::enable_paging`]) so the tree can
-//! outgrow RAM. The tree also tracks which nodes changed since the last
+//! The arena is a plain in-memory `Vec` of nodes, kept small by proving
+//! subtrees complete rather than by spilling it to disk. The tree also
+//! tracks which nodes changed since the last
 //! [`mark_clean`](ExecutionTree::mark_clean), which is what lets the
-//! durability layer snapshot a *delta* ([`encode_delta_into`]
-//! (ExecutionTree::encode_delta_into)) instead of the whole arena.
+//! durability layer snapshot a *delta*
+//! ([`encode_delta_into`](ExecutionTree::encode_delta_into)) instead of
+//! the whole arena.
 
 use serde::{Deserialize, Serialize};
 use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::Outcome;
 use softborg_program::{BranchSiteId, ProgramId};
-use softborg_store::{ItemStore, PageItem, PageStats, PagedConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -190,8 +189,8 @@ impl Node {
     }
 }
 
-/// Writes one node in the durable byte format (shared by full snapshots,
-/// delta records, and page files — one codec, three containers).
+/// Writes one node in the durable byte format (shared by full snapshots
+/// and delta records — one codec, two containers).
 fn encode_node_into(n: &Node, buf: &mut Vec<u8>) {
     match n.parent {
         None => codec::put_u8(buf, 0),
@@ -265,15 +264,6 @@ fn decode_node(r: &mut codec::Reader<'_>) -> Result<Node, CodecError> {
             hang: r.u64("Tally.hang")?,
         },
     })
-}
-
-impl PageItem for Node {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        encode_node_into(self, buf);
-    }
-    fn decode(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
-        decode_node(r)
-    }
 }
 
 /// Statistics from one path merge.
@@ -372,21 +362,6 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Per-node closure info extracted under a single store borrow (the
-/// paged arena hands out access through closures, so the traversals
-/// below pull what they need out of each node and recurse outside).
-enum NodeClosure {
-    Leaf { terminal: bool },
-    Multi,
-    Single { arms: [ArmInfo; 2] },
-}
-
-enum ArmInfo {
-    Infeasible,
-    Missing,
-    Child(NodeId),
-}
-
 /// Per-node facts about a tree, derived from the whole arena in two
 /// linear sweeps ([`ExecutionTree::summary`]) instead of one walk per
 /// node. A summary describes the tree at the moment it was computed: it
@@ -433,7 +408,7 @@ impl TreeSummary {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionTree {
     program: ProgramId,
-    nodes: ItemStore<Node>,
+    nodes: Vec<Node>,
     paths_merged: u64,
     distinct_paths: u64,
     path_hashes: HashSet<u64>,
@@ -449,11 +424,9 @@ pub struct ExecutionTree {
 impl ExecutionTree {
     /// An empty tree for `program`.
     pub fn new(program: ProgramId) -> Self {
-        let mut nodes = ItemStore::new_mem();
-        nodes.push(Node::new(None));
         ExecutionTree {
             program,
-            nodes,
+            nodes: vec![Node::new(None)],
             paths_merged: 0,
             distinct_paths: 0,
             path_hashes: HashSet::new(),
@@ -461,60 +434,6 @@ impl ExecutionTree {
             dirty: BTreeSet::new(),
             fresh_hashes: Vec::new(),
         }
-    }
-
-    /// An empty tree whose arena pages cold nodes out to `cfg.dir` under
-    /// the configured resident budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors creating the page directory.
-    pub fn new_paged(program: ProgramId, cfg: PagedConfig) -> std::io::Result<Self> {
-        let mut t = ExecutionTree::new(program);
-        t.enable_paging(cfg)?;
-        Ok(t)
-    }
-
-    /// Moves the arena behind the paged store: existing nodes are pushed
-    /// in index order (so page assignment is a pure function of the
-    /// arena, not of history) and cold pages spill to `cfg.dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors creating the page directory.
-    pub fn enable_paging(&mut self, cfg: PagedConfig) -> std::io::Result<()> {
-        let mut paged = ItemStore::new_paged(cfg)?;
-        self.nodes.for_each(|_, n| paged.push(n.clone()));
-        self.nodes = paged;
-        Ok(())
-    }
-
-    /// Whether the arena is paged.
-    pub fn is_paged(&self) -> bool {
-        self.nodes.is_paged()
-    }
-
-    /// Paging counters (faults, evictions, residency); mostly zeros in
-    /// memory mode.
-    pub fn page_stats(&self) -> PageStats {
-        self.nodes.stats()
-    }
-
-    /// Writes dirty resident pages to disk (no-op in memory mode).
-    pub fn flush_pages(&self) {
-        self.nodes.flush();
-    }
-
-    /// Pins the page holding `node` into memory so guidance can hold the
-    /// active frontier resident (no-op in memory mode). Pins nest;
-    /// callers unpin symmetrically with [`unpin_node`](Self::unpin_node).
-    pub fn pin_node(&self, node: NodeId) {
-        self.nodes.pin(node.index());
-    }
-
-    /// Releases one pin taken by [`pin_node`](Self::pin_node).
-    pub fn unpin_node(&self, node: NodeId) {
-        self.nodes.unpin(node.index());
     }
 
     /// The program this tree describes.
@@ -537,17 +456,13 @@ impl ExecutionTree {
         self.distinct_paths
     }
 
-    /// Runs `f` against a node. The node may live on an evicted page, so
-    /// access is scoped to the closure; `f` must not touch the tree's
-    /// arena again (clone what you need out instead).
-    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&Node) -> R) -> R {
-        self.nodes.with(id.index(), f)
-    }
-
-    /// An owned copy of a node (convenience over
-    /// [`with_node`](Self::with_node)).
-    pub fn node_cloned(&self, id: NodeId) -> Node {
-        self.nodes.get_cloned(id.index())
+    /// The node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of this tree.
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id.index()]
     }
 
     /// Records that a pre-snapshot node is about to change.
@@ -572,10 +487,9 @@ impl ExecutionTree {
         let mut new_nodes = 0u64;
         let mut lca_depth = 0u64;
         self.touch(cur);
-        self.nodes.with_mut(cur.index(), |n| n.visits += 1);
+        self.nodes[cur.index()].visits += 1;
         for (depth, (site, taken)) in decisions.iter().enumerate() {
-            let known = self.nodes.with(cur.index(), |n| n.child(*site, *taken));
-            match known {
+            match self.nodes[cur.index()].child(*site, *taken) {
                 Some(child) => {
                     cur = child;
                     lca_depth = depth as u64 + 1;
@@ -584,23 +498,20 @@ impl ExecutionTree {
                     let child = NodeId(self.nodes.len() as u32);
                     self.nodes.push(Node::new(Some((cur, *site, *taken))));
                     self.touch(cur);
-                    self.nodes.with_mut(cur.index(), |n| {
-                        n.edges.push(EdgeRec {
-                            site: *site,
-                            taken: *taken,
-                            child,
-                        })
+                    self.nodes[cur.index()].edges.push(EdgeRec {
+                        site: *site,
+                        taken: *taken,
+                        child,
                     });
                     new_nodes += 1;
                     cur = child;
                 }
             }
             self.touch(cur);
-            self.nodes.with_mut(cur.index(), |n| n.visits += 1);
+            self.nodes[cur.index()].visits += 1;
         }
         self.touch(cur);
-        self.nodes
-            .with_mut(cur.index(), |n| n.terminal.add(outcome));
+        self.nodes[cur.index()].terminal.add(outcome);
 
         let mut h = DefaultHasher::new();
         decisions.hash(&mut h);
@@ -622,18 +533,17 @@ impl ExecutionTree {
     /// Marks an arm as proven infeasible (from symbolic analysis).
     pub fn mark_infeasible(&mut self, node: NodeId, site: BranchSiteId, taken: bool) {
         self.touch(node);
-        self.nodes.with_mut(node.index(), |n| {
-            if !n.infeasible.contains(&(site, taken)) {
-                n.infeasible.push((site, taken));
-            }
-        });
+        let n = &mut self.nodes[node.index()];
+        if !n.infeasible.contains(&(site, taken)) {
+            n.infeasible.push((site, taken));
+        }
     }
 
     /// The decision prefix leading to `node` (root-first).
     pub fn prefix(&self, node: NodeId) -> Vec<(BranchSiteId, bool)> {
         let mut out = Vec::new();
         let mut cur = node;
-        while let Some((parent, site, taken)) = self.nodes.with(cur.index(), |n| n.parent) {
+        while let Some((parent, site, taken)) = self.nodes[cur.index()].parent {
             out.push((site, taken));
             cur = parent;
         }
@@ -645,7 +555,7 @@ impl ExecutionTree {
     pub fn depth(&self, node: NodeId) -> u64 {
         let mut d = 0;
         let mut cur = node;
-        while let Some((parent, ..)) = self.nodes.with(cur.index(), |n| n.parent) {
+        while let Some((parent, ..)) = self.nodes[cur.index()].parent {
             d += 1;
             cur = parent;
         }
@@ -658,8 +568,7 @@ impl ExecutionTree {
     /// [`apply_delta`](Self::apply_delta) enforce on outside bytes), so
     /// one sweep from the last node to the root sees every child before
     /// its parent, and one sweep from the root down sees every parent
-    /// before its child: O(nodes), each arena page touched once per
-    /// sweep.
+    /// before its child: O(nodes).
     pub fn summary(&self) -> TreeSummary {
         let len = self.nodes.len();
         let mut s = TreeSummary {
@@ -668,23 +577,21 @@ impl ExecutionTree {
             subtree_failures: vec![0; len],
             closed: vec![false; len],
         };
-        for i in (0..len).rev() {
-            self.nodes.with(i, |n| {
-                let mut failures = n.terminal.failures();
-                for e in &n.edges {
-                    let c = e.child.index();
-                    s.subtree_nodes[i] += s.subtree_nodes[c];
-                    failures = failures.saturating_add(s.subtree_failures[c]);
-                }
-                s.subtree_failures[i] = failures;
-                s.closed[i] = n.closed_given(&s.closed);
-            });
+        for (i, n) in self.nodes.iter().enumerate().rev() {
+            let mut failures = n.terminal.failures();
+            for e in &n.edges {
+                let c = e.child.index();
+                s.subtree_nodes[i] += s.subtree_nodes[c];
+                failures = failures.saturating_add(s.subtree_failures[c]);
+            }
+            s.subtree_failures[i] = failures;
+            s.closed[i] = n.closed_given(&s.closed);
         }
-        self.nodes.for_each(|i, n| {
+        for (i, n) in self.nodes.iter().enumerate() {
             if let Some((parent, ..)) = n.parent {
                 s.depth[i] = s.depth[parent.index()] + 1;
             }
-        });
+        }
         s
     }
 
@@ -694,7 +601,7 @@ impl ExecutionTree {
     pub fn frontier(&self) -> Vec<FrontierArm> {
         let summary = self.summary();
         let mut out = Vec::new();
-        self.nodes.for_each(|i, n| {
+        for (i, n) in self.nodes.iter().enumerate() {
             let node = NodeId(i as u32);
             n.for_each_open_arm(|site, missing_taken| {
                 out.push(FrontierArm {
@@ -705,40 +612,8 @@ impl ExecutionTree {
                     visits: n.visits,
                 });
             });
-        });
+        }
         out
-    }
-
-    /// What closure needs to know about one node, extracted under a
-    /// single arena borrow.
-    fn closure_info(&self, id: NodeId) -> NodeClosure {
-        self.nodes.with(id.index(), |n| {
-            if n.edges.is_empty() {
-                return NodeClosure::Leaf {
-                    terminal: n.is_terminal(),
-                };
-            }
-            let sites = n.sites();
-            // Interleaving-divergent nodes (multiple sites) cannot be
-            // declared closed: unseen schedules may surface yet more arms.
-            if sites.len() != 1 {
-                return NodeClosure::Multi;
-            }
-            let site = sites[0];
-            let arm = |taken: bool| {
-                if n.is_infeasible(site, taken) {
-                    ArmInfo::Infeasible
-                } else {
-                    match n.child(site, taken) {
-                        Some(c) => ArmInfo::Child(c),
-                        None => ArmInfo::Missing,
-                    }
-                }
-            };
-            NodeClosure::Single {
-                arms: [arm(false), arm(true)],
-            }
-        })
     }
 
     /// Whether the subtree rooted at `node` is *closed*: every observed
@@ -759,27 +634,30 @@ impl ExecutionTree {
             if memo[node.index()].is_some() {
                 continue;
             }
-            match self.closure_info(node) {
-                NodeClosure::Leaf { terminal } => memo[node.index()] = Some(terminal),
-                NodeClosure::Multi => memo[node.index()] = Some(false),
-                NodeClosure::Single { arms } => {
-                    if !expanded {
-                        stack.push((node, true));
-                        for arm in &arms {
-                            if let ArmInfo::Child(c) = arm {
-                                stack.push((*c, false));
-                            }
-                        }
-                        continue;
+            let n = &self.nodes[node.index()];
+            // A leaf closes iff it is a genuine terminal; an
+            // interleaving-divergent node (multiple sites) never closes:
+            // unseen schedules may surface yet more arms.
+            let Some(site) = n.single_site() else {
+                memo[node.index()] = Some(n.edges.is_empty() && n.is_terminal());
+                continue;
+            };
+            if !expanded {
+                stack.push((node, true));
+                for taken in [false, true] {
+                    match n.child(site, taken) {
+                        Some(c) if !n.is_infeasible(site, taken) => stack.push((c, false)),
+                        _ => {}
                     }
-                    let closed = arms.iter().all(|arm| match arm {
-                        ArmInfo::Infeasible => true,
-                        ArmInfo::Missing => false,
-                        ArmInfo::Child(c) => memo[c.index()].unwrap_or(false),
-                    });
-                    memo[node.index()] = Some(closed);
                 }
+                continue;
             }
+            let closed = [false, true].into_iter().all(|taken| {
+                n.is_infeasible(site, taken)
+                    || n.child(site, taken)
+                        .is_some_and(|c| memo[c.index()] == Some(true))
+            });
+            memo[node.index()] = Some(closed);
         }
         memo[root.index()].unwrap_or(false)
     }
@@ -794,14 +672,9 @@ impl ExecutionTree {
         let mut sum = 0;
         let mut stack = vec![node];
         while let Some(id) = stack.pop() {
-            let (failures, children) = self.nodes.with(id.index(), |n| {
-                (
-                    n.terminal.failures(),
-                    n.edges.iter().map(|e| e.child).collect::<Vec<_>>(),
-                )
-            });
-            sum += failures;
-            stack.extend(children);
+            let n = &self.nodes[id.index()];
+            sum += n.terminal.failures();
+            stack.extend(n.edges.iter().map(|e| e.child));
         }
         sum
     }
@@ -810,12 +683,12 @@ impl ExecutionTree {
     pub fn coverage(&self) -> CoverageStats {
         let mut sites: HashSet<BranchSiteId> = HashSet::new();
         let mut frontier_arms = 0u64;
-        self.nodes.for_each(|_, n| {
+        for n in &self.nodes {
             for e in &n.edges {
                 sites.insert(e.site);
             }
             n.for_each_open_arm(|_, _| frontier_arms += 1);
-        });
+        }
         CoverageStats {
             nodes: self.node_count(),
             distinct_paths: self.distinct_paths,
@@ -843,27 +716,19 @@ impl ExecutionTree {
             match item {
                 Item::Exit => h = fnv1a_step(h, &0xE21Du16.to_le_bytes()),
                 Item::Enter(node) => {
-                    let (terminal, labels, children) = self.nodes.with(node.index(), |n| {
-                        let mut edges: Vec<&EdgeRec> = n.edges.iter().collect();
-                        edges.sort_by_key(|e| (e.site, e.taken));
-                        (
-                            n.is_terminal(),
-                            edges.iter().map(|e| (e.site, e.taken)).collect::<Vec<_>>(),
-                            edges.iter().map(|e| e.child).collect::<Vec<_>>(),
-                        )
-                    });
-                    h = fnv1a_step(h, &[u8::from(terminal)]);
-                    h = fnv1a_step(h, &(labels.len() as u64).to_le_bytes());
+                    let n = &self.nodes[node.index()];
+                    let mut edges: Vec<&EdgeRec> = n.edges.iter().collect();
+                    edges.sort_by_key(|e| (e.site, e.taken));
+                    h = fnv1a_step(h, &[u8::from(n.is_terminal())]);
+                    h = fnv1a_step(h, &(edges.len() as u64).to_le_bytes());
                     stack.push(Item::Exit);
                     // Hash labels in sorted order; push children in
                     // reverse so traversal visits edges in sorted order.
-                    for (site, taken) in &labels {
-                        h = fnv1a_step(h, &site.0.to_le_bytes());
-                        h = fnv1a_step(h, &[u8::from(*taken)]);
+                    for e in &edges {
+                        h = fnv1a_step(h, &e.site.0.to_le_bytes());
+                        h = fnv1a_step(h, &[u8::from(e.taken)]);
                     }
-                    for c in children.into_iter().rev() {
-                        stack.push(Item::Enter(c));
-                    }
+                    stack.extend(edges.iter().rev().map(|e| Item::Enter(e.child)));
                 }
             }
         }
@@ -878,31 +743,26 @@ impl ExecutionTree {
         // version's stack).
         let mut stack: Vec<(NodeId, NodeId)> = vec![(NodeId::ROOT, NodeId::ROOT)];
         while let Some((mine, theirs)) = stack.pop() {
-            let their_node = other.nodes.get_cloned(theirs.index());
+            let their_node = &other.nodes[theirs.index()];
             self.touch(mine);
-            self.nodes.with_mut(mine.index(), |n| {
-                n.visits += their_node.visits;
-                n.terminal.merge(&their_node.terminal);
-                for inf in &their_node.infeasible {
-                    if !n.infeasible.contains(inf) {
-                        n.infeasible.push(*inf);
-                    }
+            let n = &mut self.nodes[mine.index()];
+            n.visits += their_node.visits;
+            n.terminal.merge(&their_node.terminal);
+            for inf in &their_node.infeasible {
+                if !n.infeasible.contains(inf) {
+                    n.infeasible.push(*inf);
                 }
-            });
+            }
             for e in &their_node.edges {
-                let known = self.nodes.with(mine.index(), |n| n.child(e.site, e.taken));
-                let child = match known {
+                let child = match self.nodes[mine.index()].child(e.site, e.taken) {
                     Some(c) => c,
                     None => {
                         let c = NodeId(self.nodes.len() as u32);
                         self.nodes.push(Node::new(Some((mine, e.site, e.taken))));
-                        self.touch(mine);
-                        self.nodes.with_mut(mine.index(), |n| {
-                            n.edges.push(EdgeRec {
-                                site: e.site,
-                                taken: e.taken,
-                                child: c,
-                            })
+                        self.nodes[mine.index()].edges.push(EdgeRec {
+                            site: e.site,
+                            taken: e.taken,
+                            child: c,
                         });
                         c
                     }
@@ -926,7 +786,9 @@ impl ExecutionTree {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         codec::put_u64(buf, self.program.0);
         codec::put_u32(buf, self.nodes.len() as u32);
-        self.nodes.for_each(|_, n| encode_node_into(n, buf));
+        for n in &self.nodes {
+            encode_node_into(n, buf);
+        }
         codec::put_u64(buf, self.paths_merged);
         codec::put_u64(buf, self.distinct_paths);
         let mut hashes: Vec<u64> = self.path_hashes.iter().copied().collect();
@@ -956,10 +818,9 @@ impl ExecutionTree {
                 len: 0,
             });
         }
-        let mut nodes = ItemStore::new_mem();
-        for _ in 0..n_nodes {
-            nodes.push(decode_node(r)?);
-        }
+        let nodes = (0..n_nodes)
+            .map(|_| decode_node(r))
+            .collect::<Result<Vec<_>, _>>()?;
         let paths_merged = r.u64("Tree.paths_merged")?;
         let distinct_paths = r.u64("Tree.distinct_paths")?;
         let n_hashes = r.seq_len("Tree.path_hashes", 8)?;
@@ -996,7 +857,8 @@ impl ExecutionTree {
                 len: id.index(),
             })
         };
-        let (parent, edges) = self.nodes.with(i, |n| (n.parent, n.edges.clone()));
+        let Node { parent, edges, .. } = &self.nodes[i];
+        let parent = *parent;
         match parent {
             None if i == 0 => {}
             Some((p, ..)) if p.index() < i => {}
@@ -1012,8 +874,7 @@ impl ExecutionTree {
             {
                 return bad("Edge.arm", e.child);
             }
-            let names = self.nodes.with(e.child.index(), |c| c.parent);
-            if names != Some((NodeId(i as u32), e.site, e.taken)) {
+            if self.nodes[e.child.index()].parent != Some((NodeId(i as u32), e.site, e.taken)) {
                 return bad("Edge.child.parent", e.child);
             }
         }
@@ -1048,10 +909,10 @@ impl ExecutionTree {
         codec::put_u32(buf, self.dirty.len() as u32);
         for &i in &self.dirty {
             codec::put_u32(buf, i);
-            self.nodes.with(i as usize, |n| encode_node_into(n, buf));
+            encode_node_into(&self.nodes[i as usize], buf);
         }
-        for i in self.clean_len..self.nodes.len() {
-            self.nodes.with(i, |n| encode_node_into(n, buf));
+        for n in &self.nodes[self.clean_len..] {
+            encode_node_into(n, buf);
         }
         codec::put_u64(buf, self.paths_merged);
         codec::put_u64(buf, self.distinct_paths);
@@ -1109,17 +970,14 @@ impl ExecutionTree {
             let node = decode_node(r)?;
             // A node never changes parents, so edges of unpatched nodes
             // that point at this one stay true.
-            let reparented = self.nodes.with_mut(idx as usize, |n| {
-                let reparented = n.parent != node.parent;
-                *n = node;
-                reparented
-            });
-            if reparented {
+            let slot = &mut self.nodes[idx as usize];
+            if slot.parent != node.parent {
                 return Err(DeltaError::Codec(CodecError::BadLen {
                     what: "TreeDelta.dirty.parent",
                     len: idx as usize,
                 }));
             }
+            *slot = node;
             patched.push(idx as usize);
         }
         for _ in from_len..to_len {
@@ -1141,26 +999,18 @@ impl ExecutionTree {
         Ok(())
     }
 
-    /// Approximate logical size of the tree in bytes (experiment E9) —
-    /// counts every node whether resident or paged out.
+    /// Approximate logical size of the tree in bytes (experiment E9).
     pub fn approx_bytes(&self) -> usize {
-        let mut sum = self.path_hashes.len() * 8;
-        self.nodes.for_each(|_, n| {
-            sum += std::mem::size_of::<Node>()
-                + n.edges.len() * std::mem::size_of::<EdgeRec>()
-                + n.infeasible.len() * std::mem::size_of::<(BranchSiteId, bool)>();
-        });
-        sum
-    }
-
-    /// Approximate bytes resident in memory right now: with paging off
-    /// this tracks [`approx_bytes`](Self::approx_bytes); with paging on,
-    /// evicted pages count nothing (edge-vector heap of resident nodes is
-    /// estimated at the struct size, so this is a floor-accurate bound
-    /// indicator, not an allocator measurement).
-    pub fn resident_approx_bytes(&self) -> usize {
-        let st = self.nodes.stats();
-        st.resident_items as usize * std::mem::size_of::<Node>() + self.path_hashes.len() * 8
+        let nodes: usize = self
+            .nodes
+            .iter()
+            .map(|n| {
+                std::mem::size_of::<Node>()
+                    + n.edges.len() * std::mem::size_of::<EdgeRec>()
+                    + n.infeasible.len() * std::mem::size_of::<(BranchSiteId, bool)>()
+            })
+            .sum();
+        nodes + self.path_hashes.len() * 8
     }
 }
 
@@ -1169,8 +1019,6 @@ mod tests {
     use super::*;
     use softborg_program::cfg::Loc;
     use softborg_program::interp::CrashKind;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn s(i: u32) -> BranchSiteId {
         BranchSiteId::new(i)
@@ -1188,17 +1036,7 @@ mod tests {
     }
 
     fn child_of(t: &ExecutionTree, id: NodeId, site: u32, taken: bool) -> NodeId {
-        t.with_node(id, |n| n.child(s(site), taken)).unwrap()
-    }
-
-    static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
-
-    fn scratch(tag: &str) -> PathBuf {
-        let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("softborg-tree-{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        t.node(id).child(s(site), taken).unwrap()
     }
 
     #[test]
@@ -1265,8 +1103,8 @@ mod tests {
         assert!(st.new_path);
         assert_eq!(t.distinct_paths(), 2);
         let leaf = child_of(&t, NodeId::ROOT, 0, false);
-        assert_eq!(t.with_node(leaf, |n| n.terminal.success), 1);
-        assert_eq!(t.with_node(leaf, |n| n.terminal.crash), 1);
+        assert_eq!(t.node(leaf).terminal.success, 1);
+        assert_eq!(t.node(leaf).terminal.crash, 1);
     }
 
     #[test]
@@ -1381,7 +1219,7 @@ mod tests {
         assert_eq!(a.paths_merged(), 3);
         assert_eq!(a.distinct_paths(), 2);
         let left = child_of(&a, NodeId::ROOT, 0, true);
-        assert_eq!(a.with_node(left, |n| n.terminal.success), 2);
+        assert_eq!(a.node(left).terminal.success, 2);
     }
 
     #[test]
@@ -1428,8 +1266,8 @@ mod tests {
         assert_eq!(back.path_hashes, t.path_hashes);
         // Tallies and infeasible marks survive too (digest ignores them).
         let leaf = child_of(&back, NodeId::ROOT, 0, false);
-        assert_eq!(back.with_node(leaf, |n| n.terminal.success), 1);
-        assert!(back.with_node(NodeId::ROOT, |n| n.is_infeasible(s(9), true)));
+        assert_eq!(back.node(leaf).terminal.success, 1);
+        assert!(back.node(NodeId::ROOT).is_infeasible(s(9), true));
         // Re-encoding the decoded tree is byte-identical.
         let mut buf2 = Vec::new();
         back.encode_into(&mut buf2);
@@ -1569,71 +1407,5 @@ mod tests {
                 .apply_delta(&mut codec::Reader::new(&delta[..cut]))
                 .is_err());
         }
-    }
-
-    #[test]
-    fn paged_tree_matches_memory_tree_exactly() {
-        let dir = scratch("equiv");
-        let mut mem = ExecutionTree::new(ProgramId(9));
-        let mut paged =
-            ExecutionTree::new_paged(ProgramId(9), PagedConfig::new(&dir, 4, 2)).unwrap();
-        assert!(paged.is_paged() && !mem.is_paged());
-
-        let outcomes = [Outcome::Success, crash()];
-        for i in 0..60u32 {
-            let p = path(&[(i % 7, i % 2 == 0), (i % 5 + 10, i % 3 == 0)]);
-            let o = &outcomes[(i % 2) as usize];
-            assert_eq!(mem.merge_path(&p, o), paged.merge_path(&p, o));
-        }
-        mem.mark_infeasible(NodeId::ROOT, s(99), true);
-        paged.mark_infeasible(NodeId::ROOT, s(99), true);
-
-        assert_eq!(mem.digest(), paged.digest());
-        assert_eq!(mem.coverage(), paged.coverage());
-        assert_eq!(mem.frontier(), paged.frontier());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        mem.encode_into(&mut a);
-        paged.encode_into(&mut b);
-        assert_eq!(a, b, "paging must not change the persisted bytes");
-        let mut da = Vec::new();
-        let mut db = Vec::new();
-        mem.encode_delta_into(&mut da);
-        paged.encode_delta_into(&mut db);
-        assert_eq!(da, db, "paging must not change delta bytes");
-
-        let st = paged.page_stats();
-        assert!(st.total_pages > 2, "tree should outgrow the budget");
-        assert!(
-            st.resident_pages <= 2 + 1,
-            "resident pages bounded by budget (+1 in-flight)"
-        );
-        assert!(mem.approx_bytes() > paged.resident_approx_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pinned_frontier_node_survives_eviction_pressure() {
-        let dir = scratch("pin");
-        let mut t = ExecutionTree::new_paged(ProgramId(4), PagedConfig::new(&dir, 2, 1)).unwrap();
-        for i in 0..40u32 {
-            t.merge_path(&path(&[(i, true)]), &Outcome::Success);
-        }
-        t.pin_node(NodeId::ROOT);
-        let faults_before = t.page_stats().faults;
-        // Heavy traffic over far-away nodes must not evict the pinned page.
-        for i in 20..40u32 {
-            let c = t.with_node(NodeId::ROOT, |n| n.child(s(i), true)).unwrap();
-            let _ = t.with_node(c, |n| n.visits);
-        }
-        let faults_after_root = {
-            let before = t.page_stats().faults;
-            let _ = t.with_node(NodeId::ROOT, |n| n.visits);
-            t.page_stats().faults - before
-        };
-        assert_eq!(faults_after_root, 0, "pinned page never faults");
-        assert!(t.page_stats().faults >= faults_before);
-        t.unpin_node(NodeId::ROOT);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

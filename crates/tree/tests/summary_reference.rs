@@ -3,7 +3,7 @@
 //! `frontier` of a per-node depth walk. The walks stay in the crate as
 //! the small trusted reference; this suite holds the sweeps to them
 //! after arbitrary sequences of every operation that changes a tree, on
-//! memory, paged and delta-chained trees.
+//! live and delta-chained trees.
 
 mod common;
 
@@ -18,11 +18,10 @@ fn counted_subtree(tree: &ExecutionTree, root: NodeId) -> u64 {
     let mut stack = vec![root];
     while let Some(id) = stack.pop() {
         count += 1;
-        tree.with_node(id, |n| {
-            for site in n.sites() {
-                stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
-            }
-        });
+        let n = tree.node(id);
+        for site in n.sites() {
+            stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
+        }
     }
     count
 }
@@ -33,17 +32,15 @@ fn reference_frontier(tree: &ExecutionTree) -> Vec<FrontierArm> {
     let mut out = Vec::new();
     for i in 0..tree.node_count() {
         let id = NodeId(i as u32);
-        let (missing, visits) = tree.with_node(id, |n| {
-            let mut missing = Vec::new();
-            for site in n.sites() {
-                for taken in [false, true] {
-                    if n.child(site, taken).is_none() && !n.is_infeasible(site, taken) {
-                        missing.push((site, taken));
-                    }
+        let n = tree.node(id);
+        let mut missing = Vec::new();
+        for site in n.sites() {
+            for taken in [false, true] {
+                if n.child(site, taken).is_none() && !n.is_infeasible(site, taken) {
+                    missing.push((site, taken));
                 }
             }
-            (missing, n.visits)
-        });
+        }
         if missing.is_empty() {
             continue;
         }
@@ -54,7 +51,7 @@ fn reference_frontier(tree: &ExecutionTree) -> Vec<FrontierArm> {
                 site,
                 missing_taken,
                 depth,
-                visits,
+                visits: n.visits,
             });
         }
     }
@@ -106,12 +103,10 @@ proptest! {
             let closed = checked.iter().filter(|id| tree.is_closed(**id)).count();
             prop_assert_eq!(coverage.closed_fraction, closed as f64 / checked.len() as f64);
         }
-        // Storage is invisible: the paged and the delta-chained tree
-        // read the same.
-        for (kind, other) in [("paged", &trees.paged), ("delta-chained", &trees.chained)] {
-            prop_assert_eq!(&other.summary(), &summary, "{}", kind);
-            prop_assert_eq!(&other.frontier(), &frontier, "{}", kind);
-            prop_assert_eq!(other.coverage(), coverage, "{}", kind);
-        }
+        // The delta-chained replica reads the same.
+        let other = &trees.chained;
+        prop_assert_eq!(&other.summary(), &summary);
+        prop_assert_eq!(&other.frontier(), &frontier);
+        prop_assert_eq!(other.coverage(), coverage);
     }
 }

@@ -11,7 +11,7 @@ use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
 use softborg::pod::{PodConfig, PodState};
 use softborg::program::scenarios::{self, Scenario};
 use softborg::store::chain::decode_record;
-use softborg::store::{ChainSource, PageStats, PagedConfig};
+use softborg::store::ChainSource;
 use softborg::{
     DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings,
     MultiDrivenExecution, MultiPlatform, MultiPlatformConfig, Platform, PlatformConfig,
@@ -38,7 +38,6 @@ pub const KINDS: [Kind; 2] = [Kind::One, Kind::Fleet];
 #[derive(Clone, Default)]
 pub struct Setup {
     pub durability: Option<DurabilityConfig>,
-    pub paging: Option<PagedConfig>,
     pub ingest: IngestSettings,
     pub obs: ObsHandles,
 }
@@ -91,7 +90,6 @@ impl Kind {
             seed: 17,
             ingest: setup.ingest.clone(),
             durability: setup.durability.clone(),
-            tree_paging: setup.paging.clone(),
             obs: setup.obs.clone(),
             ..PlatformConfig::default()
         }
@@ -104,7 +102,6 @@ impl Kind {
             seed: 23,
             ingest: setup.ingest.clone(),
             durability: setup.durability.clone(),
-            tree_paging: setup.paging.clone(),
             obs: setup.obs.clone(),
             ..MultiPlatformConfig::default()
         }
@@ -241,13 +238,6 @@ impl Run<'_> {
             Run::Fleet(p) => p.checkpoint(),
         }
         .expect("checkpoint")
-    }
-
-    pub fn page_stats(&self) -> PageStats {
-        match self {
-            Run::One(p) => p.page_stats(),
-            Run::Fleet(p) => p.page_stats(),
-        }
     }
 }
 
@@ -489,9 +479,9 @@ pub fn check_compaction_bounds_journal(kind: Kind) {
     assert_eq!(resumed.states(), r.states[ROUNDS as usize], "{kind:?}");
 }
 
-/// A chained, paged campaign killed mid-run resumes process-equivalent:
-/// every shard walks its chain and no stale page is adopted.
-pub fn check_chained_paged_resume(kind: Kind) {
+/// A chained campaign killed mid-run resumes process-equivalent, every
+/// shard rebuilt by walking its chain.
+pub fn check_chained_resume(kind: Kind) {
     const KILL: u64 = 2;
     let scs = kind.scenarios();
     let r = reference(
@@ -499,11 +489,7 @@ pub fn check_chained_paged_resume(kind: Kind) {
         &scs,
         DurabilityConfig::new(campaign_dir(kind, "cp-ref")),
     );
-    let dir = campaign_dir(kind, "chain-page");
-    let setup = Setup {
-        paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
-        ..Setup::durable(eager(dir.clone()))
-    };
+    let setup = Setup::durable(eager(campaign_dir(kind, "chain-resume")));
     kind.start(&scs, &setup).run(KILL); // drop = kill
     let (mut resumed, report) = kind.resume(&scs, &setup).unwrap();
     for sr in &report.shards {
@@ -519,7 +505,4 @@ pub fn check_chained_paged_resume(kind: Kind) {
     assert_eq!(resumed.states(), r.states[ROUNDS as usize]);
     assert_eq!(resumed.pods(), r.pods[ROUNDS as usize]);
     assert_eq!(resumed.history(), r.history);
-    let stats = resumed.page_stats();
-    assert_eq!(stats.pages_trusted, 0, "clean campaign adopted stale pages");
-    assert!(stats.total_pages > 0, "paging never engaged: {stats:?}");
 }

@@ -12,15 +12,13 @@
 //!   ([`Platform::export_pod_states`]), in pod (and lane) order;
 //! * FNV-1a of every round-report field, little-endian, floats as bits.
 //!
-//! Each cell runs on two seeds in three modes — in memory, durable
-//! (with compaction, killed and resumed halfway), and with a paged tree
-//! — and all three must hit the same literals: durability and paging
-//! are storage only.
+//! Each cell runs on two seeds in two modes — in memory, and durable
+//! (with compaction, killed and resumed halfway) — and both must hit the
+//! same literals: durability is storage only.
 
+use softborg::obs::{fnv1a_step, FNV_OFFSET};
 use softborg::pod::{PodConfig, PodState};
 use softborg::program::scenarios::{self, Scenario};
-use softborg::store::PagedConfig;
-use softborg::trace::wire::fnv1a;
 use softborg::{
     DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig, MultiRoundReport, Platform,
     PlatformConfig, RoundReport,
@@ -37,10 +35,13 @@ const KILL_AT: usize = 4;
 enum Mode {
     InMemory,
     Durable,
-    Paged,
 }
 
-const MODES: [Mode; 3] = [Mode::InMemory, Mode::Durable, Mode::Paged];
+const MODES: [Mode; 2] = [Mode::InMemory, Mode::Durable];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_step(FNV_OFFSET, bytes)
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("softborg-goldens-{}-{tag}", std::process::id()));
@@ -48,21 +49,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Storage for `mode`: a compacting journal, or a tiny page budget so
-/// eviction bites at once.
-fn storage(mode: Mode, tag: &str) -> (Option<DurabilityConfig>, Option<PagedConfig>) {
-    let dir = scratch(tag);
+/// Storage for `mode`: none, or a compacting journal.
+fn storage(mode: Mode, tag: &str) -> Option<DurabilityConfig> {
     match mode {
-        Mode::InMemory => (None, None),
-        Mode::Durable => (
-            Some(DurabilityConfig {
-                compact_ratio: 2,
-                min_compact_wal_bytes: 1024,
-                ..DurabilityConfig::new(dir)
-            }),
-            None,
-        ),
-        Mode::Paged => (None, Some(PagedConfig::new(&dir.join("pages"), 8, 2))),
+        Mode::InMemory => None,
+        Mode::Durable => Some(DurabilityConfig {
+            compact_ratio: 2,
+            min_compact_wal_bytes: 1024,
+            ..DurabilityConfig::new(scratch(tag))
+        }),
     }
 }
 
@@ -136,7 +131,7 @@ fn multi_report_hash(r: &MultiRoundReport) -> u64 {
 /// `[hive state, pods, report]` per round of a `token_parser` campaign.
 fn platform_rows(seed: u64, mode: Mode) -> Vec<[u64; 3]> {
     let s = scenarios::token_parser();
-    let (durability, tree_paging) = storage(mode, &format!("platform-{seed}-{mode:?}"));
+    let durability = storage(mode, &format!("platform-{seed}-{mode:?}"));
     let config = || PlatformConfig {
         n_pods: 6,
         pod: PodConfig {
@@ -145,7 +140,6 @@ fn platform_rows(seed: u64, mode: Mode) -> Vec<[u64; 3]> {
         },
         seed,
         durability: durability.clone(),
-        tree_paging: tree_paging.clone(),
         ..PlatformConfig::default()
     };
     let mut p = Platform::new(&s.program, config());
@@ -187,13 +181,12 @@ fn multi_rows(seed: u64, mode: Mode) -> Vec<[u64; 4]> {
             },
         })
         .collect();
-    let (durability, tree_paging) = storage(mode, &format!("multi-{seed}-{mode:?}"));
+    let durability = storage(mode, &format!("multi-{seed}-{mode:?}"));
     let config = || MultiPlatformConfig {
         n_pods: 4,
         n_shards: 2,
         seed,
         durability: durability.clone(),
-        tree_paging: tree_paging.clone(),
         ..MultiPlatformConfig::default()
     };
     let mut p = MultiPlatform::new(&specs, config());

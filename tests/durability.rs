@@ -4,9 +4,8 @@
 //! streams, repair-lab corpora, queued directives), history, and round
 //! telemetry byte-identical to an uninterrupted run at the same
 //! committed round — through journal replay, delta-chain checkpoints,
-//! chain fallback, truncated partial rounds, torn tails, sector rot and
-//! paging. Older directory layouts are refused with their bytes
-//! untouched.
+//! chain fallback, truncated partial rounds, torn tails and sector rot.
+//! Older directory layouts are refused with their bytes untouched.
 //!
 //! Most checks here run on both shapes of a campaign (see
 //! `tests/campaign`). The four checks shared with
@@ -21,7 +20,7 @@ use softborg::hive::{HiveSnapshot, ScrubReport};
 use softborg::program::codec;
 use softborg::program::scenarios::Scenario;
 use softborg::store::chain::decode_record;
-use softborg::store::{ChainSource, PagedConfig};
+use softborg::store::ChainSource;
 use softborg::{DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
 use std::path::Path;
 
@@ -536,37 +535,6 @@ fn a_round_record_with_a_trailing_byte_is_refused_untouched() {
 }
 
 #[test]
-fn paged_tree_is_byte_identical_with_paging_off() {
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let dir = campaign_dir(kind, "paging");
-        let mut plain = kind.start(&scs, &Setup::default());
-        // A tiny page and resident budget so eviction bites immediately.
-        let paged_setup = Setup {
-            paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
-            ..Setup::default()
-        };
-        let mut paged = kind.start(&scs, &paged_setup);
-        for round in 0..ROUNDS {
-            plain.round();
-            paged.round();
-            assert_eq!(plain.states(), paged.states(), "{kind:?} round {round}");
-        }
-        assert_eq!(plain.history(), paged.history());
-        let stats = paged.page_stats();
-        assert!(
-            stats.evictions > 0 && stats.faults > 0,
-            "the resident budget never bit: {stats:?}"
-        );
-        assert!(
-            stats.resident_items < stats.total_items,
-            "nothing was actually evicted to disk: {stats:?}"
-        );
-        assert_eq!(stats.pages_trusted, 0, "clean run adopted stale pages");
-    }
-}
-
-#[test]
-fn chained_paged_resume_composes_with_both_stores() {
-    check_chained_paged_resume(Kind::One);
+fn chained_resume_walks_the_chain_process_equivalent() {
+    check_chained_resume(Kind::One);
 }

@@ -25,8 +25,8 @@ fn shard_compaction_composes_with_resume() {
 }
 
 #[test]
-fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
-    check_chained_paged_resume(Kind::Fleet);
+fn chained_fleet_resumes_process_equivalent_across_shards() {
+    check_chained_resume(Kind::Fleet);
 }
 
 #[test]

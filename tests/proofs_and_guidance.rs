@@ -156,21 +156,15 @@ fn infeasibility_marks_are_sound_on_triangle() {
     let mut marked = Vec::new();
     for i in 0..tree.node_count() {
         let id = softborg_tree::NodeId(i as u32);
-        let infeasible = tree.with_node(id, |node| {
-            let mut out = Vec::new();
-            for site in node.sites() {
-                for taken in [false, true] {
-                    if node.is_infeasible(site, taken) {
-                        out.push((site, taken));
-                    }
+        let node = tree.node(id);
+        for site in node.sites() {
+            for taken in [false, true] {
+                if node.is_infeasible(site, taken) {
+                    let mut prefix = tree.prefix(id);
+                    prefix.push((site, taken));
+                    marked.push(prefix);
                 }
             }
-            out
-        });
-        for (site, taken) in infeasible {
-            let mut prefix = tree.prefix(id);
-            prefix.push((site, taken));
-            marked.push(prefix);
         }
     }
     if marked.is_empty() {
