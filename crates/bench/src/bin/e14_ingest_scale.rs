@@ -166,7 +166,7 @@ fn main() {
         four.speedup,
         if four.speedup >= 2.0 { "PASS" } else { "FAIL" }
     );
-    println!("note: on a single-CPU host the win comes from recycling");
+    println!("note: on a {host_cpus}-cpu host the win comes from recycling");
     println!("(memoized decode+reconstruct of repeated by-products) and batch");
     println!("framing; extra workers add little without extra cores.");
 
@@ -209,7 +209,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"single-CPU host: speedup comes from information recycling (byte-keyed memoization of decode+reconstruct) plus batch framing, not parallelism; state verified identical to serial ingest for every row\""
+        "  \"note\": \"{host_cpus}-cpu host: speedup comes from information recycling (byte-keyed memoization of decode+reconstruct) plus batch framing, not parallelism; state verified identical to serial ingest for every row\""
     );
     json.push_str("}\n");
     std::fs::write("BENCH_ingest.json", json).expect("write BENCH_ingest.json");

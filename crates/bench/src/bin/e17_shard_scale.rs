@@ -12,12 +12,11 @@
 //! rebases the per-pod trace seeds (default 1000).
 
 use softborg_bench::{arg_seed, banner, cell, table_header};
-use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig};
+use softborg_hive::{Hive, HiveConfig, ShardedHive};
+use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::ProgramId;
-use softborg_shard::{ShardRunStats, ShardedHive};
 use softborg_trace::{wire, ExecutionTrace};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -145,10 +144,10 @@ fn sharded_run(
     mix: &[(&Workload, usize)],
     n_shards: usize,
     reference: Option<&[Hive<'_>]>,
-) -> ShardRunStats {
+) -> IngestStats {
     let programs: Vec<&softborg_program::Program> =
         mix.iter().map(|(w, _)| &w.scenario.program).collect();
-    let mut best: Option<ShardRunStats> = None;
+    let mut best: Option<IngestStats> = None;
     for _ in 0..REPEATS {
         let mut sharded = ShardedHive::new(&programs, n_shards, &HiveConfig::default())
             .expect("distinct scenario programs place cleanly");
@@ -385,7 +384,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"pinned worker budget ({WORKERS} workers) for every configuration; per-program hive state verified byte-identical to serial ingest in every sweep cell; on a single-CPU host the speedup comes from shared-pool recycling + batch framing, and extra shards add concurrency that needs extra cores to pay off\""
+        "  \"note\": \"pinned worker budget ({WORKERS} workers) for every configuration; per-program hive state verified byte-identical to serial ingest in every sweep cell; on a {host_cpus}-cpu host the speedup comes from shared-pool recycling + batch framing, and extra shards add concurrency that needs extra cores to pay off\""
     );
     json.push_str("}\n");
     std::fs::write("BENCH_shard.json", json).expect("write BENCH_shard.json");

@@ -78,12 +78,20 @@ pub use softborg_netsim as netsim;
 pub use softborg_obs as obs;
 pub use softborg_pod as pod;
 pub use softborg_program as program;
-pub use softborg_shard as shard;
 pub use softborg_solver as solver;
 pub use softborg_store as store;
 pub use softborg_symex as symex;
 pub use softborg_trace as trace;
 pub use softborg_tree as tree;
+
+/// The sharded hive's former crate path. Kept only because the frozen
+/// repository benchmark (`benchmark/`) names these items here.
+pub mod shard {
+    pub use softborg_hive::ShardedHive;
+    pub use softborg_ingest::ShardMap;
+    /// Run statistics of a sharded ingest: the one [`IngestStats`](softborg_ingest::IngestStats).
+    pub type ShardRunStats = softborg_ingest::IngestStats;
+}
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,8 @@
 //!
 //! The paper's hive recycles executions from many programs at once, so
 //! a [`MultiPlatform`] runs one pod fleet per program and drives every
-//! fleet's traffic through the sharded ingest layer (`softborg-shard`):
-//! all fleets share **one** decode+reconstruct worker pool, while each
+//! fleet's traffic through one [`ShardedHive`] and the one ingest
+//! pipeline: all fleets share **one** decode+reconstruct worker pool, while each
 //! program's hive lives on its deterministic shard and sees its own
 //! traces in exact submission order. [`Platform`](crate::Platform) is
 //! the one-fleet, one-shard view of this core.
@@ -31,13 +31,12 @@ use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{Hive, HiveConfig, ScrubReport};
-use softborg_ingest::IngestConfig;
+use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
+use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
-use softborg_shard::{ShardRunStats, ShardedHive};
 use softborg_store::{ChainReport, RecordKind};
 use softborg_trace::wire;
 use softborg_tree::CoverageStats;
@@ -395,7 +394,7 @@ pub struct MultiPlatform<'p> {
     round_idx: u64,
     history: Vec<MultiRoundReport>,
     telemetry: Vec<RoundTelemetry>,
-    last_run: Option<ShardRunStats>,
+    last_run: Option<IngestStats>,
     /// One open durable store per shard, under `shard-<i>/` of the
     /// campaign directory.
     pub(crate) durable: Option<Vec<DurableStore>>,
@@ -722,8 +721,9 @@ impl<'p> MultiPlatform<'p> {
         self.round_idx
     }
 
-    /// Sharded-run statistics from the most recent round, if any.
-    pub fn last_run(&self) -> Option<&ShardRunStats> {
+    /// Ingest-pipeline statistics from the most recent
+    /// [`round`](Self::round), if any.
+    pub fn last_run(&self) -> Option<&IngestStats> {
         self.last_run.as_ref()
     }
 
@@ -856,7 +856,7 @@ impl<'p> MultiPlatform<'p> {
 
     /// Step 1 of a round: push each program's current overlay to its
     /// fleet.
-    pub(crate) fn distribute_overlays(&mut self) {
+    fn distribute_overlays(&mut self) {
         if self.config.fixes_enabled {
             for fleet in &mut self.fleets {
                 fleet.install_overlay(hive_of(&self.sharded, fleet));
@@ -900,11 +900,7 @@ impl<'p> MultiPlatform<'p> {
 
     /// Steps 3–6 of a round, after execution: fix pipelines, guidance,
     /// report, durable two-phase commit.
-    pub(crate) fn finish_round(
-        &mut self,
-        per_lane: Vec<Counters>,
-        frames: Vec<Frame>,
-    ) -> MultiRoundReport {
+    fn finish_round(&mut self, per_lane: Vec<Counters>, frames: Vec<Frame>) -> MultiRoundReport {
         // 3. Fixes: every program's proposals are validated concurrently
         //    against its round-start overlay, then promoted in (lane,
         //    proposal) order; resume replays the recorded decisions.

@@ -12,12 +12,11 @@
 //! it should become" (§2).
 //!
 //! It is the one-fleet, one-shard view of the campaign core
-//! ([`MultiPlatform`]): same round, journal layout and resume. Its one
-//! step of its own is execution through its hive's staged ingest
-//! pipeline, whose statistics [`Platform::last_ingest`] reports.
+//! ([`MultiPlatform`]): same round, ingest pipeline, journal layout and
+//! resume.
 
 use crate::durable::DurabilityError;
-use crate::fleet::{self, run_pod, Counters, Frame, PodSlot};
+use crate::fleet::run_pod;
 use crate::multi::{
     failure_rate, FleetSpec, IngestSettings, MultiDrivenExecution, MultiPlatform,
     MultiPlatformConfig, MultiRoundReport, ResumeReport, RoundTelemetry,
@@ -182,7 +181,6 @@ pub struct Platform<'p> {
     core: MultiPlatform<'p>,
     /// Lane 0's view of the core's history.
     history: Vec<RoundReport>,
-    last_ingest: Option<IngestStats>,
 }
 
 impl<'p> Platform<'p> {
@@ -191,7 +189,6 @@ impl<'p> Platform<'p> {
         Platform {
             history: core.history().iter().map(RoundReport::from).collect(),
             core,
-            last_ingest: None,
         }
     }
 
@@ -249,9 +246,7 @@ impl<'p> Platform<'p> {
     /// Advances one round with `execs_per_pod` executions per pod; as
     /// [`MultiPlatform::round`], returning the report is the ack.
     pub fn round(&mut self, execs_per_pod: u32) -> RoundReport {
-        self.core.distribute_overlays();
-        let (counters, frames) = self.execute(execs_per_pod);
-        let report = self.core.finish_round(vec![counters], frames);
+        let report = self.core.round(execs_per_pod);
         self.record(&report)
     }
 
@@ -281,37 +276,6 @@ impl<'p> Platform<'p> {
         let report = RoundReport::from(report);
         self.history.push(report.clone());
         report
-    }
-
-    /// Step 2 of [`round`](Self::round): pods on scoped threads feed
-    /// batch frames, in pre-partitioned per-pod slots, into the hive's
-    /// staged ingest pipeline, so the merge order is pod-major and the
-    /// state that of [`DrivenExecution::serial`].
-    fn execute(&mut self, execs_per_pod: u32) -> (Counters, Vec<Frame>) {
-        let core = &mut self.core;
-        let batch = core.config.ingest.batch();
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let threads = core.config.ingest.pod_threads;
-        let keep_frames = core.durable.is_some();
-        let cfg = core.config.ingest.pipeline_with(&core.config.obs);
-        let fleet = &mut core.fleets[0];
-        let hive = core.sharded.hive_mut(fleet.id).expect("placed");
-        let slots: Vec<PodSlot<'_, 'p>> = (fleet.pods.iter_mut().enumerate())
-            .map(|(i, pod)| PodSlot {
-                session: 0,
-                first_seq: i as u64 * frames_per_pod,
-                pod,
-            })
-            .collect();
-        let ((per_pod, frames), stats) = hive.ingest_frames(&cfg, move |tx| {
-            let submit = move |_lane, seq, frame| tx.submit_at(seq, frame);
-            fleet::run_threaded(slots, threads, execs_per_pod, batch, keep_frames, submit)
-        });
-        self.last_ingest = Some(stats);
-        let counters = per_pod
-            .into_iter()
-            .fold((0, 0, 0), |(a, b, c), (_, (x, y, z))| (a + x, b + y, c + z));
-        (counters, frames)
     }
 
     /// On-demand compaction; returns the checkpoint payload bytes.
@@ -368,7 +332,7 @@ impl<'p> Platform<'p> {
 
     /// Pipeline statistics from the most recent [`round`](Self::round).
     pub fn last_ingest(&self) -> Option<&IngestStats> {
-        self.last_ingest.as_ref()
+        self.core.last_run()
     }
 
     /// Telemetry of every round this *process* ran (see

@@ -17,14 +17,16 @@ use softborg_analysis::race::{RaceDetector, RaceReport};
 use softborg_analysis::treeloc::{Diagnosis, FailureLedger};
 use softborg_fix::{crash_guards, deadlock_immunity, hang_bounds, FixCandidate};
 use softborg_guidance::{frontier, Directive, GuidancePlan, PlanStats, PlannerConfig};
-use softborg_ingest::{FrameSender, IngestConfig, IngestStats, ReconstructContext};
+use softborg_ingest::{
+    FrameSender, IngestConfig, IngestStats, ProcessedTrace, ReconstructContext, ShardMap,
+};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::overlay::Overlay;
 use softborg_program::taint::InputDependence;
-use softborg_program::Program;
-use softborg_trace::{reconstruct, ExecutionTrace, ReconstructError};
+use softborg_program::{BranchSiteId, Program};
+use softborg_trace::ExecutionTrace;
 use softborg_tree::{CoverageStats, ExecutionTree};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Hive configuration.
 #[derive(Debug, Clone)]
@@ -109,6 +111,40 @@ pub struct Hive<'p> {
     crash_seeds: Option<Vec<Directive>>,
 }
 
+/// A hive's merge state, borrowed apart from its reconstruction inputs
+/// ([`Hive::split`]). [`merge`](Self::merge) is the one sink every
+/// ingest path ends in.
+pub(crate) struct HiveSink<'a> {
+    tree: &'a mut ExecutionTree,
+    lock_graph: &'a mut LockOrderGraph,
+    races: &'a mut RaceDetector,
+    ledger: &'a mut FailureLedger,
+    stats: &'a mut HiveStats,
+}
+
+impl HiveSink<'_> {
+    /// Detectors always see the trace; the tree additionally merges its
+    /// reconstructed path when there is one.
+    fn merge(&mut self, trace: &ExecutionTrace, decisions: Option<&[(BranchSiteId, bool)]>) {
+        self.stats.traces += 1;
+        self.lock_graph.ingest(trace);
+        self.races.ingest(trace);
+        self.ledger.ingest(trace);
+        match decisions {
+            Some(decisions) => {
+                let m = self.tree.merge_path(decisions, &trace.outcome);
+                self.stats.new_nodes += m.new_nodes;
+                self.stats.reconstructed += 1;
+            }
+            None => self.stats.unreconstructed += 1,
+        }
+    }
+
+    pub(crate) fn apply(&mut self, pt: &ProcessedTrace) {
+        self.merge(&pt.trace, pt.decisions.as_deref());
+    }
+}
+
 impl<'p> Hive<'p> {
     /// Creates a hive for `program`.
     pub fn new(program: &'p Program, config: HiveConfig) -> Self {
@@ -127,10 +163,7 @@ impl<'p> Hive<'p> {
         }
     }
 
-    /// Every overlay version ever distributed (index = version). The
-    /// sharded hive clones this per run to build worker-pool
-    /// [`ReconstructContext`]s that outlive the mutable borrow its
-    /// per-shard mergers hold on the hives.
+    /// Every overlay version ever distributed (index = version).
     pub fn overlays(&self) -> &[Overlay] {
         &self.overlay_history
     }
@@ -141,25 +174,42 @@ impl<'p> Hive<'p> {
         &self.deps
     }
 
-    /// Applies one pipeline-processed trace — exactly what the
-    /// [`ingest_frames`](Self::ingest_frames) merger sink does, exposed
-    /// so an external merger (the sharded hive's per-shard appliers)
-    /// can drive several hives with one shared worker pool while
-    /// keeping [`HiveStats`] and tree state byte-identical to serial
-    /// [`ingest`](Self::ingest).
-    pub fn apply_processed(&mut self, pt: &softborg_ingest::ProcessedTrace) {
-        self.stats.traces += 1;
-        self.lock_graph.ingest(&pt.trace);
-        self.races.ingest(&pt.trace);
-        self.ledger.ingest(&pt.trace);
-        match &pt.decisions {
-            Some(decisions) => {
-                let m = self.tree.merge_path(decisions, &pt.trace.outcome);
-                self.stats.new_nodes += m.new_nodes;
-                self.stats.reconstructed += 1;
-            }
-            None => self.stats.unreconstructed += 1,
-        }
+    /// Borrows the hive apart: its read-only reconstruction inputs
+    /// beside its merge state, so a pipeline's workers can read the one
+    /// while its merger writes the other.
+    pub(crate) fn split(&mut self) -> (ReconstructContext<'_>, HiveSink<'_>) {
+        let Hive {
+            program,
+            deps,
+            tree,
+            lock_graph,
+            races,
+            ledger,
+            overlay_history,
+            stats,
+            ..
+        } = self;
+        let ctx = ReconstructContext {
+            program,
+            deps,
+            overlays: overlay_history,
+        };
+        let sink = HiveSink {
+            tree,
+            lock_graph,
+            races,
+            ledger,
+            stats,
+        };
+        (ctx, sink)
+    }
+
+    /// Applies one pipeline-processed trace — what every ingest path's
+    /// merger does, exposed so an external merger can drive the hive
+    /// while keeping [`HiveStats`] and tree state byte-identical to
+    /// serial [`ingest`](Self::ingest).
+    pub fn apply_processed(&mut self, pt: &ProcessedTrace) {
+        self.split().1.apply(pt);
     }
 
     /// The current overlay and its version (what pods should run).
@@ -177,55 +227,39 @@ impl<'p> Hive<'p> {
     /// merges the reconstructed path when the trace is exact and its
     /// overlay version is known.
     pub fn ingest(&mut self, trace: &ExecutionTrace) {
-        self.stats.traces += 1;
-        self.lock_graph.ingest(trace);
-        self.races.ingest(trace);
-        self.ledger.ingest(trace);
-        let overlay = match self.overlay_history.get(trace.overlay_version as usize) {
-            Some(o) => o,
-            None => {
-                self.stats.unreconstructed += 1;
-                return;
-            }
-        };
-        match reconstruct(self.program, &self.deps, overlay, trace) {
-            Ok(path) => {
-                let m = self.tree.merge_path(&path.decisions, &trace.outcome);
-                self.stats.new_nodes += m.new_nodes;
-                self.stats.reconstructed += 1;
-            }
-            Err(ReconstructError::InexactPolicy(_)) => {
-                self.stats.unreconstructed += 1;
-            }
-            Err(_) => {
-                self.stats.unreconstructed += 1;
-            }
-        }
+        let (ctx, mut sink) = self.split();
+        let decisions = ctx.decisions(trace);
+        sink.merge(trace, decisions.as_deref());
     }
 
     /// Ingests encoded batch frames ([`wire::encode_batch`]) through the
-    /// staged pipeline: a pool of decode+reconstruct workers feeding a
-    /// single ordered merger that owns the tree. Observably identical to
+    /// staged pipeline: a pool of decode+reconstruct workers feeding an
+    /// ordered merger that owns the tree. Observably identical to
     /// calling [`ingest`](Self::ingest) on every trace in frame order —
     /// same [`HiveStats`], tree digest, and coverage — for any worker
-    /// count or batch size. Corrupt frames are counted in the returned
-    /// [`IngestStats`] and skipped without panicking.
+    /// count or batch size. Corrupt frames, and frames of another
+    /// program, are counted in the returned [`IngestStats`] and skipped
+    /// without panicking.
     ///
     /// [`wire::encode_batch`]: softborg_trace::wire::encode_batch
     pub fn ingest_batch(&mut self, frames: Vec<Vec<u8>>, config: &IngestConfig) -> IngestStats {
+        let id = self.tree.program();
         let ((), stats) = self.ingest_frames(config, move |tx| {
             for f in frames {
-                tx.submit(f);
+                tx.submit_for(id, f)
+                    .expect("the hive's own program has a lane");
             }
         });
         stats
     }
 
-    /// Streaming form of [`ingest_batch`](Self::ingest_batch): `producer`
-    /// runs on its own thread (clone the [`FrameSender`] to fan out) and
-    /// submits frames while the pipeline decodes, reconstructs, and
-    /// merges them concurrently. The merger runs on the calling thread
-    /// and is the only writer to the tree and detectors.
+    /// Streaming form of [`ingest_batch`](Self::ingest_batch): the one
+    /// pipeline ([`softborg_ingest::run`]) for one program on one shard.
+    /// `producer` runs on its own thread (clone the [`FrameSender`] to
+    /// fan out) and claims slots for the hive's program
+    /// (`tree().program()`) while the pipeline decodes, reconstructs, and merges concurrently.
+    /// The merger runs on the calling thread and is the only writer to
+    /// the tree and detectors.
     ///
     /// The overlay history is frozen for the duration of the call
     /// (enforced by the borrow: promotion needs `&mut self`).
@@ -234,36 +268,12 @@ impl<'p> Hive<'p> {
         P: FnOnce(FrameSender) -> R + Send,
         R: Send,
     {
-        let Hive {
-            program,
-            deps,
-            tree,
-            lock_graph,
-            races,
-            ledger,
-            overlay_history,
-            stats,
-            ..
-        } = self;
-        let ctx = ReconstructContext {
-            program,
-            deps: &*deps,
-            overlays: overlay_history.as_slice(),
-        };
-        softborg_ingest::run(config, ctx, producer, |pt| {
-            stats.traces += 1;
-            lock_graph.ingest(&pt.trace);
-            races.ingest(&pt.trace);
-            ledger.ingest(&pt.trace);
-            match &pt.decisions {
-                Some(decisions) => {
-                    let m = tree.merge_path(decisions, &pt.trace.outcome);
-                    stats.new_nodes += m.new_nodes;
-                    stats.reconstructed += 1;
-                }
-                None => stats.unreconstructed += 1,
-            }
-        })
+        let id = self.tree.program();
+        let map = ShardMap::new(&[id], 1).expect("one program on one shard");
+        let (ctx, mut sink) = self.split();
+        let ctxs = BTreeMap::from([(id, ctx)]);
+        let sinks = vec![move |_, pt: &ProcessedTrace| sink.apply(pt)];
+        softborg_ingest::run(config, &map, &ctxs, producer, sinks)
     }
 
     /// Rebuilds a hive from write-ahead journal bytes: scans the journal

@@ -7,6 +7,9 @@
 //! worker nodes.
 //!
 //! * [`hive`] — the per-program [`hive::Hive`] pipeline.
+//! * [`sharded`] — [`ShardedHive`]: many programs' hives on N shards
+//!   behind one ingest pipeline, with per-shard state snapshot/restore
+//!   so crash-only durability composes with sharding.
 //! * [`proofs`] — proof certificates and their independent verifier.
 //! * [`journal`] — the write-ahead journal accepted frames hit before
 //!   merge, and the crash-tolerant scan that rebuilds from it.
@@ -29,6 +32,7 @@ pub mod journal;
 pub mod proofs;
 pub mod replica;
 pub mod scrub;
+pub mod sharded;
 pub mod snapshot;
 pub mod transport;
 
@@ -44,5 +48,6 @@ pub use journal::{
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
 pub use replica::{run_replica_sync, OutcomePath, ReplicaConfig, ReplicaReport};
 pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, WalScrubAction};
+pub use sharded::{ShardStateError, ShardedHive};
 pub use snapshot::HiveSnapshot;
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

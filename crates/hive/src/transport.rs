@@ -40,6 +40,7 @@ use softborg_netsim::{
     World, WorldCtx,
 };
 use softborg_obs::{fnv1a_step, EventSink, ObsHandles, Severity, FNV_OFFSET};
+use softborg_program::ProgramId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -507,6 +508,8 @@ struct SessionState {
 /// pipeline session ([`FrameSender`]).
 pub struct HiveServer {
     tx: FrameSender,
+    /// The hive's program: every frame claims a slot in its lane.
+    program: ProgramId,
     journal: Rc<RefCell<MemJournal>>,
     /// Per-session state. BTreeMap: ack emission order must be
     /// deterministic for reproducible runs.
@@ -525,12 +528,18 @@ pub struct HiveServer {
 }
 
 impl HiveServer {
-    /// Creates the server feeding `tx` (a live pipeline's sender). The
-    /// journal is shared so the orchestrator can read it back after the
-    /// simulation ends.
-    pub fn new(tx: FrameSender, journal: Rc<RefCell<MemJournal>>, cfg: &TransportConfig) -> Self {
+    /// Creates the server feeding `tx` (a live pipeline's sender) in
+    /// `program`'s lane. The journal is shared so the orchestrator can
+    /// read it back after the simulation ends.
+    pub fn new(
+        tx: FrameSender,
+        program: ProgramId,
+        journal: Rc<RefCell<MemJournal>>,
+        cfg: &TransportConfig,
+    ) -> Self {
         HiveServer {
             tx,
+            program,
             journal,
             sessions: BTreeMap::new(),
             pending: Vec::new(),
@@ -703,7 +712,9 @@ impl Proc for HiveServer {
             // (its client re-sends it and it is counted on the retry).
             if kind == REC_FRAME {
                 self.metrics.borrow_mut().delivered += 1;
-                self.tx.submit(frame);
+                self.tx
+                    .submit_for(self.program, frame)
+                    .expect("the hive's own program has a lane");
             } else {
                 self.metrics.borrow_mut().tombstones += 1;
             }
@@ -809,6 +820,7 @@ pub fn run_reliable_ingest(
     let prev_ingest_clock = ingest_cfg.obs.recorder.clock();
     cfg.obs.recorder.set_clock(Arc::new(clock.clone()));
     ingest_cfg.obs.recorder.set_clock(Arc::new(clock.clone()));
+    let program = hive.tree().program();
     let (report, stats) = hive.ingest_frames(&ingest_cfg, move |tx| {
         // The producer thread hosts the whole simulated network; only
         // `tx` crosses back into the pipeline.
@@ -828,7 +840,8 @@ pub fn run_reliable_ingest(
                 PodClient::new(i as u64, server_addr, frames, cfg).with_metrics(metrics.clone()),
             ));
         }
-        let mut server = HiveServer::new(tx, journal.clone(), cfg).with_metrics(metrics.clone());
+        let mut server =
+            HiveServer::new(tx, program, journal.clone(), cfg).with_metrics(metrics.clone());
         server.seed_sessions(prior_journal); // no-op for a fresh campaign
         let placed = world.add_proc(Box::new(server));
         debug_assert_eq!(placed, server_addr, "server must sit at Addr(n_pods)");

@@ -5,12 +5,11 @@
 //! slot, never panic, never silently drop, and never disturb the
 //! byte-identity of healthy traffic.
 
-use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::IngestConfig;
+use softborg_hive::{Hive, HiveConfig, ShardedHive};
+use softborg_ingest::{IngestConfig, ShardError};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::{Program, ProgramId};
-use softborg_shard::{ShardError, ShardedHive};
 use softborg_trace::{wire, ExecutionTrace};
 
 fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
@@ -147,7 +146,7 @@ fn mixed_program_frame_is_rejected_as_corrupt() {
     let mut mixed = pod_traces(&a, 1, 2);
     mixed.extend(pod_traces(&b, 1, 2));
     let frame = wire::encode_batch(&mixed);
-    assert!(wire::frame_program_id(&frame).is_err());
+    assert!(wire::payloads_program_id(&wire::batch_payloads(&frame).unwrap()).is_err());
 
     let mut sharded = ShardedHive::new(&programs, 2, &HiveConfig::default()).unwrap();
     let stats = sharded

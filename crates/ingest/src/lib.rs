@@ -5,34 +5,41 @@
 //! it redoes work constantly, because a deployed population re-executes
 //! the same paths over and over. This crate turns ingest into a staged,
 //! concurrent, batched, backpressured pipeline that *recycles* prior
-//! work (the paper's theme applied to the hive's own front door):
+//! work (the paper's theme applied to the hive's own front door), for
+//! one program or many:
 //!
 //! * [`queue`] — [`BoundedQueue`], a bounded MPMC queue with an explicit
 //!   [`BackpressurePolicy`] (`Block` or `DropOldest` + drop accounting).
-//! * [`pipeline`] — the pipeline itself: producers submit batch frames
-//!   ([`softborg_trace::wire::encode_batch`]) through a [`FrameSender`];
-//!   a pool of decode+reconstruct workers processes frames concurrently,
-//!   memoizing reconstructions keyed on the exact encoded bytes; a
-//!   single merger releases results to the sink in strict sequence
-//!   order, so pipelined ingest is observably identical to serial
-//!   ingest.
-//! * [`stats`] — [`IngestStats`]: queue depth, drops, corrupt frames,
-//!   batch latency, cache hit rate, throughput.
+//! * [`map`] — [`ShardMap`]: explicit, deterministic, hash-based
+//!   program→shard placement, and the typed [`ShardError`]s the router
+//!   surfaces instead of panicking or silently dropping.
+//! * [`pipeline`] — the one pipeline, [`run`]: producers claim
+//!   per-program sequence slots through a [`FrameSender`]; one pool of
+//!   decode+reconstruct workers classifies each frame by the program id
+//!   embedded in its bytes and memoizes reconstructions keyed on the
+//!   exact encoded bytes; per-shard mergers release each program's
+//!   traces to their sink in strict sequence order, so pipelined ingest
+//!   is observably identical to serial ingest.
+//! * [`stats`] — [`IngestStats`]: queue depth, drops, corrupt /
+//!   rerouted / unknown-program frames, latency, cache hit rate,
+//!   throughput, per-shard breakdown and imbalance.
 //!
-//! The hive wires this up in `Hive::ingest_batch` /
-//! `Hive::ingest_frames`; the platform's round loop feeds it from pods
-//! running on scoped threads.
+//! The hive wires this up in `Hive::ingest_frames` (one program, one
+//! shard) and `ShardedHive::ingest_frames` (one sink per shard); the
+//! campaign round feeds it from pods running on scoped threads.
 
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod map;
 pub mod memo;
 pub mod pipeline;
 pub mod queue;
 pub mod stats;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use map::{ShardError, ShardMap};
 pub use memo::MemoCache;
 pub use pipeline::{run, FrameSender, IngestConfig, ProcessedTrace, ReconstructContext};
 pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
-pub use stats::IngestStats;
+pub use stats::{IngestStats, ShardStats, ERROR_SAMPLE_CAP};

@@ -110,11 +110,6 @@ impl ShardMap {
         self.n_shards
     }
 
-    /// Number of programs placed.
-    pub fn n_programs(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// The programs assigned to `shard`, in id order.
     pub fn programs_on(&self, shard: usize) -> Vec<ProgramId> {
         self.assignments
@@ -127,22 +122,6 @@ impl ShardMap {
     /// The full assignment table, in program-id order.
     pub fn assignments(&self) -> &BTreeMap<ProgramId, usize> {
         &self.assignments
-    }
-
-    /// Placement imbalance: max programs on any shard divided by the
-    /// mean per shard (1.0 = perfectly even; 0.0 when no programs are
-    /// placed).
-    pub fn imbalance_ratio(&self) -> f64 {
-        if self.assignments.is_empty() {
-            return 0.0;
-        }
-        let mut per_shard = vec![0usize; self.n_shards];
-        for &s in self.assignments.values() {
-            per_shard[s] += 1;
-        }
-        let max = per_shard.iter().max().copied().unwrap_or(0) as f64;
-        let mean = self.assignments.len() as f64 / self.n_shards as f64;
-        max / mean
     }
 }
 
@@ -173,7 +152,7 @@ mod tests {
         let m = ShardMap::new(&programs, 5).unwrap();
         let total: usize = (0..5).map(|s| m.programs_on(s).len()).sum();
         assert_eq!(total, 17);
-        assert_eq!(m.n_programs(), 17);
+        assert_eq!(m.assignments().len(), 17);
     }
 
     #[test]
@@ -205,15 +184,6 @@ mod tests {
         for &p in &programs {
             assert_eq!(m.shard_of(p).unwrap(), 0);
         }
-        assert!((m.imbalance_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn imbalance_ratio_flags_skew() {
-        // Two programs forced onto 4 shards: at most 2 occupied, so the
-        // ratio is at least 1.0 and at most n_shards/mean-bounded.
-        let m = ShardMap::new(&ids(2), 4).unwrap();
-        assert!(m.imbalance_ratio() >= 1.0);
-        assert_eq!(ShardMap::new(&[], 3).unwrap().imbalance_ratio(), 0.0);
+        assert_eq!(m.programs_on(0).len(), programs.len());
     }
 }

@@ -1,20 +1,23 @@
-//! The staged ingest pipeline: producers → bounded frame queue → decode +
-//! reconstruct worker pool → single ordered merger.
+//! The staged ingest pipeline: producers → one bounded frame queue →
+//! one decode+reconstruct worker pool → per-shard merge queues →
+//! per-shard sequence-ordered mergers.
 //!
 //! ```text
-//! producers ──submit_at(seq, frame)──▶ [frame queue] ──▶ worker 0 ─┐
-//!   (pods, network receivers, …)           │            worker 1 ─┼─▶ [merge queue] ─▶ merger ─▶ sink
-//!                                          └──▶ …       worker N ─┘     (reorders        (owns the
-//!                                                                        by seq)          tree)
+//! producers ──submit_for(prog, frame)──▶ [frame queue] ──▶ worker 0 ─┬─▶ [merge q 0] ─▶ merger 0 ─▶ sink 0
+//!   (per-program seq claimed here)           │             worker 1 ─┼─▶ [merge q 1] ─▶ merger 1 ─▶ sink 1
+//!                                            └──▶ …        worker N ─┘        …            …
 //! ```
 //!
-//! Three properties the shape buys:
+//! One hive is the one-program, one-shard case; a sharded hive passes
+//! one sink per shard. Properties the shape buys:
 //!
-//! * **Determinism.** Every frame carries a sequence number; the merger
-//!   releases frames to the sink strictly in sequence order, so the sink
-//!   observes exactly the serial ingest order no matter how threads
-//!   interleave. Dropped and corrupt frames consume their slot.
-//! * **Backpressure.** Both queues are bounded ([`BoundedQueue`]);
+//! * **Determinism.** Producers claim per-program sequence numbers at
+//!   submit; each merger keeps one reorder lane (heap + next counter) per
+//!   program and releases program *P*'s slot only when it is *P*'s next,
+//!   so every sink observes each program's traces in exactly the serial
+//!   ingest order no matter how threads interleave. Dropped, corrupt and
+//!   unroutable frames consume their slot.
+//! * **Backpressure.** Every queue is bounded ([`BoundedQueue`]);
 //!   [`BackpressurePolicy::Block`] propagates pressure to producers,
 //!   [`BackpressurePolicy::DropOldest`] sheds the oldest queued frame and
 //!   counts it.
@@ -25,20 +28,40 @@
 //!   constantly — cost one reconstruction total, not one per arrival.
 //!   This is the paper's information recycling applied to the hive's own
 //!   ingest path.
+//!
+//! Routing is **content-authoritative**: every trace payload begins with
+//! its program id, so a worker classifies a frame from the payload
+//! slices it validated once ([`wire::payloads_program_id`]) — the claim
+//! a producer made at submit time is just a *slot reservation* in that
+//! program's sequence. The claim and the content agree on every healthy
+//! frame; the disagreement cases are the router-hardening matrix:
+//!
+//! * **corrupt / mixed-program frame** — cannot be classified: the
+//!   claimed slot is consumed (ordering never stalls), the frame is
+//!   counted, never panicked on.
+//! * **unknown content program** — classifiable but unroutable: typed
+//!   [`ShardError::UnknownProgram`] sample + counter, claimed slot
+//!   consumed, nothing merged.
+//! * **rerouted** — healthy but claimed against the wrong program (a
+//!   misconfigured producer): the claimed slot is consumed, the traces
+//!   are delivered to the content program's sink *after* in-order
+//!   traffic, in deterministic (claimed program, seq) order.
 
 use crate::clock::{Clock, MonotonicClock};
+use crate::map::{ShardError, ShardMap};
 use crate::memo::MemoCache;
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 use crate::stats::{IngestStats, StatsCore};
 use softborg_obs::ObsHandles;
 use softborg_program::overlay::Overlay;
 use softborg_program::taint::InputDependence;
-use softborg_program::{BranchSiteId, Program};
+use softborg_program::{BranchSiteId, Program, ProgramId};
 use softborg_trace::{reconstruct, wire, ExecutionTrace};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ScopedJoinHandle;
 
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
@@ -47,7 +70,8 @@ pub struct IngestConfig {
     pub workers: usize,
     /// Frame-queue capacity (producer-side backpressure bound).
     pub queue_capacity: usize,
-    /// Merge-queue capacity (worker→merger bound; always lossless).
+    /// Merge-queue capacity, per shard (worker→merger bound; always
+    /// lossless).
     pub merge_capacity: usize,
     /// What producers do when the frame queue is full.
     pub policy: BackpressurePolicy,
@@ -82,9 +106,9 @@ impl Default for IngestConfig {
     }
 }
 
-/// Read-only reconstruction inputs shared by every worker. The overlay
-/// history must be frozen for the duration of a run (the hive only
-/// promotes fixes between rounds, never mid-ingest).
+/// Read-only reconstruction inputs for one program. The overlay history
+/// must be frozen for the duration of a run (the hive only promotes
+/// fixes between rounds, never mid-ingest).
 #[derive(Debug, Clone, Copy)]
 pub struct ReconstructContext<'a> {
     /// The program the traces were produced by.
@@ -95,10 +119,23 @@ pub struct ReconstructContext<'a> {
     pub overlays: &'a [Overlay],
 }
 
-/// One decoded trace plus its reconstruction result, as delivered to the
-/// merger's sink. `decisions` is `None` exactly when the serial
-/// [`softborg_hive`-style] path would count the trace unreconstructed
-/// (unknown overlay version or any `ReconstructError`).
+impl ReconstructContext<'_> {
+    /// The trace's reconstructed branch decisions, or `None` when it
+    /// cannot be reconstructed (unknown overlay version or any
+    /// `ReconstructError`) — the one rule serial and pipelined ingest
+    /// share.
+    pub fn decisions(&self, trace: &ExecutionTrace) -> Option<Vec<(BranchSiteId, bool)>> {
+        let overlay = self.overlays.get(trace.overlay_version as usize)?;
+        reconstruct(self.program, self.deps, overlay, trace)
+            .ok()
+            .map(|path| path.decisions)
+    }
+}
+
+/// One decoded trace plus its reconstruction result, as delivered to a
+/// merger's sink. `decisions` is `None` exactly when serial ingest would
+/// count the trace unreconstructed (unknown overlay version or any
+/// `ReconstructError`).
 #[derive(Debug)]
 pub struct ProcessedTrace {
     /// The decoded trace (detectors always consume it).
@@ -107,39 +144,67 @@ pub struct ProcessedTrace {
     pub decisions: Option<Vec<(BranchSiteId, bool)>>,
 }
 
+/// A frame plus the (program, seq) slot its producer claimed.
 struct FrameItem {
+    claimed: ProgramId,
     seq: u64,
     bytes: Vec<u8>,
     /// [`Clock::now_ns`] at submit, for the submit→merge latency gauge.
     enqueued_at_ns: u64,
 }
 
+/// What a worker made of one frame.
 enum WorkerOut {
+    /// Healthy, content agrees with the claim: traces for the claimed
+    /// program (possibly empty for an empty batch).
     Frame(Vec<Arc<ProcessedTrace>>),
+    /// Unclassifiable (wire corruption or mixed-program payloads).
     Corrupt,
+    /// Classifiable but no shard owns the content program.
+    Unknown,
+    /// Healthy but content ≠ claim; traces travel out-of-band in a
+    /// [`Rerouted`], this slot just advances the claimed lane.
+    Rerouted,
 }
 
+/// One merge-queue entry: a processed frame bound for the claimed
+/// program's reorder lane.
 struct MergeItem {
+    program: ProgramId,
     seq: u64,
     enqueued_at_ns: u64,
     out: WorkerOut,
 }
 
+/// A healthy frame whose content program differed from its claimed
+/// slot. Collected during the run; delivered to the content program's
+/// sink after all in-order traffic, sorted by the (unique) claimed slot
+/// so delivery order is deterministic.
+struct Rerouted {
+    claimed: ProgramId,
+    seq: u64,
+    to: ProgramId,
+    entries: Vec<Arc<ProcessedTrace>>,
+}
+
+/// State shared by every stage of one run.
 struct Shared {
     frames: BoundedQueue<FrameItem>,
-    merged: BoundedQueue<MergeItem>,
-    /// Sequence numbers that will never reach the merger (displaced by
+    merge: Vec<BoundedQueue<MergeItem>>,
+    /// Claimed slots that will never reach a merger (displaced by
     /// DropOldest or submitted after shutdown).
-    dropped: Mutex<BTreeSet<u64>>,
+    dropped: Mutex<BTreeSet<(ProgramId, u64)>>,
+    rerouted: Mutex<Vec<Rerouted>>,
+    /// Per-program claimed-sequence counters.
+    counters: BTreeMap<ProgramId, AtomicU64>,
     stats: StatsCore,
-    next_seq: AtomicU64,
     senders: AtomicUsize,
     clock: Arc<dyn Clock>,
 }
 
-/// A clonable handle producers use to feed frames into a running
-/// pipeline. The frame queue closes when the last clone is dropped, so
-/// producer panics still shut the pipeline down cleanly.
+/// A clonable producer handle. The frame queue closes when the last
+/// clone is dropped, so producer panics still shut the pipeline down
+/// cleanly.
 pub struct FrameSender {
     shared: Arc<Shared>,
 }
@@ -162,58 +227,93 @@ impl Drop for FrameSender {
 }
 
 impl FrameSender {
-    /// Submits a frame with an explicit sequence number. The merger
-    /// releases frames in sequence order, so over one run the submitted
-    /// numbers must be exactly `0..n` (pre-partition ranges among
-    /// producers when several threads submit). Do not mix with
-    /// [`submit`](Self::submit).
-    pub fn submit_at(&self, seq: u64, frame: Vec<u8>) {
+    /// Submits one encoded batch frame, claiming the next sequence slot
+    /// of `program`. Returns the claimed sequence number.
+    ///
+    /// The claim is a slot reservation, not the routing decision:
+    /// workers route by the program id embedded in the frame bytes, and
+    /// a mismatch is counted and rerouted rather than trusted.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::UnknownProgram`] when `program` is not in the shard
+    /// map — there is no sequence lane to claim a slot in. (This is a
+    /// producer-side configuration error, distinct from the
+    /// `frames_unknown_program` counter, which tracks unroutable frame
+    /// *content*.)
+    pub fn submit_for(&self, program: ProgramId, frame: Vec<u8>) -> Result<u64, ShardError> {
+        let counter = self
+            .shared
+            .counters
+            .get(&program)
+            .ok_or(ShardError::UnknownProgram { program })?;
+        let seq = counter.fetch_add(1, Ordering::Relaxed);
+        self.submit_for_at(program, seq, frame)?;
+        Ok(seq)
+    }
+
+    /// Submits one frame into an explicitly claimed `(program, seq)`
+    /// slot. Lets several producer threads pre-partition a program's
+    /// sequence space (pod *i* owns slots `i*k..(i+1)*k`) so merge order
+    /// is deterministic regardless of thread interleaving. Over one run
+    /// the slots claimed for a program must be exactly `0..n` with no
+    /// gaps or duplicates; do not mix with
+    /// [`submit_for`](Self::submit_for) on the same program.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::UnknownProgram`] when `program` is not in the shard
+    /// map.
+    pub fn submit_for_at(
+        &self,
+        program: ProgramId,
+        seq: u64,
+        frame: Vec<u8>,
+    ) -> Result<(), ShardError> {
         let sh = &self.shared;
+        if !sh.counters.contains_key(&program) {
+            return Err(ShardError::UnknownProgram { program });
+        }
         sh.stats.frames_submitted.incr();
         match sh.frames.push(FrameItem {
+            claimed: program,
             seq,
             bytes: frame,
             enqueued_at_ns: sh.clock.now_ns(),
         }) {
             PushOutcome::Accepted => {}
-            PushOutcome::Displaced(old) => {
-                sh.dropped.lock().expect("drop set").insert(old.seq);
-                sh.stats.frames_dropped.incr();
-            }
-            PushOutcome::Closed(item) => {
-                sh.dropped.lock().expect("drop set").insert(item.seq);
+            PushOutcome::Displaced(old) | PushOutcome::Closed(old) => {
+                sh.dropped
+                    .lock()
+                    .expect("drop set")
+                    .insert((old.claimed, old.seq));
                 sh.stats.frames_dropped.incr();
             }
         }
-    }
-
-    /// Submits a frame with an auto-assigned sequence number (shared by
-    /// all clones of this sender). Returns the number used.
-    pub fn submit(&self, frame: Vec<u8>) -> u64 {
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.submit_at(seq, frame);
-        seq
+        Ok(())
     }
 }
 
-/// Decrements the live-worker count; the last worker out (including by
-/// panic) closes the merge queue so the merger can finish.
+/// Last worker out (including by panic) closes every merge queue so the
+/// mergers can finish their final drains.
 struct WorkerGuard<'a> {
     active: &'a AtomicUsize,
-    merged: &'a BoundedQueue<MergeItem>,
+    merge: &'a [BoundedQueue<MergeItem>],
 }
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.merged.close();
+            for q in self.merge {
+                q.close();
+            }
         }
     }
 }
 
-/// Closes both queues when the merger exits — on the normal path this is
-/// a no-op (everything is already closed), on a sink panic it unblocks
-/// workers and producers so the scope can unwind instead of deadlocking.
+/// Closes everything when a merger exits. On the normal path every
+/// queue is already closed (no-op); on a sink panic this unblocks
+/// producers and workers so the scope can unwind instead of deadlock.
 struct MergerGuard<'a> {
     shared: &'a Shared,
 }
@@ -221,85 +321,106 @@ struct MergerGuard<'a> {
 impl Drop for MergerGuard<'_> {
     fn drop(&mut self) {
         self.shared.frames.close();
-        self.shared.merged.close();
+        for q in &self.shared.merge {
+            q.close();
+        }
     }
 }
 
-fn reconstruct_decisions(
-    ctx: &ReconstructContext<'_>,
-    trace: &ExecutionTrace,
-) -> Option<Vec<(BranchSiteId, bool)>> {
-    let overlay = ctx.overlays.get(trace.overlay_version as usize)?;
-    reconstruct(ctx.program, ctx.deps, overlay, trace)
-        .ok()
-        .map(|p| p.decisions)
+/// Validates one frame once, classifies it by content, and decodes and
+/// reconstructs its payloads through the memo. Returns what the claimed
+/// lane should see; rerouted traces are stashed in `shared.rerouted` as
+/// a side effect.
+fn process_frame(
+    shared: &Shared,
+    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    memo: &mut MemoCache<Arc<ProcessedTrace>>,
+    item: &FrameItem,
+) -> WorkerOut {
+    let stats = &shared.stats;
+    let classified = wire::batch_payloads(&item.bytes)
+        .and_then(|payloads| Ok((wire::payloads_program_id(&payloads)?, payloads)));
+    let (content, payloads) = match classified {
+        Err(_) => {
+            stats.frames_corrupt.incr();
+            return WorkerOut::Corrupt;
+        }
+        // An empty batch carries no traces for anyone; the claimed slot
+        // simply advances.
+        Ok((None, _)) => return WorkerOut::Frame(Vec::new()),
+        Ok((Some(id), payloads)) => (id, payloads),
+    };
+    let Some(ctx) = ctxs.get(&content) else {
+        stats.frames_unknown_program.incr();
+        stats.sample_error(ShardError::UnknownProgram { program: content });
+        return WorkerOut::Unknown;
+    };
+    let mut entries = Vec::with_capacity(payloads.len());
+    for p in payloads {
+        if let Some(hit) = memo.get(p) {
+            stats.cache_hits.incr();
+            entries.push(hit);
+            continue;
+        }
+        stats.cache_misses.incr();
+        let Ok(trace) = wire::decode(p) else {
+            stats.frames_corrupt.incr();
+            return WorkerOut::Corrupt;
+        };
+        let decisions = ctx.decisions(&trace);
+        let entry = Arc::new(ProcessedTrace { trace, decisions });
+        memo.insert(p.to_vec(), entry.clone());
+        entries.push(entry);
+    }
+    if content == item.claimed {
+        return WorkerOut::Frame(entries);
+    }
+    stats.frames_rerouted.incr();
+    shared.rerouted.lock().expect("reroute set").push(Rerouted {
+        claimed: item.claimed,
+        seq: item.seq,
+        to: content,
+        entries,
+    });
+    WorkerOut::Rerouted
 }
 
 fn worker_loop(
     shared: &Shared,
-    ctx: ReconstructContext<'_>,
+    map: &ShardMap,
+    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     memo_capacity: usize,
     active: &AtomicUsize,
 ) {
     let _guard = WorkerGuard {
         active,
-        merged: &shared.merged,
+        merge: &shared.merge,
     };
     let mut memo: MemoCache<Arc<ProcessedTrace>> = MemoCache::new(memo_capacity);
-    while let Some(frame) = shared.frames.pop() {
+    while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
-        let out = match wire::batch_payloads(&frame.bytes) {
-            Err(_) => WorkerOut::Corrupt,
-            Ok(payloads) => {
-                let mut entries = Vec::with_capacity(payloads.len());
-                let mut corrupt = false;
-                for p in payloads {
-                    if let Some(hit) = memo.get(p) {
-                        shared.stats.cache_hits.incr();
-                        entries.push(hit);
-                        continue;
-                    }
-                    shared.stats.cache_misses.incr();
-                    match wire::decode(p) {
-                        Err(_) => {
-                            corrupt = true;
-                            break;
-                        }
-                        Ok(trace) => {
-                            let decisions = reconstruct_decisions(&ctx, &trace);
-                            let entry = Arc::new(ProcessedTrace { trace, decisions });
-                            memo.insert(p.to_vec(), entry.clone());
-                            entries.push(entry);
-                        }
-                    }
-                }
-                if corrupt {
-                    WorkerOut::Corrupt
-                } else {
-                    WorkerOut::Frame(entries)
-                }
-            }
-        };
+        let out = process_frame(shared, ctxs, &mut memo, &item);
         let busy_ns = shared.clock.now_ns().saturating_sub(t0);
         shared.stats.worker_busy_ns.add(busy_ns);
         if let Some(h) = &shared.stats.stage_work_ns {
             h.record(busy_ns);
         }
-        if matches!(out, WorkerOut::Corrupt) {
-            shared.stats.frames_corrupt.incr();
-        }
+        let shard = map
+            .shard_of(item.claimed)
+            .expect("claimed program validated at submit");
         // If the merger died (sink panic) the queue is closed; the item
-        // is simply discarded while the scope unwinds.
-        let _ = shared.merged.push(MergeItem {
-            seq: frame.seq,
-            enqueued_at_ns: frame.enqueued_at_ns,
+        // is discarded while the scope unwinds.
+        let _ = shared.merge[shard].push(MergeItem {
+            program: item.claimed,
+            seq: item.seq,
+            enqueued_at_ns: item.enqueued_at_ns,
             out,
         });
     }
     shared.stats.cache_evictions.add(memo.evictions());
 }
 
-/// Heap entry ordered by ascending sequence number.
+/// Heap entry ordered by ascending claimed sequence number.
 struct BySeq(MergeItem);
 
 impl PartialEq for BySeq {
@@ -319,91 +440,123 @@ impl Ord for BySeq {
     }
 }
 
-fn merger_loop<F: FnMut(&ProcessedTrace)>(shared: &Shared, sink: &mut F) {
+/// One program's reorder lane inside a merger.
+#[derive(Default)]
+struct Lane {
+    next: u64,
+    pending: BinaryHeap<Reverse<BySeq>>,
+}
+
+fn merger_loop<S: FnMut(ProgramId, &ProcessedTrace)>(shared: &Shared, shard: usize, sink: &mut S) {
     let _guard = MergerGuard { shared };
-    let mut next: u64 = 0;
-    let mut pending: BinaryHeap<Reverse<BySeq>> = BinaryHeap::new();
-    let emit = |item: MergeItem, sink: &mut F| {
-        match &item.out {
-            WorkerOut::Frame(entries) => {
-                for entry in entries {
-                    sink(entry);
-                }
-                shared.stats.traces_merged.add(entries.len() as u64);
-            }
-            WorkerOut::Corrupt => {
-                // Already counted by the worker; the slot is consumed so
-                // ordering stays intact.
-            }
-        }
-        shared.stats.frames_merged.incr();
-        let latency_ns = shared.clock.now_ns().saturating_sub(item.enqueued_at_ns);
-        shared.stats.frame_latency_ns.add(latency_ns);
-        if let Some(h) = &shared.stats.stage_merge_wait_ns {
-            h.record(latency_ns);
-        }
-    };
-    let skip_dropped = |next: &mut u64| {
+    let (stats, shard_stats) = (&shared.stats, &shared.stats.per_shard[shard]);
+    let mut lanes: BTreeMap<ProgramId, Lane> = BTreeMap::new();
+    let skip_dropped = |program: ProgramId, next: &mut u64| {
         let mut dropped = shared.dropped.lock().expect("drop set");
-        while dropped.remove(next) {
+        while dropped.remove(&(program, *next)) {
             *next += 1;
         }
     };
-    loop {
-        skip_dropped(&mut next);
-        while pending
-            .peek()
-            .is_some_and(|Reverse(BySeq(item))| item.seq == next)
-        {
-            let Reverse(BySeq(item)) = pending.pop().expect("peeked");
-            emit(item, sink);
-            next += 1;
-            skip_dropped(&mut next);
+    let emit = |item: MergeItem, sink: &mut S| {
+        match &item.out {
+            WorkerOut::Frame(entries) => {
+                for entry in entries {
+                    sink(item.program, entry);
+                }
+                let n = entries.len() as u64;
+                stats.traces_merged.add(n);
+                shard_stats.traces_merged.add(n);
+            }
+            // Counted at the worker (pool-wide) and here (per shard); the
+            // slot is consumed so ordering stays intact.
+            WorkerOut::Corrupt => shard_stats.frames_corrupt.incr(),
+            WorkerOut::Unknown | WorkerOut::Rerouted => {}
         }
-        match shared.merged.pop() {
-            Some(item) => pending.push(Reverse(BySeq(item))),
-            // Workers are done: every surviving frame is in `pending`,
-            // every gap is in the drop set. Drain in order.
-            None => break,
+        stats.frames_merged.incr();
+        shard_stats.frames_merged.incr();
+        let latency_ns = shared.clock.now_ns().saturating_sub(item.enqueued_at_ns);
+        stats.frame_latency_ns.add(latency_ns);
+        if let Some(h) = &stats.stage_merge_wait_ns {
+            h.record(latency_ns);
+        }
+    };
+    // `pop` returns `None` once the workers are done: every surviving
+    // slot is then in some lane, every gap in the drop set.
+    while let Some(item) = shared.merge[shard].pop() {
+        let program = item.program;
+        let lane = lanes.entry(program).or_default();
+        lane.pending.push(Reverse(BySeq(item)));
+        loop {
+            skip_dropped(program, &mut lane.next);
+            match lane.pending.peek() {
+                Some(Reverse(BySeq(it))) if it.seq == lane.next => {
+                    let Reverse(BySeq(it)) = lane.pending.pop().expect("peeked");
+                    emit(it, sink);
+                    lane.next += 1;
+                }
+                _ => break,
+            }
         }
     }
-    while let Some(Reverse(BySeq(item))) = pending.pop() {
-        skip_dropped(&mut next);
-        debug_assert_eq!(item.seq, next, "merger saw a non-dropped gap");
-        next = item.seq + 1;
-        emit(item, sink);
+    // Final drain, lane by lane in program-id order.
+    for (program, lane) in &mut lanes {
+        while let Some(Reverse(BySeq(it))) = lane.pending.pop() {
+            skip_dropped(*program, &mut lane.next);
+            debug_assert_eq!(it.seq, lane.next, "merger saw a non-dropped gap");
+            lane.next = it.seq + 1;
+            emit(it, sink);
+        }
     }
+}
+
+fn join<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
 /// Runs the pipeline to completion.
 ///
-/// `producer` runs on its own thread and feeds encoded batch frames
+/// `producer` runs on its own thread and claims (program, seq) slots
 /// through the [`FrameSender`] it is given (clone it to fan production
-/// out over more threads); its return value is handed back. `sink` runs
-/// on the calling thread and receives every surviving trace in exact
-/// sequence order — it is the single merger and may freely own mutable
-/// state (the hive passes closures over its execution tree and
-/// detectors).
+/// out). `sinks[i]` is shard *i*'s merger sink, with exclusive access to
+/// whatever mutable state it captured (a hive passes its merge state;
+/// the sharded hive one closure per shard over that shard's hives); it
+/// observes each program's traces in exact claimed-sequence order.
+/// Shard 0's merger runs on the calling thread, every other shard's on
+/// its own. `ctxs` holds the reconstruction inputs of every program in
+/// `map`. Rerouted traffic is delivered to its content program's sink
+/// once every merger is done.
 ///
-/// Worker, producer, and sink panics all shut the pipeline down and
-/// propagate; none of them can deadlock the run.
-pub fn run<R, P, F>(
+/// # Panics
+///
+/// Propagates producer, worker, and sink panics (none can deadlock the
+/// run). Panics if `sinks.len() != map.n_shards()`.
+pub fn run<R, P, S>(
     config: &IngestConfig,
-    ctx: ReconstructContext<'_>,
+    map: &ShardMap,
+    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     producer: P,
-    mut sink: F,
+    sinks: Vec<S>,
 ) -> (R, IngestStats)
 where
     P: FnOnce(FrameSender) -> R + Send,
     R: Send,
-    F: FnMut(&ProcessedTrace),
+    S: FnMut(ProgramId, &ProcessedTrace) + Send,
 {
+    assert_eq!(sinks.len(), map.n_shards(), "one sink per shard");
+    let started = config.clock.now_ns();
     let shared = Arc::new(Shared {
         frames: BoundedQueue::new(config.queue_capacity, config.policy),
-        merged: BoundedQueue::new(config.merge_capacity, BackpressurePolicy::Block),
+        merge: (0..map.n_shards())
+            .map(|_| BoundedQueue::new(config.merge_capacity, BackpressurePolicy::Block))
+            .collect(),
         dropped: Mutex::new(BTreeSet::new()),
-        stats: StatsCore::new(config.obs.registry.as_ref()),
-        next_seq: AtomicU64::new(0),
+        rerouted: Mutex::new(Vec::new()),
+        counters: (map.assignments().keys())
+            .map(|&p| (p, AtomicU64::new(0)))
+            .collect(),
+        stats: StatsCore::new(config.obs.registry.as_ref(), map.n_shards()),
         senders: AtomicUsize::new(1),
         clock: config.clock.clone(),
     });
@@ -413,36 +566,62 @@ where
     let n_workers = config.workers.max(1);
     let active = AtomicUsize::new(n_workers);
     let memo_capacity = config.memo_capacity;
-    let started = config.clock.now_ns();
-    let result = std::thread::scope(|s| {
+    let (result, mut sinks) = std::thread::scope(|s| {
+        let shared = &shared;
         let producer_handle = s.spawn(move || producer(sender));
         let worker_handles: Vec<_> = (0..n_workers)
             .map(|_| {
-                let shared = &shared;
                 let active = &active;
-                s.spawn(move || worker_loop(shared, ctx, memo_capacity, active))
+                s.spawn(move || worker_loop(shared, map, ctxs, memo_capacity, active))
             })
             .collect();
-        merger_loop(&shared, &mut sink);
-        for h in worker_handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-        match producer_handle.join() {
-            Ok(r) => r,
-            Err(p) => std::panic::resume_unwind(p),
-        }
+        let mut sinks = sinks.into_iter();
+        let mut first = sinks.next().expect("at least one shard");
+        let merger_handles: Vec<_> = (1..)
+            .zip(sinks)
+            .map(|(i, mut sink)| {
+                s.spawn(move || {
+                    merger_loop(shared, i, &mut sink);
+                    sink
+                })
+            })
+            .collect();
+        merger_loop(shared, 0, &mut first);
+        let sinks: Vec<S> = std::iter::once(first)
+            .chain(merger_handles.into_iter().map(join))
+            .collect();
+        worker_handles.into_iter().for_each(join);
+        (join(producer_handle), sinks)
     });
-    let stats = shared.stats.snapshot(
+    let mut rerouted = std::mem::take(&mut *shared.rerouted.lock().expect("reroute set"));
+    // The claimed slot is unique per frame: a total, deterministic
+    // delivery order regardless of worker interleaving.
+    rerouted.sort_by_key(|d| (d.claimed, d.seq));
+    let stats = &shared.stats;
+    for d in rerouted {
+        let shard = map.shard_of(d.to).expect("content validated by worker");
+        for entry in &d.entries {
+            sinks[shard](d.to, entry);
+        }
+        let n = d.entries.len() as u64;
+        stats.traces_merged.add(n);
+        stats.per_shard[shard].traces_merged.add(n);
+        stats.per_shard[shard].frames_rerouted_in.incr();
+    }
+    let mut stats = stats.snapshot(
         n_workers,
         shared.frames.high_water(),
         config.clock.now_ns().saturating_sub(started),
     );
-    // Only content-determined fields go in the event payload (frame and
-    // trace counts are fixed by the sequence-ordered merge contract);
-    // cache hits and queue depths vary with thread interleaving and
-    // would break the events-hash stability guarantee.
+    for s in &mut stats.per_shard {
+        s.programs = map.programs_on(s.shard).len();
+        s.merge_queue_high_water = shared.merge[s.shard].high_water();
+    }
+    // Only content-determined fields go in the event payload (frame
+    // routing is content-authoritative and frame and trace counts are
+    // fixed by the sequence-ordered merge contract); cache hits and
+    // queue depths vary with thread interleaving and would break the
+    // events-hash stability guarantee.
     config.obs.recorder.info(
         "ingest",
         "run_done",
@@ -450,10 +629,17 @@ where
             ("frames_merged", stats.frames_merged),
             ("traces_merged", stats.traces_merged),
             ("frames_corrupt", stats.frames_corrupt),
+            ("frames_rerouted", stats.frames_rerouted),
+            ("frames_unknown_program", stats.frames_unknown_program),
         ],
         format_args!(
-            "ingest run merged {} traces over {} frames ({} corrupt) in {}ns",
-            stats.traces_merged, stats.frames_merged, stats.frames_corrupt, stats.wall_ns
+            "ingest run merged {} traces over {} frames ({} corrupt, {} rerouted, {} unknown) in {}ns",
+            stats.traces_merged,
+            stats.frames_merged,
+            stats.frames_corrupt,
+            stats.frames_rerouted,
+            stats.frames_unknown_program,
+            stats.wall_ns
         ),
     );
     (result, stats)

@@ -1,31 +1,47 @@
 //! Pipeline observability: registry-backed counters updated by every
 //! stage, snapshotted into an [`IngestStats`] when a run completes.
 //!
-//! The counters live in a `softborg-obs` [`MetricsRegistry`] under
-//! `ingest.*` paths. When the caller attaches a shared registry
+//! The pool-wide counters live in a `softborg-obs` [`MetricsRegistry`]
+//! under `ingest.*` paths. When the caller attaches a shared registry
 //! ([`IngestConfig::obs`](crate::IngestConfig)), the same handles feed
 //! fleet-wide metrics *and* the per-run [`IngestStats`] view (the
 //! snapshot subtracts a baseline captured at run start, so per-run
 //! stats stay per-run even when the registry accumulates across
 //! rounds); without one, the run keeps a private registry and the cost
-//! is identical — one relaxed atomic add per update, exactly what the
-//! old hand-rolled `StatsCore` did.
+//! is identical — one relaxed atomic add per update. The per-shard
+//! breakdown and the typed-error samples are per-run only.
 
+use crate::map::ShardError;
 use softborg_obs::{rates, Counter, Gauge, Histogram, MetricsRegistry};
+use std::sync::Mutex;
 
-/// Baseline counter values at run start, subtracted at snapshot time.
-#[derive(Debug, Default, Clone, Copy)]
-struct Baseline {
-    frames_submitted: u64,
-    frames_dropped: u64,
-    frames_corrupt: u64,
-    frames_merged: u64,
-    traces_merged: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    worker_busy_ns: u64,
-    frame_latency_ns: u64,
+/// How many router-error samples a run retains (counters are exact;
+/// samples are capped so a firehose of bad frames can't balloon memory).
+pub const ERROR_SAMPLE_CAP: usize = 8;
+
+/// The pool-wide counters, in [`StatsCore::counters`] order.
+const COUNTERS: [&str; 12] = [
+    "ingest.frames_submitted",
+    "ingest.frames_dropped",
+    "ingest.frames_corrupt",
+    "ingest.frames_rerouted",
+    "ingest.frames_unknown_program",
+    "ingest.frames_merged",
+    "ingest.traces_merged",
+    "ingest.cache_hits",
+    "ingest.cache_misses",
+    "ingest.cache_evictions",
+    "ingest.worker_busy_ns",
+    "ingest.frame_latency_ns",
+];
+
+/// One shard merger's counters (plus the post-run rerouted drain's).
+#[derive(Debug, Default)]
+pub(crate) struct ShardCore {
+    pub frames_merged: Counter,
+    pub traces_merged: Counter,
+    pub frames_corrupt: Counter,
+    pub frames_rerouted_in: Counter,
 }
 
 /// Shared counters the pipeline stages update concurrently, interned in
@@ -35,12 +51,15 @@ pub(crate) struct StatsCore {
     pub frames_submitted: Counter,
     pub frames_dropped: Counter,
     pub frames_corrupt: Counter,
+    pub frames_rerouted: Counter,
+    pub frames_unknown_program: Counter,
     pub frames_merged: Counter,
     pub traces_merged: Counter,
     pub cache_hits: Counter,
     pub cache_misses: Counter,
     pub cache_evictions: Counter,
-    /// Total worker time spent decoding + reconstructing, in ns.
+    /// Total worker time spent classifying, decoding and reconstructing,
+    /// in ns.
     pub worker_busy_ns: Counter,
     /// Total submit→merge latency over merged frames, in ns.
     pub frame_latency_ns: Counter,
@@ -50,16 +69,19 @@ pub(crate) struct StatsCore {
     /// Per-frame submit→merge latency histogram (attached registry
     /// only).
     pub stage_merge_wait_ns: Option<Histogram>,
+    pub per_shard: Vec<ShardCore>,
+    errors: Mutex<Vec<ShardError>>,
     queue_high_water: Gauge,
     wall_ns: Gauge,
     workers: Gauge,
-    base: Baseline,
+    /// Counter values at run start, subtracted at snapshot time.
+    base: [u64; 12],
 }
 
 impl StatsCore {
     /// Handles into `registry`, or a private registry when `None`.
     /// Histogram spans are only recorded into an attached registry.
-    pub(crate) fn new(registry: Option<&MetricsRegistry>) -> Self {
+    pub(crate) fn new(registry: Option<&MetricsRegistry>, n_shards: usize) -> Self {
         let attached = registry.is_some();
         let private;
         let reg = match registry {
@@ -69,42 +91,62 @@ impl StatsCore {
                 &private
             }
         };
-        let c = |path| reg.counter(path);
-        let core = StatsCore {
-            frames_submitted: c("ingest.frames_submitted"),
-            frames_dropped: c("ingest.frames_dropped"),
-            frames_corrupt: c("ingest.frames_corrupt"),
-            frames_merged: c("ingest.frames_merged"),
-            traces_merged: c("ingest.traces_merged"),
-            cache_hits: c("ingest.cache_hits"),
-            cache_misses: c("ingest.cache_misses"),
-            cache_evictions: c("ingest.cache_evictions"),
-            worker_busy_ns: c("ingest.worker_busy_ns"),
-            frame_latency_ns: c("ingest.frame_latency_ns"),
+        let [frames_submitted, frames_dropped, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
+            COUNTERS.map(|path| reg.counter(path));
+        let mut core = StatsCore {
+            frames_submitted,
+            frames_dropped,
+            frames_corrupt,
+            frames_rerouted,
+            frames_unknown_program,
+            frames_merged,
+            traces_merged,
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            worker_busy_ns,
+            frame_latency_ns,
             stage_work_ns: attached.then(|| reg.histogram("ingest.stage.work_ns")),
             stage_merge_wait_ns: attached.then(|| reg.histogram("ingest.stage.merge_wait_ns")),
+            per_shard: (0..n_shards).map(|_| ShardCore::default()).collect(),
+            errors: Mutex::new(Vec::new()),
             queue_high_water: reg.gauge("ingest.queue_high_water"),
             wall_ns: reg.gauge("ingest.wall_ns"),
             workers: reg.gauge("ingest.workers"),
-            base: Baseline::default(),
+            base: [0; 12],
         };
-        StatsCore {
-            base: Baseline {
-                frames_submitted: core.frames_submitted.get(),
-                frames_dropped: core.frames_dropped.get(),
-                frames_corrupt: core.frames_corrupt.get(),
-                frames_merged: core.frames_merged.get(),
-                traces_merged: core.traces_merged.get(),
-                cache_hits: core.cache_hits.get(),
-                cache_misses: core.cache_misses.get(),
-                cache_evictions: core.cache_evictions.get(),
-                worker_busy_ns: core.worker_busy_ns.get(),
-                frame_latency_ns: core.frame_latency_ns.get(),
-            },
-            ..core
+        core.base = core.counters().map(Counter::get);
+        core
+    }
+
+    fn counters(&self) -> [&Counter; 12] {
+        [
+            &self.frames_submitted,
+            &self.frames_dropped,
+            &self.frames_corrupt,
+            &self.frames_rerouted,
+            &self.frames_unknown_program,
+            &self.frames_merged,
+            &self.traces_merged,
+            &self.cache_hits,
+            &self.cache_misses,
+            &self.cache_evictions,
+            &self.worker_busy_ns,
+            &self.frame_latency_ns,
+        ]
+    }
+
+    /// Records a router error: exact count via the caller's counter,
+    /// plus a capped sample for diagnostics.
+    pub(crate) fn sample_error(&self, err: ShardError) {
+        let mut errors = self.errors.lock().expect("error samples");
+        if errors.len() < ERROR_SAMPLE_CAP {
+            errors.push(err);
         }
     }
 
+    /// The run's stats. Per-shard `programs` and merge-queue depths are
+    /// the caller's to fill in.
     pub(crate) fn snapshot(
         &self,
         workers: usize,
@@ -114,29 +156,68 @@ impl StatsCore {
         self.queue_high_water.set_max(queue_high_water as u64);
         self.wall_ns.set(wall_ns);
         self.workers.set(workers as u64);
-        let frames_submitted = self.frames_submitted.get() - self.base.frames_submitted;
-        let wall_ns = rates::clamp_wall_ns(wall_ns, frames_submitted > 0);
+        let now = self.counters().map(Counter::get);
+        let [frames_submitted, frames_dropped, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
+            std::array::from_fn(|i| now[i] - self.base[i]);
         IngestStats {
             frames_submitted,
-            frames_dropped: self.frames_dropped.get() - self.base.frames_dropped,
-            frames_corrupt: self.frames_corrupt.get() - self.base.frames_corrupt,
-            frames_merged: self.frames_merged.get() - self.base.frames_merged,
-            traces_merged: self.traces_merged.get() - self.base.traces_merged,
-            cache_hits: self.cache_hits.get() - self.base.cache_hits,
-            cache_misses: self.cache_misses.get() - self.base.cache_misses,
-            cache_evictions: self.cache_evictions.get() - self.base.cache_evictions,
-            worker_busy_ns: self.worker_busy_ns.get() - self.base.worker_busy_ns,
-            frame_latency_ns: self.frame_latency_ns.get() - self.base.frame_latency_ns,
+            frames_dropped,
+            frames_corrupt,
+            frames_rerouted,
+            frames_unknown_program,
+            frames_merged,
+            traces_merged,
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            worker_busy_ns,
+            frame_latency_ns,
             queue_high_water,
-            wall_ns,
+            // A run that submitted frames inside one clock tick must not
+            // report zero elapsed time.
+            wall_ns: rates::clamp_wall_ns(wall_ns, frames_submitted > 0),
             workers,
+            per_shard: (self.per_shard.iter().enumerate())
+                .map(|(shard, s)| ShardStats {
+                    shard,
+                    programs: 0,
+                    frames_merged: s.frames_merged.get(),
+                    traces_merged: s.traces_merged.get(),
+                    frames_corrupt: s.frames_corrupt.get(),
+                    frames_rerouted_in: s.frames_rerouted_in.get(),
+                    merge_queue_high_water: 0,
+                })
+                .collect(),
+            error_samples: self.errors.lock().expect("error samples").clone(),
         }
     }
 }
 
-/// Counters and gauges for one pipeline run — the per-run derived view
-/// over the `ingest.*` registry metrics.
+/// One shard's share of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Shard index.
+    pub shard: usize,
+    /// Programs placed on this shard.
+    pub programs: usize,
+    /// Frames whose slot this shard's merger consumed (healthy, corrupt,
+    /// unknown, and rerouted-away frames all count — they all advance
+    /// the shard's per-program sequence).
+    pub frames_merged: u64,
+    /// Traces applied to this shard's sinks (rerouted-in included).
+    pub traces_merged: u64,
+    /// Corrupt frames charged to this shard (by claimed program).
+    pub frames_corrupt: u64,
+    /// Frames whose content routed *into* this shard from a slot claimed
+    /// on another program.
+    pub frames_rerouted_in: u64,
+    /// Deepest this shard's merge queue ever got.
+    pub merge_queue_high_water: usize,
+}
+
+/// Counters and gauges for one pipeline run — the per-run derived view
+/// over the `ingest.*` registry metrics, plus the per-shard breakdown.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Frames handed to the pipeline (before any drop).
     pub frames_submitted: u64,
@@ -144,12 +225,21 @@ pub struct IngestStats {
     /// backpressure (or submitted after shutdown) and never merged.
     pub frames_dropped: u64,
     /// Frames rejected by wire validation (bad magic, truncation,
-    /// checksum mismatch, …). Counted and skipped — never a panic.
+    /// checksum mismatch, …) or carrying payloads from more than one
+    /// program. Counted and skipped — never a panic.
     pub frames_corrupt: u64,
-    /// Frames that reached the merger (corrupt frames included: the
-    /// merger consumes their slot to preserve ordering).
+    /// Healthy frames whose content program differed from the claimed
+    /// one: the claimed slot is consumed and the traces are delivered to
+    /// the content program's shard (deterministically, after in-order
+    /// traffic).
+    pub frames_rerouted: u64,
+    /// Healthy frames whose content program the run does not serve:
+    /// typed error, counted, slot consumed — never a panic, never merged.
+    pub frames_unknown_program: u64,
+    /// Frames whose slot reached a merger (corrupt, unknown and rerouted
+    /// included: their slot is consumed to preserve ordering).
     pub frames_merged: u64,
-    /// Traces delivered to the sink, over all merged frames.
+    /// Traces delivered to the sinks, over all shards.
     pub traces_merged: u64,
     /// Traces whose decode+reconstruction was recycled from the memo
     /// cache (byte-identical by-product seen before).
@@ -159,7 +249,8 @@ pub struct IngestStats {
     /// Memo entries rotated out by the second-chance sweep (summed over
     /// workers).
     pub cache_evictions: u64,
-    /// Total worker time spent decoding + reconstructing, in ns.
+    /// Total worker time spent classifying, decoding and reconstructing,
+    /// in ns.
     pub worker_busy_ns: u64,
     /// Total submit→merge latency across merged frames, in ns.
     pub frame_latency_ns: u64,
@@ -169,6 +260,11 @@ pub struct IngestStats {
     pub wall_ns: u64,
     /// Decode/reconstruct workers the run used.
     pub workers: usize,
+    /// Per-shard breakdown, indexed by shard.
+    pub per_shard: Vec<ShardStats>,
+    /// Up to [`ERROR_SAMPLE_CAP`] typed router errors (counters above
+    /// are exact; these are samples).
+    pub error_samples: Vec<ShardError>,
 }
 
 impl IngestStats {
@@ -186,21 +282,40 @@ impl IngestStats {
     pub fn cache_hit_rate(&self) -> f64 {
         rates::hit_rate(self.cache_hits, self.cache_misses)
     }
+
+    /// Work imbalance across shards: max per-shard `traces_merged`
+    /// divided by the mean (1.0 = perfectly even; 0.0 when nothing
+    /// merged). The gauge that tells an operator hash placement has
+    /// concentrated hot programs on one shard.
+    pub fn imbalance_ratio(&self) -> f64 {
+        if self.per_shard.is_empty() || self.traces_merged == 0 {
+            return 0.0;
+        }
+        let max = self
+            .per_shard
+            .iter()
+            .map(|s| s.traces_merged)
+            .max()
+            .unwrap_or(0) as f64;
+        let mean = self.traces_merged as f64 / self.per_shard.len() as f64;
+        max / mean
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softborg_program::ProgramId;
 
     #[test]
     fn attached_registry_snapshots_are_per_run_deltas() {
         let reg = MetricsRegistry::new();
-        let run1 = StatsCore::new(Some(&reg));
+        let run1 = StatsCore::new(Some(&reg), 1);
         run1.frames_submitted.add(3);
         run1.traces_merged.add(7);
         assert_eq!(run1.snapshot(1, 0, 10).traces_merged, 7);
         // A second run over the same registry sees only its own counts…
-        let run2 = StatsCore::new(Some(&reg));
+        let run2 = StatsCore::new(Some(&reg), 1);
         run2.frames_submitted.add(1);
         run2.traces_merged.add(2);
         let s2 = run2.snapshot(1, 0, 10);
@@ -212,17 +327,38 @@ mod tests {
 
     #[test]
     fn private_registry_has_no_histograms() {
-        let core = StatsCore::new(None);
+        let core = StatsCore::new(None, 1);
         assert!(core.stage_work_ns.is_none());
-        let attached = StatsCore::new(Some(&MetricsRegistry::new()));
+        let attached = StatsCore::new(Some(&MetricsRegistry::new()), 1);
         assert!(attached.stage_work_ns.is_some());
     }
 
     #[test]
     fn zero_wall_clamps_only_when_busy() {
-        let core = StatsCore::new(None);
+        let core = StatsCore::new(None, 1);
         assert_eq!(core.snapshot(1, 0, 0).wall_ns, 0);
         core.frames_submitted.incr();
         assert_eq!(core.snapshot(1, 0, 0).wall_ns, 1);
+    }
+
+    #[test]
+    fn error_samples_are_capped_but_counting_is_callers() {
+        let core = StatsCore::new(None, 1);
+        for i in 0..100 {
+            core.sample_error(ShardError::UnknownProgram {
+                program: ProgramId(i),
+            });
+        }
+        assert_eq!(core.snapshot(1, 0, 0).error_samples.len(), ERROR_SAMPLE_CAP);
+    }
+
+    #[test]
+    fn imbalance_ratio_reads_skew() {
+        let core = StatsCore::new(None, 2);
+        core.traces_merged.add(100);
+        core.per_shard[0].traces_merged.add(90);
+        core.per_shard[1].traces_merged.add(10);
+        assert!((core.snapshot(1, 0, 1).imbalance_ratio() - 1.8).abs() < 1e-9);
+        assert_eq!(IngestStats::default().imbalance_ratio(), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Shared snapshot/rate derivations used by every per-run stats view
-//! (`IngestStats`, `ShardRunStats`, …), so the wall-clock clamp and the
-//! rate formulas live in exactly one place.
+//! (`IngestStats`, …), so the wall-clock clamp and the rate formulas
+//! live in exactly one place.
 
 /// Clamps a run's wall duration for rate derivation: a run that did
 /// work but finished inside one clock tick (coarse clock, or a virtual

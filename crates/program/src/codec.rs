@@ -51,7 +51,7 @@ pub enum CodecError {
     },
     /// A string field was not valid UTF-8.
     Utf8,
-    /// Expression nesting exceeded [`MAX_EXPR_DEPTH`].
+    /// Expression nesting exceeded `MAX_EXPR_DEPTH` (256).
     DepthExceeded,
 }
 

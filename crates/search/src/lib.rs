@@ -23,7 +23,7 @@
 //! 3. [`oracle::check`] applies the invariant ladder (completion, no
 //!    shedding, exact delivery, journal boundedness, ledger agreement,
 //!    byte-identity with the fault-free run).
-//! 4. On failure, [`shrink`] walks [`FaultPlan::shrink_candidates`] to
+//! 4. On failure, [`shrink()`] walks [`FaultPlan::shrink_candidates`] to
 //!    a minimal still-failing plan, [`first_divergence`] localizes the
 //!    first divergent dispatch, and [`explain_recorders`] names the
 //!    first divergent recorded event.

@@ -427,11 +427,13 @@ pub fn batch_payloads(data: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     Ok(payloads)
 }
 
-/// Classifies a validated batch frame by the [`ProgramId`] its traces
-/// carry, without decoding any of them — the routing primitive of the
-/// sharded hive: every trace opens with its program id (the first eight
-/// bytes of [`encode`]), so a router can dispatch a whole frame to the
-/// owning shard by peeking one field per payload.
+/// Classifies a batch frame, from the payload slices [`batch_payloads`]
+/// validated, by the [`ProgramId`] its traces carry, without decoding
+/// any of them — the routing primitive of the ingest pipeline: every
+/// trace opens with its program id (the first eight bytes of
+/// [`encode`]), so a router can dispatch a whole frame to the owning
+/// shard by peeking one field per payload, and goes on to decode the
+/// same slices, checking the frame once.
 ///
 /// Returns `Ok(None)` for an empty (but well-formed) batch. A frame
 /// whose traces carry *different* program ids is structurally invalid
@@ -443,11 +445,9 @@ pub fn batch_payloads(data: &[u8]) -> Result<Vec<&[u8]>, WireError> {
 ///
 /// # Errors
 ///
-/// Everything [`batch_payloads`] rejects (truncation, bad magic,
-/// checksum mismatch, …), plus a payload too short to hold a program id
-/// and the mixed-id case above.
-pub fn frame_program_id(data: &[u8]) -> Result<Option<ProgramId>, WireError> {
-    let payloads = batch_payloads(data)?;
+/// A payload too short to hold a program id, and payloads carrying
+/// different program ids.
+pub fn payloads_program_id(payloads: &[&[u8]]) -> Result<Option<ProgramId>, WireError> {
     let mut id: Option<ProgramId> = None;
     for p in payloads {
         if p.len() < 8 {
@@ -846,19 +846,22 @@ mod tests {
     }
 
     #[test]
-    fn frame_program_id_classifies_without_decoding() {
+    fn payloads_program_id_classifies_without_decoding() {
+        let classify = |f: &[u8]| -> Result<Option<ProgramId>, WireError> {
+            payloads_program_id(&batch_payloads(f)?)
+        };
         let ts = traces();
         // Homogeneous frame: classified by the shared id.
         let only_first = [ts[0].clone(), ts[0].clone()];
         assert_eq!(
-            frame_program_id(&encode_batch(&only_first)).unwrap(),
+            classify(&encode_batch(&only_first)).unwrap(),
             Some(ProgramId(1))
         );
         // Empty batch: well-formed but unclassifiable.
-        assert_eq!(frame_program_id(&encode_batch([])).unwrap(), None);
+        assert_eq!(classify(&encode_batch([])).unwrap(), None);
         // Mixed programs in one frame: rejected, never split or misrouted.
         assert_eq!(
-            frame_program_id(&encode_batch(&ts)),
+            classify(&encode_batch(&ts)),
             Err(WireError::BadTag {
                 field: "frame program id",
                 tag: 0,
@@ -868,9 +871,9 @@ mod tests {
         let mut frame = encode_batch(&only_first);
         let mid = frame.len() / 2;
         frame[mid] ^= 0x10;
-        assert!(frame_program_id(&frame).is_err());
+        assert!(classify(&frame).is_err());
         for cut in 0..frame.len() {
-            assert!(frame_program_id(&frame[..cut]).is_err(), "cut at {cut}");
+            assert!(classify(&frame[..cut]).is_err(), "cut at {cut}");
         }
     }
 

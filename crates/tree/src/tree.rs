@@ -801,9 +801,9 @@ impl ExecutionTree {
 
     /// Decodes a tree previously written by [`encode_into`](Self::encode_into).
     ///
-    /// The result is clean: a following [`encode_delta_into`]
-    /// (Self::encode_delta_into) describes exactly what changed since
-    /// this snapshot.
+    /// The result is clean: a following
+    /// [`encode_delta_into`](Self::encode_delta_into) describes exactly
+    /// what changed since this snapshot.
     ///
     /// # Errors
     ///
@@ -924,8 +924,8 @@ impl ExecutionTree {
         }
     }
 
-    /// Applies a delta written by [`encode_delta_into`]
-    /// (Self::encode_delta_into). The tree must be at the delta's base
+    /// Applies a delta written by
+    /// [`encode_delta_into`](Self::encode_delta_into). The tree must be at the delta's base
     /// state (same program, same node count); afterwards it is clean at
     /// the delta's head state.
     ///

@@ -69,7 +69,7 @@ fn drop_oldest_platform_round_still_completes() {
     let mut p = Platform::new(&s.program, cfg);
     let report = p.round(25);
     assert_eq!(report.executions, 8 * 25);
-    let stats = *p.last_ingest().expect("stats recorded");
+    let stats = p.last_ingest().expect("stats recorded");
     assert_eq!(
         stats.frames_merged + stats.frames_dropped,
         stats.frames_submitted
