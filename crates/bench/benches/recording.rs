@@ -1,6 +1,7 @@
 //! Criterion bench for E4 (§3.1): per-execution cost of each recording
 //! policy on the interpreter, plus trace wire encode/decode, plus the
-//! interpreter-versus-pod split of one `token_parser` execution.
+//! interpreter-versus-pod split of one `token_parser` execution, plus the
+//! hive-side cost of reconstructing one trace of each E17 program.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softborg_pod::{Pod, PodConfig};
@@ -10,7 +11,8 @@ use softborg_program::overlay::Overlay;
 use softborg_program::scenarios;
 use softborg_program::sched::{RandomSched, ScriptSched};
 use softborg_program::syscall::DefaultEnv;
-use softborg_trace::{wire, RecordingPolicy, TraceRecorder};
+use softborg_program::taint::InputDependence;
+use softborg_trace::{reconstruct, wire, ExecutionTrace, RecordingPolicy, TraceRecorder};
 
 fn bench_recording(c: &mut Criterion) {
     let gp = generate(&GenConfig {
@@ -128,5 +130,50 @@ fn bench_attribution(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_recording, bench_attribution);
+/// `reconstruct` over E17's eight-program corpus: one row per program,
+/// each iteration replaying the next of 256 pod traces, so a row reads
+/// as ns per trace.
+fn bench_reconstruct(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reconstruct");
+    for (i, s) in [
+        scenarios::token_parser(),
+        scenarios::triangle(),
+        scenarios::short_read_client(),
+        scenarios::bank_transfer(),
+        scenarios::spin_wait(),
+        scenarios::racy_counter(),
+        scenarios::dining_philosophers(3),
+        scenarios::record_processor(),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut pod = Pod::new(
+            &s.program,
+            PodConfig {
+                input_range: s.input_range,
+                seed: 1000 * (i as u64 + 1),
+                ..PodConfig::default()
+            },
+        );
+        let traces: Vec<ExecutionTrace> = (0..256).map(|_| pod.run_once().trace).collect();
+        let deps = InputDependence::compute(&s.program);
+        let overlay = Overlay::empty();
+        let mut next = 0;
+        group.bench_function(s.name, |b| {
+            b.iter(|| {
+                next = (next + 1) % traces.len();
+                reconstruct(&s.program, &deps, &overlay, &traces[next])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_recording,
+    bench_attribution,
+    bench_reconstruct
+);
 criterion_main!(benches);

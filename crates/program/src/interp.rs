@@ -554,28 +554,33 @@ impl Machine<'_> {
         }
     }
 
-    /// Walks the wait-for chain from `(start, lock)` looking for a cycle
-    /// back to `start`.
-    fn find_cycle(&self, start: ThreadId, lock: LockId) -> Option<Vec<(ThreadId, LockId)>> {
-        let mut edges = vec![(start, lock)];
-        let mut cur_lock = lock;
-        loop {
-            let owner = *self.locks.get(&cur_lock)?;
-            if owner == start {
-                return Some(edges);
-            }
+    /// The wait-for edges from `(start, lock)`: each lock's owner and the
+    /// lock it waits on, for as long as the owner is itself blocked.
+    fn wait_chain(
+        &self,
+        start: ThreadId,
+        lock: LockId,
+    ) -> impl Iterator<Item = (ThreadId, LockId)> + '_ {
+        std::iter::successors(Some((start, lock)), move |&(_, l)| {
+            let owner = *self.locks.get(&l)?;
             match self.threads[owner.index()].status {
-                Status::Blocked(next_lock) => {
-                    if edges.iter().any(|(t, _)| *t == owner) {
-                        // A cycle not involving `start`; report it anyway.
-                        return Some(edges);
-                    }
-                    edges.push((owner, next_lock));
-                    cur_lock = next_lock;
-                }
-                _ => return None,
+                Status::Blocked(next) => Some((owner, next)),
+                _ => None,
             }
-        }
+        })
+    }
+
+    /// Walks the wait-for chain from `(start, lock)` looking for a cycle
+    /// back to `start` — or, reported anyway, one not involving it. The
+    /// walk does not allocate; the edges are collected only once the
+    /// chain closes.
+    fn find_cycle(&self, start: ThreadId, lock: LockId) -> Option<Vec<(ThreadId, LockId)>> {
+        let chain = || self.wait_chain(start, lock);
+        let (len, _) = chain()
+            .enumerate()
+            .skip(1)
+            .find(|&(n, (t, _))| chain().take(n).any(|(u, _)| u == t))?;
+        Some(chain().take(len).collect())
     }
 
     fn release(&mut self, t: ThreadId, lock: LockId, obs: &mut dyn Observer) {

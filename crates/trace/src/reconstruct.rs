@@ -19,7 +19,6 @@ use softborg_program::expr::{BinOp, Expr, Place, UnOp};
 use softborg_program::overlay::{GuardAction, Overlay};
 use softborg_program::taint::InputDependence;
 use softborg_program::{BlockId, BranchSiteId, LockId, ThreadId};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A fully reconstructed execution path.
@@ -89,14 +88,75 @@ enum Status {
 struct RThread {
     block: u32,
     stmt: u32,
-    locals: Vec<Val>,
     status: Status,
-    held: BTreeSet<LockId>,
-    header_visits: HashMap<u32, u64>,
+}
+
+/// Lock ownership for one replay, in a dense table: program locks index
+/// their own slot, and any other id (an overlay's ghost gate) takes the
+/// next slot on first acquisition. A thread holds a lock exactly when it
+/// owns its slot, so no per-thread held set is kept.
+struct Locks {
+    n_program: u32,
+    /// Ids of the slots past the program's locks, in first-use order.
+    extra: Vec<LockId>,
+    owner: Vec<Option<ThreadId>>,
+}
+
+impl Locks {
+    fn new(n_program: u32) -> Self {
+        Locks {
+            n_program,
+            extra: Vec::new(),
+            owner: vec![None; n_program as usize],
+        }
+    }
+
+    fn slot(&self, lock: LockId) -> Option<usize> {
+        if lock.0 < self.n_program {
+            return Some(lock.index());
+        }
+        let i = self.extra.iter().position(|&l| l == lock)?;
+        Some(self.n_program as usize + i)
+    }
+
+    fn id(&self, slot: usize) -> LockId {
+        match slot.checked_sub(self.n_program as usize) {
+            Some(i) => self.extra[i],
+            None => LockId::new(slot as u32),
+        }
+    }
+
+    fn owner(&self, lock: LockId) -> Option<ThreadId> {
+        self.slot(lock).and_then(|s| self.owner[s])
+    }
+
+    fn holds(&self, t: ThreadId, lock: LockId) -> bool {
+        self.owner(lock) == Some(t)
+    }
+
+    fn acquire(&mut self, t: ThreadId, lock: LockId) {
+        let slot = self.slot(lock).unwrap_or_else(|| {
+            self.extra.push(lock);
+            self.owner.push(None);
+            self.owner.len() - 1
+        });
+        self.owner[slot] = Some(t);
+    }
+
+    fn clear(&mut self, lock: LockId) {
+        if let Some(slot) = self.slot(lock) {
+            self.owner[slot] = None;
+        }
+    }
 }
 
 /// Replays `trace` against `program` (with `overlay` in force) and returns
 /// the full branch-decision path.
+///
+/// The replay borrows the program's statements and terminators in place
+/// and keeps its state in tables sized by the program and the overlay, so
+/// one call allocates a bounded number of times however many steps it
+/// replays, plus the growth of the returned `decisions`.
 ///
 /// # Errors
 ///
@@ -114,6 +174,10 @@ pub fn reconstruct(
     }
     let full = trace.policy == RecordingPolicy::FullBranch;
     let multi = program.threads.len() > 1;
+    // The overlay's lookups are out-of-line calls on the step path; skip
+    // them when it has no rule of that kind.
+    let has_guards = !overlay.guards.is_empty();
+    let has_gates = !overlay.lock_gates.is_empty();
 
     let mut threads: Vec<RThread> = program
         .threads
@@ -121,57 +185,68 @@ pub fn reconstruct(
         .map(|_| RThread {
             block: 0,
             stmt: 0,
-            locals: vec![Some(0); program.n_locals as usize],
             status: Status::Runnable,
-            held: BTreeSet::new(),
-            header_visits: HashMap::new(),
         })
         .collect();
+    // Every thread's locals in one frame: thread `t` owns
+    // `locals[t * n_locals..][..n_locals]`.
+    let n_locals = program.n_locals as usize;
+    let mut locals: Vec<Val> = vec![Some(0); threads.len() * n_locals];
     let mut globals: Vec<Val> = vec![Some(0); program.n_globals as usize];
-    let mut locks: HashMap<LockId, ThreadId> = HashMap::new();
+    let mut locks = Locks::new(program.n_locks);
+    // Header entries per loop bound, indexed like `overlay.loop_bounds`
+    // (the first bound matching a thread and header counts for it).
+    let mut header_visits: Vec<u64> = vec![0; overlay.loop_bounds.len()];
+    // Gates found stale by one unlock, released after the scan.
+    let mut stale: Vec<LockId> = Vec::new();
     let mut bits = BitReader::new(&trace.bits);
     let mut guard_bits = BitReader::new(&trace.guard_bits);
     let mut rets = trace.syscall_rets.iter().copied();
-    let mut decisions = Vec::new();
+    // In a faithful trace every recorded bit becomes one decision (and
+    // every decision has one under `FullBranch`), so the bit count is a
+    // floor on the path length.
+    let mut decisions = Vec::with_capacity(trace.bits.len());
     let mut ended_at_crash = false;
 
     'steps: for step in 0..trace.steps {
-        let runnable: Vec<ThreadId> = threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == Status::Runnable)
-            .map(|(i, _)| ThreadId::new(i as u32))
-            .collect();
-        if runnable.is_empty() {
-            break; // success or deadlock; either way the path is done
-        }
         let t = if multi {
+            if !threads.iter().any(|t| t.status == Status::Runnable) {
+                break; // success or deadlock; either way the path is done
+            }
             match trace.schedule.get(step as usize) {
-                Some(raw) => {
-                    let t = ThreadId::new(*raw);
-                    if !runnable.contains(&t) {
+                Some(&raw) => {
+                    if threads.get(raw as usize).map(|t| t.status) != Some(Status::Runnable) {
                         return Err(ReconstructError::ScheduleMismatch { step });
                     }
-                    t
+                    ThreadId::new(raw)
                 }
                 None => break, // schedule summary ended with the execution
             }
         } else {
-            runnable[0]
+            match threads.first() {
+                Some(t) if t.status == Status::Runnable => ThreadId::new(0),
+                _ => break,
+            }
         };
 
         let ti = t.index();
-        let cur_loc = Loc {
-            thread: t,
-            block: BlockId::new(threads[ti].block),
-            stmt: threads[ti].stmt,
-        };
+        let frame = ti * n_locals..(ti + 1) * n_locals;
         let blk = &program.threads[ti].blocks[threads[ti].block as usize];
         let at_term = threads[ti].stmt as usize >= blk.stmts.len();
 
         // Guards mirror the interpreter: evaluated (bit consumed) on every
         // step at a guarded location.
-        if let Some(guard) = overlay.guard_at(cur_loc) {
+        let cur_loc = Loc {
+            thread: t,
+            block: BlockId::new(threads[ti].block),
+            stmt: threads[ti].stmt,
+        };
+        let guard = if has_guards {
+            overlay.guard_at(cur_loc)
+        } else {
+            None
+        };
+        if let Some(guard) = guard {
             let fired = guard_bits
                 .next_bit()
                 .ok_or(ReconstructError::GuardBitsExhausted)?;
@@ -190,7 +265,7 @@ pub fn reconstruct(
                         continue 'steps;
                     }
                     GuardAction::SetPlace(place, value) => {
-                        store(&mut threads, &mut globals, t, place, Some(value));
+                        store(&mut locals[frame.clone()], &mut globals, place, Some(value));
                         // fall through to the statement
                     }
                 }
@@ -198,11 +273,10 @@ pub fn reconstruct(
         }
 
         if !at_term {
-            let stmt = blk.stmts[threads[ti].stmt as usize].clone();
-            match stmt {
-                Stmt::Assign(place, e) => match eval_opt(&e, &threads[ti].locals, &globals) {
+            match &blk.stmts[threads[ti].stmt as usize] {
+                Stmt::Assign(place, e) => match eval_opt(e, &locals[frame.clone()], &globals) {
                     EvalRes::Val(v) => {
-                        store(&mut threads, &mut globals, t, place, v);
+                        store(&mut locals[frame], &mut globals, *place, v);
                         threads[ti].stmt += 1;
                     }
                     EvalRes::Crash => {
@@ -210,21 +284,24 @@ pub fn reconstruct(
                         break 'steps;
                     }
                 },
-                Stmt::Lock(lock) => {
-                    let missing_gate = overlay
-                        .gates_for(lock)
-                        .map(|g| g.gate)
-                        .find(|gate| !threads[ti].held.contains(gate));
+                &Stmt::Lock(lock) => {
+                    let missing_gate = if has_gates {
+                        overlay
+                            .gates_for(lock)
+                            .map(|g| g.gate)
+                            .find(|&gate| !locks.holds(t, gate))
+                    } else {
+                        None
+                    };
                     let target = missing_gate.unwrap_or(lock);
-                    match locks.get(&target) {
+                    match locks.owner(target) {
                         None => {
-                            locks.insert(target, t);
-                            threads[ti].held.insert(target);
+                            locks.acquire(t, target);
                             if missing_gate.is_none() {
                                 threads[ti].stmt += 1;
                             }
                         }
-                        Some(owner) if *owner == t => {
+                        Some(owner) if owner == t => {
                             // Self-deadlock ended the original execution.
                             break 'steps;
                         }
@@ -233,30 +310,31 @@ pub fn reconstruct(
                         }
                     }
                 }
-                Stmt::Unlock(lock) => {
-                    if !threads[ti].held.contains(&lock) {
+                &Stmt::Unlock(lock) => {
+                    if !locks.holds(t, lock) {
                         ended_at_crash = true;
                         break 'steps;
                     }
                     release(&mut threads, &mut locks, t, lock);
                     // Auto-release stale gates, mirroring the interpreter.
-                    let stale: Vec<LockId> = overlay
-                        .lock_gates
-                        .iter()
-                        .filter(|g| {
-                            threads[ti].held.contains(&g.gate)
-                                && g.locks.iter().all(|l| !threads[ti].held.contains(l))
-                        })
-                        .map(|g| g.gate)
-                        .collect();
-                    for gate in stale {
+                    stale.extend(
+                        overlay
+                            .lock_gates
+                            .iter()
+                            .filter(|g| {
+                                locks.holds(t, g.gate)
+                                    && g.locks.iter().all(|&l| !locks.holds(t, l))
+                            })
+                            .map(|g| g.gate),
+                    );
+                    for gate in stale.drain(..) {
                         release(&mut threads, &mut locks, t, gate);
                     }
                     threads[ti].stmt += 1;
                 }
                 Stmt::Syscall { arg, ret, .. } => {
                     // The argument may be unknown; the return is recorded.
-                    match eval_opt(&arg, &threads[ti].locals, &globals) {
+                    match eval_opt(arg, &locals[frame.clone()], &globals) {
                         EvalRes::Crash => {
                             ended_at_crash = true;
                             break 'steps;
@@ -264,10 +342,10 @@ pub fn reconstruct(
                         EvalRes::Val(_) => {}
                     }
                     let r = rets.next().ok_or(ReconstructError::SyscallRetsExhausted)?;
-                    store(&mut threads, &mut globals, t, ret, Some(r));
+                    store(&mut locals[frame], &mut globals, *ret, Some(r));
                     threads[ti].stmt += 1;
                 }
-                Stmt::Assert(e) => match eval_opt(&e, &threads[ti].locals, &globals) {
+                Stmt::Assert(e) => match eval_opt(e, &locals[frame], &globals) {
                     EvalRes::Val(Some(0)) => {
                         ended_at_crash = true;
                         break 'steps;
@@ -279,7 +357,7 @@ pub fn reconstruct(
                     }
                 },
                 Stmt::Emit(e) => {
-                    if matches!(eval_opt(&e, &threads[ti].locals, &globals), EvalRes::Crash) {
+                    if matches!(eval_opt(e, &locals[frame], &globals), EvalRes::Crash) {
                         ended_at_crash = true;
                         break 'steps;
                     }
@@ -291,38 +369,37 @@ pub fn reconstruct(
         }
 
         // Terminator.
-        match blk.term.clone() {
+        match &blk.term {
             Terminator::Goto(target) => {
                 threads[ti].block = target.0;
                 threads[ti].stmt = 0;
             }
-            Terminator::Branch {
+            &Terminator::Branch {
                 site,
-                cond,
+                ref cond,
                 then_bb,
                 else_bb,
             } => {
-                let block_id = threads[ti].block;
-                if let Some(bound) = overlay.bound_for(t, BlockId::new(block_id)) {
-                    let visits = threads[ti].header_visits.entry(block_id).or_insert(0);
-                    *visits += 1;
-                    if *visits > bound.max_iters {
+                let block_id = BlockId::new(threads[ti].block);
+                let bound = overlay
+                    .loop_bounds
+                    .iter()
+                    .position(|b| b.thread == t && b.header == block_id);
+                if let Some(i) = bound {
+                    header_visits[i] += 1;
+                    if header_visits[i] > overlay.loop_bounds[i].max_iters {
                         thread_done(&mut threads, &mut locks, t);
                         continue 'steps;
                     }
                 }
                 let dependent = deps.is_dependent(site);
                 let taken = if full || dependent {
-                    let bit = bits
-                        .next_bit()
-                        .ok_or(ReconstructError::BranchBitsExhausted)?;
-                    if !dependent {
-                        // Cross-check when we can evaluate: prefer the
-                        // recorded bit (it is ground truth).
-                    }
-                    bit
+                    // The recorded bit is ground truth, even where the
+                    // condition could be evaluated.
+                    bits.next_bit()
+                        .ok_or(ReconstructError::BranchBitsExhausted)?
                 } else {
-                    match eval_opt(&cond, &threads[ti].locals, &globals) {
+                    match eval_opt(cond, &locals[frame], &globals) {
                         EvalRes::Val(Some(v)) => v != 0,
                         EvalRes::Val(None) => {
                             return Err(ReconstructError::UnknownDeterministicBranch(site))
@@ -349,21 +426,15 @@ pub fn reconstruct(
     })
 }
 
-fn store(threads: &mut [RThread], globals: &mut [Val], t: ThreadId, place: Place, value: Val) {
+fn store(locals: &mut [Val], globals: &mut [Val], place: Place, value: Val) {
     match place {
-        Place::Local(l) => threads[t.index()].locals[l.index()] = value,
+        Place::Local(l) => locals[l.index()] = value,
         Place::Global(g) => globals[g.index()] = value,
     }
 }
 
-fn release(
-    threads: &mut [RThread],
-    locks: &mut HashMap<LockId, ThreadId>,
-    t: ThreadId,
-    lock: LockId,
-) {
-    locks.remove(&lock);
-    threads[t.index()].held.remove(&lock);
+fn release(threads: &mut [RThread], locks: &mut Locks, t: ThreadId, lock: LockId) {
+    locks.clear(lock);
     for (i, ts) in threads.iter_mut().enumerate() {
         if ts.status == Status::Blocked(lock) && i != t.index() {
             ts.status = Status::Runnable;
@@ -371,10 +442,13 @@ fn release(
     }
 }
 
-fn thread_done(threads: &mut [RThread], locks: &mut HashMap<LockId, ThreadId>, t: ThreadId) {
-    let held: Vec<LockId> = threads[t.index()].held.iter().copied().collect();
-    for lock in held {
-        release(threads, locks, t, lock);
+/// Marks `t` finished, releasing every lock it still holds.
+fn thread_done(threads: &mut [RThread], locks: &mut Locks, t: ThreadId) {
+    for slot in 0..locks.owner.len() {
+        if locks.owner[slot] == Some(t) {
+            let lock = locks.id(slot);
+            release(threads, locks, t, lock);
+        }
     }
     threads[t.index()].status = Status::Done;
 }

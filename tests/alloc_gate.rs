@@ -1,17 +1,25 @@
-//! Allocation gate: one pod execution must not allocate per guest step.
+//! Allocation gate: neither one pod execution nor the hive's replay of
+//! its trace may allocate per guest step.
 //!
 //! A counting global allocator tallies this thread's allocations while
-//! `Pod::run_once` executes a loop for 10 and for 1,000 iterations. Only
-//! the amortised doubling of the growing schedule-pick and trace-bit
-//! buffers may separate the two counts.
+//! `Pod::run_once` executes a loop for 10 and for 1,000 iterations — one
+//! thread alone, and two threads contending for one lock so blocking
+//! acquires run inside the gate — and while `reconstruct` replays the
+//! single-thread loop's traces. Only the amortised doubling of growing
+//! buffers (schedule picks, trace bits, reconstructed decisions) may
+//! separate the two counts.
 
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::{global, local, Stmt};
 use softborg_program::expr::{BinOp, Expr, Place};
-use softborg_program::interp::Outcome;
+use softborg_program::interp::{ExecConfig, Executor, Observer, Outcome};
 use softborg_program::overlay::{GuardAction, LockGate, Overlay, SiteGuard, GHOST_LOCK_BASE};
-use softborg_program::{Loc, LockId, Program};
+use softborg_program::sched::RandomSched;
+use softborg_program::syscall::DefaultEnv;
+use softborg_program::taint::InputDependence;
+use softborg_program::{Loc, LockId, Program, ThreadId};
+use softborg_trace::{reconstruct, ExecutionTrace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,6 +79,33 @@ fn looping_program() -> Program {
     pb.build().expect("well-formed")
 }
 
+/// Two threads, each `for i in 0..input0 { lock 0; g0 := g0 + 1; yield; unlock 0 }`:
+/// the yield inside the critical section makes the other thread's
+/// acquire block.
+fn contended_program() -> Program {
+    let mut pb = ProgramBuilder::new("alloc-gate-contended");
+    pb.inputs(1).locals(1).globals(1).locks(1);
+    for _ in 0..2 {
+        pb.thread(|t| {
+            t.assign(local(0), Expr::Const(0));
+            t.while_loop(Expr::lt(Expr::local(0), Expr::input(0)), |t| {
+                t.lock(0);
+                t.assign(
+                    global(0),
+                    Expr::bin(BinOp::Add, Expr::global(0), Expr::Const(1)),
+                );
+                t.yield_();
+                t.unlock(0);
+                t.assign(
+                    local(0),
+                    Expr::bin(BinOp::Add, Expr::local(0), Expr::Const(1)),
+                );
+            });
+        });
+    }
+    pb.build().expect("well-formed")
+}
+
 /// A guard that fires on every global store, plus a gate over lock 0.
 fn guard_and_gate(program: &Program) -> Overlay {
     let loc = program
@@ -101,8 +136,13 @@ fn guard_and_gate(program: &Program) -> Overlay {
     }
 }
 
-/// Allocations made by one `run_once` of the loop at `iterations`.
-fn allocs_per_run(program: &Program, overlay: Option<&Overlay>, iterations: i64) -> (u64, u64) {
+/// Allocations made by one `run_once` of the loop at `iterations`, with
+/// the run's step count and trace.
+fn allocs_per_run(
+    program: &Program,
+    overlay: Option<&Overlay>,
+    iterations: i64,
+) -> (u64, u64, ExecutionTrace) {
     let mut pod = Pod::new(
         program,
         PodConfig {
@@ -120,12 +160,12 @@ fn allocs_per_run(program: &Program, overlay: Option<&Overlay>, iterations: i64)
     if overlay.is_some() {
         assert!(run.result.overlay_hits >= 2 * iterations as u64);
     }
-    (allocs, run.result.steps)
+    (allocs, run.result.steps, run.trace)
 }
 
 fn assert_flat(overlay: Option<&Overlay>, program: &Program) {
-    let (small, small_steps) = allocs_per_run(program, overlay, 10);
-    let (large, large_steps) = allocs_per_run(program, overlay, 1_000);
+    let (small, small_steps, _) = allocs_per_run(program, overlay, 10);
+    let (large, large_steps, _) = allocs_per_run(program, overlay, 1_000);
     assert!(
         large_steps > 50 * small_steps,
         "{small_steps} vs {large_steps} steps"
@@ -145,4 +185,69 @@ fn pod_run_once_allocations_do_not_scale_with_steps() {
 fn pod_run_once_allocations_do_not_scale_with_steps_under_an_overlay() {
     let program = looping_program();
     assert_flat(Some(&guard_and_gate(&program)), &program);
+}
+
+/// Counts blocking acquires.
+struct Blocks(u64);
+
+impl Observer for Blocks {
+    fn on_lock_blocked(&mut self, _: ThreadId, _: LockId, _: ThreadId) {
+        self.0 += 1;
+    }
+}
+
+#[test]
+fn pod_run_once_allocations_do_not_scale_with_blocking_acquires() {
+    let program = contended_program();
+    // The loop contends: under a random schedule, acquires block often.
+    let mut blocks = Blocks(0);
+    Executor::new(&program)
+        .with_config(ExecConfig { max_steps: 100_000 })
+        .run(
+            &[1_000],
+            &mut DefaultEnv::seeded(1),
+            &mut RandomSched::seeded(1),
+            &Overlay::empty(),
+            &mut blocks,
+        )
+        .expect("arity");
+    assert!(blocks.0 >= 100, "only {} blocking acquires", blocks.0);
+    assert_flat(None, &program);
+}
+
+/// Allocations made by reconstructing the loop's trace at `iterations`,
+/// with the path length.
+fn allocs_per_reconstruct(overlay: Option<&Overlay>, iterations: i64) -> (u64, usize) {
+    let program = looping_program();
+    let (_, _, trace) = allocs_per_run(&program, overlay, iterations);
+    let deps = InputDependence::compute(&program);
+    let empty = Overlay::empty();
+    let overlay = overlay.unwrap_or(&empty);
+    let before = ALLOCS.with(Cell::get);
+    let path = reconstruct(&program, &deps, overlay, &trace).expect("exact trace");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    (allocs, path.decisions.len())
+}
+
+fn assert_reconstruct_flat(overlay: Option<&Overlay>) {
+    let (small, small_len) = allocs_per_reconstruct(overlay, 10);
+    let (large, large_len) = allocs_per_reconstruct(overlay, 1_000);
+    assert!(large_len > 50 * small_len, "{small_len} vs {large_len}");
+    // `decisions` may double its way from one length to the other.
+    let doublings = u64::from((large_len / small_len).ilog2() + 1);
+    assert!(
+        large <= small + doublings,
+        "reconstruct allocated {small} times for {small_len} decisions but {large} for {large_len}"
+    );
+}
+
+#[test]
+fn reconstruct_allocations_do_not_scale_with_steps() {
+    assert_reconstruct_flat(None);
+}
+
+#[test]
+fn reconstruct_allocations_do_not_scale_with_steps_under_an_overlay() {
+    let program = looping_program();
+    assert_reconstruct_flat(Some(&guard_and_gate(&program)));
 }
