@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::Outcome;
 use softborg_program::LockId;
-use softborg_trace::ExecutionTrace;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregated lock-order graph for one program.
@@ -43,12 +42,12 @@ impl LockOrderGraph {
     }
 
     /// Ingests one trace's lock-order pairs and outcome.
-    pub fn ingest(&mut self, trace: &ExecutionTrace) {
+    pub fn ingest(&mut self, lock_pairs: &[(u32, u32)], outcome: &Outcome) {
         self.traces_seen += 1;
-        for &(a, b) in &trace.lock_pairs {
+        for &(a, b) in lock_pairs {
             *self.edges.entry((a, b)).or_insert(0) += 1;
         }
-        if matches!(trace.outcome, Outcome::Deadlock { .. }) {
+        if matches!(outcome, Outcome::Deadlock { .. }) {
             self.observed_deadlocks += 1;
         }
     }
@@ -174,41 +173,28 @@ impl LockOrderGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_program::ProgramId;
-    use softborg_trace::{BitVec, RecordingPolicy};
 
-    fn trace_with_pairs(pairs: Vec<(u32, u32)>, deadlocked: bool) -> ExecutionTrace {
-        ExecutionTrace {
-            program: ProgramId(1),
-            policy: RecordingPolicy::InputDependent,
-            bits: BitVec::new(),
-            guard_bits: BitVec::new(),
-            syscall_rets: vec![],
-            schedule: vec![],
-            steps: 0,
-            outcome: if deadlocked {
-                Outcome::Deadlock { cycle: vec![] }
-            } else {
-                Outcome::Success
-            },
-            overlay_version: 0,
-            lock_pairs: pairs,
-            global_summaries: vec![],
-        }
+    fn ingest(g: &mut LockOrderGraph, pairs: &[(u32, u32)], deadlocked: bool) {
+        let outcome = if deadlocked {
+            Outcome::Deadlock { cycle: vec![] }
+        } else {
+            Outcome::Success
+        };
+        g.ingest(pairs, &outcome);
     }
 
     #[test]
     fn no_pairs_no_cycles() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(vec![], false));
+        ingest(&mut g, &[], false);
         assert!(g.cycles(4).is_empty());
     }
 
     #[test]
     fn consistent_order_has_no_cycle() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(vec![(0, 1), (1, 2)], false));
-        g.ingest(&trace_with_pairs(vec![(0, 2)], false));
+        ingest(&mut g, &[(0, 1), (1, 2)], false);
+        ingest(&mut g, &[(0, 2)], false);
         assert!(g.cycles(4).is_empty());
         assert_eq!(g.edge_count(), 3);
     }
@@ -218,8 +204,8 @@ mod tests {
         let mut g = LockOrderGraph::new();
         // One user saw 0 -> 1, another saw 1 -> 0: potential deadlock,
         // even though neither execution deadlocked.
-        g.ingest(&trace_with_pairs(vec![(0, 1)], false));
-        g.ingest(&trace_with_pairs(vec![(1, 0)], false));
+        ingest(&mut g, &[(0, 1)], false);
+        ingest(&mut g, &[(1, 0)], false);
         let cycles = g.cycles(4);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks, vec![LockId::new(0), LockId::new(1)]);
@@ -230,8 +216,8 @@ mod tests {
     #[test]
     fn confirmed_flag_set_after_observed_deadlock() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(vec![(0, 1)], false));
-        g.ingest(&trace_with_pairs(vec![(1, 0)], true));
+        ingest(&mut g, &[(0, 1)], false);
+        ingest(&mut g, &[(1, 0)], true);
         let cycles = g.cycles(4);
         assert!(cycles[0].confirmed);
         assert_eq!(g.observed_deadlocks(), 1);
@@ -240,7 +226,7 @@ mod tests {
     #[test]
     fn three_cycle_found_once() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(vec![(0, 1), (1, 2), (2, 0)], false));
+        ingest(&mut g, &[(0, 1), (1, 2), (2, 0)], false);
         let cycles = g.cycles(4);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks.len(), 3);
@@ -251,9 +237,9 @@ mod tests {
     fn support_is_min_edge_count() {
         let mut g = LockOrderGraph::new();
         for _ in 0..5 {
-            g.ingest(&trace_with_pairs(vec![(0, 1)], false));
+            ingest(&mut g, &[(0, 1)], false);
         }
-        g.ingest(&trace_with_pairs(vec![(1, 0)], false));
+        ingest(&mut g, &[(1, 0)], false);
         let cycles = g.cycles(4);
         assert_eq!(cycles[0].support, 1);
     }
@@ -261,8 +247,8 @@ mod tests {
     #[test]
     fn codec_roundtrip_preserves_aggregate() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(vec![(0, 1), (1, 2)], false));
-        g.ingest(&trace_with_pairs(vec![(1, 0)], true));
+        ingest(&mut g, &[(0, 1), (1, 2)], false);
+        ingest(&mut g, &[(1, 0)], true);
         let mut buf = Vec::new();
         g.encode_into(&mut buf);
         let mut r = codec::Reader::new(&buf);
@@ -280,10 +266,7 @@ mod tests {
     #[test]
     fn max_len_bounds_search() {
         let mut g = LockOrderGraph::new();
-        g.ingest(&trace_with_pairs(
-            vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-            false,
-        ));
+        ingest(&mut g, &[(0, 1), (1, 2), (2, 3), (3, 0)], false);
         assert!(g.cycles(3).is_empty(), "4-cycle invisible at max_len 3");
         assert_eq!(g.cycles(4).len(), 1);
     }

@@ -23,5 +23,5 @@ pub mod wer;
 pub use cbi::{sample_path, CbiServer, PredicateSample, RankedPredicate};
 pub use deadlock::{DeadlockPattern, LockOrderGraph};
 pub use race::{RaceDetector, RaceReport};
-pub use treeloc::{suspicious_arms, Diagnosis, FailureLedger, SuspiciousArm};
+pub use treeloc::{failure_key, suspicious_arms, Diagnosis, FailureLedger, SuspiciousArm};
 pub use wer::{Bucket, BucketKey, WerBuckets};

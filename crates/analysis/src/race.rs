@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::GlobalId;
-use softborg_trace::ExecutionTrace;
+use softborg_trace::record::GlobalAccessSummary;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregated access discipline of one global across a trace population.
@@ -47,9 +47,11 @@ impl RaceDetector {
         RaceDetector::default()
     }
 
-    /// Ingests one trace's global-access summaries.
-    pub fn ingest(&mut self, trace: &ExecutionTrace) {
-        for s in &trace.global_summaries {
+    /// Ingests one trace's global-access summaries. A global's lockset
+    /// is allocated on its first summary and intersected in place after
+    /// that.
+    pub fn ingest(&mut self, summaries: &[GlobalAccessSummary]) {
+        for s in summaries {
             let d = self
                 .globals
                 .entry(s.global)
@@ -62,11 +64,10 @@ impl RaceDetector {
             d.reader_mask |= s.reader_mask;
             d.writer_mask |= s.writer_mask;
             d.evidence += 1;
-            let trace_set: BTreeSet<u32> = s.lockset.iter().copied().collect();
-            d.lockset = Some(match d.lockset.take() {
-                None => trace_set,
-                Some(prev) => prev.intersection(&trace_set).copied().collect(),
-            });
+            match &mut d.lockset {
+                None => d.lockset = Some(s.lockset.iter().copied().collect()),
+                Some(held) => held.retain(|l| s.lockset.contains(l)),
+            }
         }
     }
 
@@ -157,26 +158,6 @@ impl RaceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_program::interp::Outcome;
-    use softborg_program::ProgramId;
-    use softborg_trace::record::GlobalAccessSummary;
-    use softborg_trace::{BitVec, RecordingPolicy};
-
-    fn trace_with(summaries: Vec<GlobalAccessSummary>) -> ExecutionTrace {
-        ExecutionTrace {
-            program: ProgramId(1),
-            policy: RecordingPolicy::InputDependent,
-            bits: BitVec::new(),
-            guard_bits: BitVec::new(),
-            syscall_rets: vec![],
-            schedule: vec![],
-            steps: 0,
-            outcome: Outcome::Success,
-            overlay_version: 0,
-            lock_pairs: vec![],
-            global_summaries: summaries,
-        }
-    }
 
     fn summary(global: u32, readers: u32, writers: u32, lockset: Vec<u32>) -> GlobalAccessSummary {
         GlobalAccessSummary {
@@ -190,28 +171,28 @@ mod tests {
     #[test]
     fn locked_discipline_is_not_a_race() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(0, 0b11, 0b11, vec![5])]));
+        d.ingest(&[summary(0, 0b11, 0b11, vec![5])]);
         assert!(d.candidates().is_empty());
     }
 
     #[test]
     fn single_thread_access_is_not_a_race() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(0, 0b01, 0b01, vec![])]));
+        d.ingest(&[summary(0, 0b01, 0b01, vec![])]);
         assert!(d.candidates().is_empty());
     }
 
     #[test]
     fn read_only_sharing_is_not_a_race() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(0, 0b11, 0, vec![])]));
+        d.ingest(&[summary(0, 0b11, 0, vec![])]);
         assert!(d.candidates().is_empty());
     }
 
     #[test]
     fn unlocked_multithread_write_is_a_race() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(0, 0b10, 0b01, vec![])]));
+        d.ingest(&[summary(0, 0b10, 0b01, vec![])]);
         let c = d.candidates();
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].global, GlobalId::new(0));
@@ -223,9 +204,9 @@ mod tests {
         // Trace 2: thread 1 writes under lock 6.
         // Intersection of locksets is empty -> candidate.
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(3, 0, 0b01, vec![5])]));
+        d.ingest(&[summary(3, 0, 0b01, vec![5])]);
         assert!(d.candidates().is_empty(), "single thread so far");
-        d.ingest(&trace_with(vec![summary(3, 0, 0b10, vec![6])]));
+        d.ingest(&[summary(3, 0, 0b10, vec![6])]);
         let c = d.candidates();
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].evidence, 2);
@@ -234,9 +215,9 @@ mod tests {
     #[test]
     fn codec_roundtrip_preserves_disciplines() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(3, 0b01, 0b01, vec![5])]));
-        d.ingest(&trace_with(vec![summary(3, 0b10, 0b10, vec![6])]));
-        d.ingest(&trace_with(vec![summary(7, 0b11, 0, vec![])]));
+        d.ingest(&[summary(3, 0b01, 0b01, vec![5])]);
+        d.ingest(&[summary(3, 0b10, 0b10, vec![6])]);
+        d.ingest(&[summary(7, 0b11, 0, vec![])]);
         let mut buf = Vec::new();
         d.encode_into(&mut buf);
         let mut r = codec::Reader::new(&buf);
@@ -252,8 +233,50 @@ mod tests {
     #[test]
     fn consistent_lock_across_traces_stays_clean() {
         let mut d = RaceDetector::new();
-        d.ingest(&trace_with(vec![summary(3, 0, 0b01, vec![5, 6])]));
-        d.ingest(&trace_with(vec![summary(3, 0, 0b10, vec![5])]));
+        d.ingest(&[summary(3, 0, 0b01, vec![5, 6])]);
+        d.ingest(&[summary(3, 0, 0b10, vec![5])]);
         assert!(d.candidates().is_empty(), "lock 5 protects all accesses");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The in-place lockset intersection equals the set-intersection
+        /// reference: the first summary of a global sets its lockset,
+        /// every later one intersects it. Locksets may repeat a lock.
+        #[test]
+        fn in_place_intersection_matches_the_set_reference(
+            traces in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..4, 0u32..4, 0u32..4, proptest::collection::vec(0u32..6, 0..5)),
+                    0..4,
+                ),
+                0..24,
+            ),
+        ) {
+            let mut d = RaceDetector::new();
+            let mut reference: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+            for trace in &traces {
+                let summaries: Vec<GlobalAccessSummary> = trace
+                    .iter()
+                    .map(|(g, r, w, locks)| summary(*g, *r, *w, locks.clone()))
+                    .collect();
+                d.ingest(&summaries);
+                for s in &summaries {
+                    let set: BTreeSet<u32> = s.lockset.iter().copied().collect();
+                    let merged = match reference.get(&s.global) {
+                        None => set,
+                        Some(prev) => prev.intersection(&set).copied().collect(),
+                    };
+                    reference.insert(s.global, merged);
+                }
+            }
+            let got: BTreeMap<u32, BTreeSet<u32>> = d
+                .globals
+                .iter()
+                .map(|(&g, disc)| (g, disc.lockset.clone().expect("seen at least once")))
+                .collect();
+            proptest::prop_assert_eq!(got, reference);
+        }
     }
 }

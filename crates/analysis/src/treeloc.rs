@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 use softborg_program::cfg::Loc;
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::{CrashKind, Outcome};
-use softborg_program::{BranchSiteId, LockId};
-use softborg_trace::ExecutionTrace;
+use softborg_program::{BranchSiteId, LockId, ThreadId};
 use softborg_tree::{ExecutionTree, NodeId};
 use std::collections::BTreeMap;
 
@@ -36,6 +35,26 @@ pub struct Diagnosis {
     pub first_seen: u64,
 }
 
+/// The signature a failing outcome's mode is filed under — the key
+/// [`FailureLedger::encode_into`] writes — or `None` for a success.
+pub fn failure_key(outcome: &Outcome) -> Option<String> {
+    match outcome {
+        Outcome::Success => None,
+        Outcome::Crash { loc, kind } => Some(format!("crash:{loc}:{kind:?}")),
+        Outcome::Deadlock { cycle } => Some(format!("deadlock:{:?}", cycle_locks(cycle))),
+        Outcome::Hang { stuck } => Some(format!("hang:{stuck:?}")),
+    }
+}
+
+/// A deadlock cycle's locks, sorted and deduplicated: the same locks in
+/// any thread order are one mode.
+fn cycle_locks(cycle: &[(ThreadId, LockId)]) -> Vec<LockId> {
+    let mut locks: Vec<LockId> = cycle.iter().map(|(_, l)| *l).collect();
+    locks.sort();
+    locks.dedup();
+    locks
+}
+
 /// Aggregates failures into diagnoses keyed by their precise signature.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FailureLedger {
@@ -50,59 +69,39 @@ impl FailureLedger {
         FailureLedger::default()
     }
 
-    /// Ingests one execution's outcome.
-    pub fn ingest(&mut self, trace: &ExecutionTrace) {
+    /// Ingests one execution's outcome, filed under `key`, which must be
+    /// [`failure_key`]`(outcome)`: callers derive it once per distinct
+    /// trace (the ingest memo keeps it). A known mode is found by key
+    /// without allocating; only a mode's first failure allocates its key
+    /// and diagnosis.
+    pub fn ingest(&mut self, outcome: &Outcome, key: Option<&str>) {
+        debug_assert_eq!(key.is_some(), outcome.is_failure());
         self.executions += 1;
-        if !trace.is_failure() {
+        let Some(key) = key else {
+            return;
+        };
+        let first_seen = self.failures;
+        self.failures += 1;
+        if let Some(d) = self.modes.get_mut(key) {
+            d.count += 1;
             return;
         }
-        let failures = self.failures;
-        self.failures += 1;
-        let (key, diag) = match &trace.outcome {
-            Outcome::Crash { loc, kind } => (
-                format!("crash:{loc}:{kind:?}"),
-                Diagnosis {
-                    class: "crash".into(),
-                    loc: Some(*loc),
-                    kind: Some(*kind),
-                    locks: vec![],
-                    stuck: vec![],
-                    count: 0,
-                    first_seen: failures,
-                },
-            ),
-            Outcome::Deadlock { cycle } => {
-                let mut locks: Vec<LockId> = cycle.iter().map(|(_, l)| *l).collect();
-                locks.sort();
-                locks.dedup();
-                (
-                    format!("deadlock:{locks:?}"),
-                    Diagnosis {
-                        class: "deadlock".into(),
-                        loc: None,
-                        kind: None,
-                        locks,
-                        stuck: vec![],
-                        count: 0,
-                        first_seen: failures,
-                    },
-                )
-            }
-            Outcome::Hang { stuck } => (
-                format!("hang:{stuck:?}"),
-                Diagnosis {
-                    class: "hang".into(),
-                    loc: None,
-                    kind: None,
-                    locks: vec![],
-                    stuck: stuck.clone(),
-                    count: 0,
-                    first_seen: failures,
-                },
-            ),
-            Outcome::Success => unreachable!("filtered above"),
+        let (class, loc, kind, locks, stuck) = match outcome {
+            Outcome::Crash { loc, kind } => ("crash", Some(*loc), Some(*kind), vec![], vec![]),
+            Outcome::Deadlock { cycle } => ("deadlock", None, None, cycle_locks(cycle), vec![]),
+            Outcome::Hang { stuck } => ("hang", None, None, vec![], stuck.clone()),
+            Outcome::Success => unreachable!("a success has no key"),
         };
-        self.modes.entry(key).or_insert(diag).count += 1;
+        let diagnosis = Diagnosis {
+            class: class.into(),
+            loc,
+            kind,
+            locks,
+            stuck,
+            count: 1,
+            first_seen,
+        };
+        self.modes.insert(key.to_owned(), diagnosis);
     }
 
     /// All diagnoses, most frequent first.
@@ -298,8 +297,7 @@ pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<Suspicious
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_program::{BlockId, ProgramId, ThreadId};
-    use softborg_trace::{BitVec, RecordingPolicy};
+    use softborg_program::{BlockId, ProgramId};
 
     fn s(i: u32) -> BranchSiteId {
         BranchSiteId::new(i)
@@ -316,29 +314,17 @@ mod tests {
         }
     }
 
-    fn trace_with(outcome: Outcome) -> ExecutionTrace {
-        ExecutionTrace {
-            program: ProgramId(1),
-            policy: RecordingPolicy::InputDependent,
-            bits: BitVec::new(),
-            guard_bits: BitVec::new(),
-            syscall_rets: vec![],
-            schedule: vec![],
-            steps: 1,
-            outcome,
-            overlay_version: 0,
-            lock_pairs: vec![],
-            global_summaries: vec![],
-        }
+    fn ingest(l: &mut FailureLedger, outcome: Outcome) {
+        l.ingest(&outcome, failure_key(&outcome).as_deref());
     }
 
     #[test]
     fn ledger_groups_by_exact_signature() {
         let mut l = FailureLedger::new();
-        l.ingest(&trace_with(Outcome::Success));
-        l.ingest(&trace_with(crash_outcome(3)));
-        l.ingest(&trace_with(crash_outcome(3)));
-        l.ingest(&trace_with(crash_outcome(4)));
+        ingest(&mut l, Outcome::Success);
+        ingest(&mut l, crash_outcome(3));
+        ingest(&mut l, crash_outcome(3));
+        ingest(&mut l, crash_outcome(4));
         let d = l.diagnoses();
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].count, 2);
@@ -349,19 +335,25 @@ mod tests {
     #[test]
     fn deadlock_signature_uses_lock_set() {
         let mut l = FailureLedger::new();
-        l.ingest(&trace_with(Outcome::Deadlock {
-            cycle: vec![
-                (ThreadId::new(0), LockId::new(1)),
-                (ThreadId::new(1), LockId::new(0)),
-            ],
-        }));
+        ingest(
+            &mut l,
+            Outcome::Deadlock {
+                cycle: vec![
+                    (ThreadId::new(0), LockId::new(1)),
+                    (ThreadId::new(1), LockId::new(0)),
+                ],
+            },
+        );
         // Same locks, different thread order -> same mode.
-        l.ingest(&trace_with(Outcome::Deadlock {
-            cycle: vec![
-                (ThreadId::new(1), LockId::new(0)),
-                (ThreadId::new(0), LockId::new(1)),
-            ],
-        }));
+        ingest(
+            &mut l,
+            Outcome::Deadlock {
+                cycle: vec![
+                    (ThreadId::new(1), LockId::new(0)),
+                    (ThreadId::new(0), LockId::new(1)),
+                ],
+            },
+        );
         let d = l.diagnoses();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].count, 2);
@@ -371,21 +363,27 @@ mod tests {
     #[test]
     fn codec_roundtrip_preserves_ledger() {
         let mut l = FailureLedger::new();
-        l.ingest(&trace_with(Outcome::Success));
-        l.ingest(&trace_with(crash_outcome(3)));
-        l.ingest(&trace_with(Outcome::Deadlock {
-            cycle: vec![
-                (ThreadId::new(0), LockId::new(1)),
-                (ThreadId::new(1), LockId::new(0)),
-            ],
-        }));
-        l.ingest(&trace_with(Outcome::Hang {
-            stuck: vec![Loc {
-                thread: ThreadId::new(1),
-                block: BlockId::new(2),
-                stmt: 5,
-            }],
-        }));
+        ingest(&mut l, Outcome::Success);
+        ingest(&mut l, crash_outcome(3));
+        ingest(
+            &mut l,
+            Outcome::Deadlock {
+                cycle: vec![
+                    (ThreadId::new(0), LockId::new(1)),
+                    (ThreadId::new(1), LockId::new(0)),
+                ],
+            },
+        );
+        ingest(
+            &mut l,
+            Outcome::Hang {
+                stuck: vec![Loc {
+                    thread: ThreadId::new(1),
+                    block: BlockId::new(2),
+                    stmt: 5,
+                }],
+            },
+        );
         let mut buf = Vec::new();
         l.encode_into(&mut buf);
         let mut r = codec::Reader::new(&buf);
@@ -396,6 +394,65 @@ mod tests {
         let mut buf2 = Vec::new();
         back.encode_into(&mut buf2);
         assert_eq!(buf, buf2);
+    }
+
+    /// The one mode key `encode_into` writes after ingesting `outcome`
+    /// twice (the second ingest must find the first's mode).
+    fn encoded_key(outcome: Outcome) -> String {
+        let mut l = FailureLedger::new();
+        ingest(&mut l, outcome.clone());
+        ingest(&mut l, outcome);
+        let mut buf = Vec::new();
+        l.encode_into(&mut buf);
+        let mut r = codec::Reader::new(&buf);
+        assert_eq!(r.u32("modes").unwrap(), 1);
+        r.str("key").unwrap().to_string()
+    }
+
+    #[test]
+    fn crash_key_is_pinned() {
+        let outcome = Outcome::Crash {
+            loc: Loc {
+                thread: ThreadId::new(1),
+                block: BlockId::new(3),
+                stmt: 2,
+            },
+            kind: CrashKind::DivByZero,
+        };
+        assert_eq!(encoded_key(outcome), "crash:t1:bb3:2:DivByZero");
+    }
+
+    #[test]
+    fn hang_key_is_pinned() {
+        let loc = |thread, block, stmt| Loc {
+            thread: ThreadId::new(thread),
+            block: BlockId::new(block),
+            stmt,
+        };
+        let outcome = Outcome::Hang {
+            stuck: vec![loc(1, 4, 0), loc(0, 2, 7)],
+        };
+        assert_eq!(
+            encoded_key(outcome),
+            "hang:[Loc { thread: ThreadId(1), block: BlockId(4), stmt: 0 }, \
+             Loc { thread: ThreadId(0), block: BlockId(2), stmt: 7 }]"
+        );
+    }
+
+    #[test]
+    fn deadlock_key_sorts_and_dedups_cycle_locks() {
+        let outcome = Outcome::Deadlock {
+            cycle: vec![
+                (ThreadId::new(0), LockId::new(5)),
+                (ThreadId::new(1), LockId::new(2)),
+                (ThreadId::new(2), LockId::new(5)),
+                (ThreadId::new(3), LockId::new(0)),
+            ],
+        };
+        assert_eq!(
+            encoded_key(outcome),
+            "deadlock:[LockId(0), LockId(2), LockId(5)]"
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Criterion bench for E4 (§3.1): per-execution cost of each recording
 //! policy on the interpreter, plus trace wire encode/decode, plus the
 //! interpreter-versus-pod split of one `token_parser` execution, plus the
-//! hive-side cost of reconstructing one trace of each E17 program.
+//! hive-side cost of reconstructing one trace of each E17 program and of
+//! folding one prepared trace into its hive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use softborg_hive::{Hive, HiveConfig};
+use softborg_ingest::{MergeRecord, ProcessedTrace, ReconstructContext};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::gen::{generate, GenConfig};
 use softborg_program::interp::{ExecConfig, Executor, NopObserver};
 use softborg_program::overlay::Overlay;
-use softborg_program::scenarios;
+use softborg_program::scenarios::{self, Scenario};
 use softborg_program::sched::{RandomSched, ScriptSched};
 use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
@@ -130,12 +133,9 @@ fn bench_attribution(c: &mut Criterion) {
     group.finish();
 }
 
-/// `reconstruct` over E17's eight-program corpus: one row per program,
-/// each iteration replaying the next of 256 pod traces, so a row reads
-/// as ns per trace.
-fn bench_reconstruct(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reconstruct");
-    for (i, s) in [
+/// E17's eight programs, in E17's order.
+fn e17_programs() -> [Scenario; 8] {
+    [
         scenarios::token_parser(),
         scenarios::triangle(),
         scenarios::short_read_client(),
@@ -145,9 +145,14 @@ fn bench_reconstruct(c: &mut Criterion) {
         scenarios::dining_philosophers(3),
         scenarios::record_processor(),
     ]
-    .iter()
-    .enumerate()
-    {
+}
+
+/// `reconstruct` over E17's eight-program corpus: one row per program,
+/// each iteration replaying the next of 256 pod traces, so a row reads
+/// as ns per trace.
+fn bench_reconstruct(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reconstruct");
+    for (i, s) in e17_programs().iter().enumerate() {
         let mut pod = Pod::new(
             &s.program,
             PodConfig {
@@ -170,10 +175,54 @@ fn bench_reconstruct(c: &mut Criterion) {
     group.finish();
 }
 
+/// The merger's per-arrival work on E17's corpus (its eight programs ×
+/// 4 pods × 1,200 executions, E17's seeds): one row per program, each
+/// iteration folding the next prepared record into the program's hive
+/// (`Hive::apply_record`, what the pipeline's sink does for a memo hit
+/// or miss alike), so a row reads as ns per trace. The corpus cycles, so
+/// the rows are steady state: nearly every path is already in the tree.
+fn bench_hive_sink(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hive_sink");
+    for (i, s) in e17_programs().iter().enumerate() {
+        let mut hive = Hive::new(&s.program, HiveConfig::default());
+        let ctx = ReconstructContext {
+            program: &s.program,
+            deps: hive.deps(),
+            overlays: hive.overlays(),
+        };
+        let records: Vec<MergeRecord> = (0..4)
+            .flat_map(|p| {
+                let mut pod = Pod::new(
+                    &s.program,
+                    PodConfig {
+                        input_range: s.input_range,
+                        seed: 1000 * (i as u64 + 1) + p,
+                        ..PodConfig::default()
+                    },
+                );
+                (0..1200).map(move |_| pod.run_once().trace)
+            })
+            .map(|trace| {
+                let decisions = ctx.decisions(&trace);
+                MergeRecord::prepare(ProcessedTrace { trace, decisions })
+            })
+            .collect();
+        let mut next = 0;
+        group.bench_function(s.name, |b| {
+            b.iter(|| {
+                next = (next + 1) % records.len();
+                hive.apply_record(&records[next]);
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_recording,
     bench_attribution,
-    bench_reconstruct
+    bench_reconstruct,
+    bench_hive_sink
 );
 criterion_main!(benches);

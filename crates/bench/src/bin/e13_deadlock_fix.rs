@@ -127,7 +127,8 @@ fn main() {
             } else if passing.len() < 10 {
                 passing.push(case);
             }
-            graph.ingest(&rec.finish(r.outcome, r.steps));
+            let trace = rec.finish(r.outcome, r.steps);
+            graph.ingest(&trace.lock_pairs, &trace.outcome);
         }
         let cycles = graph.cycles(8);
         let Some(cycle) = cycles.first() else {

@@ -14,7 +14,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use softborg_analysis::{sample_path, CbiServer, FailureLedger, WerBuckets};
+use softborg_analysis::{failure_key, sample_path, CbiServer, FailureLedger, WerBuckets};
 use softborg_bench::{banner, cell, collect_path, table_header};
 use softborg_program::gen::{generate, sample_inputs, BugKind, GenConfig};
 use softborg_program::taint::InputDependence;
@@ -113,7 +113,7 @@ fn main() {
                 ) {
                     tree.merge_path(&p.decisions, &trace.outcome);
                 }
-                ledger.ingest(&trace);
+                ledger.ingest(&trace.outcome, failure_key(&trace.outcome).as_deref());
                 if !ledger.diagnoses().is_empty() {
                     sb_at = Some(i + 1);
                 }

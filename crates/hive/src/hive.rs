@@ -14,18 +14,21 @@
 use serde::{Deserialize, Serialize};
 use softborg_analysis::deadlock::LockOrderGraph;
 use softborg_analysis::race::{RaceDetector, RaceReport};
-use softborg_analysis::treeloc::{Diagnosis, FailureLedger};
+use softborg_analysis::treeloc::{failure_key, Diagnosis, FailureLedger};
 use softborg_fix::{crash_guards, deadlock_immunity, hang_bounds, FixCandidate};
 use softborg_guidance::{frontier, Directive, GuidancePlan, PlanStats, PlannerConfig};
 use softborg_ingest::{
-    FrameSender, IngestConfig, IngestStats, ProcessedTrace, ReconstructContext, ShardMap,
+    FrameSender, IngestConfig, IngestStats, MergeRecord, ProcessedTrace, ReconstructContext,
+    ShardMap,
 };
 use softborg_program::codec::{self, CodecError};
+use softborg_program::interp::Outcome;
 use softborg_program::overlay::Overlay;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BranchSiteId, Program};
+use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::ExecutionTrace;
-use softborg_tree::{CoverageStats, ExecutionTree};
+use softborg_tree::{path_hash, CoverageStats, ExecutionTree};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Hive configuration.
@@ -112,8 +115,8 @@ pub struct Hive<'p> {
 }
 
 /// A hive's merge state, borrowed apart from its reconstruction inputs
-/// ([`Hive::split`]). [`merge`](Self::merge) is the one sink every
-/// ingest path ends in.
+/// ([`Hive::split`]). [`fold`](Self::fold) is the one sink every ingest
+/// path ends in.
 pub(crate) struct HiveSink<'a> {
     tree: &'a mut ExecutionTree,
     lock_graph: &'a mut LockOrderGraph,
@@ -123,16 +126,25 @@ pub(crate) struct HiveSink<'a> {
 }
 
 impl HiveSink<'_> {
-    /// Detectors always see the trace; the tree additionally merges its
-    /// reconstructed path when there is one.
-    fn merge(&mut self, trace: &ExecutionTrace, decisions: Option<&[(BranchSiteId, bool)]>) {
+    /// Detectors always see the trace's parts; the tree additionally
+    /// merges its reconstructed path, under its precomputed
+    /// [`path_hash`], when there is one. `failure_key` is the outcome's
+    /// [`failure_key`].
+    fn fold(
+        &mut self,
+        path: Option<(&[(BranchSiteId, bool)], u64)>,
+        failure_key: Option<&str>,
+        outcome: &Outcome,
+        lock_pairs: &[(u32, u32)],
+        global_summaries: &[GlobalAccessSummary],
+    ) {
         self.stats.traces += 1;
-        self.lock_graph.ingest(trace);
-        self.races.ingest(trace);
-        self.ledger.ingest(trace);
-        match decisions {
-            Some(decisions) => {
-                let m = self.tree.merge_path(decisions, &trace.outcome);
+        self.lock_graph.ingest(lock_pairs, outcome);
+        self.races.ingest(global_summaries);
+        self.ledger.ingest(outcome, failure_key);
+        match path {
+            Some((decisions, hash)) => {
+                let m = self.tree.merge_path_hashed(decisions, outcome, hash);
                 self.stats.new_nodes += m.new_nodes;
                 self.stats.reconstructed += 1;
             }
@@ -140,8 +152,28 @@ impl HiveSink<'_> {
         }
     }
 
-    pub(crate) fn apply(&mut self, pt: &ProcessedTrace) {
-        self.merge(&pt.trace, pt.decisions.as_deref());
+    /// Folds a trace that was not prepared: derives what
+    /// [`MergeRecord::prepare`] would, from borrowed parts.
+    fn merge(&mut self, trace: &ExecutionTrace, decisions: Option<&[(BranchSiteId, bool)]>) {
+        let outcome = &trace.outcome;
+        let key = failure_key(outcome);
+        self.fold(
+            decisions.map(|d| (d, path_hash(d, outcome))),
+            key.as_deref(),
+            outcome,
+            &trace.lock_pairs,
+            &trace.global_summaries,
+        );
+    }
+
+    pub(crate) fn apply(&mut self, r: &MergeRecord) {
+        self.fold(
+            (r.path.as_ref()).map(|(d, hash)| (d.as_slice(), *hash)),
+            r.failure_key.as_deref(),
+            &r.outcome,
+            &r.lock_pairs,
+            &r.global_summaries,
+        );
     }
 }
 
@@ -209,7 +241,15 @@ impl<'p> Hive<'p> {
     /// while keeping [`HiveStats`] and tree state byte-identical to
     /// serial [`ingest`](Self::ingest).
     pub fn apply_processed(&mut self, pt: &ProcessedTrace) {
-        self.split().1.apply(pt);
+        self.split().1.merge(&pt.trace, pt.decisions.as_deref());
+    }
+
+    /// Applies one prepared trace ([`MergeRecord::prepare`]) — exactly
+    /// what the pipeline's merger folds for each arrival, memo hits
+    /// included. Same effect as [`apply_processed`](Self::apply_processed)
+    /// on the trace it was prepared from.
+    pub fn apply_record(&mut self, record: &MergeRecord) {
+        self.split().1.apply(record);
     }
 
     /// The current overlay and its version (what pods should run).
@@ -272,7 +312,7 @@ impl<'p> Hive<'p> {
         let map = ShardMap::new(&[id], 1).expect("one program on one shard");
         let (ctx, mut sink) = self.split();
         let ctxs = BTreeMap::from([(id, ctx)]);
-        let sinks = vec![move |_, pt: &ProcessedTrace| sink.apply(pt)];
+        let sinks = vec![move |_, r: &MergeRecord| sink.apply(r)];
         softborg_ingest::run(config, &map, &ctxs, producer, sinks)
     }
 

@@ -13,9 +13,7 @@
 //! through, with one sink per shard instead of one.
 
 use crate::hive::{Hive, HiveConfig};
-use softborg_ingest::{
-    FrameSender, IngestConfig, IngestStats, ProcessedTrace, ShardError, ShardMap,
-};
+use softborg_ingest::{FrameSender, IngestConfig, IngestStats, MergeRecord, ShardError, ShardMap};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
 use std::collections::BTreeMap;
@@ -160,11 +158,11 @@ impl<'p> ShardedHive<'p> {
                         (id, sink)
                     })
                     .collect();
-                move |program: ProgramId, pt: &ProcessedTrace| {
+                move |program: ProgramId, r: &MergeRecord| {
                     sinks
                         .get_mut(&program)
                         .expect("merger only sees programs placed on its shard")
-                        .apply(pt);
+                        .apply(r);
                 }
             })
             .collect();

@@ -16,10 +16,11 @@
 //! * [`pipeline`] — the one pipeline, [`run`]: producers claim
 //!   per-program sequence slots through a [`FrameSender`]; one pool of
 //!   decode+reconstruct workers classifies each frame by the program id
-//!   embedded in its bytes and memoizes reconstructions keyed on the
-//!   exact encoded bytes; per-shard mergers release each program's
-//!   traces to their sink in strict sequence order, so pipelined ingest
-//!   is observably identical to serial ingest.
+//!   embedded in its bytes and memoizes each trace's prepared
+//!   [`MergeRecord`] keyed on the exact encoded bytes; per-shard mergers
+//!   release each program's records to their sink in strict sequence
+//!   order, so pipelined ingest is observably identical to serial
+//!   ingest.
 //! * [`stats`] — [`IngestStats`]: queue depth, drops, corrupt /
 //!   rerouted / unknown-program frames, latency, cache hit rate,
 //!   throughput, per-shard breakdown and imbalance.
@@ -39,7 +40,9 @@ pub mod stats;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use map::{ShardError, ShardMap};
-pub use memo::MemoCache;
-pub use pipeline::{run, FrameSender, IngestConfig, ProcessedTrace, ReconstructContext};
+pub use memo::{Entry, MemoCache, Vacancy};
+pub use pipeline::{
+    run, FrameSender, IngestConfig, MergeRecord, ProcessedTrace, ReconstructContext,
+};
 pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 pub use stats::{IngestStats, ShardStats, ERROR_SAMPLE_CAP};

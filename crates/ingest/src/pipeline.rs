@@ -21,13 +21,16 @@
 //!   [`BackpressurePolicy::Block`] propagates pressure to producers,
 //!   [`BackpressurePolicy::DropOldest`] sheds the oldest queued frame and
 //!   counts it.
-//! * **Recycling.** Workers memoize decode+reconstruction results keyed
-//!   on the exact encoded trace bytes ([`wire::batch_payloads`] hands the
-//!   slices out without decoding). Popular executions — by design the
-//!   common case, since a deployed population re-executes the same paths
-//!   constantly — cost one reconstruction total, not one per arrival.
-//!   This is the paper's information recycling applied to the hive's own
-//!   ingest path.
+//! * **Recycling.** Each worker memoizes, keyed on the exact encoded
+//!   trace bytes ([`wire::batch_payloads`] hands the slices out without
+//!   decoding), the [`MergeRecord`] it prepared for a trace: the decoded
+//!   and reconstructed trace stripped to what the merger folds, with its
+//!   path hash and failure-mode key derived once. Popular executions —
+//!   by design the common case, since a deployed population re-executes
+//!   the same paths constantly — cost one decode, reconstruction and
+//!   preparation per worker per [`run`] (the memo is the worker's and
+//!   lives as long as the run), not one per arrival. This is the paper's
+//!   information recycling applied to the hive's own ingest path.
 //!
 //! Routing is **content-authoritative**: every trace payload begins with
 //! its program id, so a worker classifies a frame from the payload
@@ -49,14 +52,18 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::map::{ShardError, ShardMap};
-use crate::memo::MemoCache;
+use crate::memo::{Entry, MemoCache};
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
 use crate::stats::{IngestStats, StatsCore};
+use softborg_analysis::failure_key;
 use softborg_obs::ObsHandles;
+use softborg_program::interp::Outcome;
 use softborg_program::overlay::Overlay;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BranchSiteId, Program, ProgramId};
+use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{reconstruct, wire, ExecutionTrace};
+use softborg_tree::path_hash;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -132,16 +139,58 @@ impl ReconstructContext<'_> {
     }
 }
 
-/// One decoded trace plus its reconstruction result, as delivered to a
-/// merger's sink. `decisions` is `None` exactly when serial ingest would
-/// count the trace unreconstructed (unknown overlay version or any
-/// `ReconstructError`).
+/// One decoded trace plus its reconstruction result. `decisions` is
+/// `None` exactly when serial ingest would count the trace
+/// unreconstructed (unknown overlay version or any `ReconstructError`).
 #[derive(Debug)]
 pub struct ProcessedTrace {
     /// The decoded trace (detectors always consume it).
     pub trace: ExecutionTrace,
     /// Reconstructed branch decisions, when the trace is exact.
     pub decisions: Option<Vec<(BranchSiteId, bool)>>,
+}
+
+/// One trace as a merger's sink folds it: what the tree and the
+/// detectors read, plus the two facts they would otherwise re-derive on
+/// every arrival. Workers prepare one per distinct trace and memoize it.
+#[derive(Debug)]
+pub struct MergeRecord {
+    /// The reconstructed decisions and their [`path_hash`], when the
+    /// trace is exact.
+    pub path: Option<(Vec<(BranchSiteId, bool)>, u64)>,
+    /// The outcome's [`failure_key`] (`None` for a success).
+    pub failure_key: Option<Box<str>>,
+    /// The execution's outcome.
+    pub outcome: Outcome,
+    /// Observed lock-order pairs.
+    pub lock_pairs: Vec<(u32, u32)>,
+    /// Per-global access summaries.
+    pub global_summaries: Vec<GlobalAccessSummary>,
+}
+
+impl MergeRecord {
+    /// Prepares a processed trace for merging: derives the path hash and
+    /// failure-mode key with the same functions serial ingest calls, and
+    /// frees the replay-only buffers (bits, guard bits, syscall returns,
+    /// schedule).
+    pub fn prepare(pt: ProcessedTrace) -> Self {
+        let ExecutionTrace {
+            outcome,
+            lock_pairs,
+            global_summaries,
+            ..
+        } = pt.trace;
+        MergeRecord {
+            path: (pt.decisions).map(|d| {
+                let hash = path_hash(&d, &outcome);
+                (d, hash)
+            }),
+            failure_key: failure_key(&outcome).map(String::into_boxed_str),
+            outcome,
+            lock_pairs,
+            global_summaries,
+        }
+    }
 }
 
 /// A frame plus the (program, seq) slot its producer claimed.
@@ -157,7 +206,7 @@ struct FrameItem {
 enum WorkerOut {
     /// Healthy, content agrees with the claim: traces for the claimed
     /// program (possibly empty for an empty batch).
-    Frame(Vec<Arc<ProcessedTrace>>),
+    Frame(Vec<Arc<MergeRecord>>),
     /// Unclassifiable (wire corruption or mixed-program payloads).
     Corrupt,
     /// Classifiable but no shard owns the content program.
@@ -184,16 +233,50 @@ struct Rerouted {
     claimed: ProgramId,
     seq: u64,
     to: ProgramId,
-    entries: Vec<Arc<ProcessedTrace>>,
+    entries: Vec<Arc<MergeRecord>>,
+}
+
+/// Claimed slots that will never reach a merger (displaced by
+/// DropOldest or submitted after shutdown).
+#[derive(Default)]
+struct DroppedSlots {
+    slots: Mutex<BTreeSet<(ProgramId, u64)>>,
+    /// `slots.len()`, readable without the lock: under `Block` a slot is
+    /// dropped only after shutdown, so a merger almost always finds zero
+    /// and skips the lock. Updated under the lock (`Release`) and read
+    /// before taking it (`Acquire`). A read that misses a concurrent
+    /// drop only defers the skip: the merger looks again after its next
+    /// item, and its final drain starts after every producer has
+    /// returned, which orders every drop before it.
+    len: AtomicUsize,
+}
+
+impl DroppedSlots {
+    fn insert(&self, program: ProgramId, seq: u64) {
+        let mut slots = self.slots.lock().expect("drop set");
+        if slots.insert((program, seq)) {
+            self.len.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Advances `next` past every dropped slot of `program`.
+    fn skip(&self, program: ProgramId, next: &mut u64) {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut slots = self.slots.lock().expect("drop set");
+        while slots.remove(&(program, *next)) {
+            self.len.fetch_sub(1, Ordering::Release);
+            *next += 1;
+        }
+    }
 }
 
 /// State shared by every stage of one run.
 struct Shared {
     frames: BoundedQueue<FrameItem>,
     merge: Vec<BoundedQueue<MergeItem>>,
-    /// Claimed slots that will never reach a merger (displaced by
-    /// DropOldest or submitted after shutdown).
-    dropped: Mutex<BTreeSet<(ProgramId, u64)>>,
+    dropped: DroppedSlots,
     rerouted: Mutex<Vec<Rerouted>>,
     /// Per-program claimed-sequence counters.
     counters: BTreeMap<ProgramId, AtomicU64>,
@@ -283,10 +366,7 @@ impl FrameSender {
         }) {
             PushOutcome::Accepted => {}
             PushOutcome::Displaced(old) | PushOutcome::Closed(old) => {
-                sh.dropped
-                    .lock()
-                    .expect("drop set")
-                    .insert((old.claimed, old.seq));
+                sh.dropped.insert(old.claimed, old.seq);
                 sh.stats.frames_dropped.incr();
             }
         }
@@ -327,14 +407,14 @@ impl Drop for MergerGuard<'_> {
     }
 }
 
-/// Validates one frame once, classifies it by content, and decodes and
-/// reconstructs its payloads through the memo. Returns what the claimed
-/// lane should see; rerouted traces are stashed in `shared.rerouted` as
-/// a side effect.
+/// Validates one frame once, classifies it by content, and decodes,
+/// reconstructs and prepares its payloads through the memo. Returns what
+/// the claimed lane should see; rerouted traces are stashed in
+/// `shared.rerouted` as a side effect.
 fn process_frame(
     shared: &Shared,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memo: &mut MemoCache<Arc<ProcessedTrace>>,
+    memo: &mut MemoCache<Arc<MergeRecord>>,
     item: &FrameItem,
 ) -> WorkerOut {
     let stats = &shared.stats;
@@ -357,20 +437,23 @@ fn process_frame(
     };
     let mut entries = Vec::with_capacity(payloads.len());
     for p in payloads {
-        if let Some(hit) = memo.get(p) {
-            stats.cache_hits.incr();
-            entries.push(hit);
-            continue;
-        }
+        let vacancy = match memo.entry(p) {
+            Entry::Hit(hit) => {
+                stats.cache_hits.incr();
+                entries.push(Arc::clone(hit));
+                continue;
+            }
+            Entry::Miss(vacancy) => vacancy,
+        };
         stats.cache_misses.incr();
         let Ok(trace) = wire::decode(p) else {
             stats.frames_corrupt.incr();
             return WorkerOut::Corrupt;
         };
         let decisions = ctx.decisions(&trace);
-        let entry = Arc::new(ProcessedTrace { trace, decisions });
-        memo.insert(p.to_vec(), entry.clone());
-        entries.push(entry);
+        let record = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
+        vacancy.insert(Arc::clone(&record));
+        entries.push(record);
     }
     if content == item.claimed {
         return WorkerOut::Frame(entries);
@@ -396,7 +479,7 @@ fn worker_loop(
         active,
         merge: &shared.merge,
     };
-    let mut memo: MemoCache<Arc<ProcessedTrace>> = MemoCache::new(memo_capacity);
+    let mut memo: MemoCache<Arc<MergeRecord>> = MemoCache::new(memo_capacity);
     while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
         let out = process_frame(shared, ctxs, &mut memo, &item);
@@ -447,16 +530,10 @@ struct Lane {
     pending: BinaryHeap<Reverse<BySeq>>,
 }
 
-fn merger_loop<S: FnMut(ProgramId, &ProcessedTrace)>(shared: &Shared, shard: usize, sink: &mut S) {
+fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize, sink: &mut S) {
     let _guard = MergerGuard { shared };
     let (stats, shard_stats) = (&shared.stats, &shared.stats.per_shard[shard]);
     let mut lanes: BTreeMap<ProgramId, Lane> = BTreeMap::new();
-    let skip_dropped = |program: ProgramId, next: &mut u64| {
-        let mut dropped = shared.dropped.lock().expect("drop set");
-        while dropped.remove(&(program, *next)) {
-            *next += 1;
-        }
-    };
     let emit = |item: MergeItem, sink: &mut S| {
         match &item.out {
             WorkerOut::Frame(entries) => {
@@ -487,7 +564,7 @@ fn merger_loop<S: FnMut(ProgramId, &ProcessedTrace)>(shared: &Shared, shard: usi
         let lane = lanes.entry(program).or_default();
         lane.pending.push(Reverse(BySeq(item)));
         loop {
-            skip_dropped(program, &mut lane.next);
+            shared.dropped.skip(program, &mut lane.next);
             match lane.pending.peek() {
                 Some(Reverse(BySeq(it))) if it.seq == lane.next => {
                     let Reverse(BySeq(it)) = lane.pending.pop().expect("peeked");
@@ -501,7 +578,7 @@ fn merger_loop<S: FnMut(ProgramId, &ProcessedTrace)>(shared: &Shared, shard: usi
     // Final drain, lane by lane in program-id order.
     for (program, lane) in &mut lanes {
         while let Some(Reverse(BySeq(it))) = lane.pending.pop() {
-            skip_dropped(*program, &mut lane.next);
+            shared.dropped.skip(*program, &mut lane.next);
             debug_assert_eq!(it.seq, lane.next, "merger saw a non-dropped gap");
             lane.next = it.seq + 1;
             emit(it, sink);
@@ -542,7 +619,7 @@ pub fn run<R, P, S>(
 where
     P: FnOnce(FrameSender) -> R + Send,
     R: Send,
-    S: FnMut(ProgramId, &ProcessedTrace) + Send,
+    S: FnMut(ProgramId, &MergeRecord) + Send,
 {
     assert_eq!(sinks.len(), map.n_shards(), "one sink per shard");
     let started = config.clock.now_ns();
@@ -551,7 +628,7 @@ where
         merge: (0..map.n_shards())
             .map(|_| BoundedQueue::new(config.merge_capacity, BackpressurePolicy::Block))
             .collect(),
-        dropped: Mutex::new(BTreeSet::new()),
+        dropped: DroppedSlots::default(),
         rerouted: Mutex::new(Vec::new()),
         counters: (map.assignments().keys())
             .map(|&p| (p, AtomicU64::new(0)))

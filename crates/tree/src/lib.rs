@@ -11,8 +11,8 @@
 pub mod tree;
 
 pub use tree::{
-    CoverageStats, DeltaError, ExecutionTree, FrontierArm, MergeStats, Node, NodeId, OutcomeTally,
-    TreeSummary,
+    path_hash, CoverageStats, DeltaError, ExecutionTree, FrontierArm, MergeStats, Node, NodeId,
+    OutcomeTally, TreeSummary,
 };
 
 #[cfg(test)]

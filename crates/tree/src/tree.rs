@@ -279,6 +279,16 @@ pub struct MergeStats {
     pub new_path: bool,
 }
 
+/// The distinct-path identity of one merged path: its decisions plus its
+/// outcome class. Pure, and the value the tree stores (and snapshots)
+/// for [`ExecutionTree::distinct_paths`].
+pub fn path_hash(decisions: &[(BranchSiteId, bool)], outcome: &Outcome) -> u64 {
+    let mut h = DefaultHasher::new();
+    decisions.hash(&mut h);
+    std::mem::discriminant(outcome).hash(&mut h);
+    h.finish()
+}
+
 /// An unexplored arm at the tree frontier — a candidate for guidance
 /// (paper §3.3: "identify directions toward which to guide the pods").
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -482,6 +492,19 @@ impl ExecutionTree {
         decisions: &[(BranchSiteId, bool)],
         outcome: &Outcome,
     ) -> MergeStats {
+        self.merge_path_hashed(decisions, outcome, path_hash(decisions, outcome))
+    }
+
+    /// [`merge_path`](Self::merge_path) with the path's [`path_hash`]
+    /// already computed, so a caller that merges the same path many
+    /// times (the ingest memo) hashes it once.
+    pub fn merge_path_hashed(
+        &mut self,
+        decisions: &[(BranchSiteId, bool)],
+        outcome: &Outcome,
+        hash: u64,
+    ) -> MergeStats {
+        debug_assert_eq!(hash, path_hash(decisions, outcome));
         self.paths_merged += 1;
         let mut cur = NodeId::ROOT;
         let mut new_nodes = 0u64;
@@ -513,10 +536,6 @@ impl ExecutionTree {
         self.touch(cur);
         self.nodes[cur.index()].terminal.add(outcome);
 
-        let mut h = DefaultHasher::new();
-        decisions.hash(&mut h);
-        std::mem::discriminant(outcome).hash(&mut h);
-        let hash = h.finish();
         let new_path = self.path_hashes.insert(hash);
         if new_path {
             self.distinct_paths += 1;

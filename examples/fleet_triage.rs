@@ -8,7 +8,9 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use softborg::analysis::{sample_path, suspicious_arms, CbiServer, FailureLedger, WerBuckets};
+use softborg::analysis::{
+    failure_key, sample_path, suspicious_arms, CbiServer, FailureLedger, WerBuckets,
+};
 use softborg::program::gen::{generate, sample_inputs, BugKind, GenConfig};
 use softborg::program::interp::Executor;
 use softborg::program::overlay::Overlay;
@@ -59,7 +61,7 @@ fn main() {
             )
             .expect("arity");
         let trace = rec.finish(r.outcome.clone(), r.steps);
-        ledger.ingest(&trace);
+        ledger.ingest(&trace.outcome, failure_key(&trace.outcome).as_deref());
         wer.ingest(&trace);
         if let Ok(path) = reconstruct(program, &deps, &Overlay::empty(), &trace) {
             cbi.ingest(&sample_path(&path.decisions, trace.is_failure(), 100, i));

@@ -56,7 +56,8 @@ fn main() {
         } else if passing.len() < 10 {
             passing.push(case);
         }
-        graph.ingest(&recorder.finish(result.outcome, result.steps));
+        let trace = recorder.finish(result.outcome, result.steps);
+        graph.ingest(&trace.lock_pairs, &trace.outcome);
     }
     println!(
         "stage 1 — population ran 300 times: {deadlocks_before} deadlocks, {} lock-order edges",

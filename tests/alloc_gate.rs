@@ -1,5 +1,6 @@
 //! Allocation gate: neither one pod execution nor the hive's replay of
-//! its trace may allocate per guest step.
+//! its trace may allocate per guest step, and the hive's merger may not
+//! allocate per arrival of a trace it has seen before.
 //!
 //! A counting global allocator tallies this thread's allocations while
 //! `Pod::run_once` executes a loop for 10 and for 1,000 iterations — one
@@ -7,19 +8,23 @@
 //! acquires run inside the gate — and while `reconstruct` replays the
 //! single-thread loop's traces. Only the amortised doubling of growing
 //! buffers (schedule picks, trace bits, reconstructed decisions) may
-//! separate the two counts.
+//! separate the two counts. Folding one prepared merge record into a
+//! hive 10 and 1,000 times must allocate exactly as often.
 
+use softborg_hive::{Hive, HiveConfig};
+use softborg_ingest::{MergeRecord, ProcessedTrace};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::{global, local, Stmt};
 use softborg_program::expr::{BinOp, Expr, Place};
-use softborg_program::interp::{ExecConfig, Executor, Observer, Outcome};
+use softborg_program::interp::{CrashKind, ExecConfig, Executor, Observer, Outcome};
 use softborg_program::overlay::{GuardAction, LockGate, Overlay, SiteGuard, GHOST_LOCK_BASE};
 use softborg_program::sched::RandomSched;
 use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
-use softborg_program::{Loc, LockId, Program, ThreadId};
-use softborg_trace::{reconstruct, ExecutionTrace};
+use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ThreadId};
+use softborg_trace::record::GlobalAccessSummary;
+use softborg_trace::{reconstruct, BitVec, ExecutionTrace, RecordingPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -250,4 +255,66 @@ fn reconstruct_allocations_do_not_scale_with_steps() {
 fn reconstruct_allocations_do_not_scale_with_steps_under_an_overlay() {
     let program = looping_program();
     assert_reconstruct_flat(Some(&guard_and_gate(&program)));
+}
+
+/// A crashing trace with lock-order pairs and a global touched under a
+/// non-empty lockset, prepared for the merger: it exercises the tree,
+/// the failure ledger, the lock-order graph and the race detector.
+fn failing_record(program: &Program) -> MergeRecord {
+    let trace = ExecutionTrace {
+        program: program.id(),
+        policy: RecordingPolicy::InputDependent,
+        bits: BitVec::new(),
+        guard_bits: BitVec::new(),
+        syscall_rets: vec![3],
+        schedule: vec![0, 1, 0],
+        steps: 3,
+        outcome: Outcome::Crash {
+            loc: Loc {
+                thread: ThreadId::new(1),
+                block: BlockId::new(2),
+                stmt: 0,
+            },
+            kind: CrashKind::AssertFailed,
+        },
+        overlay_version: 0,
+        lock_pairs: vec![(0, 1), (1, 2)],
+        global_summaries: vec![GlobalAccessSummary {
+            global: 0,
+            reader_mask: 0b11,
+            writer_mask: 0b01,
+            lockset: vec![0, 1],
+        }],
+    };
+    let decisions = (0..8).map(|i| (BranchSiteId::new(i), i % 3 == 0)).collect();
+    MergeRecord::prepare(ProcessedTrace {
+        trace,
+        decisions: Some(decisions),
+    })
+}
+
+/// Allocations made by folding `record` into a fresh hive `times` times.
+fn allocs_per_fold(program: &Program, record: &MergeRecord, times: u64) -> u64 {
+    let mut hive = Hive::new(program, HiveConfig::default());
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..times {
+        hive.apply_record(record);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(hive.stats().traces, times);
+    assert_eq!(hive.diagnoses()[0].count, times);
+    assert_eq!(hive.lock_graph().traces_seen(), times);
+    allocs
+}
+
+#[test]
+fn merge_record_folds_do_not_allocate_per_arrival() {
+    let program = looping_program();
+    let record = failing_record(&program);
+    let small = allocs_per_fold(&program, &record, 10);
+    let large = allocs_per_fold(&program, &record, 1_000);
+    assert_eq!(
+        small, large,
+        "folding allocated {small} times for 10 arrivals but {large} for 1,000"
+    );
 }
