@@ -18,6 +18,7 @@ use softborg_hive::{
     scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
     ScrubReport,
 };
+use softborg_ingest::BackpressurePolicy;
 use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
@@ -83,6 +84,10 @@ pub enum DurabilityError {
     /// that passed no checksum), or the directory holds a layout this
     /// build cannot read.
     Corrupt(String),
+    /// A durable campaign with a pipeline policy that may shed frames:
+    /// its journal keeps every frame, so resume would fold traffic the
+    /// acknowledged hive never saw. Only `Block` is durable.
+    LossyIngest(BackpressurePolicy),
 }
 
 impl std::fmt::Display for DurabilityError {
@@ -98,6 +103,7 @@ impl std::fmt::Display for DurabilityError {
             ),
             DurabilityError::Io(e) => write!(f, "durability I/O failure: {e}"),
             DurabilityError::Corrupt(what) => write!(f, "durable state corrupt: {what}"),
+            DurabilityError::LossyIngest(p) => write!(f, "durable ingest cannot be {p:?}"),
         }
     }
 }

@@ -32,13 +32,12 @@ use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
-use softborg_ingest::{IngestConfig, IngestStats};
+use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
 use softborg_store::{ChainReport, RecordKind};
-use softborg_trace::wire;
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
 
@@ -412,6 +411,14 @@ fn shard_cfg(root: &DurabilityConfig, shard: usize) -> DurabilityConfig {
     }
 }
 
+/// Refuses a durable campaign whose pipeline may shed frames.
+fn refuse_lossy(config: &MultiPlatformConfig) -> Result<(), DurabilityError> {
+    match config.ingest.pipeline.policy {
+        p if config.durability.is_none() || p == BackpressurePolicy::Block => Ok(()),
+        p => Err(DurabilityError::LossyIngest(p)),
+    }
+}
+
 fn hive_of<'a, 'p>(sharded: &'a ShardedHive<'p>, fleet: &Fleet<'p>) -> &'a Hive<'p> {
     sharded.hive(fleet.id).expect("fleet program is placed")
 }
@@ -476,12 +483,14 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the directory already
-    /// holds a campaign, in any layout; [`DurabilityError::Io`] when a
-    /// shard's journal or chain cannot be opened.
+    /// holds a campaign, in any layout; [`DurabilityError::LossyIngest`]
+    /// for a non-`Block` pipeline policy (nothing is created);
+    /// [`DurabilityError::Io`] when a shard's files cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
     ) -> Result<Self, DurabilityError> {
+        refuse_lossy(&config)?;
         let mut platform = Self::base(specs, config);
         if let Some(root) = platform.config.durability.clone() {
             refuse_legacy(&root.dir, LEGACY_ROOT)
@@ -505,10 +514,12 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] without a durability config;
+    /// [`DurabilityError::LossyIngest`] as [`try_new`](Self::try_new);
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage, or when the directory holds an older layout — refused
-    /// before anything on disk is touched.
+    /// garbage (a frame its lane's hive cannot merge included), or when
+    /// the directory holds an older layout — refused before anything on
+    /// disk is touched.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -517,10 +528,10 @@ impl<'p> MultiPlatform<'p> {
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
+        refuse_lossy(&config)?;
         refuse_legacy(&root.dir, LEGACY_ROOT)?;
         let mut platform = Self::base(specs, config);
         let recorder = platform.config.obs.recorder.clone();
-        let lanes = platform.programs();
 
         // Pass 1: load every shard's checkpoint + journal and count its
         // committed rounds (checkpoint rounds + connected ROUND records).
@@ -603,19 +614,10 @@ impl<'p> MultiPlatform<'p> {
                 if report.round != applied {
                     break; // disconnected: truncated below
                 }
+                let frames = seg.frames.iter().map(|r| (r.session, r.seq, &r.frame[..]));
+                (platform.fold_frames(frames))
+                    .map_err(|e| corrupt(&format!("shard {shard} round {applied} frames"), e))?;
                 for fr in &seg.frames {
-                    let Some(&id) = usize::try_from(fr.session).ok().and_then(|l| lanes.get(l))
-                    else {
-                        return Err(DurabilityError::Corrupt(format!(
-                            "frame record on unknown lane {}",
-                            fr.session
-                        )));
-                    };
-                    let traces = wire::decode_batch(&fr.frame).map_err(|e| corrupt("frame", e))?;
-                    let hive = platform.sharded.hive_mut(id).expect("lane program");
-                    for trace in &traces {
-                        hive.ingest(trace);
-                    }
                     sc.store.raise_floor(fr.session, fr.seq);
                 }
                 for pr in &seg.promotes {
@@ -721,8 +723,7 @@ impl<'p> MultiPlatform<'p> {
         self.round_idx
     }
 
-    /// Ingest-pipeline statistics from the most recent
-    /// [`round`](Self::round), if any.
+    /// Ingest-pipeline statistics from the most recent round, if any.
     pub fn last_run(&self) -> Option<&IngestStats> {
         self.last_run.as_ref()
     }
@@ -806,17 +807,19 @@ impl<'p> MultiPlatform<'p> {
     /// [`LaneTask`] per fleet plus the batch size and returns per-lane
     /// counters and every batch frame as `(lane, seq, frame)`, pod `j`
     /// owning slots `j*k..(j+1)*k` (`k = ceil(execs_per_pod / batch)`).
-    /// Frames are ingested in `(lane, seq)` order — the merger's and the
-    /// replay's order — and the rest of the round runs as usual. Pods
-    /// carry their own RNG, so any driver that runs each pod
-    /// `execs_per_pod` times leaves the state [`round`](Self::round)
-    /// would.
+    /// The frames go through the one ingest pipeline, each lane's in
+    /// `seq` order (the run is [`last_run`](Self::last_run)), and the
+    /// rest of the round runs as usual. Pods carry their own RNG, so any
+    /// driver that runs each pod `execs_per_pod` times leaves the state
+    /// [`round`](Self::round) would.
     ///
     /// # Panics
     ///
     /// Panics when the driver returns the wrong number of per-lane
-    /// entries, an out-of-range lane, or a frame that fails wire
-    /// validation — driver bugs, not input conditions.
+    /// entries, a frame on an out-of-range lane, a lane whose seqs are
+    /// not exactly `0..n`, or a frame the pipeline does not merge into
+    /// its lane's hive (corrupt, or another program's) — driver bugs,
+    /// not input conditions.
     pub fn round_driven<F>(&mut self, driver: F) -> MultiRoundReport
     where
         F: for<'a> FnOnce(Vec<LaneTask<'a, 'p>>, u64) -> MultiDrivenExecution,
@@ -840,18 +843,51 @@ impl<'p> MultiPlatform<'p> {
             "driver must report one (executions, failures, directed) entry per lane"
         );
         let mut frames = drv.frames;
-        frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
-        for (lane, _, frame) in &frames {
-            let traces = wire::decode_batch(frame).expect("driver produced a corrupt frame");
-            let hive = hive_of_mut(&mut self.sharded, &self.fleets[*lane as usize]);
-            for trace in &traces {
-                hive.ingest(trace);
-            }
-        }
+        let run = (self.fold_frames(frames.iter().map(|(l, s, f)| (*l, *s, &f[..]))))
+            .unwrap_or_else(|e| panic!("driver bug: {e}"));
+        self.last_run = Some(run);
         if self.durable.is_none() {
             frames.clear();
         }
         self.finish_round(drv.per_lane, frames)
+    }
+
+    /// Folds in-hand `(lane, seq, frame)` triples, a driver's or a
+    /// journaled round's, through the one pipeline (blocking, never
+    /// shedding). Refused unless each lane's seqs are exactly `0..n` and
+    /// every frame merged into its lane's hive.
+    fn fold_frames<'f>(
+        &mut self,
+        frames: impl IntoIterator<Item = (u64, u64, &'f [u8])>,
+    ) -> Result<IngestStats, String> {
+        let mut frames: Vec<_> = frames.into_iter().collect();
+        frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
+        let (lanes, n) = (self.programs(), frames.len() as u64);
+        let mut due = vec![0u64; lanes.len()];
+        for &(lane, seq, _) in &frames {
+            match usize::try_from(lane).ok().and_then(|l| due.get_mut(l)) {
+                Some(next) if *next == seq => *next += 1,
+                _ => return Err(format!("lane {lane} seq {seq} breaks the lane's 0..n")),
+            }
+        }
+        let mut cfg = self.config.ingest.pipeline_with(&self.config.obs);
+        cfg.policy = BackpressurePolicy::Block;
+        let ((), s) = self.sharded.ingest_frames(&cfg, move |tx| {
+            for (lane, seq, frame) in frames {
+                let placed = tx.submit_for_at(lanes[lane as usize], seq, frame.to_vec());
+                placed.expect("lane program is placed");
+            }
+        });
+        let (merged, corrupt, unknown) =
+            (s.frames_merged, s.frames_corrupt, s.frames_unknown_program);
+        let (rerouted, dropped) = (s.frames_rerouted, s.frames_dropped);
+        if merged == n && corrupt + unknown + rerouted + dropped == 0 {
+            return Ok(s);
+        }
+        Err(format!(
+            "{merged} of {n} frame(s) merged: {corrupt} corrupt, {unknown} of an unknown \
+             program, {rerouted} rerouted, {dropped} dropped"
+        ))
     }
 
     /// Step 1 of a round: push each program's current overlay to its

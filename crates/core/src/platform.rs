@@ -256,8 +256,7 @@ impl<'p> Platform<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the driver returns a frame that fails wire validation —
-    /// a driver bug, not an input condition.
+    /// As [`MultiPlatform::round_driven`], on a driver bug.
     pub fn round_driven<F>(&mut self, driver: F) -> RoundReport
     where
         F: FnOnce(&mut [Pod<'p>], u64) -> DrivenExecution,
@@ -330,7 +329,7 @@ impl<'p> Platform<'p> {
         self.core.durable.as_ref().map(|stores| stores[0].wal_len())
     }
 
-    /// Pipeline statistics from the most recent [`round`](Self::round).
+    /// Pipeline statistics from the most recent round, driven or not.
     pub fn last_ingest(&self) -> Option<&IngestStats> {
         self.core.last_run()
     }

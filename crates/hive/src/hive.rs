@@ -263,9 +263,11 @@ impl<'p> Hive<'p> {
         )
     }
 
-    /// Ingests one trace: detectors always see it; the tree additionally
-    /// merges the reconstructed path when the trace is exact and its
-    /// overlay version is known.
+    /// The serial, memo-less *reference* fold of one trace, which no
+    /// production path calls (each folds through
+    /// [`ingest_frames`](Self::ingest_frames)): detectors always see it;
+    /// the tree additionally merges the reconstructed path when the trace
+    /// is exact and its overlay version is known.
     pub fn ingest(&mut self, trace: &ExecutionTrace) {
         let (ctx, mut sink) = self.split();
         let decisions = ctx.decisions(trace);

@@ -1,7 +1,8 @@
 //! Workload helpers shared by the hive's ingest and transport suites
 //! (and the root `obs_determinism.rs`, which includes this file
 //! by path): the canonical scenarios, seeded pod traces, transport
-//! sessions, and the serial-ingest reference hive.
+//! sessions, and [`serial_hive`], the one serial reference every
+//! ingest equivalence check compares against.
 
 #![allow(dead_code)] // each suite uses a subset
 
@@ -44,8 +45,8 @@ pub fn sessions_of(
     out
 }
 
-/// Serial reference: every trace through the classic single-trace
-/// entry point.
+/// The serial reference: every trace through `Hive::ingest`, the
+/// memo-less single-trace fold no production path calls.
 pub fn serial_hive<'p>(s: &'p Scenario, traces: &[ExecutionTrace]) -> Hive<'p> {
     let mut hive = Hive::new(&s.program, HiveConfig::default());
     for t in traces {

@@ -2,8 +2,8 @@
 //! set (1–4), shard count (1–4), worker count, batch size, queue bound,
 //! interleaving and memo on/off, every program's hive ends
 //! **byte-identical** (`Hive::encode_state`, the bytes durability
-//! persists) to a serial `Hive::ingest` loop over that program's
-//! surviving traces. A lone `Hive::ingest_batch` is the 1-program,
+//! persists) to the one serial reference, `common::serial_hive` (a
+//! `Hive::ingest` loop), over that program's surviving traces. A lone `Hive::ingest_batch` is the 1-program,
 //! 1-shard arm; every other shape runs through a `ShardedHive`.
 //!
 //! Faults are inputs of the same property, not copies of it: a
@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{pod_traces, scenario};
+use common::{pod_traces, scenario, serial_hive};
 use proptest::prelude::*;
 use softborg_hive::{Hive, HiveConfig, HiveStats, ShardedHive};
 use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
@@ -102,14 +102,6 @@ fn interleave(per_program: Vec<(ProgramId, Vec<Vec<u8>>)>, mix: u64) -> Vec<(Pro
     out
 }
 
-fn serial_state(s: &Scenario, traces: &[ExecutionTrace]) -> Vec<u8> {
-    let mut hive = Hive::new(&s.program, HiveConfig::default());
-    for t in traces {
-        hive.ingest(t);
-    }
-    hive.encode_state()
-}
-
 /// Program 0's frames after `fault`, plus the traces that survive it
 /// and the corrupt / unknown-program frame counts it must cause.
 fn apply_fault(
@@ -175,7 +167,7 @@ fn check(case: &Case) {
         corrupt += c;
         unknown += u;
         traces_expected += surviving.len() as u64;
-        reference.push((s.program.id(), serial_state(s, &surviving)));
+        reference.push((s.program.id(), serial_hive(s, &surviving).encode_state()));
         lanes.push((s.program.id(), frames));
     }
     let submissions = interleave(lanes, case.mix);

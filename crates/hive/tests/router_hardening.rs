@@ -5,32 +5,14 @@
 //! slot, never panic, never silently drop, and never disturb the
 //! byte-identity of healthy traffic.
 
-use softborg_hive::{Hive, HiveConfig, ShardedHive};
+mod common;
+
+use common::{pod_traces, serial_hive};
+use softborg_hive::{HiveConfig, ShardedHive};
 use softborg_ingest::{IngestConfig, ShardError};
-use softborg_pod::{Pod, PodConfig};
-use softborg_program::scenarios::{self, Scenario};
+use softborg_program::scenarios;
 use softborg_program::{Program, ProgramId};
-use softborg_trace::{wire, ExecutionTrace};
-
-fn pod_traces(s: &Scenario, seed: u64, n: usize) -> Vec<ExecutionTrace> {
-    let mut pod = Pod::new(
-        &s.program,
-        PodConfig {
-            input_range: s.input_range,
-            seed,
-            ..PodConfig::default()
-        },
-    );
-    (0..n).map(|_| pod.run_once().trace).collect()
-}
-
-fn serial_state(s: &Scenario, traces: &[ExecutionTrace]) -> Vec<u8> {
-    let mut hive = Hive::new(&s.program, HiveConfig::default());
-    for t in traces {
-        hive.ingest(t);
-    }
-    hive.encode_state()
-}
+use softborg_trace::wire;
 
 #[test]
 fn corrupt_frames_consume_their_slot_and_spare_healthy_traffic() {
@@ -40,14 +22,15 @@ fn corrupt_frames_consume_their_slot_and_spare_healthy_traffic() {
     let traces = pod_traces(&s, 3, 30);
     // The middle frame gets a flipped payload byte; serial reference
     // sees only the surviving traces.
-    let reference = serial_state(
+    let reference = serial_hive(
         &s,
         &traces[..10]
             .iter()
             .chain(&traces[20..])
             .cloned()
             .collect::<Vec<_>>(),
-    );
+    )
+    .encode_state();
     let mut frames: Vec<Vec<u8>> = traces.chunks(10).map(wire::encode_batch).collect();
     let mid = frames[1].len() / 2;
     frames[1][mid] ^= 0xA5;
@@ -103,7 +86,7 @@ fn unknown_content_program_is_typed_counted_and_slot_consuming() {
     assert_ne!(known_id, stranger_id);
 
     let known_traces = pod_traces(&known, 5, 12);
-    let reference = serial_state(&known, &known_traces);
+    let reference = serial_hive(&known, &known_traces).encode_state();
     let stranger_frame = wire::encode_batch(&pod_traces(&stranger, 5, 4));
 
     let mut sharded = ShardedHive::new(&programs, 2, &HiveConfig::default()).unwrap();
@@ -172,8 +155,8 @@ fn misclaimed_frames_reroute_to_their_content_program_deterministically() {
     // producer). Content routing must deliver them to B — after A's
     // in-order traffic — in claimed-slot order, so B's state equals a
     // serial ingest of its traces in submission order.
-    let reference_a = serial_state(&a, &a_traces);
-    let reference_b = serial_state(&b, &b_traces);
+    let reference_a = serial_hive(&a, &a_traces).encode_state();
+    let reference_b = serial_hive(&b, &b_traces).encode_state();
 
     let mut frames: Vec<(ProgramId, Vec<u8>)> = Vec::new();
     let a_frames: Vec<Vec<u8>> = a_traces.chunks(4).map(wire::encode_batch).collect();

@@ -720,11 +720,6 @@ impl WorldCtx<'_> {
         Some(msg)
     }
 
-    /// Queued messages in a channel.
-    pub fn chan_len(&self, chan: ChanId) -> usize {
-        self.inner.chans[chan.0 as usize].buf.len()
-    }
-
     /// Registers this proc for a [`Wake::ChanReadable`] — the explicit
     /// *blocked receive*. Level-triggered: if the channel already has a
     /// message, the wake fires at the current instant (no lost-wakeup
@@ -793,11 +788,6 @@ impl WorldCtx<'_> {
             .now()
             .after(self.inner.disks[di].fsync_latency_us.max(1));
         self.inner.push_event(at, Event::FsyncDone { disk });
-    }
-
-    /// A disk's current length (synced + volatile).
-    pub fn disk_len(&self, disk: DiskId) -> usize {
-        self.inner.disks[disk.0 as usize].bytes.len()
     }
 
     /// A disk's durable prefix length.

@@ -272,25 +272,6 @@ impl<'p> Pod<'p> {
     pub fn passing_cases(&self) -> &[TestCase] {
         &self.passing_cases
     }
-
-    /// Validates a fix candidate against this pod's local corpus — the
-    /// repair lab's distributed trial step (paper §3.3).
-    pub fn validate_candidate(
-        &self,
-        candidate: &softborg_fix::FixCandidate,
-    ) -> softborg_fix::Validation {
-        let failing: Vec<TestCase> = self.failing_cases.iter().map(|(c, _)| c.clone()).collect();
-        softborg_fix::validate(
-            self.executor.program(),
-            &self.overlay,
-            candidate,
-            &failing,
-            &self.passing_cases,
-            softborg_fix::LabConfig {
-                max_steps: self.config.exec.max_steps,
-            },
-        )
-    }
 }
 
 #[cfg(test)]

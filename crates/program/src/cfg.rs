@@ -7,7 +7,7 @@
 //! one root-to-leaf path through that tree.
 
 use crate::expr::{Expr, Place};
-use crate::ids::{BlockId, BranchSiteId, GlobalId, InputId, LocalId, LockId, ProgramId, ThreadId};
+use crate::ids::{BlockId, BranchSiteId, GlobalId, LocalId, LockId, ProgramId, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -406,11 +406,6 @@ pub fn local(i: u32) -> Place {
 /// Helper used throughout the crate and its dependents to name globals.
 pub fn global(i: u32) -> Place {
     Place::Global(GlobalId::new(i))
-}
-
-/// Helper to name an input cell.
-pub fn input_id(i: u32) -> InputId {
-    InputId::new(i)
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl Lit {
     pub fn code(self) -> usize {
         self.0 as usize
     }
-
-    /// Whether `assignment` satisfies this literal (`None` = unassigned).
-    pub fn satisfied_by(self, assignment: &[Option<bool>]) -> Option<bool> {
-        assignment[self.var().index()].map(|v| v == self.is_positive())
-    }
 }
 
 impl fmt::Display for Lit {
@@ -113,11 +108,6 @@ impl Cnf {
     /// The clauses.
     pub fn clauses(&self) -> &[Vec<Lit>] {
         &self.clauses
-    }
-
-    /// Grows the variable count to at least `n`.
-    pub fn ensure_vars(&mut self, n: u32) {
-        self.n_vars = self.n_vars.max(n);
     }
 
     /// Allocates a fresh variable.

@@ -1,7 +1,9 @@
-//! The platform's pipelined round (pods on scoped threads reporting
-//! through the staged ingest pipeline) must produce exactly the same
-//! round reports and hive state as the serial reference
-//! (`DrivenExecution::serial` fed to `round_driven`).
+//! The platform's threaded round (pods on scoped threads reporting
+//! through the one ingest pipeline) must produce exactly the same round
+//! reports and hive state as serial *pod execution*
+//! (`DrivenExecution::serial` fed to `round_driven`, whose frames go
+//! through the same pipeline). Ingest itself is checked against the
+//! serial reference hive in `softborg-hive`'s `ingest_equivalence`.
 
 use softborg::{DrivenExecution, IngestSettings, Platform, PlatformConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig};

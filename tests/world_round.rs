@@ -1,11 +1,13 @@
 //! Campaign rounds under the virtual-time world driver
 //! ([`support::drive`]): a driven round must leave a platform in
-//! *byte-identical* state to the serial reference
+//! *byte-identical* state to serial pod execution
 //! ([`DrivenExecution::serial`]) and the threaded round on shared seeds,
 //! replays must reproduce the `sched_trace_hash`, and the driven round
 //! must actually exercise the blocking-point catalogue (bounded-channel
 //! stalls, fsyncs, wakes) — for a `Platform` and for a `MultiPlatform`,
-//! through the one driver.
+//! through the one driver. Every arm folds its frames through the one
+//! ingest pipeline; ingest against the serial reference hive is
+//! `softborg-hive`'s `ingest_equivalence`.
 
 mod support;
 
