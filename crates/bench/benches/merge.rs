@@ -1,9 +1,9 @@
 //! Criterion bench for E9 (§3.2): path-merge throughput into execution
 //! trees of increasing size, plus replica absorption — and `tree_reads`,
 //! what the hive reads back from a tree every round (proofs, coverage,
-//! frontier, guidance plan) on the two shapes the repository benchmark
-//! serves: a pair of hang paths ~1,333 decisions deep and a wide tree of
-//! ~20k nodes.
+//! frontier, guidance plan, and `round_reads`: all a round report pays)
+//! on the two shapes the repository benchmark serves: a pair of hang
+//! paths ~1,333 decisions deep and a wide tree of ~20k nodes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -117,8 +117,10 @@ fn bench_tree_reads(c: &mut Criterion) {
         let nodes = tree.node_count();
         let id = |read: &str| format!("{read}/{shape}_{nodes}_nodes");
         group.bench_function(id("proofs"), |b| b.iter(|| proofs::assemble(&tree).len()));
-        // What a round report pays: the count without the certificates.
-        group.bench_function(id("proof_count"), |b| b.iter(|| proofs::count(&tree)));
+        // The count without the certificates.
+        group.bench_function(id("proof_count"), |b| {
+            b.iter(|| tree.summary().proven_subtrees())
+        });
         group.bench_function(id("coverage"), |b| b.iter(|| tree.coverage()));
         group.bench_function(id("frontier"), |b| b.iter(|| tree.frontier().len()));
         // As `Hive::guidance` plans: the crash hunt once, the frontier
@@ -130,6 +132,17 @@ fn bench_tree_reads(c: &mut Criterion) {
                     .0
                     .directives
                     .len()
+            })
+        });
+        // What `MultiPlatform::finish_round` pays per lane: the plan,
+        // then one summary for the report's coverage and proof count.
+        group.bench_function(id("round_reads"), |b| {
+            b.iter(|| {
+                let (plan, _) =
+                    frontier::plan_with_crash_seeds(&s.program, &mut tree, &planner, &crash_seeds);
+                let summary = tree.summary();
+                let coverage = tree.coverage_from(&summary);
+                (plan.directives.len(), coverage, summary.proven_subtrees())
             })
         });
     }

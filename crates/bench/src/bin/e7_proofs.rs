@@ -54,9 +54,15 @@ fn main() {
             println!(
                 "{}{}{}{}{}{}",
                 cell(i + 1, 8),
-                cell(format!("{:.1}", natural.closed_fraction() * 100.0), 12),
+                cell(
+                    format!("{:.1}", natural.coverage().closed_fraction * 100.0),
+                    12
+                ),
                 cell(nat_certs.len(), 11),
-                cell(format!("{:.1}", symbolic.closed_fraction() * 100.0), 12),
+                cell(
+                    format!("{:.1}", symbolic.coverage().closed_fraction * 100.0),
+                    12
+                ),
                 cell(sym_certs.len(), 11),
                 cell(if whole { "YES" } else { "no" }, 8)
             );

@@ -969,7 +969,8 @@ impl<'p> MultiPlatform<'p> {
             }
         }
 
-        // 5. Report.
+        // 5. Report: one summary of each tree, read after guidance's
+        //    infeasibility marks, gives coverage and the proof count.
         let programs: Vec<ProgramRoundReport> = self
             .fleets
             .iter()
@@ -977,6 +978,7 @@ impl<'p> MultiPlatform<'p> {
             .zip(&fixes_by_lane)
             .map(|((fleet, &(executions, failures, directed)), &fixes)| {
                 let hive = hive_of(&self.sharded, fleet);
+                let (coverage, proofs) = hive.coverage_and_proof_count();
                 ProgramRoundReport {
                     program: fleet.id.0,
                     executions,
@@ -984,8 +986,8 @@ impl<'p> MultiPlatform<'p> {
                     fixes_promoted: fixes,
                     overlay_version: hive.current_overlay().1,
                     directed,
-                    coverage: hive.coverage(),
-                    proofs: hive.proof_count(),
+                    coverage,
+                    proofs,
                 }
             })
             .collect();

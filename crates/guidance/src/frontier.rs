@@ -9,9 +9,10 @@
 
 use crate::directive::{Directive, GuidancePlan};
 use softborg_program::sched::ScheduleHint;
-use softborg_program::Program;
-use softborg_symex::{arm_feasibility, explore, Feasibility, SymConfig, SymexError};
+use softborg_program::{BranchSiteId, Loc, Program, ThreadId};
+use softborg_symex::{arm_feasibility, explore, Feasibility, SymConfig, SymOutcome, SymPath};
 use softborg_tree::{ExecutionTree, FrontierArm};
+use std::collections::BTreeMap;
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -80,12 +81,9 @@ pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> 
     // paths can reach the same crash and some of them are contradictory
     // (e.g. a fork taken under a conflicting earlier arm), so keep
     // solving alternatives per site until one yields a model.
-    let mut by_site: std::collections::BTreeMap<
-        softborg_program::Loc,
-        Vec<&softborg_symex::SymPath>,
-    > = std::collections::BTreeMap::new();
+    let mut by_site: BTreeMap<Loc, Vec<&SymPath>> = BTreeMap::new();
     for path in exploration.crashing() {
-        if let softborg_symex::SymOutcome::Crash { loc, .. } = &path.outcome {
+        if let SymOutcome::Crash { loc, .. } = &path.outcome {
             by_site.entry(*loc).or_default().push(path);
         }
     }
@@ -107,7 +105,7 @@ pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> 
                     .decisions
                     .last()
                     .copied()
-                    .unwrap_or((softborg_program::BranchSiteId::new(0), true));
+                    .unwrap_or((BranchSiteId::new(0), true));
                 seeds.push(Directive::InputSeed { inputs, target });
                 break; // next site
             }
@@ -140,17 +138,23 @@ pub fn plan_with_crash_seeds(
         crash_seeds: crash_seeds.len() as u64,
         ..PlanStats::default()
     };
-    let mut frontier = tree.frontier();
-    frontier.sort_by(|a, b| {
+    // The top `max_targets` arms by (finite) score, ties in frontier
+    // order: a stable sort then truncate, without sorting every arm.
+    let by_rank = |a: &FrontierArm, b: &FrontierArm| {
+        let key = |x: &FrontierArm| (x.node, x.site, x.missing_taken);
         arm_score(b)
-            .partial_cmp(&arm_score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    frontier.truncate(config.max_targets);
+            .total_cmp(&arm_score(a))
+            .then(key(a).cmp(&key(b)))
+    };
+    let mut frontier = tree.frontier();
+    if frontier.len() > config.max_targets {
+        frontier.select_nth_unstable_by(config.max_targets, by_rank);
+        frontier.truncate(config.max_targets);
+    }
+    frontier.sort_unstable_by(by_rank);
 
     let single_threaded = program.threads.len() == 1;
 
-    let mut any_unknown = false;
     for arm in &frontier {
         if single_threaded {
             let prefix = tree.prefix(arm.node);
@@ -167,18 +171,10 @@ pub fn plan_with_crash_seeds(
                     tree.mark_infeasible(arm.node, arm.site, arm.missing_taken);
                     stats.infeasible_marked += 1;
                 }
-                Ok(Feasibility::Unknown) => {
-                    stats.unknown += 1;
-                    any_unknown = true;
-                }
-                Err(SymexError::PrefixMismatch { .. }) | Err(_) => {
-                    stats.unknown += 1;
-                    any_unknown = true;
-                }
+                Ok(Feasibility::Unknown) | Err(_) => stats.unknown += 1,
             }
         } else {
             stats.unknown += 1;
-            any_unknown = true;
         }
     }
 
@@ -186,8 +182,8 @@ pub fn plan_with_crash_seeds(
         // Schedule perturbation: request both priority orders so rare
         // interleavings (e.g. lock inversions) get provoked.
         let n = program.threads.len() as u32;
-        let fwd: Vec<_> = (0..n).map(softborg_program::ThreadId::new).collect();
-        let rev: Vec<_> = (0..n).rev().map(softborg_program::ThreadId::new).collect();
+        let fwd: Vec<_> = (0..n).map(ThreadId::new).collect();
+        let rev: Vec<_> = (0..n).rev().map(ThreadId::new).collect();
         for order in [fwd, rev] {
             plan.directives.push(Directive::Schedule(ScheduleHint {
                 order,
@@ -195,7 +191,7 @@ pub fn plan_with_crash_seeds(
             }));
         }
     }
-    if any_unknown && config.fault_per_mille > 0 {
+    if stats.unknown > 0 && config.fault_per_mille > 0 {
         plan.directives.push(Directive::FaultInjection {
             forced: vec![],
             short_read_per_mille: config.fault_per_mille,

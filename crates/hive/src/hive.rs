@@ -476,10 +476,11 @@ impl<'p> Hive<'p> {
         crate::proofs::assemble(&self.tree)
     }
 
-    /// `self.proofs().len()` without assembling the certificates — what
-    /// a round report needs.
-    pub fn proof_count(&self) -> u64 {
-        crate::proofs::count(&self.tree)
+    /// What a round report reads: [`coverage`](Self::coverage) and
+    /// `self.proofs().len()`, from one summary of the tree.
+    pub fn coverage_and_proof_count(&self) -> (CoverageStats, u64) {
+        let summary = self.tree.summary();
+        (self.tree.coverage_from(&summary), summary.proven_subtrees())
     }
 
     /// Serializes the hive's complete mutable state — tree (with outcome

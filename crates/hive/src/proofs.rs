@@ -25,7 +25,7 @@ pub struct ProofCertificate {
     /// program).
     pub prefix: Vec<(BranchSiteId, bool)>,
     /// The property proven.
-    pub property: String,
+    pub property: std::borrow::Cow<'static, str>,
     /// Nodes covered by the subtree.
     pub nodes: u64,
     /// Executions witnessed inside the subtree.
@@ -94,7 +94,7 @@ impl std::error::Error for ProofError {}
 /// Roots of the *maximal* closed, failure-free, witnessed subtrees (a
 /// closed parent subsumes its children) with their visit counts, in
 /// publication order: a walk from the root that stops at every proven
-/// subtree.
+/// subtree (the summary counts them; this walk orders them).
 fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary) -> Vec<(NodeId, u64)> {
     let mut roots = Vec::new();
     let mut stack = vec![NodeId::ROOT];
@@ -105,17 +105,10 @@ fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary) -> Vec<(NodeId, u64
             roots.push((id, n.visits)); // maximality: don't descend
             continue;
         }
-        for site in n.sites() {
-            stack.extend([false, true].into_iter().filter_map(|t| n.child(site, t)));
-        }
+        n.for_each_arm(|_, _, child| stack.extend(child));
     }
+    debug_assert_eq!(roots.len() as u64, summary.proven_subtrees());
     roots
-}
-
-/// How many certificates [`assemble`] would publish, without building
-/// them (no digest, no prefixes).
-pub fn count(tree: &ExecutionTree) -> u64 {
-    proven_roots(tree, &tree.summary()).len() as u64
 }
 
 /// Scans the tree and assembles certificates for the *maximal* closed,
@@ -128,7 +121,7 @@ pub fn assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
         .map(|(id, visits)| ProofCertificate {
             program: tree.program(),
             prefix: tree.prefix(id),
-            property: PROPERTY_NO_FAILURE.to_string(),
+            property: PROPERTY_NO_FAILURE.into(),
             nodes: summary.subtree_nodes(id),
             visits,
             tree_digest: digest,
@@ -258,7 +251,7 @@ mod tests {
         let forged = ProofCertificate {
             program: ProgramId(9),
             prefix: vec![],
-            property: PROPERTY_NO_FAILURE.to_string(),
+            property: PROPERTY_NO_FAILURE.into(),
             nodes: 3,
             visits: 2,
             tree_digest: tree.digest(),

@@ -137,6 +137,19 @@ impl Node {
         s
     }
 
+    /// Calls `f` for both arms of every observed site with the arm's
+    /// child, if explored: sites ascending, `false` first (the order the
+    /// digest and the proof walk visit children in), without allocating.
+    pub fn for_each_arm(&self, mut f: impl FnMut(BranchSiteId, bool, Option<NodeId>)) {
+        let sites = || self.edges.iter().map(|e| e.site);
+        let mut next = sites().min();
+        while let Some(site) = next {
+            f(site, false, self.child(site, false));
+            f(site, true, self.child(site, true));
+            next = sites().filter(|&s| s > site).min();
+        }
+    }
+
     /// Whether `(site, taken)` has been proven infeasible here.
     pub fn is_infeasible(&self, site: BranchSiteId, taken: bool) -> bool {
         self.infeasible.contains(&(site, taken))
@@ -148,8 +161,7 @@ impl Node {
     }
 
     /// The one branch site every outgoing edge shares, if there are
-    /// edges and they agree (the allocation-free common case of
-    /// [`sites`](Self::sites)).
+    /// edges and they agree.
     fn single_site(&self) -> Option<BranchSiteId> {
         let site = self.edges.first()?.site;
         self.edges.iter().all(|e| e.site == site).then_some(site)
@@ -158,17 +170,11 @@ impl Node {
     /// Calls `f` for every arm of an observed site that is neither
     /// explored nor infeasible, sites ascending, `false` before `true`.
     fn for_each_open_arm(&self, mut f: impl FnMut(BranchSiteId, bool)) {
-        let mut arms_of = |site| {
-            for taken in [false, true] {
-                if self.child(site, taken).is_none() && !self.is_infeasible(site, taken) {
-                    f(site, taken);
-                }
+        self.for_each_arm(|site, taken, child| {
+            if child.is_none() && !self.is_infeasible(site, taken) {
+                f(site, taken);
             }
-        };
-        match self.single_site() {
-            Some(site) => arms_of(site),
-            None => self.sites().into_iter().for_each(arms_of),
-        }
+        });
     }
 
     /// Whether this node's subtree is closed, given the closure of every
@@ -372,24 +378,23 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Per-node facts about a tree, derived from the whole arena in two
-/// linear sweeps ([`ExecutionTree::summary`]) instead of one walk per
-/// node. A summary describes the tree at the moment it was computed: it
-/// is transient, never serialised, and never kept across a mutation.
-#[derive(Debug, PartialEq, Eq)]
+/// Per-node facts about a tree and the counts a round reports, derived
+/// from the whole arena in two linear sweeps ([`ExecutionTree::summary`])
+/// instead of one walk per node. A summary describes the tree at the
+/// moment it was computed: it is transient, never serialised, and never
+/// kept across a mutation.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TreeSummary {
-    depth: Vec<u32>,
     subtree_nodes: Vec<u32>,
     subtree_failures: Vec<u64>,
     closed: Vec<bool>,
+    closed_nodes: u64,
+    frontier_arms: u64,
+    sites_seen: u64,
+    proven_subtrees: u64,
 }
 
 impl TreeSummary {
-    /// Depth of `node` ([`ExecutionTree::depth`]).
-    pub fn depth(&self, node: NodeId) -> u64 {
-        u64::from(self.depth[node.index()])
-    }
-
     /// Nodes in the subtree rooted at `node`, itself included.
     pub fn subtree_nodes(&self, node: NodeId) -> u64 {
         u64::from(self.subtree_nodes[node.index()])
@@ -407,10 +412,10 @@ impl TreeSummary {
         self.closed[node.index()]
     }
 
-    /// Fraction of nodes inside closed subtrees.
-    pub fn closed_fraction(&self) -> f64 {
-        let closed_nodes = self.closed.iter().filter(|c| **c).count();
-        closed_nodes as f64 / self.closed.len() as f64
+    /// Maximal closed, failure-free, visited subtrees (a closed parent
+    /// subsumes its children): the proofs a hive publishes over the tree.
+    pub fn proven_subtrees(&self) -> u64 {
+        self.proven_subtrees
     }
 }
 
@@ -570,64 +575,73 @@ impl ExecutionTree {
         out
     }
 
-    /// Depth of a node.
-    pub fn depth(&self, node: NodeId) -> u64 {
-        let mut d = 0;
-        let mut cur = node;
-        while let Some((parent, ..)) = self.nodes[cur.index()].parent {
-            d += 1;
-            cur = parent;
-        }
-        d
-    }
-
-    /// Derives depth, subtree size, subtree failures and closure for
-    /// every node. Children are always allocated after their parents (an
-    /// invariant [`decode`](Self::decode) and
-    /// [`apply_delta`](Self::apply_delta) enforce on outside bytes), so
-    /// one sweep from the last node to the root sees every child before
-    /// its parent, and one sweep from the root down sees every parent
-    /// before its child: O(nodes).
+    /// Derives subtree size, subtree failures and closure for every
+    /// node, and the counts coverage and proofs read. Children are always
+    /// allocated after their parents (an invariant [`decode`](Self::decode)
+    /// and [`apply_delta`](Self::apply_delta) enforce on outside bytes),
+    /// so one sweep from the last node to the root sees every child
+    /// before its parent, and one from the root down every parent before
+    /// its child: O(nodes), in a fixed number of allocations.
     pub fn summary(&self) -> TreeSummary {
         let len = self.nodes.len();
         let mut s = TreeSummary {
-            depth: vec![0; len],
             subtree_nodes: vec![1; len],
             subtree_failures: vec![0; len],
             closed: vec![false; len],
+            ..TreeSummary::default()
         };
+        // Sites are a program's dense indices, so a bitmap of 65,536
+        // holds them; only forged bytes name one past it.
+        let (mut sites, mut sites_past) = (vec![0u64; 1 << 10], Vec::new());
         for (i, n) in self.nodes.iter().enumerate().rev() {
             let mut failures = n.terminal.failures();
             for e in &n.edges {
                 let c = e.child.index();
                 s.subtree_nodes[i] += s.subtree_nodes[c];
                 failures = failures.saturating_add(s.subtree_failures[c]);
+                match sites.get_mut(e.site.0 as usize / 64) {
+                    Some(word) => *word |= 1 << (e.site.0 % 64),
+                    None => sites_past.push(e.site),
+                }
             }
             s.subtree_failures[i] = failures;
             s.closed[i] = n.closed_given(&s.closed);
+            s.closed_nodes += u64::from(s.closed[i]);
+            n.for_each_open_arm(|_, _| s.frontier_arms += 1);
         }
+        sites_past.sort_unstable();
+        sites_past.dedup();
+        let bits: u32 = sites.iter().map(|w| w.count_ones()).sum();
+        s.sites_seen = u64::from(bits) + sites_past.len() as u64;
+        // A node roots a proven subtree when it is provable and no
+        // ancestor is (where a root walk stopping at provable nodes ends).
+        let mut under_proof = vec![false; len];
         for (i, n) in self.nodes.iter().enumerate() {
-            if let Some((parent, ..)) = n.parent {
-                s.depth[i] = s.depth[parent.index()] + 1;
-            }
+            let provable = s.closed[i] && s.subtree_failures[i] == 0 && n.visits > 0;
+            let covered = n.parent.is_some_and(|(p, ..)| under_proof[p.index()]);
+            s.proven_subtrees += u64::from(provable && !covered);
+            under_proof[i] = covered || provable;
         }
         s
     }
 
     /// Enumerates unexplored arms: nodes where one direction of an
     /// observed site has been taken but the other is neither explored nor
-    /// infeasible.
+    /// infeasible, in one sweep from the root (parents, and so depths, first).
     pub fn frontier(&self) -> Vec<FrontierArm> {
-        let summary = self.summary();
+        let mut depth = vec![0u32; self.nodes.len()];
         let mut out = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
+            if let Some((parent, ..)) = n.parent {
+                depth[i] = depth[parent.index()] + 1;
+            }
             let node = NodeId(i as u32);
             n.for_each_open_arm(|site, missing_taken| {
                 out.push(FrontierArm {
                     node,
                     site,
                     missing_taken,
-                    depth: summary.depth(node),
+                    depth: u64::from(depth[i]),
                     visits: n.visits,
                 });
             });
@@ -681,11 +695,6 @@ impl ExecutionTree {
         memo[root.index()].unwrap_or(false)
     }
 
-    /// Fraction of nodes inside closed subtrees.
-    pub fn closed_fraction(&self) -> f64 {
-        self.summary().closed_fraction()
-    }
-
     /// Sum of failure outcomes recorded anywhere in the subtree of `node`.
     pub fn subtree_failures(&self, node: NodeId) -> u64 {
         let mut sum = 0;
@@ -700,21 +709,20 @@ impl ExecutionTree {
 
     /// Coverage summary.
     pub fn coverage(&self) -> CoverageStats {
-        let mut sites: HashSet<BranchSiteId> = HashSet::new();
-        let mut frontier_arms = 0u64;
-        for n in &self.nodes {
-            for e in &n.edges {
-                sites.insert(e.site);
-            }
-            n.for_each_open_arm(|_, _| frontier_arms += 1);
-        }
+        self.coverage_from(&self.summary())
+    }
+
+    /// Coverage summary read from a [`summary`](Self::summary) of this
+    /// tree as it is now.
+    pub fn coverage_from(&self, summary: &TreeSummary) -> CoverageStats {
+        debug_assert_eq!(summary.closed.len(), self.nodes.len());
         CoverageStats {
             nodes: self.node_count(),
             distinct_paths: self.distinct_paths,
-            sites_seen: sites.len() as u64,
+            sites_seen: summary.sites_seen,
             paths_merged: self.paths_merged,
-            frontier_arms,
-            closed_fraction: self.closed_fraction(),
+            frontier_arms: summary.frontier_arms,
+            closed_fraction: summary.closed_nodes as f64 / summary.closed.len() as f64,
         }
     }
 
@@ -736,18 +744,20 @@ impl ExecutionTree {
                 Item::Exit => h = fnv1a_step(h, &0xE21Du16.to_le_bytes()),
                 Item::Enter(node) => {
                     let n = &self.nodes[node.index()];
-                    let mut edges: Vec<&EdgeRec> = n.edges.iter().collect();
-                    edges.sort_by_key(|e| (e.site, e.taken));
                     h = fnv1a_step(h, &[u8::from(n.is_terminal())]);
-                    h = fnv1a_step(h, &(edges.len() as u64).to_le_bytes());
+                    h = fnv1a_step(h, &(n.edges.len() as u64).to_le_bytes());
                     stack.push(Item::Exit);
-                    // Hash labels in sorted order; push children in
-                    // reverse so traversal visits edges in sorted order.
-                    for e in &edges {
-                        h = fnv1a_step(h, &e.site.0.to_le_bytes());
-                        h = fnv1a_step(h, &[u8::from(e.taken)]);
-                    }
-                    stack.extend(edges.iter().rev().map(|e| Item::Enter(e.child)));
+                    // Hash labels in (site, arm) order; reverse the
+                    // pushed children so traversal visits them in it.
+                    let first = stack.len();
+                    n.for_each_arm(|site, taken, child| {
+                        if let Some(child) = child {
+                            h = fnv1a_step(h, &site.0.to_le_bytes());
+                            h = fnv1a_step(h, &[u8::from(taken)]);
+                            stack.push(Item::Enter(child));
+                        }
+                    });
+                    stack[first..].reverse();
                 }
             }
         }
@@ -1072,6 +1082,17 @@ mod tests {
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
         t.merge_path(&path(&[(0, false)]), &Outcome::Success); // tallies ignored
         assert_eq!(t.digest(), 0x2226_f6b0_c799_2ee5);
+        // Interleaving-divergent nodes: edges arrive out of (site, arm)
+        // order at the root and below it, and the digest sorts them.
+        let mut t = ExecutionTree::new(ProgramId(1));
+        t.merge_path(&path(&[(5, true), (2, false)]), &crash());
+        t.merge_path(&path(&[(0, true), (1, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(5, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(0, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(5, true), (1, true)]), &Outcome::Success);
+        t.merge_path(&path(&[(5, true), (2, true), (3, false)]), &crash());
+        t.mark_infeasible(NodeId::ROOT, s(0), true); // marks ignored
+        assert_eq!(t.digest(), 0x4a9a_10a4_e648_b845);
     }
 
     #[test]
@@ -1175,7 +1196,7 @@ mod tests {
         t.merge_path(&path(&[(0, true)]), &Outcome::Success);
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
         assert!(t.is_closed(NodeId::ROOT));
-        assert!((t.closed_fraction() - 1.0).abs() < 1e-9);
+        assert!((t.coverage().closed_fraction - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1202,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_depth_walk_parents() {
+    fn prefix_walks_parents() {
         let mut t = ExecutionTree::new(ProgramId(1));
         t.merge_path(
             &path(&[(0, true), (3, false), (7, true)]),
@@ -1211,7 +1232,6 @@ mod tests {
         let n1 = child_of(&t, NodeId::ROOT, 0, true);
         let n2 = child_of(&t, n1, 3, false);
         let n3 = child_of(&t, n2, 7, true);
-        assert_eq!(t.depth(n3), 3);
         assert_eq!(t.prefix(n3), path(&[(0, true), (3, false), (7, true)]));
     }
 

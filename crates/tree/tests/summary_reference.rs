@@ -1,6 +1,6 @@
-//! `ExecutionTree::summary` is an optimisation of four per-node walks
-//! (`is_closed`, `subtree_failures`, `depth`, a counted subtree) and
-//! `frontier` of a per-node depth walk. The walks stay in the crate as
+//! `ExecutionTree::summary` is an optimisation of three per-node walks
+//! (`is_closed`, `subtree_failures`, a counted subtree) and `frontier`
+//! of a per-node depth walk. The walks stay in the crate as
 //! the small trusted reference; this suite holds the sweeps to them
 //! after arbitrary sequences of every operation that changes a tree, on
 //! live and delta-chained trees.
@@ -44,7 +44,7 @@ fn reference_frontier(tree: &ExecutionTree) -> Vec<FrontierArm> {
         if missing.is_empty() {
             continue;
         }
-        let depth = tree.depth(id);
+        let depth = tree.prefix(id).len() as u64;
         for (site, missing_taken) in missing {
             out.push(FrontierArm {
                 node: id,
@@ -91,14 +91,12 @@ proptest! {
         for &id in &checked {
             prop_assert_eq!(summary.is_closed(id), tree.is_closed(id), "{:?}", id);
             prop_assert_eq!(summary.subtree_failures(id), tree.subtree_failures(id), "{:?}", id);
-            prop_assert_eq!(summary.depth(id), tree.depth(id), "{:?}", id);
             prop_assert_eq!(summary.subtree_nodes(id), counted_subtree(tree, id), "{:?}", id);
         }
         let frontier = tree.frontier();
         prop_assert_eq!(&frontier, &reference_frontier(tree));
         let coverage = tree.coverage();
         prop_assert_eq!(coverage.frontier_arms, frontier.len() as u64);
-        prop_assert_eq!(coverage.closed_fraction, tree.closed_fraction());
         if checked.len() as u64 == tree.node_count() {
             let closed = checked.iter().filter(|id| tree.is_closed(**id)).count();
             prop_assert_eq!(coverage.closed_fraction, closed as f64 / checked.len() as f64);

@@ -1,6 +1,7 @@
 //! Allocation gate: neither one pod execution nor the hive's replay of
-//! its trace may allocate per guest step, and the hive's merger may not
-//! allocate per arrival of a trace it has seen before.
+//! its trace may allocate per guest step, the hive's merger may not
+//! allocate per arrival of a trace it has seen before, and a round's
+//! reads of the tree may not allocate per node.
 //!
 //! A counting global allocator tallies this thread's allocations while
 //! `Pod::run_once` executes a loop for 10 and for 1,000 iterations — one
@@ -9,8 +10,13 @@
 //! single-thread loop's traces. Only the amortised doubling of growing
 //! buffers (schedule picks, trace bits, reconstructed decisions) may
 //! separate the two counts. Folding one prepared merge record into a
-//! hive 10 and 1,000 times must allocate exactly as often.
+//! hive 10 and 1,000 times must allocate exactly as often, and so must
+//! the round report's reads (one summary, then coverage and the proof
+//! count) of a 100-node and a 10,000-node tree; guidance's frontier pass
+//! and the digest may differ by the doubling of one growing buffer.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{MergeRecord, ProcessedTrace};
 use softborg_pod::{Pod, PodConfig};
@@ -22,9 +28,10 @@ use softborg_program::overlay::{GuardAction, LockGate, Overlay, SiteGuard, GHOST
 use softborg_program::sched::RandomSched;
 use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
-use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ThreadId};
+use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ProgramId, ThreadId};
 use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{reconstruct, BitVec, ExecutionTrace, RecordingPolicy};
+use softborg_tree::{ExecutionTree, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -316,5 +323,84 @@ fn merge_record_folds_do_not_allocate_per_arrival() {
     assert_eq!(
         small, large,
         "folding allocated {small} times for 10 arrivals but {large} for 1,000"
+    );
+}
+
+/// A tree of about `nodes` nodes over twelve sites: paths twelve
+/// decisions deep, one decision in sixteen on another site (as another
+/// interleaving would surface), one path in eight failing, and an
+/// infeasibility mark on one node in sixteen.
+fn tree_of(nodes: u64) -> ExecutionTree {
+    let mut rng = SmallRng::seed_from_u64(nodes);
+    let mut tree = ExecutionTree::new(ProgramId(1));
+    while tree.node_count() < nodes {
+        let path: Vec<_> = (0..12u32)
+            .map(|d| {
+                let site = if rng.gen_range(0..16) == 0 {
+                    11
+                } else {
+                    d % 10
+                };
+                (BranchSiteId::new(site), rng.gen_bool(0.5))
+            })
+            .collect();
+        let outcome = if rng.gen_range(0..8) == 0 {
+            Outcome::Hang { stuck: vec![] }
+        } else {
+            Outcome::Success
+        };
+        tree.merge_path(&path, &outcome);
+    }
+    for i in (0..tree.node_count()).step_by(16) {
+        let node = NodeId(i as u32);
+        if let Some(&site) = tree.node(node).sites().first() {
+            tree.mark_infeasible(node, site, true);
+        }
+    }
+    tree
+}
+
+/// Allocations made by `read`, and what it read.
+fn allocs_of<T>(read: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = read();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn round_report_reads_do_not_allocate_per_node() {
+    let (small, large) = (tree_of(100), tree_of(10_000));
+    let report = |t: &ExecutionTree| {
+        let summary = t.summary();
+        (t.coverage_from(&summary), summary.proven_subtrees())
+    };
+    let (small_allocs, (small_cov, _)) = allocs_of(|| report(&small));
+    let (large_allocs, (large_cov, proofs)) = allocs_of(|| report(&large));
+    assert!(large_cov.nodes > 50 * small_cov.nodes);
+    assert!(large_cov.frontier_arms > 0 && proofs > 0 && large_cov.sites_seen == 11);
+    assert_eq!(
+        small_allocs, large_allocs,
+        "one summary, coverage and the proof count allocated {small_allocs} times on {} nodes but {large_allocs} on {}",
+        small_cov.nodes, large_cov.nodes
+    );
+
+    // Guidance's frontier pass and the digest grow one buffer each (the
+    // arms found, the walk's stack), which may double its way from one
+    // size to the other.
+    let (small_allocs, small_arms) = allocs_of(|| small.frontier().len());
+    let (large_allocs, large_arms) = allocs_of(|| large.frontier().len());
+    let doublings = u64::from((large_arms / small_arms).ilog2() + 1);
+    assert!(
+        large_allocs <= small_allocs + doublings,
+        "frontier allocated {small_allocs} times for {small_arms} arms but {large_allocs} for {large_arms}"
+    );
+    let (small_allocs, _) = allocs_of(|| small.digest());
+    let (large_allocs, _) = allocs_of(|| large.digest());
+    let doublings = u64::from((large_cov.nodes / small_cov.nodes).ilog2() + 1);
+    assert!(
+        large_allocs <= small_allocs + doublings,
+        "digest allocated {small_allocs} times on {} nodes but {large_allocs} on {}",
+        small_cov.nodes,
+        large_cov.nodes
     );
 }

@@ -97,7 +97,7 @@ fn multi_round_runs_every_fleet_through_the_shared_pool() {
         assert_eq!(hive.stats().traces, pr.executions);
         assert_eq!(hive.stats().unreconstructed, 0);
         assert_eq!(hive.coverage(), pr.coverage);
-        assert_eq!(hive.proof_count(), pr.proofs);
+        assert_eq!(hive.proofs().len() as u64, pr.proofs);
     }
     assert_eq!(p.run(2, EXECS).len(), 3);
 }
