@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig};
+use softborg_ingest::IngestConfig;
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios;
 use softborg_trace::{wire, ExecutionTrace};
@@ -46,8 +46,6 @@ fn bench_ingest(c: &mut Criterion) {
         let cfg = IngestConfig {
             workers,
             queue_capacity: 64,
-            merge_capacity: 64,
-            policy: BackpressurePolicy::Block,
             memo_capacity: memo,
             ..IngestConfig::default()
         };

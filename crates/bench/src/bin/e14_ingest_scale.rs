@@ -13,7 +13,7 @@
 
 use softborg_bench::{banner, cell, table_header};
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
+use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios;
 use softborg_trace::{wire, ExecutionTrace};
@@ -45,8 +45,6 @@ fn pipelined<'p>(
     let cfg = IngestConfig {
         workers,
         queue_capacity: 64,
-        merge_capacity: 64,
-        policy: BackpressurePolicy::Block,
         memo_capacity: if memo { 4096 } else { 0 },
         ..IngestConfig::default()
     };

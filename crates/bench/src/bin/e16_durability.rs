@@ -7,12 +7,13 @@
 //! round — while compaction keeps the journal below `compact_ratio ×`
 //! the newest full checkpoint's payload.
 //!
-//! Writes `BENCH_durability.json` into the current directory.
+//! Merges its fields into `BENCH_durability.json` in the current
+//! directory, keeping E21's and E22's sections.
 //! `--seed N` reseeds the platform campaign (default 29).
 
 use softborg::store::chain::decode_record;
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
-use softborg_bench::{arg_seed, banner, cell, table_header};
+use softborg_bench::{arg_seed, banner, cell, table_header, write_json_part};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
 use softborg_program::scenarios::{self, Scenario};
 use std::fmt::Write as _;
@@ -410,8 +411,7 @@ fn main() {
         "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count\"\n",
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_durability.json", json).expect("write BENCH_durability.json");
-    println!("\nwrote BENCH_durability.json");
+    write_json_part("BENCH_durability.json", &json);
     let _ = std::fs::remove_dir_all(&base);
     assert!(all_ok, "E16 acceptance failed: see table above");
 }

@@ -13,7 +13,7 @@
 
 use softborg_bench::{arg_seed, banner, cell, table_header};
 use softborg_hive::{Hive, HiveConfig, ShardedHive};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
+use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::ProgramId;
@@ -115,8 +115,6 @@ fn ingest_cfg() -> IngestConfig {
     IngestConfig {
         workers: WORKERS,
         queue_capacity: 64,
-        merge_capacity: 64,
-        policy: BackpressurePolicy::Block,
         memo_capacity: MEMO_TOTAL / WORKERS,
         ..IngestConfig::default()
     }

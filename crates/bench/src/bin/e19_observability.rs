@@ -17,7 +17,7 @@
 use softborg_bench::fleet::{self, DayConfig};
 use softborg_bench::{arg_seed, banner, cell, table_header};
 use softborg_hive::{Hive, HiveConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig};
+use softborg_ingest::IngestConfig;
 use softborg_obs::{
     explain_recorders, FlightRecorder, MetricsRegistry, MonotonicClock, ObsHandles,
 };
@@ -53,8 +53,6 @@ fn ingest_once(
     let cfg = IngestConfig {
         workers: 2,
         queue_capacity: 64,
-        merge_capacity: 64,
-        policy: BackpressurePolicy::Block,
         memo_capacity: 4096,
         obs,
         ..IngestConfig::default()

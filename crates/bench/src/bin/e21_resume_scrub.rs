@@ -23,12 +23,12 @@
 //! * **D — corpus regression.** Every pinned entry replays exactly:
 //!   same outcome digest, same final round, same oracle verdict.
 //!
-//! Merges its results into `BENCH_durability.json` (preserving E16's
-//! section when present) and writes the corpus under `--corpus DIR`
+//! Merges its `e21` section into `BENCH_durability.json`, keeping every
+//! other part of the file and writes the corpus under `--corpus DIR`
 //! (default `target/e21-corpus`). `--smoke` shrinks budgets for CI;
 //! `--seed N` (default 13) and `--budget N` override the sweep.
 
-use softborg_bench::{arg_u64, banner, cell, table_header};
+use softborg_bench::{arg_u64, banner, cell, table_header, write_json_part};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
 use softborg_search::{
     check_durable, replay_corpus, run_durable_search, DurableCanary, DurableSearchConfig,
@@ -47,30 +47,6 @@ fn config(seed: u64, budget: u64, workload: DurableWorkload, dir: PathBuf) -> Du
         corpus_dir: Some(dir),
         registry: None,
     }
-}
-
-/// Rewrites `BENCH_durability.json` with this run's `e21` section,
-/// keeping whatever earlier sections (E16's kill matrix) the file holds
-/// and replacing any previous `e21` section.
-fn merge_into_durability_json(section: &str) {
-    let path = "BENCH_durability.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let body = existing
-        .split("\n  \"e21\":")
-        .next()
-        .unwrap_or("")
-        .trim_end()
-        .trim_end_matches('}')
-        .trim_end()
-        .trim_end_matches(',')
-        .to_string();
-    let json = if body.trim().is_empty() {
-        format!("{{\n  \"e21\": {section}\n}}\n")
-    } else {
-        format!("{body},\n  \"e21\": {section}\n}}\n")
-    };
-    std::fs::write(path, json).expect("write BENCH_durability.json");
-    println!("\nmerged e21 section into BENCH_durability.json");
 }
 
 fn main() {
@@ -311,7 +287,10 @@ fn main() {
     let _ = writeln!(json, "    ],");
     let _ = writeln!(json, "    \"corpus_replayed\": {replayed}");
     json.push_str("  }");
-    merge_into_durability_json(&json);
+    write_json_part(
+        "BENCH_durability.json",
+        &format!("{{\n  \"e21\": {json}\n}}\n"),
+    );
     println!(
         "\nexpected shape: the clean sweep finds nothing (every kill resumes\n\
          process-equivalent, every rot is flagged); each recovery canary is\n\

@@ -10,13 +10,13 @@
 //! percentiles are reported alongside, informationally. A kill + resume
 //! at the end must rebuild the uninterrupted hive state byte for byte.
 //!
-//! Merges its results into `BENCH_durability.json` (preserving E16's
-//! and E21's sections when present). `--smoke` shrinks the campaign
+//! Merges its `e22` section into `BENCH_durability.json`, keeping every
+//! other part of the file. `--smoke` shrinks the campaign
 //! for CI and lowers the ratio bar to 2× (a short campaign's hive
 //! never outgrows the delta floor); `--seed N` reseeds it (default 37).
 
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
-use softborg_bench::{arg_u64, banner, cell, table_header};
+use softborg_bench::{arg_u64, banner, cell, table_header, write_json_part};
 use softborg_program::scenarios::{self, Scenario};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -178,24 +178,10 @@ fn main() {
     let _ = writeln!(section, "    \"all_ok\": {pass}");
     section.push_str("  }");
 
-    let path = "BENCH_durability.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let body = existing
-        .split("\n  \"e22\":")
-        .next()
-        .unwrap_or("")
-        .trim_end()
-        .trim_end_matches('}')
-        .trim_end()
-        .trim_end_matches(',')
-        .to_string();
-    let json = if body.trim().is_empty() {
-        format!("{{\n  \"e22\": {section}\n}}\n")
-    } else {
-        format!("{body},\n  \"e22\": {section}\n}}\n")
-    };
-    std::fs::write(path, json).expect("write BENCH_durability.json");
-    println!("\nmerged e22 section into BENCH_durability.json");
+    write_json_part(
+        "BENCH_durability.json",
+        &format!("{{\n  \"e22\": {section}\n}}\n"),
+    );
 
     let _ = std::fs::remove_dir_all(&base);
     assert!(pass, "E22 acceptance failed: see tables above");

@@ -117,6 +117,73 @@ pub fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Merges `part` — a JSON object holding one experiment's top-level
+/// entries — into the JSON object in the file at `path`: each of
+/// `part`'s keys replaces the same key where it stands, new keys go
+/// last, and every other entry is kept. Experiments sharing one ledger
+/// file (E16, E21 and E22 in `BENCH_durability.json`) write it this
+/// way, in any order.
+///
+/// # Panics
+///
+/// When the file cannot be written.
+pub fn write_json_part(path: &str, part: &str) {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::write(path, merge_json_part(&existing, part))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nmerged into {path}");
+}
+
+/// What [`write_json_part`] writes: `existing` (empty for a new file)
+/// with `part`'s entries merged in, one top-level entry per line group.
+fn merge_json_part(existing: &str, part: &str) -> String {
+    let mut merged = json_entries(existing);
+    for (key, entry) in json_entries(part) {
+        match merged.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = entry,
+            None => merged.push((key, entry)),
+        }
+    }
+    let entries: Vec<String> = merged.iter().map(|(_, e)| format!("  {e}")).collect();
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
+}
+
+/// The top-level `"key": value` entries of a JSON object's text, each
+/// trimmed, with its key (none when the text is not an object).
+fn json_entries(object: &str) -> Vec<(&str, &str)> {
+    let body = object.trim();
+    let Some(body) = body.strip_prefix('{').and_then(|b| b.strip_suffix('}')) else {
+        return Vec::new();
+    };
+    let (mut depth, mut in_str, mut escaped) = (0i32, false, false);
+    let mut cuts = Vec::new();
+    for (i, c) in body.char_indices() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            ',' if depth == 0 => cuts.push(i),
+            _ => {}
+        }
+    }
+    let starts = std::iter::once(0).chain(cuts.iter().map(|c| c + 1));
+    let ends = cuts.iter().copied().chain(std::iter::once(body.len()));
+    starts
+        .zip(ends)
+        .map(|(a, b)| body[a..b].trim())
+        .filter_map(|entry| Some((entry.strip_prefix('"')?.split('"').next()?, entry)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +203,60 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(geo_mean(&[]), 0.0);
         assert_eq!(median(&mut []), 0.0);
+    }
+
+    /// E16's fields, then E21's and E22's sections, as the binaries
+    /// write them.
+    const LEDGER: &str = "{
+  \"experiment\": \"e16_durability\",
+  \"boundary_kills\": {\"total\": 50, \"byte_identical\": 50},
+  \"crash_points\": [
+    {\"boundary\": 50, \"point\": \"Torn { a: 1, b: \\\"}\\\" }\"},
+    {\"boundary\": 43, \"point\": \"x\"}
+  ],
+  \"note\": \"byte-for-byte, [sic]\",
+  \"e21\": {
+    \"experiment\": \"E21\", \"smoke\": false,
+    \"all_ok\": true
+  },
+  \"e22\": {
+    \"chain\": {\"ratio\": 6.10},
+    \"all_ok\": true
+  }
+}
+";
+
+    #[test]
+    fn merging_a_part_keeps_every_other_part() {
+        assert_eq!(merge_json_part(LEDGER, "{}"), LEDGER);
+        assert_eq!(merge_json_part(LEDGER, LEDGER), LEDGER);
+        let keys = |text: &str| {
+            let keys: Vec<&str> = json_entries(text).into_iter().map(|(k, _)| k).collect();
+            keys.join(" ")
+        };
+        let all = "experiment boundary_kills crash_points note e21 e22";
+        assert_eq!(keys(LEDGER), all);
+
+        // Re-running E21 replaces its section where it stands and keeps
+        // E22's after it.
+        let e21 = "{\n  \"e21\": {\"smoke\": true}\n}\n";
+        let merged = merge_json_part(LEDGER, e21);
+        assert_eq!(keys(&merged), all);
+        assert!(merged.contains("  \"e21\": {\"smoke\": true},\n  \"e22\": {"));
+        assert!(merged.contains("\"ratio\": 6.10"));
+
+        // Re-running E16 replaces its fields and keeps both sections.
+        let e16 = "{\n  \"experiment\": \"e16_durability\",\n  \"boundary_kills\": {\"total\": 9},\n  \"crash_points\": [],\n  \"note\": \"n\"\n}\n";
+        let merged = merge_json_part(LEDGER, e16);
+        assert_eq!(keys(&merged), all);
+        assert!(merged.contains("\"boundary_kills\": {\"total\": 9}"));
+        assert!(merged.contains("\"all_ok\": true\n  },\n  \"e22\""));
+
+        // A new file is just the part; a new key goes last.
+        assert_eq!(merge_json_part("", e16), e16);
+        assert_eq!(
+            keys(&merge_json_part(e16, e21)),
+            "experiment boundary_kills crash_points note e21"
+        );
     }
 }

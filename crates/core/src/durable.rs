@@ -18,7 +18,6 @@ use softborg_hive::{
     scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
     ScrubReport,
 };
-use softborg_ingest::BackpressurePolicy;
 use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
@@ -84,10 +83,6 @@ pub enum DurabilityError {
     /// that passed no checksum), or the directory holds a layout this
     /// build cannot read.
     Corrupt(String),
-    /// A durable campaign with a pipeline policy that may shed frames:
-    /// its journal keeps every frame, so resume would fold traffic the
-    /// acknowledged hive never saw. Only `Block` is durable.
-    LossyIngest(BackpressurePolicy),
 }
 
 impl std::fmt::Display for DurabilityError {
@@ -103,7 +98,6 @@ impl std::fmt::Display for DurabilityError {
             ),
             DurabilityError::Io(e) => write!(f, "durability I/O failure: {e}"),
             DurabilityError::Corrupt(what) => write!(f, "durable state corrupt: {what}"),
-            DurabilityError::LossyIngest(p) => write!(f, "durable ingest cannot be {p:?}"),
         }
     }
 }
@@ -170,6 +164,40 @@ pub(crate) fn refuse_legacy(dir: &Path, names: &[&str]) -> Result<(), Durability
         ))),
         None => Ok(()),
     }
+}
+
+/// Refuses a campaign root whose `shard-<i>` directories do not fit
+/// `n_shards` — one at `i >= n_shards`, or one missing while another
+/// holds a journal or chain record — before anything is opened: the
+/// resume would silently lose a shard's hives or reset the others.
+pub(crate) fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), DurabilityError> {
+    let entries = match std::fs::read_dir(root) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(io_err("root-read", &e)),
+    };
+    let shards: Vec<(usize, PathBuf)> = (entries.filter_map(Result::ok))
+        .filter(|e| e.path().is_dir())
+        .filter_map(|e| {
+            let name = e.file_name();
+            let i = name.to_str()?.strip_prefix("shard-")?.parse().ok()?;
+            Some((i, e.path()))
+        })
+        .collect();
+    let holds_data = |dir: &PathBuf| {
+        std::fs::metadata(wal_path(dir)).is_ok_and(|m| m.len() > 0)
+            || std::fs::read_dir(dir.join("chain")).is_ok_and(|mut d| d.next().is_some())
+    };
+    let beyond = shards.iter().any(|&(i, _)| i >= n_shards);
+    if beyond || (shards.len() < n_shards && shards.iter().any(|(_, d)| holds_data(d))) {
+        return Err(DurabilityError::Corrupt(format!(
+            "{}: the campaign has {} shard(s) on disk, the config {n_shards}; \
+             resuming would lose or reset shards",
+            root.display(),
+            shards.len()
+        )));
+    }
+    Ok(())
 }
 
 /// The intact records of the journal in `dir` (none when there is no

@@ -23,8 +23,8 @@
 //! shard holding `hive.snap`, or a round record this codec cannot read.
 
 use crate::durable::{
-    put_promotion, read_journal, read_promotion, refuse_legacy, segments, DurabilityConfig,
-    DurabilityError, DurableStore, Recovered, LEGACY_ROOT,
+    put_promotion, read_journal, read_promotion, refuse_legacy, refuse_shard_count, segments,
+    DurabilityConfig, DurabilityError, DurableStore, Recovered, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
@@ -32,7 +32,7 @@ use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
+use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
@@ -411,14 +411,6 @@ fn shard_cfg(root: &DurabilityConfig, shard: usize) -> DurabilityConfig {
     }
 }
 
-/// Refuses a durable campaign whose pipeline may shed frames.
-fn refuse_lossy(config: &MultiPlatformConfig) -> Result<(), DurabilityError> {
-    match config.ingest.pipeline.policy {
-        p if config.durability.is_none() || p == BackpressurePolicy::Block => Ok(()),
-        p => Err(DurabilityError::LossyIngest(p)),
-    }
-}
-
 fn hive_of<'a, 'p>(sharded: &'a ShardedHive<'p>, fleet: &Fleet<'p>) -> &'a Hive<'p> {
     sharded.hive(fleet.id).expect("fleet program is placed")
 }
@@ -483,14 +475,12 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the directory already
-    /// holds a campaign, in any layout; [`DurabilityError::LossyIngest`]
-    /// for a non-`Block` pipeline policy (nothing is created);
-    /// [`DurabilityError::Io`] when a shard's files cannot be opened.
+    /// holds a campaign, in any layout; [`DurabilityError::Io`] when a
+    /// shard's files cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
     ) -> Result<Self, DurabilityError> {
-        refuse_lossy(&config)?;
         let mut platform = Self::base(specs, config);
         if let Some(root) = platform.config.durability.clone() {
             refuse_legacy(&root.dir, LEGACY_ROOT)
@@ -514,12 +504,11 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] without a durability config;
-    /// [`DurabilityError::LossyIngest`] as [`try_new`](Self::try_new);
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
     /// garbage (a frame its lane's hive cannot merge included), or when
-    /// the directory holds an older layout — refused before anything on
-    /// disk is touched.
+    /// the directory holds an older layout or another shard count —
+    /// refused before anything on disk is touched.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -528,8 +517,8 @@ impl<'p> MultiPlatform<'p> {
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
-        refuse_lossy(&config)?;
         refuse_legacy(&root.dir, LEGACY_ROOT)?;
+        refuse_shard_count(&root.dir, config.n_shards)?;
         let mut platform = Self::base(specs, config);
         let recorder = platform.config.obs.recorder.clone();
 
@@ -771,6 +760,7 @@ impl<'p> MultiPlatform<'p> {
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
         refuse_legacy(&root.dir, LEGACY_ROOT)?;
+        refuse_shard_count(&root.dir, config.n_shards)?;
         let shards: Vec<DurabilityConfig> =
             (0..config.n_shards).map(|i| shard_cfg(root, i)).collect();
         // A round record this build cannot read is an older layout, not
@@ -853,9 +843,9 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Folds in-hand `(lane, seq, frame)` triples, a driver's or a
-    /// journaled round's, through the one pipeline (blocking, never
-    /// shedding). Refused unless each lane's seqs are exactly `0..n` and
-    /// every frame merged into its lane's hive.
+    /// journaled round's, through the one pipeline. Refused unless each
+    /// lane's seqs are exactly `0..n` and every frame merged into its
+    /// lane's hive.
     fn fold_frames<'f>(
         &mut self,
         frames: impl IntoIterator<Item = (u64, u64, &'f [u8])>,
@@ -870,8 +860,7 @@ impl<'p> MultiPlatform<'p> {
                 _ => return Err(format!("lane {lane} seq {seq} breaks the lane's 0..n")),
             }
         }
-        let mut cfg = self.config.ingest.pipeline_with(&self.config.obs);
-        cfg.policy = BackpressurePolicy::Block;
+        let cfg = self.config.ingest.pipeline_with(&self.config.obs);
         let ((), s) = self.sharded.ingest_frames(&cfg, move |tx| {
             for (lane, seq, frame) in frames {
                 let placed = tx.submit_for_at(lanes[lane as usize], seq, frame.to_vec());
@@ -880,13 +869,13 @@ impl<'p> MultiPlatform<'p> {
         });
         let (merged, corrupt, unknown) =
             (s.frames_merged, s.frames_corrupt, s.frames_unknown_program);
-        let (rerouted, dropped) = (s.frames_rerouted, s.frames_dropped);
-        if merged == n && corrupt + unknown + rerouted + dropped == 0 {
+        let misclaimed = s.frames_rerouted;
+        if merged == n && corrupt + unknown + misclaimed == 0 {
             return Ok(s);
         }
         Err(format!(
             "{merged} of {n} frame(s) merged: {corrupt} corrupt, {unknown} of an unknown \
-             program, {rerouted} rerouted, {dropped} dropped"
+             program, {misclaimed} of another lane's program"
         ))
     }
 

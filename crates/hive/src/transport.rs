@@ -34,7 +34,7 @@
 
 use crate::hive::Hive;
 use crate::journal::{self, JournalIoError, JournalStore, MemJournal, REC_FRAME, REC_TOMBSTONE};
-use softborg_ingest::{BackpressurePolicy, FrameSender, IngestConfig, IngestStats};
+use softborg_ingest::{FrameSender, IngestConfig, IngestStats};
 use softborg_netsim::{
     Addr, FaultPlan, FaultPlanError, LinkConfig, Proc, SchedStats, SimClock, SimConfig, SimStats,
     World, WorldCtx,
@@ -795,10 +795,6 @@ impl Proc for HiveServer {
 /// racing a restart, or replays of an entire session) see them
 /// deduplicated and re-acked instead of double-ingested.
 ///
-/// The ingest policy is forced to [`BackpressurePolicy::Block`]: an
-/// acked frame is a durability promise, so the pipeline may stall the
-/// (simulated) server but never shed.
-///
 /// # Errors
 ///
 /// Returns a [`FaultPlanError`] when the fault plan fails validation
@@ -814,7 +810,6 @@ pub fn run_reliable_ingest(
     cfg.faults.validate(n_pods + 1)?;
     let clock = SimClock::new();
     let mut ingest_cfg = ingest_cfg.clone();
-    ingest_cfg.policy = BackpressurePolicy::Block;
     ingest_cfg.clock = Arc::new(clock.clone());
     let prev_transport_clock = cfg.obs.recorder.clock();
     let prev_ingest_clock = ingest_cfg.obs.recorder.clock();

@@ -7,17 +7,18 @@
 //! 1-shard arm; every other shape runs through a `ShardedHive`.
 //!
 //! Faults are inputs of the same property, not copies of it: a
-//! corrupted, truncated or garbage frame, an unknown overlay version,
-//! another program's frame claimed in a lane, and `DropOldest`
-//! shedding. The pinned tests below run the property on inputs that
-//! exercise each fault whatever the random draw.
+//! corrupted, truncated or garbage frame, an unknown overlay version, and
+//! another program's frame claimed in a lane. Every case conserves its
+//! frames: each submitted frame is merged, none dropped. The pinned
+//! tests below run the property on inputs that exercise each fault
+//! whatever the random draw.
 
 mod common;
 
 use common::{pod_traces, scenario, serial_hive};
 use proptest::prelude::*;
 use softborg_hive::{Hive, HiveConfig, HiveStats, ShardedHive};
-use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
+use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::{Program, ProgramId};
 use softborg_trace::{wire, ExecutionTrace};
@@ -53,7 +54,6 @@ struct Case {
     memo: bool,
     mix: u64,
     fault: Fault,
-    drop_oldest: bool,
 }
 
 impl Case {
@@ -70,7 +70,6 @@ impl Case {
             memo: true,
             mix: 0,
             fault,
-            drop_oldest: false,
         }
     }
 }
@@ -175,12 +174,6 @@ fn check(case: &Case) {
     let config = IngestConfig {
         workers: case.workers,
         queue_capacity: case.queue_capacity,
-        merge_capacity: case.queue_capacity,
-        policy: if case.drop_oldest {
-            BackpressurePolicy::DropOldest
-        } else {
-            BackpressurePolicy::Block
-        },
         memo_capacity: if case.memo { 4096 } else { 0 },
         ..IngestConfig::default()
     };
@@ -204,15 +197,12 @@ fn check(case: &Case) {
             (stats, hives)
         };
 
-    // Slot conservation holds under every policy: each frame is merged
-    // (its slot consumed by exactly one shard's merger) or counted
-    // dropped, and the hives saw exactly the traces the pipeline merged.
+    // Conservation: every frame is merged (its slot consumed by exactly
+    // one shard's merger), none dropped, and the hives saw exactly the
+    // traces the pipeline merged.
     assert_eq!(stats.frames_submitted, n_frames, "{case:?}");
-    assert_eq!(
-        stats.frames_merged + stats.frames_dropped,
-        n_frames,
-        "{case:?}"
-    );
+    assert_eq!(stats.frames_dropped, 0, "{case:?}");
+    assert_eq!(stats.frames_merged, stats.frames_submitted, "{case:?}");
     assert_eq!(
         stats.per_shard.iter().map(|s| s.frames_merged).sum::<u64>(),
         stats.frames_merged,
@@ -221,18 +211,6 @@ fn check(case: &Case) {
     let applied: u64 = hives.iter().map(|(h, _)| h.traces).sum();
     assert_eq!(applied, stats.traces_merged, "{case:?}");
     assert_eq!(stats.frames_rerouted, 0, "{case:?}");
-    if stats.frames_dropped > 0 {
-        // Which frames were shed depends on thread timing; whatever
-        // survived still reconstructs cleanly.
-        assert!(case.drop_oldest, "Block never drops: {case:?}");
-        if case.fault != Fault::UnknownOverlay {
-            assert!(
-                hives.iter().all(|(h, _)| h.unreconstructed == 0),
-                "{case:?}"
-            );
-        }
-        return;
-    }
     assert_eq!(stats.frames_corrupt, corrupt, "{case:?}");
     assert_eq!(stats.frames_unknown_program, unknown, "{case:?}");
     assert_eq!(stats.traces_merged, traces_expected, "{case:?}");
@@ -247,8 +225,7 @@ fn check(case: &Case) {
 
 proptest! {
     // PROPTEST_CASES overrides this default (the CI fault matrix runs
-    // at 256). The policy is always `Block`, so every case reaches the
-    // byte comparison; `drop_oldest_conserves_slots` pins shedding.
+    // at 256).
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// For any program set, pipeline shape and fault, each program's
@@ -288,7 +265,6 @@ proptest! {
             memo: memo == 1,
             mix,
             fault,
-            drop_oldest: false,
         });
     }
 }
@@ -336,23 +312,22 @@ fn unknown_overlay_version_counts_unreconstructed_in_both_paths() {
 }
 
 #[test]
-fn drop_oldest_conserves_slots() {
-    let shedding = Case {
+fn one_slot_queues_lose_nothing() {
+    let tight = Case {
         n: 200,
         batch: 2,
         workers: 1,
         queue_capacity: 1,
         memo: false,
-        drop_oldest: true,
         ..Case::one(Fault::None)
     };
-    check(&shedding);
+    check(&tight);
     check(&Case {
         n_programs: 3,
         n_shards: 3,
         n: 120,
         mix: 7,
-        ..shedding
+        ..tight
     });
 }
 

@@ -8,21 +8,21 @@
 //! work (the paper's theme applied to the hive's own front door), for
 //! one program or many:
 //!
-//! * [`queue`] — [`BoundedQueue`], a bounded MPMC queue with an explicit
-//!   [`BackpressurePolicy`] (`Block` or `DropOldest` + drop accounting).
+//! * [`queue`] — [`BoundedQueue`], a bounded, blocking MPMC queue: a full
+//!   queue parks its producer, so nothing is ever shed.
 //! * [`map`] — [`ShardMap`]: explicit, deterministic, hash-based
 //!   program→shard placement, and the typed [`ShardError`]s the router
 //!   surfaces instead of panicking or silently dropping.
 //! * [`pipeline`] — the one pipeline, [`run`]: producers claim
 //!   per-program sequence slots through a [`FrameSender`]; one pool of
-//!   decode+reconstruct workers classifies each frame by the program id
-//!   embedded in its bytes and memoizes each trace's prepared
+//!   decode+reconstruct workers checks each frame's claim against the
+//!   program id embedded in its bytes and memoizes each trace's prepared
 //!   [`MergeRecord`] keyed on the exact encoded bytes; per-shard mergers
 //!   release each program's records to their sink in strict sequence
 //!   order, so pipelined ingest is observably identical to serial
 //!   ingest.
-//! * [`stats`] — [`IngestStats`]: queue depth, drops, corrupt /
-//!   rerouted / unknown-program frames, latency, cache hit rate,
+//! * [`stats`] — [`IngestStats`]: queue depth, corrupt / misclaimed /
+//!   unknown-program frames, latency, cache hit rate,
 //!   throughput, per-shard breakdown and imbalance.
 //!
 //! The hive wires this up in `Hive::ingest_frames` (one program, one
@@ -44,5 +44,5 @@ pub use memo::{Entry, MemoCache, Vacancy};
 pub use pipeline::{
     run, FrameSender, IngestConfig, MergeRecord, ProcessedTrace, ReconstructContext,
 };
-pub use queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
+pub use queue::BoundedQueue;
 pub use stats::{IngestStats, ShardStats, ERROR_SAMPLE_CAP};

@@ -15,12 +15,12 @@
 //!   submit; each merger keeps one reorder lane (heap + next counter) per
 //!   program and releases program *P*'s slot only when it is *P*'s next,
 //!   so every sink observes each program's traces in exactly the serial
-//!   ingest order no matter how threads interleave. Dropped, corrupt and
-//!   unroutable frames consume their slot.
-//! * **Backpressure.** Every queue is bounded ([`BoundedQueue`]);
-//!   [`BackpressurePolicy::Block`] propagates pressure to producers,
-//!   [`BackpressurePolicy::DropOldest`] sheds the oldest queued frame and
-//!   counts it.
+//!   ingest order no matter how threads interleave. Corrupt and refused
+//!   frames consume their slot.
+//! * **Backpressure.** Every queue is bounded by the one
+//!   [`IngestConfig::queue_capacity`] ([`BoundedQueue`]); a full queue
+//!   parks its producer, so pressure propagates to the pods and nothing
+//!   is ever shed.
 //! * **Recycling.** Each worker memoizes, keyed on the exact encoded
 //!   trace bytes ([`wire::batch_payloads`] hands the slices out without
 //!   decoding), the [`MergeRecord`] it prepared for a trace: the decoded
@@ -32,28 +32,24 @@
 //!   lives as long as the run), not one per arrival. This is the paper's
 //!   information recycling applied to the hive's own ingest path.
 //!
-//! Routing is **content-authoritative**: every trace payload begins with
-//! its program id, so a worker classifies a frame from the payload
-//! slices it validated once ([`wire::payloads_program_id`]) — the claim
-//! a producer made at submit time is just a *slot reservation* in that
-//! program's sequence. The claim and the content agree on every healthy
-//! frame; the disagreement cases are the router-hardening matrix:
+//! The contract is one sentence: every claimed slot `0..n` of a program
+//! merges into that program's sink, in order. Every trace payload begins
+//! with its program id, so a worker checks each frame's content against
+//! its claim from the payload slices it validated once
+//! ([`wire::payloads_program_id`]); a frame that breaks the contract is
+//! counted, its slot consumed (ordering never stalls) and nothing of it
+//! merged — never a panic:
 //!
-//! * **corrupt / mixed-program frame** — cannot be classified: the
-//!   claimed slot is consumed (ordering never stalls), the frame is
-//!   counted, never panicked on.
-//! * **unknown content program** — classifiable but unroutable: typed
-//!   [`ShardError::UnknownProgram`] sample + counter, claimed slot
-//!   consumed, nothing merged.
-//! * **rerouted** — healthy but claimed against the wrong program (a
-//!   misconfigured producer): the claimed slot is consumed, the traces
-//!   are delivered to the content program's sink *after* in-order
-//!   traffic, in deterministic (claimed program, seq) order.
+//! * **corrupt / mixed-program frame** — cannot be classified.
+//! * **unknown content program** — no sink serves it: typed
+//!   [`ShardError::UnknownProgram`] sample + counter.
+//! * **misclaimed** — healthy, but claimed in another program's lane (a
+//!   misconfigured producer): counted in `frames_rerouted`.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::map::{ShardError, ShardMap};
 use crate::memo::{Entry, MemoCache};
-use crate::queue::{BackpressurePolicy, BoundedQueue, PushOutcome};
+use crate::queue::BoundedQueue;
 use crate::stats::{IngestStats, StatsCore};
 use softborg_analysis::failure_key;
 use softborg_obs::ObsHandles;
@@ -65,9 +61,9 @@ use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{reconstruct, wire, ExecutionTrace};
 use softborg_tree::path_hash;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Pipeline tuning knobs.
@@ -75,13 +71,9 @@ use std::thread::ScopedJoinHandle;
 pub struct IngestConfig {
     /// Decode + reconstruct workers (minimum 1).
     pub workers: usize,
-    /// Frame-queue capacity (producer-side backpressure bound).
+    /// Capacity of the frame queue and of every shard's merge queue: a
+    /// full queue blocks its producer.
     pub queue_capacity: usize,
-    /// Merge-queue capacity, per shard (worker→merger bound; always
-    /// lossless).
-    pub merge_capacity: usize,
-    /// What producers do when the frame queue is full.
-    pub policy: BackpressurePolicy,
     /// Memo entries for recycling reconstructions, per worker (each
     /// worker owns a private, shared-nothing cache); at capacity the
     /// cache evicts with a second-chance (clock) sweep (0 disables the
@@ -104,8 +96,6 @@ impl Default for IngestConfig {
         IngestConfig {
             workers: 2,
             queue_capacity: 64,
-            merge_capacity: 64,
-            policy: BackpressurePolicy::Block,
             memo_capacity: 4096,
             clock: Arc::new(MonotonicClock::new()),
             obs: ObsHandles::default(),
@@ -209,11 +199,9 @@ enum WorkerOut {
     Frame(Vec<Arc<MergeRecord>>),
     /// Unclassifiable (wire corruption or mixed-program payloads).
     Corrupt,
-    /// Classifiable but no shard owns the content program.
-    Unknown,
-    /// Healthy but content ≠ claim; traces travel out-of-band in a
-    /// [`Rerouted`], this slot just advances the claimed lane.
-    Rerouted,
+    /// Classifiable, but its content program is unknown or is not the
+    /// claimed one.
+    Refused,
 }
 
 /// One merge-queue entry: a processed frame bound for the claimed
@@ -225,59 +213,13 @@ struct MergeItem {
     out: WorkerOut,
 }
 
-/// A healthy frame whose content program differed from its claimed
-/// slot. Collected during the run; delivered to the content program's
-/// sink after all in-order traffic, sorted by the (unique) claimed slot
-/// so delivery order is deterministic.
-struct Rerouted {
-    claimed: ProgramId,
-    seq: u64,
-    to: ProgramId,
-    entries: Vec<Arc<MergeRecord>>,
-}
-
-/// Claimed slots that will never reach a merger (displaced by
-/// DropOldest or submitted after shutdown).
-#[derive(Default)]
-struct DroppedSlots {
-    slots: Mutex<BTreeSet<(ProgramId, u64)>>,
-    /// `slots.len()`, readable without the lock: under `Block` a slot is
-    /// dropped only after shutdown, so a merger almost always finds zero
-    /// and skips the lock. Updated under the lock (`Release`) and read
-    /// before taking it (`Acquire`). A read that misses a concurrent
-    /// drop only defers the skip: the merger looks again after its next
-    /// item, and its final drain starts after every producer has
-    /// returned, which orders every drop before it.
-    len: AtomicUsize,
-}
-
-impl DroppedSlots {
-    fn insert(&self, program: ProgramId, seq: u64) {
-        let mut slots = self.slots.lock().expect("drop set");
-        if slots.insert((program, seq)) {
-            self.len.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// Advances `next` past every dropped slot of `program`.
-    fn skip(&self, program: ProgramId, next: &mut u64) {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut slots = self.slots.lock().expect("drop set");
-        while slots.remove(&(program, *next)) {
-            self.len.fetch_sub(1, Ordering::Release);
-            *next += 1;
-        }
-    }
-}
-
 /// State shared by every stage of one run.
 struct Shared {
     frames: BoundedQueue<FrameItem>,
     merge: Vec<BoundedQueue<MergeItem>>,
-    dropped: DroppedSlots,
-    rerouted: Mutex<Vec<Rerouted>>,
+    /// Set by a stage that dies by panic, before its guard closes any
+    /// queue: the run is lost, so no merger drains it.
+    died: AtomicBool,
     /// Per-program claimed-sequence counters.
     counters: BTreeMap<ProgramId, AtomicU64>,
     stats: StatsCore,
@@ -303,6 +245,7 @@ impl Clone for FrameSender {
 
 impl Drop for FrameSender {
     fn drop(&mut self) {
+        self.shared.note_death();
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.shared.frames.close();
         }
@@ -313,9 +256,8 @@ impl FrameSender {
     /// Submits one encoded batch frame, claiming the next sequence slot
     /// of `program`. Returns the claimed sequence number.
     ///
-    /// The claim is a slot reservation, not the routing decision:
-    /// workers route by the program id embedded in the frame bytes, and
-    /// a mismatch is counted and rerouted rather than trusted.
+    /// Workers check the claim against the program id embedded in the
+    /// frame bytes: a frame of another program is counted and refused.
     ///
     /// # Errors
     ///
@@ -358,19 +300,26 @@ impl FrameSender {
             return Err(ShardError::UnknownProgram { program });
         }
         sh.stats.frames_submitted.incr();
-        match sh.frames.push(FrameItem {
+        let item = FrameItem {
             claimed: program,
             seq,
             bytes: frame,
             enqueued_at_ns: sh.clock.now_ns(),
-        }) {
-            PushOutcome::Accepted => {}
-            PushOutcome::Displaced(old) | PushOutcome::Closed(old) => {
-                sh.dropped.insert(old.claimed, old.seq);
-                sh.stats.frames_dropped.incr();
-            }
+        };
+        // Closed only once a stage has died: the run will panic.
+        if sh.frames.push(item).is_err() {
+            sh.stats.frames_dropped.incr();
         }
         Ok(())
+    }
+}
+
+impl Shared {
+    /// Records a stage's death when called while its thread unwinds.
+    fn note_death(&self) {
+        if std::thread::panicking() {
+            self.died.store(true, Ordering::SeqCst);
+        }
     }
 }
 
@@ -378,13 +327,14 @@ impl FrameSender {
 /// mergers can finish their final drains.
 struct WorkerGuard<'a> {
     active: &'a AtomicUsize,
-    merge: &'a [BoundedQueue<MergeItem>],
+    shared: &'a Shared,
 }
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
+        self.shared.note_death();
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for q in self.merge {
+            for q in &self.shared.merge {
                 q.close();
             }
         }
@@ -400,6 +350,7 @@ struct MergerGuard<'a> {
 
 impl Drop for MergerGuard<'_> {
     fn drop(&mut self) {
+        self.shared.note_death();
         self.shared.frames.close();
         for q in &self.shared.merge {
             q.close();
@@ -407,17 +358,15 @@ impl Drop for MergerGuard<'_> {
     }
 }
 
-/// Validates one frame once, classifies it by content, and decodes,
-/// reconstructs and prepares its payloads through the memo. Returns what
-/// the claimed lane should see; rerouted traces are stashed in
-/// `shared.rerouted` as a side effect.
+/// Validates one frame once, checks its content program against the
+/// claim, and decodes, reconstructs and prepares its payloads through
+/// the memo. Returns what the claimed lane should see.
 fn process_frame(
-    shared: &Shared,
+    stats: &StatsCore,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     memo: &mut MemoCache<Arc<MergeRecord>>,
     item: &FrameItem,
 ) -> WorkerOut {
-    let stats = &shared.stats;
     let classified = wire::batch_payloads(&item.bytes)
         .and_then(|payloads| Ok((wire::payloads_program_id(&payloads)?, payloads)));
     let (content, payloads) = match classified {
@@ -433,8 +382,12 @@ fn process_frame(
     let Some(ctx) = ctxs.get(&content) else {
         stats.frames_unknown_program.incr();
         stats.sample_error(ShardError::UnknownProgram { program: content });
-        return WorkerOut::Unknown;
+        return WorkerOut::Refused;
     };
+    if content != item.claimed {
+        stats.frames_rerouted.incr();
+        return WorkerOut::Refused;
+    }
     let mut entries = Vec::with_capacity(payloads.len());
     for p in payloads {
         let vacancy = match memo.entry(p) {
@@ -455,17 +408,7 @@ fn process_frame(
         vacancy.insert(Arc::clone(&record));
         entries.push(record);
     }
-    if content == item.claimed {
-        return WorkerOut::Frame(entries);
-    }
-    stats.frames_rerouted.incr();
-    shared.rerouted.lock().expect("reroute set").push(Rerouted {
-        claimed: item.claimed,
-        seq: item.seq,
-        to: content,
-        entries,
-    });
-    WorkerOut::Rerouted
+    WorkerOut::Frame(entries)
 }
 
 fn worker_loop(
@@ -475,14 +418,11 @@ fn worker_loop(
     memo_capacity: usize,
     active: &AtomicUsize,
 ) {
-    let _guard = WorkerGuard {
-        active,
-        merge: &shared.merge,
-    };
+    let _guard = WorkerGuard { active, shared };
     let mut memo: MemoCache<Arc<MergeRecord>> = MemoCache::new(memo_capacity);
     while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
-        let out = process_frame(shared, ctxs, &mut memo, &item);
+        let out = process_frame(&shared.stats, ctxs, &mut memo, &item);
         let busy_ns = shared.clock.now_ns().saturating_sub(t0);
         shared.stats.worker_busy_ns.add(busy_ns);
         if let Some(h) = &shared.stats.stage_work_ns {
@@ -547,7 +487,7 @@ fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize,
             // Counted at the worker (pool-wide) and here (per shard); the
             // slot is consumed so ordering stays intact.
             WorkerOut::Corrupt => shard_stats.frames_corrupt.incr(),
-            WorkerOut::Unknown | WorkerOut::Rerouted => {}
+            WorkerOut::Refused => {}
         }
         stats.frames_merged.incr();
         shard_stats.frames_merged.incr();
@@ -557,14 +497,12 @@ fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize,
             h.record(latency_ns);
         }
     };
-    // `pop` returns `None` once the workers are done: every surviving
-    // slot is then in some lane, every gap in the drop set.
+    // `pop` returns `None` once the workers are done: every slot is then
+    // in some lane, unless a stage died.
     while let Some(item) = shared.merge[shard].pop() {
-        let program = item.program;
-        let lane = lanes.entry(program).or_default();
+        let lane = lanes.entry(item.program).or_default();
         lane.pending.push(Reverse(BySeq(item)));
         loop {
-            shared.dropped.skip(program, &mut lane.next);
             match lane.pending.peek() {
                 Some(Reverse(BySeq(it))) if it.seq == lane.next => {
                     let Reverse(BySeq(it)) = lane.pending.pop().expect("peeked");
@@ -575,11 +513,14 @@ fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize,
             }
         }
     }
+    // A dead stage lost slots and the run will panic: nothing to drain.
+    if shared.died.load(Ordering::SeqCst) {
+        return;
+    }
     // Final drain, lane by lane in program-id order.
-    for (program, lane) in &mut lanes {
+    for lane in lanes.values_mut() {
         while let Some(Reverse(BySeq(it))) = lane.pending.pop() {
-            shared.dropped.skip(*program, &mut lane.next);
-            debug_assert_eq!(it.seq, lane.next, "merger saw a non-dropped gap");
+            debug_assert_eq!(it.seq, lane.next, "a claimed slot never arrived");
             lane.next = it.seq + 1;
             emit(it, sink);
         }
@@ -602,8 +543,7 @@ fn join<T>(handle: ScopedJoinHandle<'_, T>) -> T {
 /// observes each program's traces in exact claimed-sequence order.
 /// Shard 0's merger runs on the calling thread, every other shard's on
 /// its own. `ctxs` holds the reconstruction inputs of every program in
-/// `map`. Rerouted traffic is delivered to its content program's sink
-/// once every merger is done.
+/// `map`.
 ///
 /// # Panics
 ///
@@ -624,12 +564,11 @@ where
     assert_eq!(sinks.len(), map.n_shards(), "one sink per shard");
     let started = config.clock.now_ns();
     let shared = Arc::new(Shared {
-        frames: BoundedQueue::new(config.queue_capacity, config.policy),
+        frames: BoundedQueue::new(config.queue_capacity),
         merge: (0..map.n_shards())
-            .map(|_| BoundedQueue::new(config.merge_capacity, BackpressurePolicy::Block))
+            .map(|_| BoundedQueue::new(config.queue_capacity))
             .collect(),
-        dropped: DroppedSlots::default(),
-        rerouted: Mutex::new(Vec::new()),
+        died: AtomicBool::new(false),
         counters: (map.assignments().keys())
             .map(|&p| (p, AtomicU64::new(0)))
             .collect(),
@@ -643,7 +582,7 @@ where
     let n_workers = config.workers.max(1);
     let active = AtomicUsize::new(n_workers);
     let memo_capacity = config.memo_capacity;
-    let (result, mut sinks) = std::thread::scope(|s| {
+    let result = std::thread::scope(|s| {
         let shared = &shared;
         let producer_handle = s.spawn(move || producer(sender));
         let worker_handles: Vec<_> = (0..n_workers)
@@ -656,36 +595,14 @@ where
         let mut first = sinks.next().expect("at least one shard");
         let merger_handles: Vec<_> = (1..)
             .zip(sinks)
-            .map(|(i, mut sink)| {
-                s.spawn(move || {
-                    merger_loop(shared, i, &mut sink);
-                    sink
-                })
-            })
+            .map(|(i, mut sink)| s.spawn(move || merger_loop(shared, i, &mut sink)))
             .collect();
         merger_loop(shared, 0, &mut first);
-        let sinks: Vec<S> = std::iter::once(first)
-            .chain(merger_handles.into_iter().map(join))
-            .collect();
+        merger_handles.into_iter().for_each(join);
         worker_handles.into_iter().for_each(join);
-        (join(producer_handle), sinks)
+        join(producer_handle)
     });
-    let mut rerouted = std::mem::take(&mut *shared.rerouted.lock().expect("reroute set"));
-    // The claimed slot is unique per frame: a total, deterministic
-    // delivery order regardless of worker interleaving.
-    rerouted.sort_by_key(|d| (d.claimed, d.seq));
-    let stats = &shared.stats;
-    for d in rerouted {
-        let shard = map.shard_of(d.to).expect("content validated by worker");
-        for entry in &d.entries {
-            sinks[shard](d.to, entry);
-        }
-        let n = d.entries.len() as u64;
-        stats.traces_merged.add(n);
-        stats.per_shard[shard].traces_merged.add(n);
-        stats.per_shard[shard].frames_rerouted_in.incr();
-    }
-    let mut stats = stats.snapshot(
+    let mut stats = shared.stats.snapshot(
         n_workers,
         shared.frames.high_water(),
         config.clock.now_ns().saturating_sub(started),
@@ -694,11 +611,11 @@ where
         s.programs = map.programs_on(s.shard).len();
         s.merge_queue_high_water = shared.merge[s.shard].high_water();
     }
-    // Only content-determined fields go in the event payload (frame
-    // routing is content-authoritative and frame and trace counts are
-    // fixed by the sequence-ordered merge contract); cache hits and
-    // queue depths vary with thread interleaving and would break the
-    // events-hash stability guarantee.
+    // Only content-determined fields go in the event payload (a frame's
+    // verdict depends on its bytes and claim alone, and frame and trace
+    // counts are fixed by the sequence-ordered merge contract); cache
+    // hits and queue depths vary with thread interleaving and would
+    // break the events-hash stability guarantee.
     config.obs.recorder.info(
         "ingest",
         "run_done",
@@ -720,4 +637,132 @@ where
         ),
     );
     (result, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use softborg_pod::{Pod, PodConfig};
+    use softborg_program::scenarios::{self, Scenario};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    /// Four programs on two shards, both shards populated.
+    fn two_shard_setup() -> (Vec<Scenario>, ShardMap) {
+        let scs = vec![
+            scenarios::token_parser(),
+            scenarios::triangle(),
+            scenarios::record_processor(),
+            scenarios::bank_transfer(),
+        ];
+        let ids: Vec<ProgramId> = scs.iter().map(|s| s.program.id()).collect();
+        let map = ShardMap::new(&ids, 2).expect("distinct programs");
+        assert!((0..2).all(|shard| !map.programs_on(shard).is_empty()));
+        (scs, map)
+    }
+
+    /// `per_program` one-trace frames for every program, interleaved.
+    fn frames(scs: &[Scenario], per_program: usize) -> Vec<(ProgramId, Vec<u8>)> {
+        let mut pods: Vec<Pod<'_>> = (scs.iter())
+            .map(|s| {
+                let cfg = PodConfig {
+                    input_range: s.input_range,
+                    seed: 3,
+                    ..PodConfig::default()
+                };
+                Pod::new(&s.program, cfg)
+            })
+            .collect();
+        let mut out = Vec::new();
+        for _ in 0..per_program {
+            for (s, pod) in scs.iter().zip(&mut pods) {
+                let trace = pod.run_once().trace;
+                out.push((s.program.id(), wire::encode_batch([&trace])));
+            }
+        }
+        out
+    }
+
+    /// Runs the pipeline on a 2-shard map with `producer` and a shard-1
+    /// sink that panics on record `die_at` (never when `None`), on its
+    /// own thread, and returns the panic message the run propagated.
+    fn panic_message<P>(producer: P, die_at: Option<u64>) -> String
+    where
+        P: FnOnce(FrameSender, &[(ProgramId, Vec<u8>)]) + Send + 'static,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (scs, map) = two_shard_setup();
+            let deps: Vec<InputDependence> = (scs.iter())
+                .map(|s| InputDependence::compute(&s.program))
+                .collect();
+            let overlays = [Overlay::empty()];
+            let ctxs: BTreeMap<ProgramId, ReconstructContext<'_>> = (scs.iter().zip(&deps))
+                .map(|(s, deps)| {
+                    let ctx = ReconstructContext {
+                        program: &s.program,
+                        deps,
+                        overlays: &overlays,
+                    };
+                    (s.program.id(), ctx)
+                })
+                .collect();
+            let frames = frames(&scs, 40);
+            let config = IngestConfig {
+                workers: 4,
+                queue_capacity: 2,
+                ..IngestConfig::default()
+            };
+            let sink = |shard: usize| {
+                let mut seen = 0u64;
+                move |_: ProgramId, _: &MergeRecord| {
+                    seen += 1;
+                    if shard == 1 && Some(seen) == die_at {
+                        panic!("shard 1's sink died on record {seen}");
+                    }
+                }
+            };
+            let sinks = vec![sink(0), sink(1)];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run(&config, &map, &ctxs, |tx| producer(tx, &frames), sinks)
+            }));
+            let msg = match result {
+                Ok(_) => "no panic".to_string(),
+                Err(payload) => (payload.downcast_ref::<String>().cloned())
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "a non-string panic".to_string()),
+            };
+            let _ = tx.send(msg);
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the run deadlocked instead of propagating its panic")
+    }
+
+    fn submit_all(tx: &FrameSender, frames: &[(ProgramId, Vec<u8>)]) {
+        for (program, frame) in frames {
+            tx.submit_for(*program, frame.clone()).expect("placed");
+        }
+    }
+
+    #[test]
+    fn a_producer_panic_propagates_its_own_message() {
+        for _ in 0..10 {
+            let msg = panic_message(
+                |tx, frames| {
+                    submit_all(&tx, &frames[..frames.len() / 2]);
+                    panic!("the producer died");
+                },
+                None,
+            );
+            assert_eq!(msg, "the producer died");
+        }
+    }
+
+    #[test]
+    fn a_sink_panic_propagates_its_own_message() {
+        for _ in 0..10 {
+            let msg = panic_message(|tx, frames| submit_all(&tx, frames), Some(3));
+            assert_eq!(msg, "shard 1's sink died on record 3");
+        }
+    }
 }

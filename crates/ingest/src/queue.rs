@@ -1,38 +1,12 @@
-//! A bounded MPMC queue with an explicit backpressure policy.
+//! A bounded, blocking MPMC queue.
 //!
 //! The ingest pipeline's stages are connected by these queues. Capacity
-//! is a hard bound: when a queue is full, [`BackpressurePolicy::Block`]
-//! parks the producer (lossless, propagates pressure upstream) while
-//! [`BackpressurePolicy::DropOldest`] displaces the oldest queued item
-//! (lossy, favors freshness — the displaced item is handed back to the
-//! producer so the drop can be accounted for).
+//! is a hard bound: when a queue is full, the producer parks until a
+//! consumer makes room, so pressure propagates upstream and nothing is
+//! ever shed.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// What a producer does when the queue is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the producer until a consumer makes room. No data loss;
-    /// pressure propagates to the source.
-    Block,
-    /// Displace the oldest queued item to admit the new one. The
-    /// producer never blocks; the displaced item is returned so the
-    /// caller can count (and, for sequenced pipelines, record) the drop.
-    DropOldest,
-}
-
-/// Result of a [`BoundedQueue::push`].
-#[derive(Debug)]
-pub enum PushOutcome<T> {
-    /// The item was enqueued.
-    Accepted,
-    /// The item was enqueued after displacing the returned oldest item
-    /// (only under [`BackpressurePolicy::DropOldest`]).
-    Displaced(T),
-    /// The queue was closed; the item is handed back untouched.
-    Closed(T),
-}
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -46,12 +20,11 @@ pub struct BoundedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    policy: BackpressurePolicy,
 }
 
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize, policy: BackpressurePolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -61,38 +34,28 @@ impl<T> BoundedQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
-            policy,
         }
     }
 
-    /// Pushes one item, honoring the backpressure policy.
-    pub fn push(&self, item: T) -> PushOutcome<T> {
+    /// Pushes one item, blocking while the queue is full.
+    ///
+    /// # Errors
+    ///
+    /// Hands the item back untouched when the queue is (or, while the
+    /// producer waited, became) closed.
+    pub fn push(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().expect("queue lock poisoned");
-        loop {
-            if g.closed {
-                return PushOutcome::Closed(item);
-            }
-            if g.items.len() < self.capacity {
-                g.items.push_back(item);
-                g.high_water = g.high_water.max(g.items.len());
-                drop(g);
-                self.not_empty.notify_one();
-                return PushOutcome::Accepted;
-            }
-            match self.policy {
-                BackpressurePolicy::Block => {
-                    g = self.not_full.wait(g).expect("queue lock poisoned");
-                }
-                BackpressurePolicy::DropOldest => {
-                    let old = g.items.pop_front().expect("full queue is non-empty");
-                    g.items.push_back(item);
-                    g.high_water = g.high_water.max(g.items.len());
-                    drop(g);
-                    self.not_empty.notify_one();
-                    return PushOutcome::Displaced(old);
-                }
-            }
+        while g.items.len() >= self.capacity && !g.closed {
+            g = self.not_full.wait(g).expect("queue lock poisoned");
         }
+        if g.closed {
+            return Err(item);
+        }
+        g.items.push_back(item);
+        g.high_water = g.high_water.max(g.items.len());
+        drop(g);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Pops the oldest item, blocking while the queue is open and empty.
@@ -112,7 +75,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Closes the queue: producers get [`PushOutcome::Closed`], consumers
+    /// Closes the queue: producers get their item back, consumers
     /// drain what remains and then see `None`. Idempotent.
     pub fn close(&self) {
         let mut g = self.inner.lock().expect("queue lock poisoned");
@@ -145,9 +108,9 @@ mod tests {
 
     #[test]
     fn fifo_within_capacity() {
-        let q = BoundedQueue::new(4, BackpressurePolicy::Block);
+        let q = BoundedQueue::new(4);
         for i in 0..4 {
-            assert!(matches!(q.push(i), PushOutcome::Accepted));
+            assert_eq!(q.push(i), Ok(()));
         }
         assert_eq!(q.high_water(), 4);
         q.close();
@@ -158,35 +121,19 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_displaces_in_order() {
-        let q = BoundedQueue::new(2, BackpressurePolicy::DropOldest);
-        assert!(matches!(q.push(1), PushOutcome::Accepted));
-        assert!(matches!(q.push(2), PushOutcome::Accepted));
-        match q.push(3) {
-            PushOutcome::Displaced(old) => assert_eq!(old, 1),
-            other => panic!("expected displacement, got {other:?}"),
-        }
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
     fn push_after_close_returns_item() {
-        let q = BoundedQueue::new(2, BackpressurePolicy::Block);
+        let q = BoundedQueue::new(2);
         q.close();
-        match q.push(9) {
-            PushOutcome::Closed(x) => assert_eq!(x, 9),
-            other => panic!("expected closed, got {other:?}"),
-        }
+        assert_eq!(q.push(9), Err(9));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn blocking_push_wakes_on_pop() {
-        let q = Arc::new(BoundedQueue::new(1, BackpressurePolicy::Block));
-        assert!(matches!(q.push(0), PushOutcome::Accepted));
+        let q = Arc::new(BoundedQueue::new(1));
+        assert_eq!(q.push(0), Ok(()));
         let q2 = q.clone();
-        let producer = std::thread::spawn(move || matches!(q2.push(1), PushOutcome::Accepted));
+        let producer = std::thread::spawn(move || q2.push(1) == Ok(()));
         // The producer is (or will be) parked on the full queue; popping
         // must release it.
         assert_eq!(q.pop(), Some(0));
@@ -196,7 +143,7 @@ mod tests {
 
     #[test]
     fn blocking_pop_wakes_on_close() {
-        let q = Arc::new(BoundedQueue::<u32>::new(1, BackpressurePolicy::Block));
+        let q = Arc::new(BoundedQueue::<u32>::new(1));
         let q2 = q.clone();
         let consumer = std::thread::spawn(move || q2.pop());
         q.close();
@@ -205,61 +152,54 @@ mod tests {
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        // Capacity 0 would deadlock Block and make DropOldest displace
-        // every item; the constructor clamps to 1 instead.
-        let q = BoundedQueue::new(0, BackpressurePolicy::DropOldest);
-        assert!(matches!(q.push(1), PushOutcome::Accepted));
-        match q.push(2) {
-            PushOutcome::Displaced(old) => assert_eq!(old, 1),
-            other => panic!("expected displacement at capacity 1, got {other:?}"),
-        }
+        // Capacity 0 would park every producer forever; the constructor
+        // clamps to 1 instead.
+        let q = Arc::new(BoundedQueue::new(0));
+        assert_eq!(q.push(1), Ok(()));
+        let q2 = q.clone();
+        let producer = std::thread::spawn(move || q2.push(2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(producer.join().expect("producer"), Ok(()));
         assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
-    fn drop_oldest_accounts_every_item_under_concurrent_producers() {
-        // N producers race into a tiny DropOldest queue. Conservation:
-        // every pushed item is either consumed or returned as displaced —
-        // exactly once — no matter how pushes interleave.
+    fn concurrent_producers_lose_nothing() {
+        // N producers race into a tiny queue while one consumer drains
+        // it: every pushed item is popped exactly once.
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 500;
-        let q = Arc::new(BoundedQueue::new(2, BackpressurePolicy::DropOldest));
+        let q = Arc::new(BoundedQueue::new(2));
         let handles: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let q = q.clone();
                 std::thread::spawn(move || {
-                    let mut displaced = Vec::new();
                     for i in 0..PER_PRODUCER {
-                        match q.push(p * PER_PRODUCER + i) {
-                            PushOutcome::Accepted => {}
-                            PushOutcome::Displaced(old) => displaced.push(old),
-                            PushOutcome::Closed(_) => panic!("queue closed early"),
-                        }
+                        q.push(p * PER_PRODUCER + i).expect("queue closed early");
                     }
-                    displaced
                 })
             })
             .collect();
-        let mut seen: Vec<u64> = Vec::new();
-        for h in handles {
-            seen.extend(h.join().expect("producer"));
-        }
+        let mut seen: Vec<u64> = (0..PRODUCERS * PER_PRODUCER)
+            .map(|_| q.pop().expect("open queue"))
+            .collect();
+        handles
+            .into_iter()
+            .for_each(|h| h.join().expect("producer"));
         q.close();
-        while let Some(x) = q.pop() {
-            seen.push(x);
-        }
+        assert_eq!(q.pop(), None);
         seen.sort_unstable();
         let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
-        assert_eq!(seen, expected, "an item was lost or double-counted");
+        assert_eq!(seen, expected, "an item was lost or duplicated");
     }
 
     #[test]
     fn close_releases_producers_blocked_on_a_full_queue() {
-        // Shutdown-while-blocked: producers parked in Block-policy push
+        // Shutdown-while-blocked: producers parked in a full push
         // must wake on close and get their items handed back, not hang.
         const PRODUCERS: usize = 3;
-        let q = Arc::new(BoundedQueue::new(1, BackpressurePolicy::Block));
-        assert!(matches!(q.push(99), PushOutcome::Accepted));
+        let q = Arc::new(BoundedQueue::new(1));
+        assert_eq!(q.push(99), Ok(()));
         let handles: Vec<_> = (0..PRODUCERS)
             .map(|i| {
                 let q = q.clone();
@@ -272,10 +212,7 @@ mod tests {
         q.close();
         let mut returned: Vec<usize> = handles
             .into_iter()
-            .map(|h| match h.join().expect("producer") {
-                PushOutcome::Closed(x) => x,
-                other => panic!("expected Closed after shutdown, got {other:?}"),
-            })
+            .map(|h| h.join().expect("producer").expect_err("closed on shutdown"))
             .collect();
         returned.sort_unstable();
         assert_eq!(returned, (0..PRODUCERS).collect::<Vec<_>>());

@@ -35,13 +35,12 @@ const COUNTERS: [&str; 12] = [
     "ingest.frame_latency_ns",
 ];
 
-/// One shard merger's counters (plus the post-run rerouted drain's).
+/// One shard merger's counters.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCore {
     pub frames_merged: Counter,
     pub traces_merged: Counter,
     pub frames_corrupt: Counter,
-    pub frames_rerouted_in: Counter,
 }
 
 /// Shared counters the pipeline stages update concurrently, interned in
@@ -184,7 +183,6 @@ impl StatsCore {
                     frames_merged: s.frames_merged.get(),
                     traces_merged: s.traces_merged.get(),
                     frames_corrupt: s.frames_corrupt.get(),
-                    frames_rerouted_in: s.frames_rerouted_in.get(),
                     merge_queue_high_water: 0,
                 })
                 .collect(),
@@ -201,16 +199,13 @@ pub struct ShardStats {
     /// Programs placed on this shard.
     pub programs: usize,
     /// Frames whose slot this shard's merger consumed (healthy, corrupt,
-    /// unknown, and rerouted-away frames all count — they all advance
-    /// the shard's per-program sequence).
+    /// unknown and misclaimed frames all count — they all advance the
+    /// shard's per-program sequence).
     pub frames_merged: u64,
-    /// Traces applied to this shard's sinks (rerouted-in included).
+    /// Traces applied to this shard's sinks.
     pub traces_merged: u64,
     /// Corrupt frames charged to this shard (by claimed program).
     pub frames_corrupt: u64,
-    /// Frames whose content routed *into* this shard from a slot claimed
-    /// on another program.
-    pub frames_rerouted_in: u64,
     /// Deepest this shard's merge queue ever got.
     pub merge_queue_high_water: usize,
 }
@@ -219,25 +214,23 @@ pub struct ShardStats {
 /// over the `ingest.*` registry metrics, plus the per-shard breakdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Frames handed to the pipeline (before any drop).
+    /// Frames handed to the pipeline.
     pub frames_submitted: u64,
-    /// Frames displaced by [`DropOldest`](crate::BackpressurePolicy::DropOldest)
-    /// backpressure (or submitted after shutdown) and never merged.
+    /// Frames submitted after a stage died; 0 in every returned run.
     pub frames_dropped: u64,
     /// Frames rejected by wire validation (bad magic, truncation,
     /// checksum mismatch, …) or carrying payloads from more than one
     /// program. Counted and skipped — never a panic.
     pub frames_corrupt: u64,
-    /// Healthy frames whose content program differed from the claimed
-    /// one: the claimed slot is consumed and the traces are delivered to
-    /// the content program's shard (deterministically, after in-order
-    /// traffic).
+    /// Misclaimed frames, refused: healthy, but their content program
+    /// differs from the claimed one. Counted, slot consumed — never a
+    /// panic, never merged.
     pub frames_rerouted: u64,
     /// Healthy frames whose content program the run does not serve:
     /// typed error, counted, slot consumed — never a panic, never merged.
     pub frames_unknown_program: u64,
-    /// Frames whose slot reached a merger (corrupt, unknown and rerouted
-    /// included: their slot is consumed to preserve ordering).
+    /// Frames whose slot reached a merger (corrupt, unknown and
+    /// misclaimed included: their slot is consumed to preserve ordering).
     pub frames_merged: u64,
     /// Traces delivered to the sinks, over all shards.
     pub traces_merged: u64,

@@ -3,64 +3,26 @@
 //! pipeline, and a fold that cannot merge every frame into its lane's
 //! hive is refused rather than applied:
 //!
-//! * a durable campaign whose pipeline may shed frames is refused before
-//!   anything is created (its journal would replay what the hive shed);
 //! * a resume refuses a checksummed journal frame whose content is not
 //!   its lane's program, or is not a wire frame at all;
+//! * a resume or scrub refuses a campaign directory holding another
+//!   shard count than its config, before touching it;
 //! * `round_driven` panics on a driver's seq gap, duplicate seq, corrupt
 //!   frame or frame of another lane's program — driver bugs, not input
 //!   conditions.
 
 mod campaign;
 
-use campaign::{campaign_dir, shard_dir, Kind, Setup, KINDS};
+use campaign::{campaign_dir, shard_dir, Kind, Setup};
 use softborg::hive::journal::{self, JournalRecord, REC_FRAME};
-use softborg::ingest::{BackpressurePolicy, IngestConfig, IngestStats};
+use softborg::ingest::IngestStats;
 use softborg::program::scenarios;
 use softborg::{
-    DrivenExecution, DurabilityConfig, DurabilityError, IngestSettings, MultiDrivenExecution,
-    MultiPlatform, MultiPlatformConfig, Platform,
+    DrivenExecution, DurabilityConfig, DurabilityError, MultiDrivenExecution, MultiPlatform,
+    MultiPlatformConfig, Platform,
 };
-use std::path::Path;
-
-fn drop_oldest() -> IngestSettings {
-    IngestSettings {
-        pipeline: IngestConfig {
-            policy: BackpressurePolicy::DropOldest,
-            ..IngestConfig::default()
-        },
-        ..IngestSettings::default()
-    }
-}
-
-#[test]
-fn a_durable_campaign_with_a_lossy_ingest_policy_is_refused_before_any_file() {
-    for kind in KINDS {
-        let scs = kind.scenarios();
-        let dir = campaign_dir(kind, "lossy");
-        let setup = Setup {
-            ingest: drop_oldest(),
-            ..Setup::durable(DurabilityConfig::new(&dir))
-        };
-        let check = |what: &str, result: Result<(), DurabilityError>| {
-            match result {
-                Err(DurabilityError::LossyIngest(BackpressurePolicy::DropOldest)) => {}
-                other => panic!("{kind:?} {what}: {other:?}"),
-            }
-            let left = std::fs::read_dir(&dir).unwrap().count();
-            assert_eq!(left, 0, "{kind:?} {what}: the refusal created files");
-        };
-        check("try_new", kind.try_start(&scs, &setup).map(drop));
-        check("resume", kind.resume(&scs, &setup).map(drop));
-    }
-    // In memory, shedding is the caller's choice.
-    let scs = Kind::One.scenarios();
-    let in_memory = Setup {
-        ingest: drop_oldest(),
-        ..Setup::default()
-    };
-    assert!(Kind::One.try_start(&scs, &in_memory).is_ok());
-}
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// A 2-program, 1-shard durable campaign that never compacts, so every
 /// round stays in `shard-0/hive.wal`.
@@ -134,7 +96,9 @@ fn resume_refuses_a_journaled_frame_of_another_lanes_program() {
         records[a].frame = records[b].frame.clone();
     });
     match err {
-        DurabilityError::Corrupt(msg) => assert!(msg.contains(" 1 rerouted"), "{msg}"),
+        DurabilityError::Corrupt(msg) => {
+            assert!(msg.contains(" 1 of another lane's program"), "{msg}")
+        }
         e => panic!("wrong error: {e}"),
     }
 }
@@ -219,4 +183,108 @@ fn round_driven_panics_on_a_frame_of_another_lanes_program() {
         out.frames[a].2 = std::mem::replace(&mut out.frames[b].2, tmp);
         out
     });
+}
+
+/// Every directory and file under `dir` with its bytes, by path.
+fn dir_image(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut image = BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                image.insert(path.clone(), None);
+                stack.push(path);
+            } else {
+                image.insert(path.clone(), Some(std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    image
+}
+
+/// Asserts `open` is refused as a shard-count mismatch naming both
+/// counts, and leaves `dir` byte-for-byte as it found it.
+fn refused_untouched<T: std::fmt::Debug>(
+    dir: &Path,
+    (on_disk, asked): (usize, usize),
+    open: impl FnOnce() -> Result<T, DurabilityError>,
+) {
+    let before = dir_image(dir);
+    match open() {
+        Err(DurabilityError::Corrupt(msg)) => assert!(
+            msg.contains(&format!("{on_disk} shard(s) on disk"))
+                && msg.contains(&format!("the config {asked}")),
+            "{msg}"
+        ),
+        other => panic!("{on_disk} → {asked} shards was not refused: {other:?}"),
+    }
+    assert!(
+        dir_image(dir) == before,
+        "the refusal touched the directory"
+    );
+}
+
+#[test]
+fn a_multi_campaign_resumed_with_another_shard_count_is_refused_untouched() {
+    let scs = Kind::Fleet.scenarios();
+    let dir = campaign_dir(Kind::Fleet, "shard-count");
+    let cfg = Kind::fleet_config(&Setup::durable(DurabilityConfig::new(&dir)));
+    MultiPlatform::new(&Kind::specs(&scs), cfg.clone()).run(2, 4);
+    for n_shards in [3, 1] {
+        let cfg = MultiPlatformConfig {
+            n_shards,
+            ..cfg.clone()
+        };
+        refused_untouched(&dir, (2, n_shards), || {
+            MultiPlatform::resume(&Kind::specs(&scs), cfg.clone())
+                .map(|(p, _)| p.committed_rounds())
+        });
+        refused_untouched(&dir, (2, n_shards), || MultiPlatform::scrub(&cfg));
+    }
+    let (resumed, _) = MultiPlatform::resume(&Kind::specs(&scs), cfg).expect("2 → 2 resumes");
+    assert_eq!(resumed.committed_rounds(), 2);
+    drop(resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_platform_campaign_resumed_with_another_shard_count_is_refused_untouched() {
+    let scs = Kind::One.scenarios();
+    let setup = |dir: &Path| Setup::durable(DurabilityConfig::new(dir));
+    let one_fleet = |n_shards, dir: &Path| MultiPlatformConfig {
+        n_shards,
+        ..Kind::fleet_config(&setup(dir))
+    };
+
+    // 2 → 1: a one-program campaign kept on two shards, resumed as a
+    // `Platform`.
+    let dir = campaign_dir(Kind::One, "shard-count-2-1");
+    MultiPlatform::new(&Kind::specs(&scs), one_fleet(2, &dir)).run(2, 4);
+    let platform = Kind::one_config(&scs[0], &setup(&dir));
+    refused_untouched(&dir, (2, 1), || {
+        Platform::resume(&scs[0].program, platform.clone()).map(|(p, _)| p.committed_rounds())
+    });
+    refused_untouched(&dir, (2, 1), || Platform::scrub(&platform));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // 1 → 3: a `Platform` campaign resumed on three shards.
+    let dir = campaign_dir(Kind::One, "shard-count-1-3");
+    Platform::new(&scs[0].program, Kind::one_config(&scs[0], &setup(&dir))).run(2, 4);
+    refused_untouched(&dir, (1, 3), || {
+        MultiPlatform::resume(&Kind::specs(&scs), one_fleet(3, &dir))
+            .map(|(p, _)| p.committed_rounds())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A shard directory holding no campaign data (a creation cut short)
+    // is not a campaign: it still cold-starts.
+    let dir = campaign_dir(Kind::One, "shard-count-empty");
+    std::fs::create_dir_all(shard_dir(&dir, 0)).unwrap();
+    std::fs::write(shard_dir(&dir, 0).join("hive.wal"), []).unwrap();
+    let (cold, _) =
+        MultiPlatform::resume(&Kind::specs(&scs), one_fleet(2, &dir)).expect("cold start");
+    assert_eq!(cold.committed_rounds(), 0);
+    drop(cold);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! serial reference hive in `softborg-hive`'s `ingest_equivalence`.
 
 use softborg::{DrivenExecution, IngestSettings, Platform, PlatformConfig};
-use softborg_ingest::{BackpressurePolicy, IngestConfig};
+use softborg_ingest::IngestConfig;
 use softborg_program::scenarios;
 
 fn config(pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
@@ -63,19 +63,16 @@ fn pipelined_round_reports_ingest_statistics() {
 }
 
 #[test]
-fn drop_oldest_platform_round_still_completes() {
+fn a_round_through_one_slot_queues_loses_nothing() {
     let s = scenarios::token_parser();
     let mut cfg = config(2, 1, 4);
     cfg.ingest.pipeline.queue_capacity = 1;
-    cfg.ingest.pipeline.policy = BackpressurePolicy::DropOldest;
     let mut p = Platform::new(&s.program, cfg);
     let report = p.round(25);
     assert_eq!(report.executions, 8 * 25);
     let stats = p.last_ingest().expect("stats recorded");
-    assert_eq!(
-        stats.frames_merged + stats.frames_dropped,
-        stats.frames_submitted
-    );
-    // The hive saw exactly the traces that survived shedding.
-    assert_eq!(p.hive().stats().traces, stats.traces_merged);
+    assert_eq!(stats.frames_dropped, 0);
+    assert_eq!(stats.frames_merged, stats.frames_submitted);
+    assert_eq!(stats.queue_high_water, 1);
+    assert_eq!(p.hive().stats().traces, report.executions);
 }
