@@ -8,6 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{MergeRecord, ProcessedTrace, ReconstructContext};
 use softborg_pod::{Pod, PodConfig};
+use softborg_program::builder::ProgramBuilder;
+use softborg_program::cfg::local;
+use softborg_program::expr::Expr;
 use softborg_program::gen::{generate, GenConfig};
 use softborg_program::interp::{ExecConfig, Executor, NopObserver};
 use softborg_program::overlay::Overlay;
@@ -26,8 +29,10 @@ fn bench_recording(c: &mut Criterion) {
         ..GenConfig::default()
     });
     let program = gp.program.clone();
-    let exec = Executor::new(&program).with_config(ExecConfig { max_steps: 50_000 });
+    let mut exec = Executor::new(&program).with_config(ExecConfig { max_steps: 50_000 });
     let inputs = vec![500; program.n_inputs as usize];
+    // Hashing the IR is not recording: take the id off the clock.
+    let id = program.id();
 
     let mut group = c.benchmark_group("e4_recording");
     group.bench_function("baseline_no_observer", |b| {
@@ -56,7 +61,7 @@ fn bench_recording(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("record", name), &policy, |b, policy| {
             b.iter(|| {
-                let mut rec = TraceRecorder::new(program.id(), *policy, 0, false);
+                let mut rec = TraceRecorder::new(id, *policy, 0, false);
                 let r = exec
                     .run(
                         &inputs,
@@ -93,7 +98,10 @@ fn bench_recording(c: &mut Criterion) {
 
 /// The cost split of one more execution on the benchmark's `closed_loop`
 /// program: the bare interpreter (no-op observer, fixed schedule) against
-/// a whole pod run (recorder, RNG, anonymizer, case retention).
+/// a whole pod run (recorder, RNG, anonymizer, case retention). The
+/// interpreter also runs `record_processor` and `bank_transfer`, and
+/// `setup` runs a one-statement program: what a run costs before its
+/// steps, so the other rows split into set-up plus per-step work.
 fn bench_attribution(c: &mut Criterion) {
     let s = scenarios::token_parser();
     let config = PodConfig {
@@ -105,31 +113,50 @@ fn bench_attribution(c: &mut Criterion) {
     group.bench_function("token_parser", |b| b.iter(|| pod.run_once()));
     group.finish();
 
-    let exec = Executor::new(&s.program).with_config(config.exec);
-    let inputs = vec![s.input_range.1 / 2; s.program.n_inputs as usize];
-    let mut sched = RandomSched::seeded(1);
-    exec.run(
-        &inputs,
-        &mut DefaultEnv::seeded(1),
-        &mut sched,
-        &Overlay::empty(),
-        &mut NopObserver,
-    )
-    .expect("arity");
-    let script = sched.into_picks();
-    let mut group = c.benchmark_group("interp_run");
-    group.bench_function("token_parser", |b| {
-        b.iter(|| {
-            exec.run(
-                &inputs,
-                &mut DefaultEnv::seeded(1),
-                &mut ScriptSched::new(script.clone()),
-                &Overlay::empty(),
-                &mut NopObserver,
-            )
-            .expect("arity")
-        })
+    let mut pb = ProgramBuilder::new("one-statement");
+    pb.locals(1);
+    pb.thread(|t| {
+        t.assign(local(0), Expr::Const(1));
     });
+    let setup = Scenario {
+        name: "setup",
+        program: pb.build().expect("well-formed"),
+        bugs: Vec::new(),
+        input_range: (0, 0),
+    };
+    let mut group = c.benchmark_group("interp_run");
+    for (name, s) in [
+        ("setup", setup),
+        ("token_parser", s),
+        ("record_processor", scenarios::record_processor()),
+        ("bank_transfer", scenarios::bank_transfer()),
+    ] {
+        let mut exec = Executor::new(&s.program).with_config(config.exec);
+        let inputs = vec![s.input_range.1 / 2; s.program.n_inputs as usize];
+        let mut sched = RandomSched::seeded(1);
+        exec.run(
+            &inputs,
+            &mut DefaultEnv::seeded(1),
+            &mut sched,
+            &Overlay::empty(),
+            &mut NopObserver,
+        )
+        .expect("arity");
+        let mut script = ScriptSched::new(sched.into_picks());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                script.rewind();
+                exec.run(
+                    &inputs,
+                    &mut DefaultEnv::seeded(1),
+                    &mut script,
+                    &Overlay::empty(),
+                    &mut NopObserver,
+                )
+                .expect("arity")
+            })
+        });
+    }
     group.finish();
 }
 

@@ -59,7 +59,7 @@ fn deadlock_rate(
     overlay: &Overlay,
     n: u64,
 ) -> (u64, u64) {
-    let exec = Executor::new(program).with_config(ExecConfig { max_steps: 50_000 });
+    let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: 50_000 });
     let mut deadlocks = 0;
     for seed in 0..n {
         let r = exec
@@ -95,7 +95,7 @@ fn main() {
     let n = 500u64;
     for w in workloads() {
         // Detect the cycle from lock-order pairs, exactly as the hive does.
-        let exec = Executor::new(&w.program).with_config(ExecConfig { max_steps: 50_000 });
+        let mut exec = Executor::new(&w.program).with_config(ExecConfig { max_steps: 50_000 });
         let mut graph = LockOrderGraph::new();
         let mut failing = Vec::new();
         let mut passing = Vec::new();

@@ -19,6 +19,9 @@ use softborg_program::taint::InputDependence;
 use softborg_trace::{wire, RecordingPolicy, TraceRecorder};
 use std::time::Instant;
 
+/// Timed runs per policy, each paired with a baseline run.
+const ROUNDS: usize = 7;
+
 /// A branch-heavy workload: 400 loop iterations, each with three
 /// input-dependent conditionals — ~1600 dynamic branches per execution,
 /// a quarter of them deterministic (the loop header).
@@ -72,33 +75,66 @@ fn main() {
         deps.dependent_count()
     );
     let n_execs = 2_000u64;
-    let exec = Executor::new(program).with_config(ExecConfig { max_steps: 50_000 });
+    let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: 50_000 });
     let mut rng = SmallRng::seed_from_u64(9);
     let inputs: Vec<Vec<i64>> = (0..n_execs)
         .map(|_| sample_inputs(program.n_inputs, (0, 999), &mut rng))
         .collect();
 
     // Baseline: no observer at all.
-    let t0 = Instant::now();
-    let mut total_branches = 0u64;
-    for (i, inp) in inputs.iter().enumerate() {
-        let r = exec
-            .run(
-                inp,
-                &mut DefaultEnv::seeded(i as u64),
-                &mut RandomSched::seeded(i as u64),
-                &Overlay::empty(),
-                &mut NopObserver,
-            )
-            .expect("arity");
-        total_branches += r.n_branches;
-    }
-    let base = t0.elapsed();
-    let base_ns_per_branch = base.as_nanos() as f64 / total_branches as f64;
+    let baseline = |exec: &mut Executor<'_>| {
+        let t0 = Instant::now();
+        let mut branches = 0u64;
+        for (i, inp) in inputs.iter().enumerate() {
+            let r = exec
+                .run(
+                    inp,
+                    &mut DefaultEnv::seeded(i as u64),
+                    &mut RandomSched::seeded(i as u64),
+                    &Overlay::empty(),
+                    &mut NopObserver,
+                )
+                .expect("arity");
+            branches += r.n_branches;
+        }
+        (t0.elapsed(), branches)
+    };
+    // Hashing the IR is not recording: the id is taken once, off the
+    // clock, and so is the wire encoding of the recorded traces.
+    let id = program.id();
+    let record = |exec: &mut Executor<'_>, policy| {
+        let t0 = Instant::now();
+        let traces: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, inp)| {
+                let mut rec = TraceRecorder::new(id, policy, 0, false);
+                let r = exec
+                    .run(
+                        inp,
+                        &mut DefaultEnv::seeded(i as u64),
+                        &mut RandomSched::seeded(i as u64),
+                        &Overlay::empty(),
+                        &mut rec,
+                    )
+                    .expect("arity");
+                rec.finish(r.outcome, r.steps)
+            })
+            .collect();
+        (t0.elapsed(), traces)
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (base, total_branches) = baseline(&mut exec);
     println!(
-        "baseline (no observer): {:.1} ms total, {:.1} ns/branch\n",
+        "baseline (no observer): {:.1} ms total, {:.1} ns/branch",
         base.as_secs_f64() * 1e3,
-        base_ns_per_branch
+        base.as_nanos() as f64 / total_branches as f64
+    );
+    println!(
+        "each policy: median of {ROUNDS} runs, each against the baseline run just before it\n"
     );
 
     table_header(&[
@@ -122,34 +158,21 @@ fn main() {
         ),
     ];
     for (name, policy) in policies {
-        let t0 = Instant::now();
-        let mut bits = 0u64;
-        let mut bytes = 0u64;
-        for (i, inp) in inputs.iter().enumerate() {
-            let mut rec = TraceRecorder::new(program.id(), policy, 0, false);
-            let r = exec
-                .run(
-                    inp,
-                    &mut DefaultEnv::seeded(i as u64),
-                    &mut RandomSched::seeded(i as u64),
-                    &Overlay::empty(),
-                    &mut rec,
-                )
-                .expect("arity");
-            let trace = rec.finish(r.outcome, r.steps);
-            bits += trace.bits.len() as u64;
-            bytes += wire::encode(&trace).len() as u64;
+        let (mut overheads, mut walls, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..ROUNDS {
+            let (base, _) = baseline(&mut exec);
+            let (wall, t) = record(&mut exec, policy);
+            overheads.push((wall.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0);
+            walls.push(wall.as_nanos() as f64 / total_branches as f64);
+            traces = t;
         }
-        let wall = t0.elapsed();
-        let overhead = (wall.as_secs_f64() - base.as_secs_f64()) / base.as_secs_f64() * 100.0;
+        let bits: u64 = traces.iter().map(|t| t.bits.len() as u64).sum();
+        let bytes: u64 = traces.iter().map(|t| wire::encode(t).len() as u64).sum();
         println!(
             "{}{}{}{}{}{}",
             cell(name, 18),
-            cell(format!("{overhead:.1}"), 10),
-            cell(
-                format!("{:.1}", wall.as_nanos() as f64 / total_branches as f64),
-                10
-            ),
+            cell(format!("{:.1}", median(overheads)), 10),
+            cell(format!("{:.1}", median(walls)), 10),
             cell(format!("{:.1}", bits as f64 / n_execs as f64), 10),
             cell(format!("{:.1}", bytes as f64 / n_execs as f64), 11),
             cell(if policy.is_exact() { "yes" } else { "no" }, 7)

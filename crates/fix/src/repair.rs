@@ -99,7 +99,11 @@ impl Default for LabConfig {
 /// perturb it.
 type ThreadStreams = Vec<(ThreadId, Vec<i64>)>;
 
-fn run_case(exec: &Executor<'_>, case: &TestCase, overlay: &Overlay) -> (Outcome, ThreadStreams) {
+fn run_case(
+    exec: &mut Executor<'_>,
+    case: &TestCase,
+    overlay: &Overlay,
+) -> (Outcome, ThreadStreams) {
     let mut env = DefaultEnv::new(case.env.clone());
     let mut sched = ScriptSched::new(case.schedule.clone());
     let r = exec
@@ -124,7 +128,7 @@ pub fn validate(
     passing: &[TestCase],
     config: LabConfig,
 ) -> Validation {
-    let exec = Executor::new(program).with_config(ExecConfig {
+    let mut exec = Executor::new(program).with_config(ExecConfig {
         max_steps: config.max_steps,
     });
     let mut with_fix = base_overlay.clone();
@@ -132,15 +136,15 @@ pub fn validate(
 
     let mut failing_fixed = 0;
     for case in failing {
-        let (outcome, _) = run_case(&exec, case, &with_fix);
+        let (outcome, _) = run_case(&mut exec, case, &with_fix);
         if !outcome.is_failure() {
             failing_fixed += 1;
         }
     }
     let mut passing_preserved = 0;
     for case in passing {
-        let (base_out, base_emit) = run_case(&exec, case, base_overlay);
-        let (out, emit) = run_case(&exec, case, &with_fix);
+        let (base_out, base_emit) = run_case(&mut exec, case, base_overlay);
+        let (out, emit) = run_case(&mut exec, case, &with_fix);
         if out == base_out && emit == base_emit {
             passing_preserved += 1;
         }
@@ -247,7 +251,7 @@ mod tests {
         // Build failing cases: find deadlocking schedules.
         use softborg_program::sched::RandomSched;
         use softborg_program::syscall::DefaultEnv;
-        let exec = Executor::new(&s.program);
+        let mut exec = Executor::new(&s.program);
         let mut failing = Vec::new();
         let mut passing = Vec::new();
         for seed in 0..60 {

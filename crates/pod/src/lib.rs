@@ -122,6 +122,10 @@ pub struct Pod<'p> {
     multi_threaded: bool,
     failing_cases: Vec<(TestCase, softborg_program::interp::Outcome)>,
     passing_cases: Vec<TestCase>,
+    /// Buffers `run_once` refills every run.
+    inputs: Vec<i64>,
+    picks: Vec<ThreadId>,
+    env: DefaultEnv,
 }
 
 impl<'p> Pod<'p> {
@@ -140,6 +144,9 @@ impl<'p> Pod<'p> {
             stats: PodStats::default(),
             failing_cases: Vec::new(),
             passing_cases: Vec::new(),
+            inputs: Vec::new(),
+            picks: Vec::new(),
+            env: DefaultEnv::new(EnvConfig::default()),
         }
     }
 
@@ -186,31 +193,30 @@ impl<'p> Pod<'p> {
         // Natural inputs unless a seed directive overrides them.
         let n_inputs = self.executor.program().n_inputs;
         let (lo, hi) = self.config.input_range;
-        let mut inputs: Vec<i64> = (0..n_inputs).map(|_| self.rng.gen_range(lo..=hi)).collect();
+        self.inputs.clear();
+        self.inputs
+            .extend((0..n_inputs).map(|_| self.rng.gen_range(lo..=hi)));
         let mut env_config = EnvConfig {
             seed: self.rng.gen(),
             ..EnvConfig::default()
         };
         let mut schedule_hint = None;
-        if let Some(d) = directive {
-            match d {
-                Directive::InputSeed { inputs: seed, .. } => {
-                    if seed.len() == inputs.len() {
-                        inputs = seed;
-                    }
-                }
-                Directive::Schedule(hint) => schedule_hint = Some(hint),
-                Directive::FaultInjection {
-                    forced,
-                    short_read_per_mille,
-                } => {
-                    env_config.forced = forced;
-                    env_config.short_read_per_mille = short_read_per_mille;
-                }
+        match directive {
+            Some(Directive::InputSeed { inputs: seed, .. }) if seed.len() == self.inputs.len() => {
+                self.inputs.copy_from_slice(&seed);
             }
+            Some(Directive::Schedule(hint)) => schedule_hint = Some(hint),
+            Some(Directive::FaultInjection {
+                forced,
+                short_read_per_mille,
+            }) => {
+                env_config.forced = forced;
+                env_config.short_read_per_mille = short_read_per_mille;
+            }
+            Some(Directive::InputSeed { .. }) | None => {}
         }
 
-        let mut env = DefaultEnv::new(env_config.clone());
+        self.env.reset(env_config);
         let mut recorder = TraceRecorder::new(
             self.program_id,
             self.config.policy,
@@ -220,15 +226,26 @@ impl<'p> Pod<'p> {
         let sched_seed = self.rng.gen();
         let mut sched = match schedule_hint {
             Some(hint) => PodSched::Priority(PrioritySched::new(hint, sched_seed)),
-            None => PodSched::Random(RandomSched::seeded(sched_seed)),
+            None => PodSched::Random(RandomSched::with_picks(
+                sched_seed,
+                std::mem::take(&mut self.picks),
+            )),
         };
         let result = self
             .executor
-            .run(&inputs, &mut env, &mut sched, &self.overlay, &mut recorder)
+            .run(
+                &self.inputs,
+                &mut self.env,
+                &mut sched,
+                &self.overlay,
+                &mut recorder,
+            )
             .expect("pod-generated inputs match program arity");
+        self.picks = sched.into_picks();
 
         self.stats.executions += 1;
-        if result.outcome.is_failure() {
+        let failing = result.outcome.is_failure();
+        if failing {
             self.stats.failures += 1;
         }
         self.stats.overlay_hits += result.overlay_hits;
@@ -239,18 +256,23 @@ impl<'p> Pod<'p> {
         // Retain a bounded local corpus of replayable cases; the hive's
         // repair lab validates fix candidates against them *on the pod*
         // (inputs never leave the machine — the privacy-preserving trial
-        // mechanism).
-        let case = TestCase {
-            inputs,
-            schedule: sched.into_picks(),
-            env: env_config,
+        // mechanism). A case is built only when there is room for it.
+        let room = if failing {
+            self.failing_cases.len() < MAX_FAILING_CASES
+        } else {
+            self.passing_cases.len() < MAX_PASSING_CASES
         };
-        if result.outcome.is_failure() {
-            if self.failing_cases.len() < MAX_FAILING_CASES {
+        if room {
+            let case = TestCase {
+                inputs: self.inputs.clone(),
+                schedule: self.picks.clone(),
+                env: self.env.config().clone(),
+            };
+            if failing {
                 self.failing_cases.push((case, result.outcome.clone()));
+            } else {
+                self.passing_cases.push(case);
             }
-        } else if self.passing_cases.len() < MAX_PASSING_CASES {
-            self.passing_cases.push(case);
         }
 
         let raw = recorder.finish(result.outcome.clone(), result.steps);
@@ -280,6 +302,13 @@ mod tests {
     use softborg_program::interp::Outcome;
     use softborg_program::scenarios;
     use softborg_program::BranchSiteId;
+
+    #[test]
+    fn pods_and_executors_can_be_shared_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Pod<'static>>();
+        send_sync::<Executor<'static>>();
+    }
 
     #[test]
     fn pod_runs_and_records_naturally() {

@@ -257,14 +257,7 @@ pub fn eval(expr: &Expr, env: &impl EvalEnv) -> Result<i64, EvalFault> {
         Expr::Const(c) => *c,
         Expr::Load(p) => env.load(*p),
         Expr::Input(i) => env.input(*i),
-        Expr::Un(op, e) => {
-            let v = eval(e, env)?;
-            match op {
-                UnOp::Neg => v.wrapping_neg(),
-                UnOp::Not => i64::from(v == 0),
-                UnOp::BitNot => !v,
-            }
-        }
+        Expr::Un(op, e) => apply_un(*op, eval(e, env)?),
         Expr::Bin(op, a, b) => {
             let x = eval(a, env)?;
             let y = eval(b, env)?;
@@ -273,11 +266,22 @@ pub fn eval(expr: &Expr, env: &impl EvalEnv) -> Result<i64, EvalFault> {
     })
 }
 
+/// Applies a unary operator to a concrete value.
+#[inline]
+pub fn apply_un(op: UnOp, v: i64) -> i64 {
+    match op {
+        UnOp::Neg => v.wrapping_neg(),
+        UnOp::Not => i64::from(v == 0),
+        UnOp::BitNot => !v,
+    }
+}
+
 /// Applies a binary operator to two concrete values.
 ///
 /// # Errors
 ///
 /// Returns [`EvalFault`] on division or remainder by zero.
+#[inline]
 pub fn apply_bin(op: BinOp, x: i64, y: i64) -> Result<i64, EvalFault> {
     Ok(match op {
         BinOp::Add => x.wrapping_add(y),
@@ -309,6 +313,133 @@ pub fn apply_bin(op: BinOp, x: i64, y: i64) -> Result<i64, EvalFault> {
         BinOp::Shl => x.wrapping_shl((y & 63) as u32),
         BinOp::Shr => x.wrapping_shr((y & 63) as u32),
     })
+}
+
+/// A leaf of lowered expression code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    Const(i64),
+    Local(u32),
+    Global(u32),
+    Input(u32),
+}
+
+/// One instruction of lowered expression code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CodeOp {
+    Leaf(Operand),
+    Un(UnOp),
+    /// Pops the left operand; the right one is on top.
+    Bin(BinOp),
+}
+
+/// Where one lowered expression lives in its [`ExprCode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExprRef {
+    code: (u32, u32),
+    loads: (u32, u32),
+}
+
+/// Expressions lowered once into one flat buffer of `Copy` instructions:
+/// each is post-order stack code plus the pre-order list of the globals it
+/// loads. [`eval`] is the reference it agrees with, fault for fault.
+#[derive(Debug, Clone, Default)]
+pub struct ExprCode {
+    ops: Vec<CodeOp>,
+    loads: Vec<GlobalId>,
+    depth: usize,
+}
+
+impl ExprCode {
+    /// Appends `e`'s code and returns where it lives.
+    pub fn lower(&mut self, e: &Expr) -> ExprRef {
+        let (code, loads) = (self.ops.len() as u32, self.loads.len() as u32);
+        let depth = self.emit(e);
+        self.depth = self.depth.max(depth);
+        ExprRef {
+            code: (code, self.ops.len() as u32),
+            loads: (loads, self.loads.len() as u32),
+        }
+    }
+
+    /// Emits post-order code; returns the stack depth it needs. Leaves
+    /// come out left to right, so the loads list is in pre-order too.
+    fn emit(&mut self, e: &Expr) -> usize {
+        let (op, depth) = match *e {
+            Expr::Const(c) => (CodeOp::Leaf(Operand::Const(c)), 1),
+            Expr::Load(Place::Local(l)) => (CodeOp::Leaf(Operand::Local(l.0)), 1),
+            Expr::Load(Place::Global(g)) => {
+                self.loads.push(g);
+                (CodeOp::Leaf(Operand::Global(g.0)), 1)
+            }
+            Expr::Input(i) => (CodeOp::Leaf(Operand::Input(i.0)), 1),
+            Expr::Un(op, ref a) => (CodeOp::Un(op), self.emit(a)),
+            Expr::Bin(op, ref a, ref b) => {
+                let left = self.emit(a);
+                (CodeOp::Bin(op), left.max(1 + self.emit(b)))
+            }
+        };
+        self.ops.push(op);
+        depth
+    }
+
+    /// The most values any lowered expression holds at once: a stack of
+    /// this many is enough for [`eval`](Self::eval).
+    pub fn max_depth(&self) -> usize {
+        self.depth
+    }
+
+    /// The globals `r` loads, in [`Expr::visit`]'s pre-order.
+    #[inline]
+    pub fn global_loads(&self, r: ExprRef) -> &[GlobalId] {
+        &self.loads[r.loads.0 as usize..r.loads.1 as usize]
+    }
+
+    /// Evaluates `r` over dense state; `stack` is scratch space of at
+    /// least [`max_depth`](Self::max_depth) values.
+    ///
+    /// # Errors
+    ///
+    /// The [`EvalFault`] [`eval`] returns on the same expression and state.
+    #[inline]
+    pub fn eval(
+        &self,
+        r: ExprRef,
+        locals: &[i64],
+        globals: &[i64],
+        inputs: &[i64],
+        stack: &mut [i64],
+    ) -> Result<i64, EvalFault> {
+        let value = |x: Operand| match x {
+            Operand::Const(c) => c,
+            Operand::Local(l) => locals[l as usize],
+            Operand::Global(g) => globals[g as usize],
+            Operand::Input(x) => inputs[x as usize],
+        };
+        // Post-order code starts with a leaf. The top of the stack lives
+        // in `top`; every later leaf spills it and a binary operation
+        // takes its left operand back.
+        let code = &self.ops[r.code.0 as usize..r.code.1 as usize];
+        let Some((&CodeOp::Leaf(first), rest)) = code.split_first() else {
+            unreachable!("lowered code starts with a leaf")
+        };
+        let (mut top, mut spilled) = (value(first), 0);
+        for op in rest {
+            top = match *op {
+                CodeOp::Leaf(x) => {
+                    stack[spilled] = top;
+                    spilled += 1;
+                    value(x)
+                }
+                CodeOp::Un(op) => apply_un(op, top),
+                CodeOp::Bin(op) => {
+                    spilled -= 1;
+                    apply_bin(op, stack[spilled], top)?
+                }
+            };
+        }
+        Ok(top)
+    }
 }
 
 #[cfg(test)]

@@ -1098,7 +1098,7 @@ mod tests {
         };
         let gp = generate(&cfg);
         let inputs = vec![42; gp.program.n_inputs as usize];
-        let exec = Executor::new(&gp.program);
+        let mut exec = Executor::new(&gp.program);
         let r1 = exec
             .run(
                 &inputs,

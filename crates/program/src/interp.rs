@@ -11,15 +11,14 @@
 //! state, scheduler state, overlay) produce identical results, which is
 //! what makes hive-side replay/reconstruction possible.
 
-use crate::cfg::{Loc, Program, Stmt, Terminator};
-use crate::expr::{self, EvalEnv, EvalFault, Expr, Place};
-use crate::ids::{BranchSiteId, GlobalId, LockId, ThreadId};
+use crate::cfg::{Loc, Program, Stmt, SyscallKind, Terminator};
+use crate::expr::{self, EvalEnv, EvalFault, ExprCode, ExprRef, Place};
+use crate::ids::{BlockId, BranchSiteId, GlobalId, LockId, ThreadId};
 use crate::overlay::{GuardAction, Overlay};
 use crate::sched::Scheduler;
 use crate::syscall::EnvModel;
 use crate::taint::InputDependence;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Why an execution crashed.
@@ -161,21 +160,22 @@ pub trait Observer {
     /// The scheduler picked `thread` for the next step.
     fn on_schedule(&mut self, thread: ThreadId) {}
     /// A syscall returned.
-    fn on_syscall(&mut self, thread: ThreadId, kind: crate::cfg::SyscallKind, arg: i64, ret: i64) {}
+    fn on_syscall(&mut self, thread: ThreadId, kind: SyscallKind, arg: i64, ret: i64) {}
     /// `thread` acquired `lock`.
     fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, loc: Loc) {}
     /// `thread` blocked on `lock` currently owned by `owner`.
     fn on_lock_blocked(&mut self, thread: ThreadId, lock: LockId, owner: ThreadId) {}
     /// `thread` released `lock`.
     fn on_lock_released(&mut self, thread: ThreadId, lock: LockId) {}
-    /// A shared global was read or written while holding `locks_held`.
+    /// A shared global was read or written while holding `locks_held`
+    /// (ascending).
     fn on_global_access(
         &mut self,
         thread: ThreadId,
         global: GlobalId,
         is_write: bool,
         loc: Loc,
-        locks_held: &BTreeSet<LockId>,
+        locks_held: &[LockId],
     ) {
     }
     /// An `Emit` statement produced an observable value.
@@ -231,23 +231,7 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Runnable,
-    Blocked(LockId),
-    Done,
-}
-
-#[derive(Debug)]
-struct ThreadState {
-    block: u32,
-    stmt: u32,
-    locals: Vec<i64>,
-    status: Status,
-    held: BTreeSet<LockId>,
-    header_visits: HashMap<u32, u64>,
-}
-
+/// The reference evaluator's view of one thread, for guard predicates.
 struct ThreadView<'a> {
     locals: &'a [i64],
     globals: &'a [i64],
@@ -266,11 +250,154 @@ impl EvalEnv for ThreadView<'_> {
     }
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Runnable,
+    Blocked(LockId),
+    Done,
+}
+
+/// One statement or terminator, lowered: expressions are [`ExprRef`]s
+/// into the executor's [`ExprCode`], jump targets are resolved.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Assign(Place, ExprRef),
+    Lock(LockId),
+    Unlock(LockId),
+    Syscall(SyscallKind, ExprRef, Place),
+    Assert(ExprRef),
+    Emit(ExprRef),
+    Yield,
+    Goto(Target),
+    Branch {
+        site: BranchSiteId,
+        dependent: bool,
+        cond: ExprRef,
+        then_bb: Target,
+        else_bb: Target,
+    },
+    Exit,
+}
+
+/// A block and the index of its first op.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    block: u32,
+    base: u32,
+}
+
+/// A program lowered once: every block's statements then terminator,
+/// thread after thread, in one array.
+#[derive(Debug)]
+struct Lowered {
+    ops: Box<[Op]>,
+    exprs: ExprCode,
+    /// Per thread, each block's first op, then the thread's end.
+    bases: Vec<Vec<u32>>,
+}
+
+impl Lowered {
+    fn new(program: &Program, deps: &InputDependence) -> Self {
+        let (mut ops, mut exprs, mut bases) = (Vec::new(), ExprCode::default(), Vec::new());
+        for body in &program.threads {
+            // A block's ops: its statements, then its terminator.
+            let mut starts = vec![ops.len() as u32];
+            for blk in &body.blocks {
+                starts.push(starts[starts.len() - 1] + blk.stmts.len() as u32 + 1);
+            }
+            let at = |b: BlockId| Target {
+                block: b.0,
+                base: starts[b.index()],
+            };
+            for blk in &body.blocks {
+                for stmt in &blk.stmts {
+                    ops.push(match stmt {
+                        Stmt::Assign(place, e) => Op::Assign(*place, exprs.lower(e)),
+                        Stmt::Lock(lock) => Op::Lock(*lock),
+                        Stmt::Unlock(lock) => Op::Unlock(*lock),
+                        Stmt::Syscall { kind, arg, ret } => {
+                            Op::Syscall(*kind, exprs.lower(arg), *ret)
+                        }
+                        Stmt::Assert(e) => Op::Assert(exprs.lower(e)),
+                        Stmt::Emit(e) => Op::Emit(exprs.lower(e)),
+                        Stmt::Yield => Op::Yield,
+                    });
+                }
+                ops.push(match &blk.term {
+                    Terminator::Goto(target) => Op::Goto(at(*target)),
+                    Terminator::Branch {
+                        site,
+                        cond,
+                        then_bb,
+                        else_bb,
+                    } => Op::Branch {
+                        site: *site,
+                        dependent: deps.is_dependent(*site),
+                        cond: exprs.lower(cond),
+                        then_bb: at(*then_bb),
+                        else_bb: at(*else_bb),
+                    },
+                    Terminator::Exit => Op::Exit,
+                });
+            }
+            bases.push(starts);
+        }
+        Lowered {
+            ops: ops.into(),
+            exprs,
+            bases,
+        }
+    }
+
+    /// The op at `loc`, if the program has that location.
+    fn op_at(&self, loc: Loc) -> Option<usize> {
+        let starts = self
+            .bases
+            .get(loc.thread.index())?
+            .get(loc.block.index()..)?;
+        let (&base, &end) = (starts.first()?, starts.get(1)?);
+        (loc.stmt < end - base).then_some((base + loc.stmt) as usize)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ThreadState {
+    at: Target,
+    stmt: u32,
+    status: Status,
+}
+
+/// One run's state in dense, id-indexed tables, kept by the executor
+/// between runs so that a run reuses the last one's allocations.
+#[derive(Debug, Default)]
+struct Scratch {
+    globals: Vec<i64>,
+    /// Every thread's locals: thread `t` owns `[t * n_locals..][..n_locals]`.
+    locals: Vec<i64>,
+    threads: Vec<ThreadState>,
+    /// Runnable threads in ascending order, updated on status changes.
+    runnable: Vec<ThreadId>,
+    /// Each thread's held locks, ascending.
+    held: Vec<Vec<LockId>>,
+    /// Owner per lock slot (see `Machine::slot`).
+    owner: Vec<Option<ThreadId>>,
+    /// Header entries per loop bound, indexed like `Overlay::loop_bounds`.
+    header_visits: Vec<u64>,
+    /// Per op, the index of the overlay's first guard at it, or
+    /// `u32::MAX`; empty when the overlay has no guard.
+    guard_of: Vec<u32>,
+    /// Gates found stale by one unlock, released after the scan.
+    stale: Vec<LockId>,
+    /// Expression evaluation stack, `ExprCode::max_depth` values long.
+    stack: Vec<i64>,
+}
+
 /// Reusable execution engine for one program.
 ///
-/// Construction computes the input-dependence analysis once; [`run`] can
-/// then be called many times (a pod holds one `Executor` for the program
-/// lifetime).
+/// Construction computes the input-dependence analysis and lowers every
+/// statement and terminator once into flat `Copy` code; [`run`] can then
+/// be called many times (a pod holds one `Executor` for the program
+/// lifetime), reusing one set of dense tables.
 ///
 /// [`run`]: Executor::run
 ///
@@ -291,7 +418,7 @@ impl EvalEnv for ThreadView<'_> {
 ///     t.emit(Expr::input(0));
 /// });
 /// let program = pb.build()?;
-/// let exec = Executor::new(&program);
+/// let mut exec = Executor::new(&program);
 /// let result = exec.run(
 ///     &[41],
 ///     &mut DefaultEnv::seeded(0),
@@ -309,15 +436,21 @@ pub struct Executor<'p> {
     program: &'p Program,
     deps: InputDependence,
     config: ExecConfig,
+    code: Lowered,
+    scratch: Scratch,
 }
 
 impl<'p> Executor<'p> {
-    /// Creates an executor, computing the input-dependence analysis.
+    /// Creates an executor, computing the input-dependence analysis and
+    /// lowering the program.
     pub fn new(program: &'p Program) -> Self {
+        let deps = InputDependence::compute(program);
         Executor {
             program,
-            deps: InputDependence::compute(program),
+            code: Lowered::new(program, &deps),
+            deps,
             config: ExecConfig::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -339,19 +472,28 @@ impl<'p> Executor<'p> {
 
     /// Executes the program once.
     ///
+    /// After the first run, a run allocates only for what it returns (the
+    /// emitted stream, a deadlock cycle or hang report) and for what the
+    /// environment, scheduler and observer allocate themselves.
+    ///
     /// # Errors
     ///
     /// Returns [`InterpError::InputArity`] when `inputs` does not match the
     /// program's declared input count. Runtime failures (crashes,
     /// deadlocks, hangs) are *not* errors — they are [`Outcome`]s.
-    pub fn run(
-        &self,
+    pub fn run<E, S, O>(
+        &mut self,
         inputs: &[i64],
-        env: &mut dyn EnvModel,
-        sched: &mut dyn Scheduler,
+        env: &mut E,
+        sched: &mut S,
         overlay: &Overlay,
-        obs: &mut dyn Observer,
-    ) -> Result<ExecResult, InterpError> {
+        obs: &mut O,
+    ) -> Result<ExecResult, InterpError>
+    where
+        E: EnvModel + ?Sized,
+        S: Scheduler + ?Sized,
+        O: Observer + ?Sized,
+    {
         if inputs.len() != self.program.n_inputs as usize {
             return Err(InterpError::InputArity {
                 expected: self.program.n_inputs,
@@ -359,131 +501,137 @@ impl<'p> Executor<'p> {
             });
         }
         let mut m = Machine {
-            program: self.program,
-            deps: &self.deps,
+            code: &self.code,
+            n_locals: self.program.n_locals as usize,
+            n_locks: self.program.n_locks,
             overlay,
             inputs,
-            globals: vec![0; self.program.n_globals as usize],
-            threads: self
-                .program
-                .threads
-                .iter()
-                .map(|_| ThreadState {
-                    block: 0,
-                    stmt: 0,
-                    locals: vec![0; self.program.n_locals as usize],
-                    status: Status::Runnable,
-                    held: BTreeSet::new(),
-                    header_visits: HashMap::new(),
-                })
-                .collect(),
-            locks: HashMap::new(),
-            stale_gates: Vec::new(),
+            s: &mut self.scratch,
             emitted: Vec::new(),
             n_branches: 0,
             n_syscalls: 0,
-            syscall_index: 0,
             overlay_hits: 0,
         };
+        m.reset(self.program);
         let mut steps: u64 = 0;
-        let mut runnable: Vec<ThreadId> = Vec::with_capacity(m.threads.len());
-        loop {
-            runnable.clear();
-            runnable.extend(
-                m.threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.status == Status::Runnable)
-                    .map(|(i, _)| ThreadId::new(i as u32)),
-            );
-            if runnable.is_empty() {
-                let blocked: Vec<(ThreadId, LockId)> = m
-                    .threads
-                    .iter()
-                    .enumerate()
+        let outcome = loop {
+            if m.s.runnable.is_empty() {
+                let blocked: Vec<(ThreadId, LockId)> = (m.s.threads.iter().enumerate())
                     .filter_map(|(i, t)| match t.status {
                         Status::Blocked(l) => Some((ThreadId::new(i as u32), l)),
                         _ => None,
                     })
                     .collect();
-                let outcome = if blocked.is_empty() {
+                break if blocked.is_empty() {
                     Outcome::Success
                 } else {
                     Outcome::Deadlock { cycle: blocked }
                 };
-                return Ok(m.finish(outcome, steps));
             }
             if steps >= self.config.max_steps {
-                let stuck = m
-                    .threads
-                    .iter()
-                    .enumerate()
+                let stuck = (m.s.threads.iter().enumerate())
                     .filter(|(_, t)| t.status != Status::Done)
-                    .map(|(i, t)| Loc {
-                        thread: ThreadId::new(i as u32),
-                        block: crate::ids::BlockId::new(t.block),
-                        stmt: t.stmt,
-                    })
+                    .map(|(i, _)| m.loc(ThreadId::new(i as u32)))
                     .collect();
-                return Ok(m.finish(Outcome::Hang { stuck }, steps));
+                break Outcome::Hang { stuck };
             }
-            let t = sched.pick(&runnable, steps);
+            let t = sched.pick(&m.s.runnable, steps);
             obs.on_schedule(t);
             steps += 1;
             if let Some(outcome) = m.step(t, env, obs) {
-                return Ok(m.finish(outcome, steps));
+                break outcome;
             }
-        }
+        };
+        Ok(ExecResult {
+            outcome,
+            steps,
+            emitted: m.emitted,
+            n_branches: m.n_branches,
+            n_syscalls: m.n_syscalls,
+            overlay_hits: m.overlay_hits,
+        })
     }
 }
 
+/// Only a validated program's locks and its overlay's gates are ever
+/// acquired, so only they are released.
+const ACQUIRABLE: &str = "a lock is the program's or an overlay gate";
+
 struct Machine<'a> {
-    program: &'a Program,
-    deps: &'a InputDependence,
+    code: &'a Lowered,
+    n_locals: usize,
+    n_locks: u32,
     overlay: &'a Overlay,
     inputs: &'a [i64],
-    globals: Vec<i64>,
-    threads: Vec<ThreadState>,
-    locks: HashMap<LockId, ThreadId>,
-    /// Reused by [`Machine::release_stale_gates`] so unlocks do not
-    /// allocate per call.
-    stale_gates: Vec<LockId>,
+    s: &'a mut Scratch,
     emitted: Vec<(ThreadId, i64)>,
     n_branches: u64,
+    /// Also the index of the next syscall.
     n_syscalls: u64,
-    syscall_index: u64,
     overlay_hits: u64,
 }
 
 impl Machine<'_> {
-    fn finish(self, outcome: Outcome, steps: u64) -> ExecResult {
-        ExecResult {
-            outcome,
-            steps,
-            emitted: self.emitted,
-            n_branches: self.n_branches,
-            n_syscalls: self.n_syscalls,
-            overlay_hits: self.overlay_hits,
+    /// Sizes and zeroes the tables for a fresh run; after the first run of
+    /// a program under an overlay this allocates nothing.
+    fn reset(&mut self, program: &Program) {
+        let (s, n_threads) = (&mut *self.s, program.threads.len());
+        s.globals.clear();
+        s.globals.resize(program.n_globals as usize, 0);
+        s.locals.clear();
+        s.locals.resize(n_threads * self.n_locals, 0);
+        s.threads.clear();
+        s.threads
+            .extend(self.code.bases.iter().map(|b| ThreadState {
+                at: Target {
+                    block: 0,
+                    base: b[0],
+                },
+                stmt: 0,
+                status: Status::Runnable,
+            }));
+        s.runnable.clear();
+        s.runnable.extend((0..n_threads as u32).map(ThreadId::new));
+        s.held.resize_with(n_threads, Vec::new);
+        s.held.iter_mut().for_each(Vec::clear);
+        s.owner.clear();
+        s.owner
+            .resize(self.n_locks as usize + self.overlay.lock_gates.len(), None);
+        s.guard_of.clear();
+        if !self.overlay.guards.is_empty() {
+            s.guard_of.resize(self.code.ops.len(), u32::MAX);
         }
+        // Later guards first: the first guard at a location wins.
+        for (i, g) in self.overlay.guards.iter().enumerate().rev() {
+            if let Some(op) = self.code.op_at(g.loc) {
+                s.guard_of[op] = i as u32;
+            }
+        }
+        s.header_visits.clear();
+        s.header_visits.resize(self.overlay.loop_bounds.len(), 0);
+        s.stack.resize(self.code.exprs.max_depth(), 0);
     }
 
+    #[inline]
     fn loc(&self, t: ThreadId) -> Loc {
-        let ts = &self.threads[t.index()];
+        let ts = &self.s.threads[t.index()];
         Loc {
             thread: t,
-            block: crate::ids::BlockId::new(ts.block),
+            block: BlockId::new(ts.at.block),
             stmt: ts.stmt,
         }
     }
 
-    fn eval(&self, t: ThreadId, e: &Expr) -> Result<i64, EvalFault> {
-        let ts = &self.threads[t.index()];
-        let view = ThreadView {
-            locals: &ts.locals,
-            globals: &self.globals,
-            inputs: self.inputs,
-        };
-        expr::eval(e, &view)
+    #[inline]
+    fn frame(&self, t: ThreadId) -> std::ops::Range<usize> {
+        t.index() * self.n_locals..(t.index() + 1) * self.n_locals
+    }
+
+    #[inline]
+    fn eval(&mut self, t: ThreadId, e: ExprRef) -> Result<i64, EvalFault> {
+        let frame = self.frame(t);
+        let s = &mut self.s;
+        (self.code.exprs).eval(e, &s.locals[frame], &s.globals, self.inputs, &mut s.stack)
     }
 
     fn fault_outcome(&self, t: ThreadId, fault: EvalFault) -> Outcome {
@@ -496,25 +644,61 @@ impl Machine<'_> {
         }
     }
 
-    /// Reports global reads inside `e` to the observer, in pre-order.
-    fn observe_reads(&self, t: ThreadId, e: &Expr, obs: &mut dyn Observer) {
+    /// Reports the global reads of `e` to the observer, in pre-order.
+    fn observe_reads<O: Observer + ?Sized>(&self, t: ThreadId, e: ExprRef, obs: &mut O) {
+        let loads = self.code.exprs.global_loads(e);
+        if loads.is_empty() {
+            return;
+        }
         let loc = self.loc(t);
-        let held = &self.threads[t.index()].held;
-        e.visit(&mut |x| {
-            if let Expr::Load(Place::Global(g)) = x {
-                obs.on_global_access(t, *g, false, loc, held);
-            }
-        });
+        for &g in loads {
+            obs.on_global_access(t, g, false, loc, &self.s.held[t.index()]);
+        }
     }
 
-    fn store(&mut self, t: ThreadId, place: Place, value: i64, obs: &mut dyn Observer) {
+    fn store<O: Observer + ?Sized>(&mut self, t: ThreadId, place: Place, value: i64, obs: &mut O) {
         match place {
-            Place::Local(l) => self.threads[t.index()].locals[l.index()] = value,
+            Place::Local(l) => {
+                let frame = self.frame(t);
+                self.s.locals[frame][l.index()] = value;
+            }
             Place::Global(g) => {
                 let loc = self.loc(t);
-                obs.on_global_access(t, g, true, loc, &self.threads[t.index()].held);
-                self.globals[g.index()] = value;
+                obs.on_global_access(t, g, true, loc, &self.s.held[t.index()]);
+                self.s.globals[g.index()] = value;
             }
+        }
+    }
+
+    /// A program lock's slot is its id; a gate's follows them, at the
+    /// position of the first overlay gate with its id. Any other id (a
+    /// gate may list one among its locks) has no slot and no owner.
+    fn slot(&self, lock: LockId) -> Option<usize> {
+        if lock.0 < self.n_locks {
+            return Some(lock.index());
+        }
+        let i = (self.overlay.lock_gates.iter()).position(|g| g.gate == lock)?;
+        Some(self.n_locks as usize + i)
+    }
+
+    fn owner(&self, lock: LockId) -> Option<ThreadId> {
+        self.slot(lock).and_then(|slot| self.s.owner[slot])
+    }
+
+    fn holds(&self, t: ThreadId, lock: LockId) -> bool {
+        self.owner(lock) == Some(t)
+    }
+
+    fn set_status(&mut self, t: ThreadId, status: Status) {
+        let was = std::mem::replace(&mut self.s.threads[t.index()].status, status);
+        let runnable = &mut self.s.runnable;
+        match (was == Status::Runnable, status == Status::Runnable) {
+            (true, false) => runnable.retain(|&u| u != t),
+            (false, true) => {
+                let at = runnable.partition_point(|&u| u < t);
+                runnable.insert(at, t);
+            }
+            _ => {}
         }
     }
 
@@ -522,34 +706,33 @@ impl Machine<'_> {
     /// * `Ok(true)` — acquired;
     /// * `Ok(false)` — blocked (status updated);
     /// * `Err(outcome)` — immediate deadlock detected.
-    fn acquire(
+    fn acquire<O: Observer + ?Sized>(
         &mut self,
         t: ThreadId,
         lock: LockId,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<bool, Outcome> {
-        match self.locks.get(&lock) {
+        match self.owner(lock) {
             None => {
-                self.locks.insert(lock, t);
-                self.threads[t.index()].held.insert(lock);
-                let loc = self.loc(t);
-                obs.on_lock_acquired(t, lock, loc);
+                let slot = self.slot(lock).expect(ACQUIRABLE);
+                self.s.owner[slot] = Some(t);
+                let held = &mut self.s.held[t.index()];
+                let at = held.partition_point(|&l| l < lock);
+                held.insert(at, lock);
+                obs.on_lock_acquired(t, lock, self.loc(t));
                 Ok(true)
             }
-            Some(owner) if *owner == t => {
-                // Non-reentrant mutex: self-deadlock.
-                Err(Outcome::Deadlock {
-                    cycle: vec![(t, lock)],
-                })
-            }
+            // Non-reentrant mutex: self-deadlock.
+            Some(owner) if owner == t => Err(Outcome::Deadlock {
+                cycle: vec![(t, lock)],
+            }),
             Some(owner) => {
-                let owner = *owner;
                 obs.on_lock_blocked(t, lock, owner);
-                self.threads[t.index()].status = Status::Blocked(lock);
-                if let Some(cycle) = self.find_cycle(t, lock) {
-                    return Err(Outcome::Deadlock { cycle });
+                self.set_status(t, Status::Blocked(lock));
+                match self.find_cycle(t, lock) {
+                    Some(cycle) => Err(Outcome::Deadlock { cycle }),
+                    None => Ok(false),
                 }
-                Ok(false)
             }
         }
     }
@@ -562,8 +745,8 @@ impl Machine<'_> {
         lock: LockId,
     ) -> impl Iterator<Item = (ThreadId, LockId)> + '_ {
         std::iter::successors(Some((start, lock)), move |&(_, l)| {
-            let owner = *self.locks.get(&l)?;
-            match self.threads[owner.index()].status {
+            let owner = self.owner(l)?;
+            match self.s.threads[owner.index()].status {
                 Status::Blocked(next) => Some((owner, next)),
                 _ => None,
             }
@@ -583,187 +766,173 @@ impl Machine<'_> {
         Some(chain().take(len).collect())
     }
 
-    fn release(&mut self, t: ThreadId, lock: LockId, obs: &mut dyn Observer) {
-        self.locks.remove(&lock);
-        self.threads[t.index()].held.remove(&lock);
+    fn release<O: Observer + ?Sized>(&mut self, t: ThreadId, lock: LockId, obs: &mut O) {
+        let slot = self.slot(lock).expect(ACQUIRABLE);
+        self.s.owner[slot] = None;
+        self.s.held[t.index()].retain(|&l| l != lock);
         obs.on_lock_released(t, lock);
         // Wake all waiters; they re-attempt acquisition when scheduled.
-        for (i, ts) in self.threads.iter_mut().enumerate() {
-            if ts.status == Status::Blocked(lock) && i != t.index() {
-                ts.status = Status::Runnable;
+        for i in 0..self.s.threads.len() {
+            if self.s.threads[i].status == Status::Blocked(lock) && i != t.index() {
+                self.set_status(ThreadId::new(i as u32), Status::Runnable);
             }
         }
     }
 
     /// Releases gates whose protected locks are no longer held by `t`.
-    fn release_stale_gates(&mut self, t: ThreadId, obs: &mut dyn Observer) {
-        let held = &self.threads[t.index()].held;
-        let mut stale = std::mem::take(&mut self.stale_gates);
+    fn release_stale_gates<O: Observer + ?Sized>(&mut self, t: ThreadId, obs: &mut O) {
+        let mut stale = std::mem::take(&mut self.s.stale);
         stale.extend(
-            self.overlay
-                .lock_gates
-                .iter()
-                .filter(|g| held.contains(&g.gate) && g.locks.iter().all(|l| !held.contains(l)))
+            (self.overlay.lock_gates.iter())
+                .filter(|g| self.holds(t, g.gate) && g.locks.iter().all(|&l| !self.holds(t, l)))
                 .map(|g| g.gate),
         );
         for &gate in &stale {
             self.release(t, gate, obs);
         }
         stale.clear();
-        self.stale_gates = stale;
+        self.s.stale = stale;
+    }
+
+    #[inline]
+    fn jump(&mut self, t: ThreadId, to: Target) {
+        let ts = &mut self.s.threads[t.index()];
+        (ts.at, ts.stmt) = (to, 0);
     }
 
     /// Executes one step of thread `t`. Returns a terminal outcome if the
     /// whole execution ends.
-    fn step(
-        &mut self,
-        t: ThreadId,
-        env: &mut dyn EnvModel,
-        obs: &mut dyn Observer,
-    ) -> Option<Outcome> {
+    fn step<E, O>(&mut self, t: ThreadId, env: &mut E, obs: &mut O) -> Option<Outcome>
+    where
+        E: EnvModel + ?Sized,
+        O: Observer + ?Sized,
+    {
         let ti = t.index();
-        let block = self.threads[ti].block;
-        let stmt_idx = self.threads[ti].stmt;
-        // Borrowed for the program's lifetime, not `self`'s, so the step
-        // reads statements in place while mutating the machine.
-        let program = self.program;
-        let blk = &program.threads[ti].blocks[block as usize];
+        let ts = self.s.threads[ti];
+        let pc = (ts.at.base + ts.stmt) as usize;
+        let op = self.code.ops[pc];
+        let is_term = matches!(op, Op::Goto(_) | Op::Branch { .. } | Op::Exit);
 
         // Site guards fire before the statement/terminator at their Loc.
-        if let Some(guard) = self.overlay.guard_at(self.loc(t)) {
+        // Their predicates are evaluated by the reference evaluator.
+        let guard = self.s.guard_of.get(pc);
+        if let Some(guard) = guard.and_then(|&g| self.overlay.guards.get(g as usize)) {
+            let view = ThreadView {
+                locals: &self.s.locals[self.frame(t)],
+                globals: &self.s.globals,
+                inputs: self.inputs,
+            };
             // A guard whose predicate faults is treated as not firing.
-            let fired = self.eval(t, &guard.when).unwrap_or(0) != 0;
+            let fired = expr::eval(&guard.when, &view).unwrap_or(0) != 0;
             obs.on_guard_eval(t, self.loc(t), fired);
             if fired {
                 self.overlay_hits += 1;
                 obs.on_overlay_hit(t, "guard");
                 match guard.action {
-                    GuardAction::SkipStmt => {
-                        if stmt_idx < blk.stmts.len() as u32 {
-                            self.threads[ti].stmt += 1;
-                        } else {
-                            // Skipping a terminator means exiting the thread.
-                            self.thread_done(t, obs);
-                        }
+                    // Falls through to execute the original statement.
+                    GuardAction::SetPlace(place, value) => self.store(t, place, value, obs),
+                    GuardAction::SkipStmt if !is_term => {
+                        self.s.threads[ti].stmt += 1;
                         return None;
                     }
-                    GuardAction::ExitThread => {
+                    // Skipping a terminator means exiting the thread.
+                    GuardAction::SkipStmt | GuardAction::ExitThread => {
                         self.thread_done(t, obs);
                         return None;
                     }
-                    GuardAction::SetPlace(place, value) => {
-                        self.store(t, place, value, obs);
-                        // Fall through to execute the original statement.
-                    }
                 }
             }
         }
 
-        if stmt_idx < blk.stmts.len() as u32 {
-            match blk.stmts[stmt_idx as usize] {
-                Stmt::Assign(place, ref e) => {
-                    self.observe_reads(t, e, obs);
-                    match self.eval(t, e) {
-                        Ok(v) => self.store(t, place, v, obs),
-                        Err(f) => return Some(self.fault_outcome(t, f)),
-                    }
-                    self.threads[ti].stmt += 1;
+        match op {
+            Op::Assign(place, e) => {
+                self.observe_reads(t, e, obs);
+                match self.eval(t, e) {
+                    Ok(v) => self.store(t, place, v, obs),
+                    Err(f) => return Some(self.fault_outcome(t, f)),
                 }
-                Stmt::Lock(lock) => {
-                    // Deadlock-immunity gates: acquire required gates first,
-                    // one per step, without advancing the pc.
-                    let missing_gate = self
-                        .overlay
-                        .gates_for(lock)
-                        .map(|g| g.gate)
-                        .find(|gate| !self.threads[ti].held.contains(gate));
-                    if let Some(gate) = missing_gate {
+            }
+            Op::Lock(lock) => {
+                // Deadlock-immunity gates: acquire required gates first,
+                // one per step, without advancing the pc.
+                let missing_gate = (self.overlay.gates_for(lock))
+                    .map(|g| g.gate)
+                    .find(|&gate| !self.holds(t, gate));
+                let acquired = match missing_gate {
+                    Some(gate) => {
                         self.overlay_hits += 1;
                         obs.on_overlay_hit(t, "gate");
-                        match self.acquire(t, gate, obs) {
-                            Ok(_) => {} // acquired or blocked; retry stmt next step
-                            Err(outcome) => return Some(outcome),
-                        }
-                        return None;
+                        self.acquire(t, gate, obs).map(|_| false)
                     }
-                    match self.acquire(t, lock, obs) {
-                        Ok(true) => self.threads[ti].stmt += 1,
-                        Ok(false) => {} // blocked; pc unchanged
-                        Err(outcome) => return Some(outcome),
-                    }
+                    None => self.acquire(t, lock, obs),
+                };
+                match acquired {
+                    Ok(true) => {}
+                    // Blocked, or a gate taken: the pc stays.
+                    Ok(false) => return None,
+                    Err(outcome) => return Some(outcome),
                 }
-                Stmt::Unlock(lock) => {
-                    if !self.threads[ti].held.contains(&lock) {
+            }
+            Op::Unlock(lock) => {
+                if !self.holds(t, lock) {
+                    return Some(Outcome::Crash {
+                        loc: self.loc(t),
+                        kind: CrashKind::UnlockNotHeld,
+                    });
+                }
+                self.release(t, lock, obs);
+                self.release_stale_gates(t, obs);
+            }
+            Op::Syscall(kind, arg, ret) => {
+                self.observe_reads(t, arg, obs);
+                let a = match self.eval(t, arg) {
+                    Ok(v) => v,
+                    Err(f) => return Some(self.fault_outcome(t, f)),
+                };
+                let r = env.call(t, kind, a, self.n_syscalls);
+                self.n_syscalls += 1;
+                obs.on_syscall(t, kind, a, r);
+                self.store(t, ret, r, obs);
+            }
+            Op::Assert(e) => {
+                self.observe_reads(t, e, obs);
+                match self.eval(t, e) {
+                    Ok(0) => {
                         return Some(Outcome::Crash {
                             loc: self.loc(t),
-                            kind: CrashKind::UnlockNotHeld,
-                        });
+                            kind: CrashKind::AssertFailed,
+                        })
                     }
-                    self.release(t, lock, obs);
-                    self.release_stale_gates(t, obs);
-                    self.threads[ti].stmt += 1;
-                }
-                Stmt::Syscall { kind, ref arg, ret } => {
-                    self.observe_reads(t, arg, obs);
-                    let a = match self.eval(t, arg) {
-                        Ok(v) => v,
-                        Err(f) => return Some(self.fault_outcome(t, f)),
-                    };
-                    let r = env.call(t, kind, a, self.syscall_index);
-                    self.syscall_index += 1;
-                    self.n_syscalls += 1;
-                    obs.on_syscall(t, kind, a, r);
-                    self.store(t, ret, r, obs);
-                    self.threads[ti].stmt += 1;
-                }
-                Stmt::Assert(ref e) => {
-                    self.observe_reads(t, e, obs);
-                    match self.eval(t, e) {
-                        Ok(0) => {
-                            return Some(Outcome::Crash {
-                                loc: self.loc(t),
-                                kind: CrashKind::AssertFailed,
-                            })
-                        }
-                        Ok(_) => self.threads[ti].stmt += 1,
-                        Err(f) => return Some(self.fault_outcome(t, f)),
-                    }
-                }
-                Stmt::Emit(ref e) => {
-                    self.observe_reads(t, e, obs);
-                    match self.eval(t, e) {
-                        Ok(v) => {
-                            self.emitted.push((t, v));
-                            obs.on_emit(t, v);
-                        }
-                        Err(f) => return Some(self.fault_outcome(t, f)),
-                    }
-                    self.threads[ti].stmt += 1;
-                }
-                Stmt::Yield => {
-                    self.threads[ti].stmt += 1;
+                    Ok(_) => {}
+                    Err(f) => return Some(self.fault_outcome(t, f)),
                 }
             }
-            return None;
-        }
-
-        // Terminator.
-        match blk.term {
-            Terminator::Goto(target) => {
-                self.threads[ti].block = target.0;
-                self.threads[ti].stmt = 0;
+            Op::Emit(e) => {
+                self.observe_reads(t, e, obs);
+                match self.eval(t, e) {
+                    Ok(v) => {
+                        self.emitted.push((t, v));
+                        obs.on_emit(t, v);
+                    }
+                    Err(f) => return Some(self.fault_outcome(t, f)),
+                }
             }
-            Terminator::Branch {
+            Op::Yield => {}
+            Op::Goto(target) => {
+                self.jump(t, target);
+                return None;
+            }
+            Op::Branch {
                 site,
-                ref cond,
+                dependent,
+                cond,
                 then_bb,
                 else_bb,
             } => {
                 // Hang bounds count header entries.
-                if let Some(bound) = self.overlay.bound_for(t, crate::ids::BlockId::new(block)) {
-                    let visits = self.threads[ti].header_visits.entry(block).or_insert(0);
-                    *visits += 1;
-                    if *visits > bound.max_iters {
+                if let Some(i) = self.overlay.bound_for(t, BlockId::new(ts.at.block)) {
+                    self.s.header_visits[i] += 1;
+                    if self.s.header_visits[i] > self.overlay.loop_bounds[i].max_iters {
                         self.overlay_hits += 1;
                         obs.on_overlay_hit(t, "loop-bound");
                         self.thread_done(t, obs);
@@ -771,32 +940,32 @@ impl Machine<'_> {
                     }
                 }
                 self.observe_reads(t, cond, obs);
-                let v = match self.eval(t, cond) {
-                    Ok(v) => v,
+                let taken = match self.eval(t, cond) {
+                    Ok(v) => v != 0,
                     Err(f) => return Some(self.fault_outcome(t, f)),
                 };
-                let taken = v != 0;
                 self.n_branches += 1;
-                obs.on_branch(t, site, taken, self.deps.is_dependent(site));
-                self.threads[ti].block = if taken { then_bb.0 } else { else_bb.0 };
-                self.threads[ti].stmt = 0;
+                obs.on_branch(t, site, taken, dependent);
+                self.jump(t, if taken { then_bb } else { else_bb });
+                return None;
             }
-            Terminator::Exit => {
+            Op::Exit => {
                 self.thread_done(t, obs);
+                return None;
             }
         }
+        self.s.threads[ti].stmt += 1;
         None
     }
 
     /// Marks a thread finished, releasing any locks it still holds so that
     /// exits (graceful or overlay-forced) never strand waiters.
-    fn thread_done(&mut self, t: ThreadId, obs: &mut dyn Observer) {
-        // `release` removes exactly `lock` from `held`: ascending order, as
-        // iterating a snapshot would give.
-        while let Some(&lock) = self.threads[t.index()].held.first() {
+    fn thread_done<O: Observer + ?Sized>(&mut self, t: ThreadId, obs: &mut O) {
+        // `release` removes exactly `lock` from the ascending held list.
+        while let Some(&lock) = self.s.held[t.index()].first() {
             self.release(t, lock, obs);
         }
-        self.threads[t.index()].status = Status::Done;
+        self.set_status(t, Status::Done);
     }
 }
 
@@ -805,7 +974,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::cfg::{global, local, SyscallKind};
-    use crate::expr::BinOp;
+    use crate::expr::{BinOp, Expr};
     use crate::overlay::{LockGate, LoopBound, SiteGuard, GHOST_LOCK_BASE};
     use crate::sched::{RandomSched, RoundRobin, ScriptSched};
     use crate::syscall::{DefaultEnv, ScriptEnv};
@@ -1039,10 +1208,73 @@ mod tests {
         }
     }
 
+    /// Lock events in order: `(thread, lock, acquired)`.
+    #[derive(Default)]
+    struct LockTape(Vec<(u32, u32, bool)>);
+
+    impl Observer for LockTape {
+        fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, _loc: Loc) {
+            self.0.push((thread.0, lock.0, true));
+        }
+        fn on_lock_released(&mut self, thread: ThreadId, lock: LockId) {
+            self.0.push((thread.0, lock.0, false));
+        }
+    }
+
+    #[test]
+    fn a_gate_listing_an_unknown_lock_treats_it_as_unheld() {
+        // Overlays arrive as decoded data: a gate may list a lock the
+        // program does not have. Nobody ever holds it, so the gate is
+        // released as soon as its holder drops the program's lock.
+        let mut pb = ProgramBuilder::new("one-lock");
+        pb.locks(1);
+        for k in 0..2 {
+            pb.thread(move |t| {
+                t.lock(0).emit(Expr::Const(k)).unlock(0);
+            });
+        }
+        let p = pb.build().unwrap();
+        let gate = GHOST_LOCK_BASE;
+        let mut overlay = Overlay::empty();
+        overlay.lock_gates.push(LockGate {
+            gate: LockId::new(gate),
+            locks: [LockId::new(0), LockId::new(7)].into_iter().collect(),
+        });
+        let mut tape = LockTape::default();
+        let r = Executor::new(&p)
+            .run(
+                &[],
+                &mut DefaultEnv::seeded(0),
+                &mut RoundRobin::new(),
+                &overlay,
+                &mut tape,
+            )
+            .unwrap();
+        assert_eq!(r.outcome, Outcome::Success);
+        assert_eq!(r.emitted_values(), vec![0, 1]);
+        assert_eq!(
+            r.overlay_hits, 3,
+            "a gate attempt per step: taken, blocked, retaken"
+        );
+        assert_eq!(
+            tape.0,
+            [
+                (0, gate, true),
+                (0, 0, true),
+                (0, 0, false),
+                (0, gate, false),
+                (1, gate, true),
+                (1, 0, true),
+                (1, 0, false),
+                (1, gate, false),
+            ]
+        );
+    }
+
     #[test]
     fn random_schedules_find_the_inversion_deadlock() {
         let p = lock_inversion_program();
-        let exec = Executor::new(&p);
+        let mut exec = Executor::new(&p);
         let mut deadlocks = 0;
         for seed in 0..200 {
             let r = exec
@@ -1118,7 +1350,7 @@ mod tests {
             );
         });
         let p = pb.build().unwrap();
-        let exec = Executor::new(&p).with_config(ExecConfig { max_steps: 5_000 });
+        let mut exec = Executor::new(&p).with_config(ExecConfig { max_steps: 5_000 });
         let ok = exec
             .run(
                 &[0],
@@ -1161,7 +1393,7 @@ mod tests {
             header,
             max_iters: 50,
         });
-        let exec = Executor::new(&p).with_config(ExecConfig { max_steps: 5_000 });
+        let mut exec = Executor::new(&p).with_config(ExecConfig { max_steps: 5_000 });
         let r = exec
             .run(
                 &[0], // condition never becomes false -> would hang
@@ -1303,7 +1535,7 @@ mod tests {
     #[test]
     fn replay_reproduces_a_random_run_exactly() {
         let p = lock_inversion_program();
-        let exec = Executor::new(&p);
+        let mut exec = Executor::new(&p);
         for seed in 0..20 {
             let mut sched = RandomSched::seeded(seed);
             let r1 = exec
@@ -1340,7 +1572,7 @@ mod tests {
                 g: GlobalId,
                 w: bool,
                 _loc: Loc,
-                held: &BTreeSet<LockId>,
+                held: &[LockId],
             ) {
                 self.0.push((g.0, w, held.len()));
             }

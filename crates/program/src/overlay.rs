@@ -144,11 +144,13 @@ impl Overlay {
         self.guards.iter().find(|g| g.loc == loc)
     }
 
-    /// Finds a loop bound for `(thread, header)`, if any.
-    pub fn bound_for(&self, thread: ThreadId, header: BlockId) -> Option<&LoopBound> {
+    /// The index in `loop_bounds` of the first bound for
+    /// `(thread, header)` — the one that counts — if any.
+    #[inline]
+    pub fn bound_for(&self, thread: ThreadId, header: BlockId) -> Option<usize> {
         self.loop_bounds
             .iter()
-            .find(|b| b.thread == thread && b.header == header)
+            .position(|b| b.thread == thread && b.header == header)
     }
 
     /// Allocates a fresh ghost lock id not used by any existing gate.

@@ -9,7 +9,7 @@
 
 use crate::ids::ThreadId;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Picks the next thread to run among the runnable ones.
@@ -35,6 +35,7 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
+    #[inline]
     fn pick(&mut self, runnable: &[ThreadId], _step: u64) -> ThreadId {
         let next = match self.last {
             None => runnable[0],
@@ -57,9 +58,16 @@ pub struct RandomSched {
 impl RandomSched {
     /// Creates a random scheduler from a seed.
     pub fn seeded(seed: u64) -> Self {
+        Self::with_picks(seed, Vec::new())
+    }
+
+    /// Like [`seeded`](Self::seeded), recording picks into `picks`
+    /// (cleared first) so a caller can reuse one buffer across runs.
+    pub fn with_picks(seed: u64, mut picks: Vec<ThreadId>) -> Self {
+        picks.clear();
         RandomSched {
             rng: SmallRng::seed_from_u64(seed),
-            picks: Vec::new(),
+            picks,
         }
     }
 
@@ -75,10 +83,24 @@ impl RandomSched {
 }
 
 impl Scheduler for RandomSched {
+    #[inline]
     fn pick(&mut self, runnable: &[ThreadId], _step: u64) -> ThreadId {
-        let t = runnable[self.rng.gen_range(0..runnable.len())];
+        let t = uniform(&mut self.rng, runnable);
         self.picks.push(t);
         t
+    }
+}
+
+/// `runnable[rng.gen_range(0..runnable.len())]`; a forced pick still
+/// draws, keeping the stream aligned, but skips the division.
+#[inline]
+fn uniform(rng: &mut SmallRng, runnable: &[ThreadId]) -> ThreadId {
+    match runnable {
+        [only] => {
+            rng.next_u64();
+            *only
+        }
+        _ => runnable[rng.gen_range(0..runnable.len())],
     }
 }
 
@@ -101,6 +123,12 @@ impl ScriptSched {
         }
     }
 
+    /// Starts the script over, as a fresh [`ScriptSched::new`] would.
+    pub fn rewind(&mut self) {
+        self.pos = 0;
+        self.fallback = RoundRobin::new();
+    }
+
     /// Number of scripted picks consumed so far.
     pub fn consumed(&self) -> usize {
         self.pos
@@ -108,6 +136,7 @@ impl ScriptSched {
 }
 
 impl Scheduler for ScriptSched {
+    #[inline]
     fn pick(&mut self, runnable: &[ThreadId], step: u64) -> ThreadId {
         if let Some(t) = self.script.get(self.pos) {
             self.pos += 1;
@@ -172,7 +201,7 @@ impl Scheduler for PrioritySched {
                 .find(|t| runnable.contains(t))
                 .unwrap_or(&runnable[0])
         } else {
-            runnable[self.rng.gen_range(0..runnable.len())]
+            uniform(&mut self.rng, runnable)
         };
         self.picks.push(t);
         t

@@ -80,6 +80,22 @@ impl DefaultEnv {
         }
     }
 
+    /// Starts over under `config`, as [`new`](Self::new) would, keeping
+    /// the log's allocation.
+    pub fn reset(&mut self, config: EnvConfig) {
+        let mut log = std::mem::take(&mut self.log);
+        log.clear();
+        *self = DefaultEnv {
+            log,
+            ..DefaultEnv::new(config)
+        };
+    }
+
+    /// The configuration the environment runs under.
+    pub fn config(&self) -> &EnvConfig {
+        &self.config
+    }
+
     /// Creates a fault-free environment with the given seed.
     pub fn seeded(seed: u64) -> Self {
         DefaultEnv::new(EnvConfig {

@@ -40,7 +40,7 @@ proptest! {
         gp.program.validate().expect("generated programs validate");
         let mut rng = SmallRng::seed_from_u64(input_seed);
         let inputs = sample_inputs(gp.program.n_inputs, gp.input_range, &mut rng);
-        let exec = Executor::new(&gp.program).with_config(ExecConfig { max_steps: 5_000 });
+        let mut exec = Executor::new(&gp.program).with_config(ExecConfig { max_steps: 5_000 });
         let r = exec
             .run(
                 &inputs,
@@ -101,8 +101,8 @@ proptest! {
         });
         let mut rng = SmallRng::seed_from_u64(run_seed);
         let inputs = sample_inputs(gp.program.n_inputs, gp.input_range, &mut rng);
-        let exec = Executor::new(&gp.program).with_config(ExecConfig { max_steps: 5_000 });
-        let run = |exec: &Executor<'_>| {
+        let mut exec = Executor::new(&gp.program).with_config(ExecConfig { max_steps: 5_000 });
+        let run = |exec: &mut Executor<'_>| {
             exec.run(
                 &inputs,
                 &mut DefaultEnv::seeded(run_seed),
@@ -112,8 +112,8 @@ proptest! {
             )
             .expect("arity")
         };
-        let a = run(&exec);
-        let b = run(&exec);
+        let a = run(&mut exec);
+        let b = run(&mut exec);
         prop_assert_eq!(a, b, "identical seeds must replay identically");
     }
 }

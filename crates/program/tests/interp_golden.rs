@@ -21,7 +21,6 @@ use softborg_program::sched::{RandomSched, ScriptSched};
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{BlockId, BranchSiteId, GlobalId, Loc, LockId, ProgramId, ThreadId};
 use softborg_trace::{RecordingPolicy, TraceRecorder};
-use std::collections::BTreeSet;
 
 /// Folds every callback into a running hash and forwards it to a real
 /// recorder, so both the callback order and the recorded trace are pinned.
@@ -75,7 +74,7 @@ impl Observer for Tape {
         g: GlobalId,
         is_write: bool,
         loc: Loc,
-        held: &BTreeSet<LockId>,
+        held: &[LockId],
     ) {
         self.fold(7, &[t.0.into(), g.0.into(), is_write.into()]);
         self.fold(7, &loc_words(loc));
@@ -206,7 +205,7 @@ fn digest(kind: BugKind) -> u64 {
         ..GenConfig::default()
     });
     let p = &gp.program;
-    let exec = Executor::new(p).with_config(ExecConfig { max_steps: 2_000 });
+    let mut exec = Executor::new(p).with_config(ExecConfig { max_steps: 2_000 });
     let n_threads = p.threads.len() as u32;
     let mut h = FNV_OFFSET;
     for overlay in overlays(&gp) {

@@ -380,12 +380,7 @@ pub fn reconstruct(
                 then_bb,
                 else_bb,
             } => {
-                let block_id = BlockId::new(threads[ti].block);
-                let bound = overlay
-                    .loop_bounds
-                    .iter()
-                    .position(|b| b.thread == t && b.header == block_id);
-                if let Some(i) = bound {
+                if let Some(i) = overlay.bound_for(t, BlockId::new(threads[ti].block)) {
                     header_visits[i] += 1;
                     if header_visits[i] > overlay.loop_bounds[i].max_iters {
                         thread_done(&mut threads, &mut locks, t);
@@ -550,7 +545,7 @@ mod tests {
         overlay: &Overlay,
         policy: RecordingPolicy,
     ) {
-        let exec = Executor::new(program).with_config(ExecConfig { max_steps: 20_000 });
+        let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: 20_000 });
         let multi = program.threads.len() > 1;
         let mut obs = Both {
             rec: TraceRecorder::new(program.id(), policy, 0, multi),

@@ -9,14 +9,14 @@ use crate::record::{ExecutionTrace, GlobalAccessSummary, RecordingPolicy};
 use softborg_program::cfg::{Loc, SyscallKind};
 use softborg_program::interp::{Observer, Outcome};
 use softborg_program::{BranchSiteId, GlobalId, LockId, ProgramId, ThreadId};
-use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Default)]
 struct GlobalStats {
     reader_mask: u32,
     writer_mask: u32,
-    /// `None` until the first access, then the running intersection.
-    lockset: Option<BTreeSet<u32>>,
+    /// `None` until the first access, then the running intersection
+    /// (ascending).
+    lockset: Option<Vec<u32>>,
 }
 
 /// Records by-products during one execution. See the [module docs](self).
@@ -32,9 +32,12 @@ pub struct TraceRecorder {
     schedule: Vec<u32>,
     dep_counter: u64,
     n_branches: u64,
-    held: BTreeMap<u32, BTreeSet<u32>>,
-    lock_pairs: BTreeSet<(u32, u32)>,
-    globals: BTreeMap<u32, GlobalStats>,
+    /// `(thread, lock)` for every lock held.
+    held: Vec<(u32, u32)>,
+    /// Distinct `(held, then acquired)` pairs, ascending.
+    lock_pairs: Vec<(u32, u32)>,
+    /// Indexed by global id; a global never accessed has both masks zero.
+    globals: Vec<GlobalStats>,
 }
 
 impl TraceRecorder {
@@ -60,9 +63,9 @@ impl TraceRecorder {
             schedule: Vec::new(),
             dep_counter: 0,
             n_branches: 0,
-            held: BTreeMap::new(),
-            lock_pairs: BTreeSet::new(),
-            globals: BTreeMap::new(),
+            held: Vec::new(),
+            lock_pairs: Vec::new(),
+            globals: Vec::new(),
         }
     }
 
@@ -83,15 +86,14 @@ impl TraceRecorder {
             steps,
             outcome,
             overlay_version: self.overlay_version,
-            lock_pairs: self.lock_pairs.into_iter().collect(),
-            global_summaries: self
-                .globals
-                .into_iter()
-                .map(|(global, g)| GlobalAccessSummary {
+            lock_pairs: self.lock_pairs,
+            global_summaries: (self.globals.into_iter().zip(0..))
+                .filter(|(g, _)| g.reader_mask | g.writer_mask != 0)
+                .map(|(g, global)| GlobalAccessSummary {
                     global,
                     reader_mask: g.reader_mask,
                     writer_mask: g.writer_mask,
-                    lockset: g.lockset.unwrap_or_default().into_iter().collect(),
+                    lockset: g.lockset.unwrap_or_default(),
                 })
                 .collect(),
         }
@@ -99,6 +101,7 @@ impl TraceRecorder {
 }
 
 impl Observer for TraceRecorder {
+    #[inline]
     fn on_branch(
         &mut self,
         _thread: ThreadId,
@@ -128,6 +131,7 @@ impl Observer for TraceRecorder {
         }
     }
 
+    #[inline]
     fn on_schedule(&mut self, thread: ThreadId) {
         if self.multi_threaded && self.policy != RecordingPolicy::OutcomeOnly {
             self.schedule.push(thread.0);
@@ -147,17 +151,18 @@ impl Observer for TraceRecorder {
     }
 
     fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, _loc: Loc) {
-        let held = self.held.entry(thread.0).or_default();
-        for &h in held.iter() {
-            self.lock_pairs.insert((h, lock.0));
+        for &(t, h) in &self.held {
+            if t == thread.0 {
+                if let Err(at) = self.lock_pairs.binary_search(&(h, lock.0)) {
+                    self.lock_pairs.insert(at, (h, lock.0));
+                }
+            }
         }
-        held.insert(lock.0);
+        self.held.push((thread.0, lock.0));
     }
 
     fn on_lock_released(&mut self, thread: ThreadId, lock: LockId) {
-        if let Some(held) = self.held.get_mut(&thread.0) {
-            held.remove(&lock.0);
-        }
+        self.held.retain(|&held| held != (thread.0, lock.0));
     }
 
     fn on_global_access(
@@ -166,9 +171,13 @@ impl Observer for TraceRecorder {
         global: GlobalId,
         is_write: bool,
         _loc: Loc,
-        locks_held: &BTreeSet<LockId>,
+        locks_held: &[LockId],
     ) {
-        let g = self.globals.entry(global.0).or_default();
+        if self.globals.len() <= global.index() {
+            self.globals
+                .resize_with(global.index() + 1, GlobalStats::default);
+        }
+        let g = &mut self.globals[global.index()];
         let bit = 1u32 << (thread.0 % 32);
         if is_write {
             g.writer_mask |= bit;
@@ -279,15 +288,14 @@ mod tests {
     #[test]
     fn global_summary_intersects_locksets() {
         let mut r = TraceRecorder::new(ProgramId(1), RecordingPolicy::InputDependent, 0, true);
-        let with_lock: BTreeSet<LockId> = [LockId::new(3)].into_iter().collect();
-        let without: BTreeSet<LockId> = BTreeSet::new();
+        let with_lock = [LockId::new(3)];
         r.on_global_access(t0(), GlobalId::new(0), true, Loc::default(), &with_lock);
         r.on_global_access(
             ThreadId::new(1),
             GlobalId::new(0),
             false,
             Loc::default(),
-            &without,
+            &[],
         );
         let trace = r.finish(Outcome::Success, 2);
         assert_eq!(trace.global_summaries.len(), 1);
@@ -300,7 +308,7 @@ mod tests {
     #[test]
     fn consistent_lockset_survives_intersection() {
         let mut r = TraceRecorder::new(ProgramId(1), RecordingPolicy::InputDependent, 0, true);
-        let with_lock: BTreeSet<LockId> = [LockId::new(3)].into_iter().collect();
+        let with_lock = [LockId::new(3)];
         r.on_global_access(t0(), GlobalId::new(2), true, Loc::default(), &with_lock);
         r.on_global_access(
             ThreadId::new(1),

@@ -117,7 +117,7 @@ fn loop_bounds(program: &Program) -> Overlay {
 
 fn record(
     program: &Program,
-    exec: &Executor<'_>,
+    exec: &mut Executor<'_>,
     inputs: &[i64],
     seed: u64,
     overlay: &Overlay,
@@ -168,7 +168,7 @@ fn tampered(trace: &ExecutionTrace, n_threads: u32) -> Vec<ExecutionTrace> {
 /// Digest of every replay of `program`'s traces; adds the error kinds met
 /// to `seen`.
 fn digest(program: &Program, input_range: (i64, i64), seen: &mut BTreeSet<String>) -> u64 {
-    let exec = Executor::new(program).with_config(ExecConfig { max_steps: 4_000 });
+    let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: 4_000 });
     let n_threads = program.threads.len() as u32;
     let mut h = FNV_OFFSET;
     for overlay in [
@@ -183,7 +183,7 @@ fn digest(program: &Program, input_range: (i64, i64), seen: &mut BTreeSet<String
                     input_range,
                     &mut SmallRng::seed_from_u64(seed),
                 );
-                let trace = record(program, &exec, &inputs, seed, &overlay, policy);
+                let trace = record(program, &mut exec, &inputs, seed, &overlay, policy);
                 let mut replay = |t: &ExecutionTrace| {
                     let r = reconstruct(program, exec.dependence(), &overlay, t);
                     if let Err(e) = &r {

@@ -147,7 +147,7 @@ proptest! {
         } else {
             RecordingPolicy::InputDependent
         };
-        let exec = Executor::new(program).with_config(ExecConfig { max_steps: 5_000 });
+        let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: 5_000 });
         let mut obs = Both {
             rec: TraceRecorder::new(program.id(), policy, 0, program.threads.len() > 1),
             path: Vec::new(),

@@ -38,7 +38,7 @@ mod integration {
     #[test]
     fn exhaustive_triangle_tree_closes() {
         let s = scenarios::triangle();
-        let exec = Executor::new(&s.program);
+        let mut exec = Executor::new(&s.program);
         let mut tree = ExecutionTree::new(s.program.id());
         for a in 1..=6 {
             for b in 1..=6 {

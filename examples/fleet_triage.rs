@@ -40,7 +40,7 @@ fn main() {
     }
 
     let deps = InputDependence::compute(program);
-    let exec = Executor::new(program);
+    let mut exec = Executor::new(program);
     let mut rng = SmallRng::seed_from_u64(7);
     let mut tree = ExecutionTree::new(program.id());
     let mut ledger = FailureLedger::new();

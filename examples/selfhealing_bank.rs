@@ -20,7 +20,7 @@ use softborg::trace::{RecordingPolicy, TraceRecorder};
 fn main() {
     let scenario = scenarios::bank_transfer();
     let program = &scenario.program;
-    let exec = Executor::new(program);
+    let mut exec = Executor::new(program);
 
     // --- Stage 1: users run the bank; pods ship by-products. ------------
     let mut graph = LockOrderGraph::new();

@@ -14,6 +14,10 @@
 //! the round report's reads (one summary, then coverage and the proof
 //! count) of a 100-node and a 10,000-node tree; guidance's frontier pass
 //! and the digest may differ by the doubling of one growing buffer.
+//!
+//! Two gates pin counts outright: after its first run, an executor
+//! running a program that emits nothing allocates nothing, and a warm
+//! pod's `closed_loop` execution allocates only the buffers it returns.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +29,8 @@ use softborg_program::cfg::{global, local, Stmt};
 use softborg_program::expr::{BinOp, Expr, Place};
 use softborg_program::interp::{CrashKind, ExecConfig, Executor, Observer, Outcome};
 use softborg_program::overlay::{GuardAction, LockGate, Overlay, SiteGuard, GHOST_LOCK_BASE};
-use softborg_program::sched::RandomSched;
+use softborg_program::scenarios;
+use softborg_program::sched::{RandomSched, RoundRobin};
 use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ProgramId, ThreadId};
@@ -225,6 +230,68 @@ fn pod_run_once_allocations_do_not_scale_with_blocking_acquires() {
         .expect("arity");
     assert!(blocks.0 >= 100, "only {} blocking acquires", blocks.0);
     assert_flat(None, &program);
+}
+
+/// An executor keeps its tables between runs: after the first, running
+/// a program that emits nothing allocates nothing at all — no overlay,
+/// or a guard and a gate.
+#[test]
+fn executor_runs_after_the_first_do_not_allocate() {
+    let program = looping_program();
+    let mut exec = Executor::new(&program).with_config(ExecConfig { max_steps: 100_000 });
+    for overlay in [Overlay::empty(), guard_and_gate(&program)] {
+        let mut run = || {
+            exec.run(
+                &[100],
+                &mut DefaultEnv::seeded(1),
+                &mut RoundRobin::new(),
+                &overlay,
+                &mut Blocks(0),
+            )
+            .expect("arity")
+        };
+        let first = run();
+        assert_eq!(first.outcome, Outcome::Success);
+        let (allocs, again) = allocs_of(run);
+        assert_eq!(again, first);
+        assert_eq!(allocs, 0, "a run after the first allocated {allocs} times");
+    }
+}
+
+/// Allocations one `closed_loop` execution makes once its pod's passing
+/// corpus is full: the trace's branch bits and the emitted stream. A run
+/// that keeps a failing case also copies its inputs and schedule and may
+/// grow the corpus.
+const TOKEN_PARSER_RUN_ALLOCS: u64 = 2;
+const KEPT_CASE_ALLOCS: u64 = 3;
+
+#[test]
+fn pod_run_once_allocates_only_what_it_returns() {
+    let s = scenarios::token_parser();
+    let mut pod = Pod::new(
+        &s.program,
+        PodConfig {
+            input_range: s.input_range,
+            ..PodConfig::default()
+        },
+    );
+    for _ in 0..200 {
+        pod.run_once();
+    }
+    assert_eq!(pod.passing_cases().len(), 16, "the passing corpus is full");
+    for _ in 0..400 {
+        let kept = pod.failing_cases().len();
+        let (allocs, run) = allocs_of(|| pod.run_once());
+        let bound = match pod.failing_cases().len() - kept {
+            0 => TOKEN_PARSER_RUN_ALLOCS,
+            _ => TOKEN_PARSER_RUN_ALLOCS + KEPT_CASE_ALLOCS,
+        };
+        assert!(
+            allocs <= bound,
+            "a warm token_parser run ({}) allocated {allocs} times",
+            run.result.outcome
+        );
+    }
 }
 
 /// Allocations made by reconstructing the loop's trace at `iterations`,

@@ -126,7 +126,7 @@ fn infeasibility_marks_are_sound_on_triangle() {
             }
         }
         pub fn exhaustive_paths(program: &Program) -> Vec<Vec<(BranchSiteId, bool)>> {
-            let exec = Executor::new(program);
+            let mut exec = Executor::new(program);
             let mut out = Vec::new();
             for a in 1..=20 {
                 for b in 1..=20 {
