@@ -135,14 +135,13 @@ fn bench_tree_reads(c: &mut Criterion) {
             })
         });
         // What `MultiPlatform::finish_round` pays per lane: the plan,
-        // then one summary for the report's coverage and proof count.
+        // then the report's coverage and proof count.
         group.bench_function(id("round_reads"), |b| {
             b.iter(|| {
                 let (plan, _) =
                     frontier::plan_with_crash_seeds(&s.program, &mut tree, &planner, &crash_seeds);
-                let summary = tree.summary();
-                let coverage = tree.coverage_from(&summary);
-                (plan.directives.len(), coverage, summary.proven_subtrees())
+                let proofs = tree.summary().proven_subtrees();
+                (plan.directives.len(), tree.coverage(), proofs)
             })
         });
     }

@@ -217,11 +217,14 @@ impl<'p> Fleet<'p> {
         }
     }
 
-    /// Pushes the hive's current overlay to every pod.
+    /// Pushes the hive's current overlay to every pod that holds an
+    /// older one (cloning it only for those; a pod ignores the rest).
     pub(crate) fn install_overlay(&mut self, hive: &Hive<'p>) {
         let (overlay, version) = hive.current_overlay();
         for pod in &mut self.pods {
-            pod.install_fix(overlay.clone(), version);
+            if version > pod.overlay_version() {
+                pod.install_fix(overlay.clone(), version);
+            }
         }
     }
 

@@ -139,19 +139,29 @@ pub fn plan_with_crash_seeds(
         ..PlanStats::default()
     };
     // The top `max_targets` arms by (finite) score, ties in frontier
-    // order: a stable sort then truncate, without sorting every arm.
+    // order (what a stable sort then truncate picks), kept ranked in one
+    // walk of the tree's frontier index. The rank is a total order, so
+    // the walk's order changes only how many arms are inserted.
     let by_rank = |a: &FrontierArm, b: &FrontierArm| {
         let key = |x: &FrontierArm| (x.node, x.site, x.missing_taken);
         arm_score(b)
             .total_cmp(&arm_score(a))
             .then(key(a).cmp(&key(b)))
     };
-    let mut frontier = tree.frontier();
-    if frontier.len() > config.max_targets {
-        frontier.select_nth_unstable_by(config.max_targets, by_rank);
+    let mut frontier: Vec<FrontierArm> = Vec::new();
+    tree.for_each_frontier_arm_rev(|arm| {
+        // No room, or ranked below the last arm kept.
+        if frontier.len() == config.max_targets
+            && frontier
+                .last()
+                .is_none_or(|last| by_rank(last, &arm).is_lt())
+        {
+            return;
+        }
+        let at = frontier.partition_point(|t| by_rank(t, &arm).is_lt());
+        frontier.insert(at, arm);
         frontier.truncate(config.max_targets);
-    }
-    frontier.sort_unstable_by(by_rank);
+    });
 
     let single_threaded = program.threads.len() == 1;
 

@@ -477,10 +477,9 @@ impl<'p> Hive<'p> {
     }
 
     /// What a round report reads: [`coverage`](Self::coverage) and
-    /// `self.proofs().len()`, from one summary of the tree.
+    /// `self.proofs().len()`, both kept current by the tree. O(1).
     pub fn coverage_and_proof_count(&self) -> (CoverageStats, u64) {
-        let summary = self.tree.summary();
-        (self.tree.coverage_from(&summary), summary.proven_subtrees())
+        (self.tree.coverage(), self.tree.summary().proven_subtrees())
     }
 
     /// Serializes the hive's complete mutable state — tree (with outcome

@@ -95,7 +95,7 @@ impl std::error::Error for ProofError {}
 /// closed parent subsumes its children) with their visit counts, in
 /// publication order: a walk from the root that stops at every proven
 /// subtree (the summary counts them; this walk orders them).
-fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary) -> Vec<(NodeId, u64)> {
+fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary<'_>) -> Vec<(NodeId, u64)> {
     let mut roots = Vec::new();
     let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {

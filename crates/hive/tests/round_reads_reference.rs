@@ -1,7 +1,7 @@
-//! A round reads each tree once: `ExecutionTree::summary` counts the
-//! distinct sites, the open frontier arms, the closed nodes and the
-//! maximal proven subtrees in its two sweeps, and guidance ranks only
-//! the arms it targets. This suite holds those reads to their old
+//! A round report reads each tree in O(1): the tree keeps the sites,
+//! the open frontier arms, the closed nodes and the maximal proven
+//! subtrees current as it changes, and guidance ranks only the arms it
+//! targets. This suite holds those reads to their old
 //! definitions, kept here as the reference: a `HashSet` of sites, an
 //! open-arm count over `sites()`, the proof walk from the root, and a
 //! stable sort of the whole frontier then truncate.
@@ -176,8 +176,7 @@ proptest! {
             let closed = (0..tree.node_count())
                 .filter(|&i| summary.is_closed(NodeId(i as u32)))
                 .count();
-            let coverage = tree.coverage_from(&summary);
-            prop_assert_eq!(coverage, tree.coverage(), "{}", kind);
+            let coverage = tree.coverage();
             prop_assert_eq!(coverage.sites_seen, sites, "{}", kind);
             prop_assert_eq!(coverage.frontier_arms, open, "{}", kind);
             prop_assert_eq!(coverage.closed_fraction, closed as f64 / tree.node_count() as f64);

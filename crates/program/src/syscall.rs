@@ -65,8 +65,6 @@ pub struct DefaultEnv {
     config: EnvConfig,
     clock: i64,
     next_fd: i64,
-    /// Recorded `(kind, ret)` pairs, available after the run for tracing.
-    log: Vec<(SyscallKind, i64)>,
 }
 
 impl DefaultEnv {
@@ -76,19 +74,12 @@ impl DefaultEnv {
             config,
             clock: 1_000,
             next_fd: 3,
-            log: Vec::new(),
         }
     }
 
-    /// Starts over under `config`, as [`new`](Self::new) would, keeping
-    /// the log's allocation.
+    /// Starts over under `config`, as [`new`](Self::new) would.
     pub fn reset(&mut self, config: EnvConfig) {
-        let mut log = std::mem::take(&mut self.log);
-        log.clear();
-        *self = DefaultEnv {
-            log,
-            ..DefaultEnv::new(config)
-        };
+        *self = DefaultEnv::new(config);
     }
 
     /// The configuration the environment runs under.
@@ -102,16 +93,6 @@ impl DefaultEnv {
             seed,
             ..EnvConfig::default()
         })
-    }
-
-    /// The `(kind, return)` log accumulated so far, in call order.
-    pub fn log(&self) -> &[(SyscallKind, i64)] {
-        &self.log
-    }
-
-    /// Consumes the environment and returns the syscall log.
-    pub fn into_log(self) -> Vec<(SyscallKind, i64)> {
-        self.log
     }
 
     /// A cheap deterministic hash stream: value for call `i` in `0..m`.
@@ -142,10 +123,9 @@ impl EnvModel for DefaultEnv {
             .iter()
             .find(|f| f.call_index == call_index)
         {
-            self.log.push((kind, f.ret));
             return f.ret;
         }
-        let ret = match kind {
+        match kind {
             SyscallKind::Read => {
                 let n = arg.max(0);
                 if n > 0
@@ -179,9 +159,7 @@ impl EnvModel for DefaultEnv {
                 self.clock
             }
             SyscallKind::Random => self.noise(call_index, 5, 256) as i64,
-        };
-        self.log.push((kind, ret));
-        ret
+        }
     }
 }
 
@@ -313,13 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn env_log_records_all_calls() {
+    fn env_returns_nominal_values_in_call_order() {
         let mut e = DefaultEnv::seeded(0);
-        e.call(t0(), SyscallKind::Read, 8, 0);
-        e.call(t0(), SyscallKind::Open, 0, 1);
-        let log = e.into_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0], (SyscallKind::Read, 8));
+        assert_eq!(e.call(t0(), SyscallKind::Read, 8, 0), 8);
+        assert_eq!(e.call(t0(), SyscallKind::Open, 0, 1), 3);
+        assert_eq!(e.call(t0(), SyscallKind::Open, 0, 2), 4);
     }
 
     #[test]

@@ -94,6 +94,61 @@ struct EdgeRec {
     child: NodeId,
 }
 
+/// A node's outgoing edges: up to two inline (a slot whose child is the
+/// root, no node's child, is unused), then on the heap behind one thin
+/// pointer, so the enum is 24 bytes.
+#[derive(Debug, Clone)]
+#[allow(clippy::box_collection)]
+enum Edges {
+    Inline([EdgeRec; 2]),
+    Spilled(Box<Vec<EdgeRec>>),
+}
+
+impl Edges {
+    const UNUSED: EdgeRec = EdgeRec {
+        site: BranchSiteId::new(0),
+        taken: false,
+        child: NodeId::ROOT,
+    };
+    const EMPTY: Edges = Edges::Inline([Self::UNUSED; 2]);
+
+    fn as_slice(&self) -> &[EdgeRec] {
+        match self {
+            Edges::Inline(edges) => {
+                let len = edges.iter().take_while(|e| e.child != NodeId::ROOT);
+                &edges[..len.count()]
+            }
+            Edges::Spilled(edges) => edges,
+        }
+    }
+
+    fn push(&mut self, e: EdgeRec) {
+        match self {
+            Edges::Inline([a, _]) if a.child == NodeId::ROOT => *a = e,
+            Edges::Inline([_, b]) if b.child == NodeId::ROOT => *b = e,
+            Edges::Inline([a, b]) => *self = Edges::Spilled(Box::new(vec![*a, *b, e])),
+            Edges::Spilled(edges) => edges.push(e),
+        }
+    }
+}
+
+/// A node's subtree, derived from its own record and its children's
+/// facts, kept current by every mutation and never serialised.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Facts {
+    /// Failure outcomes in the subtree (saturating).
+    failures: u64,
+    /// Nodes in the subtree, this one included.
+    nodes: u32,
+    /// Maximal proven subtrees: 1 if this node is provable, else the
+    /// sum over its children.
+    proven: u32,
+    /// Decisions from the root.
+    depth: u32,
+    /// Whether the subtree is closed ([`ExecutionTree::is_closed`]).
+    closed: bool,
+}
+
 /// A node of the execution tree: the state "after this decision prefix".
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Node {
@@ -101,29 +156,40 @@ pub struct Node {
     parent: Option<(NodeId, BranchSiteId, bool)>,
     /// Outgoing decision edges (usually one site with up to two arms;
     /// thread interleavings can surface different sites at one prefix).
-    edges: Vec<EdgeRec>,
-    /// Arms proven infeasible by symbolic analysis.
-    infeasible: Vec<(BranchSiteId, bool)>,
+    edges: Edges,
+    /// Arms proven infeasible by symbolic analysis (behind one thin
+    /// pointer: few nodes have any).
+    #[allow(clippy::box_collection)]
+    infeasible: Option<Box<Vec<(BranchSiteId, bool)>>>,
     /// Executions that passed through this node.
     pub visits: u64,
     /// Executions that *ended* at this node, by outcome.
     pub terminal: OutcomeTally,
+    facts: Facts,
 }
 
 impl Node {
     fn new(parent: Option<(NodeId, BranchSiteId, bool)>) -> Self {
         Node {
             parent,
-            edges: Vec::new(),
-            infeasible: Vec::new(),
+            edges: Edges::EMPTY,
+            infeasible: None,
             visits: 0,
             terminal: OutcomeTally::default(),
+            facts: Facts {
+                nodes: 1,
+                ..Facts::default()
+            },
         }
+    }
+
+    fn edges(&self) -> &[EdgeRec] {
+        self.edges.as_slice()
     }
 
     /// The child along `(site, taken)`, if explored.
     pub fn child(&self, site: BranchSiteId, taken: bool) -> Option<NodeId> {
-        self.edges
+        self.edges()
             .iter()
             .find(|e| e.site == site && e.taken == taken)
             .map(|e| e.child)
@@ -131,7 +197,7 @@ impl Node {
 
     /// Branch sites observed at this node.
     pub fn sites(&self) -> Vec<BranchSiteId> {
-        let mut s: Vec<BranchSiteId> = self.edges.iter().map(|e| e.site).collect();
+        let mut s: Vec<BranchSiteId> = self.edges().iter().map(|e| e.site).collect();
         s.sort();
         s.dedup();
         s
@@ -141,7 +207,7 @@ impl Node {
     /// child, if explored: sites ascending, `false` first (the order the
     /// digest and the proof walk visit children in), without allocating.
     pub fn for_each_arm(&self, mut f: impl FnMut(BranchSiteId, bool, Option<NodeId>)) {
-        let sites = || self.edges.iter().map(|e| e.site);
+        let sites = || self.edges().iter().map(|e| e.site);
         let mut next = sites().min();
         while let Some(site) = next {
             f(site, false, self.child(site, false));
@@ -152,7 +218,18 @@ impl Node {
 
     /// Whether `(site, taken)` has been proven infeasible here.
     pub fn is_infeasible(&self, site: BranchSiteId, taken: bool) -> bool {
-        self.infeasible.contains(&(site, taken))
+        self.marks().contains(&(site, taken))
+    }
+
+    fn marks(&self) -> &[(BranchSiteId, bool)] {
+        self.infeasible.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    fn mark_infeasible(&mut self, (site, taken): (BranchSiteId, bool)) {
+        if !self.is_infeasible(site, taken) {
+            let marks = self.infeasible.get_or_insert_with(Box::default);
+            marks.push((site, taken));
+        }
     }
 
     /// `true` when at least one execution terminated here.
@@ -163,8 +240,8 @@ impl Node {
     /// The one branch site every outgoing edge shares, if there are
     /// edges and they agree.
     fn single_site(&self) -> Option<BranchSiteId> {
-        let site = self.edges.first()?.site;
-        self.edges.iter().all(|e| e.site == site).then_some(site)
+        let site = self.edges().first()?.site;
+        self.edges().iter().all(|e| e.site == site).then_some(site)
     }
 
     /// Calls `f` for every arm of an observed site that is neither
@@ -177,10 +254,17 @@ impl Node {
         });
     }
 
+    /// How many arms [`for_each_open_arm`](Self::for_each_open_arm) visits.
+    fn open_arms(&self) -> u64 {
+        let mut open = 0;
+        self.for_each_open_arm(|_, _| open += 1);
+        open
+    }
+
     /// Whether this node's subtree is closed, given the closure of every
     /// child (the rule [`ExecutionTree::is_closed`] applies per node).
-    fn closed_given(&self, closed: &[bool]) -> bool {
-        if self.edges.is_empty() {
+    fn closed_given(&self, closed: impl Fn(NodeId) -> bool) -> bool {
+        if self.edges().is_empty() {
             return self.is_terminal();
         }
         // Interleaving-divergent nodes (multiple sites) cannot be
@@ -189,8 +273,7 @@ impl Node {
             return false;
         };
         [false, true].into_iter().all(|taken| {
-            self.is_infeasible(site, taken)
-                || self.child(site, taken).is_some_and(|c| closed[c.index()])
+            self.is_infeasible(site, taken) || self.child(site, taken).is_some_and(&closed)
         })
     }
 }
@@ -207,14 +290,14 @@ fn encode_node_into(n: &Node, buf: &mut Vec<u8>) {
             codec::put_u8(buf, u8::from(taken));
         }
     }
-    codec::put_u32(buf, n.edges.len() as u32);
-    for e in &n.edges {
+    codec::put_u32(buf, n.edges().len() as u32);
+    for e in n.edges() {
         codec::put_u32(buf, e.site.0);
         codec::put_u8(buf, u8::from(e.taken));
         codec::put_u32(buf, e.child.0);
     }
-    codec::put_u32(buf, n.infeasible.len() as u32);
-    for (site, taken) in &n.infeasible {
+    codec::put_u32(buf, n.marks().len() as u32);
+    for (site, taken) in n.marks() {
         codec::put_u32(buf, site.0);
         codec::put_u8(buf, u8::from(*taken));
     }
@@ -244,13 +327,20 @@ fn decode_node(r: &mut codec::Reader<'_>) -> Result<Node, CodecError> {
         }
     };
     let n_edges = r.seq_len("Node.edges", 9)?;
-    let mut edges = Vec::with_capacity(n_edges);
+    let mut edges = Edges::EMPTY;
     for _ in 0..n_edges {
-        edges.push(EdgeRec {
+        let edge = EdgeRec {
             site: BranchSiteId::new(r.u32("Edge.site")?),
             taken: r.u8("Edge.taken")? != 0,
             child: NodeId(r.u32("Edge.child")?),
-        });
+        };
+        // An inline slot holding the root reads as unused; no edge may
+        // lead to it (`check_links` refuses every backward edge).
+        if edge.child == NodeId::ROOT {
+            let (what, len) = ("Edge.child", 0);
+            return Err(CodecError::BadLen { what, len });
+        }
+        edges.push(edge);
     }
     let n_inf = r.seq_len("Node.infeasible", 5)?;
     let mut infeasible = Vec::with_capacity(n_inf);
@@ -261,7 +351,7 @@ fn decode_node(r: &mut codec::Reader<'_>) -> Result<Node, CodecError> {
     Ok(Node {
         parent,
         edges,
-        infeasible,
+        infeasible: (!infeasible.is_empty()).then(|| Box::new(infeasible)),
         visits: r.u64("Node.visits")?,
         terminal: OutcomeTally {
             success: r.u64("Tally.success")?,
@@ -269,6 +359,7 @@ fn decode_node(r: &mut codec::Reader<'_>) -> Result<Node, CodecError> {
             deadlock: r.u64("Tally.deadlock")?,
             hang: r.u64("Tally.hang")?,
         },
+        facts: Facts::default(),
     })
 }
 
@@ -378,44 +469,49 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Per-node facts about a tree and the counts a round reports, derived
-/// from the whole arena in two linear sweeps ([`ExecutionTree::summary`])
-/// instead of one walk per node. A summary describes the tree at the
-/// moment it was computed: it is transient, never serialised, and never
-/// kept across a mutation.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct TreeSummary {
-    subtree_nodes: Vec<u32>,
-    subtree_failures: Vec<u64>,
-    closed: Vec<bool>,
-    closed_nodes: u64,
-    frontier_arms: u64,
-    sites_seen: u64,
-    proven_subtrees: u64,
+/// A view of the facts a tree keeps current ([`ExecutionTree::summary`]),
+/// every read O(1). Two are equal when every node's facts and every count
+/// agree: how a tree is held to a fresh derivation of itself (an
+/// [`encode_into`](ExecutionTree::encode_into) → [`decode`](ExecutionTree::decode) round trip).
+#[derive(Clone, Copy)]
+pub struct TreeSummary<'a> {
+    tree: &'a ExecutionTree,
 }
 
-impl TreeSummary {
+impl TreeSummary<'_> {
     /// Nodes in the subtree rooted at `node`, itself included.
     pub fn subtree_nodes(&self, node: NodeId) -> u64 {
-        u64::from(self.subtree_nodes[node.index()])
+        u64::from(self.tree.nodes[node.index()].facts.nodes)
     }
 
     /// Failure outcomes recorded in the subtree of `node`
     /// ([`ExecutionTree::subtree_failures`]).
     pub fn subtree_failures(&self, node: NodeId) -> u64 {
-        self.subtree_failures[node.index()]
+        self.tree.nodes[node.index()].facts.failures
     }
 
     /// Whether the subtree of `node` is closed
     /// ([`ExecutionTree::is_closed`]).
     pub fn is_closed(&self, node: NodeId) -> bool {
-        self.closed[node.index()]
+        self.tree.nodes[node.index()].facts.closed
     }
 
     /// Maximal closed, failure-free, visited subtrees (a closed parent
     /// subsumes its children): the proofs a hive publishes over the tree.
     pub fn proven_subtrees(&self) -> u64 {
-        self.proven_subtrees
+        u64::from(self.tree.nodes[0].facts.proven)
+    }
+}
+
+impl PartialEq for TreeSummary<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.tree, other.tree);
+        (a.closed_nodes, a.open_arms, &a.sites, &a.open_nodes)
+            == (b.closed_nodes, b.open_arms, &b.sites, &b.open_nodes)
+            && a.nodes
+                .iter()
+                .map(|n| n.facts)
+                .eq(b.nodes.iter().map(|n| n.facts))
     }
 }
 
@@ -434,6 +530,13 @@ pub struct ExecutionTree {
     dirty: BTreeSet<u32>,
     /// Path hashes first seen since the last snapshot.
     fresh_hashes: Vec<u64>,
+    /// Kept current like each node's facts, never serialised: closed
+    /// nodes, open arms, the nodes with an open arm (the frontier index)
+    /// and the branch sites on any edge.
+    closed_nodes: u64,
+    open_arms: u64,
+    open_nodes: BTreeSet<u32>,
+    sites: BTreeSet<BranchSiteId>,
 }
 
 impl ExecutionTree {
@@ -448,6 +551,10 @@ impl ExecutionTree {
             clean_len: 1,
             dirty: BTreeSet::new(),
             fresh_hashes: Vec::new(),
+            closed_nodes: 0,
+            open_arms: 0,
+            open_nodes: BTreeSet::new(),
+            sites: BTreeSet::new(),
         }
     }
 
@@ -503,6 +610,10 @@ impl ExecutionTree {
     /// [`merge_path`](Self::merge_path) with the path's [`path_hash`]
     /// already computed, so a caller that merges the same path many
     /// times (the ingest memo) hashes it once.
+    ///
+    /// The walk down counts the visit (and a failure) at every node; facts
+    /// are re-derived, from the end of the path up, only where it created
+    /// a node, first ended at one, or first entered or failed a closed one.
     pub fn merge_path_hashed(
         &mut self,
         decisions: &[(BranchSiteId, bool)],
@@ -511,35 +622,36 @@ impl ExecutionTree {
     ) -> MergeStats {
         debug_assert_eq!(hash, path_hash(decisions, outcome));
         self.paths_merged += 1;
+        let failing = !matches!(outcome, Outcome::Success);
+        // The shallowest depth whose node's own provability changed; the
+        // re-derivation must reach it (u32::MAX: none did).
+        let mut reach = u32::MAX;
         let mut cur = NodeId::ROOT;
         let mut new_nodes = 0u64;
         let mut lca_depth = 0u64;
-        self.touch(cur);
-        self.nodes[cur.index()].visits += 1;
-        for (depth, (site, taken)) in decisions.iter().enumerate() {
-            match self.nodes[cur.index()].child(*site, *taken) {
+        self.visit(cur, failing, &mut reach);
+        for (depth, &(site, taken)) in decisions.iter().enumerate() {
+            cur = match self.nodes[cur.index()].child(site, taken) {
                 Some(child) => {
-                    cur = child;
                     lca_depth = depth as u64 + 1;
+                    child
                 }
                 None => {
-                    let child = NodeId(self.nodes.len() as u32);
-                    self.nodes.push(Node::new(Some((cur, *site, *taken))));
-                    self.touch(cur);
-                    self.nodes[cur.index()].edges.push(EdgeRec {
-                        site: *site,
-                        taken: *taken,
-                        child,
-                    });
                     new_nodes += 1;
-                    cur = child;
+                    self.splice(cur, site, taken)
                 }
-            }
-            self.touch(cur);
-            self.nodes[cur.index()].visits += 1;
+            };
+            self.visit(cur, failing, &mut reach);
         }
         self.touch(cur);
-        self.nodes[cur.index()].terminal.add(outcome);
+        let leaf = &mut self.nodes[cur.index()];
+        if !leaf.is_terminal() {
+            reach = reach.min(leaf.facts.depth);
+        }
+        leaf.terminal.add(outcome);
+        if reach != u32::MAX {
+            self.rederive_up(cur, reach);
+        }
 
         let new_path = self.path_hashes.insert(hash);
         if new_path {
@@ -554,13 +666,119 @@ impl ExecutionTree {
         }
     }
 
+    /// Counts one execution through `id`; a closed node's first visit or
+    /// failure may change its provability, so `reach` drops to its depth.
+    fn visit(&mut self, id: NodeId, failing: bool, reach: &mut u32) {
+        self.touch(id);
+        let n = &mut self.nodes[id.index()];
+        if n.facts.closed && (n.visits == 0 || (failing && n.facts.failures == 0)) {
+            *reach = (*reach).min(n.facts.depth);
+        }
+        n.visits += 1;
+        if failing {
+            n.facts.failures = n.facts.failures.saturating_add(1);
+        }
+    }
+
+    /// Appends a child of `parent` along `(site, taken)`: an unvisited leaf.
+    fn splice(&mut self, parent: NodeId, site: BranchSiteId, taken: bool) -> NodeId {
+        let child = NodeId(self.nodes.len() as u32);
+        let mut node = Node::new(Some((parent, site, taken)));
+        node.facts.depth = self.nodes[parent.index()].facts.depth + 1;
+        self.nodes.push(node);
+        self.touch(parent);
+        self.update_open(parent, |n| n.edges.push(EdgeRec { site, taken, child }));
+        self.sites.insert(site);
+        child
+    }
+
+    /// Changes node `id`'s edges or marks, keeping the open arms current.
+    fn update_open(&mut self, id: NodeId, change: impl FnOnce(&mut Node)) {
+        let n = &mut self.nodes[id.index()];
+        let before = n.open_arms();
+        change(n);
+        let after = n.open_arms();
+        self.open_arms = self.open_arms - before + after;
+        if before == 0 && after > 0 {
+            self.open_nodes.insert(id.0);
+        } else if before > 0 && after == 0 {
+            self.open_nodes.remove(&id.0);
+        }
+    }
+
+    /// Node `id`'s facts from its own record and its children's facts.
+    fn derived_facts(&self, id: NodeId) -> Facts {
+        let n = &self.nodes[id.index()];
+        let mut f = Facts {
+            failures: n.terminal.failures(),
+            nodes: 1,
+            proven: 0,
+            depth: n.facts.depth,
+            closed: n.closed_given(|c| self.nodes[c.index()].facts.closed),
+        };
+        for e in n.edges() {
+            let c = self.nodes[e.child.index()].facts;
+            f.failures = f.failures.saturating_add(c.failures);
+            f.nodes += c.nodes;
+            f.proven += c.proven;
+        }
+        if f.closed && f.failures == 0 && n.visits > 0 {
+            f.proven = 1;
+        }
+        f
+    }
+
+    /// Re-derives `from` and its ancestors until one at depth `reach` or
+    /// above comes out unchanged: nothing above it can have changed.
+    fn rederive_up(&mut self, from: NodeId, reach: u32) {
+        let mut id = from;
+        loop {
+            let facts = self.derived_facts(id);
+            let n = &mut self.nodes[id.index()];
+            let old = std::mem::replace(&mut n.facts, facts);
+            self.closed_nodes = self.closed_nodes - u64::from(old.closed) + u64::from(facts.closed);
+            match n.parent {
+                Some((parent, ..)) if old != facts || facts.depth > reach => id = parent,
+                _ => return,
+            }
+        }
+    }
+
+    /// Derives all facts from scratch: depths root down, the rest from the
+    /// last node up (children follow their parents). [`decode`](Self::decode)
+    /// and [`absorb`](Self::absorb) end with it, so a decoded tree is the
+    /// oracle for the kept-current facts.
+    fn derive(&mut self) {
+        for i in 1..self.nodes.len() {
+            if let Some((parent, ..)) = self.nodes[i].parent {
+                self.nodes[i].facts.depth = self.nodes[parent.index()].facts.depth + 1;
+            }
+        }
+        (self.closed_nodes, self.open_arms) = (0, 0);
+        self.open_nodes.clear();
+        self.sites.clear();
+        for i in (0..self.nodes.len()).rev() {
+            let facts = self.derived_facts(NodeId(i as u32));
+            let n = &mut self.nodes[i];
+            n.facts = facts;
+            self.closed_nodes += u64::from(facts.closed);
+            let open = n.open_arms();
+            if open > 0 {
+                self.open_nodes.insert(i as u32);
+                self.open_arms += open;
+            }
+            self.sites.extend(n.edges().iter().map(|e| e.site));
+        }
+    }
+
     /// Marks an arm as proven infeasible (from symbolic analysis).
     pub fn mark_infeasible(&mut self, node: NodeId, site: BranchSiteId, taken: bool) {
         self.touch(node);
-        let n = &mut self.nodes[node.index()];
-        if !n.infeasible.contains(&(site, taken)) {
-            n.infeasible.push((site, taken));
+        if self.nodes[node.index()].is_infeasible(site, taken) {
+            return;
         }
+        self.update_open(node, |n| n.mark_infeasible((site, taken)));
+        self.rederive_up(node, u32::MAX);
     }
 
     /// The decision prefix leading to `node` (root-first).
@@ -575,78 +793,42 @@ impl ExecutionTree {
         out
     }
 
-    /// Derives subtree size, subtree failures and closure for every
-    /// node, and the counts coverage and proofs read. Children are always
-    /// allocated after their parents (an invariant [`decode`](Self::decode)
-    /// and [`apply_delta`](Self::apply_delta) enforce on outside bytes),
-    /// so one sweep from the last node to the root sees every child
-    /// before its parent, and one from the root down every parent before
-    /// its child: O(nodes), in a fixed number of allocations.
-    pub fn summary(&self) -> TreeSummary {
-        let len = self.nodes.len();
-        let mut s = TreeSummary {
-            subtree_nodes: vec![1; len],
-            subtree_failures: vec![0; len],
-            closed: vec![false; len],
-            ..TreeSummary::default()
-        };
-        // Sites are a program's dense indices, so a bitmap of 65,536
-        // holds them; only forged bytes name one past it.
-        let (mut sites, mut sites_past) = (vec![0u64; 1 << 10], Vec::new());
-        for (i, n) in self.nodes.iter().enumerate().rev() {
-            let mut failures = n.terminal.failures();
-            for e in &n.edges {
-                let c = e.child.index();
-                s.subtree_nodes[i] += s.subtree_nodes[c];
-                failures = failures.saturating_add(s.subtree_failures[c]);
-                match sites.get_mut(e.site.0 as usize / 64) {
-                    Some(word) => *word |= 1 << (e.site.0 % 64),
-                    None => sites_past.push(e.site),
-                }
-            }
-            s.subtree_failures[i] = failures;
-            s.closed[i] = n.closed_given(&s.closed);
-            s.closed_nodes += u64::from(s.closed[i]);
-            n.for_each_open_arm(|_, _| s.frontier_arms += 1);
-        }
-        sites_past.sort_unstable();
-        sites_past.dedup();
-        let bits: u32 = sites.iter().map(|w| w.count_ones()).sum();
-        s.sites_seen = u64::from(bits) + sites_past.len() as u64;
-        // A node roots a proven subtree when it is provable and no
-        // ancestor is (where a root walk stopping at provable nodes ends).
-        let mut under_proof = vec![false; len];
-        for (i, n) in self.nodes.iter().enumerate() {
-            let provable = s.closed[i] && s.subtree_failures[i] == 0 && n.visits > 0;
-            let covered = n.parent.is_some_and(|(p, ..)| under_proof[p.index()]);
-            s.proven_subtrees += u64::from(provable && !covered);
-            under_proof[i] = covered || provable;
-        }
-        s
+    /// The tree's kept-current facts (per node and the proof count). O(1).
+    pub fn summary(&self) -> TreeSummary<'_> {
+        TreeSummary { tree: self }
     }
 
-    /// Enumerates unexplored arms: nodes where one direction of an
-    /// observed site has been taken but the other is neither explored nor
-    /// infeasible, in one sweep from the root (parents, and so depths, first).
+    /// Enumerates unexplored arms: one direction of an observed site taken,
+    /// the other neither explored nor infeasible; in node order, reading
+    /// only the nodes the frontier index holds.
     pub fn frontier(&self) -> Vec<FrontierArm> {
-        let mut depth = vec![0u32; self.nodes.len()];
         let mut out = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some((parent, ..)) = n.parent {
-                depth[i] = depth[parent.index()] + 1;
-            }
-            let node = NodeId(i as u32);
-            n.for_each_open_arm(|site, missing_taken| {
-                out.push(FrontierArm {
-                    node,
-                    site,
-                    missing_taken,
-                    depth: u64::from(depth[i]),
-                    visits: n.visits,
-                });
-            });
+        for &i in &self.open_nodes {
+            self.open_arms_of(i, &mut |arm| out.push(arm));
         }
         out
+    }
+
+    /// Calls `f` for every arm [`frontier`](Self::frontier) lists, last
+    /// node first: deepest first along any path, so a caller keeping the
+    /// best few by depth turns most away at one comparison each.
+    pub fn for_each_frontier_arm_rev(&self, mut f: impl FnMut(FrontierArm)) {
+        for &i in self.open_nodes.iter().rev() {
+            self.open_arms_of(i, &mut f);
+        }
+    }
+
+    fn open_arms_of(&self, i: u32, f: &mut impl FnMut(FrontierArm)) {
+        let n = &self.nodes[i as usize];
+        n.for_each_open_arm(|site, missing_taken| {
+            f(FrontierArm {
+                node: NodeId(i),
+                site,
+                missing_taken,
+                depth: u64::from(n.facts.depth),
+                visits: n.visits,
+            });
+        });
     }
 
     /// Whether the subtree rooted at `node` is *closed*: every observed
@@ -672,7 +854,7 @@ impl ExecutionTree {
             // interleaving-divergent node (multiple sites) never closes:
             // unseen schedules may surface yet more arms.
             let Some(site) = n.single_site() else {
-                memo[node.index()] = Some(n.edges.is_empty() && n.is_terminal());
+                memo[node.index()] = Some(n.edges().is_empty() && n.is_terminal());
                 continue;
             };
             if !expanded {
@@ -702,27 +884,20 @@ impl ExecutionTree {
         while let Some(id) = stack.pop() {
             let n = &self.nodes[id.index()];
             sum += n.terminal.failures();
-            stack.extend(n.edges.iter().map(|e| e.child));
+            stack.extend(n.edges().iter().map(|e| e.child));
         }
         sum
     }
 
-    /// Coverage summary.
+    /// Coverage summary, read from the kept-current counts. O(1).
     pub fn coverage(&self) -> CoverageStats {
-        self.coverage_from(&self.summary())
-    }
-
-    /// Coverage summary read from a [`summary`](Self::summary) of this
-    /// tree as it is now.
-    pub fn coverage_from(&self, summary: &TreeSummary) -> CoverageStats {
-        debug_assert_eq!(summary.closed.len(), self.nodes.len());
         CoverageStats {
             nodes: self.node_count(),
             distinct_paths: self.distinct_paths,
-            sites_seen: summary.sites_seen,
+            sites_seen: self.sites.len() as u64,
             paths_merged: self.paths_merged,
-            frontier_arms: summary.frontier_arms,
-            closed_fraction: summary.closed_nodes as f64 / summary.closed.len() as f64,
+            frontier_arms: self.open_arms,
+            closed_fraction: self.closed_nodes as f64 / self.nodes.len() as f64,
         }
     }
 
@@ -745,7 +920,7 @@ impl ExecutionTree {
                 Item::Enter(node) => {
                     let n = &self.nodes[node.index()];
                     h = fnv1a_step(h, &[u8::from(n.is_terminal())]);
-                    h = fnv1a_step(h, &(n.edges.len() as u64).to_le_bytes());
+                    h = fnv1a_step(h, &(n.edges().len() as u64).to_le_bytes());
                     stack.push(Item::Exit);
                     // Hash labels in (site, arm) order; reverse the
                     // pushed children so traversal visits them in it.
@@ -777,12 +952,10 @@ impl ExecutionTree {
             let n = &mut self.nodes[mine.index()];
             n.visits += their_node.visits;
             n.terminal.merge(&their_node.terminal);
-            for inf in &their_node.infeasible {
-                if !n.infeasible.contains(inf) {
-                    n.infeasible.push(*inf);
-                }
+            for &arm in their_node.marks() {
+                n.mark_infeasible(arm);
             }
-            for e in &their_node.edges {
+            for e in their_node.edges() {
                 let child = match self.nodes[mine.index()].child(e.site, e.taken) {
                     Some(c) => c,
                     None => {
@@ -806,6 +979,7 @@ impl ExecutionTree {
                 self.fresh_hashes.push(*h);
             }
         }
+        self.derive();
     }
 
     /// Serializes the full tree (structure *and* tallies, unlike
@@ -857,19 +1031,18 @@ impl ExecutionTree {
         for _ in 0..n_hashes {
             path_hashes.insert(r.u64("Tree.path_hash")?);
         }
-        let tree = ExecutionTree {
-            program,
+        let mut tree = ExecutionTree {
             clean_len: nodes.len(),
             nodes,
             paths_merged,
             distinct_paths,
             path_hashes,
-            dirty: BTreeSet::new(),
-            fresh_hashes: Vec::new(),
+            ..ExecutionTree::new(program)
         };
         for i in 0..n_nodes {
             tree.check_links(i)?;
         }
+        tree.derive();
         Ok(tree)
     }
 
@@ -886,8 +1059,7 @@ impl ExecutionTree {
                 len: id.index(),
             })
         };
-        let Node { parent, edges, .. } = &self.nodes[i];
-        let parent = *parent;
+        let (parent, edges) = (self.nodes[i].parent, self.nodes[i].edges());
         match parent {
             None if i == 0 => {}
             Some((p, ..)) if p.index() < i => {}
@@ -963,7 +1135,8 @@ impl ExecutionTree {
     /// Returns a typed [`DeltaError`] on malformed input, a program
     /// mismatch, or a base mismatch; the tree is left unchanged only on
     /// the pre-checks (program/base) — a codec error mid-apply leaves it
-    /// partially patched, so callers discard the tree on error.
+    /// partially patched, its facts stale, so callers discard the tree
+    /// on error.
     pub fn apply_delta(&mut self, r: &mut codec::Reader<'_>) -> Result<(), DeltaError> {
         let program = r.u64("TreeDelta.program")?;
         if program != self.program.0 {
@@ -996,27 +1169,44 @@ impl ExecutionTree {
                     len: idx as usize,
                 }));
             }
-            let node = decode_node(r)?;
-            // A node never changes parents, so edges of unpatched nodes
-            // that point at this one stay true.
+            let mut node = decode_node(r)?;
+            // A node never changes parents or loses an edge, so edges of
+            // unpatched nodes that point at this one stay true, and so do
+            // the sites seen.
             let slot = &mut self.nodes[idx as usize];
+            let len = idx as usize;
+            let bad = |what| DeltaError::Codec(CodecError::BadLen { what, len });
             if slot.parent != node.parent {
-                return Err(DeltaError::Codec(CodecError::BadLen {
-                    what: "TreeDelta.dirty.parent",
-                    len: idx as usize,
-                }));
+                return Err(bad("TreeDelta.dirty.parent"));
             }
-            *slot = node;
+            if !node.edges().starts_with(slot.edges()) {
+                return Err(bad("TreeDelta.dirty.edges"));
+            }
+            node.facts = slot.facts;
+            let new_edges = &node.edges()[slot.edges().len()..];
+            self.sites.extend(new_edges.iter().map(|e| e.site));
+            self.update_open(NodeId(idx), |n| *n = node);
             patched.push(idx as usize);
         }
-        for _ in from_len..to_len {
-            self.nodes.push(decode_node(r)?);
+        for i in from_len..to_len {
+            let node = decode_node(r)?;
+            self.sites.extend(node.edges().iter().map(|e| e.site));
+            self.nodes.push(Node::new(None));
+            self.update_open(NodeId(i), |n| *n = node);
         }
-        for i in patched
-            .into_iter()
-            .chain(from_len as usize..to_len as usize)
-        {
+        let appended = from_len as usize..to_len as usize;
+        for i in patched.iter().copied().chain(appended.clone()) {
             self.check_links(i)?;
+        }
+        // Only these records changed: re-derive them, children first, and
+        // the ancestors whose facts change.
+        for i in appended.clone() {
+            if let Some((parent, ..)) = self.nodes[i].parent {
+                self.nodes[i].facts.depth = self.nodes[parent.index()].facts.depth + 1;
+            }
+        }
+        for i in appended.rev().chain(patched.into_iter().rev()) {
+            self.rederive_up(NodeId(i as u32), u32::MAX);
         }
         self.paths_merged = r.u64("TreeDelta.paths_merged")?;
         self.distinct_paths = r.u64("TreeDelta.distinct_paths")?;
@@ -1034,12 +1224,13 @@ impl ExecutionTree {
             .nodes
             .iter()
             .map(|n| {
+                let spilled = if n.edges().len() > 2 { n.edges() } else { &[] };
                 std::mem::size_of::<Node>()
-                    + n.edges.len() * std::mem::size_of::<EdgeRec>()
-                    + n.infeasible.len() * std::mem::size_of::<(BranchSiteId, bool)>()
+                    + std::mem::size_of_val(spilled)
+                    + std::mem::size_of_val(n.marks())
             })
             .sum();
-        nodes + self.path_hashes.len() * 8
+        nodes + self.path_hashes.len() * 8 + (self.open_nodes.len() + self.sites.len()) * 4
     }
 }
 
@@ -1220,6 +1411,37 @@ mod tests {
         t.merge_path(&path(&[(5, true)]), &Outcome::Success);
         t.merge_path(&path(&[(5, false)]), &Outcome::Success);
         assert!(!t.is_closed(NodeId::ROOT));
+    }
+
+    #[test]
+    fn a_first_failure_below_a_closed_node_reaches_it() {
+        // The root closes because its explored `true` arm is marked
+        // infeasible, though the node on that arm still has an open arm.
+        let mut t = ExecutionTree::new(ProgramId(1));
+        t.merge_path(&path(&[(0, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(0, true), (1, true)]), &Outcome::Success);
+        t.mark_infeasible(NodeId::ROOT, s(0), true);
+        assert!(t.summary().is_closed(NodeId::ROOT));
+        assert_eq!(t.summary().proven_subtrees(), 1);
+        // A failing path ends at that open node: its own facts come out
+        // unchanged, yet the root above it is no longer provable.
+        t.merge_path(&path(&[(0, true)]), &crash());
+        assert_eq!(t.summary().proven_subtrees(), 2);
+    }
+
+    #[test]
+    fn a_first_visit_to_a_closed_node_reaches_it() {
+        // Decoded tallies need not agree with each other: here a closed
+        // root no execution passed through, so only its children prove.
+        let mut t = ExecutionTree::new(ProgramId(1));
+        t.merge_path(&path(&[(0, false)]), &Outcome::Success);
+        t.merge_path(&path(&[(0, true)]), &Outcome::Success);
+        t.nodes[0].visits = 0;
+        t.derive();
+        assert_eq!(t.summary().proven_subtrees(), 2);
+        // A known path: the leaf's facts do not change, the root's do.
+        t.merge_path(&path(&[(0, true)]), &Outcome::Success);
+        assert_eq!(t.summary().proven_subtrees(), 1);
     }
 
     #[test]

@@ -236,3 +236,21 @@ fn delta_with_forged_ids_is_rejected() {
         );
     }
 }
+
+#[test]
+fn delta_that_drops_an_edge_is_rejected() {
+    // Edges are only ever appended: a root rewritten without its edge to
+    // node 1 would leave node 1 a child no subtree counts.
+    let mut buf = Vec::new();
+    put_u64(&mut buf, PROGRAM);
+    put_u32(&mut buf, 2); // from
+    put_u32(&mut buf, 2); // to
+    put_u32(&mut buf, 1); // dirty nodes
+    put_u32(&mut buf, 0);
+    put_node(&mut buf, None, &[]);
+    put_counters(&mut buf);
+    assert_eq!(
+        apply(&buf).err(),
+        Some(DeltaError::Codec(bad_link("TreeDelta.dirty.edges", 0)))
+    );
+}

@@ -1,9 +1,10 @@
-//! `ExecutionTree::summary` is an optimisation of three per-node walks
-//! (`is_closed`, `subtree_failures`, a counted subtree) and `frontier`
-//! of a per-node depth walk. The walks stay in the crate as
-//! the small trusted reference; this suite holds the sweeps to them
-//! after arbitrary sequences of every operation that changes a tree, on
-//! live and delta-chained trees.
+//! `ExecutionTree::summary` reads facts the tree keeps current in place
+//! of three per-node walks (`is_closed`, `subtree_failures`, a counted
+//! subtree), and `frontier` reads its index in place of a per-node depth
+//! walk. The walks stay in the crate as the small trusted reference;
+//! this suite holds the kept-current facts to them after arbitrary
+//! sequences of every operation that changes a tree, on live and
+//! delta-chained trees.
 
 mod common;
 
@@ -103,7 +104,7 @@ proptest! {
         }
         // The delta-chained replica reads the same.
         let other = &trees.chained;
-        prop_assert_eq!(&other.summary(), &summary);
+        prop_assert!(other.summary() == summary);
         prop_assert_eq!(&other.frontier(), &frontier);
         prop_assert_eq!(other.coverage(), coverage);
     }

@@ -10,14 +10,16 @@
 //! single-thread loop's traces. Only the amortised doubling of growing
 //! buffers (schedule picks, trace bits, reconstructed decisions) may
 //! separate the two counts. Folding one prepared merge record into a
-//! hive 10 and 1,000 times must allocate exactly as often, and so must
-//! the round report's reads (one summary, then coverage and the proof
-//! count) of a 100-node and a 10,000-node tree; guidance's frontier pass
-//! and the digest may differ by the doubling of one growing buffer.
+//! hive 10 and 1,000 times must allocate exactly as often. Guidance's
+//! frontier pass and the digest of a 100-node and a 20,000-node tree may
+//! differ by the doubling of one growing buffer.
 //!
-//! Two gates pin counts outright: after its first run, an executor
-//! running a program that emits nothing allocates nothing, and a warm
-//! pod's `closed_loop` execution allocates only the buffers it returns.
+//! Some gates pin counts outright: after its first run, an executor
+//! running a program that emits nothing allocates nothing; a warm pod's
+//! `closed_loop` execution allocates only the buffers it returns; a
+//! hive's round report reads (coverage and the proof count) of a
+//! 20,000-node tree allocate nothing, and neither does merging a path
+//! the tree already holds.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -397,9 +399,9 @@ fn merge_record_folds_do_not_allocate_per_arrival() {
 /// decisions deep, one decision in sixteen on another site (as another
 /// interleaving would surface), one path in eight failing, and an
 /// infeasibility mark on one node in sixteen.
-fn tree_of(nodes: u64) -> ExecutionTree {
+fn tree_of(program: ProgramId, nodes: u64) -> ExecutionTree {
     let mut rng = SmallRng::seed_from_u64(nodes);
-    let mut tree = ExecutionTree::new(ProgramId(1));
+    let mut tree = ExecutionTree::new(program);
     while tree.node_count() < nodes {
         let path: Vec<_> = (0..12u32)
             .map(|d| {
@@ -427,6 +429,20 @@ fn tree_of(nodes: u64) -> ExecutionTree {
     tree
 }
 
+/// A hive of `program` holding `tree`: an empty hive's state bytes with
+/// `tree`'s encoding in place of the empty tree's.
+fn hive_with<'p>(program: &'p Program, tree: &ExecutionTree) -> Hive<'p> {
+    let empty = Hive::new(program, HiveConfig::default()).encode_state();
+    let mut empty_tree = Vec::new();
+    ExecutionTree::new(program.id()).encode_into(&mut empty_tree);
+    let (version, rest) = empty.split_at(1);
+    assert!(rest.starts_with(&empty_tree));
+    let mut state = version.to_vec();
+    tree.encode_into(&mut state);
+    state.extend_from_slice(&rest[empty_tree.len()..]);
+    Hive::decode_state(program, HiveConfig::default(), &state).expect("spliced state decodes")
+}
+
 /// Allocations made by `read`, and what it read.
 fn allocs_of<T>(read: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
@@ -436,24 +452,36 @@ fn allocs_of<T>(read: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn round_report_reads_do_not_allocate_per_node() {
-    let (small, large) = (tree_of(100), tree_of(10_000));
-    let report = |t: &ExecutionTree| {
-        let summary = t.summary();
-        (t.coverage_from(&summary), summary.proven_subtrees())
-    };
-    let (small_allocs, (small_cov, _)) = allocs_of(|| report(&small));
-    let (large_allocs, (large_cov, proofs)) = allocs_of(|| report(&large));
-    assert!(large_cov.nodes > 50 * small_cov.nodes);
-    assert!(large_cov.frontier_arms > 0 && proofs > 0 && large_cov.sites_seen == 11);
+    let program = looping_program();
+    let (small, large) = (tree_of(program.id(), 100), tree_of(program.id(), 20_000));
+    let hive = hive_with(&program, &large);
+    let (allocs, (coverage, proofs)) = allocs_of(|| hive.coverage_and_proof_count());
+    assert!(coverage.nodes >= 20_000);
+    assert!(coverage.frontier_arms > 0 && proofs > 0 && coverage.sites_seen == 11);
     assert_eq!(
-        small_allocs, large_allocs,
-        "one summary, coverage and the proof count allocated {small_allocs} times on {} nodes but {large_allocs} on {}",
-        small_cov.nodes, large_cov.nodes
+        allocs, 0,
+        "coverage and the proof count allocated {allocs} times on {} nodes",
+        coverage.nodes
     );
+
+    // Merging a path the tree already holds, passing or failing,
+    // allocates nothing (once its nodes are marked changed since the
+    // last snapshot, as the first merge leaves them).
+    let mut tree = large.clone();
+    let path: Vec<_> = (0..12u32)
+        .map(|d| (BranchSiteId::new(d % 10), d % 3 == 0))
+        .collect();
+    for outcome in [Outcome::Success, Outcome::Hang { stuck: vec![] }] {
+        tree.merge_path(&path, &outcome);
+        let (allocs, merged) = allocs_of(|| tree.merge_path(&path, &outcome));
+        assert_eq!((merged.new_nodes, merged.new_path), (0, false));
+        assert_eq!(allocs, 0, "merging a known path allocated {allocs} times");
+    }
 
     // Guidance's frontier pass and the digest grow one buffer each (the
     // arms found, the walk's stack), which may double its way from one
     // size to the other.
+    let small_nodes = small.node_count();
     let (small_allocs, small_arms) = allocs_of(|| small.frontier().len());
     let (large_allocs, large_arms) = allocs_of(|| large.frontier().len());
     let doublings = u64::from((large_arms / small_arms).ilog2() + 1);
@@ -463,11 +491,10 @@ fn round_report_reads_do_not_allocate_per_node() {
     );
     let (small_allocs, _) = allocs_of(|| small.digest());
     let (large_allocs, _) = allocs_of(|| large.digest());
-    let doublings = u64::from((large_cov.nodes / small_cov.nodes).ilog2() + 1);
+    let doublings = u64::from((coverage.nodes / small_nodes).ilog2() + 1);
     assert!(
         large_allocs <= small_allocs + doublings,
-        "digest allocated {small_allocs} times on {} nodes but {large_allocs} on {}",
-        small_cov.nodes,
-        large_cov.nodes
+        "digest allocated {small_allocs} times on {small_nodes} nodes but {large_allocs} on {}",
+        coverage.nodes
     );
 }
