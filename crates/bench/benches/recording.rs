@@ -12,13 +12,15 @@ use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::local;
 use softborg_program::expr::Expr;
 use softborg_program::gen::{generate, GenConfig};
+use softborg_program::interp::LoweredProgram;
 use softborg_program::interp::{ExecConfig, Executor, NopObserver};
 use softborg_program::overlay::Overlay;
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::sched::{RandomSched, ScriptSched};
 use softborg_program::syscall::DefaultEnv;
-use softborg_program::taint::InputDependence;
-use softborg_trace::{reconstruct, wire, ExecutionTrace, RecordingPolicy, TraceRecorder};
+use softborg_trace::{
+    reconstruct, wire, ExecutionTrace, RecordingPolicy, ReplayScratch, TraceRecorder,
+};
 
 fn bench_recording(c: &mut Criterion) {
     let gp = generate(&GenConfig {
@@ -174,11 +176,15 @@ fn e17_programs() -> [Scenario; 8] {
     ]
 }
 
-/// `reconstruct` over E17's eight-program corpus: one row per program,
+/// Replay over E17's eight-program corpus, as an ingest worker does it
+/// (one lowering per program, one scratch reused): one row per program,
 /// each iteration replaying the next of 256 pod traces, so a row reads
-/// as ns per trace.
+/// as ns per trace. The `one_shot` row replays the first program's
+/// traces through the per-call `reconstruct`, which lowers the program
+/// on every call.
 fn bench_reconstruct(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconstruct");
+    let mut scratch = ReplayScratch::default();
     for (i, s) in e17_programs().iter().enumerate() {
         let mut pod = Pod::new(
             &s.program,
@@ -189,15 +195,27 @@ fn bench_reconstruct(c: &mut Criterion) {
             },
         );
         let traces: Vec<ExecutionTrace> = (0..256).map(|_| pod.run_once().trace).collect();
-        let deps = InputDependence::compute(&s.program);
-        let overlay = Overlay::empty();
+        let code = LoweredProgram::new(&s.program);
+        let overlays = [Overlay::empty()];
+        let ctx = ReconstructContext {
+            code: &code,
+            overlays: &overlays,
+        };
         let mut next = 0;
         group.bench_function(s.name, |b| {
             b.iter(|| {
                 next = (next + 1) % traces.len();
-                reconstruct(&s.program, &deps, &overlay, &traces[next])
+                ctx.decisions(&traces[next], &mut scratch)
             })
         });
+        if i == 0 {
+            group.bench_function("one_shot", |b| {
+                b.iter(|| {
+                    next = (next + 1) % traces.len();
+                    reconstruct(&s.program, code.dependence(), &overlays[0], &traces[next])
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -213,10 +231,10 @@ fn bench_hive_sink(c: &mut Criterion) {
     for (i, s) in e17_programs().iter().enumerate() {
         let mut hive = Hive::new(&s.program, HiveConfig::default());
         let ctx = ReconstructContext {
-            program: &s.program,
-            deps: hive.deps(),
+            code: hive.lowered(),
             overlays: hive.overlays(),
         };
+        let mut scratch = ReplayScratch::default();
         let records: Vec<MergeRecord> = (0..4)
             .flat_map(|p| {
                 let mut pod = Pod::new(
@@ -230,7 +248,7 @@ fn bench_hive_sink(c: &mut Criterion) {
                 (0..1200).map(move |_| pod.run_once().trace)
             })
             .map(|trace| {
-                let decisions = ctx.decisions(&trace);
+                let decisions = ctx.decisions(&trace, &mut scratch);
                 MergeRecord::prepare(ProcessedTrace { trace, decisions })
             })
             .collect();

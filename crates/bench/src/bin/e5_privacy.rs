@@ -13,9 +13,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softborg_bench::{banner, cell, table_header};
 use softborg_pod::{Pod, PodConfig};
-use softborg_program::taint::InputDependence;
+use softborg_program::interp::LoweredProgram;
 use softborg_trace::anonymize::{information_bits, k_anonymous_filter, Anonymizer};
-use softborg_trace::reconstruct;
+use softborg_trace::{replay, ReplayScratch};
 use softborg_tree::ExecutionTree;
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
     );
     let scenario = softborg_program::scenarios::record_processor();
     let program = scenario.program;
-    let deps = InputDependence::compute(&program);
+    let code = LoweredProgram::new(&program);
+    let mut scratch = ReplayScratch::default();
     let mut pod = Pod::new(
         &program,
         PodConfig {
@@ -85,7 +86,7 @@ fn main() {
         let mut tree = ExecutionTree::new(program.id());
         let mut reconstructed = 0usize;
         for t in &released {
-            if let Ok(p) = reconstruct(&program, &deps, &softborg_program::Overlay::empty(), t) {
+            if let Ok(p) = replay(&code, &softborg_program::Overlay::empty(), t, &mut scratch) {
                 tree.merge_path(&p.decisions, &t.outcome);
                 reconstructed += 1;
             }

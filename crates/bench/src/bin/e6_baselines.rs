@@ -17,8 +17,8 @@ use rand::SeedableRng;
 use softborg_analysis::{failure_key, sample_path, CbiServer, FailureLedger, WerBuckets};
 use softborg_bench::{banner, cell, collect_path, table_header};
 use softborg_program::gen::{generate, sample_inputs, BugKind, GenConfig};
-use softborg_program::taint::InputDependence;
-use softborg_trace::{reconstruct, RecordingPolicy, TraceRecorder};
+use softborg_program::interp::LoweredProgram;
+use softborg_trace::{replay, RecordingPolicy, ReplayScratch, TraceRecorder};
 use softborg_tree::ExecutionTree;
 
 struct Workload {
@@ -70,7 +70,8 @@ fn main() {
         ("sb predicate?", 14),
     ]);
     for w in workloads() {
-        let deps = InputDependence::compute(&w.program);
+        let code = LoweredProgram::new(&w.program);
+        let mut scratch = ReplayScratch::default();
         let mut rng = SmallRng::seed_from_u64(11);
         let mut tree = ExecutionTree::new(w.program.id());
         let mut ledger = FailureLedger::new();
@@ -105,11 +106,11 @@ fn main() {
 
             // SoftBorg: reconstruct + merge + ledger.
             if sb_at.is_none() {
-                if let Ok(p) = reconstruct(
-                    &w.program,
-                    &deps,
+                if let Ok(p) = replay(
+                    &code,
                     &softborg_program::Overlay::empty(),
                     &trace,
+                    &mut scratch,
                 ) {
                     tree.merge_path(&p.decisions, &trace.outcome);
                 }
@@ -130,11 +131,11 @@ fn main() {
                 let (path, _) = (
                     // reuse the reconstructed path when possible; cheap
                     // re-derivation otherwise
-                    reconstruct(
-                        &w.program,
-                        &deps,
+                    replay(
+                        &code,
                         &softborg_program::Overlay::empty(),
                         &trace,
+                        &mut scratch,
                     )
                     .map(|p| p.decisions)
                     .unwrap_or_default(),

@@ -22,12 +22,12 @@ use softborg_ingest::{
     ShardMap,
 };
 use softborg_program::codec::{self, CodecError};
-use softborg_program::interp::Outcome;
+use softborg_program::interp::{LoweredProgram, Outcome};
 use softborg_program::overlay::Overlay;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BranchSiteId, Program};
 use softborg_trace::record::GlobalAccessSummary;
-use softborg_trace::ExecutionTrace;
+use softborg_trace::{ExecutionTrace, ReplayScratch};
 use softborg_tree::{path_hash, CoverageStats, ExecutionTree};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,7 +97,8 @@ pub struct FixProposal {
 #[derive(Debug)]
 pub struct Hive<'p> {
     program: &'p Program,
-    deps: InputDependence,
+    /// The program lowered once: every replay of its traces steps it.
+    code: LoweredProgram,
     tree: ExecutionTree,
     lock_graph: LockOrderGraph,
     races: RaceDetector,
@@ -181,7 +182,7 @@ impl<'p> Hive<'p> {
     /// Creates a hive for `program`.
     pub fn new(program: &'p Program, config: HiveConfig) -> Self {
         Hive {
-            deps: InputDependence::compute(program),
+            code: LoweredProgram::new(program),
             tree: ExecutionTree::new(program.id()),
             lock_graph: LockOrderGraph::new(),
             races: RaceDetector::new(),
@@ -203,7 +204,12 @@ impl<'p> Hive<'p> {
     /// The program's input-dependence analysis (computed once at
     /// construction; a pure function of the program).
     pub fn deps(&self) -> &InputDependence {
-        &self.deps
+        self.code.dependence()
+    }
+
+    /// The program lowered once at construction, which replays step.
+    pub fn lowered(&self) -> &LoweredProgram {
+        &self.code
     }
 
     /// Borrows the hive apart: its read-only reconstruction inputs
@@ -211,8 +217,7 @@ impl<'p> Hive<'p> {
     /// while its merger writes the other.
     pub(crate) fn split(&mut self) -> (ReconstructContext<'_>, HiveSink<'_>) {
         let Hive {
-            program,
-            deps,
+            code,
             tree,
             lock_graph,
             races,
@@ -222,8 +227,7 @@ impl<'p> Hive<'p> {
             ..
         } = self;
         let ctx = ReconstructContext {
-            program,
-            deps,
+            code,
             overlays: overlay_history,
         };
         let sink = HiveSink {
@@ -270,7 +274,7 @@ impl<'p> Hive<'p> {
     /// is exact and its overlay version is known.
     pub fn ingest(&mut self, trace: &ExecutionTrace) {
         let (ctx, mut sink) = self.split();
-        let decisions = ctx.decisions(trace);
+        let decisions = ctx.decisions(trace, &mut ReplayScratch::default());
         sink.merge(trace, decisions.as_deref());
     }
 
@@ -664,7 +668,7 @@ impl<'p> Hive<'p> {
             new_nodes: r.u64("HiveStats.new_nodes")?,
         };
         Ok(Hive {
-            deps: InputDependence::compute(program),
+            code: LoweredProgram::new(program),
             tree,
             lock_graph,
             races,

@@ -53,12 +53,12 @@ use crate::queue::BoundedQueue;
 use crate::stats::{IngestStats, StatsCore};
 use softborg_analysis::failure_key;
 use softborg_obs::ObsHandles;
+use softborg_program::interp::LoweredProgram;
 use softborg_program::interp::Outcome;
 use softborg_program::overlay::Overlay;
-use softborg_program::taint::InputDependence;
-use softborg_program::{BranchSiteId, Program, ProgramId};
+use softborg_program::{BranchSiteId, ProgramId};
 use softborg_trace::record::GlobalAccessSummary;
-use softborg_trace::{reconstruct, wire, ExecutionTrace};
+use softborg_trace::{replay, wire, ExecutionTrace, ReplayScratch};
 use softborg_tree::path_hash;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -108,10 +108,8 @@ impl Default for IngestConfig {
 /// fixes between rounds, never mid-ingest).
 #[derive(Debug, Clone, Copy)]
 pub struct ReconstructContext<'a> {
-    /// The program the traces were produced by.
-    pub program: &'a Program,
-    /// Its input-dependence (taint) analysis.
-    pub deps: &'a InputDependence,
+    /// The program the traces were produced by, lowered once.
+    pub code: &'a LoweredProgram,
     /// Every overlay version ever distributed (index = version).
     pub overlays: &'a [Overlay],
 }
@@ -120,10 +118,14 @@ impl ReconstructContext<'_> {
     /// The trace's reconstructed branch decisions, or `None` when it
     /// cannot be reconstructed (unknown overlay version or any
     /// `ReconstructError`) — the one rule serial and pipelined ingest
-    /// share.
-    pub fn decisions(&self, trace: &ExecutionTrace) -> Option<Vec<(BranchSiteId, bool)>> {
+    /// share. `scratch` holds the replay's tables between calls.
+    pub fn decisions(
+        &self,
+        trace: &ExecutionTrace,
+        scratch: &mut ReplayScratch,
+    ) -> Option<Vec<(BranchSiteId, bool)>> {
         let overlay = self.overlays.get(trace.overlay_version as usize)?;
-        reconstruct(self.program, self.deps, overlay, trace)
+        replay(self.code, overlay, trace, scratch)
             .ok()
             .map(|path| path.decisions)
     }
@@ -365,6 +367,7 @@ fn process_frame(
     stats: &StatsCore,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     memo: &mut MemoCache<Arc<MergeRecord>>,
+    scratch: &mut ReplayScratch,
     item: &FrameItem,
 ) -> WorkerOut {
     let classified = wire::batch_payloads(&item.bytes)
@@ -403,7 +406,7 @@ fn process_frame(
             stats.frames_corrupt.incr();
             return WorkerOut::Corrupt;
         };
-        let decisions = ctx.decisions(&trace);
+        let decisions = ctx.decisions(&trace, scratch);
         let record = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
         vacancy.insert(Arc::clone(&record));
         entries.push(record);
@@ -420,9 +423,10 @@ fn worker_loop(
 ) {
     let _guard = WorkerGuard { active, shared };
     let mut memo: MemoCache<Arc<MergeRecord>> = MemoCache::new(memo_capacity);
+    let mut scratch = ReplayScratch::default();
     while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
-        let out = process_frame(&shared.stats, ctxs, &mut memo, &item);
+        let out = process_frame(&shared.stats, ctxs, &mut memo, &mut scratch, &item);
         let busy_ns = shared.clock.now_ns().saturating_sub(t0);
         shared.stats.worker_busy_ns.add(busy_ns);
         if let Some(h) = &shared.stats.stage_work_ns {
@@ -693,15 +697,14 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let (scs, map) = two_shard_setup();
-            let deps: Vec<InputDependence> = (scs.iter())
-                .map(|s| InputDependence::compute(&s.program))
+            let codes: Vec<LoweredProgram> = (scs.iter())
+                .map(|s| LoweredProgram::new(&s.program))
                 .collect();
             let overlays = [Overlay::empty()];
-            let ctxs: BTreeMap<ProgramId, ReconstructContext<'_>> = (scs.iter().zip(&deps))
-                .map(|(s, deps)| {
+            let ctxs: BTreeMap<ProgramId, ReconstructContext<'_>> = (scs.iter().zip(&codes))
+                .map(|(s, code)| {
                     let ctx = ReconstructContext {
-                        program: &s.program,
-                        deps,
+                        code,
                         overlays: &overlays,
                     };
                     (s.program.id(), ctx)

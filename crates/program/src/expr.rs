@@ -169,19 +169,6 @@ impl Expr {
         }
     }
 
-    /// Returns `true` if the expression syntactically mentions any input
-    /// cell. (Transitive input dependence through variables is computed by
-    /// the taint analysis in [`crate::taint`].)
-    pub fn mentions_input(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(e, Expr::Input(_)) {
-                found = true;
-            }
-        });
-        found
-    }
-
     /// Collects the input cells read by the expression.
     pub fn inputs(&self) -> Vec<InputId> {
         let mut out = Vec::new();
@@ -236,10 +223,7 @@ impl fmt::Display for EvalFault {
 
 impl std::error::Error for EvalFault {}
 
-/// Read access to the state an expression evaluates against.
-///
-/// The interpreter implements this over live thread state; the symbolic
-/// executor implements a symbolic analogue separately.
+/// Read access to the state the reference evaluator [`eval`] reads.
 pub trait EvalEnv {
     /// Current value of `place`.
     fn load(&self, place: Place) -> i64;
@@ -247,7 +231,9 @@ pub trait EvalEnv {
     fn input(&self, input: InputId) -> i64;
 }
 
-/// Evaluates `expr` in `env` using wrapping semantics.
+/// Evaluates `expr` in `env` using wrapping semantics: the recursive
+/// reference that [`ExprCode::eval`], which every run steps, is checked
+/// against.
 ///
 /// # Errors
 ///
@@ -351,6 +337,13 @@ pub struct ExprCode {
 }
 
 impl ExprCode {
+    /// Drops every lowered expression, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.loads.clear();
+        self.depth = 0;
+    }
+
     /// Appends `e`'s code and returns where it lives.
     pub fn lower(&mut self, e: &Expr) -> ExprRef {
         let (code, loads) = (self.ops.len() as u32, self.loads.len() as u32);
@@ -395,26 +388,27 @@ impl ExprCode {
         &self.loads[r.loads.0 as usize..r.loads.1 as usize]
     }
 
-    /// Evaluates `r` over dense state; `stack` is scratch space of at
-    /// least [`max_depth`](Self::max_depth) values.
+    /// Evaluates `r` over dense state in the value domain `V`; `stack`
+    /// is scratch space of at least [`max_depth`](Self::max_depth) values.
     ///
     /// # Errors
     ///
-    /// The [`EvalFault`] [`eval`] returns on the same expression and state.
+    /// Over `i64`, the [`EvalFault`] [`eval`] returns on the same
+    /// expression and state; over known-or-⊥, see [`Value`].
     #[inline]
-    pub fn eval(
+    pub fn eval<V: Value>(
         &self,
         r: ExprRef,
-        locals: &[i64],
-        globals: &[i64],
+        locals: &[V],
+        globals: &[V],
         inputs: &[i64],
-        stack: &mut [i64],
-    ) -> Result<i64, EvalFault> {
+        stack: &mut [V],
+    ) -> Result<V, EvalFault> {
         let value = |x: Operand| match x {
-            Operand::Const(c) => c,
+            Operand::Const(c) => V::from(c),
             Operand::Local(l) => locals[l as usize],
             Operand::Global(g) => globals[g as usize],
-            Operand::Input(x) => inputs[x as usize],
+            Operand::Input(x) => V::input(inputs, x as usize),
         };
         // Post-order code starts with a leaf. The top of the stack lives
         // in `top`; every later leaf spills it and a binary operation
@@ -431,14 +425,80 @@ impl ExprCode {
                     spilled += 1;
                     value(x)
                 }
-                CodeOp::Un(op) => apply_un(op, top),
+                CodeOp::Un(op) => V::un(op, top),
                 CodeOp::Bin(op) => {
                     spilled -= 1;
-                    apply_bin(op, stack[spilled], top)?
+                    V::bin(op, stack[spilled], top)?
                 }
             };
         }
         Ok(top)
+    }
+}
+
+/// A domain [`ExprCode::eval`] computes in. `i64` is the pod's concrete
+/// domain. `Option<i64>` is replay's known-or-⊥ domain, where every
+/// input-derived value is ⊥ (`None`): `&&` and `||` stay known when one
+/// known side decides them, a known zero divisor faults whatever the
+/// dividend, and any other operation with a ⊥ operand gives ⊥.
+pub trait Value: Copy + From<i64> {
+    /// Input cell `i` of a run given `inputs`.
+    fn input(inputs: &[i64], i: usize) -> Self;
+    /// Applies a unary operator.
+    fn un(op: UnOp, v: Self) -> Self;
+    /// Applies a binary operator.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalFault`] on a division or remainder by a known zero.
+    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault>;
+    /// Whether the value is nonzero, when known.
+    fn truth(self) -> Option<bool>;
+}
+
+impl Value for i64 {
+    #[inline]
+    fn input(inputs: &[i64], i: usize) -> Self {
+        inputs[i]
+    }
+    #[inline]
+    fn un(op: UnOp, v: Self) -> Self {
+        apply_un(op, v)
+    }
+    #[inline]
+    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
+        apply_bin(op, x, y)
+    }
+    #[inline]
+    fn truth(self) -> Option<bool> {
+        Some(self != 0)
+    }
+}
+
+impl Value for Option<i64> {
+    #[inline]
+    fn input(_: &[i64], _: usize) -> Self {
+        None
+    }
+    #[inline]
+    fn un(op: UnOp, v: Self) -> Self {
+        v.map(|v| apply_un(op, v))
+    }
+    #[inline]
+    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
+        match (op, x, y) {
+            (_, Some(x), Some(y)) => apply_bin(op, x, y).map(Some),
+            (BinOp::And, Some(0), _) | (BinOp::And, _, Some(0)) => Ok(Some(0)),
+            (BinOp::Or, Some(v), _) if v != 0 => Ok(Some(1)),
+            (BinOp::Or, _, Some(v)) if v != 0 => Ok(Some(1)),
+            (BinOp::Div, _, Some(0)) => Err(EvalFault::DivByZero),
+            (BinOp::Rem, _, Some(0)) => Err(EvalFault::RemByZero),
+            _ => Ok(None),
+        }
+    }
+    #[inline]
+    fn truth(self) -> Option<bool> {
+        self.map(|v| v != 0)
     }
 }
 
@@ -524,14 +584,6 @@ mod tests {
         assert_eq!(eval(&e, &env()).unwrap(), 2);
         let s = Expr::bin(BinOp::Shr, Expr::Const(-8), Expr::Const(1));
         assert_eq!(eval(&s, &env()).unwrap(), -4);
-    }
-
-    #[test]
-    fn mentions_input_is_syntactic() {
-        assert!(Expr::input(0).mentions_input());
-        assert!(!Expr::local(0).mentions_input());
-        let nested = Expr::bin(BinOp::Add, Expr::local(0), Expr::input(3));
-        assert!(nested.mentions_input());
     }
 
     #[test]

@@ -9,16 +9,19 @@
 //!
 //! Execution is deterministic: identical (program, inputs, environment
 //! state, scheduler state, overlay) produce identical results, which is
-//! what makes hive-side replay/reconstruction possible.
+//! what makes hive-side replay/reconstruction possible. Both run the one
+//! [`Machine`] over a [`LoweredProgram`]: the executor on concrete values,
+//! replay on known-or-⊥ values with its decisions read from a trace.
 
 use crate::cfg::{Loc, Program, Stmt, SyscallKind, Terminator};
-use crate::expr::{self, EvalEnv, EvalFault, ExprCode, ExprRef, Place};
+use crate::expr::{EvalFault, ExprCode, ExprRef, Place, Value};
 use crate::ids::{BlockId, BranchSiteId, GlobalId, LockId, ThreadId};
-use crate::overlay::{GuardAction, Overlay};
+use crate::overlay::{GuardAction, Overlay, SiteGuard};
 use crate::sched::Scheduler;
 use crate::syscall::EnvModel;
 use crate::taint::InputDependence;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Why an execution crashed.
@@ -231,25 +234,6 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-/// The reference evaluator's view of one thread, for guard predicates.
-struct ThreadView<'a> {
-    locals: &'a [i64],
-    globals: &'a [i64],
-    inputs: &'a [i64],
-}
-
-impl EvalEnv for ThreadView<'_> {
-    fn load(&self, place: Place) -> i64 {
-        match place {
-            Place::Local(l) => self.locals[l.index()],
-            Place::Global(g) => self.globals[g.index()],
-        }
-    }
-    fn input(&self, input: crate::ids::InputId) -> i64 {
-        self.inputs[input.index()]
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Runnable,
@@ -258,7 +242,7 @@ enum Status {
 }
 
 /// One statement or terminator, lowered: expressions are [`ExprRef`]s
-/// into the executor's [`ExprCode`], jump targets are resolved.
+/// into the program's [`ExprCode`], jump targets are resolved.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Assign(Place, ExprRef),
@@ -271,6 +255,8 @@ enum Op {
     Goto(Target),
     Branch {
         site: BranchSiteId,
+        /// Whether the site carries a recording bit
+        /// ([`InputDependence::is_dependent`]).
         dependent: bool,
         cond: ExprRef,
         then_bb: Target,
@@ -286,18 +272,32 @@ struct Target {
     base: u32,
 }
 
-/// A program lowered once: every block's statements then terminator,
-/// thread after thread, in one array.
+/// A program lowered once for every [`Machine`] that steps it: every
+/// block's statements then terminator, thread after thread, in one array
+/// of `Copy` ops, with each branch marked by whether it carries a
+/// recording bit — so the pod that records a trace and the hive that
+/// replays it agree on that by construction.
 #[derive(Debug)]
-struct Lowered {
+pub struct LoweredProgram {
     ops: Box<[Op]>,
     exprs: ExprCode,
     /// Per thread, each block's first op, then the thread's end.
     bases: Vec<Vec<u32>>,
+    deps: InputDependence,
+    n_inputs: u32,
+    n_locals: u32,
+    n_globals: u32,
+    n_locks: u32,
 }
 
-impl Lowered {
-    fn new(program: &Program, deps: &InputDependence) -> Self {
+impl LoweredProgram {
+    /// Computes `program`'s input-dependence analysis and lowers it.
+    pub fn new(program: &Program) -> Self {
+        Self::with_dependence(program, InputDependence::compute(program))
+    }
+
+    /// Lowers `program`, marking the branches `deps` calls dependent.
+    pub fn with_dependence(program: &Program, deps: InputDependence) -> Self {
         let (mut ops, mut exprs, mut bases) = (Vec::new(), ExprCode::default(), Vec::new());
         for body in &program.threads {
             // A block's ops: its statements, then its terminator.
@@ -342,11 +342,21 @@ impl Lowered {
             }
             bases.push(starts);
         }
-        Lowered {
+        LoweredProgram {
             ops: ops.into(),
             exprs,
             bases,
+            deps,
+            n_inputs: program.n_inputs,
+            n_locals: program.n_locals,
+            n_globals: program.n_globals,
+            n_locks: program.n_locks,
         }
+    }
+
+    /// The input-dependence analysis the branches were marked by.
+    pub fn dependence(&self) -> &InputDependence {
+        &self.deps
     }
 
     /// The op at `loc`, if the program has that location.
@@ -367,13 +377,14 @@ struct ThreadState {
     status: Status,
 }
 
-/// One run's state in dense, id-indexed tables, kept by the executor
-/// between runs so that a run reuses the last one's allocations.
+/// One run's state in dense, id-indexed tables, values in the domain
+/// `V`. Keep one between runs so that a run reuses the last one's
+/// allocations.
 #[derive(Debug, Default)]
-struct Scratch {
-    globals: Vec<i64>,
+pub struct Scratch<V> {
+    globals: Vec<V>,
     /// Every thread's locals: thread `t` owns `[t * n_locals..][..n_locals]`.
-    locals: Vec<i64>,
+    locals: Vec<V>,
     threads: Vec<ThreadState>,
     /// Runnable threads in ascending order, updated on status changes.
     runnable: Vec<ThreadId>,
@@ -386,18 +397,99 @@ struct Scratch {
     /// Per op, the index of the overlay's first guard at it, or
     /// `u32::MAX`; empty when the overlay has no guard.
     guard_of: Vec<u32>,
+    /// The predicates of `lowered_guards`, lowered, indexed like them.
+    guards: ExprCode,
+    guard_refs: Vec<ExprRef>,
+    /// The guards last lowered: lowered again only when they change.
+    lowered_guards: Vec<SiteGuard>,
     /// Gates found stale by one unlock, released after the scan.
     stale: Vec<LockId>,
-    /// Expression evaluation stack, `ExprCode::max_depth` values long.
-    stack: Vec<i64>,
+    /// Expression evaluation stack, as deep as the deepest expression.
+    stack: Vec<V>,
 }
 
-/// Reusable execution engine for one program.
-///
-/// Construction computes the input-dependence analysis and lowers every
-/// statement and terminator once into flat `Copy` code; [`run`] can then
-/// be called many times (a pod holds one `Executor` for the program
-/// lifetime), reusing one set of dense tables.
+/// Where a [`Machine`] run gets what the program does not determine: a
+/// guard's firing or a branch's direction when the source recorded it
+/// (the run evaluates the predicate or condition otherwise) and every
+/// syscall's return. Its [`Observer`] sees the run's by-products.
+pub trait Decisions<V> {
+    /// Why the source ends a run early (a trace that ran out).
+    type Error;
+    /// What the run reports to.
+    type Observer: Observer + ?Sized;
+    /// The run's observer.
+    fn observer(&mut self) -> &mut Self::Observer;
+    /// The next guard's recorded firing.
+    fn recorded_guard(&mut self) -> Result<Option<bool>, Self::Error> {
+        Ok(None)
+    }
+    /// The next branch's recorded direction.
+    #[allow(unused_variables)]
+    fn recorded_branch(&mut self, dependent: bool) -> Result<Option<bool>, Self::Error> {
+        Ok(None)
+    }
+    /// What a syscall returns.
+    fn syscall(&mut self, thread: ThreadId, kind: SyscallKind, arg: V) -> Result<V, Self::Error>;
+    /// An `Emit` produced `value`.
+    fn emit(&mut self, thread: ThreadId, value: V);
+}
+
+/// Why a [`Machine::step`] ended the run. The stepped thread stays at
+/// the statement that stopped it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop<E> {
+    /// The thread crashed.
+    Crash(CrashKind),
+    /// The thread tried to take a lock it holds.
+    SelfDeadlock(LockId),
+    /// A branch without a recorded direction had a ⊥ condition.
+    UnknownBranch(BranchSiteId),
+    /// The decision source ended the run.
+    Source(E),
+}
+
+impl<E> From<EvalFault> for Stop<E> {
+    fn from(fault: EvalFault) -> Self {
+        Stop::Crash(match fault {
+            EvalFault::DivByZero => CrashKind::DivByZero,
+            EvalFault::RemByZero => CrashKind::RemByZero,
+        })
+    }
+}
+
+/// The pod's decision source: it evaluates every guard and branch and
+/// calls the environment.
+struct Live<'a, E: ?Sized, O: ?Sized> {
+    env: &'a mut E,
+    obs: &'a mut O,
+    emitted: Vec<(ThreadId, i64)>,
+    /// Also the index of the next syscall.
+    n_syscalls: u64,
+}
+
+impl<E: EnvModel + ?Sized, O: Observer + ?Sized> Decisions<i64> for Live<'_, E, O> {
+    type Error = Infallible;
+    type Observer = O;
+
+    #[inline]
+    fn observer(&mut self) -> &mut O {
+        self.obs
+    }
+    fn syscall(&mut self, t: ThreadId, kind: SyscallKind, arg: i64) -> Result<i64, Infallible> {
+        let r = self.env.call(t, kind, arg, self.n_syscalls);
+        self.n_syscalls += 1;
+        self.obs.on_syscall(t, kind, arg, r);
+        Ok(r)
+    }
+    fn emit(&mut self, t: ThreadId, value: i64) {
+        self.emitted.push((t, value));
+        self.obs.on_emit(t, value);
+    }
+}
+
+/// Reusable execution engine for one program: its [`LoweredProgram`]
+/// plus the [`Scratch`] tables every [`run`] reuses (a pod holds one
+/// `Executor` for the program lifetime).
 ///
 /// [`run`]: Executor::run
 ///
@@ -434,21 +526,18 @@ struct Scratch {
 #[derive(Debug)]
 pub struct Executor<'p> {
     program: &'p Program,
-    deps: InputDependence,
     config: ExecConfig,
-    code: Lowered,
-    scratch: Scratch,
+    code: LoweredProgram,
+    scratch: Scratch<i64>,
 }
 
 impl<'p> Executor<'p> {
     /// Creates an executor, computing the input-dependence analysis and
     /// lowering the program.
     pub fn new(program: &'p Program) -> Self {
-        let deps = InputDependence::compute(program);
         Executor {
             program,
-            code: Lowered::new(program, &deps),
-            deps,
+            code: LoweredProgram::new(program),
             config: ExecConfig::default(),
             scratch: Scratch::default(),
         }
@@ -467,7 +556,7 @@ impl<'p> Executor<'p> {
 
     /// The input-dependence analysis (shared with pods for trace sizing).
     pub fn dependence(&self) -> &InputDependence {
-        &self.deps
+        self.code.dependence()
     }
 
     /// Executes the program once.
@@ -494,25 +583,19 @@ impl<'p> Executor<'p> {
         S: Scheduler + ?Sized,
         O: Observer + ?Sized,
     {
-        if inputs.len() != self.program.n_inputs as usize {
+        if inputs.len() != self.code.n_inputs as usize {
             return Err(InterpError::InputArity {
-                expected: self.program.n_inputs,
+                expected: self.code.n_inputs,
                 got: inputs.len(),
             });
         }
-        let mut m = Machine {
-            code: &self.code,
-            n_locals: self.program.n_locals as usize,
-            n_locks: self.program.n_locks,
-            overlay,
-            inputs,
-            s: &mut self.scratch,
+        let mut live = Live {
+            env,
+            obs,
             emitted: Vec::new(),
-            n_branches: 0,
             n_syscalls: 0,
-            overlay_hits: 0,
         };
-        m.reset(self.program);
+        let mut m = Machine::new(&self.code, overlay, inputs, &mut self.scratch);
         let mut steps: u64 = 0;
         let outcome = loop {
             if m.s.runnable.is_empty() {
@@ -536,18 +619,38 @@ impl<'p> Executor<'p> {
                 break Outcome::Hang { stuck };
             }
             let t = sched.pick(&m.s.runnable, steps);
-            obs.on_schedule(t);
+            live.obs.on_schedule(t);
             steps += 1;
-            if let Some(outcome) = m.step(t, env, obs) {
-                break outcome;
+            match m.step(t, &mut live) {
+                // A thread that blocked may have closed a wait-for cycle.
+                Ok(()) => {
+                    if let Status::Blocked(lock) = m.s.threads[t.index()].status {
+                        if let Some(cycle) = m.find_cycle(t, lock) {
+                            break Outcome::Deadlock { cycle };
+                        }
+                    }
+                }
+                Err(Stop::Crash(kind)) => {
+                    break Outcome::Crash {
+                        loc: m.loc(t),
+                        kind,
+                    }
+                }
+                Err(Stop::SelfDeadlock(lock)) => {
+                    break Outcome::Deadlock {
+                        cycle: vec![(t, lock)],
+                    }
+                }
+                Err(Stop::UnknownBranch(_)) => unreachable!("concrete values are known"),
+                Err(Stop::Source(never)) => match never {},
             }
         };
         Ok(ExecResult {
             outcome,
             steps,
-            emitted: m.emitted,
+            emitted: live.emitted,
             n_branches: m.n_branches,
-            n_syscalls: m.n_syscalls,
+            n_syscalls: live.n_syscalls,
             overlay_hits: m.overlay_hits,
         })
     }
@@ -557,63 +660,96 @@ impl<'p> Executor<'p> {
 /// acquired, so only they are released.
 const ACQUIRABLE: &str = "a lock is the program's or an overlay gate";
 
-struct Machine<'a> {
-    code: &'a Lowered,
+/// The one stepping machine: a run of a [`LoweredProgram`] under an
+/// [`Overlay`], in the value domain `V`, over [`Scratch`] tables. It owns
+/// threads, locks, gates, guards, loop bounds and the runnable set; a
+/// driver picks the thread for each [`step`](Machine::step), and a
+/// [`Decisions`] source supplies everything else.
+pub struct Machine<'a, V> {
+    code: &'a LoweredProgram,
     n_locals: usize,
     n_locks: u32,
     overlay: &'a Overlay,
     inputs: &'a [i64],
-    s: &'a mut Scratch,
-    emitted: Vec<(ThreadId, i64)>,
+    s: &'a mut Scratch<V>,
     n_branches: u64,
-    /// Also the index of the next syscall.
-    n_syscalls: u64,
     overlay_hits: u64,
 }
 
-impl Machine<'_> {
-    /// Sizes and zeroes the tables for a fresh run; after the first run of
-    /// a program under an overlay this allocates nothing.
-    fn reset(&mut self, program: &Program) {
-        let (s, n_threads) = (&mut *self.s, program.threads.len());
+impl<'a, V: Value> Machine<'a, V> {
+    /// Starts a run of `code` with `inputs` under `overlay`, resetting
+    /// `scratch`; after its first run of a program under an overlay, this
+    /// allocates nothing.
+    pub fn new(
+        code: &'a LoweredProgram,
+        overlay: &'a Overlay,
+        inputs: &'a [i64],
+        scratch: &'a mut Scratch<V>,
+    ) -> Self {
+        let (s, n_threads) = (&mut *scratch, code.bases.len());
+        let zero = V::from(0);
         s.globals.clear();
-        s.globals.resize(program.n_globals as usize, 0);
+        s.globals.resize(code.n_globals as usize, zero);
         s.locals.clear();
-        s.locals.resize(n_threads * self.n_locals, 0);
+        s.locals.resize(n_threads * code.n_locals as usize, zero);
         s.threads.clear();
-        s.threads
-            .extend(self.code.bases.iter().map(|b| ThreadState {
-                at: Target {
-                    block: 0,
-                    base: b[0],
-                },
-                stmt: 0,
-                status: Status::Runnable,
-            }));
+        s.threads.extend(code.bases.iter().map(|b| ThreadState {
+            at: Target {
+                block: 0,
+                base: b[0],
+            },
+            stmt: 0,
+            status: Status::Runnable,
+        }));
         s.runnable.clear();
         s.runnable.extend((0..n_threads as u32).map(ThreadId::new));
         s.held.resize_with(n_threads, Vec::new);
         s.held.iter_mut().for_each(Vec::clear);
         s.owner.clear();
         s.owner
-            .resize(self.n_locks as usize + self.overlay.lock_gates.len(), None);
+            .resize(code.n_locks as usize + overlay.lock_gates.len(), None);
         s.guard_of.clear();
-        if !self.overlay.guards.is_empty() {
-            s.guard_of.resize(self.code.ops.len(), u32::MAX);
+        if !overlay.guards.is_empty() {
+            s.guard_of.resize(code.ops.len(), u32::MAX);
+        }
+        if s.lowered_guards != overlay.guards {
+            let guards = &mut s.guards;
+            guards.clear();
+            s.guard_refs.clear();
+            s.guard_refs
+                .extend(overlay.guards.iter().map(|g| guards.lower(&g.when)));
+            s.lowered_guards.clone_from(&overlay.guards);
         }
         // Later guards first: the first guard at a location wins.
-        for (i, g) in self.overlay.guards.iter().enumerate().rev() {
-            if let Some(op) = self.code.op_at(g.loc) {
+        for (i, g) in overlay.guards.iter().enumerate().rev() {
+            if let Some(op) = code.op_at(g.loc) {
                 s.guard_of[op] = i as u32;
             }
         }
         s.header_visits.clear();
-        s.header_visits.resize(self.overlay.loop_bounds.len(), 0);
-        s.stack.resize(self.code.exprs.max_depth(), 0);
+        s.header_visits.resize(overlay.loop_bounds.len(), 0);
+        let depth = code.exprs.max_depth().max(s.guards.max_depth());
+        s.stack.resize(depth, zero);
+        Machine {
+            code,
+            n_locals: code.n_locals as usize,
+            n_locks: code.n_locks,
+            overlay,
+            inputs,
+            s: scratch,
+            n_branches: 0,
+            overlay_hits: 0,
+        }
     }
 
+    /// The threads that may step, ascending.
+    pub fn runnable(&self) -> &[ThreadId] {
+        &self.s.runnable
+    }
+
+    /// Where thread `t` is.
     #[inline]
-    fn loc(&self, t: ThreadId) -> Loc {
+    pub fn loc(&self, t: ThreadId) -> Loc {
         let ts = &self.s.threads[t.index()];
         Loc {
             thread: t,
@@ -627,36 +763,34 @@ impl Machine<'_> {
         t.index() * self.n_locals..(t.index() + 1) * self.n_locals
     }
 
+    /// Evaluates `e` for `t`, first reporting its global reads.
     #[inline]
-    fn eval(&mut self, t: ThreadId, e: ExprRef) -> Result<i64, EvalFault> {
+    fn eval<D: Decisions<V>>(
+        &mut self,
+        t: ThreadId,
+        e: ExprRef,
+        src: &mut D,
+    ) -> Result<V, EvalFault> {
+        self.observe_reads(t, e, src);
         let frame = self.frame(t);
         let s = &mut self.s;
         (self.code.exprs).eval(e, &s.locals[frame], &s.globals, self.inputs, &mut s.stack)
     }
 
-    fn fault_outcome(&self, t: ThreadId, fault: EvalFault) -> Outcome {
-        Outcome::Crash {
-            loc: self.loc(t),
-            kind: match fault {
-                EvalFault::DivByZero => CrashKind::DivByZero,
-                EvalFault::RemByZero => CrashKind::RemByZero,
-            },
-        }
-    }
-
     /// Reports the global reads of `e` to the observer, in pre-order.
-    fn observe_reads<O: Observer + ?Sized>(&self, t: ThreadId, e: ExprRef, obs: &mut O) {
+    fn observe_reads<D: Decisions<V>>(&self, t: ThreadId, e: ExprRef, src: &mut D) {
         let loads = self.code.exprs.global_loads(e);
         if loads.is_empty() {
             return;
         }
         let loc = self.loc(t);
         for &g in loads {
-            obs.on_global_access(t, g, false, loc, &self.s.held[t.index()]);
+            let held = &self.s.held[t.index()];
+            src.observer().on_global_access(t, g, false, loc, held);
         }
     }
 
-    fn store<O: Observer + ?Sized>(&mut self, t: ThreadId, place: Place, value: i64, obs: &mut O) {
+    fn store<D: Decisions<V>>(&mut self, t: ThreadId, place: Place, value: V, src: &mut D) {
         match place {
             Place::Local(l) => {
                 let frame = self.frame(t);
@@ -664,7 +798,8 @@ impl Machine<'_> {
             }
             Place::Global(g) => {
                 let loc = self.loc(t);
-                obs.on_global_access(t, g, true, loc, &self.s.held[t.index()]);
+                src.observer()
+                    .on_global_access(t, g, true, loc, &self.s.held[t.index()]);
                 self.s.globals[g.index()] = value;
             }
         }
@@ -702,16 +837,14 @@ impl Machine<'_> {
         }
     }
 
-    /// Tries to acquire `lock` for `t`. Returns:
-    /// * `Ok(true)` — acquired;
-    /// * `Ok(false)` — blocked (status updated);
-    /// * `Err(outcome)` — immediate deadlock detected.
-    fn acquire<O: Observer + ?Sized>(
+    /// Tries to acquire `lock` for `t`: `Ok(true)` when acquired,
+    /// `Ok(false)` when `t` blocked on it.
+    fn acquire<D: Decisions<V>>(
         &mut self,
         t: ThreadId,
         lock: LockId,
-        obs: &mut O,
-    ) -> Result<bool, Outcome> {
+        src: &mut D,
+    ) -> Result<bool, Stop<D::Error>> {
         match self.owner(lock) {
             None => {
                 let slot = self.slot(lock).expect(ACQUIRABLE);
@@ -719,20 +852,15 @@ impl Machine<'_> {
                 let held = &mut self.s.held[t.index()];
                 let at = held.partition_point(|&l| l < lock);
                 held.insert(at, lock);
-                obs.on_lock_acquired(t, lock, self.loc(t));
+                src.observer().on_lock_acquired(t, lock, self.loc(t));
                 Ok(true)
             }
-            // Non-reentrant mutex: self-deadlock.
-            Some(owner) if owner == t => Err(Outcome::Deadlock {
-                cycle: vec![(t, lock)],
-            }),
+            // Non-reentrant mutex.
+            Some(owner) if owner == t => Err(Stop::SelfDeadlock(lock)),
             Some(owner) => {
-                obs.on_lock_blocked(t, lock, owner);
+                src.observer().on_lock_blocked(t, lock, owner);
                 self.set_status(t, Status::Blocked(lock));
-                match self.find_cycle(t, lock) {
-                    Some(cycle) => Err(Outcome::Deadlock { cycle }),
-                    None => Ok(false),
-                }
+                Ok(false)
             }
         }
     }
@@ -766,11 +894,11 @@ impl Machine<'_> {
         Some(chain().take(len).collect())
     }
 
-    fn release<O: Observer + ?Sized>(&mut self, t: ThreadId, lock: LockId, obs: &mut O) {
+    fn release<D: Decisions<V>>(&mut self, t: ThreadId, lock: LockId, src: &mut D) {
         let slot = self.slot(lock).expect(ACQUIRABLE);
         self.s.owner[slot] = None;
         self.s.held[t.index()].retain(|&l| l != lock);
-        obs.on_lock_released(t, lock);
+        src.observer().on_lock_released(t, lock);
         // Wake all waiters; they re-attempt acquisition when scheduled.
         for i in 0..self.s.threads.len() {
             if self.s.threads[i].status == Status::Blocked(lock) && i != t.index() {
@@ -780,7 +908,7 @@ impl Machine<'_> {
     }
 
     /// Releases gates whose protected locks are no longer held by `t`.
-    fn release_stale_gates<O: Observer + ?Sized>(&mut self, t: ThreadId, obs: &mut O) {
+    fn release_stale_gates<D: Decisions<V>>(&mut self, t: ThreadId, src: &mut D) {
         let mut stale = std::mem::take(&mut self.s.stale);
         stale.extend(
             (self.overlay.lock_gates.iter())
@@ -788,7 +916,7 @@ impl Machine<'_> {
                 .map(|g| g.gate),
         );
         for &gate in &stale {
-            self.release(t, gate, obs);
+            self.release(t, gate, src);
         }
         stale.clear();
         self.s.stale = stale;
@@ -800,13 +928,16 @@ impl Machine<'_> {
         (ts.at, ts.stmt) = (to, 0);
     }
 
-    /// Executes one step of thread `t`. Returns a terminal outcome if the
-    /// whole execution ends.
-    fn step<E, O>(&mut self, t: ThreadId, env: &mut E, obs: &mut O) -> Option<Outcome>
-    where
-        E: EnvModel + ?Sized,
-        O: Observer + ?Sized,
-    {
+    /// Executes one step of thread `t`, which must be runnable.
+    ///
+    /// # Errors
+    ///
+    /// A [`Stop`] when the step ends the run.
+    pub fn step<D: Decisions<V>>(
+        &mut self,
+        t: ThreadId,
+        src: &mut D,
+    ) -> Result<(), Stop<D::Error>> {
         let ti = t.index();
         let ts = self.s.threads[ti];
         let pc = (ts.at.base + ts.stmt) as usize;
@@ -814,31 +945,34 @@ impl Machine<'_> {
         let is_term = matches!(op, Op::Goto(_) | Op::Branch { .. } | Op::Exit);
 
         // Site guards fire before the statement/terminator at their Loc.
-        // Their predicates are evaluated by the reference evaluator.
-        let guard = self.s.guard_of.get(pc);
-        if let Some(guard) = guard.and_then(|&g| self.overlay.guards.get(g as usize)) {
-            let view = ThreadView {
-                locals: &self.s.locals[self.frame(t)],
-                globals: &self.s.globals,
-                inputs: self.inputs,
+        let guard = self.s.guard_of.get(pc).map(|&g| g as usize);
+        if let Some((i, guard)) = guard.and_then(|i| Some((i, self.overlay.guards.get(i)?))) {
+            let fired = match src.recorded_guard().map_err(Stop::Source)? {
+                Some(fired) => fired,
+                // A predicate that faults (or is ⊥) does not fire.
+                None => {
+                    let (frame, s) = (self.frame(t), &mut *self.s);
+                    let (locals, r) = (&s.locals[frame], s.guard_refs[i]);
+                    let v = (s.guards).eval(r, locals, &s.globals, self.inputs, &mut s.stack);
+                    v.ok().and_then(V::truth) == Some(true)
+                }
             };
-            // A guard whose predicate faults is treated as not firing.
-            let fired = expr::eval(&guard.when, &view).unwrap_or(0) != 0;
-            obs.on_guard_eval(t, self.loc(t), fired);
+            src.observer().on_guard_eval(t, self.loc(t), fired);
             if fired {
-                self.overlay_hits += 1;
-                obs.on_overlay_hit(t, "guard");
+                self.overlay_hit(t, "guard", src);
                 match guard.action {
                     // Falls through to execute the original statement.
-                    GuardAction::SetPlace(place, value) => self.store(t, place, value, obs),
+                    GuardAction::SetPlace(place, value) => {
+                        self.store(t, place, V::from(value), src)
+                    }
                     GuardAction::SkipStmt if !is_term => {
                         self.s.threads[ti].stmt += 1;
-                        return None;
+                        return Ok(());
                     }
                     // Skipping a terminator means exiting the thread.
                     GuardAction::SkipStmt | GuardAction::ExitThread => {
-                        self.thread_done(t, obs);
-                        return None;
+                        self.thread_done(t, src);
+                        return Ok(());
                     }
                 }
             }
@@ -846,11 +980,8 @@ impl Machine<'_> {
 
         match op {
             Op::Assign(place, e) => {
-                self.observe_reads(t, e, obs);
-                match self.eval(t, e) {
-                    Ok(v) => self.store(t, place, v, obs),
-                    Err(f) => return Some(self.fault_outcome(t, f)),
-                }
+                let v = self.eval(t, e, src)?;
+                self.store(t, place, v, src);
             }
             Op::Lock(lock) => {
                 // Deadlock-immunity gates: acquire required gates first,
@@ -858,69 +989,41 @@ impl Machine<'_> {
                 let missing_gate = (self.overlay.gates_for(lock))
                     .map(|g| g.gate)
                     .find(|&gate| !self.holds(t, gate));
-                let acquired = match missing_gate {
-                    Some(gate) => {
-                        self.overlay_hits += 1;
-                        obs.on_overlay_hit(t, "gate");
-                        self.acquire(t, gate, obs).map(|_| false)
-                    }
-                    None => self.acquire(t, lock, obs),
-                };
-                match acquired {
-                    Ok(true) => {}
-                    // Blocked, or a gate taken: the pc stays.
-                    Ok(false) => return None,
-                    Err(outcome) => return Some(outcome),
+                if let Some(gate) = missing_gate {
+                    self.overlay_hit(t, "gate", src);
+                    self.acquire(t, gate, src)?;
+                    return Ok(());
+                }
+                if !self.acquire(t, lock, src)? {
+                    // Blocked: the pc stays.
+                    return Ok(());
                 }
             }
             Op::Unlock(lock) => {
                 if !self.holds(t, lock) {
-                    return Some(Outcome::Crash {
-                        loc: self.loc(t),
-                        kind: CrashKind::UnlockNotHeld,
-                    });
+                    return Err(Stop::Crash(CrashKind::UnlockNotHeld));
                 }
-                self.release(t, lock, obs);
-                self.release_stale_gates(t, obs);
+                self.release(t, lock, src);
+                self.release_stale_gates(t, src);
             }
             Op::Syscall(kind, arg, ret) => {
-                self.observe_reads(t, arg, obs);
-                let a = match self.eval(t, arg) {
-                    Ok(v) => v,
-                    Err(f) => return Some(self.fault_outcome(t, f)),
-                };
-                let r = env.call(t, kind, a, self.n_syscalls);
-                self.n_syscalls += 1;
-                obs.on_syscall(t, kind, a, r);
-                self.store(t, ret, r, obs);
+                let a = self.eval(t, arg, src)?;
+                let r = src.syscall(t, kind, a).map_err(Stop::Source)?;
+                self.store(t, ret, r, src);
             }
             Op::Assert(e) => {
-                self.observe_reads(t, e, obs);
-                match self.eval(t, e) {
-                    Ok(0) => {
-                        return Some(Outcome::Crash {
-                            loc: self.loc(t),
-                            kind: CrashKind::AssertFailed,
-                        })
-                    }
-                    Ok(_) => {}
-                    Err(f) => return Some(self.fault_outcome(t, f)),
+                if self.eval(t, e, src)?.truth() == Some(false) {
+                    return Err(Stop::Crash(CrashKind::AssertFailed));
                 }
             }
             Op::Emit(e) => {
-                self.observe_reads(t, e, obs);
-                match self.eval(t, e) {
-                    Ok(v) => {
-                        self.emitted.push((t, v));
-                        obs.on_emit(t, v);
-                    }
-                    Err(f) => return Some(self.fault_outcome(t, f)),
-                }
+                let v = self.eval(t, e, src)?;
+                src.emit(t, v);
             }
             Op::Yield => {}
             Op::Goto(target) => {
                 self.jump(t, target);
-                return None;
+                return Ok(());
             }
             Op::Branch {
                 site,
@@ -933,37 +1036,42 @@ impl Machine<'_> {
                 if let Some(i) = self.overlay.bound_for(t, BlockId::new(ts.at.block)) {
                     self.s.header_visits[i] += 1;
                     if self.s.header_visits[i] > self.overlay.loop_bounds[i].max_iters {
-                        self.overlay_hits += 1;
-                        obs.on_overlay_hit(t, "loop-bound");
-                        self.thread_done(t, obs);
-                        return None;
+                        self.overlay_hit(t, "loop-bound", src);
+                        self.thread_done(t, src);
+                        return Ok(());
                     }
                 }
-                self.observe_reads(t, cond, obs);
-                let taken = match self.eval(t, cond) {
-                    Ok(v) => v != 0,
-                    Err(f) => return Some(self.fault_outcome(t, f)),
+                // A recorded direction is taken without evaluating the
+                // condition.
+                let taken = match src.recorded_branch(dependent).map_err(Stop::Source)? {
+                    Some(taken) => taken,
+                    None => (self.eval(t, cond, src)?.truth()).ok_or(Stop::UnknownBranch(site))?,
                 };
                 self.n_branches += 1;
-                obs.on_branch(t, site, taken, dependent);
+                src.observer().on_branch(t, site, taken, dependent);
                 self.jump(t, if taken { then_bb } else { else_bb });
-                return None;
+                return Ok(());
             }
             Op::Exit => {
-                self.thread_done(t, obs);
-                return None;
+                self.thread_done(t, src);
+                return Ok(());
             }
         }
         self.s.threads[ti].stmt += 1;
-        None
+        Ok(())
+    }
+
+    fn overlay_hit<D: Decisions<V>>(&mut self, t: ThreadId, rule: &'static str, src: &mut D) {
+        self.overlay_hits += 1;
+        src.observer().on_overlay_hit(t, rule);
     }
 
     /// Marks a thread finished, releasing any locks it still holds so that
     /// exits (graceful or overlay-forced) never strand waiters.
-    fn thread_done<O: Observer + ?Sized>(&mut self, t: ThreadId, obs: &mut O) {
+    fn thread_done<D: Decisions<V>>(&mut self, t: ThreadId, src: &mut D) {
         // `release` removes exactly `lock` from the ascending held list.
         while let Some(&lock) = self.s.held[t.index()].first() {
-            self.release(t, lock, obs);
+            self.release(t, lock, src);
         }
         self.set_status(t, Status::Done);
     }
@@ -977,7 +1085,7 @@ mod tests {
     use crate::expr::{BinOp, Expr};
     use crate::overlay::{LockGate, LoopBound, SiteGuard, GHOST_LOCK_BASE};
     use crate::sched::{RandomSched, RoundRobin, ScriptSched};
-    use crate::syscall::{DefaultEnv, ScriptEnv};
+    use crate::syscall::DefaultEnv;
 
     fn run_simple(program: &Program, inputs: &[i64]) -> ExecResult {
         Executor::new(program)
@@ -1518,7 +1626,13 @@ mod tests {
             t.emit(Expr::local(0));
         });
         let p = pb.build().unwrap();
-        let mut env = ScriptEnv::new(vec![13]);
+        struct Thirteen;
+        impl EnvModel for Thirteen {
+            fn call(&mut self, _: ThreadId, _: SyscallKind, _: i64, _: u64) -> i64 {
+                13
+            }
+        }
+        let mut env = Thirteen;
         let r = Executor::new(&p)
             .run(
                 &[],

@@ -139,11 +139,6 @@ impl Overlay {
             .filter(move |g| g.locks.contains(&lock))
     }
 
-    /// Finds a guard installed at `loc`, if any.
-    pub fn guard_at(&self, loc: Loc) -> Option<&SiteGuard> {
-        self.guards.iter().find(|g| g.loc == loc)
-    }
-
     /// The index in `loop_bounds` of the first bound for
     /// `(thread, header)` — the one that counts — if any.
     #[inline]
@@ -182,7 +177,6 @@ mod tests {
         assert!(o.is_empty());
         assert_eq!(o.rule_count(), 0);
         assert!(o.gates_for(LockId::new(0)).next().is_none());
-        assert!(o.guard_at(Loc::default()).is_none());
     }
 
     #[test]

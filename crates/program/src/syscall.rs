@@ -3,8 +3,7 @@
 //! Together with inputs and the thread schedule, syscall returns are the
 //! third source of program-external non-determinism. Pods record them
 //! (paper, §3.1: "summaries of system call return values"), and the hive
-//! replays them through [`ScriptEnv`] when reconstructing deterministic
-//! branches.
+//! reads them back from the trace when it replays a path.
 
 use crate::cfg::SyscallKind;
 use crate::ids::ThreadId;
@@ -163,45 +162,6 @@ impl EnvModel for DefaultEnv {
     }
 }
 
-/// Replays a recorded syscall-return script (hive-side reconstruction).
-///
-/// Once the script is exhausted, falls back to nominal full-success values
-/// so that replay of truncated summaries still terminates.
-#[derive(Debug, Clone)]
-pub struct ScriptEnv {
-    script: Vec<i64>,
-    pos: usize,
-}
-
-impl ScriptEnv {
-    /// Creates a replay environment from recorded return values in call
-    /// order.
-    pub fn new(script: Vec<i64>) -> Self {
-        ScriptEnv { script, pos: 0 }
-    }
-
-    /// How many scripted values have been consumed.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-}
-
-impl EnvModel for ScriptEnv {
-    fn call(&mut self, _thread: ThreadId, kind: SyscallKind, arg: i64, _call_index: u64) -> i64 {
-        if let Some(v) = self.script.get(self.pos) {
-            self.pos += 1;
-            *v
-        } else {
-            match kind {
-                SyscallKind::Read | SyscallKind::Write => arg.max(0),
-                SyscallKind::Open => 3,
-                SyscallKind::Time => 0,
-                SyscallKind::Random => 0,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,16 +256,5 @@ mod tests {
         assert_eq!(e.call(t0(), SyscallKind::Read, 8, 0), 8);
         assert_eq!(e.call(t0(), SyscallKind::Open, 0, 1), 3);
         assert_eq!(e.call(t0(), SyscallKind::Open, 0, 2), 4);
-    }
-
-    #[test]
-    fn script_env_replays_then_falls_back() {
-        let mut s = ScriptEnv::new(vec![10, -1]);
-        assert_eq!(s.call(t0(), SyscallKind::Read, 64, 0), 10);
-        assert_eq!(s.call(t0(), SyscallKind::Open, 0, 1), -1);
-        assert_eq!(s.consumed(), 2);
-        // Fallback: nominal success.
-        assert_eq!(s.call(t0(), SyscallKind::Read, 5, 2), 5);
-        assert_eq!(s.call(t0(), SyscallKind::Open, 0, 3), 3);
     }
 }

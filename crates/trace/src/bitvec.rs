@@ -152,38 +152,6 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// A cursor that consumes bits in order — replay-side counterpart of
-/// recording.
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
-    bv: &'a BitVec,
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Starts reading at the first bit.
-    pub fn new(bv: &'a BitVec) -> Self {
-        BitReader { bv, pos: 0 }
-    }
-
-    /// Consumes and returns the next bit, or `None` when exhausted.
-    pub fn next_bit(&mut self) -> Option<bool> {
-        let b = self.bv.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Bits consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// Bits remaining.
-    pub fn remaining(&self) -> usize {
-        self.bv.len() - self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,18 +201,6 @@ mod tests {
         assert!(BitVec::from_bytes(&[0xff], 9).is_none());
         let bv = BitVec::from_bytes(&[0b101], 3).unwrap();
         assert_eq!(bv.iter().collect::<Vec<_>>(), vec![true, false, true]);
-    }
-
-    #[test]
-    fn reader_consumes_in_order() {
-        let bv: BitVec = [true, false, true].iter().copied().collect();
-        let mut r = BitReader::new(&bv);
-        assert_eq!(r.next_bit(), Some(true));
-        assert_eq!(r.next_bit(), Some(false));
-        assert_eq!(r.remaining(), 1);
-        assert_eq!(r.next_bit(), Some(true));
-        assert_eq!(r.next_bit(), None);
-        assert_eq!(r.consumed(), 3);
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod recorder;
 pub mod wire;
 
 pub use bitvec::BitVec;
-pub use reconstruct::{reconstruct, ReconstructError, ReconstructedPath};
+pub use reconstruct::{reconstruct, replay, ReconstructError, ReconstructedPath, ReplayScratch};
 pub use record::{ExecutionTrace, RecordingPolicy};
 pub use recorder::TraceRecorder;

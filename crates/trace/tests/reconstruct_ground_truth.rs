@@ -1,8 +1,9 @@
 //! Ground-truth property: for an arbitrary generated program (one to
 //! three threads, any mix of bug kinds), inputs, schedule, short-read
 //! rate, recording policy and overlay (random guards, gates and loop
-//! bounds), replaying the recorded trace yields exactly the branch
-//! decisions the interpreter made.
+//! bounds; a gate may list a lock that is neither the program's nor a
+//! gate, and two gates may share one ghost id), replaying the recorded
+//! trace yields exactly the branch decisions the interpreter made.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,6 +19,7 @@ use softborg_program::sched::RandomSched;
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{BranchSiteId, LockId, ThreadId};
 use softborg_trace::{reconstruct, RecordingPolicy, TraceRecorder};
+use std::collections::BTreeSet;
 
 /// Records the trace and keeps the interpreter's own decision sequence.
 struct Both {
@@ -59,7 +61,9 @@ fn predicate(program: &Program, rng: &mut SmallRng) -> Expr {
 }
 
 /// Random guards (on statements and terminators), gates over random lock
-/// subsets, and loop bounds on random branch blocks.
+/// subsets, and loop bounds on random branch blocks. Overlays arrive as
+/// decoded data, so a gate may also list an unknown lock id or reuse the
+/// previous gate's ghost id.
 fn random_overlay(program: &Program, rng: &mut SmallRng) -> Overlay {
     let mut overlay = Overlay::empty();
     let blocks: Vec<_> = program.blocks().collect();
@@ -85,12 +89,17 @@ fn random_overlay(program: &Program, rng: &mut SmallRng) -> Overlay {
         });
     }
     for g in 0..rng.gen_range(0..3u32) {
-        let locks = (0..program.n_locks)
+        let mut locks: BTreeSet<LockId> = (0..program.n_locks)
             .filter(|_| rng.gen_range(0..2u32) == 0)
             .map(LockId::new)
             .collect();
+        if rng.gen_range(0..4u32) == 0 {
+            // Neither a program lock nor a gate: nobody ever holds it.
+            locks.insert(LockId::new(program.n_locks + 7));
+        }
+        let shares_previous_id = g > 0 && rng.gen_range(0..4u32) == 0;
         overlay.lock_gates.push(LockGate {
-            gate: LockId::new(GHOST_LOCK_BASE + g),
+            gate: LockId::new(GHOST_LOCK_BASE + g - u32::from(shares_previous_id)),
             locks,
         });
     }

@@ -12,12 +12,11 @@ use softborg::analysis::{
     failure_key, sample_path, suspicious_arms, CbiServer, FailureLedger, WerBuckets,
 };
 use softborg::program::gen::{generate, sample_inputs, BugKind, GenConfig};
-use softborg::program::interp::Executor;
+use softborg::program::interp::{Executor, LoweredProgram};
 use softborg::program::overlay::Overlay;
 use softborg::program::sched::RoundRobin;
 use softborg::program::syscall::DefaultEnv;
-use softborg::program::taint::InputDependence;
-use softborg::trace::{reconstruct, RecordingPolicy, TraceRecorder};
+use softborg::trace::{replay, RecordingPolicy, ReplayScratch, TraceRecorder};
 use softborg::tree::ExecutionTree;
 
 fn main() {
@@ -39,7 +38,8 @@ fn main() {
         println!("  ground truth: {}", b.description);
     }
 
-    let deps = InputDependence::compute(program);
+    let code = LoweredProgram::new(program);
+    let mut scratch = ReplayScratch::default();
     let mut exec = Executor::new(program);
     let mut rng = SmallRng::seed_from_u64(7);
     let mut tree = ExecutionTree::new(program.id());
@@ -63,7 +63,7 @@ fn main() {
         let trace = rec.finish(r.outcome.clone(), r.steps);
         ledger.ingest(&trace.outcome, failure_key(&trace.outcome).as_deref());
         wer.ingest(&trace);
-        if let Ok(path) = reconstruct(program, &deps, &Overlay::empty(), &trace) {
+        if let Ok(path) = replay(&code, &Overlay::empty(), &trace, &mut scratch) {
             cbi.ingest(&sample_path(&path.decisions, trace.is_failure(), 100, i));
             tree.merge_path(&path.decisions, &trace.outcome);
         }
