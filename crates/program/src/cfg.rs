@@ -273,6 +273,14 @@ impl Program {
         out
     }
 
+    /// Counts static statements plus terminators (a rough size metric).
+    pub fn static_size(&self) -> usize {
+        self.threads
+            .iter()
+            .map(|t| t.blocks.iter().map(|b| b.stmts.len() + 1).sum::<usize>())
+            .sum()
+    }
+
     /// Checks structural well-formedness.
     ///
     /// # Errors
@@ -503,6 +511,11 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].0, BranchSiteId::new(0));
         assert_eq!(sites[0].1, ThreadId::new(0));
+    }
+
+    #[test]
+    fn static_size_counts_stmts_and_terms() {
+        assert_eq!(tiny_program().static_size(), 5);
     }
 
     #[test]

@@ -77,19 +77,16 @@ pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
 }
 
 /// Appends a little-endian `u32`.
-#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
-#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `i64`.
-#[inline]
 pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }

@@ -150,6 +150,10 @@ impl ExecResult {
 /// baseline for the recording-cost experiment E4).
 #[allow(unused_variables)]
 pub trait Observer {
+    /// Whether [`on_global_access`](Self::on_global_access) reads its
+    /// `locks_held`. A run keeps each thread's lockset only for an
+    /// observer that does; any other is passed an empty one.
+    const READS_LOCKSETS: bool = true;
     /// A conditional branch executed at `site`; `taken` is the then-arm,
     /// `input_dependent` is the static taint classification.
     fn on_branch(
@@ -195,7 +199,9 @@ pub trait Observer {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NopObserver;
 
-impl Observer for NopObserver {}
+impl Observer for NopObserver {
+    const READS_LOCKSETS: bool = false;
+}
 
 /// Interpreter limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -291,13 +297,10 @@ pub struct LoweredProgram {
 }
 
 impl LoweredProgram {
-    /// Computes `program`'s input-dependence analysis and lowers it.
+    /// Computes `program`'s input-dependence analysis and lowers it,
+    /// marking the branches the analysis calls dependent.
     pub fn new(program: &Program) -> Self {
-        Self::with_dependence(program, InputDependence::compute(program))
-    }
-
-    /// Lowers `program`, marking the branches `deps` calls dependent.
-    pub fn with_dependence(program: &Program, deps: InputDependence) -> Self {
+        let deps = InputDependence::compute(program);
         let (mut ops, mut exprs, mut bases) = (Vec::new(), ExprCode::default(), Vec::new());
         for body in &program.threads {
             // A block's ops: its statements, then its terminator.
@@ -388,7 +391,8 @@ pub struct Scratch<V> {
     threads: Vec<ThreadState>,
     /// Runnable threads in ascending order, updated on status changes.
     runnable: Vec<ThreadId>,
-    /// Each thread's held locks, ascending.
+    /// Each thread's held locks, ascending, kept only for an observer
+    /// that [reads them](Observer::READS_LOCKSETS).
     held: Vec<Vec<LockId>>,
     /// Owner per lock slot (see `Machine::slot`).
     owner: Vec<Option<ThreadId>>,
@@ -417,6 +421,10 @@ pub trait Decisions<V> {
     type Error;
     /// What the run reports to.
     type Observer: Observer + ?Sized;
+    /// Whether a thread that blocks and so closes a wait-for cycle ends
+    /// the run ([`Stop::Deadlock`]). Replay's source does not: its
+    /// recorded schedule ends the path.
+    const STOPS_AT_CYCLES: bool = false;
     /// The run's observer.
     fn observer(&mut self) -> &mut Self::Observer;
     /// The next guard's recorded firing.
@@ -436,12 +444,15 @@ pub trait Decisions<V> {
 
 /// Why a [`Machine::step`] ended the run. The stepped thread stays at
 /// the statement that stopped it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stop<E> {
     /// The thread crashed.
     Crash(CrashKind),
     /// The thread tried to take a lock it holds.
     SelfDeadlock(LockId),
+    /// The thread blocked and closed this wait-for cycle (only for a
+    /// source that [stops at cycles](Decisions::STOPS_AT_CYCLES)).
+    Deadlock(Vec<(ThreadId, LockId)>),
     /// A branch without a recorded direction had a ⊥ condition.
     UnknownBranch(BranchSiteId),
     /// The decision source ended the run.
@@ -470,6 +481,7 @@ struct Live<'a, E: ?Sized, O: ?Sized> {
 impl<E: EnvModel + ?Sized, O: Observer + ?Sized> Decisions<i64> for Live<'_, E, O> {
     type Error = Infallible;
     type Observer = O;
+    const STOPS_AT_CYCLES: bool = true;
 
     #[inline]
     fn observer(&mut self) -> &mut O {
@@ -622,14 +634,7 @@ impl<'p> Executor<'p> {
             live.obs.on_schedule(t);
             steps += 1;
             match m.step(t, &mut live) {
-                // A thread that blocked may have closed a wait-for cycle.
-                Ok(()) => {
-                    if let Status::Blocked(lock) = m.s.threads[t.index()].status {
-                        if let Some(cycle) = m.find_cycle(t, lock) {
-                            break Outcome::Deadlock { cycle };
-                        }
-                    }
-                }
+                Ok(()) => {}
                 Err(Stop::Crash(kind)) => {
                     break Outcome::Crash {
                         loc: m.loc(t),
@@ -641,6 +646,7 @@ impl<'p> Executor<'p> {
                         cycle: vec![(t, lock)],
                     }
                 }
+                Err(Stop::Deadlock(cycle)) => break Outcome::Deadlock { cycle },
                 Err(Stop::UnknownBranch(_)) => unreachable!("concrete values are known"),
                 Err(Stop::Source(never)) => match never {},
             }
@@ -711,19 +717,19 @@ impl<'a, V: Value> Machine<'a, V> {
         s.guard_of.clear();
         if !overlay.guards.is_empty() {
             s.guard_of.resize(code.ops.len(), u32::MAX);
-        }
-        if s.lowered_guards != overlay.guards {
-            let guards = &mut s.guards;
-            guards.clear();
-            s.guard_refs.clear();
-            s.guard_refs
-                .extend(overlay.guards.iter().map(|g| guards.lower(&g.when)));
-            s.lowered_guards.clone_from(&overlay.guards);
-        }
-        // Later guards first: the first guard at a location wins.
-        for (i, g) in overlay.guards.iter().enumerate().rev() {
-            if let Some(op) = code.op_at(g.loc) {
-                s.guard_of[op] = i as u32;
+            if s.lowered_guards != overlay.guards {
+                let guards = &mut s.guards;
+                guards.clear();
+                s.guard_refs.clear();
+                s.guard_refs
+                    .extend(overlay.guards.iter().map(|g| guards.lower(&g.when)));
+                s.lowered_guards.clone_from(&overlay.guards);
+            }
+            // Later guards first: the first guard at a location wins.
+            for (i, g) in overlay.guards.iter().enumerate().rev() {
+                if let Some(op) = code.op_at(g.loc) {
+                    s.guard_of[op] = i as u32;
+                }
             }
         }
         s.header_visits.clear();
@@ -778,6 +784,7 @@ impl<'a, V: Value> Machine<'a, V> {
     }
 
     /// Reports the global reads of `e` to the observer, in pre-order.
+    #[inline]
     fn observe_reads<D: Decisions<V>>(&self, t: ThreadId, e: ExprRef, src: &mut D) {
         let loads = self.code.exprs.global_loads(e);
         if loads.is_empty() {
@@ -790,6 +797,7 @@ impl<'a, V: Value> Machine<'a, V> {
         }
     }
 
+    #[inline]
     fn store<D: Decisions<V>>(&mut self, t: ThreadId, place: Place, value: V, src: &mut D) {
         match place {
             Place::Local(l) => {
@@ -808,6 +816,7 @@ impl<'a, V: Value> Machine<'a, V> {
     /// A program lock's slot is its id; a gate's follows them, at the
     /// position of the first overlay gate with its id. Any other id (a
     /// gate may list one among its locks) has no slot and no owner.
+    #[inline]
     fn slot(&self, lock: LockId) -> Option<usize> {
         if lock.0 < self.n_locks {
             return Some(lock.index());
@@ -824,6 +833,7 @@ impl<'a, V: Value> Machine<'a, V> {
         self.owner(lock) == Some(t)
     }
 
+    #[inline]
     fn set_status(&mut self, t: ThreadId, status: Status) {
         let was = std::mem::replace(&mut self.s.threads[t.index()].status, status);
         let runnable = &mut self.s.runnable;
@@ -839,6 +849,7 @@ impl<'a, V: Value> Machine<'a, V> {
 
     /// Tries to acquire `lock` for `t`: `Ok(true)` when acquired,
     /// `Ok(false)` when `t` blocked on it.
+    #[inline]
     fn acquire<D: Decisions<V>>(
         &mut self,
         t: ThreadId,
@@ -849,9 +860,11 @@ impl<'a, V: Value> Machine<'a, V> {
             None => {
                 let slot = self.slot(lock).expect(ACQUIRABLE);
                 self.s.owner[slot] = Some(t);
-                let held = &mut self.s.held[t.index()];
-                let at = held.partition_point(|&l| l < lock);
-                held.insert(at, lock);
+                if D::Observer::READS_LOCKSETS {
+                    let held = &mut self.s.held[t.index()];
+                    let at = held.partition_point(|&l| l < lock);
+                    held.insert(at, lock);
+                }
                 src.observer().on_lock_acquired(t, lock, self.loc(t));
                 Ok(true)
             }
@@ -860,6 +873,11 @@ impl<'a, V: Value> Machine<'a, V> {
             Some(owner) => {
                 src.observer().on_lock_blocked(t, lock, owner);
                 self.set_status(t, Status::Blocked(lock));
+                if D::STOPS_AT_CYCLES {
+                    if let Some(cycle) = self.find_cycle(t, lock) {
+                        return Err(Stop::Deadlock(cycle));
+                    }
+                }
                 Ok(false)
             }
         }
@@ -894,10 +912,13 @@ impl<'a, V: Value> Machine<'a, V> {
         Some(chain().take(len).collect())
     }
 
+    #[inline]
     fn release<D: Decisions<V>>(&mut self, t: ThreadId, lock: LockId, src: &mut D) {
         let slot = self.slot(lock).expect(ACQUIRABLE);
         self.s.owner[slot] = None;
-        self.s.held[t.index()].retain(|&l| l != lock);
+        if D::Observer::READS_LOCKSETS {
+            self.s.held[t.index()].retain(|&l| l != lock);
+        }
         src.observer().on_lock_released(t, lock);
         // Wake all waiters; they re-attempt acquisition when scheduled.
         for i in 0..self.s.threads.len() {
@@ -909,6 +930,9 @@ impl<'a, V: Value> Machine<'a, V> {
 
     /// Releases gates whose protected locks are no longer held by `t`.
     fn release_stale_gates<D: Decisions<V>>(&mut self, t: ThreadId, src: &mut D) {
+        if self.overlay.lock_gates.is_empty() {
+            return;
+        }
         let mut stale = std::mem::take(&mut self.s.stale);
         stale.extend(
             (self.overlay.lock_gates.iter())
@@ -933,6 +957,7 @@ impl<'a, V: Value> Machine<'a, V> {
     /// # Errors
     ///
     /// A [`Stop`] when the step ends the run.
+    #[inline]
     pub fn step<D: Decisions<V>>(
         &mut self,
         t: ThreadId,
@@ -1069,9 +1094,15 @@ impl<'a, V: Value> Machine<'a, V> {
     /// Marks a thread finished, releasing any locks it still holds so that
     /// exits (graceful or overlay-forced) never strand waiters.
     fn thread_done<D: Decisions<V>>(&mut self, t: ThreadId, src: &mut D) {
-        // `release` removes exactly `lock` from the ascending held list.
-        while let Some(&lock) = self.s.held[t.index()].first() {
-            self.release(t, lock, src);
+        // Program locks in id order, then gates in overlay order.
+        for slot in 0..self.s.owner.len() {
+            if self.s.owner[slot] == Some(t) {
+                let lock = match slot.checked_sub(self.n_locks as usize) {
+                    Some(i) => self.overlay.lock_gates[i].gate,
+                    None => LockId::new(slot as u32),
+                };
+                self.release(t, lock, src);
+            }
         }
         self.set_status(t, Status::Done);
     }

@@ -24,6 +24,10 @@ pub struct InputDependence {
     /// `site_dependent[s]` is `true` when branch site `s` may depend on
     /// program-external values.
     site_dependent: Vec<bool>,
+    /// Tainted global variables (shared across threads).
+    tainted_globals: Vec<bool>,
+    /// Tainted locals, per thread.
+    tainted_locals: Vec<Vec<bool>>,
 }
 
 impl InputDependence {
@@ -74,7 +78,11 @@ impl InputDependence {
             }
         }
 
-        InputDependence { site_dependent }
+        InputDependence {
+            site_dependent,
+            tainted_globals,
+            tainted_locals,
+        }
     }
 
     /// Whether branch site `site` may depend on program-external values.
@@ -93,6 +101,23 @@ impl InputDependence {
     /// Total number of branch sites considered.
     pub fn site_count(&self) -> usize {
         self.site_dependent.len()
+    }
+
+    /// Whether a global is (over-approximately) tainted.
+    pub fn global_tainted(&self, g: u32) -> bool {
+        self.tainted_globals
+            .get(g as usize)
+            .copied()
+            .unwrap_or(true)
+    }
+
+    /// Whether a thread-local is (over-approximately) tainted.
+    pub fn local_tainted(&self, thread: usize, l: u32) -> bool {
+        self.tainted_locals
+            .get(thread)
+            .and_then(|v| v.get(l as usize))
+            .copied()
+            .unwrap_or(true)
     }
 }
 
@@ -179,6 +204,7 @@ mod tests {
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
         assert!(dep.is_dependent(BranchSiteId::new(0)));
+        assert!(dep.local_tainted(0, 1));
     }
 
     #[test]
@@ -196,6 +222,7 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
+        assert!(dep.global_tainted(0));
         assert!(dep.is_dependent(BranchSiteId::new(0)));
     }
 
@@ -245,9 +272,6 @@ mod tests {
         pb.inputs(1).locals(1);
         pb.thread(|t| {
             t.assign(local(0), Expr::input(0));
-            t.if_then(Expr::lt(Expr::local(0), Expr::Const(1)), |t| {
-                t.emit(Expr::Const(0));
-            });
         });
         pb.thread(|t| {
             t.if_then(Expr::lt(Expr::local(0), Expr::Const(1)), |t| {
@@ -256,7 +280,8 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
-        assert!(dep.is_dependent(BranchSiteId::new(0)));
-        assert!(!dep.is_dependent(BranchSiteId::new(1)));
+        assert!(dep.local_tainted(0, 0));
+        assert!(!dep.local_tainted(1, 0));
+        assert!(!dep.is_dependent(BranchSiteId::new(0)));
     }
 }

@@ -90,6 +90,7 @@ struct Replay<'t> {
 
 /// A replay observes only the branch path.
 impl Observer for Replay<'_> {
+    const READS_LOCKSETS: bool = false;
     fn on_branch(&mut self, _: ThreadId, site: BranchSiteId, taken: bool, _: bool) {
         self.decisions.push((site, taken));
     }
@@ -179,7 +180,7 @@ pub fn replay(
                 break;
             }
             // It ended the original execution too.
-            Err(Stop::SelfDeadlock(_)) => break,
+            Err(Stop::SelfDeadlock(_) | Stop::Deadlock(_)) => break,
             Err(Stop::UnknownBranch(site)) => {
                 return Err(ReconstructError::UnknownDeterministicBranch(site))
             }
@@ -192,8 +193,9 @@ pub fn replay(
     })
 }
 
-/// [`replay`] for one-off callers: lowers `program` (branches marked by
-/// `deps`) for this one trace.
+/// [`replay`] for one-off callers: lowers `program` for this one trace.
+/// `deps` must be `program`'s own analysis, which the lowering computes
+/// again.
 ///
 /// # Errors
 ///
@@ -204,7 +206,8 @@ pub fn reconstruct(
     overlay: &Overlay,
     trace: &ExecutionTrace,
 ) -> Result<ReconstructedPath, ReconstructError> {
-    let code = LoweredProgram::with_dependence(program, deps.clone());
+    let code = LoweredProgram::new(program);
+    debug_assert_eq!(code.dependence(), deps, "the program's own analysis");
     replay(&code, overlay, trace, &mut ReplayScratch::default())
 }
 

@@ -94,6 +94,12 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
+    /// Approximate wire size in bytes (used by the recording-cost
+    /// experiment E4 and by the network simulator for payload sizing).
+    pub fn encoded_size(&self) -> usize {
+        crate::wire::encode(self).len()
+    }
+
     /// `true` when the execution failed.
     pub fn is_failure(&self) -> bool {
         self.outcome.is_failure()
@@ -135,6 +141,15 @@ mod tests {
             phase: 3
         }
         .is_exact());
+    }
+
+    #[test]
+    fn encoded_size_is_positive_and_grows_with_content() {
+        let small = sample_trace();
+        let mut big = sample_trace();
+        big.bits = (0..10_000).map(|i| i % 3 == 0).collect();
+        assert!(small.encoded_size() > 0);
+        assert!(big.encoded_size() > small.encoded_size() + 1000);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub struct TraceRecorder {
     syscall_rets: Vec<i64>,
     schedule: Vec<u32>,
     dep_counter: u64,
+    n_branches: u64,
     /// `(thread, lock)` for every lock held.
     held: Vec<(u32, u32)>,
     /// Distinct `(held, then acquired)` pairs, ascending.
@@ -61,10 +62,16 @@ impl TraceRecorder {
             syscall_rets: Vec::new(),
             schedule: Vec::new(),
             dep_counter: 0,
+            n_branches: 0,
             held: Vec::new(),
             lock_pairs: Vec::new(),
             globals: Vec::new(),
         }
+    }
+
+    /// Dynamic branches seen so far (recorded or not).
+    pub fn branches_seen(&self) -> u64 {
+        self.n_branches
     }
 
     /// Seals the recording into a trace.
@@ -102,6 +109,7 @@ impl Observer for TraceRecorder {
         taken: bool,
         input_dependent: bool,
     ) {
+        self.n_branches += 1;
         match self.policy {
             RecordingPolicy::OutcomeOnly => {}
             RecordingPolicy::FullBranch => self.bits.push(taken),
@@ -210,6 +218,7 @@ mod tests {
         r.on_branch(t0(), site(0), true, false); // deterministic: skipped
         r.on_branch(t0(), site(1), false, true);
         r.on_branch(t0(), site(2), true, true);
+        assert_eq!(r.branches_seen(), 3);
         let t = r.finish(Outcome::Success, 3);
         assert_eq!(t.bits.iter().collect::<Vec<_>>(), vec![false, true]);
     }

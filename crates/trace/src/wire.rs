@@ -21,7 +21,6 @@ use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, RecordingPolicy};
 use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::cfg::Loc;
-use softborg_program::codec::{put_i64, put_u32, put_u64};
 use softborg_program::interp::{CrashKind, Outcome};
 use softborg_program::{BlockId, LockId, ProgramId, ThreadId};
 use std::fmt;
@@ -155,6 +154,18 @@ impl<'a> Reader<'a> {
 }
 
 fn put_u16(b: &mut Vec<u8>, v: u16) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(b: &mut Vec<u8>, v: u32) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(b: &mut Vec<u8>, v: u64) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_i64(b: &mut Vec<u8>, v: i64) {
     b.extend_from_slice(&v.to_le_bytes());
 }
 

@@ -3,7 +3,10 @@
 //! rate, recording policy and overlay (random guards, gates and loop
 //! bounds; a gate may list a lock that is neither the program's nor a
 //! gate, and two gates may share one ghost id), replaying the recorded
-//! trace yields exactly the branch decisions the interpreter made.
+//! trace yields exactly the branch decisions the interpreter made — both
+//! through the per-call `reconstruct` and through `replay` on one
+//! `ReplayScratch` that every case shares, as an ingest worker keeps one
+//! across programs and overlay versions.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -11,15 +14,21 @@ use rand::{Rng, SeedableRng};
 use softborg_program::cfg::{local, Loc, Program, SyscallKind};
 use softborg_program::expr::{BinOp, Expr};
 use softborg_program::gen::{generate, sample_inputs, BugKind, GenConfig};
-use softborg_program::interp::{ExecConfig, Executor, Observer};
+use softborg_program::interp::{ExecConfig, Executor, LoweredProgram, Observer};
 use softborg_program::overlay::{
     GuardAction, LockGate, LoopBound, Overlay, SiteGuard, GHOST_LOCK_BASE,
 };
 use softborg_program::sched::RandomSched;
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{BranchSiteId, LockId, ThreadId};
-use softborg_trace::{reconstruct, RecordingPolicy, TraceRecorder};
+use softborg_trace::{reconstruct, replay, RecordingPolicy, ReplayScratch, TraceRecorder};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+
+thread_local! {
+    /// The one scratch every case replays through.
+    static SHARED: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::default());
+}
 
 /// Records the trace and keeps the interpreter's own decision sequence.
 struct Both {
@@ -176,6 +185,9 @@ proptest! {
             .expect("arity matches");
         let trace = obs.rec.finish(r.outcome.clone(), r.steps);
         let got = reconstruct(program, exec.dependence(), &overlay, &trace);
+        let code = LoweredProgram::new(program);
+        let shared = SHARED.with(|s| replay(&code, &overlay, &trace, &mut s.borrow_mut()));
+        prop_assert_eq!(&shared, &got, "a shared scratch replays as a fresh one");
         prop_assert_eq!(
             got.map(|p| p.decisions),
             Ok(obs.path),

@@ -9,7 +9,9 @@
 //! acquires run inside the gate — and while `reconstruct` replays the
 //! single-thread loop's traces. Only the amortised doubling of growing
 //! buffers (schedule picks, trace bits, reconstructed decisions) may
-//! separate the two counts. Folding one prepared merge record into a
+//! separate the two counts. Replaying those traces as an ingest worker
+//! does, on one lowering with a warm scratch, allocates only the
+//! returned decisions. Folding one prepared merge record into a
 //! hive 10 and 1,000 times must allocate exactly as often. Guidance's
 //! frontier pass and the digest of a 100-node and a 20,000-node tree may
 //! differ by the doubling of one growing buffer.
@@ -29,7 +31,9 @@ use softborg_pod::{Pod, PodConfig};
 use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::{global, local, Stmt};
 use softborg_program::expr::{BinOp, Expr, Place};
-use softborg_program::interp::{CrashKind, ExecConfig, Executor, Observer, Outcome};
+use softborg_program::interp::{
+    CrashKind, ExecConfig, Executor, LoweredProgram, Observer, Outcome,
+};
 use softborg_program::overlay::{GuardAction, LockGate, Overlay, SiteGuard, GHOST_LOCK_BASE};
 use softborg_program::scenarios;
 use softborg_program::sched::{RandomSched, RoundRobin};
@@ -37,7 +41,7 @@ use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ProgramId, ThreadId};
 use softborg_trace::record::GlobalAccessSummary;
-use softborg_trace::{reconstruct, BitVec, ExecutionTrace, RecordingPolicy};
+use softborg_trace::{reconstruct, replay, BitVec, ExecutionTrace, RecordingPolicy, ReplayScratch};
 use softborg_tree::{ExecutionTree, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -296,29 +300,45 @@ fn pod_run_once_allocates_only_what_it_returns() {
     }
 }
 
-/// Allocations made by reconstructing the loop's trace at `iterations`,
-/// with the path length.
-fn allocs_per_reconstruct(overlay: Option<&Overlay>, iterations: i64) -> (u64, usize) {
+/// Allocations made by replaying the loop's trace at `iterations`: once
+/// through the per-call `reconstruct`, and once as an ingest worker
+/// replays, on one lowering with a warm `ReplayScratch`; with the path
+/// length.
+fn allocs_per_reconstruct(overlay: Option<&Overlay>, iterations: i64) -> (u64, u64, usize) {
     let program = looping_program();
     let (_, _, trace) = allocs_per_run(&program, overlay, iterations);
     let deps = InputDependence::compute(&program);
     let empty = Overlay::empty();
     let overlay = overlay.unwrap_or(&empty);
-    let before = ALLOCS.with(Cell::get);
-    let path = reconstruct(&program, &deps, overlay, &trace).expect("exact trace");
-    let allocs = ALLOCS.with(Cell::get) - before;
-    (allocs, path.decisions.len())
+    let (one_shot, path) =
+        allocs_of(|| reconstruct(&program, &deps, overlay, &trace).expect("exact trace"));
+    let code = LoweredProgram::new(&program);
+    let mut scratch = ReplayScratch::default();
+    replay(&code, overlay, &trace, &mut scratch).expect("exact trace");
+    let (warm, again) =
+        allocs_of(|| replay(&code, overlay, &trace, &mut scratch).expect("exact trace"));
+    assert_eq!(again, path);
+    // Every branch of the loop carries a bit.
+    assert_eq!(path.decisions.len(), trace.bits.len());
+    (one_shot, warm, path.decisions.len())
 }
 
 fn assert_reconstruct_flat(overlay: Option<&Overlay>) {
-    let (small, small_len) = allocs_per_reconstruct(overlay, 10);
-    let (large, large_len) = allocs_per_reconstruct(overlay, 1_000);
+    let (small, small_warm, small_len) = allocs_per_reconstruct(overlay, 10);
+    let (large, large_warm, large_len) = allocs_per_reconstruct(overlay, 1_000);
     assert!(large_len > 50 * small_len, "{small_len} vs {large_len}");
     // `decisions` may double its way from one length to the other.
     let doublings = u64::from((large_len / small_len).ilog2() + 1);
     assert!(
         large <= small + doublings,
         "reconstruct allocated {small} times for {small_len} decisions but {large} for {large_len}"
+    );
+    // A warm replay allocates only `decisions`, sized once from the bit
+    // count.
+    assert_eq!(
+        (small_warm, large_warm),
+        (1, 1),
+        "warm replays of {small_len} and {large_len} decisions"
     );
 }
 
