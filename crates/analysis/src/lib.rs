@@ -13,6 +13,7 @@
 //! * [`cbi`] — Cooperative Bug Isolation statistical ranking (baseline).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cbi;
 pub mod deadlock;

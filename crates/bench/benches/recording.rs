@@ -200,6 +200,7 @@ fn bench_reconstruct(c: &mut Criterion) {
         let ctx = ReconstructContext {
             code: &code,
             overlays: &overlays,
+            epoch: 0,
         };
         let mut next = 0;
         group.bench_function(s.name, |b| {
@@ -233,6 +234,7 @@ fn bench_hive_sink(c: &mut Criterion) {
         let ctx = ReconstructContext {
             code: hive.lowered(),
             overlays: hive.overlays(),
+            epoch: 0,
         };
         let mut scratch = ReplayScratch::default();
         let records: Vec<MergeRecord> = (0..4)

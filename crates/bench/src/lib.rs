@@ -6,6 +6,7 @@
 //! `cargo run -p softborg-bench --release --bin <name>` regenerates it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fleet;
 

@@ -12,6 +12,7 @@ use crate::durable::DurabilityError;
 use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Validation, Verdict};
 use softborg_guidance::Directive;
 use softborg_hive::{outcome_signature, Hive};
+use softborg_ingest::pool;
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec;
 use softborg_program::{Overlay, Program, ProgramId};
@@ -59,11 +60,16 @@ pub(crate) struct PodSlot<'a, 'p> {
     pub(crate) pod: &'a mut Pod<'p>,
 }
 
-/// Runs every slot's pod `execs` times on up to `threads` scoped threads
-/// (contiguous chunks), handing each frame to `submit(session, seq,
-/// frame)` after keeping a copy when `keep_frames` (a durable round
-/// journals them). Returns `(session, counters)` per slot plus the kept
-/// frames, unordered; `submit` is dropped once every thread finished.
+/// What one chunk of pods produced: `(session, counters)` per pod and
+/// the frames kept for the journal.
+type ChunkOut = (Vec<(u64, Counters)>, Vec<Frame>);
+
+/// Runs every slot's pod `execs` times on up to `threads` threads
+/// (contiguous chunks: the first on the calling thread, the rest on
+/// pooled ones), handing each frame to `submit(session, seq, frame)`
+/// after keeping a copy when `keep_frames` (a durable round journals
+/// them). Returns `(session, counters)` per slot plus the kept frames,
+/// unordered; `submit` is dropped once every chunk finished.
 pub(crate) fn run_threaded(
     mut slots: Vec<PodSlot<'_, '_>>,
     threads: usize,
@@ -74,37 +80,42 @@ pub(crate) fn run_threaded(
 ) -> (Vec<(u64, Counters)>, Vec<Frame>) {
     let threads = threads.max(1).min(slots.len().max(1));
     let chunk_size = slots.len().div_ceil(threads).max(1);
-    let submit = &submit;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = slots
-            .chunks_mut(chunk_size)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut counters = Vec::with_capacity(chunk.len());
-                    let mut kept = Vec::new();
-                    for slot in chunk {
-                        let session = slot.session;
-                        let emit = |seq, frame: Vec<u8>| {
-                            if keep_frames {
-                                kept.push((session, seq, frame.clone()));
-                            }
-                            submit(session, seq, frame);
-                        };
-                        let ran = run_pod(slot.pod, execs, batch, slot.first_seq, emit);
-                        counters.push((session, ran));
-                    }
-                    (counters, kept)
-                })
-            })
-            .collect();
-        let mut out = (Vec::new(), Vec::new());
-        for handle in handles {
-            let (counters, kept) = handle.join().expect("pod thread panicked");
-            out.0.extend(counters);
-            out.1.extend(kept);
+    let run_chunk = |chunk: &mut [PodSlot<'_, '_>]| -> ChunkOut {
+        let mut counters = Vec::with_capacity(chunk.len());
+        let mut kept = Vec::new();
+        for slot in chunk {
+            let session = slot.session;
+            let emit = |seq, frame: Vec<u8>| {
+                if keep_frames {
+                    kept.push((session, seq, frame.clone()));
+                }
+                submit(session, seq, frame);
+            };
+            let ran = run_pod(slot.pod, execs, batch, slot.first_seq, emit);
+            counters.push((session, ran));
         }
-        out
-    })
+        (counters, kept)
+    };
+    let run_chunk = &run_chunk;
+    let mut outs: Vec<ChunkOut> = (0..slots.len().div_ceil(chunk_size))
+        .map(|_| ChunkOut::default())
+        .collect();
+    pool::scope(|s| {
+        let mut chunks = slots.chunks_mut(chunk_size).zip(&mut outs);
+        let first = chunks.next();
+        for (chunk, out) in chunks {
+            s.spawn(move || *out = run_chunk(chunk));
+        }
+        if let Some((chunk, out)) = first {
+            *out = run_chunk(chunk);
+        }
+    });
+    let mut out = ChunkOut::default();
+    for (counters, kept) in outs {
+        out.0.extend(counters);
+        out.1.extend(kept);
+    }
+    out
 }
 
 /// Whether a validated candidate is pushed to every user. A
@@ -145,7 +156,7 @@ pub(crate) struct Trial<'p> {
     base: Overlay,
 }
 
-/// Validates every trial's candidates in the repair lab, one scoped
+/// Validates every trial's candidates in the repair lab, one pooled
 /// thread per trial (trials are bounded by distinct failure modes), and
 /// returns per trial the best candidate if [`should_distribute`]
 /// approves it. Callers promote in trial order, so the outcome does not
@@ -154,36 +165,33 @@ pub(crate) fn validate_trials(
     trials: &[Trial<'_>],
     min_preservation_cases: usize,
 ) -> Vec<Option<FixCandidate>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = trials
-            .iter()
-            .map(|t| {
-                s.spawn(move || {
-                    let lab = LabConfig::default();
-                    let ranked = rank(
-                        t.program,
-                        &t.base,
-                        &t.candidates,
-                        &t.failing,
-                        &t.passing,
-                        lab,
-                    );
-                    let (candidate, validation) = ranked.into_iter().next()?;
-                    should_distribute(
-                        &t.signature,
-                        &t.failing,
-                        &validation,
-                        min_preservation_cases,
-                    )
-                    .then_some(candidate)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trial validation thread panicked"))
-            .collect()
-    })
+    let validate = |t: &Trial<'_>| {
+        let lab = LabConfig::default();
+        let ranked = rank(
+            t.program,
+            &t.base,
+            &t.candidates,
+            &t.failing,
+            &t.passing,
+            lab,
+        );
+        let (candidate, validation) = ranked.into_iter().next()?;
+        should_distribute(
+            &t.signature,
+            &t.failing,
+            &validation,
+            min_preservation_cases,
+        )
+        .then_some(candidate)
+    };
+    let validate = &validate;
+    let mut winners: Vec<Option<FixCandidate>> = trials.iter().map(|_| None).collect();
+    pool::scope(|s| {
+        for (t, winner) in trials.iter().zip(&mut winners) {
+            s.spawn(move || *winner = validate(t));
+        }
+    });
+    winners
 }
 
 /// One program's fleet: the program, its id, and its pods.

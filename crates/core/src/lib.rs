@@ -56,6 +56,7 @@
 //! | [`hive`] | §3–§4 | aggregation, fixes, proofs, distribution |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod durable;
 mod fleet;

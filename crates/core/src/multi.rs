@@ -97,8 +97,8 @@ impl Default for MultiPlatformConfig {
     }
 }
 
-/// How a round's executions flow into the hive: pods run on scoped
-/// threads and report through the staged ingest pipeline (wire-encoded
+/// How a round's executions flow into the hive: pods run on pooled
+/// threads ([`softborg_ingest::pool`]) and report through the staged ingest pipeline (wire-encoded
 /// batch frames, decode+reconstruct worker pool, ordered merger).
 #[derive(Debug, Clone)]
 pub struct IngestSettings {
@@ -889,7 +889,7 @@ impl<'p> MultiPlatform<'p> {
         }
     }
 
-    /// Step 2 of [`round`](Self::round): every fleet's pods on scoped
+    /// Step 2 of [`round`](Self::round): every fleet's pods on pooled
     /// threads, frames in pre-partitioned per-lane slots, so each
     /// program's merge order is pod-major whatever the scheduling.
     fn execute(&mut self, execs_per_pod: u32) -> (Vec<Counters>, Vec<Frame>) {

@@ -9,6 +9,7 @@
 //! suggestions for developers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod repair;
 pub mod synth;

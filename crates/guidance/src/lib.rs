@@ -11,6 +11,7 @@
 //!   to subtree "equities", with uniform and greedy baselines.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod directive;
 pub mod frontier;

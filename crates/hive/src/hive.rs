@@ -19,7 +19,7 @@ use softborg_fix::{crash_guards, deadlock_immunity, hang_bounds, FixCandidate};
 use softborg_guidance::{frontier, Directive, GuidancePlan, PlanStats, PlannerConfig};
 use softborg_ingest::{
     FrameSender, IngestConfig, IngestStats, MergeRecord, ProcessedTrace, ReconstructContext,
-    ShardMap,
+    ShardMap, WorkerMemos,
 };
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::{LoweredProgram, Outcome};
@@ -30,6 +30,14 @@ use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{ExecutionTrace, ReplayScratch};
 use softborg_tree::{path_hash, CoverageStats, ExecutionTree};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A new [`ReconstructContext::epoch`]: distinct from every other one
+/// this process handed out, so no two hive states share one.
+pub(crate) fn fresh_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Hive configuration.
 #[derive(Debug, Clone)]
@@ -105,6 +113,12 @@ pub struct Hive<'p> {
     ledger: FailureLedger,
     /// Every overlay version ever distributed (index = version).
     overlay_history: Vec<Overlay>,
+    /// The overlay history's [`ReconstructContext::epoch`]: renewed
+    /// whenever the history is replaced rather than appended to.
+    epoch: u64,
+    /// The ingest workers' memos, kept across
+    /// [`ingest_frames`](Hive::ingest_frames) runs.
+    memos: WorkerMemos,
     fixed: BTreeSet<String>,
     stats: HiveStats,
     config: HiveConfig,
@@ -169,7 +183,7 @@ impl HiveSink<'_> {
 
     pub(crate) fn apply(&mut self, r: &MergeRecord) {
         self.fold(
-            (r.path.as_ref()).map(|(d, hash)| (d.as_slice(), *hash)),
+            (r.path.as_ref()).map(|(d, hash)| (&d[..], *hash)),
             r.failure_key.as_deref(),
             &r.outcome,
             &r.lock_pairs,
@@ -188,6 +202,8 @@ impl<'p> Hive<'p> {
             races: RaceDetector::new(),
             ledger: FailureLedger::new(),
             overlay_history: vec![Overlay::empty()],
+            epoch: fresh_epoch(),
+            memos: WorkerMemos::default(),
             fixed: BTreeSet::new(),
             stats: HiveStats::default(),
             program,
@@ -223,12 +239,14 @@ impl<'p> Hive<'p> {
             races,
             ledger,
             overlay_history,
+            epoch,
             stats,
             ..
         } = self;
         let ctx = ReconstructContext {
             code,
             overlays: overlay_history,
+            epoch: *epoch,
         };
         let sink = HiveSink {
             tree,
@@ -308,7 +326,8 @@ impl<'p> Hive<'p> {
     /// the tree and detectors.
     ///
     /// The overlay history is frozen for the duration of the call
-    /// (enforced by the borrow: promotion needs `&mut self`).
+    /// (enforced by the borrow: promotion needs `&mut self`). The
+    /// workers' memos are the hive's, kept from one call to the next.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, IngestStats)
     where
         P: FnOnce(FrameSender) -> R + Send,
@@ -316,10 +335,14 @@ impl<'p> Hive<'p> {
     {
         let id = self.tree.program();
         let map = ShardMap::new(&[id], 1).expect("one program on one shard");
+        // Lent to the run and put back after it; a panicking run drops them.
+        let mut memos = std::mem::take(&mut self.memos);
         let (ctx, mut sink) = self.split();
         let ctxs = BTreeMap::from([(id, ctx)]);
         let sinks = vec![move |_, r: &MergeRecord| sink.apply(r)];
-        softborg_ingest::run(config, &map, &ctxs, producer, sinks)
+        let out = softborg_ingest::run(config, &map, &ctxs, &mut memos, producer, sinks);
+        self.memos = memos;
+        out
     }
 
     /// Rebuilds a hive from write-ahead journal bytes: scans the journal
@@ -559,6 +582,8 @@ impl<'p> Hive<'p> {
     /// as `BadTag` on `TreeDelta.*`). On error the hive may be partially
     /// patched; callers discard it and fall back.
     pub fn apply_state_delta(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        // The overlay history may be replaced: memoized replays go stale.
+        self.epoch = fresh_epoch();
         let mut r = codec::Reader::new(bytes);
         let version = r.u8("HiveDelta.version")?;
         if version != 1 {
@@ -674,6 +699,8 @@ impl<'p> Hive<'p> {
             races,
             ledger,
             overlay_history,
+            epoch: fresh_epoch(),
+            memos: WorkerMemos::default(),
             fixed,
             stats,
             program,

@@ -25,6 +25,7 @@
 //!   (the "entirely distributed" hive of §3).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod distributed;
 pub mod hive;

@@ -13,7 +13,9 @@
 //! through, with one sink per shard instead of one.
 
 use crate::hive::{Hive, HiveConfig};
-use softborg_ingest::{FrameSender, IngestConfig, IngestStats, MergeRecord, ShardError, ShardMap};
+use softborg_ingest::{
+    FrameSender, IngestConfig, IngestStats, MergeRecord, ShardError, ShardMap, WorkerMemos,
+};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
 use std::collections::BTreeMap;
@@ -57,6 +59,11 @@ pub struct ShardedHive<'p> {
     programs: BTreeMap<ProgramId, &'p Program>,
     /// `shards[i]` holds the hives of every program placed on shard `i`.
     shards: Vec<BTreeMap<ProgramId, Hive<'p>>>,
+    /// The shared workers' memos, kept across
+    /// [`ingest_frames`](ShardedHive::ingest_frames) runs. A hive whose
+    /// state is replaced (decode, delta) brings a new epoch into the
+    /// next run, which clears them.
+    memos: WorkerMemos,
 }
 
 impl<'p> ShardedHive<'p> {
@@ -88,6 +95,7 @@ impl<'p> ShardedHive<'p> {
             map,
             programs: by_id,
             shards,
+            memos: WorkerMemos::default(),
         })
     }
 
@@ -137,7 +145,8 @@ impl<'p> ShardedHive<'p> {
     /// per shard: `producer` claims (program, seq) slots through its
     /// [`FrameSender`]; the shared worker pool classifies frames by
     /// content, decodes and reconstructs them through its per-worker
-    /// memo; per-shard mergers apply each program's traces in exact
+    /// memo (kept by the sharded hive from one run to the next);
+    /// per-shard mergers apply each program's traces in exact
     /// claimed-sequence order. Returns the producer's result and the
     /// run's stats.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, IngestStats)
@@ -166,7 +175,7 @@ impl<'p> ShardedHive<'p> {
                 }
             })
             .collect();
-        softborg_ingest::run(config, &self.map, &ctxs, producer, sinks)
+        softborg_ingest::run(config, &self.map, &ctxs, &mut self.memos, producer, sinks)
     }
 
     /// Convenience wrapper: submits pre-claimed `(program, frame)`

@@ -24,17 +24,24 @@
 //! * [`stats`] — [`IngestStats`]: queue depth, corrupt / misclaimed /
 //!   unknown-program frames, latency, cache hit rate,
 //!   throughput, per-shard breakdown and imbalance.
+//! * [`pool`] — the process-wide pool of parked threads every stage of a
+//!   run (and the campaign round's pods) runs on, behind a
+//!   `std::thread::scope`-shaped [`pool::scope`]. Its lifetime erasure
+//!   is the workspace's one `unsafe` item.
 //!
 //! The hive wires this up in `Hive::ingest_frames` (one program, one
-//! shard) and `ShardedHive::ingest_frames` (one sink per shard); the
-//! campaign round feeds it from pods running on scoped threads.
+//! shard) and `ShardedHive::ingest_frames` (one sink per shard), each
+//! keeping its [`WorkerMemos`] across runs; the campaign round feeds it
+//! from pods running on pooled threads.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod clock;
 pub mod map;
 pub mod memo;
 pub mod pipeline;
+pub mod pool;
 pub mod queue;
 pub mod stats;
 
@@ -42,7 +49,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use map::{ShardError, ShardMap};
 pub use memo::{Entry, MemoCache, Vacancy};
 pub use pipeline::{
-    run, FrameSender, IngestConfig, MergeRecord, ProcessedTrace, ReconstructContext,
+    run, FrameSender, IngestConfig, MergeRecord, ProcessedTrace, ReconstructContext, WorkerMemos,
 };
 pub use queue::BoundedQueue;
 pub use stats::{IngestStats, ShardStats, ERROR_SAMPLE_CAP};

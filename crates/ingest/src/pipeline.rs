@@ -28,9 +28,19 @@
 //!   path hash and failure-mode key derived once. Popular executions —
 //!   by design the common case, since a deployed population re-executes
 //!   the same paths constantly — cost one decode, reconstruction and
-//!   preparation per worker per [`run`] (the memo is the worker's and
-//!   lives as long as the run), not one per arrival. This is the paper's
-//!   information recycling applied to the hive's own ingest path.
+//!   preparation per worker for the life of the memo, not one per
+//!   arrival. The memos are [`WorkerMemos`], which the caller keeps and
+//!   [`run`] borrows, so they outlive the run: a hive keeps them for its
+//!   whole life, and a trace prepared in one round is a hit in the next.
+//!   That holds because a prepared record is a function of the program,
+//!   the trace bytes (which name the overlay version) and that version's
+//!   overlay, and overlay history only grows by appending: a trace whose
+//!   version does not exist yet is never memoized, and a context whose
+//!   [`epoch`](ReconstructContext::epoch) changed — its owner's state was
+//!   replaced — clears the memos. This is the paper's information
+//!   recycling applied to the hive's own ingest path.
+//! * **No per-run threads.** Every stage runs on the process-wide
+//!   [`pool`], so after warm-up a run creates no OS thread.
 //!
 //! The contract is one sentence: every claimed slot `0..n` of a program
 //! merges into that program's sink, in order. Every trace payload begins
@@ -49,6 +59,7 @@
 use crate::clock::{Clock, MonotonicClock};
 use crate::map::{ShardError, ShardMap};
 use crate::memo::{Entry, MemoCache};
+use crate::pool;
 use crate::queue::BoundedQueue;
 use crate::stats::{IngestStats, StatsCore};
 use softborg_analysis::failure_key;
@@ -64,7 +75,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::ScopedJoinHandle;
 
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
@@ -74,10 +84,10 @@ pub struct IngestConfig {
     /// Capacity of the frame queue and of every shard's merge queue: a
     /// full queue blocks its producer.
     pub queue_capacity: usize,
-    /// Memo entries for recycling reconstructions, per worker (each
-    /// worker owns a private, shared-nothing cache); at capacity the
-    /// cache evicts with a second-chance (clock) sweep (0 disables the
-    /// cache).
+    /// Memo entries for recycling reconstructions, per worker, kept
+    /// across runs by the hive (each worker owns a private,
+    /// shared-nothing cache); at capacity the cache evicts with a
+    /// second-chance (clock) sweep (0 disables the cache).
     pub memo_capacity: usize,
     /// Time source for the latency/throughput gauges. Defaults to the
     /// monotonic wall clock; a virtual-time scheduler injects its own so
@@ -112,6 +122,11 @@ pub struct ReconstructContext<'a> {
     pub code: &'a LoweredProgram,
     /// Every overlay version ever distributed (index = version).
     pub overlays: &'a [Overlay],
+    /// Names `overlays` up to appends: it must change whenever a version
+    /// already in `overlays` may have changed, and a run whose contexts'
+    /// epochs differ from the ones its [`WorkerMemos`] were filled under
+    /// clears them.
+    pub epoch: u64,
 }
 
 impl ReconstructContext<'_> {
@@ -142,6 +157,9 @@ pub struct ProcessedTrace {
     pub decisions: Option<Vec<(BranchSiteId, bool)>>,
 }
 
+/// Branch decisions as a memo keeps them: exactly sized.
+type Decisions = Box<[(BranchSiteId, bool)]>;
+
 /// One trace as a merger's sink folds it: what the tree and the
 /// detectors read, plus the two facts they would otherwise re-derive on
 /// every arrival. Workers prepare one per distinct trace and memoize it.
@@ -149,22 +167,23 @@ pub struct ProcessedTrace {
 pub struct MergeRecord {
     /// The reconstructed decisions and their [`path_hash`], when the
     /// trace is exact.
-    pub path: Option<(Vec<(BranchSiteId, bool)>, u64)>,
+    pub path: Option<(Decisions, u64)>,
     /// The outcome's [`failure_key`] (`None` for a success).
     pub failure_key: Option<Box<str>>,
     /// The execution's outcome.
     pub outcome: Outcome,
     /// Observed lock-order pairs.
-    pub lock_pairs: Vec<(u32, u32)>,
+    pub lock_pairs: Box<[(u32, u32)]>,
     /// Per-global access summaries.
-    pub global_summaries: Vec<GlobalAccessSummary>,
+    pub global_summaries: Box<[GlobalAccessSummary]>,
 }
 
 impl MergeRecord {
     /// Prepares a processed trace for merging: derives the path hash and
-    /// failure-mode key with the same functions serial ingest calls, and
+    /// failure-mode key with the same functions serial ingest calls,
     /// frees the replay-only buffers (bits, guard bits, syscall returns,
-    /// schedule).
+    /// schedule) and keeps every kept buffer at its exact size, since a
+    /// memo may hold the record for the life of a hive.
     pub fn prepare(pt: ProcessedTrace) -> Self {
         let ExecutionTrace {
             outcome,
@@ -175,12 +194,12 @@ impl MergeRecord {
         MergeRecord {
             path: (pt.decisions).map(|d| {
                 let hash = path_hash(&d, &outcome);
-                (d, hash)
+                (d.into_boxed_slice(), hash)
             }),
             failure_key: failure_key(&outcome).map(String::into_boxed_str),
             outcome,
-            lock_pairs,
-            global_summaries,
+            lock_pairs: lock_pairs.into_boxed_slice(),
+            global_summaries: global_summaries.into_boxed_slice(),
         }
     }
 }
@@ -360,14 +379,73 @@ impl Drop for MergerGuard<'_> {
     }
 }
 
+/// One worker's memo and replay tables, kept between runs.
+struct WorkerMemo {
+    memo: MemoCache<Arc<MergeRecord>>,
+    scratch: ReplayScratch,
+}
+
+/// The ingest workers' memos and replay tables, one per worker, which
+/// whoever calls [`run`] keeps across runs (a hive keeps them for its
+/// life). A run rebuilds them empty when its worker count or
+/// [`IngestConfig::memo_capacity`] differs from theirs, or when a
+/// context's [`epoch`](ReconstructContext::epoch) differs from the one
+/// they were filled under.
+#[derive(Default)]
+pub struct WorkerMemos {
+    workers: Vec<WorkerMemo>,
+    capacity: usize,
+    epochs: Vec<(ProgramId, u64)>,
+}
+
+impl std::fmt::Debug for WorkerMemos {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerMemos")
+            .field("workers", &self.workers.len())
+            .field("capacity", &self.capacity)
+            .field("entries", &self.entries())
+            .finish()
+    }
+}
+
+impl WorkerMemos {
+    /// Memo entries kept, over every worker.
+    fn entries(&self) -> usize {
+        self.workers.iter().map(|w| w.memo.len()).sum()
+    }
+
+    /// The per-worker memos for a run of `workers` over `ctxs`, rebuilt
+    /// when they were filled for another shape or other contexts.
+    fn fit(
+        &mut self,
+        workers: usize,
+        capacity: usize,
+        ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    ) -> &mut [WorkerMemo] {
+        let epochs: Vec<_> = ctxs.iter().map(|(&id, c)| (id, c.epoch)).collect();
+        if (self.workers.len(), self.capacity, &self.epochs) != (workers, capacity, &epochs) {
+            *self = WorkerMemos {
+                workers: (0..workers)
+                    .map(|_| WorkerMemo {
+                        memo: MemoCache::new(capacity),
+                        scratch: ReplayScratch::default(),
+                    })
+                    .collect(),
+                capacity,
+                epochs,
+            };
+        }
+        &mut self.workers
+    }
+}
+
 /// Validates one frame once, checks its content program against the
 /// claim, and decodes, reconstructs and prepares its payloads through
 /// the memo. Returns what the claimed lane should see.
 fn process_frame(
     stats: &StatsCore,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memo: &mut MemoCache<Arc<MergeRecord>>,
-    scratch: &mut ReplayScratch,
+    WorkerMemo { memo, scratch }: &mut WorkerMemo,
     item: &FrameItem,
 ) -> WorkerOut {
     let classified = wire::batch_payloads(&item.bytes)
@@ -406,9 +484,13 @@ fn process_frame(
             stats.frames_corrupt.incr();
             return WorkerOut::Corrupt;
         };
+        // A later run may know the version: its result is not final.
+        let known = (trace.overlay_version as usize) < ctx.overlays.len();
         let decisions = ctx.decisions(&trace, scratch);
         let record = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
-        vacancy.insert(Arc::clone(&record));
+        if known {
+            vacancy.insert(Arc::clone(&record));
+        }
         entries.push(record);
     }
     WorkerOut::Frame(entries)
@@ -418,15 +500,14 @@ fn worker_loop(
     shared: &Shared,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memo_capacity: usize,
+    kept: &mut WorkerMemo,
     active: &AtomicUsize,
 ) {
     let _guard = WorkerGuard { active, shared };
-    let mut memo: MemoCache<Arc<MergeRecord>> = MemoCache::new(memo_capacity);
-    let mut scratch = ReplayScratch::default();
+    let evicted_before = kept.memo.evictions();
     while let Some(item) = shared.frames.pop() {
         let t0 = shared.clock.now_ns();
-        let out = process_frame(&shared.stats, ctxs, &mut memo, &mut scratch, &item);
+        let out = process_frame(&shared.stats, ctxs, kept, &item);
         let busy_ns = shared.clock.now_ns().saturating_sub(t0);
         shared.stats.worker_busy_ns.add(busy_ns);
         if let Some(h) = &shared.stats.stage_work_ns {
@@ -444,7 +525,7 @@ fn worker_loop(
             out,
         });
     }
-    shared.stats.cache_evictions.add(memo.evictions());
+    (shared.stats.cache_evictions).add(kept.memo.evictions() - evicted_before);
 }
 
 /// Heap entry ordered by ascending claimed sequence number.
@@ -531,32 +612,28 @@ fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize,
     }
 }
 
-fn join<T>(handle: ScopedJoinHandle<'_, T>) -> T {
-    handle
-        .join()
-        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-}
-
 /// Runs the pipeline to completion.
 ///
-/// `producer` runs on its own thread and claims (program, seq) slots
+/// `producer` runs on a pooled thread and claims (program, seq) slots
 /// through the [`FrameSender`] it is given (clone it to fan production
 /// out). `sinks[i]` is shard *i*'s merger sink, with exclusive access to
 /// whatever mutable state it captured (a hive passes its merge state;
 /// the sharded hive one closure per shard over that shard's hives); it
 /// observes each program's traces in exact claimed-sequence order.
-/// Shard 0's merger runs on the calling thread, every other shard's on
-/// its own. `ctxs` holds the reconstruction inputs of every program in
-/// `map`.
+/// Shard 0's merger runs on the calling thread, every other shard's and
+/// every worker on a pooled one ([`pool`]). `ctxs` holds
+/// the reconstruction inputs of every program in `map`; `memos` are the
+/// workers' memos, kept by the caller across runs.
 ///
 /// # Panics
 ///
-/// Propagates producer, worker, and sink panics (none can deadlock the
-/// run). Panics if `sinks.len() != map.n_shards()`.
+/// Propagates producer, worker, and sink panics with their own payloads
+/// (none can deadlock the run). Panics if `sinks.len() != map.n_shards()`.
 pub fn run<R, P, S>(
     config: &IngestConfig,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    memos: &mut WorkerMemos,
     producer: P,
     sinks: Vec<S>,
 ) -> (R, IngestStats)
@@ -585,27 +662,22 @@ where
     };
     let n_workers = config.workers.max(1);
     let active = AtomicUsize::new(n_workers);
-    let memo_capacity = config.memo_capacity;
-    let result = std::thread::scope(|s| {
-        let shared = &shared;
-        let producer_handle = s.spawn(move || producer(sender));
-        let worker_handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let active = &active;
-                s.spawn(move || worker_loop(shared, map, ctxs, memo_capacity, active))
-            })
-            .collect();
+    let kept = memos.fit(n_workers, config.memo_capacity, ctxs);
+    let mut result = None;
+    pool::scope(|s| {
+        let (shared, active, result) = (&shared, &active, &mut result);
+        s.spawn(move || *result = Some(producer(sender)));
+        for kept in kept {
+            s.spawn(move || worker_loop(shared, map, ctxs, kept, active));
+        }
         let mut sinks = sinks.into_iter();
         let mut first = sinks.next().expect("at least one shard");
-        let merger_handles: Vec<_> = (1..)
-            .zip(sinks)
-            .map(|(i, mut sink)| s.spawn(move || merger_loop(shared, i, &mut sink)))
-            .collect();
+        for (i, mut sink) in (1..).zip(sinks) {
+            s.spawn(move || merger_loop(shared, i, &mut sink));
+        }
         merger_loop(shared, 0, &mut first);
-        merger_handles.into_iter().for_each(join);
-        worker_handles.into_iter().for_each(join);
-        join(producer_handle)
     });
+    let result = result.expect("the producer returned");
     let mut stats = shared.stats.snapshot(
         n_workers,
         shared.frames.high_water(),
@@ -706,6 +778,7 @@ mod tests {
                     let ctx = ReconstructContext {
                         code,
                         overlays: &overlays,
+                        epoch: 0,
                     };
                     (s.program.id(), ctx)
                 })
@@ -727,7 +800,15 @@ mod tests {
             };
             let sinks = vec![sink(0), sink(1)];
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run(&config, &map, &ctxs, |tx| producer(tx, &frames), sinks)
+                let memos = &mut WorkerMemos::default();
+                run(
+                    &config,
+                    &map,
+                    &ctxs,
+                    memos,
+                    |tx| producer(tx, &frames),
+                    sinks,
+                )
             }));
             let msg = match result {
                 Ok(_) => "no panic".to_string(),

@@ -27,6 +27,7 @@
 //! — instead of a bare hash mismatch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod explain;

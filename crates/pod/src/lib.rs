@@ -11,6 +11,7 @@
 //! §3.1).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod state;
 

@@ -150,7 +150,8 @@ impl ExecResult {
 /// baseline for the recording-cost experiment E4).
 #[allow(unused_variables)]
 pub trait Observer {
-    /// Whether [`on_global_access`](Self::on_global_access) reads its
+    /// Whether [`on_global_access`](Self::on_global_access) and
+    /// [`on_lock_acquired`](Self::on_lock_acquired) read their
     /// `locks_held`. A run keeps each thread's lockset only for an
     /// observer that does; any other is passed an empty one.
     const READS_LOCKSETS: bool = true;
@@ -168,8 +169,17 @@ pub trait Observer {
     fn on_schedule(&mut self, thread: ThreadId) {}
     /// A syscall returned.
     fn on_syscall(&mut self, thread: ThreadId, kind: SyscallKind, arg: i64, ret: i64) {}
-    /// `thread` acquired `lock`.
-    fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, loc: Loc) {}
+    /// `thread` acquired `lock` while holding `locks_held` (ascending,
+    /// `lock` not among them; empty unless the observer
+    /// [reads locksets](Self::READS_LOCKSETS)).
+    fn on_lock_acquired(
+        &mut self,
+        thread: ThreadId,
+        lock: LockId,
+        loc: Loc,
+        locks_held: &[LockId],
+    ) {
+    }
     /// `thread` blocked on `lock` currently owned by `owner`.
     fn on_lock_blocked(&mut self, thread: ThreadId, lock: LockId, owner: ThreadId) {}
     /// `thread` released `lock`.
@@ -860,12 +870,13 @@ impl<'a, V: Value> Machine<'a, V> {
             None => {
                 let slot = self.slot(lock).expect(ACQUIRABLE);
                 self.s.owner[slot] = Some(t);
+                let loc = self.loc(t);
+                let held = &mut self.s.held[t.index()];
+                src.observer().on_lock_acquired(t, lock, loc, held);
                 if D::Observer::READS_LOCKSETS {
-                    let held = &mut self.s.held[t.index()];
                     let at = held.partition_point(|&l| l < lock);
                     held.insert(at, lock);
                 }
-                src.observer().on_lock_acquired(t, lock, self.loc(t));
                 Ok(true)
             }
             // Non-reentrant mutex.
@@ -1352,7 +1363,7 @@ mod tests {
     struct LockTape(Vec<(u32, u32, bool)>);
 
     impl Observer for LockTape {
-        fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, _loc: Loc) {
+        fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, _loc: Loc, _: &[LockId]) {
             self.0.push((thread.0, lock.0, true));
         }
         fn on_lock_released(&mut self, thread: ThreadId, lock: LockId) {

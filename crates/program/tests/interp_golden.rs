@@ -55,10 +55,10 @@ impl Observer for Tape {
         self.fold(3, &[t.0.into(), kind as u64, arg as u64, ret as u64]);
         self.recorder.on_syscall(t, kind, arg, ret);
     }
-    fn on_lock_acquired(&mut self, t: ThreadId, lock: LockId, loc: Loc) {
+    fn on_lock_acquired(&mut self, t: ThreadId, lock: LockId, loc: Loc, held: &[LockId]) {
         self.fold(4, &[t.0.into(), lock.0.into()]);
         self.fold(4, &loc_words(loc));
-        self.recorder.on_lock_acquired(t, lock, loc);
+        self.recorder.on_lock_acquired(t, lock, loc, held);
     }
     fn on_lock_blocked(&mut self, t: ThreadId, lock: LockId, owner: ThreadId) {
         self.fold(5, &[t.0.into(), lock.0.into(), owner.0.into()]);

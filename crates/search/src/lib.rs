@@ -37,6 +37,7 @@
 //! pin it; with canaries off a bounded sweep must come back clean.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bisect;
 pub mod corpus;

@@ -9,6 +9,7 @@
 //! observation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cnf;
 pub mod dimacs;

@@ -14,6 +14,7 @@
 //! the scrubber and the fault-search campaigns lean on.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chain;
 

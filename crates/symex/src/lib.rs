@@ -8,6 +8,7 @@
 //! queries used to close execution-tree subtrees.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod interval;
 pub mod partial;

@@ -13,6 +13,7 @@
 //! * [`anonymize`] — the privacy ladder and k-anonymity batch filter.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod anonymize;
 pub mod bitvec;

@@ -32,8 +32,6 @@ pub struct TraceRecorder {
     schedule: Vec<u32>,
     dep_counter: u64,
     n_branches: u64,
-    /// `(thread, lock)` for every lock held.
-    held: Vec<(u32, u32)>,
     /// Distinct `(held, then acquired)` pairs, ascending.
     lock_pairs: Vec<(u32, u32)>,
     /// Indexed by global id; a global never accessed has both masks zero.
@@ -63,7 +61,6 @@ impl TraceRecorder {
             schedule: Vec::new(),
             dep_counter: 0,
             n_branches: 0,
-            held: Vec::new(),
             lock_pairs: Vec::new(),
             globals: Vec::new(),
         }
@@ -150,19 +147,12 @@ impl Observer for TraceRecorder {
         }
     }
 
-    fn on_lock_acquired(&mut self, thread: ThreadId, lock: LockId, _loc: Loc) {
-        for &(t, h) in &self.held {
-            if t == thread.0 {
-                if let Err(at) = self.lock_pairs.binary_search(&(h, lock.0)) {
-                    self.lock_pairs.insert(at, (h, lock.0));
-                }
+    fn on_lock_acquired(&mut self, _thread: ThreadId, lock: LockId, _loc: Loc, held: &[LockId]) {
+        for h in held {
+            if let Err(at) = self.lock_pairs.binary_search(&(h.0, lock.0)) {
+                self.lock_pairs.insert(at, (h.0, lock.0));
             }
         }
-        self.held.push((thread.0, lock.0));
-    }
-
-    fn on_lock_released(&mut self, thread: ThreadId, lock: LockId) {
-        self.held.retain(|&held| held != (thread.0, lock.0));
     }
 
     fn on_global_access(
@@ -274,13 +264,12 @@ mod tests {
     #[test]
     fn lock_pairs_record_held_then_acquired() {
         let mut r = TraceRecorder::new(ProgramId(1), RecordingPolicy::InputDependent, 0, true);
-        let t = t0();
-        r.on_lock_acquired(t, LockId::new(0), Loc::default());
-        r.on_lock_acquired(t, LockId::new(1), Loc::default()); // 0 -> 1
-        r.on_lock_released(t, LockId::new(1));
-        r.on_lock_released(t, LockId::new(0));
-        r.on_lock_acquired(t, LockId::new(1), Loc::default());
-        r.on_lock_acquired(t, LockId::new(0), Loc::default()); // 1 -> 0
+        let (t, l0, l1) = (t0(), LockId::new(0), LockId::new(1));
+        r.on_lock_acquired(t, l0, Loc::default(), &[]);
+        r.on_lock_acquired(t, l1, Loc::default(), &[l0]); // 0 -> 1
+        r.on_lock_acquired(t, l1, Loc::default(), &[]);
+        r.on_lock_acquired(t, l0, Loc::default(), &[l1]); // 1 -> 0
+        r.on_lock_acquired(t, l0, Loc::default(), &[l1]); // again: kept once
         let trace = r.finish(Outcome::Success, 6);
         assert_eq!(trace.lock_pairs, vec![(0, 1), (1, 0)]);
     }

@@ -7,6 +7,7 @@
 //! symbolic analysis, and replica merging for the distributed hive.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod tree;
 

@@ -1,4 +1,4 @@
-//! The platform's threaded round (pods on scoped threads reporting
+//! The platform's threaded round (pods on pooled threads reporting
 //! through the one ingest pipeline) must produce exactly the same round
 //! reports and hive state as serial *pod execution*
 //! (`DrivenExecution::serial` fed to `round_driven`, whose frames go
