@@ -1,4 +1,4 @@
-//! Criterion bench for the staged ingest pipeline (E14): serial
+//! Criterion bench for the ingest engine (E14): serial
 //! per-trace ingest vs `Hive::ingest_batch` at several worker counts,
 //! with and without reconstruction recycling.
 
@@ -45,7 +45,6 @@ fn bench_ingest(c: &mut Criterion) {
     ] {
         let cfg = IngestConfig {
             workers,
-            queue_capacity: 64,
             memo_capacity: memo,
             ..IngestConfig::default()
         };

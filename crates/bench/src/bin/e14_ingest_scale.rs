@@ -1,6 +1,6 @@
-//! E14 — staged ingest pipeline scaling (new subsystem, this repro):
-//! throughput of `Hive::ingest_batch` (batched frames, decode+reconstruct
-//! worker pool, memoized recycling, ordered merger) versus the serial
+//! E14 — ingest engine scaling (new subsystem, this repro): throughput
+//! of `Hive::ingest_batch` (batched frames run as units by the engine's
+//! participants, memoized recycling, in-order merge) versus the serial
 //! per-trace `Hive::ingest` loop, swept over worker counts.
 //!
 //! Workload: the E2 population workload (token_parser pods with random
@@ -33,7 +33,6 @@ struct Row {
     speedup: f64,
     cache_hit_rate: f64,
     mean_frame_latency_us: f64,
-    queue_high_water: usize,
 }
 
 fn pipelined<'p>(
@@ -44,7 +43,6 @@ fn pipelined<'p>(
 ) -> (Hive<'p>, IngestStats, f64) {
     let cfg = IngestConfig {
         workers,
-        queue_capacity: 64,
         memo_capacity: if memo { 4096 } else { 0 },
         ..IngestConfig::default()
     };
@@ -58,7 +56,7 @@ fn pipelined<'p>(
 fn main() {
     banner(
         "E14",
-        "staged ingest pipeline: throughput vs worker count",
+        "ingest engine: throughput vs worker count",
         "new subsystem (recycling applied to the hive ingest path)",
     );
     let s = scenarios::token_parser();
@@ -114,7 +112,6 @@ fn main() {
         ("speedup", 8),
         ("hit%", 6),
         ("lat us", 8),
-        ("q peak", 7),
     ]);
     let mut rows: Vec<Row> = Vec::new();
     let mut push_row = |label: String, workers: usize, memo: bool| {
@@ -134,24 +131,22 @@ fn main() {
             speedup: serial_ms / wall_ms,
             cache_hit_rate: stats.cache_hit_rate(),
             mean_frame_latency_us: stats.mean_frame_latency_ns() as f64 / 1e3,
-            queue_high_water: stats.queue_high_water,
         };
         println!(
-            "{}{}{}{}{}{}{}",
+            "{}{}{}{}{}{}",
             cell(&row.label, 14),
             cell(format!("{:.1}", row.wall_ms), 9),
             cell(format!("{:.0}", row.traces_per_sec), 10),
             cell(format!("{:.2}x", row.speedup), 8),
             cell(format!("{:.0}", row.cache_hit_rate * 100.0), 6),
-            cell(format!("{:.0}", row.mean_frame_latency_us), 8),
-            cell(row.queue_high_water, 7)
+            cell(format!("{:.0}", row.mean_frame_latency_us), 8)
         );
         rows.push(row);
     };
     for workers in 1..=8 {
         push_row(format!("{workers}w+memo"), workers, true);
     }
-    // Ablation: pipelining without recycling isolates what the memo
+    // Ablation: participants without recycling isolate what the memo
     // cache contributes.
     push_row("4w no-memo".to_string(), 4, false);
 
@@ -191,7 +186,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"config\": \"{}\", \"workers\": {}, \"memo\": {}, \"wall_ms\": {:.3}, \"traces_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"cache_hit_rate\": {:.4}, \"mean_frame_latency_us\": {:.1}, \"queue_high_water\": {}}}",
+            "    {{\"config\": \"{}\", \"workers\": {}, \"memo\": {}, \"wall_ms\": {:.3}, \"traces_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"cache_hit_rate\": {:.4}, \"mean_frame_latency_us\": {:.1}}}",
             r.label,
             r.workers,
             r.memo,
@@ -199,8 +194,7 @@ fn main() {
             r.traces_per_sec,
             r.speedup,
             r.cache_hit_rate,
-            r.mean_frame_latency_us,
-            r.queue_high_water
+            r.mean_frame_latency_us
         );
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }

@@ -1,7 +1,7 @@
 //! E19 — observability overhead (softborg-obs, this repro): the
 //! telemetry layer must be effectively free and strictly passive.
 //! Measures telemetry-on vs telemetry-off wall time on the two hottest
-//! workloads in the repo — the E14 staged-ingest configuration and the
+//! workloads in the repo — the E14 ingest-engine configuration and the
 //! E18 virtual-time fleet day — asserting <3% overhead and byte-equal
 //! final state either way; replays the instrumented fleet day to show
 //! `events_hash` reproduces alongside `sched_trace_hash`; and runs the
@@ -52,7 +52,6 @@ fn ingest_once(
 ) -> (u64, f64) {
     let cfg = IngestConfig {
         workers: 2,
-        queue_capacity: 64,
         memo_capacity: 4096,
         obs,
         ..IngestConfig::default()
@@ -97,7 +96,7 @@ fn main() {
         "this repro's softborg-obs subsystem (telemetry must be passive and effectively free)",
     );
 
-    // ---- Workload 1: E14 staged ingest -------------------------------
+    // ---- Workload 1: E14 ingest engine --------------------------------
     let s = scenarios::token_parser();
     let mut traces: Vec<ExecutionTrace> = Vec::with_capacity(N_PODS as usize * PER_POD);
     for p in 0..N_PODS {

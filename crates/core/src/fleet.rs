@@ -52,70 +52,13 @@ pub(crate) fn run_pod(
     (executions, failures, directed)
 }
 
-/// One pod's place in a threaded round: the journal session its frames
-/// are filed under and the first frame sequence number it owns.
+/// One pod's place in a round, the unit the ingest engine runs: the
+/// journal session its frames are filed under and the first frame
+/// sequence number it owns.
 pub(crate) struct PodSlot<'a, 'p> {
     pub(crate) session: u64,
     pub(crate) first_seq: u64,
     pub(crate) pod: &'a mut Pod<'p>,
-}
-
-/// What one chunk of pods produced: `(session, counters)` per pod and
-/// the frames kept for the journal.
-type ChunkOut = (Vec<(u64, Counters)>, Vec<Frame>);
-
-/// Runs every slot's pod `execs` times on up to `threads` threads
-/// (contiguous chunks: the first on the calling thread, the rest on
-/// pooled ones), handing each frame to `submit(session, seq, frame)`
-/// after keeping a copy when `keep_frames` (a durable round journals
-/// them). Returns `(session, counters)` per slot plus the kept frames,
-/// unordered; `submit` is dropped once every chunk finished.
-pub(crate) fn run_threaded(
-    mut slots: Vec<PodSlot<'_, '_>>,
-    threads: usize,
-    execs: u32,
-    batch: u64,
-    keep_frames: bool,
-    submit: impl Fn(u64, u64, Vec<u8>) + Sync,
-) -> (Vec<(u64, Counters)>, Vec<Frame>) {
-    let threads = threads.max(1).min(slots.len().max(1));
-    let chunk_size = slots.len().div_ceil(threads).max(1);
-    let run_chunk = |chunk: &mut [PodSlot<'_, '_>]| -> ChunkOut {
-        let mut counters = Vec::with_capacity(chunk.len());
-        let mut kept = Vec::new();
-        for slot in chunk {
-            let session = slot.session;
-            let emit = |seq, frame: Vec<u8>| {
-                if keep_frames {
-                    kept.push((session, seq, frame.clone()));
-                }
-                submit(session, seq, frame);
-            };
-            let ran = run_pod(slot.pod, execs, batch, slot.first_seq, emit);
-            counters.push((session, ran));
-        }
-        (counters, kept)
-    };
-    let run_chunk = &run_chunk;
-    let mut outs: Vec<ChunkOut> = (0..slots.len().div_ceil(chunk_size))
-        .map(|_| ChunkOut::default())
-        .collect();
-    pool::scope(|s| {
-        let mut chunks = slots.chunks_mut(chunk_size).zip(&mut outs);
-        let first = chunks.next();
-        for (chunk, out) in chunks {
-            s.spawn(move || *out = run_chunk(chunk));
-        }
-        if let Some((chunk, out)) = first {
-            *out = run_chunk(chunk);
-        }
-    });
-    let mut out = ChunkOut::default();
-    for (counters, kept) in outs {
-        out.0.extend(counters);
-        out.1.extend(kept);
-    }
-    out
 }
 
 /// Whether a validated candidate is pushed to every user. A

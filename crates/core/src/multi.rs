@@ -3,10 +3,11 @@
 //! The paper's hive recycles executions from many programs at once, so
 //! a [`MultiPlatform`] runs one pod fleet per program and drives every
 //! fleet's traffic through one [`ShardedHive`] and the one ingest
-//! pipeline: all fleets share **one** decode+reconstruct worker pool, while each
-//! program's hive lives on its deterministic shard and sees its own
-//! traces in exact submission order. [`Platform`](crate::Platform) is
-//! the one-fleet, one-shard view of this core.
+//! engine: every pod of every fleet is one unit, run and prepared by
+//! the same participants, while each program's hive lives on its
+//! deterministic shard and sees its own traces in exact slot order.
+//! [`Platform`](crate::Platform) is the one-fleet, one-shard view of
+//! this core.
 //!
 //! # Durability directory
 //!
@@ -32,7 +33,7 @@ use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
-use softborg_ingest::{IngestConfig, IngestStats};
+use softborg_ingest::{IngestConfig, IngestStats, UnitFrames};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
@@ -69,7 +70,7 @@ pub struct MultiPlatformConfig {
     /// Passing cases required before a predicted (zero-failing-case)
     /// deadlock fix may distribute on preservation evidence alone.
     pub min_preservation_cases: usize,
-    /// Execution/ingest tuning for the shared sharded pipeline.
+    /// Execution/ingest tuning for the one ingest engine.
     pub ingest: IngestSettings,
     /// Crash-only durability root. Each shard persists under its own
     /// `shard-<i>/` subdirectory of [`DurabilityConfig::dir`].
@@ -97,24 +98,22 @@ impl Default for MultiPlatformConfig {
     }
 }
 
-/// How a round's executions flow into the hive: pods run on pooled
-/// threads ([`softborg_ingest::pool`]) and report through the staged ingest pipeline (wire-encoded
-/// batch frames, decode+reconstruct worker pool, ordered merger).
+/// How a round's executions flow into the hive: each pod is one unit of
+/// the ingest engine ([`softborg_ingest::run`]), run by one of its
+/// `pipeline.workers` participants, and its wire-encoded batch frames
+/// are decoded and reconstructed on the thread that ran it, then merged
+/// in pod order.
 #[derive(Debug, Clone)]
 pub struct IngestSettings {
-    /// Threads executing pods (pods are partitioned into contiguous
-    /// chunks, one per thread).
-    pub pod_threads: usize,
     /// Traces bundled per batch frame.
     pub batch_size: usize,
-    /// Pipeline tuning (workers, queue bounds, backpressure, memo).
+    /// Engine tuning (participants, memo).
     pub pipeline: IngestConfig,
 }
 
 impl Default for IngestSettings {
     fn default() -> Self {
         IngestSettings {
-            pod_threads: 2,
             batch_size: 32,
             pipeline: IngestConfig::default(),
         }
@@ -127,8 +126,8 @@ impl IngestSettings {
         self.batch_size.max(1) as u64
     }
 
-    /// The pipeline config for one round. One attach point: platform
-    /// telemetry flows into the ingest stage unless the pipeline has its
+    /// The engine config for one round. One attach point: platform
+    /// telemetry flows into the ingest engine unless the config has its
     /// own sinks.
     pub(crate) fn pipeline_with(&self, obs: &ObsHandles) -> IngestConfig {
         let mut cfg = self.pipeline.clone();
@@ -712,7 +711,7 @@ impl<'p> MultiPlatform<'p> {
         self.round_idx
     }
 
-    /// Ingest-pipeline statistics from the most recent round, if any.
+    /// Ingest statistics from the most recent round, if any.
     pub fn last_run(&self) -> Option<&IngestStats> {
         self.last_run.as_ref()
     }
@@ -785,7 +784,7 @@ impl<'p> MultiPlatform<'p> {
         // 1. Distribute each program's current overlay to its fleet.
         self.distribute_overlays();
 
-        // 2. Execute all fleets through the shared sharded pipeline.
+        // 2. Execute all fleets through the one ingest engine.
         let (per_lane, frames) = self.execute(execs_per_pod);
 
         // 3-6. Fix pipelines, guidance, report, durable commit.
@@ -797,7 +796,7 @@ impl<'p> MultiPlatform<'p> {
     /// [`LaneTask`] per fleet plus the batch size and returns per-lane
     /// counters and every batch frame as `(lane, seq, frame)`, pod `j`
     /// owning slots `j*k..(j+1)*k` (`k = ceil(execs_per_pod / batch)`).
-    /// The frames go through the one ingest pipeline, each lane's in
+    /// The frames go through the one ingest engine, each lane's in
     /// `seq` order (the run is [`last_run`](Self::last_run)), and the
     /// rest of the round runs as usual. Pods carry their own RNG, so any
     /// driver that runs each pod `execs_per_pod` times leaves the state
@@ -807,7 +806,7 @@ impl<'p> MultiPlatform<'p> {
     ///
     /// Panics when the driver returns the wrong number of per-lane
     /// entries, a frame on an out-of-range lane, a lane whose seqs are
-    /// not exactly `0..n`, or a frame the pipeline does not merge into
+    /// not exactly `0..n`, or a frame the engine does not merge into
     /// its lane's hive (corrupt, or another program's) — driver bugs,
     /// not input conditions.
     pub fn round_driven<F>(&mut self, driver: F) -> MultiRoundReport
@@ -843,9 +842,9 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Folds in-hand `(lane, seq, frame)` triples, a driver's or a
-    /// journaled round's, through the one pipeline. Refused unless each
-    /// lane's seqs are exactly `0..n` and every frame merged into its
-    /// lane's hive.
+    /// journaled round's, through the one engine, one frame per unit.
+    /// Refused unless each lane's seqs are exactly `0..n` and every frame
+    /// merged into its lane's hive.
     fn fold_frames<'f>(
         &mut self,
         frames: impl IntoIterator<Item = (u64, u64, &'f [u8])>,
@@ -861,12 +860,11 @@ impl<'p> MultiPlatform<'p> {
             }
         }
         let cfg = self.config.ingest.pipeline_with(&self.config.obs);
-        let ((), s) = self.sharded.ingest_frames(&cfg, move |tx| {
-            for (lane, seq, frame) in frames {
-                let placed = tx.submit_for_at(lanes[lane as usize], seq, frame.to_vec());
-                placed.expect("lane program is placed");
-            }
-        });
+        let (_, s) = self
+            .sharded
+            .ingest_units(&cfg, frames, |(lane, _, frame), out| {
+                (out.push(lanes[lane as usize], frame)).expect("lane program is placed");
+            });
         let (merged, corrupt, unknown) =
             (s.frames_merged, s.frames_corrupt, s.frames_unknown_program);
         let misclaimed = s.frames_rerouted;
@@ -889,17 +887,16 @@ impl<'p> MultiPlatform<'p> {
         }
     }
 
-    /// Step 2 of [`round`](Self::round): every fleet's pods on pooled
-    /// threads, frames in pre-partitioned per-lane slots, so each
-    /// program's merge order is pod-major whatever the scheduling.
+    /// Step 2 of [`round`](Self::round): every pod is one unit of the
+    /// ingest engine, its frames in pre-partitioned per-lane slots and
+    /// prepared on the thread that ran it, so each program's merge order
+    /// is pod-major whatever the scheduling.
     fn execute(&mut self, execs_per_pod: u32) -> (Vec<Counters>, Vec<Frame>) {
         let batch = self.config.ingest.batch();
         let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let threads = self.config.ingest.pod_threads;
         let keep_frames = self.durable.is_some();
         let lanes = self.programs();
         let cfg = self.config.ingest.pipeline_with(&self.config.obs);
-        let mut per_lane = vec![(0u64, 0u64, 0u64); lanes.len()];
         let mut slots: Vec<PodSlot<'_, 'p>> = Vec::new();
         for (lane, fleet) in self.fleets.iter_mut().enumerate() {
             slots.extend(fleet.pods.iter_mut().enumerate().map(|(j, pod)| PodSlot {
@@ -908,17 +905,26 @@ impl<'p> MultiPlatform<'p> {
                 pod,
             }));
         }
-        let ((per_pod, frames), stats) = self.sharded.ingest_frames(&cfg, move |tx| {
-            let submit = move |lane: u64, seq, frame| {
-                tx.submit_for_at(lanes[lane as usize], seq, frame)
-                    .expect("lane program is placed");
+        let run_slot = |slot: PodSlot<'_, 'p>, out: &mut UnitFrames<'_, '_>| {
+            let (session, program) = (slot.session, lanes[slot.session as usize]);
+            let mut kept = Vec::new();
+            let emit = |seq, frame: Vec<u8>| {
+                (out.push(program, &frame)).expect("lane program is placed");
+                if keep_frames {
+                    kept.push((session, seq, frame));
+                }
             };
-            fleet::run_threaded(slots, threads, execs_per_pod, batch, keep_frames, submit)
-        });
+            let ran = fleet::run_pod(slot.pod, execs_per_pod, batch, slot.first_seq, emit);
+            (session, ran, kept)
+        };
+        let (per_pod, stats) = self.sharded.ingest_units(&cfg, slots, run_slot);
         self.last_run = Some(stats);
-        for (lane, (e, f, d)) in per_pod {
+        let mut per_lane = vec![(0u64, 0u64, 0u64); lanes.len()];
+        let mut frames = Vec::new();
+        for (lane, (e, f, d), kept) in per_pod {
             let entry = &mut per_lane[lane as usize];
             *entry = (entry.0 + e, entry.1 + f, entry.2 + d);
+            frames.extend(kept);
         }
         (per_lane, frames)
     }

@@ -116,7 +116,7 @@ pub struct Hive<'p> {
     /// The overlay history's [`ReconstructContext::epoch`]: renewed
     /// whenever the history is replaced rather than appended to.
     epoch: u64,
-    /// The ingest workers' memos, kept across
+    /// The ingest participants' memos, kept across
     /// [`ingest_frames`](Hive::ingest_frames) runs.
     memos: WorkerMemos,
     fixed: BTreeSet<String>,
@@ -229,8 +229,8 @@ impl<'p> Hive<'p> {
     }
 
     /// Borrows the hive apart: its read-only reconstruction inputs
-    /// beside its merge state, so a pipeline's workers can read the one
-    /// while its merger writes the other.
+    /// beside its merge state, so an ingest run's participants can read
+    /// the one while its sink writes the other.
     pub(crate) fn split(&mut self) -> (ReconstructContext<'_>, HiveSink<'_>) {
         let Hive {
             code,
@@ -258,8 +258,8 @@ impl<'p> Hive<'p> {
         (ctx, sink)
     }
 
-    /// Applies one pipeline-processed trace — what every ingest path's
-    /// merger does, exposed so an external merger can drive the hive
+    /// Applies one processed trace — what every ingest path's sink
+    /// does, exposed so an external merger can drive the hive
     /// while keeping [`HiveStats`] and tree state byte-identical to
     /// serial [`ingest`](Self::ingest).
     pub fn apply_processed(&mut self, pt: &ProcessedTrace) {
@@ -267,7 +267,7 @@ impl<'p> Hive<'p> {
     }
 
     /// Applies one prepared trace ([`MergeRecord::prepare`]) — exactly
-    /// what the pipeline's merger folds for each arrival, memo hits
+    /// what the ingest engine's sink folds for each arrival, memo hits
     /// included. Same effect as [`apply_processed`](Self::apply_processed)
     /// on the trace it was prepared from.
     pub fn apply_record(&mut self, record: &MergeRecord) {
@@ -297,13 +297,14 @@ impl<'p> Hive<'p> {
     }
 
     /// Ingests encoded batch frames ([`wire::encode_batch`]) through the
-    /// staged pipeline: a pool of decode+reconstruct workers feeding an
-    /// ordered merger that owns the tree. Observably identical to
-    /// calling [`ingest`](Self::ingest) on every trace in frame order —
-    /// same [`HiveStats`], tree digest, and coverage — for any worker
-    /// count or batch size. Corrupt frames, and frames of another
-    /// program, are counted in the returned [`IngestStats`] and skipped
-    /// without panicking.
+    /// ingest engine, one frame per unit: the calling thread and pooled
+    /// participants decode and reconstruct them, and the calling thread
+    /// merges them in frame order. Observably identical to calling
+    /// [`ingest`](Self::ingest) on every trace in frame order — same
+    /// [`HiveStats`], tree digest, and coverage — for any worker count or
+    /// batch size. Corrupt frames, and frames of another program, are
+    /// counted in the returned [`IngestStats`] and skipped without
+    /// panicking.
     ///
     /// [`wire::encode_batch`]: softborg_trace::wire::encode_batch
     pub fn ingest_batch(&mut self, frames: Vec<Vec<u8>>, config: &IngestConfig) -> IngestStats {
@@ -317,17 +318,17 @@ impl<'p> Hive<'p> {
         stats
     }
 
-    /// Streaming form of [`ingest_batch`](Self::ingest_batch): the one
-    /// pipeline ([`softborg_ingest::run`]) for one program on one shard.
-    /// `producer` runs on its own thread (clone the [`FrameSender`] to
-    /// fan out) and claims slots for the hive's program
-    /// (`tree().program()`) while the pipeline decodes, reconstructs, and merges concurrently.
-    /// The merger runs on the calling thread and is the only writer to
-    /// the tree and detectors.
+    /// Producer form of [`ingest_batch`](Self::ingest_batch): the one
+    /// engine ([`softborg_ingest::run_producer`]) for one program on one
+    /// shard. `producer` runs first, on the calling thread, and claims
+    /// slots for the hive's program (`tree().program()`) through its
+    /// [`FrameSender`]; then the claimed frames run as units, in
+    /// claimed order. The sink runs on the calling thread
+    /// and is the only writer to the tree and detectors.
     ///
     /// The overlay history is frozen for the duration of the call
     /// (enforced by the borrow: promotion needs `&mut self`). The
-    /// workers' memos are the hive's, kept from one call to the next.
+    /// participants' memos are the hive's, kept from one call to the next.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, IngestStats)
     where
         P: FnOnce(FrameSender) -> R + Send,
@@ -340,7 +341,7 @@ impl<'p> Hive<'p> {
         let (ctx, mut sink) = self.split();
         let ctxs = BTreeMap::from([(id, ctx)]);
         let sinks = vec![move |_, r: &MergeRecord| sink.apply(r)];
-        let out = softborg_ingest::run(config, &map, &ctxs, &mut memos, producer, sinks);
+        let out = softborg_ingest::run_producer(config, &map, &ctxs, &mut memos, producer, sinks);
         self.memos = memos;
         out
     }
@@ -348,10 +349,10 @@ impl<'p> Hive<'p> {
     /// Rebuilds a hive from write-ahead journal bytes: scans the journal
     /// (dropping any truncated or corrupt tail without panicking) and
     /// replays every surviving frame record, in journal order, through
-    /// the staged ingest pipeline. Because the transport acks a frame
-    /// only after its journal record is synced, the rebuilt state covers
-    /// everything the hive ever acknowledged — the recovery guarantee of
-    /// the crash-only lineage.
+    /// the ingest engine, one frame per unit. Because the transport acks
+    /// a frame only after its journal record is synced, the rebuilt
+    /// state covers everything the hive ever acknowledged — the recovery
+    /// guarantee of the crash-only lineage.
     pub fn recover(
         program: &'p Program,
         config: HiveConfig,

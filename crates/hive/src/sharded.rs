@@ -1,20 +1,22 @@
 //! The sharded multi-program hive: N independent [`Hive`] shards behind
-//! one router and one shared decode+reconstruct worker pool.
+//! one router and one ingest engine.
 //!
 //! A single hive serves a single program. The [`ShardedHive`] places
 //! every program of a fleet on one of `n_shards` shards ([`ShardMap`],
-//! explicit deterministic hash placement), runs **one** worker pool over
-//! all traffic (so idle capacity from a quiet program is immediately
-//! usable by a busy one, and each worker's memo recycles
-//! reconstructions across the whole fleet), and gives each shard its own
-//! sequence-ordered merger — so every program's hive ends byte-identical
-//! to serial ingest of its traces, while cross-program work runs
-//! concurrently. It is the same pipeline a lone [`Hive`] ingests
-//! through, with one sink per shard instead of one.
+//! explicit deterministic hash placement), runs **one** set of ingest
+//! participants over all traffic (so idle capacity from a quiet program
+//! is immediately usable by a busy one, and each participant's memo
+//! recycles reconstructions across the whole fleet), and gives each
+//! shard its own sink, fed in claimed order on the calling thread — so
+//! every program's hive ends byte-identical to serial ingest of its
+//! traces, while cross-program work runs concurrently. It is the same
+//! engine a lone [`Hive`] ingests through, with one sink per shard
+//! instead of one.
 
 use crate::hive::{Hive, HiveConfig};
 use softborg_ingest::{
-    FrameSender, IngestConfig, IngestStats, MergeRecord, ShardError, ShardMap, WorkerMemos,
+    FrameSender, IngestConfig, IngestStats, MergeRecord, ReconstructContext, ShardError, ShardMap,
+    UnitFrames, WorkerMemos,
 };
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
@@ -52,15 +54,15 @@ impl From<CodecError> for ShardStateError {
     }
 }
 
-/// N hive shards, a router, and a shared ingest worker pool.
+/// N hive shards, a router, and one ingest engine over all of them.
 #[derive(Debug)]
 pub struct ShardedHive<'p> {
     map: ShardMap,
     programs: BTreeMap<ProgramId, &'p Program>,
     /// `shards[i]` holds the hives of every program placed on shard `i`.
     shards: Vec<BTreeMap<ProgramId, Hive<'p>>>,
-    /// The shared workers' memos, kept across
-    /// [`ingest_frames`](ShardedHive::ingest_frames) runs. A hive whose
+    /// The ingest participants' memos, kept across
+    /// [`ingest_units`](ShardedHive::ingest_units) runs. A hive whose
     /// state is replaced (decode, delta) brings a new epoch into the
     /// next run, which clears them.
     memos: WorkerMemos,
@@ -141,22 +143,55 @@ impl<'p> ShardedHive<'p> {
             .flat_map(|m| m.iter().map(|(&id, h)| (id, h)))
     }
 
-    /// Runs the one pipeline ([`softborg_ingest::run`]) with one sink
-    /// per shard: `producer` claims (program, seq) slots through its
-    /// [`FrameSender`]; the shared worker pool classifies frames by
-    /// content, decodes and reconstructs them through its per-worker
-    /// memo (kept by the sharded hive from one run to the next);
-    /// per-shard mergers apply each program's traces in exact
-    /// claimed-sequence order. Returns the producer's result and the
-    /// run's stats.
+    /// Runs the one engine ([`softborg_ingest::run`]) over `units`
+    /// with one sink per shard: `unit(units[i], frames)` yields the
+    /// frames of unit `i`'s claimed slots, which are classified by
+    /// content, decoded and reconstructed on the thread that ran the unit
+    /// (through its memo, kept by the sharded hive from one run to the
+    /// next); each shard's sink applies each program's traces in unit
+    /// order on the calling thread. Lay the units out so that, in unit
+    /// order, each program's frames are its claimed slots in order.
+    /// Returns each unit's result, in unit order, and the run's stats.
+    pub fn ingest_units<T, R>(
+        &mut self,
+        config: &IngestConfig,
+        units: Vec<T>,
+        unit: impl Fn(T, &mut UnitFrames<'_, '_>) -> R + Sync,
+    ) -> (Vec<R>, IngestStats)
+    where
+        T: Send,
+        R: Send,
+    {
+        let (map, memos, ctxs, sinks) = self.split();
+        softborg_ingest::run(config, map, &ctxs, memos, units, unit, sinks)
+    }
+
+    /// Runs `producer`, which claims (program, seq) slots through its
+    /// [`FrameSender`], then the claimed frames as one-frame units
+    /// ([`softborg_ingest::run_producer`]). Returns the producer's
+    /// result and the run's stats.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, IngestStats)
     where
         P: FnOnce(FrameSender) -> R + Send,
         R: Send,
     {
-        // Each hive lends its reconstruction inputs to the workers and
-        // its merge state to its shard's merger; promotion needs the
-        // whole hive, so overlay histories stay frozen for the run.
+        let (map, memos, ctxs, sinks) = self.split();
+        softborg_ingest::run_producer(config, map, &ctxs, memos, producer, sinks)
+    }
+
+    /// Borrows the sharded hive apart for one run: each hive lends its
+    /// reconstruction inputs to the participants and its merge state to
+    /// its shard's sink; promotion needs the whole hive, so overlay
+    /// histories stay frozen for the run.
+    #[allow(clippy::type_complexity)]
+    fn split(
+        &mut self,
+    ) -> (
+        &ShardMap,
+        &mut WorkerMemos,
+        BTreeMap<ProgramId, ReconstructContext<'_>>,
+        Vec<impl FnMut(ProgramId, &MergeRecord) + '_>,
+    ) {
         let mut ctxs = BTreeMap::new();
         let sinks: Vec<_> = (self.shards.iter_mut())
             .map(|hives| {
@@ -170,16 +205,16 @@ impl<'p> ShardedHive<'p> {
                 move |program: ProgramId, r: &MergeRecord| {
                     sinks
                         .get_mut(&program)
-                        .expect("merger only sees programs placed on its shard")
+                        .expect("a sink only sees programs placed on its shard")
                         .apply(r);
                 }
             })
             .collect();
-        softborg_ingest::run(config, &self.map, &ctxs, &mut self.memos, producer, sinks)
+        (&self.map, &mut self.memos, ctxs, sinks)
     }
 
     /// Convenience wrapper: submits pre-claimed `(program, frame)`
-    /// pairs in order and runs the pipeline to completion.
+    /// pairs in order and runs the engine to completion.
     ///
     /// # Errors
     ///

@@ -22,10 +22,10 @@
 //!   rewinds. On a scheduled crash the server loses its volatile state
 //!   (sessions, unsynced journal tail) and rebuilds from the synced
 //!   journal prefix on restart.
-//! * [`run_reliable_ingest`] wires both into a live
-//!   [`Hive::ingest_frames`] pipeline: the server node *is* the
-//!   producer, submitting each frame to the merger at the moment its
-//!   journal record is synced, in journal order.
+//! * [`run_reliable_ingest`] wires both into [`Hive::ingest_frames`]:
+//!   the server node *is* the producer, claiming a slot for each frame
+//!   at the moment its journal record is synced, in journal order; the
+//!   claimed frames are ingested when the world has run.
 //!
 //! The end-to-end invariant (exercised by `tests/transport_fault.rs`):
 //! under any fault plan the hive's final state, the journal replay
@@ -504,8 +504,8 @@ struct SessionState {
 }
 
 /// The hive side: a [`Proc`] that accepts session frames, journals
-/// them ahead of merge, acks after sync, and feeds a long-lived ingest
-/// pipeline session ([`FrameSender`]).
+/// them ahead of merge, acks after sync, and claims an ingest slot for
+/// each synced frame ([`FrameSender`]).
 pub struct HiveServer {
     tx: FrameSender,
     /// The hive's program: every frame claims a slot in its lane.
@@ -774,12 +774,12 @@ impl Proc for HiveServer {
 }
 
 /// Streams every pod's frames to the hive over the simulated network
-/// with the full session protocol, feeding the hive's staged ingest
-/// pipeline as frames become durable. Pods are procs `0..pods.len()`,
+/// with the full session protocol, claiming an ingest slot for each
+/// frame as it becomes durable. Pods are procs `0..pods.len()`,
 /// the server is proc `pods.len()` (address fault plans accordingly).
 ///
-/// The whole network runs in one [`World`] on the pipeline's producer
-/// thread. The pipeline's gauges and the caller's flight recorders
+/// The whole network runs in one [`World`] inside the ingest run's
+/// producer, on the calling thread. The engine's gauges and the caller's flight recorders
 /// (`ingest_cfg.obs`, `cfg.obs`) are driven by the world's [`SimClock`]
 /// for the duration of the run, so latency and event stamps read in
 /// virtual time; the recorders' previous clocks are restored afterwards.

@@ -1,11 +1,12 @@
-//! The one ingest pipeline against its one reference: for any program
-//! set (1–4), shard count (1–4), worker count, batch size, queue bound,
-//! interleaving and memo on/off, every program's hive ends
+//! The one ingest engine against its one reference: for any program
+//! set (1–4), shard count (1–4), worker count, batch size, frames per
+//! unit, interleaving and memo on/off, every program's hive ends
 //! **byte-identical** (`Hive::encode_state`, the bytes durability
 //! persists) to the one serial reference (a `Hive::ingest` loop) over
 //! that program's surviving traces. A lone `Hive::ingest_batch` is the
 //! 1-program, 1-shard arm; every other shape runs through a
-//! `ShardedHive`.
+//! `ShardedHive`: one frame per unit through `ingest_batch`, or units
+//! of several consecutive frames through `ingest_units`.
 //!
 //! The hive keeps its workers' memos from one run to the next, so each
 //! case splits its traffic over 1–3 consecutive runs on the same hive,
@@ -61,7 +62,8 @@ struct Case {
     n: usize,
     batch: usize,
     workers: usize,
-    queue_capacity: usize,
+    /// Frames per unit on the sharded arm (1 = `ingest_batch`).
+    frames_per_unit: usize,
     memo: bool,
     mix: u64,
     fault: Fault,
@@ -81,7 +83,7 @@ impl Case {
             n: 30,
             batch: 10,
             workers: 2,
-            queue_capacity: 64,
+            frames_per_unit: 1,
             memo: true,
             mix: 0,
             fault,
@@ -212,7 +214,6 @@ fn check(case: &Case) {
         .collect();
     let config = IngestConfig {
         workers: case.workers,
-        queue_capacity: case.queue_capacity,
         memo_capacity: if case.memo { 4096 } else { 0 },
         ..IngestConfig::default()
     };
@@ -264,8 +265,18 @@ fn check(case: &Case) {
         let mut sharded =
             ShardedHive::new(&programs, case.n_shards, &HiveConfig::default()).unwrap();
         for (r, run) in runs.iter().enumerate() {
-            let frames = run.iter().map(|(p, f, _)| (*p, f.clone())).collect();
-            add(sharded.ingest_batch(frames, &config).unwrap());
+            if case.frames_per_unit == 1 {
+                let frames = run.iter().map(|(p, f, _)| (*p, f.clone())).collect();
+                add(sharded.ingest_batch(frames, &config).unwrap());
+            } else {
+                let units = run.chunks(case.frames_per_unit).collect();
+                let (_, s) = sharded.ingest_units(&config, units, |unit, out| {
+                    for (p, f, _) in unit {
+                        out.push(*p, f).expect("every lane is placed");
+                    }
+                });
+                add(s);
+            }
             if promotes_after(r) {
                 for p in &programs {
                     let hive = sharded.hive_mut(p.id()).unwrap();
@@ -280,7 +291,7 @@ fn check(case: &Case) {
     };
 
     // Conservation: every frame is merged (its slot consumed by exactly
-    // one shard's merger), none dropped, and the hives saw exactly the
+    // one shard's sink), none dropped, and the hives saw exactly the
     // traces the pipeline merged.
     assert_eq!(stats.frames_submitted, n_frames, "{case:?}");
     assert_eq!(stats.frames_dropped, 0, "{case:?}");
@@ -305,7 +316,7 @@ proptest! {
     // at 256).
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For any program set, pipeline shape and fault, each program's
+    /// For any program set, engine shape and fault, each program's
     /// hive is byte-identical to its serial reference.
     #[test]
     fn pipeline_equals_serial_per_program(
@@ -316,7 +327,7 @@ proptest! {
         n in 1usize..48,
         batch in 1usize..17,
         workers in 1usize..5,
-        queue_capacity in 1usize..9,
+        frames_per_unit in 1usize..9,
         memo in 0usize..2,
         mix in 0u64..1_000,
         fault in 0usize..6,
@@ -340,7 +351,7 @@ proptest! {
             n,
             batch,
             workers,
-            queue_capacity,
+            frames_per_unit,
             memo: memo == 1,
             mix,
             fault,
@@ -398,12 +409,11 @@ fn unknown_overlay_version_counts_unreconstructed_in_both_paths() {
 }
 
 #[test]
-fn one_slot_queues_lose_nothing() {
+fn one_participant_runs_lose_nothing() {
     let tight = Case {
         n: 200,
         batch: 2,
         workers: 1,
-        queue_capacity: 1,
         memo: false,
         ..Case::one(Fault::None)
     };
@@ -413,6 +423,7 @@ fn one_slot_queues_lose_nothing() {
         n_shards: 3,
         n: 120,
         mix: 7,
+        frames_per_unit: 5,
         ..tight
     });
 }

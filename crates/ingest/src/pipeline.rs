@@ -1,51 +1,59 @@
-//! The staged ingest pipeline: producers → one bounded frame queue →
-//! one decode+reconstruct worker pool → per-shard merge queues →
-//! per-shard sequence-ordered mergers.
+//! The ordered-units ingest engine. A run is `n` units in hand; unit `i`
+//! yields the frames of its claimed slots. The calling thread and
+//! `workers − 1` pooled jobs claim units by index and prepare every
+//! frame on the thread that ran its unit; the calling thread merges unit
+//! `i` into the per-shard sinks as soon as units `0..=i` are ready,
+//! between units of its own.
 //!
 //! ```text
-//! producers ──submit_for(prog, frame)──▶ [frame queue] ──▶ worker 0 ─┬─▶ [merge q 0] ─▶ merger 0 ─▶ sink 0
-//!   (per-program seq claimed here)           │             worker 1 ─┼─▶ [merge q 1] ─▶ merger 1 ─▶ sink 1
-//!                                            └──▶ …        worker N ─┘        …            …
+//!               claim          run the unit, prepare each frame         merge, calling thread only
+//! units 0..n ─┬─▶ caller   ─▶ unit i ─▶ classify·memo·decode·reconstruct ─▶ ready[i] ─┐
+//!             ├─▶ pooled 1 ─▶ unit j ─▶          (its own memo)           ─▶ ready[j] ─┼─▶ unit order ─▶ sink[shard]
+//!             └─▶ …                                                                   ─┘
 //! ```
 //!
 //! One hive is the one-program, one-shard case; a sharded hive passes
 //! one sink per shard. Properties the shape buys:
 //!
-//! * **Determinism.** Producers claim per-program sequence numbers at
-//!   submit; each merger keeps one reorder lane (heap + next counter) per
-//!   program and releases program *P*'s slot only when it is *P*'s next,
-//!   so every sink observes each program's traces in exactly the serial
-//!   ingest order no matter how threads interleave. Corrupt and refused
-//!   frames consume their slot.
-//! * **Backpressure.** Every queue is bounded by the one
-//!   [`IngestConfig::queue_capacity`] ([`BoundedQueue`]); a full queue
-//!   parks its producer, so pressure propagates to the pods and nothing
-//!   is ever shed.
-//! * **Recycling.** Each worker memoizes, keyed on the exact encoded
-//!   trace bytes ([`wire::batch_payloads`] hands the slices out without
-//!   decoding), the [`MergeRecord`] it prepared for a trace: the decoded
-//!   and reconstructed trace stripped to what the merger folds, with its
-//!   path hash and failure-mode key derived once. Popular executions —
-//!   by design the common case, since a deployed population re-executes
-//!   the same paths constantly — cost one decode, reconstruction and
-//!   preparation per worker for the life of the memo, not one per
-//!   arrival. The memos are [`WorkerMemos`], which the caller keeps and
-//!   [`run`] borrows, so they outlive the run: a hive keeps them for its
-//!   whole life, and a trace prepared in one round is a hit in the next.
-//!   That holds because a prepared record is a function of the program,
-//!   the trace bytes (which name the overlay version) and that version's
-//!   overlay, and overlay history only grows by appending: a trace whose
-//!   version does not exist yet is never memoized, and a context whose
-//!   [`epoch`](ReconstructContext::epoch) changed — its owner's state was
-//!   replaced — clears the memos. This is the paper's information
-//!   recycling applied to the hive's own ingest path.
-//! * **No per-run threads.** Every stage runs on the process-wide
-//!   [`pool`], so after warm-up a run creates no OS thread.
+//! * **Determinism.** A unit yields its frames in slot order, and the
+//!   caller lays its units out so that their frames, in unit order, are
+//!   each program's claimed slots in order (pod *j* of a fleet owns
+//!   slots `j*k..(j+1)*k`; frames in hand are sorted by claimed
+//!   `(program, seq)`). The merge releases units in index order
+//!   whichever thread prepared them, so every sink observes each
+//!   program's traces in exactly the serial ingest order. Corrupt and
+//!   refused frames consume their slot.
+//! * **Frames in hand.** A pod unit makes its frames as it runs and a
+//!   frame unit holds one, so there is no queue to bound and nothing to
+//!   shed: in flight are at most one unit per participant plus the
+//!   prepared units that wait for an earlier one.
+//! * **Recycling.** Each participant memoizes, keyed on the exact
+//!   encoded trace bytes ([`wire::batch_payloads`] hands the slices out
+//!   without decoding), the [`MergeRecord`] it prepared for a trace: the
+//!   decoded and reconstructed trace stripped to what the sink folds,
+//!   with its path hash and failure-mode key derived once. Popular
+//!   executions — by design the common case, since a deployed population
+//!   re-executes the same paths constantly — cost one decode,
+//!   reconstruction and preparation per participant for the life of the
+//!   memo, not one per arrival. The memos are [`WorkerMemos`], which the
+//!   caller keeps and [`run`] borrows, so they outlive the run: a hive
+//!   keeps them for its whole life, and a trace prepared in one round is
+//!   a hit in the next. That holds because a prepared record is a
+//!   function of the program, the trace bytes (which name the overlay
+//!   version) and that version's overlay, and overlay history only grows
+//!   by appending: a trace whose version does not exist yet is never
+//!   memoized, and a context whose [`epoch`](ReconstructContext::epoch)
+//!   changed — its owner's state was replaced — clears the memos. This
+//!   is the paper's information recycling applied to the hive's own
+//!   ingest path.
+//! * **No per-run threads, no hand-off.** The pooled jobs run on the
+//!   process-wide [`pool`], so after warm-up a run creates no OS thread,
+//!   and a frame never changes thread between being made and prepared.
 //!
 //! The contract is one sentence: every claimed slot `0..n` of a program
 //! merges into that program's sink, in order. Every trace payload begins
-//! with its program id, so a worker checks each frame's content against
-//! its claim from the payload slices it validated once
+//! with its program id, so a participant checks each frame's content
+//! against its claim from the payload slices it validated once
 //! ([`wire::payloads_program_id`]); a frame that breaks the contract is
 //! counted, its slot consumed (ordering never stalls) and nothing of it
 //! merged — never a panic:
@@ -55,12 +63,15 @@
 //!   [`ShardError::UnknownProgram`] sample + counter.
 //! * **misclaimed** — healthy, but claimed in another program's lane (a
 //!   misconfigured producer): counted in `frames_rerouted`.
+//!
+//! A panic in a unit or a sink propagates from [`run`] with its own
+//! payload once every participant has stopped; nothing waits on a unit
+//! that will never be ready, so no panic can deadlock a run.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::map::{ShardError, ShardMap};
 use crate::memo::{Entry, MemoCache};
 use crate::pool;
-use crate::queue::BoundedQueue;
 use crate::stats::{IngestStats, StatsCore};
 use softborg_analysis::failure_key;
 use softborg_obs::ObsHandles;
@@ -71,21 +82,17 @@ use softborg_program::{BranchSiteId, ProgramId};
 use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{replay, wire, ExecutionTrace, ReplayScratch};
 use softborg_tree::path_hash;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Pipeline tuning knobs.
+/// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Decode + reconstruct workers (minimum 1).
+    /// Participants that run and prepare units (minimum 1): the calling
+    /// thread plus `workers − 1` pooled jobs.
     pub workers: usize,
-    /// Capacity of the frame queue and of every shard's merge queue: a
-    /// full queue blocks its producer.
-    pub queue_capacity: usize,
-    /// Memo entries for recycling reconstructions, per worker, kept
-    /// across runs by the hive (each worker owns a private,
+    /// Memo entries for recycling reconstructions, per participant, kept
+    /// across runs by the hive (each participant owns a private,
     /// shared-nothing cache); at capacity the cache evicts with a
     /// second-chance (clock) sweep (0 disables the cache).
     pub memo_capacity: usize,
@@ -105,7 +112,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             workers: 2,
-            queue_capacity: 64,
             memo_capacity: 4096,
             clock: Arc::new(MonotonicClock::new()),
             obs: ObsHandles::default(),
@@ -204,17 +210,8 @@ impl MergeRecord {
     }
 }
 
-/// A frame plus the (program, seq) slot its producer claimed.
-struct FrameItem {
-    claimed: ProgramId,
-    seq: u64,
-    bytes: Vec<u8>,
-    /// [`Clock::now_ns`] at submit, for the submit→merge latency gauge.
-    enqueued_at_ns: u64,
-}
-
-/// What a worker made of one frame.
-enum WorkerOut {
+/// What preparing one frame made of it.
+enum Prepared {
     /// Healthy, content agrees with the claim: traces for the claimed
     /// program (possibly empty for an empty batch).
     Frame(Vec<Arc<MergeRecord>>),
@@ -225,86 +222,104 @@ enum WorkerOut {
     Refused,
 }
 
-/// One merge-queue entry: a processed frame bound for the claimed
-/// program's reorder lane.
-struct MergeItem {
+/// One prepared frame, waiting for its unit's turn to merge.
+struct ReadyFrame {
     program: ProgramId,
-    seq: u64,
-    enqueued_at_ns: u64,
-    out: WorkerOut,
+    shard: usize,
+    out: Prepared,
+    /// [`Clock::now_ns`] when it was prepared, for the latency gauge.
+    prepared_at_ns: u64,
 }
 
-/// State shared by every stage of one run.
-struct Shared {
-    frames: BoundedQueue<FrameItem>,
-    merge: Vec<BoundedQueue<MergeItem>>,
-    /// Set by a stage that dies by panic, before its guard closes any
-    /// queue: the run is lost, so no merger drains it.
-    died: AtomicBool,
-    /// Per-program claimed-sequence counters.
-    counters: BTreeMap<ProgramId, AtomicU64>,
-    stats: StatsCore,
-    senders: AtomicUsize,
-    clock: Arc<dyn Clock>,
+/// What a participant needs to prepare frames, shared by all of them.
+struct Prep<'r, 'c> {
+    stats: &'r StatsCore,
+    map: &'r ShardMap,
+    ctxs: &'r BTreeMap<ProgramId, ReconstructContext<'c>>,
+    clock: &'r dyn Clock,
 }
 
-/// A clonable producer handle. The frame queue closes when the last
-/// clone is dropped, so producer panics still shut the pipeline down
-/// cleanly.
+/// Where a unit yields the frames of its claimed slots, in slot order.
+/// Each frame is prepared on the spot, through the memo of the
+/// participant running the unit, so the unit keeps its bytes.
+pub struct UnitFrames<'r, 'c> {
+    prep: &'r Prep<'r, 'c>,
+    memo: &'r mut WorkerMemo,
+    out: Vec<ReadyFrame>,
+}
+
+impl UnitFrames<'_, '_> {
+    /// Prepares one encoded batch frame ([`wire::encode_batch`]) claimed
+    /// in `program`'s lane, as the unit's next slot.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::UnknownProgram`] when `program` is not in the shard
+    /// map: there is no lane to claim a slot in. (This is a producer-side
+    /// configuration error, distinct from the `frames_unknown_program`
+    /// counter, which tracks unroutable frame *content*.)
+    pub fn push(&mut self, program: ProgramId, frame: &[u8]) -> Result<(), ShardError> {
+        let Prep {
+            stats, map, clock, ..
+        } = *self.prep;
+        let shard = map.shard_of(program)?;
+        stats.frames_submitted.incr();
+        let t0 = clock.now_ns();
+        let out = process_frame(self.prep, self.memo, program, frame);
+        let prepared_at_ns = clock.now_ns();
+        let busy_ns = prepared_at_ns.saturating_sub(t0);
+        stats.worker_busy_ns.add(busy_ns);
+        if let Some(h) = &stats.stage_work_ns {
+            h.record(busy_ns);
+        }
+        self.out.push(ReadyFrame {
+            program,
+            shard,
+            out,
+            prepared_at_ns,
+        });
+        Ok(())
+    }
+}
+
+/// The claims a producer makes, collected so that the frames run as
+/// units after it returns (see [`run_producer`]).
 pub struct FrameSender {
-    shared: Arc<Shared>,
+    claims: Arc<Mutex<Claims>>,
 }
 
-impl Clone for FrameSender {
-    fn clone(&self) -> Self {
-        self.shared.senders.fetch_add(1, Ordering::SeqCst);
-        FrameSender {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl Drop for FrameSender {
-    fn drop(&mut self) {
-        self.shared.note_death();
-        if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.shared.frames.close();
-        }
-    }
+struct Claims {
+    /// Next sequence number per placed program.
+    next: BTreeMap<ProgramId, u64>,
+    frames: Vec<(ProgramId, u64, Vec<u8>)>,
 }
 
 impl FrameSender {
     /// Submits one encoded batch frame, claiming the next sequence slot
     /// of `program`. Returns the claimed sequence number.
     ///
-    /// Workers check the claim against the program id embedded in the
+    /// The run checks the claim against the program id embedded in the
     /// frame bytes: a frame of another program is counted and refused.
     ///
     /// # Errors
     ///
     /// [`ShardError::UnknownProgram`] when `program` is not in the shard
-    /// map — there is no sequence lane to claim a slot in. (This is a
-    /// producer-side configuration error, distinct from the
-    /// `frames_unknown_program` counter, which tracks unroutable frame
-    /// *content*.)
+    /// map — there is no sequence lane to claim a slot in.
     pub fn submit_for(&self, program: ProgramId, frame: Vec<u8>) -> Result<u64, ShardError> {
-        let counter = self
-            .shared
-            .counters
-            .get(&program)
-            .ok_or(ShardError::UnknownProgram { program })?;
-        let seq = counter.fetch_add(1, Ordering::Relaxed);
-        self.submit_for_at(program, seq, frame)?;
+        let mut claims = lock(&self.claims);
+        let next = (claims.next.get_mut(&program)).ok_or(ShardError::UnknownProgram { program })?;
+        let seq = *next;
+        *next += 1;
+        claims.frames.push((program, seq, frame));
         Ok(seq)
     }
 
     /// Submits one frame into an explicitly claimed `(program, seq)`
-    /// slot. Lets several producer threads pre-partition a program's
-    /// sequence space (pod *i* owns slots `i*k..(i+1)*k`) so merge order
-    /// is deterministic regardless of thread interleaving. Over one run
-    /// the slots claimed for a program must be exactly `0..n` with no
-    /// gaps or duplicates; do not mix with
-    /// [`submit_for`](Self::submit_for) on the same program.
+    /// slot, so a producer can pre-partition a program's sequence space
+    /// (pod *i* owns slots `i*k..(i+1)*k`). Over one run the slots
+    /// claimed for a program must be exactly `0..n` with no gaps or
+    /// duplicates; do not mix with [`submit_for`](Self::submit_for) on
+    /// the same program.
     ///
     /// # Errors
     ///
@@ -316,76 +331,27 @@ impl FrameSender {
         seq: u64,
         frame: Vec<u8>,
     ) -> Result<(), ShardError> {
-        let sh = &self.shared;
-        if !sh.counters.contains_key(&program) {
+        let mut claims = lock(&self.claims);
+        if !claims.next.contains_key(&program) {
             return Err(ShardError::UnknownProgram { program });
         }
-        sh.stats.frames_submitted.incr();
-        let item = FrameItem {
-            claimed: program,
-            seq,
-            bytes: frame,
-            enqueued_at_ns: sh.clock.now_ns(),
-        };
-        // Closed only once a stage has died: the run will panic.
-        if sh.frames.push(item).is_err() {
-            sh.stats.frames_dropped.incr();
-        }
+        claims.frames.push((program, seq, frame));
         Ok(())
     }
 }
 
-impl Shared {
-    /// Records a stage's death when called while its thread unwinds.
-    fn note_death(&self) {
-        if std::thread::panicking() {
-            self.died.store(true, Ordering::SeqCst);
-        }
-    }
+/// No lock here guards an invariant a panic could break mid-update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Last worker out (including by panic) closes every merge queue so the
-/// mergers can finish their final drains.
-struct WorkerGuard<'a> {
-    active: &'a AtomicUsize,
-    shared: &'a Shared,
-}
-
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.note_death();
-        if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for q in &self.shared.merge {
-                q.close();
-            }
-        }
-    }
-}
-
-/// Closes everything when a merger exits. On the normal path every
-/// queue is already closed (no-op); on a sink panic this unblocks
-/// producers and workers so the scope can unwind instead of deadlock.
-struct MergerGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl Drop for MergerGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.note_death();
-        self.shared.frames.close();
-        for q in &self.shared.merge {
-            q.close();
-        }
-    }
-}
-
-/// One worker's memo and replay tables, kept between runs.
+/// One participant's memo and replay tables, kept between runs.
 struct WorkerMemo {
     memo: MemoCache<Arc<MergeRecord>>,
     scratch: ReplayScratch,
 }
 
-/// The ingest workers' memos and replay tables, one per worker, which
+/// The participants' memos and replay tables, one per worker, which
 /// whoever calls [`run`] keeps across runs (a hive keeps them for its
 /// life). A run rebuilds them empty when its worker count or
 /// [`IngestConfig::memo_capacity`] differs from theirs, or when a
@@ -443,31 +409,32 @@ impl WorkerMemos {
 /// claim, and decodes, reconstructs and prepares its payloads through
 /// the memo. Returns what the claimed lane should see.
 fn process_frame(
-    stats: &StatsCore,
-    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    prep: &Prep<'_, '_>,
     WorkerMemo { memo, scratch }: &mut WorkerMemo,
-    item: &FrameItem,
-) -> WorkerOut {
-    let classified = wire::batch_payloads(&item.bytes)
+    claimed: ProgramId,
+    bytes: &[u8],
+) -> Prepared {
+    let stats = prep.stats;
+    let classified = wire::batch_payloads(bytes)
         .and_then(|payloads| Ok((wire::payloads_program_id(&payloads)?, payloads)));
     let (content, payloads) = match classified {
         Err(_) => {
             stats.frames_corrupt.incr();
-            return WorkerOut::Corrupt;
+            return Prepared::Corrupt;
         }
         // An empty batch carries no traces for anyone; the claimed slot
         // simply advances.
-        Ok((None, _)) => return WorkerOut::Frame(Vec::new()),
+        Ok((None, _)) => return Prepared::Frame(Vec::new()),
         Ok((Some(id), payloads)) => (id, payloads),
     };
-    let Some(ctx) = ctxs.get(&content) else {
+    let Some(ctx) = prep.ctxs.get(&content) else {
         stats.frames_unknown_program.incr();
         stats.sample_error(ShardError::UnknownProgram { program: content });
-        return WorkerOut::Refused;
+        return Prepared::Refused;
     };
-    if content != item.claimed {
+    if content != claimed {
         stats.frames_rerouted.incr();
-        return WorkerOut::Refused;
+        return Prepared::Refused;
     }
     let mut entries = Vec::with_capacity(payloads.len());
     for p in payloads {
@@ -482,7 +449,7 @@ fn process_frame(
         stats.cache_misses.incr();
         let Ok(trace) = wire::decode(p) else {
             stats.frames_corrupt.incr();
-            return WorkerOut::Corrupt;
+            return Prepared::Corrupt;
         };
         // A later run may know the version: its result is not final.
         let known = (trace.overlay_version as usize) < ctx.overlays.len();
@@ -493,205 +460,163 @@ fn process_frame(
         }
         entries.push(record);
     }
-    WorkerOut::Frame(entries)
+    Prepared::Frame(entries)
 }
 
-fn worker_loop(
-    shared: &Shared,
-    map: &ShardMap,
-    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    kept: &mut WorkerMemo,
-    active: &AtomicUsize,
-) {
-    let _guard = WorkerGuard { active, shared };
-    let evicted_before = kept.memo.evictions();
-    while let Some(item) = shared.frames.pop() {
-        let t0 = shared.clock.now_ns();
-        let out = process_frame(&shared.stats, ctxs, kept, &item);
-        let busy_ns = shared.clock.now_ns().saturating_sub(t0);
-        shared.stats.worker_busy_ns.add(busy_ns);
-        if let Some(h) = &shared.stats.stage_work_ns {
-            h.record(busy_ns);
-        }
-        let shard = map
-            .shard_of(item.claimed)
-            .expect("claimed program validated at submit");
-        // If the merger died (sink panic) the queue is closed; the item
-        // is discarded while the scope unwinds.
-        let _ = shared.merge[shard].push(MergeItem {
-            program: item.claimed,
-            seq: item.seq,
-            enqueued_at_ns: item.enqueued_at_ns,
-            out,
-        });
-    }
-    (shared.stats.cache_evictions).add(kept.memo.evictions() - evicted_before);
+/// A unit's result and its prepared frames, once it has run.
+type Done<R> = (R, Vec<ReadyFrame>);
+
+/// The calling thread's side of a run: it folds units into the sinks in
+/// index order and keeps their results.
+struct Merger<'r, R, S> {
+    stats: &'r StatsCore,
+    clock: &'r dyn Clock,
+    sinks: Vec<S>,
+    results: Vec<R>,
 }
 
-/// Heap entry ordered by ascending claimed sequence number.
-struct BySeq(MergeItem);
-
-impl PartialEq for BySeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.seq == other.0.seq
-    }
-}
-impl Eq for BySeq {}
-impl PartialOrd for BySeq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BySeq {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.seq.cmp(&other.0.seq)
-    }
-}
-
-/// One program's reorder lane inside a merger.
-#[derive(Default)]
-struct Lane {
-    next: u64,
-    pending: BinaryHeap<Reverse<BySeq>>,
-}
-
-fn merger_loop<S: FnMut(ProgramId, &MergeRecord)>(shared: &Shared, shard: usize, sink: &mut S) {
-    let _guard = MergerGuard { shared };
-    let (stats, shard_stats) = (&shared.stats, &shared.stats.per_shard[shard]);
-    let mut lanes: BTreeMap<ProgramId, Lane> = BTreeMap::new();
-    let emit = |item: MergeItem, sink: &mut S| {
-        match &item.out {
-            WorkerOut::Frame(entries) => {
-                for entry in entries {
-                    sink(item.program, entry);
-                }
-                let n = entries.len() as u64;
-                stats.traces_merged.add(n);
-                shard_stats.traces_merged.add(n);
-            }
-            // Counted at the worker (pool-wide) and here (per shard); the
-            // slot is consumed so ordering stays intact.
-            WorkerOut::Corrupt => shard_stats.frames_corrupt.incr(),
-            WorkerOut::Refused => {}
-        }
-        stats.frames_merged.incr();
-        shard_stats.frames_merged.incr();
-        let latency_ns = shared.clock.now_ns().saturating_sub(item.enqueued_at_ns);
-        stats.frame_latency_ns.add(latency_ns);
-        if let Some(h) = &stats.stage_merge_wait_ns {
-            h.record(latency_ns);
-        }
-    };
-    // `pop` returns `None` once the workers are done: every slot is then
-    // in some lane, unless a stage died.
-    while let Some(item) = shared.merge[shard].pop() {
-        let lane = lanes.entry(item.program).or_default();
-        lane.pending.push(Reverse(BySeq(item)));
+impl<R, S: FnMut(ProgramId, &MergeRecord)> Merger<'_, R, S> {
+    /// Merges every ready unit whose predecessors have all merged.
+    fn merge_ready(&mut self, ready: &Mutex<Vec<Option<Done<R>>>>) {
         loop {
-            match lane.pending.peek() {
-                Some(Reverse(BySeq(it))) if it.seq == lane.next => {
-                    let Reverse(BySeq(it)) = lane.pending.pop().expect("peeked");
-                    emit(it, sink);
-                    lane.next += 1;
-                }
-                _ => break,
-            }
+            let next = lock(ready)
+                .get_mut(self.results.len())
+                .and_then(Option::take);
+            let Some((result, frames)) = next else {
+                return;
+            };
+            self.merge(frames);
+            self.results.push(result);
         }
     }
-    // A dead stage lost slots and the run will panic: nothing to drain.
-    if shared.died.load(Ordering::SeqCst) {
-        return;
-    }
-    // Final drain, lane by lane in program-id order.
-    for lane in lanes.values_mut() {
-        while let Some(Reverse(BySeq(it))) = lane.pending.pop() {
-            debug_assert_eq!(it.seq, lane.next, "a claimed slot never arrived");
-            lane.next = it.seq + 1;
-            emit(it, sink);
+
+    fn merge(&mut self, frames: Vec<ReadyFrame>) {
+        let stats = self.stats;
+        let now = self.clock.now_ns();
+        for frame in frames {
+            let shard_stats = &stats.per_shard[frame.shard];
+            match frame.out {
+                Prepared::Frame(entries) => {
+                    let sink = &mut self.sinks[frame.shard];
+                    for entry in &entries {
+                        sink(frame.program, entry);
+                    }
+                    let n = entries.len() as u64;
+                    stats.traces_merged.add(n);
+                    shard_stats.traces_merged.add(n);
+                }
+                // Counted when prepared (run-wide) and here (per shard);
+                // the slot is consumed so ordering stays intact.
+                Prepared::Corrupt => shard_stats.frames_corrupt.incr(),
+                Prepared::Refused => {}
+            }
+            stats.frames_merged.incr();
+            shard_stats.frames_merged.incr();
+            let latency_ns = now.saturating_sub(frame.prepared_at_ns);
+            stats.frame_latency_ns.add(latency_ns);
+            if let Some(h) = &stats.stage_merge_wait_ns {
+                h.record(latency_ns);
+            }
         }
     }
 }
 
-/// Runs the pipeline to completion.
+/// Runs `units` to completion and returns each unit's result, in unit
+/// order, with the run's stats.
 ///
-/// `producer` runs on a pooled thread and claims (program, seq) slots
-/// through the [`FrameSender`] it is given (clone it to fan production
-/// out). `sinks[i]` is shard *i*'s merger sink, with exclusive access to
-/// whatever mutable state it captured (a hive passes its merge state;
-/// the sharded hive one closure per shard over that shard's hives); it
-/// observes each program's traces in exact claimed-sequence order.
-/// Shard 0's merger runs on the calling thread, every other shard's and
-/// every worker on a pooled one ([`pool`]). `ctxs` holds
-/// the reconstruction inputs of every program in `map`; `memos` are the
-/// workers' memos, kept by the caller across runs.
+/// `unit(units[i], frames)` runs unit `i`, yielding the frames of its
+/// claimed slots through `frames`; its frames are prepared on the thread
+/// that runs it. The units are claimed by index by `config.workers`
+/// participants: the calling thread and up to `workers − 1` jobs on the
+/// [`pool`] (never more participants than units, so `workers = 1` or a
+/// one-unit run spawns no job). `sinks[i]` is shard *i*'s sink, with
+/// exclusive access to whatever mutable state it captured (a hive passes
+/// its merge state; the sharded hive one closure per shard over that
+/// shard's hives); every sink runs on the calling thread, which merges
+/// unit `i` once units `0..=i` are ready. `ctxs` holds the
+/// reconstruction inputs of every program in `map`; `memos` are the
+/// participants' memos, kept by the caller across runs.
 ///
 /// # Panics
 ///
-/// Propagates producer, worker, and sink panics with their own payloads
-/// (none can deadlock the run). Panics if `sinks.len() != map.n_shards()`.
-pub fn run<R, P, S>(
+/// Propagates unit and sink panics with their own payloads, after every
+/// participant stopped (none can deadlock the run). Panics if
+/// `sinks.len() != map.n_shards()`.
+pub fn run<T, R, S>(
     config: &IngestConfig,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
     memos: &mut WorkerMemos,
-    producer: P,
+    units: Vec<T>,
+    unit: impl Fn(T, &mut UnitFrames<'_, '_>) -> R + Sync,
     sinks: Vec<S>,
-) -> (R, IngestStats)
+) -> (Vec<R>, IngestStats)
 where
-    P: FnOnce(FrameSender) -> R + Send,
+    T: Send,
     R: Send,
-    S: FnMut(ProgramId, &MergeRecord) + Send,
+    S: FnMut(ProgramId, &MergeRecord),
 {
     assert_eq!(sinks.len(), map.n_shards(), "one sink per shard");
     let started = config.clock.now_ns();
-    let shared = Arc::new(Shared {
-        frames: BoundedQueue::new(config.queue_capacity),
-        merge: (0..map.n_shards())
-            .map(|_| BoundedQueue::new(config.queue_capacity))
-            .collect(),
-        died: AtomicBool::new(false),
-        counters: (map.assignments().keys())
-            .map(|&p| (p, AtomicU64::new(0)))
-            .collect(),
-        stats: StatsCore::new(config.obs.registry.as_ref(), map.n_shards()),
-        senders: AtomicUsize::new(1),
-        clock: config.clock.clone(),
-    });
-    let sender = FrameSender {
-        shared: shared.clone(),
-    };
+    let stats = StatsCore::new(config.obs.registry.as_ref(), map.n_shards());
     let n_workers = config.workers.max(1);
-    let active = AtomicUsize::new(n_workers);
-    let kept = memos.fit(n_workers, config.memo_capacity, ctxs);
-    let mut result = None;
+    let n_units = units.len();
+    let prep = Prep {
+        stats: &stats,
+        map,
+        ctxs,
+        clock: &*config.clock,
+    };
+    let todo = Mutex::new(units.into_iter().enumerate());
+    let ready: Mutex<Vec<Option<Done<R>>>> = Mutex::new((0..n_units).map(|_| None).collect());
+    let mut merger = Merger {
+        stats: &stats,
+        clock: &*config.clock,
+        sinks,
+        results: Vec::with_capacity(n_units),
+    };
+    // Claims units until none is left; `between` runs after each one.
+    let participate = |memo: &mut WorkerMemo, between: &mut dyn FnMut()| {
+        let evicted_before = memo.memo.evictions();
+        loop {
+            let claimed = lock(&todo).next();
+            let Some((i, t)) = claimed else { break };
+            let mut frames = UnitFrames {
+                prep: &prep,
+                memo: &mut *memo,
+                out: Vec::new(),
+            };
+            let result = unit(t, &mut frames);
+            lock(&ready)[i] = Some((result, frames.out));
+            between();
+        }
+        (stats.cache_evictions).add(memo.memo.evictions() - evicted_before);
+    };
+    let (own, pooled) = (memos.fit(n_workers, config.memo_capacity, ctxs))
+        .split_first_mut()
+        .expect("at least one participant");
+    let participate = &participate;
     pool::scope(|s| {
-        let (shared, active, result) = (&shared, &active, &mut result);
-        s.spawn(move || *result = Some(producer(sender)));
-        for kept in kept {
-            s.spawn(move || worker_loop(shared, map, ctxs, kept, active));
+        for memo in pooled
+            .iter_mut()
+            .take(n_units.min(n_workers).saturating_sub(1))
+        {
+            s.spawn(move || participate(memo, &mut || {}));
         }
-        let mut sinks = sinks.into_iter();
-        let mut first = sinks.next().expect("at least one shard");
-        for (i, mut sink) in (1..).zip(sinks) {
-            s.spawn(move || merger_loop(shared, i, &mut sink));
-        }
-        merger_loop(shared, 0, &mut first);
+        participate(own, &mut || merger.merge_ready(&ready));
     });
-    let result = result.expect("the producer returned");
-    let mut stats = shared.stats.snapshot(
-        n_workers,
-        shared.frames.high_water(),
-        config.clock.now_ns().saturating_sub(started),
-    );
+    // Every participant has stopped, so every unit is ready.
+    merger.merge_ready(&ready);
+    debug_assert_eq!(merger.results.len(), n_units, "every unit merged");
+    let mut stats = stats.snapshot(n_workers, config.clock.now_ns().saturating_sub(started));
     for s in &mut stats.per_shard {
         s.programs = map.programs_on(s.shard).len();
-        s.merge_queue_high_water = shared.merge[s.shard].high_water();
     }
     // Only content-determined fields go in the event payload (a frame's
     // verdict depends on its bytes and claim alone, and frame and trace
-    // counts are fixed by the sequence-ordered merge contract); cache
-    // hits and queue depths vary with thread interleaving and would
-    // break the events-hash stability guarantee.
+    // counts are fixed by the in-order merge contract); cache hits vary
+    // with which participant claimed which unit and would break the
+    // events-hash stability guarantee.
     config.obs.recorder.info(
         "ingest",
         "run_done",
@@ -712,6 +637,49 @@ where
             stats.wall_ns
         ),
     );
+    (merger.results, stats)
+}
+
+/// Runs `producer`, then the frames it claimed through its
+/// [`FrameSender`] as one-frame units, each program's in claimed
+/// sequence order. The producer runs on the calling thread before any
+/// frame is prepared; the rest is [`run`].
+///
+/// # Panics
+///
+/// As [`run`]; a producer panic propagates before any frame merges.
+pub fn run_producer<R, P, S>(
+    config: &IngestConfig,
+    map: &ShardMap,
+    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    memos: &mut WorkerMemos,
+    producer: P,
+    sinks: Vec<S>,
+) -> (R, IngestStats)
+where
+    P: FnOnce(FrameSender) -> R,
+    S: FnMut(ProgramId, &MergeRecord),
+{
+    let claims = Arc::new(Mutex::new(Claims {
+        next: map.assignments().keys().map(|&p| (p, 0)).collect(),
+        frames: Vec::new(),
+    }));
+    let result = producer(FrameSender {
+        claims: Arc::clone(&claims),
+    });
+    let mut frames = std::mem::take(&mut lock(&claims).frames);
+    frames.sort_by_key(|&(program, seq, _)| (program, seq));
+    let (_, stats) = run(
+        config,
+        map,
+        ctxs,
+        memos,
+        frames,
+        |(program, _, frame), out| {
+            (out.push(program, &frame)).expect("a claim is placed when it is made");
+        },
+        sinks,
+    );
     (result, stats)
 }
 
@@ -721,7 +689,9 @@ mod tests {
     use softborg_pod::{Pod, PodConfig};
     use softborg_program::scenarios::{self, Scenario};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     /// Four programs on two shards, both shards populated.
     fn two_shard_setup() -> (Vec<Scenario>, ShardMap) {
@@ -759,12 +729,21 @@ mod tests {
         out
     }
 
-    /// Runs the pipeline on a 2-shard map with `producer` and a shard-1
-    /// sink that panics on record `die_at` (never when `None`), on its
-    /// own thread, and returns the panic message the run propagated.
-    fn panic_message<P>(producer: P, die_at: Option<u64>) -> String
+    /// What a sink saw of one record.
+    type Seen = (ProgramId, Option<u64>, Option<Box<str>>);
+
+    fn seen(program: ProgramId, r: &MergeRecord) -> Seen {
+        (program, r.path.as_ref().map(|p| p.1), r.failure_key.clone())
+    }
+
+    /// Runs `body` with the two-shard setup's map, contexts and 40
+    /// frames per program on its own thread, and returns what it
+    /// returned or the message of the panic it propagated.
+    fn on_two_shards<F>(body: F) -> Result<(), String>
     where
-        P: FnOnce(FrameSender, &[(ProgramId, Vec<u8>)]) + Send + 'static,
+        F: FnOnce(&ShardMap, &BTreeMap<ProgramId, ReconstructContext<'_>>, &[(ProgramId, Vec<u8>)])
+            + Send
+            + 'static,
     {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -784,42 +763,33 @@ mod tests {
                 })
                 .collect();
             let frames = frames(&scs, 40);
-            let config = IngestConfig {
-                workers: 4,
-                queue_capacity: 2,
-                ..IngestConfig::default()
-            };
-            let sink = |shard: usize| {
-                let mut seen = 0u64;
-                move |_: ProgramId, _: &MergeRecord| {
-                    seen += 1;
-                    if shard == 1 && Some(seen) == die_at {
-                        panic!("shard 1's sink died on record {seen}");
-                    }
-                }
-            };
-            let sinks = vec![sink(0), sink(1)];
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let memos = &mut WorkerMemos::default();
-                run(
-                    &config,
-                    &map,
-                    &ctxs,
-                    memos,
-                    |tx| producer(tx, &frames),
-                    sinks,
-                )
-            }));
-            let msg = match result {
-                Ok(_) => "no panic".to_string(),
-                Err(payload) => (payload.downcast_ref::<String>().cloned())
+            let result = catch_unwind(AssertUnwindSafe(|| body(&map, &ctxs, &frames)));
+            let _ = tx.send(result.map_err(|payload| {
+                (payload.downcast_ref::<String>().cloned())
                     .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "a non-string panic".to_string()),
-            };
-            let _ = tx.send(msg);
+                    .unwrap_or_else(|| "a non-string panic".to_string())
+            }));
         });
         rx.recv_timeout(Duration::from_secs(60))
             .expect("the run deadlocked instead of propagating its panic")
+    }
+
+    fn config(workers: usize) -> IngestConfig {
+        IngestConfig {
+            workers,
+            ..IngestConfig::default()
+        }
+    }
+
+    /// Shard `shard`'s sink, which panics on its record `die_at`.
+    fn dying_sink(shard: usize, die_at: Option<u64>) -> impl FnMut(ProgramId, &MergeRecord) {
+        let mut seen = 0u64;
+        move |_, _| {
+            seen += 1;
+            if shard == 1 && Some(seen) == die_at {
+                panic!("shard 1's sink died on record {seen}");
+            }
+        }
     }
 
     fn submit_all(tx: &FrameSender, frames: &[(ProgramId, Vec<u8>)]) {
@@ -828,25 +798,280 @@ mod tests {
         }
     }
 
+    /// Spins until `flag` is set: a participant that waits here lets
+    /// the others claim units first.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "no other participant ran a unit");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs the frames as one-frame units on 4 participants; the unit
+    /// of whichever participant `dies` picks panics, once another
+    /// participant has run a unit.
+    fn unit_panic(dies: fn(ThreadId, ThreadId) -> bool) -> Result<(), String> {
+        on_two_shards(move |map, ctxs, frames| {
+            let caller = std::thread::current().id();
+            let (caller_ran, pooled_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+            let memos = &mut WorkerMemos::default();
+            let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
+            let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
+                let me = std::thread::current().id();
+                let (mine, theirs) = match me == caller {
+                    true => (&caller_ran, &pooled_ran),
+                    false => (&pooled_ran, &caller_ran),
+                };
+                mine.store(true, Ordering::SeqCst);
+                wait_for(theirs);
+                if dies(me, caller) {
+                    panic!(
+                        "a unit died on {}",
+                        if me == caller {
+                            "the caller"
+                        } else {
+                            "a pooled participant"
+                        }
+                    );
+                }
+                out.push(*program, frame).expect("placed");
+            };
+            run(
+                &config(4),
+                map,
+                ctxs,
+                memos,
+                frames.iter().collect(),
+                unit,
+                sinks,
+            );
+        })
+    }
+
     #[test]
     fn a_producer_panic_propagates_its_own_message() {
         for _ in 0..10 {
-            let msg = panic_message(
-                |tx, frames| {
+            let msg = on_two_shards(|map, ctxs, frames| {
+                let memos = &mut WorkerMemos::default();
+                let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
+                let producer = |tx: FrameSender| {
                     submit_all(&tx, &frames[..frames.len() / 2]);
                     panic!("the producer died");
-                },
-                None,
-            );
-            assert_eq!(msg, "the producer died");
+                };
+                run_producer(&config(4), map, ctxs, memos, producer, sinks);
+            });
+            assert_eq!(msg, Err("the producer died".to_string()));
         }
     }
 
     #[test]
     fn a_sink_panic_propagates_its_own_message() {
         for _ in 0..10 {
-            let msg = panic_message(|tx, frames| submit_all(&tx, frames), Some(3));
-            assert_eq!(msg, "shard 1's sink died on record 3");
+            let msg = on_two_shards(|map, ctxs, frames| {
+                let memos = &mut WorkerMemos::default();
+                let sinks = vec![dying_sink(0, Some(3)), dying_sink(1, Some(3))];
+                let producer = |tx: FrameSender| submit_all(&tx, frames);
+                run_producer(&config(4), map, ctxs, memos, producer, sinks);
+            });
+            assert_eq!(msg, Err("shard 1's sink died on record 3".to_string()));
         }
+    }
+
+    #[test]
+    fn a_unit_panic_on_a_pooled_participant_propagates_its_own_message() {
+        for _ in 0..10 {
+            let msg = unit_panic(|me, caller| me != caller);
+            assert_eq!(msg, Err("a unit died on a pooled participant".to_string()));
+        }
+    }
+
+    #[test]
+    fn a_unit_panic_on_the_calling_thread_propagates_its_own_message() {
+        for _ in 0..10 {
+            let msg = unit_panic(|me, caller| me == caller);
+            assert_eq!(msg, Err("a unit died on the caller".to_string()));
+        }
+    }
+
+    /// Every record each shard's sink must see, in order, when the
+    /// frames are merged in the order given: prepared serially.
+    fn serial_order(
+        map: &ShardMap,
+        ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+        frames: &[(ProgramId, Vec<u8>)],
+    ) -> Vec<Vec<Seen>> {
+        let mut want = vec![Vec::new(); map.n_shards()];
+        let scratch = &mut ReplayScratch::default();
+        for (program, frame) in frames {
+            let ctx = &ctxs[program];
+            for trace in wire::decode_batch(frame).expect("a pod's frame") {
+                let decisions = ctx.decisions(&trace, scratch);
+                let record = MergeRecord::prepare(ProcessedTrace { trace, decisions });
+                want[map.shard_of(*program).expect("placed")].push(seen(*program, &record));
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn units_merge_in_slot_order_for_any_worker_count() {
+        on_two_shards(|map, ctxs, frames| {
+            let want = serial_order(map, ctxs, frames);
+            // Units of 0, 1, 2 and 3 frames in turn: an empty unit claims
+            // nothing, and later units often finish first.
+            let mut units = Vec::new();
+            let mut rest = frames;
+            for size in (0..4).cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (unit, tail) = rest.split_at(size.min(rest.len()));
+                units.push(unit);
+                rest = tail;
+            }
+            let n_units = units.len();
+            for workers in 1..=4 {
+                let memos = &mut WorkerMemos::default();
+                let mut got = vec![Vec::new(); 2];
+                let sinks: Vec<_> = (got.iter_mut())
+                    .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
+                    .collect();
+                let unit = |unit: &[(ProgramId, Vec<u8>)], out: &mut UnitFrames| {
+                    if unit.len() == 2 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    for (program, frame) in unit {
+                        out.push(*program, frame).expect("placed");
+                    }
+                    unit.len()
+                };
+                let (sizes, stats) = run(
+                    &config(workers),
+                    map,
+                    ctxs,
+                    memos,
+                    units.clone(),
+                    unit,
+                    sinks,
+                );
+                assert!(
+                    got == want,
+                    "records merged out of slot order at workers={workers}"
+                );
+                let want_sizes: Vec<usize> = units.iter().map(|u| u.len()).collect();
+                assert_eq!(sizes, want_sizes, "results in unit order");
+                assert_eq!(sizes.len(), n_units);
+                assert_eq!(stats.frames_merged, frames.len() as u64);
+                assert_eq!(stats.frames_submitted, frames.len() as u64);
+                assert_eq!(stats.traces_merged, frames.len() as u64);
+            }
+        })
+        .expect("no panic");
+    }
+
+    #[test]
+    fn zero_frame_units_return_their_results_and_merge_nothing() {
+        on_two_shards(|map, ctxs, _| {
+            for workers in 1..=3 {
+                let memos = &mut WorkerMemos::default();
+                let sinks = vec![dying_sink(1, Some(1)), dying_sink(1, Some(1))];
+                let (results, stats) = run(
+                    &config(workers),
+                    map,
+                    ctxs,
+                    memos,
+                    (0..9).collect(),
+                    |i: u32, _: &mut UnitFrames| i * 2,
+                    sinks,
+                );
+                assert_eq!(results, (0..9).map(|i| i * 2).collect::<Vec<_>>());
+                assert_eq!((stats.frames_submitted, stats.frames_merged), (0, 0));
+                let (results, _) = run(
+                    &config(workers),
+                    map,
+                    ctxs,
+                    memos,
+                    Vec::<u32>::new(),
+                    |i, _: &mut UnitFrames| i,
+                    vec![dying_sink(0, None), dying_sink(1, None)],
+                );
+                assert!(results.is_empty());
+            }
+        })
+        .expect("no panic");
+    }
+
+    #[test]
+    fn one_worker_runs_every_unit_on_the_calling_thread() {
+        on_two_shards(|map, ctxs, frames| {
+            let caller = std::thread::current().id();
+            let memos = &mut WorkerMemos::default();
+            let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
+            let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
+                out.push(*program, frame).expect("placed");
+                std::thread::current().id()
+            };
+            let (ran_on, _) = run(
+                &config(1),
+                map,
+                ctxs,
+                memos,
+                frames.iter().collect(),
+                unit,
+                sinks,
+            );
+            assert!(ran_on.iter().all(|&t| t == caller));
+        })
+        .expect("no panic");
+    }
+
+    #[test]
+    fn a_producers_claims_merge_in_claimed_order() {
+        on_two_shards(|map, ctxs, frames| {
+            let want = serial_order(map, ctxs, frames);
+            let memos = &mut WorkerMemos::default();
+            let mut got = vec![Vec::new(); 2];
+            let sinks: Vec<_> = (got.iter_mut())
+                .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
+                .collect();
+            // Each program's slots, claimed back to front.
+            let producer = |tx: FrameSender| {
+                let mut next = BTreeMap::new();
+                let slots: Vec<_> = (frames.iter())
+                    .map(|(p, f)| {
+                        let seq = next.entry(*p).or_insert(0u64);
+                        *seq += 1;
+                        (*p, *seq - 1, f.clone())
+                    })
+                    .collect();
+                for (program, seq, frame) in slots.into_iter().rev() {
+                    tx.submit_for_at(program, seq, frame).expect("placed");
+                }
+                let stranger = ProgramId(u64::MAX);
+                tx.submit_for(stranger, Vec::new())
+            };
+            let (refused, stats) = run_producer(&config(3), map, ctxs, memos, producer, sinks);
+            assert_eq!(
+                refused,
+                Err(ShardError::UnknownProgram {
+                    program: ProgramId(u64::MAX)
+                })
+            );
+            // Only each program's own order is claimed.
+            let per_program = |seen: Vec<Vec<Seen>>| {
+                let mut by = BTreeMap::<ProgramId, Vec<Seen>>::new();
+                for s in seen.into_iter().flatten() {
+                    by.entry(s.0).or_default().push(s);
+                }
+                by
+            };
+            assert!(
+                per_program(got) == per_program(want),
+                "a program's claims merged out of order"
+            );
+            assert_eq!(stats.frames_merged, frames.len() as u64);
+        })
+        .expect("no panic");
     }
 }

@@ -1,5 +1,6 @@
 //! One process-wide pool of parked OS threads for the work a round
-//! fans out: the ingest pipeline's stages, the pods, the fix trials.
+//! fans out: the ingest engine's pooled participants (which run the
+//! pods) and the fix trials.
 //!
 //! [`scope`] is shaped like `std::thread::scope`: jobs spawned in it may
 //! borrow from the caller's stack, and it returns only after every job

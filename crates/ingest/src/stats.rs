@@ -1,5 +1,5 @@
-//! Pipeline observability: registry-backed counters updated by every
-//! stage, snapshotted into an [`IngestStats`] when a run completes.
+//! Engine observability: registry-backed counters updated by every
+//! participant, snapshotted into an [`IngestStats`] when a run completes.
 //!
 //! The pool-wide counters live in a `softborg-obs` [`MetricsRegistry`]
 //! under `ingest.*` paths. When the caller attaches a shared registry
@@ -20,9 +20,8 @@ use std::sync::Mutex;
 pub const ERROR_SAMPLE_CAP: usize = 8;
 
 /// The pool-wide counters, in [`StatsCore::counters`] order.
-const COUNTERS: [&str; 12] = [
+const COUNTERS: [&str; 11] = [
     "ingest.frames_submitted",
-    "ingest.frames_dropped",
     "ingest.frames_corrupt",
     "ingest.frames_rerouted",
     "ingest.frames_unknown_program",
@@ -35,7 +34,7 @@ const COUNTERS: [&str; 12] = [
     "ingest.frame_latency_ns",
 ];
 
-/// One shard merger's counters.
+/// One shard's counters, updated as its sink merges.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCore {
     pub frames_merged: Counter,
@@ -43,12 +42,11 @@ pub(crate) struct ShardCore {
     pub frames_corrupt: Counter,
 }
 
-/// Shared counters the pipeline stages update concurrently, interned in
-/// a metrics registry under `ingest.*`.
+/// Shared counters the participants update concurrently, interned in a
+/// metrics registry under `ingest.*`.
 #[derive(Debug)]
 pub(crate) struct StatsCore {
     pub frames_submitted: Counter,
-    pub frames_dropped: Counter,
     pub frames_corrupt: Counter,
     pub frames_rerouted: Counter,
     pub frames_unknown_program: Counter,
@@ -57,24 +55,23 @@ pub(crate) struct StatsCore {
     pub cache_hits: Counter,
     pub cache_misses: Counter,
     pub cache_evictions: Counter,
-    /// Total worker time spent classifying, decoding and reconstructing,
-    /// in ns.
+    /// Total participant time spent classifying, decoding and
+    /// reconstructing frames, in ns.
     pub worker_busy_ns: Counter,
-    /// Total submit→merge latency over merged frames, in ns.
+    /// Total prepared→merged latency over merged frames, in ns.
     pub frame_latency_ns: Counter,
     /// Per-frame decode+reconstruct stage histogram (attached registry
     /// only — `None` is the telemetry-off fast path).
     pub stage_work_ns: Option<Histogram>,
-    /// Per-frame submit→merge latency histogram (attached registry
+    /// Per-frame prepared→merged latency histogram (attached registry
     /// only).
     pub stage_merge_wait_ns: Option<Histogram>,
     pub per_shard: Vec<ShardCore>,
     errors: Mutex<Vec<ShardError>>,
-    queue_high_water: Gauge,
     wall_ns: Gauge,
     workers: Gauge,
     /// Counter values at run start, subtracted at snapshot time.
-    base: [u64; 12],
+    base: [u64; 11],
 }
 
 impl StatsCore {
@@ -90,11 +87,10 @@ impl StatsCore {
                 &private
             }
         };
-        let [frames_submitted, frames_dropped, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
+        let [frames_submitted, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
             COUNTERS.map(|path| reg.counter(path));
         let mut core = StatsCore {
             frames_submitted,
-            frames_dropped,
             frames_corrupt,
             frames_rerouted,
             frames_unknown_program,
@@ -109,19 +105,17 @@ impl StatsCore {
             stage_merge_wait_ns: attached.then(|| reg.histogram("ingest.stage.merge_wait_ns")),
             per_shard: (0..n_shards).map(|_| ShardCore::default()).collect(),
             errors: Mutex::new(Vec::new()),
-            queue_high_water: reg.gauge("ingest.queue_high_water"),
             wall_ns: reg.gauge("ingest.wall_ns"),
             workers: reg.gauge("ingest.workers"),
-            base: [0; 12],
+            base: [0; 11],
         };
         core.base = core.counters().map(Counter::get);
         core
     }
 
-    fn counters(&self) -> [&Counter; 12] {
+    fn counters(&self) -> [&Counter; 11] {
         [
             &self.frames_submitted,
-            &self.frames_dropped,
             &self.frames_corrupt,
             &self.frames_rerouted,
             &self.frames_unknown_program,
@@ -144,23 +138,16 @@ impl StatsCore {
         }
     }
 
-    /// The run's stats. Per-shard `programs` and merge-queue depths are
-    /// the caller's to fill in.
-    pub(crate) fn snapshot(
-        &self,
-        workers: usize,
-        queue_high_water: usize,
-        wall_ns: u64,
-    ) -> IngestStats {
-        self.queue_high_water.set_max(queue_high_water as u64);
+    /// The run's stats. Per-shard `programs` is the caller's to fill in.
+    pub(crate) fn snapshot(&self, workers: usize, wall_ns: u64) -> IngestStats {
         self.wall_ns.set(wall_ns);
         self.workers.set(workers as u64);
         let now = self.counters().map(Counter::get);
-        let [frames_submitted, frames_dropped, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
+        let [frames_submitted, frames_corrupt, frames_rerouted, frames_unknown_program, frames_merged, traces_merged, cache_hits, cache_misses, cache_evictions, worker_busy_ns, frame_latency_ns] =
             std::array::from_fn(|i| now[i] - self.base[i]);
         IngestStats {
             frames_submitted,
-            frames_dropped,
+            frames_dropped: 0,
             frames_corrupt,
             frames_rerouted,
             frames_unknown_program,
@@ -171,7 +158,7 @@ impl StatsCore {
             cache_evictions,
             worker_busy_ns,
             frame_latency_ns,
-            queue_high_water,
+            queue_high_water: 0,
             // A run that submitted frames inside one clock tick must not
             // report zero elapsed time.
             wall_ns: rates::clamp_wall_ns(wall_ns, frames_submitted > 0),
@@ -183,7 +170,6 @@ impl StatsCore {
                     frames_merged: s.frames_merged.get(),
                     traces_merged: s.traces_merged.get(),
                     frames_corrupt: s.frames_corrupt.get(),
-                    merge_queue_high_water: 0,
                 })
                 .collect(),
             error_samples: self.errors.lock().expect("error samples").clone(),
@@ -198,7 +184,7 @@ pub struct ShardStats {
     pub shard: usize,
     /// Programs placed on this shard.
     pub programs: usize,
-    /// Frames whose slot this shard's merger consumed (healthy, corrupt,
+    /// Frames whose slot merged into this shard's sink (healthy, corrupt,
     /// unknown and misclaimed frames all count — they all advance the
     /// shard's per-program sequence).
     pub frames_merged: u64,
@@ -206,17 +192,15 @@ pub struct ShardStats {
     pub traces_merged: u64,
     /// Corrupt frames charged to this shard (by claimed program).
     pub frames_corrupt: u64,
-    /// Deepest this shard's merge queue ever got.
-    pub merge_queue_high_water: usize,
 }
 
-/// Counters and gauges for one pipeline run — the per-run derived view
+/// Counters and gauges for one engine run — the per-run derived view
 /// over the `ingest.*` registry metrics, plus the per-shard breakdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Frames handed to the pipeline.
+    /// Frames a unit yielded.
     pub frames_submitted: u64,
-    /// Frames submitted after a stage died; 0 in every returned run.
+    /// Always 0: a run's frames are in hand and none is ever shed.
     pub frames_dropped: u64,
     /// Frames rejected by wire validation (bad magic, truncation,
     /// checksum mismatch, …) or carrying payloads from more than one
@@ -229,8 +213,8 @@ pub struct IngestStats {
     /// Healthy frames whose content program the run does not serve:
     /// typed error, counted, slot consumed — never a panic, never merged.
     pub frames_unknown_program: u64,
-    /// Frames whose slot reached a merger (corrupt, unknown and
-    /// misclaimed included: their slot is consumed to preserve ordering).
+    /// Frames whose slot merged (corrupt, unknown and misclaimed
+    /// included: their slot is consumed to preserve ordering).
     pub frames_merged: u64,
     /// Traces delivered to the sinks, over all shards.
     pub traces_merged: u64,
@@ -240,18 +224,20 @@ pub struct IngestStats {
     /// Traces that required a full decode + reconstruction.
     pub cache_misses: u64,
     /// Memo entries rotated out by the second-chance sweep (summed over
-    /// workers).
+    /// participants).
     pub cache_evictions: u64,
-    /// Total worker time spent classifying, decoding and reconstructing,
-    /// in ns.
+    /// Total participant time spent classifying, decoding and
+    /// reconstructing frames, in ns (a unit's own work, such as running
+    /// a pod, is not counted).
     pub worker_busy_ns: u64,
-    /// Total submit→merge latency across merged frames, in ns.
+    /// Total prepared→merged latency across merged frames, in ns: how
+    /// long a prepared frame waited for its unit's turn to merge.
     pub frame_latency_ns: u64,
-    /// Deepest the frame queue ever got (backpressure gauge).
+    /// Always 0: there is no queue; a run's frames are in hand.
     pub queue_high_water: usize,
     /// Wall-clock duration of the whole run, in ns.
     pub wall_ns: u64,
-    /// Decode/reconstruct workers the run used.
+    /// Participants the run was configured with (`IngestConfig::workers`).
     pub workers: usize,
     /// Per-shard breakdown, indexed by shard.
     pub per_shard: Vec<ShardStats>,
@@ -261,7 +247,7 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
-    /// Mean submit→merge latency per merged frame, in ns.
+    /// Mean prepared→merged latency per merged frame, in ns.
     pub fn mean_frame_latency_ns(&self) -> u64 {
         rates::mean(self.frame_latency_ns, self.frames_merged)
     }
@@ -306,12 +292,12 @@ mod tests {
         let run1 = StatsCore::new(Some(&reg), 1);
         run1.frames_submitted.add(3);
         run1.traces_merged.add(7);
-        assert_eq!(run1.snapshot(1, 0, 10).traces_merged, 7);
+        assert_eq!(run1.snapshot(1, 10).traces_merged, 7);
         // A second run over the same registry sees only its own counts…
         let run2 = StatsCore::new(Some(&reg), 1);
         run2.frames_submitted.add(1);
         run2.traces_merged.add(2);
-        let s2 = run2.snapshot(1, 0, 10);
+        let s2 = run2.snapshot(1, 10);
         assert_eq!(s2.frames_submitted, 1);
         assert_eq!(s2.traces_merged, 2);
         // …while the registry accumulates fleet-wide totals.
@@ -329,9 +315,9 @@ mod tests {
     #[test]
     fn zero_wall_clamps_only_when_busy() {
         let core = StatsCore::new(None, 1);
-        assert_eq!(core.snapshot(1, 0, 0).wall_ns, 0);
+        assert_eq!(core.snapshot(1, 0).wall_ns, 0);
         core.frames_submitted.incr();
-        assert_eq!(core.snapshot(1, 0, 0).wall_ns, 1);
+        assert_eq!(core.snapshot(1, 0).wall_ns, 1);
     }
 
     #[test]
@@ -342,7 +328,7 @@ mod tests {
                 program: ProgramId(i),
             });
         }
-        assert_eq!(core.snapshot(1, 0, 0).error_samples.len(), ERROR_SAMPLE_CAP);
+        assert_eq!(core.snapshot(1, 0).error_samples.len(), ERROR_SAMPLE_CAP);
     }
 
     #[test]
@@ -351,7 +337,7 @@ mod tests {
         core.traces_merged.add(100);
         core.per_shard[0].traces_merged.add(90);
         core.per_shard[1].traces_merged.add(10);
-        assert!((core.snapshot(1, 0, 1).imbalance_ratio() - 1.8).abs() < 1e-9);
+        assert!((core.snapshot(1, 1).imbalance_ratio() - 1.8).abs() < 1e-9);
         assert_eq!(IngestStats::default().imbalance_ratio(), 0.0);
     }
 }

@@ -171,52 +171,69 @@ fn put_i64(b: &mut Vec<u8>, v: i64) {
 
 /// Encodes a trace into its wire form.
 pub fn encode(t: &ExecutionTrace) -> Vec<u8> {
-    let mut b = Vec::with_capacity(64 + t.bits.byte_len() + t.schedule.len() * 2);
-    put_u64(&mut b, t.program.0);
+    let mut b = Vec::with_capacity(size_hint(t));
+    encode_into(&mut b, t);
+    b
+}
+
+/// A guess at a trace's encoded size, large enough for most traces, so
+/// that their encoding never grows its buffer.
+fn size_hint(t: &ExecutionTrace) -> usize {
+    64 + t.bits.byte_len()
+        + t.guard_bits.byte_len()
+        + t.syscall_rets.len() * 8
+        + t.schedule.len() * 2
+}
+
+/// Appends a trace's wire form to `b`.
+fn encode_into(b: &mut Vec<u8>, t: &ExecutionTrace) {
+    put_u64(b, t.program.0);
     match t.policy {
         RecordingPolicy::OutcomeOnly => b.push(0),
         RecordingPolicy::FullBranch => b.push(1),
         RecordingPolicy::InputDependent => b.push(2),
         RecordingPolicy::Sampled { period, phase } => {
             b.push(3);
-            put_u32(&mut b, period);
-            put_u32(&mut b, phase);
+            put_u32(b, period);
+            put_u32(b, phase);
         }
     }
-    put_bits(&mut b, &t.bits);
-    put_bits(&mut b, &t.guard_bits);
-    put_u32(&mut b, t.syscall_rets.len() as u32);
+    put_bits(b, &t.bits);
+    put_bits(b, &t.guard_bits);
+    put_u32(b, t.syscall_rets.len() as u32);
     for r in &t.syscall_rets {
-        put_i64(&mut b, *r);
+        put_i64(b, *r);
     }
     // Schedules are long and runny (round-robin stretches, spin loops):
     // run-length encode them. Worst case (alternating picks) costs 2x the
     // raw u16 stream; typical concurrent traces compress 3-20x.
-    let runs = rle_runs(&t.schedule);
-    put_u32(&mut b, runs.len() as u32);
-    for (value, count) in runs {
-        put_u16(&mut b, value as u16);
-        put_u32(&mut b, count);
+    let at = b.len();
+    put_u32(b, 0); // the run count, patched below
+    let mut runs = 0u32;
+    for run in t.schedule.chunk_by(|x, y| x == y) {
+        put_u16(b, run[0] as u16);
+        put_u32(b, run.len() as u32);
+        runs += 1;
     }
-    put_u64(&mut b, t.steps);
-    put_outcome(&mut b, &t.outcome);
-    put_u64(&mut b, t.overlay_version);
-    put_u32(&mut b, t.lock_pairs.len() as u32);
+    b[at..at + 4].copy_from_slice(&runs.to_le_bytes());
+    put_u64(b, t.steps);
+    put_outcome(b, &t.outcome);
+    put_u64(b, t.overlay_version);
+    put_u32(b, t.lock_pairs.len() as u32);
     for (a, c) in &t.lock_pairs {
-        put_u32(&mut b, *a);
-        put_u32(&mut b, *c);
+        put_u32(b, *a);
+        put_u32(b, *c);
     }
-    put_u32(&mut b, t.global_summaries.len() as u32);
+    put_u32(b, t.global_summaries.len() as u32);
     for g in &t.global_summaries {
-        put_u32(&mut b, g.global);
-        put_u32(&mut b, g.reader_mask);
-        put_u32(&mut b, g.writer_mask);
-        put_u32(&mut b, g.lockset.len() as u32);
+        put_u32(b, g.global);
+        put_u32(b, g.reader_mask);
+        put_u32(b, g.writer_mask);
+        put_u32(b, g.lockset.len() as u32);
         for l in &g.lockset {
-            put_u32(&mut b, *l);
+            put_u32(b, *l);
         }
     }
-    b
 }
 
 /// Decodes a trace from its wire form, rejecting trailing bytes.
@@ -331,21 +348,29 @@ fn decode_from(b: &mut Reader<'_>) -> Result<ExecutionTrace, WireError> {
 pub fn encode_batch<'a, I>(traces: I) -> Vec<u8>
 where
     I: IntoIterator<Item = &'a ExecutionTrace>,
+    I::IntoIter: Clone,
 {
-    let mut payload = Vec::new();
+    let traces = traces.into_iter();
+    let hint: usize = traces.clone().map(|t| 4 + size_hint(t)).sum();
+    // Each payload is written straight into the frame behind a length
+    // slot; the count and payload length are patched in once known.
+    let mut frame = Vec::with_capacity(24 + hint);
+    put_u32(&mut frame, BATCH_MAGIC);
+    put_u32(&mut frame, 0);
+    put_u64(&mut frame, 0);
     let mut count: u32 = 0;
     for t in traces {
-        let enc = encode(t);
-        put_u32(&mut payload, enc.len() as u32);
-        payload.extend_from_slice(&enc);
         count += 1;
         assert!(count <= MAX_BATCH, "batch frame over {MAX_BATCH} traces");
+        let at = frame.len();
+        put_u32(&mut frame, 0);
+        encode_into(&mut frame, t);
+        let len = (frame.len() - at - 4) as u32;
+        frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
-    let mut frame = Vec::with_capacity(24 + payload.len());
-    put_u32(&mut frame, BATCH_MAGIC);
-    put_u32(&mut frame, count);
-    put_u64(&mut frame, payload.len() as u64);
-    frame.extend_from_slice(&payload);
+    let payload_len = (frame.len() - 16) as u64;
+    frame[4..8].copy_from_slice(&count.to_le_bytes());
+    frame[8..16].copy_from_slice(&payload_len.to_le_bytes());
     let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
     put_u64(&mut frame, checksum);
     frame
@@ -470,18 +495,6 @@ pub fn payloads_program_id(payloads: &[&[u8]]) -> Result<Option<ProgramId>, Wire
     Ok(id)
 }
 
-/// Run-length encodes a pick sequence.
-fn rle_runs(schedule: &[u32]) -> Vec<(u32, u32)> {
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for &s in schedule {
-        match runs.last_mut() {
-            Some((v, c)) if *v == s => *c += 1,
-            _ => runs.push((s, 1)),
-        }
-    }
-    runs
-}
-
 fn put_bits(b: &mut Vec<u8>, bits: &BitVec) {
     put_u32(b, bits.len() as u32);
     b.extend_from_slice(bits.as_bytes());
@@ -598,6 +611,25 @@ fn take_outcome(b: &mut Reader<'_>) -> Result<Outcome, WireError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A batch frame as `encode` plus the header and checksum make it:
+    /// the reference `encode_batch` must match byte for byte.
+    fn composed_batch(ts: &[ExecutionTrace]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for t in ts {
+            let enc = encode(t);
+            put_u32(&mut payload, enc.len() as u32);
+            payload.extend_from_slice(&enc);
+        }
+        let mut frame = Vec::new();
+        put_u32(&mut frame, BATCH_MAGIC);
+        put_u32(&mut frame, ts.len() as u32);
+        put_u64(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(&payload);
+        let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
+        put_u64(&mut frame, checksum);
+        frame
+    }
 
     fn traces() -> Vec<ExecutionTrace> {
         vec![
@@ -910,6 +942,31 @@ mod tests {
                 global_summaries: vec![],
             };
             prop_assert_eq!(decode(&encode(&t)).unwrap(), t);
+        }
+
+        #[test]
+        fn prop_batch_frames_are_the_composed_encoding(
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..4, 0..96), 0..6),
+            rets in proptest::collection::vec(any::<i64>(), 0..8),
+            steps in any::<u64>(),
+        ) {
+            let mut ts = traces();
+            ts.extend(picks.into_iter().map(|schedule| ExecutionTrace {
+                program: ProgramId(7),
+                policy: RecordingPolicy::FullBranch,
+                bits: schedule.iter().map(|p| p % 2 == 0).collect(),
+                guard_bits: schedule.iter().map(|p| *p == 3).collect(),
+                syscall_rets: rets.clone(),
+                schedule,
+                steps,
+                outcome: Outcome::Success,
+                overlay_version: steps % 5,
+                lock_pairs: vec![(1, 2)],
+                global_summaries: vec![],
+            }));
+            for n in 0..=ts.len() {
+                prop_assert_eq!(encode_batch(&ts[..n]), composed_batch(&ts[..n]));
+            }
         }
 
         #[test]

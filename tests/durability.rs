@@ -294,7 +294,6 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
         let serial = Setup::durable(DurabilityConfig::new(campaign_dir(kind, "pipe-serial")));
         let piped = Setup {
             ingest: IngestSettings {
-                pod_threads: 3,
                 batch_size: 7,
                 pipeline: softborg::ingest::IngestConfig {
                     workers: 2,

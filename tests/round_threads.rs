@@ -1,6 +1,6 @@
-//! After warm-up a campaign round creates no OS thread: its pods, the
-//! ingest producer, workers and shard mergers, and its fix trials all
-//! run on the process-wide pool of parked threads
+//! After warm-up a campaign round creates no OS thread: the ingest
+//! engine's pooled participants (which run the pods) and its fix trials
+//! all run on the process-wide pool of parked threads
 //! (`softborg_ingest::pool`).
 //!
 //! A monitor samples `Threads:` in `/proc/self/status` while the rounds

@@ -20,12 +20,11 @@ use softborg::{
 };
 use support::{world_round, world_round_one, WorldRoundConfig};
 
-fn config(pod_threads: usize, workers: usize, batch: usize) -> PlatformConfig {
+fn config(workers: usize, batch: usize) -> PlatformConfig {
     PlatformConfig {
         n_pods: 6,
         seed: 42,
         ingest: IngestSettings {
-            pod_threads,
             batch_size: batch,
             pipeline: IngestConfig {
                 workers,
@@ -50,17 +49,17 @@ fn assert_same_platform(what: &str, a: &Platform<'_>, b: &Platform<'_>) {
 #[test]
 fn world_round_matches_serial_and_pipelined_rounds() {
     let s = scenarios::token_parser();
-    let mut serial = Platform::new(&s.program, config(1, 1, 1));
+    let mut serial = Platform::new(&s.program, config(1, 1));
     for _ in 0..3 {
         serial.round_driven(|pods, batch| DrivenExecution::serial(pods, 20, batch));
     }
-    let mut piped = Platform::new(&s.program, config(2, 2, 7));
+    let mut piped = Platform::new(&s.program, config(2, 7));
     piped.run(3, 20);
     assert_same_platform("serial vs pipelined", &serial, &piped);
 
     // The driven platform uses the pipelined batch size (7) so the frame
     // layout matches; interleaving differs wildly, state must not.
-    let mut driven = Platform::new(&s.program, config(2, 2, 7));
+    let mut driven = Platform::new(&s.program, config(2, 7));
     for _ in 0..3 {
         world_round_one(&mut driven, 20, &WorldRoundConfig::default());
     }
@@ -71,7 +70,7 @@ fn world_round_matches_serial_and_pipelined_rounds() {
 fn world_round_replays_to_identical_hash_and_state() {
     let run = || {
         let s = scenarios::record_processor();
-        let mut p = Platform::new(&s.program, config(2, 2, 5));
+        let mut p = Platform::new(&s.program, config(2, 5));
         let (report, stats) = world_round_one(&mut p, 24, &WorldRoundConfig::default());
         (report, stats.sched.trace_hash, p.hive_state())
     };
@@ -85,7 +84,7 @@ fn world_round_replays_to_identical_hash_and_state() {
 #[test]
 fn world_round_exercises_every_blocking_point() {
     let s = scenarios::triangle();
-    let mut p = Platform::new(&s.program, config(2, 2, 3));
+    let mut p = Platform::new(&s.program, config(2, 3));
     // All pods start at the same instant and share a 1-slot channel:
     // sends MUST block, the collector MUST drain under wakes, and the
     // journal disk MUST fsync — while the hive state stays identical to
@@ -105,7 +104,7 @@ fn world_round_exercises_every_blocking_point() {
     // and retry), so everything sent is eventually drained.
     assert_eq!(stats.io.chan_recvs, stats.io.chan_sends);
 
-    let mut roomy_p = Platform::new(&s.program, config(2, 2, 3));
+    let mut roomy_p = Platform::new(&s.program, config(2, 3));
     let (roomy_report, roomy_stats) =
         world_round_one(&mut roomy_p, 18, &WorldRoundConfig::default());
     assert_eq!(roomy_stats.io.chan_full, 0, "capacity 8 never fills here");
