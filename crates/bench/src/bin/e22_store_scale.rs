@@ -10,12 +10,24 @@
 //! percentiles are reported alongside, informationally. A kill + resume
 //! at the end must rebuild the uninterrupted hive state byte for byte.
 //!
+//! **A durable round writes what changed, at any campaign age.** The
+//! age row runs the benchmark's `fleet_durable` fleet (four programs ×
+//! 10 pods × 30 execs, two shards, the default `DurabilityConfig`) and
+//! drops and resumes it at the end of every age bucket. Per bucket it
+//! reports the checkpoints written and their mean payload bytes, the
+//! journal bytes a round appends (`RoundTelemetry::journal_bytes`) and
+//! the median of five resumes; the last bucket's checkpoint and journal
+//! bytes must be within 1.25× of the first's.
+//!
 //! Merges its `e22` section into `BENCH_durability.json`, keeping every
-//! other part of the file. `--smoke` shrinks the campaign
+//! other part of the file. `--smoke` shrinks both campaigns
 //! for CI and lowers the ratio bar to 2× (a short campaign's hive
-//! never outgrows the delta floor); `--seed N` reseeds it (default 37).
+//! never outgrows the delta floor); `--seed N` reseeds the chain
+//! campaign (default 37).
 
-use softborg::{DurabilityConfig, Platform, PlatformConfig};
+use softborg::{
+    DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig, Platform, PlatformConfig,
+};
 use softborg_bench::{arg_u64, banner, cell, table_header, write_json_part};
 use softborg_program::scenarios::{self, Scenario};
 use std::fmt::Write as _;
@@ -65,6 +77,83 @@ fn steady_stats(gens: &[(u64, u64)]) -> (f64, f64, f64) {
     }
     let pct = |p: usize| ns[(ns.len() - 1) * p / 100] as f64 / 1e3;
     (mean_bytes, pct(50), pct(99))
+}
+
+/// One age bucket of the `fleet_durable` campaign.
+struct AgeBucket {
+    first: u64,
+    last: u64,
+    checkpoints: usize,
+    mean_ckpt_bytes: f64,
+    journal_bytes_per_round: f64,
+    resume_ms: f64,
+}
+
+/// Runs `fleet_durable`'s fleet for `buckets × per_bucket` rounds,
+/// dropping and resuming it after each bucket.
+fn age_rows(buckets: u64, per_bucket: u32, dir: PathBuf) -> Vec<AgeBucket> {
+    let mut scs = [
+        scenarios::token_parser(),
+        scenarios::triangle(),
+        scenarios::short_read_client(),
+        scenarios::bank_transfer(),
+    ];
+    scs.sort_by_key(|s| s.program.id());
+    let specs: Vec<FleetSpec<'_>> = scs
+        .iter()
+        .map(|s| FleetSpec {
+            program: &s.program,
+            pod: softborg::pod::PodConfig {
+                input_range: s.input_range,
+                ..softborg::pod::PodConfig::default()
+            },
+        })
+        .collect();
+    let config = MultiPlatformConfig {
+        n_pods: 10,
+        n_shards: 2,
+        seed: 1,
+        durability: Some(DurabilityConfig::new(dir)),
+        ..MultiPlatformConfig::default()
+    };
+    let mut p = MultiPlatform::new(&specs, config.clone());
+    let mut rows = Vec::new();
+    for _ in 0..buckets {
+        let first = p.committed_rounds();
+        p.run(per_bucket, 30);
+        // A resumed process keeps telemetry for its own rounds only.
+        let tel = p.round_telemetry();
+        let tel = &tel[tel.len() - per_bucket as usize..];
+        let ckpts: Vec<u64> = tel
+            .iter()
+            .filter(|t| t.compacted)
+            .map(|t| t.checkpoint_bytes)
+            .collect();
+        let journal: u64 = tel.iter().map(|t| t.journal_bytes).sum();
+        let last = p.committed_rounds();
+        // The median of five resumes: each one is a single wall sample.
+        let mut resumes = Vec::new();
+        for _ in 0..5 {
+            drop(p);
+            let t = Instant::now();
+            p = MultiPlatform::resume(&specs, config.clone())
+                .expect("fleet resume")
+                .0;
+            resumes.push(t.elapsed().as_secs_f64() * 1e3);
+            assert_eq!(p.committed_rounds(), last, "resume lost rounds");
+        }
+        resumes.sort_by(f64::total_cmp);
+        let resume_ms = resumes[2];
+        rows.push(AgeBucket {
+            first: first + 1,
+            last,
+            checkpoints: ckpts.len(),
+            mean_ckpt_bytes: ckpts.iter().sum::<u64>() as f64 / ckpts.len().max(1) as f64,
+            journal_bytes_per_round: journal as f64 / f64::from(per_bucket),
+            resume_ms,
+        });
+    }
+    rows
 }
 
 fn main() {
@@ -158,10 +247,47 @@ fn main() {
         rep.shards[0].chain_deltas_applied
     );
 
+    // The age row: what a durable round writes, bucket by bucket.
+    let (buckets, per_bucket) = if smoke { (4, 40) } else { (8, 500) };
+    println!(
+        "age: fleet_durable's fleet, {buckets} buckets of {per_bucket} rounds, \
+         dropped and resumed after each\n"
+    );
+    let ages = age_rows(buckets, per_bucket, base.join("age"));
+    table_header(&[
+        ("rounds", 14),
+        ("ckpts", 7),
+        ("mean ckpt B", 13),
+        ("journal B/rd", 14),
+        ("resume ms", 11),
+    ]);
+    for a in &ages {
+        println!(
+            "{}{}{}{}{}",
+            cell(format!("{}-{}", a.first, a.last), 14),
+            cell(a.checkpoints, 7),
+            cell(format!("{:.0}", a.mean_ckpt_bytes), 13),
+            cell(format!("{:.0}", a.journal_bytes_per_round), 14),
+            cell(format!("{:.2}", a.resume_ms), 11),
+        );
+    }
+    let (young, old) = (&ages[0], &ages[ages.len() - 1]);
+    let ckpt_age = old.mean_ckpt_bytes / young.mean_ckpt_bytes.max(1.0);
+    let journal_age = old.journal_bytes_per_round / young.journal_bytes_per_round.max(1.0);
+    println!(
+        "last / first bucket: checkpoint bytes {ckpt_age:.2}x, journal bytes {journal_age:.2}x \
+         (acceptance: <= 1.25x each)\n"
+    );
+
     let pass = ratio >= ratio_bar;
+    let age_pass = ckpt_age <= 1.25 && journal_age <= 1.25;
     println!(
         "acceptance: checkpoint bytes >= {ratio_bar}x below the hive state — {}",
         if pass { "PASS" } else { "FAIL" }
+    );
+    println!(
+        "acceptance: checkpoint and journal bytes flat in campaign age — {}",
+        if age_pass { "PASS" } else { "FAIL" }
     );
 
     // ── JSON: merge an \"e22\" section into BENCH_durability.json ──────
@@ -175,7 +301,21 @@ fn main() {
         "    \"chain\": {{\"full_state_bytes\": {full_bytes:.0}, \"chain_ckpt_bytes\": {chain_bytes:.0}, \"ratio\": {ratio:.2}, \"chain_stall_p50_us\": {chain_p50:.1}, \"chain_stall_p99_us\": {chain_p99:.1}, \"deltas_applied_on_resume\": {}}},",
         rep.shards[0].chain_deltas_applied
     );
-    let _ = writeln!(section, "    \"all_ok\": {pass}");
+    let rows: Vec<String> = ages
+        .iter()
+        .map(|a| {
+            format!(
+                "{{\"rounds\": \"{}-{}\", \"checkpoints\": {}, \"mean_ckpt_bytes\": {:.0}, \"journal_bytes_per_round\": {:.0}, \"resume_ms\": {:.2}}}",
+                a.first, a.last, a.checkpoints, a.mean_ckpt_bytes, a.journal_bytes_per_round, a.resume_ms
+            )
+        })
+        .collect();
+    let _ = writeln!(
+        section,
+        "    \"age\": {{\"fleet\": \"fleet_durable\", \"buckets\": [\n      {}\n    ], \"ckpt_bytes_last_over_first\": {ckpt_age:.3}, \"journal_bytes_last_over_first\": {journal_age:.3}}},",
+        rows.join(",\n      ")
+    );
+    let _ = writeln!(section, "    \"all_ok\": {}", pass && age_pass);
     section.push_str("  }");
 
     write_json_part(
@@ -184,5 +324,5 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&base);
-    assert!(pass, "E22 acceptance failed: see tables above");
+    assert!(pass && age_pass, "E22 acceptance failed: see tables above");
 }

@@ -1,6 +1,7 @@
 //! One durable store: a shard directory's write-ahead journal
 //! (`hive.wal`) plus its delta-chain checkpoint records (`chain/`), and
-//! every decision about what is written there and what a resume trusts.
+//! every decision about what is written there and what a resume trusts;
+//! plus the campaign's one append-only round log (`rounds.log`).
 //!
 //! The campaign core ([`MultiPlatform`](crate::MultiPlatform)) holds one
 //! [`DurableStore`] per shard and adds only what is its own (lane→shard
@@ -12,7 +13,7 @@
 //! write, and scrub dispatch.
 
 use softborg_hive::journal::{
-    self, JournalRecord, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
+    self, JournalRecord, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE, SESSION_ROUND,
 };
 use softborg_hive::{
     scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
@@ -34,8 +35,10 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Compaction trigger: checkpoint once the journal is at least this
     /// many times what a checkpoint writes — the newest full chain
-    /// record's payload (hive state, frame floors, and app-meta: round
-    /// history and pod state). `0` disables compaction.
+    /// record's payload (hive state, frame floors, and app-meta: the
+    /// committed-round counter and the shard's full pod images; round
+    /// history lives in `rounds.log`, not in checkpoints). `0` disables
+    /// compaction.
     pub compact_ratio: u64,
     /// Journal size below which compaction never triggers, so tiny
     /// campaigns don't churn checkpoints every round.
@@ -139,6 +142,99 @@ fn wal_path(dir: &Path) -> PathBuf {
     dir.join("hive.wal")
 }
 
+/// The campaign's round log, at its root.
+fn round_log_path(root: &Path) -> PathBuf {
+    root.join("rounds.log")
+}
+
+/// The round log's bytes (none when there is no log), read without
+/// opening anything for writing.
+pub(crate) fn read_round_log(root: &Path) -> Result<Vec<u8>, DurabilityError> {
+    match std::fs::read(round_log_path(root)) {
+        Ok(bytes) => Ok(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err("round-log-read", &e)),
+    }
+}
+
+/// The campaign's append-only round log, `<root>/rounds.log`: one
+/// `REC_ROUND` journal record per committed round, from round 0 with no
+/// gap. Only compaction writes it — every committed round it lacks, then
+/// an fsync, before the chain append that relies on it — so a round
+/// that does not compact pays nothing here. Resume reads it back with
+/// shard 0's replayed round records; scrub cuts a torn tail.
+#[derive(Debug)]
+pub(crate) struct RoundLog {
+    root: PathBuf,
+    /// Opened on the first append.
+    file: Option<FileJournal>,
+    /// Rounds the log holds: `0..rounds`.
+    rounds: u64,
+}
+
+impl RoundLog {
+    /// The log of a fresh campaign at `root`.
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::CampaignExists`] when a log with records is
+    /// already there.
+    pub(crate) fn create(root: &Path) -> Result<Self, DurabilityError> {
+        if !read_round_log(root)?.is_empty() {
+            return Err(DurabilityError::CampaignExists(root.to_path_buf()));
+        }
+        Ok(Self::holding(root, 0))
+    }
+
+    /// The log at `root`, holding rounds `0..rounds`.
+    pub(crate) fn holding(root: &Path, rounds: u64) -> Self {
+        RoundLog {
+            root: root.to_path_buf(),
+            file: None,
+            rounds,
+        }
+    }
+
+    /// Cuts the log file back to its first `len` bytes, the end of the
+    /// last round a resume keeps.
+    pub(crate) fn truncate(&mut self, len: u64) -> Result<(), DurabilityError> {
+        Ok(self.open()?.truncate(len)?)
+    }
+
+    fn open(&mut self) -> Result<&mut FileJournal, DurabilityError> {
+        if self.file.is_none() {
+            let file = FileJournal::open(round_log_path(&self.root))
+                .map_err(|e| io_err("round-log-open", &e))?;
+            self.file = Some(file);
+        }
+        Ok(self.file.as_mut().expect("opened above"))
+    }
+
+    /// Appends a round record for each round from [`rounds`](Self::rounds)
+    /// up to `upto`, `body` writing round `r`'s body, and fsyncs them —
+    /// nothing at all when the log already holds them.
+    pub(crate) fn append_synced(
+        &mut self,
+        upto: u64,
+        mut body: impl FnMut(u64, &mut Vec<u8>),
+    ) -> Result<(), DurabilityError> {
+        if self.rounds >= upto {
+            return Ok(());
+        }
+        let (mut rec, mut frame) = (Vec::new(), Vec::new());
+        for round in self.rounds..upto {
+            frame.clear();
+            body(round, &mut frame);
+            journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, round, &frame);
+        }
+        let file = self.open()?;
+        file.append(&rec)?;
+        file.sync()?;
+        self.rounds = upto;
+        Ok(())
+    }
+}
+
 /// Opens (creating if needed) the chain under `dir`, with the walk the
 /// open already did.
 fn open_chain(dir: &Path) -> Result<(ChainStore, ChainLoad), DurabilityError> {
@@ -210,6 +306,21 @@ pub(crate) fn read_journal(dir: &Path) -> Result<Vec<JournalRecord>, DurabilityE
     }
 }
 
+/// The app-meta of every checkpoint in the chain under `dir` whose
+/// payload decodes (none without a chain directory), read without
+/// writing anything.
+pub(crate) fn read_app_metas(dir: &Path) -> Result<Vec<Vec<u8>>, DurabilityError> {
+    if !dir.join("chain").is_dir() {
+        return Ok(Vec::new());
+    }
+    let (_, load) = open_chain(dir)?;
+    let snaps = load
+        .records
+        .iter()
+        .filter_map(|r| HiveSnapshot::decode(&r.payload).ok());
+    Ok(snaps.map(|s| s.app_meta).collect())
+}
+
 /// What [`DurableStore::resume`] loaded: the newest valid checkpoint and
 /// the journal bytes behind it.
 #[derive(Debug)]
@@ -248,8 +359,9 @@ pub(crate) struct DurableStore {
     /// Frame floors (`session → next seq`), carried into checkpoints so
     /// a resuming transport can deduplicate across the restart.
     frame_floors: BTreeMap<u64, u64>,
-    /// Scratch buffer for encoding journal records.
-    rec: Vec<u8>,
+    /// Records staged since the last [`sync`](Self::sync), which writes
+    /// them to the journal in one call.
+    staged: Vec<u8>,
 }
 
 impl DurableStore {
@@ -277,7 +389,7 @@ impl DurableStore {
             journal,
             wal_hash: FNV_OFFSET,
             frame_floors: BTreeMap::new(),
-            rec: Vec::new(),
+            staged: Vec::new(),
         })
     }
 
@@ -326,7 +438,7 @@ impl DurableStore {
                 journal,
                 wal_hash: fnv1a_step(FNV_OFFSET, &wal),
                 frame_floors,
-                rec: Vec::new(),
+                staged: Vec::new(),
             },
             Recovered {
                 states,
@@ -338,32 +450,18 @@ impl DurableStore {
         ))
     }
 
-    /// Appends one record to the journal (buffered; [`sync`](Self::sync)
-    /// makes it durable).
-    pub(crate) fn append(
-        &mut self,
-        kind: u8,
-        session: u64,
-        seq: u64,
-        body: &[u8],
-    ) -> Result<(), DurabilityError> {
-        self.rec.clear();
-        journal::append_record(&mut self.rec, kind, session, seq, body);
-        self.journal.append(&self.rec)?;
-        self.wal_hash = fnv1a_step(self.wal_hash, &self.rec);
-        Ok(())
+    /// Stages one journal record; [`sync`](Self::sync) writes every
+    /// staged record in one call and makes them durable.
+    pub(crate) fn stage(&mut self, kind: u8, session: u64, seq: u64, body: &[u8]) {
+        let start = self.staged.len();
+        journal::append_record(&mut self.staged, kind, session, seq, body);
+        self.wal_hash = fnv1a_step(self.wal_hash, &self.staged[start..]);
     }
 
-    /// Appends one batch frame and raises its session's frame floor.
-    pub(crate) fn append_frame(
-        &mut self,
-        session: u64,
-        seq: u64,
-        frame: &[u8],
-    ) -> Result<(), DurabilityError> {
-        self.append(REC_FRAME, session, seq, frame)?;
+    /// Stages one batch frame and raises its session's frame floor.
+    pub(crate) fn stage_frame(&mut self, session: u64, seq: u64, frame: &[u8]) {
+        self.stage(REC_FRAME, session, seq, frame);
         self.raise_floor(session, seq);
-        Ok(())
     }
 
     /// Records that frame `seq` of `session` is journaled here (appended
@@ -373,23 +471,31 @@ impl DurableStore {
         *floor = (*floor).max(seq + 1);
     }
 
-    /// Fsyncs the journal: everything appended so far is durable.
+    /// Writes the staged records and fsyncs the journal: everything
+    /// staged so far is durable. A failed write leaves the running hash
+    /// ahead of the file; the caller's commit fails and the process
+    /// must not go on.
     pub(crate) fn sync(&mut self) -> Result<(), DurabilityError> {
+        if !self.staged.is_empty() {
+            self.journal.append(&self.staged)?;
+            self.staged.clear();
+        }
         self.journal.sync()?;
         Ok(())
     }
 
     /// Cuts the journal back to `kept`, a prefix of it as a resume read
-    /// it (or nothing, after a checkpoint).
+    /// it (or nothing, after a checkpoint), dropping anything staged.
     pub(crate) fn truncate_wal(&mut self, kept: &[u8]) -> Result<(), DurabilityError> {
+        self.staged.clear();
         self.journal.truncate(kept.len() as u64)?;
         self.wal_hash = fnv1a_step(FNV_OFFSET, kept);
         Ok(())
     }
 
-    /// Current journal size in bytes.
+    /// Current journal size in bytes, staged records included.
     pub(crate) fn wal_len(&self) -> u64 {
-        self.journal.len()
+        self.journal.len() + self.staged.len() as u64
     }
 
     /// The compaction trigger: is the journal at least `compact_ratio`
@@ -400,7 +506,7 @@ impl DurableStore {
         let ratio = self.cfg.compact_ratio;
         let full = self.chain.last_full_payload_bytes().max(1);
         ratio > 0
-            && self.journal.len()
+            && self.wal_len()
                 >= ratio
                     .saturating_mul(full)
                     .max(self.cfg.min_compact_wal_bytes)
@@ -418,6 +524,9 @@ impl DurableStore {
         app_meta: Vec<u8>,
         truncate: bool,
     ) -> Result<u64, DurabilityError> {
+        if !self.staged.is_empty() {
+            self.sync()?; // a checkpoint covers only durable journal bytes
+        }
         let kind = if self.chain.rebase_due(self.cfg.rebase_ratio) {
             RecordKind::Full
         } else {
@@ -649,7 +758,10 @@ mod tests {
             let mut store = DurableStore::create(cfg.clone()).unwrap();
             for (op, arg) in ops {
                 match op % 5 {
-                    0 | 1 => store.append(REC_FRAME, 0, u64::from(arg), &vec![op; usize::from(arg % 300)]).unwrap(),
+                    0 | 1 => {
+                        store.stage(REC_FRAME, 0, u64::from(arg), &vec![op; usize::from(arg % 300)]);
+                        store.sync().unwrap();
+                    }
                     2 => {
                         let bytes = file();
                         store.truncate_wal(&bytes[..usize::from(arg) % (bytes.len() + 1)]).unwrap();

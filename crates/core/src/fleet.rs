@@ -13,7 +13,7 @@ use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Validation, Verdict}
 use softborg_guidance::Directive;
 use softborg_hive::{outcome_signature, Hive};
 use softborg_ingest::pool;
-use softborg_pod::{Pod, PodConfig, PodState};
+use softborg_pod::{DeltaBase, Pod, PodConfig, PodDelta, PodState, PodStateError};
 use softborg_program::codec;
 use softborg_program::{Overlay, Program, ProgramId};
 use softborg_trace::wire;
@@ -137,12 +137,16 @@ pub(crate) fn validate_trials(
     winners
 }
 
-/// One program's fleet: the program, its id, and its pods.
+/// One program's fleet: the program, its id, its pods, and the base
+/// each pod's journaled delta is taken against.
 #[derive(Debug)]
 pub(crate) struct Fleet<'p> {
     pub(crate) id: ProgramId,
     pub(crate) program: &'p Program,
     pub(crate) pods: Vec<Pod<'p>>,
+    /// Per pod, the counts of its image in the newest checkpoint of the
+    /// lane's shard (a fresh pod's on a cold chain).
+    bases: Vec<DeltaBase>,
 }
 
 impl<'p> Fleet<'p> {
@@ -154,7 +158,7 @@ impl<'p> Fleet<'p> {
         n_pods: u32,
         seed_base: u64,
     ) -> Self {
-        let pods = (0..n_pods)
+        let pods: Vec<Pod<'p>> = (0..n_pods)
             .map(|i| {
                 let mut pc = template.clone();
                 pc.seed = seed_base.wrapping_add(u64::from(i) + 1);
@@ -164,6 +168,7 @@ impl<'p> Fleet<'p> {
         Fleet {
             id: program.id(),
             program,
+            bases: vec![DeltaBase::default(); pods.len()],
             pods,
         }
     }
@@ -236,30 +241,65 @@ impl<'p> Fleet<'p> {
         self.pods.iter().map(Pod::export_state).collect()
     }
 
-    /// Encodes the pod population for a `REC_PODS` record or checkpoint:
-    /// `u32 count`, then one length-prefixed (checksummed) image per pod.
-    pub(crate) fn encode_pod_states(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        codec::put_u32(&mut buf, self.pods.len() as u32);
+    /// Appends the checkpoint image of the pod population to `buf`:
+    /// `u32 count`, then one length-prefixed (checksummed)
+    /// [`PodState`] image per pod, each written straight from the pod.
+    pub(crate) fn put_pod_images(&self, buf: &mut Vec<u8>) {
+        codec::put_u32(buf, self.pods.len() as u32);
         for pod in &self.pods {
-            codec::put_bytes(&mut buf, &pod.export_state().encode());
+            framed(buf, |buf| pod.encode_state_into(buf));
         }
-        buf
     }
 
-    /// Installs decoded pod images onto the freshly built population,
-    /// requiring an exact count match — a mismatch means the durable
-    /// record belongs to a differently-configured campaign.
-    pub(crate) fn restore_pod_states(
+    /// Appends the `REC_PODS` body to `buf`: `u32 count`, then one
+    /// length-prefixed (checksummed) [`PodDelta`] per pod against its
+    /// checkpointed base.
+    pub(crate) fn put_pod_deltas(&self, buf: &mut Vec<u8>) {
+        codec::put_u32(buf, self.pods.len() as u32);
+        for (pod, &base) in self.pods.iter().zip(&self.bases) {
+            framed(buf, |buf| pod.encode_delta_into(base, buf));
+        }
+    }
+
+    /// Makes the pods' current state the base of later deltas: the
+    /// lane's shard has just checkpointed these images.
+    pub(crate) fn rebase(&mut self) {
+        for (base, pod) in self.bases.iter_mut().zip(&self.pods) {
+            *base = pod.delta_base();
+        }
+    }
+
+    /// Restores the population from its checkpointed images (`None` on
+    /// a cold chain: the fresh pods are the base) folded with the last
+    /// committed delta the journal replays (`None` when none was
+    /// journaled since). The images become the base of later deltas.
+    /// Counts must match exactly — a mismatch means the durable record
+    /// belongs to a differently-configured campaign.
+    pub(crate) fn restore(
         &mut self,
-        states: Vec<PodState>,
+        images: Option<Vec<PodState>>,
+        deltas: Option<Vec<PodDelta>>,
     ) -> Result<(), DurabilityError> {
-        if states.len() != self.pods.len() {
+        let mut states = match images {
+            Some(images) => images,
+            None => self.export_pod_states(),
+        };
+        let n = self.pods.len();
+        let held = deltas.as_ref().map_or(n, Vec::len);
+        if states.len() != n || held != n {
             return Err(DurabilityError::Corrupt(format!(
-                "pod-state record holds {} pod(s) but the campaign is configured for {}",
-                states.len(),
-                self.pods.len()
+                "pod records hold {} image(s) and {held} delta(s) but the campaign is configured \
+                 for {n} pod(s)",
+                states.len()
             )));
+        }
+        self.bases = states.iter().map(DeltaBase::of).collect();
+        for (i, (state, delta)) in states
+            .iter_mut()
+            .zip(deltas.into_iter().flatten())
+            .enumerate()
+        {
+            delta.apply(state).map_err(|e| pod_corrupt(i, &e))?;
         }
         for (pod, state) in self.pods.iter_mut().zip(states) {
             pod.restore_state(state);
@@ -268,17 +308,33 @@ impl<'p> Fleet<'p> {
     }
 }
 
-/// Decodes a whole `REC_PODS` body written by
-/// [`Fleet::encode_pod_states`] (no trailing bytes allowed). Every pod
-/// image re-verifies its own checksum, so torn bytes behind a valid
-/// journal checksum still fail loudly.
-pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
+/// Appends a `u32` length prefix and then what `write` appends.
+pub(crate) fn framed(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    codec::put_u32(buf, 0);
+    write(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn pod_corrupt(i: usize, e: &PodStateError) -> DurabilityError {
+    DurabilityError::Corrupt(format!("pod {i} state: {e}"))
+}
+
+/// Decodes a whole pod-population body — `u32 count`, then one
+/// length-prefixed record per pod, each decoded by `decode` (no
+/// trailing bytes allowed). Every record re-verifies its own checksum,
+/// so torn bytes behind a valid journal or chain checksum still fail
+/// loudly.
+fn decode_pods<T>(
+    bytes: &[u8],
+    decode: fn(&[u8]) -> Result<T, PodStateError>,
+) -> Result<Vec<T>, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let n = r.seq_len("pod_states", 9)?;
-    let mut states = Vec::with_capacity(n);
+    let n = r.seq_len("pod_states", 4 + 9)?;
+    let mut pods = Vec::with_capacity(n);
     for i in 0..n {
-        let image = PodState::decode(r.bytes("pod_states.image")?);
-        states.push(image.map_err(|e| DurabilityError::Corrupt(format!("pod {i} state: {e}")))?);
+        pods.push(decode(r.bytes("pod_states.record")?).map_err(|e| pod_corrupt(i, &e))?);
     }
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(
@@ -286,7 +342,19 @@ pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, Durabilit
             r.remaining()
         )));
     }
-    Ok(states)
+    Ok(pods)
+}
+
+/// Decodes what [`Fleet::put_pod_images`] wrote.
+pub(crate) fn decode_pod_images(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
+    decode_pods(bytes, PodState::decode)
+}
+
+/// Decodes what [`Fleet::put_pod_deltas`] wrote (a `REC_PODS` body).
+/// The pod-image bodies older builds journaled are refused by each
+/// record's version byte.
+pub(crate) fn decode_pod_deltas(bytes: &[u8]) -> Result<Vec<PodDelta>, DurabilityError> {
+    decode_pods(bytes, PodDelta::decode)
 }
 
 #[cfg(test)]

@@ -65,8 +65,9 @@ pub mod platform;
 
 pub use durable::{DurabilityConfig, DurabilityError};
 pub use multi::{
-    FleetSpec, IngestSettings, LaneTask, MultiDrivenExecution, MultiPlatform, MultiPlatformConfig,
-    MultiRoundReport, ProgramRoundReport, ResumeReport, RoundTelemetry, ShardResumeReport,
+    decode_round_log, FleetSpec, IngestSettings, LaneTask, MultiDrivenExecution, MultiPlatform,
+    MultiPlatformConfig, MultiRoundReport, ProgramRoundReport, ResumeReport, RoundLogScan,
+    RoundTelemetry, ShardResumeReport,
 };
 pub use platform::{DrivenExecution, Platform, PlatformConfig, RoundReport};
 

@@ -12,20 +12,31 @@
 //! # Durability directory
 //!
 //! Shard `i` owns `shard-<i>/{hive.wal, chain/}` under
-//! [`DurabilityConfig::dir`]. A round commits in two phases: its records are
-//! appended and fsynced to **every** shard journal (phase A), and only
-//! then may a shard compact into a checkpoint (phase B). Shards can thus
+//! [`DurabilityConfig::dir`], and the campaign owns one `rounds.log`
+//! beside them. A round commits in two phases: its frames, promotions,
+//! pod deltas (`REC_PODS`, each pod against its image in the shard's
+//! newest checkpoint) and round record are appended and fsynced to
+//! **every** shard journal (phase A), and only then may a shard compact
+//! into a checkpoint (phase B). A checkpoint carries the shard's hive
+//! state, the committed-round counter and its lanes' full pod images —
+//! nothing that grows with campaign age; compaction first appends the
+//! committed rounds the round log lacks and fsyncs it. Shards can thus
 //! crash at *different* committed rounds, but no checkpoint is ever
-//! ahead of another shard's journal; [`MultiPlatform::resume`] takes the
-//! *minimum* committed round as the campaign's truth and truncates what
-//! lies past it — unacked rounds and any uncommitted partial round.
+//! ahead of another shard's journal or of the round log;
+//! [`MultiPlatform::resume`] takes the *minimum* committed round as the
+//! campaign's truth and truncates what lies past it — unacked rounds
+//! and any uncommitted partial round — and rebuilds history from the
+//! round log plus shard 0's replayed round records.
 //! Older layouts are refused with their bytes untouched: a root holding
 //! `hive.wal`, `chain/` or `hive.snap` (the single-program layout), a
-//! shard holding `hive.snap`, or a round record this codec cannot read.
+//! shard holding `hive.snap`, a round record this codec cannot read, a
+//! pod-image `REC_PODS` body, or a checkpoint whose app-meta lacks this
+//! layout's tag (round history inside checkpoints).
 
 use crate::durable::{
-    put_promotion, read_journal, read_promotion, refuse_legacy, refuse_shard_count, segments,
-    DurabilityConfig, DurabilityError, DurableStore, Recovered, LEGACY_ROOT,
+    put_promotion, read_app_metas, read_journal, read_promotion, read_round_log, refuse_legacy,
+    refuse_shard_count, segments, DurabilityConfig, DurabilityError, DurableStore, Recovered,
+    RoundLog, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
@@ -35,7 +46,7 @@ use softborg_hive::journal::{
 use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
 use softborg_ingest::{IngestConfig, IngestStats, UnitFrames};
 use softborg_obs::{ObsHandles, SpanTimer};
-use softborg_pod::{Pod, PodConfig, PodState};
+use softborg_pod::{Pod, PodConfig, PodDelta, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
 use softborg_store::{ChainReport, RecordKind};
@@ -289,6 +300,83 @@ impl MultiRoundReport {
     }
 }
 
+/// What [`decode_round_log`] read from a campaign's `rounds.log`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundLogScan {
+    /// The committed rounds the log holds, round 0 first, no gap.
+    pub reports: Vec<MultiRoundReport>,
+    /// Bytes of intact records; a torn final append lies past them.
+    pub valid_len: usize,
+}
+
+/// Decodes a campaign's round log: journal records, each a `REC_ROUND`
+/// on the round session whose body is the [`MultiRoundReport`] of
+/// round `seq`, from round 0 in order. A torn final append is dropped,
+/// as a journal's is. Total, and it reserves no more memory than the
+/// input's length.
+///
+/// # Errors
+///
+/// [`DurabilityError::Corrupt`] on damage with intact bytes after it, a
+/// record of another kind or session, a report that does not decode, or
+/// a round out of order.
+pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
+    // Count records by their length prefixes alone, so the reports are
+    // reserved once — and never past what the input could hold.
+    let (mut end, mut framed) = (0usize, 0usize);
+    while let Some(len) = end.checked_add(4).and_then(|stop| bytes.get(end..stop)) {
+        end =
+            end.saturating_add(12 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize);
+        framed += 1;
+    }
+    let room = bytes.len() / std::mem::size_of::<MultiRoundReport>();
+    let mut reports = Vec::with_capacity(framed.min(room));
+    let mut at = 0;
+    while at < bytes.len() {
+        let rec = match journal::read_at(bytes, at) {
+            Ok(rec) => rec,
+            Err(_) if journal::torn_at(bytes, at) => break,
+            Err(e) => {
+                return Err(DurabilityError::Corrupt(format!(
+                    "round log: damaged record at byte {at} with bytes after it: {e}"
+                )))
+            }
+        };
+        let round = reports.len() as u64;
+        if (rec.kind, rec.session, rec.seq) != (REC_ROUND, SESSION_ROUND, round) {
+            return Err(DurabilityError::Corrupt(format!(
+                "round log: record at byte {at} is kind {} session {} seq {}, not round {round}",
+                rec.kind, rec.session, rec.seq
+            )));
+        }
+        let report = MultiRoundReport::decode(rec.frame)?;
+        if report.round != round {
+            return Err(DurabilityError::Corrupt(format!(
+                "round log: record {round} holds round {}",
+                report.round
+            )));
+        }
+        reports.push(report);
+        at = rec.end;
+    }
+    Ok(RoundLogScan {
+        reports,
+        valid_len: at,
+    })
+}
+
+/// Byte length of the first `rounds` records of an intact round log.
+fn round_log_prefix(bytes: &[u8], rounds: u64) -> usize {
+    let mut at = 0;
+    for _ in 0..rounds {
+        match journal::read_at(bytes, at) {
+            Ok(rec) => at = rec.end,
+            Err(_) => break,
+        }
+    }
+    at
+}
+
 fn corrupt(what: &str, e: impl std::fmt::Display) -> DurabilityError {
     DurabilityError::Corrupt(format!("{what}: {e}"))
 }
@@ -353,6 +441,9 @@ pub struct RoundTelemetry {
     /// Payload bytes the checkpoints wrote — the deterministic stall
     /// proxy (a steady-state delta writes O(changes), not O(hive)).
     pub checkpoint_bytes: u64,
+    /// Bytes phase A appended to the shard journals this round (frames,
+    /// promotions, pod deltas and round records, framing included).
+    pub journal_bytes: u64,
 }
 
 /// One fleet's slice of work handed to a
@@ -396,6 +487,8 @@ pub struct MultiPlatform<'p> {
     /// One open durable store per shard, under `shard-<i>/` of the
     /// campaign directory.
     pub(crate) durable: Option<Vec<DurableStore>>,
+    /// The campaign's round log (with `durable`).
+    round_log: Option<RoundLog>,
     /// Next sequence number for `REC_PROMOTE` records (global across
     /// shards, so promotion order is totally ordered).
     promote_seq: u64,
@@ -446,6 +539,7 @@ impl<'p> MultiPlatform<'p> {
             telemetry: Vec::new(),
             last_run: None,
             durable: None,
+            round_log: None,
             promote_seq: 0,
         }
     }
@@ -484,10 +578,12 @@ impl<'p> MultiPlatform<'p> {
         if let Some(root) = platform.config.durability.clone() {
             refuse_legacy(&root.dir, LEGACY_ROOT)
                 .map_err(|_| DurabilityError::CampaignExists(root.dir.clone()))?;
+            let round_log = RoundLog::create(&root.dir)?;
             let stores = (0..platform.sharded.n_shards())
                 .map(|i| DurableStore::create(shard_cfg(&root, i)))
                 .collect::<Result<_, _>>()?;
             platform.durable = Some(stores);
+            platform.round_log = Some(round_log);
         }
         Ok(platform)
     }
@@ -520,63 +616,103 @@ impl<'p> MultiPlatform<'p> {
         refuse_shard_count(&root.dir, config.n_shards)?;
         let mut platform = Self::base(specs, config);
         let recorder = platform.config.obs.recorder.clone();
+        let log_bytes = read_round_log(&root.dir)?;
+        let log = decode_round_log(&log_bytes)?;
 
-        // Pass 1: load every shard's checkpoint + journal and count its
-        // committed rounds (checkpoint rounds + connected ROUND records).
+        // Pass 1: load every shard's checkpoint + journal, decode every
+        // round a replay could apply, and count the shard's committed
+        // rounds (checkpoint rounds + connected ROUND records). Nothing
+        // is written until every shard has decoded.
         struct ShardScan {
             store: DurableStore,
             rec: Recovered,
             snap_round: u64,
-            history: Vec<MultiRoundReport>,
-            lane_pods: Vec<(u64, Vec<PodState>)>,
+            lane_images: Vec<(u64, Vec<PodState>)>,
             records: Vec<JournalRecord>,
+            /// Connected rounds past the checkpoint: each report and its
+            /// lanes' pod deltas.
+            rounds: Vec<(MultiRoundReport, LanePods<PodDelta>)>,
             tail_dropped: u64,
-            committed: u64,
         }
         let mut scans = Vec::with_capacity(platform.sharded.n_shards());
         for i in 0..platform.sharded.n_shards() {
             let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
-            let (snap_round, history, lane_pods) = match &rec.app_meta {
+            let (snap_round, lane_images) = match &rec.app_meta {
                 Some(meta) => decode_app_meta(meta)?,
-                None => (0, Vec::new(), Vec::new()),
+                None => (0, Vec::new()),
             };
             let (records, scan) = journal::scan(&rec.wal[rec.replay_from..]);
-            let mut committed = snap_round;
+            let mut rounds = Vec::new();
             for seg in segments(&records, rec.replay_from)? {
-                if MultiRoundReport::decode(&seg.round.frame)?.round != committed {
+                let report = MultiRoundReport::decode(&seg.round.frame)?;
+                if report.round != snap_round + rounds.len() as u64 {
                     break; // disconnected: the checkpoint fell back a generation
                 }
-                committed += 1;
+                let pods = (seg.pods.iter())
+                    .map(|r| Ok((r.session, fleet::decode_pod_deltas(&r.frame)?)))
+                    .collect::<Result<_, DurabilityError>>()
+                    .map_err(|e| corrupt(&format!("shard {i} round {} pods", report.round), e))?;
+                rounds.push((report, pods));
             }
             scans.push(ShardScan {
                 store,
                 rec,
                 snap_round,
-                history,
-                lane_pods,
+                lane_images,
                 records,
+                rounds,
                 tail_dropped: scan.tail_dropped as u64,
-                committed,
             });
         }
-        let target = scans.iter().map(|s| s.committed).min().unwrap_or(0);
+        let committed = |s: &ShardScan| s.snap_round + s.rounds.len() as u64;
+        let target = scans.iter().map(committed).min().unwrap_or(0);
+        if let Some((shard, sc)) = scans
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.snap_round > target)
+        {
+            // Phase B follows phase A on every shard: impossible.
+            return Err(DurabilityError::Corrupt(format!(
+                "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
+                sc.snap_round
+            )));
+        }
+
+        // History: the round log's rounds, then shard 0's replayed
+        // rounds past them. Where both hold a round they must agree.
+        let kept = (log.reports.len() as u64).min(target);
+        let first = &scans[0];
+        if kept < first.snap_round {
+            return Err(DurabilityError::Corrupt(format!(
+                "the round log holds rounds 0..{kept} but shard 0's checkpoint is at round {}: \
+                 rounds {kept}..{} are lost",
+                first.snap_round, first.snap_round
+            )));
+        }
+        let replayed = &first.rounds[..(target - first.snap_round) as usize];
+        for (report, _) in replayed.iter().filter(|(r, _)| r.round < kept) {
+            if log.reports[report.round as usize] != *report {
+                return Err(DurabilityError::Corrupt(format!(
+                    "the round log and shard 0's journal disagree on round {}",
+                    report.round
+                )));
+            }
+        }
+        let mut history = log.reports;
+        history.truncate(kept as usize);
+        let newer = replayed.iter().filter(|(r, _)| r.round >= kept);
+        history.extend(newer.map(|(r, _)| r.clone()));
 
         // Pass 2: restore each shard's checkpoint state and replay its
         // journal up to (exactly) the target round, truncating whatever
         // lies beyond — ahead rounds, partial rounds, damaged tails.
         let mut shard_reports = Vec::with_capacity(scans.len());
         let mut stores = Vec::with_capacity(scans.len());
-        // Per-lane pod populations: each shard's checkpoint, overwritten
-        // by the committed `REC_PODS` records its journal replays.
-        let mut lane_pod_states: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
+        // Per lane: its shard's checkpointed images, and the last
+        // committed delta its journal replays.
+        let mut lane_images: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
+        let mut lane_deltas: BTreeMap<u64, Vec<PodDelta>> = BTreeMap::new();
         for (shard, mut sc) in scans.into_iter().enumerate() {
-            if sc.snap_round > target {
-                // Phase B follows phase A on every shard: impossible.
-                return Err(DurabilityError::Corrupt(format!(
-                    "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
-                    sc.snap_round
-                )));
-            }
             if let Some((full, deltas)) = sc.rec.states.split_first() {
                 let what = format!("shard {shard} checkpoint state");
                 platform
@@ -590,21 +726,16 @@ impl<'p> MultiPlatform<'p> {
                         .map_err(|e| corrupt(&what, e))?;
                 }
             }
-            lane_pod_states.extend(sc.lane_pods);
-            let (mut history, mut applied) = (sc.history, sc.snap_round);
+            lane_images.extend(sc.lane_images);
+            let apply = (target - sc.snap_round) as usize;
             // End of the last applied round: where the journal is cut.
             let (mut boundary, mut applied_records) = (sc.rec.replay_from, 0);
-            for seg in segments(&sc.records, sc.rec.replay_from)? {
-                if applied == target {
-                    break;
-                }
-                let report = MultiRoundReport::decode(&seg.round.frame)?;
-                if report.round != applied {
-                    break; // disconnected: truncated below
-                }
+            let segs = segments(&sc.records, sc.rec.replay_from)?;
+            for (seg, (report, pods)) in segs.iter().zip(sc.rounds).take(apply) {
+                let round = report.round;
                 let frames = seg.frames.iter().map(|r| (r.session, r.seq, &r.frame[..]));
                 (platform.fold_frames(frames))
-                    .map_err(|e| corrupt(&format!("shard {shard} round {applied} frames"), e))?;
+                    .map_err(|e| corrupt(&format!("shard {shard} round {round} frames"), e))?;
                 for fr in &seg.frames {
                     sc.store.raise_floor(fr.session, fr.seq);
                 }
@@ -623,16 +754,12 @@ impl<'p> MultiPlatform<'p> {
                 }
                 if platform.config.guidance_enabled {
                     // Advance hive-internal guidance state; the directives
-                    // are already in the pod images.
+                    // are already in the pod deltas.
                     for id in platform.sharded.map().programs_on(shard) {
                         let _ = platform.sharded.hive_mut(id).expect("placed").guidance();
                     }
                 }
-                for pr in &seg.pods {
-                    lane_pod_states.insert(pr.session, fleet::decode_pod_states(&pr.frame)?);
-                }
-                history.push(report);
-                applied += 1;
+                lane_deltas.extend(pods);
                 (boundary, applied_records) = (seg.end, seg.end_idx);
             }
             let records_discarded = (sc.records.len() - applied_records) as u64;
@@ -663,27 +790,49 @@ impl<'p> MultiPlatform<'p> {
                 wal_tail_dropped: sc.tail_dropped,
                 records_discarded,
             });
-            if shard == 0 {
-                platform.history = history;
-            }
             stores.push(sc.store);
         }
 
-        // Install the freshest committed pod images; lanes with none (a
-        // cold campaign) keep their seed-derived round-0 population.
+        // Install the freshest committed pod images; lanes with neither
+        // an image nor a delta (a cold campaign) keep their seed-derived
+        // round-0 population.
         for (lane, fleet) in platform.fleets.iter_mut().enumerate() {
-            if let Some(states) = lane_pod_states.remove(&(lane as u64)) {
-                fleet.restore_pod_states(states)?;
+            let lane = lane as u64;
+            let (images, deltas) = (lane_images.remove(&lane), lane_deltas.remove(&lane));
+            if images.is_some() || deltas.is_some() {
+                fleet.restore(images, deltas)?;
             }
         }
-        if let Some((&lane, _)) = lane_pod_states.iter().next() {
+        if let Some(&lane) = lane_images.keys().chain(lane_deltas.keys()).next() {
             return Err(DurabilityError::Corrupt(format!(
                 "durable pod states reference unknown lane {lane}"
             )));
         }
 
+        // The round log keeps exactly the rounds the campaign resumes
+        // with: a torn tail, or rounds past a fallen-back target, go.
+        let mut round_log = RoundLog::holding(&root.dir, kept);
+        let cut = round_log_prefix(&log_bytes, kept);
+        if cut < log_bytes.len() {
+            recorder.warn_or_ops(
+                "campaign.resume",
+                "round_log_truncated",
+                &[
+                    ("bytes", (log_bytes.len() - cut) as u64),
+                    ("target_round", target),
+                ],
+                format_args!(
+                    "resume cut {} byte(s) of the round log past committed round {target}",
+                    log_bytes.len() - cut
+                ),
+            );
+            round_log.truncate(cut as u64)?;
+        }
+
         platform.round_idx = target;
+        platform.history = history;
         platform.durable = Some(stores);
+        platform.round_log = Some(round_log);
         let report = ResumeReport {
             target_round: target,
             shards: shard_reports,
@@ -762,19 +911,38 @@ impl<'p> MultiPlatform<'p> {
         refuse_shard_count(&root.dir, config.n_shards)?;
         let shards: Vec<DurabilityConfig> =
             (0..config.n_shards).map(|i| shard_cfg(root, i)).collect();
-        // A round record this build cannot read is an older layout, not
-        // bit rot: refuse it before the scrub writes anything.
+        // An older layout is not bit rot: refuse it before the scrub
+        // writes anything — a round record this build cannot read, a
+        // pod-image `REC_PODS` body, a checkpoint without this layout's
+        // app-meta. Damage mid-round-log is refused too.
+        let log_bytes = read_round_log(&root.dir)?;
+        let log = decode_round_log(&log_bytes)?;
         for shard in &shards {
             for rec in read_journal(&shard.dir)? {
-                if rec.kind == REC_ROUND {
-                    MultiRoundReport::decode(&rec.frame)?;
+                match rec.kind {
+                    REC_ROUND => drop(MultiRoundReport::decode(&rec.frame)?),
+                    REC_PODS => drop(fleet::decode_pod_deltas(&rec.frame)?),
+                    _ => {}
                 }
             }
+            for meta in read_app_metas(&shard.dir)? {
+                decode_app_meta(&meta)?;
+            }
         }
-        shards
-            .iter()
+        let reports = (shards.iter())
             .map(|cfg| DurableStore::scrub(cfg, &config.obs.recorder))
-            .collect()
+            .collect::<Result<_, _>>()?;
+        if log.valid_len < log_bytes.len() {
+            let torn = (log_bytes.len() - log.valid_len) as u64;
+            config.obs.recorder.warn_or_ops(
+                "campaign.scrub",
+                "round_log_tail_cut",
+                &[("bytes", torn)],
+                format_args!("scrub cut a torn {torn}-byte tail off the round log"),
+            );
+            RoundLog::holding(&root.dir, 0).truncate(log.valid_len as u64)?;
+        }
+        Ok(reports)
     }
 
     /// Advances one round: distribute overlays, execute every fleet,
@@ -1051,7 +1219,7 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Commits one round: phase A appends its frames, promotions, pod
-    /// images and round record to every shard journal and fsyncs them
+    /// deltas and round record to every shard journal and fsyncs them
     /// all (the ack); phase B then compacts the shards that are due.
     fn commit_round(
         &mut self,
@@ -1062,36 +1230,39 @@ impl<'p> MultiPlatform<'p> {
         if self.durable.is_none() {
             return Ok(RoundTelemetry::default());
         }
-        // Pod images *after* guidance queued next-round directives.
-        let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
         let lane_shards: Vec<usize> = (0..self.fleets.len())
             .map(|lane| self.shard_of_lane(lane))
             .collect();
         let stores = self.durable.as_mut().expect("checked above");
+        let journal_len = |stores: &[DurableStore]| stores.iter().map(DurableStore::wal_len).sum();
+        let journal_before: u64 = journal_len(stores);
         frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
 
-        // Phase A: append everywhere…
+        // Phase A: stage every record, then write each journal once…
         for (lane, seq, bytes) in &frames {
-            stores[lane_shards[*lane as usize]].append_frame(*lane, *seq, bytes)?;
+            stores[lane_shards[*lane as usize]].stage_frame(*lane, *seq, bytes);
         }
         let mut body = Vec::new();
         for (lane, signature, overlay) in promoted {
             body.clear();
             put_promotion(&mut body, self.fleets[*lane].id.0, signature, overlay);
             let store = &mut stores[lane_shards[*lane]];
-            store.append(REC_PROMOTE, SESSION_PROMOTE, self.promote_seq, &body)?;
+            store.stage(REC_PROMOTE, SESSION_PROMOTE, self.promote_seq, &body);
             self.promote_seq += 1;
         }
-        for (lane, pod_body) in pod_bodies.iter().enumerate() {
-            stores[lane_shards[lane]].append(REC_PODS, lane as u64, report.round, pod_body)?;
+        // Pod deltas *after* guidance queued next-round directives.
+        for (lane, fleet) in self.fleets.iter().enumerate() {
+            body.clear();
+            fleet.put_pod_deltas(&mut body);
+            stores[lane_shards[lane]].stage(REC_PODS, lane as u64, report.round, &body);
         }
         body.clear();
         report.encode_into(&mut body);
         for store in stores.iter_mut() {
-            store.append(REC_ROUND, SESSION_ROUND, report.round, &body)?;
+            store.stage(REC_ROUND, SESSION_ROUND, report.round, &body);
         }
-        // …then fsync everywhere; a crash in between leaves some shards
-        // one unacked round ahead.
+        // …and fsync it; a crash between two shards' syncs leaves some
+        // shards one unacked round ahead.
         let obs = &self.config.obs;
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
@@ -1101,36 +1272,54 @@ impl<'p> MultiPlatform<'p> {
         }
         let mut stats = RoundTelemetry {
             fsync_ns: fsync_span.map_or(0, SpanTimer::stop),
+            journal_bytes: journal_len(stores) - journal_before,
             ..RoundTelemetry::default()
         };
 
-        // Phase B: per-shard compaction.
-        for shard in 0..stores.len() {
-            if self.durable.as_ref().expect("checked above")[shard].checkpoint_due() {
-                let started = std::time::Instant::now();
-                stats.checkpoint_bytes += self.checkpoint_shard(shard, &pod_bodies, true)?;
-                stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
-                stats.compacted = true;
+        // Phase B: per-shard compaction, behind the round log.
+        let due: Vec<usize> = (0..stores.len())
+            .filter(|&shard| stores[shard].checkpoint_due())
+            .collect();
+        if !due.is_empty() {
+            let started = std::time::Instant::now();
+            self.sync_round_log()?;
+            for shard in due {
+                stats.checkpoint_bytes += self.checkpoint_shard(shard, true)?;
             }
+            stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
+            stats.compacted = true;
         }
         Ok(stats)
     }
 
-    /// Checkpoints shard `shard` (with the pod images of its lanes, from
-    /// `lane_pods` in lane order) and resets its delta tracking.
-    fn checkpoint_shard(
-        &mut self,
-        shard: usize,
-        lane_pods: &[Vec<u8>],
-        truncate: bool,
-    ) -> Result<u64, DurabilityError> {
-        let shard_pods: Vec<(u64, &[u8])> = lane_pods
-            .iter()
-            .enumerate()
-            .filter(|&(lane, _)| self.shard_of_lane(lane) == shard)
-            .map(|(lane, body)| (lane as u64, body.as_slice()))
+    /// Appends every committed round the round log lacks and fsyncs it —
+    /// what a checkpoint, which carries no history, relies on.
+    fn sync_round_log(&mut self) -> Result<(), DurabilityError> {
+        let log = self
+            .round_log
+            .as_mut()
+            .ok_or(DurabilityError::NotConfigured)?;
+        let history = &self.history;
+        log.append_synced(self.round_idx, |round, body| {
+            history[round as usize].encode_into(body);
+        })
+    }
+
+    /// Checkpoints shard `shard` — its hive state, the committed-round
+    /// counter and its lanes' full pod images — and makes that state the
+    /// base of later hive and pod deltas.
+    fn checkpoint_shard(&mut self, shard: usize, truncate: bool) -> Result<u64, DurabilityError> {
+        let lanes: Vec<usize> = (0..self.fleets.len())
+            .filter(|&lane| self.shard_of_lane(lane) == shard)
             .collect();
-        let app_meta = encode_app_meta(self.round_idx, &self.history, &shard_pods);
+        let mut app_meta = Vec::new();
+        codec::put_u64(&mut app_meta, APP_META_TAG);
+        codec::put_u64(&mut app_meta, self.round_idx);
+        codec::put_u32(&mut app_meta, lanes.len() as u32);
+        for &lane in &lanes {
+            codec::put_u64(&mut app_meta, lane as u64);
+            fleet::framed(&mut app_meta, |buf| self.fleets[lane].put_pod_images(buf));
+        }
         let sharded = &self.sharded;
         let encode = |kind| {
             match kind {
@@ -1145,6 +1334,9 @@ impl<'p> MultiPlatform<'p> {
             .ok_or(DurabilityError::NotConfigured)?;
         let written = stores[shard].write_checkpoint(encode, app_meta, truncate)?;
         self.sharded.mark_shard_clean(shard);
+        for lane in lanes {
+            self.fleets[lane].rebase();
+        }
         Ok(written)
     }
 
@@ -1154,7 +1346,7 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
-    /// [`DurabilityError::Io`] when a chain append fails.
+    /// [`DurabilityError::Io`] when a log or chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
         self.checkpoint_all(true)
     }
@@ -1163,51 +1355,44 @@ impl<'p> MultiPlatform<'p> {
     /// crash between the chain appends and the journal truncates leaves
     /// it.
     pub(crate) fn checkpoint_all(&mut self, truncate: bool) -> Result<u64, DurabilityError> {
-        let pod_bodies: Vec<Vec<u8>> = self.fleets.iter().map(Fleet::encode_pod_states).collect();
+        self.sync_round_log()?;
         (0..self.sharded.n_shards())
-            .map(|shard| self.checkpoint_shard(shard, &pod_bodies, truncate))
+            .map(|shard| self.checkpoint_shard(shard, truncate))
             .sum()
     }
 }
 
-/// Shard-checkpoint `app_meta`: committed-round counter, full history,
-/// and this shard's lanes' pod images (`u32 count`, then `u64 lane |
-/// bytes` each), so a fully compacted journal still restores every pod.
-fn encode_app_meta(
-    round_idx: u64,
-    history: &[MultiRoundReport],
-    lane_pods: &[(u64, &[u8])],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    codec::put_u64(&mut buf, round_idx);
-    codec::put_u32(&mut buf, history.len() as u32);
-    for report in history {
-        report.encode_into(&mut buf);
-    }
-    codec::put_u32(&mut buf, lane_pods.len() as u32);
-    for (lane, body) in lane_pods {
-        codec::put_u64(&mut buf, *lane);
-        codec::put_bytes(&mut buf, body);
-    }
-    buf
-}
+/// First word of a checkpoint's app-meta in this layout (`"SBMETA02"`,
+/// little-endian). Older builds began it with the committed-round count
+/// and kept round history behind it; their checkpoints are refused.
+const APP_META_TAG: u64 = u64::from_le_bytes(*b"SBMETA02");
 
-type AppMeta = (u64, Vec<MultiRoundReport>, Vec<(u64, Vec<PodState>)>);
+/// A checkpoint's app-meta, as [`MultiPlatform::checkpoint_shard`]
+/// writes it: [`APP_META_TAG`], the committed-round counter, and the
+/// shard's lanes' pod images (`u32 count`, then `u64 lane | u32 len |`
+/// the population's images each), so a fully compacted journal still
+/// restores every pod.
+type AppMeta = (u64, LanePods<PodState>);
+
+/// Per lane (by index), one pod record of each of its pods.
+type LanePods<T> = Vec<(u64, Vec<T>)>;
 
 fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let round_idx = r.u64("app_meta.round_idx")?;
-    let n = r.seq_len("app_meta.history", 44)?;
-    let mut history = Vec::with_capacity(n);
-    for _ in 0..n {
-        history.push(MultiRoundReport::read(&mut r)?);
+    if r.u64("app_meta.tag").ok() != Some(APP_META_TAG) {
+        return Err(DurabilityError::Corrupt(
+            "checkpoint app-meta of an older layout (round history inside checkpoints); \
+             this build keeps history in rounds.log and cannot resume it"
+                .to_string(),
+        ));
     }
+    let round_idx = r.u64("app_meta.round_idx")?;
     let n_lanes = r.seq_len("app_meta.lane_pods", 12)?;
     let mut lane_pods = Vec::with_capacity(n_lanes);
     for _ in 0..n_lanes {
         let lane = r.u64("app_meta.lane")?;
         let body = r.bytes("app_meta.pods")?;
-        lane_pods.push((lane, fleet::decode_pod_states(body)?));
+        lane_pods.push((lane, fleet::decode_pod_images(body)?));
     }
     if !r.is_empty() {
         return Err(DurabilityError::Corrupt(format!(
@@ -1215,5 +1400,5 @@ fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
             r.remaining()
         )));
     }
-    Ok((round_idx, history, lane_pods))
+    Ok((round_idx, lane_pods))
 }

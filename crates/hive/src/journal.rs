@@ -51,9 +51,9 @@ pub const REC_PROMOTE: u8 = 2;
 /// Record kind: a platform round boundary carrying opaque caller
 /// metadata; written on the [`SESSION_ROUND`] pseudo-session.
 pub const REC_ROUND: u8 = 3;
-/// Record kind: a durable pod-state image for one platform lane
+/// Record kind: a durable pod-state record for one platform lane
 /// (`session` = lane index, `seq` = round index; the frame bytes carry
-/// the platform's encoded pod population for that round). Written inside
+/// the platform's encoded pod deltas for that round). Written inside
 /// the committed segment, before its [`REC_ROUND`], so replay restores
 /// every pod mid-stream exactly as it was when the round committed.
 pub const REC_PODS: u8 = 5;
@@ -216,39 +216,84 @@ fn read_record(
     pos: usize,
     tail_error: &mut Option<TailError>,
 ) -> Option<(JournalRecord, usize)> {
-    let header_end = pos.checked_add(HEADER)?;
+    match read_at(bytes, pos) {
+        Ok(r) => Some((
+            JournalRecord {
+                kind: r.kind,
+                session: r.session,
+                seq: r.seq,
+                frame: r.frame.to_vec(),
+            },
+            r.end,
+        )),
+        Err(e) => {
+            *tail_error = Some(e);
+            None
+        }
+    }
+}
+
+/// One intact record, borrowed from the journal bytes it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Record kind.
+    pub kind: u8,
+    /// Session the record was written on.
+    pub session: u64,
+    /// Per-session sequence number.
+    pub seq: u64,
+    /// The record's payload.
+    pub frame: &'a [u8],
+    /// Byte offset just past the record.
+    pub end: usize,
+}
+
+/// Reads the record that starts at byte `pos` of `bytes` without
+/// copying it — what [`scan`] does per record. Total and allocation-free.
+///
+/// # Errors
+///
+/// The [`TailError`] that stops a scan at `pos`.
+pub fn read_at(bytes: &[u8], pos: usize) -> Result<RecordRef<'_>, TailError> {
+    let header_end = pos.checked_add(HEADER).ok_or(TailError::Truncated)?;
     if header_end > bytes.len() {
-        *tail_error = Some(TailError::Truncated);
-        return None;
+        return Err(TailError::Truncated);
     }
     let body_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     let expected = u64::from_le_bytes(bytes[pos + 4..header_end].try_into().unwrap());
-    if body_len < BODY_PREFIX || header_end.checked_add(body_len)? > bytes.len() {
-        *tail_error = Some(TailError::Truncated);
-        return None;
+    let end = header_end
+        .checked_add(body_len)
+        .ok_or(TailError::Truncated)?;
+    if body_len < BODY_PREFIX || end > bytes.len() {
+        return Err(TailError::Truncated);
     }
-    let body = &bytes[header_end..header_end + body_len];
+    let body = &bytes[header_end..end];
     let got = fnv1a_step(FNV_OFFSET, body);
     if got != expected {
-        *tail_error = Some(TailError::ChecksumMismatch { expected, got });
-        return None;
+        return Err(TailError::ChecksumMismatch { expected, got });
     }
     let kind = body[0];
     if kind > MAX_KIND {
-        *tail_error = Some(TailError::BadKind { kind });
-        return None;
+        return Err(TailError::BadKind { kind });
     }
-    let session = u64::from_le_bytes(body[1..9].try_into().unwrap());
-    let seq = u64::from_le_bytes(body[9..17].try_into().unwrap());
-    Some((
-        JournalRecord {
-            kind,
-            session,
-            seq,
-            frame: body[BODY_PREFIX..].to_vec(),
-        },
-        header_end + body_len,
-    ))
+    Ok(RecordRef {
+        kind,
+        session: u64::from_le_bytes(body[1..9].try_into().unwrap()),
+        seq: u64::from_le_bytes(body[9..17].try_into().unwrap()),
+        frame: &body[BODY_PREFIX..],
+        end,
+    })
+}
+
+/// Whether a record [`read_at`] refused at `pos` is a torn final append
+/// — its header or its claimed body runs to the end of `bytes`, so no
+/// intact record can follow it — rather than damage with bytes after it.
+pub fn torn_at(bytes: &[u8], pos: usize) -> bool {
+    let Some(header) = bytes.get(pos..).and_then(|rest| rest.get(..HEADER)) else {
+        return true;
+    };
+    let body_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    (pos + HEADER).saturating_add(body_len) >= bytes.len()
 }
 
 /// A failed journal I/O operation: which operation, the OS-level error

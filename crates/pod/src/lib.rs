@@ -15,7 +15,9 @@
 
 pub mod state;
 
-pub use state::{PodState, PodStateError, POD_STATE_VERSION};
+pub use state::{
+    DeltaBase, PodDelta, PodState, PodStateError, POD_DELTA_VERSION, POD_STATE_VERSION,
+};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -12,6 +12,12 @@
 //! FNV-1a checksum over the whole envelope at the back, so storage
 //! bit-rot is a typed [`PodStateError`], never a silently different
 //! population.
+//!
+//! Between checkpoints a pod is journaled as a [`PodDelta`] against the
+//! image in its shard's newest checkpoint: the RNG position, counters,
+//! queue and overlay version, plus only the cases appended since. A pod
+//! keeps its first few cases and never changes them, so a delta stays a
+//! few hundred bytes while the image carries the whole corpus.
 
 use crate::{Pod, PodStats};
 use rand::rngs::SmallRng;
@@ -27,6 +33,12 @@ use softborg_program::{interp::CrashKind, Overlay};
 
 /// Current on-disk version of the [`PodState`] encoding.
 pub const POD_STATE_VERSION: u8 = 1;
+
+/// Current on-disk version of the [`PodDelta`] encoding. It follows
+/// [`POD_STATE_VERSION`] so the two envelopes never share a first byte:
+/// an image handed to the delta decoder is a typed
+/// [`PodStateError::BadVersion`].
+pub const POD_DELTA_VERSION: u8 = 2;
 
 /// A complete, restorable image of one pod's mutable state.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +76,15 @@ pub enum PodStateError {
     },
     /// The (checksum-valid) body failed structural decoding.
     Codec(CodecError),
+    /// A [`PodDelta`] does not fit the image it was applied to.
+    BaseMismatch {
+        /// The field that does not fit.
+        what: &'static str,
+        /// What the delta needs of the base.
+        delta: u64,
+        /// What the base holds.
+        base: u64,
+    },
 }
 
 impl std::fmt::Display for PodStateError {
@@ -76,6 +97,10 @@ impl std::fmt::Display for PodStateError {
                 "pod state checksum mismatch: record says {expected:#018x}, bytes hash to {got:#018x}"
             ),
             PodStateError::Codec(e) => write!(f, "pod state body malformed: {e}"),
+            PodStateError::BaseMismatch { what, delta, base } => write!(
+                f,
+                "pod delta needs {what} {delta} of its base image, which has {base}"
+            ),
         }
     }
 }
@@ -290,36 +315,160 @@ fn take_directive(r: &mut Reader<'_>) -> Result<Directive, CodecError> {
     }
 }
 
+fn put_directives<'a>(buf: &mut Vec<u8>, directives: impl ExactSizeIterator<Item = &'a Directive>) {
+    codec::put_u32(buf, directives.len() as u32);
+    for d in directives {
+        put_directive(buf, d);
+    }
+}
+
+fn put_stats(buf: &mut Vec<u8>, stats: &PodStats) {
+    codec::put_u64(buf, stats.executions);
+    codec::put_u64(buf, stats.failures);
+    codec::put_u64(buf, stats.directed);
+    codec::put_u64(buf, stats.overlay_hits);
+}
+
+fn take_stats(r: &mut Reader<'_>) -> Result<PodStats, CodecError> {
+    Ok(PodStats {
+        executions: r.u64("PodState.executions")?,
+        failures: r.u64("PodState.failures")?,
+        directed: r.u64("PodState.directed")?,
+        overlay_hits: r.u64("PodState.overlay_hits")?,
+    })
+}
+
+fn put_failing(buf: &mut Vec<u8>, cases: &[(TestCase, Outcome)]) {
+    codec::put_u32(buf, cases.len() as u32);
+    for (case, outcome) in cases {
+        put_case(buf, case);
+        put_outcome(buf, outcome);
+    }
+}
+
+fn put_passing(buf: &mut Vec<u8>, cases: &[TestCase]) {
+    codec::put_u32(buf, cases.len() as u32);
+    for case in cases {
+        put_case(buf, case);
+    }
+}
+
+/// Appends `version | fields | u64 fnv1a(version + fields)`, `fields`
+/// writing the part between.
+fn sealed(buf: &mut Vec<u8>, version: u8, fields: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    codec::put_u8(buf, version);
+    fields(buf);
+    let checksum = fnv1a_step(FNV_OFFSET, &buf[start..]);
+    codec::put_u64(buf, checksum);
+}
+
+/// Verifies an envelope's checksum tail and version byte and returns a
+/// reader over the fields between them.
+fn unsealed(bytes: &[u8], version: u8) -> Result<Reader<'_>, PodStateError> {
+    if bytes.len() < 1 + 8 {
+        return Err(PodStateError::Truncated);
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
+    let got = fnv1a_step(FNV_OFFSET, body);
+    if expected != got {
+        return Err(PodStateError::BadChecksum { expected, got });
+    }
+    let mut r = Reader::new(body);
+    let found = r.u8("pod record version")?;
+    if found != version {
+        return Err(PodStateError::BadVersion(found));
+    }
+    Ok(r)
+}
+
+/// Fails on bytes left after the last field.
+fn finished(r: &Reader<'_>, what: &'static str) -> Result<(), PodStateError> {
+    match r.remaining() {
+        0 => Ok(()),
+        len => Err(PodStateError::Codec(CodecError::BadLen { what, len })),
+    }
+}
+
+/// An empty vector for `n` elements that reserves no more memory than
+/// the bytes left behind the length prefix, whatever `n` claims.
+fn reserve<T>(n: usize, r: &Reader<'_>) -> Vec<T> {
+    Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<T>().max(1)))
+}
+
+/// A pod image's fields, borrowed from a [`PodState`] or straight from
+/// a [`Pod`]: one writer serves both, so a pod encodes its image and
+/// its delta without cloning a case, the overlay or the queue.
+struct ImageRef<'a, D> {
+    rng: [u64; 4],
+    overlay: &'a Overlay,
+    overlay_version: u64,
+    directives: D,
+    stats: PodStats,
+    failing_cases: &'a [(TestCase, Outcome)],
+    passing_cases: &'a [TestCase],
+}
+
+impl<'a, D: ExactSizeIterator<Item = &'a Directive>> ImageRef<'a, D> {
+    /// The [`PodState`] v1 envelope.
+    fn encode_into(self, buf: &mut Vec<u8>) {
+        sealed(buf, POD_STATE_VERSION, |buf| {
+            for word in self.rng {
+                codec::put_u64(buf, word);
+            }
+            codec::put_u64(buf, self.overlay_version);
+            self.overlay.encode_into(buf);
+            put_directives(buf, self.directives);
+            put_stats(buf, &self.stats);
+            put_failing(buf, self.failing_cases);
+            put_passing(buf, self.passing_cases);
+        });
+    }
+
+    /// The [`PodDelta`] envelope against `base`: the overlay only when
+    /// its version moved, and the cases appended past the base's counts.
+    fn encode_delta_into(self, base: DeltaBase, buf: &mut Vec<u8>) {
+        let failing_from = (base.failing as usize).min(self.failing_cases.len());
+        let passing_from = (base.passing as usize).min(self.passing_cases.len());
+        sealed(buf, POD_DELTA_VERSION, |buf| {
+            for word in self.rng {
+                codec::put_u64(buf, word);
+            }
+            codec::put_u64(buf, self.overlay_version);
+            let moved = self.overlay_version != base.overlay_version;
+            codec::put_u8(buf, u8::from(moved));
+            if moved {
+                self.overlay.encode_into(buf);
+            }
+            put_directives(buf, self.directives);
+            put_stats(buf, &self.stats);
+            codec::put_u32(buf, failing_from as u32);
+            put_failing(buf, &self.failing_cases[failing_from..]);
+            codec::put_u32(buf, passing_from as u32);
+            put_passing(buf, &self.passing_cases[passing_from..]);
+        });
+    }
+}
+
 impl PodState {
+    fn image(&self) -> ImageRef<'_, std::slice::Iter<'_, Directive>> {
+        ImageRef {
+            rng: self.rng,
+            overlay: &self.overlay,
+            overlay_version: self.overlay_version,
+            directives: self.directives.iter(),
+            stats: self.stats,
+            failing_cases: &self.failing_cases,
+            passing_cases: &self.passing_cases,
+        }
+    }
+
     /// Serializes the state into its self-verifying envelope:
     /// `u8 version | body | u64 fnv1a(version + body)`.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        codec::put_u8(&mut buf, POD_STATE_VERSION);
-        for &word in &self.rng {
-            codec::put_u64(&mut buf, word);
-        }
-        codec::put_u64(&mut buf, self.overlay_version);
-        self.overlay.encode_into(&mut buf);
-        codec::put_u32(&mut buf, self.directives.len() as u32);
-        for d in &self.directives {
-            put_directive(&mut buf, d);
-        }
-        codec::put_u64(&mut buf, self.stats.executions);
-        codec::put_u64(&mut buf, self.stats.failures);
-        codec::put_u64(&mut buf, self.stats.directed);
-        codec::put_u64(&mut buf, self.stats.overlay_hits);
-        codec::put_u32(&mut buf, self.failing_cases.len() as u32);
-        for (case, outcome) in &self.failing_cases {
-            put_case(&mut buf, case);
-            put_outcome(&mut buf, outcome);
-        }
-        codec::put_u32(&mut buf, self.passing_cases.len() as u32);
-        for case in &self.passing_cases {
-            put_case(&mut buf, case);
-        }
-        let checksum = fnv1a_step(FNV_OFFSET, &buf);
-        codec::put_u64(&mut buf, checksum);
+        self.image().encode_into(&mut buf);
         buf
     }
 
@@ -332,20 +481,7 @@ impl PodState {
     ///
     /// See [`PodStateError`].
     pub fn decode(bytes: &[u8]) -> Result<Self, PodStateError> {
-        if bytes.len() < 1 + 8 {
-            return Err(PodStateError::Truncated);
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-        let got = fnv1a_step(FNV_OFFSET, body);
-        if expected != got {
-            return Err(PodStateError::BadChecksum { expected, got });
-        }
-        let mut r = Reader::new(body);
-        let version = r.u8("PodState.version")?;
-        if version != POD_STATE_VERSION {
-            return Err(PodStateError::BadVersion(version));
-        }
+        let mut r = unsealed(bytes, POD_STATE_VERSION)?;
         let mut rng = [0u64; 4];
         for word in &mut rng {
             *word = r.u64("PodState.rng")?;
@@ -357,12 +493,7 @@ impl PodState {
         for _ in 0..n {
             directives.push(take_directive(&mut r)?);
         }
-        let stats = PodStats {
-            executions: r.u64("PodState.executions")?,
-            failures: r.u64("PodState.failures")?,
-            directed: r.u64("PodState.directed")?,
-            overlay_hits: r.u64("PodState.overlay_hits")?,
-        };
+        let stats = take_stats(&mut r)?;
         let n = r.seq_len("PodState.failing_cases", 1)?;
         let mut failing_cases = Vec::with_capacity(n);
         for _ in 0..n {
@@ -374,12 +505,7 @@ impl PodState {
         for _ in 0..n {
             passing_cases.push(take_case(&mut r)?);
         }
-        if !r.is_empty() {
-            return Err(PodStateError::Codec(CodecError::BadLen {
-                what: "PodState.trailing",
-                len: r.remaining(),
-            }));
-        }
+        finished(&r, "PodState.trailing")?;
         Ok(PodState {
             rng,
             overlay,
@@ -392,7 +518,191 @@ impl PodState {
     }
 }
 
+/// Where a pod stood at its base image — the counts a [`PodDelta`] is
+/// taken against. Cases are only ever appended, so the counts name
+/// exactly which cases the base already holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaBase {
+    /// The base image's overlay version.
+    pub overlay_version: u64,
+    /// Failing cases the base image holds.
+    pub failing: u32,
+    /// Passing cases the base image holds.
+    pub passing: u32,
+}
+
+impl DeltaBase {
+    /// The counts of `image`, as a base for later deltas.
+    pub fn of(image: &PodState) -> Self {
+        DeltaBase {
+            overlay_version: image.overlay_version,
+            failing: image.failing_cases.len() as u32,
+            passing: image.passing_cases.len() as u32,
+        }
+    }
+}
+
+/// What changed in one pod since a base image: the RNG position, the
+/// counters, the directive queue and the overlay version (always); the
+/// overlay itself only when its version moved; and the failing and
+/// passing cases appended since the base, each list tagged with its
+/// absolute start index. [`apply`](Self::apply) therefore rebuilds the
+/// whole image from the base and is idempotent. Its envelope is
+/// versioned and checksummed like [`PodState`]'s
+/// (`u8 POD_DELTA_VERSION | fields | u64 fnv1a`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PodDelta {
+    /// xoshiro256++ state words.
+    pub rng: [u64; 4],
+    /// Installed overlay version.
+    pub overlay_version: u64,
+    /// The installed overlay, present only when `overlay_version`
+    /// differs from the base's.
+    pub overlay: Option<Overlay>,
+    /// Pending guidance directives, in FIFO order.
+    pub directives: Vec<Directive>,
+    /// Execution counters.
+    pub stats: PodStats,
+    /// Index of the first of `failing_cases` in the pod's whole list.
+    pub failing_from: u32,
+    /// Failing cases appended since the base.
+    pub failing_cases: Vec<(TestCase, Outcome)>,
+    /// Index of the first of `passing_cases` in the pod's whole list.
+    pub passing_from: u32,
+    /// Passing cases appended since the base.
+    pub passing_cases: Vec<TestCase>,
+}
+
+/// Smallest encoding of one directive (a tag, a count, one `u32`).
+const MIN_DIRECTIVE_BYTES: usize = 1 + 4 + 4;
+/// Smallest encoding of one test case (empty lists, a bare environment).
+const MIN_CASE_BYTES: usize = 4 + 4 + 8 + 4 + 4 + 4 + 4;
+
+impl PodDelta {
+    /// Decodes and checksum-verifies an encoded delta. Total: any input
+    /// gives a delta or a typed [`PodStateError`], and no length prefix
+    /// reserves more memory than the bytes behind it. A [`PodState`]
+    /// image is refused by its version byte.
+    ///
+    /// # Errors
+    ///
+    /// See [`PodStateError`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, PodStateError> {
+        let mut r = unsealed(bytes, POD_DELTA_VERSION)?;
+        let mut rng = [0u64; 4];
+        for word in &mut rng {
+            *word = r.u64("PodDelta.rng")?;
+        }
+        let overlay_version = r.u64("PodDelta.overlay_version")?;
+        let overlay = match r.u8("PodDelta.has_overlay")? {
+            0 => None,
+            1 => Some(Overlay::decode(&mut r)?),
+            tag => {
+                return Err(PodStateError::Codec(CodecError::BadTag {
+                    what: "PodDelta.has_overlay",
+                    tag,
+                }))
+            }
+        };
+        let n = r.seq_len("PodDelta.directives", MIN_DIRECTIVE_BYTES)?;
+        let mut directives = reserve(n, &r);
+        for _ in 0..n {
+            directives.push(take_directive(&mut r)?);
+        }
+        let stats = take_stats(&mut r)?;
+        let failing_from = r.u32("PodDelta.failing_from")?;
+        let n = r.seq_len("PodDelta.failing_cases", MIN_CASE_BYTES + 1)?;
+        let mut failing_cases = reserve(n, &r);
+        for _ in 0..n {
+            let case = take_case(&mut r)?;
+            failing_cases.push((case, take_outcome(&mut r)?));
+        }
+        let passing_from = r.u32("PodDelta.passing_from")?;
+        let n = r.seq_len("PodDelta.passing_cases", MIN_CASE_BYTES)?;
+        let mut passing_cases = reserve(n, &r);
+        for _ in 0..n {
+            passing_cases.push(take_case(&mut r)?);
+        }
+        finished(&r, "PodDelta.trailing")?;
+        Ok(PodDelta {
+            rng,
+            overlay_version,
+            overlay,
+            directives,
+            stats,
+            failing_from,
+            failing_cases,
+            passing_from,
+            passing_cases,
+        })
+    }
+
+    /// Rebuilds the image this delta describes on top of `base`, the
+    /// image it was taken against (or any later one: applying twice
+    /// gives the same image). Checked before anything changes, so a
+    /// refused delta leaves `base` as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`PodStateError::BaseMismatch`] when `base` lacks cases before a
+    /// list's start index, or when the delta carries no overlay but its
+    /// version differs from the base's.
+    pub fn apply(self, base: &mut PodState) -> Result<(), PodStateError> {
+        let mismatch =
+            |what, delta: u64, base: u64| PodStateError::BaseMismatch { what, delta, base };
+        if self.overlay.is_none() && self.overlay_version != base.overlay_version {
+            return Err(mismatch(
+                "overlay_version",
+                self.overlay_version,
+                base.overlay_version,
+            ));
+        }
+        let (failing, passing) = (
+            base.failing_cases.len() as u64,
+            base.passing_cases.len() as u64,
+        );
+        if failing < u64::from(self.failing_from) {
+            return Err(mismatch(
+                "failing_cases",
+                u64::from(self.failing_from),
+                failing,
+            ));
+        }
+        if passing < u64::from(self.passing_from) {
+            return Err(mismatch(
+                "passing_cases",
+                u64::from(self.passing_from),
+                passing,
+            ));
+        }
+        if let Some(overlay) = self.overlay {
+            base.overlay = overlay;
+        }
+        base.overlay_version = self.overlay_version;
+        base.rng = self.rng;
+        base.directives = self.directives;
+        base.stats = self.stats;
+        base.failing_cases.truncate(self.failing_from as usize);
+        base.failing_cases.extend(self.failing_cases);
+        base.passing_cases.truncate(self.passing_from as usize);
+        base.passing_cases.extend(self.passing_cases);
+        Ok(())
+    }
+}
+
 impl<'p> Pod<'p> {
+    fn image(&self) -> ImageRef<'_, std::collections::vec_deque::Iter<'_, Directive>> {
+        ImageRef {
+            rng: self.rng.state(),
+            overlay: &self.overlay,
+            overlay_version: self.overlay_version,
+            directives: self.directives.iter(),
+            stats: self.stats,
+            failing_cases: &self.failing_cases,
+            passing_cases: &self.passing_cases,
+        }
+    }
+
     /// Captures this pod's complete mutable state for the durable round
     /// commit.
     pub fn export_state(&self) -> PodState {
@@ -405,6 +715,29 @@ impl<'p> Pod<'p> {
             failing_cases: self.failing_cases.clone(),
             passing_cases: self.passing_cases.clone(),
         }
+    }
+
+    /// Appends this pod's [`PodState`] encoding to `buf` — the bytes of
+    /// `export_state().encode()`, written without cloning anything.
+    pub fn encode_state_into(&self, buf: &mut Vec<u8>) {
+        self.image().encode_into(buf);
+    }
+
+    /// The counts of this pod's current state, as a base for later
+    /// deltas.
+    pub fn delta_base(&self) -> DeltaBase {
+        DeltaBase {
+            overlay_version: self.overlay_version,
+            failing: self.failing_cases.len() as u32,
+            passing: self.passing_cases.len() as u32,
+        }
+    }
+
+    /// Appends the encoded [`PodDelta`] from `base` (an earlier
+    /// [`delta_base`](Self::delta_base) of this pod) to this pod's
+    /// current state.
+    pub fn encode_delta_into(&self, base: DeltaBase, buf: &mut Vec<u8>) {
+        self.image().encode_delta_into(base, buf);
     }
 
     /// Restores a state captured by [`export_state`](Self::export_state)

@@ -3,12 +3,18 @@
 //! two-sided: pristine bytes decode to the identical state, and *any*
 //! corruption (single byte flip, truncation, trailing garbage) is a
 //! typed error — the storage layer may lose a pod image, but it may
-//! never silently resurrect a different population.
+//! never silently resurrect a different population. The same holds for
+//! the [`PodDelta`] a round journals: it rebuilds the pod's image from
+//! its base exactly, refuses a base it does not fit, and its decoder is
+//! total.
 
 use proptest::prelude::*;
 use softborg_fix::TestCase;
 use softborg_guidance::Directive;
-use softborg_pod::{Pod, PodConfig, PodState};
+use softborg_pod::{
+    DeltaBase, Pod, PodConfig, PodDelta, PodState, PodStateError, POD_DELTA_VERSION,
+    POD_STATE_VERSION,
+};
 use softborg_program::interp::{CrashKind, Outcome};
 use softborg_program::sched::ScheduleHint;
 use softborg_program::syscall::{EnvConfig, ForcedFault};
@@ -187,4 +193,172 @@ proptest! {
         let b = resumed.run_once();
         prop_assert_eq!(a.trace, b.trace);
     }
+}
+
+/// A pod of `token_parser` run `runs` times, with a fix installed and a
+/// directive queued when the seed says so — the state a round leaves.
+fn worked_pod(s: &scenarios::Scenario, seed: u64, runs: usize) -> Pod<'_> {
+    let mut pod = Pod::new(
+        &s.program,
+        PodConfig {
+            input_range: (0, 99),
+            seed,
+            ..PodConfig::default()
+        },
+    );
+    for i in 0..runs {
+        pod.run_once();
+        if (seed >> i) & 7 == 0 {
+            let mut overlay = softborg_program::Overlay::empty();
+            overlay.name = format!("fix-{i}");
+            pod.install_fix(overlay, pod.overlay_version() + 1);
+        }
+    }
+    if seed.is_multiple_of(3) {
+        pod.receive_guidance([Directive::InputSeed {
+            inputs: vec![13, 95, 7, 0, 0, 0],
+            target: (BranchSiteId::new(0), true),
+        }]);
+    }
+    pod
+}
+
+/// `PodState` bytes with `body` between a valid version byte and a
+/// valid checksum: input that reaches the structural decoder.
+fn sealed(version: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![version];
+    bytes.extend_from_slice(body);
+    let sum = softborg_obs::fnv1a_step(softborg_obs::FNV_OFFSET, &bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A pod writes its image straight from its fields, byte for byte
+    /// what cloning it into a `PodState` and encoding that writes.
+    #[test]
+    fn encode_state_into_writes_the_exported_image(seed in any::<u64>(), runs in 0usize..40) {
+        let s = scenarios::token_parser();
+        let pod = worked_pod(&s, seed, runs);
+        let mut bytes = vec![0xAB]; // appends after what the buffer holds
+        pod.encode_state_into(&mut bytes);
+        prop_assert_eq!(&bytes[1..], &pod.export_state().encode()[..]);
+    }
+
+    /// A delta taken against an earlier image of the pod rebuilds the
+    /// pod's current image from that base exactly, applying it twice
+    /// changes nothing, and it carries no case the base already holds.
+    #[test]
+    fn a_delta_rebuilds_the_image_from_its_base(
+        seed in any::<u64>(),
+        before in 0usize..30,
+        after in 0usize..30,
+    ) {
+        let s = scenarios::token_parser();
+        let mut pod = worked_pod(&s, seed, before);
+        let (base_image, base) = (pod.export_state(), pod.delta_base());
+        for _ in 0..after {
+            pod.run_once();
+        }
+        if seed.is_multiple_of(5) {
+            pod.install_fix(softborg_program::Overlay::empty(), base.overlay_version + 1);
+        }
+        let mut bytes = Vec::new();
+        pod.encode_delta_into(base, &mut bytes);
+        let delta = PodDelta::decode(&bytes).expect("pristine delta decodes");
+        prop_assert_eq!(delta.failing_from as usize, base_image.failing_cases.len());
+        prop_assert_eq!(delta.passing_from as usize, base_image.passing_cases.len());
+        prop_assert_eq!(delta.overlay.is_some(), pod.overlay_version() != base.overlay_version);
+        let mut image = base_image.clone();
+        delta.clone().apply(&mut image).expect("the base fits");
+        prop_assert_eq!(&image, &pod.export_state());
+        delta.apply(&mut image).expect("applying again fits too");
+        prop_assert_eq!(&image, &pod.export_state());
+    }
+
+    /// Any flip or cut of a real delta is a typed error.
+    #[test]
+    fn any_corruption_of_a_delta_is_a_typed_error(
+        seed in any::<u64>(),
+        at in any::<u32>(),
+        flip in 1u8..=255,
+    ) {
+        let s = scenarios::token_parser();
+        let pod = worked_pod(&s, seed, (seed % 30) as usize);
+        let mut bytes = Vec::new();
+        pod.encode_delta_into(DeltaBase::default(), &mut bytes);
+        let i = at as usize % bytes.len();
+        let mut bad = bytes.clone();
+        bad[i] ^= flip;
+        prop_assert!(PodDelta::decode(&bad).is_err(), "flip at byte {}", i);
+        prop_assert!(PodDelta::decode(&bytes[..i]).is_err(), "cut at {}", i);
+    }
+
+    /// Arbitrary bytes, raw or sealed with a valid version byte and
+    /// checksum, decode to a delta or a typed error — never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_delta_decoder(
+        bytes in collection::vec(any::<u8>(), 0..512),
+    ) {
+        let _ = PodDelta::decode(&bytes);
+        let _ = PodDelta::decode(&sealed(POD_DELTA_VERSION, &bytes));
+    }
+}
+
+#[test]
+fn a_delta_refuses_a_base_that_lacks_its_cases_and_leaves_it_unchanged() {
+    let s = scenarios::token_parser();
+    let mut pod = worked_pod(&s, 7, 0);
+    for _ in 0..20 {
+        pod.run_once();
+    }
+    let base = pod.delta_base();
+    assert!(base.passing > 0, "the pod kept passing cases");
+    pod.run_once();
+    let mut bytes = Vec::new();
+    pod.encode_delta_into(base, &mut bytes);
+    let delta = PodDelta::decode(&bytes).unwrap();
+    // A fresh pod holds none of the cases the delta starts after.
+    let mut short = Pod::new(&s.program, PodConfig::default()).export_state();
+    let before = short.clone();
+    match delta.apply(&mut short) {
+        Err(PodStateError::BaseMismatch { what, .. }) => {
+            assert!(what.ends_with("_cases"), "{what}")
+        }
+        other => panic!("expected BaseMismatch, got {other:?}"),
+    }
+    assert_eq!(short, before);
+}
+
+#[test]
+fn a_delta_without_its_overlay_refuses_a_base_of_another_version() {
+    let s = scenarios::token_parser();
+    let mut pod = worked_pod(&s, 11, 3);
+    pod.install_fix(softborg_program::Overlay::empty(), 5);
+    let base = pod.delta_base();
+    let mut bytes = Vec::new();
+    pod.encode_delta_into(base, &mut bytes);
+    let delta = PodDelta::decode(&bytes).unwrap();
+    assert_eq!(delta.overlay, None, "the version did not move");
+    let mut stale = Pod::new(&s.program, PodConfig::default()).export_state();
+    assert!(matches!(
+        delta.apply(&mut stale),
+        Err(PodStateError::BaseMismatch {
+            what: "overlay_version",
+            delta: 5,
+            base: 0
+        })
+    ));
+}
+
+#[test]
+fn the_delta_decoder_refuses_a_pod_image_by_its_version_byte() {
+    let s = scenarios::token_parser();
+    let image = worked_pod(&s, 3, 5).export_state().encode();
+    assert_eq!(
+        PodDelta::decode(&image),
+        Err(PodStateError::BadVersion(POD_STATE_VERSION))
+    );
 }

@@ -187,6 +187,15 @@ impl DurableWorkload {
             } else {
                 DurableWorkload::default().shards
             },
+            // Eager compaction still waits until a round's journal
+            // outweighs the checkpoint (pod images included), every
+            // second round here: six rounds put the synthetic
+            // mid-campaign kill after the chain's first delta.
+            rounds: if canary == DurableCanary::SkipDelta {
+                6
+            } else {
+                DurableWorkload::default().rounds
+            },
             ..DurableWorkload::default()
         }
     }

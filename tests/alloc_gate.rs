@@ -16,6 +16,12 @@
 //! frontier pass and the digest of a 100-node and a 20,000-node tree may
 //! differ by the doubling of one growing buffer.
 //!
+//! The durable decoders a resume runs on bytes from disk — the round
+//! log and a pod delta — are total and allocate in proportion to their
+//! input: arbitrary bytes, raw or sealed with valid framing, never make
+//! them request more bytes than the input holds (plus one formatted
+//! error message).
+//!
 //! Some gates pin counts outright: after its first run, an executor
 //! running a program that emits nothing allocates nothing; a warm pod's
 //! `closed_loop` execution allocates only the buffers it returns; a
@@ -50,10 +56,12 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -61,14 +69,14 @@ fn bump() {
 // thread-local `Cell`, so counting itself never allocates or reenters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -517,4 +525,52 @@ fn round_report_reads_do_not_allocate_per_node() {
         "digest allocated {small_allocs} times on {small_nodes} nodes but {large_allocs} on {}",
         coverage.nodes
     );
+}
+
+/// Bytes requested from the allocator while `f` runs on this thread.
+fn bytes_of(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
+}
+
+/// Room for the one formatted error message a refusal carries.
+const MESSAGE_BYTES: u64 = 256;
+
+#[test]
+fn durable_decoders_allocate_no_more_than_their_input() {
+    use softborg::hive::journal::{self, REC_ROUND, SESSION_ROUND};
+    use softborg::pod::{PodDelta, POD_DELTA_VERSION};
+    let mut rng = SmallRng::seed_from_u64(45);
+    let seal = |version: u8, body: &[u8]| {
+        let mut bytes = vec![version];
+        bytes.extend_from_slice(body);
+        let sum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    };
+    for case in 0..2_000u64 {
+        let len = rng.gen_range(0..600);
+        let raw: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        // Raw bytes, a sealed delta envelope around them, and round-log
+        // records framed around slices of them.
+        let mut log = Vec::new();
+        for (seq, body) in raw.chunks(rng.gen_range(1..200)).enumerate() {
+            journal::append_record(&mut log, REC_ROUND, SESSION_ROUND, seq as u64, body);
+        }
+        let inputs = [raw.clone(), seal(POD_DELTA_VERSION, &raw), log];
+        for input in &inputs {
+            let bound = input.len() as u64 + MESSAGE_BYTES;
+            let delta = bytes_of(|| drop(PodDelta::decode(input)));
+            assert!(
+                delta <= bound,
+                "case {case}: pod delta decode took {delta} B of {bound}"
+            );
+            let rounds = bytes_of(|| drop(softborg::decode_round_log(input)));
+            assert!(
+                rounds <= bound,
+                "case {case}: round log decode took {rounds} B of {bound}"
+            );
+        }
+    }
 }

@@ -15,12 +15,14 @@
 mod campaign;
 
 use campaign::*;
-use softborg::hive::journal::{self, REC_FRAME, REC_ROUND};
+use softborg::hive::journal::{self, REC_FRAME, REC_PODS, REC_ROUND};
 use softborg::hive::{HiveSnapshot, ScrubReport};
+use softborg::pod::PodState;
 use softborg::program::codec;
 use softborg::program::scenarios::Scenario;
-use softborg::store::chain::decode_record;
+use softborg::store::chain::{decode_record, encode_record};
 use softborg::store::ChainSource;
+use softborg::store::RecordKind;
 use softborg::{DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
 use std::path::Path;
 
@@ -502,7 +504,91 @@ fn every_older_layout_is_refused_untouched() {
             old
         });
         assert_refused_untouched(kind, &scs, &setup, &dir, "48-byte round records");
+
+        // (d) The layout before pod deltas and the round log: full pod
+        // images in every `REC_PODS` body, and round history inside
+        // every checkpoint's app-meta — in the journal alone, and in the
+        // checkpoints alone.
+        for (what, checkpointed) in [("pod-image journal", false), ("history checkpoints", true)] {
+            let dir = campaign_dir(kind, &format!("pre-delta-{checkpointed}"));
+            let setup = Setup::durable(uncompacted(dir.clone()));
+            let mut p = kind.start(&scs, &setup);
+            p.run(2);
+            if checkpointed {
+                p.checkpoint();
+            }
+            let lanes = lane_images(&p);
+            drop(p);
+            make_pre_delta_layout(&dir, kind.shards(), &lanes);
+            assert_refused_untouched(kind, &scs, &setup, &dir, what);
+        }
     }
+}
+
+/// Every lane's pod images, in lane order.
+fn lane_images(p: &Run<'_>) -> Vec<Vec<PodState>> {
+    match p {
+        Run::One(p) => vec![p.export_pod_states()],
+        Run::Fleet(p) => p.export_pod_states(),
+    }
+}
+
+/// Rewrites a campaign into the layout before pod deltas: each
+/// `REC_PODS` body becomes the lane's full images (`lanes`, the pods at
+/// the campaign's last round), each chain record's app-meta the older
+/// `u64 round | u32 n | history | lane images` (history read from the
+/// round log), relinked; and the round log goes.
+fn make_pre_delta_layout(dir: &Path, shards: usize, lanes: &[Vec<PodState>]) {
+    let log = std::fs::read(dir.join("rounds.log")).unwrap_or_default();
+    let history = softborg::decode_round_log(&log).unwrap().reports;
+    let images = |lane: usize| {
+        let mut body = Vec::new();
+        codec::put_u32(&mut body, lanes[lane].len() as u32);
+        for pod in &lanes[lane] {
+            codec::put_bytes(&mut body, &pod.encode());
+        }
+        body
+    };
+    for shard in 0..shards {
+        let wal = shard_dir(dir, shard).join("hive.wal");
+        let (records, _) = journal::scan(&std::fs::read(&wal).unwrap());
+        let mut bytes = Vec::new();
+        for rec in &records {
+            let body = match rec.kind {
+                REC_PODS => images(rec.session as usize),
+                _ => rec.frame.clone(),
+            };
+            journal::append_record(&mut bytes, rec.kind, rec.session, rec.seq, &body);
+        }
+        std::fs::write(&wal, bytes).unwrap();
+
+        let mut parent = 0;
+        for path in chain_records(&shard_dir(dir, shard)) {
+            let file = std::fs::read(&path).unwrap();
+            let rec = decode_record(&file).unwrap();
+            let mut snap = HiveSnapshot::decode(rec.payload).unwrap();
+            let mut r = codec::Reader::new(&snap.app_meta);
+            let (_tag, round) = (r.u64("tag").unwrap(), r.u64("round").unwrap());
+            let mut old = Vec::new();
+            codec::put_u64(&mut old, round);
+            codec::put_u32(&mut old, round as u32);
+            for report in &history[..round as usize] {
+                report.encode_into(&mut old);
+            }
+            old.extend_from_slice(&snap.app_meta[16..]); // the lanes' images, unchanged
+            snap.app_meta = old;
+            let parent_of = |kind| if kind == RecordKind::Full { 0 } else { parent };
+            let bytes = encode_record(
+                rec.kind,
+                rec.generation,
+                parent_of(rec.kind),
+                &snap.encode(),
+            );
+            parent = decode_record(&bytes).unwrap().body_checksum;
+            std::fs::write(&path, bytes).unwrap();
+        }
+    }
+    let _ = std::fs::remove_file(dir.join("rounds.log"));
 }
 
 #[test]
