@@ -1,9 +1,9 @@
 //! Criterion bench for E9 (§3.2): path-merge throughput into execution
-//! trees of increasing size, plus replica absorption — and `tree_reads`,
-//! what the hive reads back from a tree every round (proofs, coverage,
-//! frontier, guidance plan, and `round_reads`: all a round report pays)
-//! on the two shapes the repository benchmark serves: a pair of hang
-//! paths ~1,333 decisions deep and a wide tree of ~20k nodes.
+//! trees of increasing size — and `tree_reads`, what the hive reads back
+//! from a tree every round (proofs, coverage, frontier, guidance plan,
+//! and `round_reads`: all a round report pays) on the two shapes the
+//! repository benchmark serves: a pair of hang paths ~1,333 decisions
+//! deep and a wide tree of ~20k nodes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -53,24 +53,6 @@ fn bench_merge(c: &mut Criterion) {
             },
         );
     }
-    // Replica absorption (distributed hive sync).
-    let a_paths = paths(5_000, 40, 64, 1);
-    let b_paths = paths(5_000, 40, 64, 2);
-    let mut replica_a = ExecutionTree::new(ProgramId(1));
-    for p in &a_paths {
-        replica_a.merge_path(p, &Outcome::Success);
-    }
-    let mut replica_b = ExecutionTree::new(ProgramId(1));
-    for p in &b_paths {
-        replica_b.merge_path(p, &Outcome::Success);
-    }
-    group.bench_function("absorb_replica_5k_paths", |b| {
-        b.iter(|| {
-            let mut t = replica_a.clone();
-            t.absorb(&replica_b);
-            t.node_count()
-        })
-    });
     group.finish();
 }
 

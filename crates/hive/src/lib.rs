@@ -2,9 +2,7 @@
 //!
 //! The hive of Figure 1: it merges by-products into the collective
 //! execution tree, diagnoses misbehaviours, synthesizes and promotes
-//! fixes, assembles cumulative proofs, emits guidance, and — in
-//! distributed mode — partitions exploration work across unreliable
-//! worker nodes.
+//! fixes, assembles cumulative proofs, and emits guidance.
 //!
 //! * [`hive`] — the per-program [`hive::Hive`] pipeline.
 //! * [`sharded`] — [`ShardedHive`]: many programs' hives on N shards
@@ -19,25 +17,18 @@
 //!   chain.
 //! * [`transport`] — the reliable pod→hive session protocol
 //!   (ack/retry/backoff over the network simulator).
-//! * [`distributed`] — static vs dynamic tree partitioning over the
-//!   network simulator (paper §4).
-//! * [`replica`] — gossip-based execution-tree replica synchronization
-//!   (the "entirely distributed" hive of §3).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod distributed;
 pub mod hive;
 pub mod journal;
 pub mod proofs;
-pub mod replica;
 pub mod scrub;
 pub mod sharded;
 pub mod snapshot;
 pub mod transport;
 
-pub use distributed::{run_exploration, DistConfig, DistReport, Outage, Partitioning};
 pub use hive::{
     diagnosis_signature, outcome_signature, FixProposal, Hive, HiveConfig, HiveStats,
     RecoveryReport,
@@ -47,7 +38,6 @@ pub use journal::{
     MemJournal, ScanReport, TailError,
 };
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
-pub use replica::{run_replica_sync, OutcomePath, ReplicaConfig, ReplicaReport};
 pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, WalScrubAction};
 pub use sharded::{ShardStateError, ShardedHive};
 pub use snapshot::HiveSnapshot;

@@ -231,7 +231,7 @@ pub struct FaultPlan {
     pub disk: Vec<DiskCrashPoint>,
 }
 
-/// An invalid fault plan (or outage schedule), reported at config time.
+/// An invalid fault plan, reported at config time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlanError {
     /// A probability exceeded 1000 parts per mille.
@@ -679,6 +679,17 @@ mod tests {
             plan().validate(1),
             Err(FaultPlanError::NodeOutOfRange { .. })
         ));
+        // A crash on a node the world does not have ("ghost" node 2 of 2).
+        let mut p = plan();
+        p.crashes[0].node = Addr(2);
+        assert_eq!(
+            p.validate(2),
+            Err(FaultPlanError::NodeOutOfRange {
+                what: "crash",
+                node: Addr(2),
+                nodes: 2
+            })
+        );
     }
 
     #[test]

@@ -133,9 +133,9 @@ pub struct SimConfig {
     /// Link model between every pair of nodes.
     pub link: LinkConfig,
     /// The world's fuel: events dispatched over its whole life, summed
-    /// across every [`World::run`] / [`World::run_until`] call. Callers
-    /// that run a world once (transport, replica, distributed) get a
-    /// per-run cap.
+    /// across every [`World::run`] / [`World::run_until`] call. A caller
+    /// that runs a world once (the reliable transport) gets a per-run
+    /// cap.
     pub max_events: u64,
     /// Injected faults on top of the link model (duplication, reordering,
     /// partitions, scheduled crash/restart). Validate with
@@ -168,7 +168,7 @@ pub struct SimStats {
     pub partition_dropped: u64,
     /// Extra deliveries injected by [`FaultPlan::dup_per_mille`].
     pub duplicated: u64,
-    /// Node crash events executed (scheduled crashes and outages).
+    /// Node crash events executed (the fault plan's crashes).
     pub crashes: u64,
     /// Payload bytes delivered.
     pub bytes_delivered: u64,

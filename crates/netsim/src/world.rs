@@ -69,10 +69,10 @@ pub trait Proc {
     fn on_timer(&mut self, tag: u64, ctx: &mut WorldCtx<'_>) {}
     /// A blocking point the proc waited on resolved.
     fn on_wake(&mut self, wake: Wake, ctx: &mut WorldCtx<'_>) {}
-    /// The proc crashed (a scheduled [`Crash`](crate::Crash) or
-    /// [`World::schedule_outage`]). Volatile state is gone; the world has
-    /// already truncated this proc's disks to their synced prefixes. No
-    /// `WorldCtx` is provided — a dead proc cannot send or arm timers.
+    /// The proc crashed (a [`Crash`](crate::Crash) in the fault plan).
+    /// Volatile state is gone; the world has already truncated this
+    /// proc's disks to their synced prefixes. No `WorldCtx` is provided —
+    /// a dead proc cannot send or arm timers.
     fn on_crash(&mut self) {}
     /// The proc restarted after a crash; timers that came due while it
     /// was down were discarded, so re-arm timers and re-register waiters.
@@ -384,14 +384,6 @@ impl<'w> World<'w> {
             inflight: None,
         });
         id
-    }
-
-    /// Schedules a crash window for `node` (down at `at`, back at
-    /// `until`). Messages to a down node are dropped and its timers are
-    /// discarded while it is down.
-    pub fn schedule_outage(&mut self, node: Addr, at: SimTime, until: SimTime) {
-        self.inner.push_event(at, Event::NodeDown(node));
-        self.inner.push_event(until, Event::NodeUp(node));
     }
 
     /// Schedules a [`DiskCrashPoint`] against `disk` at an exact virtual
@@ -914,10 +906,19 @@ mod tests {
 
     #[test]
     fn crash_truncates_disks_to_the_synced_prefix() {
-        let mut w = World::new(SimConfig::default());
+        let mut w = World::new(SimConfig {
+            faults: FaultPlan {
+                crashes: vec![Crash {
+                    node: Addr(0),
+                    at_us: 50_000,
+                    restart_us: 60_000,
+                }],
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
+        });
         let disk = w.add_disk(Addr(0), 100);
         w.add_proc(Box::new(CrashyWriter { disk }));
-        w.schedule_outage(Addr(0), SimTime(50_000), SimTime(60_000));
         w.run();
         assert_eq!(w.disk_bytes(disk), b"durable");
         assert_eq!(w.io_stats().disk_bytes_lost, 9);
@@ -1159,14 +1160,24 @@ mod tests {
 
     #[test]
     fn outage_drops_messages_then_recovers() {
-        let mut w = World::new(SimConfig::default());
+        let mut w = World::new(SimConfig {
+            faults: FaultPlan {
+                crashes: vec![Crash {
+                    node: Addr(0),
+                    at_us: 0,
+                    restart_us: 10_000,
+                }],
+                ..FaultPlan::default()
+            },
+            ..SimConfig::default()
+        });
         let hits = Rc::new(Cell::new(0));
         let c = w.add_proc(Box::new(Counter { hits: hits.clone() }));
+        assert_eq!(c, Addr(0), "the crash plan names the counter");
         w.add_proc(Box::new(TimedSender {
             to: c,
             at: vec![10, 50_000],
         }));
-        w.schedule_outage(c, SimTime(0), SimTime(10_000));
         w.run();
         assert_eq!(hits.get(), 1, "only the post-recovery message lands");
         assert_eq!(w.net_stats().dropped, 1);

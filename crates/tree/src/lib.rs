@@ -3,8 +3,8 @@
 //! Implements the paper's §3.2: dynamic construction of a program's
 //! execution tree by merging naturally-occurring execution paths
 //! (lowest-common-ancestor splicing, Figure 3), coverage and completeness
-//! accounting, frontier enumeration for guidance, infeasibility marks from
-//! symbolic analysis, and replica merging for the distributed hive.
+//! accounting, frontier enumeration for guidance, and infeasibility marks
+//! from symbolic analysis.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -67,14 +67,6 @@ impl OutcomeTally {
         }
     }
 
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &OutcomeTally) {
-        self.success += other.success;
-        self.crash += other.crash;
-        self.deadlock += other.deadlock;
-        self.hang += other.hang;
-    }
-
     /// Total outcomes counted.
     pub fn total(&self) -> u64 {
         self.success + self.crash + self.deadlock + self.hang
@@ -746,8 +738,8 @@ impl ExecutionTree {
 
     /// Derives all facts from scratch: depths root down, the rest from the
     /// last node up (children follow their parents). [`decode`](Self::decode)
-    /// and [`absorb`](Self::absorb) end with it, so a decoded tree is the
-    /// oracle for the kept-current facts.
+    /// ends with it, so a decoded tree is the oracle for the kept-current
+    /// facts.
     fn derive(&mut self) {
         for i in 1..self.nodes.len() {
             if let Some((parent, ..)) = self.nodes[i].parent {
@@ -901,12 +893,11 @@ impl ExecutionTree {
         }
     }
 
-    /// A structural digest (ignores tallies): two replicas that explored
-    /// the same decision structure agree. Iterative pre-order with
-    /// push/pop markers (trees can be very deep). FNV-1a over explicit
+    /// A structural digest (ignores tallies): two trees that explored the
+    /// same decision structure agree. Iterative pre-order with push/pop
+    /// markers (trees can be very deep). FNV-1a over explicit
     /// little-endian bytes, so the value is stable across Rust releases
-    /// and platforms — it is stored in proof certificates and compared
-    /// across replicas.
+    /// and platforms — it is stored in proof certificates.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         enum Item {
@@ -937,49 +928,6 @@ impl ExecutionTree {
             }
         }
         h
-    }
-
-    /// Merges another tree for the same program into this one (used by
-    /// distributed hive synchronization): structure is unioned, tallies
-    /// are summed.
-    pub fn absorb(&mut self, other: &ExecutionTree) {
-        // Iterative pairing walk (deep trees would overflow a recursive
-        // version's stack).
-        let mut stack: Vec<(NodeId, NodeId)> = vec![(NodeId::ROOT, NodeId::ROOT)];
-        while let Some((mine, theirs)) = stack.pop() {
-            let their_node = &other.nodes[theirs.index()];
-            self.touch(mine);
-            let n = &mut self.nodes[mine.index()];
-            n.visits += their_node.visits;
-            n.terminal.merge(&their_node.terminal);
-            for &arm in their_node.marks() {
-                n.mark_infeasible(arm);
-            }
-            for e in their_node.edges() {
-                let child = match self.nodes[mine.index()].child(e.site, e.taken) {
-                    Some(c) => c,
-                    None => {
-                        let c = NodeId(self.nodes.len() as u32);
-                        self.nodes.push(Node::new(Some((mine, e.site, e.taken))));
-                        self.nodes[mine.index()].edges.push(EdgeRec {
-                            site: e.site,
-                            taken: e.taken,
-                            child: c,
-                        });
-                        c
-                    }
-                };
-                stack.push((child, e.child));
-            }
-        }
-        self.paths_merged += other.paths_merged;
-        for h in &other.path_hashes {
-            if self.path_hashes.insert(*h) {
-                self.distinct_paths += 1;
-                self.fresh_hashes.push(*h);
-            }
-        }
-        self.derive();
     }
 
     /// Serializes the full tree (structure *and* tallies, unlike
@@ -1466,31 +1414,6 @@ mod tests {
         assert_eq!(t.subtree_failures(NodeId::ROOT), 2);
         let right = child_of(&t, NodeId::ROOT, 0, true);
         assert_eq!(t.subtree_failures(right), 1);
-    }
-
-    #[test]
-    fn absorb_unions_structure_and_sums_tallies() {
-        let mut a = ExecutionTree::new(ProgramId(1));
-        a.merge_path(&path(&[(0, true)]), &Outcome::Success);
-        let mut b = ExecutionTree::new(ProgramId(1));
-        b.merge_path(&path(&[(0, true)]), &Outcome::Success);
-        b.merge_path(&path(&[(0, false)]), &crash());
-        a.absorb(&b);
-        assert_eq!(a.node_count(), 3);
-        assert_eq!(a.paths_merged(), 3);
-        assert_eq!(a.distinct_paths(), 2);
-        let left = child_of(&a, NodeId::ROOT, 0, true);
-        assert_eq!(a.node(left).terminal.success, 2);
-    }
-
-    #[test]
-    fn absorb_is_idempotent_on_structure() {
-        let mut a = ExecutionTree::new(ProgramId(1));
-        a.merge_path(&path(&[(0, true), (1, false)]), &Outcome::Success);
-        let snapshot = a.clone();
-        a.absorb(&snapshot);
-        assert_eq!(a.digest(), snapshot.digest());
-        assert_eq!(a.node_count(), snapshot.node_count());
     }
 
     #[test]

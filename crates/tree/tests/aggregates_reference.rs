@@ -16,8 +16,9 @@
 //! Trees grow by merges of single- and multi-site paths, passing and
 //! failing, re-merges of known paths, and in one case in eight two
 //! chains over 2,000 decisions deep that fork near their ends. They are
-//! changed by single and bulk infeasibility marks, `absorb`, `decode`,
-//! and delta chains (the replica is checked after every applied delta).
+//! changed by single and bulk infeasibility marks, batches of short
+//! paths merged in a row, `decode`, and delta chains (the replica is
+//! checked after every applied delta).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -241,21 +242,6 @@ fn check(tree: &ExecutionTree, rng: &mut SmallRng, what: &str) {
     assert_eq!(coverage.frontier_arms, frontier.len() as u64, "{what}");
 }
 
-fn small_tree(rng: &mut SmallRng) -> ExecutionTree {
-    let mut t = ExecutionTree::new(PROGRAM);
-    for _ in 0..rng.gen_range(1..8) {
-        let (len, multi) = (rng.gen_range(0..7), rng.gen_range(0..4) == 0);
-        t.merge_path(&path(rng, len, multi), &outcome(rng));
-    }
-    if rng.gen_bool(0.5) {
-        let node = NodeId(rng.gen_range(0..t.node_count()) as u32);
-        if let Some(&site) = t.node(node).sites().first() {
-            t.mark_infeasible(node, site, rng.gen_bool(0.5));
-        }
-    }
-    t
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -323,9 +309,13 @@ proptest! {
                     "bulk marks"
                 }
                 7 => {
-                    let other = small_tree(&mut rng);
-                    mem.absorb(&other);
-                    "absorb"
+                    for _ in 0..rng.gen_range(1..8) {
+                        let (len, multi) = (rng.gen_range(0..7), rng.gen_range(0..4) == 0);
+                        let p = path(&mut rng, len, multi);
+                        mem.merge_path(&p, &outcome(&mut rng));
+                        known.push(p);
+                    }
+                    "batch merge"
                 }
                 8 => {
                     mem = ExecutionTree::decode(&mut codec::Reader::new(&encode(&mem)))

@@ -41,15 +41,6 @@ fn path(rng: &mut SmallRng, len: usize, p_true: u32) -> Vec<(BranchSiteId, bool)
         .collect()
 }
 
-fn random_tree(rng: &mut SmallRng) -> ExecutionTree {
-    let mut t = ExecutionTree::new(PROGRAM);
-    for _ in 0..rng.gen_range(1..6) {
-        let len = rng.gen_range(0..5);
-        t.merge_path(&path(rng, len, 50), &outcome(rng));
-    }
-    t
-}
-
 fn encode(t: &ExecutionTree) -> Vec<u8> {
     let mut buf = Vec::new();
     t.encode_into(&mut buf);
@@ -65,8 +56,9 @@ pub struct Trees {
 
 /// Applies `n_ops` seeded operations — `merge_path` (failing outcomes
 /// included; with `deep`, two ≥ 2,000-decision paths that share most of
-/// their length), `mark_infeasible`, `absorb`, `encode → decode`, and
-/// `encode_delta → apply_delta` — to a memory tree.
+/// their length), `mark_infeasible`, a batch of short paths merged in a
+/// row, `encode → decode`, and `encode_delta → apply_delta` — to a
+/// memory tree.
 pub fn build(seed: u64, n_ops: usize, deep: bool) -> Trees {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut mem = ExecutionTree::new(PROGRAM);
@@ -100,8 +92,11 @@ pub fn build(seed: u64, n_ops: usize, deep: bool) -> Trees {
                 mem.mark_infeasible(node, site, taken);
             }
             7 => {
-                let other = random_tree(&mut rng);
-                mem.absorb(&other);
+                for _ in 0..rng.gen_range(1..6) {
+                    let len = rng.gen_range(0..5);
+                    let (p, o) = (path(&mut rng, len, 50), outcome(&mut rng));
+                    mem.merge_path(&p, &o);
+                }
             }
             8 => {
                 let bytes = encode(&mem);
