@@ -14,7 +14,7 @@ use crate::partial::{subst, SymbolPool};
 use crate::solve::{self, Constraint, Feasibility, SolveBudget};
 use serde::{Deserialize, Serialize};
 use softborg_program::cfg::{Loc, Program, Stmt, SyscallKind, Terminator};
-use softborg_program::expr::{BinOp, Expr};
+use softborg_program::expr::{BinOp, Expr, Place};
 use softborg_program::interp::CrashKind;
 use softborg_program::{BlockId, BranchSiteId, LockId, ThreadId};
 use std::collections::{BTreeSet, HashMap};
@@ -189,6 +189,8 @@ struct SymState {
     /// single-symbol constraint tightens it, so contradictory forks like
     /// `in < 500 ∧ in >= 900` are pruned at fork time.
     box_: InputBox,
+    /// Per global: the unit has read or written it (relaxed runs only).
+    touched: Vec<bool>,
 }
 
 /// Pushes `c` onto the state's path condition, refining the state's
@@ -251,12 +253,32 @@ pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, Sym
         steps: 0,
         pool,
         box_: config.input_box.clone(),
+        touched: vec![false; program.n_globals as usize],
     };
 
+    // Under relaxed consistency, the globals another thread writes.
+    let mut shared = Vec::new();
+    if symbolic_globals {
+        shared = vec![false; program.n_globals as usize];
+        let others = (program.threads.iter().enumerate()).filter(|(t, _)| *t != thread.index());
+        for (_, body) in others {
+            for stmt in body.blocks.iter().flat_map(|b| &b.stmts) {
+                if let Stmt::Assign(Place::Global(g), _)
+                | Stmt::Syscall {
+                    ret: Place::Global(g),
+                    ..
+                } = stmt
+                {
+                    shared[g.index()] = true;
+                }
+            }
+        }
+    }
     let mut engine = Engine {
         program,
         thread,
         config,
+        shared,
         stats: ExploreStats::default(),
         paths: Vec::new(),
     };
@@ -283,6 +305,9 @@ struct Engine<'a> {
     program: &'a Program,
     thread: ThreadId,
     config: &'a SymConfig,
+    /// Per global: another thread writes it (empty under strict
+    /// consistency).
+    shared: Vec<bool>,
     stats: ExploreStats,
     paths: Vec<SymPath>,
 }
@@ -306,6 +331,32 @@ impl Engine<'_> {
             outcome,
             n_symbols: state.pool.width(),
         });
+    }
+
+    /// Relaxed consistency lets another thread write a shared global
+    /// between any two steps of the unit, so a step that reads one the
+    /// unit has read or written before sees a fresh symbol. One step's
+    /// reads of a global agree, as in the interpreter.
+    fn reread_shared(&self, state: &mut SymState, reads: &Expr, writes: Option<Place>) {
+        if self.shared.is_empty() {
+            return;
+        }
+        let mut read = Vec::new();
+        reads.visit(&mut |e| {
+            if let Expr::Load(Place::Global(g)) = e {
+                if self.shared[g.index()] && !read.contains(g) {
+                    read.push(*g);
+                }
+            }
+        });
+        for g in read {
+            if std::mem::replace(&mut state.touched[g.index()], true) {
+                state.globals[g.index()] = state.pool.fresh();
+            }
+        }
+        if let Some(Place::Global(g)) = writes {
+            state.touched[g.index()] = true;
+        }
     }
 
     /// Handles possible division faults inside `expr`: emits crash forks
@@ -394,6 +445,7 @@ impl Engine<'_> {
                 let stmt = blk.stmts[state.stmt as usize].clone();
                 match stmt {
                     Stmt::Assign(place, e) => {
+                        self.reread_shared(&mut state, &e, Some(place));
                         if !self.divisor_forks(&mut state, &e, false) {
                             return;
                         }
@@ -428,6 +480,7 @@ impl Engine<'_> {
                         }
                     }
                     Stmt::Syscall { kind, arg, ret } => {
+                        self.reread_shared(&mut state, &arg, Some(ret));
                         if !self.divisor_forks(&mut state, &arg, false) {
                             return;
                         }
@@ -465,6 +518,7 @@ impl Engine<'_> {
                         }
                     }
                     Stmt::Assert(e) => {
+                        self.reread_shared(&mut state, &e, None);
                         if !self.divisor_forks(&mut state, &e, false) {
                             return;
                         }
@@ -515,6 +569,7 @@ impl Engine<'_> {
                         }
                     }
                     Stmt::Emit(e) => {
+                        self.reread_shared(&mut state, &e, None);
                         if !self.divisor_forks(&mut state, &e, false) {
                             return;
                         }
@@ -547,6 +602,7 @@ impl Engine<'_> {
                         self.finish(state, SymOutcome::Truncated);
                         return;
                     }
+                    self.reread_shared(&mut state, &cond, None);
                     if !self.divisor_forks(&mut state, &cond, false) {
                         return;
                     }
@@ -641,6 +697,7 @@ pub fn arm_feasibility(
         steps: 0,
         pool,
         box_: config.input_box.clone(),
+        touched: Vec::new(),
     };
     let body = &program.threads[0];
     let mut consumed = 0usize;

@@ -3,7 +3,7 @@
 use softborg::platform::{Platform, PlatformConfig};
 use softborg::pod::PodConfig;
 use softborg_guidance::PlannerConfig;
-use softborg_hive::{assemble, verify, HiveConfig, ProofError};
+use softborg_hive::{verify, HiveConfig, ProofError};
 use softborg_program::scenarios;
 use softborg_symex::{InputBox, SymConfig};
 
@@ -106,80 +106,6 @@ fn buggy_programs_never_get_whole_program_proofs() {
         );
         // Each published subtree proof still verifies.
         verify(&cert, platform.hive().tree()).expect("subtree proof verifies");
-    }
-}
-
-#[test]
-fn infeasibility_marks_are_sound_on_triangle() {
-    // Every arm the planner marks infeasible must truly be unreachable:
-    // exhaustively execute the full input cube and confirm no execution
-    // takes a marked arm.
-    use softborg_bench_helpers::exhaustive_paths;
-    mod softborg_bench_helpers {
-        use softborg_program::interp::{Executor, Observer};
-        use softborg_program::{BranchSiteId, Program, ThreadId};
-        #[derive(Default)]
-        struct Obs(Vec<(BranchSiteId, bool)>);
-        impl Observer for Obs {
-            fn on_branch(&mut self, _t: ThreadId, s: BranchSiteId, tk: bool, _d: bool) {
-                self.0.push((s, tk));
-            }
-        }
-        pub fn exhaustive_paths(program: &Program) -> Vec<Vec<(BranchSiteId, bool)>> {
-            let mut exec = Executor::new(program);
-            let mut out = Vec::new();
-            for a in 1..=20 {
-                for b in 1..=20 {
-                    for c in 1..=20 {
-                        let mut obs = Obs::default();
-                        exec.run(
-                            &[a, b, c],
-                            &mut softborg_program::syscall::DefaultEnv::seeded(0),
-                            &mut softborg_program::sched::RoundRobin::new(),
-                            &softborg_program::Overlay::empty(),
-                            &mut obs,
-                        )
-                        .expect("arity");
-                        out.push(obs.0);
-                    }
-                }
-            }
-            out
-        }
-    }
-
-    let (s, cfg) = triangle_platform(7);
-    let mut platform = Platform::new(&s.program, cfg);
-    platform.run(12, 20);
-    let tree = platform.hive().tree();
-    // Collect marked-infeasible arms with their prefixes.
-    let mut marked = Vec::new();
-    for i in 0..tree.node_count() {
-        let id = softborg_tree::NodeId(i as u32);
-        let node = tree.node(id);
-        for site in node.sites() {
-            for taken in [false, true] {
-                if node.is_infeasible(site, taken) {
-                    let mut prefix = tree.prefix(id);
-                    prefix.push((site, taken));
-                    marked.push(prefix);
-                }
-            }
-        }
-    }
-    if marked.is_empty() {
-        return; // natural exploration covered everything this seed
-    }
-    let all_paths = exhaustive_paths(&s.program);
-    for m in &marked {
-        assert!(
-            !all_paths.iter().any(|p| p.starts_with(m)),
-            "arm marked infeasible but reachable: {m:?}"
-        );
-    }
-    // The assembled proofs must also verify after all that marking.
-    for cert in assemble(tree) {
-        verify(&cert, tree).expect("verifies");
     }
 }
 
