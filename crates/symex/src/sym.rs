@@ -193,6 +193,67 @@ struct SymState {
     touched: Vec<bool>,
 }
 
+impl SymState {
+    /// The unit at its entry: locals zero, globals zero or (relaxed
+    /// consistency) unconstrained symbols.
+    fn initial(program: &Program, config: &SymConfig, symbolic_globals: bool) -> SymState {
+        let mut pool = SymbolPool::new(program.n_inputs);
+        let mut globals = vec![Expr::Const(0); program.n_globals as usize];
+        if symbolic_globals {
+            globals.iter_mut().for_each(|g| *g = pool.fresh());
+        }
+        SymState {
+            block: 0,
+            stmt: 0,
+            locals: vec![Expr::Const(0); program.n_locals as usize],
+            globals,
+            held: BTreeSet::new(),
+            constraints: Vec::new(),
+            decisions: Vec::new(),
+            loop_visits: HashMap::new(),
+            steps: 0,
+            pool,
+            box_: config.input_box.clone(),
+            touched: vec![false; program.n_globals as usize],
+        }
+    }
+
+    fn slot(&mut self, place: Place) -> &mut Expr {
+        match place {
+            Place::Local(l) => &mut self.locals[l.index()],
+            Place::Global(g) => &mut self.globals[g.index()],
+        }
+    }
+
+    fn residual(&mut self, e: &Expr) -> Expr {
+        subst(e, &self.locals, &self.globals, &mut self.pool)
+    }
+}
+
+/// Per global: a thread other than `unit` writes it.
+fn shared_globals(program: &Program, unit: ThreadId) -> Vec<bool> {
+    let mut shared = vec![false; program.n_globals as usize];
+    let others = program
+        .threads
+        .iter()
+        .enumerate()
+        .filter(|(t, _)| *t != unit.index());
+    for stmt in others.flat_map(|(_, body)| body.blocks.iter().flat_map(|b| &b.stmts)) {
+        let (Stmt::Assign(place, _) | Stmt::Syscall { ret: place, .. }) = stmt else {
+            continue;
+        };
+        if let Place::Global(g) = place {
+            shared[g.index()] = true;
+        }
+    }
+    shared
+}
+
+/// The conjunct "`expr` is truthy" (`want`) or falsy.
+fn conjunct(expr: Expr, want: bool) -> Constraint {
+    Constraint { expr, want }
+}
+
 /// Pushes `c` onto the state's path condition, refining the state's
 /// input box. Returns `false` when the addition is provably infeasible
 /// (the caller drops the state/fork).
@@ -216,7 +277,7 @@ fn push_constraint(state: &mut SymState, c: Constraint) -> bool {
 ///   more than one thread.
 /// * [`SymexError::BadThread`] — relaxed mode naming a missing thread.
 pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, SymexError> {
-    let (thread, symbolic_globals) = match config.consistency {
+    let (thread, relaxed) = match config.consistency {
         Consistency::Strict => {
             if program.threads.len() != 1 {
                 return Err(SymexError::MultiThreadedStrict);
@@ -230,68 +291,16 @@ pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, Sym
             (t, true)
         }
     };
-
-    let mut pool = SymbolPool::new(program.n_inputs);
-    let globals: Vec<Expr> = (0..program.n_globals)
-        .map(|_| {
-            if symbolic_globals {
-                pool.fresh()
-            } else {
-                Expr::Const(0)
-            }
-        })
-        .collect();
-    let initial = SymState {
-        block: 0,
-        stmt: 0,
-        locals: vec![Expr::Const(0); program.n_locals as usize],
-        globals,
-        held: BTreeSet::new(),
-        constraints: Vec::new(),
-        decisions: Vec::new(),
-        loop_visits: HashMap::new(),
-        steps: 0,
-        pool,
-        box_: config.input_box.clone(),
-        touched: vec![false; program.n_globals as usize],
-    };
-
-    // Under relaxed consistency, the globals another thread writes.
-    let mut shared = Vec::new();
-    if symbolic_globals {
-        shared = vec![false; program.n_globals as usize];
-        let others = (program.threads.iter().enumerate()).filter(|(t, _)| *t != thread.index());
-        for (_, body) in others {
-            for stmt in body.blocks.iter().flat_map(|b| &b.stmts) {
-                if let Stmt::Assign(Place::Global(g), _)
-                | Stmt::Syscall {
-                    ret: Place::Global(g),
-                    ..
-                } = stmt
-                {
-                    shared[g.index()] = true;
-                }
-            }
-        }
+    let mut engine = Engine::new(program, thread, config);
+    if relaxed {
+        engine.shared = shared_globals(program, thread);
     }
-    let mut engine = Engine {
-        program,
-        thread,
-        config,
-        shared,
-        stats: ExploreStats::default(),
-        paths: Vec::new(),
-    };
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(config.exploration_seed);
-    let mut stack = vec![initial];
-    while !stack.is_empty() {
-        if engine.paths.len() >= config.max_paths {
-            break;
-        }
-        let idx = rng.gen_range(0..stack.len());
-        let state = stack.swap_remove(idx);
+    let mut stack = vec![SymState::initial(program, config, relaxed)];
+    while !stack.is_empty() && engine.paths.len() < config.max_paths {
+        let state = stack.swap_remove(rng.gen_range(0..stack.len()));
         engine.run_state(state, &mut stack);
     }
     engine.stats.paths = engine.paths.len() as u64;
@@ -301,368 +310,24 @@ pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, Sym
     })
 }
 
-struct Engine<'a> {
-    program: &'a Program,
-    thread: ThreadId,
-    config: &'a SymConfig,
-    /// Per global: another thread writes it (empty under strict
-    /// consistency).
-    shared: Vec<bool>,
-    stats: ExploreStats,
-    paths: Vec<SymPath>,
-}
-
-impl Engine<'_> {
-    fn loc(&self, state: &SymState) -> Loc {
-        Loc {
-            thread: self.thread,
-            block: BlockId::new(state.block),
-            stmt: state.stmt,
-        }
-    }
-
-    fn finish(&mut self, state: SymState, outcome: SymOutcome) {
-        if matches!(outcome, SymOutcome::Truncated) {
-            self.stats.truncated += 1;
-        }
-        self.paths.push(SymPath {
-            decisions: state.decisions,
-            constraints: state.constraints,
-            outcome,
-            n_symbols: state.pool.width(),
-        });
-    }
-
-    /// Relaxed consistency lets another thread write a shared global
-    /// between any two steps of the unit, so a step that reads one the
-    /// unit has read or written before sees a fresh symbol. One step's
-    /// reads of a global agree, as in the interpreter.
-    fn reread_shared(&self, state: &mut SymState, reads: &Expr, writes: Option<Place>) {
-        if self.shared.is_empty() {
-            return;
-        }
-        let mut read = Vec::new();
-        reads.visit(&mut |e| {
-            if let Expr::Load(Place::Global(g)) = e {
-                if self.shared[g.index()] && !read.contains(g) {
-                    read.push(*g);
-                }
-            }
-        });
-        for g in read {
-            if std::mem::replace(&mut state.touched[g.index()], true) {
-                state.globals[g.index()] = state.pool.fresh();
-            }
-        }
-        if let Some(Place::Global(g)) = writes {
-            state.touched[g.index()] = true;
-        }
-    }
-
-    /// Handles possible division faults inside `expr`: emits crash forks
-    /// for symbolically-zero divisors and constrains the surviving state.
-    /// Returns `false` when the main state itself definitely crashes.
-    fn divisor_forks(&mut self, state: &mut SymState, expr: &Expr, kind_rem: bool) -> bool {
-        let mut divisors: Vec<(Expr, bool)> = Vec::new();
-        expr.visit(&mut |e| {
-            if let Expr::Bin(op @ (BinOp::Div | BinOp::Rem), _, d) = e {
-                divisors.push(((**d).clone(), *op == BinOp::Rem));
-            }
-        });
-        let _ = kind_rem;
-        for (d, is_rem) in divisors {
-            let residual = subst(&d, &state.locals, &state.globals, &mut state.pool);
-            match residual {
-                Expr::Const(0) => {
-                    let loc = self.loc(state);
-                    self.finish(
-                        state.clone(),
-                        SymOutcome::Crash {
-                            loc,
-                            kind: if is_rem {
-                                CrashKind::RemByZero
-                            } else {
-                                CrashKind::DivByZero
-                            },
-                        },
-                    );
-                    return false;
-                }
-                Expr::Const(_) => {}
-                _ => {
-                    // Fork: divisor could be zero.
-                    let crash_c = Constraint {
-                        expr: residual.clone(),
-                        want: false,
-                    };
-                    let mut crash = state.clone();
-                    if push_constraint(&mut crash, crash_c) {
-                        self.stats.forks += 1;
-                        let loc = self.loc(&crash);
-                        self.finish(
-                            crash,
-                            SymOutcome::Crash {
-                                loc,
-                                kind: if is_rem {
-                                    CrashKind::RemByZero
-                                } else {
-                                    CrashKind::DivByZero
-                                },
-                            },
-                        );
-                    } else {
-                        self.stats.pruned += 1;
-                    }
-                    // The surviving path requires a nonzero divisor; a
-                    // contradiction here means the path itself is dead.
-                    if !push_constraint(
-                        state,
-                        Constraint {
-                            expr: residual,
-                            want: true,
-                        },
-                    ) {
-                        self.stats.pruned += 1;
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Runs one state until it forks (children pushed to `stack`) or
-    /// terminates (path recorded).
-    fn run_state(&mut self, mut state: SymState, stack: &mut Vec<SymState>) {
-        loop {
-            if state.steps >= self.config.max_steps {
-                self.finish(state, SymOutcome::Truncated);
-                return;
-            }
-            state.steps += 1;
-            let blk = &self.program.threads[self.thread.index()].blocks[state.block as usize];
-            if (state.stmt as usize) < blk.stmts.len() {
-                let stmt = blk.stmts[state.stmt as usize].clone();
-                match stmt {
-                    Stmt::Assign(place, e) => {
-                        self.reread_shared(&mut state, &e, Some(place));
-                        if !self.divisor_forks(&mut state, &e, false) {
-                            return;
-                        }
-                        let r = subst(&e, &state.locals, &state.globals, &mut state.pool);
-                        match place {
-                            softborg_program::expr::Place::Local(l) => {
-                                state.locals[l.index()] = r;
-                            }
-                            softborg_program::expr::Place::Global(g) => {
-                                state.globals[g.index()] = r;
-                            }
-                        }
-                    }
-                    Stmt::Lock(l) => {
-                        if state.held.contains(&l) {
-                            self.finish(state, SymOutcome::Deadlock);
-                            return;
-                        }
-                        state.held.insert(l);
-                    }
-                    Stmt::Unlock(l) => {
-                        if !state.held.remove(&l) {
-                            let loc = self.loc(&state);
-                            self.finish(
-                                state,
-                                SymOutcome::Crash {
-                                    loc,
-                                    kind: CrashKind::UnlockNotHeld,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    Stmt::Syscall { kind, arg, ret } => {
-                        self.reread_shared(&mut state, &arg, Some(ret));
-                        if !self.divisor_forks(&mut state, &arg, false) {
-                            return;
-                        }
-                        let arg_r = subst(&arg, &state.locals, &state.globals, &mut state.pool);
-                        let sym = state.pool.fresh();
-                        if kind == SyscallKind::Read {
-                            let _ = push_constraint(
-                                &mut state,
-                                Constraint {
-                                    expr: Expr::bin(BinOp::Ge, sym.clone(), Expr::Const(0)),
-                                    want: true,
-                                },
-                            );
-                            if let Expr::Const(n) = arg_r {
-                                let _ = push_constraint(
-                                    &mut state,
-                                    Constraint {
-                                        expr: Expr::bin(
-                                            BinOp::Le,
-                                            sym.clone(),
-                                            Expr::Const(n.max(0)),
-                                        ),
-                                        want: true,
-                                    },
-                                );
-                            }
-                        }
-                        match ret {
-                            softborg_program::expr::Place::Local(l) => {
-                                state.locals[l.index()] = sym;
-                            }
-                            softborg_program::expr::Place::Global(g) => {
-                                state.globals[g.index()] = sym;
-                            }
-                        }
-                    }
-                    Stmt::Assert(e) => {
-                        self.reread_shared(&mut state, &e, None);
-                        if !self.divisor_forks(&mut state, &e, false) {
-                            return;
-                        }
-                        let r = subst(&e, &state.locals, &state.globals, &mut state.pool);
-                        match r {
-                            Expr::Const(0) => {
-                                let loc = self.loc(&state);
-                                self.finish(
-                                    state,
-                                    SymOutcome::Crash {
-                                        loc,
-                                        kind: CrashKind::AssertFailed,
-                                    },
-                                );
-                                return;
-                            }
-                            Expr::Const(_) => {}
-                            _ => {
-                                let crash_c = Constraint {
-                                    expr: r.clone(),
-                                    want: false,
-                                };
-                                let mut crash = state.clone();
-                                if push_constraint(&mut crash, crash_c) {
-                                    self.stats.forks += 1;
-                                    let loc = self.loc(&crash);
-                                    self.finish(
-                                        crash,
-                                        SymOutcome::Crash {
-                                            loc,
-                                            kind: CrashKind::AssertFailed,
-                                        },
-                                    );
-                                } else {
-                                    self.stats.pruned += 1;
-                                }
-                                if !push_constraint(
-                                    &mut state,
-                                    Constraint {
-                                        expr: r,
-                                        want: true,
-                                    },
-                                ) {
-                                    self.stats.pruned += 1;
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    Stmt::Emit(e) => {
-                        self.reread_shared(&mut state, &e, None);
-                        if !self.divisor_forks(&mut state, &e, false) {
-                            return;
-                        }
-                    }
-                    Stmt::Yield => {}
-                }
-                state.stmt += 1;
-                continue;
-            }
-
-            // Terminator.
-            match blk.term.clone() {
-                Terminator::Goto(b) => {
-                    state.block = b.0;
-                    state.stmt = 0;
-                }
-                Terminator::Exit => {
-                    self.finish(state, SymOutcome::Success);
-                    return;
-                }
-                Terminator::Branch {
-                    site,
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    let visits = state.loop_visits.entry(state.block).or_insert(0);
-                    *visits += 1;
-                    if *visits > self.config.max_loop_iters {
-                        self.finish(state, SymOutcome::Truncated);
-                        return;
-                    }
-                    self.reread_shared(&mut state, &cond, None);
-                    if !self.divisor_forks(&mut state, &cond, false) {
-                        return;
-                    }
-                    let r = subst(&cond, &state.locals, &state.globals, &mut state.pool);
-                    match r {
-                        Expr::Const(c) => {
-                            let taken = c != 0;
-                            state.decisions.push((site, taken));
-                            state.block = if taken { then_bb.0 } else { else_bb.0 };
-                            state.stmt = 0;
-                        }
-                        _ => {
-                            self.stats.forks += 1;
-                            let mut arms = Vec::new();
-                            for taken in [false, true] {
-                                let c = Constraint {
-                                    expr: r.clone(),
-                                    want: taken,
-                                };
-                                let mut child = state.clone();
-                                if push_constraint(&mut child, c) {
-                                    child.decisions.push((site, taken));
-                                    child.block = if taken { then_bb.0 } else { else_bb.0 };
-                                    child.stmt = 0;
-                                    arms.push(child);
-                                } else {
-                                    self.stats.pruned += 1;
-                                }
-                            }
-                            match arms.len() {
-                                0 => {
-                                    // Both arms filtered: the whole path
-                                    // condition is contradictory; drop it.
-                                    return;
-                                }
-                                1 => {
-                                    state = arms.pop().expect("one arm");
-                                    continue;
-                                }
-                                _ => {
-                                    // DFS: push else-arm, continue with
-                                    // then-arm.
-                                    let then_arm = arms.pop().expect("two arms");
-                                    stack.push(arms.pop().expect("two arms"));
-                                    state = then_arm;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Directed execution: follow `prefix` decision-for-decision, then
-/// constrain the next branch (which must be at `site`) to go `taken`, and
-/// solve. Returns the feasibility of the arm — `Feasible(model)` yields
-/// concrete guidance inputs in the first `n_inputs` entries.
+/// Directed execution: follows `prefix` decision for decision, then asks
+/// whether the next branch, which must be at `site`, can go `taken`.
+/// `Feasible(model)` carries guidance inputs in its first `n_inputs`
+/// entries.
+///
+/// This is a *follow* run of [`explore`]'s engine under strict
+/// consistency. At each branch it takes the prefix's arm, adding it to
+/// the path condition when the condition is symbolic; a branch at
+/// another site, a constant condition that goes the other way, or the
+/// thread's exit is [`SymexError::PrefixMismatch`]. Every crash point is
+/// survived: symbolic divisors (in `Emit` and `Syscall` arguments too)
+/// and assertions add "nonzero", while definite crashes, self-deadlock
+/// and unlock-not-held let the run go on. Loop headers are not counted;
+/// the step budget is `max(max_steps, 50 × prefix.len())`, and running
+/// out of it is [`Feasibility::Unknown`]. A path condition that
+/// contradicted itself on the way is [`Feasibility::Infeasible`] at the
+/// target; otherwise the target arm is added and [`solve::check`] decides
+/// over `config.input_box`.
 ///
 /// Only defined for single-threaded programs (a tree prefix of a
 /// multi-threaded program bakes in a schedule the executor cannot
@@ -683,173 +348,325 @@ pub fn arm_feasibility(
     if program.threads.len() != 1 {
         return Err(SymexError::MultiThreadedStrict);
     }
-    let pool = SymbolPool::new(program.n_inputs);
-    let globals: Vec<Expr> = (0..program.n_globals).map(|_| Expr::Const(0)).collect();
-    let mut state = SymState {
-        block: 0,
-        stmt: 0,
-        locals: vec![Expr::Const(0); program.n_locals as usize],
-        globals,
-        held: BTreeSet::new(),
-        constraints: Vec::new(),
-        decisions: Vec::new(),
-        loop_visits: HashMap::new(),
-        steps: 0,
-        pool,
-        box_: config.input_box.clone(),
-        touched: Vec::new(),
-    };
-    let body = &program.threads[0];
-    let mut consumed = 0usize;
-    let max_steps = config.max_steps.max(prefix.len() as u64 * 50);
+    let mut engine = Engine::new(program, ThreadId::new(0), config);
+    engine.max_steps = config.max_steps.max(prefix.len() as u64 * 50);
+    engine.follow = Some([prefix, &[(site, taken)]].concat());
+    engine.run_state(SymState::initial(program, config, false), &mut Vec::new());
+    engine.verdict.expect("a follow run ends with a verdict")
+}
 
-    loop {
-        if state.steps >= max_steps {
-            return Ok(Feasibility::Unknown);
+struct Engine<'a> {
+    program: &'a Program,
+    thread: ThreadId,
+    config: &'a SymConfig,
+    max_steps: u64,
+    /// Per global: another thread writes it (relaxed runs only).
+    shared: Vec<bool>,
+    /// A follow run's arms ([`arm_feasibility`]): the prefix, then the
+    /// target.
+    follow: Option<Vec<(BranchSiteId, bool)>>,
+    /// A follow run's verdict so far: `Infeasible` once its path condition
+    /// contradicts itself, until a mismatch, the budget or the target
+    /// settles it.
+    verdict: Option<Result<Feasibility, SymexError>>,
+    stats: ExploreStats,
+    paths: Vec<SymPath>,
+}
+
+impl<'a> Engine<'a> {
+    /// An [`explore`] run of `thread` under strict consistency.
+    fn new(program: &'a Program, thread: ThreadId, config: &'a SymConfig) -> Self {
+        Engine {
+            program,
+            thread,
+            config,
+            max_steps: config.max_steps,
+            shared: Vec::new(),
+            follow: None,
+            verdict: None,
+            stats: ExploreStats::default(),
+            paths: Vec::new(),
         }
-        state.steps += 1;
-        let blk = &body.blocks[state.block as usize];
-        if (state.stmt as usize) < blk.stmts.len() {
-            let stmt = blk.stmts[state.stmt as usize].clone();
-            match stmt {
-                Stmt::Assign(place, e) => {
-                    push_divisor_constraints(&mut state, &e);
-                    let r = subst(&e, &state.locals, &state.globals, &mut state.pool);
-                    match place {
-                        softborg_program::expr::Place::Local(l) => state.locals[l.index()] = r,
-                        softborg_program::expr::Place::Global(g) => state.globals[g.index()] = r,
-                    }
-                }
-                Stmt::Lock(l) => {
-                    state.held.insert(l);
-                }
-                Stmt::Unlock(l) => {
-                    state.held.remove(&l);
-                }
-                Stmt::Syscall { kind, arg, ret } => {
-                    let arg_r = subst(&arg, &state.locals, &state.globals, &mut state.pool);
-                    let sym = state.pool.fresh();
-                    if kind == SyscallKind::Read {
-                        state.constraints.push(Constraint {
-                            expr: Expr::bin(BinOp::Ge, sym.clone(), Expr::Const(0)),
-                            want: true,
-                        });
-                        if let Expr::Const(n) = arg_r {
-                            state.constraints.push(Constraint {
-                                expr: Expr::bin(BinOp::Le, sym.clone(), Expr::Const(n.max(0))),
-                                want: true,
-                            });
-                        }
-                    }
-                    match ret {
-                        softborg_program::expr::Place::Local(l) => state.locals[l.index()] = sym,
-                        softborg_program::expr::Place::Global(g) => state.globals[g.index()] = sym,
-                    }
-                }
-                Stmt::Assert(e) => {
-                    push_divisor_constraints(&mut state, &e);
-                    let r = subst(&e, &state.locals, &state.globals, &mut state.pool);
-                    if !matches!(r, Expr::Const(_)) {
-                        state.constraints.push(Constraint {
-                            expr: r,
-                            want: true,
-                        });
-                    }
-                }
-                Stmt::Emit(_) | Stmt::Yield => {}
-            }
-            state.stmt += 1;
-            continue;
+    }
+
+    fn loc(&self, state: &SymState) -> Loc {
+        Loc {
+            thread: self.thread,
+            block: BlockId::new(state.block),
+            stmt: state.stmt,
         }
-        match blk.term.clone() {
-            Terminator::Goto(b) => {
-                state.block = b.0;
-                state.stmt = 0;
-            }
-            Terminator::Exit => {
-                // Ran out of program before reaching the target arm.
-                return Err(SymexError::PrefixMismatch { at: consumed });
-            }
-            Terminator::Branch {
-                site: here,
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                push_divisor_constraints(&mut state, &cond);
-                let r = subst(&cond, &state.locals, &state.globals, &mut state.pool);
-                if consumed < prefix.len() {
-                    let (want_site, want_taken) = prefix[consumed];
-                    if want_site != here {
-                        return Err(SymexError::PrefixMismatch { at: consumed });
-                    }
-                    match &r {
-                        Expr::Const(c) => {
-                            if (*c != 0) != want_taken {
-                                return Err(SymexError::PrefixMismatch { at: consumed });
-                            }
-                        }
-                        _ => state.constraints.push(Constraint {
-                            expr: r.clone(),
-                            want: want_taken,
-                        }),
-                    }
-                    consumed += 1;
-                    state.block = if want_taken { then_bb.0 } else { else_bb.0 };
-                    state.stmt = 0;
-                } else {
-                    // Target branch.
-                    if here != site {
-                        return Err(SymexError::PrefixMismatch { at: consumed });
-                    }
-                    match &r {
-                        Expr::Const(c) => {
-                            return Ok(if (*c != 0) == taken {
-                                solve::check(
-                                    &state.constraints,
-                                    &config.input_box,
-                                    state.pool.width(),
-                                    config.solve_budget,
-                                )
-                            } else {
-                                Feasibility::Infeasible
-                            });
-                        }
-                        _ => {
-                            state.constraints.push(Constraint {
-                                expr: r.clone(),
-                                want: taken,
-                            });
-                            return Ok(solve::check(
-                                &state.constraints,
-                                &config.input_box,
-                                state.pool.width(),
-                                config.solve_budget,
-                            ));
-                        }
+    }
+
+    /// The path ends here with `outcome`. Returns whether the run stops:
+    /// [`explore`] records the path, while a follow run survives crashes
+    /// and deadlocks and stops only at the step budget or the thread's
+    /// exit, which it turns into its verdict.
+    fn end(&mut self, state: &mut SymState, outcome: SymOutcome) -> bool {
+        if self.follow.is_some() {
+            let at = state.decisions.len();
+            self.verdict = Some(match outcome {
+                SymOutcome::Truncated => Ok(Feasibility::Unknown),
+                SymOutcome::Success => Err(SymexError::PrefixMismatch { at }),
+                SymOutcome::Crash { .. } | SymOutcome::Deadlock => return false,
+            });
+            return true;
+        }
+        self.stats.truncated += u64::from(outcome == SymOutcome::Truncated);
+        self.paths.push(SymPath {
+            decisions: std::mem::take(&mut state.decisions),
+            constraints: std::mem::take(&mut state.constraints),
+            outcome,
+            n_symbols: state.pool.width(),
+        });
+        true
+    }
+
+    /// Adds `c` to the path condition. Returns whether the state goes on:
+    /// a contradiction ends an explored path, while a follow run goes on
+    /// with its prefix known infeasible.
+    fn require(&mut self, state: &mut SymState, c: Constraint) -> bool {
+        if push_constraint(state, c) {
+            return true;
+        }
+        self.stats.pruned += 1;
+        if self.follow.is_some() {
+            self.verdict = Some(Ok(Feasibility::Infeasible));
+        }
+        self.follow.is_some()
+    }
+
+    /// A crash point: the state survives where `residual` is nonzero.
+    /// [`explore`] records the crash (forked off when `residual` is
+    /// symbolic); a follow run builds no crash arm. Returns whether the
+    /// state goes on.
+    fn crash_point(&mut self, state: &mut SymState, residual: Expr, kind: CrashKind) -> bool {
+        let loc = self.loc(state);
+        match residual {
+            Expr::Const(0) => !self.end(state, SymOutcome::Crash { loc, kind }),
+            Expr::Const(_) => true,
+            _ => {
+                if self.follow.is_none() {
+                    let mut crash = state.clone();
+                    if push_constraint(&mut crash, conjunct(residual.clone(), false)) {
+                        self.stats.forks += 1;
+                        self.end(&mut crash, SymOutcome::Crash { loc, kind });
+                    } else {
+                        self.stats.pruned += 1;
                     }
                 }
+                self.require(state, conjunct(residual, true))
             }
         }
     }
-}
 
-/// Adds "divisors along this expression are nonzero" constraints (the
-/// prefix path survived, so its divisions did not fault).
-fn push_divisor_constraints(state: &mut SymState, e: &Expr) {
-    let mut divisors: Vec<Expr> = Vec::new();
-    e.visit(&mut |x| {
-        if let Expr::Bin(BinOp::Div | BinOp::Rem, _, d) = x {
-            divisors.push((**d).clone());
-        }
-    });
-    for d in divisors {
-        let r = subst(&d, &state.locals, &state.globals, &mut state.pool);
-        if !matches!(r, Expr::Const(_)) {
-            state.constraints.push(Constraint {
-                expr: r,
-                want: true,
+    /// Every division in `expr`, in evaluation order, is a crash point.
+    fn divisors(&mut self, state: &mut SymState, expr: &Expr) -> bool {
+        let mut divisors = Vec::new();
+        expr.visit(&mut |e| match e {
+            Expr::Bin(BinOp::Div, _, d) => divisors.push(((**d).clone(), CrashKind::DivByZero)),
+            Expr::Bin(BinOp::Rem, _, d) => divisors.push(((**d).clone(), CrashKind::RemByZero)),
+            _ => {}
+        });
+        divisors.into_iter().all(|(d, kind)| {
+            let residual = state.residual(&d);
+            self.crash_point(state, residual, kind)
+        })
+    }
+
+    /// Relaxed consistency lets another thread write a shared global
+    /// between any two steps of the unit, so a step that reads one the
+    /// unit has read or written before sees a fresh symbol. One step's
+    /// reads of a global agree, as in the interpreter. Then the step's
+    /// divisions are crash points; returns whether the state goes on.
+    fn operands(&mut self, state: &mut SymState, reads: &Expr, writes: Option<Place>) -> bool {
+        if !self.shared.is_empty() {
+            let mut read = Vec::new();
+            reads.visit(&mut |e| {
+                if let Expr::Load(Place::Global(g)) = e {
+                    if self.shared[g.index()] && !read.contains(g) {
+                        read.push(*g);
+                    }
+                }
             });
+            for g in read {
+                if std::mem::replace(&mut state.touched[g.index()], true) {
+                    state.globals[g.index()] = state.pool.fresh();
+                }
+            }
+            if let Some(Place::Global(g)) = writes {
+                state.touched[g.index()] = true;
+            }
+        }
+        self.divisors(state, reads)
+    }
+
+    /// One statement. Returns whether the state goes on.
+    fn step(&mut self, state: &mut SymState, stmt: &Stmt) -> bool {
+        match stmt {
+            Stmt::Assign(place, e) => {
+                if !self.operands(state, e, Some(*place)) {
+                    return false;
+                }
+                *state.slot(*place) = state.residual(e);
+            }
+            Stmt::Lock(l) => {
+                if !state.held.insert(*l) {
+                    return !self.end(state, SymOutcome::Deadlock);
+                }
+            }
+            Stmt::Unlock(l) => {
+                if !state.held.remove(l) {
+                    let loc = self.loc(state);
+                    let kind = CrashKind::UnlockNotHeld;
+                    return !self.end(state, SymOutcome::Crash { loc, kind });
+                }
+            }
+            Stmt::Syscall { kind, arg, ret } => {
+                if !self.operands(state, arg, Some(*ret)) {
+                    return false;
+                }
+                let arg = state.residual(arg);
+                let sym = state.pool.fresh();
+                if *kind == SyscallKind::Read {
+                    let at_least = Expr::bin(BinOp::Ge, sym.clone(), Expr::Const(0));
+                    let _ = push_constraint(state, conjunct(at_least, true));
+                    if let Expr::Const(n) = arg {
+                        let at_most = Expr::bin(BinOp::Le, sym.clone(), Expr::Const(n.max(0)));
+                        let _ = push_constraint(state, conjunct(at_most, true));
+                    }
+                }
+                *state.slot(*ret) = sym;
+            }
+            Stmt::Assert(e) => {
+                if !self.operands(state, e, None) {
+                    return false;
+                }
+                let r = state.residual(e);
+                return self.crash_point(state, r, CrashKind::AssertFailed);
+            }
+            Stmt::Emit(e) => return self.operands(state, e, None),
+            Stmt::Yield => {}
+        }
+        true
+    }
+
+    /// A follow run at the branch at `site` with residual condition `r`:
+    /// the prefix's arm, or `None` once the run has its verdict (a
+    /// mismatch, or the target).
+    fn follow_arm(&mut self, state: &mut SymState, site: BranchSiteId, r: Expr) -> Option<bool> {
+        let arms = self.follow.as_ref().expect("a follow run");
+        let at = state.decisions.len();
+        let (target, (want_site, want)) = (at + 1 == arms.len(), arms[at]);
+        let constant = match r {
+            Expr::Const(c) => Some(c != 0),
+            _ => None,
+        };
+        if want_site != site || (!target && constant.is_some_and(|c| c != want)) {
+            self.verdict = Some(Err(SymexError::PrefixMismatch { at }));
+            return None;
+        }
+        if !target {
+            if constant.is_none() {
+                self.require(state, conjunct(r, want));
+            }
+            return Some(want);
+        }
+        if self.verdict.is_none() {
+            self.verdict = Some(Ok(if constant.is_some_and(|c| c != want) {
+                Feasibility::Infeasible
+            } else {
+                if constant.is_none() {
+                    state.constraints.push(conjunct(r, want));
+                }
+                let (box_, budget) = (&self.config.input_box, self.config.solve_budget);
+                solve::check(&state.constraints, box_, state.pool.width(), budget)
+            }));
+        }
+        None
+    }
+
+    /// Runs one state until it forks (children pushed to `stack`) or its
+    /// path ends; a follow run runs until its verdict.
+    fn run_state(&mut self, mut state: SymState, stack: &mut Vec<SymState>) {
+        let program = self.program;
+        let body = &program.threads[self.thread.index()];
+        loop {
+            if state.steps >= self.max_steps {
+                self.end(&mut state, SymOutcome::Truncated);
+                return;
+            }
+            state.steps += 1;
+            let blk = &body.blocks[state.block as usize];
+            if let Some(stmt) = blk.stmts.get(state.stmt as usize) {
+                if !self.step(&mut state, stmt) {
+                    return;
+                }
+                state.stmt += 1;
+                continue;
+            }
+            let (site, cond, then_bb, else_bb) = match &blk.term {
+                Terminator::Goto(b) => {
+                    state.block = b.0;
+                    state.stmt = 0;
+                    continue;
+                }
+                Terminator::Exit => {
+                    self.end(&mut state, SymOutcome::Success);
+                    return;
+                }
+                Terminator::Branch {
+                    site,
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => (*site, cond, then_bb.0, else_bb.0),
+            };
+            if self.follow.is_none() {
+                let visits = state.loop_visits.entry(state.block).or_insert(0);
+                *visits += 1;
+                if *visits > self.config.max_loop_iters {
+                    self.end(&mut state, SymOutcome::Truncated);
+                    return;
+                }
+            }
+            if !self.operands(&mut state, cond, None) {
+                return;
+            }
+            let r = state.residual(cond);
+            let taken = if self.follow.is_some() {
+                let Some(taken) = self.follow_arm(&mut state, site, r) else {
+                    return;
+                };
+                taken
+            } else if let Expr::Const(c) = r {
+                c != 0
+            } else {
+                // Fork: the else-arm waits on the worklist, the state
+                // goes on down the then-arm; an arm whose condition
+                // contradicts the path is dropped.
+                self.stats.forks += 1;
+                let mut else_arm = state.clone();
+                let else_ok = push_constraint(&mut else_arm, conjunct(r.clone(), false));
+                let then_ok = push_constraint(&mut state, conjunct(r, true));
+                self.stats.pruned += u64::from(!else_ok) + u64::from(!then_ok);
+                match (then_ok, else_ok) {
+                    (false, false) => return,
+                    (false, true) => {
+                        state = else_arm;
+                        false
+                    }
+                    (true, false) => true,
+                    (true, true) => {
+                        else_arm.decisions.push((site, false));
+                        (else_arm.block, else_arm.stmt) = (else_bb, 0);
+                        stack.push(else_arm);
+                        true
+                    }
+                }
+            };
+            state.decisions.push((site, taken));
+            state.block = if taken { then_bb } else { else_bb };
+            state.stmt = 0;
         }
     }
 }
@@ -1056,6 +873,24 @@ mod tests {
         assert_eq!(f, Feasibility::Infeasible);
         let t = arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap();
         assert!(t.is_feasible());
+
+        // emit(1 / in0); if (in0 == 0) …: the run past the emit carries
+        // in0 ≠ 0, so the then-arm is infeasible.
+        let mut pb = ProgramBuilder::new("emit-divides");
+        pb.inputs(1);
+        pb.thread(|t| {
+            t.emit(Expr::bin(BinOp::Div, Expr::Const(1), Expr::input(0)));
+            t.if_then(Expr::eq(Expr::input(0), Expr::Const(0)), |t| {
+                t.emit(Expr::Const(0));
+            });
+        });
+        let p = pb.build().unwrap();
+        let site = p.branch_sites()[0].0;
+        let f = arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap();
+        assert_eq!(f, Feasibility::Infeasible);
+        assert!(arm_feasibility(&p, &[], site, false, &cfg(1, 0, 9))
+            .unwrap()
+            .is_feasible());
     }
 
     #[test]
@@ -1077,6 +912,51 @@ mod tests {
                 assert_eq!(m[0], 13);
                 assert!(m[1] >= 90);
             }
+            o => panic!("{o:?}"),
+        }
+
+        // A follow run survives crashes: past an assert the program always
+        // fails, the next branch is still reached.
+        use softborg_program::builder::ProgramBuilder;
+        let mut pb = ProgramBuilder::new("always-fails");
+        pb.inputs(1);
+        pb.thread(|t| {
+            t.assert_(Expr::Const(0));
+            t.if_then(Expr::lt(Expr::input(0), Expr::Const(5)), |t| {
+                t.emit(Expr::Const(1));
+            });
+        });
+        let p = pb.build().unwrap();
+        let site = p.branch_sites()[0].0;
+        assert_eq!(explore(&p, &cfg(1, 0, 9)).unwrap().paths.len(), 1);
+        match arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap() {
+            Feasibility::Feasible(m) => assert!(m[0] < 5),
+            o => panic!("{o:?}"),
+        }
+
+        // Nor is it cut at `max_loop_iters` header visits: six turns of a
+        // loop, then a branch on the input.
+        let mut pb = ProgramBuilder::new("six-turns");
+        pb.inputs(1).locals(1);
+        pb.thread(|t| {
+            t.while_loop(Expr::lt(Expr::local(0), Expr::Const(6)), |t| {
+                t.assign(
+                    softborg_program::cfg::local(0),
+                    Expr::bin(BinOp::Add, Expr::local(0), Expr::Const(1)),
+                );
+            });
+            t.if_then(Expr::bin(BinOp::Gt, Expr::input(0), Expr::Const(3)), |t| {
+                t.emit(Expr::Const(1));
+            });
+        });
+        let p = pb.build().unwrap();
+        let (header, after) = (p.branch_sites()[0].0, p.branch_sites()[1].0);
+        let mut prefix = vec![(header, true); 6];
+        prefix.push((header, false));
+        let config = cfg(1, 0, 9);
+        assert!(prefix.len() as u32 > config.max_loop_iters);
+        match arm_feasibility(&p, &prefix, after, true, &config).unwrap() {
+            Feasibility::Feasible(m) => assert!(m[0] > 3),
             o => panic!("{o:?}"),
         }
     }
