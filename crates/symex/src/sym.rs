@@ -255,8 +255,8 @@ fn conjunct(expr: Expr, want: bool) -> Constraint {
 }
 
 /// Pushes `c` onto the state's path condition, refining the state's
-/// input box. Returns `false` when the addition is provably infeasible
-/// (the caller drops the state/fork).
+/// input box. Returns `false`, leaving the condition as it was, when the
+/// addition is provably infeasible.
 fn push_constraint(state: &mut SymState, c: Constraint) -> bool {
     if let Some((sym, iv)) = solve::refinement(&c) {
         if !solve::apply_refinement(&mut state.box_, sym, iv) {
