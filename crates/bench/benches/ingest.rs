@@ -1,6 +1,8 @@
 //! Criterion bench for the ingest engine (E14): serial
 //! per-trace ingest vs `Hive::ingest_batch` at several worker counts,
-//! with and without reconstruction recycling.
+//! with and without reconstruction recycling; and the batch frame codec
+//! on a frame of 30 distinct `record_processor` traces, the frame that
+//! has no repeat to drop (`explore_wide`'s case).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use softborg_hive::{Hive, HiveConfig};
@@ -59,5 +61,37 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest);
+fn bench_frame_codec(c: &mut Criterion) {
+    let s = scenarios::record_processor();
+    let mut pod = Pod::new(
+        &s.program,
+        PodConfig {
+            input_range: s.input_range,
+            seed: 2024,
+            ..PodConfig::default()
+        },
+    );
+    let mut distinct: Vec<ExecutionTrace> = Vec::new();
+    while distinct.len() < 30 {
+        let trace = pod.run_once().trace;
+        if !distinct.contains(&trace) {
+            distinct.push(trace);
+        }
+    }
+    let frame = wire::encode_batch(&distinct);
+    let mut group = c.benchmark_group("frame_codec");
+    group.throughput(Throughput::Elements(distinct.len() as u64));
+    group.bench_function("encode_30_distinct", |b| {
+        b.iter(|| wire::encode_batch(&distinct))
+    });
+    group.bench_function("decode_30_distinct", |b| {
+        b.iter(|| wire::decode_batch(&frame).expect("valid"))
+    });
+    group.bench_function("encode_decode_30_distinct", |b| {
+        b.iter(|| wire::decode_batch(&wire::encode_batch(&distinct)).expect("valid"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_ingest, bench_frame_codec);
 criterion_main!(benches);

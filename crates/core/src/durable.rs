@@ -23,6 +23,7 @@ use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
 use softborg_store::{ChainLoad, ChainReport, ChainStore, RecordKind};
+use softborg_trace::wire;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -260,6 +261,21 @@ pub(crate) fn refuse_legacy(dir: &Path, names: &[&str]) -> Result<(), Durability
         ))),
         None => Ok(()),
     }
+}
+
+/// Refuses a journaled frame in the older batch layout, one payload per
+/// execution: this build cannot fold it, and it is no damage to count
+/// and cut past.
+pub(crate) fn refuse_older_frame(rec: &JournalRecord) -> Result<(), DurabilityError> {
+    if rec.kind == REC_FRAME && wire::is_older_layout(&rec.frame) {
+        return Err(DurabilityError::Corrupt(format!(
+            "journal frame (lane {}, seq {}) is in the older one-payload-per-execution \
+             batch layout; this build reads only frames that carry each distinct trace \
+             once and cannot resume it",
+            rec.session, rec.seq
+        )));
+    }
+    Ok(())
 }
 
 /// Refuses a campaign root whose `shard-<i>` directories do not fit
@@ -609,7 +625,8 @@ pub(crate) struct Segment<'a> {
 ///
 /// # Errors
 ///
-/// [`DurabilityError::Corrupt`] on a record kind no platform journals.
+/// [`DurabilityError::Corrupt`] on a record kind no platform journals,
+/// and on a frame in the older batch layout.
 pub(crate) fn segments(
     records: &[JournalRecord],
     replay_from: usize,
@@ -619,7 +636,10 @@ pub(crate) fn segments(
     for (idx, rec) in records.iter().enumerate() {
         offset += rec.encoded_len();
         match rec.kind {
-            REC_FRAME => frames.push(rec),
+            REC_FRAME => {
+                refuse_older_frame(rec)?;
+                frames.push(rec);
+            }
             REC_PROMOTE => promotes.push(rec),
             REC_PODS => pods.push(rec),
             REC_TOMBSTONE => {} // transport-only; platforms journal no tombstones

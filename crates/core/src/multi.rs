@@ -30,13 +30,14 @@
 //! Older layouts are refused with their bytes untouched: a root holding
 //! `hive.wal`, `chain/` or `hive.snap` (the single-program layout), a
 //! shard holding `hive.snap`, a round record this codec cannot read, a
-//! pod-image `REC_PODS` body, or a checkpoint whose app-meta lacks this
+//! pod-image `REC_PODS` body, a frame in the older batch layout (one
+//! payload per execution), or a checkpoint whose app-meta lacks this
 //! layout's tag (round history inside checkpoints).
 
 use crate::durable::{
     put_promotion, read_app_metas, read_journal, read_promotion, read_round_log, refuse_legacy,
-    refuse_shard_count, segments, DurabilityConfig, DurabilityError, DurableStore, Recovered,
-    RoundLog, LEGACY_ROOT,
+    refuse_older_frame, refuse_shard_count, segments, DurabilityConfig, DurabilityError,
+    DurableStore, Recovered, RoundLog, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
@@ -913,8 +914,9 @@ impl<'p> MultiPlatform<'p> {
             (0..config.n_shards).map(|i| shard_cfg(root, i)).collect();
         // An older layout is not bit rot: refuse it before the scrub
         // writes anything — a round record this build cannot read, a
-        // pod-image `REC_PODS` body, a checkpoint without this layout's
-        // app-meta. Damage mid-round-log is refused too.
+        // pod-image `REC_PODS` body, a frame in the older batch layout, a
+        // checkpoint without this layout's app-meta. Damage mid-round-log
+        // is refused too.
         let log_bytes = read_round_log(&root.dir)?;
         let log = decode_round_log(&log_bytes)?;
         for shard in &shards {
@@ -922,7 +924,7 @@ impl<'p> MultiPlatform<'p> {
                 match rec.kind {
                     REC_ROUND => drop(MultiRoundReport::decode(&rec.frame)?),
                     REC_PODS => drop(fleet::decode_pod_deltas(&rec.frame)?),
-                    _ => {}
+                    _ => refuse_older_frame(&rec)?,
                 }
             }
             for meta in read_app_metas(&shard.dir)? {

@@ -124,6 +124,30 @@ pub fn plan(
     plan_with_crash_seeds(program, tree, config, &crash_seeds(program, config))
 }
 
+/// The top `k` arms by (finite) score, ties in frontier order (what a
+/// stable sort then truncate picks), kept ranked in one walk of the
+/// tree's frontier index. The rank is a total order, so the walk's order
+/// changes only how many arms are inserted.
+fn top_arms(tree: &ExecutionTree, k: usize) -> Vec<FrontierArm> {
+    let by_rank = |a: &FrontierArm, b: &FrontierArm| {
+        let key = |x: &FrontierArm| (x.node, x.site, x.missing_taken);
+        arm_score(b)
+            .total_cmp(&arm_score(a))
+            .then(key(a).cmp(&key(b)))
+    };
+    let mut top: Vec<FrontierArm> = Vec::new();
+    tree.for_each_frontier_arm_rev(|arm| {
+        // No room, or ranked below the last arm kept.
+        if top.len() == k && top.last().is_none_or(|last| by_rank(last, &arm).is_lt()) {
+            return;
+        }
+        let at = top.partition_point(|t| by_rank(t, &arm).is_lt());
+        top.insert(at, arm);
+        top.truncate(k);
+    });
+    top
+}
+
 /// [`plan`] with the tree-independent part, [`crash_seeds`], supplied by
 /// the caller.
 pub fn plan_with_crash_seeds(
@@ -138,35 +162,8 @@ pub fn plan_with_crash_seeds(
         crash_seeds: crash_seeds.len() as u64,
         ..PlanStats::default()
     };
-    // The top `max_targets` arms by (finite) score, ties in frontier
-    // order (what a stable sort then truncate picks), kept ranked in one
-    // walk of the tree's frontier index. The rank is a total order, so
-    // the walk's order changes only how many arms are inserted.
-    let by_rank = |a: &FrontierArm, b: &FrontierArm| {
-        let key = |x: &FrontierArm| (x.node, x.site, x.missing_taken);
-        arm_score(b)
-            .total_cmp(&arm_score(a))
-            .then(key(a).cmp(&key(b)))
-    };
-    let mut frontier: Vec<FrontierArm> = Vec::new();
-    tree.for_each_frontier_arm_rev(|arm| {
-        // No room, or ranked below the last arm kept.
-        if frontier.len() == config.max_targets
-            && frontier
-                .last()
-                .is_none_or(|last| by_rank(last, &arm).is_lt())
-        {
-            return;
-        }
-        let at = frontier.partition_point(|t| by_rank(t, &arm).is_lt());
-        frontier.insert(at, arm);
-        frontier.truncate(config.max_targets);
-    });
-
-    let single_threaded = program.threads.len() == 1;
-
-    for arm in &frontier {
-        if single_threaded {
+    if program.threads.len() == 1 {
+        for arm in top_arms(tree, config.max_targets) {
             let prefix = tree.prefix(arm.node);
             match arm_feasibility(program, &prefix, arm.site, arm.missing_taken, &config.sym) {
                 Ok(Feasibility::Feasible(model)) => {
@@ -183,12 +180,13 @@ pub fn plan_with_crash_seeds(
                 }
                 Ok(Feasibility::Unknown) | Err(_) => stats.unknown += 1,
             }
-        } else {
-            stats.unknown += 1;
         }
-    }
-
-    if !single_threaded {
+    } else {
+        // Symbolic seeding needs one thread, so every arm it would
+        // target stays unknown: only their count is kept, read off the
+        // tree's current open-arm count instead of ranking them.
+        let open = tree.coverage().frontier_arms;
+        stats.unknown = open.min(config.max_targets as u64);
         // Schedule perturbation: request both priority orders so rare
         // interleavings (e.g. lock inversions) get provoked.
         let n = program.threads.len() as u32;

@@ -158,10 +158,7 @@ fn apply_fault(
                 let at = f.len() / 2;
                 f[at] ^= 0xA5;
             }
-            assert!(
-                wire::batch_payloads(f).is_err(),
-                "{fault:?} left a valid frame"
-            );
+            assert!(wire::read_batch(f).is_err(), "{fault:?} left a valid frame");
             delivered.clear();
             (frames, 1, 0)
         }

@@ -4,7 +4,8 @@
 //! targets. This suite holds those reads to their old
 //! definitions, kept here as the reference: a `HashSet` of sites, an
 //! open-arm count over `sites()`, the proof walk from the root, and a
-//! stable sort of the whole frontier then truncate.
+//! stable sort of the whole frontier then truncate — for a
+//! multi-threaded program too, whose ranked arms were only counted.
 
 #[path = "../../tree/tests/common/mod.rs"]
 mod common;
@@ -15,7 +16,8 @@ use softborg_guidance::{arm_score, Directive, PlanStats, PlannerConfig};
 use softborg_hive::{proofs, Hive, HiveConfig};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios::{self, Scenario};
-use softborg_program::Program;
+use softborg_program::sched::ScheduleHint;
+use softborg_program::{Program, ThreadId};
 use softborg_symex::{arm_feasibility, Feasibility};
 use softborg_tree::{ExecutionTree, FrontierArm, NodeId};
 use std::collections::HashSet;
@@ -70,8 +72,10 @@ fn reference_targets(tree: &ExecutionTree, max_targets: usize) -> Vec<FrontierAr
     frontier
 }
 
-/// `plan_with_crash_seeds` for a single-threaded program and no crash
-/// seeds, over [`reference_targets`].
+/// `plan_with_crash_seeds` with no crash seeds, over
+/// [`reference_targets`]: a single-threaded program's targets are
+/// seeded or marked; a multi-threaded program's are each counted
+/// unknown, and both thread priority orders requested.
 fn reference_plan(
     program: &Program,
     tree: &mut ExecutionTree,
@@ -79,7 +83,12 @@ fn reference_plan(
 ) -> (Vec<Directive>, PlanStats) {
     let mut directives = Vec::new();
     let mut stats = PlanStats::default();
+    let single_threaded = program.threads.len() == 1;
     for arm in reference_targets(tree, config.max_targets) {
+        if !single_threaded {
+            stats.unknown += 1;
+            continue;
+        }
         let prefix = tree.prefix(arm.node);
         match arm_feasibility(program, &prefix, arm.site, arm.missing_taken, &config.sym) {
             Ok(Feasibility::Feasible(model)) => {
@@ -94,6 +103,18 @@ fn reference_plan(
                 stats.infeasible_marked += 1;
             }
             _ => stats.unknown += 1,
+        }
+    }
+    if !single_threaded {
+        let n = program.threads.len() as u32;
+        for order in [
+            (0..n).map(ThreadId::new).collect(),
+            (0..n).rev().map(ThreadId::new).collect(),
+        ] {
+            directives.push(Directive::Schedule(ScheduleHint {
+                order,
+                bias_per_mille: 700,
+            }));
         }
     }
     if stats.unknown > 0 && config.fault_per_mille > 0 {
@@ -156,6 +177,22 @@ fn the_property_meets_ties_at_the_cut() {
     let s = scenarios::record_processor();
     let tree = explored(&s, 1, 200);
     assert!((1..24).any(|k| plans_agree(&s, &tree, k)));
+}
+
+#[test]
+fn multi_threaded_plans_count_the_ranked_arms() {
+    // `spin_wait` is the benchmark's deep tree; `racy_counter` runs
+    // two workers on one counter.
+    for s in [scenarios::spin_wait(), scenarios::racy_counter()] {
+        assert!(s.program.threads.len() > 1, "{}", s.name);
+        for (seed, execs) in [(1, 1), (2, 40), (3, 200)] {
+            let tree = explored(&s, seed, execs);
+            assert!(tree.coverage().frontier_arms > 0, "{}", s.name);
+            for max_targets in [0, 1, 16, 5_000] {
+                plans_agree(&s, &tree, max_targets);
+            }
+        }
+    }
 }
 
 proptest! {

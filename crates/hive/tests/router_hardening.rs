@@ -129,7 +129,7 @@ fn mixed_program_frame_is_rejected_as_corrupt() {
     let mut mixed = pod_traces(&a, 1, 2);
     mixed.extend(pod_traces(&b, 1, 2));
     let frame = wire::encode_batch(&mixed);
-    assert!(wire::payloads_program_id(&wire::batch_payloads(&frame).unwrap()).is_err());
+    assert!(wire::read_batch(&frame).unwrap().program_id().is_err());
 
     let mut sharded = ShardedHive::new(&programs, 2, &HiveConfig::default()).unwrap();
     let stats = sharded

@@ -138,10 +138,12 @@ impl<V, S: BuildHasher> MemoCache<V, S> {
 }
 
 impl<V, S> Vacancy<'_, V, S> {
-    /// Caches `value` under the missed key. At capacity, the clock hand
-    /// sweeps until it finds a slot whose reference bit is clear —
-    /// clearing bits as it passes — and evicts it.
-    pub fn insert(self, value: V) {
+    /// Caches `value` under the missed key, with its reference bit set
+    /// when `referenced` (the key is known to be used again). At
+    /// capacity, the clock hand sweeps until it finds a slot whose
+    /// reference bit is clear — clearing bits as it passes — and evicts
+    /// it.
+    pub fn insert(self, value: V, referenced: bool) {
         let cache = self.cache;
         if cache.capacity == 0 {
             return;
@@ -150,7 +152,7 @@ impl<V, S> Vacancy<'_, V, S> {
             hash: self.hash,
             key: self.key.into(),
             value,
-            referenced: false,
+            referenced,
         };
         let at = if cache.slots.len() < cache.capacity {
             cache.slots.push(slot);
@@ -195,7 +197,7 @@ mod tests {
     fn put<V, S: BuildHasher>(c: &mut MemoCache<V, S>, key: &[u8], value: V) {
         match c.entry(key) {
             Entry::Hit(_) => panic!("{key:?} is already cached"),
-            Entry::Miss(vacancy) => vacancy.insert(value),
+            Entry::Miss(vacancy) => vacancy.insert(value, false),
         }
     }
 
@@ -285,13 +287,34 @@ mod tests {
     }
 
     #[test]
+    fn a_referenced_insert_is_an_insert_then_a_hit() {
+        // At capacity 2, the third key evicts the first slot the hand
+        // finds unreferenced: key 2, whenever key 1 was used again.
+        let fill = |referenced: bool, hit: bool| {
+            let mut c = MemoCache::new(2);
+            if let Entry::Miss(vacancy) = c.entry(&k(1)) {
+                vacancy.insert(1, referenced);
+            }
+            if hit {
+                assert_eq!(get(&mut c, &k(1)), Some(1));
+            }
+            put(&mut c, &k(2), 2);
+            put(&mut c, &k(3), 3);
+            (get(&mut c, &k(1)), get(&mut c, &k(2)))
+        };
+        assert_eq!(fill(true, false), fill(false, true));
+        assert_eq!(fill(true, false), (Some(1), None));
+        assert_eq!(fill(false, false), (None, Some(2)));
+    }
+
+    #[test]
     fn churn_stays_bounded_and_consistent() {
         let mut c = MemoCache::new(8);
         for round in 0u8..32 {
             for b in 0u8..16 {
                 let key = [round.wrapping_mul(17) ^ b; 3];
                 if let Entry::Miss(vacancy) = c.entry(&key) {
-                    vacancy.insert(u32::from(key[0]));
+                    vacancy.insert(u32::from(key[0]), false);
                 }
             }
             assert!(c.len() <= 8);

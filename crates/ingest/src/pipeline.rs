@@ -28,17 +28,19 @@
 //!   shed: in flight are at most one unit per participant plus the
 //!   prepared units that wait for an earlier one.
 //! * **Recycling.** Each participant memoizes, keyed on the exact
-//!   encoded trace bytes ([`wire::batch_payloads`] hands the slices out
+//!   encoded trace bytes ([`wire::read_batch`] hands the slices out
 //!   without decoding), the [`MergeRecord`] it prepared for a trace: the
 //!   decoded and reconstructed trace stripped to what the sink folds,
 //!   with its path hash and failure-mode key derived once. Popular
 //!   executions — by design the common case, since a deployed population
 //!   re-executes the same paths constantly — cost one decode,
 //!   reconstruction and preparation per participant for the life of the
-//!   memo, not one per arrival. The memos are [`WorkerMemos`], which the
-//!   caller keeps and [`run`] borrows, so they outlive the run: a hive
-//!   keeps them for its whole life, and a trace prepared in one round is
-//!   a hit in the next. That holds because a prepared record is a
+//!   memo, not one per arrival. A frame carries each distinct payload
+//!   once, so a participant looks each up once per frame and the merge
+//!   folds the frame's executions by index, in execution order. The
+//!   memos are [`WorkerMemos`], which the caller keeps and [`run`]
+//!   borrows, so they outlive the run: a hive keeps them for its whole
+//!   life, and a trace prepared in one round is a hit in the next. That holds because a prepared record is a
 //!   function of the program, the trace bytes (which name the overlay
 //!   version) and that version's overlay, and overlay history only grows
 //!   by appending: a trace whose version does not exist yet is never
@@ -54,7 +56,7 @@
 //! merges into that program's sink, in order. Every trace payload begins
 //! with its program id, so a participant checks each frame's content
 //! against its claim from the payload slices it validated once
-//! ([`wire::payloads_program_id`]); a frame that breaks the contract is
+//! ([`wire::BatchView::program_id`]); a frame that breaks the contract is
 //! counted, its slot consumed (ordering never stalls) and nothing of it
 //! merged — never a panic:
 //!
@@ -212,9 +214,13 @@ impl MergeRecord {
 
 /// What preparing one frame made of it.
 enum Prepared {
-    /// Healthy, content agrees with the claim: traces for the claimed
-    /// program (possibly empty for an empty batch).
-    Frame(Vec<Arc<MergeRecord>>),
+    /// Healthy, content agrees with the claim: the frame's distinct
+    /// traces for the claimed program and, per execution in order, the
+    /// index of its trace (both empty for an empty batch).
+    Frame {
+        records: Vec<Arc<MergeRecord>>,
+        order: Vec<u32>,
+    },
     /// Unclassifiable (wire corruption or mixed-program payloads).
     Corrupt,
     /// Classifiable, but its content program is unknown or is not the
@@ -406,8 +412,13 @@ impl WorkerMemos {
 }
 
 /// Validates one frame once, checks its content program against the
-/// claim, and decodes, reconstructs and prepares its payloads through
-/// the memo. Returns what the claimed lane should see.
+/// claim, and decodes, reconstructs and prepares each distinct payload
+/// through the memo. Returns what the claimed lane should see.
+///
+/// An execution that repeats a payload earlier in its frame counts as a
+/// memo hit, and a payload the memo missed goes in with its reference
+/// bit set when the frame repeats it, as that repeat's lookup would
+/// have left it.
 fn process_frame(
     prep: &Prep<'_, '_>,
     WorkerMemo { memo, scratch }: &mut WorkerMemo,
@@ -415,17 +426,21 @@ fn process_frame(
     bytes: &[u8],
 ) -> Prepared {
     let stats = prep.stats;
-    let classified = wire::batch_payloads(bytes)
-        .and_then(|payloads| Ok((wire::payloads_program_id(&payloads)?, payloads)));
-    let (content, payloads) = match classified {
+    let classified = wire::read_batch(bytes).and_then(|batch| Ok((batch.program_id()?, batch)));
+    let (content, batch) = match classified {
         Err(_) => {
             stats.frames_corrupt.incr();
             return Prepared::Corrupt;
         }
         // An empty batch carries no traces for anyone; the claimed slot
         // simply advances.
-        Ok((None, _)) => return Prepared::Frame(Vec::new()),
-        Ok((Some(id), payloads)) => (id, payloads),
+        Ok((None, _)) => {
+            return Prepared::Frame {
+                records: Vec::new(),
+                order: Vec::new(),
+            }
+        }
+        Ok((Some(id), batch)) => (id, batch),
     };
     let Some(ctx) = prep.ctxs.get(&content) else {
         stats.frames_unknown_program.incr();
@@ -436,12 +451,22 @@ fn process_frame(
         stats.frames_rerouted.incr();
         return Prepared::Refused;
     }
-    let mut entries = Vec::with_capacity(payloads.len());
-    for p in payloads {
+    let order: Vec<u32> = batch.indices().map(|i| i as u32).collect();
+    // How often the frame names each payload, up to twice (empty when
+    // nothing repeats).
+    let mut named = Vec::new();
+    if batch.len() > batch.distinct() {
+        named.resize(batch.distinct(), 0u8);
+        for &i in &order {
+            named[i as usize] = named[i as usize].saturating_add(1);
+        }
+    }
+    let mut records = Vec::with_capacity(batch.distinct());
+    for (k, p) in batch.payloads().enumerate() {
         let vacancy = match memo.entry(p) {
             Entry::Hit(hit) => {
                 stats.cache_hits.incr();
-                entries.push(Arc::clone(hit));
+                records.push(Arc::clone(hit));
                 continue;
             }
             Entry::Miss(vacancy) => vacancy,
@@ -456,11 +481,13 @@ fn process_frame(
         let decisions = ctx.decisions(&trace, scratch);
         let record = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
         if known {
-            vacancy.insert(Arc::clone(&record));
+            let repeated = named.get(k).is_some_and(|&n| n > 1);
+            vacancy.insert(Arc::clone(&record), repeated);
         }
-        entries.push(record);
+        records.push(record);
     }
-    Prepared::Frame(entries)
+    (stats.cache_hits).add((batch.len() - batch.distinct()) as u64);
+    Prepared::Frame { records, order }
 }
 
 /// A unit's result and its prepared frames, once it has run.
@@ -496,12 +523,12 @@ impl<R, S: FnMut(ProgramId, &MergeRecord)> Merger<'_, R, S> {
         for frame in frames {
             let shard_stats = &stats.per_shard[frame.shard];
             match frame.out {
-                Prepared::Frame(entries) => {
+                Prepared::Frame { records, order } => {
                     let sink = &mut self.sinks[frame.shard];
-                    for entry in &entries {
-                        sink(frame.program, entry);
+                    for &i in &order {
+                        sink(frame.program, &records[i as usize]);
                     }
-                    let n = entries.len() as u64;
+                    let n = order.len() as u64;
                     stats.traces_merged.add(n);
                     shard_stats.traces_merged.add(n);
                 }
@@ -1071,6 +1098,49 @@ mod tests {
                 "a program's claims merged out of order"
             );
             assert_eq!(stats.frames_merged, frames.len() as u64);
+        })
+        .expect("no panic");
+    }
+
+    #[test]
+    fn in_frame_repeats_are_hits_and_fold_in_execution_order() {
+        on_two_shards(|map, ctxs, frames| {
+            // Each program's traces, four at a time, batched with repeats.
+            let mut by_program = BTreeMap::<ProgramId, Vec<ExecutionTrace>>::new();
+            for (program, frame) in frames {
+                let traces = wire::decode_batch(frame).expect("a pod's frame");
+                by_program.entry(*program).or_default().extend(traces);
+            }
+            let mut repeating = Vec::new();
+            for (program, traces) in &by_program {
+                for t in traces.chunks(4) {
+                    let batch = [0, 1, 0, 0, 2, 1, 3, 3].map(|i| &t[i % t.len()]);
+                    repeating.push((*program, wire::encode_batch(batch)));
+                }
+            }
+            let want = serial_order(map, ctxs, &repeating);
+            for (workers, memo_capacity) in [(1, 4096), (3, 4096), (2, 0)] {
+                let config = IngestConfig {
+                    workers,
+                    memo_capacity,
+                    ..IngestConfig::default()
+                };
+                let memos = &mut WorkerMemos::default();
+                let mut got = vec![Vec::new(); 2];
+                let sinks: Vec<_> = (got.iter_mut())
+                    .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
+                    .collect();
+                let producer = |tx: FrameSender| submit_all(&tx, &repeating);
+                let (_, stats) = run_producer(&config, map, ctxs, memos, producer, sinks);
+                assert!(got == want, "records merged out of execution order");
+                assert_eq!(stats.traces_merged, 8 * repeating.len() as u64);
+                assert_eq!(
+                    stats.cache_hits + stats.cache_misses,
+                    stats.traces_merged,
+                    "workers={workers} memo={memo_capacity}"
+                );
+                assert!(stats.cache_hits >= 4 * repeating.len() as u64);
+            }
         })
         .expect("no panic");
     }

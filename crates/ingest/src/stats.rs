@@ -218,10 +218,13 @@ pub struct IngestStats {
     pub frames_merged: u64,
     /// Traces delivered to the sinks, over all shards.
     pub traces_merged: u64,
-    /// Traces whose decode+reconstruction was recycled from the memo
-    /// cache (byte-identical by-product seen before).
+    /// Traces neither decoded nor reconstructed: their payload was in
+    /// the memo cache, or repeats one earlier in the same frame (a frame
+    /// carries each distinct payload once). Over healthy frames,
+    /// `cache_hits + cache_misses == traces_merged`.
     pub cache_hits: u64,
-    /// Traces that required a full decode + reconstruction.
+    /// Traces whose payload a participant decoded and reconstructed:
+    /// one per distinct payload of a frame that the memo missed.
     pub cache_misses: u64,
     /// Memo entries rotated out by the second-chance sweep (summed over
     /// participants).
@@ -257,7 +260,8 @@ impl IngestStats {
         rates::per_sec(self.traces_merged, self.wall_ns)
     }
 
-    /// Fraction of traces served from the memo cache, in `[0, 1]`.
+    /// Share of traces neither decoded nor reconstructed (memo hits and
+    /// in-frame repeats), in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         rates::hit_rate(self.cache_hits, self.cache_misses)
     }

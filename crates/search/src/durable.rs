@@ -657,15 +657,18 @@ mod tests {
 
     #[test]
     fn skip_delta_canary_trips_delta_chain_divergence() {
+        // Eager compaction waits until the journal outweighs the full
+        // record, so the chain's first delta comes a few rounds in; the
+        // kill must follow it.
         let plan = FaultPlan {
-            disk: vec![DiskCrashPoint::AtRoundBoundary { round: 2 }],
+            disk: vec![DiskCrashPoint::AtRoundBoundary { round: 3 }],
             ..FaultPlan::default()
         };
         let w = DurableWorkload {
             scenarios: vec![0, 1],
             shards: 2,
             pods: 2,
-            rounds: 3,
+            rounds: 4,
             execs: 5,
             ..DurableWorkload::with_canary(DurableCanary::SkipDelta)
         };

@@ -10,12 +10,15 @@
 //!   typed [`WireError`]; it never panics and never allocates more than
 //!   the input could justify (attacker-controlled length fields are
 //!   bounds-checked *before* any reservation).
-//! * **Batch frames** ([`encode_batch`] / [`decode_batch`]): many trace
-//!   payloads bundled behind one magic + count + length header and a
-//!   trailing FNV-1a checksum. Batching amortizes per-message overhead
-//!   on the pod→hive path and gives the ingest pipeline a unit of work;
-//!   the checksum lets the hive count and skip corrupted frames instead
-//!   of ingesting garbage.
+//! * **Batch frames** ([`encode_batch`] / [`decode_batch`]): a batch of
+//!   executions behind one magic + count + length header and a trailing
+//!   FNV-1a checksum. A frame carries each distinct trace payload once,
+//!   in first-seen order, then one LEB128 index per execution naming its
+//!   payload: a population re-runs the same paths, so most of a pod's
+//!   batch repeats a payload it already holds. Batching amortizes
+//!   per-message overhead on the pod→hive path and gives the ingest
+//!   pipeline a unit of work; the checksum lets the hive count and skip
+//!   corrupted frames instead of ingesting garbage.
 
 use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, RecordingPolicy};
@@ -28,10 +31,16 @@ use std::fmt;
 /// Hard cap on a decoded schedule's expanded length (picks). Matches the
 /// longest schedule any in-tree workload can record, with slack.
 const MAX_SCHEDULE: usize = 16_000_000;
-/// Hard cap on traces per batch frame.
+/// Hard cap on executions per batch frame.
 const MAX_BATCH: u32 = 1_000_000;
-/// Batch frame magic: `"SBF1"` little-endian.
-const BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF1");
+/// Batch frame magic: `"SBF2"` little-endian.
+const BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF2");
+/// The magic of the older batch frame layout, one payload per execution:
+/// refused as [`WireError::OlderLayout`], never decoded.
+const OLDER_BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF1");
+/// Bytes before a batch frame's payload: magic, execution count,
+/// distinct count, payload length.
+const BATCH_HEADER: usize = 20;
 
 /// A malformed wire payload or batch frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +65,23 @@ pub enum WireError {
         /// The claimed length.
         len: u64,
     },
-    /// A batch frame did not start with the `SBF1` magic.
+    /// A batch frame did not start with the `SBF2` magic.
     BadMagic,
+    /// A batch frame in the older layout, which carried one payload per
+    /// execution: this build reads only the deduplicated layout.
+    OlderLayout,
+    /// A batch frame's execution indices do not name its distinct
+    /// payloads in first-seen order, each at least once.
+    BadIndex {
+        /// What is wrong: `"overlong"` (not minimal LEB128, or past
+        /// `u32`), `"out of range"` (no such payload), `"out of order"`
+        /// (names a payload before an earlier unnamed one) or
+        /// `"unnamed payload"` (no execution names it).
+        why: &'static str,
+        /// The execution whose index is wrong; for an unnamed payload,
+        /// the payload's index.
+        at: u64,
+    },
     /// A batch frame's payload did not match its checksum.
     ChecksumMismatch {
         /// Checksum recorded in the frame.
@@ -80,7 +104,12 @@ impl fmt::Display for WireError {
             WireError::Oversized { field, len } => {
                 write!(f, "length field {field} = {len} exceeds remaining input")
             }
-            WireError::BadMagic => write!(f, "batch frame missing SBF1 magic"),
+            WireError::BadMagic => write!(f, "batch frame missing SBF2 magic"),
+            WireError::OlderLayout => write!(
+                f,
+                "batch frame in the older one-payload-per-execution layout"
+            ),
+            WireError::BadIndex { why, at } => write!(f, "batch index {why} at {at}"),
             WireError::ChecksumMismatch { expected, got } => {
                 write!(f, "batch checksum mismatch: frame says {expected:#018x}, payload hashes to {got:#018x}")
             }
@@ -135,6 +164,21 @@ impl<'a> Reader<'a> {
 
     fn i64(&mut self, field: &'static str) -> Result<i64, WireError> {
         Ok(i64::from_le_bytes(self.take(8, field)?.try_into().unwrap()))
+    }
+
+    /// A minimal LEB128 `u32`, or `None` when it is overlong: a
+    /// redundant zero high group, a sixth group, or a value past `u32`.
+    fn leb128(&mut self, field: &'static str) -> Result<Option<u32>, WireError> {
+        let mut v = 0u64;
+        for group in 0..5 {
+            let byte = self.u8(field)?;
+            v |= u64::from(byte & 0x7f) << (7 * group);
+            if byte & 0x80 == 0 {
+                let minimal = byte != 0 || group == 0;
+                return Ok(u32::try_from(v).ok().filter(|_| minimal));
+            }
+        }
+        Ok(None)
     }
 
     /// Validates that `len` elements of `elem_size` bytes fit in the
@@ -335,11 +379,17 @@ fn decode_from(b: &mut Reader<'_>) -> Result<ExecutionTrace, WireError> {
     })
 }
 
-/// Encodes many traces into one checksummed batch frame.
+/// Encodes many traces into one checksummed batch frame, each distinct
+/// payload once.
 ///
-/// Layout: `SBF1` magic (u32), trace count (u32), payload length (u64),
-/// payload (`count` length-prefixed trace payloads), FNV-1a-64 checksum
-/// of the count/length header plus the payload (u64, trailing).
+/// Layout: `SBF2` magic (u32), execution count (u32), distinct count
+/// (u32), payload length (u64), payload, FNV-1a-64 checksum of the
+/// counts, the length and the payload (u64, trailing). The payload is
+/// every distinct trace payload in first-seen order, each behind its
+/// length (u32), then one minimal LEB128 index per execution, in
+/// execution order, naming its payload. An execution's payload is the
+/// exact bytes [`encode`] makes of it, and equal traces encode equally,
+/// so the frame is a function of the batch: one encoding per batch.
 ///
 /// # Panics
 ///
@@ -351,68 +401,291 @@ where
     I::IntoIter: Clone,
 {
     let traces = traces.into_iter();
-    let hint: usize = traces.clone().map(|t| 4 + size_hint(t)).sum();
+    let (n, hint) = (traces.clone()).fold((0, 0), |(n, hint), t| (n + 1, hint + 5 + size_hint(t)));
     // Each payload is written straight into the frame behind a length
-    // slot; the count and payload length are patched in once known.
-    let mut frame = Vec::with_capacity(24 + hint);
+    // slot, and taken back out when it repeats an earlier one; the
+    // counts and payload length are patched in once known.
+    let mut frame = Vec::with_capacity(BATCH_HEADER + 8 + hint);
     put_u32(&mut frame, BATCH_MAGIC);
     put_u32(&mut frame, 0);
+    put_u32(&mut frame, 0);
     put_u64(&mut frame, 0);
-    let mut count: u32 = 0;
+    // Per distinct payload: its hash and where its bytes sit in `frame`.
+    let mut distinct: Vec<(u64, usize, usize)> = Vec::with_capacity(n);
+    // `distinct` by hash, open-addressed and at most half full: a slot
+    // holds a payload's index + 1, or 0 when empty.
+    let mut table = vec![0u32; (2 * n).next_power_of_two().max(2)];
+    let mut indices: Vec<u32> = Vec::with_capacity(n);
     for t in traces {
-        count += 1;
-        assert!(count <= MAX_BATCH, "batch frame over {MAX_BATCH} traces");
+        assert!(
+            indices.len() < MAX_BATCH as usize,
+            "batch frame over {MAX_BATCH} traces"
+        );
+        if 2 * distinct.len() >= table.len() {
+            table = index_by_hash(&distinct, 2 * table.len());
+        }
         let at = frame.len();
         put_u32(&mut frame, 0);
         encode_into(&mut frame, t);
-        let len = (frame.len() - at - 4) as u32;
-        frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        let bytes = &frame[at + 4..];
+        let hash = payload_hash(bytes);
+        // Equal hashes are confirmed byte for byte.
+        let mut slot = hash as usize & (table.len() - 1);
+        let earlier = loop {
+            let Some(i) = table[slot].checked_sub(1) else {
+                break None;
+            };
+            let (h, start, len) = distinct[i as usize];
+            if h == hash && frame[start..start + len] == *bytes {
+                break Some(i);
+            }
+            slot = (slot + 1) & (table.len() - 1);
+        };
+        if let Some(i) = earlier {
+            frame.truncate(at);
+            indices.push(i);
+        } else {
+            let len = bytes.len();
+            frame[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+            let next = distinct.len() as u32;
+            table[slot] = next + 1;
+            distinct.push((hash, at + 4, len));
+            indices.push(next);
+        }
     }
-    let payload_len = (frame.len() - 16) as u64;
-    frame[4..8].copy_from_slice(&count.to_le_bytes());
-    frame[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    for &i in &indices {
+        put_leb128(&mut frame, i);
+    }
+    let payload_len = (frame.len() - BATCH_HEADER) as u64;
+    frame[4..8].copy_from_slice(&(indices.len() as u32).to_le_bytes());
+    frame[8..12].copy_from_slice(&(distinct.len() as u32).to_le_bytes());
+    frame[12..20].copy_from_slice(&payload_len.to_le_bytes());
     let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
     put_u64(&mut frame, checksum);
     frame
 }
 
+/// The encoder's repeat check keys on this hash of a payload: two
+/// multiply-rotate lanes over its words (the last one overlapping the
+/// tail) and a splitmix finish. It is unkeyed, and payloads follow user
+/// inputs, but equal hashes are confirmed byte for byte, so a crafted
+/// collision costs the pod that encodes it a compare per earlier
+/// distinct payload of its own batch, nothing more.
+fn payload_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let n = bytes.len();
+    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+    let (mut a, mut b) = (n as u64, K);
+    if n >= 8 {
+        let mut i = 0;
+        while i + 16 <= n {
+            a = (a ^ word(i)).wrapping_mul(K).rotate_left(31);
+            b = (b ^ word(i + 8)).wrapping_mul(K).rotate_left(31);
+            i += 16;
+        }
+        if i + 8 <= n {
+            a = (a ^ word(i)).wrapping_mul(K).rotate_left(31);
+        }
+        b = (b ^ word(n - 8)).wrapping_mul(K);
+    } else {
+        for &byte in bytes {
+            b = (b ^ u64::from(byte)).wrapping_mul(K);
+        }
+    }
+    let mut h = a ^ b.rotate_left(17);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
+/// A table of `slots` (a power of two) placing each of `distinct` by
+/// its hash, as `encode_batch` keeps one.
+fn index_by_hash(distinct: &[(u64, usize, usize)], slots: usize) -> Vec<u32> {
+    let mut table = vec![0u32; slots];
+    for (i, &(hash, ..)) in distinct.iter().enumerate() {
+        let mut slot = hash as usize & (slots - 1);
+        while table[slot] != 0 {
+            slot = (slot + 1) & (slots - 1);
+        }
+        table[slot] = i as u32 + 1;
+    }
+    table
+}
+
+fn put_leb128(b: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        b.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    b.push(v as u8);
+}
+
 /// Decodes a batch frame produced by [`encode_batch`], verifying the
-/// magic, structural lengths, and checksum before touching any payload.
+/// magic, structural lengths, checksum and indices before touching any
+/// payload, and decoding each distinct payload once.
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] when the frame is corrupt in any way; a failed
 /// frame never panics and never yields partial traces.
 pub fn decode_batch(data: &[u8]) -> Result<Vec<ExecutionTrace>, WireError> {
-    batch_payloads(data)?.iter().map(|p| decode(p)).collect()
+    let batch = read_batch(data)?;
+    let mut payloads = batch.payloads();
+    let mut out: Vec<ExecutionTrace> = Vec::with_capacity(batch.len());
+    // Where each distinct payload's trace first went in `out`.
+    let mut first_at = Vec::with_capacity(batch.distinct());
+    for i in batch.indices() {
+        if i == first_at.len() {
+            let p = payloads.next().ok_or(WireError::Truncated {
+                field: "trace payload",
+            })?;
+            first_at.push(out.len());
+            out.push(decode(p)?);
+        } else {
+            out.push(out[first_at[i]].clone());
+        }
+    }
+    Ok(out)
 }
 
-/// Validates a batch frame (magic, structural lengths, checksum, payload
-/// framing) and returns the encoded payload slice of every trace in the
-/// frame **without decoding them**.
+/// Whether `data` opens with the older batch layout's magic, which
+/// [`read_batch`] refuses as [`WireError::OlderLayout`]: a one-field
+/// peek, for refusing a store of such frames before reading any.
+pub fn is_older_layout(data: &[u8]) -> bool {
+    data.get(..4) == Some(&OLDER_BATCH_MAGIC.to_le_bytes()[..])
+}
+
+/// A batch frame [`read_batch`] validated, read in place: its distinct
+/// payloads and its executions' indices, without decoding a trace.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchView<'a> {
+    count: u32,
+    distinct: u32,
+    /// The distinct payloads, each behind its length.
+    payloads: &'a [u8],
+    /// One LEB128 index per execution.
+    indices: &'a [u8],
+}
+
+impl<'a> BatchView<'a> {
+    /// Executions in the frame.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// `true` for a frame of no executions.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Distinct trace payloads in the frame.
+    pub fn distinct(&self) -> usize {
+        self.distinct as usize
+    }
+
+    /// Each distinct payload, in first-seen order: the exact bytes
+    /// [`encode`] made of a trace, so equal slices decode (and
+    /// reconstruct) identically — which is what lets a decode worker key
+    /// a memoization cache on the raw bytes and recycle prior work.
+    pub fn payloads(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let mut r = Reader::new(self.payloads);
+        (0..self.distinct).map_while(move |_| take_payload(&mut r).ok())
+    }
+
+    /// Per execution, in execution order, the index of its payload in
+    /// [`payloads`](Self::payloads). The first execution to name a
+    /// payload names the next one not named yet.
+    pub fn indices(&self) -> impl Iterator<Item = usize> + 'a {
+        let mut r = Reader::new(self.indices);
+        (0..self.count)
+            .map_while(move |_| r.leb128("batch index").ok().flatten().map(|i| i as usize))
+    }
+
+    /// Classifies the frame by the [`ProgramId`] its traces carry,
+    /// without decoding any of them — the routing primitive of the
+    /// ingest pipeline: every trace opens with its program id (the first
+    /// eight bytes of [`encode`]), so a router can dispatch a whole frame
+    /// to the owning shard by peeking one field per distinct payload,
+    /// and goes on to decode the same slices, checking the frame once.
+    ///
+    /// Returns `Ok(None)` for an empty (but well-formed) batch. A frame
+    /// whose traces carry *different* program ids is structurally
+    /// invalid for routing and is reported as a [`WireError::BadTag`] on
+    /// the `"frame program id"` field — a pod never mixes programs in
+    /// one frame, so a mixed frame is corruption or a confused sender,
+    /// and the router must treat it like any other bad frame rather than
+    /// splitting or misrouting it.
+    ///
+    /// # Errors
+    ///
+    /// A payload too short to hold a program id, and payloads carrying
+    /// different program ids.
+    pub fn program_id(&self) -> Result<Option<ProgramId>, WireError> {
+        let mut id: Option<ProgramId> = None;
+        for p in self.payloads() {
+            let Some(head) = p.get(..8) else {
+                return Err(WireError::Truncated {
+                    field: "frame program id",
+                });
+            };
+            let this = ProgramId(u64::from_le_bytes(head.try_into().unwrap()));
+            match id {
+                None => id = Some(this),
+                Some(prev) if prev != this => {
+                    return Err(WireError::BadTag {
+                        field: "frame program id",
+                        tag: 0,
+                    });
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(id)
+    }
+}
+
+fn take_payload<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
+    let len = r.u32("trace length")?;
+    let len = r.claim(len, 1, "trace length")?;
+    r.take(len, "trace payload")
+}
+
+/// Validates a batch frame — magic, structural lengths, checksum,
+/// payload framing and indices — and returns it read in place, **without
+/// decoding a trace** and without allocating: the zero-copy entry point
+/// for pipelined ingest.
 ///
-/// This is the zero-copy entry point for pipelined ingest: each returned
-/// slice is the exact byte string [`encode`] produced for one trace, so
-/// equal slices are guaranteed to decode (and reconstruct) identically —
-/// which is what lets a decode worker key a memoization cache on the raw
-/// bytes and recycle prior work.
+/// The indices must name the distinct payloads in first-seen order,
+/// each at least once, in minimal LEB128: any frame [`encode_batch`]
+/// did not make of some batch is refused, so the memo keys and the
+/// journal's frame hashes see one encoding per batch.
 ///
 /// # Errors
 ///
 /// Same contract as [`decode_batch`] minus per-trace decoding: any
-/// truncation, oversized length, bad magic, checksum mismatch, or
-/// trailing bytes in the *frame* is reported without panicking and
+/// truncation, oversized length or count, bad magic (or the older
+/// layout's, [`WireError::OlderLayout`]), checksum mismatch, bad index
+/// or trailing bytes in the *frame* is reported without panicking and
 /// without attacker-controlled allocation.
-pub fn batch_payloads(data: &[u8]) -> Result<Vec<&[u8]>, WireError> {
+pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
     let mut r = Reader::new(data);
-    if r.u32("batch magic")? != BATCH_MAGIC {
-        return Err(WireError::BadMagic);
+    match r.u32("batch magic")? {
+        BATCH_MAGIC => {}
+        OLDER_BATCH_MAGIC => return Err(WireError::OlderLayout),
+        _ => return Err(WireError::BadMagic),
     }
     let count = r.u32("batch count")?;
     if count > MAX_BATCH {
         return Err(WireError::Oversized {
             field: "batch count",
             len: u64::from(count),
+        });
+    }
+    let distinct = r.u32("batch distinct count")?;
+    if distinct > count {
+        return Err(WireError::Oversized {
+            field: "batch distinct count",
+            len: u64::from(distinct),
         });
     }
     let payload_len = r.u64("batch payload length")?;
@@ -437,62 +710,44 @@ pub fn batch_payloads(data: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     if got != expected {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
-    let mut payloads = Vec::with_capacity(count.min(1024) as usize);
     let mut pr = Reader::new(payload);
-    for _ in 0..count {
-        let len = pr.u32("trace length")?;
-        let len = pr.claim(len, 1, "trace length")?;
-        payloads.push(pr.take(len, "trace payload")?);
+    pr.claim(distinct, 4, "batch distinct count")?;
+    for _ in 0..distinct {
+        take_payload(&mut pr)?;
+    }
+    let payloads = &payload[..pr.pos];
+    pr.claim(count, 1, "batch count")?;
+    let indices_at = pr.pos;
+    // The next payload no execution has named yet.
+    let mut fresh = 0u32;
+    for at in 0..u64::from(count) {
+        let bad = |why| WireError::BadIndex { why, at };
+        let i = pr.leb128("batch index")?.ok_or(bad("overlong"))?;
+        if i >= distinct {
+            return Err(bad("out of range"));
+        }
+        if i > fresh {
+            return Err(bad("out of order"));
+        }
+        fresh += u32::from(i == fresh);
+    }
+    if fresh < distinct {
+        return Err(WireError::BadIndex {
+            why: "unnamed payload",
+            at: u64::from(fresh),
+        });
     }
     if pr.remaining() > 0 {
         return Err(WireError::TrailingBytes {
             len: pr.remaining(),
         });
     }
-    Ok(payloads)
-}
-
-/// Classifies a batch frame, from the payload slices [`batch_payloads`]
-/// validated, by the [`ProgramId`] its traces carry, without decoding
-/// any of them — the routing primitive of the ingest pipeline: every
-/// trace opens with its program id (the first eight bytes of
-/// [`encode`]), so a router can dispatch a whole frame to the owning
-/// shard by peeking one field per payload, and goes on to decode the
-/// same slices, checking the frame once.
-///
-/// Returns `Ok(None)` for an empty (but well-formed) batch. A frame
-/// whose traces carry *different* program ids is structurally invalid
-/// for routing and is reported as a [`WireError::BadTag`] on the
-/// `"frame program id"` field — a pod never mixes programs in one
-/// frame, so a mixed frame is corruption or a confused sender, and the
-/// router must treat it like any other bad frame rather than splitting
-/// or misrouting it.
-///
-/// # Errors
-///
-/// A payload too short to hold a program id, and payloads carrying
-/// different program ids.
-pub fn payloads_program_id(payloads: &[&[u8]]) -> Result<Option<ProgramId>, WireError> {
-    let mut id: Option<ProgramId> = None;
-    for p in payloads {
-        if p.len() < 8 {
-            return Err(WireError::Truncated {
-                field: "frame program id",
-            });
-        }
-        let this = ProgramId(u64::from_le_bytes(p[..8].try_into().unwrap()));
-        match id {
-            None => id = Some(this),
-            Some(prev) if prev != this => {
-                return Err(WireError::BadTag {
-                    field: "frame program id",
-                    tag: 0,
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(id)
+    Ok(BatchView {
+        count,
+        distinct,
+        payloads,
+        indices: &payload[indices_at..],
+    })
 }
 
 fn put_bits(b: &mut Vec<u8>, bits: &BitVec) {
@@ -612,20 +867,61 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// A batch frame as `encode` plus the header and checksum make it:
-    /// the reference `encode_batch` must match byte for byte.
+    /// A batch frame as `encode` plus the layout make it, each distinct
+    /// payload found by comparing encodings: the reference `encode_batch`
+    /// must match byte for byte.
     fn composed_batch(ts: &[ExecutionTrace]) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut distinct: Vec<Vec<u8>> = Vec::new();
+        let mut indices = Vec::new();
         for t in ts {
             let enc = encode(t);
-            put_u32(&mut payload, enc.len() as u32);
-            payload.extend_from_slice(&enc);
+            let i = match distinct.iter().position(|d| *d == enc) {
+                Some(i) => i,
+                None => {
+                    distinct.push(enc);
+                    distinct.len() - 1
+                }
+            };
+            indices.push(i as u32);
         }
+        let mut payload = Vec::new();
+        for d in &distinct {
+            put_u32(&mut payload, d.len() as u32);
+            payload.extend_from_slice(d);
+        }
+        for i in indices {
+            put_leb128(&mut payload, i);
+        }
+        sealed(ts.len() as u32, distinct.len() as u32, &payload)
+    }
+
+    /// Yields a batch, but a clone of it yields nothing, so the encoder
+    /// sizes its buffers for no trace and must grow them.
+    struct Undercounted<'a>(std::slice::Iter<'a, ExecutionTrace>);
+
+    impl Clone for Undercounted<'_> {
+        fn clone(&self) -> Self {
+            Undercounted([].iter())
+        }
+    }
+
+    impl<'a> Iterator for Undercounted<'a> {
+        type Item = &'a ExecutionTrace;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.0.next()
+        }
+    }
+
+    /// A frame around `payload` with the given counts and a valid
+    /// checksum.
+    fn sealed(count: u32, distinct: u32, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         put_u32(&mut frame, BATCH_MAGIC);
-        put_u32(&mut frame, ts.len() as u32);
+        put_u32(&mut frame, count);
+        put_u32(&mut frame, distinct);
         put_u64(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(payload);
         let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
         put_u64(&mut frame, checksum);
         frame
@@ -848,19 +1144,128 @@ mod tests {
     }
 
     #[test]
-    fn batch_with_absurd_count_is_rejected_without_allocation() {
-        let mut frame = Vec::new();
-        put_u32(&mut frame, BATCH_MAGIC);
-        put_u32(&mut frame, u32::MAX); // count
-        put_u64(&mut frame, 4); // payload length
-        put_u32(&mut frame, 0); // payload
-        let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
-        put_u64(&mut frame, checksum);
+    fn batch_carries_each_distinct_payload_once() {
+        let ts = traces();
+        let batch: Vec<ExecutionTrace> = [0, 1, 0, 0, 2, 1, 3, 3]
+            .iter()
+            .map(|&i| ts[i].clone())
+            .collect();
+        let frame = encode_batch(&batch);
+        let view = read_batch(&frame).unwrap();
+        assert_eq!((view.len(), view.distinct()), (8, 4));
         assert_eq!(
-            decode_batch(&frame),
+            view.indices().collect::<Vec<_>>(),
+            vec![0, 1, 0, 0, 2, 1, 3, 3]
+        );
+        let payloads: Vec<&[u8]> = view.payloads().collect();
+        let encoded: Vec<Vec<u8>> = ts.iter().map(encode).collect();
+        assert_eq!(payloads, encoded.iter().map(|e| &e[..]).collect::<Vec<_>>());
+        assert_eq!(decode_batch(&frame).unwrap(), batch);
+        // The repeats cost one index byte each.
+        assert_eq!(frame.len(), encode_batch(&ts).len() + 4);
+    }
+
+    /// A frame of two distinct one-byte payloads, then `indices`.
+    fn two_payload_frame(count: u32, distinct: u32, indices: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for byte in [7u8, 9] {
+            put_u32(&mut payload, 1);
+            payload.push(byte);
+        }
+        payload.extend_from_slice(indices);
+        sealed(count, distinct, &payload)
+    }
+
+    #[test]
+    fn batch_index_faults_are_typed_errors() {
+        let bad = |why, at| Err(WireError::BadIndex { why, at });
+        let cases: [(&str, Vec<u8>, Result<(), WireError>); 9] = [
+            ("well formed", two_payload_frame(3, 2, &[0, 1, 0]), Ok(())),
+            (
+                "distinct count above execution count",
+                two_payload_frame(1, 2, &[0]),
+                Err(WireError::Oversized {
+                    field: "batch distinct count",
+                    len: 2,
+                }),
+            ),
+            (
+                "index past the payloads",
+                two_payload_frame(3, 2, &[0, 1, 2]),
+                bad("out of range", 2),
+            ),
+            (
+                "redundant zero group",
+                two_payload_frame(2, 2, &[0, 0x81, 0x00]),
+                bad("overlong", 1),
+            ),
+            (
+                "sixth group",
+                two_payload_frame(2, 2, &[0, 0x81, 0x80, 0x80, 0x80, 0x80, 0]),
+                bad("overlong", 1),
+            ),
+            (
+                "past u32",
+                two_payload_frame(2, 2, &[0, 0xff, 0xff, 0xff, 0xff, 0x1f]),
+                bad("overlong", 1),
+            ),
+            (
+                "truncated index",
+                two_payload_frame(2, 2, &[0, 0x81]),
+                Err(WireError::Truncated {
+                    field: "batch index",
+                }),
+            ),
+            (
+                "a payload no index names",
+                two_payload_frame(2, 2, &[0, 0]),
+                bad("unnamed payload", 1),
+            ),
+            (
+                "a payload first named out of order",
+                two_payload_frame(2, 2, &[1, 0]),
+                bad("out of order", 0),
+            ),
+        ];
+        for (what, frame, want) in cases {
+            assert_eq!(read_batch(&frame).map(|_| ()), want, "{what}");
+            assert!(want.is_ok() || decode_batch(&frame).is_err(), "{what}");
+        }
+        // Every minimal LEB128 value reads back.
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX] {
+            let mut b = Vec::new();
+            put_leb128(&mut b, v);
+            let mut r = Reader::new(&b);
+            assert_eq!(r.leb128("v"), Ok(Some(v)));
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn older_layout_frames_are_refused_by_name() {
+        let mut frame = encode_batch(&traces());
+        frame[..4].copy_from_slice(&OLDER_BATCH_MAGIC.to_le_bytes());
+        assert_eq!(read_batch(&frame).map(|_| ()), Err(WireError::OlderLayout));
+        assert_eq!(decode_batch(&frame), Err(WireError::OlderLayout));
+    }
+
+    #[test]
+    fn batch_with_absurd_count_is_rejected_without_allocation() {
+        // A count past the cap, and one the indices cannot hold.
+        for (count, field) in [(u32::MAX, "batch count"), (MAX_BATCH, "batch count")] {
+            assert_eq!(
+                decode_batch(&sealed(count, 0, &[0; 4])),
+                Err(WireError::Oversized {
+                    field,
+                    len: u64::from(count),
+                })
+            );
+        }
+        assert_eq!(
+            decode_batch(&sealed(MAX_BATCH, MAX_BATCH, &[0; 4])),
             Err(WireError::Oversized {
-                field: "batch count",
-                len: u64::from(u32::MAX),
+                field: "batch distinct count",
+                len: u64::from(MAX_BATCH),
             })
         );
     }
@@ -870,6 +1275,7 @@ mod tests {
         let mut frame = Vec::new();
         put_u32(&mut frame, BATCH_MAGIC);
         put_u32(&mut frame, 1);
+        put_u32(&mut frame, 1);
         put_u64(&mut frame, u64::MAX - 4); // absurd payload length
         assert!(matches!(
             decode_batch(&frame),
@@ -878,10 +1284,9 @@ mod tests {
     }
 
     #[test]
-    fn payloads_program_id_classifies_without_decoding() {
-        let classify = |f: &[u8]| -> Result<Option<ProgramId>, WireError> {
-            payloads_program_id(&batch_payloads(f)?)
-        };
+    fn program_id_classifies_without_decoding() {
+        let classify =
+            |f: &[u8]| -> Result<Option<ProgramId>, WireError> { read_batch(f)?.program_id() };
         let ts = traces();
         // Homogeneous frame: classified by the shared id.
         let only_first = [ts[0].clone(), ts[0].clone()];
@@ -899,6 +1304,13 @@ mod tests {
                 tag: 0,
             })
         );
+        // A payload too short to name its program.
+        assert_eq!(
+            classify(&two_payload_frame(2, 2, &[0, 1])),
+            Err(WireError::Truncated {
+                field: "frame program id",
+            })
+        );
         // Corruption is caught by the same validation decode_batch uses.
         let mut frame = encode_batch(&only_first);
         let mid = frame.len() / 2;
@@ -911,7 +1323,7 @@ mod tests {
 
     #[test]
     fn non_magic_frame_is_rejected() {
-        assert_eq!(decode_batch(&[0u8; 24]), Err(WireError::BadMagic));
+        assert_eq!(decode_batch(&[0u8; 28]), Err(WireError::BadMagic));
         assert_eq!(
             decode_batch(&[1, 2]),
             Err(WireError::Truncated {
@@ -944,11 +1356,14 @@ mod tests {
             prop_assert_eq!(decode(&encode(&t)).unwrap(), t);
         }
 
+        /// Batches drawn with repeats: each execution is one of a few
+        /// traces, so most frames name some payload more than once.
         #[test]
         fn prop_batch_frames_are_the_composed_encoding(
             picks in proptest::collection::vec(proptest::collection::vec(0u32..4, 0..96), 0..6),
             rets in proptest::collection::vec(any::<i64>(), 0..8),
             steps in any::<u64>(),
+            order in proptest::collection::vec(0usize..10, 0..24),
         ) {
             let mut ts = traces();
             ts.extend(picks.into_iter().map(|schedule| ExecutionTrace {
@@ -964,9 +1379,29 @@ mod tests {
                 lock_pairs: vec![(1, 2)],
                 global_summaries: vec![],
             }));
-            for n in 0..=ts.len() {
-                prop_assert_eq!(encode_batch(&ts[..n]), composed_batch(&ts[..n]));
+            let batch: Vec<ExecutionTrace> = order.iter().map(|&i| ts[i % ts.len()].clone()).collect();
+            for n in 0..=batch.len() {
+                let frame = encode_batch(&batch[..n]);
+                prop_assert_eq!(&frame, &composed_batch(&batch[..n]));
+                prop_assert_eq!(&encode_batch(Undercounted(batch[..n].iter())), &frame);
+                prop_assert_eq!(decode_batch(&frame).unwrap(), &batch[..n]);
             }
+        }
+
+        /// Random bodies behind a valid header and checksum reach the
+        /// payload and index checks.
+        #[test]
+        fn prop_sealed_garbage_never_panics(
+            count in 0u32..64,
+            distinct in 0u32..64,
+            body in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let frame = sealed(count, distinct, &body);
+            if let Ok(view) = read_batch(&frame) {
+                prop_assert_eq!(view.indices().count(), view.len());
+                prop_assert_eq!(view.payloads().count(), view.distinct());
+            }
+            let _ = decode_batch(&frame);
         }
 
         #[test]

@@ -17,10 +17,12 @@
 //! differ by the doubling of one growing buffer.
 //!
 //! The durable decoders a resume runs on bytes from disk — the round
-//! log and a pod delta — are total and allocate in proportion to their
-//! input: arbitrary bytes, raw or sealed with valid framing, never make
-//! them request more bytes than the input holds (plus one formatted
-//! error message).
+//! log, a pod delta and a batch frame's validation — are total and
+//! allocate in proportion to their input: arbitrary bytes, raw or sealed
+//! with valid framing, never make them request more bytes than the
+//! input holds (plus one formatted error message). A batch frame's
+//! validation allocates nothing at all, whatever its counts and indices
+//! claim.
 //!
 //! Some gates pin counts outright: after its first run, an executor
 //! running a program that emits nothing allocates nothing; a warm pod's
@@ -47,7 +49,9 @@ use softborg_program::syscall::DefaultEnv;
 use softborg_program::taint::InputDependence;
 use softborg_program::{BlockId, BranchSiteId, Loc, LockId, Program, ProgramId, ThreadId};
 use softborg_trace::record::GlobalAccessSummary;
-use softborg_trace::{reconstruct, replay, BitVec, ExecutionTrace, RecordingPolicy, ReplayScratch};
+use softborg_trace::{
+    reconstruct, replay, wire, BitVec, ExecutionTrace, RecordingPolicy, ReplayScratch,
+};
 use softborg_tree::{ExecutionTree, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -549,9 +553,61 @@ fn durable_decoders_allocate_no_more_than_their_input() {
         bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     };
+    // Batch frames: real payloads, then random counts and index bytes,
+    // behind a valid header and checksum.
+    let s = scenarios::token_parser();
+    let mut pod = Pod::new(
+        &s.program,
+        PodConfig {
+            input_range: s.input_range,
+            ..PodConfig::default()
+        },
+    );
+    let payloads: Vec<Vec<u8>> = (0..4)
+        .map(|_| wire::encode(&pod.run_once().trace))
+        .collect();
+    let batch_frame = |count: u32, distinct: u32, body: &[u8]| {
+        let mut frame = b"SBF2".to_vec();
+        frame.extend_from_slice(&count.to_le_bytes());
+        frame.extend_from_slice(&distinct.to_le_bytes());
+        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        frame.extend_from_slice(body);
+        let sum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &frame[4..]);
+        frame.extend_from_slice(&sum.to_le_bytes());
+        frame
+    };
+    // How many sealed frames validated, and how many failed on an index.
+    let (mut valid, mut bad_index) = (0, 0);
     for case in 0..2_000u64 {
         let len = rng.gen_range(0..600);
         let raw: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let mut body = Vec::new();
+        for p in &payloads[..rng.gen_range(0..=payloads.len())] {
+            body.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            body.extend_from_slice(p);
+        }
+        let indices = rng.gen_range(0..12);
+        body.extend(
+            (0..indices).map(|_| rng.gen::<u8>() % 6 + 0x80 * u8::from(rng.gen_range(0..8) == 0)),
+        );
+        let frames = [
+            batch_frame(indices as u32, rng.gen_range(0..6), &body),
+            batch_frame(rng.gen(), rng.gen(), &raw),
+            raw.clone(),
+        ];
+        for frame in &frames {
+            let mut verdict = None;
+            let checked = bytes_of(|| verdict = Some(wire::read_batch(frame).map(|_| ())));
+            assert_eq!(
+                checked, 0,
+                "case {case}: batch frame validation allocated {checked} B"
+            );
+            match verdict.expect("ran") {
+                Ok(()) => valid += 1,
+                Err(wire::WireError::BadIndex { .. }) => bad_index += 1,
+                Err(_) => {}
+            }
+        }
         // Raw bytes, a sealed delta envelope around them, and round-log
         // records framed around slices of them.
         let mut log = Vec::new();
@@ -573,4 +629,8 @@ fn durable_decoders_allocate_no_more_than_their_input() {
             );
         }
     }
+    assert!(
+        valid > 0 && bad_index > 0,
+        "{valid} valid, {bad_index} bad-index frames"
+    );
 }

@@ -23,6 +23,7 @@ use softborg::program::scenarios::Scenario;
 use softborg::store::chain::{decode_record, encode_record};
 use softborg::store::ChainSource;
 use softborg::store::RecordKind;
+use softborg::trace::wire;
 use softborg::{DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
 use std::path::Path;
 
@@ -441,13 +442,19 @@ fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
 /// Rewrites every `REC_ROUND` body in `shard`'s journal with `rewrite`,
 /// re-appending each record with `journal::append_record`.
 fn rewrite_round_records(dir: &Path, shard: usize, rewrite: impl Fn(&[u8]) -> Vec<u8>) {
+    rewrite_records(dir, shard, REC_ROUND, rewrite);
+}
+
+/// Rewrites every body of record kind `kind` in `shard`'s journal with
+/// `rewrite`, re-appending each record with `journal::append_record`.
+fn rewrite_records(dir: &Path, shard: usize, kind: u8, rewrite: impl Fn(&[u8]) -> Vec<u8>) {
     let wal = shard_dir(dir, shard).join("hive.wal");
     let (records, scan) = journal::scan(&std::fs::read(&wal).unwrap());
     assert!(scan.tail_error.is_none());
     let mut bytes = Vec::new();
     for rec in &records {
         let body = match rec.kind {
-            REC_ROUND => rewrite(&rec.frame),
+            k if k == kind => rewrite(&rec.frame),
             _ => rec.frame.clone(),
         };
         journal::append_record(&mut bytes, rec.kind, rec.session, rec.seq, &body);
@@ -522,7 +529,45 @@ fn every_older_layout_is_refused_untouched() {
             make_pre_delta_layout(&dir, kind.shards(), &lanes);
             assert_refused_untouched(kind, &scs, &setup, &dir, what);
         }
+
+        // (e) Frames in the layout before deduplicated batches: every
+        // execution's payload behind its length, no indices — in the
+        // last shard's journal, so a campaign's other shards hold
+        // frames this build reads.
+        let dir = campaign_dir(kind, "one-payload-frames");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.start(&scs, &setup).run(2);
+        rewrite_records(&dir, kind.shards() - 1, REC_FRAME, |body| {
+            one_payload_per_execution_frame(&wire::decode_batch(body).unwrap())
+        });
+        assert_refused_untouched(kind, &scs, &setup, &dir, "one-payload-per-execution frames");
+        match kind.resume(&scs, &setup) {
+            Err(DurabilityError::Corrupt(msg)) => assert!(
+                msg.contains("older one-payload-per-execution batch layout"),
+                "{kind:?}: {msg}"
+            ),
+            other => panic!("{kind:?}: expected Corrupt, got {:?}", other.err()),
+        }
     }
+}
+
+/// A batch frame in the layout before deduplicated batches: `SBF1`
+/// magic, trace count (u32), payload length (u64), one length-prefixed
+/// payload per trace, FNV-1a checksum of all but the magic.
+fn one_payload_per_execution_frame(traces: &[softborg::trace::ExecutionTrace]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for t in traces {
+        let enc = wire::encode(t);
+        payload.extend_from_slice(&(enc.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&enc);
+    }
+    let mut frame = b"SBF1".to_vec();
+    frame.extend_from_slice(&(traces.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let checksum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &frame[4..]);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame
 }
 
 /// Every lane's pod images, in lane order.
