@@ -401,8 +401,9 @@ impl ExprCode {
         &self.loads[r.loads.0 as usize..r.loads.1 as usize]
     }
 
-    /// Evaluates `r` over dense state in the value domain `V`; `stack`
-    /// is scratch space of at least [`max_depth`](Self::max_depth) values.
+    /// Evaluates `r` over dense state in the value domain `V`, whose
+    /// operations read and extend `ctx`; `stack` is scratch space of at
+    /// least [`max_depth`](Self::max_depth) values.
     ///
     /// # Errors
     ///
@@ -416,12 +417,13 @@ impl ExprCode {
         globals: &[V],
         inputs: &[i64],
         stack: &mut [V],
+        ctx: &mut V::Ctx,
     ) -> Result<V, EvalFault> {
-        let value = |x: Operand| match x {
+        let value = |ctx: &mut V::Ctx, x: Operand| match x {
             Operand::Const(c) => V::from(c),
             Operand::Local(l) => locals[l as usize],
             Operand::Global(g) => globals[g as usize],
-            Operand::Input(x) => V::input(inputs, x as usize),
+            Operand::Input(x) => V::input(ctx, inputs, x as usize),
         };
         // Post-order code starts with a leaf. The top of the stack lives
         // in `top`; every later leaf spills it and a binary operation
@@ -430,18 +432,18 @@ impl ExprCode {
         let Some((&CodeOp::Leaf(first), rest)) = code.split_first() else {
             unreachable!("lowered code starts with a leaf")
         };
-        let (mut top, mut spilled) = (value(first), 0);
+        let (mut top, mut spilled) = (value(ctx, first), 0);
         for op in rest {
             top = match *op {
                 CodeOp::Leaf(x) => {
                     stack[spilled] = top;
                     spilled += 1;
-                    value(x)
+                    value(ctx, x)
                 }
-                CodeOp::Un(op) => V::un(op, top),
+                CodeOp::Un(op) => V::un(ctx, op, top),
                 CodeOp::Bin(op) => {
                     spilled -= 1;
-                    V::bin(op, stack[spilled], top)?
+                    V::bin(ctx, op, stack[spilled], top)?
                 }
             };
         }
@@ -453,33 +455,45 @@ impl ExprCode {
 /// domain. `Option<i64>` is replay's known-or-⊥ domain, where every
 /// input-derived value is ⊥ (`None`): `&&` and `||` stay known when one
 /// known side decides them, a known zero divisor faults whatever the
-/// dividend, and any other operation with a ⊥ operand gives ⊥.
+/// dividend, and any other operation with a ⊥ operand gives ⊥. The
+/// symbolic executor's domain builds terms over the inputs in its own
+/// context.
 pub trait Value: Copy + From<i64> {
+    /// What the operations read and extend: nothing for the concrete
+    /// domains, a term arena and the path for the symbolic one.
+    type Ctx: ?Sized;
     /// Input cell `i` of a run given `inputs`.
-    fn input(inputs: &[i64], i: usize) -> Self;
+    fn input(ctx: &mut Self::Ctx, inputs: &[i64], i: usize) -> Self;
     /// Applies a unary operator.
-    fn un(op: UnOp, v: Self) -> Self;
+    fn un(ctx: &mut Self::Ctx, op: UnOp, v: Self) -> Self;
     /// Applies a binary operator.
     ///
     /// # Errors
     ///
     /// [`EvalFault`] on a division or remainder by a known zero.
-    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault>;
+    fn bin(ctx: &mut Self::Ctx, op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault>;
+    /// `v` as a value the run keeps: stored, tested or passed to a
+    /// syscall. The concrete domains keep it as it is.
+    #[inline]
+    fn kept(_ctx: &mut Self::Ctx, v: Self) -> Self {
+        v
+    }
     /// Whether the value is nonzero, when known.
     fn truth(self) -> Option<bool>;
 }
 
 impl Value for i64 {
+    type Ctx = ();
     #[inline]
-    fn input(inputs: &[i64], i: usize) -> Self {
+    fn input(_: &mut (), inputs: &[i64], i: usize) -> Self {
         inputs[i]
     }
     #[inline]
-    fn un(op: UnOp, v: Self) -> Self {
+    fn un(_: &mut (), op: UnOp, v: Self) -> Self {
         apply_un(op, v)
     }
     #[inline]
-    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
+    fn bin(_: &mut (), op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
         apply_bin(op, x, y)
     }
     #[inline]
@@ -489,16 +503,17 @@ impl Value for i64 {
 }
 
 impl Value for Option<i64> {
+    type Ctx = ();
     #[inline]
-    fn input(_: &[i64], _: usize) -> Self {
+    fn input(_: &mut (), _: &[i64], _: usize) -> Self {
         None
     }
     #[inline]
-    fn un(op: UnOp, v: Self) -> Self {
+    fn un(_: &mut (), op: UnOp, v: Self) -> Self {
         v.map(|v| apply_un(op, v))
     }
     #[inline]
-    fn bin(op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
+    fn bin(_: &mut (), op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
         match (op, x, y) {
             (_, Some(x), Some(y)) => apply_bin(op, x, y).map(Some),
             (BinOp::And, Some(0), _) | (BinOp::And, _, Some(0)) => Ok(Some(0)),

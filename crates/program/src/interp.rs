@@ -372,6 +372,24 @@ impl LoweredProgram {
         &self.deps
     }
 
+    /// Per global: whether a thread other than `unit` writes it.
+    pub fn written_by_others(&self, unit: ThreadId) -> Vec<bool> {
+        let mut written = vec![false; self.n_globals as usize];
+        let others = self
+            .bases
+            .iter()
+            .enumerate()
+            .filter(|(t, _)| *t != unit.index());
+        for (_, starts) in others {
+            for op in &self.ops[starts[0] as usize..starts[starts.len() - 1] as usize] {
+                if let Op::Assign(Place::Global(g), _) | Op::Syscall(_, _, Place::Global(g)) = op {
+                    written[g.index()] = true;
+                }
+            }
+        }
+        written
+    }
+
     /// The op at `loc`, if the program has that location.
     fn op_at(&self, loc: Loc) -> Option<usize> {
         let starts = self
@@ -392,8 +410,8 @@ struct ThreadState {
 
 /// One run's state in dense, id-indexed tables, values in the domain
 /// `V`. Keep one between runs so that a run reuses the last one's
-/// allocations.
-#[derive(Debug, Default)]
+/// allocations; a clone forks the run (see [`Machine::resume`]).
+#[derive(Debug, Default, Clone)]
 pub struct Scratch<V> {
     globals: Vec<V>,
     /// Every thread's locals: thread `t` owns `[t * n_locals..][..n_locals]`.
@@ -425,8 +443,9 @@ pub struct Scratch<V> {
 /// Where a [`Machine`] run gets what the program does not determine: a
 /// guard's firing or a branch's direction when the source recorded it
 /// (the run evaluates the predicate or condition otherwise) and every
-/// syscall's return. Its [`Observer`] sees the run's by-products.
-pub trait Decisions<V> {
+/// syscall's return. Its [`Observer`] sees the run's by-products, and
+/// its [context](Value::Ctx) is what the run's values are computed in.
+pub trait Decisions<V: Value> {
     /// Why the source ends a run early (a trace that ran out).
     type Error;
     /// What the run reports to.
@@ -437,6 +456,8 @@ pub trait Decisions<V> {
     const STOPS_AT_CYCLES: bool = false;
     /// The run's observer.
     fn observer(&mut self) -> &mut Self::Observer;
+    /// The context the run's values are computed in.
+    fn ctx(&mut self) -> &mut V::Ctx;
     /// The next guard's recorded firing.
     fn recorded_guard(&mut self) -> Result<Option<bool>, Self::Error> {
         Ok(None)
@@ -445,6 +466,20 @@ pub trait Decisions<V> {
     #[allow(unused_variables)]
     fn recorded_branch(&mut self, dependent: bool) -> Result<Option<bool>, Self::Error> {
         Ok(None)
+    }
+    /// The direction of a branch at `site` without a recorded one, whose
+    /// condition is `cond`: its truth, and a ⊥ condition stops the run.
+    #[inline]
+    fn branch(&mut self, site: BranchSiteId, cond: V) -> Result<bool, Stop<Self::Error>> {
+        cond.truth().ok_or(Stop::UnknownBranch(site))
+    }
+    /// An assertion of `cond`: a known-false one crashes the run.
+    #[inline]
+    fn assertion(&mut self, cond: V) -> Result<(), Stop<Self::Error>> {
+        match cond.truth() {
+            Some(false) => Err(Stop::Crash(CrashKind::AssertFailed)),
+            _ => Ok(()),
+        }
     }
     /// What a syscall returns.
     fn syscall(&mut self, thread: ThreadId, kind: SyscallKind, arg: V) -> Result<V, Self::Error>;
@@ -486,6 +521,7 @@ struct Live<'a, E: ?Sized, O: ?Sized> {
     emitted: Vec<(ThreadId, i64)>,
     /// Also the index of the next syscall.
     n_syscalls: u64,
+    ctx: (),
 }
 
 impl<E: EnvModel + ?Sized, O: Observer + ?Sized> Decisions<i64> for Live<'_, E, O> {
@@ -496,6 +532,10 @@ impl<E: EnvModel + ?Sized, O: Observer + ?Sized> Decisions<i64> for Live<'_, E, 
     #[inline]
     fn observer(&mut self) -> &mut O {
         self.obs
+    }
+    #[inline]
+    fn ctx(&mut self) -> &mut () {
+        &mut self.ctx
     }
     fn syscall(&mut self, t: ThreadId, kind: SyscallKind, arg: i64) -> Result<i64, Infallible> {
         let r = self.env.call(t, kind, arg, self.n_syscalls);
@@ -616,6 +656,7 @@ impl<'p> Executor<'p> {
             obs,
             emitted: Vec::new(),
             n_syscalls: 0,
+            ctx: (),
         };
         let mut m = Machine::new(&self.code, overlay, inputs, &mut self.scratch);
         let mut steps: u64 = 0;
@@ -746,6 +787,18 @@ impl<'a, V: Value> Machine<'a, V> {
         s.header_visits.resize(overlay.loop_bounds.len(), 0);
         let depth = code.exprs.max_depth().max(s.guards.max_depth());
         s.stack.resize(depth, zero);
+        Self::resume(code, overlay, inputs, scratch)
+    }
+
+    /// Goes on with the run in `scratch`, which [`new`](Self::new) set up
+    /// for the same program, overlay and inputs, and steps may have
+    /// advanced: a clone of it ([`tables`](Self::tables)) forks the run.
+    pub fn resume(
+        code: &'a LoweredProgram,
+        overlay: &'a Overlay,
+        inputs: &'a [i64],
+        scratch: &'a mut Scratch<V>,
+    ) -> Self {
         Machine {
             code,
             n_locals: code.n_locals as usize,
@@ -761,6 +814,38 @@ impl<'a, V: Value> Machine<'a, V> {
     /// The threads that may step, ascending.
     pub fn runnable(&self) -> &[ThreadId] {
         &self.s.runnable
+    }
+
+    /// A copy of the run's tables, which [`resume`](Self::resume) goes on
+    /// from.
+    pub fn tables(&self) -> Scratch<V> {
+        self.s.clone()
+    }
+
+    /// Thread `t`'s next op, for a driver that acts between steps: whether
+    /// it is a branch, and the globals it loads in [`Expr::visit`]'s
+    /// pre-order (repeats kept).
+    ///
+    /// [`Expr::visit`]: crate::expr::Expr::visit
+    pub fn next_op(&self, t: ThreadId) -> (bool, &[GlobalId]) {
+        let ts = &self.s.threads[t.index()];
+        let (branch, e) = match self.code.ops[(ts.at.base + ts.stmt) as usize] {
+            Op::Branch { cond, .. } => (true, cond),
+            Op::Assign(_, e) | Op::Syscall(_, e, _) | Op::Assert(e) | Op::Emit(e) => (false, e),
+            _ => return (false, &[]),
+        };
+        (branch, self.code.exprs.global_loads(e))
+    }
+
+    /// Sets global `g` between steps.
+    pub fn set_global(&mut self, g: GlobalId, v: V) {
+        self.s.globals[g.index()] = v;
+    }
+
+    /// Moves thread `t` past the statement that stopped it, as if it had
+    /// no effect.
+    pub fn skip(&mut self, t: ThreadId) {
+        self.s.threads[t.index()].stmt += 1;
     }
 
     /// Where thread `t` is.
@@ -788,9 +873,22 @@ impl<'a, V: Value> Machine<'a, V> {
         src: &mut D,
     ) -> Result<V, EvalFault> {
         self.observe_reads(t, e, src);
-        let frame = self.frame(t);
-        let s = &mut self.s;
-        (self.code.exprs).eval(e, &s.locals[frame], &s.globals, self.inputs, &mut s.stack)
+        let (frame, s) = (self.frame(t), &mut *self.s);
+        let (locals, ctx) = (&s.locals[frame], src.ctx());
+        (self.code.exprs).eval(e, locals, &s.globals, self.inputs, &mut s.stack, ctx)
+    }
+
+    /// [`eval`](Self::eval) of a value the step keeps (see
+    /// [`Value::kept`]).
+    #[inline]
+    fn operand<D: Decisions<V>>(
+        &mut self,
+        t: ThreadId,
+        e: ExprRef,
+        src: &mut D,
+    ) -> Result<V, EvalFault> {
+        let v = self.eval(t, e, src)?;
+        Ok(V::kept(src.ctx(), v))
     }
 
     /// Reports the global reads of `e` to the observer, in pre-order.
@@ -989,7 +1087,8 @@ impl<'a, V: Value> Machine<'a, V> {
                 None => {
                     let (frame, s) = (self.frame(t), &mut *self.s);
                     let (locals, r) = (&s.locals[frame], s.guard_refs[i]);
-                    let v = (s.guards).eval(r, locals, &s.globals, self.inputs, &mut s.stack);
+                    let (globals, ctx) = (&s.globals, src.ctx());
+                    let v = (s.guards).eval(r, locals, globals, self.inputs, &mut s.stack, ctx);
                     v.ok().and_then(V::truth) == Some(true)
                 }
             };
@@ -1016,7 +1115,7 @@ impl<'a, V: Value> Machine<'a, V> {
 
         match op {
             Op::Assign(place, e) => {
-                let v = self.eval(t, e, src)?;
+                let v = self.operand(t, e, src)?;
                 self.store(t, place, v, src);
             }
             Op::Lock(lock) => {
@@ -1043,14 +1142,13 @@ impl<'a, V: Value> Machine<'a, V> {
                 self.release_stale_gates(t, src);
             }
             Op::Syscall(kind, arg, ret) => {
-                let a = self.eval(t, arg, src)?;
+                let a = self.operand(t, arg, src)?;
                 let r = src.syscall(t, kind, a).map_err(Stop::Source)?;
                 self.store(t, ret, r, src);
             }
             Op::Assert(e) => {
-                if self.eval(t, e, src)?.truth() == Some(false) {
-                    return Err(Stop::Crash(CrashKind::AssertFailed));
-                }
+                let cond = self.operand(t, e, src)?;
+                src.assertion(cond)?;
             }
             Op::Emit(e) => {
                 let v = self.eval(t, e, src)?;
@@ -1081,7 +1179,10 @@ impl<'a, V: Value> Machine<'a, V> {
                 // condition.
                 let taken = match src.recorded_branch(dependent).map_err(Stop::Source)? {
                     Some(taken) => taken,
-                    None => (self.eval(t, cond, src)?.truth()).ok_or(Stop::UnknownBranch(site))?,
+                    None => {
+                        let cond = self.operand(t, cond, src)?;
+                        src.branch(site, cond)?
+                    }
                 };
                 self.n_branches += 1;
                 src.observer().on_branch(t, site, taken, dependent);

@@ -96,7 +96,7 @@ proptest! {
                 inputs: slots(),
             };
             for (e, &r) in exprs.iter().zip(&refs) {
-                let lowered = code.eval(r, &state.locals, &state.globals, &state.inputs, &mut stack);
+                let lowered = code.eval(r, &state.locals, &state.globals, &state.inputs, &mut stack, &mut ());
                 prop_assert_eq!(lowered, eval(e, &state), "{}", e);
             }
         }

@@ -1,108 +1,139 @@
 //! Partial evaluation of guest expressions into *residuals* over inputs.
 //!
-//! Symbolic state maps every place to an expression whose only leaves are
-//! `Const` and `Input`. Substituting a program expression through that
-//! state and constant-folding yields the residual used in path
-//! constraints. Residual growth is capped: an expression exceeding
-//! [`MAX_RESIDUAL_NODES`] is abstracted to a fresh pseudo-input
-//! (a sound over-approximation — the value becomes unconstrained).
+//! The symbolic executor runs the interpreter's `Machine` in a third
+//! value domain: a value is known, or a term in an append-only,
+//! hash-consed arena whose only leaves are constants and
+//! inputs. The arena's constructors constant-fold, so a residual is what
+//! substituting the run's state into a program expression and folding
+//! gives. Residual growth is capped by the executor: a kept value whose
+//! tree exceeds [`MAX_RESIDUAL_NODES`] nodes is abstracted to a fresh
+//! pseudo-input (a sound over-approximation — the value becomes
+//! unconstrained).
 
-use softborg_program::expr::{apply_bin, BinOp, Expr, Place, UnOp};
+use softborg_program::expr::{apply_bin, apply_un, BinOp, Expr, Place, UnOp};
 use softborg_program::ids::InputId;
+use std::collections::HashMap;
 
 /// Residuals larger than this many nodes are abstracted away.
 pub const MAX_RESIDUAL_NODES: usize = 64;
 
-/// Counts expression nodes.
-pub fn size(e: &Expr) -> usize {
-    let mut n = 0;
-    e.visit(&mut |_| n += 1);
-    n
+/// A value of the symbolic domain: known, or a term of its run's
+/// [`Terms`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Sym {
+    /// A known value.
+    Known(i64),
+    /// A term's id.
+    Term(u32),
 }
 
-/// Allocates fresh pseudo-inputs (symbols beyond the program's real
-/// inputs: syscall returns, unconstrained globals, abstracted residuals).
-#[derive(Debug, Clone)]
-pub struct SymbolPool {
-    next: u32,
-}
-
-impl SymbolPool {
-    /// Starts allocating after the program's `n_inputs` real inputs.
-    pub fn new(n_inputs: u32) -> Self {
-        SymbolPool { next: n_inputs }
-    }
-
-    /// Returns a fresh pseudo-input symbol.
-    pub fn fresh(&mut self) -> Expr {
-        let id = InputId::new(self.next);
-        self.next += 1;
-        Expr::Input(id)
-    }
-
-    /// Total symbols allocated so far (real + pseudo).
-    pub fn width(&self) -> u32 {
-        self.next
+impl Default for Sym {
+    fn default() -> Self {
+        Sym::Known(0)
     }
 }
 
-/// Substitutes `locals`/`globals` residuals into `e` and constant-folds.
-///
-/// The result's only leaves are `Const` and `Input`. Oversized results
-/// are replaced by a fresh symbol from `pool`.
-pub fn subst(e: &Expr, locals: &[Expr], globals: &[Expr], pool: &mut SymbolPool) -> Expr {
-    let r = subst_rec(e, locals, globals);
-    if size(&r) > MAX_RESIDUAL_NODES {
-        pool.fresh()
-    } else {
-        r
+impl From<i64> for Sym {
+    fn from(v: i64) -> Self {
+        Sym::Known(v)
     }
 }
 
-fn subst_rec(e: &Expr, locals: &[Expr], globals: &[Expr]) -> Expr {
-    match e {
-        Expr::Const(c) => Expr::Const(*c),
-        Expr::Input(i) => Expr::Input(*i),
-        Expr::Load(Place::Local(l)) => locals[l.index()].clone(),
-        Expr::Load(Place::Global(g)) => globals[g.index()].clone(),
-        Expr::Un(op, x) => {
-            let xr = subst_rec(x, locals, globals);
-            if let Expr::Const(c) = xr {
-                Expr::Const(match op {
-                    UnOp::Neg => c.wrapping_neg(),
-                    UnOp::Not => i64::from(c == 0),
-                    UnOp::BitNot => !c,
-                })
-            } else {
-                Expr::un(*op, xr)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Node {
+    Const(i64),
+    Input(u32),
+    Un(UnOp, u32),
+    Bin(BinOp, u32, u32),
+}
+
+/// The term arena: each distinct term once, with its size as a tree.
+#[derive(Debug, Default)]
+pub(crate) struct Terms {
+    nodes: Vec<(Node, usize)>,
+    ids: HashMap<Node, u32>,
+}
+
+impl Terms {
+    fn intern(&mut self, node: Node) -> u32 {
+        let size = |id: u32| self.nodes[id as usize].1;
+        let size = match node {
+            Node::Const(_) | Node::Input(_) => 1,
+            Node::Un(_, x) => size(x).saturating_add(1),
+            Node::Bin(_, a, b) => size(a).saturating_add(size(b)).saturating_add(1),
+        };
+        let next = self.nodes.len() as u32;
+        let id = *self.ids.entry(node).or_insert(next);
+        if id == next {
+            self.nodes.push((node, size));
+        }
+        id
+    }
+
+    fn id(&mut self, v: Sym) -> u32 {
+        match v {
+            Sym::Known(c) => self.intern(Node::Const(c)),
+            Sym::Term(id) => id,
+        }
+    }
+
+    /// Input cell (or pseudo-input) `i`.
+    pub fn input(&mut self, i: u32) -> Sym {
+        Sym::Term(self.intern(Node::Input(i)))
+    }
+
+    /// `op x`, folded when `x` is known.
+    pub fn un(&mut self, op: UnOp, x: Sym) -> Sym {
+        match x {
+            Sym::Known(c) => Sym::Known(apply_un(op, c)),
+            Sym::Term(x) => Sym::Term(self.intern(Node::Un(op, x))),
+        }
+    }
+
+    /// `a op b`, folded when both are known, except a division by zero,
+    /// which stays a term (the executor makes it a crash point); a few
+    /// identities keep loop residuals small.
+    pub fn bin(&mut self, op: BinOp, a: Sym, b: Sym) -> Sym {
+        use Sym::Known;
+        if let (Known(x), Known(y)) = (a, b) {
+            if let Ok(v) = apply_bin(op, x, y) {
+                return Known(v);
             }
         }
-        Expr::Bin(op, a, b) => {
-            let ar = subst_rec(a, locals, globals);
-            let br = subst_rec(b, locals, globals);
-            fold_bin(*op, ar, br)
+        match (op, a, b) {
+            (BinOp::Add | BinOp::Sub | BinOp::BitOr | BinOp::BitXor, _, Known(0)) => a,
+            (BinOp::Add | BinOp::BitOr | BinOp::BitXor, Known(0), _) => b,
+            (BinOp::Mul, _, Known(1)) => a,
+            (BinOp::Mul, Known(1), _) => b,
+            (BinOp::Mul | BinOp::And | BinOp::BitAnd, _, Known(0)) => Known(0),
+            (BinOp::Mul | BinOp::And | BinOp::BitAnd, Known(0), _) => Known(0),
+            _ => {
+                let (a, b) = (self.id(a), self.id(b));
+                Sym::Term(self.intern(Node::Bin(op, a, b)))
+            }
         }
     }
-}
 
-/// Folds a binary operation over residuals, keeping division-by-zero
-/// *unfolded* (the symbolic executor turns it into an explicit crash
-/// fork).
-pub fn fold_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
-    if let (Expr::Const(x), Expr::Const(y)) = (&a, &b) {
-        if let Ok(v) = apply_bin(op, *x, *y) {
-            return Expr::Const(v);
+    /// How many nodes `v` has as a tree (saturating).
+    pub fn size(&self, v: Sym) -> usize {
+        match v {
+            Sym::Known(_) => 1,
+            Sym::Term(id) => self.nodes[id as usize].1,
         }
     }
-    // Light algebraic identities that keep loop residuals small.
-    match (op, &a, &b) {
-        (BinOp::Add | BinOp::Sub | BinOp::BitOr | BinOp::BitXor, _, Expr::Const(0)) => a,
-        (BinOp::Add | BinOp::BitOr | BinOp::BitXor, Expr::Const(0), _) => b,
-        (BinOp::Mul, _, Expr::Const(1)) => a,
-        (BinOp::Mul, Expr::Const(1), _) => b,
-        (BinOp::Mul | BinOp::And | BinOp::BitAnd, _, Expr::Const(0)) => Expr::Const(0),
-        (BinOp::Mul | BinOp::And | BinOp::BitAnd, Expr::Const(0), _) => Expr::Const(0),
-        _ => Expr::bin(op, a, b),
+
+    /// `v` as an expression tree.
+    pub fn expr(&self, v: Sym) -> Expr {
+        let id = match v {
+            Sym::Known(c) => return Expr::Const(c),
+            Sym::Term(id) => id,
+        };
+        match self.nodes[id as usize].0 {
+            Node::Const(c) => Expr::Const(c),
+            Node::Input(i) => Expr::Input(InputId::new(i)),
+            Node::Un(op, x) => Expr::un(op, self.expr(Sym::Term(x))),
+            Node::Bin(op, a, b) => Expr::bin(op, self.expr(Sym::Term(a)), self.expr(Sym::Term(b))),
+        }
     }
 }
 
@@ -126,52 +157,60 @@ pub fn eval_residual(e: &Expr, inputs: &[i64]) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_program::expr::Expr;
 
-    #[test]
-    fn constants_fold() {
-        let e = Expr::bin(BinOp::Add, Expr::Const(2), Expr::Const(3));
-        let mut pool = SymbolPool::new(0);
-        assert_eq!(subst(&e, &[], &[], &mut pool), Expr::Const(5));
+    fn expr(terms: &mut Terms, f: impl FnOnce(&mut Terms) -> Sym) -> Expr {
+        let v = f(terms);
+        terms.expr(v)
     }
 
     #[test]
-    fn locals_substitute() {
-        let locals = vec![Expr::input(0)];
-        let e = Expr::bin(BinOp::Mul, Expr::local(0), Expr::Const(2));
-        let mut pool = SymbolPool::new(1);
-        let r = subst(&e, &locals, &[], &mut pool);
-        assert_eq!(r, Expr::bin(BinOp::Mul, Expr::input(0), Expr::Const(2)));
+    fn constants_fold() {
+        let mut t = Terms::default();
+        assert_eq!(
+            t.bin(BinOp::Add, Sym::Known(2), Sym::Known(3)),
+            Sym::Known(5)
+        );
+        assert_eq!(t.un(UnOp::Not, Sym::Known(0)), Sym::Known(1));
+    }
+
+    #[test]
+    fn terms_are_hash_consed() {
+        let mut t = Terms::default();
+        let x = t.input(0);
+        let a = t.bin(BinOp::Mul, x, Sym::Known(2));
+        let b = t.bin(BinOp::Mul, x, Sym::Known(2));
+        assert_eq!(a, b);
+        assert_eq!(
+            t.expr(a),
+            Expr::bin(BinOp::Mul, Expr::input(0), Expr::Const(2))
+        );
     }
 
     #[test]
     fn identities_shrink_residuals() {
-        let e = Expr::bin(BinOp::Add, Expr::input(0), Expr::Const(0));
-        let mut pool = SymbolPool::new(1);
-        assert_eq!(subst(&e, &[], &[], &mut pool), Expr::input(0));
-        let z = Expr::bin(BinOp::Mul, Expr::input(0), Expr::Const(0));
-        assert_eq!(subst(&z, &[], &[], &mut pool), Expr::Const(0));
+        let mut t = Terms::default();
+        let x = t.input(0);
+        assert_eq!(t.bin(BinOp::Add, x, Sym::Known(0)), x);
+        assert_eq!(t.bin(BinOp::Mul, x, Sym::Known(0)), Sym::Known(0));
     }
 
     #[test]
     fn div_by_zero_does_not_fold() {
-        let e = Expr::bin(BinOp::Div, Expr::Const(1), Expr::Const(0));
-        let mut pool = SymbolPool::new(0);
-        let r = subst(&e, &[], &[], &mut pool);
-        assert!(matches!(r, Expr::Bin(BinOp::Div, _, _)));
+        let mut t = Terms::default();
+        let e = expr(&mut t, |t| t.bin(BinOp::Div, Sym::Known(1), Sym::Known(0)));
+        assert_eq!(e, Expr::bin(BinOp::Div, Expr::Const(1), Expr::Const(0)));
     }
 
     #[test]
-    fn oversized_residuals_become_fresh_symbols() {
-        // Build a deep expression > MAX_RESIDUAL_NODES.
-        let mut e = Expr::input(0);
-        for _ in 0..MAX_RESIDUAL_NODES {
-            e = Expr::bin(BinOp::Add, e, Expr::input(0));
+    fn size_counts_tree_nodes_not_shared_ones() {
+        let mut t = Terms::default();
+        let mut e = t.input(0);
+        assert_eq!(t.size(e), 1);
+        for _ in 0..8 {
+            e = t.bin(BinOp::Add, e, e);
         }
-        let mut pool = SymbolPool::new(1);
-        let r = subst(&e, &[], &[], &mut pool);
-        assert_eq!(r, Expr::input(1), "abstracted to the first pseudo-input");
-        assert_eq!(pool.width(), 2);
+        assert_eq!(t.size(e), 511, "a DAG of 9 terms is a tree of 511");
+        assert_eq!(t.size(Sym::Known(3)), 1);
     }
 
     #[test]
@@ -187,14 +226,5 @@ mod tests {
         let e = Expr::bin(BinOp::Div, Expr::Const(1), Expr::input(0));
         assert_eq!(eval_residual(&e, &[0]), None);
         assert_eq!(eval_residual(&e, &[2]), Some(0));
-    }
-
-    #[test]
-    fn size_counts_nodes() {
-        assert_eq!(size(&Expr::Const(1)), 1);
-        assert_eq!(
-            size(&Expr::bin(BinOp::Add, Expr::input(0), Expr::Const(1))),
-            3
-        );
     }
 }

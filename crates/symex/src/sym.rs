@@ -10,14 +10,16 @@
 //! guaranteed to behave correctly for all feasible paths").
 
 use crate::interval::InputBox;
-use crate::partial::{subst, SymbolPool};
+use crate::partial::{Sym, Terms, MAX_RESIDUAL_NODES};
 use crate::solve::{self, Constraint, Feasibility, SolveBudget};
 use serde::{Deserialize, Serialize};
-use softborg_program::cfg::{Loc, Program, Stmt, SyscallKind, Terminator};
-use softborg_program::expr::{BinOp, Expr, Place};
-use softborg_program::interp::CrashKind;
-use softborg_program::{BlockId, BranchSiteId, LockId, ThreadId};
-use std::collections::{BTreeSet, HashMap};
+use softborg_program::cfg::{Loc, Program, SyscallKind};
+use softborg_program::expr::{BinOp, EvalFault, Expr, UnOp, Value};
+use softborg_program::interp::{
+    CrashKind, Decisions, LoweredProgram, Machine, Observer, Scratch, Stop,
+};
+use softborg_program::{BranchSiteId, GlobalId, LockId, Overlay, ThreadId};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Execution-consistency level (paper §4).
@@ -173,99 +175,44 @@ impl fmt::Display for SymexError {
 
 impl std::error::Error for SymexError {}
 
-#[derive(Debug, Clone)]
-struct SymState {
-    block: u32,
-    stmt: u32,
-    locals: Vec<Expr>,
-    globals: Vec<Expr>,
-    held: BTreeSet<LockId>,
+/// One path's bookkeeping beside the Machine's tables.
+#[derive(Debug, Clone, Default)]
+struct Path {
     constraints: Vec<Constraint>,
     decisions: Vec<(BranchSiteId, bool)>,
+    /// Branch visits per block.
     loop_visits: HashMap<u32, u32>,
     steps: u64,
-    pool: SymbolPool,
-    /// Per-path refined input box (constraint propagation): every
-    /// single-symbol constraint tightens it, so contradictory forks like
-    /// `in < 500 ∧ in >= 900` are pruned at fork time.
+    /// Symbols allocated so far (real + pseudo).
+    width: u32,
+    /// Refined by every single-symbol constraint (constraint
+    /// propagation), so contradictory forks like `in < 500 ∧ in >= 900`
+    /// are pruned at fork time.
     box_: InputBox,
-    /// Per global: the unit has read or written it (relaxed runs only).
+    /// Per global: the unit has read or written it.
     touched: Vec<bool>,
+    /// A forked branch's arm, taken by the path's next step.
+    pending: Option<bool>,
 }
 
-impl SymState {
-    /// The unit at its entry: locals zero, globals zero or (relaxed
-    /// consistency) unconstrained symbols.
-    fn initial(program: &Program, config: &SymConfig, symbolic_globals: bool) -> SymState {
-        let mut pool = SymbolPool::new(program.n_inputs);
-        let mut globals = vec![Expr::Const(0); program.n_globals as usize];
-        if symbolic_globals {
-            globals.iter_mut().for_each(|g| *g = pool.fresh());
-        }
-        SymState {
-            block: 0,
-            stmt: 0,
-            locals: vec![Expr::Const(0); program.n_locals as usize],
-            globals,
-            held: BTreeSet::new(),
-            constraints: Vec::new(),
-            decisions: Vec::new(),
-            loop_visits: HashMap::new(),
-            steps: 0,
-            pool,
-            box_: config.input_box.clone(),
-            touched: vec![false; program.n_globals as usize],
-        }
-    }
-
-    fn slot(&mut self, place: Place) -> &mut Expr {
-        match place {
-            Place::Local(l) => &mut self.locals[l.index()],
-            Place::Global(g) => &mut self.globals[g.index()],
-        }
-    }
-
-    fn residual(&mut self, e: &Expr) -> Expr {
-        subst(e, &self.locals, &self.globals, &mut self.pool)
-    }
-}
-
-/// Per global: a thread other than `unit` writes it.
-fn shared_globals(program: &Program, unit: ThreadId) -> Vec<bool> {
-    let mut shared = vec![false; program.n_globals as usize];
-    let others = program
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(t, _)| *t != unit.index());
-    for stmt in others.flat_map(|(_, body)| body.blocks.iter().flat_map(|b| &b.stmts)) {
-        let (Stmt::Assign(place, _) | Stmt::Syscall { ret: place, .. }) = stmt else {
-            continue;
-        };
-        if let Place::Global(g) = place {
-            shared[g.index()] = true;
-        }
-    }
-    shared
-}
-
-/// The conjunct "`expr` is truthy" (`want`) or falsy.
-fn conjunct(expr: Expr, want: bool) -> Constraint {
+/// The conjunct "`v` is truthy" (`want`) or falsy.
+fn conjunct(terms: &Terms, v: Sym, want: bool) -> Constraint {
+    let expr = terms.expr(v);
     Constraint { expr, want }
 }
 
-/// Pushes `c` onto the state's path condition, refining the state's
-/// input box. Returns `false`, leaving the condition as it was, when the
-/// addition is provably infeasible.
-fn push_constraint(state: &mut SymState, c: Constraint) -> bool {
+/// Pushes `c` onto `path`'s condition, refining its input box. Returns
+/// `false`, leaving the condition as it was, when the addition is
+/// provably infeasible.
+fn push_constraint(path: &mut Path, c: Constraint) -> bool {
     if let Some((sym, iv)) = solve::refinement(&c) {
-        if !solve::apply_refinement(&mut state.box_, sym, iv) {
+        if !solve::apply_refinement(&mut path.box_, sym, iv) {
             return false;
         }
-    } else if !solve::interval_filter(std::slice::from_ref(&c), &state.box_) {
+    } else if !solve::interval_filter(std::slice::from_ref(&c), &path.box_) {
         return false;
     }
-    state.constraints.push(c);
+    path.constraints.push(c);
     true
 }
 
@@ -277,36 +224,33 @@ fn push_constraint(state: &mut SymState, c: Constraint) -> bool {
 ///   more than one thread.
 /// * [`SymexError::BadThread`] — relaxed mode naming a missing thread.
 pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, SymexError> {
-    let (thread, relaxed) = match config.consistency {
-        Consistency::Strict => {
-            if program.threads.len() != 1 {
-                return Err(SymexError::MultiThreadedStrict);
-            }
-            (ThreadId::new(0), false)
+    let unit = match config.consistency {
+        Consistency::Strict if program.threads.len() != 1 => {
+            return Err(SymexError::MultiThreadedStrict)
         }
-        Consistency::RelaxedUnit(t) => {
-            if t.index() >= program.threads.len() {
-                return Err(SymexError::BadThread(t));
-            }
-            (t, true)
+        Consistency::Strict => None,
+        Consistency::RelaxedUnit(t) if t.index() >= program.threads.len() => {
+            return Err(SymexError::BadThread(t))
         }
+        Consistency::RelaxedUnit(t) => Some(t),
     };
-    let mut engine = Engine::new(program, thread, config);
-    if relaxed {
-        engine.shared = shared_globals(program, thread);
+    let code = LoweredProgram::new(program);
+    let mut run = Run::new(program, config, unit.unwrap_or_default(), None);
+    if let Some(t) = unit {
+        run.shared = code.written_by_others(t);
     }
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(config.exploration_seed);
-    let mut stack = vec![SymState::initial(program, config, relaxed)];
-    while !stack.is_empty() && engine.paths.len() < config.max_paths {
+    let mut stack = vec![run.start(&code, program, unit.is_some())];
+    while !stack.is_empty() && run.paths.len() < config.max_paths {
         let state = stack.swap_remove(rng.gen_range(0..stack.len()));
-        engine.run_state(state, &mut stack);
+        run.run_path(&code, state, &mut stack);
     }
-    engine.stats.paths = engine.paths.len() as u64;
+    run.stats.paths = run.paths.len() as u64;
     Ok(Exploration {
-        paths: engine.paths,
-        stats: engine.stats,
+        paths: run.paths,
+        stats: run.stats,
     })
 }
 
@@ -348,17 +292,28 @@ pub fn arm_feasibility(
     if program.threads.len() != 1 {
         return Err(SymexError::MultiThreadedStrict);
     }
-    let mut engine = Engine::new(program, ThreadId::new(0), config);
-    engine.max_steps = config.max_steps.max(prefix.len() as u64 * 50);
-    engine.follow = Some([prefix, &[(site, taken)]].concat());
-    engine.run_state(SymState::initial(program, config, false), &mut Vec::new());
-    engine.verdict.expect("a follow run ends with a verdict")
+    let code = LoweredProgram::new(program);
+    let arms = [prefix, &[(site, taken)]].concat();
+    let mut run = Run::new(program, config, ThreadId::new(0), Some(arms));
+    run.max_steps = config.max_steps.max(prefix.len() as u64 * 50);
+    let state = run.start(&code, program, false);
+    run.run_path(&code, state, &mut Vec::new());
+    run.verdict.expect("a follow run ends with a verdict")
 }
 
-struct Engine<'a> {
-    program: &'a Program,
-    thread: ThreadId,
-    config: &'a SymConfig,
+/// One [`explore`] or follow run of a unit: the context its [`Sym`]
+/// values are computed in, the Machine's decision source, and the driver
+/// that steps the unit's paths.
+#[derive(Default)]
+pub(crate) struct Run {
+    terms: Terms,
+    /// The path being stepped, and where its current step is.
+    path: Path,
+    loc: Loc,
+    /// The path ended inside the step, without a record.
+    ended: bool,
+    unit: ThreadId,
+    config: SymConfig,
     max_steps: u64,
     /// Per global: another thread writes it (relaxed runs only).
     shared: Vec<bool>,
@@ -369,306 +324,341 @@ struct Engine<'a> {
     /// contradicts itself, until a mismatch, the budget or the target
     /// settles it.
     verdict: Option<Result<Feasibility, SymexError>>,
+    /// The other arm of a fork, waiting for the Machine's tables.
+    fork: Option<Path>,
     stats: ExploreStats,
     paths: Vec<SymPath>,
 }
 
-impl<'a> Engine<'a> {
-    /// An [`explore`] run of `thread` under strict consistency.
-    fn new(program: &'a Program, thread: ThreadId, config: &'a SymConfig) -> Self {
-        Engine {
-            program,
-            thread,
+/// A path waiting on the worklist, with the Machine's tables.
+type State = (Scratch<Sym>, Path);
+
+impl Run {
+    fn new(
+        program: &Program,
+        config: &SymConfig,
+        unit: ThreadId,
+        follow: Option<Vec<(BranchSiteId, bool)>>,
+    ) -> Self {
+        let path = Path {
+            width: program.n_inputs,
+            box_: config.input_box.clone(),
+            touched: vec![false; program.n_globals as usize],
+            ..Path::default()
+        };
+        let (config, max_steps) = (config.clone(), config.max_steps);
+        Run {
+            path,
+            unit,
             config,
-            max_steps: config.max_steps,
-            shared: Vec::new(),
-            follow: None,
-            verdict: None,
-            stats: ExploreStats::default(),
-            paths: Vec::new(),
+            max_steps,
+            follow,
+            ..Run::default()
         }
     }
 
-    fn loc(&self, state: &SymState) -> Loc {
-        Loc {
-            thread: self.thread,
-            block: BlockId::new(state.block),
-            stmt: state.stmt,
+    /// The unit at its entry: locals zero, globals zero or (relaxed
+    /// consistency) unconstrained symbols.
+    fn start(&mut self, code: &LoweredProgram, program: &Program, relaxed: bool) -> State {
+        let (mut tables, overlay) = (Scratch::default(), Overlay::empty());
+        let mut m = Machine::new(code, &overlay, &[], &mut tables);
+        for g in (0..program.n_globals).filter(|_| relaxed) {
+            let s = self.fresh();
+            m.set_global(GlobalId::new(g), s);
         }
+        (tables, self.path.clone())
     }
 
-    /// The path ends here with `outcome`. Returns whether the run stops:
-    /// [`explore`] records the path, while a follow run survives crashes
-    /// and deadlocks and stops only at the step budget or the thread's
-    /// exit, which it turns into its verdict.
-    fn end(&mut self, state: &mut SymState, outcome: SymOutcome) -> bool {
+    fn fresh(&mut self) -> Sym {
+        self.path.width += 1;
+        self.terms.input(self.path.width - 1)
+    }
+
+    /// The path ends with `outcome`: [`explore`] records it, while a
+    /// follow run turns the step budget or the thread's exit into its
+    /// verdict.
+    fn end(&mut self, outcome: SymOutcome) {
+        let path = std::mem::take(&mut self.path);
         if self.follow.is_some() {
-            let at = state.decisions.len();
+            let at = path.decisions.len();
             self.verdict = Some(match outcome {
-                SymOutcome::Truncated => Ok(Feasibility::Unknown),
                 SymOutcome::Success => Err(SymexError::PrefixMismatch { at }),
-                SymOutcome::Crash { .. } | SymOutcome::Deadlock => return false,
+                _ => Ok(Feasibility::Unknown),
             });
-            return true;
+            return;
         }
         self.stats.truncated += u64::from(outcome == SymOutcome::Truncated);
         self.paths.push(SymPath {
-            decisions: std::mem::take(&mut state.decisions),
-            constraints: std::mem::take(&mut state.constraints),
+            decisions: path.decisions,
+            constraints: path.constraints,
             outcome,
-            n_symbols: state.pool.width(),
+            n_symbols: path.width,
         });
-        true
     }
 
-    /// Adds `c` to the path condition. Returns whether the state goes on:
-    /// a contradiction ends an explored path, while a follow run goes on
-    /// with its prefix known infeasible.
-    fn require(&mut self, state: &mut SymState, c: Constraint) -> bool {
-        if push_constraint(state, c) {
+    /// The path ends inside the step, without a record.
+    fn halt(&mut self) -> Stop<()> {
+        self.ended = true;
+        Stop::Source(())
+    }
+
+    /// Adds "`v` is `want`" to the path condition. Returns whether the
+    /// path goes on: a contradiction ends an explored path, while a
+    /// follow run goes on with its prefix known infeasible.
+    fn require(&mut self, v: Sym, want: bool) -> bool {
+        if push_constraint(&mut self.path, conjunct(&self.terms, v, want)) {
             return true;
         }
         self.stats.pruned += 1;
-        if self.follow.is_some() {
-            self.verdict = Some(Ok(Feasibility::Infeasible));
+        match self.follow {
+            Some(_) => self.verdict = Some(Ok(Feasibility::Infeasible)),
+            None => self.ended = true,
         }
         self.follow.is_some()
     }
 
-    /// A crash point: the state survives where `residual` is nonzero.
-    /// [`explore`] records the crash (forked off when `residual` is
-    /// symbolic); a follow run builds no crash arm. Returns whether the
-    /// state goes on.
-    fn crash_point(&mut self, state: &mut SymState, residual: Expr, kind: CrashKind) -> bool {
-        let loc = self.loc(state);
-        match residual {
-            Expr::Const(0) => !self.end(state, SymOutcome::Crash { loc, kind }),
-            Expr::Const(_) => true,
-            _ => {
-                if self.follow.is_none() {
-                    let mut crash = state.clone();
-                    if push_constraint(&mut crash, conjunct(residual.clone(), false)) {
-                        self.stats.forks += 1;
-                        self.end(&mut crash, SymOutcome::Crash { loc, kind });
-                    } else {
-                        self.stats.pruned += 1;
-                    }
-                }
-                self.require(state, conjunct(residual, true))
+    /// A crash point: the path survives where `v` is nonzero. [`explore`]
+    /// records the crash (forked off when `v` is symbolic); a follow run
+    /// builds no crash arm. Returns whether the path goes on; the caller
+    /// stops an explored path at a definite crash.
+    fn crash_point(&mut self, v: Sym, kind: CrashKind) -> bool {
+        let v = Sym::kept(self, v);
+        if let Some(nonzero) = v.truth() {
+            return nonzero || self.follow.is_some();
+        }
+        if self.follow.is_none() {
+            let mut crash = self.path.clone();
+            if push_constraint(&mut crash, conjunct(&self.terms, v, false)) {
+                self.stats.forks += 1;
+                let path = std::mem::replace(&mut self.path, crash);
+                self.end(SymOutcome::Crash {
+                    loc: self.loc,
+                    kind,
+                });
+                self.path = path;
+            } else {
+                self.stats.pruned += 1;
             }
         }
+        self.require(v, true)
     }
 
-    /// Every division in `expr`, in evaluation order, is a crash point.
-    fn divisors(&mut self, state: &mut SymState, expr: &Expr) -> bool {
-        let mut divisors = Vec::new();
-        expr.visit(&mut |e| match e {
-            Expr::Bin(BinOp::Div, _, d) => divisors.push(((**d).clone(), CrashKind::DivByZero)),
-            Expr::Bin(BinOp::Rem, _, d) => divisors.push(((**d).clone(), CrashKind::RemByZero)),
-            _ => {}
-        });
-        divisors.into_iter().all(|(d, kind)| {
-            let residual = state.residual(&d);
-            self.crash_point(state, residual, kind)
-        })
-    }
-
-    /// Relaxed consistency lets another thread write a shared global
-    /// between any two steps of the unit, so a step that reads one the
-    /// unit has read or written before sees a fresh symbol. One step's
-    /// reads of a global agree, as in the interpreter. Then the step's
-    /// divisions are crash points; returns whether the state goes on.
-    fn operands(&mut self, state: &mut SymState, reads: &Expr, writes: Option<Place>) -> bool {
-        if !self.shared.is_empty() {
-            let mut read = Vec::new();
-            reads.visit(&mut |e| {
-                if let Expr::Load(Place::Global(g)) = e {
-                    if self.shared[g.index()] && !read.contains(g) {
-                        read.push(*g);
-                    }
-                }
-            });
-            for g in read {
-                if std::mem::replace(&mut state.touched[g.index()], true) {
-                    state.globals[g.index()] = state.pool.fresh();
-                }
-            }
-            if let Some(Place::Global(g)) = writes {
-                state.touched[g.index()] = true;
-            }
-        }
-        self.divisors(state, reads)
-    }
-
-    /// One statement. Returns whether the state goes on.
-    fn step(&mut self, state: &mut SymState, stmt: &Stmt) -> bool {
-        match stmt {
-            Stmt::Assign(place, e) => {
-                if !self.operands(state, e, Some(*place)) {
-                    return false;
-                }
-                *state.slot(*place) = state.residual(e);
-            }
-            Stmt::Lock(l) => {
-                if !state.held.insert(*l) {
-                    return !self.end(state, SymOutcome::Deadlock);
-                }
-            }
-            Stmt::Unlock(l) => {
-                if !state.held.remove(l) {
-                    let loc = self.loc(state);
-                    let kind = CrashKind::UnlockNotHeld;
-                    return !self.end(state, SymOutcome::Crash { loc, kind });
-                }
-            }
-            Stmt::Syscall { kind, arg, ret } => {
-                if !self.operands(state, arg, Some(*ret)) {
-                    return false;
-                }
-                let arg = state.residual(arg);
-                let sym = state.pool.fresh();
-                if *kind == SyscallKind::Read {
-                    let at_least = Expr::bin(BinOp::Ge, sym.clone(), Expr::Const(0));
-                    let _ = push_constraint(state, conjunct(at_least, true));
-                    if let Expr::Const(n) = arg {
-                        let at_most = Expr::bin(BinOp::Le, sym.clone(), Expr::Const(n.max(0)));
-                        let _ = push_constraint(state, conjunct(at_most, true));
-                    }
-                }
-                *state.slot(*ret) = sym;
-            }
-            Stmt::Assert(e) => {
-                if !self.operands(state, e, None) {
-                    return false;
-                }
-                let r = state.residual(e);
-                return self.crash_point(state, r, CrashKind::AssertFailed);
-            }
-            Stmt::Emit(e) => return self.operands(state, e, None),
-            Stmt::Yield => {}
-        }
-        true
-    }
-
-    /// A follow run at the branch at `site` with residual condition `r`:
-    /// the prefix's arm, or `None` once the run has its verdict (a
-    /// mismatch, or the target).
-    fn follow_arm(&mut self, state: &mut SymState, site: BranchSiteId, r: Expr) -> Option<bool> {
+    /// A follow run at the branch at `site` with condition `cond`: the
+    /// prefix's arm, or the run stops with its verdict (a mismatch, or
+    /// the target).
+    fn follow_arm(&mut self, site: BranchSiteId, cond: Sym) -> Result<bool, Stop<()>> {
         let arms = self.follow.as_ref().expect("a follow run");
-        let at = state.decisions.len();
+        let at = self.path.decisions.len();
         let (target, (want_site, want)) = (at + 1 == arms.len(), arms[at]);
-        let constant = match r {
-            Expr::Const(c) => Some(c != 0),
-            _ => None,
-        };
-        if want_site != site || (!target && constant.is_some_and(|c| c != want)) {
+        let mismatched = cond.truth().is_some_and(|c| c != want);
+        if want_site != site || (!target && mismatched) {
             self.verdict = Some(Err(SymexError::PrefixMismatch { at }));
-            return None;
+            return Err(self.halt());
         }
         if !target {
-            if constant.is_none() {
-                self.require(state, conjunct(r, want));
+            if cond.truth().is_none() {
+                self.require(cond, want);
             }
-            return Some(want);
+            return Ok(want);
         }
         if self.verdict.is_none() {
-            self.verdict = Some(Ok(if constant.is_some_and(|c| c != want) {
+            self.verdict = Some(Ok(if mismatched {
                 Feasibility::Infeasible
             } else {
-                if constant.is_none() {
-                    state.constraints.push(conjunct(r, want));
+                if cond.truth().is_none() {
+                    let c = conjunct(&self.terms, cond, want);
+                    self.path.constraints.push(c);
                 }
-                let (box_, budget) = (&self.config.input_box, self.config.solve_budget);
-                solve::check(&state.constraints, box_, state.pool.width(), budget)
+                let (c, box_) = (&self.path.constraints, &self.config.input_box);
+                solve::check(c, box_, self.path.width, self.config.solve_budget)
             }));
         }
-        None
+        Err(self.halt())
     }
 
-    /// Runs one state until it forks (children pushed to `stack`) or its
-    /// path ends; a follow run runs until its verdict.
-    fn run_state(&mut self, mut state: SymState, stack: &mut Vec<SymState>) {
-        let program = self.program;
-        let body = &program.threads[self.thread.index()];
+    /// Steps one path until it forks (the other arm pushed to `stack`)
+    /// or ends; a follow run steps until its verdict. Between steps it
+    /// counts loop-header visits and, under relaxed consistency, lets
+    /// other threads write the shared globals the next step reads.
+    fn run_path(
+        &mut self,
+        code: &LoweredProgram,
+        (mut tables, path): State,
+        stack: &mut Vec<State>,
+    ) {
+        // Symbolic runs see no overlay.
+        let (t, overlay) = (self.unit, Overlay::empty());
+        self.path = path;
+        let mut m = Machine::resume(code, &overlay, &[], &mut tables);
         loop {
-            if state.steps >= self.max_steps {
-                self.end(&mut state, SymOutcome::Truncated);
-                return;
-            }
-            state.steps += 1;
-            let blk = &body.blocks[state.block as usize];
-            if let Some(stmt) = blk.stmts.get(state.stmt as usize) {
-                if !self.step(&mut state, stmt) {
-                    return;
+            if self.path.pending.is_none() {
+                if self.path.steps >= self.max_steps {
+                    return self.end(SymOutcome::Truncated);
                 }
-                state.stmt += 1;
-                continue;
+                self.path.steps += 1;
+                let (branch, loads) = m.next_op(t);
+                if branch && self.follow.is_none() {
+                    let visits = self.path.loop_visits.entry(m.loc(t).block.0).or_insert(0);
+                    *visits += 1;
+                    if *visits > self.config.max_loop_iters {
+                        return self.end(SymOutcome::Truncated);
+                    }
+                }
+                // Another thread may have written a shared global since
+                // the unit last touched it; one step's reads agree.
+                let (shared, touched) = (&self.shared, &self.path.touched);
+                let havoc: Vec<GlobalId> = (loads.iter().enumerate())
+                    .filter(|&(i, g)| {
+                        shared.get(g.index()) == Some(&true)
+                            && touched[g.index()]
+                            && !loads[..i].contains(g)
+                    })
+                    .map(|(_, &g)| g)
+                    .collect();
+                for g in havoc {
+                    let s = self.fresh();
+                    m.set_global(g, s);
+                }
             }
-            let (site, cond, then_bb, else_bb) = match &blk.term {
-                Terminator::Goto(b) => {
-                    state.block = b.0;
-                    state.stmt = 0;
+            (self.loc, self.ended) = (m.loc(t), false);
+            let outcome = match m.step(t, self) {
+                Ok(()) if m.runnable().contains(&t) => continue,
+                Ok(()) => SymOutcome::Success,
+                Err(Stop::UnknownBranch(_)) => {
+                    let fork = self.fork.take().expect("a fork");
+                    stack.push((m.tables(), fork));
                     continue;
                 }
-                Terminator::Exit => {
-                    self.end(&mut state, SymOutcome::Success);
-                    return;
+                Err(_) if self.ended => return,
+                Err(Stop::Crash(_) | Stop::SelfDeadlock(_)) if self.follow.is_some() => {
+                    m.skip(t);
+                    continue;
                 }
-                Terminator::Branch {
-                    site,
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => (*site, cond, then_bb.0, else_bb.0),
+                Err(Stop::Crash(kind)) => SymOutcome::Crash {
+                    loc: self.loc,
+                    kind,
+                },
+                Err(Stop::SelfDeadlock(_)) => SymOutcome::Deadlock,
+                Err(Stop::Deadlock(_) | Stop::Source(())) => unreachable!("only the unit steps"),
             };
-            if self.follow.is_none() {
-                let visits = state.loop_visits.entry(state.block).or_insert(0);
-                *visits += 1;
-                if *visits > self.config.max_loop_iters {
-                    self.end(&mut state, SymOutcome::Truncated);
-                    return;
-                }
-            }
-            if !self.operands(&mut state, cond, None) {
-                return;
-            }
-            let r = state.residual(cond);
-            let taken = if self.follow.is_some() {
-                let Some(taken) = self.follow_arm(&mut state, site, r) else {
-                    return;
-                };
-                taken
-            } else if let Expr::Const(c) = r {
-                c != 0
-            } else {
-                // Fork: the else-arm waits on the worklist, the state
-                // goes on down the then-arm; an arm whose condition
-                // contradicts the path is dropped.
-                self.stats.forks += 1;
-                let mut else_arm = state.clone();
-                let else_ok = push_constraint(&mut else_arm, conjunct(r.clone(), false));
-                let then_ok = push_constraint(&mut state, conjunct(r, true));
-                self.stats.pruned += u64::from(!else_ok) + u64::from(!then_ok);
-                match (then_ok, else_ok) {
-                    (false, false) => return,
-                    (false, true) => {
-                        state = else_arm;
-                        false
-                    }
-                    (true, false) => true,
-                    (true, true) => {
-                        else_arm.decisions.push((site, false));
-                        (else_arm.block, else_arm.stmt) = (else_bb, 0);
-                        stack.push(else_arm);
-                        true
-                    }
-                }
-            };
-            state.decisions.push((site, taken));
-            state.block = if taken { then_bb } else { else_bb };
-            state.stmt = 0;
+            return self.end(outcome);
         }
     }
+}
+
+/// The symbolic domain: values fold as [`Terms`] builds them, and an
+/// unknown divisor is a crash point.
+impl Value for Sym {
+    type Ctx = Run;
+    fn input(run: &mut Run, _: &[i64], i: usize) -> Self {
+        run.terms.input(i as u32)
+    }
+    fn un(run: &mut Run, op: UnOp, v: Self) -> Self {
+        run.terms.un(op, v)
+    }
+    fn bin(run: &mut Run, op: BinOp, x: Self, y: Self) -> Result<Self, EvalFault> {
+        let fault = match op {
+            BinOp::Div => Some((EvalFault::DivByZero, CrashKind::DivByZero)),
+            BinOp::Rem => Some((EvalFault::RemByZero, CrashKind::RemByZero)),
+            _ => None,
+        };
+        match fault {
+            Some((fault, kind)) if !run.crash_point(y, kind) => Err(fault),
+            _ => Ok(run.terms.bin(op, x, y)),
+        }
+    }
+    /// A kept term larger than [`MAX_RESIDUAL_NODES`] becomes a fresh
+    /// symbol.
+    fn kept(run: &mut Run, v: Self) -> Self {
+        if run.terms.size(v) > MAX_RESIDUAL_NODES {
+            return run.fresh();
+        }
+        v
+    }
+    fn truth(self) -> Option<bool> {
+        match self {
+            Sym::Known(v) => Some(v != 0),
+            Sym::Term(_) => None,
+        }
+    }
+}
+
+/// The path's decisions, and every global it touches.
+impl Observer for Run {
+    const READS_LOCKSETS: bool = false;
+    fn on_branch(&mut self, _: ThreadId, site: BranchSiteId, taken: bool, _: bool) {
+        self.path.decisions.push((site, taken));
+    }
+    fn on_global_access(&mut self, _: ThreadId, g: GlobalId, _: bool, _: Loc, _: &[LockId]) {
+        self.path.touched[g.index()] = true;
+    }
+}
+
+impl Decisions<Sym> for Run {
+    type Error = ();
+    type Observer = Self;
+
+    fn observer(&mut self) -> &mut Self {
+        self
+    }
+    fn ctx(&mut self) -> &mut Self {
+        self
+    }
+    fn recorded_branch(&mut self, _: bool) -> Result<Option<bool>, ()> {
+        Ok(self.path.pending.take())
+    }
+    /// A follow run takes the prefix's arm. [`explore`] forks on a
+    /// symbolic condition: both arms are taken by stepping the branch
+    /// again, the else-arm's from the worklist, and an arm whose
+    /// condition contradicts the path is dropped.
+    fn branch(&mut self, site: BranchSiteId, cond: Sym) -> Result<bool, Stop<()>> {
+        if self.follow.is_some() {
+            return self.follow_arm(site, cond);
+        } else if let Some(taken) = cond.truth() {
+            return Ok(taken);
+        }
+        self.stats.forks += 1;
+        let mut else_arm = self.path.clone();
+        let else_ok = push_constraint(&mut else_arm, conjunct(&self.terms, cond, false));
+        let then_ok = push_constraint(&mut self.path, conjunct(&self.terms, cond, true));
+        self.stats.pruned += u64::from(!else_ok) + u64::from(!then_ok);
+        match (then_ok, else_ok) {
+            (false, false) => Err(self.halt()),
+            (false, true) => {
+                self.path = else_arm;
+                Ok(false)
+            }
+            (true, false) => Ok(true),
+            (true, true) => {
+                (else_arm.pending, self.path.pending) = (Some(false), Some(true));
+                self.fork = Some(else_arm);
+                Err(Stop::UnknownBranch(site))
+            }
+        }
+    }
+    fn assertion(&mut self, cond: Sym) -> Result<(), Stop<()>> {
+        match self.crash_point(cond, CrashKind::AssertFailed) {
+            true => Ok(()),
+            false => Err(Stop::Crash(CrashKind::AssertFailed)),
+        }
+    }
+    /// A fresh symbol; a `Read` returns between 0 and a known length.
+    fn syscall(&mut self, _: ThreadId, kind: SyscallKind, arg: Sym) -> Result<Sym, ()> {
+        let sym = self.fresh();
+        if kind == SyscallKind::Read {
+            let ret = self.terms.expr(sym);
+            let mut bound = |op, k| {
+                let expr = Expr::bin(op, ret.clone(), Expr::Const(k));
+                let _ = push_constraint(&mut self.path, Constraint { expr, want: true });
+            };
+            bound(BinOp::Ge, 0);
+            if let Sym::Known(n) = arg {
+                bound(BinOp::Le, n.max(0));
+            }
+        }
+        Ok(sym)
+    }
+    fn emit(&mut self, _: ThreadId, _: Sym) {}
 }
 
 #[cfg(test)]

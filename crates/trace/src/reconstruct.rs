@@ -86,6 +86,7 @@ struct Replay<'t> {
     guard_bits: bitvec::Iter<'t>,
     rets: std::slice::Iter<'t, i64>,
     decisions: Vec<(BranchSiteId, bool)>,
+    ctx: (),
 }
 
 /// A replay observes only the branch path.
@@ -102,6 +103,9 @@ impl Decisions<Option<i64>> for Replay<'_> {
 
     fn observer(&mut self) -> &mut Self {
         self
+    }
+    fn ctx(&mut self) -> &mut () {
+        &mut self.ctx
     }
     fn recorded_guard(&mut self) -> Result<Option<bool>, ReconstructError> {
         let bit = self.guard_bits.next();
@@ -157,6 +161,7 @@ pub fn replay(
         // In a faithful trace every recorded bit becomes one decision, so
         // the bit count is a floor on the path length.
         decisions: Vec::with_capacity(trace.bits.len()),
+        ctx: (),
     };
     let mut m = Machine::new(code, overlay, &[], scratch);
     // Every thread starts runnable; a single-threaded trace records no
