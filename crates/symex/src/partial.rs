@@ -91,8 +91,10 @@ impl Terms {
     }
 
     /// `a op b`, folded when both are known, except a division by zero,
-    /// which stays a term (the executor makes it a crash point); a few
-    /// identities keep loop residuals small.
+    /// which stays a term (the executor makes it a crash point). A known
+    /// side that decides `||` or `&&` folds it, and one that does not
+    /// leaves the other side's truth; a few identities keep loop
+    /// residuals small.
     pub fn bin(&mut self, op: BinOp, a: Sym, b: Sym) -> Sym {
         use Sym::Known;
         if let (Known(x), Known(y)) = (a, b) {
@@ -101,6 +103,9 @@ impl Terms {
             }
         }
         match (op, a, b) {
+            (BinOp::Or, Known(c), _) | (BinOp::Or, _, Known(c)) if c != 0 => Known(1),
+            (BinOp::Or, Known(0), x) | (BinOp::Or, x, Known(0)) => self.truth(x),
+            (BinOp::And, Known(c), x) | (BinOp::And, x, Known(c)) if c != 0 => self.truth(x),
             (BinOp::Add | BinOp::Sub | BinOp::BitOr | BinOp::BitXor, _, Known(0)) => a,
             (BinOp::Add | BinOp::BitOr | BinOp::BitXor, Known(0), _) => b,
             (BinOp::Mul, _, Known(1)) => a,
@@ -111,6 +116,19 @@ impl Terms {
                 let (a, b) = (self.id(a), self.id(b));
                 Sym::Term(self.intern(Node::Bin(op, a, b)))
             }
+        }
+    }
+
+    /// `x != 0`, which is `x` itself when `x` is a comparison or logical
+    /// operation (already 0 or 1).
+    fn truth(&mut self, x: Sym) -> Sym {
+        use BinOp::{And, Eq, Ge, Gt, Le, Lt, Ne, Or};
+        match x {
+            Sym::Term(id) => match self.nodes[id as usize].0 {
+                Node::Bin(Lt | Le | Gt | Ge | Eq | Ne | And | Or, ..) | Node::Un(UnOp::Not, _) => x,
+                _ => self.bin(Ne, x, Sym::Known(0)),
+            },
+            Sym::Known(c) => Sym::Known(i64::from(c != 0)),
         }
     }
 
@@ -192,6 +210,20 @@ mod tests {
         let x = t.input(0);
         assert_eq!(t.bin(BinOp::Add, x, Sym::Known(0)), x);
         assert_eq!(t.bin(BinOp::Mul, x, Sym::Known(0)), Sym::Known(0));
+    }
+
+    #[test]
+    fn a_known_side_that_decides_or_and_and_folds_them() {
+        let mut t = Terms::default();
+        let x = t.input(0);
+        let cmp = t.bin(BinOp::Lt, x, Sym::Known(3));
+        assert_eq!(t.bin(BinOp::Or, Sym::Known(7), x), Sym::Known(1));
+        assert_eq!(t.bin(BinOp::And, x, Sym::Known(0)), Sym::Known(0));
+        // Otherwise the other side's truth: a comparison is one already.
+        assert_eq!(t.bin(BinOp::Or, Sym::Known(0), cmp), cmp);
+        assert_eq!(t.bin(BinOp::And, cmp, Sym::Known(-2)), cmp);
+        let e = expr(&mut t, |t| t.bin(BinOp::Or, x, Sym::Known(0)));
+        assert_eq!(e, Expr::bin(BinOp::Ne, Expr::input(0), Expr::Const(0)));
     }
 
     #[test]

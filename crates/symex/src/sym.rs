@@ -976,4 +976,48 @@ mod tests {
             assert_eq!(err, SymexError::MultiThreadedStrict);
         }
     }
+
+    /// A loop header `counter < 3 || in0 == 5` over `in0 ∈ [0, 9]`: the
+    /// first three turns are known true, and later turns test `in0 == 5`
+    /// alone. Folding `||` only when both sides were known made every
+    /// turn fork, and every later exit contradicted the turn before it
+    /// (62 paths at 64 visits, 60 of them contradictory `Unknown` exits).
+    #[test]
+    fn pinned_or_with_a_known_side_folds() {
+        use softborg_program::builder::ProgramBuilder;
+        let mut pb = ProgramBuilder::new("or-loop");
+        pb.inputs(1).locals(1);
+        pb.thread(|t| {
+            let counter = softborg_program::cfg::local(0);
+            t.while_loop(
+                Expr::bin(
+                    BinOp::Or,
+                    Expr::lt(Expr::local(0), Expr::Const(3)),
+                    Expr::eq(Expr::input(0), Expr::Const(5)),
+                ),
+                |t| {
+                    t.assign(
+                        counter,
+                        Expr::bin(BinOp::Add, Expr::local(0), Expr::Const(1)),
+                    );
+                },
+            );
+        });
+        let p = pb.build().unwrap();
+        let config = SymConfig {
+            max_loop_iters: 64,
+            ..cfg(1, 0, 9)
+        };
+        let ex = explore(&p, &config).unwrap();
+        let unknown = ex.paths.iter().filter(|path| {
+            path.outcome == SymOutcome::Success
+                && path.solve(&config.input_box, SolveBudget::default()) == Feasibility::Unknown
+        });
+        assert_eq!(unknown.count(), 0, "{:#?}", ex.stats);
+        assert_eq!(
+            ex.paths.len(),
+            2,
+            "the exit at in0 != 5 and the truncated loop"
+        );
+    }
 }

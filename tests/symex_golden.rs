@@ -379,22 +379,22 @@ const EXPLORE: &[(&str, usize, u64)] = &[
     (
         "explore livelock-pair RelaxedUnit(ThreadId(0)) default",
         2,
-        0x9c2d7afed0f0a477,
+        0x5579499f4aeaae15,
     ),
     (
         "explore livelock-pair RelaxedUnit(ThreadId(0)) range",
         2,
-        0x9c2d7afed0f0a477,
+        0x5579499f4aeaae15,
     ),
     (
         "explore livelock-pair RelaxedUnit(ThreadId(1)) default",
         2,
-        0x4f14fb3ed5108076,
+        0x7808213000f5412a,
     ),
     (
         "explore livelock-pair RelaxedUnit(ThreadId(1)) range",
         2,
-        0x4f14fb3ed5108076,
+        0x7808213000f5412a,
     ),
     (
         "explore unit-in-system RelaxedUnit(ThreadId(0)) default",
@@ -418,31 +418,31 @@ const EXPLORE: &[(&str, usize, u64)] = &[
     ),
     ("explore gen-1t-1 Strict default", 5, 0x1e471cc6d2376c7a),
     ("explore gen-1t-1 Strict range", 5, 0x1e471cc6d2376c7a),
-    ("explore gen-1t-2 Strict default", 9, 0xac70be001a148d29),
-    ("explore gen-1t-2 Strict range", 9, 0xac70be001a148d29),
-    ("explore gen-1t-3 Strict default", 16, 0xbcdc35996e1a6ba0),
-    ("explore gen-1t-3 Strict range", 16, 0xbcdc35996e1a6ba0),
+    ("explore gen-1t-2 Strict default", 9, 0x3367f2ec172affe7),
+    ("explore gen-1t-2 Strict range", 9, 0x3367f2ec172affe7),
+    ("explore gen-1t-3 Strict default", 16, 0xb0edd6cbc73c70c9),
+    ("explore gen-1t-3 Strict range", 16, 0xb0edd6cbc73c70c9),
     ("explore gen-1t-4 Strict default", 13, 0x9a8423593f0256b6),
     ("explore gen-1t-4 Strict range", 13, 0x9a8423593f0256b6),
     (
         "explore gen-2t-1 RelaxedUnit(ThreadId(0)) default",
         6,
-        0xeea09a2e8f00a4db,
+        0x327efe13e035f913,
     ),
     (
         "explore gen-2t-1 RelaxedUnit(ThreadId(0)) range",
         6,
-        0xeea09a2e8f00a4db,
+        0x327efe13e035f913,
     ),
     (
         "explore gen-2t-1 RelaxedUnit(ThreadId(1)) default",
         12,
-        0x7bbb4c461ab7a6e7,
+        0xef6e1fd060e8c6eb,
     ),
     (
         "explore gen-2t-1 RelaxedUnit(ThreadId(1)) range",
         12,
-        0x7bbb4c461ab7a6e7,
+        0xef6e1fd060e8c6eb,
     ),
     (
         "explore gen-2t-2 RelaxedUnit(ThreadId(0)) default",
@@ -457,22 +457,22 @@ const EXPLORE: &[(&str, usize, u64)] = &[
     (
         "explore gen-2t-2 RelaxedUnit(ThreadId(1)) default",
         33,
-        0xa81bc3d663643aef,
+        0x065c09325bdb1887,
     ),
     (
         "explore gen-2t-2 RelaxedUnit(ThreadId(1)) range",
-        49,
-        0x15564905d9bf5629,
+        41,
+        0xd9ad6f289e75240e,
     ),
     (
         "explore gen-2t-3 RelaxedUnit(ThreadId(0)) default",
         5,
-        0xcc7367f5939783c6,
+        0xb9671b101935f540,
     ),
     (
         "explore gen-2t-3 RelaxedUnit(ThreadId(0)) range",
-        6,
-        0xe0f11c28cd9dfab1,
+        5,
+        0xb9671b101935f540,
     ),
     (
         "explore gen-2t-3 RelaxedUnit(ThreadId(1)) default",
@@ -497,12 +497,12 @@ const FOLLOW: &[(&str, usize, u64)] = &[
     ("follow short-read-client range", 4, 0xfc3f7888db692702),
     ("follow fd-leaker default", 7, 0x6efb4329d9b85c02),
     ("follow fd-leaker range", 7, 0x6efb4329d9b85c02),
-    ("follow gen-1t-1 default", 247, 0x659e6e8acab78a27),
-    ("follow gen-1t-1 range", 247, 0x659e6e8acab78a27),
-    ("follow gen-1t-2 default", 258, 0x6256afdf162f255f),
-    ("follow gen-1t-2 range", 258, 0x6256afdf162f255f),
-    ("follow gen-1t-3 default", 258, 0xef96d542f5f85f9b),
-    ("follow gen-1t-3 range", 258, 0xef96d542f5f85f9b),
-    ("follow gen-1t-4 default", 246, 0xbe9df1bcf4ce71f5),
-    ("follow gen-1t-4 range", 246, 0x609f1eec8e7b03c5),
+    ("follow gen-1t-1 default", 247, 0x9c223ac230c05f85),
+    ("follow gen-1t-1 range", 247, 0x9c223ac230c05f85),
+    ("follow gen-1t-2 default", 258, 0x7fb8141cffc745db),
+    ("follow gen-1t-2 range", 258, 0x7fb8141cffc745db),
+    ("follow gen-1t-3 default", 258, 0x7c8550c96963927f),
+    ("follow gen-1t-3 range", 258, 0x7c8550c96963927f),
+    ("follow gen-1t-4 default", 246, 0xe30b31e02bdc88d9),
+    ("follow gen-1t-4 range", 246, 0x69c6df4c858c0529),
 ];
