@@ -244,7 +244,6 @@ impl SuspiciousArm {
 /// Ranks tree arms by how sharply they separate failing from passing
 /// subtrees. The top arm is the bug's *trigger condition* candidate.
 pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<SuspiciousArm> {
-    let summary = tree.summary();
     let mut out = Vec::new();
     for i in 0..tree.node_count() {
         let id = NodeId(i as u32);
@@ -257,13 +256,13 @@ pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<Suspicious
                 if child_visits < min_support {
                     continue;
                 }
-                let arm_failures = summary.subtree_failures(*child);
+                let arm_failures = tree.subtree_failures(*child);
                 let sibling = children
                     .iter()
                     .find(|(d, _)| d != dir)
                     .and_then(|(_, c)| *c);
                 let (sib_failures, sib_visits) = match sibling {
-                    Some(s) => (summary.subtree_failures(s), tree.node(s).visits),
+                    Some(s) => (tree.subtree_failures(s), tree.node(s).visits),
                     None => (0, 0),
                 };
                 let arm_rate = arm_failures as f64 / child_visits as f64;

@@ -100,9 +100,7 @@ fn bench_tree_reads(c: &mut Criterion) {
         let id = |read: &str| format!("{read}/{shape}_{nodes}_nodes");
         group.bench_function(id("proofs"), |b| b.iter(|| proofs::assemble(&tree).len()));
         // The count without the certificates.
-        group.bench_function(id("proof_count"), |b| {
-            b.iter(|| tree.summary().proven_subtrees())
-        });
+        group.bench_function(id("proof_count"), |b| b.iter(|| tree.proven_subtrees()));
         group.bench_function(id("coverage"), |b| b.iter(|| tree.coverage()));
         group.bench_function(id("frontier"), |b| b.iter(|| tree.frontier().len()));
         // As `Hive::guidance` plans: the crash hunt once, the frontier
@@ -122,7 +120,7 @@ fn bench_tree_reads(c: &mut Criterion) {
             b.iter(|| {
                 let (plan, _) =
                     frontier::plan_with_crash_seeds(&s.program, &mut tree, &planner, &crash_seeds);
-                let proofs = tree.summary().proven_subtrees();
+                let proofs = tree.proven_subtrees();
                 (plan.directives.len(), tree.coverage(), proofs)
             })
         });

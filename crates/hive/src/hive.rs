@@ -507,7 +507,7 @@ impl<'p> Hive<'p> {
     /// What a round report reads: [`coverage`](Self::coverage) and
     /// `self.proofs().len()`, both kept current by the tree. O(1).
     pub fn coverage_and_proof_count(&self) -> (CoverageStats, u64) {
-        (self.tree.coverage(), self.tree.summary().proven_subtrees())
+        (self.tree.coverage(), self.tree.proven_subtrees())
     }
 
     /// Serializes the hive's complete mutable state — tree (with outcome

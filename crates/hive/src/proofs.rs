@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use softborg_program::{BranchSiteId, ProgramId};
-use softborg_tree::{ExecutionTree, NodeId, TreeSummary};
+use softborg_tree::{ExecutionTree, NodeId};
 use std::fmt;
 
 /// The property a certificate asserts over a subtree.
@@ -94,12 +94,12 @@ impl std::error::Error for ProofError {}
 /// Roots of the *maximal* closed, failure-free, witnessed subtrees (a
 /// closed parent subsumes its children) with their visit counts, in
 /// publication order: a walk from the root that stops at every proven
-/// subtree (the summary counts them; this walk orders them).
-fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary<'_>) -> Vec<(NodeId, u64)> {
+/// subtree (the tree counts them; this walk orders them).
+fn proven_roots(tree: &ExecutionTree) -> Vec<(NodeId, u64)> {
     let mut roots = Vec::new();
     let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {
-        let provable = summary.subtree_failures(id) == 0 && summary.is_closed(id);
+        let provable = tree.subtree_failures(id) == 0 && tree.is_closed(id);
         let n = tree.node(id);
         if provable && n.visits > 0 {
             roots.push((id, n.visits)); // maximality: don't descend
@@ -107,22 +107,21 @@ fn proven_roots(tree: &ExecutionTree, summary: &TreeSummary<'_>) -> Vec<(NodeId,
         }
         n.for_each_arm(|_, _, child| stack.extend(child));
     }
-    debug_assert_eq!(roots.len() as u64, summary.proven_subtrees());
+    debug_assert_eq!(roots.len() as u64, tree.proven_subtrees());
     roots
 }
 
 /// Scans the tree and assembles certificates for the *maximal* closed,
 /// failure-free subtrees.
 pub fn assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
-    let summary = tree.summary();
     let digest = tree.digest();
-    proven_roots(tree, &summary)
+    proven_roots(tree)
         .into_iter()
         .map(|(id, visits)| ProofCertificate {
             program: tree.program(),
             prefix: tree.prefix(id),
             property: PROPERTY_NO_FAILURE.into(),
-            nodes: summary.subtree_nodes(id),
+            nodes: tree.subtree_nodes(id),
             visits,
             tree_digest: digest,
         })
@@ -150,10 +149,10 @@ pub fn verify(cert: &ProofCertificate, tree: &ExecutionTree) -> Result<(), Proof
             .child(*site, *taken)
             .ok_or(ProofError::UnknownPrefix)?;
     }
-    if !tree.is_closed(node) {
+    if !tree.closed_by_walk(node) {
         return Err(ProofError::NotClosed);
     }
-    let failures = tree.subtree_failures(node);
+    let failures = tree.failures_by_walk(node);
     if failures > 0 {
         return Err(ProofError::HasFailures(failures));
     }

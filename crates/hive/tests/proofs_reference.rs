@@ -1,5 +1,5 @@
-//! `proofs::assemble` reads one summary of the tree where it used to
-//! walk a subtree per dequeued node. One property holds it there: it
+//! `proofs::assemble` reads the facts the tree keeps current where it
+//! used to walk a subtree per dequeued node. One property holds it there: it
 //! publishes exactly what the walk-per-node assembler published (same
 //! certificates, same order, each accepted by the from-scratch
 //! `verify`), on the live tree and on a delta-chained replica.
@@ -31,16 +31,16 @@ fn subtree_nodes(tree: &ExecutionTree, root: NodeId) -> u64 {
     count
 }
 
-/// `proofs::assemble` as it was before the summary: every dequeued node
+/// `proofs::assemble` as it was before the kept facts: every dequeued node
 /// pays a full subtree walk for its failures and another for closure.
 fn reference_assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
     let digest = tree.digest();
     let mut certs = Vec::new();
     let mut queue = vec![NodeId::ROOT];
     while let Some(id) = queue.pop() {
-        let clean = tree.subtree_failures(id) == 0;
+        let clean = tree.failures_by_walk(id) == 0;
         let visits = tree.node(id).visits;
-        if clean && tree.is_closed(id) && visits > 0 {
+        if clean && tree.closed_by_walk(id) && visits > 0 {
             certs.push(ProofCertificate {
                 program: tree.program(),
                 prefix: tree.prefix(id),
@@ -73,7 +73,7 @@ proptest! {
         ] {
             let certs = proofs::assemble(tree);
             prop_assert_eq!(&certs, &expected, "{}", kind);
-            prop_assert_eq!(tree.summary().proven_subtrees(), expected.len() as u64, "{}", kind);
+            prop_assert_eq!(tree.proven_subtrees(), expected.len() as u64, "{}", kind);
             for cert in &certs {
                 prop_assert_eq!(proofs::verify(cert, tree), Ok(()), "{}", kind);
             }

@@ -43,12 +43,11 @@ fn reference_sites_and_open_arms(tree: &ExecutionTree) -> (u64, u64) {
 /// The proof count as it was: walk from the root, stop at every closed,
 /// failure-free, visited node and count it.
 fn reference_proof_count(tree: &ExecutionTree) -> u64 {
-    let summary = tree.summary();
     let mut count = 0;
     let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {
         let n = tree.node(id);
-        if summary.subtree_failures(id) == 0 && summary.is_closed(id) && n.visits > 0 {
+        if tree.subtree_failures(id) == 0 && tree.is_closed(id) && n.visits > 0 {
             count += 1;
             continue;
         }
@@ -209,15 +208,14 @@ proptest! {
         let (sites, open) = reference_sites_and_open_arms(&trees.mem);
         let proofs_expected = reference_proof_count(&trees.mem);
         for (kind, tree) in [("memory", &trees.mem), ("delta-chained", &trees.chained)] {
-            let summary = tree.summary();
             let closed = (0..tree.node_count())
-                .filter(|&i| summary.is_closed(NodeId(i as u32)))
+                .filter(|&i| tree.is_closed(NodeId(i as u32)))
                 .count();
             let coverage = tree.coverage();
             prop_assert_eq!(coverage.sites_seen, sites, "{}", kind);
             prop_assert_eq!(coverage.frontier_arms, open, "{}", kind);
             prop_assert_eq!(coverage.closed_fraction, closed as f64 / tree.node_count() as f64);
-            prop_assert_eq!(summary.proven_subtrees(), proofs_expected, "{}", kind);
+            prop_assert_eq!(tree.proven_subtrees(), proofs_expected, "{}", kind);
             prop_assert_eq!(proofs::assemble(tree).len() as u64, proofs_expected, "{}", kind);
         }
     }

@@ -13,7 +13,7 @@ pub mod tree;
 
 pub use tree::{
     path_hash, CoverageStats, DeltaError, ExecutionTree, FrontierArm, MergeStats, Node, NodeId,
-    OutcomeTally, TreeSummary,
+    OutcomeTally,
 };
 
 #[cfg(test)]

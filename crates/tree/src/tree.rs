@@ -461,52 +461,6 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// A view of the facts a tree keeps current ([`ExecutionTree::summary`]),
-/// every read O(1). Two are equal when every node's facts and every count
-/// agree: how a tree is held to a fresh derivation of itself (an
-/// [`encode_into`](ExecutionTree::encode_into) → [`decode`](ExecutionTree::decode) round trip).
-#[derive(Clone, Copy)]
-pub struct TreeSummary<'a> {
-    tree: &'a ExecutionTree,
-}
-
-impl TreeSummary<'_> {
-    /// Nodes in the subtree rooted at `node`, itself included.
-    pub fn subtree_nodes(&self, node: NodeId) -> u64 {
-        u64::from(self.tree.nodes[node.index()].facts.nodes)
-    }
-
-    /// Failure outcomes recorded in the subtree of `node`
-    /// ([`ExecutionTree::subtree_failures`]).
-    pub fn subtree_failures(&self, node: NodeId) -> u64 {
-        self.tree.nodes[node.index()].facts.failures
-    }
-
-    /// Whether the subtree of `node` is closed
-    /// ([`ExecutionTree::is_closed`]).
-    pub fn is_closed(&self, node: NodeId) -> bool {
-        self.tree.nodes[node.index()].facts.closed
-    }
-
-    /// Maximal closed, failure-free, visited subtrees (a closed parent
-    /// subsumes its children): the proofs a hive publishes over the tree.
-    pub fn proven_subtrees(&self) -> u64 {
-        u64::from(self.tree.nodes[0].facts.proven)
-    }
-}
-
-impl PartialEq for TreeSummary<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.tree, other.tree);
-        (a.closed_nodes, a.open_arms, &a.sites, &a.open_nodes)
-            == (b.closed_nodes, b.open_arms, &b.sites, &b.open_nodes)
-            && a.nodes
-                .iter()
-                .map(|n| n.facts)
-                .eq(b.nodes.iter().map(|n| n.facts))
-    }
-}
-
 /// The collective execution tree. See the [module docs](self).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionTree {
@@ -785,9 +739,44 @@ impl ExecutionTree {
         out
     }
 
-    /// The tree's kept-current facts (per node and the proof count). O(1).
-    pub fn summary(&self) -> TreeSummary<'_> {
-        TreeSummary { tree: self }
+    /// Nodes in the subtree rooted at `node`, itself included. O(1): a
+    /// fact the tree keeps current.
+    pub fn subtree_nodes(&self, node: NodeId) -> u64 {
+        u64::from(self.nodes[node.index()].facts.nodes)
+    }
+
+    /// Failure outcomes recorded in the subtree of `node`. O(1): a fact
+    /// the tree keeps current, held to [`failures_by_walk`](Self::failures_by_walk).
+    pub fn subtree_failures(&self, node: NodeId) -> u64 {
+        self.nodes[node.index()].facts.failures
+    }
+
+    /// Whether the subtree of `node` is closed (see
+    /// [`closed_by_walk`](Self::closed_by_walk)). O(1): a fact the tree
+    /// keeps current.
+    pub fn is_closed(&self, node: NodeId) -> bool {
+        self.nodes[node.index()].facts.closed
+    }
+
+    /// Maximal closed, failure-free, visited subtrees (a closed parent
+    /// subsumes its children): the proofs a hive publishes over the tree.
+    /// O(1).
+    pub fn proven_subtrees(&self) -> u64 {
+        u64::from(self.nodes[0].facts.proven)
+    }
+
+    /// Whether every node's kept facts and every kept count agree with
+    /// `other`'s: how a tree is held to a fresh derivation of itself (an
+    /// [`encode_into`](Self::encode_into) → [`decode`](Self::decode)
+    /// round trip) or to a replica.
+    pub fn same_facts(&self, other: &ExecutionTree) -> bool {
+        let (a, b) = (self, other);
+        (a.closed_nodes, a.open_arms, &a.sites, &a.open_nodes)
+            == (b.closed_nodes, b.open_arms, &b.sites, &b.open_nodes)
+            && a.nodes
+                .iter()
+                .map(|n| n.facts)
+                .eq(b.nodes.iter().map(|n| n.facts))
     }
 
     /// Enumerates unexplored arms: one direction of an observed site taken,
@@ -826,8 +815,9 @@ impl ExecutionTree {
     /// Whether the subtree rooted at `node` is *closed*: every observed
     /// site has both arms explored-and-closed or infeasible, and leaves
     /// are genuine terminals. A closed, failure-free subtree is provable
-    /// (paper §3.3).
-    pub fn is_closed(&self, node: NodeId) -> bool {
+    /// (paper §3.3). O(subtree): the trusted reference the kept fact
+    /// ([`is_closed`](Self::is_closed)) is held to.
+    pub fn closed_by_walk(&self, node: NodeId) -> bool {
         let mut closed = vec![None::<bool>; self.nodes.len()];
         self.closed_rec(node, &mut closed)
     }
@@ -870,7 +860,9 @@ impl ExecutionTree {
     }
 
     /// Sum of failure outcomes recorded anywhere in the subtree of `node`.
-    pub fn subtree_failures(&self, node: NodeId) -> u64 {
+    /// O(subtree): the trusted reference the kept fact
+    /// ([`subtree_failures`](Self::subtree_failures)) is held to.
+    pub fn failures_by_walk(&self, node: NodeId) -> u64 {
         let mut sum = 0;
         let mut stack = vec![node];
         while let Some(id) = stack.pop() {
@@ -1323,10 +1315,10 @@ mod tests {
     fn infeasible_arm_leaves_frontier_and_enables_closure() {
         let mut t = ExecutionTree::new(ProgramId(1));
         t.merge_path(&path(&[(0, true)]), &Outcome::Success);
-        assert!(!t.is_closed(NodeId::ROOT));
+        assert!(!t.closed_by_walk(NodeId::ROOT));
         t.mark_infeasible(NodeId::ROOT, s(0), false);
         assert!(t.frontier().is_empty());
-        assert!(t.is_closed(NodeId::ROOT));
+        assert!(t.closed_by_walk(NodeId::ROOT));
     }
 
     #[test]
@@ -1334,7 +1326,7 @@ mod tests {
         let mut t = ExecutionTree::new(ProgramId(1));
         t.merge_path(&path(&[(0, true)]), &Outcome::Success);
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
-        assert!(t.is_closed(NodeId::ROOT));
+        assert!(t.closed_by_walk(NodeId::ROOT));
         assert!((t.coverage().closed_fraction - 1.0).abs() < 1e-9);
     }
 
@@ -1347,7 +1339,7 @@ mod tests {
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
         // Node after (0,true) has a child and is fine, but its (1,false)
         // arm is unexplored.
-        assert!(!t.is_closed(NodeId::ROOT));
+        assert!(!t.closed_by_walk(NodeId::ROOT));
     }
 
     #[test]
@@ -1358,7 +1350,7 @@ mod tests {
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
         t.merge_path(&path(&[(5, true)]), &Outcome::Success);
         t.merge_path(&path(&[(5, false)]), &Outcome::Success);
-        assert!(!t.is_closed(NodeId::ROOT));
+        assert!(!t.closed_by_walk(NodeId::ROOT));
     }
 
     #[test]
@@ -1369,12 +1361,12 @@ mod tests {
         t.merge_path(&path(&[(0, false)]), &Outcome::Success);
         t.merge_path(&path(&[(0, true), (1, true)]), &Outcome::Success);
         t.mark_infeasible(NodeId::ROOT, s(0), true);
-        assert!(t.summary().is_closed(NodeId::ROOT));
-        assert_eq!(t.summary().proven_subtrees(), 1);
+        assert!(t.closed_by_walk(NodeId::ROOT));
+        assert_eq!(t.proven_subtrees(), 1);
         // A failing path ends at that open node: its own facts come out
         // unchanged, yet the root above it is no longer provable.
         t.merge_path(&path(&[(0, true)]), &crash());
-        assert_eq!(t.summary().proven_subtrees(), 2);
+        assert_eq!(t.proven_subtrees(), 2);
     }
 
     #[test]
@@ -1386,10 +1378,10 @@ mod tests {
         t.merge_path(&path(&[(0, true)]), &Outcome::Success);
         t.nodes[0].visits = 0;
         t.derive();
-        assert_eq!(t.summary().proven_subtrees(), 2);
+        assert_eq!(t.proven_subtrees(), 2);
         // A known path: the leaf's facts do not change, the root's do.
         t.merge_path(&path(&[(0, true)]), &Outcome::Success);
-        assert_eq!(t.summary().proven_subtrees(), 1);
+        assert_eq!(t.proven_subtrees(), 1);
     }
 
     #[test]
@@ -1411,9 +1403,9 @@ mod tests {
         t.merge_path(&path(&[(0, true), (1, true)]), &crash());
         t.merge_path(&path(&[(0, true), (1, false)]), &Outcome::Success);
         t.merge_path(&path(&[(0, false)]), &crash());
-        assert_eq!(t.subtree_failures(NodeId::ROOT), 2);
+        assert_eq!(t.failures_by_walk(NodeId::ROOT), 2);
         let right = child_of(&t, NodeId::ROOT, 0, true);
-        assert_eq!(t.subtree_failures(right), 1);
+        assert_eq!(t.failures_by_walk(right), 1);
     }
 
     #[test]

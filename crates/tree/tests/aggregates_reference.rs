@@ -5,7 +5,7 @@
 //! references:
 //! - a fresh full derivation: an `encode_into` → `decode` round trip,
 //!   which derives every fact from scratch (nothing derived is stored);
-//! - the crate's per-node walks (`is_closed`, `subtree_failures`), on a
+//! - the crate's per-node walks (`closed_by_walk`, `failures_by_walk`), on a
 //!   sample of nodes;
 //! - definitions written here from the public node API: closure,
 //!   failures and size of every subtree, the proof set (the walk from
@@ -172,35 +172,23 @@ fn swept_frontier(tree: &ExecutionTree) -> Vec<FrontierArm> {
 fn check(tree: &ExecutionTree, rng: &mut SmallRng, what: &str) {
     let fresh = ExecutionTree::decode(&mut codec::Reader::new(&encode(tree))).expect("decode");
     assert_eq!(tree.coverage(), fresh.coverage(), "{what}");
-    assert!(
-        tree.summary() == fresh.summary(),
-        "{what}: vs a fresh derivation"
-    );
+    assert!(tree.same_facts(&fresh), "{what}: vs a fresh derivation");
 
     let r = Reference::of(tree);
-    let summary = tree.summary();
     let len = tree.node_count();
     for i in 0..len {
         let id = NodeId(i as u32);
         let j = i as usize;
+        assert_eq!(tree.is_closed(id), r.closed[j], "{what}: closure of {id:?}");
         assert_eq!(
-            summary.is_closed(id),
-            r.closed[j],
-            "{what}: closure of {id:?}"
-        );
-        assert_eq!(
-            summary.subtree_failures(id),
+            tree.subtree_failures(id),
             r.failures[j],
             "{what}: failures of {id:?}"
         );
-        assert_eq!(
-            summary.subtree_nodes(id),
-            r.nodes[j],
-            "{what}: size of {id:?}"
-        );
+        assert_eq!(tree.subtree_nodes(id), r.nodes[j], "{what}: size of {id:?}");
     }
     assert_eq!(
-        summary.proven_subtrees(),
+        tree.proven_subtrees(),
         r.proof_set(tree).len() as u64,
         "{what}: proofs"
     );
@@ -229,10 +217,14 @@ fn check(tree: &ExecutionTree, rng: &mut SmallRng, what: &str) {
             .collect()
     };
     for id in sample.into_iter().map(NodeId) {
-        assert_eq!(summary.is_closed(id), tree.is_closed(id), "{what}: {id:?}");
         assert_eq!(
-            summary.subtree_failures(id),
+            tree.is_closed(id),
+            tree.closed_by_walk(id),
+            "{what}: {id:?}"
+        );
+        assert_eq!(
             tree.subtree_failures(id),
+            tree.failures_by_walk(id),
             "{what}: {id:?}"
         );
     }

@@ -1,7 +1,7 @@
-//! `ExecutionTree::summary` reads facts the tree keeps current in place
-//! of three per-node walks (`is_closed`, `subtree_failures`, a counted
-//! subtree), and `frontier` reads its index in place of a per-node depth
-//! walk. The walks stay in the crate as the small trusted reference;
+//! `ExecutionTree::{is_closed, subtree_failures, subtree_nodes}` read
+//! facts the tree keeps current in place of three per-node walks
+//! (`closed_by_walk`, `failures_by_walk`, a counted subtree), and
+//! `frontier` reads its index in place of a per-node depth walk. The walks stay in the crate as the small trusted reference;
 //! this suite holds the kept-current facts to them after arbitrary
 //! sequences of every operation that changes a tree, on live and
 //! delta-chained trees.
@@ -27,7 +27,7 @@ fn counted_subtree(tree: &ExecutionTree, root: NodeId) -> u64 {
     count
 }
 
-/// `ExecutionTree::frontier` as it was defined before the summary: one
+/// `ExecutionTree::frontier` as it was defined before the kept facts: one
 /// walk to the root per node with an open arm.
 fn reference_frontier(tree: &ExecutionTree) -> Vec<FrontierArm> {
     let mut out = Vec::new();
@@ -87,24 +87,23 @@ proptest! {
     ) {
         let trees = common::build(seed, n_ops, shape == 0);
         let tree = &trees.mem;
-        let summary = tree.summary();
         let checked = nodes_to_check(tree, seed);
         for &id in &checked {
-            prop_assert_eq!(summary.is_closed(id), tree.is_closed(id), "{:?}", id);
-            prop_assert_eq!(summary.subtree_failures(id), tree.subtree_failures(id), "{:?}", id);
-            prop_assert_eq!(summary.subtree_nodes(id), counted_subtree(tree, id), "{:?}", id);
+            prop_assert_eq!(tree.is_closed(id), tree.closed_by_walk(id), "{:?}", id);
+            prop_assert_eq!(tree.subtree_failures(id), tree.failures_by_walk(id), "{:?}", id);
+            prop_assert_eq!(tree.subtree_nodes(id), counted_subtree(tree, id), "{:?}", id);
         }
         let frontier = tree.frontier();
         prop_assert_eq!(&frontier, &reference_frontier(tree));
         let coverage = tree.coverage();
         prop_assert_eq!(coverage.frontier_arms, frontier.len() as u64);
         if checked.len() as u64 == tree.node_count() {
-            let closed = checked.iter().filter(|id| tree.is_closed(**id)).count();
+            let closed = checked.iter().filter(|id| tree.closed_by_walk(**id)).count();
             prop_assert_eq!(coverage.closed_fraction, closed as f64 / checked.len() as f64);
         }
         // The delta-chained replica reads the same.
         let other = &trees.chained;
-        prop_assert!(other.summary() == summary);
+        prop_assert!(other.same_facts(tree));
         prop_assert_eq!(&other.frontier(), &frontier);
         prop_assert_eq!(other.coverage(), coverage);
     }
