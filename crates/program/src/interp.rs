@@ -375,16 +375,16 @@ impl LoweredProgram {
     /// Per global: whether a thread other than `unit` writes it.
     pub fn written_by_others(&self, unit: ThreadId) -> Vec<bool> {
         let mut written = vec![false; self.n_globals as usize];
+        let own = &self.bases[unit.index()];
+        let own = own[0] as usize..own[own.len() - 1] as usize;
         let others = self
-            .bases
+            .ops
             .iter()
             .enumerate()
-            .filter(|(t, _)| *t != unit.index());
-        for (_, starts) in others {
-            for op in &self.ops[starts[0] as usize..starts[starts.len() - 1] as usize] {
-                if let Op::Assign(Place::Global(g), _) | Op::Syscall(_, _, Place::Global(g)) = op {
-                    written[g.index()] = true;
-                }
+            .filter(|(i, _)| !own.contains(i));
+        for (_, op) in others {
+            if let Op::Assign(Place::Global(g), _) | Op::Syscall(_, _, Place::Global(g)) = op {
+                written[g.index()] = true;
             }
         }
         written

@@ -41,10 +41,9 @@ impl From<i64> for Sym {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
-    Const(i64),
     Input(u32),
     Un(UnOp, u32),
-    Bin(BinOp, u32, u32),
+    Bin(BinOp, Sym, Sym),
 }
 
 /// The term arena: each distinct term once, with its size as a tree.
@@ -56,11 +55,10 @@ pub(crate) struct Terms {
 
 impl Terms {
     fn intern(&mut self, node: Node) -> u32 {
-        let size = |id: u32| self.nodes[id as usize].1;
         let size = match node {
-            Node::Const(_) | Node::Input(_) => 1,
-            Node::Un(_, x) => size(x).saturating_add(1),
-            Node::Bin(_, a, b) => size(a).saturating_add(size(b)).saturating_add(1),
+            Node::Input(_) => 1,
+            Node::Un(_, x) => self.size(Sym::Term(x)).saturating_add(1),
+            Node::Bin(_, a, b) => self.size(a).saturating_add(self.size(b)).saturating_add(1),
         };
         let next = self.nodes.len() as u32;
         let id = *self.ids.entry(node).or_insert(next);
@@ -68,13 +66,6 @@ impl Terms {
             self.nodes.push((node, size));
         }
         id
-    }
-
-    fn id(&mut self, v: Sym) -> u32 {
-        match v {
-            Sym::Known(c) => self.intern(Node::Const(c)),
-            Sym::Term(id) => id,
-        }
     }
 
     /// Input cell (or pseudo-input) `i`.
@@ -112,10 +103,7 @@ impl Terms {
             (BinOp::Mul, Known(1), _) => b,
             (BinOp::Mul | BinOp::And | BinOp::BitAnd, _, Known(0)) => Known(0),
             (BinOp::Mul | BinOp::And | BinOp::BitAnd, Known(0), _) => Known(0),
-            _ => {
-                let (a, b) = (self.id(a), self.id(b));
-                Sym::Term(self.intern(Node::Bin(op, a, b)))
-            }
+            _ => Sym::Term(self.intern(Node::Bin(op, a, b))),
         }
     }
 
@@ -147,10 +135,9 @@ impl Terms {
             Sym::Term(id) => id,
         };
         match self.nodes[id as usize].0 {
-            Node::Const(c) => Expr::Const(c),
             Node::Input(i) => Expr::Input(InputId::new(i)),
             Node::Un(op, x) => Expr::un(op, self.expr(Sym::Term(x))),
-            Node::Bin(op, a, b) => Expr::bin(op, self.expr(Sym::Term(a)), self.expr(Sym::Term(b))),
+            Node::Bin(op, a, b) => Expr::bin(op, self.expr(a), self.expr(b)),
         }
     }
 }

@@ -104,6 +104,7 @@ impl Decisions<Option<i64>> for Replay<'_> {
     fn observer(&mut self) -> &mut Self {
         self
     }
+    #[inline]
     fn ctx(&mut self) -> &mut () {
         &mut self.ctx
     }
