@@ -111,12 +111,11 @@ impl Terms {
     /// operation (already 0 or 1).
     fn truth(&mut self, x: Sym) -> Sym {
         use BinOp::{And, Eq, Ge, Gt, Le, Lt, Ne, Or};
+        let boolean = |n| matches!(n, Node::Bin(Lt | Le | Gt | Ge | Eq | Ne | And | Or, ..));
         match x {
-            Sym::Term(id) => match self.nodes[id as usize].0 {
-                Node::Bin(Lt | Le | Gt | Ge | Eq | Ne | And | Or, ..) | Node::Un(UnOp::Not, _) => x,
-                _ => self.bin(Ne, x, Sym::Known(0)),
-            },
-            Sym::Known(c) => Sym::Known(i64::from(c != 0)),
+            Sym::Term(id) if boolean(self.nodes[id as usize].0) => x,
+            Sym::Term(id) if matches!(self.nodes[id as usize].0, Node::Un(UnOp::Not, _)) => x,
+            _ => self.bin(Ne, x, Sym::Known(0)),
         }
     }
 
