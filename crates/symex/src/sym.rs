@@ -7,7 +7,8 @@
 //! S2E-style: a single unit (thread) is explored with its shared state
 //! unconstrained, over-approximating the feasible paths ("if the unit
 //! behaves correctly for a superset of the feasible paths, then it is
-//! guaranteed to behave correctly for all feasible paths").
+//! guaranteed to behave correctly for all feasible paths"). Every run
+//! steps the pods' `interp::Machine` in the symbolic domain of [`partial`](crate::partial).
 
 use crate::interval::InputBox;
 use crate::partial::{Sym, Terms, MAX_RESIDUAL_NODES};
