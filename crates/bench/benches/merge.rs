@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use softborg_guidance::{frontier, Directive};
 use softborg_hive::{proofs, Hive, HiveConfig};
 use softborg_pod::{Pod, PodConfig};
-use softborg_program::interp::Outcome;
+use softborg_program::interp::{LoweredProgram, Outcome};
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::{BranchSiteId, ProgramId};
 use softborg_tree::ExecutionTree;
@@ -103,12 +103,14 @@ fn bench_tree_reads(c: &mut Criterion) {
         group.bench_function(id("proof_count"), |b| b.iter(|| tree.proven_subtrees()));
         group.bench_function(id("coverage"), |b| b.iter(|| tree.coverage()));
         group.bench_function(id("frontier"), |b| b.iter(|| tree.frontier().len()));
-        // As `Hive::guidance` plans: the crash hunt once, the frontier
-        // part every round (the first call's infeasibility marks stay).
-        let crash_seeds = frontier::crash_seeds(&s.program, &planner);
+        // As `Hive::guidance` plans: the program lowered and the crash
+        // hunt once, the frontier part every round (the first call's
+        // infeasibility marks stay).
+        let code = LoweredProgram::new(&s.program);
+        let crash_seeds = frontier::crash_seeds(&code, &planner);
         group.bench_function(id("plan"), |b| {
             b.iter(|| {
-                frontier::plan_with_crash_seeds(&s.program, &mut tree, &planner, &crash_seeds)
+                frontier::plan_with_crash_seeds(&code, &mut tree, &planner, &crash_seeds)
                     .0
                     .directives
                     .len()
@@ -119,7 +121,7 @@ fn bench_tree_reads(c: &mut Criterion) {
         group.bench_function(id("round_reads"), |b| {
             b.iter(|| {
                 let (plan, _) =
-                    frontier::plan_with_crash_seeds(&s.program, &mut tree, &planner, &crash_seeds);
+                    frontier::plan_with_crash_seeds(&code, &mut tree, &planner, &crash_seeds);
                 let proofs = tree.proven_subtrees();
                 (plan.directives.len(), tree.coverage(), proofs)
             })

@@ -23,6 +23,8 @@ use std::time::Instant;
 const N_PODS: u64 = 8;
 const PER_POD: usize = 1500;
 const BATCH: usize = 32;
+/// Memo entries in total, shared by a run's workers at every count.
+const MEMO_TOTAL: usize = 4096;
 
 struct Row {
     label: String,
@@ -43,7 +45,7 @@ fn pipelined<'p>(
 ) -> (Hive<'p>, IngestStats, f64) {
     let cfg = IngestConfig {
         workers,
-        memo_capacity: if memo { 4096 } else { 0 },
+        memo_capacity: if memo { MEMO_TOTAL } else { 0 },
         ..IngestConfig::default()
     };
     let mut hive = Hive::new(program, HiveConfig::default());

@@ -26,7 +26,7 @@ const PER_POD: usize = 1200;
 const BATCH: usize = 64;
 /// Pinned decode+reconstruct budget shared by every configuration.
 const WORKERS: usize = 4;
-/// Pool-total memo entries, split equally over the workers' caches.
+/// Memo entries in total: the one memo every worker shares.
 const MEMO_TOTAL: usize = 4096;
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Best-of-N timing: single-CPU container scheduling is noisy.
@@ -114,7 +114,7 @@ fn serial_baseline<'p>(loads: &'p [Workload]) -> (Vec<Hive<'p>>, f64) {
 fn ingest_cfg() -> IngestConfig {
     IngestConfig {
         workers: WORKERS,
-        memo_capacity: MEMO_TOTAL / WORKERS,
+        memo_capacity: MEMO_TOTAL,
         ..IngestConfig::default()
     }
 }

@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use softborg_bench::{banner, cell, collect_path, table_header};
 use softborg_guidance::PlannerConfig;
 use softborg_program::gen::sample_inputs;
+use softborg_program::interp::LoweredProgram;
 use softborg_program::scenarios;
 use softborg_symex::{InputBox, SymConfig};
 use softborg_tree::{ExecutionTree, NodeId};
@@ -36,6 +37,7 @@ fn main() {
         max_targets: 64,
         ..PlannerConfig::default()
     };
+    let code = LoweredProgram::new(&s.program);
     let mut natural = ExecutionTree::new(s.program.id());
     let mut symbolic = ExecutionTree::new(s.program.id());
     let mut rng = SmallRng::seed_from_u64(2);
@@ -47,7 +49,7 @@ fn main() {
         symbolic.merge_path(&path, &outcome);
         if i + 1 == checkpoint {
             // Symbolic arm: prune infeasible frontier arms each checkpoint.
-            let (_plan, _stats) = softborg_guidance::plan(&s.program, &mut symbolic, &planner);
+            let (_plan, _stats) = softborg_guidance::plan(&code, &mut symbolic, &planner);
             let nat_certs = softborg_hive::assemble(&natural);
             let sym_certs = softborg_hive::assemble(&symbolic);
             let whole = sym_certs.iter().any(|c| c.is_whole_program());

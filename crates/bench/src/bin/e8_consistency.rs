@@ -15,6 +15,7 @@ use softborg_bench::{banner, cell, table_header};
 use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::{global, local};
 use softborg_program::expr::{BinOp, Expr};
+use softborg_program::interp::LoweredProgram;
 use softborg_program::ThreadId;
 use softborg_symex::{
     explore, Consistency, Feasibility, InputBox, SolveBudget, SymConfig, SymOutcome,
@@ -61,11 +62,12 @@ fn main() {
         "§4 (S2E-style consistency levels, in-vivo unit analysis)",
     );
     let p = unit_in_system();
+    let code = LoweredProgram::new(&p);
     let box_ = InputBox::uniform(1, 0, 999);
 
     // Strict on the multi-threaded program: undefined.
     let strict_err = explore(
-        &p,
+        &code,
         &SymConfig {
             consistency: Consistency::Strict,
             input_box: box_.clone(),
@@ -95,7 +97,7 @@ fn main() {
 
     // Relaxed unit exploration.
     let relaxed = explore(
-        &p,
+        &code,
         &SymConfig {
             consistency: Consistency::RelaxedUnit(ThreadId::new(0)),
             input_box: box_.clone(),

@@ -8,8 +8,9 @@
 //! back to schedule-perturbation and fault-injection directives.
 
 use crate::directive::{Directive, GuidancePlan};
+use softborg_program::interp::LoweredProgram;
 use softborg_program::sched::ScheduleHint;
-use softborg_program::{BranchSiteId, Loc, Program, ThreadId};
+use softborg_program::{BranchSiteId, Loc, ThreadId};
 use softborg_symex::{arm_feasibility, explore, Feasibility, SymConfig, SymOutcome, SymPath};
 use softborg_tree::{ExecutionTree, FrontierArm};
 use std::collections::BTreeMap;
@@ -69,12 +70,12 @@ pub fn arm_score(arm: &FrontierArm) -> f64 {
 /// execution (whose trace then drives diagnosis + fixing). A pure
 /// function of its arguments: a caller that plans every round computes
 /// it once and passes it to [`plan_with_crash_seeds`].
-pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> {
+pub fn crash_seeds(code: &LoweredProgram, config: &PlannerConfig) -> Vec<Directive> {
     let mut seeds = Vec::new();
-    if program.threads.len() != 1 || config.max_crash_seeds == 0 {
+    if code.n_threads() != 1 || config.max_crash_seeds == 0 {
         return seeds;
     }
-    let Ok(exploration) = explore(program, &config.sym) else {
+    let Ok(exploration) = explore(code, &config.sym) else {
         return seeds;
     };
     // One counterexample per distinct crash *site*: several symbolic
@@ -100,7 +101,7 @@ pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> 
             if let Feasibility::Feasible(model) =
                 path.solve(&config.sym.input_box, config.sym.solve_budget)
             {
-                let inputs = model[..program.n_inputs as usize].to_vec();
+                let inputs = model[..code.n_inputs() as usize].to_vec();
                 let target = path
                     .decisions
                     .last()
@@ -114,14 +115,14 @@ pub fn crash_seeds(program: &Program, config: &PlannerConfig) -> Vec<Directive> 
     seeds
 }
 
-/// Produces a guidance plan for `program` from its current tree, marking
-/// proven-infeasible arms as a side effect.
+/// Produces a guidance plan for the lowered program `code` from its
+/// current tree, marking proven-infeasible arms as a side effect.
 pub fn plan(
-    program: &Program,
+    code: &LoweredProgram,
     tree: &mut ExecutionTree,
     config: &PlannerConfig,
 ) -> (GuidancePlan, PlanStats) {
-    plan_with_crash_seeds(program, tree, config, &crash_seeds(program, config))
+    plan_with_crash_seeds(code, tree, config, &crash_seeds(code, config))
 }
 
 /// The top `k` arms by (finite) score, ties in frontier order (what a
@@ -151,7 +152,7 @@ fn top_arms(tree: &ExecutionTree, k: usize) -> Vec<FrontierArm> {
 /// [`plan`] with the tree-independent part, [`crash_seeds`], supplied by
 /// the caller.
 pub fn plan_with_crash_seeds(
-    program: &Program,
+    code: &LoweredProgram,
     tree: &mut ExecutionTree,
     config: &PlannerConfig,
     crash_seeds: &[Directive],
@@ -162,12 +163,12 @@ pub fn plan_with_crash_seeds(
         crash_seeds: crash_seeds.len() as u64,
         ..PlanStats::default()
     };
-    if program.threads.len() == 1 {
+    if code.n_threads() == 1 {
         for arm in top_arms(tree, config.max_targets) {
             let prefix = tree.prefix(arm.node);
-            match arm_feasibility(program, &prefix, arm.site, arm.missing_taken, &config.sym) {
+            match arm_feasibility(code, &prefix, arm.site, arm.missing_taken, &config.sym) {
                 Ok(Feasibility::Feasible(model)) => {
-                    let inputs = model[..program.n_inputs as usize].to_vec();
+                    let inputs = model[..code.n_inputs() as usize].to_vec();
                     plan.directives.push(Directive::InputSeed {
                         inputs,
                         target: (arm.site, arm.missing_taken),
@@ -189,7 +190,7 @@ pub fn plan_with_crash_seeds(
         stats.unknown = open.min(config.max_targets as u64);
         // Schedule perturbation: request both priority orders so rare
         // interleavings (e.g. lock inversions) get provoked.
-        let n = program.threads.len() as u32;
+        let n = code.n_threads() as u32;
         let fwd: Vec<_> = (0..n).map(ThreadId::new).collect();
         let rev: Vec<_> = (0..n).rev().map(ThreadId::new).collect();
         for order in [fwd, rev] {
@@ -277,7 +278,7 @@ mod tests {
             },
             ..PlannerConfig::default()
         };
-        let (plan, stats) = plan(&s.program, &mut tree, &cfg);
+        let (plan, stats) = plan(&LoweredProgram::new(&s.program), &mut tree, &cfg);
         assert!(stats.seeds > 0, "expected input seeds, got {stats:?}");
         // Every seed must actually flip its target arm when executed.
         for d in plan.input_seeds() {
@@ -329,7 +330,7 @@ mod tests {
             },
             ..PlannerConfig::default()
         };
-        let (_, stats) = plan(&p, &mut tree, &cfg);
+        let (_, stats) = plan(&LoweredProgram::new(&p), &mut tree, &cfg);
         assert_eq!(stats.infeasible_marked, 1);
         assert!(tree.frontier().is_empty());
         assert!(tree.is_closed(softborg_tree::NodeId::ROOT));
@@ -350,7 +351,7 @@ mod tests {
             },
             ..PlannerConfig::default()
         };
-        let (plan, stats) = plan(&s.program, &mut tree, &cfg);
+        let (plan, stats) = plan(&LoweredProgram::new(&s.program), &mut tree, &cfg);
         assert!(stats.crash_seeds > 0, "no crash seeds: {stats:?}");
         // At least one seed must actually crash the program.
         let mut crashed = false;
@@ -379,7 +380,11 @@ mod tests {
         let s = scenarios::bank_transfer();
         let mut tree = ExecutionTree::new(s.program.id());
         run_and_merge(&s.program, &[10, 20], &mut tree);
-        let (plan, _) = plan(&s.program, &mut tree, &PlannerConfig::default());
+        let (plan, _) = plan(
+            &LoweredProgram::new(&s.program),
+            &mut tree,
+            &PlannerConfig::default(),
+        );
         let schedules = plan
             .directives
             .iter()

@@ -18,8 +18,8 @@ use softborg_analysis::treeloc::{failure_key, Diagnosis, FailureLedger};
 use softborg_fix::{crash_guards, deadlock_immunity, hang_bounds, FixCandidate};
 use softborg_guidance::{frontier, Directive, GuidancePlan, PlanStats, PlannerConfig};
 use softborg_ingest::{
-    FrameSender, IngestConfig, IngestStats, MergeRecord, ProcessedTrace, ReconstructContext,
-    ShardMap, WorkerMemos,
+    FrameSender, IngestConfig, IngestMemo, IngestStats, MergeRecord, ProcessedTrace,
+    ReconstructContext, ShardMap,
 };
 use softborg_program::codec::{self, CodecError};
 use softborg_program::interp::{LoweredProgram, Outcome};
@@ -116,9 +116,9 @@ pub struct Hive<'p> {
     /// The overlay history's [`ReconstructContext::epoch`]: renewed
     /// whenever the history is replaced rather than appended to.
     epoch: u64,
-    /// The ingest participants' memos, kept across
-    /// [`ingest_frames`](Hive::ingest_frames) runs.
-    memos: WorkerMemos,
+    /// The reconstruction memo the ingest participants share, kept
+    /// across [`ingest_frames`](Hive::ingest_frames) runs.
+    memo: IngestMemo,
     fixed: BTreeSet<String>,
     stats: HiveStats,
     config: HiveConfig,
@@ -203,7 +203,7 @@ impl<'p> Hive<'p> {
             ledger: FailureLedger::new(),
             overlay_history: vec![Overlay::empty()],
             epoch: fresh_epoch(),
-            memos: WorkerMemos::default(),
+            memo: IngestMemo::default(),
             fixed: BTreeSet::new(),
             stats: HiveStats::default(),
             program,
@@ -328,7 +328,7 @@ impl<'p> Hive<'p> {
     ///
     /// The overlay history is frozen for the duration of the call
     /// (enforced by the borrow: promotion needs `&mut self`). The
-    /// participants' memos are the hive's, kept from one call to the next.
+    /// participants' memo is the hive's, kept from one call to the next.
     pub fn ingest_frames<R, P>(&mut self, config: &IngestConfig, producer: P) -> (R, IngestStats)
     where
         P: FnOnce(FrameSender) -> R + Send,
@@ -336,13 +336,13 @@ impl<'p> Hive<'p> {
     {
         let id = self.tree.program();
         let map = ShardMap::new(&[id], 1).expect("one program on one shard");
-        // Lent to the run and put back after it; a panicking run drops them.
-        let mut memos = std::mem::take(&mut self.memos);
+        // Lent to the run and put back after it; a panicking run drops it.
+        let mut memo = std::mem::take(&mut self.memo);
         let (ctx, mut sink) = self.split();
         let ctxs = BTreeMap::from([(id, ctx)]);
         let sinks = vec![move |_, r: &MergeRecord| sink.apply(r)];
-        let out = softborg_ingest::run_producer(config, &map, &ctxs, &mut memos, producer, sinks);
-        self.memos = memos;
+        let out = softborg_ingest::run_producer(config, &map, &ctxs, &mut memo, producer, sinks);
+        self.memo = memo;
         out
     }
 
@@ -464,8 +464,8 @@ impl<'p> Hive<'p> {
         let planner = &self.config.planner;
         let crash_seeds = self
             .crash_seeds
-            .get_or_insert_with(|| frontier::crash_seeds(self.program, planner));
-        frontier::plan_with_crash_seeds(self.program, &mut self.tree, planner, crash_seeds)
+            .get_or_insert_with(|| frontier::crash_seeds(&self.code, planner));
+        frontier::plan_with_crash_seeds(&self.code, &mut self.tree, planner, crash_seeds)
     }
 
     /// Current execution tree (read-only).
@@ -701,7 +701,7 @@ impl<'p> Hive<'p> {
             ledger,
             overlay_history,
             epoch: fresh_epoch(),
-            memos: WorkerMemos::default(),
+            memo: IngestMemo::default(),
             fixed,
             stats,
             program,

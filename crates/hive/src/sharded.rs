@@ -5,7 +5,7 @@
 //! every program of a fleet on one of `n_shards` shards ([`ShardMap`],
 //! explicit deterministic hash placement), runs **one** set of ingest
 //! participants over all traffic (so idle capacity from a quiet program
-//! is immediately usable by a busy one, and each participant's memo
+//! is immediately usable by a busy one, and their one shared memo
 //! recycles reconstructions across the whole fleet), and gives each
 //! shard its own sink, fed in claimed order on the calling thread — so
 //! every program's hive ends byte-identical to serial ingest of its
@@ -15,8 +15,8 @@
 
 use crate::hive::{Hive, HiveConfig};
 use softborg_ingest::{
-    FrameSender, IngestConfig, IngestStats, MergeRecord, ReconstructContext, ShardError, ShardMap,
-    UnitFrames, WorkerMemos,
+    FrameSender, IngestConfig, IngestMemo, IngestStats, MergeRecord, ReconstructContext,
+    ShardError, ShardMap, UnitFrames,
 };
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
@@ -61,11 +61,12 @@ pub struct ShardedHive<'p> {
     programs: BTreeMap<ProgramId, &'p Program>,
     /// `shards[i]` holds the hives of every program placed on shard `i`.
     shards: Vec<BTreeMap<ProgramId, Hive<'p>>>,
-    /// The ingest participants' memos, kept across
+    /// The reconstruction memo the ingest participants share, one for
+    /// every program, kept across
     /// [`ingest_units`](ShardedHive::ingest_units) runs. A hive whose
     /// state is replaced (decode, delta) brings a new epoch into the
-    /// next run, which clears them.
-    memos: WorkerMemos,
+    /// next run, which clears it.
+    memo: IngestMemo,
 }
 
 impl<'p> ShardedHive<'p> {
@@ -97,7 +98,7 @@ impl<'p> ShardedHive<'p> {
             map,
             programs: by_id,
             shards,
-            memos: WorkerMemos::default(),
+            memo: IngestMemo::default(),
         })
     }
 
@@ -109,6 +110,12 @@ impl<'p> ShardedHive<'p> {
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.map.n_shards()
+    }
+
+    /// Entries in the reconstruction memo its ingest runs share: at most
+    /// the last run's [`IngestConfig::memo_capacity`].
+    pub fn memo_entries(&self) -> usize {
+        self.memo.entries()
     }
 
     /// The hive serving `program`.
@@ -147,8 +154,8 @@ impl<'p> ShardedHive<'p> {
     /// with one sink per shard: `unit(units[i], frames)` yields the
     /// frames of unit `i`'s claimed slots, which are classified by
     /// content, decoded and reconstructed on the thread that ran the unit
-    /// (through its memo, kept by the sharded hive from one run to the
-    /// next); each shard's sink applies each program's traces in unit
+    /// (through the memo every participant shares, kept by the sharded
+    /// hive from one run to the next); each shard's sink applies each program's traces in unit
     /// order on the calling thread. Lay the units out so that, in unit
     /// order, each program's frames are its claimed slots in order.
     /// Returns each unit's result, in unit order, and the run's stats.
@@ -162,8 +169,8 @@ impl<'p> ShardedHive<'p> {
         T: Send,
         R: Send,
     {
-        let (map, memos, ctxs, sinks) = self.split();
-        softborg_ingest::run(config, map, &ctxs, memos, units, unit, sinks)
+        let (map, memo, ctxs, sinks) = self.split();
+        softborg_ingest::run(config, map, &ctxs, memo, units, unit, sinks)
     }
 
     /// Runs `producer`, which claims (program, seq) slots through its
@@ -175,8 +182,8 @@ impl<'p> ShardedHive<'p> {
         P: FnOnce(FrameSender) -> R + Send,
         R: Send,
     {
-        let (map, memos, ctxs, sinks) = self.split();
-        softborg_ingest::run_producer(config, map, &ctxs, memos, producer, sinks)
+        let (map, memo, ctxs, sinks) = self.split();
+        softborg_ingest::run_producer(config, map, &ctxs, memo, producer, sinks)
     }
 
     /// Borrows the sharded hive apart for one run: each hive lends its
@@ -188,7 +195,7 @@ impl<'p> ShardedHive<'p> {
         &mut self,
     ) -> (
         &ShardMap,
-        &mut WorkerMemos,
+        &mut IngestMemo,
         BTreeMap<ProgramId, ReconstructContext<'_>>,
         Vec<impl FnMut(ProgramId, &MergeRecord) + '_>,
     ) {
@@ -210,7 +217,7 @@ impl<'p> ShardedHive<'p> {
                 }
             })
             .collect();
-        (&self.map, &mut self.memos, ctxs, sinks)
+        (&self.map, &mut self.memo, ctxs, sinks)
     }
 
     /// Convenience wrapper: submits pre-claimed `(program, frame)`

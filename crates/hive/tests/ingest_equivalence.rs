@@ -8,7 +8,7 @@
 //! `ShardedHive`: one frame per unit through `ingest_batch`, or units
 //! of several consecutive frames through `ingest_units`.
 //!
-//! The hive keeps its workers' memos from one run to the next, so each
+//! The hive keeps its ingest memo from one run to the next, so each
 //! case splits its traffic over 1–3 consecutive runs on the same hive,
 //! and may promote a fix in every program between runs; the reference
 //! promotes at the same trace.
@@ -579,7 +579,7 @@ fn replacing_a_hive_state_clears_the_memos() {
         "apply_shard_state_delta",
         "apply_state_delta",
     ] {
-        // Warm memos that hold the second half replayed under a guard.
+        // A warm memo that holds the second half replayed under a guard.
         let mut hive = new_sharded();
         hive.ingest_batch(first.clone(), &config).unwrap();
         hive.mark_shard_clean(0);
@@ -600,11 +600,11 @@ fn replacing_a_hive_state_clears_the_memos() {
         hive.ingest_batch(second.clone(), &config).unwrap();
         assert!(
             hive.encode_shard_state(0).unwrap() == want,
-            "{replace} left stale memos"
+            "{replace} left a stale memo"
         );
     }
 
-    // The same for a lone hive, which keeps its own memos.
+    // The same for a lone hive, which keeps its own memo.
     let mut lone = Hive::new(&s.program, HiveConfig::default());
     let frames = |c: &[(ProgramId, Vec<u8>)]| c.iter().map(|(_, f)| f.clone()).collect();
     lone.ingest_batch(frames(&first), &config);

@@ -15,6 +15,7 @@ use softborg_guidance::frontier::plan_with_crash_seeds;
 use softborg_guidance::{arm_score, Directive, PlanStats, PlannerConfig};
 use softborg_hive::{proofs, Hive, HiveConfig};
 use softborg_pod::{Pod, PodConfig};
+use softborg_program::interp::LoweredProgram;
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::sched::ScheduleHint;
 use softborg_program::{Program, ThreadId};
@@ -83,13 +84,14 @@ fn reference_plan(
     let mut directives = Vec::new();
     let mut stats = PlanStats::default();
     let single_threaded = program.threads.len() == 1;
+    let code = LoweredProgram::new(program);
     for arm in reference_targets(tree, config.max_targets) {
         if !single_threaded {
             stats.unknown += 1;
             continue;
         }
         let prefix = tree.prefix(arm.node);
-        match arm_feasibility(program, &prefix, arm.site, arm.missing_taken, &config.sym) {
+        match arm_feasibility(&code, &prefix, arm.site, arm.missing_taken, &config.sym) {
             Ok(Feasibility::Feasible(model)) => {
                 directives.push(Directive::InputSeed {
                     inputs: model[..program.n_inputs as usize].to_vec(),
@@ -150,7 +152,8 @@ fn plans_agree(s: &Scenario, tree: &ExecutionTree, max_targets: usize) -> bool {
         ..HiveConfig::default().planner
     };
     let (mut planned, mut referenced) = (tree.clone(), tree.clone());
-    let (plan, stats) = plan_with_crash_seeds(&s.program, &mut planned, &config, &[]);
+    let code = LoweredProgram::new(&s.program);
+    let (plan, stats) = plan_with_crash_seeds(&code, &mut planned, &config, &[]);
     let (directives, expected) = reference_plan(&s.program, &mut referenced, &config);
     assert_eq!(plan.directives, directives, "{} k={max_targets}", s.name);
     assert_eq!(stats, expected, "{} k={max_targets}", s.name);

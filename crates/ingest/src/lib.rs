@@ -18,10 +18,10 @@
 //!   of its claimed slots. The calling thread and pooled jobs claim
 //!   units, and each prepares every frame of the units it runs: checks
 //!   the frame's claim against the program id embedded in its bytes and
-//!   memoizes each trace's prepared [`MergeRecord`] keyed on the exact
-//!   encoded bytes. The calling thread merges each program's records into
-//!   its shard's sink in unit order, so concurrent ingest is observably
-//!   identical to serial ingest. [`run_producer`] collects a producer's
+//!   memoizes each trace's prepared [`MergeRecord`], keyed on the exact
+//!   encoded bytes, in the one memo they share. The calling thread
+//!   merges each program's records into its shard's sink in unit order,
+//!   so concurrent ingest is observably identical to serial ingest. [`run_producer`] collects a producer's
 //!   [`FrameSender`] claims and runs them as one-frame units.
 //! * [`map`] — [`ShardMap`]: explicit, deterministic, hash-based
 //!   program→shard placement, and the typed [`ShardError`]s the router
@@ -36,7 +36,7 @@
 //!
 //! The hive wires this up in `Hive::ingest_frames` (one program, one
 //! shard) and `ShardedHive::{ingest_units, ingest_frames}` (one sink per
-//! shard), each keeping its [`WorkerMemos`] across runs; the campaign
+//! shard), each keeping its [`IngestMemo`] across runs; the campaign
 //! round runs each pod as a unit, so its frames are prepared on the
 //! thread that made them.
 
@@ -52,9 +52,9 @@ pub mod stats;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use map::{ShardError, ShardMap};
-pub use memo::{Entry, MemoCache, Vacancy};
+pub use memo::MemoCache;
 pub use pipeline::{
-    run, run_producer, FrameSender, IngestConfig, MergeRecord, ProcessedTrace, ReconstructContext,
-    UnitFrames, WorkerMemos,
+    run, run_producer, FrameSender, IngestConfig, IngestMemo, MergeRecord, ProcessedTrace,
+    ReconstructContext, UnitFrames,
 };
 pub use stats::{IngestStats, ShardStats, ERROR_SAMPLE_CAP};

@@ -8,7 +8,7 @@
 //! ```text
 //!               claim          run the unit, prepare each frame         merge, calling thread only
 //! units 0..n ─┬─▶ caller   ─▶ unit i ─▶ classify·memo·decode·reconstruct ─▶ ready[i] ─┐
-//!             ├─▶ pooled 1 ─▶ unit j ─▶          (its own memo)           ─▶ ready[j] ─┼─▶ unit order ─▶ sink[shard]
+//!             ├─▶ pooled 1 ─▶ unit j ─▶        (one shared memo)          ─▶ ready[j] ─┼─▶ unit order ─▶ sink[shard]
 //!             └─▶ …                                                                   ─┘
 //! ```
 //!
@@ -27,27 +27,29 @@
 //!   frame unit holds one, so there is no queue to bound and nothing to
 //!   shed: in flight are at most one unit per participant plus the
 //!   prepared units that wait for an earlier one.
-//! * **Recycling.** Each participant memoizes, keyed on the exact
-//!   encoded trace bytes ([`wire::read_batch`] hands the slices out
-//!   without decoding), the [`MergeRecord`] it prepared for a trace: the
-//!   decoded and reconstructed trace stripped to what the sink folds,
+//! * **Recycling.** One memo, shared by every participant, keeps the
+//!   [`MergeRecord`] prepared for a trace keyed on its exact encoded
+//!   bytes ([`wire::read_batch`] hands the slices out without decoding):
+//!   the decoded and reconstructed trace stripped to what the sink folds,
 //!   with its path hash and failure-mode key derived once. Popular
 //!   executions — by design the common case, since a deployed population
 //!   re-executes the same paths constantly — cost one decode,
-//!   reconstruction and preparation per participant for the life of the
-//!   memo, not one per arrival. A frame carries each distinct payload
-//!   once, so a participant looks each up once per frame and the merge
-//!   folds the frame's executions by index, in execution order. The
-//!   memos are [`WorkerMemos`], which the caller keeps and [`run`]
-//!   borrows, so they outlive the run: a hive keeps them for its whole
-//!   life, and a trace prepared in one round is a hit in the next. That holds because a prepared record is a
-//!   function of the program, the trace bytes (which name the overlay
-//!   version) and that version's overlay, and overlay history only grows
-//!   by appending: a trace whose version does not exist yet is never
-//!   memoized, and a context whose [`epoch`](ReconstructContext::epoch)
-//!   changed — its owner's state was replaced — clears the memos. This
-//!   is the paper's information recycling applied to the hive's own
-//!   ingest path.
+//!   reconstruction and preparation for the life of the memo, whichever
+//!   participant meets them, not one per arrival. A participant holds the
+//!   memo's lock only to probe it or to insert; decode and replay run
+//!   unlocked, on its own replay tables. A frame carries each distinct
+//!   payload once, so a participant looks each up once per frame and the
+//!   merge folds the frame's executions by index, in execution order. The
+//!   memo is an [`IngestMemo`], which the caller keeps and [`run`]
+//!   borrows, so it outlives the run: a hive keeps it for its whole life,
+//!   and a trace prepared in one round is a hit in the next. That holds
+//!   because a prepared record is a function of the program, the trace
+//!   bytes (which name the overlay version) and that version's overlay,
+//!   and overlay history only grows by appending: a trace whose version
+//!   does not exist yet is never memoized, and a context whose
+//!   [`epoch`](ReconstructContext::epoch) changed — its owner's state was
+//!   replaced — clears the memo. This is the paper's information
+//!   recycling applied to the hive's own ingest path.
 //! * **No per-run threads, no hand-off.** The pooled jobs run on the
 //!   process-wide [`pool`], so after warm-up a run creates no OS thread,
 //!   and a frame never changes thread between being made and prepared.
@@ -72,7 +74,7 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::map::{ShardError, ShardMap};
-use crate::memo::{Entry, MemoCache};
+use crate::memo::MemoCache;
 use crate::pool;
 use crate::stats::{IngestStats, StatsCore};
 use softborg_analysis::failure_key;
@@ -93,10 +95,10 @@ pub struct IngestConfig {
     /// Participants that run and prepare units (minimum 1): the calling
     /// thread plus `workers − 1` pooled jobs.
     pub workers: usize,
-    /// Memo entries for recycling reconstructions, per participant, kept
-    /// across runs by the hive (each participant owns a private,
-    /// shared-nothing cache); at capacity the cache evicts with a
-    /// second-chance (clock) sweep (0 disables the cache).
+    /// Memo entries for recycling reconstructions, in total: the one
+    /// memo every participant of a run shares, which the hive keeps
+    /// across runs. At capacity it evicts with a second-chance (clock)
+    /// sweep over all of them (0 disables the memo).
     pub memo_capacity: usize,
     /// Time source for the latency/throughput gauges. Defaults to the
     /// monotonic wall clock; a virtual-time scheduler injects its own so
@@ -114,7 +116,7 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             workers: 2,
-            memo_capacity: 4096,
+            memo_capacity: 8192,
             clock: Arc::new(MonotonicClock::new()),
             obs: ObsHandles::default(),
         }
@@ -132,8 +134,8 @@ pub struct ReconstructContext<'a> {
     pub overlays: &'a [Overlay],
     /// Names `overlays` up to appends: it must change whenever a version
     /// already in `overlays` may have changed, and a run whose contexts'
-    /// epochs differ from the ones its [`WorkerMemos`] were filled under
-    /// clears them.
+    /// epochs differ from the ones its [`IngestMemo`] was filled under
+    /// clears it.
     pub epoch: u64,
 }
 
@@ -242,15 +244,17 @@ struct Prep<'r, 'c> {
     stats: &'r StatsCore,
     map: &'r ShardMap,
     ctxs: &'r BTreeMap<ProgramId, ReconstructContext<'c>>,
+    memo: &'r Memo,
     clock: &'r dyn Clock,
 }
 
 /// Where a unit yields the frames of its claimed slots, in slot order.
-/// Each frame is prepared on the spot, through the memo of the
-/// participant running the unit, so the unit keeps its bytes.
+/// Each frame is prepared on the spot, through the shared memo and the
+/// replay tables of the participant running the unit, so the unit keeps
+/// its bytes.
 pub struct UnitFrames<'r, 'c> {
     prep: &'r Prep<'r, 'c>,
-    memo: &'r mut WorkerMemo,
+    scratch: &'r mut ReplayScratch,
     out: Vec<ReadyFrame>,
 }
 
@@ -271,7 +275,7 @@ impl UnitFrames<'_, '_> {
         let shard = map.shard_of(program)?;
         stats.frames_submitted.incr();
         let t0 = clock.now_ns();
-        let out = process_frame(self.prep, self.memo, program, frame);
+        let out = process_frame(self.prep, self.scratch, program, frame);
         let prepared_at_ns = clock.now_ns();
         let busy_ns = prepared_at_ns.saturating_sub(t0);
         stats.worker_busy_ns.add(busy_ns);
@@ -351,63 +355,55 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One participant's memo and replay tables, kept between runs.
-struct WorkerMemo {
-    memo: MemoCache<Arc<MergeRecord>>,
-    scratch: ReplayScratch,
-}
+/// Prepared records by the exact bytes of their trace payload.
+type Memo = MemoCache<Arc<MergeRecord>>;
 
-/// The participants' memos and replay tables, one per worker, which
-/// whoever calls [`run`] keeps across runs (a hive keeps them for its
-/// life). A run rebuilds them empty when its worker count or
-/// [`IngestConfig::memo_capacity`] differs from theirs, or when a
-/// context's [`epoch`](ReconstructContext::epoch) differs from the one
-/// they were filled under.
+/// The one reconstruction memo a run's participants share, and each
+/// participant's replay tables, which whoever calls [`run`] keeps across
+/// runs (a hive keeps them for its life). A run rebuilds the memo empty
+/// when [`IngestConfig::memo_capacity`] differs from its capacity, or
+/// when a context's [`epoch`](ReconstructContext::epoch) differs from
+/// the one it was filled under; another worker count only adds or drops
+/// replay tables.
 #[derive(Default)]
-pub struct WorkerMemos {
-    workers: Vec<WorkerMemo>,
-    capacity: usize,
+pub struct IngestMemo {
+    memo: Memo,
+    scratch: Vec<ReplayScratch>,
     epochs: Vec<(ProgramId, u64)>,
 }
 
-impl std::fmt::Debug for WorkerMemos {
+impl std::fmt::Debug for IngestMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerMemos")
-            .field("workers", &self.workers.len())
-            .field("capacity", &self.capacity)
+        f.debug_struct("IngestMemo")
+            .field("capacity", &self.memo.capacity())
             .field("entries", &self.entries())
+            .field("participants", &self.scratch.len())
             .finish()
     }
 }
 
-impl WorkerMemos {
-    /// Memo entries kept, over every worker.
-    fn entries(&self) -> usize {
-        self.workers.iter().map(|w| w.memo.len()).sum()
+impl IngestMemo {
+    /// Entries the memo holds.
+    pub fn entries(&self) -> usize {
+        self.memo.len()
     }
 
-    /// The per-worker memos for a run of `workers` over `ctxs`, rebuilt
-    /// when they were filled for another shape or other contexts.
+    /// The memo and one participant's replay tables each for a run of
+    /// `workers` over `ctxs`; the memo is rebuilt when it was filled at
+    /// another capacity or under other contexts.
     fn fit(
         &mut self,
         workers: usize,
         capacity: usize,
         ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    ) -> &mut [WorkerMemo] {
+    ) -> (&Memo, &mut [ReplayScratch]) {
         let epochs: Vec<_> = ctxs.iter().map(|(&id, c)| (id, c.epoch)).collect();
-        if (self.workers.len(), self.capacity, &self.epochs) != (workers, capacity, &epochs) {
-            *self = WorkerMemos {
-                workers: (0..workers)
-                    .map(|_| WorkerMemo {
-                        memo: MemoCache::new(capacity),
-                        scratch: ReplayScratch::default(),
-                    })
-                    .collect(),
-                capacity,
-                epochs,
-            };
+        if (self.memo.capacity(), &self.epochs) != (capacity, &epochs) {
+            self.memo = MemoCache::new(capacity);
+            self.epochs = epochs;
         }
-        &mut self.workers
+        self.scratch.resize_with(workers, ReplayScratch::default);
+        (&self.memo, &mut self.scratch)
     }
 }
 
@@ -421,11 +417,11 @@ impl WorkerMemos {
 /// have left it.
 fn process_frame(
     prep: &Prep<'_, '_>,
-    WorkerMemo { memo, scratch }: &mut WorkerMemo,
+    scratch: &mut ReplayScratch,
     claimed: ProgramId,
     bytes: &[u8],
 ) -> Prepared {
-    let stats = prep.stats;
+    let Prep { stats, memo, .. } = *prep;
     let classified = wire::read_batch(bytes).and_then(|batch| Ok((batch.program_id()?, batch)));
     let (content, batch) = match classified {
         Err(_) => {
@@ -461,32 +457,36 @@ fn process_frame(
             named[i as usize] = named[i as usize].saturating_add(1);
         }
     }
-    let mut records = Vec::with_capacity(batch.distinct());
-    for (k, p) in batch.payloads().enumerate() {
-        let vacancy = match memo.entry(p) {
-            Entry::Hit(hit) => {
-                stats.cache_hits.incr();
-                records.push(Arc::clone(hit));
-                continue;
-            }
-            Entry::Miss(vacancy) => vacancy,
-        };
-        stats.cache_misses.incr();
+    // One probe of the memo for every distinct payload; the misses are
+    // decoded and replayed after it, with the memo unlocked.
+    let keys: Vec<_> = batch.payloads().map(|p| (memo.key_hash(p), p)).collect();
+    let mut records = memo.get_all(&keys);
+    let mut misses = 0;
+    for (k, (&(hash, p), record)) in keys.iter().zip(&mut records).enumerate() {
+        if record.is_some() {
+            continue;
+        }
+        misses += 1;
         let Ok(trace) = wire::decode(p) else {
+            stats.cache_misses.add(misses);
             stats.frames_corrupt.incr();
             return Prepared::Corrupt;
         };
         // A later run may know the version: its result is not final.
         let known = (trace.overlay_version as usize) < ctx.overlays.len();
         let decisions = ctx.decisions(&trace, scratch);
-        let record = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
-        if known {
-            let repeated = named.get(k).is_some_and(|&n| n > 1);
-            vacancy.insert(Arc::clone(&record), repeated);
+        let prepared = Arc::new(MergeRecord::prepare(ProcessedTrace { trace, decisions }));
+        let repeated = named.get(k).is_some_and(|&n| n > 1);
+        if known && memo.insert(hash, p, Arc::clone(&prepared), repeated) {
+            stats.cache_evictions.incr();
         }
-        records.push(record);
+        *record = Some(prepared);
     }
-    (stats.cache_hits).add((batch.len() - batch.distinct()) as u64);
+    stats.cache_misses.add(misses);
+    (stats.cache_hits).add((batch.len() - batch.distinct()) as u64 + (keys.len() as u64 - misses));
+    let records = (records.into_iter())
+        .map(|r| r.expect("every miss was prepared"))
+        .collect();
     Prepared::Frame { records, order }
 }
 
@@ -561,8 +561,9 @@ impl<R, S: FnMut(ProgramId, &MergeRecord)> Merger<'_, R, S> {
 /// its merge state; the sharded hive one closure per shard over that
 /// shard's hives); every sink runs on the calling thread, which merges
 /// unit `i` once units `0..=i` are ready. `ctxs` holds the
-/// reconstruction inputs of every program in `map`; `memos` are the
-/// participants' memos, kept by the caller across runs.
+/// reconstruction inputs of every program in `map`; `memo` is the memo
+/// the participants share and their replay tables, kept by the caller
+/// across runs.
 ///
 /// # Panics
 ///
@@ -573,7 +574,7 @@ pub fn run<T, R, S>(
     config: &IngestConfig,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memos: &mut WorkerMemos,
+    memo: &mut IngestMemo,
     units: Vec<T>,
     unit: impl Fn(T, &mut UnitFrames<'_, '_>) -> R + Sync,
     sinks: Vec<S>,
@@ -588,10 +589,12 @@ where
     let stats = StatsCore::new(config.obs.registry.as_ref(), map.n_shards());
     let n_workers = config.workers.max(1);
     let n_units = units.len();
+    let (memo, scratch) = memo.fit(n_workers, config.memo_capacity, ctxs);
     let prep = Prep {
         stats: &stats,
         map,
         ctxs,
+        memo,
         clock: &*config.clock,
     };
     let todo = Mutex::new(units.into_iter().enumerate());
@@ -603,32 +606,26 @@ where
         results: Vec::with_capacity(n_units),
     };
     // Claims units until none is left; `between` runs after each one.
-    let participate = |memo: &mut WorkerMemo, between: &mut dyn FnMut()| {
-        let evicted_before = memo.memo.evictions();
-        loop {
-            let claimed = lock(&todo).next();
-            let Some((i, t)) = claimed else { break };
-            let mut frames = UnitFrames {
-                prep: &prep,
-                memo: &mut *memo,
-                out: Vec::new(),
-            };
-            let result = unit(t, &mut frames);
-            lock(&ready)[i] = Some((result, frames.out));
-            between();
-        }
-        (stats.cache_evictions).add(memo.memo.evictions() - evicted_before);
+    let participate = |scratch: &mut ReplayScratch, between: &mut dyn FnMut()| loop {
+        let claimed = lock(&todo).next();
+        let Some((i, t)) = claimed else { break };
+        let mut frames = UnitFrames {
+            prep: &prep,
+            scratch: &mut *scratch,
+            out: Vec::new(),
+        };
+        let result = unit(t, &mut frames);
+        lock(&ready)[i] = Some((result, frames.out));
+        between();
     };
-    let (own, pooled) = (memos.fit(n_workers, config.memo_capacity, ctxs))
-        .split_first_mut()
-        .expect("at least one participant");
+    let (own, pooled) = scratch.split_first_mut().expect("at least one participant");
     let participate = &participate;
     pool::scope(|s| {
-        for memo in pooled
+        for scratch in pooled
             .iter_mut()
             .take(n_units.min(n_workers).saturating_sub(1))
         {
-            s.spawn(move || participate(memo, &mut || {}));
+            s.spawn(move || participate(scratch, &mut || {}));
         }
         participate(own, &mut || merger.merge_ready(&ready));
     });
@@ -642,7 +639,7 @@ where
     // Only content-determined fields go in the event payload (a frame's
     // verdict depends on its bytes and claim alone, and frame and trace
     // counts are fixed by the in-order merge contract); cache hits vary
-    // with which participant claimed which unit and would break the
+    // with which participant meets a payload first and would break the
     // events-hash stability guarantee.
     config.obs.recorder.info(
         "ingest",
@@ -679,7 +676,7 @@ pub fn run_producer<R, P, S>(
     config: &IngestConfig,
     map: &ShardMap,
     ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
-    memos: &mut WorkerMemos,
+    memo: &mut IngestMemo,
     producer: P,
     sinks: Vec<S>,
 ) -> (R, IngestStats)
@@ -700,7 +697,7 @@ where
         config,
         map,
         ctxs,
-        memos,
+        memo,
         frames,
         |(program, _, frame), out| {
             (out.push(program, &frame)).expect("a claim is placed when it is made");
@@ -842,7 +839,7 @@ mod tests {
         on_two_shards(move |map, ctxs, frames| {
             let caller = std::thread::current().id();
             let (caller_ran, pooled_ran) = (AtomicBool::new(false), AtomicBool::new(false));
-            let memos = &mut WorkerMemos::default();
+            let memo = &mut IngestMemo::default();
             let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
             let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
                 let me = std::thread::current().id();
@@ -868,7 +865,7 @@ mod tests {
                 &config(4),
                 map,
                 ctxs,
-                memos,
+                memo,
                 frames.iter().collect(),
                 unit,
                 sinks,
@@ -880,13 +877,13 @@ mod tests {
     fn a_producer_panic_propagates_its_own_message() {
         for _ in 0..10 {
             let msg = on_two_shards(|map, ctxs, frames| {
-                let memos = &mut WorkerMemos::default();
+                let memo = &mut IngestMemo::default();
                 let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
                 let producer = |tx: FrameSender| {
                     submit_all(&tx, &frames[..frames.len() / 2]);
                     panic!("the producer died");
                 };
-                run_producer(&config(4), map, ctxs, memos, producer, sinks);
+                run_producer(&config(4), map, ctxs, memo, producer, sinks);
             });
             assert_eq!(msg, Err("the producer died".to_string()));
         }
@@ -896,10 +893,10 @@ mod tests {
     fn a_sink_panic_propagates_its_own_message() {
         for _ in 0..10 {
             let msg = on_two_shards(|map, ctxs, frames| {
-                let memos = &mut WorkerMemos::default();
+                let memo = &mut IngestMemo::default();
                 let sinks = vec![dying_sink(0, Some(3)), dying_sink(1, Some(3))];
                 let producer = |tx: FrameSender| submit_all(&tx, frames);
-                run_producer(&config(4), map, ctxs, memos, producer, sinks);
+                run_producer(&config(4), map, ctxs, memo, producer, sinks);
             });
             assert_eq!(msg, Err("shard 1's sink died on record 3".to_string()));
         }
@@ -959,7 +956,7 @@ mod tests {
             }
             let n_units = units.len();
             for workers in 1..=4 {
-                let memos = &mut WorkerMemos::default();
+                let memo = &mut IngestMemo::default();
                 let mut got = vec![Vec::new(); 2];
                 let sinks: Vec<_> = (got.iter_mut())
                     .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
@@ -977,7 +974,7 @@ mod tests {
                     &config(workers),
                     map,
                     ctxs,
-                    memos,
+                    memo,
                     units.clone(),
                     unit,
                     sinks,
@@ -1001,13 +998,13 @@ mod tests {
     fn zero_frame_units_return_their_results_and_merge_nothing() {
         on_two_shards(|map, ctxs, _| {
             for workers in 1..=3 {
-                let memos = &mut WorkerMemos::default();
+                let memo = &mut IngestMemo::default();
                 let sinks = vec![dying_sink(1, Some(1)), dying_sink(1, Some(1))];
                 let (results, stats) = run(
                     &config(workers),
                     map,
                     ctxs,
-                    memos,
+                    memo,
                     (0..9).collect(),
                     |i: u32, _: &mut UnitFrames| i * 2,
                     sinks,
@@ -1018,7 +1015,7 @@ mod tests {
                     &config(workers),
                     map,
                     ctxs,
-                    memos,
+                    memo,
                     Vec::<u32>::new(),
                     |i, _: &mut UnitFrames| i,
                     vec![dying_sink(0, None), dying_sink(1, None)],
@@ -1033,7 +1030,7 @@ mod tests {
     fn one_worker_runs_every_unit_on_the_calling_thread() {
         on_two_shards(|map, ctxs, frames| {
             let caller = std::thread::current().id();
-            let memos = &mut WorkerMemos::default();
+            let memo = &mut IngestMemo::default();
             let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
             let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
                 out.push(*program, frame).expect("placed");
@@ -1043,7 +1040,7 @@ mod tests {
                 &config(1),
                 map,
                 ctxs,
-                memos,
+                memo,
                 frames.iter().collect(),
                 unit,
                 sinks,
@@ -1057,7 +1054,7 @@ mod tests {
     fn a_producers_claims_merge_in_claimed_order() {
         on_two_shards(|map, ctxs, frames| {
             let want = serial_order(map, ctxs, frames);
-            let memos = &mut WorkerMemos::default();
+            let memo = &mut IngestMemo::default();
             let mut got = vec![Vec::new(); 2];
             let sinks: Vec<_> = (got.iter_mut())
                 .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
@@ -1078,7 +1075,7 @@ mod tests {
                 let stranger = ProgramId(u64::MAX);
                 tx.submit_for(stranger, Vec::new())
             };
-            let (refused, stats) = run_producer(&config(3), map, ctxs, memos, producer, sinks);
+            let (refused, stats) = run_producer(&config(3), map, ctxs, memo, producer, sinks);
             assert_eq!(
                 refused,
                 Err(ShardError::UnknownProgram {
@@ -1125,13 +1122,13 @@ mod tests {
                     memo_capacity,
                     ..IngestConfig::default()
                 };
-                let memos = &mut WorkerMemos::default();
+                let memo = &mut IngestMemo::default();
                 let mut got = vec![Vec::new(); 2];
                 let sinks: Vec<_> = (got.iter_mut())
                     .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
                     .collect();
                 let producer = |tx: FrameSender| submit_all(&tx, &repeating);
-                let (_, stats) = run_producer(&config, map, ctxs, memos, producer, sinks);
+                let (_, stats) = run_producer(&config, map, ctxs, memo, producer, sinks);
                 assert!(got == want, "records merged out of execution order");
                 assert_eq!(stats.traces_merged, 8 * repeating.len() as u64);
                 assert_eq!(
@@ -1140,6 +1137,97 @@ mod tests {
                     "workers={workers} memo={memo_capacity}"
                 );
                 assert!(stats.cache_hits >= 4 * repeating.len() as u64);
+            }
+        })
+        .expect("no panic");
+    }
+
+    /// Runs `frames` as one-frame units and returns the run's stats.
+    fn run_frames(
+        config: &IngestConfig,
+        map: &ShardMap,
+        ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+        memo: &mut IngestMemo,
+        frames: &[(ProgramId, Vec<u8>)],
+    ) -> IngestStats {
+        let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
+        let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
+            out.push(*program, frame).expect("placed");
+        };
+        run(
+            config,
+            map,
+            ctxs,
+            memo,
+            frames.iter().collect(),
+            unit,
+            sinks,
+        )
+        .1
+    }
+
+    /// The one-trace frames whose payload no earlier frame carried.
+    fn first_of_each_payload(frames: &[(ProgramId, Vec<u8>)]) -> Vec<(ProgramId, Vec<u8>)> {
+        let mut seen = std::collections::HashSet::new();
+        (frames.iter())
+            .filter(|(_, f)| {
+                let batch = wire::read_batch(f).expect("a pod's frame");
+                batch.payloads().all(|p| seen.insert(p.to_vec()))
+            })
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn a_second_run_at_another_worker_count_is_all_hits() {
+        on_two_shards(|map, ctxs, frames| {
+            for (first, second) in [(1, 3), (4, 1), (2, 2)] {
+                let memo = &mut IngestMemo::default();
+                let cold = run_frames(&config(first), map, ctxs, memo, frames);
+                assert!(cold.cache_misses > 0);
+                assert_eq!(cold.cache_evictions, 0, "the payloads fit the budget");
+                let warm = run_frames(&config(second), map, ctxs, memo, frames);
+                assert_eq!(
+                    (warm.cache_hits, warm.cache_misses),
+                    (frames.len() as u64, 0),
+                    "workers {first} then {second}"
+                );
+                // Two participants may miss one payload at once; the
+                // memo keeps it once.
+                assert_eq!(memo.entries(), first_of_each_payload(frames).len());
+                assert!(cold.cache_misses >= memo.entries() as u64);
+                // Another budget starts a new memo.
+                let resized = IngestConfig {
+                    memo_capacity: 4096,
+                    ..config(second)
+                };
+                let rebuilt = run_frames(&resized, map, ctxs, memo, frames);
+                assert!(rebuilt.cache_misses > 0);
+            }
+        })
+        .expect("no panic");
+    }
+
+    #[test]
+    fn an_overflowing_run_counts_each_eviction_once() {
+        on_two_shards(|map, ctxs, frames| {
+            // Each distinct payload once: every trace misses, and every
+            // insert past the budget evicts one entry.
+            let distinct = first_of_each_payload(frames);
+            assert_eq!(distinct.len(), 73, "the fixture's distinct payloads");
+            for workers in [1, 2, 4] {
+                let config = IngestConfig {
+                    memo_capacity: 32,
+                    ..config(workers)
+                };
+                let memo = &mut IngestMemo::default();
+                let stats = run_frames(&config, map, ctxs, memo, &distinct);
+                assert_eq!(
+                    (stats.cache_misses, stats.cache_evictions),
+                    (73, 73 - 32),
+                    "workers={workers}"
+                );
+                assert_eq!(memo.entries(), 32);
             }
         })
         .expect("no panic");

@@ -226,8 +226,8 @@ pub struct IngestStats {
     /// Traces whose payload a participant decoded and reconstructed:
     /// one per distinct payload of a frame that the memo missed.
     pub cache_misses: u64,
-    /// Memo entries rotated out by the second-chance sweep (summed over
-    /// participants).
+    /// Memo entries rotated out by the second-chance sweep, each counted
+    /// once, by the insert that made room.
     pub cache_evictions: u64,
     /// Total participant time spent classifying, decoding and
     /// reconstructing frames, in ns (a unit's own work, such as running

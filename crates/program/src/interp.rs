@@ -372,6 +372,21 @@ impl LoweredProgram {
         &self.deps
     }
 
+    /// The program's threads.
+    pub fn n_threads(&self) -> usize {
+        self.bases.len()
+    }
+
+    /// The program's inputs.
+    pub fn n_inputs(&self) -> u32 {
+        self.n_inputs
+    }
+
+    /// The program's globals.
+    pub fn n_globals(&self) -> u32 {
+        self.n_globals
+    }
+
     /// Per global: whether a thread other than `unit` writes it.
     pub fn written_by_others(&self, unit: ThreadId) -> Vec<bool> {
         let mut written = vec![false; self.n_globals as usize];

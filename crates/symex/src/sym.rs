@@ -14,7 +14,7 @@ use crate::interval::InputBox;
 use crate::partial::{Sym, Terms, MAX_RESIDUAL_NODES};
 use crate::solve::{self, Constraint, Feasibility, SolveBudget};
 use serde::{Deserialize, Serialize};
-use softborg_program::cfg::{Loc, Program, SyscallKind};
+use softborg_program::cfg::{Loc, SyscallKind};
 use softborg_program::expr::{BinOp, EvalFault, Expr, UnOp, Value};
 use softborg_program::interp::{
     CrashKind, Decisions, LoweredProgram, Machine, Observer, Scratch, Stop,
@@ -217,36 +217,36 @@ fn push_constraint(path: &mut Path, c: Constraint) -> bool {
     true
 }
 
-/// Explores the program per `config`, returning the collected paths.
+/// Explores the lowered program per `config`, returning the collected
+/// paths.
 ///
 /// # Errors
 ///
 /// * [`SymexError::MultiThreadedStrict`] — strict mode on a program with
 ///   more than one thread.
 /// * [`SymexError::BadThread`] — relaxed mode naming a missing thread.
-pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, SymexError> {
+pub fn explore(code: &LoweredProgram, config: &SymConfig) -> Result<Exploration, SymexError> {
     let unit = match config.consistency {
-        Consistency::Strict if program.threads.len() != 1 => {
+        Consistency::Strict if code.n_threads() != 1 => {
             return Err(SymexError::MultiThreadedStrict)
         }
         Consistency::Strict => None,
-        Consistency::RelaxedUnit(t) if t.index() >= program.threads.len() => {
+        Consistency::RelaxedUnit(t) if t.index() >= code.n_threads() => {
             return Err(SymexError::BadThread(t))
         }
         Consistency::RelaxedUnit(t) => Some(t),
     };
-    let code = LoweredProgram::new(program);
-    let mut run = Run::new(program, config, unit.unwrap_or_default(), None);
+    let mut run = Run::new(code, config, unit.unwrap_or_default(), None);
     if let Some(t) = unit {
         run.shared = code.written_by_others(t);
     }
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(config.exploration_seed);
-    let mut stack = vec![run.start(&code, program, unit.is_some())];
+    let mut stack = vec![run.start(code, unit.is_some())];
     while !stack.is_empty() && run.paths.len() < config.max_paths {
         let state = stack.swap_remove(rng.gen_range(0..stack.len()));
-        run.run_path(&code, state, &mut stack);
+        run.run_path(code, state, &mut stack);
     }
     run.stats.paths = run.paths.len() as u64;
     Ok(Exploration {
@@ -284,21 +284,20 @@ pub fn explore(program: &Program, config: &SymConfig) -> Result<Exploration, Sym
 /// [`SymexError::PrefixMismatch`] when the prefix does not correspond to
 /// a real path of the program.
 pub fn arm_feasibility(
-    program: &Program,
+    code: &LoweredProgram,
     prefix: &[(BranchSiteId, bool)],
     site: BranchSiteId,
     taken: bool,
     config: &SymConfig,
 ) -> Result<Feasibility, SymexError> {
-    if program.threads.len() != 1 {
+    if code.n_threads() != 1 {
         return Err(SymexError::MultiThreadedStrict);
     }
-    let code = LoweredProgram::new(program);
     let arms = [prefix, &[(site, taken)]].concat();
-    let mut run = Run::new(program, config, ThreadId::new(0), Some(arms));
+    let mut run = Run::new(code, config, ThreadId::new(0), Some(arms));
     run.max_steps = config.max_steps.max(prefix.len() as u64 * 50);
-    let state = run.start(&code, program, false);
-    run.run_path(&code, state, &mut Vec::new());
+    let state = run.start(code, false);
+    run.run_path(code, state, &mut Vec::new());
     run.verdict.expect("a follow run ends with a verdict")
 }
 
@@ -336,15 +335,15 @@ type State = (Scratch<Sym>, Path);
 
 impl Run {
     fn new(
-        program: &Program,
+        code: &LoweredProgram,
         config: &SymConfig,
         unit: ThreadId,
         follow: Option<Vec<(BranchSiteId, bool)>>,
     ) -> Self {
         let path = Path {
-            width: program.n_inputs,
+            width: code.n_inputs(),
             box_: config.input_box.clone(),
-            touched: vec![false; program.n_globals as usize],
+            touched: vec![false; code.n_globals() as usize],
             ..Path::default()
         };
         let (config, max_steps) = (config.clone(), config.max_steps);
@@ -360,10 +359,10 @@ impl Run {
 
     /// The unit at its entry: locals zero, globals zero or (relaxed
     /// consistency) unconstrained symbols.
-    fn start(&mut self, code: &LoweredProgram, program: &Program, relaxed: bool) -> State {
+    fn start(&mut self, code: &LoweredProgram, relaxed: bool) -> State {
         let (mut tables, overlay) = (Scratch::default(), Overlay::empty());
         let mut m = Machine::new(code, &overlay, &[], &mut tables);
-        for g in (0..program.n_globals).filter(|_| relaxed) {
+        for g in (0..code.n_globals()).filter(|_| relaxed) {
             let s = self.fresh();
             m.set_global(GlobalId::new(g), s);
         }
@@ -677,14 +676,14 @@ mod tests {
     #[test]
     fn strict_rejects_multithreaded() {
         let s = scenarios::bank_transfer();
-        let err = explore(&s.program, &cfg(2, 0, 99)).unwrap_err();
+        let err = explore(&LoweredProgram::new(&s.program), &cfg(2, 0, 99)).unwrap_err();
         assert_eq!(err, SymexError::MultiThreadedStrict);
     }
 
     #[test]
     fn triangle_explores_all_outcome_classes() {
         let s = scenarios::triangle();
-        let ex = explore(&s.program, &cfg(3, 1, 20)).unwrap();
+        let ex = explore(&LoweredProgram::new(&s.program), &cfg(3, 1, 20)).unwrap();
         assert!(ex.paths.len() >= 4, "triangle has ≥4 leaf classes");
         assert!(ex.crashing().count() == 0, "triangle cannot crash");
         // Every completed path must be solvable or at worst unknown, and
@@ -722,7 +721,7 @@ mod tests {
     #[test]
     fn parser_crash_paths_are_discovered_symbolically() {
         let s = scenarios::token_parser();
-        let ex = explore(&s.program, &cfg(6, 0, 99)).unwrap();
+        let ex = explore(&LoweredProgram::new(&s.program), &cfg(6, 0, 99)).unwrap();
         let crashes: Vec<&SymPath> = ex.crashing().collect();
         assert!(
             crashes.len() >= 2,
@@ -763,7 +762,7 @@ mod tests {
     fn relaxed_unit_explores_one_thread_of_concurrent_program() {
         let s = scenarios::racy_counter();
         let ex = explore(
-            &s.program,
+            &LoweredProgram::new(&s.program),
             &SymConfig {
                 consistency: Consistency::RelaxedUnit(ThreadId::new(0)),
                 input_box: InputBox::uniform(1, 0, 999),
@@ -798,10 +797,10 @@ mod tests {
             );
         });
         let p = pb.build().unwrap();
-        let strict = explore(&p, &cfg(1, 0, 9)).unwrap();
+        let strict = explore(&LoweredProgram::new(&p), &cfg(1, 0, 9)).unwrap();
         assert_eq!(strict.paths.len(), 1, "strict sees only the else-arm");
         let relaxed = explore(
-            &p,
+            &LoweredProgram::new(&p),
             &SymConfig {
                 consistency: Consistency::RelaxedUnit(ThreadId::new(0)),
                 input_box: InputBox::uniform(1, 0, 9),
@@ -823,7 +822,7 @@ mod tests {
             });
         });
         let p = pb.build().unwrap();
-        let ex = explore(&p, &cfg(1, 0, 9)).unwrap();
+        let ex = explore(&LoweredProgram::new(&p), &cfg(1, 0, 9)).unwrap();
         assert!(ex.stats.truncated > 0, "diverging loop must truncate");
         assert!(ex.paths.iter().any(|p| p.outcome == SymOutcome::Success));
     }
@@ -834,7 +833,14 @@ mod tests {
         // Empty prefix, target = first branch (in0 == 13), taken arm.
         let sites = s.program.branch_sites();
         let first = sites[0].0;
-        let f = arm_feasibility(&s.program, &[], first, true, &cfg(6, 0, 99)).unwrap();
+        let f = arm_feasibility(
+            &LoweredProgram::new(&s.program),
+            &[],
+            first,
+            true,
+            &cfg(6, 0, 99),
+        )
+        .unwrap();
         match f {
             Feasibility::Feasible(m) => assert_eq!(m[0], 13),
             o => panic!("{o:?}"),
@@ -860,9 +866,9 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let site = p.branch_sites()[0].0;
-        let f = arm_feasibility(&p, &[], site, false, &cfg(1, 0, 9)).unwrap();
+        let f = arm_feasibility(&LoweredProgram::new(&p), &[], site, false, &cfg(1, 0, 9)).unwrap();
         assert_eq!(f, Feasibility::Infeasible);
-        let t = arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap();
+        let t = arm_feasibility(&LoweredProgram::new(&p), &[], site, true, &cfg(1, 0, 9)).unwrap();
         assert!(t.is_feasible());
 
         // emit(1 / in0); if (in0 == 0) …: the run past the emit carries
@@ -877,11 +883,13 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let site = p.branch_sites()[0].0;
-        let f = arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap();
+        let f = arm_feasibility(&LoweredProgram::new(&p), &[], site, true, &cfg(1, 0, 9)).unwrap();
         assert_eq!(f, Feasibility::Infeasible);
-        assert!(arm_feasibility(&p, &[], site, false, &cfg(1, 0, 9))
-            .unwrap()
-            .is_feasible());
+        assert!(
+            arm_feasibility(&LoweredProgram::new(&p), &[], site, false, &cfg(1, 0, 9))
+                .unwrap()
+                .is_feasible()
+        );
     }
 
     #[test]
@@ -891,7 +899,7 @@ mod tests {
         // (in1 >= 90) taken.
         let sites = s.program.branch_sites();
         let f = arm_feasibility(
-            &s.program,
+            &LoweredProgram::new(&s.program),
             &[(sites[0].0, true)],
             sites[1].0,
             true,
@@ -919,8 +927,14 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let site = p.branch_sites()[0].0;
-        assert_eq!(explore(&p, &cfg(1, 0, 9)).unwrap().paths.len(), 1);
-        match arm_feasibility(&p, &[], site, true, &cfg(1, 0, 9)).unwrap() {
+        assert_eq!(
+            explore(&LoweredProgram::new(&p), &cfg(1, 0, 9))
+                .unwrap()
+                .paths
+                .len(),
+            1
+        );
+        match arm_feasibility(&LoweredProgram::new(&p), &[], site, true, &cfg(1, 0, 9)).unwrap() {
             Feasibility::Feasible(m) => assert!(m[0] < 5),
             o => panic!("{o:?}"),
         }
@@ -946,7 +960,7 @@ mod tests {
         prefix.push((header, false));
         let config = cfg(1, 0, 9);
         assert!(prefix.len() as u32 > config.max_loop_iters);
-        match arm_feasibility(&p, &prefix, after, true, &config).unwrap() {
+        match arm_feasibility(&LoweredProgram::new(&p), &prefix, after, true, &config).unwrap() {
             Feasibility::Feasible(m) => assert!(m[0] > 3),
             o => panic!("{o:?}"),
         }
@@ -958,7 +972,7 @@ mod tests {
         let sites = s.program.branch_sites();
         // Claim the path visited site[3] first — it does not.
         let err = arm_feasibility(
-            &s.program,
+            &LoweredProgram::new(&s.program),
             &[(sites[3].0, true)],
             sites[0].0,
             true,
@@ -973,7 +987,14 @@ mod tests {
         let s = scenarios::bank_transfer();
         let sites = s.program.branch_sites();
         if let Some((site, ..)) = sites.first() {
-            let err = arm_feasibility(&s.program, &[], *site, true, &cfg(2, 0, 99)).unwrap_err();
+            let err = arm_feasibility(
+                &LoweredProgram::new(&s.program),
+                &[],
+                *site,
+                true,
+                &cfg(2, 0, 99),
+            )
+            .unwrap_err();
             assert_eq!(err, SymexError::MultiThreadedStrict);
         }
     }
@@ -1009,7 +1030,7 @@ mod tests {
             max_loop_iters: 64,
             ..cfg(1, 0, 9)
         };
-        let ex = explore(&p, &config).unwrap();
+        let ex = explore(&LoweredProgram::new(&p), &config).unwrap();
         let unknown = ex.paths.iter().filter(|path| {
             path.outcome == SymOutcome::Success
                 && path.solve(&config.input_box, SolveBudget::default()) == Feasibility::Unknown

@@ -2,13 +2,17 @@
 //! writes must not grow with the campaign's age. On a small two-shard
 //! durable fleet, the payload of a checkpoint taken at round `4N` and
 //! the journal bytes a round appends around round `4N` stay within
-//! 1.25× of their values at round `N`.
+//! 1.25× of their values at round `N`. And the hive's ingest memo holds
+//! at most `memo_capacity` entries, whatever the worker count.
 //!
 //! Out of scope here: the in-memory round history
 //! (`MultiPlatform::history`), which still keeps every round.
 
-use softborg::pod::PodConfig;
+use softborg::hive::{HiveConfig, ShardedHive};
+use softborg::ingest::IngestConfig;
+use softborg::pod::{Pod, PodConfig};
 use softborg::program::scenarios::{self, Scenario};
+use softborg::trace::wire;
 use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
 
 const N: u32 = 12;
@@ -82,4 +86,46 @@ fn checkpoint_and_journal_bytes_do_not_grow_with_campaign_age() {
         "rounds near {} journal {old_wal:.0} B, near {N} {young_wal:.0} B",
         4 * N
     );
+}
+
+#[test]
+fn ingest_memo_entries_stay_within_the_budget_at_any_worker_count() {
+    const BUDGET: usize = 24;
+    let scs = scenarios();
+    let mut frames = Vec::new();
+    for s in &scs {
+        let mut pod = Pod::new(
+            &s.program,
+            PodConfig {
+                input_range: s.input_range,
+                seed: 9,
+                ..PodConfig::default()
+            },
+        );
+        for _ in 0..30 {
+            let trace = pod.run_once().trace;
+            frames.push((s.program.id(), wire::encode_batch([&trace])));
+        }
+    }
+    let programs: Vec<_> = scs.iter().map(|s| &s.program).collect();
+    for workers in [1, 2, 4] {
+        let mut hive = ShardedHive::new(&programs, 2, &HiveConfig::default()).unwrap();
+        let config = IngestConfig {
+            workers,
+            memo_capacity: BUDGET,
+            ..IngestConfig::default()
+        };
+        let mut evictions = 0;
+        for _ in 0..3 {
+            let stats = hive.ingest_batch(frames.clone(), &config).unwrap();
+            evictions += stats.cache_evictions;
+            assert!(
+                hive.memo_entries() <= BUDGET,
+                "{} memo entries at workers={workers}",
+                hive.memo_entries()
+            );
+        }
+        assert_eq!(hive.memo_entries(), BUDGET, "the traffic fills the memo");
+        assert!(evictions > 0, "the traffic overflows the memo");
+    }
 }

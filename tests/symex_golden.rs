@@ -24,7 +24,7 @@ use softborg_program::builder::ProgramBuilder;
 use softborg_program::cfg::{global, local};
 use softborg_program::expr::{BinOp, Expr};
 use softborg_program::gen::{generate, BugKind, GenConfig};
-use softborg_program::interp::{ExecConfig, Executor, Observer};
+use softborg_program::interp::{ExecConfig, Executor, LoweredProgram, Observer};
 use softborg_program::sched::RoundRobin;
 use softborg_program::syscall::DefaultEnv;
 use softborg_program::{scenarios, BranchSiteId, Overlay, Program, ThreadId};
@@ -146,6 +146,7 @@ fn configs(n_inputs: u32, (lo, hi): (i64, i64)) -> [(&'static str, SymConfig); 2
 fn explorations() -> Vec<(String, usize, u64)> {
     let mut rows = Vec::new();
     for (name, program, range) in &programs() {
+        let code = LoweredProgram::new(program);
         let n = program.threads.len() as u32;
         let units: Vec<Consistency> = if n == 1 {
             vec![Consistency::Strict]
@@ -160,7 +161,7 @@ fn explorations() -> Vec<(String, usize, u64)> {
                     consistency,
                     ..config
                 };
-                let ex = explore(program, &config).expect("a defined exploration");
+                let ex = explore(&code, &config).expect("a defined exploration");
                 let case = format!("explore {name} {consistency:?} {label}");
                 rows.push((case, ex.paths.len(), digest(&render_exploration(&ex))));
             }
@@ -211,14 +212,13 @@ fn follow_runs() -> Vec<(String, usize, u64)> {
         if program.threads.len() != 1 {
             continue;
         }
-        let tree = grown_tree(&program, range);
+        let (tree, code) = (grown_tree(&program, range), LoweredProgram::new(&program));
         let arms = tree.frontier();
         for (label, config) in configs(program.n_inputs, range) {
             let mut out = String::new();
             for arm in &arms {
                 let prefix = tree.prefix(arm.node);
-                let verdict =
-                    arm_feasibility(&program, &prefix, arm.site, arm.missing_taken, &config);
+                let verdict = arm_feasibility(&code, &prefix, arm.site, arm.missing_taken, &config);
                 let _ = write!(out, "arm {}{}", arm.site.0, arm.missing_taken);
                 decisions(&mut out, &prefix);
                 let _ = match verdict {

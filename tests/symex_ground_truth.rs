@@ -30,7 +30,9 @@ use softborg_hive::HiveConfig;
 use softborg_program::builder::ProgramBuilder;
 use softborg_program::expr::{BinOp, Expr};
 use softborg_program::gen::{generate, BugKind, GenConfig};
-use softborg_program::interp::{ExecConfig, ExecResult, Executor, Observer, Outcome};
+use softborg_program::interp::{
+    ExecConfig, ExecResult, Executor, LoweredProgram, Observer, Outcome,
+};
 use softborg_program::sched::{RandomSched, RoundRobin, Scheduler};
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{scenarios, BranchSiteId, Overlay, Program, ThreadId};
@@ -204,7 +206,7 @@ fn models_take_their_paths(program: &Program, box_: &InputBox) {
         input_box: box_.clone(),
         ..SymConfig::default()
     };
-    let ex = explore(program, &config).expect("one thread");
+    let ex = explore(&LoweredProgram::new(program), &config).expect("one thread");
     let n = program.n_inputs as usize;
     let mut exec = Executor::new(program).with_config(ExecConfig { max_steps: FUEL });
     for path in &ex.paths {
@@ -238,7 +240,7 @@ fn follow_verdicts_hold(program: &Program, box_: &InputBox, runs: &[Run], rng: &
         input_box: box_.clone(),
         ..SymConfig::default()
     };
-    let t0 = ThreadId::new(0);
+    let (code, t0) = (LoweredProgram::new(program), ThreadId::new(0));
     for _ in 0..12 {
         let run = &runs[rng.gen_range(0..runs.len())];
         let d = run.of_thread(t0);
@@ -248,7 +250,7 @@ fn follow_verdicts_hold(program: &Program, box_: &InputBox, runs: &[Run], rng: &
         let j = rng.gen_range(0..d.len());
         let (prefix, site) = (&d[..j], d[j].0);
         for taken in [false, true] {
-            let verdict = arm_feasibility(program, prefix, site, taken, &config);
+            let verdict = arm_feasibility(&code, prefix, site, taken, &config);
             assert!(verdict.is_ok(), "a concrete prefix mismatched: {verdict:?}");
             if verdict == Ok(Feasibility::Infeasible) {
                 assert_ne!(taken, d[j].1, "the concrete arm called infeasible");
@@ -258,7 +260,7 @@ fn follow_verdicts_hold(program: &Program, box_: &InputBox, runs: &[Run], rng: &
                 max_steps: rng.gen_range(0..40),
                 ..config.clone()
             };
-            let cut = arm_feasibility(program, prefix, site, taken, &short);
+            let cut = arm_feasibility(&code, prefix, site, taken, &short);
             assert!(
                 cut == Ok(Feasibility::Unknown) || cut == verdict,
                 "budget {} gives {cut:?}, the full budget {verdict:?}",
@@ -272,7 +274,7 @@ fn follow_verdicts_hold(program: &Program, box_: &InputBox, runs: &[Run], rng: &
 /// with the same end, or extends a truncated one.
 fn explore_covers_the_cube(program: &Program, box_: &InputBox, runs: &[Run]) {
     let config = unbudgeted(Consistency::Strict, 64, box_);
-    let ex = explore(program, &config).expect("one thread");
+    let ex = explore(&LoweredProgram::new(program), &config).expect("one thread");
     assert!(
         ex.paths.len() < config.max_paths,
         "explore was not unbudgeted"
@@ -301,10 +303,11 @@ fn relaxed_units_cover_threads(
     points: &[Vec<i64>],
     rng: &mut SmallRng,
 ) {
+    let code = LoweredProgram::new(program);
     let units: Vec<Vec<SymPath>> = (0..program.threads.len() as u32)
         .map(|t| {
             let config = unbudgeted(Consistency::RelaxedUnit(ThreadId::new(t)), 8, box_);
-            let ex = explore(program, &config).expect("the thread exists");
+            let ex = explore(&code, &config).expect("the thread exists");
             assert!(
                 ex.paths.len() < config.max_paths,
                 "explore was not unbudgeted"
