@@ -324,19 +324,14 @@ pub struct RoundLogScan {
 pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
     // Count records by their length prefixes alone, so the reports are
     // reserved once — and never past what the input could hold.
-    let (mut end, mut framed) = (0usize, 0usize);
-    while let Some(len) = end.checked_add(4).and_then(|stop| bytes.get(end..stop)) {
-        end =
-            end.saturating_add(12 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize);
-        framed += 1;
-    }
+    let framed = journal::FRAMING.count(bytes);
     let room = bytes.len() / std::mem::size_of::<MultiRoundReport>();
     let mut reports = Vec::with_capacity(framed.min(room));
     let mut at = 0;
     while at < bytes.len() {
-        let rec = match journal::read_at(bytes, at) {
+        let rec = match journal::FRAMING.read_at(bytes, at) {
             Ok(rec) => rec,
-            Err(_) if journal::torn_at(bytes, at) => break,
+            Err(_) if journal::FRAMING.torn_at(bytes, at) => break,
             Err(e) => {
                 return Err(DurabilityError::Corrupt(format!(
                     "round log: damaged record at byte {at} with bytes after it: {e}"
@@ -344,13 +339,14 @@ pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
             }
         };
         let round = reports.len() as u64;
-        if (rec.kind, rec.session, rec.seq) != (REC_ROUND, SESSION_ROUND, round) {
+        let [session, seq] = rec.words;
+        if (rec.kind, session, seq) != (REC_ROUND, SESSION_ROUND, round) {
             return Err(DurabilityError::Corrupt(format!(
-                "round log: record at byte {at} is kind {} session {} seq {}, not round {round}",
-                rec.kind, rec.session, rec.seq
+                "round log: record at byte {at} is kind {} session {session} seq {seq}, not round {round}",
+                rec.kind
             )));
         }
-        let report = MultiRoundReport::decode(rec.frame)?;
+        let report = MultiRoundReport::decode(rec.payload)?;
         if report.round != round {
             return Err(DurabilityError::Corrupt(format!(
                 "round log: record {round} holds round {}",
@@ -370,7 +366,7 @@ pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
 fn round_log_prefix(bytes: &[u8], rounds: u64) -> usize {
     let mut at = 0;
     for _ in 0..rounds {
-        match journal::read_at(bytes, at) {
+        match journal::FRAMING.read_at(bytes, at) {
             Ok(rec) => at = rec.end,
             Err(_) => break,
         }
@@ -1315,7 +1311,7 @@ impl<'p> MultiPlatform<'p> {
             .filter(|&lane| self.shard_of_lane(lane) == shard)
             .collect();
         let mut app_meta = Vec::new();
-        codec::put_u64(&mut app_meta, APP_META_TAG);
+        app_meta.extend_from_slice(APP_META_TAG);
         codec::put_u64(&mut app_meta, self.round_idx);
         codec::put_u32(&mut app_meta, lanes.len() as u32);
         for &lane in &lanes {
@@ -1367,7 +1363,7 @@ impl<'p> MultiPlatform<'p> {
 /// First word of a checkpoint's app-meta in this layout (`"SBMETA02"`,
 /// little-endian). Older builds began it with the committed-round count
 /// and kept round history behind it; their checkpoints are refused.
-const APP_META_TAG: u64 = u64::from_le_bytes(*b"SBMETA02");
+const APP_META_TAG: &[u8; 8] = b"SBMETA02";
 
 /// A checkpoint's app-meta, as [`MultiPlatform::checkpoint_shard`]
 /// writes it: [`APP_META_TAG`], the committed-round counter, and the
@@ -1381,7 +1377,7 @@ type LanePods<T> = Vec<(u64, Vec<T>)>;
 
 fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    if r.u64("app_meta.tag").ok() != Some(APP_META_TAG) {
+    if r.take(8, "app_meta.tag").ok() != Some(APP_META_TAG) {
         return Err(DurabilityError::Corrupt(
             "checkpoint app-meta of an older layout (round history inside checkpoints); \
              this build keeps history in rounds.log and cannot resume it"

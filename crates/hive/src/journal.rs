@@ -5,8 +5,9 @@
 //!
 //! # Record format
 //!
-//! Every record is length-prefixed and checksummed with the FNV-1a every
-//! storage format shares ([`fnv1a_step`] from [`FNV_OFFSET`]):
+//! Every record is the shared record envelope
+//! ([`softborg_store::record`]) with no magic, length-prefixed and
+//! checksummed with the FNV-1a every storage format shares:
 //!
 //! ```text
 //! u32 body_len | u64 fnv1a(body) | body
@@ -37,7 +38,8 @@
 //!
 //! [`wire::encode_batch`]: softborg_trace::wire::encode_batch
 
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
+pub use softborg_store::record::fsync_parent_dir;
+use softborg_store::record::{EnvelopeError, Framing};
 use std::fmt;
 use std::io::Write;
 
@@ -57,8 +59,12 @@ pub const REC_ROUND: u8 = 3;
 /// the committed segment, before its [`REC_ROUND`], so replay restores
 /// every pod mid-stream exactly as it was when the round committed.
 pub const REC_PODS: u8 = 5;
-/// Highest valid record kind; [`scan`] rejects anything above it.
-const MAX_KIND: u8 = REC_PODS;
+/// Journal records: no magic, kinds up to [`REC_PODS`]; [`scan`]
+/// rejects anything above it. `rounds.log` holds the same records.
+pub const FRAMING: Framing = Framing {
+    magic: b"",
+    max_kind: REC_PODS,
+};
 
 /// Pseudo-session carrying [`REC_ROUND`] records. Real
 /// transport sessions are small pod indices, so the top of the `u64`
@@ -66,11 +72,6 @@ const MAX_KIND: u8 = REC_PODS;
 pub const SESSION_ROUND: u64 = u64::MAX;
 /// Pseudo-session carrying [`REC_PROMOTE`] records.
 pub const SESSION_PROMOTE: u64 = u64::MAX - 1;
-
-/// Fixed per-record header size: length prefix + checksum.
-const HEADER: usize = 4 + 8;
-/// Fixed body prefix: kind + session + seq.
-const BODY_PREFIX: usize = 1 + 8 + 8;
 
 /// One recovered journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,45 +90,9 @@ impl JournalRecord {
     /// On-disk size of this record (header + body), letting callers map
     /// a [`scan`] position back to a byte offset in the journal.
     pub fn encoded_len(&self) -> usize {
-        HEADER + BODY_PREFIX + self.frame.len()
+        FRAMING.record_len(self.frame.len())
     }
 }
-
-/// Why a scan stopped before the end of the input. A clean stop (no
-/// error, no bytes left) is represented by `None` in [`ScanReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailError {
-    /// The input ended mid-record (crash during an unsynced append).
-    Truncated,
-    /// A record's checksum did not match its body (torn or bit-rotted
-    /// write).
-    ChecksumMismatch {
-        /// Checksum stored in the record header.
-        expected: u64,
-        /// Checksum computed over the body actually read.
-        got: u64,
-    },
-    /// A record carried an unknown kind byte.
-    BadKind {
-        /// The offending kind value.
-        kind: u8,
-    },
-}
-
-impl fmt::Display for TailError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TailError::Truncated => write!(f, "journal tail truncated mid-record"),
-            TailError::ChecksumMismatch { expected, got } => write!(
-                f,
-                "journal record checksum mismatch: header says {expected:#018x}, body hashes to {got:#018x}"
-            ),
-            TailError::BadKind { kind } => write!(f, "journal record has unknown kind {kind}"),
-        }
-    }
-}
-
-impl std::error::Error for TailError {}
 
 /// What a [`scan`] recovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,22 +104,12 @@ pub struct ScanReport {
     /// Bytes dropped from the tail (truncated or corrupt).
     pub tail_dropped: usize,
     /// Why the tail was dropped, when it was.
-    pub tail_error: Option<TailError>,
+    pub tail_error: Option<EnvelopeError>,
 }
 
 /// Appends one record to `buf` in the journal format.
 pub fn append_record(buf: &mut Vec<u8>, kind: u8, session: u64, seq: u64, frame: &[u8]) {
-    let body_len = BODY_PREFIX + frame.len();
-    buf.reserve(HEADER + body_len);
-    buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-    let body_start = buf.len() + 8;
-    buf.extend_from_slice(&[0u8; 8]); // checksum placeholder
-    buf.push(kind);
-    buf.extend_from_slice(&session.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(frame);
-    let checksum = fnv1a_step(FNV_OFFSET, &buf[body_start..]);
-    buf[body_start - 8..body_start].copy_from_slice(&checksum.to_le_bytes());
+    FRAMING.seal(buf, kind, [session, seq], frame);
 }
 
 /// Scans journal bytes, recovering every intact record and dropping the
@@ -162,28 +117,31 @@ pub fn append_record(buf: &mut Vec<u8>, kind: u8, session: u64, seq: u64, frame:
 /// than the input justifies.
 pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, ScanReport) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut report = ScanReport::default();
-    loop {
-        if pos == bytes.len() {
-            break; // clean end
+    let (mut pos, mut tail_error) = (0, None);
+    while pos < bytes.len() {
+        match FRAMING.read_at(bytes, pos) {
+            Ok(r) => {
+                let [session, seq] = r.words;
+                records.push(JournalRecord {
+                    kind: r.kind,
+                    session,
+                    seq,
+                    frame: r.payload.to_vec(),
+                });
+                pos = r.end;
+            }
+            Err(e) => {
+                tail_error = Some(e);
+                break;
+            }
         }
-        let Some((record, next)) = read_record(bytes, pos, &mut report.tail_error) else {
-            break;
-        };
-        records.push(record);
-        report.records += 1;
-        pos = next;
-        report.valid_len = pos;
     }
-    report.valid_len = pos.min(bytes.len());
-    // Anything between the last valid record and the end is the dropped
-    // tail; recompute valid_len as the prefix boundary.
-    report.valid_len = records_len(&records);
-    report.tail_dropped = bytes.len() - report.valid_len;
-    if report.tail_dropped > 0 && report.tail_error.is_none() {
-        report.tail_error = Some(TailError::Truncated);
-    }
+    let report = ScanReport {
+        records: records.len(),
+        valid_len: pos,
+        tail_dropped: bytes.len() - pos,
+        tail_error,
+    };
     (records, report)
 }
 
@@ -201,99 +159,6 @@ pub fn session_floors(records: &[JournalRecord]) -> std::collections::BTreeMap<u
         }
     }
     floors
-}
-
-/// Byte length the given records occupy on disk (the valid prefix).
-fn records_len(records: &[JournalRecord]) -> usize {
-    records
-        .iter()
-        .map(|r| HEADER + BODY_PREFIX + r.frame.len())
-        .sum()
-}
-
-fn read_record(
-    bytes: &[u8],
-    pos: usize,
-    tail_error: &mut Option<TailError>,
-) -> Option<(JournalRecord, usize)> {
-    match read_at(bytes, pos) {
-        Ok(r) => Some((
-            JournalRecord {
-                kind: r.kind,
-                session: r.session,
-                seq: r.seq,
-                frame: r.frame.to_vec(),
-            },
-            r.end,
-        )),
-        Err(e) => {
-            *tail_error = Some(e);
-            None
-        }
-    }
-}
-
-/// One intact record, borrowed from the journal bytes it was read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordRef<'a> {
-    /// Record kind.
-    pub kind: u8,
-    /// Session the record was written on.
-    pub session: u64,
-    /// Per-session sequence number.
-    pub seq: u64,
-    /// The record's payload.
-    pub frame: &'a [u8],
-    /// Byte offset just past the record.
-    pub end: usize,
-}
-
-/// Reads the record that starts at byte `pos` of `bytes` without
-/// copying it — what [`scan`] does per record. Total and allocation-free.
-///
-/// # Errors
-///
-/// The [`TailError`] that stops a scan at `pos`.
-pub fn read_at(bytes: &[u8], pos: usize) -> Result<RecordRef<'_>, TailError> {
-    let header_end = pos.checked_add(HEADER).ok_or(TailError::Truncated)?;
-    if header_end > bytes.len() {
-        return Err(TailError::Truncated);
-    }
-    let body_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-    let expected = u64::from_le_bytes(bytes[pos + 4..header_end].try_into().unwrap());
-    let end = header_end
-        .checked_add(body_len)
-        .ok_or(TailError::Truncated)?;
-    if body_len < BODY_PREFIX || end > bytes.len() {
-        return Err(TailError::Truncated);
-    }
-    let body = &bytes[header_end..end];
-    let got = fnv1a_step(FNV_OFFSET, body);
-    if got != expected {
-        return Err(TailError::ChecksumMismatch { expected, got });
-    }
-    let kind = body[0];
-    if kind > MAX_KIND {
-        return Err(TailError::BadKind { kind });
-    }
-    Ok(RecordRef {
-        kind,
-        session: u64::from_le_bytes(body[1..9].try_into().unwrap()),
-        seq: u64::from_le_bytes(body[9..17].try_into().unwrap()),
-        frame: &body[BODY_PREFIX..],
-        end,
-    })
-}
-
-/// Whether a record [`read_at`] refused at `pos` is a torn final append
-/// — its header or its claimed body runs to the end of `bytes`, so no
-/// intact record can follow it — rather than damage with bytes after it.
-pub fn torn_at(bytes: &[u8], pos: usize) -> bool {
-    let Some(header) = bytes.get(pos..).and_then(|rest| rest.get(..HEADER)) else {
-        return true;
-    };
-    let body_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    (pos + HEADER).saturating_add(body_len) >= bytes.len()
 }
 
 /// A failed journal I/O operation: which operation, the OS-level error
@@ -430,17 +295,6 @@ pub struct FileJournal {
     len: u64,
 }
 
-/// Fsyncs the directory containing `path`, making a just-created or
-/// just-renamed directory entry itself durable — without this, a machine
-/// crash can lose the *file*, not merely its tail.
-pub fn fsync_parent_dir(path: &std::path::Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => std::path::Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
-}
-
 impl FileJournal {
     /// Opens (creating or appending to) the journal at `path`. If the
     /// file did not exist, the parent directory is fsynced so the new
@@ -524,6 +378,7 @@ impl JournalStore for FileJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softborg_obs::{fnv1a_step, FNV_OFFSET};
 
     fn sample_records() -> Vec<(u8, u64, u64, Vec<u8>)> {
         vec![
@@ -589,12 +444,12 @@ mod tests {
                 .unwrap_or(0)
                 .max(recs.len().min(1)) // silence unused warnings conservatively
         };
-        corrupt[third_start + HEADER + 2] ^= 0xFF;
+        corrupt[third_start + 12 + 2] ^= 0xFF;
         let (recs, report) = scan(&corrupt);
         assert_eq!(recs.len(), 2, "records before the corruption survive");
         assert!(matches!(
             report.tail_error,
-            Some(TailError::ChecksumMismatch { .. })
+            Some(EnvelopeError::ChecksumMismatch { .. })
         ));
         assert!(report.tail_dropped > 0);
     }
@@ -611,7 +466,7 @@ mod tests {
         buf.extend_from_slice(&body);
         let (recs, report) = scan(&buf);
         assert!(recs.is_empty());
-        assert_eq!(report.tail_error, Some(TailError::BadKind { kind: 9 }));
+        assert_eq!(report.tail_error, Some(EnvelopeError::BadKind(9)));
     }
 
     #[test]

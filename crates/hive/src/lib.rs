@@ -35,10 +35,10 @@ pub use hive::{
 };
 pub use journal::{
     fsync_parent_dir, session_floors, FileJournal, JournalIoError, JournalRecord, JournalStore,
-    MemJournal, ScanReport, TailError,
+    MemJournal, ScanReport,
 };
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
 pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, WalScrubAction};
 pub use sharded::{ShardStateError, ShardedHive};
-pub use snapshot::HiveSnapshot;
+pub use snapshot::{HiveSnapshot, SnapshotError};
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

@@ -64,9 +64,10 @@
 //! would silently cold-start over an existing campaign, which is the
 //! one thing a crash-only system must never do quietly.
 
-use crate::journal::{self, fsync_parent_dir, JournalIoError};
+use crate::journal::{self, JournalIoError};
 use crate::snapshot::HiveSnapshot;
 use softborg_obs::FlightRecorder;
+use softborg_store::record::{self, fsync_parent_dir};
 use softborg_store::{ChainReport, ChainStore, RecordKind};
 use std::fmt;
 use std::fs;
@@ -195,14 +196,7 @@ fn quarantine_wal_bytes(wal_path: &Path, bytes: &[u8]) -> Result<(), ScrubError>
 /// temp file, fsync, rename over `hive.wal`, fsync the directory.
 fn rewrite_wal(wal_path: &Path, bytes: &[u8]) -> Result<(), ScrubError> {
     let tmp = wal_path.with_extension("wal.scrub-tmp");
-    let mut f = fs::File::create(&tmp).map_err(|e| io_err("scrub-rewrite-create", &e))?;
-    f.write_all(bytes)
-        .map_err(|e| io_err("scrub-rewrite-write", &e))?;
-    f.sync_all().map_err(|e| io_err("scrub-rewrite-sync", &e))?;
-    drop(f);
-    fs::rename(&tmp, wal_path).map_err(|e| io_err("scrub-rewrite-rename", &e))?;
-    fsync_parent_dir(wal_path).map_err(|e| io_err("scrub-dir-fsync", &e))?;
-    Ok(())
+    record::replace(wal_path, &tmp, bytes).map_err(|e| io_err("scrub-rewrite", &e))
 }
 
 /// Truncates the journal in place to `len` bytes and syncs.

@@ -17,10 +17,45 @@
 
 use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError};
+use softborg_store::record::{self, EnvelopeError};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Magic prefix identifying a snapshot record (version in the last byte).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SBSNAP\x00\x01";
+
+/// Why a snapshot record failed to decode. Total: decoding never panics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The record envelope is torn, lacks [`SNAPSHOT_MAGIC`] or fails
+    /// its checksum.
+    Envelope(EnvelopeError),
+    /// The checksum-valid body is malformed, or bytes trail the record.
+    Codec(CodecError),
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotError::Envelope(e) => write!(f, "snapshot record: {e}"),
+            SnapshotError::Codec(e) => write!(f, "snapshot body: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+impl From<EnvelopeError> for SnapshotError {
+    fn from(e: EnvelopeError) -> Self {
+        SnapshotError::Envelope(e)
+    }
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        SnapshotError::Codec(e)
+    }
+}
 
 /// Everything a process needs to resume a durable campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,24 +77,22 @@ pub struct HiveSnapshot {
 }
 
 impl HiveSnapshot {
-    /// Serializes the snapshot into its on-disk record:
+    /// Serializes the snapshot into its on-disk record, the shared
+    /// envelope ([`record::seal`]) with [`SNAPSHOT_MAGIC`]:
     /// `magic | u32 body_len | u64 fnv1a(body) | body`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        codec::put_bytes(&mut body, &self.state);
-        codec::put_u32(&mut body, self.sessions.len() as u32);
-        for (&session, &floor) in &self.sessions {
-            codec::put_u64(&mut body, session);
-            codec::put_u64(&mut body, floor);
-        }
-        codec::put_u64(&mut body, self.wal_covered);
-        codec::put_u64(&mut body, self.wal_covered_hash);
-        codec::put_bytes(&mut body, &self.app_meta);
-        let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 12 + body.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        codec::put_u32(&mut out, body.len() as u32);
-        codec::put_u64(&mut out, fnv1a_step(FNV_OFFSET, &body));
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        record::seal(&mut out, SNAPSHOT_MAGIC, |body| {
+            codec::put_bytes(body, &self.state);
+            codec::put_u32(body, self.sessions.len() as u32);
+            for (&session, &floor) in &self.sessions {
+                codec::put_u64(body, session);
+                codec::put_u64(body, floor);
+            }
+            codec::put_u64(body, self.wal_covered);
+            codec::put_u64(body, self.wal_covered_hash);
+            codec::put_bytes(body, &self.app_meta);
+        });
         out
     }
 
@@ -69,34 +102,15 @@ impl HiveSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] describing the first violation found.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 12 {
-            return Err(CodecError::Truncated {
-                what: "snapshot.header",
-            });
-        }
-        if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadTag {
-                what: "snapshot.magic",
-                tag: bytes[0],
-            });
-        }
-        let mut r = codec::Reader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
-        let body_len = r.u32("snapshot.body_len")? as usize;
-        let checksum = r.u64("snapshot.checksum")?;
-        if r.remaining() != body_len {
+    /// Returns a [`SnapshotError`] describing the first violation found.
+    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let (body, rest) = record::open(bytes, SNAPSHOT_MAGIC)?;
+        if !rest.is_empty() {
             return Err(CodecError::BadLen {
-                what: "snapshot.body",
-                len: r.remaining(),
-            });
-        }
-        let body = &bytes[SNAPSHOT_MAGIC.len() + 12..];
-        if fnv1a_step(FNV_OFFSET, body) != checksum {
-            return Err(CodecError::BadTag {
-                what: "snapshot.checksum",
-                tag: 0,
-            });
+                what: "snapshot.trailing",
+                len: rest.len(),
+            }
+            .into());
         }
         let mut r = codec::Reader::new(body);
         let state = r.bytes("snapshot.state")?.to_vec();
@@ -113,7 +127,8 @@ impl HiveSnapshot {
             return Err(CodecError::BadLen {
                 what: "snapshot.trailing",
                 len: r.remaining(),
-            });
+            }
+            .into());
         }
         Ok(HiveSnapshot {
             state,

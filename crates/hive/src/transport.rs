@@ -40,6 +40,7 @@ use softborg_netsim::{
     World, WorldCtx,
 };
 use softborg_obs::{fnv1a_step, EventSink, ObsHandles, Severity, FNV_OFFSET};
+use softborg_program::codec::{self, Reader};
 use softborg_program::ProgramId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,26 +60,51 @@ const TICK_TAG: u64 = u64::MAX;
 /// Hard cap on the exponential backoff shift.
 const MAX_BACKOFF_EXP: u32 = 16;
 
+/// `MSG_DATA | u8 kind | u64 session | u64 seq | frame`.
 fn data_msg(kind: u8, session: u64, seq: u64, frame: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(18 + frame.len());
-    v.push(MSG_DATA);
-    v.push(kind);
-    v.extend_from_slice(&session.to_le_bytes());
-    v.extend_from_slice(&seq.to_le_bytes());
+    codec::put_u8(&mut v, MSG_DATA);
+    codec::put_u8(&mut v, kind);
+    codec::put_u64(&mut v, session);
+    codec::put_u64(&mut v, seq);
     v.extend_from_slice(frame);
     v
 }
 
+/// `kind, session, seq, frame` of a [`data_msg`]; `None` for any other
+/// message.
+fn read_data(payload: &[u8]) -> Option<(u8, u64, u64, &[u8])> {
+    let mut r = Reader::new(payload);
+    if r.u8("message tag").ok()? != MSG_DATA {
+        return None;
+    }
+    let (kind, session, seq) = (
+        r.u8("kind").ok()?,
+        r.u64("session").ok()?,
+        r.u64("seq").ok()?,
+    );
+    Some((kind, session, seq, r.take(r.remaining(), "frame").ok()?))
+}
+
+/// `u8 tag | u64 session | u64 value`: an ack or a nack.
 fn ctl_msg(tag: u8, session: u64, value: u64) -> Vec<u8> {
     let mut v = Vec::with_capacity(17);
-    v.push(tag);
-    v.extend_from_slice(&session.to_le_bytes());
-    v.extend_from_slice(&value.to_le_bytes());
+    codec::put_u8(&mut v, tag);
+    codec::put_u64(&mut v, session);
+    codec::put_u64(&mut v, value);
     v
 }
 
-fn parse_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+/// `tag, session, value` of a [`ctl_msg`]; `None` unless the payload
+/// is exactly one.
+fn read_ctl(payload: &[u8]) -> Option<(u8, u64, u64)> {
+    let mut r = Reader::new(payload);
+    let msg = (
+        r.u8("tag").ok()?,
+        r.u64("session").ok()?,
+        r.u64("value").ok()?,
+    );
+    r.is_empty().then_some(msg)
 }
 
 /// Counters shared by every node in one transport run.
@@ -450,15 +476,10 @@ impl Proc for PodClient {
     }
 
     fn on_message(&mut self, _from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
-        if self.done || payload.len() != 17 {
+        let Some((tag, session, value)) = read_ctl(&payload) else {
             return;
-        }
-        let (tag, session, value) = (
-            payload[0],
-            parse_u64(&payload[1..9]),
-            parse_u64(&payload[9..17]),
-        );
-        if session != self.session {
+        };
+        if self.done || session != self.session {
             return;
         }
         match tag {
@@ -567,7 +588,7 @@ impl HiveServer {
     ///
     /// A corrupt or unsynced tail is dropped — but counted and warned
     /// about, never silently.
-    pub fn seed_sessions(&mut self, journal: &[u8]) {
+    fn seed_sessions(&mut self, journal: &[u8]) {
         let (records, scan) = journal::scan(journal);
         if let Some(err) = scan.tail_error {
             self.recorder.warn_or_ops(
@@ -602,16 +623,12 @@ impl HiveServer {
 
 impl Proc for HiveServer {
     fn on_message(&mut self, from: Addr, payload: Vec<u8>, ctx: &mut WorldCtx<'_>) {
-        if payload.len() < 18 || payload[0] != MSG_DATA {
+        let Some((kind, session, seq, frame)) = read_data(&payload) else {
             return;
-        }
-        let kind = payload[1];
+        };
         if kind != REC_FRAME && kind != REC_TOMBSTONE {
             return;
         }
-        let session = parse_u64(&payload[2..10]);
-        let seq = parse_u64(&payload[10..18]);
-        let frame = &payload[18..];
         let state = self.sessions.entry(session).or_default();
         if seq < state.accepted {
             // Redelivery (network duplicate, or a retransmit racing an
@@ -906,15 +923,13 @@ mod tests {
     fn message_encodings_roundtrip() {
         let d = data_msg(REC_FRAME, 3, 9, b"xyz");
         assert_eq!(d[0], MSG_DATA);
-        assert_eq!(d[1], REC_FRAME);
-        assert_eq!(parse_u64(&d[2..10]), 3);
-        assert_eq!(parse_u64(&d[10..18]), 9);
-        assert_eq!(&d[18..], b"xyz");
+        assert_eq!(read_data(&d), Some((REC_FRAME, 3, 9, &b"xyz"[..])));
+        assert_eq!(read_data(&d[..17]), None, "cut inside the header");
+        assert_eq!(read_ctl(&d), None);
         let a = ctl_msg(MSG_ACK, 5, 7);
-        assert_eq!(
-            (a[0], parse_u64(&a[1..9]), parse_u64(&a[9..17])),
-            (MSG_ACK, 5, 7)
-        );
+        assert_eq!(a.len(), 17);
+        assert_eq!(read_ctl(&a), Some((MSG_ACK, 5, 7)));
+        assert_eq!(read_ctl(&a[..16]), None);
     }
 
     #[test]

@@ -28,8 +28,7 @@ use softborg_program::codec::{self, CodecError, Reader};
 use softborg_program::interp::Outcome;
 use softborg_program::sched::ScheduleHint;
 use softborg_program::syscall::{EnvConfig, ForcedFault};
-use softborg_program::{cfg::Loc, BranchSiteId, LockId, ThreadId};
-use softborg_program::{interp::CrashKind, Overlay};
+use softborg_program::{BranchSiteId, Overlay, ThreadId};
 
 /// Current on-disk version of the [`PodState`] encoding.
 pub const POD_STATE_VERSION: u8 = 1;
@@ -177,63 +176,6 @@ fn take_case(r: &mut Reader<'_>) -> Result<TestCase, CodecError> {
     })
 }
 
-fn put_outcome(buf: &mut Vec<u8>, outcome: &Outcome) {
-    match outcome {
-        Outcome::Success => codec::put_u8(buf, 0),
-        Outcome::Crash { loc, kind } => {
-            codec::put_u8(buf, 1);
-            loc.encode_into(buf);
-            kind.encode_into(buf);
-        }
-        Outcome::Deadlock { cycle } => {
-            codec::put_u8(buf, 2);
-            codec::put_u32(buf, cycle.len() as u32);
-            for (t, l) in cycle {
-                codec::put_u32(buf, t.0);
-                codec::put_u32(buf, l.0);
-            }
-        }
-        Outcome::Hang { stuck } => {
-            codec::put_u8(buf, 3);
-            codec::put_u32(buf, stuck.len() as u32);
-            for loc in stuck {
-                loc.encode_into(buf);
-            }
-        }
-    }
-}
-
-fn take_outcome(r: &mut Reader<'_>) -> Result<Outcome, CodecError> {
-    match r.u8("Outcome")? {
-        0 => Ok(Outcome::Success),
-        1 => Ok(Outcome::Crash {
-            loc: Loc::decode(r)?,
-            kind: CrashKind::decode(r)?,
-        }),
-        2 => {
-            let n = r.seq_len("Outcome.cycle", 8)?;
-            let mut cycle = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = ThreadId::new(r.u32("Outcome.cycle_thread")?);
-                cycle.push((t, LockId::new(r.u32("Outcome.cycle_lock")?)));
-            }
-            Ok(Outcome::Deadlock { cycle })
-        }
-        3 => {
-            let n = r.seq_len("Outcome.stuck", 12)?;
-            let mut stuck = Vec::with_capacity(n);
-            for _ in 0..n {
-                stuck.push(Loc::decode(r)?);
-            }
-            Ok(Outcome::Hang { stuck })
-        }
-        tag => Err(CodecError::BadTag {
-            what: "Outcome",
-            tag,
-        }),
-    }
-}
-
 fn put_directive(buf: &mut Vec<u8>, d: &Directive) {
     match d {
         Directive::InputSeed { inputs, target } => {
@@ -342,7 +284,7 @@ fn put_failing(buf: &mut Vec<u8>, cases: &[(TestCase, Outcome)]) {
     codec::put_u32(buf, cases.len() as u32);
     for (case, outcome) in cases {
         put_case(buf, case);
-        put_outcome(buf, outcome);
+        outcome.encode_into(buf);
     }
 }
 
@@ -370,7 +312,7 @@ fn unsealed(bytes: &[u8], version: u8) -> Result<Reader<'_>, PodStateError> {
         return Err(PodStateError::Truncated);
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let expected = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
+    let expected = Reader::new(tail).u64("pod record checksum")?;
     let got = fnv1a_step(FNV_OFFSET, body);
     if expected != got {
         return Err(PodStateError::BadChecksum { expected, got });
@@ -498,7 +440,7 @@ impl PodState {
         let mut failing_cases = Vec::with_capacity(n);
         for _ in 0..n {
             let case = take_case(&mut r)?;
-            failing_cases.push((case, take_outcome(&mut r)?));
+            failing_cases.push((case, Outcome::decode(&mut r)?));
         }
         let n = r.seq_len("PodState.passing_cases", 1)?;
         let mut passing_cases = Vec::with_capacity(n);
@@ -615,7 +557,7 @@ impl PodDelta {
         let mut failing_cases = reserve(n, &r);
         for _ in 0..n {
             let case = take_case(&mut r)?;
-            failing_cases.push((case, take_outcome(&mut r)?));
+            failing_cases.push((case, Outcome::decode(&mut r)?));
         }
         let passing_from = r.u32("PodDelta.passing_from")?;
         let n = r.seq_len("PodDelta.passing_cases", MIN_CASE_BYTES)?;

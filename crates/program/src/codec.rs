@@ -16,7 +16,7 @@
 use crate::cfg::Loc;
 use crate::expr::{BinOp, Expr, Place, UnOp};
 use crate::ids::{BlockId, GlobalId, InputId, LocalId, LockId, ThreadId};
-use crate::interp::CrashKind;
+use crate::interp::{CrashKind, Outcome};
 use crate::overlay::{GuardAction, LockGate, LoopBound, Overlay, SiteGuard};
 use std::fmt;
 
@@ -76,6 +76,11 @@ pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
+/// Appends a little-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Appends a little-endian `u32`.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -107,6 +112,16 @@ pub fn put_str(buf: &mut Vec<u8>, v: &str) {
     put_bytes(buf, v.as_bytes());
 }
 
+/// Appends `v` as minimal LEB128: seven bits a byte, low group first,
+/// the high bit set on every byte but the last.
+pub fn put_leb128(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 /// Bounds-checked sequential reader over encoded bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Reader<'a> {
@@ -121,8 +136,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// `true` when every byte has been consumed.
@@ -130,7 +151,9 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
+    /// Reads the next `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated { what });
         }
@@ -139,29 +162,61 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N, what)?.try_into().expect("N bytes"))
+    }
+
     /// Reads a `u8`.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        self.array(what).map(i64::from_le_bytes)
     }
 
     /// Reads an `f64` bit pattern.
     pub fn f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// Reads a minimal LEB128 `u32` ([`put_leb128`]), or `None` when it
+    /// is overlong: a redundant zero high group, a sixth group, or a
+    /// value past `u32`.
+    #[inline]
+    pub fn leb128(&mut self, what: &'static str) -> Result<Option<u32>, CodecError> {
+        let mut v = 0u64;
+        for group in 0..5 {
+            let byte = self.u8(what)?;
+            v |= u64::from(byte & 0x7f) << (7 * group);
+            if byte & 0x80 == 0 {
+                let minimal = byte != 0 || group == 0;
+                return Ok(u32::try_from(v).ok().filter(|_| minimal));
+            }
+        }
+        Ok(None)
     }
 
     /// Reads a `u32`-length-prefixed byte slice.
@@ -178,16 +233,28 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes(what)?).map_err(|_| CodecError::Utf8)
     }
 
-    /// Reads a collection length prefix, rejecting prefixes that could
-    /// not possibly fit in the remaining input (each element needs at
-    /// least `min_elem_bytes`), so corrupt lengths cannot cause
-    /// pathological preallocation.
+    /// Reads a collection length prefix and [`claim`](Self::claim)s it.
+    #[inline]
     pub fn seq_len(
         &mut self,
         what: &'static str,
         min_elem_bytes: usize,
     ) -> Result<usize, CodecError> {
-        let len = self.u32(what)? as usize;
+        let len = self.u32(what)?;
+        self.claim(len, min_elem_bytes, what)
+    }
+
+    /// Checks that `len` elements of at least `min_elem_bytes` each
+    /// could fit in the remaining input, so a corrupt length cannot
+    /// cause pathological preallocation.
+    #[inline]
+    pub fn claim(
+        &self,
+        len: u32,
+        min_elem_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, CodecError> {
+        let len = len as usize;
         if len.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(CodecError::BadLen { what, len });
         }
@@ -242,6 +309,73 @@ impl CrashKind {
             3 => Ok(CrashKind::UnlockNotHeld),
             tag => Err(CodecError::BadTag {
                 what: "CrashKind",
+                tag,
+            }),
+        }
+    }
+}
+
+impl Outcome {
+    /// Appends the outcome to `buf`: a tag byte, then the crash site
+    /// and kind, the deadlock cycle, or the stuck locations.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            Outcome::Success => put_u8(buf, 0),
+            Outcome::Crash { loc, kind } => {
+                put_u8(buf, 1);
+                loc.encode_into(buf);
+                kind.encode_into(buf);
+            }
+            Outcome::Deadlock { cycle } => {
+                put_u8(buf, 2);
+                put_u32(buf, cycle.len() as u32);
+                for (t, l) in cycle {
+                    put_u32(buf, t.0);
+                    put_u32(buf, l.0);
+                }
+            }
+            Outcome::Hang { stuck } => {
+                put_u8(buf, 3);
+                put_u32(buf, stuck.len() as u32);
+                for loc in stuck {
+                    loc.encode_into(buf);
+                }
+            }
+        }
+    }
+
+    /// Decodes an outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncated input, an unknown tag, or
+    /// a count the remaining input cannot hold.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8("Outcome")? {
+            0 => Ok(Outcome::Success),
+            1 => Ok(Outcome::Crash {
+                loc: Loc::decode(r)?,
+                kind: CrashKind::decode(r)?,
+            }),
+            2 => {
+                let n = r.seq_len("Outcome.cycle", 8)?;
+                let mut cycle = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let t = ThreadId::new(r.u32("Outcome.cycle_thread")?);
+                    cycle.push((t, LockId::new(r.u32("Outcome.cycle_lock")?)));
+                }
+                Ok(Outcome::Deadlock { cycle })
+            }
+            3 => {
+                let n = r.seq_len("Outcome.stuck", 12)?;
+                let mut stuck = Vec::with_capacity(n);
+                for _ in 0..n {
+                    stuck.push(Loc::decode(r)?);
+                }
+                Ok(Outcome::Hang { stuck })
+            }
+            tag => Err(CodecError::BadTag {
+                what: "Outcome",
                 tag,
             }),
         }

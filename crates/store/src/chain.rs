@@ -14,6 +14,9 @@
 //! body: u8 kind (0 full, 1 delta) | u64 generation | u64 parent | payload
 //! ```
 //!
+//! That is the [`record`] envelope every durable record
+//! shares, around the kind-plus-two-words body the journal shares.
+//!
 //! `parent` is the FNV-1a checksum of the *previous* generation's body
 //! (0 for a full record), which is what makes the chain a chain: a
 //! delta only applies to the exact bytes it was diffed against, and a
@@ -41,20 +44,20 @@
 //! Decoding is total: any byte-level damage produces a typed
 //! [`RecordError`], never a panic.
 
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
+use crate::record::{self, fsync_parent_dir, EnvelopeError, Framing};
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every chain record file.
 pub const CHAIN_MAGIC: &[u8; 8] = b"SBCHAIN\x01";
 
-/// Record header bytes before the body (magic + len + checksum).
-const HEADER_BYTES: usize = 8 + 4 + 8;
-
-/// Body bytes before the payload (kind + generation + parent).
-const BODY_PREFIX: usize = 1 + 8 + 8;
+/// Chain records: [`CHAIN_MAGIC`], kinds full (0) and delta (1).
+pub const FRAMING: Framing = Framing {
+    magic: CHAIN_MAGIC,
+    max_kind: 1,
+};
 
 /// What a chain record holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,19 +101,9 @@ pub struct ChainRecord {
 pub enum RecordError {
     /// Filesystem failure reading the record.
     Io(String),
-    /// The file does not start with [`CHAIN_MAGIC`].
-    BadMagic,
-    /// The file ended before the declared body (torn write).
-    Truncated,
-    /// The stored checksum does not match the body bytes.
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        stored: u64,
-        /// Checksum of the actual body bytes.
-        actual: u64,
-    },
-    /// An unknown record-kind tag.
-    BadKind(u8),
+    /// The envelope is damaged: torn, without [`CHAIN_MAGIC`], failing
+    /// its checksum, or of an unknown kind.
+    Envelope(EnvelopeError),
     /// The generation inside the body disagrees with the filename.
     GenerationMismatch {
         /// Generation from the filename.
@@ -139,15 +132,7 @@ impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecordError::Io(e) => write!(f, "io: {e}"),
-            RecordError::BadMagic => write!(f, "bad magic"),
-            RecordError::Truncated => write!(f, "truncated record"),
-            RecordError::ChecksumMismatch { stored, actual } => {
-                write!(
-                    f,
-                    "checksum mismatch: stored {stored:#018x}, body {actual:#018x}"
-                )
-            }
-            RecordError::BadKind(t) => write!(f, "unknown record kind tag {t}"),
+            RecordError::Envelope(e) => write!(f, "{e}"),
             RecordError::GenerationMismatch { file, body } => {
                 write!(f, "generation {body} in body but {file} in filename")
             }
@@ -166,6 +151,12 @@ impl fmt::Display for RecordError {
 }
 
 impl std::error::Error for RecordError {}
+
+impl From<EnvelopeError> for RecordError {
+    fn from(e: EnvelopeError) -> Self {
+        RecordError::Envelope(e)
+    }
+}
 
 /// Which lineage a load used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,16 +215,8 @@ pub struct ChainLoad {
 
 /// Encodes one record's file bytes.
 pub fn encode_record(kind: RecordKind, generation: u64, parent: u64, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(BODY_PREFIX + payload.len());
-    body.push(kind.tag());
-    body.extend_from_slice(&generation.to_le_bytes());
-    body.extend_from_slice(&parent.to_le_bytes());
-    body.extend_from_slice(payload);
-    let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
-    out.extend_from_slice(CHAIN_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a_step(FNV_OFFSET, &body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let mut out = Vec::new();
+    FRAMING.seal(&mut out, kind.tag(), [generation, parent], payload);
     out
 }
 
@@ -256,40 +239,17 @@ pub struct DecodedRecord<'a> {
 /// Decodes one record's file bytes. Total: damage yields a typed
 /// [`RecordError`].
 pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(if bytes.starts_with(&CHAIN_MAGIC[..bytes.len().min(8)]) {
-            RecordError::Truncated
-        } else {
-            RecordError::BadMagic
-        });
-    }
-    if &bytes[..8] != CHAIN_MAGIC {
-        return Err(RecordError::BadMagic);
-    }
-    let body_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let rest = &bytes[HEADER_BYTES..];
-    if rest.len() < body_len || body_len < BODY_PREFIX {
-        return Err(RecordError::Truncated);
-    }
-    let body = &rest[..body_len];
-    let actual = fnv1a_step(FNV_OFFSET, body);
-    if actual != stored {
-        return Err(RecordError::ChecksumMismatch { stored, actual });
-    }
-    let kind = match body[0] {
-        0 => RecordKind::Full,
-        1 => RecordKind::Delta,
-        t => return Err(RecordError::BadKind(t)),
-    };
-    let generation = u64::from_le_bytes(body[1..9].try_into().unwrap());
-    let parent = u64::from_le_bytes(body[9..17].try_into().unwrap());
+    let rec = FRAMING.read_at(bytes, 0)?;
+    let [generation, parent] = rec.words;
     Ok(DecodedRecord {
-        kind,
+        kind: match rec.kind {
+            0 => RecordKind::Full,
+            _ => RecordKind::Delta,
+        },
         generation,
         parent,
-        body_checksum: actual,
-        payload: &body[BODY_PREFIX..],
+        body_checksum: rec.checksum,
+        payload: rec.payload,
     })
 }
 
@@ -404,20 +364,10 @@ impl ChainStore {
                 ));
             }
         };
-        let bytes = encode_record(kind, generation, parent, payload);
-        let body_checksum = fnv1a_step(FNV_OFFSET, &bytes[HEADER_BYTES..]);
+        let mut bytes = Vec::new();
+        let body_checksum = FRAMING.seal(&mut bytes, kind.tag(), [generation, parent], payload);
         let tmp = self.dir.join("chain.tmp");
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.record_path(generation, kind))?;
-        fsync_dir(&self.dir)?;
+        record::replace(&self.record_path(generation, kind), &tmp, &bytes)?;
         self.head = Some((generation, body_checksum));
         match kind {
             RecordKind::Full => {
@@ -444,7 +394,7 @@ impl ChainStore {
                 fs::remove_file(path)?;
             }
         }
-        fsync_dir(&self.dir)
+        fsync_parent_dir(&self.record_path(keep_from, RecordKind::Full))
     }
 
     /// Every record file present, sorted by generation (fulls before
@@ -631,7 +581,7 @@ impl ChainStore {
         q.push(".quarantined");
         let q = PathBuf::from(q);
         fs::rename(&path, &q)?;
-        fsync_dir(&self.dir)?;
+        fsync_parent_dir(&q)?;
         Ok(Some(q))
     }
 }
@@ -667,11 +617,6 @@ fn read_and_check(
         },
         d.body_checksum,
     ))
-}
-
-/// Fsyncs a directory so renames inside it are durable.
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -725,11 +670,10 @@ mod tests {
         let load = ChainStore::open(&dir).unwrap().1;
         assert_eq!(load.records.len(), 1, "only the full survives");
         assert!(!load.report.is_clean());
-        assert!(load
-            .report
-            .defects
-            .iter()
-            .any(|d| matches!(d.error, RecordError::ChecksumMismatch { .. })));
+        assert!(load.report.defects.iter().any(|d| matches!(
+            d.error,
+            RecordError::Envelope(EnvelopeError::ChecksumMismatch { .. })
+        )));
         // d2 is unreachable past the damage — also a defect.
         assert!(load.report.defects.iter().any(|d| d.generation == 2));
         fs::remove_dir_all(&dir).unwrap();

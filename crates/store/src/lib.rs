@@ -1,5 +1,11 @@
 //! `softborg-store` — the checkpoint store under the hive's durability
-//! layer: incremental (delta) snapshot chains.
+//! layer: incremental (delta) snapshot chains, and the one record
+//! envelope every durable format shares.
+//!
+//! [`record`] is the envelope — `[magic] | u32 len | u64 fnv1a(body) |
+//! body` — that journal records, chain records and hive snapshots are
+//! sealed in, the kind-plus-two-words record body the journal and the
+//! chain share, and the crash-safe file replace and directory fsync.
 //!
 //! [`chain`] is a **delta-snapshot chain**: instead of serializing the
 //! whole hive every generation, `snapshot()` appends a checksummed,
@@ -17,7 +23,9 @@
 #![forbid(unsafe_code)]
 
 pub mod chain;
+pub mod record;
 
 pub use chain::{
     ChainLoad, ChainRecord, ChainReport, ChainSource, ChainStore, RecordError, RecordKind,
 };
+pub use record::EnvelopeError;

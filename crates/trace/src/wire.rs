@@ -23,9 +23,9 @@
 use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, RecordingPolicy};
 use softborg_obs::{fnv1a_step, FNV_OFFSET};
-use softborg_program::cfg::Loc;
-use softborg_program::interp::{CrashKind, Outcome};
-use softborg_program::{BlockId, LockId, ProgramId, ThreadId};
+use softborg_program::codec::{self, CodecError, Reader};
+use softborg_program::interp::Outcome;
+use softborg_program::ProgramId;
 use std::fmt;
 
 /// Hard cap on a decoded schedule's expanded length (picks). Matches the
@@ -45,26 +45,10 @@ const BATCH_HEADER: usize = 20;
 /// A malformed wire payload or batch frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Input ended before `field` could be read.
-    Truncated {
-        /// The field being read when the input ran out.
-        field: &'static str,
-    },
-    /// An enum tag had no known meaning.
-    BadTag {
-        /// The field whose tag was invalid.
-        field: &'static str,
-        /// The offending tag value.
-        tag: u8,
-    },
-    /// A length field claimed more elements than the remaining input
-    /// could possibly hold (or exceeded a structural cap).
-    Oversized {
-        /// The length field that overflowed.
-        field: &'static str,
-        /// The claimed length.
-        len: u64,
-    },
+    /// A field was truncated, carried an unknown tag, or claimed more
+    /// elements than the remaining input could hold (or a structural
+    /// cap allows).
+    Codec(CodecError),
     /// A batch frame did not start with the `SBF2` magic.
     BadMagic,
     /// A batch frame in the older layout, which carried one payload per
@@ -99,11 +83,7 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated { field } => write!(f, "truncated payload reading {field}"),
-            WireError::BadTag { field, tag } => write!(f, "unknown tag {tag} for {field}"),
-            WireError::Oversized { field, len } => {
-                write!(f, "length field {field} = {len} exceeds remaining input")
-            }
+            WireError::Codec(e) => write!(f, "{e}"),
             WireError::BadMagic => write!(f, "batch frame missing SBF2 magic"),
             WireError::OlderLayout => write!(
                 f,
@@ -122,95 +102,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { field });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, field)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, field)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, field)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self, field: &'static str) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8, field)?.try_into().unwrap()))
-    }
-
-    /// A minimal LEB128 `u32`, or `None` when it is overlong: a
-    /// redundant zero high group, a sixth group, or a value past `u32`.
-    fn leb128(&mut self, field: &'static str) -> Result<Option<u32>, WireError> {
-        let mut v = 0u64;
-        for group in 0..5 {
-            let byte = self.u8(field)?;
-            v |= u64::from(byte & 0x7f) << (7 * group);
-            if byte & 0x80 == 0 {
-                let minimal = byte != 0 || group == 0;
-                return Ok(u32::try_from(v).ok().filter(|_| minimal));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Validates that `len` elements of `elem_size` bytes fit in the
-    /// remaining input *before* any allocation happens.
-    fn claim(&self, len: u32, elem_size: usize, field: &'static str) -> Result<usize, WireError> {
-        let n = len as usize;
-        if n.checked_mul(elem_size)
-            .is_none_or(|b| b > self.remaining())
-        {
-            return Err(WireError::Oversized {
-                field,
-                len: u64::from(len),
-            });
-        }
-        Ok(n)
-    }
-}
-
-fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(b: &mut Vec<u8>, v: i64) {
-    b.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Encodes a trace into its wire form.
@@ -231,51 +126,51 @@ fn size_hint(t: &ExecutionTrace) -> usize {
 
 /// Appends a trace's wire form to `b`.
 fn encode_into(b: &mut Vec<u8>, t: &ExecutionTrace) {
-    put_u64(b, t.program.0);
+    codec::put_u64(b, t.program.0);
     match t.policy {
         RecordingPolicy::OutcomeOnly => b.push(0),
         RecordingPolicy::FullBranch => b.push(1),
         RecordingPolicy::InputDependent => b.push(2),
         RecordingPolicy::Sampled { period, phase } => {
             b.push(3);
-            put_u32(b, period);
-            put_u32(b, phase);
+            codec::put_u32(b, period);
+            codec::put_u32(b, phase);
         }
     }
     put_bits(b, &t.bits);
     put_bits(b, &t.guard_bits);
-    put_u32(b, t.syscall_rets.len() as u32);
+    codec::put_u32(b, t.syscall_rets.len() as u32);
     for r in &t.syscall_rets {
-        put_i64(b, *r);
+        codec::put_i64(b, *r);
     }
     // Schedules are long and runny (round-robin stretches, spin loops):
     // run-length encode them. Worst case (alternating picks) costs 2x the
     // raw u16 stream; typical concurrent traces compress 3-20x.
     let at = b.len();
-    put_u32(b, 0); // the run count, patched below
+    codec::put_u32(b, 0); // the run count, patched below
     let mut runs = 0u32;
     for run in t.schedule.chunk_by(|x, y| x == y) {
-        put_u16(b, run[0] as u16);
-        put_u32(b, run.len() as u32);
+        codec::put_u16(b, run[0] as u16);
+        codec::put_u32(b, run.len() as u32);
         runs += 1;
     }
     b[at..at + 4].copy_from_slice(&runs.to_le_bytes());
-    put_u64(b, t.steps);
-    put_outcome(b, &t.outcome);
-    put_u64(b, t.overlay_version);
-    put_u32(b, t.lock_pairs.len() as u32);
+    codec::put_u64(b, t.steps);
+    t.outcome.encode_into(b);
+    codec::put_u64(b, t.overlay_version);
+    codec::put_u32(b, t.lock_pairs.len() as u32);
     for (a, c) in &t.lock_pairs {
-        put_u32(b, *a);
-        put_u32(b, *c);
+        codec::put_u32(b, *a);
+        codec::put_u32(b, *c);
     }
-    put_u32(b, t.global_summaries.len() as u32);
+    codec::put_u32(b, t.global_summaries.len() as u32);
     for g in &t.global_summaries {
-        put_u32(b, g.global);
-        put_u32(b, g.reader_mask);
-        put_u32(b, g.writer_mask);
-        put_u32(b, g.lockset.len() as u32);
+        codec::put_u32(b, g.global);
+        codec::put_u32(b, g.reader_mask);
+        codec::put_u32(b, g.writer_mask);
+        codec::put_u32(b, g.lockset.len() as u32);
         for l in &g.lockset {
-            put_u32(b, *l);
+            codec::put_u32(b, *l);
         }
     }
 }
@@ -306,53 +201,50 @@ fn decode_from(b: &mut Reader<'_>) -> Result<ExecutionTrace, WireError> {
             phase: b.u32("sample phase")?,
         },
         tag => {
-            return Err(WireError::BadTag {
-                field: "policy",
+            return Err(CodecError::BadTag {
+                what: "policy",
                 tag,
-            })
+            }
+            .into())
         }
     };
     let bits = take_bits(b, "branch bits")?;
     let guard_bits = take_bits(b, "guard bits")?;
-    let n_rets = b.u32("syscall return count")?;
-    let n_rets = b.claim(n_rets, 8, "syscall return count")?;
+    let n_rets = b.seq_len("syscall return count", 8)?;
     let mut syscall_rets = Vec::with_capacity(n_rets);
     for _ in 0..n_rets {
         syscall_rets.push(b.i64("syscall return")?);
     }
-    let n_runs = b.u32("schedule run count")?;
-    let n_runs = b.claim(n_runs, 6, "schedule run count")?;
+    let n_runs = b.seq_len("schedule run count", 6)?;
     let mut schedule = Vec::new();
     for _ in 0..n_runs {
         let value = u32::from(b.u16("schedule run value")?);
         let count = b.u32("schedule run length")? as usize;
         if count > MAX_SCHEDULE || schedule.len() + count > MAX_SCHEDULE {
-            return Err(WireError::Oversized {
-                field: "schedule run length",
-                len: count as u64,
-            });
+            return Err(CodecError::BadLen {
+                what: "schedule run length",
+                len: count,
+            }
+            .into());
         }
         schedule.extend(std::iter::repeat_n(value, count));
     }
     let steps = b.u64("step count")?;
-    let outcome = take_outcome(b)?;
+    let outcome = Outcome::decode(b)?;
     let overlay_version = b.u64("overlay version")?;
-    let n_pairs = b.u32("lock pair count")?;
-    let n_pairs = b.claim(n_pairs, 8, "lock pair count")?;
+    let n_pairs = b.seq_len("lock pair count", 8)?;
     let mut lock_pairs = Vec::with_capacity(n_pairs);
     for _ in 0..n_pairs {
         lock_pairs.push((b.u32("lock pair")?, b.u32("lock pair")?));
     }
-    let n_globals = b.u32("global summary count")?;
     // Each summary is at least 16 bytes on the wire.
-    let n_globals = b.claim(n_globals, 16, "global summary count")?;
+    let n_globals = b.seq_len("global summary count", 16)?;
     let mut global_summaries = Vec::with_capacity(n_globals);
     for _ in 0..n_globals {
         let global = b.u32("global index")?;
         let reader_mask = b.u32("reader mask")?;
         let writer_mask = b.u32("writer mask")?;
-        let n_locks = b.u32("lockset count")?;
-        let n_locks = b.claim(n_locks, 4, "lockset count")?;
+        let n_locks = b.seq_len("lockset count", 4)?;
         let mut lockset = Vec::with_capacity(n_locks);
         for _ in 0..n_locks {
             lockset.push(b.u32("lockset entry")?);
@@ -406,10 +298,10 @@ where
     // slot, and taken back out when it repeats an earlier one; the
     // counts and payload length are patched in once known.
     let mut frame = Vec::with_capacity(BATCH_HEADER + 8 + hint);
-    put_u32(&mut frame, BATCH_MAGIC);
-    put_u32(&mut frame, 0);
-    put_u32(&mut frame, 0);
-    put_u64(&mut frame, 0);
+    codec::put_u32(&mut frame, BATCH_MAGIC);
+    codec::put_u32(&mut frame, 0);
+    codec::put_u32(&mut frame, 0);
+    codec::put_u64(&mut frame, 0);
     // Per distinct payload: its hash and where its bytes sit in `frame`.
     let mut distinct: Vec<(u64, usize, usize)> = Vec::with_capacity(n);
     // `distinct` by hash, open-addressed and at most half full: a slot
@@ -425,7 +317,7 @@ where
             table = index_by_hash(&distinct, 2 * table.len());
         }
         let at = frame.len();
-        put_u32(&mut frame, 0);
+        codec::put_u32(&mut frame, 0);
         encode_into(&mut frame, t);
         let bytes = &frame[at + 4..];
         let hash = payload_hash(bytes);
@@ -454,14 +346,14 @@ where
         }
     }
     for &i in &indices {
-        put_leb128(&mut frame, i);
+        codec::put_leb128(&mut frame, i);
     }
     let payload_len = (frame.len() - BATCH_HEADER) as u64;
     frame[4..8].copy_from_slice(&(indices.len() as u32).to_le_bytes());
     frame[8..12].copy_from_slice(&(distinct.len() as u32).to_le_bytes());
     frame[12..20].copy_from_slice(&payload_len.to_le_bytes());
     let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
-    put_u64(&mut frame, checksum);
+    codec::put_u64(&mut frame, checksum);
     frame
 }
 
@@ -512,14 +404,6 @@ fn index_by_hash(distinct: &[(u64, usize, usize)], slots: usize) -> Vec<u32> {
     table
 }
 
-fn put_leb128(b: &mut Vec<u8>, mut v: u32) {
-    while v >= 0x80 {
-        b.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    b.push(v as u8);
-}
-
 /// Decodes a batch frame produced by [`encode_batch`], verifying the
 /// magic, structural lengths, checksum and indices before touching any
 /// payload, and decoding each distinct payload once.
@@ -536,8 +420,8 @@ pub fn decode_batch(data: &[u8]) -> Result<Vec<ExecutionTrace>, WireError> {
     let mut first_at = Vec::with_capacity(batch.distinct());
     for i in batch.indices() {
         if i == first_at.len() {
-            let p = payloads.next().ok_or(WireError::Truncated {
-                field: "trace payload",
+            let p = payloads.next().ok_or(CodecError::Truncated {
+                what: "trace payload",
             })?;
             first_at.push(out.len());
             out.push(decode(p)?);
@@ -610,7 +494,7 @@ impl<'a> BatchView<'a> {
     ///
     /// Returns `Ok(None)` for an empty (but well-formed) batch. A frame
     /// whose traces carry *different* program ids is structurally
-    /// invalid for routing and is reported as a [`WireError::BadTag`] on
+    /// invalid for routing and is reported as a [`CodecError::BadTag`] on
     /// the `"frame program id"` field — a pod never mixes programs in
     /// one frame, so a mixed frame is corruption or a confused sender,
     /// and the router must treat it like any other bad frame rather than
@@ -623,19 +507,15 @@ impl<'a> BatchView<'a> {
     pub fn program_id(&self) -> Result<Option<ProgramId>, WireError> {
         let mut id: Option<ProgramId> = None;
         for p in self.payloads() {
-            let Some(head) = p.get(..8) else {
-                return Err(WireError::Truncated {
-                    field: "frame program id",
-                });
-            };
-            let this = ProgramId(u64::from_le_bytes(head.try_into().unwrap()));
+            let this = ProgramId(Reader::new(p).u64("frame program id")?);
             match id {
                 None => id = Some(this),
                 Some(prev) if prev != this => {
-                    return Err(WireError::BadTag {
-                        field: "frame program id",
+                    return Err(CodecError::BadTag {
+                        what: "frame program id",
                         tag: 0,
-                    });
+                    }
+                    .into());
                 }
                 Some(_) => {}
             }
@@ -644,9 +524,8 @@ impl<'a> BatchView<'a> {
     }
 }
 
-fn take_payload<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
-    let len = r.u32("trace length")?;
-    let len = r.claim(len, 1, "trace length")?;
+fn take_payload<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], CodecError> {
+    let len = r.seq_len("trace length", 1)?;
     r.take(len, "trace payload")
 }
 
@@ -675,29 +554,27 @@ pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
         _ => return Err(WireError::BadMagic),
     }
     let count = r.u32("batch count")?;
+    let oversized = |what, len: u64| CodecError::BadLen {
+        what,
+        len: len as usize,
+    };
     if count > MAX_BATCH {
-        return Err(WireError::Oversized {
-            field: "batch count",
-            len: u64::from(count),
-        });
+        return Err(oversized("batch count", count.into()).into());
     }
     let distinct = r.u32("batch distinct count")?;
     if distinct > count {
-        return Err(WireError::Oversized {
-            field: "batch distinct count",
-            len: u64::from(distinct),
-        });
+        return Err(oversized("batch distinct count", distinct.into()).into());
     }
     let payload_len = r.u64("batch payload length")?;
     // The frame must contain exactly payload + trailing checksum.
-    let expected_remaining = payload_len.checked_add(8).ok_or(WireError::Oversized {
-        field: "batch payload length",
-        len: payload_len,
-    })?;
+    let expected_remaining = payload_len
+        .checked_add(8)
+        .ok_or(oversized("batch payload length", payload_len))?;
     if (r.remaining() as u64) < expected_remaining {
-        return Err(WireError::Truncated {
-            field: "batch payload",
-        });
+        return Err(CodecError::Truncated {
+            what: "batch payload",
+        }
+        .into());
     }
     if (r.remaining() as u64) > expected_remaining {
         return Err(WireError::TrailingBytes {
@@ -715,9 +592,9 @@ pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
     for _ in 0..distinct {
         take_payload(&mut pr)?;
     }
-    let payloads = &payload[..pr.pos];
+    let payloads = &payload[..pr.position()];
     pr.claim(count, 1, "batch count")?;
-    let indices_at = pr.pos;
+    let indices_at = pr.position();
     // The next payload no execution has named yet.
     let mut fresh = 0u32;
     for at in 0..u64::from(count) {
@@ -751,121 +628,28 @@ pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
 }
 
 fn put_bits(b: &mut Vec<u8>, bits: &BitVec) {
-    put_u32(b, bits.len() as u32);
+    codec::put_u32(b, bits.len() as u32);
     b.extend_from_slice(bits.as_bytes());
 }
 
-fn take_bits(b: &mut Reader<'_>, field: &'static str) -> Result<BitVec, WireError> {
-    let len = b.u32(field)? as usize;
+fn take_bits(b: &mut Reader<'_>, what: &'static str) -> Result<BitVec, CodecError> {
+    let len = b.u32(what)? as usize;
     let n_bytes = len.div_ceil(8);
     if n_bytes > b.remaining() {
-        return Err(WireError::Oversized {
-            field,
-            len: len as u64,
-        });
+        return Err(CodecError::BadLen { what, len });
     }
-    let bytes = b.take(n_bytes, field)?;
-    BitVec::from_bytes(bytes, len).ok_or(WireError::Truncated { field })
-}
-
-fn put_loc(b: &mut Vec<u8>, loc: Loc) {
-    put_u32(b, loc.thread.0);
-    put_u32(b, loc.block.0);
-    put_u32(b, loc.stmt);
-}
-
-fn take_loc(b: &mut Reader<'_>) -> Result<Loc, WireError> {
-    Ok(Loc {
-        thread: ThreadId::new(b.u32("loc thread")?),
-        block: BlockId::new(b.u32("loc block")?),
-        stmt: b.u32("loc stmt")?,
-    })
-}
-
-fn put_outcome(b: &mut Vec<u8>, o: &Outcome) {
-    match o {
-        Outcome::Success => b.push(0),
-        Outcome::Crash { loc, kind } => {
-            b.push(1);
-            put_loc(b, *loc);
-            b.push(match kind {
-                CrashKind::AssertFailed => 0,
-                CrashKind::DivByZero => 1,
-                CrashKind::RemByZero => 2,
-                CrashKind::UnlockNotHeld => 3,
-            });
-        }
-        Outcome::Deadlock { cycle } => {
-            b.push(2);
-            put_u32(b, cycle.len() as u32);
-            for (t, l) in cycle {
-                put_u32(b, t.0);
-                put_u32(b, l.0);
-            }
-        }
-        Outcome::Hang { stuck } => {
-            b.push(3);
-            put_u32(b, stuck.len() as u32);
-            for loc in stuck {
-                put_loc(b, *loc);
-            }
-        }
-    }
-}
-
-fn take_outcome(b: &mut Reader<'_>) -> Result<Outcome, WireError> {
-    Ok(match b.u8("outcome tag")? {
-        0 => Outcome::Success,
-        1 => {
-            let loc = take_loc(b)?;
-            let kind = match b.u8("crash kind")? {
-                0 => CrashKind::AssertFailed,
-                1 => CrashKind::DivByZero,
-                2 => CrashKind::RemByZero,
-                3 => CrashKind::UnlockNotHeld,
-                tag => {
-                    return Err(WireError::BadTag {
-                        field: "crash kind",
-                        tag,
-                    })
-                }
-            };
-            Outcome::Crash { loc, kind }
-        }
-        2 => {
-            let n = b.u32("deadlock cycle count")?;
-            let n = b.claim(n, 8, "deadlock cycle count")?;
-            let mut cycle = Vec::with_capacity(n);
-            for _ in 0..n {
-                cycle.push((
-                    ThreadId::new(b.u32("cycle thread")?),
-                    LockId::new(b.u32("cycle lock")?),
-                ));
-            }
-            Outcome::Deadlock { cycle }
-        }
-        3 => {
-            let n = b.u32("hang stuck count")?;
-            let n = b.claim(n, 12, "hang stuck count")?;
-            let mut stuck = Vec::with_capacity(n);
-            for _ in 0..n {
-                stuck.push(take_loc(b)?);
-            }
-            Outcome::Hang { stuck }
-        }
-        tag => {
-            return Err(WireError::BadTag {
-                field: "outcome",
-                tag,
-            })
-        }
-    })
+    let bytes = b.take(n_bytes, what)?;
+    BitVec::from_bytes(bytes, len).ok_or(CodecError::Truncated { what })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use softborg_program::cfg::Loc;
+    use softborg_program::codec::{put_leb128, put_u16, put_u32, put_u64};
+    use softborg_program::interp::CrashKind;
+    use softborg_program::{BlockId, LockId, ThreadId};
 
     /// A batch frame as `encode` plus the layout make it, each distinct
     /// payload found by comparing encodings: the reference `encode_batch`
@@ -1078,10 +862,10 @@ mod tests {
         put_u32(&mut b, u32::MAX); // rets count — absurd
         assert_eq!(
             decode(&b),
-            Err(WireError::Oversized {
-                field: "syscall return count",
-                len: u64::from(u32::MAX),
-            })
+            Err(WireError::Codec(CodecError::BadLen {
+                what: "syscall return count",
+                len: u32::MAX as usize,
+            }))
         );
     }
 
@@ -1092,10 +876,10 @@ mod tests {
         b.push(77); // bad policy tag
         assert_eq!(
             decode(&b),
-            Err(WireError::BadTag {
-                field: "policy",
+            Err(WireError::Codec(CodecError::BadTag {
+                what: "policy",
                 tag: 77
-            })
+            }))
         );
     }
 
@@ -1184,10 +968,10 @@ mod tests {
             (
                 "distinct count above execution count",
                 two_payload_frame(1, 2, &[0]),
-                Err(WireError::Oversized {
-                    field: "batch distinct count",
+                Err(WireError::Codec(CodecError::BadLen {
+                    what: "batch distinct count",
                     len: 2,
-                }),
+                })),
             ),
             (
                 "index past the payloads",
@@ -1212,9 +996,9 @@ mod tests {
             (
                 "truncated index",
                 two_payload_frame(2, 2, &[0, 0x81]),
-                Err(WireError::Truncated {
-                    field: "batch index",
-                }),
+                Err(WireError::Codec(CodecError::Truncated {
+                    what: "batch index",
+                })),
             ),
             (
                 "a payload no index names",
@@ -1252,21 +1036,21 @@ mod tests {
     #[test]
     fn batch_with_absurd_count_is_rejected_without_allocation() {
         // A count past the cap, and one the indices cannot hold.
-        for (count, field) in [(u32::MAX, "batch count"), (MAX_BATCH, "batch count")] {
+        for (count, what) in [(u32::MAX, "batch count"), (MAX_BATCH, "batch count")] {
             assert_eq!(
                 decode_batch(&sealed(count, 0, &[0; 4])),
-                Err(WireError::Oversized {
-                    field,
-                    len: u64::from(count),
-                })
+                Err(WireError::Codec(CodecError::BadLen {
+                    what,
+                    len: count as usize,
+                }))
             );
         }
         assert_eq!(
             decode_batch(&sealed(MAX_BATCH, MAX_BATCH, &[0; 4])),
-            Err(WireError::Oversized {
-                field: "batch distinct count",
-                len: u64::from(MAX_BATCH),
-            })
+            Err(WireError::Codec(CodecError::BadLen {
+                what: "batch distinct count",
+                len: MAX_BATCH as usize,
+            }))
         );
     }
 
@@ -1279,7 +1063,9 @@ mod tests {
         put_u64(&mut frame, u64::MAX - 4); // absurd payload length
         assert!(matches!(
             decode_batch(&frame),
-            Err(WireError::Truncated { .. }) | Err(WireError::Oversized { .. })
+            Err(WireError::Codec(
+                CodecError::Truncated { .. } | CodecError::BadLen { .. }
+            ))
         ));
     }
 
@@ -1299,17 +1085,17 @@ mod tests {
         // Mixed programs in one frame: rejected, never split or misrouted.
         assert_eq!(
             classify(&encode_batch(&ts)),
-            Err(WireError::BadTag {
-                field: "frame program id",
+            Err(WireError::Codec(CodecError::BadTag {
+                what: "frame program id",
                 tag: 0,
-            })
+            }))
         );
         // A payload too short to name its program.
         assert_eq!(
             classify(&two_payload_frame(2, 2, &[0, 1])),
-            Err(WireError::Truncated {
-                field: "frame program id",
-            })
+            Err(WireError::Codec(CodecError::Truncated {
+                what: "frame program id",
+            }))
         );
         // Corruption is caught by the same validation decode_batch uses.
         let mut frame = encode_batch(&only_first);
@@ -1326,9 +1112,9 @@ mod tests {
         assert_eq!(decode_batch(&[0u8; 28]), Err(WireError::BadMagic));
         assert_eq!(
             decode_batch(&[1, 2]),
-            Err(WireError::Truncated {
-                field: "batch magic"
-            })
+            Err(WireError::Codec(CodecError::Truncated {
+                what: "batch magic"
+            }))
         );
     }
 

@@ -544,7 +544,10 @@ const MESSAGE_BYTES: u64 = 256;
 #[test]
 fn durable_decoders_allocate_no_more_than_their_input() {
     use softborg::hive::journal::{self, REC_ROUND, SESSION_ROUND};
-    use softborg::pod::{PodDelta, POD_DELTA_VERSION};
+    use softborg::hive::snapshot::{HiveSnapshot, SNAPSHOT_MAGIC};
+    use softborg::pod::{PodDelta, PodState, POD_DELTA_VERSION, POD_STATE_VERSION};
+    use softborg::store::chain::{self, CHAIN_MAGIC};
+    use softborg::store::record;
     let mut rng = SmallRng::seed_from_u64(45);
     let seal = |version: u8, body: &[u8]| {
         let mut bytes = vec![version];
@@ -614,8 +617,40 @@ fn durable_decoders_allocate_no_more_than_their_input() {
         for (seq, body) in raw.chunks(rng.gen_range(1..200)).enumerate() {
             journal::append_record(&mut log, REC_ROUND, SESSION_ROUND, seq as u64, body);
         }
-        let inputs = [raw.clone(), seal(POD_DELTA_VERSION, &raw), log];
+        // The same bytes sealed as a chain record and as a snapshot.
+        let mut chain_rec = Vec::new();
+        chain::FRAMING.seal(&mut chain_rec, rng.gen_range(0..3), [case, 0], &raw);
+        let mut snap = Vec::new();
+        record::seal(&mut snap, SNAPSHOT_MAGIC, |b| b.extend_from_slice(&raw));
+        let inputs = [
+            raw.clone(),
+            seal(POD_DELTA_VERSION, &raw),
+            seal(POD_STATE_VERSION, &raw),
+            log,
+            chain_rec,
+            snap,
+        ];
         for input in &inputs {
+            // The one envelope reads in place: it allocates nothing.
+            let framed = bytes_of(|| {
+                for magic in [&b""[..], CHAIN_MAGIC, SNAPSHOT_MAGIC] {
+                    let _ = record::open(input, magic);
+                }
+                let mut at = 0;
+                while let Ok(rec) = journal::FRAMING.read_at(input, at) {
+                    at = rec.end;
+                }
+                let _ = journal::FRAMING.torn_at(input, at);
+                let _ = chain::FRAMING.read_at(input, 0);
+            });
+            assert_eq!(
+                framed, 0,
+                "case {case}: envelope reads allocated {framed} B"
+            );
+            // Total: a typed error or a value, never a panic.
+            let _ = HiveSnapshot::decode(input);
+            let _ = PodState::decode(input);
+            let _ = journal::scan(input);
             let bound = input.len() as u64 + MESSAGE_BYTES;
             let delta = bytes_of(|| drop(PodDelta::decode(input)));
             assert!(
