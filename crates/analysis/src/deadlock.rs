@@ -57,11 +57,6 @@ impl LockOrderGraph {
         self.traces_seen
     }
 
-    /// Confirmed deadlock outcomes seen.
-    pub fn observed_deadlocks(&self) -> u64 {
-        self.observed_deadlocks
-    }
-
     /// Distinct lock-order edges observed.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -220,7 +215,7 @@ mod tests {
         ingest(&mut g, &[(1, 0)], true);
         let cycles = g.cycles(4);
         assert!(cycles[0].confirmed);
-        assert_eq!(g.observed_deadlocks(), 1);
+        assert_eq!(g.observed_deadlocks, 1);
     }
 
     #[test]
@@ -256,7 +251,7 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(back.edge_count(), g.edge_count());
         assert_eq!(back.traces_seen(), g.traces_seen());
-        assert_eq!(back.observed_deadlocks(), g.observed_deadlocks());
+        assert_eq!(back.observed_deadlocks, g.observed_deadlocks);
         assert_eq!(back.cycles(4), g.cycles(4));
         let mut buf2 = Vec::new();
         back.encode_into(&mut buf2);

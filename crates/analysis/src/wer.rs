@@ -95,19 +95,9 @@ impl WerBuckets {
         self.buckets.len()
     }
 
-    /// Total failure reports ingested.
-    pub fn report_count(&self) -> u64 {
-        self.reports
-    }
-
     /// Executions observed (including successes, which produce nothing).
     pub fn executions(&self) -> u64 {
         self.executions
-    }
-
-    /// Whether any bucket matches a crash at `loc`.
-    pub fn has_bucket_at(&self, loc: Loc) -> bool {
-        self.buckets.keys().any(|k| k.loc == Some(loc))
     }
 }
 
@@ -151,7 +141,7 @@ mod tests {
     fn successes_produce_no_reports() {
         let mut w = WerBuckets::new();
         w.ingest(&success_trace());
-        assert_eq!(w.report_count(), 0);
+        assert_eq!(w.reports, 0);
         assert_eq!(w.executions(), 1);
         assert_eq!(w.bucket_count(), 0);
     }
@@ -191,24 +181,6 @@ mod tests {
         let ranked = w.ranked();
         assert_eq!(ranked[0].count, 5);
         assert_eq!(ranked[1].count, 1);
-    }
-
-    #[test]
-    fn has_bucket_at_finds_sites() {
-        let mut w = WerBuckets::new();
-        w.ingest(&crash_trace(7, &[]));
-        let loc = Loc {
-            thread: ThreadId::new(0),
-            block: BlockId::new(7),
-            stmt: 0,
-        };
-        assert!(w.has_bucket_at(loc));
-        let other = Loc {
-            thread: ThreadId::new(0),
-            block: BlockId::new(8),
-            stmt: 0,
-        };
-        assert!(!w.has_bucket_at(other));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn deadlock_immunity(pattern: &DeadlockPattern, existing: &Overlay) -> FixCa
 
 /// Looks up the statement at `loc` (`None` when `loc` names a
 /// terminator or is out of range).
-pub fn stmt_at(program: &Program, loc: Loc) -> Option<&Stmt> {
+fn stmt_at(program: &Program, loc: Loc) -> Option<&Stmt> {
     program
         .threads
         .get(loc.thread.index())?

@@ -103,7 +103,7 @@ impl<V> Default for MemoCache<V> {
 
 impl<V, S: BuildHasher> MemoCache<V, S> {
     /// [`new`](MemoCache::new) with an explicit key hasher.
-    pub fn with_hasher(capacity: usize, hasher: S) -> Self {
+    fn with_hasher(capacity: usize, hasher: S) -> Self {
         let ring = Ring {
             index: HashMap::with_capacity_and_hasher(capacity.min(1 << 16), Default::default()),
             slots: Vec::with_capacity(capacity.min(1 << 16)),

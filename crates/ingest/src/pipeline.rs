@@ -323,31 +323,6 @@ impl FrameSender {
         claims.frames.push((program, seq, frame));
         Ok(seq)
     }
-
-    /// Submits one frame into an explicitly claimed `(program, seq)`
-    /// slot, so a producer can pre-partition a program's sequence space
-    /// (pod *i* owns slots `i*k..(i+1)*k`). Over one run the slots
-    /// claimed for a program must be exactly `0..n` with no gaps or
-    /// duplicates; do not mix with [`submit_for`](Self::submit_for) on
-    /// the same program.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::UnknownProgram`] when `program` is not in the shard
-    /// map.
-    pub fn submit_for_at(
-        &self,
-        program: ProgramId,
-        seq: u64,
-        frame: Vec<u8>,
-    ) -> Result<(), ShardError> {
-        let mut claims = lock(&self.claims);
-        if !claims.next.contains_key(&program) {
-            return Err(ShardError::UnknownProgram { program });
-        }
-        claims.frames.push((program, seq, frame));
-        Ok(())
-    }
 }
 
 /// No lock here guards an invariant a panic could break mid-update.
@@ -1059,18 +1034,10 @@ mod tests {
             let sinks: Vec<_> = (got.iter_mut())
                 .map(|got| move |p: ProgramId, r: &MergeRecord| got.push(seen(p, r)))
                 .collect();
-            // Each program's slots, claimed back to front.
+            // Programs' claims interleaved, each program's in order.
             let producer = |tx: FrameSender| {
-                let mut next = BTreeMap::new();
-                let slots: Vec<_> = (frames.iter())
-                    .map(|(p, f)| {
-                        let seq = next.entry(*p).or_insert(0u64);
-                        *seq += 1;
-                        (*p, *seq - 1, f.clone())
-                    })
-                    .collect();
-                for (program, seq, frame) in slots.into_iter().rev() {
-                    tx.submit_for_at(program, seq, frame).expect("placed");
+                for (program, frame) in frames {
+                    tx.submit_for(*program, frame.clone()).expect("placed");
                 }
                 let stranger = ProgramId(u64::MAX);
                 tx.submit_for(stranger, Vec::new())

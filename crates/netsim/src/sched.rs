@@ -60,7 +60,7 @@ impl SimClock {
     }
 
     /// Current virtual time in microseconds.
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         self.now_us.load(Ordering::Relaxed)
     }
 

@@ -44,7 +44,7 @@ pub use registry::{
 };
 pub use span::SpanTimer;
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// FNV-1a offset basis. `fnv1a_step(FNV_OFFSET, data)` is the one hash
 /// behind every stored checksum (wire frames, journal and chain records,
@@ -123,35 +123,18 @@ impl ObsHandles {
     }
 }
 
-static OPS: OnceLock<Mutex<FlightRecorder>> = OnceLock::new();
-
-fn ops_cell() -> &'static Mutex<FlightRecorder> {
-    OPS.get_or_init(|| {
-        // The default operational recorder replaces the ad-hoc
-        // `eprintln!` warnings that used to live in the recovery paths:
-        // events are retained in a small ring for inspection AND echoed
-        // to stderr at Warn severity and above, so operator visibility
-        // is unchanged until someone installs a capture recorder.
-        Mutex::new(
-            FlightRecorder::new(std::sync::Arc::new(MonotonicClock::new()), 256)
-                .with_stderr_echo(true),
-        )
-    })
-}
+static OPS: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-wide operational flight recorder. Library code records
 /// recovery/operational warnings here (journal tail drops, truncated
-/// resumes, …) instead of writing to stderr directly; by default Warn+
-/// events are still echoed to stderr.
+/// resumes, …) instead of writing to stderr directly: events are
+/// retained in a small ring for inspection and Warn+ events are echoed
+/// to stderr.
 pub fn ops() -> FlightRecorder {
-    ops_cell().lock().expect("ops recorder").clone()
-}
-
-/// Replaces the process-wide operational recorder (e.g. with a silent
-/// capture recorder in tests, or a virtual-time recorder under the
-/// simulator). Returns the previous one.
-pub fn set_ops(recorder: FlightRecorder) -> FlightRecorder {
-    std::mem::replace(&mut *ops_cell().lock().expect("ops recorder"), recorder)
+    OPS.get_or_init(|| {
+        FlightRecorder::new(std::sync::Arc::new(MonotonicClock::new()), 256).with_stderr_echo(true)
+    })
+    .clone()
 }
 
 #[cfg(test)]
@@ -170,15 +153,5 @@ mod tests {
         // placement depends on this function, so a change here
         // invalidates every stored byte.
         assert_eq!(fnv1a_step(FNV_OFFSET, b"softborg"), 0x11b2_1a8e_1477_0a49);
-    }
-
-    #[test]
-    fn ops_recorder_is_swappable() {
-        let capture = FlightRecorder::new(std::sync::Arc::new(ManualClock::new(7)), 16);
-        let prev = set_ops(capture.clone());
-        ops().warn("test.ops", "swapped", &[("x", 1)], "swapped in");
-        assert_eq!(capture.events().len(), 1);
-        assert_eq!(capture.events()[0].at_ns, 7);
-        set_ops(prev);
     }
 }

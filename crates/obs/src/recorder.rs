@@ -131,7 +131,6 @@ struct Inner {
     clock: Mutex<Arc<dyn Clock>>,
     capacity: usize,
     stderr_echo: bool,
-    min_severity: Severity,
     sources: Mutex<BTreeMap<Arc<str>, Arc<Mutex<SourceState>>>>,
 }
 
@@ -153,7 +152,6 @@ impl FlightRecorder {
                 clock: Mutex::new(clock),
                 capacity: capacity.max(1),
                 stderr_echo: false,
-                min_severity: Severity::Debug,
                 sources: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -175,24 +173,6 @@ impl FlightRecorder {
                     clock: Mutex::new(inner.clock.lock().expect("clock").clone()),
                     capacity: inner.capacity,
                     stderr_echo: echo,
-                    min_severity: inner.min_severity,
-                    sources: Mutex::new(inner.sources.lock().expect("sources").clone()),
-                })),
-            },
-        }
-    }
-
-    /// Rebuilds the recorder with a severity floor: events below
-    /// `min` are discarded at record time.
-    pub fn with_min_severity(self, min: Severity) -> Self {
-        match self.inner {
-            None => self,
-            Some(inner) => FlightRecorder {
-                inner: Some(Arc::new(Inner {
-                    clock: Mutex::new(inner.clock.lock().expect("clock").clone()),
-                    capacity: inner.capacity,
-                    stderr_echo: inner.stderr_echo,
-                    min_severity: min,
                     sources: Mutex::new(inner.sources.lock().expect("sources").clone()),
                 })),
             },
@@ -405,9 +385,6 @@ impl EventSink {
         msg: impl fmt::Display,
     ) {
         let Some(sink) = &self.inner else { return };
-        if severity < sink.recorder.min_severity {
-            return;
-        }
         let at_ns = sink.recorder.clock.lock().expect("clock").now_ns();
         let mut state = sink.state.lock().expect("source");
         let seq = state.next_seq;
@@ -530,17 +507,6 @@ mod tests {
         let sink = r.source("s");
         assert!(!sink.is_enabled());
         sink.warn("k", &[], "");
-    }
-
-    #[test]
-    fn min_severity_filters_at_record_time() {
-        let (r, _) = rec(16);
-        let r = r.with_min_severity(Severity::Warn);
-        r.info("s", "quiet", &[], "");
-        r.warn("s", "loud", &[], "");
-        let evs = r.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, "loud");
     }
 
     #[test]

@@ -129,17 +129,6 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
-
-    /// Upper bound (exclusive) of the highest non-empty bucket — a cheap
-    /// "max observed is below" gauge. 0 when empty.
-    pub fn max_bound(&self) -> u64 {
-        match self.buckets.iter().rposition(|&c| c > 0) {
-            None => 0,
-            Some(0) => 1,
-            Some(i) if i >= 63 => u64::MAX,
-            Some(i) => 1u64 << i,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -361,7 +350,6 @@ mod tests {
         assert_eq!(snap.mean(), 168);
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[2], 2);
-        assert_eq!(snap.max_bound(), 1024);
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl<'p> Pod<'p> {
         self.directives.extend(directives);
     }
 
-    /// Pending directive count.
-    pub fn pending_directives(&self) -> usize {
-        self.directives.len()
-    }
-
     /// Executes the program once — naturally, or per the next queued
     /// directive — and returns the trace plus raw result.
     pub fn run_once(&mut self) -> PodRun {
@@ -375,7 +370,7 @@ mod tests {
             run.result.outcome
         );
         assert_eq!(pod.stats().directed, 1);
-        assert_eq!(pod.pending_directives(), 0);
+        assert!(pod.directives.is_empty());
     }
 
     #[test]

@@ -169,19 +169,6 @@ impl Expr {
         }
     }
 
-    /// Returns `true` if the expression syntactically mentions any input
-    /// cell. (Transitive input dependence through variables is computed by
-    /// the taint analysis in [`crate::taint`].)
-    pub fn mentions_input(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(e, Expr::Input(_)) {
-                found = true;
-            }
-        });
-        found
-    }
-
     /// Collects the input cells read by the expression.
     pub fn inputs(&self) -> Vec<InputId> {
         let mut out = Vec::new();
@@ -612,14 +599,6 @@ mod tests {
         assert_eq!(eval(&e, &env()).unwrap(), 2);
         let s = Expr::bin(BinOp::Shr, Expr::Const(-8), Expr::Const(1));
         assert_eq!(eval(&s, &env()).unwrap(), -4);
-    }
-
-    #[test]
-    fn mentions_input_is_syntactic() {
-        assert!(Expr::input(0).mentions_input());
-        assert!(!Expr::local(0).mentions_input());
-        let nested = Expr::bin(BinOp::Add, Expr::local(0), Expr::input(3));
-        assert!(nested.mentions_input());
     }
 
     #[test]

@@ -411,7 +411,7 @@ pub fn generate(config: &GenConfig) -> GeneratedProgram {
 
 /// Finds the location of the statement or terminator whose expression
 /// contains the literal `marker`.
-pub fn find_marker_loc(program: &Program, marker: i64) -> Option<Loc> {
+fn find_marker_loc(program: &Program, marker: i64) -> Option<Loc> {
     fn expr_has(e: &Expr, marker: i64) -> bool {
         let mut found = false;
         e.visit(&mut |x| {

@@ -42,11 +42,6 @@ pub fn all() -> Vec<Scenario> {
     ]
 }
 
-/// Looks a scenario up by name.
-pub fn by_name(name: &str) -> Option<Scenario> {
-    all().into_iter().find(|s| s.name == name)
-}
-
 /// Triangle classification (bug-free): inputs are three side lengths in
 /// `1..=20`; emits 3 for equilateral, 2 for isosceles, 1 for scalene,
 /// 0 for not-a-triangle. Small complete execution tree — the proof
@@ -487,7 +482,7 @@ pub fn short_read_client() -> Scenario {
 /// starves mid-batch, `open` returns `-1`, and the unhandled failure
 /// path crashes — the classic slow resource leak surfaced
 /// deterministically.
-pub fn fd_leaker() -> Scenario {
+fn fd_leaker() -> Scenario {
     let mut pb = ProgramBuilder::new("fd-leaker");
     pb.locals(2);
     pb.thread(|t| {
@@ -662,14 +657,6 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name));
         }
-    }
-
-    #[test]
-    fn by_name_finds_each() {
-        for s in all() {
-            assert!(by_name(s.name).is_some(), "{} not found", s.name);
-        }
-        assert!(by_name("no-such-scenario").is_none());
     }
 
     #[test]

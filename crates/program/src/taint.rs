@@ -24,10 +24,6 @@ pub struct InputDependence {
     /// `site_dependent[s]` is `true` when branch site `s` may depend on
     /// program-external values.
     site_dependent: Vec<bool>,
-    /// Tainted global variables (shared across threads).
-    tainted_globals: Vec<bool>,
-    /// Tainted locals, per thread.
-    tainted_locals: Vec<Vec<bool>>,
 }
 
 impl InputDependence {
@@ -78,11 +74,7 @@ impl InputDependence {
             }
         }
 
-        InputDependence {
-            site_dependent,
-            tainted_globals,
-            tainted_locals,
-        }
+        InputDependence { site_dependent }
     }
 
     /// Whether branch site `site` may depend on program-external values.
@@ -101,23 +93,6 @@ impl InputDependence {
     /// Total number of branch sites considered.
     pub fn site_count(&self) -> usize {
         self.site_dependent.len()
-    }
-
-    /// Whether a global is (over-approximately) tainted.
-    pub fn global_tainted(&self, g: u32) -> bool {
-        self.tainted_globals
-            .get(g as usize)
-            .copied()
-            .unwrap_or(true)
-    }
-
-    /// Whether a thread-local is (over-approximately) tainted.
-    pub fn local_tainted(&self, thread: usize, l: u32) -> bool {
-        self.tainted_locals
-            .get(thread)
-            .and_then(|v| v.get(l as usize))
-            .copied()
-            .unwrap_or(true)
     }
 }
 
@@ -204,7 +179,6 @@ mod tests {
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
         assert!(dep.is_dependent(BranchSiteId::new(0)));
-        assert!(dep.local_tainted(0, 1));
     }
 
     #[test]
@@ -222,7 +196,6 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
-        assert!(dep.global_tainted(0));
         assert!(dep.is_dependent(BranchSiteId::new(0)));
     }
 
@@ -280,8 +253,6 @@ mod tests {
         });
         let p = pb.build().unwrap();
         let dep = InputDependence::compute(&p);
-        assert!(dep.local_tainted(0, 0));
-        assert!(!dep.local_tainted(1, 0));
         assert!(!dep.is_dependent(BranchSiteId::new(0)));
     }
 }

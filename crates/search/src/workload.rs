@@ -105,7 +105,7 @@ pub struct RunOutcome {
 
 impl Workload {
     /// The scenario program this workload runs.
-    pub fn scenario_def(&self) -> Scenario {
+    fn scenario_def(&self) -> Scenario {
         match self.scenario % 4 {
             0 => scenarios::token_parser(),
             1 => scenarios::triangle(),

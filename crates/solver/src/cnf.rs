@@ -110,13 +110,6 @@ impl Cnf {
         &self.clauses
     }
 
-    /// Allocates a fresh variable.
-    pub fn fresh_var(&mut self) -> Var {
-        let v = Var(self.n_vars);
-        self.n_vars += 1;
-        v
-    }
-
     /// Adds a clause (duplicates literals are removed; a tautological
     /// clause is silently dropped).
     ///
@@ -223,16 +216,6 @@ mod tests {
         cnf.add_clause(&[l(0, true)]);
         assert!(!cnf.check_model(&[true]));
         assert!(cnf.check_model(&[true, false]));
-    }
-
-    #[test]
-    fn fresh_var_extends() {
-        let mut cnf = Cnf::new(0);
-        let a = cnf.fresh_var();
-        let b = cnf.fresh_var();
-        assert_eq!(a, Var(0));
-        assert_eq!(b, Var(1));
-        assert_eq!(cnf.n_vars(), 2);
     }
 
     #[test]

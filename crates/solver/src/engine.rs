@@ -597,7 +597,7 @@ fn best_unassigned(assign: &[Option<bool>], score: &[f64]) -> Option<Var> {
 }
 
 /// The Luby restart sequence (1,1,2,1,1,2,4,…), 1-indexed.
-pub fn luby(mut i: u64) -> u64 {
+fn luby(mut i: u64) -> u64 {
     loop {
         // Find the smallest k with 2^k - 1 >= i.
         let mut k = 1u32;

@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cnf;
-pub mod dimacs;
 pub mod engine;
 pub mod instances;
 pub mod portfolio;

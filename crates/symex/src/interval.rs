@@ -41,7 +41,7 @@ impl Interval {
     }
 
     /// Whether the interval is exactly one value.
-    pub fn is_point(&self) -> bool {
+    fn is_point(&self) -> bool {
         self.lo == self.hi
     }
 

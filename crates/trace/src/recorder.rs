@@ -66,11 +66,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Dynamic branches seen so far (recorded or not).
-    pub fn branches_seen(&self) -> u64 {
-        self.n_branches
-    }
-
     /// Seals the recording into a trace.
     pub fn finish(self, outcome: Outcome, steps: u64) -> ExecutionTrace {
         ExecutionTrace {
@@ -208,7 +203,7 @@ mod tests {
         r.on_branch(t0(), site(0), true, false); // deterministic: skipped
         r.on_branch(t0(), site(1), false, true);
         r.on_branch(t0(), site(2), true, true);
-        assert_eq!(r.branches_seen(), 3);
+        assert_eq!(r.n_branches, 3);
         let t = r.finish(Outcome::Success, 3);
         assert_eq!(t.bits.iter().collect::<Vec<_>>(), vec![false, true]);
     }

@@ -1022,12 +1022,6 @@ impl ExecutionTree {
         Ok(())
     }
 
-    /// Nodes mutated or created since the last
-    /// [`mark_clean`](Self::mark_clean) — the size of the next delta.
-    pub fn pending_nodes(&self) -> u64 {
-        self.dirty.len() as u64 + (self.nodes.len() - self.clean_len) as u64
-    }
-
     /// Forgets change tracking: the current state becomes the delta base.
     /// Called by the durability layer right after it persists a snapshot
     /// (full or delta) of this tree.
@@ -1156,21 +1150,6 @@ impl ExecutionTree {
         }
         self.mark_clean();
         Ok(())
-    }
-
-    /// Approximate logical size of the tree in bytes (experiment E9).
-    pub fn approx_bytes(&self) -> usize {
-        let nodes: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let spilled = if n.edges().len() > 2 { n.edges() } else { &[] };
-                std::mem::size_of::<Node>()
-                    + std::mem::size_of_val(spilled)
-                    + std::mem::size_of_val(n.marks())
-            })
-            .sum();
-        nodes + self.path_hashes.len() * 8 + (self.open_nodes.len() + self.sites.len()) * 4
     }
 }
 
@@ -1483,16 +1462,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_grows_with_nodes() {
-        let mut t = ExecutionTree::new(ProgramId(1));
-        let before = t.approx_bytes();
-        for i in 0..100u32 {
-            t.merge_path(&path(&[(0, true), (i + 1, i % 2 == 0)]), &Outcome::Success);
-        }
-        assert!(t.approx_bytes() > before);
-    }
-
-    #[test]
     fn delta_reproduces_full_snapshot_exactly() {
         // Base state → full snapshot; more activity → delta; applying the
         // delta to the decoded base equals the live tree byte-for-byte.
@@ -1522,7 +1491,10 @@ mod tests {
         resumed.encode_into(&mut b);
         assert_eq!(a, b, "delta-resumed tree must equal the live tree");
         assert_eq!(live.digest(), resumed.digest());
-        assert_eq!(resumed.pending_nodes(), 0, "apply leaves the tree clean");
+        assert!(
+            resumed.dirty.is_empty() && resumed.clean_len == resumed.nodes.len(),
+            "apply leaves the tree clean"
+        );
     }
 
     #[test]
