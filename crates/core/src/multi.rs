@@ -1360,9 +1360,9 @@ impl<'p> MultiPlatform<'p> {
     }
 }
 
-/// First word of a checkpoint's app-meta in this layout (`"SBMETA02"`,
-/// little-endian). Older builds began it with the committed-round count
-/// and kept round history behind it; their checkpoints are refused.
+/// First eight bytes of a checkpoint's app-meta in this layout. Older
+/// builds began it with the committed-round count and kept round
+/// history behind it; their checkpoints are refused.
 const APP_META_TAG: &[u8; 8] = b"SBMETA02";
 
 /// A checkpoint's app-meta, as [`MultiPlatform::checkpoint_shard`]

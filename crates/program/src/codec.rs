@@ -1,17 +1,19 @@
-//! Compact, deterministic byte codec for durable snapshots.
+//! Compact, deterministic byte codec: the one byte reader and writer
+//! every format shares.
 //!
-//! The hive's crash-only durability layer serializes live state (the
-//! execution tree, detector aggregates, overlay history) into
-//! checksummed snapshot records. The vendored `serde` facade is a no-op,
-//! so this module provides the real wire format: little-endian
-//! fixed-width integers, `u32` length prefixes, and a bounds-checked
-//! [`Reader`] that fails with a typed [`CodecError`] — never a panic —
-//! on truncated or malformed input. Encoding is *deterministic*: the
+//! Trace payloads and batch frames on the wire, journal and chain
+//! records, hive snapshots (the execution tree, detector aggregates,
+//! overlay history) and pod records are all written with these `put_*`
+//! functions and read with one [`Reader`]. The vendored `serde` facade
+//! is a no-op, so this module provides the real format: little-endian
+//! fixed-width integers, minimal LEB128, `u32` length prefixes, and a
+//! bounds-checked [`Reader`] that fails with a typed [`CodecError`] —
+//! never a panic — on truncated or malformed input. Encoding is *deterministic*: the
 //! same logical state always produces the same bytes, which is what lets
 //! recovery assert byte-identity against an uninterrupted run.
 //!
-//! The overlay/expression codecs live here (rather than next to their
-//! types) so the whole on-disk grammar is reviewable in one place.
+//! The overlay, expression and outcome codecs live here (rather than
+//! next to their types) so the whole grammar is reviewable in one place.
 
 use crate::cfg::Loc;
 use crate::expr::{BinOp, Expr, Place, UnOp};
@@ -72,26 +74,31 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Appends a `u8`.
+#[inline]
 pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
 /// Appends a little-endian `u16`.
+#[inline]
 pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u32`.
+#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `i64`.
+#[inline]
 pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -114,6 +121,7 @@ pub fn put_str(buf: &mut Vec<u8>, v: &str) {
 
 /// Appends `v` as minimal LEB128: seven bits a byte, low group first,
 /// the high bit set on every byte but the last.
+#[inline]
 pub fn put_leb128(buf: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
