@@ -160,7 +160,7 @@ impl Framing {
     /// Appends one record to `buf` and returns its body's checksum.
     #[inline]
     pub fn seal(&self, buf: &mut Vec<u8>, kind: u8, words: [u64; 2], payload: &[u8]) -> u64 {
-        buf.reserve(self.magic.len() + HEADER + BODY_PREFIX + payload.len());
+        buf.reserve(self.record_len(payload.len()));
         seal(buf, self.magic, |buf| {
             codec::put_u8(buf, kind);
             codec::put_u64(buf, words[0]);
