@@ -1,12 +1,15 @@
 //! Criterion bench for the ingest engine (E14): serial
 //! per-trace ingest vs `Hive::ingest_batch` at several worker counts,
-//! with and without reconstruction recycling; and the batch frame codec
-//! on a frame of 30 distinct `record_processor` traces, the frame that
-//! has no repeat to drop (`explore_wide`'s case).
+//! with and without reconstruction recycling; the batch frame codec on
+//! a frame of 30 distinct `record_processor` traces, the frame that has
+//! no repeat to drop (`explore_wide`'s case), and on a 64-trace frame of
+//! E17's corpus (`fanin_replay`'s unit), read as ns per byte of frame;
+//! and the record checksum against FNV-1a on 4 KiB.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
+use softborg_obs::{checksum, fnv1a_step, FNV_OFFSET};
 use softborg_pod::{Pod, PodConfig};
 use softborg_program::scenarios;
 use softborg_trace::{wire, ExecutionTrace};
@@ -90,8 +93,45 @@ fn bench_frame_codec(c: &mut Criterion) {
     group.bench_function("encode_decode_30_distinct", |b| {
         b.iter(|| wire::decode_batch(&wire::encode_batch(&distinct)).expect("valid"))
     });
+    // E17's first `record_processor` frame under `--seed 1`: the pod
+    // seed is E17's `seed_base * 8` (`record_processor` is its eighth
+    // program), and a frame is 64 consecutive executions.
+    let mut pod = Pod::new(
+        &s.program,
+        PodConfig {
+            input_range: s.input_range,
+            seed: 1000 * 8,
+            ..PodConfig::default()
+        },
+    );
+    let e17: Vec<ExecutionTrace> = (0..64).map(|_| pod.run_once().trace).collect();
+    let frame = wire::encode_batch(&e17);
+    group.throughput(Throughput::Bytes(frame.len() as u64));
+    println!("e17_64_traces frame: {} bytes", frame.len());
+    group.bench_function("encode_e17_64_traces", |b| {
+        b.iter(|| wire::encode_batch(&e17))
+    });
+    group.bench_function("decode_e17_64_traces", |b| {
+        b.iter(|| wire::decode_batch(&frame).expect("valid"))
+    });
+    group.bench_function("read_e17_64_traces", |b| {
+        b.iter(|| wire::read_batch(&frame).map(|v| v.len()).expect("valid"))
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_frame_codec);
+fn bench_checksum(c: &mut Criterion) {
+    let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 167 + 13) as u8).collect();
+    let mut group = c.benchmark_group("checksum");
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("checksum/4KiB", |b| {
+        b.iter(|| checksum(std::hint::black_box(&bytes)))
+    });
+    group.bench_function("fnv1a/4KiB", |b| {
+        b.iter(|| fnv1a_step(FNV_OFFSET, std::hint::black_box(&bytes)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_ingest, bench_frame_codec, bench_checksum);
 criterion_main!(benches);

@@ -13,16 +13,17 @@
 //! write, and scrub dispatch.
 
 use softborg_hive::journal::{
-    self, JournalRecord, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE, SESSION_ROUND,
+    self, JournalRecord, ScanReport, EMPTY_WAL_HASH, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND,
+    REC_TOMBSTONE, SESSION_ROUND,
 };
 use softborg_hive::{
     scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
     ScrubReport,
 };
-use softborg_obs::{fnv1a_step, FlightRecorder, FNV_OFFSET};
+use softborg_obs::FlightRecorder;
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
-use softborg_store::{ChainLoad, ChainReport, ChainStore, RecordKind};
+use softborg_store::{ChainLoad, ChainReport, ChainStore, EnvelopeError, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -124,8 +125,8 @@ impl From<ScrubError> for DurabilityError {
     fn from(e: ScrubError) -> Self {
         match e {
             ScrubError::Io(io) => DurabilityError::Io(io),
-            ScrubError::NothingRecoverable => {
-                DurabilityError::Corrupt(ScrubError::NothingRecoverable.to_string())
+            e @ (ScrubError::NothingRecoverable | ScrubError::OlderLayout(_)) => {
+                DurabilityError::Corrupt(e.to_string())
             }
         }
     }
@@ -263,19 +264,48 @@ pub(crate) fn refuse_legacy(dir: &Path, names: &[&str]) -> Result<(), Durability
     }
 }
 
-/// Refuses a journaled frame in the older batch layout, one payload per
-/// execution: this build cannot fold it, and it is no damage to count
-/// and cut past.
-pub(crate) fn refuse_older_frame(rec: &JournalRecord) -> Result<(), DurabilityError> {
-    if rec.kind == REC_FRAME && wire::is_older_layout(&rec.frame) {
-        return Err(DurabilityError::Corrupt(format!(
-            "journal frame (lane {}, seq {}) is in the older one-payload-per-execution \
-             batch layout; this build reads only frames that carry each distinct trace \
-             once and cannot resume it",
+/// Refuses a journaled frame in an older batch layout: this build
+/// cannot fold it, and it is no damage to count and cut past.
+pub(crate) fn refuse_older_frame(rec: &JournalRecord<'_>) -> Result<(), DurabilityError> {
+    match wire::older_layout(rec.frame) {
+        Some(what) if rec.kind == REC_FRAME => Err(DurabilityError::Corrupt(format!(
+            "journal frame (lane {}, seq {}) is in the older {what} batch layout; this \
+             build cannot resume it",
             rec.session, rec.seq
-        )));
+        ))),
+        _ => Ok(()),
     }
-    Ok(())
+}
+
+/// Refuses a journal or round log (`path`) whose scan stopped at a
+/// record in an older layout: checksummed with FNV-1a, it is no damage
+/// to cut, and this build cannot read it.
+pub(crate) fn refuse_older_records(path: &Path, scan: &ScanReport) -> Result<(), DurabilityError> {
+    match scan.tail_error {
+        Some(EnvelopeError::OlderLayout) => Err(older_records(path, scan.valid_len)),
+        _ => Ok(()),
+    }
+}
+
+/// The refusal of the older-layout record at byte `at` of `path`.
+pub(crate) fn older_records(path: &Path, at: usize) -> DurabilityError {
+    DurabilityError::Corrupt(format!(
+        "{}: the record at byte {at} is in an older layout (an FNV-1a checksum); \
+         this build cannot resume it",
+        path.display()
+    ))
+}
+
+/// Refuses a chain holding a record in an older layout.
+fn refuse_older_chain(dir: &Path, report: &ChainReport) -> Result<(), DurabilityError> {
+    match report.older_layout() {
+        Some(d) => Err(DurabilityError::Corrupt(format!(
+            "{}: chain record {} is in an older layout; this build cannot resume it",
+            dir.display(),
+            d.file
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Refuses a campaign root whose `shard-<i>` directories do not fit
@@ -312,24 +342,32 @@ pub(crate) fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), Dur
     Ok(())
 }
 
-/// The intact records of the journal in `dir` (none when there is no
-/// journal), read without opening anything for writing.
-pub(crate) fn read_journal(dir: &Path) -> Result<Vec<JournalRecord>, DurabilityError> {
-    match std::fs::read(wal_path(dir)) {
-        Ok(wal) => Ok(journal::scan(&wal).0),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(io_err("wal-read", &e)),
-    }
+/// Calls `check` on every intact record of the journal in `dir` (none
+/// when there is no journal), read without opening anything for
+/// writing; a journal in an older layout is refused.
+pub(crate) fn check_journal(
+    dir: &Path,
+    check: impl FnMut(&JournalRecord<'_>) -> Result<(), DurabilityError>,
+) -> Result<(), DurabilityError> {
+    let wal = match std::fs::read(wal_path(dir)) {
+        Ok(wal) => wal,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(io_err("wal-read", &e)),
+    };
+    let (records, scan) = journal::scan(&wal);
+    refuse_older_records(&wal_path(dir), &scan)?;
+    records.iter().try_for_each(check)
 }
 
 /// The app-meta of every checkpoint in the chain under `dir` whose
 /// payload decodes (none without a chain directory), read without
-/// writing anything.
+/// writing anything; a chain in an older layout is refused.
 pub(crate) fn read_app_metas(dir: &Path) -> Result<Vec<Vec<u8>>, DurabilityError> {
     if !dir.join("chain").is_dir() {
         return Ok(Vec::new());
     }
     let (_, load) = open_chain(dir)?;
+    refuse_older_chain(dir, &load.report)?;
     let snaps = load
         .records
         .iter()
@@ -344,12 +382,13 @@ pub(crate) struct Recovered {
     /// Encoded states to rebuild from: one full, then its deltas in
     /// order. Empty on a cold start.
     pub(crate) states: Vec<Vec<u8>>,
-    /// The head checkpoint's `app_meta` (`None` on a cold start).
-    pub(crate) app_meta: Option<Vec<u8>>,
+    /// The head checkpoint, its state moved into `states` and its frame
+    /// floors into the store (`None` on a cold start).
+    pub(crate) head: Option<HiveSnapshot>,
     /// The whole journal.
-    pub(crate) wal: Vec<u8>,
-    /// Where in `wal` the suffix the checkpoint does not cover begins.
-    pub(crate) replay_from: usize,
+    wal: Vec<u8>,
+    /// The journal's path, for naming it in a refusal.
+    wal_path: PathBuf,
     /// The chain walk: the lineage adopted and every damaged record.
     pub(crate) chain: ChainReport,
 }
@@ -358,6 +397,22 @@ impl Recovered {
     /// Delta records folded on top of the chain's full record.
     pub(crate) fn deltas_applied(&self) -> u64 {
         self.states.len().saturating_sub(1) as u64
+    }
+
+    /// Scans the journal once: its intact records, borrowed in place,
+    /// the scan's report, and how many of the records the head
+    /// checkpoint covers — replay starts past them.
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::Corrupt`] on a journal in an older layout.
+    pub(crate) fn scan(
+        &self,
+    ) -> Result<(Vec<JournalRecord<'_>>, ScanReport, usize), DurabilityError> {
+        let (records, scan) = journal::scan(&self.wal);
+        refuse_older_records(&self.wal_path, &scan)?;
+        let covered = self.head.as_ref().map_or(0, |h| h.replay_offset(&records));
+        Ok((records, scan, covered))
     }
 }
 
@@ -369,8 +424,9 @@ pub(crate) struct DurableStore {
     /// Each checkpoint appends a full or delta record here.
     chain: ChainStore,
     journal: FileJournal,
-    /// FNV-1a of the journal, kept current, so a checkpoint can stamp
-    /// the prefix it covers without reading the journal back.
+    /// The journal's running hash ([`journal::fold_record`] over its
+    /// records), kept current, so a checkpoint can stamp the prefix it
+    /// covers without reading the journal back.
     wal_hash: u64,
     /// Frame floors (`session → next seq`), carried into checkpoints so
     /// a resuming transport can deduplicate across the restart.
@@ -403,7 +459,7 @@ impl DurableStore {
             cfg,
             chain,
             journal,
-            wal_hash: FNV_OFFSET,
+            wal_hash: EMPTY_WAL_HASH,
             frame_floors: BTreeMap::new(),
             staged: Vec::new(),
         })
@@ -411,7 +467,9 @@ impl DurableStore {
 
     /// Opens `cfg.dir` to continue a campaign and loads its newest valid
     /// checkpoint lineage (a full record plus every delta after it). An
-    /// empty directory is a cold start.
+    /// empty directory is a cold start. The caller scans the journal
+    /// ([`Recovered::scan`]) and hands back the records it keeps
+    /// ([`keep`](Self::keep)) before staging anything.
     ///
     /// # Errors
     ///
@@ -421,6 +479,7 @@ impl DurableStore {
     pub(crate) fn resume(cfg: DurabilityConfig) -> Result<(Self, Recovered), DurabilityError> {
         refuse_legacy(&cfg.dir, LEGACY_SHARD)?;
         let (chain, ChainLoad { records, report }) = open_chain(&cfg.dir)?;
+        refuse_older_chain(&cfg.dir, &report)?;
         // A full record, then deltas; only the head's metadata is kept.
         let mut states = Vec::with_capacity(records.len());
         let mut head = None;
@@ -442,25 +501,23 @@ impl DurableStore {
             // trusted while its state changes are dropped.
             states.pop();
         }
-        let replay_from = head.as_ref().map_or(0, |h| h.replay_offset(&wal));
-        let (frame_floors, app_meta) = match head {
-            Some(h) => (h.sessions, Some(h.app_meta)),
-            None => (BTreeMap::new(), None),
-        };
+        let frame_floors =
+            (head.as_mut()).map_or_else(BTreeMap::new, |h| std::mem::take(&mut h.sessions));
+        let wal_path = wal_path(&cfg.dir);
         Ok((
             DurableStore {
                 cfg,
                 chain,
                 journal,
-                wal_hash: fnv1a_step(FNV_OFFSET, &wal),
+                wal_hash: EMPTY_WAL_HASH, // set by `keep`
                 frame_floors,
                 staged: Vec::new(),
             },
             Recovered {
                 states,
-                app_meta,
+                head,
                 wal,
-                replay_from,
+                wal_path,
                 chain: report,
             },
         ))
@@ -470,8 +527,9 @@ impl DurableStore {
     /// staged record in one call and makes them durable.
     pub(crate) fn stage(&mut self, kind: u8, session: u64, seq: u64, body: &[u8]) {
         let start = self.staged.len();
-        journal::append_record(&mut self.staged, kind, session, seq, body);
-        self.wal_hash = fnv1a_step(self.wal_hash, &self.staged[start..]);
+        let checksum = journal::append_record(&mut self.staged, kind, session, seq, body);
+        let len = self.staged.len() - start;
+        self.wal_hash = journal::fold_record(self.wal_hash, checksum, len);
     }
 
     /// Stages one batch frame and raises its session's frame floor.
@@ -500,12 +558,17 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Cuts the journal back to `kept`, a prefix of it as a resume read
-    /// it (or nothing, after a checkpoint), dropping anything staged.
-    pub(crate) fn truncate_wal(&mut self, kept: &[u8]) -> Result<(), DurabilityError> {
+    /// Keeps `kept`, the journal's first records as a resume scanned
+    /// them, cutting whatever the file holds past them — a partial
+    /// round, a damaged tail, rounds past the campaign's minimum — and
+    /// dropping anything staged.
+    pub(crate) fn keep(&mut self, kept: &[JournalRecord<'_>]) -> Result<(), DurabilityError> {
+        let len: usize = kept.iter().map(JournalRecord::encoded_len).sum();
         self.staged.clear();
-        self.journal.truncate(kept.len() as u64)?;
-        self.wal_hash = fnv1a_step(FNV_OFFSET, kept);
+        if (len as u64) < self.journal.len() {
+            self.journal.truncate(len as u64)?;
+        }
+        self.wal_hash = journal::wal_hash(kept);
         Ok(())
     }
 
@@ -560,7 +623,8 @@ impl DurableStore {
             .append(kind, &payload)
             .map_err(|e| io_err("chain-append", &e))?;
         if truncate {
-            self.truncate_wal(&[])?;
+            self.journal.truncate(0)?;
+            self.wal_hash = EMPTY_WAL_HASH;
         }
         Ok(payload.len() as u64)
     }
@@ -599,24 +663,23 @@ pub(crate) fn read_promotion(
 /// One committed round's worth of journal records: everything since the
 /// previous `REC_ROUND`, closed by its own `REC_ROUND` record.
 #[derive(Debug)]
-pub(crate) struct Segment<'a> {
+pub(crate) struct Segment<'w> {
     /// Batch frames in merge order (`(session, seq)`).
-    pub(crate) frames: Vec<&'a JournalRecord>,
+    pub(crate) frames: Vec<JournalRecord<'w>>,
     /// Fix promotions, in journal order.
-    pub(crate) promotes: Vec<&'a JournalRecord>,
+    pub(crate) promotes: Vec<JournalRecord<'w>>,
     /// Pod-population records, in journal order.
-    pub(crate) pods: Vec<&'a JournalRecord>,
+    pub(crate) pods: Vec<JournalRecord<'w>>,
     /// The `REC_ROUND` record closing the segment (the caller owns the
     /// report codec).
-    pub(crate) round: &'a JournalRecord,
-    /// Byte offset (in the whole journal) and record index just past its
-    /// `REC_ROUND` record: the cut point if nothing after it is applied.
-    pub(crate) end: usize,
+    pub(crate) round: JournalRecord<'w>,
+    /// Record index just past its `REC_ROUND` record: the cut point if
+    /// nothing after it is applied.
     pub(crate) end_idx: usize,
 }
 
-/// Splits a scanned journal suffix, read from byte offset `replay_from`
-/// of the journal, into committed rounds: `REC_FRAME` / `REC_PROMOTE` /
+/// Splits scanned journal records (the suffix a checkpoint does not
+/// cover) into committed rounds: `REC_FRAME` / `REC_PROMOTE` /
 /// `REC_PODS` records are grouped under the `REC_ROUND` that commits
 /// them. The caller decodes each segment's round record, decides whether
 /// it continues the recovered state, and applies it; records after the
@@ -626,31 +689,28 @@ pub(crate) struct Segment<'a> {
 /// # Errors
 ///
 /// [`DurabilityError::Corrupt`] on a record kind no platform journals,
-/// and on a frame in the older batch layout.
-pub(crate) fn segments(
-    records: &[JournalRecord],
-    replay_from: usize,
-) -> Result<Vec<Segment<'_>>, DurabilityError> {
-    let (mut out, mut offset) = (Vec::new(), replay_from);
+/// and on a frame in an older batch layout.
+pub(crate) fn segments<'w>(
+    records: &[JournalRecord<'w>],
+) -> Result<Vec<Segment<'w>>, DurabilityError> {
+    let mut out = Vec::new();
     let (mut frames, mut promotes, mut pods) = (Vec::new(), Vec::new(), Vec::new());
-    for (idx, rec) in records.iter().enumerate() {
-        offset += rec.encoded_len();
+    for (idx, &rec) in records.iter().enumerate() {
         match rec.kind {
             REC_FRAME => {
-                refuse_older_frame(rec)?;
+                refuse_older_frame(&rec)?;
                 frames.push(rec);
             }
             REC_PROMOTE => promotes.push(rec),
             REC_PODS => pods.push(rec),
             REC_TOMBSTONE => {} // transport-only; platforms journal no tombstones
             REC_ROUND => {
-                frames.sort_by_key(|r: &&JournalRecord| (r.session, r.seq));
+                frames.sort_by_key(|r| (r.session, r.seq));
                 out.push(Segment {
                     frames: std::mem::take(&mut frames),
                     promotes: std::mem::take(&mut promotes),
                     pods: std::mem::take(&mut pods),
                     round: rec,
-                    end: offset,
                     end_idx: idx + 1,
                 });
             }
@@ -683,8 +743,8 @@ mod tests {
 
     /// The shape of every segment, plus how many records trail the last
     /// one (an uncommitted partial round).
-    fn walk(records: &[JournalRecord]) -> (Vec<Shape>, usize) {
-        let segs = segments(records, 0).expect("known kinds only");
+    fn walk(records: &[JournalRecord<'_>]) -> (Vec<Shape>, usize) {
+        let segs = segments(records).expect("known kinds only");
         let shape = |seg: &Segment<'_>| {
             let frames = seg.frames.iter().map(|r| r.seq).collect();
             (frames, seg.promotes.len(), seg.pods.len(), seg.round.seq)
@@ -714,16 +774,10 @@ mod tests {
         assert_eq!(shapes, vec![(vec![0, 1, 3], 1, 1, 0), (vec![4], 0, 1, 1)]);
         assert_eq!(partial, 0);
 
-        // Ends are offsets in the whole journal: the last segment ends
-        // where the journal does.
-        let segs = segments(&records, 100).unwrap();
-        let (first, second) = (&segs[0], &segs[1]);
-        assert_eq!(first.end_idx, 7);
-        assert!(100 < first.end && first.end < second.end);
-        assert_eq!(
-            (second.end, second.end_idx),
-            (100 + wal.len(), records.len())
-        );
+        // The last segment ends where the journal does.
+        let segs = segments(&records).unwrap();
+        assert_eq!(segs[0].end_idx, 7);
+        assert_eq!(segs[1].end_idx, records.len());
     }
 
     #[test]
@@ -748,9 +802,10 @@ mod tests {
             kind: 99,
             session: 0,
             seq: 0,
-            frame: Vec::new(),
+            frame: &[],
+            checksum: 0,
         }];
-        match segments(&records, 0) {
+        match segments(&records) {
             Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("kind 99"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -762,9 +817,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The running hash a checkpoint stamps as `wal_covered_hash`
-        /// equals FNV-1a of the journal file after any sequence of
-        /// appends, cuts (at any byte), checkpoints with and without the
-        /// truncate, and resumes.
+        /// equals the fold of the journal file's records after any
+        /// sequence of appends, crashes that tear the file at any byte
+        /// (each followed by a resume that cuts the torn tail),
+        /// checkpoints with and without the truncate, and resumes — and
+        /// the checkpoint's coverage matches the journal it covered.
         #[test]
         fn the_running_wal_hash_is_the_hash_of_the_file(
             ops in collection::vec((any::<u8>(), any::<u16>()), 0..24),
@@ -775,6 +832,12 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = DurabilityConfig::new(&dir);
             let file = || std::fs::read(wal_path(&dir)).unwrap();
+            let resume = || {
+                let (mut store, rec) = DurableStore::resume(cfg.clone()).unwrap();
+                let (records, _, _) = rec.scan().unwrap();
+                store.keep(&records).unwrap();
+                store
+            };
             let mut store = DurableStore::create(cfg.clone()).unwrap();
             for (op, arg) in ops {
                 match op % 5 {
@@ -783,8 +846,11 @@ mod tests {
                         store.sync().unwrap();
                     }
                     2 => {
-                        let bytes = file();
-                        store.truncate_wal(&bytes[..usize::from(arg) % (bytes.len() + 1)]).unwrap();
+                        drop(store);
+                        let len = file().len() as u64;
+                        let f = std::fs::OpenOptions::new().write(true).open(wal_path(&dir)).unwrap();
+                        f.set_len(u64::from(arg) % (len + 1)).unwrap();
+                        store = resume();
                     }
                     3 => {
                         let truncate = arg % 2 == 0;
@@ -792,14 +858,19 @@ mod tests {
                         store.write_checkpoint(|_| vec![op], Vec::new(), truncate).unwrap();
                         let head = store.chain.load().records.pop().unwrap();
                         let snap = HiveSnapshot::decode(&head.payload).unwrap();
-                        prop_assert_eq!(snap.replay_offset(&before), before.len());
+                        let (records, scan) = journal::scan(&before);
+                        prop_assert_eq!(scan.tail_dropped, 0);
+                        prop_assert_eq!(snap.replay_offset(&records), records.len());
                     }
                     _ => {
                         drop(store);
-                        store = DurableStore::resume(cfg.clone()).unwrap().0;
+                        store = resume();
                     }
                 }
-                prop_assert_eq!(store.wal_hash, fnv1a_step(FNV_OFFSET, &file()));
+                let bytes = file();
+                let (records, scan) = journal::scan(&bytes);
+                prop_assert_eq!(scan.tail_dropped, 0);
+                prop_assert_eq!(store.wal_hash, journal::wal_hash(&records));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -242,8 +242,8 @@ impl<'p> Fleet<'p> {
     }
 
     /// Appends the checkpoint image of the pod population to `buf`:
-    /// `u32 count`, then one length-prefixed (checksummed)
-    /// [`PodState`] image per pod, each written straight from the pod.
+    /// `u32 count`, then one length-prefixed [`PodState`] image per pod,
+    /// each written straight from the pod.
     pub(crate) fn put_pod_images(&self, buf: &mut Vec<u8>) {
         codec::put_u32(buf, self.pods.len() as u32);
         for pod in &self.pods {
@@ -252,8 +252,8 @@ impl<'p> Fleet<'p> {
     }
 
     /// Appends the `REC_PODS` body to `buf`: `u32 count`, then one
-    /// length-prefixed (checksummed) [`PodDelta`] per pod against its
-    /// checkpointed base.
+    /// length-prefixed [`PodDelta`] per pod against its checkpointed
+    /// base.
     pub(crate) fn put_pod_deltas(&self, buf: &mut Vec<u8>) {
         codec::put_u32(buf, self.pods.len() as u32);
         for (pod, &base) in self.pods.iter().zip(&self.bases) {
@@ -323,15 +323,15 @@ fn pod_corrupt(i: usize, e: &PodStateError) -> DurabilityError {
 
 /// Decodes a whole pod-population body — `u32 count`, then one
 /// length-prefixed record per pod, each decoded by `decode` (no
-/// trailing bytes allowed). Every record re-verifies its own checksum,
-/// so torn bytes behind a valid journal or chain checksum still fail
-/// loudly.
+/// trailing bytes allowed). The body is read only from inside a journal
+/// or chain record whose checksum covers it.
 fn decode_pods<T>(
     bytes: &[u8],
     decode: fn(&[u8]) -> Result<T, PodStateError>,
 ) -> Result<Vec<T>, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let n = r.seq_len("pod_states", 4 + 9)?;
+    // Each record: its length, a version byte and the four RNG words.
+    let n = r.seq_len("pod_states", 4 + 1 + 32)?;
     let mut pods = Vec::with_capacity(n);
     for i in 0..n {
         pods.push(decode(r.bytes("pod_states.record")?).map_err(|e| pod_corrupt(i, &e))?);

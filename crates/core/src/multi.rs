@@ -30,14 +30,15 @@
 //! Older layouts are refused with their bytes untouched: a root holding
 //! `hive.wal`, `chain/` or `hive.snap` (the single-program layout), a
 //! shard holding `hive.snap`, a round record this codec cannot read, a
-//! pod-image `REC_PODS` body, a frame in the older batch layout (one
-//! payload per execution), or a checkpoint whose app-meta lacks this
-//! layout's tag (round history inside checkpoints).
+//! pod-image `REC_PODS` body, a frame in an older batch layout, a
+//! journal, round-log or chain record checksummed with FNV-1a, or a
+//! checkpoint whose app-meta lacks this layout's tag (round history
+//! inside checkpoints).
 
 use crate::durable::{
-    put_promotion, read_app_metas, read_journal, read_promotion, read_round_log, refuse_legacy,
-    refuse_older_frame, refuse_shard_count, segments, DurabilityConfig, DurabilityError,
-    DurableStore, Recovered, RoundLog, LEGACY_ROOT,
+    check_journal, older_records, put_promotion, read_app_metas, read_promotion, read_round_log,
+    refuse_legacy, refuse_older_frame, refuse_shard_count, segments, DurabilityConfig,
+    DurabilityError, DurableStore, RoundLog, Segment, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
@@ -50,9 +51,10 @@ use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodDelta, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
-use softborg_store::{ChainReport, RecordKind};
+use softborg_store::{ChainReport, EnvelopeError, RecordKind};
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// One program's fleet specification: the program plus the pod template
 /// its population is built from (each pod gets a derived seed).
@@ -331,6 +333,9 @@ pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
     while at < bytes.len() {
         let rec = match journal::FRAMING.read_at(bytes, at) {
             Ok(rec) => rec,
+            Err(EnvelopeError::OlderLayout) => {
+                return Err(older_records(Path::new("rounds.log"), at))
+            }
             Err(_) if journal::FRAMING.torn_at(bytes, at) => break,
             Err(e) => {
                 return Err(DurabilityError::Corrupt(format!(
@@ -620,43 +625,52 @@ impl<'p> MultiPlatform<'p> {
         // round a replay could apply, and count the shard's committed
         // rounds (checkpoint rounds + connected ROUND records). Nothing
         // is written until every shard has decoded.
-        struct ShardScan {
-            store: DurableStore,
-            rec: Recovered,
+        let (mut opened, mut recs) = (Vec::new(), Vec::new());
+        for i in 0..platform.sharded.n_shards() {
+            let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
+            opened.push(store);
+            recs.push(rec);
+        }
+        /// One shard's journal, scanned in place from its `Recovered`.
+        struct ShardScan<'w> {
             snap_round: u64,
             lane_images: Vec<(u64, Vec<PodState>)>,
-            records: Vec<JournalRecord>,
+            records: Vec<JournalRecord<'w>>,
+            /// Records the checkpoint covers: replay starts past them.
+            covered: usize,
+            /// The committed rounds after them.
+            segs: Vec<Segment<'w>>,
             /// Connected rounds past the checkpoint: each report and its
             /// lanes' pod deltas.
             rounds: Vec<(MultiRoundReport, LanePods<PodDelta>)>,
             tail_dropped: u64,
         }
-        let mut scans = Vec::with_capacity(platform.sharded.n_shards());
-        for i in 0..platform.sharded.n_shards() {
-            let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
-            let (snap_round, lane_images) = match &rec.app_meta {
-                Some(meta) => decode_app_meta(meta)?,
+        let mut scans = Vec::with_capacity(recs.len());
+        for (i, rec) in recs.iter().enumerate() {
+            let (snap_round, lane_images) = match &rec.head {
+                Some(head) => decode_app_meta(&head.app_meta)?,
                 None => (0, Vec::new()),
             };
-            let (records, scan) = journal::scan(&rec.wal[rec.replay_from..]);
+            let (records, scan, covered) = rec.scan()?;
+            let segs = segments(&records[covered..])?;
             let mut rounds = Vec::new();
-            for seg in segments(&records, rec.replay_from)? {
-                let report = MultiRoundReport::decode(&seg.round.frame)?;
+            for seg in &segs {
+                let report = MultiRoundReport::decode(seg.round.frame)?;
                 if report.round != snap_round + rounds.len() as u64 {
                     break; // disconnected: the checkpoint fell back a generation
                 }
                 let pods = (seg.pods.iter())
-                    .map(|r| Ok((r.session, fleet::decode_pod_deltas(&r.frame)?)))
+                    .map(|r| Ok((r.session, fleet::decode_pod_deltas(r.frame)?)))
                     .collect::<Result<_, DurabilityError>>()
                     .map_err(|e| corrupt(&format!("shard {i} round {} pods", report.round), e))?;
                 rounds.push((report, pods));
             }
             scans.push(ShardScan {
-                store,
-                rec,
                 snap_round,
                 lane_images,
                 records,
+                covered,
+                segs,
                 rounds,
                 tail_dropped: scan.tail_dropped as u64,
             });
@@ -709,8 +723,9 @@ impl<'p> MultiPlatform<'p> {
         // committed delta its journal replays.
         let mut lane_images: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
         let mut lane_deltas: BTreeMap<u64, Vec<PodDelta>> = BTreeMap::new();
-        for (shard, mut sc) in scans.into_iter().enumerate() {
-            if let Some((full, deltas)) = sc.rec.states.split_first() {
+        let shards = opened.into_iter().zip(&recs).zip(scans);
+        for (shard, ((mut store, rec), sc)) in shards.enumerate() {
+            if let Some((full, deltas)) = rec.states.split_first() {
                 let what = format!("shard {shard} checkpoint state");
                 platform
                     .sharded
@@ -725,19 +740,19 @@ impl<'p> MultiPlatform<'p> {
             }
             lane_images.extend(sc.lane_images);
             let apply = (target - sc.snap_round) as usize;
-            // End of the last applied round: where the journal is cut.
-            let (mut boundary, mut applied_records) = (sc.rec.replay_from, 0);
-            let segs = segments(&sc.records, sc.rec.replay_from)?;
-            for (seg, (report, pods)) in segs.iter().zip(sc.rounds).take(apply) {
+            // Records past the checkpoint's that the applied rounds end at:
+            // the journal is cut after them.
+            let mut applied_records = 0;
+            for (seg, (report, pods)) in sc.segs.iter().zip(sc.rounds).take(apply) {
                 let round = report.round;
-                let frames = seg.frames.iter().map(|r| (r.session, r.seq, &r.frame[..]));
+                let frames = seg.frames.iter().map(|r| (r.session, r.seq, r.frame));
                 (platform.fold_frames(frames))
                     .map_err(|e| corrupt(&format!("shard {shard} round {round} frames"), e))?;
                 for fr in &seg.frames {
-                    sc.store.raise_floor(fr.session, fr.seq);
+                    store.raise_floor(fr.session, fr.seq);
                 }
                 for pr in &seg.promotes {
-                    let (program, signature, overlay) = read_promotion(&pr.frame)?;
+                    let (program, signature, overlay) = read_promotion(pr.frame)?;
                     let candidate = FixCandidate {
                         overlay,
                         description: String::new(),
@@ -757,10 +772,11 @@ impl<'p> MultiPlatform<'p> {
                     }
                 }
                 lane_deltas.extend(pods);
-                (boundary, applied_records) = (seg.end, seg.end_idx);
+                applied_records = seg.end_idx;
             }
-            let records_discarded = (sc.records.len() - applied_records) as u64;
-            if boundary < sc.rec.wal.len() {
+            let kept = sc.covered + applied_records;
+            let records_discarded = (sc.records.len() - kept) as u64;
+            if records_discarded > 0 || sc.tail_dropped > 0 {
                 recorder.warn_or_ops(
                     "campaign.resume",
                     "journal_truncated",
@@ -776,18 +792,18 @@ impl<'p> MultiPlatform<'p> {
                         sc.tail_dropped
                     ),
                 );
-                sc.store.truncate_wal(&sc.rec.wal[..boundary])?;
             }
+            store.keep(&sc.records[..kept])?;
             shard_reports.push(ShardResumeReport {
                 shard,
-                chain_deltas_applied: sc.rec.deltas_applied(),
-                chain: sc.rec.chain,
+                chain_deltas_applied: rec.deltas_applied(),
+                chain: rec.chain.clone(),
                 rounds_from_snapshot: sc.snap_round,
                 rounds_replayed: target - sc.snap_round,
                 wal_tail_dropped: sc.tail_dropped,
                 records_discarded,
             });
-            stores.push(sc.store);
+            stores.push(store);
         }
 
         // Install the freshest committed pod images; lanes with neither
@@ -916,13 +932,14 @@ impl<'p> MultiPlatform<'p> {
         let log_bytes = read_round_log(&root.dir)?;
         let log = decode_round_log(&log_bytes)?;
         for shard in &shards {
-            for rec in read_journal(&shard.dir)? {
+            check_journal(&shard.dir, |rec| {
                 match rec.kind {
-                    REC_ROUND => drop(MultiRoundReport::decode(&rec.frame)?),
-                    REC_PODS => drop(fleet::decode_pod_deltas(&rec.frame)?),
-                    _ => refuse_older_frame(&rec)?,
+                    REC_ROUND => drop(MultiRoundReport::decode(rec.frame)?),
+                    REC_PODS => drop(fleet::decode_pod_deltas(rec.frame)?),
+                    _ => refuse_older_frame(rec)?,
                 }
-            }
+                Ok(())
+            })?;
             for meta in read_app_metas(&shard.dir)? {
                 decode_app_meta(&meta)?;
             }

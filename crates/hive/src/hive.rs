@@ -388,7 +388,7 @@ impl<'p> Hive<'p> {
             match rec.kind {
                 crate::journal::REC_FRAME => {
                     report.frames_replayed += 1;
-                    frames.push(rec.frame);
+                    frames.push(rec.frame.to_vec());
                 }
                 _ => report.tombstones_skipped += 1,
             }

@@ -7,10 +7,11 @@
 //!
 //! Every record is the shared record envelope
 //! ([`softborg_store::record`]) with no magic, length-prefixed and
-//! checksummed with the FNV-1a every storage format shares:
+//! checksummed with the [`softborg_obs::checksum`] every stored record
+//! shares:
 //!
 //! ```text
-//! u32 body_len | u64 fnv1a(body) | body
+//! u32 body_len | u64 checksum(body) | body
 //! body = u8 kind | u64 session | u64 seq | frame bytes
 //! ```
 //!
@@ -34,7 +35,17 @@
 //! a kernel would do to an unsynced file tail). [`scan`] tolerates that
 //! by design: a truncated or corrupt tail is detected, counted, and
 //! dropped — never panicked on — and every record *before* the tail is
-//! recovered intact.
+//! recovered intact. A journal an older build wrote, its records
+//! checksummed with FNV-1a, stops the scan at its first record with
+//! [`EnvelopeError::OlderLayout`]: callers refuse it, never cut it.
+//!
+//! # The running hash
+//!
+//! A checkpoint stamps the journal prefix it covers with a hash, so a
+//! resume can tell an untruncated journal from a regrown one. That hash
+//! folds each record's envelope checksum and length ([`fold_record`]),
+//! which [`append_record`] returns and [`scan`] hands back, so no journal
+//! byte is hashed twice.
 //!
 //! [`wire::encode_batch`]: softborg_trace::wire::encode_batch
 
@@ -73,9 +84,9 @@ pub const SESSION_ROUND: u64 = u64::MAX;
 /// Pseudo-session carrying [`REC_PROMOTE`] records.
 pub const SESSION_PROMOTE: u64 = u64::MAX - 1;
 
-/// One recovered journal record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
+/// One recovered journal record, borrowed from the scanned bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalRecord<'a> {
     /// Record kind ([`REC_FRAME`] or [`REC_TOMBSTONE`]).
     pub kind: u8,
     /// Session the frame arrived on.
@@ -83,15 +94,38 @@ pub struct JournalRecord {
     /// Per-session sequence number.
     pub seq: u64,
     /// The wire batch frame (empty for tombstones).
-    pub frame: Vec<u8>,
+    pub frame: &'a [u8],
+    /// The record's envelope checksum.
+    pub checksum: u64,
 }
 
-impl JournalRecord {
+impl JournalRecord<'_> {
     /// On-disk size of this record (header + body), letting callers map
     /// a [`scan`] position back to a byte offset in the journal.
     pub fn encoded_len(&self) -> usize {
         FRAMING.record_len(self.frame.len())
     }
+}
+
+/// The running hash of a journal that holds no record.
+pub const EMPTY_WAL_HASH: u64 = 0;
+
+/// The running hash of a journal one record longer: `hash` is the
+/// journal's before the record, which enters by its envelope checksum
+/// and byte length.
+pub fn fold_record(hash: u64, checksum: u64, len: usize) -> u64 {
+    let mut words = [0u8; 24];
+    words[..8].copy_from_slice(&hash.to_le_bytes());
+    words[8..16].copy_from_slice(&checksum.to_le_bytes());
+    words[16..].copy_from_slice(&(len as u64).to_le_bytes());
+    softborg_obs::checksum(&words)
+}
+
+/// The running hash of a journal holding `records`, in order.
+pub fn wal_hash(records: &[JournalRecord<'_>]) -> u64 {
+    (records.iter()).fold(EMPTY_WAL_HASH, |h, r| {
+        fold_record(h, r.checksum, r.encoded_len())
+    })
 }
 
 /// What a [`scan`] recovered.
@@ -107,16 +141,19 @@ pub struct ScanReport {
     pub tail_error: Option<EnvelopeError>,
 }
 
-/// Appends one record to `buf` in the journal format.
-pub fn append_record(buf: &mut Vec<u8>, kind: u8, session: u64, seq: u64, frame: &[u8]) {
-    FRAMING.seal(buf, kind, [session, seq], frame);
+/// Appends one record to `buf` in the journal format and returns its
+/// envelope checksum.
+pub fn append_record(buf: &mut Vec<u8>, kind: u8, session: u64, seq: u64, frame: &[u8]) -> u64 {
+    FRAMING.seal(buf, kind, [session, seq], frame)
 }
 
-/// Scans journal bytes, recovering every intact record and dropping the
-/// truncated or corrupt tail. Total: never panics, never allocates more
-/// than the input justifies.
-pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, ScanReport) {
-    let mut records = Vec::new();
+/// Scans journal bytes, recovering every intact record, borrowed in
+/// place, and dropping the truncated or corrupt tail. Total: never
+/// panics; allocates the record list once, sized by the records'
+/// length fields.
+pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord<'_>>, ScanReport) {
+    let room = bytes.len() / FRAMING.record_len(0);
+    let mut records = Vec::with_capacity(FRAMING.count(bytes).min(room));
     let (mut pos, mut tail_error) = (0, None);
     while pos < bytes.len() {
         match FRAMING.read_at(bytes, pos) {
@@ -126,7 +163,8 @@ pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, ScanReport) {
                     kind: r.kind,
                     session,
                     seq,
-                    frame: r.payload.to_vec(),
+                    frame: r.payload,
+                    checksum: r.checksum,
                 });
                 pos = r.end;
             }
@@ -150,7 +188,7 @@ pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, ScanReport) {
 /// pseudo-sessions are skipped), the highest journaled `seq + 1`. This
 /// is the dedup floor a freshly started server must honor so a
 /// retransmit of an already-journaled frame is re-acked, not re-merged.
-pub fn session_floors(records: &[JournalRecord]) -> std::collections::BTreeMap<u64, u64> {
+pub fn session_floors(records: &[JournalRecord<'_>]) -> std::collections::BTreeMap<u64, u64> {
     let mut floors = std::collections::BTreeMap::new();
     for r in records {
         if r.kind == REC_FRAME || r.kind == REC_TOMBSTONE {
@@ -378,7 +416,6 @@ impl JournalStore for FileJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_obs::{fnv1a_step, FNV_OFFSET};
 
     fn sample_records() -> Vec<(u8, u64, u64, Vec<u8>)> {
         vec![
@@ -408,8 +445,8 @@ mod tests {
         assert_eq!(report.tail_error, None);
         for (rec, (k, s, q, f)) in recs.iter().zip(sample_records()) {
             assert_eq!(
-                (rec.kind, rec.session, rec.seq, rec.frame.clone()),
-                (k, s, q, f)
+                (rec.kind, rec.session, rec.seq, rec.frame),
+                (k, s, q, &f[..])
             );
         }
     }
@@ -462,11 +499,38 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&fnv1a_step(FNV_OFFSET, &body).to_le_bytes());
+        buf.extend_from_slice(&softborg_obs::checksum(&body).to_le_bytes());
         buf.extend_from_slice(&body);
         let (recs, report) = scan(&buf);
         assert!(recs.is_empty());
         assert_eq!(report.tail_error, Some(EnvelopeError::BadKind(9)));
+    }
+
+    #[test]
+    fn a_journal_checksummed_with_fnv1a_stops_the_scan_as_an_older_layout() {
+        let mut buf = Vec::new();
+        append_record(&mut buf, REC_FRAME, 1, 0, b"older");
+        let fnv = softborg_obs::fnv1a_step(softborg_obs::FNV_OFFSET, &buf[12..]);
+        buf[4..12].copy_from_slice(&fnv.to_le_bytes());
+        buf.extend(build());
+        let (recs, report) = scan(&buf);
+        assert!(recs.is_empty());
+        assert_eq!(report.tail_error, Some(EnvelopeError::OlderLayout));
+    }
+
+    #[test]
+    fn the_running_hash_folds_what_append_returns() {
+        let mut buf = Vec::new();
+        let mut hash = EMPTY_WAL_HASH;
+        for (k, s, q, f) in sample_records() {
+            let at = buf.len();
+            let sum = append_record(&mut buf, k, s, q, &f);
+            hash = fold_record(hash, sum, buf.len() - at);
+        }
+        let (recs, _) = scan(&buf);
+        assert_eq!(wal_hash(&recs), hash);
+        assert_ne!(wal_hash(&recs[..3]), hash, "a prefix hashes apart");
+        assert_eq!(wal_hash(&[]), EMPTY_WAL_HASH);
     }
 
     #[test]
@@ -564,7 +628,8 @@ mod tests {
         {
             let j = FileJournal::open(&path).expect("reopen");
             assert_eq!(j.len(), rec.len() as u64, "length survives reopen");
-            let (recs, report) = scan(&j.read().unwrap());
+            let bytes = j.read().unwrap();
+            let (recs, report) = scan(&bytes);
             assert_eq!(recs.len(), 1);
             assert_eq!(recs[0].frame, b"keep");
             assert_eq!(report.tail_dropped, 0);
@@ -588,7 +653,8 @@ mod tests {
             append_record(&mut rec2, REC_FRAME, 2, 0, b"new");
             j.append(&rec2).unwrap();
             j.sync().unwrap();
-            let (recs, _) = scan(&j.read().unwrap());
+            let bytes = j.read().unwrap();
+            let (recs, _) = scan(&bytes);
             assert_eq!(recs.len(), 1);
             assert_eq!(recs[0].session, 2);
         }

@@ -63,10 +63,15 @@
 //! after scrubbing is a [`ScrubError::NothingRecoverable`]: resuming
 //! would silently cold-start over an existing campaign, which is the
 //! one thing a crash-only system must never do quietly.
+//!
+//! Records an older build wrote are no damage: a chain record or a
+//! journal record in an older layout is [`ScrubError::OlderLayout`],
+//! refused before anything is moved or cut.
 
 use crate::journal::{self, JournalIoError};
 use crate::snapshot::HiveSnapshot;
 use softborg_obs::FlightRecorder;
+use softborg_store::record::EnvelopeError;
 use softborg_store::record::{self, fsync_parent_dir};
 use softborg_store::{ChainReport, ChainStore, RecordKind};
 use std::fmt;
@@ -142,6 +147,9 @@ pub enum ScrubError {
     /// failed verification. Resuming would cold-start over an existing
     /// campaign, so the scrub refuses instead.
     NothingRecoverable,
+    /// A chain or journal record is in a layout an older build wrote:
+    /// not damage to repair around, and nothing was touched.
+    OlderLayout(String),
 }
 
 impl fmt::Display for ScrubError {
@@ -152,6 +160,7 @@ impl fmt::Display for ScrubError {
                 f,
                 "campaign directory held durable data but nothing valid survived the scrub"
             ),
+            ScrubError::OlderLayout(what) => write!(f, "{what} is in an older layout"),
         }
     }
 }
@@ -262,6 +271,9 @@ pub fn scrub_campaign(
 ) -> Result<ScrubReport, ScrubError> {
     let mut quarantined = Vec::new();
     let before = chain.validate();
+    if let Some(defect) = before.older_layout() {
+        return Err(ScrubError::OlderLayout(defect.file.clone()));
+    }
     let had_chain_files = before.records > 0 || !before.defects.is_empty();
     for defect in &before.defects {
         // The filename carries the kind; `ChainDefect::file` is the
@@ -332,6 +344,9 @@ fn scrub_wal(
         Err(e) => return Err(io_err("scrub-read-wal", &e)),
     };
     let (_, scan) = journal::scan(&wal_bytes);
+    if scan.tail_error == Some(EnvelopeError::OlderLayout) {
+        return Err(ScrubError::OlderLayout(wal_path.display().to_string()));
+    }
     let mut report = WalScrub {
         action: WalScrubAction::Clean,
         valid_bytes: scan.valid_len as u64,
@@ -405,7 +420,6 @@ fn scrub_wal(
 mod tests {
     use super::*;
     use crate::journal::{append_record, REC_FRAME, REC_ROUND, SESSION_ROUND};
-    use softborg_obs::{fnv1a_step, FNV_OFFSET};
     use softborg_store::ChainSource;
 
     /// A fresh campaign directory: its journal path and opened chain.
@@ -430,7 +444,7 @@ mod tests {
             state: vec![1, 2, 3],
             sessions: [(1u64, 1u64)].into_iter().collect(),
             wal_covered: wal.len() as u64,
-            wal_covered_hash: fnv1a_step(FNV_OFFSET, wal),
+            wal_covered_hash: journal::wal_hash(&journal::scan(wal).0),
             app_meta: b"meta".to_vec(),
         }
     }
@@ -596,7 +610,7 @@ mod tests {
         // The checkpoint + rewritten journal still form a consistent
         // pair: the covered-prefix hash no longer matches, so replay
         // starts at 0 — which is exactly where the suffix now begins.
-        assert_eq!(s.head().unwrap().replay_offset(&left), 0);
+        assert_eq!(s.head().unwrap().replay_offset(&recs), 0);
     }
 
     #[test]
@@ -612,6 +626,22 @@ mod tests {
         assert_eq!(fs::read(&s.wal_path).unwrap().len(), 0);
         // The checkpoint still resumes the campaign: not NothingRecoverable.
         assert!(s.head().is_some());
+    }
+
+    #[test]
+    fn an_older_layout_journal_is_refused_untouched() {
+        let s = Seeded::new("older");
+        let mut bytes = s.wal.clone();
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let fnv = softborg_obs::fnv1a_step(softborg_obs::FNV_OFFSET, &bytes[12..12 + len]);
+        bytes[4..12].copy_from_slice(&fnv.to_le_bytes());
+        fs::write(&s.wal_path, &bytes).unwrap();
+        assert!(matches!(
+            s.scrub(&FlightRecorder::disabled()),
+            Err(ScrubError::OlderLayout(_))
+        ));
+        assert_eq!(fs::read(&s.wal_path).unwrap(), bytes);
+        assert!(!quarantine_path(&s.wal_path).exists());
     }
 
     #[test]

@@ -10,46 +10,49 @@
 //!
 //! A crash *between the chain append and the journal truncate* leaves a
 //! journal that still contains records the checkpoint already covers;
-//! the snapshot records the covered length and a hash of that prefix
-//! ([`HiveSnapshot::wal_covered`] / [`HiveSnapshot::wal_covered_hash`])
-//! so [`HiveSnapshot::replay_offset`] can tell "journal not yet
-//! truncated" apart from "journal truncated and regrown".
+//! the snapshot records the covered length and the journal's running
+//! hash at that length ([`HiveSnapshot::wal_covered`] /
+//! [`HiveSnapshot::wal_covered_hash`]) so [`HiveSnapshot::replay_offset`]
+//! can tell "journal not yet truncated" apart from "journal truncated
+//! and regrown".
+//!
+//! A snapshot is only ever read from inside a chain record, whose
+//! checksum covers it, so it carries no checksum of its own: its bytes
+//! are [`SNAPSHOT_MAGIC`] and then the body.
 
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
+use crate::journal::{self, JournalRecord};
 use softborg_program::codec::{self, CodecError};
-use softborg_store::record::{self, EnvelopeError};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Magic prefix identifying a snapshot record (version in the last byte).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SBSNAP\x00\x01";
+/// Magic prefix identifying a snapshot (version in the last byte).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SBSNAP\x00\x02";
+/// Magic prefix of a snapshot in the older layout, sealed in its own
+/// FNV-1a envelope inside the chain record.
+const OLDER_SNAPSHOT_MAGIC: &[u8; 8] = b"SBSNAP\x00\x01";
 
-/// Why a snapshot record failed to decode. Total: decoding never panics.
+/// Why a snapshot failed to decode. Total: decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The record envelope is torn, lacks [`SNAPSHOT_MAGIC`] or fails
-    /// its checksum.
-    Envelope(EnvelopeError),
-    /// The checksum-valid body is malformed, or bytes trail the record.
+    /// The bytes do not open with [`SNAPSHOT_MAGIC`].
+    BadMagic,
+    /// A snapshot in the older, separately sealed layout.
+    OlderLayout,
+    /// The body is malformed, or bytes trail it.
     Codec(CodecError),
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Envelope(e) => write!(f, "snapshot record: {e}"),
+            SnapshotError::BadMagic => write!(f, "snapshot: bad magic"),
+            SnapshotError::OlderLayout => write!(f, "snapshot in an older layout"),
             SnapshotError::Codec(e) => write!(f, "snapshot body: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
-
-impl From<EnvelopeError> for SnapshotError {
-    fn from(e: EnvelopeError) -> Self {
-        SnapshotError::Envelope(e)
-    }
-}
 
 impl From<CodecError> for SnapshotError {
     fn from(e: CodecError) -> Self {
@@ -69,7 +72,8 @@ pub struct HiveSnapshot {
     /// after this offset *if* the journal's prefix still matches
     /// [`wal_covered_hash`](Self::wal_covered_hash).
     pub wal_covered: u64,
-    /// FNV-1a hash of the covered journal prefix at snapshot time.
+    /// The journal's running hash ([`journal::fold_record`]) over the
+    /// covered prefix at snapshot time.
     pub wal_covered_hash: u64,
     /// Application metadata (the platform stores its round counter and
     /// encoded round history here).
@@ -77,42 +81,36 @@ pub struct HiveSnapshot {
 }
 
 impl HiveSnapshot {
-    /// Serializes the snapshot into its on-disk record, the shared
-    /// envelope ([`record::seal`]) with [`SNAPSHOT_MAGIC`]:
-    /// `magic | u32 body_len | u64 fnv1a(body) | body`.
+    /// Serializes the snapshot: [`SNAPSHOT_MAGIC`], then the body. The
+    /// chain record it is stored in checksums it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        record::seal(&mut out, SNAPSHOT_MAGIC, |body| {
-            codec::put_bytes(body, &self.state);
-            codec::put_u32(body, self.sessions.len() as u32);
-            for (&session, &floor) in &self.sessions {
-                codec::put_u64(body, session);
-                codec::put_u64(body, floor);
-            }
-            codec::put_u64(body, self.wal_covered);
-            codec::put_u64(body, self.wal_covered_hash);
-            codec::put_bytes(body, &self.app_meta);
-        });
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        codec::put_bytes(&mut out, &self.state);
+        codec::put_u32(&mut out, self.sessions.len() as u32);
+        for (&session, &floor) in &self.sessions {
+            codec::put_u64(&mut out, session);
+            codec::put_u64(&mut out, floor);
+        }
+        codec::put_u64(&mut out, self.wal_covered);
+        codec::put_u64(&mut out, self.wal_covered_hash);
+        codec::put_bytes(&mut out, &self.app_meta);
         out
     }
 
-    /// Decodes and checksum-verifies an on-disk snapshot record. Total
-    /// function: torn, truncated, bit-flipped, or trailing-garbage input
-    /// returns an error, never panics.
+    /// Decodes a snapshot. Total function: truncated, malformed, or
+    /// trailing-garbage input returns an error, never panics. Damage is
+    /// the enclosing chain record's checksum to catch.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] describing the first violation found.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let (body, rest) = record::open(bytes, SNAPSHOT_MAGIC)?;
-        if !rest.is_empty() {
-            return Err(CodecError::BadLen {
-                what: "snapshot.trailing",
-                len: rest.len(),
-            }
-            .into());
+        let mut r = codec::Reader::new(bytes);
+        match r.take(SNAPSHOT_MAGIC.len(), "snapshot.magic")? {
+            magic if magic == SNAPSHOT_MAGIC => {}
+            magic if magic == OLDER_SNAPSHOT_MAGIC => return Err(SnapshotError::OlderLayout),
+            _ => return Err(SnapshotError::BadMagic),
         }
-        let mut r = codec::Reader::new(body);
         let state = r.bytes("snapshot.state")?.to_vec();
         let n = r.seq_len("snapshot.sessions", 16)?;
         let mut sessions = BTreeMap::new();
@@ -139,16 +137,24 @@ impl HiveSnapshot {
         })
     }
 
-    /// Where journal replay should start given the journal image found
-    /// on disk: after the covered prefix when that prefix is still in
-    /// place (crash before the post-snapshot truncate), else from byte 0
-    /// (the journal was truncated and everything in it is newer than
-    /// this snapshot).
-    pub fn replay_offset(&self, wal: &[u8]) -> usize {
-        let covered = self.wal_covered as usize;
-        if wal.len() >= covered && fnv1a_step(FNV_OFFSET, &wal[..covered]) == self.wal_covered_hash
-        {
-            covered
+    /// Where journal replay should start given the records scanned
+    /// from the journal on disk, as a count of records: past the covered
+    /// prefix when that prefix is still in place (crash before the
+    /// post-snapshot truncate), else 0 (the journal was truncated and
+    /// everything in it is newer than this snapshot). Folds the records'
+    /// checksums; reads no journal byte.
+    pub fn replay_offset(&self, records: &[JournalRecord<'_>]) -> usize {
+        let (mut at, mut hash, mut n) = (0u64, journal::EMPTY_WAL_HASH, 0);
+        while at < self.wal_covered && n < records.len() {
+            let len = records[n].encoded_len();
+            (at, hash) = (
+                at + len as u64,
+                journal::fold_record(hash, records[n].checksum, len),
+            );
+            n += 1;
+        }
+        if at == self.wal_covered && hash == self.wal_covered_hash {
+            n
         } else {
             0
         }
@@ -158,52 +164,79 @@ impl HiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{append_record, scan, REC_FRAME};
+    use softborg_store::chain::{decode_record, encode_record, RecordKind};
 
-    fn sample() -> HiveSnapshot {
-        let wal = b"journal-prefix-bytes".to_vec();
-        HiveSnapshot {
+    /// A journal of three records and the snapshot covering its first two.
+    fn sample() -> (Vec<u8>, HiveSnapshot) {
+        let mut wal = Vec::new();
+        append_record(&mut wal, REC_FRAME, 0, 0, b"journal-prefix");
+        append_record(&mut wal, REC_FRAME, 0, 1, b"bytes");
+        let (records, _) = scan(&wal);
+        let snap = HiveSnapshot {
             state: vec![1, 2, 3, 4, 5],
             sessions: [(0u64, 7u64), (3, 2)].into_iter().collect(),
             wal_covered: wal.len() as u64,
-            wal_covered_hash: fnv1a_step(FNV_OFFSET, &wal),
+            wal_covered_hash: journal::wal_hash(&records),
             app_meta: b"meta".to_vec(),
-        }
+        };
+        append_record(&mut wal, REC_FRAME, 0, 2, b"suffix");
+        (wal, snap)
     }
 
     #[test]
-    fn encode_decode_roundtrip_and_reject_every_corruption() {
-        let snap = sample();
+    fn encode_decode_roundtrip_and_refuse_every_cut() {
+        let snap = sample().1;
         let bytes = snap.encode();
         assert_eq!(HiveSnapshot::decode(&bytes).expect("decode"), snap);
-        // Truncation at every cut point fails cleanly.
         for cut in 0..bytes.len() {
             assert!(HiveSnapshot::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        // A bit flip anywhere fails cleanly (checksum or header check).
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(HiveSnapshot::decode(&bad).is_err(), "flip at {i}");
-        }
-        // Trailing garbage is rejected too.
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(HiveSnapshot::decode(&padded).is_err());
+        let mut older = bytes.clone();
+        older[..8].copy_from_slice(OLDER_SNAPSHOT_MAGIC);
+        assert_eq!(
+            HiveSnapshot::decode(&older),
+            Err(SnapshotError::OlderLayout)
+        );
+        older[0] ^= 1;
+        assert_eq!(HiveSnapshot::decode(&older), Err(SnapshotError::BadMagic));
+    }
+
+    /// A snapshot carries no checksum of its own: the chain record it is
+    /// stored in refuses every flip and every cut of it.
+    #[test]
+    fn the_enclosing_chain_record_refuses_every_flip_and_cut() {
+        let payload = sample().1.encode();
+        let bytes = encode_record(RecordKind::Delta, 3, 99, &payload);
+        assert_eq!(decode_record(&bytes).unwrap().payload, &payload[..]);
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x40, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                assert!(decode_record(&bad).is_err(), "flip {flip:#x} at {i}");
+            }
+            assert!(decode_record(&bytes[..i]).is_err(), "cut {i}");
+        }
     }
 
     #[test]
     fn replay_offset_distinguishes_untruncated_from_regrown_wal() {
-        let wal = b"journal-prefix-bytes".to_vec();
-        let snap = sample();
+        let (wal, snap) = sample();
+        let (records, _) = scan(&wal);
         // Crash before truncate: covered prefix intact, suffix appended.
-        let mut untruncated = wal.clone();
-        untruncated.extend_from_slice(b"suffix");
-        assert_eq!(snap.replay_offset(&untruncated), wal.len());
-        assert_eq!(snap.replay_offset(&wal), wal.len());
+        assert_eq!(snap.replay_offset(&records), 2);
+        assert_eq!(snap.replay_offset(&records[..2]), 2);
         // Truncated and regrown: prefix differs -> replay everything.
-        let regrown = b"completely-different-fresh-log!!".to_vec();
-        assert_eq!(snap.replay_offset(&regrown), 0);
-        // Truncated to empty -> shorter than covered -> replay from 0.
-        assert_eq!(snap.replay_offset(b""), 0);
+        let mut regrown = Vec::new();
+        append_record(&mut regrown, REC_FRAME, 1, 0, b"completely-different");
+        append_record(&mut regrown, REC_FRAME, 1, 1, b"fresh-log!!");
+        append_record(&mut regrown, REC_FRAME, 1, 2, b"records");
+        assert_eq!(snap.replay_offset(&scan(&regrown).0), 0);
+        // Truncated to empty, or shorter than covered -> replay from 0.
+        assert_eq!(snap.replay_offset(&[]), 0);
+        assert_eq!(snap.replay_offset(&records[..1]), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Durability across *process lifetimes*: a journal cut at any byte
 //! offset (crash) or bit-flipped (torn write) still recovers a clean
 //! prefix; a restarted server seeded from that journal deduplicates
-//! client resends instead of double-ingesting them; and checksummed
-//! snapshots reject every corruption. (Falling back to the previous
+//! client resends instead of double-ingesting them; and a snapshot in
+//! its checksummed chain record rejects every corruption. (Falling back to the previous
 //! chain lineage when the newest checkpoint is torn is
 //! `torn_newest_full_falls_back_to_the_previous_lineage` in
 //! `softborg-store`'s `store_props`.)
@@ -16,6 +16,7 @@ use softborg_hive::snapshot::HiveSnapshot;
 use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
+use softborg_store::chain::{decode_record, encode_record, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
 
@@ -217,7 +218,7 @@ proptest! {
         prop_assert_eq!(rec.tail_dropped, scan.tail_dropped as u64);
         let mut survivors = Vec::new();
         for r in records.iter().filter(|r| r.kind == REC_FRAME) {
-            survivors.extend(wire::decode_batch(&r.frame).expect("intact record decodes"));
+            survivors.extend(wire::decode_batch(r.frame).expect("intact record decodes"));
         }
         prop_assert_eq!(rec.frames_replayed + rec.tombstones_skipped, records.len() as u64);
         let partial_reference = serial_hive(&s, &survivors);
@@ -235,9 +236,10 @@ proptest! {
         assert_same_state("crash + resume vs serial", &reference, &restarted);
     }
 
-    /// Snapshot decode is a total function: the encoding roundtrips,
-    /// and *every* truncation and every single-bit flip is rejected —
-    /// never mis-decoded.
+    /// Snapshot decode is a total function: the encoding roundtrips and
+    /// every truncation is rejected. A snapshot carries no checksum of
+    /// its own; the chain record it is stored in rejects every
+    /// truncation and every single-bit flip — never mis-decoded.
     #[test]
     fn snapshot_corruption_is_always_detected(
         state_seed in 0u64..1_000,
@@ -263,12 +265,15 @@ proptest! {
             HiveSnapshot::decode(&bytes[..cut]).is_err(),
             "truncation to {cut}/{} bytes must be rejected", bytes.len()
         );
-        let mut flipped = bytes.clone();
+        let record = encode_record(RecordKind::Delta, state_seed, n_sessions, &bytes);
+        let cut = record.len() * cut_pct / 100;
+        prop_assert!(decode_record(&record[..cut]).is_err(), "record cut to {}", cut);
+        let mut flipped = record.clone();
         let bit = flip as usize % (flipped.len() * 8);
         flipped[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            HiveSnapshot::decode(&flipped).is_err(),
-            "bit flip at {bit} must be rejected"
+            decode_record(&flipped).is_err(),
+            "bit flip at {bit} of the chain record must be rejected"
         );
     }
 }

@@ -13,8 +13,9 @@
 //!   hive's `stats()` and `coverage()`, and the dispatch-trace hash the
 //!   `World`-hosted run had. The journal hash and the delivered byte
 //!   count are the two byte-derived fields: they were re-recorded when
-//!   a batch frame began to carry each distinct trace once, and every
-//!   other field held;
+//!   a batch frame began to carry each distinct trace once, and the
+//!   journal hash again when records and frames moved from FNV-1a to
+//!   `softborg_obs::checksum`; every other field held both times;
 //! * **link-model cells** — a probe/pinger pair under loss,
 //!   duplication, reordering, a partition and a crash: the callback log
 //!   (virtual instants and payloads), final clock, [`SimStats`], events
@@ -147,30 +148,30 @@ fn run_cell(scenario_idx: usize, seed: u64, crash: bool) -> (String, u64, String
 
 /// `(scenario, crash, seed, trace_hash, fingerprint)`.
 const TRANSPORT_GOLDENS: [(usize, bool, u64, u64, &str); 24] = [
-    (0, false, 5, 0xe8e64426e7572911, "journal 0xa9bad1e35fe84b4c net 34/32/2/1/0/0/3085/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
-    (0, false, 11, 0x8a9740af4f745d6f, "journal 0x58482d8e1805c89d net 29/26/4/1/1/0/2609/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
-    (0, false, 77, 0x124c6c089f3561e5, "journal 0x97283031d58469da net 37/34/4/1/1/0/3955/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/22 cov 23/5/5/36/14/0.30434782608695654"),
-    (0, true, 5, 0xcec867a5b5abd5f8, "journal 0xe5ab656a9a0a5fae net 38/34/5/1/1/1/3262/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
-    (0, true, 11, 0x9df3a1e949a848ee, "journal 0xf4b6d51fcf37422b net 35/29/7/1/1/1/2803/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
-    (0, true, 77, 0x2e677359ffc7b28f, "journal 0x059f9f8e65d8d886 net 44/35/11/1/2/1/4005/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/22 cov 23/5/5/36/14/0.30434782608695654"),
-    (1, false, 5, 0xe8e64426e7572911, "journal 0x49bca79050af2a27 net 34/32/2/1/0/0/2700/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (1, false, 11, 0x8a9740af4f745d6f, "journal 0xe9195eed16eedd24 net 29/26/4/1/1/0/2499/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (1, false, 77, 0x124c6c089f3561e5, "journal 0xa16e0d6f93260595 net 37/34/4/1/1/0/3460/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (1, true, 5, 0xcec867a5b5abd5f8, "journal 0xe4f6b59c0746bb7f net 38/34/5/1/1/1/2822/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (1, true, 11, 0x9df3a1e949a848ee, "journal 0x72a8b059a8a19462 net 35/29/7/1/1/1/2693/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (1, true, 77, 0x2e677359ffc7b28f, "journal 0xf86bb6d2549dca9d net 44/35/11/1/2/1/3510/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
-    (2, false, 5, 0xe8e64426e7572911, "journal 0xf214c5fa0ed52b68 net 34/32/2/1/0/0/4913/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/353 cov 354/36/14/36/283/0.1016949152542373"),
-    (2, false, 11, 0x8a9740af4f745d6f, "journal 0x9e9939a42139e961 net 29/26/4/1/1/0/4040/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/371 cov 372/36/14/36/301/0.0967741935483871"),
-    (2, false, 77, 0x124c6c089f3561e5, "journal 0x6d882ac393fecbcd net 37/34/4/1/1/0/5461/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/319 cov 320/34/14/36/253/0.10625"),
-    (2, true, 5, 0xcec867a5b5abd5f8, "journal 0x0c40911191579672 net 38/34/5/1/1/1/5204/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/353 cov 354/36/14/36/283/0.1016949152542373"),
-    (2, true, 11, 0x9df3a1e949a848ee, "journal 0x13d26c520f6ca90b net 35/29/7/1/1/1/4348/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/371 cov 372/36/14/36/301/0.0967741935483871"),
-    (2, true, 77, 0x2e677359ffc7b28f, "journal 0x46f8d233ca27ab75 net 44/35/11/1/2/1/5735/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/319 cov 320/34/14/36/253/0.10625"),
-    (3, false, 5, 0xe8e64426e7572911, "journal 0x8d2cb1a351523dd5 net 34/32/2/1/0/0/8125/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
-    (3, false, 11, 0x8a9740af4f745d6f, "journal 0x7d3eb09bbbb630c0 net 29/26/4/1/1/0/7160/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
-    (3, false, 77, 0x124c6c089f3561e5, "journal 0x472a5a536ec61676 net 37/34/4/1/1/0/9371/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
-    (3, true, 5, 0xcec867a5b5abd5f8, "journal 0x8595de2709a04c75 net 38/34/5/1/1/1/8584/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
-    (3, true, 11, 0x9df3a1e949a848ee, "journal 0x063f3763332414d8 net 35/29/7/1/1/1/7642/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
-    (3, true, 77, 0x2e677359ffc7b28f, "journal 0xcda615e0af941dea net 44/35/11/1/2/1/9801/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (0, false, 5, 0xe8e64426e7572911, "journal 0x4b181ab1e8fa7cfc net 34/32/2/1/0/0/3085/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
+    (0, false, 11, 0x8a9740af4f745d6f, "journal 0x0487b6bc4288d40a net 29/26/4/1/1/0/2609/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
+    (0, false, 77, 0x124c6c089f3561e5, "journal 0x40ae3ab5e5624199 net 37/34/4/1/1/0/3955/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/22 cov 23/5/5/36/14/0.30434782608695654"),
+    (0, true, 5, 0xcec867a5b5abd5f8, "journal 0xe2f1fd525f45402a net 38/34/5/1/1/1/3262/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
+    (0, true, 11, 0x9df3a1e949a848ee, "journal 0xc6f47ad54ca28d18 net 35/29/7/1/1/1/2803/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/15 cov 16/4/4/36/9/0.375"),
+    (0, true, 77, 0x2e677359ffc7b28f, "journal 0x22cc18d25c5c721d net 44/35/11/1/2/1/4005/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/22 cov 23/5/5/36/14/0.30434782608695654"),
+    (1, false, 5, 0xe8e64426e7572911, "journal 0x1e75226eea6b59c4 net 34/32/2/1/0/0/2700/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (1, false, 11, 0x8a9740af4f745d6f, "journal 0xe57a6edee20b4012 net 29/26/4/1/1/0/2499/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (1, false, 77, 0x124c6c089f3561e5, "journal 0xb913a30a4aa0c6a4 net 37/34/4/1/1/0/3460/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (1, true, 5, 0xcec867a5b5abd5f8, "journal 0x464e8f9a7b8d59cc net 38/34/5/1/1/1/2822/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (1, true, 11, 0x9df3a1e949a848ee, "journal 0x6fc58925609031ba net 35/29/7/1/1/1/2693/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (1, true, 77, 0x2e677359ffc7b28f, "journal 0x2cb2b319ca0c8c3c net 44/35/11/1/2/1/3510/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/5 cov 6/3/3/36/1/0.6666666666666666"),
+    (2, false, 5, 0xe8e64426e7572911, "journal 0xc2babc26261f5ea8 net 34/32/2/1/0/0/4913/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/353 cov 354/36/14/36/283/0.1016949152542373"),
+    (2, false, 11, 0x8a9740af4f745d6f, "journal 0x38f6fcd78a947da3 net 29/26/4/1/1/0/4040/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/371 cov 372/36/14/36/301/0.0967741935483871"),
+    (2, false, 77, 0x124c6c089f3561e5, "journal 0xb03976d913993d8e net 37/34/4/1/1/0/5461/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/319 cov 320/34/14/36/253/0.10625"),
+    (2, true, 5, 0xcec867a5b5abd5f8, "journal 0x375f084b6a2d27ae net 38/34/5/1/1/1/5204/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/353 cov 354/36/14/36/283/0.1016949152542373"),
+    (2, true, 11, 0x9df3a1e949a848ee, "journal 0xfbab6b432c016171 net 35/29/7/1/1/1/4348/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/371 cov 372/36/14/36/301/0.0967741935483871"),
+    (2, true, 77, 0x2e677359ffc7b28f, "journal 0x3abb54ecbd46954e net 44/35/11/1/2/1/5735/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/319 cov 320/34/14/36/253/0.10625"),
+    (3, false, 5, 0xe8e64426e7572911, "journal 0xc8cfdc294af3267f net 34/32/2/1/0/0/8125/18 report true 9/0/2/9/0/0/9/0/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (3, false, 11, 0x8a9740af4f745d6f, "journal 0x3422e8ab9c83f15b net 29/26/4/1/1/0/7160/15 report true 9/0/1/8/0/0/9/0/4/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (3, false, 77, 0x124c6c089f3561e5, "journal 0x53d7e41a168f8dc7 net 37/34/4/1/1/0/9371/18 report true 9/0/2/11/0/0/9/0/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (3, true, 5, 0xcec867a5b5abd5f8, "journal 0xaa489d3be487b9e1 net 38/34/5/1/1/1/8584/19 report true 9/0/3/12/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (3, true, 11, 0x9df3a1e949a848ee, "journal 0xc241252a43dc4cb5 net 35/29/7/1/1/1/7642/19 report true 9/0/1/12/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
+    (3, true, 77, 0x2e677359ffc7b28f, "journal 0x3e6e712888c4c88b net 44/35/11/1/2/1/9801/18 report true 9/0/2/18/0/0/9/1/5/0/0 None hive 36/36/0/0 cov 1/2/0/36/0/1"),
 ];
 
 #[test]

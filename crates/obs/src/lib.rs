@@ -25,6 +25,11 @@
 //! differ), [`explain::explain`] diffs their flight-recorder streams and
 //! reports the first divergent event — source, virtual instant, payload
 //! — instead of a bare hash mismatch.
+//!
+//! The crate also holds the workspace's two hashes: [`checksum`], a
+//! word-at-a-time hash behind every stored or shipped checksum (batch
+//! frames, journal, round-log and chain records), and FNV-1a
+//! ([`fnv1a_step`]) for digests, identities and placement.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,9 +51,10 @@ pub use span::SpanTimer;
 
 use std::sync::OnceLock;
 
-/// FNV-1a offset basis. `fnv1a_step(FNV_OFFSET, data)` is the one hash
-/// behind every stored checksum (wire frames, journal and chain records,
-/// pod images), shard placement, and the simulator's `sched_trace_hash`.
+/// FNV-1a offset basis. `fnv1a_step(FNV_OFFSET, data)` is the hash of
+/// digests, identities and placement: the execution tree's digest, shard
+/// placement, the simulator's `sched_trace_hash` and the flight
+/// recorder's events hash. Stored and shipped checksums use [`checksum`].
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -60,6 +66,45 @@ pub fn fnv1a_step(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The checksum behind every stored or shipped record: wire batch
+/// frames, journal, round-log and chain records.
+///
+/// Two multiply-rotate lanes take alternate little-endian `u64` words;
+/// the last partial word is zero-padded, so no byte is read twice, and
+/// the length is folded in at the finish, a splitmix64 mix. Every step
+/// is a bijection of the lane it feeds, so any change confined to one
+/// aligned 8-byte word always changes the checksum, as a one-byte
+/// change always changes FNV-1a.
+#[inline]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    #[inline(always)]
+    fn lane(acc: u64, word: u64) -> u64 {
+        (acc ^ word).wrapping_mul(K).rotate_left(31)
+    }
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte word"));
+    let (mut a, mut b) = (K, K.rotate_left(32));
+    let mut pairs = bytes.chunks_exact(16);
+    for pair in &mut pairs {
+        a = lane(a, word(&pair[..8]));
+        b = lane(b, word(&pair[8..]));
+    }
+    let mut rest = pairs.remainder();
+    if rest.len() >= 8 {
+        a = lane(a, word(&rest[..8]));
+        rest = &rest[8..];
+    }
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        b = lane(b, u64::from_le_bytes(last));
+    }
+    let mut h = a ^ b.rotate_left(17) ^ (bytes.len() as u64).wrapping_mul(K);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// Appends `s` to `out` as a double-quoted JSON string (the build is
@@ -147,11 +192,67 @@ mod tests {
         assert_eq!(fnv1a_step(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
+    /// `n` bytes of a fixed pattern.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(167).wrapping_add(13))
+            .collect()
+    }
+
+    #[test]
+    fn checksum_is_pinned_across_releases() {
+        // Every stored record and shipped frame carries this function's
+        // value, so a change here invalidates every byte on disk. The
+        // lengths cover the empty input, a lone partial word, whole
+        // words, both lanes, and a tail after whole pairs.
+        let pinned: [(usize, u64); 9] = [
+            (0, 0xe217_b978_b9ab_a936),
+            (1, 0xca40_0c40_1c0d_2ac5),
+            (7, 0xf65d_14af_06d1_b8f3),
+            (8, 0xd539_93fe_1d98_1120),
+            (9, 0xcc8f_e55c_4d7d_ae89),
+            (15, 0xd84b_0fb5_70d0_1fb5),
+            (16, 0xc359_aec6_c309_7b3c),
+            (17, 0x2903_1d1d_2a0f_55a2),
+            (4096, 0xd62c_77c7_c91a_9fd6),
+        ];
+        let got: Vec<(usize, u64)> = pinned
+            .iter()
+            .map(|&(n, _)| (n, checksum(&pattern(n))))
+            .collect();
+        assert_eq!(got, pinned, "now: {got:#018x?}");
+    }
+
+    #[test]
+    fn a_change_inside_one_word_always_changes_the_checksum() {
+        for n in [1, 7, 8, 13, 16, 24, 31, 40] {
+            let base = pattern(n);
+            let sum = checksum(&base);
+            for at in 0..n {
+                for flip in [1u8, 0x80, 0xFF] {
+                    let mut bytes = base.clone();
+                    bytes[at] ^= flip;
+                    assert_ne!(checksum(&bytes), sum, "len {n}, byte {at}, xor {flip:#x}");
+                }
+            }
+            // Every byte of a word at once.
+            for word in 0..n.div_ceil(8) {
+                let mut bytes = base.clone();
+                let end = (word * 8 + 8).min(n);
+                bytes[word * 8..end].iter_mut().for_each(|b| *b = !*b);
+                assert_ne!(checksum(&bytes), sum, "len {n}, word {word}");
+            }
+            // A zero byte appended is not the same input.
+            let mut longer = base.clone();
+            longer.push(0);
+            assert_ne!(checksum(&longer), sum, "len {n} + 1");
+        }
+    }
+
     #[test]
     fn fnv1a_is_pinned_across_releases() {
-        // Computed by hand: every checksum on disk and every shard
-        // placement depends on this function, so a change here
-        // invalidates every stored byte.
+        // Computed by hand: every shard placement and tree digest
+        // depends on this function.
         assert_eq!(fnv1a_step(FNV_OFFSET, b"softborg"), 0x11b2_1a8e_1477_0a49);
     }
 }

@@ -8,10 +8,12 @@
 //! would have — otherwise the campaign's history diverges silently
 //! after the first restart. The record is therefore *complete* (RNG
 //! position, overlay + version, directive queue, stats, failing and
-//! passing cases) and *self-verifying*: a version byte up front and an
-//! FNV-1a checksum over the whole envelope at the back, so storage
-//! bit-rot is a typed [`PodStateError`], never a silently different
-//! population.
+//! passing cases) and *versioned*: a version byte up front. It carries
+//! no checksum of its own: it is stored only inside a checksummed
+//! record (a `REC_PODS` journal record, or a checkpoint's chain record),
+//! whose checksum turns storage bit-rot into a typed error before a pod
+//! record is decoded. Decoding is still total: any bytes give a state
+//! or a typed [`PodStateError`].
 //!
 //! Between checkpoints a pod is journaled as a [`PodDelta`] against the
 //! image in its shard's newest checkpoint: the RNG position, counters,
@@ -23,21 +25,22 @@ use crate::{Pod, PodStats};
 use rand::rngs::SmallRng;
 use softborg_fix::TestCase;
 use softborg_guidance::Directive;
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, CodecError, Reader};
 use softborg_program::interp::Outcome;
 use softborg_program::sched::ScheduleHint;
 use softborg_program::syscall::{EnvConfig, ForcedFault};
 use softborg_program::{BranchSiteId, Overlay, ThreadId};
 
-/// Current on-disk version of the [`PodState`] encoding.
-pub const POD_STATE_VERSION: u8 = 1;
+/// Current on-disk version of the [`PodState`] encoding. Versions below
+/// it are the older layouts, which carried an FNV-1a checksum at the
+/// back: [`PodStateError::OlderLayout`].
+pub const POD_STATE_VERSION: u8 = 3;
 
 /// Current on-disk version of the [`PodDelta`] encoding. It follows
-/// [`POD_STATE_VERSION`] so the two envelopes never share a first byte:
+/// [`POD_STATE_VERSION`] so the two records never share a first byte:
 /// an image handed to the delta decoder is a typed
 /// [`PodStateError::BadVersion`].
-pub const POD_DELTA_VERSION: u8 = 2;
+pub const POD_DELTA_VERSION: u8 = 4;
 
 /// A complete, restorable image of one pod's mutable state.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,18 +65,11 @@ pub struct PodState {
 /// panics on any input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PodStateError {
-    /// The record is shorter than its fixed envelope.
-    Truncated,
     /// The version byte names an encoding this build cannot read.
     BadVersion(u8),
-    /// The envelope checksum does not match the bytes.
-    BadChecksum {
-        /// Checksum stored in the record.
-        expected: u64,
-        /// Checksum computed over the bytes actually read.
-        got: u64,
-    },
-    /// The (checksum-valid) body failed structural decoding.
+    /// The version byte names an older, FNV-1a-checksummed layout.
+    OlderLayout(u8),
+    /// The body failed structural decoding.
     Codec(CodecError),
     /// A [`PodDelta`] does not fit the image it was applied to.
     BaseMismatch {
@@ -89,12 +85,10 @@ pub enum PodStateError {
 impl std::fmt::Display for PodStateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PodStateError::Truncated => write!(f, "pod state record truncated"),
             PodStateError::BadVersion(v) => write!(f, "pod state record has unknown version {v}"),
-            PodStateError::BadChecksum { expected, got } => write!(
-                f,
-                "pod state checksum mismatch: record says {expected:#018x}, bytes hash to {got:#018x}"
-            ),
+            PodStateError::OlderLayout(v) => {
+                write!(f, "pod state record in the older layout of version {v}")
+            }
             PodStateError::Codec(e) => write!(f, "pod state body malformed: {e}"),
             PodStateError::BaseMismatch { what, delta, base } => write!(
                 f,
@@ -295,34 +289,15 @@ fn put_passing(buf: &mut Vec<u8>, cases: &[TestCase]) {
     }
 }
 
-/// Appends `version | fields | u64 fnv1a(version + fields)`, `fields`
-/// writing the part between.
-fn sealed(buf: &mut Vec<u8>, version: u8, fields: impl FnOnce(&mut Vec<u8>)) {
-    let start = buf.len();
-    codec::put_u8(buf, version);
-    fields(buf);
-    let checksum = fnv1a_step(FNV_OFFSET, &buf[start..]);
-    codec::put_u64(buf, checksum);
-}
-
-/// Verifies an envelope's checksum tail and version byte and returns a
-/// reader over the fields between them.
-fn unsealed(bytes: &[u8], version: u8) -> Result<Reader<'_>, PodStateError> {
-    if bytes.len() < 1 + 8 {
-        return Err(PodStateError::Truncated);
+/// Checks a record's version byte and returns a reader over the fields
+/// after it.
+fn versioned(bytes: &[u8], version: u8) -> Result<Reader<'_>, PodStateError> {
+    let mut r = Reader::new(bytes);
+    match r.u8("pod record version")? {
+        found if found == version => Ok(r),
+        found if found < POD_STATE_VERSION => Err(PodStateError::OlderLayout(found)),
+        found => Err(PodStateError::BadVersion(found)),
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let expected = Reader::new(tail).u64("pod record checksum")?;
-    let got = fnv1a_step(FNV_OFFSET, body);
-    if expected != got {
-        return Err(PodStateError::BadChecksum { expected, got });
-    }
-    let mut r = Reader::new(body);
-    let found = r.u8("pod record version")?;
-    if found != version {
-        return Err(PodStateError::BadVersion(found));
-    }
-    Ok(r)
 }
 
 /// Fails on bytes left after the last field.
@@ -353,43 +328,41 @@ struct ImageRef<'a, D> {
 }
 
 impl<'a, D: ExactSizeIterator<Item = &'a Directive>> ImageRef<'a, D> {
-    /// The [`PodState`] v1 envelope.
+    /// The [`PodState`] record.
     fn encode_into(self, buf: &mut Vec<u8>) {
-        sealed(buf, POD_STATE_VERSION, |buf| {
-            for word in self.rng {
-                codec::put_u64(buf, word);
-            }
-            codec::put_u64(buf, self.overlay_version);
-            self.overlay.encode_into(buf);
-            put_directives(buf, self.directives);
-            put_stats(buf, &self.stats);
-            put_failing(buf, self.failing_cases);
-            put_passing(buf, self.passing_cases);
-        });
+        codec::put_u8(buf, POD_STATE_VERSION);
+        for word in self.rng {
+            codec::put_u64(buf, word);
+        }
+        codec::put_u64(buf, self.overlay_version);
+        self.overlay.encode_into(buf);
+        put_directives(buf, self.directives);
+        put_stats(buf, &self.stats);
+        put_failing(buf, self.failing_cases);
+        put_passing(buf, self.passing_cases);
     }
 
-    /// The [`PodDelta`] envelope against `base`: the overlay only when
+    /// The [`PodDelta`] record against `base`: the overlay only when
     /// its version moved, and the cases appended past the base's counts.
     fn encode_delta_into(self, base: DeltaBase, buf: &mut Vec<u8>) {
         let failing_from = (base.failing as usize).min(self.failing_cases.len());
         let passing_from = (base.passing as usize).min(self.passing_cases.len());
-        sealed(buf, POD_DELTA_VERSION, |buf| {
-            for word in self.rng {
-                codec::put_u64(buf, word);
-            }
-            codec::put_u64(buf, self.overlay_version);
-            let moved = self.overlay_version != base.overlay_version;
-            codec::put_u8(buf, u8::from(moved));
-            if moved {
-                self.overlay.encode_into(buf);
-            }
-            put_directives(buf, self.directives);
-            put_stats(buf, &self.stats);
-            codec::put_u32(buf, failing_from as u32);
-            put_failing(buf, &self.failing_cases[failing_from..]);
-            codec::put_u32(buf, passing_from as u32);
-            put_passing(buf, &self.passing_cases[passing_from..]);
-        });
+        codec::put_u8(buf, POD_DELTA_VERSION);
+        for word in self.rng {
+            codec::put_u64(buf, word);
+        }
+        codec::put_u64(buf, self.overlay_version);
+        let moved = self.overlay_version != base.overlay_version;
+        codec::put_u8(buf, u8::from(moved));
+        if moved {
+            self.overlay.encode_into(buf);
+        }
+        put_directives(buf, self.directives);
+        put_stats(buf, &self.stats);
+        codec::put_u32(buf, failing_from as u32);
+        put_failing(buf, &self.failing_cases[failing_from..]);
+        codec::put_u32(buf, passing_from as u32);
+        put_passing(buf, &self.passing_cases[passing_from..]);
     }
 }
 
@@ -406,24 +379,22 @@ impl PodState {
         }
     }
 
-    /// Serializes the state into its self-verifying envelope:
-    /// `u8 version | body | u64 fnv1a(version + body)`.
+    /// Serializes the state: `u8 version | body`.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.image().encode_into(&mut buf);
         buf
     }
 
-    /// Decodes and checksum-verifies an encoded state. Total function:
-    /// truncated, bit-flipped, or trailing-garbage input returns a typed
-    /// [`PodStateError`], never panics, and never yields a state that
-    /// differs from the one encoded.
+    /// Decodes an encoded state. Total function: truncated, malformed or
+    /// trailing-garbage input returns a typed [`PodStateError`], never
+    /// panics; damage is the enclosing record's checksum to catch.
     ///
     /// # Errors
     ///
     /// See [`PodStateError`].
     pub fn decode(bytes: &[u8]) -> Result<Self, PodStateError> {
-        let mut r = unsealed(bytes, POD_STATE_VERSION)?;
+        let mut r = versioned(bytes, POD_STATE_VERSION)?;
         let mut rng = [0u64; 4];
         for word in &mut rng {
             *word = r.u64("PodState.rng")?;
@@ -489,9 +460,8 @@ impl DeltaBase {
 /// overlay itself only when its version moved; and the failing and
 /// passing cases appended since the base, each list tagged with its
 /// absolute start index. [`apply`](Self::apply) therefore rebuilds the
-/// whole image from the base and is idempotent. Its envelope is
-/// versioned and checksummed like [`PodState`]'s
-/// (`u8 POD_DELTA_VERSION | fields | u64 fnv1a`).
+/// whole image from the base and is idempotent. Its record is versioned
+/// like [`PodState`]'s (`u8 POD_DELTA_VERSION | fields`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PodDelta {
     /// xoshiro256++ state words.
@@ -521,7 +491,7 @@ const MIN_DIRECTIVE_BYTES: usize = 1 + 4 + 4;
 const MIN_CASE_BYTES: usize = 4 + 4 + 8 + 4 + 4 + 4 + 4;
 
 impl PodDelta {
-    /// Decodes and checksum-verifies an encoded delta. Total: any input
+    /// Decodes an encoded delta. Total: any input
     /// gives a delta or a typed [`PodStateError`], and no length prefix
     /// reserves more memory than the bytes behind it. A [`PodState`]
     /// image is refused by its version byte.
@@ -530,7 +500,7 @@ impl PodDelta {
     ///
     /// See [`PodStateError`].
     pub fn decode(bytes: &[u8]) -> Result<Self, PodStateError> {
-        let mut r = unsealed(bytes, POD_DELTA_VERSION)?;
+        let mut r = versioned(bytes, POD_DELTA_VERSION)?;
         let mut rng = [0u64; 4];
         for word in &mut rng {
             *word = r.u64("PodDelta.rng")?;
@@ -741,7 +711,9 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_corruption_is_detected() {
+    fn every_cut_is_detected() {
+        // A flipped byte is the enclosing record's checksum to catch
+        // (`tests/pod_state.rs`); a cut is refused by the decoder.
         let s = scenarios::token_parser();
         let mut pod = Pod::new(
             &s.program,
@@ -755,11 +727,6 @@ mod tests {
             pod.run_once();
         }
         let bytes = pod.export_state().encode();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x20;
-            assert!(PodState::decode(&bad).is_err(), "flip at byte {i}");
-        }
         for cut in 0..bytes.len() {
             assert!(PodState::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }

@@ -1,12 +1,15 @@
 //! Property suite for the durable [`PodState`] encoding: arbitrary
 //! state → encode → corrupt-or-not → decode. The contract is exactly
 //! two-sided: pristine bytes decode to the identical state, and *any*
-//! corruption (single byte flip, truncation, trailing garbage) is a
-//! typed error — the storage layer may lose a pod image, but it may
-//! never silently resurrect a different population. The same holds for
-//! the [`PodDelta`] a round journals: it rebuilds the pod's image from
-//! its base exactly, refuses a base it does not fit, and its decoder is
-//! total.
+//! corruption is a typed error — the storage layer may lose a pod
+//! image, but it may never silently resurrect a different population.
+//! A pod record carries no checksum of its own: it is stored only inside
+//! a checksummed record (a chain record for images, a `REC_PODS`
+//! journal record for deltas), so a flipped byte is refused by that
+//! enclosing record, and a cut or trailing garbage by the pod decoder
+//! itself. The same holds for the [`PodDelta`] a round journals: it
+//! rebuilds the pod's image from its base exactly, refuses a base it
+//! does not fit, and its decoder is total.
 
 use proptest::prelude::*;
 use softborg_fix::TestCase;
@@ -19,6 +22,14 @@ use softborg_program::interp::{CrashKind, Outcome};
 use softborg_program::sched::ScheduleHint;
 use softborg_program::syscall::{EnvConfig, ForcedFault};
 use softborg_program::{cfg::Loc, scenarios, BlockId, BranchSiteId, LockId, ThreadId};
+use softborg_store::chain::{decode_record, encode_record, RecordKind};
+use softborg_store::record::Framing;
+
+/// The journal's record envelope: no magic, kinds up to `REC_PODS` (5).
+const JOURNAL: Framing = Framing {
+    magic: b"",
+    max_kind: 5,
+};
 
 fn splitmix(z: &mut u64) -> u64 {
     *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -144,20 +155,25 @@ proptest! {
         prop_assert_eq!(PodState::decode(&bytes).expect("pristine decode"), state);
     }
 
+    /// An image is stored inside a checkpoint's chain record: any flip
+    /// or cut of that record is refused before the image is decoded.
     #[test]
-    fn any_single_byte_corruption_is_a_typed_error(
+    fn any_corruption_of_the_enclosing_chain_record_is_a_typed_error(
         seed in any::<u64>(),
         at in any::<u32>(),
         flip in 1u8..=255,
     ) {
-        let bytes = synth_state(seed).encode();
+        let image = synth_state(seed).encode();
+        let bytes = encode_record(RecordKind::Full, 0, 0, &image);
+        prop_assert_eq!(decode_record(&bytes).expect("pristine").payload, &image[..]);
         let mut bad = bytes.clone();
         let i = at as usize % bad.len();
         bad[i] ^= flip;
         prop_assert!(
-            PodState::decode(&bad).is_err(),
+            decode_record(&bad).is_err(),
             "corruption at byte {} (xor {:#04x}) was silently accepted", i, flip
         );
+        prop_assert!(decode_record(&bytes[..i]).is_err(), "cut at {}", i);
     }
 
     #[test]
@@ -223,13 +239,11 @@ fn worked_pod(s: &scenarios::Scenario, seed: u64, runs: usize) -> Pod<'_> {
     pod
 }
 
-/// `PodState` bytes with `body` between a valid version byte and a
-/// valid checksum: input that reaches the structural decoder.
-fn sealed(version: u8, body: &[u8]) -> Vec<u8> {
+/// Pod record bytes with `body` behind a valid version byte: input
+/// that reaches the structural decoder.
+fn versioned(version: u8, body: &[u8]) -> Vec<u8> {
     let mut bytes = vec![version];
     bytes.extend_from_slice(body);
-    let sum = softborg_obs::fnv1a_step(softborg_obs::FNV_OFFSET, &bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
 
@@ -278,7 +292,8 @@ proptest! {
         prop_assert_eq!(&image, &pod.export_state());
     }
 
-    /// Any flip or cut of a real delta is a typed error.
+    /// Any cut of a real delta is a typed error, and so is any flip of
+    /// the journal record it is stored in.
     #[test]
     fn any_corruption_of_a_delta_is_a_typed_error(
         seed in any::<u64>(),
@@ -290,20 +305,24 @@ proptest! {
         let mut bytes = Vec::new();
         pod.encode_delta_into(DeltaBase::default(), &mut bytes);
         let i = at as usize % bytes.len();
-        let mut bad = bytes.clone();
-        bad[i] ^= flip;
-        prop_assert!(PodDelta::decode(&bad).is_err(), "flip at byte {}", i);
         prop_assert!(PodDelta::decode(&bytes[..i]).is_err(), "cut at {}", i);
+        let mut record = Vec::new();
+        JOURNAL.seal(&mut record, 5, [0, 1], &bytes);
+        prop_assert_eq!(JOURNAL.read_at(&record, 0).expect("pristine").payload, &bytes[..]);
+        let i = at as usize % record.len();
+        let mut bad = record.clone();
+        bad[i] ^= flip;
+        prop_assert!(JOURNAL.read_at(&bad, 0).is_err(), "flip at record byte {}", i);
     }
 
-    /// Arbitrary bytes, raw or sealed with a valid version byte and
-    /// checksum, decode to a delta or a typed error — never a panic.
+    /// Arbitrary bytes, raw or behind a valid version byte, decode to a
+    /// delta or a typed error — never a panic.
     #[test]
     fn arbitrary_bytes_never_panic_the_delta_decoder(
         bytes in collection::vec(any::<u8>(), 0..512),
     ) {
         let _ = PodDelta::decode(&bytes);
-        let _ = PodDelta::decode(&sealed(POD_DELTA_VERSION, &bytes));
+        let _ = PodDelta::decode(&versioned(POD_DELTA_VERSION, &bytes));
     }
 }
 
@@ -351,6 +370,23 @@ fn a_delta_without_its_overlay_refuses_a_base_of_another_version() {
             base: 0
         })
     ));
+}
+
+#[test]
+fn the_older_checksummed_layouts_are_refused_by_name() {
+    let s = scenarios::token_parser();
+    let image = worked_pod(&s, 3, 5).export_state().encode();
+    for older in [1, 2] {
+        let bytes = versioned(older, &image[1..]);
+        assert_eq!(
+            PodState::decode(&bytes),
+            Err(PodStateError::OlderLayout(older))
+        );
+        assert_eq!(
+            PodDelta::decode(&bytes),
+            Err(PodStateError::OlderLayout(older))
+        );
+    }
 }
 
 #[test]

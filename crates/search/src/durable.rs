@@ -452,7 +452,7 @@ fn strip_pod_records(dir: &Path, shards: usize) {
         let mut rewritten = Vec::with_capacity(bytes.len());
         for r in &records {
             if r.kind != REC_PODS {
-                journal::append_record(&mut rewritten, r.kind, r.session, r.seq, &r.frame);
+                journal::append_record(&mut rewritten, r.kind, r.session, r.seq, r.frame);
             }
         }
         let _ = std::fs::write(&wal, &rewritten);

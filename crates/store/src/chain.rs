@@ -8,16 +8,16 @@
 //! `chain-<g:020>.delta` inside the chain directory:
 //!
 //! ```text
-//! magic "SBCHAIN\x01" (8 bytes)
+//! magic "SBCHAIN\x02" (8 bytes)
 //! u32   body_len
-//! u64   fnv1a(body)
+//! u64   checksum(body)
 //! body: u8 kind (0 full, 1 delta) | u64 generation | u64 parent | payload
 //! ```
 //!
 //! That is the [`record`] envelope every durable record
 //! shares, around the kind-plus-two-words body the journal shares.
 //!
-//! `parent` is the FNV-1a checksum of the *previous* generation's body
+//! `parent` is the checksum of the *previous* generation's body
 //! (0 for a full record), which is what makes the chain a chain: a
 //! delta only applies to the exact bytes it was diffed against, and a
 //! swapped, stale, or re-ordered record breaks the link loudly.
@@ -42,7 +42,9 @@
 //! *previous* full, so disk usage is bounded by two lineages.
 //!
 //! Decoding is total: any byte-level damage produces a typed
-//! [`RecordError`], never a panic.
+//! [`RecordError`], never a panic. A record in the older layout, under
+//! the older magic with an FNV-1a checksum, is
+//! [`EnvelopeError::OlderLayout`]: the caller refuses the directory.
 
 use crate::record::{self, fsync_parent_dir, EnvelopeError, Framing};
 use std::fmt;
@@ -51,7 +53,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every chain record file.
-pub const CHAIN_MAGIC: &[u8; 8] = b"SBCHAIN\x01";
+pub const CHAIN_MAGIC: &[u8; 8] = b"SBCHAIN\x02";
+/// Magic prefix of a chain record in the older, FNV-1a-checksummed
+/// layout.
+const OLDER_CHAIN_MAGIC: &[u8; 8] = b"SBCHAIN\x01";
 
 /// Chain records: [`CHAIN_MAGIC`], kinds full (0) and delta (1).
 pub const FRAMING: Framing = Framing {
@@ -202,6 +207,13 @@ impl ChainReport {
     pub fn is_clean(&self) -> bool {
         self.defects.is_empty()
     }
+
+    /// The first record file written in an older layout: no damage to
+    /// repair around, but a directory this build must refuse.
+    pub fn older_layout(&self) -> Option<&ChainDefect> {
+        let older = RecordError::Envelope(EnvelopeError::OlderLayout);
+        self.defects.iter().find(|d| d.error == older)
+    }
 }
 
 /// A load: the validated records (full first) plus the walk report.
@@ -239,6 +251,9 @@ pub struct DecodedRecord<'a> {
 /// Decodes one record's file bytes. Total: damage yields a typed
 /// [`RecordError`].
 pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
+    if bytes.starts_with(OLDER_CHAIN_MAGIC) {
+        return Err(EnvelopeError::OlderLayout.into());
+    }
     let rec = FRAMING.read_at(bytes, 0)?;
     let [generation, parent] = rec.words;
     Ok(DecodedRecord {
@@ -760,6 +775,21 @@ mod tests {
         let load = ChainStore::open(&dir).unwrap().1;
         assert_eq!(load.records.len(), 3);
         assert!(load.report.is_clean(), "{:?}", load.report);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_of_the_older_layout_is_reported_by_name() {
+        let dir = tmp_dir("older");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
+        c.append(RecordKind::Full, b"state").unwrap();
+        let p = dir.join(format!("chain-{:020}.full", 0));
+        let mut bytes = fs::read(&p).unwrap();
+        bytes[..8].copy_from_slice(OLDER_CHAIN_MAGIC);
+        fs::write(&p, &bytes).unwrap();
+        let report = ChainStore::open(&dir).unwrap().1.report;
+        assert_eq!(report.source, ChainSource::None);
+        assert_eq!(report.older_layout().map(|d| d.generation), Some(0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,9 +2,8 @@
 //! layer: incremental (delta) snapshot chains, and the one record
 //! envelope every durable format shares.
 //!
-//! [`record`] is the envelope — `[magic] | u32 len | u64 fnv1a(body) |
-//! body` — that journal records, chain records and hive snapshots are
-//! sealed in, the kind-plus-two-words record body the journal and the
+//! [`record`] is the envelope — `[magic] | u32 len | u64 checksum(body) |
+//! body` — that journal and chain records are sealed in, the kind-plus-two-words record body the journal and the
 //! chain share, and the crash-safe file replace and directory fsync.
 //!
 //! [`chain`] is a **delta-snapshot chain**: instead of serializing the

@@ -2,12 +2,12 @@
 //! file replace every rewrite goes through.
 //!
 //! ```text
-//! [magic] | u32 body_len | u64 fnv1a(body) | body
+//! [magic] | u32 body_len | u64 checksum(body) | body
 //! ```
 //!
-//! The magic is empty for journal records (`hive.wal`, `rounds.log`),
-//! `SBCHAIN\x01` for chain records and `SBSNAP\x00\x01` for hive
-//! snapshots. Journal and chain bodies open with the same prefix, a
+//! The checksum is [`softborg_obs::checksum`]. The magic is empty for
+//! journal records (`hive.wal`, `rounds.log`) and `SBCHAIN\x02` for chain
+//! records. Journal and chain bodies open with the same prefix, a
 //! kind byte and two little-endian words, before their payload:
 //!
 //! ```text
@@ -18,8 +18,13 @@
 //! buffer; [`open`] checks one, and a [`Framing`] reads and writes the
 //! kind-plus-two-words records of one format. Reading is total and
 //! allocation-free: damage is a typed [`EnvelopeError`], never a panic.
+//!
+//! Older builds checksummed the same envelope with FNV-1a. A journal has
+//! no magic to tell its layout by, so a body that fails its checksum is
+//! probed once with FNV-1a: a match is [`EnvelopeError::OlderLayout`],
+//! which the caller refuses, never damage it cuts or quarantines.
 
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
+use softborg_obs::{checksum, fnv1a_step, FNV_OFFSET};
 use softborg_program::codec::{self, Reader};
 use std::fmt;
 use std::fs::{self, File};
@@ -48,6 +53,9 @@ pub enum EnvelopeError {
     },
     /// A record's kind byte is past the format's highest kind.
     BadKind(u8),
+    /// The record was written in an older layout: an older format's
+    /// magic, or a body that matches its stored checksum under FNV-1a.
+    OlderLayout,
 }
 
 impl fmt::Display for EnvelopeError {
@@ -60,13 +68,14 @@ impl fmt::Display for EnvelopeError {
                 "checksum mismatch: stored {stored:#018x}, body {actual:#018x}"
             ),
             EnvelopeError::BadKind(kind) => write!(f, "unknown record kind {kind}"),
+            EnvelopeError::OlderLayout => write!(f, "record in an older layout"),
         }
     }
 }
 
 impl std::error::Error for EnvelopeError {}
 
-/// Appends `magic | u32 len | u64 fnv1a(body) | body` to `buf`, `body`
+/// Appends `magic | u32 len | u64 checksum(body) | body` to `buf`, `body`
 /// writing the body in place, and returns the body's checksum.
 #[inline]
 pub fn seal(buf: &mut Vec<u8>, magic: &[u8], body: impl FnOnce(&mut Vec<u8>)) -> u64 {
@@ -75,10 +84,10 @@ pub fn seal(buf: &mut Vec<u8>, magic: &[u8], body: impl FnOnce(&mut Vec<u8>)) ->
     buf.extend_from_slice(&[0; HEADER]); // length and checksum, patched below
     body(buf);
     let len = (buf.len() - at - HEADER) as u32;
-    let checksum = fnv1a_step(FNV_OFFSET, &buf[at + HEADER..]);
+    let sum = checksum(&buf[at + HEADER..]);
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    buf[at + 4..at + HEADER].copy_from_slice(&checksum.to_le_bytes());
-    checksum
+    buf[at + 4..at + HEADER].copy_from_slice(&sum.to_le_bytes());
+    sum
 }
 
 /// Checks the envelope at the front of `bytes` and returns its body and
@@ -86,9 +95,10 @@ pub fn seal(buf: &mut Vec<u8>, magic: &[u8], body: impl FnOnce(&mut Vec<u8>)) ->
 ///
 /// # Errors
 ///
-/// [`EnvelopeError::Truncated`], [`EnvelopeError::BadMagic`] or
-/// [`EnvelopeError::ChecksumMismatch`]; an input too short for its
-/// header is truncated when it is a prefix of `magic`.
+/// [`EnvelopeError::Truncated`], [`EnvelopeError::BadMagic`],
+/// [`EnvelopeError::ChecksumMismatch`] or [`EnvelopeError::OlderLayout`];
+/// an input too short for its header is truncated when it is a prefix
+/// of `magic`.
 pub fn open<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<(&'a [u8], &'a [u8]), EnvelopeError> {
     open_min(bytes, magic, 0).map(|(body, _, rest)| (body, rest))
 }
@@ -123,9 +133,14 @@ fn open_min<'a>(
         Ok(body) if body.len() >= min_body => body,
         _ => return Err(EnvelopeError::Truncated),
     };
-    let actual = fnv1a_step(FNV_OFFSET, body);
+    let actual = checksum(body);
     if actual != stored {
-        return Err(EnvelopeError::ChecksumMismatch { stored, actual });
+        // The older-layout probe: only a refused body pays for it.
+        return Err(if fnv1a_step(FNV_OFFSET, body) == stored {
+            EnvelopeError::OlderLayout
+        } else {
+            EnvelopeError::ChecksumMismatch { stored, actual }
+        });
     }
     Ok((body, actual, &bytes[r.position()..]))
 }
@@ -266,7 +281,7 @@ mod tests {
     use super::*;
 
     const CHAIN: Framing = Framing {
-        magic: b"SBCHAIN\x01",
+        magic: b"SBCHAIN\x02",
         max_kind: 1,
     };
     const JOURNAL: Framing = Framing {
@@ -334,5 +349,22 @@ mod tests {
         two.extend(record(JOURNAL));
         assert!(JOURNAL.read_at(&two, 0).is_err());
         assert!(!JOURNAL.torn_at(&two, 0));
+    }
+
+    #[test]
+    fn a_record_checksummed_with_fnv1a_is_an_older_layout() {
+        for framing in [CHAIN, JOURNAL] {
+            let mut bytes = record(framing);
+            let at = framing.magic.len();
+            let fnv = fnv1a_step(FNV_OFFSET, &bytes[at + HEADER..]);
+            bytes[at + 4..at + HEADER].copy_from_slice(&fnv.to_le_bytes());
+            assert_eq!(framing.read_at(&bytes, 0), Err(EnvelopeError::OlderLayout));
+            // Damage under the older checksum is damage, not a layout.
+            *bytes.last_mut().unwrap() ^= 1;
+            assert!(matches!(
+                framing.read_at(&bytes, 0),
+                Err(EnvelopeError::ChecksumMismatch { .. })
+            ));
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   bounds-checked *before* any reservation).
 //! * **Batch frames** ([`encode_batch`] / [`decode_batch`]): a batch of
 //!   executions behind one magic + count + length header and a trailing
-//!   FNV-1a checksum. A frame carries each distinct trace payload once,
+//!   checksum ([`softborg_obs::checksum`]). A frame carries each distinct trace payload once,
 //!   in first-seen order, then one LEB128 index per execution naming its
 //!   payload: a population re-runs the same paths, so most of a pod's
 //!   batch repeats a payload it already holds. Batching amortizes
@@ -22,7 +22,7 @@
 
 use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, RecordingPolicy};
-use softborg_obs::{fnv1a_step, FNV_OFFSET};
+use softborg_obs::checksum;
 use softborg_program::codec::{self, CodecError, Reader};
 use softborg_program::interp::Outcome;
 use softborg_program::ProgramId;
@@ -33,11 +33,14 @@ use std::fmt;
 const MAX_SCHEDULE: usize = 16_000_000;
 /// Hard cap on executions per batch frame.
 const MAX_BATCH: u32 = 1_000_000;
-/// Batch frame magic: `"SBF2"` little-endian.
-const BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF2");
-/// The magic of the older batch frame layout, one payload per execution:
-/// refused as [`WireError::OlderLayout`], never decoded.
-const OLDER_BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF1");
+/// Batch frame magic: `"SBF3"` little-endian.
+const BATCH_MAGIC: u32 = u32::from_le_bytes(*b"SBF3");
+/// The magics of the older batch frame layouts, each with what set it
+/// apart: refused as [`WireError::OlderLayout`], never decoded.
+const OLDER_BATCH_MAGICS: [(u32, &str); 2] = [
+    (u32::from_le_bytes(*b"SBF1"), "one-payload-per-execution"),
+    (u32::from_le_bytes(*b"SBF2"), "FNV-1a-checksummed"),
+];
 /// Bytes before a batch frame's payload: magic, execution count,
 /// distinct count, payload length.
 const BATCH_HEADER: usize = 20;
@@ -49,10 +52,10 @@ pub enum WireError {
     /// elements than the remaining input could hold (or a structural
     /// cap allows).
     Codec(CodecError),
-    /// A batch frame did not start with the `SBF2` magic.
+    /// A batch frame did not start with this layout's magic.
     BadMagic,
-    /// A batch frame in the older layout, which carried one payload per
-    /// execution: this build reads only the deduplicated layout.
+    /// A batch frame in an older layout (one payload per execution, or
+    /// an FNV-1a checksum): this build reads only its own.
     OlderLayout,
     /// A batch frame's execution indices do not name its distinct
     /// payloads in first-seen order, each at least once.
@@ -84,11 +87,8 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Codec(e) => write!(f, "{e}"),
-            WireError::BadMagic => write!(f, "batch frame missing SBF2 magic"),
-            WireError::OlderLayout => write!(
-                f,
-                "batch frame in the older one-payload-per-execution layout"
-            ),
+            WireError::BadMagic => write!(f, "batch frame missing its magic"),
+            WireError::OlderLayout => write!(f, "batch frame in an older layout"),
             WireError::BadIndex { why, at } => write!(f, "batch index {why} at {at}"),
             WireError::ChecksumMismatch { expected, got } => {
                 write!(f, "batch checksum mismatch: frame says {expected:#018x}, payload hashes to {got:#018x}")
@@ -274,9 +274,9 @@ fn decode_from(b: &mut Reader<'_>) -> Result<ExecutionTrace, WireError> {
 /// Encodes many traces into one checksummed batch frame, each distinct
 /// payload once.
 ///
-/// Layout: `SBF2` magic (u32), execution count (u32), distinct count
-/// (u32), payload length (u64), payload, FNV-1a-64 checksum of the
-/// counts, the length and the payload (u64, trailing). The payload is
+/// Layout: `SBF3` magic (u32), execution count (u32), distinct count
+/// (u32), payload length (u64), payload, [`checksum`] of the counts,
+/// the length and the payload (u64, trailing). The payload is
 /// every distinct trace payload in first-seen order, each behind its
 /// length (u32), then one minimal LEB128 index per execution, in
 /// execution order, naming its payload. An execution's payload is the
@@ -320,7 +320,7 @@ where
         codec::put_u32(&mut frame, 0);
         encode_into(&mut frame, t);
         let bytes = &frame[at + 4..];
-        let hash = payload_hash(bytes);
+        let hash = checksum(bytes);
         // Equal hashes are confirmed byte for byte.
         let mut slot = hash as usize & (table.len() - 1);
         let earlier = loop {
@@ -352,42 +352,9 @@ where
     frame[4..8].copy_from_slice(&(indices.len() as u32).to_le_bytes());
     frame[8..12].copy_from_slice(&(distinct.len() as u32).to_le_bytes());
     frame[12..20].copy_from_slice(&payload_len.to_le_bytes());
-    let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
-    codec::put_u64(&mut frame, checksum);
+    let sum = checksum(&frame[4..]);
+    codec::put_u64(&mut frame, sum);
     frame
-}
-
-/// The encoder's repeat check keys on this hash of a payload: two
-/// multiply-rotate lanes over its words (the last one overlapping the
-/// tail) and a splitmix finish. It is unkeyed, and payloads follow user
-/// inputs, but equal hashes are confirmed byte for byte, so a crafted
-/// collision costs the pod that encodes it a compare per earlier
-/// distinct payload of its own batch, nothing more.
-fn payload_hash(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let n = bytes.len();
-    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-    let (mut a, mut b) = (n as u64, K);
-    if n >= 8 {
-        let mut i = 0;
-        while i + 16 <= n {
-            a = (a ^ word(i)).wrapping_mul(K).rotate_left(31);
-            b = (b ^ word(i + 8)).wrapping_mul(K).rotate_left(31);
-            i += 16;
-        }
-        if i + 8 <= n {
-            a = (a ^ word(i)).wrapping_mul(K).rotate_left(31);
-        }
-        b = (b ^ word(n - 8)).wrapping_mul(K);
-    } else {
-        for &byte in bytes {
-            b = (b ^ u64::from(byte)).wrapping_mul(K);
-        }
-    }
-    let mut h = a ^ b.rotate_left(17);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
 }
 
 /// A table of `slots` (a power of two) placing each of `distinct` by
@@ -432,11 +399,15 @@ pub fn decode_batch(data: &[u8]) -> Result<Vec<ExecutionTrace>, WireError> {
     Ok(out)
 }
 
-/// Whether `data` opens with the older batch layout's magic, which
-/// [`read_batch`] refuses as [`WireError::OlderLayout`]: a one-field
-/// peek, for refusing a store of such frames before reading any.
-pub fn is_older_layout(data: &[u8]) -> bool {
-    data.get(..4) == Some(&OLDER_BATCH_MAGIC.to_le_bytes()[..])
+/// What sets the older batch layout `data` opens with apart, when its
+/// magic is one [`read_batch`] refuses as [`WireError::OlderLayout`]: a
+/// one-field peek, for refusing a store of such frames before reading
+/// any.
+pub fn older_layout(data: &[u8]) -> Option<&'static str> {
+    let magic = data.get(..4)?;
+    (OLDER_BATCH_MAGICS.iter())
+        .find(|(m, _)| m.to_le_bytes() == magic)
+        .map(|&(_, what)| what)
 }
 
 /// A batch frame [`read_batch`] validated, read in place: its distinct
@@ -550,7 +521,9 @@ pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
     let mut r = Reader::new(data);
     match r.u32("batch magic")? {
         BATCH_MAGIC => {}
-        OLDER_BATCH_MAGIC => return Err(WireError::OlderLayout),
+        magic if older_layout(&magic.to_le_bytes()).is_some() => {
+            return Err(WireError::OlderLayout)
+        }
         _ => return Err(WireError::BadMagic),
     }
     let count = r.u32("batch count")?;
@@ -583,7 +556,7 @@ pub fn read_batch(data: &[u8]) -> Result<BatchView<'_>, WireError> {
     }
     let payload = r.take(payload_len as usize, "batch payload")?;
     let expected = r.u64("batch checksum")?;
-    let got = fnv1a_step(FNV_OFFSET, &data[4..data.len() - 8]);
+    let got = checksum(&data[4..data.len() - 8]);
     if got != expected {
         return Err(WireError::ChecksumMismatch { expected, got });
     }
@@ -706,8 +679,8 @@ mod tests {
         put_u32(&mut frame, distinct);
         put_u64(&mut frame, payload.len() as u64);
         frame.extend_from_slice(payload);
-        let checksum = fnv1a_step(FNV_OFFSET, &frame[4..]);
-        put_u64(&mut frame, checksum);
+        let sum = checksum(&frame[4..]);
+        put_u64(&mut frame, sum);
         frame
     }
 
@@ -1027,10 +1000,14 @@ mod tests {
 
     #[test]
     fn older_layout_frames_are_refused_by_name() {
-        let mut frame = encode_batch(&traces());
-        frame[..4].copy_from_slice(&OLDER_BATCH_MAGIC.to_le_bytes());
-        assert_eq!(read_batch(&frame).map(|_| ()), Err(WireError::OlderLayout));
-        assert_eq!(decode_batch(&frame), Err(WireError::OlderLayout));
+        for (magic, what) in OLDER_BATCH_MAGICS {
+            let mut frame = encode_batch(&traces());
+            frame[..4].copy_from_slice(&magic.to_le_bytes());
+            assert_eq!(read_batch(&frame).map(|_| ()), Err(WireError::OlderLayout));
+            assert_eq!(decode_batch(&frame), Err(WireError::OlderLayout));
+            assert_eq!(older_layout(&frame), Some(what));
+        }
+        assert_eq!(older_layout(&encode_batch(&traces())), None);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! with valid framing, never make them request more bytes than the
 //! input holds (plus one formatted error message). A batch frame's
 //! validation allocates nothing at all, whatever its counts and indices
-//! claim.
+//! claim. A journal scan lends its records in place: it allocates once
+//! per journal, the record list, however many records it holds.
 //!
 //! Some gates pin counts outright: after its first run, an executor
 //! running a program that emits nothing allocates nothing; a warm pod's
@@ -549,11 +550,9 @@ fn durable_decoders_allocate_no_more_than_their_input() {
     use softborg::store::chain::{self, CHAIN_MAGIC};
     use softborg::store::record;
     let mut rng = SmallRng::seed_from_u64(45);
-    let seal = |version: u8, body: &[u8]| {
+    let versioned = |version: u8, body: &[u8]| {
         let mut bytes = vec![version];
         bytes.extend_from_slice(body);
-        let sum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     };
     // Batch frames: real payloads, then random counts and index bytes,
@@ -570,12 +569,12 @@ fn durable_decoders_allocate_no_more_than_their_input() {
         .map(|_| wire::encode(&pod.run_once().trace))
         .collect();
     let batch_frame = |count: u32, distinct: u32, body: &[u8]| {
-        let mut frame = b"SBF2".to_vec();
+        let mut frame = b"SBF3".to_vec();
         frame.extend_from_slice(&count.to_le_bytes());
         frame.extend_from_slice(&distinct.to_le_bytes());
         frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
         frame.extend_from_slice(body);
-        let sum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &frame[4..]);
+        let sum = softborg::obs::checksum(&frame[4..]);
         frame.extend_from_slice(&sum.to_le_bytes());
         frame
     };
@@ -611,21 +610,22 @@ fn durable_decoders_allocate_no_more_than_their_input() {
                 Err(_) => {}
             }
         }
-        // Raw bytes, a sealed delta envelope around them, and round-log
-        // records framed around slices of them.
+        // Raw bytes, pod records around them, and round-log records
+        // framed around slices of them.
         let mut log = Vec::new();
         for (seq, body) in raw.chunks(rng.gen_range(1..200)).enumerate() {
             journal::append_record(&mut log, REC_ROUND, SESSION_ROUND, seq as u64, body);
         }
-        // The same bytes sealed as a chain record and as a snapshot.
+        // The same bytes sealed as a chain record and behind a
+        // snapshot's magic.
         let mut chain_rec = Vec::new();
         chain::FRAMING.seal(&mut chain_rec, rng.gen_range(0..3), [case, 0], &raw);
-        let mut snap = Vec::new();
-        record::seal(&mut snap, SNAPSHOT_MAGIC, |b| b.extend_from_slice(&raw));
+        let mut snap = SNAPSHOT_MAGIC.to_vec();
+        snap.extend_from_slice(&raw);
         let inputs = [
             raw.clone(),
-            seal(POD_DELTA_VERSION, &raw),
-            seal(POD_STATE_VERSION, &raw),
+            versioned(POD_DELTA_VERSION, &raw),
+            versioned(POD_STATE_VERSION, &raw),
             log,
             chain_rec,
             snap,
@@ -633,7 +633,7 @@ fn durable_decoders_allocate_no_more_than_their_input() {
         for input in &inputs {
             // The one envelope reads in place: it allocates nothing.
             let framed = bytes_of(|| {
-                for magic in [&b""[..], CHAIN_MAGIC, SNAPSHOT_MAGIC] {
+                for magic in [&b""[..], CHAIN_MAGIC] {
                     let _ = record::open(input, magic);
                 }
                 let mut at = 0;
@@ -668,4 +668,31 @@ fn durable_decoders_allocate_no_more_than_their_input() {
         valid > 0 && bad_index > 0,
         "{valid} valid, {bad_index} bad-index frames"
     );
+}
+
+/// Allocations while `f` runs on this thread.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_journal_scan_allocates_once_per_journal_not_per_record() {
+    use softborg::hive::journal::{self, REC_FRAME};
+    let journal_of = |records: u64| {
+        let mut wal = Vec::new();
+        for seq in 0..records {
+            journal::append_record(&mut wal, REC_FRAME, 0, seq, &[seq as u8; 40]);
+        }
+        wal
+    };
+    let (small, large) = (journal_of(10), journal_of(1_000));
+    let mut counts = Vec::new();
+    for wal in [&small, &large] {
+        let mut scanned = 0;
+        counts.push(allocs_during(|| scanned = journal::scan(wal).0.len()));
+        assert_eq!(scanned, wal.len() / journal::FRAMING.record_len(40));
+    }
+    assert_eq!(counts, [1, 1], "the record list, and nothing per record");
 }

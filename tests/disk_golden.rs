@@ -10,6 +10,11 @@
 //! a wire frame — fails here even when what the campaign computes is
 //! unchanged (`campaign_goldens` pins that).
 //!
+//! The literals were last re-recorded when every stored checksum moved
+//! from FNV-1a to `softborg_obs::checksum` (journal and chain records,
+//! frames), chain records moved to `SBCHAIN\x02` and dropped the nested
+//! snapshot seal, and pod records dropped their own checksum.
+//!
 //! Like `campaign_goldens`, the literals inherit [`ProgramId`]'s
 //! dependence on the toolchain: the id hashes the program's `Debug`
 //! text, and every journal record and pod image carries it.
@@ -29,25 +34,25 @@ const CHECKPOINTS: [usize; 2] = [3, 6];
 
 /// `(path under the campaign directory, FNV-1a of its bytes)`, sorted.
 const GOLDEN: &[(&str, u64)] = &[
-    ("rounds.log", 0x500dd9fda0dae834),
+    ("rounds.log", 0x26463ad626b40f61),
     (
         "shard-0/chain/chain-00000000000000000000.full",
-        0xd450e10a15d29423,
+        0x195478beec2bc08f,
     ),
     (
         "shard-0/chain/chain-00000000000000000001.delta",
-        0x85af16d8bbac78f8,
+        0x6b20484be498856c,
     ),
-    ("shard-0/hive.wal", 0xd0647126f7d02b7c),
+    ("shard-0/hive.wal", 0xc5fce100b3793834),
     (
         "shard-1/chain/chain-00000000000000000000.full",
-        0x55487eb0b9b0d435,
+        0x65e2bd7aa8d300b4,
     ),
     (
         "shard-1/chain/chain-00000000000000000001.delta",
-        0xc10b82c676189181,
+        0x10343e238ab7cfdd,
     ),
-    ("shard-1/hive.wal", 0xaa1278874c930030),
+    ("shard-1/hive.wal", 0xd8b955d73b59819c),
 ];
 
 /// Every file under `dir`, by relative path with `/` separators, with

@@ -449,13 +449,14 @@ fn rewrite_round_records(dir: &Path, shard: usize, rewrite: impl Fn(&[u8]) -> Ve
 /// `rewrite`, re-appending each record with `journal::append_record`.
 fn rewrite_records(dir: &Path, shard: usize, kind: u8, rewrite: impl Fn(&[u8]) -> Vec<u8>) {
     let wal = shard_dir(dir, shard).join("hive.wal");
-    let (records, scan) = journal::scan(&std::fs::read(&wal).unwrap());
+    let wal_bytes = std::fs::read(&wal).unwrap();
+    let (records, scan) = journal::scan(&wal_bytes);
     assert!(scan.tail_error.is_none());
     let mut bytes = Vec::new();
     for rec in &records {
         let body = match rec.kind {
-            k if k == kind => rewrite(&rec.frame),
-            _ => rec.frame.clone(),
+            k if k == kind => rewrite(rec.frame),
+            _ => rec.frame.to_vec(),
         };
         journal::append_record(&mut bytes, rec.kind, rec.session, rec.seq, &body);
     }
@@ -548,6 +549,82 @@ fn every_older_layout_is_refused_untouched() {
             ),
             other => panic!("{kind:?}: expected Corrupt, got {:?}", other.err()),
         }
+
+        // (f) Frames in the layout before `softborg_obs::checksum`: the
+        // same frame under `SBF2` with an FNV-1a checksum, inside
+        // records this build reads.
+        let dir = campaign_dir(kind, "fnv1a-frames");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.start(&scs, &setup).run(2);
+        rewrite_records(&dir, kind.shards() - 1, REC_FRAME, |body| {
+            let mut frame = b"SBF2".to_vec();
+            frame.extend_from_slice(&body[4..body.len() - 8]);
+            let sum = softborg::obs::fnv1a_step(softborg::obs::FNV_OFFSET, &frame[4..]);
+            frame.extend_from_slice(&sum.to_le_bytes());
+            frame
+        });
+        assert_refused_untouched(kind, &scs, &setup, &dir, "FNV-1a frames");
+        assert_refused_as_older(kind, &scs, &setup, "older FNV-1a-checksummed batch layout");
+
+        // (g) Campaigns the build before `softborg_obs::checksum` wrote
+        // (`tests/fixtures/older-layout`): FNV-1a journal and round-log
+        // records, `SBF2` frames, `SBCHAIN\x01` chain records. A journal
+        // has no magic, so its first record is told by its FNV-1a
+        // checksum, and must be refused, never cut as a torn tail. The
+        // checkpointed campaign is refused by its round log, and, with
+        // the round log gone, by its chain alone.
+        let variants = [
+            ("journal", true),
+            ("checkpointed", true),
+            ("checkpointed", false),
+        ];
+        for (variant, round_log) in variants {
+            let name = format!(
+                "{}-{variant}",
+                if kind.shards() == 1 { "one" } else { "fleet" }
+            );
+            let dir = campaign_dir(kind, &format!("written-by-fnv1a-{variant}-{round_log}"));
+            copy_tree(&Path::new(FIXTURES).join(&name), &dir);
+            if !round_log {
+                std::fs::remove_file(dir.join("rounds.log")).unwrap();
+            }
+            for shard in 0..kind.shards() {
+                // Git keeps no empty directory; the build left one here.
+                std::fs::create_dir_all(shard_dir(&dir, shard).join("chain")).unwrap();
+            }
+            let setup = Setup::durable(uncompacted(dir.clone()));
+            assert_refused_untouched(kind, &scs, &setup, &dir, &name);
+            assert_refused_as_older(kind, &scs, &setup, "older layout");
+        }
+    }
+}
+
+/// Campaign directories an older build wrote, checked in.
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/older-layout");
+
+/// Copies the directory tree at `from` into `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let dest = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            std::fs::copy(&path, &dest).unwrap();
+        }
+    }
+}
+
+/// Resume and scrub both refuse the campaign for its layout, naming it.
+fn assert_refused_as_older(kind: Kind, scs: &[Scenario], setup: &Setup, what: &str) {
+    let resumed = kind.resume(scs, setup).err();
+    let scrubbed = kind.scrub(scs, setup).err();
+    for refusal in [resumed, scrubbed] {
+        match refusal {
+            Some(DurabilityError::Corrupt(msg)) => assert!(msg.contains(what), "{kind:?}: {msg}"),
+            other => panic!("{kind:?}: expected Corrupt naming {what:?}, got {other:?}"),
+        }
     }
 }
 
@@ -596,12 +673,13 @@ fn make_pre_delta_layout(dir: &Path, shards: usize, lanes: &[Vec<PodState>]) {
     };
     for shard in 0..shards {
         let wal = shard_dir(dir, shard).join("hive.wal");
-        let (records, _) = journal::scan(&std::fs::read(&wal).unwrap());
+        let wal_bytes = std::fs::read(&wal).unwrap();
+        let (records, _) = journal::scan(&wal_bytes);
         let mut bytes = Vec::new();
         for rec in &records {
             let body = match rec.kind {
                 REC_PODS => images(rec.session as usize),
-                _ => rec.frame.clone(),
+                _ => rec.frame.to_vec(),
             };
             journal::append_record(&mut bytes, rec.kind, rec.session, rec.seq, &body);
         }

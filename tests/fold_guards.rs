@@ -50,7 +50,8 @@ fn first_frame(records: &[JournalRecord], lane: u64) -> usize {
 /// record checksummed afresh.
 fn rewrite_journal(dir: &Path, edit: impl FnOnce(&mut [JournalRecord])) {
     let wal = shard_dir(dir, 0).join("hive.wal");
-    let (mut records, scan) = journal::scan(&std::fs::read(&wal).unwrap());
+    let bytes = std::fs::read(&wal).unwrap();
+    let (mut records, scan) = journal::scan(&bytes);
     assert!(
         scan.tail_error.is_none(),
         "a clean drop leaves a clean journal"
@@ -58,7 +59,7 @@ fn rewrite_journal(dir: &Path, edit: impl FnOnce(&mut [JournalRecord])) {
     edit(&mut records);
     let mut out = Vec::new();
     for r in &records {
-        journal::append_record(&mut out, r.kind, r.session, r.seq, &r.frame);
+        journal::append_record(&mut out, r.kind, r.session, r.seq, r.frame);
     }
     std::fs::write(&wal, out).unwrap();
 }
@@ -93,7 +94,7 @@ fn resume_after_edit(tag: &str, edit: impl FnOnce(&mut [JournalRecord])) -> Dura
 fn resume_refuses_a_journaled_frame_of_another_lanes_program() {
     let err = resume_after_edit("reroute", |records| {
         let (a, b) = (first_frame(records, 0), first_frame(records, 1));
-        records[a].frame = records[b].frame.clone();
+        records[a].frame = records[b].frame;
     });
     match err {
         DurabilityError::Corrupt(msg) => {
@@ -107,7 +108,7 @@ fn resume_refuses_a_journaled_frame_of_another_lanes_program() {
 fn resume_refuses_a_journaled_frame_of_garbage_wire_bytes() {
     let err = resume_after_edit("garbage", |records| {
         let a = first_frame(records, 0);
-        records[a].frame = vec![0xAB; 48];
+        records[a].frame = &[0xAB; 48];
     });
     match err {
         DurabilityError::Corrupt(msg) => assert!(msg.contains(" 1 corrupt"), "{msg}"),
