@@ -10,17 +10,15 @@
 //! campaign-exists detection, the legacy-layout refusal, checkpoint load
 //! (the chain's newest valid lineage, full→deltas), the journal's split
 //! into committed [`segments`], the compaction trigger, the checkpoint
-//! write, and scrub dispatch.
+//! write, and the scrub's one read of a shard.
 
 use softborg_hive::journal::{
     self, JournalRecord, ScanReport, EMPTY_WAL_HASH, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND,
     REC_TOMBSTONE, SESSION_ROUND,
 };
 use softborg_hive::{
-    scrub_campaign, FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError,
-    ScrubReport,
+    FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError, ShardFiles,
 };
-use softborg_obs::FlightRecorder;
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
 use softborg_store::{ChainLoad, ChainReport, ChainStore, EnvelopeError, RecordKind};
@@ -50,12 +48,6 @@ pub struct DurabilityConfig {
     /// size, bounding chain length and recovery work. `0` = never rebase
     /// (deltas forever; only sensible in fault harnesses).
     pub rebase_ratio: u64,
-    /// **Injected bug** — resume silently drops the newest delta record
-    /// when folding the chain, rebuilding state one checkpoint stale
-    /// while trusting the head's metadata (the `skip_delta` canary for
-    /// the durable fault-search campaign). Must stay `false` outside
-    /// fault harnesses.
-    pub skip_last_delta: bool,
 }
 
 impl DurabilityConfig {
@@ -68,7 +60,6 @@ impl DurabilityConfig {
             compact_ratio: 4,
             min_compact_wal_bytes: 64 * 1024,
             rebase_ratio: 4,
-            skip_last_delta: false,
         }
     }
 }
@@ -145,7 +136,7 @@ fn wal_path(dir: &Path) -> PathBuf {
 }
 
 /// The campaign's round log, at its root.
-fn round_log_path(root: &Path) -> PathBuf {
+pub(crate) fn round_log_path(root: &Path) -> PathBuf {
     root.join("rounds.log")
 }
 
@@ -164,7 +155,7 @@ pub(crate) fn read_round_log(root: &Path) -> Result<Vec<u8>, DurabilityError> {
 /// gap. Only compaction writes it — every committed round it lacks, then
 /// an fsync, before the chain append that relies on it — so a round
 /// that does not compact pays nothing here. Resume reads it back with
-/// shard 0's replayed round records; scrub cuts a torn tail.
+/// shard 0's replayed round records; scrub quarantines a torn tail.
 #[derive(Debug)]
 pub(crate) struct RoundLog {
     root: PathBuf,
@@ -277,16 +268,6 @@ pub(crate) fn refuse_older_frame(rec: &JournalRecord<'_>) -> Result<(), Durabili
     }
 }
 
-/// Refuses a journal or round log (`path`) whose scan stopped at a
-/// record in an older layout: checksummed with FNV-1a, it is no damage
-/// to cut, and this build cannot read it.
-pub(crate) fn refuse_older_records(path: &Path, scan: &ScanReport) -> Result<(), DurabilityError> {
-    match scan.tail_error {
-        Some(EnvelopeError::OlderLayout) => Err(older_records(path, scan.valid_len)),
-        _ => Ok(()),
-    }
-}
-
 /// The refusal of the older-layout record at byte `at` of `path`.
 pub(crate) fn older_records(path: &Path, at: usize) -> DurabilityError {
     DurabilityError::Corrupt(format!(
@@ -342,39 +323,6 @@ pub(crate) fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), Dur
     Ok(())
 }
 
-/// Calls `check` on every intact record of the journal in `dir` (none
-/// when there is no journal), read without opening anything for
-/// writing; a journal in an older layout is refused.
-pub(crate) fn check_journal(
-    dir: &Path,
-    check: impl FnMut(&JournalRecord<'_>) -> Result<(), DurabilityError>,
-) -> Result<(), DurabilityError> {
-    let wal = match std::fs::read(wal_path(dir)) {
-        Ok(wal) => wal,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io_err("wal-read", &e)),
-    };
-    let (records, scan) = journal::scan(&wal);
-    refuse_older_records(&wal_path(dir), &scan)?;
-    records.iter().try_for_each(check)
-}
-
-/// The app-meta of every checkpoint in the chain under `dir` whose
-/// payload decodes (none without a chain directory), read without
-/// writing anything; a chain in an older layout is refused.
-pub(crate) fn read_app_metas(dir: &Path) -> Result<Vec<Vec<u8>>, DurabilityError> {
-    if !dir.join("chain").is_dir() {
-        return Ok(Vec::new());
-    }
-    let (_, load) = open_chain(dir)?;
-    refuse_older_chain(dir, &load.report)?;
-    let snaps = load
-        .records
-        .iter()
-        .filter_map(|r| HiveSnapshot::decode(&r.payload).ok());
-    Ok(snaps.map(|s| s.app_meta).collect())
-}
-
 /// What [`DurableStore::resume`] loaded: the newest valid checkpoint and
 /// the journal bytes behind it.
 #[derive(Debug)]
@@ -410,7 +358,9 @@ impl Recovered {
         &self,
     ) -> Result<(Vec<JournalRecord<'_>>, ScanReport, usize), DurabilityError> {
         let (records, scan) = journal::scan(&self.wal);
-        refuse_older_records(&self.wal_path, &scan)?;
+        if scan.tail_error == Some(EnvelopeError::OlderLayout) {
+            return Err(older_records(&self.wal_path, scan.valid_len));
+        }
         let covered = self.head.as_ref().map_or(0, |h| h.replay_offset(&records));
         Ok((records, scan, covered))
     }
@@ -496,11 +446,6 @@ impl DurableStore {
         }
         let journal = FileJournal::open(wal_path(&cfg.dir)).map_err(|e| io_err("wal-open", &e))?;
         let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
-        if cfg.skip_last_delta && states.len() > 1 {
-            // Planted bug (`skip_delta` canary): the head's metadata is
-            // trusted while its state changes are dropped.
-            states.pop();
-        }
         let frame_floors =
             (head.as_mut()).map_or_else(BTreeMap::new, |h| std::mem::take(&mut h.sessions));
         let wal_path = wal_path(&cfg.dir);
@@ -628,18 +573,16 @@ impl DurableStore {
         }
         Ok(payload.len() as u64)
     }
+}
 
-    /// Scrubs the store at `cfg.dir` for bit rot (see
-    /// [`softborg_hive::scrub`]), refusing what [`resume`](Self::resume)
-    /// refuses.
-    pub(crate) fn scrub(
-        cfg: &DurabilityConfig,
-        obs: &FlightRecorder,
-    ) -> Result<ScrubReport, DurabilityError> {
-        refuse_legacy(&cfg.dir, LEGACY_SHARD)?;
-        let (chain, _) = open_chain(&cfg.dir)?;
-        Ok(scrub_campaign(&wal_path(&cfg.dir), &chain, obs)?)
-    }
+/// Reads the store at `cfg.dir` once for a scrub, creating nothing and
+/// refusing an older layout as [`DurableStore::resume`] does.
+pub(crate) fn scrub_files(cfg: &DurabilityConfig) -> Result<ShardFiles, DurabilityError> {
+    refuse_legacy(&cfg.dir, LEGACY_SHARD)?;
+    Ok(ShardFiles::read(
+        &wal_path(&cfg.dir),
+        &cfg.dir.join("chain"),
+    )?)
 }
 
 /// Encodes a `REC_PROMOTE` body: the program, the failure-mode

@@ -36,16 +36,16 @@
 //! inside checkpoints).
 
 use crate::durable::{
-    check_journal, older_records, put_promotion, read_app_metas, read_promotion, read_round_log,
-    refuse_legacy, refuse_older_frame, refuse_shard_count, segments, DurabilityConfig,
-    DurabilityError, DurableStore, RoundLog, Segment, LEGACY_ROOT,
+    older_records, put_promotion, read_promotion, read_round_log, refuse_legacy,
+    refuse_older_frame, refuse_shard_count, round_log_path, scrub_files, segments,
+    DurabilityConfig, DurabilityError, DurableStore, RoundLog, Segment, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
     self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{Hive, HiveConfig, ScrubReport, ShardedHive};
+use softborg_hive::{scrub, Hive, HiveConfig, ScrubReport, ShardedHive};
 use softborg_ingest::{IngestConfig, IngestStats, UnitFrames};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodDelta, PodState};
@@ -907,9 +907,11 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Scrubs every shard for bit rot *before* a resume (see
-    /// [`softborg_hive::scrub`]): corrupt chain records are quarantined,
-    /// journal damage is cut, and each detection is a Warn event on the
-    /// config's `obs`. One [`ScrubReport`] per shard.
+    /// [`softborg_hive::scrub`]), reading each file once and creating
+    /// nothing: corrupt chain records are quarantined, journal damage is
+    /// cut, a torn round-log tail is quarantined (on shard 0's report),
+    /// and each detection is a Warn event on the config's `obs`. One
+    /// [`ScrubReport`] per shard.
     ///
     /// # Errors
     ///
@@ -922,40 +924,44 @@ impl<'p> MultiPlatform<'p> {
             .ok_or(DurabilityError::NotConfigured)?;
         refuse_legacy(&root.dir, LEGACY_ROOT)?;
         refuse_shard_count(&root.dir, config.n_shards)?;
-        let shards: Vec<DurabilityConfig> =
-            (0..config.n_shards).map(|i| shard_cfg(root, i)).collect();
         // An older layout is not bit rot: refuse it before the scrub
-        // writes anything — a round record this build cannot read, a
+        // moves a byte — a round record this build cannot read, a
         // pod-image `REC_PODS` body, a frame in the older batch layout, a
         // checkpoint without this layout's app-meta. Damage mid-round-log
         // is refused too.
         let log_bytes = read_round_log(&root.dir)?;
         let log = decode_round_log(&log_bytes)?;
-        for shard in &shards {
-            check_journal(&shard.dir, |rec| {
+        let mut shards = Vec::with_capacity(config.n_shards);
+        for i in 0..config.n_shards {
+            let files = scrub_files(&shard_cfg(root, i))?;
+            let (records, scan) = files.scan()?;
+            for rec in &records {
                 match rec.kind {
                     REC_ROUND => drop(MultiRoundReport::decode(rec.frame)?),
                     REC_PODS => drop(fleet::decode_pod_deltas(rec.frame)?),
                     _ => refuse_older_frame(rec)?,
                 }
-                Ok(())
-            })?;
-            for meta in read_app_metas(&shard.dir)? {
-                decode_app_meta(&meta)?;
             }
+            for snap in files.snapshots() {
+                decode_app_meta(&snap.app_meta)?;
+            }
+            shards.push((files, scan));
         }
-        let reports = (shards.iter())
-            .map(|cfg| DurableStore::scrub(cfg, &config.obs.recorder))
-            .collect::<Result<_, _>>()?;
+        let obs = &config.obs.recorder;
+        let mut reports = (shards.into_iter())
+            .map(|(files, scan)| scrub::scrub_campaign(files, &scan, obs))
+            .collect::<Result<Vec<_>, _>>()?;
         if log.valid_len < log_bytes.len() {
-            let torn = (log_bytes.len() - log.valid_len) as u64;
-            config.obs.recorder.warn_or_ops(
+            let torn = scrub::cut_tail(&round_log_path(&root.dir), &log_bytes, log.valid_len)?;
+            obs.warn_or_ops(
                 "campaign.scrub",
                 "round_log_tail_cut",
                 &[("bytes", torn)],
-                format_args!("scrub cut a torn {torn}-byte tail off the round log"),
+                format_args!("scrub moved a torn {torn}-byte tail of the round log to quarantine"),
             );
-            RoundLog::holding(&root.dir, 0).truncate(log.valid_len as u64)?;
+            if let Some(shard0) = reports.first_mut() {
+                shard0.round_log_quarantined_bytes = torn;
+            }
         }
         Ok(reports)
     }

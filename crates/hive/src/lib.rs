@@ -38,7 +38,7 @@ pub use journal::{
     MemJournal, ScanReport,
 };
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
-pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, WalScrubAction};
+pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, ShardFiles, WalScrubAction};
 pub use sharded::{ShardStateError, ShardedHive};
 pub use snapshot::{HiveSnapshot, SnapshotError};
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

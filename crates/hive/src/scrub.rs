@@ -5,6 +5,14 @@
 //! loudly (typed [`ScrubError`], Warn flight-recorder events) in every
 //! case, never silently ingesting garbage.
 //!
+//! One read of a shard ([`ShardFiles`]: the chain's open walk, each
+//! lineage payload decoded once, the journal's bytes and their one scan)
+//! serves both the caller's refusals and [`scrub_campaign`]; the chain is
+//! walked again only after a quarantine moved a file. Damage is what the
+//! record envelope (`Framing::read_at`/`torn_at`) refuses in any file,
+//! plus a chain record's broken link or non-snapshot payload; only the
+//! repair witnesses below are per kind.
+//!
 //! # What "repair" may and may not do
 //!
 //! The scrubber never reconstructs lost data; it only ever *discards*
@@ -12,15 +20,15 @@
 //! `*.quarantined` files so the damage stays inspectable. The
 //! interesting decision is where the cut is sound:
 //!
-//! * A corrupt **chain record** (bad magic, torn body, checksum
-//!   mismatch, broken lineage link, or a payload that no longer decodes
-//!   as a [`HiveSnapshot`]) is renamed to `<record>.quarantined`;
-//!   recovery then proceeds from the surviving lineage, exactly as the
-//!   chain load's own fallback would.
-//! * Damage in the journal's **unsynced tail** (the classic torn
-//!   append) is cut at the last valid record boundary — the same
-//!   prefix [`journal::scan`] recovers — with the dropped bytes
-//!   preserved in `hive.wal.quarantined`.
+//! * A corrupt **chain record** is renamed to `<record>.quarantined`,
+//!   and so is every lineage record after one whose payload is not a
+//!   snapshot; recovery then proceeds from the surviving lineage,
+//!   exactly as the chain load's own fallback would.
+//! * Damage in an append-only file's **unsynced tail** (the classic torn
+//!   append) is cut at the last valid record boundary — the same prefix
+//!   [`journal::scan`] recovers — with the dropped bytes preserved in
+//!   `<file>.quarantined` ([`cut_tail`]). That is the round log's one
+//!   repair; the campaign core calls it.
 //! * Damage **inside the checkpoint-covered prefix** — journal bytes
 //!   the chain head already summarizes, kept only because the
 //!   post-compaction truncate hadn't happened yet — is repaired by
@@ -66,17 +74,15 @@
 //!
 //! Records an older build wrote are no damage: a chain record or a
 //! journal record in an older layout is [`ScrubError::OlderLayout`],
-//! refused before anything is moved or cut.
+//! refused by the read or the scan, before anything is moved or cut.
 
-use crate::journal::{self, JournalIoError};
-use crate::snapshot::HiveSnapshot;
+use crate::journal::{self, FileJournal, JournalIoError, JournalRecord, JournalStore, ScanReport};
+use crate::snapshot::{HiveSnapshot, SnapshotError};
 use softborg_obs::FlightRecorder;
-use softborg_store::record::EnvelopeError;
-use softborg_store::record::{self, fsync_parent_dir};
-use softborg_store::{ChainReport, ChainStore, RecordKind};
+use softborg_store::record::{self, EnvelopeError};
+use softborg_store::{ChainRecord, ChainReport, ChainStore, RecordKind};
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Flight-recorder source every scrub event is recorded under.
@@ -127,12 +133,17 @@ pub struct ScrubReport {
     pub wal_quarantined_bytes: u64,
     /// What happened to the delta chain.
     pub chain: ChainScrub,
+    /// Bytes of a torn `rounds.log` tail moved into its quarantine file:
+    /// set by the campaign core on shard 0's report only.
+    pub round_log_quarantined_bytes: u64,
 }
 
 impl ScrubReport {
     /// `true` when the scrub found no damage anywhere.
     pub fn is_clean(&self) -> bool {
-        self.wal_action == WalScrubAction::Clean && self.chain.is_clean()
+        self.wal_action == WalScrubAction::Clean
+            && self.chain.is_clean()
+            && self.round_log_quarantined_bytes == 0
     }
 }
 
@@ -177,6 +188,78 @@ fn io_err(op: &'static str, e: &std::io::Error) -> ScrubError {
     ScrubError::Io(JournalIoError::from_io(op, e))
 }
 
+/// A lineage record's generation and kind, and its payload decoded.
+type Decoded = (u64, RecordKind, Result<HiveSnapshot, SnapshotError>);
+
+fn decode(records: Vec<ChainRecord>) -> Vec<Decoded> {
+    let decode = |r: ChainRecord| (r.generation, r.kind, HiveSnapshot::decode(&r.payload));
+    records.into_iter().map(decode).collect()
+}
+
+/// One shard directory as a single read found it.
+#[derive(Debug)]
+pub struct ShardFiles {
+    wal_path: PathBuf,
+    /// The journal's bytes; empty when there is no journal.
+    pub wal: Vec<u8>,
+    /// The chain and its walk (none without a chain directory), then
+    /// the walk's lineage, full record first.
+    chain: Option<(ChainStore, ChainReport)>,
+    lineage: Vec<Decoded>,
+}
+
+impl ShardFiles {
+    /// Reads the journal at `wal_path` (none: empty) and opens the chain
+    /// in `chain_dir` if there is one; creates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ScrubError::Io`]; [`ScrubError::OlderLayout`] on a chain record
+    /// an older build wrote.
+    pub fn read(wal_path: &Path, chain_dir: &Path) -> Result<Self, ScrubError> {
+        let wal = match fs::read(wal_path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(io_err("scrub-read-wal", &e)),
+        };
+        let (chain, lineage) = if chain_dir.is_dir() {
+            let (chain, load) =
+                ChainStore::open(chain_dir).map_err(|e| io_err("scrub-open-chain", &e))?;
+            if let Some(defect) = load.report.older_layout() {
+                return Err(ScrubError::OlderLayout(defect.file.clone()));
+            }
+            (Some((chain, load.report)), decode(load.records))
+        } else {
+            (None, Vec::new())
+        };
+        Ok(ShardFiles {
+            wal_path: wal_path.to_path_buf(),
+            wal,
+            chain,
+            lineage,
+        })
+    }
+
+    /// The journal's one scan: its records and the report
+    /// [`scrub_campaign`] judges.
+    ///
+    /// # Errors
+    ///
+    /// [`ScrubError::OlderLayout`] at a record an older build wrote.
+    pub fn scan(&self) -> Result<(Vec<JournalRecord<'_>>, ScanReport), ScrubError> {
+        let (records, scan) = journal::scan(&self.wal);
+        if scan.tail_error == Some(EnvelopeError::OlderLayout) {
+            return Err(ScrubError::OlderLayout(self.wal_path.display().to_string()));
+        }
+        Ok((records, scan))
+    }
+
+    /// The lineage's snapshots that decoded, full record first.
+    pub fn snapshots(&self) -> impl Iterator<Item = &HiveSnapshot> {
+        self.lineage.iter().filter_map(|(_, _, s)| s.as_ref().ok())
+    }
+}
+
 /// `<path>.quarantined` — where condemned bytes are moved, next to the
 /// file they came from, so post-mortems can inspect the exact damage.
 fn quarantine_path(path: &Path) -> PathBuf {
@@ -185,78 +268,81 @@ fn quarantine_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Appends `bytes` to the journal's quarantine file and syncs it.
-fn quarantine_wal_bytes(wal_path: &Path, bytes: &[u8]) -> Result<(), ScrubError> {
-    let q = quarantine_path(wal_path);
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&q)
+/// Appends `bytes` to the quarantine file of `path` and syncs it.
+fn quarantine_bytes(path: &Path, bytes: &[u8]) -> Result<(), ScrubError> {
+    let mut q = FileJournal::open(quarantine_path(path))
         .map_err(|e| io_err("scrub-quarantine-open", &e))?;
-    f.write_all(bytes)
-        .map_err(|e| io_err("scrub-quarantine-write", &e))?;
-    f.sync_all()
-        .map_err(|e| io_err("scrub-quarantine-sync", &e))?;
-    fsync_parent_dir(&q).map_err(|e| io_err("scrub-dir-fsync", &e))?;
+    q.append(bytes)?;
+    q.sync()?;
     Ok(())
 }
 
-/// Atomically replaces the journal's contents with `bytes`: write a
-/// temp file, fsync, rename over `hive.wal`, fsync the directory.
-fn rewrite_wal(wal_path: &Path, bytes: &[u8]) -> Result<(), ScrubError> {
-    let tmp = wal_path.with_extension("wal.scrub-tmp");
-    record::replace(wal_path, &tmp, bytes).map_err(|e| io_err("scrub-rewrite", &e))
+/// The one tail repair of a journal and of the round log: moves
+/// `bytes[at..]` of the file at `path` (holding `bytes`) into
+/// `<path>.quarantined` and cuts the file to `at` bytes. Returns the
+/// bytes moved.
+///
+/// # Errors
+///
+/// [`ScrubError::Io`] on filesystem failures.
+pub fn cut_tail(path: &Path, bytes: &[u8], at: usize) -> Result<u64, ScrubError> {
+    quarantine_bytes(path, &bytes[at..])?;
+    let mut file = FileJournal::open(path).map_err(|e| io_err("scrub-truncate-open", &e))?;
+    file.truncate(at as u64)?;
+    Ok((bytes.len() - at) as u64)
 }
 
-/// Truncates the journal in place to `len` bytes and syncs.
-fn truncate_wal(wal_path: &Path, len: u64) -> Result<(), ScrubError> {
-    let f = fs::OpenOptions::new()
-        .write(true)
-        .open(wal_path)
-        .map_err(|e| io_err("scrub-truncate-open", &e))?;
-    f.set_len(len).map_err(|e| io_err("scrub-truncate", &e))?;
-    f.sync_all()
-        .map_err(|e| io_err("scrub-truncate-sync", &e))?;
-    Ok(())
-}
-
-/// Moves one condemned chain record aside and records a Warn event.
-fn quarantine_record(
+/// The chain's repair: moves aside every record the walk condemned and
+/// every lineage record from the first non-snapshot payload on, each
+/// with a Warn event, walking again after each move until nothing
+/// moves. Returns the last walk and the head's snapshot.
+fn condemn(
     chain: &ChainStore,
-    generation: u64,
-    kind: RecordKind,
-    why: &dyn fmt::Display,
+    mut report: ChainReport,
+    mut lineage: Vec<Decoded>,
     obs: &FlightRecorder,
     quarantined: &mut Vec<String>,
-) -> Result<(), ScrubError> {
-    let Some(q) = chain
-        .quarantine(generation, kind)
-        .map_err(|e| io_err("scrub-quarantine-chain", &e))?
-    else {
-        return Ok(());
-    };
-    // `<record>.quarantined`: the stem is the record's own file name.
-    let name = q
-        .file_stem()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    obs.warn_or_ops(
-        SCRUB_SOURCE,
-        "chain_record_quarantined",
-        &[("generation", generation)],
-        format!("{name}: {why}; moved to {}", q.display()),
-    );
-    quarantined.push(name);
-    Ok(())
+) -> Result<(ChainReport, Option<HiveSnapshot>), ScrubError> {
+    loop {
+        let bad = (lineage.iter().position(|(.., s)| s.is_err())).unwrap_or(lineage.len());
+        let condemned: Vec<(u64, RecordKind, String)> = (report.defects.iter())
+            .map(|d| (d.generation, d.kind, d.error.to_string()))
+            .chain(lineage.drain(bad..).map(|(generation, kind, snap)| {
+                let why = snap.map_or_else(|e| e.to_string(), |_| "after a non-snapshot".into());
+                (generation, kind, why)
+            }))
+            .collect();
+        let moved = quarantined.len();
+        for (generation, kind, why) in condemned {
+            let Some(q) = (chain.quarantine(generation, kind))
+                .map_err(|e| io_err("scrub-quarantine-chain", &e))?
+            else {
+                continue;
+            };
+            // `<record>.quarantined`: the stem is the record's own name.
+            let name = (q.file_stem()).map_or_else(String::new, |n| n.to_string_lossy().into());
+            obs.warn_or_ops(
+                SCRUB_SOURCE,
+                "chain_record_quarantined",
+                &[("generation", generation)],
+                format!("{name}: {why}; moved to {}", q.display()),
+            );
+            quarantined.push(name);
+        }
+        if quarantined.len() == moved {
+            return Ok((report, lineage.pop().and_then(|(.., s)| s.ok())));
+        }
+        let load = chain.load();
+        (report, lineage) = (load.report, decode(load.records));
+    }
 }
 
-/// Scrubs one campaign: every chain record that fails validation (bad
-/// magic, torn body, checksum mismatch, broken lineage link) is renamed
-/// to `*.quarantined`, a record whose payload passes the chain checksum
-/// but no longer decodes as a [`HiveSnapshot`] is condemned the same
-/// way, and the journal at `wal_path` is then scrubbed against the
-/// surviving chain head's coverage (see the [module docs](self)). Every
-/// detection records a Warn event under [`SCRUB_SOURCE`].
+/// Scrubs one campaign directory read by [`ShardFiles::read`], judging
+/// its journal by `scan` ([`ShardFiles::scan`]'s): condemned chain
+/// records are renamed to `*.quarantined`, then the journal is scrubbed
+/// against the surviving chain head's coverage (see the
+/// [module docs](self)). Every detection records a Warn event under
+/// [`SCRUB_SOURCE`].
 ///
 /// # Errors
 ///
@@ -265,155 +351,96 @@ fn quarantine_record(
 /// existed but no chain record and no journal record survived — resuming
 /// would silently cold-start, so the caller must decide explicitly.
 pub fn scrub_campaign(
-    wal_path: &Path,
-    chain: &ChainStore,
+    files: ShardFiles,
+    scan: &ScanReport,
     obs: &FlightRecorder,
 ) -> Result<ScrubReport, ScrubError> {
     let mut quarantined = Vec::new();
-    let before = chain.validate();
-    if let Some(defect) = before.older_layout() {
-        return Err(ScrubError::OlderLayout(defect.file.clone()));
-    }
-    let had_chain_files = before.records > 0 || !before.defects.is_empty();
-    for defect in &before.defects {
-        // The filename carries the kind; `ChainDefect::file` is the
-        // name validation condemned.
-        let kind = if defect.file.ends_with(".full") {
-            RecordKind::Full
-        } else {
-            RecordKind::Delta
-        };
-        quarantine_record(
-            chain,
-            defect.generation,
-            kind,
-            &defect.error,
-            obs,
-            &mut quarantined,
-        )?;
-    }
-    // The chain layer only vouches for framing and lineage; the payload
-    // must still decode as a snapshot. A record that fails that is just
-    // as condemned — quarantine and re-walk until the head is usable.
-    let (snap, report) = loop {
-        let load = chain.load();
-        let Some(rec) = load.records.last() else {
-            break (None, load.report);
-        };
-        match HiveSnapshot::decode(&rec.payload) {
-            Ok(snap) => break (Some(snap), load.report),
-            Err(e) => {
-                quarantine_record(chain, rec.generation, rec.kind, &e, obs, &mut quarantined)?;
-            }
+    let (had_chain_files, report, head) = match files.chain {
+        None => (false, ChainReport::default(), None),
+        Some((chain, report)) => {
+            let had = report.records > 0 || !report.defects.is_empty();
+            let (report, head) = condemn(&chain, report, files.lineage, obs, &mut quarantined)?;
+            (had, report, head)
         }
     };
 
-    let wal = scrub_wal(wal_path, snap.as_ref(), obs)?;
-    if (had_chain_files || wal.had_bytes) && snap.is_none() && wal.valid_bytes == 0 {
+    let (wal_action, wal_valid_bytes, wal_quarantined_bytes) =
+        scrub_wal(&files.wal_path, &files.wal, scan, head.as_ref(), obs)?;
+    if (had_chain_files || !files.wal.is_empty()) && head.is_none() && wal_valid_bytes == 0 {
         return Err(ScrubError::NothingRecoverable);
     }
     Ok(ScrubReport {
-        wal_action: wal.action,
-        wal_valid_bytes: wal.valid_bytes,
-        wal_quarantined_bytes: wal.quarantined_bytes,
+        wal_action,
+        wal_valid_bytes,
+        wal_quarantined_bytes,
         chain: ChainScrub {
             report,
             quarantined,
         },
+        round_log_quarantined_bytes: 0,
     })
 }
 
-/// What [`scrub_wal`] did to one journal file.
-struct WalScrub {
-    action: WalScrubAction,
-    valid_bytes: u64,
-    quarantined_bytes: u64,
-    had_bytes: bool,
-}
-
-/// The journal half of a campaign scrub: `snap` (the newest valid
-/// checkpoint) decides whether damage lies in the covered prefix.
+/// The journal half of a campaign scrub over its bytes `wal` and their
+/// `scan`: `snap` (the newest valid checkpoint) decides whether damage
+/// lies in the covered prefix. Returns the action and the journal bytes
+/// kept and quarantined.
 fn scrub_wal(
     wal_path: &Path,
+    wal: &[u8],
+    scan: &ScanReport,
     snap: Option<&HiveSnapshot>,
     obs: &FlightRecorder,
-) -> Result<WalScrub, ScrubError> {
-    let wal_bytes = match fs::read(wal_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_err("scrub-read-wal", &e)),
-    };
-    let (_, scan) = journal::scan(&wal_bytes);
-    if scan.tail_error == Some(EnvelopeError::OlderLayout) {
-        return Err(ScrubError::OlderLayout(wal_path.display().to_string()));
+) -> Result<(WalScrubAction, u64, u64), ScrubError> {
+    let damage_at = scan.valid_len;
+    if scan.tail_dropped == 0 {
+        return Ok((WalScrubAction::Clean, damage_at as u64, 0));
     }
-    let mut report = WalScrub {
-        action: WalScrubAction::Clean,
-        valid_bytes: scan.valid_len as u64,
-        quarantined_bytes: 0,
-        had_bytes: !wal_bytes.is_empty(),
-    };
-    if scan.tail_dropped > 0 {
-        let damage_at = scan.valid_len;
-        let covered = snap.map_or(0, |s| s.wal_covered as usize);
-        // A file shorter than `covered` proves coverage is stale (the
-        // post-compaction truncate completed; true coverage only ever
-        // appends): every byte is live. Module docs walk through why
-        // each arm is the only sound action in its region.
-        if damage_at >= covered || wal_bytes.len() < covered {
-            // Everything recovery replays precedes the hole: cut at
-            // the last valid record boundary. Records beyond the hole
-            // (if any) cannot be replayed across it soundly.
-            quarantine_wal_bytes(wal_path, &wal_bytes[damage_at..])?;
-            truncate_wal(wal_path, damage_at as u64)?;
-            report.action = WalScrubAction::TailCut;
-            report.quarantined_bytes = (wal_bytes.len() - damage_at) as u64;
+    let covered = snap.map_or(0, |s| s.wal_covered as usize);
+    // A file shorter than `covered` proves coverage is stale (the
+    // post-compaction truncate completed; true coverage only ever
+    // appends): every byte is live. Module docs walk through why each
+    // arm is the only sound action in its region.
+    let (action, kind, valid, moved) = if damage_at >= covered || wal.len() < covered {
+        // Everything recovery replays precedes the hole: cut at the
+        // last valid record boundary. Records beyond the hole (if any)
+        // cannot be replayed across it soundly.
+        let moved = cut_tail(wal_path, wal, damage_at)?;
+        (WalScrubAction::TailCut, "wal_tail_cut", damage_at, moved)
+    } else {
+        let suffix = &wal[covered..];
+        let (srecs, srep) = journal::scan(suffix);
+        if srep.tail_dropped == 0 && !srecs.is_empty() {
+            // The covered offset lands on a checksummed record
+            // boundary: the prefix is genuinely summarized by the
+            // checkpoint, and the intact suffix carries everything the
+            // checkpoint lacks.
+            quarantine_bytes(wal_path, &wal[..covered])?;
+            let tmp = wal_path.with_extension("wal.scrub-tmp");
+            record::replace(wal_path, &tmp, suffix).map_err(|e| io_err("scrub-rewrite", &e))?;
+            let action = WalScrubAction::PrefixDropped;
+            (action, "wal_prefix_dropped", suffix.len(), covered as u64)
         } else {
-            let suffix = &wal_bytes[covered..];
-            let (srecs, srep) = journal::scan(suffix);
-            if srep.tail_dropped == 0 && !srecs.is_empty() {
-                // The covered offset lands on a checksummed record
-                // boundary: the prefix is genuinely summarized by the
-                // checkpoint, and the intact suffix carries everything
-                // the checkpoint lacks.
-                quarantine_wal_bytes(wal_path, &wal_bytes[..covered])?;
-                rewrite_wal(wal_path, suffix)?;
-                report.action = WalScrubAction::PrefixDropped;
-                report.valid_bytes = suffix.len() as u64;
-                report.quarantined_bytes = covered as u64;
-            } else {
-                // The prefix may double-apply and the suffix is
-                // damaged too: the checkpoint alone is the only state
-                // recovery can trust.
-                quarantine_wal_bytes(wal_path, &wal_bytes)?;
-                truncate_wal(wal_path, 0)?;
-                report.action = WalScrubAction::Discarded;
-                report.valid_bytes = 0;
-                report.quarantined_bytes = wal_bytes.len() as u64;
-            }
+            // The prefix may double-apply and the suffix is damaged
+            // too: the checkpoint alone is the only state recovery can
+            // trust.
+            let moved = cut_tail(wal_path, wal, 0)?;
+            (WalScrubAction::Discarded, "wal_discarded", 0, moved)
         }
-        let kind = match report.action {
-            WalScrubAction::TailCut => "wal_tail_cut",
-            WalScrubAction::PrefixDropped => "wal_prefix_dropped",
-            WalScrubAction::Discarded => "wal_discarded",
-            WalScrubAction::Clean => unreachable!("damage was detected"),
-        };
-        obs.warn_or_ops(
-            SCRUB_SOURCE,
-            kind,
-            &[
-                ("valid_bytes", report.valid_bytes),
-                ("quarantined_bytes", report.quarantined_bytes),
-            ],
-            format!(
-                "{}: {}",
-                wal_path.display(),
-                scan.tail_error
-                    .map_or_else(|| "damaged region".to_string(), |e| e.to_string())
-            ),
-        );
-    }
-    Ok(report)
+    };
+    obs.warn_or_ops(
+        SCRUB_SOURCE,
+        kind,
+        &[("valid_bytes", valid as u64), ("quarantined_bytes", moved)],
+        format!(
+            "{}: {}",
+            wal_path.display(),
+            scan.tail_error
+                .map_or_else(|| "damaged region".to_string(), |e| e.to_string())
+        ),
+    );
+    Ok((action, valid as u64, moved))
 }
 
 #[cfg(test)]
@@ -431,6 +458,14 @@ mod tests {
             d.join("hive.wal"),
             ChainStore::open(&d.join("chain")).unwrap().0,
         )
+    }
+
+    /// Reads and scrubs the campaign whose journal is at `wal_path`, as
+    /// the campaign core does.
+    fn scrub_at(wal_path: &Path, obs: &FlightRecorder) -> Result<ScrubReport, ScrubError> {
+        let files = ShardFiles::read(wal_path, &wal_path.with_file_name("chain"))?;
+        let (_, scan) = files.scan()?;
+        scrub_campaign(files, &scan, obs)
     }
 
     fn record(kind: u8, session: u64, seq: u64, frame: &[u8]) -> Vec<u8> {
@@ -483,7 +518,7 @@ mod tests {
         }
 
         fn scrub(&self, obs: &FlightRecorder) -> Result<ScrubReport, ScrubError> {
-            scrub_campaign(&self.wal_path, &self.chain, obs)
+            scrub_at(&self.wal_path, obs)
         }
 
         fn quiet_scrub(&self) -> ScrubReport {
@@ -519,8 +554,8 @@ mod tests {
 
     #[test]
     fn empty_directory_scrubs_clean() {
-        let (wal_path, chain) = campaign("empty");
-        let report = scrub_campaign(&wal_path, &chain, &FlightRecorder::disabled()).unwrap();
+        let (wal_path, _chain) = campaign("empty");
+        let report = scrub_at(&wal_path, &FlightRecorder::disabled()).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.chain.report.source, ChainSource::None);
     }
@@ -651,7 +686,7 @@ mod tests {
         fs::write(&record, b"checkpoint-shaped garbage").unwrap();
         fs::write(&wal_path, b"journal-shaped garbage").unwrap();
         assert_eq!(
-            scrub_campaign(&wal_path, &chain, &FlightRecorder::disabled()),
+            scrub_at(&wal_path, &FlightRecorder::disabled()),
             Err(ScrubError::NothingRecoverable)
         );
         // The evidence was still quarantined before the refusal.

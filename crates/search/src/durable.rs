@@ -29,8 +29,11 @@
 //! from any minimized plan.
 
 use crate::oracle::OracleFailure;
+use softborg::store::chain::{decode_record, encode_record};
+use softborg::store::{ChainRecord, ChainStore};
 use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
 use softborg_hive::journal::{self, REC_PODS};
+use softborg_hive::HiveSnapshot;
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption, SECTOR_BYTES};
 use softborg_obs::{fnv1a_step, FNV_OFFSET};
 use softborg_pod::{PodConfig, PodState};
@@ -54,10 +57,10 @@ pub enum DurableCanary {
     /// Skip the scrub pass entirely: injected rot reaches resume
     /// unflagged, which [`OracleFailure::ScrubSilent`] must catch.
     BlindScrub,
-    /// Arm [`DurabilityConfig::skip_last_delta`]: resume silently drops the
-    /// newest delta record while trusting the chain head's metadata, so
-    /// the rebuilt shard state is one checkpoint stale. The chain on
-    /// disk is pristine — nothing for a scrubber to flag — which is why
+    /// At every kill, drop each shard's newest chain record but keep its
+    /// metadata on the record before it: resume rebuilds state one
+    /// checkpoint stale. The chain stays checksummed and linked — nothing
+    /// for a scrubber to flag — which is why
     /// [`OracleFailure::DeltaChainDivergence`] needs its own rung.
     SkipDelta,
 }
@@ -164,54 +167,42 @@ impl DurableWorkload {
     /// the canary's storage-level tampering cannot be masked by
     /// checkpointed pod state.
     pub fn with_canary(canary: DurableCanary) -> Self {
-        DurableWorkload {
+        let armed = DurableWorkload {
             canary: Some(canary),
-            compact_ratio: match canary {
-                // Pod states must live only in the journal.
-                DurableCanary::ForgetPodState => 0,
-                // Deltas must actually accumulate before the kill.
-                DurableCanary::SkipDelta => 1,
-                _ => DurableWorkload::default().compact_ratio,
-            },
-            min_compact_wal_bytes: if canary == DurableCanary::SkipDelta {
-                1
-            } else {
-                DurableWorkload::default().min_compact_wal_bytes
-            },
-            // One shard: disk damage then falls back along the chain
-            // instead of tripping the fleet's cross-shard refusal (a
-            // shard's checkpoint ahead of the campaign minimum), which
-            // would mask the dropped delta.
-            shards: if canary == DurableCanary::SkipDelta {
-                1
-            } else {
-                DurableWorkload::default().shards
-            },
-            // Eager compaction still waits until a round's journal
-            // outweighs the checkpoint (pod images included), every
-            // second round here: six rounds put the synthetic
-            // mid-campaign kill after the chain's first delta.
-            rounds: if canary == DurableCanary::SkipDelta {
-                6
-            } else {
-                DurableWorkload::default().rounds
-            },
             ..DurableWorkload::default()
+        };
+        match canary {
+            // Pod states must live only in the journal.
+            DurableCanary::ForgetPodState => DurableWorkload {
+                compact_ratio: 0,
+                ..armed
+            },
+            DurableCanary::BlindScrub => armed,
+            // Deltas must accumulate before the kill, on one shard (disk
+            // damage falls back along the chain, not into the cross-shard
+            // refusal that would mask the dropped delta). Eager
+            // compaction still checkpoints only every second round, so
+            // six rounds put the mid-campaign kill after the first delta.
+            DurableCanary::SkipDelta => DurableWorkload {
+                compact_ratio: 1,
+                min_compact_wal_bytes: 1,
+                shards: 1,
+                rounds: 6,
+                ..armed
+            },
         }
     }
 
     fn config(&self, dir: &Path) -> MultiPlatformConfig {
-        let durability = DurabilityConfig {
-            compact_ratio: self.compact_ratio,
-            min_compact_wal_bytes: self.min_compact_wal_bytes,
-            skip_last_delta: self.canary == Some(DurableCanary::SkipDelta),
-            ..DurabilityConfig::new(dir)
-        };
         MultiPlatformConfig {
             n_pods: self.pods,
             n_shards: self.shards,
             seed: self.seed,
-            durability: Some(durability),
+            durability: Some(DurabilityConfig {
+                compact_ratio: self.compact_ratio,
+                min_compact_wal_bytes: self.min_compact_wal_bytes,
+                ..DurabilityConfig::new(dir)
+            }),
             ..MultiPlatformConfig::default()
         }
     }
@@ -302,8 +293,12 @@ impl DurableWorkload {
             platform = None; // the kill: every fleet process gone
             out.kills += 1;
 
-            if self.canary == Some(DurableCanary::ForgetPodState) {
-                strip_pod_records(&run_dir, self.shards);
+            match self.canary {
+                Some(DurableCanary::ForgetPodState) => strip_pod_records(&run_dir, self.shards),
+                Some(DurableCanary::SkipDelta) => (0..self.shards).for_each(|i| {
+                    drop_last_delta(&run_dir.join(format!("shard-{i}")).join("chain"));
+                }),
+                _ => {}
             }
             let mut applied_here: Vec<String> = Vec::new();
             for (j, c) in corruptions.iter().enumerate() {
@@ -457,6 +452,26 @@ fn strip_pod_records(dir: &Path, shards: usize) {
         }
         let _ = std::fs::write(&wal, &rewritten);
     }
+}
+
+/// The [`DurableCanary::SkipDelta`] tamper on one shard's chain: when
+/// its lineage holds two records or more, re-seal the record before the
+/// head — its own kind, generation, parent and state — with the head's
+/// frame floors, journal coverage and app-meta, then remove the head.
+fn drop_last_delta(chain_dir: &Path) -> Option<()> {
+    let (chain, load) = ChainStore::open(chain_dir).ok()?;
+    let [.., prev, head] = &load.records[..] else {
+        return None;
+    };
+    let path = |r: &ChainRecord| chain.record_path(r.generation, r.kind);
+    let parent = decode_record(&std::fs::read(path(prev)).ok()?).ok()?.parent;
+    let snap = HiveSnapshot {
+        state: HiveSnapshot::decode(&prev.payload).ok()?.state,
+        ..HiveSnapshot::decode(&head.payload).ok()?
+    };
+    let bytes = encode_record(prev.kind, prev.generation, parent, &snap.encode());
+    std::fs::write(path(prev), bytes).ok()?;
+    std::fs::remove_file(path(head)).ok()
 }
 
 /// Applies one corruption point to shard `shard`'s on-disk file.

@@ -124,6 +124,8 @@ pub enum RecordError {
         /// The parent checksum this record claims.
         found: u64,
     },
+    /// Bytes follow the record's envelope in its file.
+    TrailingBytes(usize),
     /// A generation was skipped (hole in the chain).
     MissingGeneration {
         /// The generation that should exist next.
@@ -147,6 +149,7 @@ impl fmt::Display for RecordError {
                     "parent link {found:#018x} does not match previous record {expected:#018x}"
                 )
             }
+            RecordError::TrailingBytes(n) => write!(f, "{n} byte(s) after the record"),
             RecordError::MissingGeneration { expected } => {
                 write!(f, "generation {expected} missing from the chain")
             }
@@ -164,7 +167,7 @@ impl From<EnvelopeError> for RecordError {
 }
 
 /// Which lineage a load used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChainSource {
     /// The newest full's lineage validated.
     Primary,
@@ -172,6 +175,7 @@ pub enum ChainSource {
     /// lineage was used instead.
     Fallback,
     /// No valid lineage exists (cold campaign, or everything damaged).
+    #[default]
     None,
 }
 
@@ -180,14 +184,29 @@ pub enum ChainSource {
 pub struct ChainDefect {
     /// Generation from the filename.
     pub generation: u64,
+    /// Kind from the filename.
+    pub kind: RecordKind,
     /// The record's filename.
     pub file: String,
     /// What was wrong with it.
     pub error: RecordError,
 }
 
-/// What a chain walk found.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl ChainDefect {
+    fn new(generation: u64, kind: RecordKind, path: &Path, error: RecordError) -> Self {
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        let file = file.into_owned();
+        ChainDefect {
+            generation,
+            kind,
+            file,
+            error,
+        }
+    }
+}
+
+/// What a chain walk found; the default is a cold chain's.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChainReport {
     /// Which lineage validated.
     pub source: ChainSource,
@@ -248,13 +267,16 @@ pub struct DecodedRecord<'a> {
     pub payload: &'a [u8],
 }
 
-/// Decodes one record's file bytes. Total: damage yields a typed
-/// [`RecordError`].
+/// Decodes one record's file bytes: one envelope, nothing after it.
+/// Total: damage yields a typed [`RecordError`].
 pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
     if bytes.starts_with(OLDER_CHAIN_MAGIC) {
         return Err(EnvelopeError::OlderLayout.into());
     }
     let rec = FRAMING.read_at(bytes, 0)?;
+    if rec.end < bytes.len() {
+        return Err(RecordError::TrailingBytes(bytes.len() - rec.end));
+    }
     let [generation, parent] = rec.words;
     Ok(DecodedRecord {
         kind: match rec.kind {
@@ -305,7 +327,7 @@ impl ChainStore {
             delta_bytes_since_full: 0,
             last_full_bytes: 0,
         };
-        let (load, head_checksum) = store.walk(true);
+        let (load, head_checksum) = store.walk();
         if let Some(full) = load.report.full_generation {
             store.newest_full = Some(full);
             store.prev_full = store
@@ -340,7 +362,8 @@ impl ChainStore {
         self.last_full_bytes
     }
 
-    fn record_path(&self, generation: u64, kind: RecordKind) -> PathBuf {
+    /// The file generation `generation` of `kind` lives in.
+    pub fn record_path(&self, generation: u64, kind: RecordKind) -> PathBuf {
         self.dir
             .join(format!("chain-{generation:020}.{}", kind.ext()))
     }
@@ -446,18 +469,12 @@ impl ChainStore {
     /// validate forward (checksums, `+1` generations, parent links),
     /// fall back to the previous full's lineage when the newest fails.
     pub fn load(&self) -> ChainLoad {
-        self.walk(true).0
-    }
-
-    /// Validates the chain without retaining payloads — the scrubber's
-    /// and the fault-search harness's view.
-    pub fn validate(&self) -> ChainReport {
-        self.walk(false).0.report
+        self.walk().0
     }
 
     /// The walk behind [`load`](Self::load), plus the body checksum of
     /// the adopted lineage's head (what the next delta links to).
-    fn walk(&self, keep_payloads: bool) -> (ChainLoad, u64) {
+    fn walk(&self) -> (ChainLoad, u64) {
         let files = self.list_files();
         let mut defects: Vec<ChainDefect> = Vec::new();
         let mut fulls: Vec<u64> = files
@@ -489,24 +506,10 @@ impl ChainStore {
                     Ok((rec, body_checksum)) => {
                         prev_checksum = body_checksum;
                         lineage_ok = true;
-                        records.push(if keep_payloads {
-                            rec
-                        } else {
-                            ChainRecord {
-                                payload: Vec::new(),
-                                ..rec
-                            }
-                        });
+                        records.push(rec);
                     }
                     Err(err) => {
-                        defects.push(ChainDefect {
-                            generation: g,
-                            file: path
-                                .file_name()
-                                .map(|n| n.to_string_lossy().into_owned())
-                                .unwrap_or_default(),
-                            error: err,
-                        });
+                        defects.push(ChainDefect::new(g, kind, &path, err));
                         if g == full_gen {
                             lineage_ok = false;
                         }
@@ -558,14 +561,7 @@ impl ChainStore {
                     _ => continue, // healthy fallback-lineage record
                 },
             };
-            defects.push(ChainDefect {
-                generation: *g,
-                file: path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default(),
-                error,
-            });
+            defects.push(ChainDefect::new(*g, *k, path, error));
         }
         let load = ChainLoad {
             report: ChainReport {
@@ -671,27 +667,49 @@ mod tests {
 
     #[test]
     fn corrupt_delta_truncates_the_lineage() {
-        let dir = tmp_dir("rot");
-        let (mut c, _) = ChainStore::open(&dir).unwrap();
-        c.append(RecordKind::Full, b"state").unwrap();
-        c.append(RecordKind::Delta, b"d1").unwrap();
-        c.append(RecordKind::Delta, b"d2").unwrap();
-        // Flip a byte in d1's payload.
-        let p = dir.join(format!("chain-{:020}.delta", 1));
-        let mut bytes = fs::read(&p).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&p, &bytes).unwrap();
-        let load = ChainStore::open(&dir).unwrap().1;
-        assert_eq!(load.records.len(), 1, "only the full survives");
-        assert!(!load.report.is_clean());
-        assert!(load.report.defects.iter().any(|d| matches!(
-            d.error,
-            RecordError::Envelope(EnvelopeError::ChecksumMismatch { .. })
-        )));
-        // d2 is unreachable past the damage — also a defect.
-        assert!(load.report.defects.iter().any(|d| d.generation == 2));
-        fs::remove_dir_all(&dir).unwrap();
+        // A flipped payload byte, and bytes appended after the envelope.
+        type Damage = fn(&mut Vec<u8>);
+        type Expected = fn(&RecordError) -> bool;
+        let damages: [(Damage, Expected); 2] = [
+            (
+                |b| *b.last_mut().unwrap() ^= 0xff,
+                |e| {
+                    matches!(
+                        e,
+                        RecordError::Envelope(EnvelopeError::ChecksumMismatch { .. })
+                    )
+                },
+            ),
+            (
+                |b| b.extend_from_slice(&[0; 16]),
+                |e| *e == RecordError::TrailingBytes(16),
+            ),
+        ];
+        for (damage, expected) in damages {
+            let dir = tmp_dir("rot");
+            let (mut c, _) = ChainStore::open(&dir).unwrap();
+            c.append(RecordKind::Full, b"state").unwrap();
+            c.append(RecordKind::Delta, b"d1").unwrap();
+            c.append(RecordKind::Delta, b"d2").unwrap();
+            let p = dir.join(format!("chain-{:020}.delta", 1));
+            let mut bytes = fs::read(&p).unwrap();
+            damage(&mut bytes);
+            fs::write(&p, &bytes).unwrap();
+            let load = ChainStore::open(&dir).unwrap().1;
+            assert_eq!(load.records.len(), 1, "only the full survives");
+            assert!(!load.report.is_clean());
+            assert!(
+                load.report
+                    .defects
+                    .iter()
+                    .any(|d| d.generation == 1 && expected(&d.error)),
+                "{:?}",
+                load.report
+            );
+            // d2 is unreachable past the damage — also a defect.
+            assert!(load.report.defects.iter().any(|d| d.generation == 2));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

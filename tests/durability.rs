@@ -15,6 +15,7 @@
 mod campaign;
 
 use campaign::*;
+use proptest::prelude::*;
 use softborg::hive::journal::{self, REC_FRAME, REC_PODS, REC_ROUND};
 use softborg::hive::{HiveSnapshot, ScrubReport};
 use softborg::pod::PodState;
@@ -253,6 +254,161 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
         let k = resumed.committed();
         assert!(k > 0 && k <= ROUNDS);
         assert_eq!(resumed.states(), r.states[k as usize], "{kind:?}");
+    }
+}
+
+#[test]
+fn a_torn_round_log_tail_is_quarantined_and_flagged() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "torn-round-log");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        let mut p = kind.start(&scs, &setup);
+        p.run(2);
+        p.checkpoint(); // writes rounds 0 and 1 to the round log
+        p.round();
+        drop(p);
+        let log = dir.join("rounds.log");
+        let intact = std::fs::read(&log).unwrap();
+        assert!(!intact.is_empty());
+        let torn = [0xDE, 0xAD, 0xBE];
+        std::fs::write(&log, [&intact[..], &torn[..]].concat()).unwrap();
+
+        let reports = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(reports[0].round_log_quarantined_bytes, 3, "{kind:?}");
+        assert!(
+            !reports[0].is_clean(),
+            "{kind:?}: the torn tail went unflagged"
+        );
+        assert_eq!(std::fs::read(&log).unwrap(), intact);
+        assert_eq!(
+            std::fs::read(dir.join("rounds.log.quarantined")).unwrap(),
+            torn
+        );
+        let before = tree(&dir);
+        let again = kind.scrub(&scs, &setup).unwrap();
+        assert!(
+            again.iter().all(ScrubReport::is_clean),
+            "{kind:?}: {again:?}"
+        );
+        assert_eq!(tree(&dir), before, "{kind:?}: a clean scrub moved bytes");
+        let (resumed, _) = kind.resume(&scs, &setup).unwrap();
+        assert_eq!(resumed.committed(), 3);
+    }
+}
+
+#[test]
+fn a_scrub_creates_nothing_on_a_root_without_a_campaign() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "scrub-empty-root");
+        let reports = kind.scrub(&scs, &Setup::durable(DurabilityConfig::new(&dir)));
+        let reports = reports.unwrap();
+        assert_eq!(reports.len(), kind.shards());
+        assert!(reports.iter().all(ScrubReport::is_clean));
+        assert_eq!(tree(&dir), Vec::new(), "{kind:?}: the scrub created files");
+    }
+}
+
+/// One campaign of each kind to mutate: two checkpoints (a full and a
+/// delta chain record per shard, two rounds in the round log) and a
+/// third round in each journal.
+fn totality_templates() -> &'static [std::path::PathBuf; 2] {
+    static TEMPLATES: std::sync::OnceLock<[std::path::PathBuf; 2]> = std::sync::OnceLock::new();
+    TEMPLATES.get_or_init(|| {
+        KINDS.map(|kind| {
+            let scs = kind.scenarios();
+            let dir = campaign_dir(kind, "totality-template");
+            let mut p = kind.start(&scs, &Setup::durable(uncompacted(dir.clone())));
+            for _ in 0..2 {
+                p.round();
+                p.checkpoint();
+            }
+            p.round();
+            dir
+        })
+    })
+}
+
+static NEXT_CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One bit flip, one cut or appended bytes in the round log, a
+    /// shard's journal or a chain record: the scrub returns `Ok` or a
+    /// typed error, never panics; after an `Ok` the change is flagged —
+    /// unless it cut an append-only file at a record boundary, which
+    /// leaves a shorter file of intact records — a second scrub is clean
+    /// and moves no byte, and a resume succeeds or refuses with a typed
+    /// error.
+    #[test]
+    fn scrub_is_total_over_one_mutation(
+        kind in 0..2usize,
+        target in 0..3u8,
+        pick in any::<u64>(),
+        op in 0..3u8,
+        at in any::<u64>(),
+        tail in collection::vec(any::<u8>(), 1..40),
+    ) {
+        let kind = KINDS[kind];
+        let scs = kind.scenarios();
+        let n = NEXT_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = campaign_dir(kind, &format!("totality-{n}"));
+        copy_tree(&totality_templates()[(kind == Kind::Fleet) as usize], &dir);
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        let shard = shard_dir(&dir, pick as usize % kind.shards());
+        let path = match target {
+            0 => dir.join("rounds.log"),
+            1 => shard.join("hive.wal"),
+            _ => {
+                let records = chain_records(&shard);
+                records[(pick / 2) as usize % records.len()].clone()
+            }
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        prop_assert!(!bytes.is_empty());
+        let at = at as usize % bytes.len();
+        let record_ends: Vec<usize> = journal::scan(&bytes)
+            .0
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.encoded_len();
+                Some(*end)
+            })
+            .collect();
+        let unseen = match op {
+            0 => {
+                bytes[at] ^= 1 << (pick % 8);
+                false
+            }
+            1 => {
+                bytes.truncate(at);
+                target < 2 && (at == 0 || record_ends.contains(&at))
+            }
+            _ => {
+                bytes.extend_from_slice(&tail);
+                false
+            }
+        };
+        std::fs::write(&path, &bytes).unwrap();
+
+        if let Ok(reports) = kind.scrub(&scs, &setup) {
+            prop_assert!(
+                unseen || reports.iter().any(|r| !r.is_clean()),
+                "{kind:?}: {} changed unflagged: {reports:?}",
+                path.display()
+            );
+            let before = tree(&dir);
+            let again = kind.scrub(&scs, &setup);
+            prop_assert!(
+                again.as_ref().is_ok_and(|r| r.iter().all(ScrubReport::is_clean)),
+                "{kind:?}: second scrub {again:?}"
+            );
+            prop_assert!(tree(&dir) == before, "{kind:?}: a second scrub moved bytes");
+        }
+        let _ = kind.resume(&scs, &setup);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
