@@ -12,7 +12,7 @@
 //! `--seed N` reseeds the platform campaign (default 29).
 
 use softborg::store::chain::decode_record;
-use softborg::{DurabilityConfig, Platform, PlatformConfig};
+use softborg::{DurabilityConfig, DurabilityError, Platform, PlatformConfig};
 use softborg_bench::{arg_seed, banner, cell, table_header, write_json_part};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
 use softborg_program::scenarios::{self, Scenario};
@@ -115,7 +115,8 @@ fn truncate_file(path: &Path, keep: u64) {
 struct CrashRow {
     boundary: u64,
     point: String,
-    recovered_rounds: u64,
+    /// `None` when the resume refused over committed rounds it lost.
+    recovered_rounds: Option<u64>,
     replayed: u64,
     discarded: u64,
     identical: bool,
@@ -326,37 +327,57 @@ fn main() {
                 p.checkpoint_interrupted().expect("interrupted checkpoint");
             }
         }
-        let (resumed, report) = Platform::resume(&s.program, config(&s, scratch.clone(), seed))
-            .expect("resume after crash");
-        let r = resumed.committed_rounds();
-        // The universal crash-only invariant: whatever the damage,
-        // recovery lands on a state some uninterrupted run actually had.
-        let mut identical = resumed.hive_state() == states[r as usize];
-        match *point {
-            // Clean boundary kills and the rename/truncate window lose
-            // nothing: recovery must reach the kill round exactly.
-            DiskCrashPoint::AtRoundBoundary { .. } | DiskCrashPoint::BetweenRenameAndTruncate => {
-                identical &= r == boundary;
-            }
-            _ => {}
-        }
+        let resumed = Platform::resume(&s.program, config(&s, scratch.clone(), seed));
+        let clean_kill = matches!(
+            point,
+            DiskCrashPoint::AtRoundBoundary { .. } | DiskCrashPoint::BetweenRenameAndTruncate
+        );
         let label = format!("{point:?}");
-        let shard = &report.shards[0];
+        let (r, (replayed, discarded), identical) = match resumed {
+            Ok((resumed, report)) => {
+                let r = resumed.committed_rounds();
+                // The universal crash-only invariant: whatever the
+                // damage, recovery lands on a state some uninterrupted
+                // run actually had. Clean boundary kills and the
+                // rename/truncate window lose nothing: recovery must
+                // reach the kill round exactly.
+                let identical =
+                    resumed.hive_state() == states[r as usize] && (!clean_kill || r == boundary);
+                let shard = &report.shards[0];
+                (
+                    Some(r),
+                    (shard.rounds_replayed, shard.records_discarded),
+                    identical,
+                )
+            }
+            // Damage that took the checkpoint after the journal was
+            // compacted may refuse, naming the rounds, but never resume
+            // at round 0 quietly.
+            Err(DurabilityError::RoundsLost { .. }) if !clean_kill => (None, (0, 0), true),
+            Err(e) => panic!("resume after {label}: {e}"),
+        };
         println!(
             "{}{}{}{}{}{}",
             cell(boundary, 9),
             cell(&label[..label.len().min(33)], 34),
-            cell(format!("r{r}"), 10),
-            cell(shard.rounds_replayed, 9),
-            cell(shard.records_discarded, 10),
-            cell(if identical { "IDENTICAL" } else { "DIVERGED" }, 10),
+            cell(r.map_or("refused".into(), |r| format!("r{r}")), 10),
+            cell(replayed, 9),
+            cell(discarded, 10),
+            cell(
+                match (r, identical) {
+                    (None, _) => "REFUSED",
+                    (_, true) => "IDENTICAL",
+                    (_, false) => "DIVERGED",
+                },
+                10
+            ),
         );
         rows.push(CrashRow {
             boundary,
             point: label,
             recovered_rounds: r,
-            replayed: shard.rounds_replayed,
-            discarded: shard.records_discarded,
+            replayed,
+            discarded,
             identical,
         });
     }
@@ -365,7 +386,8 @@ fn main() {
     let all_ok = crashes_ok && boundary_identical == ROUNDS && wal_bounded && compactions > 0;
     println!("\nacceptance: every kill/restart — all {ROUNDS} round boundaries plus every");
     println!(
-        "disk crash point — recovers byte-identical state, journal stays bounded — {}",
+        "disk crash point — recovers byte-identical state or refuses loudly over the rounds\n\
+         it lost, journal stays bounded — {}",
         if all_ok { "PASS" } else { "FAIL" }
     );
     println!("\nexpected shape: boundary kills replay the journal suffix exactly; a");
@@ -373,7 +395,8 @@ fn main() {
     println!("previous full's) and the now-disconnected journal suffix is discarded;");
     println!("torn journal tails are dropped at the last intact record; the");
     println!("append/truncate window never double-applies. The campaign itself never");
-    println!("loses a committed round to compaction.");
+    println!("loses a committed round to compaction; damage that takes the only");
+    println!("checkpoint after compaction is refused, never resumed at round 0.");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -399,7 +422,7 @@ fn main() {
             "    {{\"boundary\": {}, \"point\": \"{}\", \"recovered_rounds\": {}, \"rounds_replayed\": {}, \"records_discarded\": {}, \"state_identical\": {}}}",
             r.boundary,
             r.point.replace('"', "'"),
-            r.recovered_rounds,
+            r.recovered_rounds.map_or("null".into(), |r| r.to_string()),
             r.replayed,
             r.discarded,
             r.identical
@@ -408,7 +431,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count\"\n",
+        "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count; recovered_rounds null: the resume refused (RoundsLost) over committed rounds the damage lost\"\n",
     );
     json.push_str("}\n");
     write_json_part("BENCH_durability.json", &json);

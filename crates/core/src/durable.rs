@@ -79,6 +79,13 @@ pub enum DurabilityError {
     /// that passed no checksum), or the directory holds a layout this
     /// build cannot read.
     Corrupt(String),
+    /// A resume would start over at round 0 while the round log or a
+    /// shard journal shows the campaign committed rounds `0..committed`:
+    /// every acked round would be lost quietly, so nothing is touched.
+    RoundsLost {
+        /// Rounds the campaign's files show committed.
+        committed: u64,
+    },
 }
 
 impl std::fmt::Display for DurabilityError {
@@ -94,6 +101,10 @@ impl std::fmt::Display for DurabilityError {
             ),
             DurabilityError::Io(e) => write!(f, "durability I/O failure: {e}"),
             DurabilityError::Corrupt(what) => write!(f, "durable state corrupt: {what}"),
+            DurabilityError::RoundsLost { committed } => write!(
+                f,
+                "resume would start over at round 0, losing committed rounds 0..{committed}"
+            ),
         }
     }
 }
@@ -799,7 +810,8 @@ mod tests {
                         let truncate = arg % 2 == 0;
                         let before = file();
                         store.write_checkpoint(|_| vec![op], Vec::new(), truncate).unwrap();
-                        let head = store.chain.load().records.pop().unwrap();
+                        let (_, load) = ChainStore::open(store.chain.dir()).unwrap();
+                        let head = load.records.last().unwrap();
                         let snap = HiveSnapshot::decode(&head.payload).unwrap();
                         let (records, scan) = journal::scan(&before);
                         prop_assert_eq!(scan.tail_dropped, 0);

@@ -605,7 +605,10 @@ impl<'p> MultiPlatform<'p> {
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
     /// garbage (a frame its lane's hive cannot merge included), or when
     /// the directory holds an older layout or another shard count —
-    /// refused before anything on disk is touched.
+    /// refused before anything on disk is touched;
+    /// [`DurabilityError::RoundsLost`] when it would start over at round
+    /// 0 while the round log or a journal shows committed rounds, also
+    /// before anything is touched.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -687,6 +690,15 @@ impl<'p> MultiPlatform<'p> {
                 "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
                 sc.snap_round
             )));
+        }
+        // A round record for round `r` in any journal means rounds
+        // `0..r` were acked on every shard before it was written.
+        let journaled = (scans.iter().flat_map(|s| &s.records))
+            .filter(|r| r.kind == REC_ROUND)
+            .map(|r| r.seq);
+        let committed = journaled.fold(log.reports.len() as u64, u64::max);
+        if target == 0 && committed > 0 {
+            return Err(DurabilityError::RoundsLost { committed });
         }
 
         // History: the round log's rounds, then shard 0's replayed

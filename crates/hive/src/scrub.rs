@@ -5,13 +5,14 @@
 //! loudly (typed [`ScrubError`], Warn flight-recorder events) in every
 //! case, never silently ingesting garbage.
 //!
-//! One read of a shard ([`ShardFiles`]: the chain's open walk, each
-//! lineage payload decoded once, the journal's bytes and their one scan)
-//! serves both the caller's refusals and [`scrub_campaign`]; the chain is
-//! walked again only after a quarantine moved a file. Damage is what the
-//! record envelope (`Framing::read_at`/`torn_at`) refuses in any file,
-//! plus a chain record's broken link or non-snapshot payload; only the
-//! repair witnesses below are per kind.
+//! One read of a shard ([`ShardFiles`]: the chain's open, each lineage
+//! payload decoded once, the journal's bytes and their one scan) serves
+//! both the caller's refusals and [`scrub_campaign`]; the chain is opened
+//! again only after a quarantine moved a file. Damage is what the record
+//! envelope (`Framing::read_at`/`torn_at`) refuses in any file, plus
+//! every chain file the chain's one lineage rule condemns (a broken
+//! link, an orphan, a non-canonical name) and a non-snapshot payload;
+//! only the repair witnesses below are per kind.
 //!
 //! # What "repair" may and may not do
 //!
@@ -20,10 +21,10 @@
 //! `*.quarantined` files so the damage stays inspectable. The
 //! interesting decision is where the cut is sound:
 //!
-//! * A corrupt **chain record** is renamed to `<record>.quarantined`,
-//!   and so is every lineage record after one whose payload is not a
+//! * A condemned **chain file** is renamed to `<file>.quarantined`, and
+//!   so is every lineage record after one whose payload is not a
 //!   snapshot; recovery then proceeds from the surviving lineage,
-//!   exactly as the chain load's own fallback would.
+//!   exactly as the chain open's own fallback would.
 //! * Damage in an append-only file's **unsynced tail** (the classic torn
 //!   append) is cut at the last valid record boundary — the same prefix
 //!   [`journal::scan`] recovers — with the dropped bytes preserved in
@@ -80,7 +81,7 @@ use crate::journal::{self, FileJournal, JournalIoError, JournalRecord, JournalSt
 use crate::snapshot::{HiveSnapshot, SnapshotError};
 use softborg_obs::FlightRecorder;
 use softborg_store::record::{self, EnvelopeError};
-use softborg_store::{ChainRecord, ChainReport, ChainStore, RecordKind};
+use softborg_store::{ChainRecord, ChainReport, ChainStore};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -188,11 +189,11 @@ fn io_err(op: &'static str, e: &std::io::Error) -> ScrubError {
     ScrubError::Io(JournalIoError::from_io(op, e))
 }
 
-/// A lineage record's generation and kind, and its payload decoded.
-type Decoded = (u64, RecordKind, Result<HiveSnapshot, SnapshotError>);
+/// A lineage record's file name and generation, and its payload decoded.
+type Decoded = (String, u64, Result<HiveSnapshot, SnapshotError>);
 
 fn decode(records: Vec<ChainRecord>) -> Vec<Decoded> {
-    let decode = |r: ChainRecord| (r.generation, r.kind, HiveSnapshot::decode(&r.payload));
+    let decode = |r: ChainRecord| (r.file, r.generation, HiveSnapshot::decode(&r.payload));
     records.into_iter().map(decode).collect()
 }
 
@@ -292,12 +293,13 @@ pub fn cut_tail(path: &Path, bytes: &[u8], at: usize) -> Result<u64, ScrubError>
     Ok((bytes.len() - at) as u64)
 }
 
-/// The chain's repair: moves aside every record the walk condemned and
+/// The chain's repair: moves aside every file the open condemned and
 /// every lineage record from the first non-snapshot payload on, each
-/// with a Warn event, walking again after each move until nothing
-/// moves. Returns the last walk and the head's snapshot.
+/// with a Warn event, opening the chain again after each pass that
+/// moved one until nothing moves. Returns the last report and the
+/// head's snapshot.
 fn condemn(
-    chain: &ChainStore,
+    mut chain: ChainStore,
     mut report: ChainReport,
     mut lineage: Vec<Decoded>,
     obs: &FlightRecorder,
@@ -305,34 +307,29 @@ fn condemn(
 ) -> Result<(ChainReport, Option<HiveSnapshot>), ScrubError> {
     loop {
         let bad = (lineage.iter().position(|(.., s)| s.is_err())).unwrap_or(lineage.len());
-        let condemned: Vec<(u64, RecordKind, String)> = (report.defects.iter())
-            .map(|d| (d.generation, d.kind, d.error.to_string()))
-            .chain(lineage.drain(bad..).map(|(generation, kind, snap)| {
+        let condemned: Vec<(String, u64, String)> = (report.defects.drain(..))
+            .map(|d| (d.file, d.generation, d.error.to_string()))
+            .chain(lineage.drain(bad..).map(|(file, generation, snap)| {
                 let why = snap.map_or_else(|e| e.to_string(), |_| "after a non-snapshot".into());
-                (generation, kind, why)
+                (file, generation, why)
             }))
             .collect();
-        let moved = quarantined.len();
-        for (generation, kind, why) in condemned {
-            let Some(q) = (chain.quarantine(generation, kind))
-                .map_err(|e| io_err("scrub-quarantine-chain", &e))?
-            else {
-                continue;
-            };
-            // `<record>.quarantined`: the stem is the record's own name.
-            let name = (q.file_stem()).map_or_else(String::new, |n| n.to_string_lossy().into());
+        if condemned.is_empty() {
+            return Ok((report, lineage.pop().and_then(|(.., s)| s.ok())));
+        }
+        for (file, generation, why) in condemned {
+            let q = (chain.quarantine(&file)).map_err(|e| io_err("scrub-quarantine-chain", &e))?;
             obs.warn_or_ops(
                 SCRUB_SOURCE,
                 "chain_record_quarantined",
                 &[("generation", generation)],
-                format!("{name}: {why}; moved to {}", q.display()),
+                format!("{file}: {why}; moved to {}", q.display()),
             );
-            quarantined.push(name);
+            quarantined.push(file);
         }
-        if quarantined.len() == moved {
-            return Ok((report, lineage.pop().and_then(|(.., s)| s.ok())));
-        }
-        let load = chain.load();
+        let load;
+        (chain, load) =
+            ChainStore::open(chain.dir()).map_err(|e| io_err("scrub-open-chain", &e))?;
         (report, lineage) = (load.report, decode(load.records));
     }
 }
@@ -360,7 +357,7 @@ pub fn scrub_campaign(
         None => (false, ChainReport::default(), None),
         Some((chain, report)) => {
             let had = report.records > 0 || !report.defects.is_empty();
-            let (report, head) = condemn(&chain, report, files.lineage, obs, &mut quarantined)?;
+            let (report, head) = condemn(chain, report, files.lineage, obs, &mut quarantined)?;
             (had, report, head)
         }
     };
@@ -447,7 +444,7 @@ fn scrub_wal(
 mod tests {
     use super::*;
     use crate::journal::{append_record, REC_FRAME, REC_ROUND, SESSION_ROUND};
-    use softborg_store::ChainSource;
+    use softborg_store::{ChainSource, RecordKind};
 
     /// A fresh campaign directory: its journal path and opened chain.
     fn campaign(tag: &str) -> (PathBuf, ChainStore) {
@@ -527,7 +524,7 @@ mod tests {
 
         /// The snapshot a resume would adopt.
         fn head(&self) -> Option<HiveSnapshot> {
-            let load = self.chain.load();
+            let load = ChainStore::open(self.chain.dir()).unwrap().1;
             load.records
                 .last()
                 .map(|r| HiveSnapshot::decode(&r.payload).unwrap())

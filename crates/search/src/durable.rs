@@ -18,19 +18,21 @@
 //!
 //! The oracle ladder judging the outcome (see [`check_durable`]): every
 //! corruption that changed stored bytes must be flagged by the scrub
-//! pass ([`OracleFailure::ScrubSilent`] otherwise); a rebuild whose shard state differs
-//! from the reference — the state came out of the delta chain — is a
-//! [`OracleFailure::DeltaChainDivergence`]; and every resumed fleet
-//! must otherwise be process-equivalent to an uninterrupted reference
-//! run — same shard states, same pod populations (RNG streams,
-//! repair-lab corpora), same round history
+//! pass ([`OracleFailure::ScrubSilent`] otherwise); a resume may refuse
+//! but never return at round 0 over committed rounds
+//! ([`OracleFailure::ColdStartOverCampaign`]); a rebuild whose shard
+//! state differs from the reference — the state came out of the delta
+//! chain — is a [`OracleFailure::DeltaChainDivergence`]; and every
+//! resumed fleet must otherwise be process-equivalent to an
+//! uninterrupted reference run — same shard states, same pod
+//! populations (RNG streams, repair-lab corpora), same round history
 //! ([`OracleFailure::ResumeDivergence`] otherwise).
 //! Network-level plan knobs are inert here; the shrinker strips them
 //! from any minimized plan.
 
 use crate::oracle::OracleFailure;
-use softborg::store::chain::{decode_record, encode_record};
-use softborg::store::{ChainRecord, ChainStore};
+use softborg::store::chain::encode_record;
+use softborg::store::ChainStore;
 use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig};
 use softborg_hive::journal::{self, REC_PODS};
 use softborg_hive::HiveSnapshot;
@@ -148,6 +150,9 @@ pub struct DurableOutcome {
     /// First committed round where a resumed fleet was not
     /// process-equivalent to the reference run, if any.
     pub divergence: Option<u64>,
+    /// Committed rounds the campaign had when a resume returned `Ok` at
+    /// round 0 anyway, if one did.
+    pub cold_start: Option<u64>,
     /// First committed round where a rebuild from the delta chain
     /// produced wrong shard state (set instead of `divergence` when the
     /// state half of a resume's equivalence check fails).
@@ -330,6 +335,9 @@ impl DurableWorkload {
             match MultiPlatform::resume(&specs, self.config(&run_dir)) {
                 Ok((p, report)) => {
                     let r = report.target_round;
+                    if r == 0 && current > 0 && out.cold_start.is_none() {
+                        out.cold_start = Some(current);
+                    }
                     let state_ok =
                         r <= self.rounds && self.shard_states(&p) == ref_states[r as usize];
                     let rest_ok = r <= self.rounds
@@ -395,6 +403,9 @@ impl DurableWorkload {
         if let Some(d) = out.chain_divergence {
             buf.extend_from_slice(&d.to_le_bytes());
         }
+        if let Some(c) = out.cold_start {
+            buf.extend_from_slice(&c.to_le_bytes());
+        }
         out.digest = fnv1a_step(FNV_OFFSET, &buf);
 
         drop(platform);
@@ -405,13 +416,17 @@ impl DurableWorkload {
 
 /// The durable campaign's oracle ladder. Scrub soundness is judged
 /// first (accepting rotten bytes silently is worse than diverging
-/// loudly), then a chain rebuild that got the state wrong, and last the
-/// catch-all process-equivalence of every resume.
+/// loudly), then a resume that quietly started over at round 0, then a
+/// chain rebuild that got the state wrong, and last the catch-all
+/// process-equivalence of every resume.
 pub fn check_durable(out: &DurableOutcome) -> Option<OracleFailure> {
     if let Some(point) = &out.undetected {
         return Some(OracleFailure::ScrubSilent {
             point: point.clone(),
         });
+    }
+    if let Some(rounds) = out.cold_start {
+        return Some(OracleFailure::ColdStartOverCampaign { rounds });
     }
     if let Some(round) = out.chain_divergence {
         return Some(OracleFailure::DeltaChainDivergence { round });
@@ -459,19 +474,17 @@ fn strip_pod_records(dir: &Path, shards: usize) {
 /// head — its own kind, generation, parent and state — with the head's
 /// frame floors, journal coverage and app-meta, then remove the head.
 fn drop_last_delta(chain_dir: &Path) -> Option<()> {
-    let (chain, load) = ChainStore::open(chain_dir).ok()?;
+    let (_, load) = ChainStore::open(chain_dir).ok()?;
     let [.., prev, head] = &load.records[..] else {
         return None;
     };
-    let path = |r: &ChainRecord| chain.record_path(r.generation, r.kind);
-    let parent = decode_record(&std::fs::read(path(prev)).ok()?).ok()?.parent;
     let snap = HiveSnapshot {
         state: HiveSnapshot::decode(&prev.payload).ok()?.state,
         ..HiveSnapshot::decode(&head.payload).ok()?
     };
-    let bytes = encode_record(prev.kind, prev.generation, parent, &snap.encode());
-    std::fs::write(path(prev), bytes).ok()?;
-    std::fs::remove_file(path(head)).ok()
+    let bytes = encode_record(prev.kind, prev.generation, prev.parent, &snap.encode());
+    std::fs::write(chain_dir.join(&prev.file), bytes).ok()?;
+    std::fs::remove_file(chain_dir.join(&head.file)).ok()
 }
 
 /// Applies one corruption point to shard `shard`'s on-disk file.
@@ -489,16 +502,13 @@ fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<
                 *kind,
             ),
             DiskCrashPoint::CorruptChainRecord { back, sector, kind } => {
-                let files = chain_record_files(&dir.join(format!("shard-{shard}")).join("chain"));
-                if files.is_empty() {
-                    return None;
-                }
-                let path = files[files.len() - 1 - (*back as usize % files.len())].clone();
-                let label = format!(
-                    "shard-{shard}/chain/{}",
-                    path.file_name().unwrap_or_default().to_string_lossy()
-                );
-                (path, label, *sector, *kind)
+                let chain_dir = dir.join(format!("shard-{shard}")).join("chain");
+                let (chain, _) = ChainStore::open(&chain_dir).ok()?;
+                let files = chain.files();
+                let nth = *back as usize % files.len().max(1);
+                let name = &files.iter().rev().nth(nth)?.name;
+                let label = format!("shard-{shard}/chain/{name}");
+                (chain_dir.join(name), label, *sector, *kind)
             }
             _ => return None,
         };
@@ -513,24 +523,6 @@ fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<
     }
     std::fs::write(&path, &bytes).ok()?;
     Some(format!("{kind:?} @ {label} sector {s}"))
-}
-
-/// Sorted `chain-*.full` / `chain-*.delta` record files (quarantined
-/// files excluded) — index order is generation order.
-fn chain_record_files(chain_dir: &Path) -> Vec<std::path::PathBuf> {
-    let Ok(entries) = std::fs::read_dir(chain_dir) else {
-        return Vec::new();
-    };
-    let mut files: Vec<std::path::PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            name.starts_with("chain-") && (name.ends_with(".full") || name.ends_with(".delta"))
-        })
-        .collect();
-    files.sort();
-    files
 }
 
 #[cfg(test)]

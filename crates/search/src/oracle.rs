@@ -79,6 +79,13 @@ pub enum OracleFailure {
         /// The corruption point no scrub flagged.
         point: String,
     },
+    /// A resume returned `Ok` at committed round 0 after the campaign
+    /// had committed `rounds` rounds: every acked round was lost without
+    /// a refusal (durable campaign only).
+    ColdStartOverCampaign {
+        /// Rounds the campaign had committed before the kill.
+        rounds: u64,
+    },
     /// A resume rebuilt shard state (full record + folded deltas) that
     /// differs from the uninterrupted reference run at committed round
     /// `round`: a delta was skipped, misapplied, or applied against the
@@ -110,6 +117,7 @@ impl OracleFailure {
             OracleFailure::AckedDeliveredMismatch { .. } => "acked_delivered_mismatch",
             OracleFailure::StateDivergence => "state_divergence",
             OracleFailure::ScrubSilent { .. } => "scrub_silent",
+            OracleFailure::ColdStartOverCampaign { .. } => "cold_start_over_campaign",
             OracleFailure::DeltaChainDivergence { .. } => "delta_chain_divergence",
             OracleFailure::ResumeDivergence { .. } => "resume_divergence",
         }
@@ -158,6 +166,12 @@ impl fmt::Display for OracleFailure {
                 write!(
                     f,
                     "corruption [{point}] changed stored bytes but scrub saw a clean campaign"
+                )
+            }
+            OracleFailure::ColdStartOverCampaign { rounds } => {
+                write!(
+                    f,
+                    "resume started over at round 0 after {rounds} committed round(s)"
                 )
             }
             OracleFailure::DeltaChainDivergence { round } => {

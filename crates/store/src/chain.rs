@@ -24,14 +24,26 @@
 //!
 //! ## Validation and fallback
 //!
-//! [`ChainStore::load`] walks back from the newest full record and
-//! validates forward: checksums, generation continuity (`+1` each
-//! step), and parent links. The first invalid record ends the lineage —
-//! later records are reported as defects, never applied. If the newest
-//! full itself is damaged, loading falls back to the previous full's
-//! lineage (exactly one is retained); if that fails too, the chain
-//! reports [`ChainSource::None`] and the caller treats the campaign as
-//! cold.
+//! [`ChainStore::open`] lists the directory once and reads and decodes
+//! every `chain-<digits>.{full,delta}` file once, into an index of
+//! metadata ([`ChainFile`]). A file is *intact* when its name is the
+//! canonical `chain-<g:020>.<kind>` and its record decodes with that
+//! generation and kind. One rule over the index then decides everything:
+//!
+//! * The lineage of an intact full is that full, then each next
+//!   generation's intact delta whose parent is the record before it.
+//! * Of the two newest canonical fulls, the newest intact one's lineage
+//!   is adopted ([`ChainSource::Primary`], or [`ChainSource::Fallback`]
+//!   when the newest full is damaged) and the other's, when intact, is
+//!   retained as the next fallback. With neither, the chain is
+//!   [`ChainSource::None`] and the caller treats the campaign as cold.
+//! * Every other file can never be applied and is a [`ChainDefect`]:
+//!   damaged records, a non-canonical name, a delta whose link broke,
+//!   records past the adopted head, behind a damaged full or in an older
+//!   lineage, and every intact delta when no lineage validates.
+//!
+//! Quarantining every defect therefore leaves a directory that opens
+//! clean onto the same lineage.
 //!
 //! ## Rebase policy
 //!
@@ -89,13 +101,17 @@ impl RecordKind {
     }
 }
 
-/// One validated record loaded from the chain.
+/// One record of the adopted lineage, payload included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainRecord {
+    /// The record's file name inside the chain directory.
+    pub file: String,
     /// Generation number (also encoded in the filename).
     pub generation: u64,
     /// Full or delta.
     pub kind: RecordKind,
+    /// Body checksum of the record before it (0 for a full).
+    pub parent: u64,
     /// The caller's payload bytes.
     pub payload: Vec<u8>,
 }
@@ -131,8 +147,12 @@ pub enum RecordError {
         /// The generation that should exist next.
         expected: u64,
     },
-    /// A delta appeared where a full was required (or vice versa).
+    /// The kind inside the body disagrees with the filename.
     WrongKind,
+    /// The file name is not the canonical `chain-<g:020>.<kind>`.
+    NonCanonicalName,
+    /// No lineage the chain can adopt reaches this intact record.
+    Orphaned,
 }
 
 impl fmt::Display for RecordError {
@@ -154,6 +174,10 @@ impl fmt::Display for RecordError {
                 write!(f, "generation {expected} missing from the chain")
             }
             RecordError::WrongKind => write!(f, "record kind does not fit its chain position"),
+            RecordError::NonCanonicalName => {
+                write!(f, "file name is not chain-<generation:020>.<kind>")
+            }
+            RecordError::Orphaned => write!(f, "no lineage the chain can adopt reaches it"),
         }
     }
 }
@@ -192,19 +216,6 @@ pub struct ChainDefect {
     pub error: RecordError,
 }
 
-impl ChainDefect {
-    fn new(generation: u64, kind: RecordKind, path: &Path, error: RecordError) -> Self {
-        let file = path.file_name().unwrap_or_default().to_string_lossy();
-        let file = file.into_owned();
-        ChainDefect {
-            generation,
-            kind,
-            file,
-            error,
-        }
-    }
-}
-
 /// What a chain walk found; the default is a cold chain's.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChainReport {
@@ -216,8 +227,8 @@ pub struct ChainReport {
     pub head_generation: Option<u64>,
     /// Validated records in the lineage (full + deltas).
     pub records: u64,
-    /// Every record file that failed validation or fell outside the
-    /// adopted lineage's reachable suffix.
+    /// Every record file that can never be applied (see the
+    /// [module docs](self)).
     pub defects: Vec<ChainDefect>,
 }
 
@@ -235,7 +246,7 @@ impl ChainReport {
     }
 }
 
-/// A load: the validated records (full first) plus the walk report.
+/// An open: the adopted lineage (full first) plus the report.
 #[derive(Debug, Clone)]
 pub struct ChainLoad {
     /// The lineage, full record first, deltas in generation order.
@@ -290,18 +301,170 @@ pub fn decode_record(bytes: &[u8]) -> Result<DecodedRecord<'_>, RecordError> {
     })
 }
 
-/// The chain store: a directory of generation record files plus the
-/// append-side bookkeeping (head link, rebase accounting).
+/// What an intact record file holds besides its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordMeta {
+    /// Body checksum of the record before it (0 for a full).
+    pub parent: u64,
+    /// Checksum of this record's body (what the next delta links to).
+    pub body_checksum: u64,
+    /// Payload bytes.
+    pub payload_len: u64,
+}
+
+/// One `chain-<digits>.{full,delta}` file of the chain directory, as
+/// [`ChainStore::open`] found it (or [`ChainStore::append`] wrote it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainFile {
+    /// The file's name inside the chain directory.
+    pub name: String,
+    /// Generation from the name.
+    pub generation: u64,
+    /// Kind from the name.
+    pub kind: RecordKind,
+    /// The record's metadata when the file is intact, else why not.
+    pub check: Result<RecordMeta, RecordError>,
+}
+
+impl ChainFile {
+    /// Reads and decodes the file at `path`, judging it against its
+    /// name; returns the payload of an intact record too (else empty).
+    fn read(path: &Path, name: String) -> Option<(ChainFile, Vec<u8>)> {
+        let rest = name.strip_prefix("chain-")?;
+        let (digits, kind) = match rest.strip_suffix(".full") {
+            Some(d) => (d, RecordKind::Full),
+            None => (rest.strip_suffix(".delta")?, RecordKind::Delta),
+        };
+        let generation = digits.parse::<u64>().ok()?;
+        let (check, mut bytes) = if name != record_name(generation, kind) {
+            (Err(RecordError::NonCanonicalName), Vec::new())
+        } else {
+            match fs::read(path) {
+                Ok(bytes) => (check(&bytes, generation, kind), bytes),
+                Err(e) => (Err(RecordError::Io(e.to_string())), Vec::new()),
+            }
+        };
+        // The payload ends an intact record's file: keep it, not the envelope.
+        let keep = check.as_ref().map_or(0, |m| m.payload_len as usize);
+        bytes.drain(..bytes.len() - keep);
+        let file = ChainFile {
+            name,
+            generation,
+            kind,
+            check,
+        };
+        Some((file, bytes))
+    }
+
+    fn meta(&self) -> Option<&RecordMeta> {
+        self.check.as_ref().ok()
+    }
+
+    fn canonical(&self) -> bool {
+        self.check != Err(RecordError::NonCanonicalName)
+    }
+}
+
+/// Decodes a record file's `bytes` and checks them against the
+/// generation and kind its name carries.
+fn check(bytes: &[u8], generation: u64, kind: RecordKind) -> Result<RecordMeta, RecordError> {
+    let d = decode_record(bytes)?;
+    if d.kind != kind {
+        return Err(RecordError::WrongKind);
+    }
+    let (file, body) = (generation, d.generation);
+    if body != file {
+        return Err(RecordError::GenerationMismatch { file, body });
+    }
+    Ok(RecordMeta {
+        parent: d.parent,
+        body_checksum: d.body_checksum,
+        payload_len: d.payload.len() as u64,
+    })
+}
+
+/// The canonical name of generation `generation`'s `kind` record.
+fn record_name(generation: u64, kind: RecordKind) -> String {
+    format!("chain-{generation:020}.{}", kind.ext())
+}
+
+/// The one lineage rule (see the [module docs](self)), over the index
+/// alone: which lineage is adopted, its index positions (full first),
+/// and every defect.
+fn judge(files: &[ChainFile]) -> (ChainSource, Vec<usize>, Vec<ChainDefect>) {
+    let find = |generation: u64, kind: RecordKind| {
+        (files.iter()).position(|f| f.generation == generation && f.kind == kind && f.canonical())
+    };
+    let lineage_of = |full: usize| {
+        let mut lineage = vec![full];
+        let mut at = full;
+        while let Some(next) = find(files[at].generation + 1, RecordKind::Delta) {
+            match (files[at].meta(), files[next].meta()) {
+                (Some(a), Some(b)) if b.parent == a.body_checksum => lineage.push(next),
+                _ => break,
+            }
+            at = next;
+        }
+        lineage
+    };
+    let mut fulls: Vec<usize> = (0..files.len())
+        .filter(|&i| files[i].kind == RecordKind::Full && files[i].canonical())
+        .collect();
+    fulls.sort_by_key(|&i| std::cmp::Reverse(files[i].generation));
+    fulls.truncate(2);
+    let mut intact = (fulls.iter()).filter(|&&i| files[i].check.is_ok());
+    let lineage = intact.next().map_or_else(Vec::new, |&i| lineage_of(i));
+    let retained = intact.next().map_or_else(Vec::new, |&i| lineage_of(i));
+    let source = match lineage.first() {
+        None => ChainSource::None,
+        Some(&full) if full == fulls[0] => ChainSource::Primary,
+        Some(_) => ChainSource::Fallback,
+    };
+    let head = lineage.last().map(|&i| files[i].generation);
+    let ends = [lineage.last(), retained.last()];
+    let defects = (files.iter().enumerate())
+        .filter(|(i, _)| !lineage.contains(i) && !retained.contains(i))
+        .map(|(_, f)| {
+            let before = (ends.iter().flatten()).map(|&&i| &files[i]);
+            let end = before
+                .filter(|e| e.generation + 1 == f.generation)
+                .find_map(ChainFile::meta);
+            let error = match (&f.check, end, head) {
+                (Err(e), ..) => e.clone(),
+                (Ok(m), Some(e), _) if f.kind == RecordKind::Delta => RecordError::BrokenLink {
+                    expected: e.body_checksum,
+                    found: m.parent,
+                },
+                (Ok(_), _, Some(h)) if f.generation > h => {
+                    RecordError::MissingGeneration { expected: h + 1 }
+                }
+                (Ok(_), ..) => RecordError::Orphaned,
+            };
+            let (generation, kind, file) = (f.generation, f.kind, f.name.clone());
+            ChainDefect {
+                generation,
+                kind,
+                file,
+                error,
+            }
+        })
+        .collect();
+    (source, lineage, defects)
+}
+
+/// The chain store: a directory of generation record files, its index,
+/// and the append-side bookkeeping (head link, rebase accounting).
 #[derive(Debug)]
 pub struct ChainStore {
     dir: PathBuf,
+    /// Every record file in the directory, sorted by name; kept current
+    /// by [`append`](Self::append) and its prune.
+    files: Vec<ChainFile>,
     /// `(generation, body checksum)` of the record the next delta must
     /// link to.
     head: Option<(u64, u64)>,
-    /// Generation of the newest full on disk.
+    /// Generation of the adopted lineage's full.
     newest_full: Option<u64>,
-    /// Generation of the full before that (fallback lineage start).
-    prev_full: Option<u64>,
     /// Payload bytes written as deltas since the newest full.
     delta_bytes_since_full: u64,
     /// Payload bytes of the newest full.
@@ -309,47 +472,63 @@ pub struct ChainStore {
 }
 
 impl ChainStore {
-    /// Opens (creating if needed) the chain directory and recovers the
-    /// append-side bookkeeping from whatever lineage validates. Returns
-    /// that walk too — the same as a [`load`](Self::load) right after —
-    /// so a resume reads and checksums the directory once.
+    /// Opens (creating if needed) the chain directory: lists it once,
+    /// reads and decodes each record file once, and judges the index
+    /// (see the [module docs](self)). Returns the adopted lineage with
+    /// its payloads and the report; the store keeps metadata only.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Propagates directory-creation and listing failures.
     pub fn open(dir: &Path) -> io::Result<(ChainStore, ChainLoad)> {
         fs::create_dir_all(dir)?;
-        let mut store = ChainStore {
-            dir: dir.to_path_buf(),
-            head: None,
-            newest_full: None,
-            prev_full: None,
-            delta_bytes_since_full: 0,
-            last_full_bytes: 0,
-        };
-        let (load, head_checksum) = store.walk();
-        if let Some(full) = load.report.full_generation {
-            store.newest_full = Some(full);
-            store.prev_full = store
-                .list_files()
-                .into_iter()
-                .filter(|(g, k, _)| *k == RecordKind::Full && *g < full)
-                .map(|(g, _, _)| g)
-                .max();
-            for rec in &load.records {
-                match rec.kind {
-                    RecordKind::Full => store.last_full_bytes = rec.payload.len() as u64,
-                    RecordKind::Delta => store.delta_bytes_since_full += rec.payload.len() as u64,
-                }
-            }
-            store.head = load.records.last().map(|r| (r.generation, head_checksum));
+        let mut read = Vec::new();
+        for entry in fs::read_dir(dir)?.filter_map(Result::ok) {
+            let Ok(name) = entry.file_name().into_string() else {
+                continue;
+            };
+            read.extend(ChainFile::read(&entry.path(), name));
         }
-        Ok((store, load))
+        read.sort_by(|(a, _), (b, _)| a.name.cmp(&b.name));
+        let (files, mut payloads): (Vec<ChainFile>, Vec<Vec<u8>>) = read.into_iter().unzip();
+        let (source, lineage, defects) = judge(&files);
+        let records: Vec<ChainRecord> = (lineage.iter())
+            .map(|&i| ChainRecord {
+                file: files[i].name.clone(),
+                generation: files[i].generation,
+                kind: files[i].kind,
+                parent: files[i].meta().map_or(0, |m| m.parent),
+                payload: std::mem::take(&mut payloads[i]),
+            })
+            .collect();
+        let payload_len = |&i: &usize| files[i].meta().map_or(0, |m| m.payload_len);
+        let store = ChainStore {
+            dir: dir.to_path_buf(),
+            head: (lineage.last())
+                .and_then(|&i| Some((files[i].generation, files[i].meta()?.body_checksum))),
+            newest_full: lineage.first().map(|&i| files[i].generation),
+            delta_bytes_since_full: lineage.iter().skip(1).map(payload_len).sum(),
+            last_full_bytes: lineage.first().map_or(0, payload_len),
+            files,
+        };
+        let report = ChainReport {
+            source,
+            full_generation: store.newest_full,
+            head_generation: store.head_generation(),
+            records: records.len() as u64,
+            defects,
+        };
+        Ok((store, ChainLoad { records, report }))
     }
 
     /// The chain directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The index: every record file, sorted by name.
+    pub fn files(&self) -> &[ChainFile] {
+        &self.files
     }
 
     /// Generation of the current head (`None` on a cold chain).
@@ -360,12 +539,6 @@ impl ChainStore {
     /// Payload bytes of the newest full record (0 on a cold chain).
     pub fn last_full_payload_bytes(&self) -> u64 {
         self.last_full_bytes
-    }
-
-    /// The file generation `generation` of `kind` lives in.
-    pub fn record_path(&self, generation: u64, kind: RecordKind) -> PathBuf {
-        self.dir
-            .join(format!("chain-{generation:020}.{}", kind.ext()))
     }
 
     /// `true` when the next snapshot should be a full rebase: cold
@@ -404,14 +577,27 @@ impl ChainStore {
         };
         let mut bytes = Vec::new();
         let body_checksum = FRAMING.seal(&mut bytes, kind.tag(), [generation, parent], payload);
+        let name = record_name(generation, kind);
         let tmp = self.dir.join("chain.tmp");
-        record::replace(&self.record_path(generation, kind), &tmp, &bytes)?;
+        record::replace(&self.dir.join(&name), &tmp, &bytes)?;
+        let file = ChainFile {
+            check: Ok(RecordMeta {
+                parent,
+                body_checksum,
+                payload_len: payload.len() as u64,
+            }),
+            name,
+            generation,
+            kind,
+        };
+        match self.files.binary_search_by(|f| f.name.cmp(&file.name)) {
+            Ok(i) => self.files[i] = file,
+            Err(i) => self.files.insert(i, file),
+        }
         self.head = Some((generation, body_checksum));
         match kind {
             RecordKind::Full => {
-                let retired = self.newest_full;
-                self.prev_full = retired;
-                self.newest_full = Some(generation);
+                let retired = self.newest_full.replace(generation);
                 self.last_full_bytes = payload.len() as u64;
                 self.delta_bytes_since_full = 0;
                 if let Some(keep_from) = retired {
@@ -426,208 +612,29 @@ impl ChainStore {
     }
 
     /// Removes every record file with a generation below `keep_from`.
-    fn prune_before(&self, keep_from: u64) -> io::Result<()> {
-        for (g, _, path) in self.list_files() {
-            if g < keep_from {
-                fs::remove_file(path)?;
-            }
+    fn prune_before(&mut self, keep_from: u64) -> io::Result<()> {
+        for f in self.files.iter().filter(|f| f.generation < keep_from) {
+            fs::remove_file(self.dir.join(&f.name))?;
         }
-        fsync_parent_dir(&self.record_path(keep_from, RecordKind::Full))
+        self.files.retain(|f| f.generation >= keep_from);
+        fsync_parent_dir(&self.dir.join("chain.tmp"))
     }
 
-    /// Every record file present, sorted by generation (fulls before
-    /// deltas at equal generation, which only happens on damage).
-    fn list_files(&self) -> Vec<(u64, RecordKind, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return out;
-        };
-        for e in entries.filter_map(Result::ok) {
-            let path = e.path();
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix("chain-") else {
-                continue;
-            };
-            let (gen_str, kind) = if let Some(g) = rest.strip_suffix(".full") {
-                (g, RecordKind::Full)
-            } else if let Some(g) = rest.strip_suffix(".delta") {
-                (g, RecordKind::Delta)
-            } else {
-                continue;
-            };
-            let Ok(g) = gen_str.parse::<u64>() else {
-                continue;
-            };
-            out.push((g, kind, path));
-        }
-        out.sort_by_key(|(g, k, _)| (*g, k.tag()));
-        out
-    }
-
-    /// Loads the newest valid lineage: walk back from the newest full,
-    /// validate forward (checksums, `+1` generations, parent links),
-    /// fall back to the previous full's lineage when the newest fails.
-    pub fn load(&self) -> ChainLoad {
-        self.walk().0
-    }
-
-    /// The walk behind [`load`](Self::load), plus the body checksum of
-    /// the adopted lineage's head (what the next delta links to).
-    fn walk(&self) -> (ChainLoad, u64) {
-        let files = self.list_files();
-        let mut defects: Vec<ChainDefect> = Vec::new();
-        let mut fulls: Vec<u64> = files
-            .iter()
-            .filter(|(_, k, _)| *k == RecordKind::Full)
-            .map(|(g, _, _)| *g)
-            .collect();
-        fulls.sort_unstable();
-        fulls.reverse();
-
-        let mut chosen: Option<(u64, Vec<ChainRecord>, u64)> = None;
-        let mut source = ChainSource::None;
-        for (try_idx, &full_gen) in fulls.iter().take(2).enumerate() {
-            let mut records = Vec::new();
-            let mut prev_checksum = 0u64;
-            let mut lineage_ok = false;
-            let mut g = full_gen;
-            loop {
-                let kind = if g == full_gen {
-                    RecordKind::Full
-                } else {
-                    RecordKind::Delta
-                };
-                let path = self.record_path(g, kind);
-                if g != full_gen && !path.exists() {
-                    break; // end of the lineage
-                }
-                match read_and_check(&path, g, kind, prev_checksum) {
-                    Ok((rec, body_checksum)) => {
-                        prev_checksum = body_checksum;
-                        lineage_ok = true;
-                        records.push(rec);
-                    }
-                    Err(err) => {
-                        defects.push(ChainDefect::new(g, kind, &path, err));
-                        if g == full_gen {
-                            lineage_ok = false;
-                        }
-                        break;
-                    }
-                }
-                g += 1;
-            }
-            if lineage_ok {
-                source = if try_idx == 0 {
-                    ChainSource::Primary
-                } else {
-                    ChainSource::Fallback
-                };
-                chosen = Some((full_gen, records, prev_checksum));
-                break;
-            }
-        }
-
-        let (full_generation, records, head_checksum) = match chosen {
-            Some((f, r, c)) => (Some(f), r, c),
-            None => (None, Vec::new(), 0),
-        };
-        // Sweep every file the lineage walk did not visit: at-rest
-        // damage anywhere (including the retained fallback lineage) and
-        // orphaned records beyond the head must never go unreported.
-        let head = records.last().map(|r| r.generation);
-        for (g, k, path) in &files {
-            let in_lineage = matches!((full_generation, head), (Some(f), Some(h))
-                if *g >= f && *g <= h
-                    && *k == if *g == f { RecordKind::Full } else { RecordKind::Delta });
-            if in_lineage || defects.iter().any(|d| d.generation == *g) {
-                continue;
-            }
-            let individual = fs::read(path)
-                .map_err(|e| RecordError::Io(e.to_string()))
-                .and_then(|b| decode_record(&b).map(|d| d.generation));
-            let error = match individual {
-                Err(e) => e,
-                Ok(body_gen) if body_gen != *g => RecordError::GenerationMismatch {
-                    file: *g,
-                    body: body_gen,
-                },
-                // Beyond the adopted head a record can never be
-                // applied, however intact: orphaned by the defect (or
-                // hole) that ended the lineage.
-                Ok(_) => match head {
-                    Some(h) if *g > h => RecordError::MissingGeneration { expected: h + 1 },
-                    _ => continue, // healthy fallback-lineage record
-                },
-            };
-            defects.push(ChainDefect::new(*g, *k, path, error));
-        }
-        let load = ChainLoad {
-            report: ChainReport {
-                source,
-                full_generation,
-                head_generation: records.last().map(|r| r.generation),
-                records: records.len() as u64,
-                defects,
-            },
-            records,
-        };
-        (load, head_checksum)
-    }
-
-    /// Quarantines generation `generation`'s record file by renaming it
-    /// to `<name>.quarantined` (the scrubber's repair action). Returns
-    /// the quarantine path if the file existed.
+    /// Quarantines the record file `file` (a [`ChainDefect::file`] or
+    /// [`ChainRecord::file`]) by renaming it to `<file>.quarantined` — the
+    /// scrubber's repair action — and returns the new path. The index then
+    /// no longer matches the directory: open the chain again to judge
+    /// what is left.
     ///
     /// # Errors
     ///
     /// Propagates the rename failure.
-    pub fn quarantine(&self, generation: u64, kind: RecordKind) -> io::Result<Option<PathBuf>> {
-        let path = self.record_path(generation, kind);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let mut q = path.clone().into_os_string();
-        q.push(".quarantined");
-        let q = PathBuf::from(q);
-        fs::rename(&path, &q)?;
+    pub fn quarantine(&self, file: &str) -> io::Result<PathBuf> {
+        let q = self.dir.join(format!("{file}.quarantined"));
+        fs::rename(self.dir.join(file), &q)?;
         fsync_parent_dir(&q)?;
-        Ok(Some(q))
+        Ok(q)
     }
-}
-
-fn read_and_check(
-    path: &Path,
-    expected_gen: u64,
-    expected_kind: RecordKind,
-    expected_parent: u64,
-) -> Result<(ChainRecord, u64), RecordError> {
-    let bytes = fs::read(path).map_err(|e| RecordError::Io(e.to_string()))?;
-    let d = decode_record(&bytes)?;
-    if d.kind != expected_kind {
-        return Err(RecordError::WrongKind);
-    }
-    if d.generation != expected_gen {
-        return Err(RecordError::GenerationMismatch {
-            file: expected_gen,
-            body: d.generation,
-        });
-    }
-    if d.kind == RecordKind::Delta && d.parent != expected_parent {
-        return Err(RecordError::BrokenLink {
-            expected: expected_parent,
-            found: d.parent,
-        });
-    }
-    Ok((
-        ChainRecord {
-            generation: d.generation,
-            kind: d.kind,
-            payload: d.payload.to_vec(),
-        },
-        d.body_checksum,
-    ))
 }
 
 #[cfg(test)]
@@ -739,8 +746,10 @@ mod tests {
         c.append(RecordKind::Full, b"gen2").unwrap();
         c.append(RecordKind::Delta, b"d3").unwrap();
         c.append(RecordKind::Full, b"gen4").unwrap();
-        let gens: Vec<u64> = c.list_files().into_iter().map(|(g, _, _)| g).collect();
+        let gens: Vec<u64> = c.files().iter().map(|f| f.generation).collect();
         assert_eq!(gens, vec![2, 3, 4], "only two lineages retained");
+        let on_disk = ChainStore::open(&dir).unwrap().0;
+        assert_eq!(on_disk.files(), c.files(), "the index is the directory");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -774,16 +783,18 @@ mod tests {
     }
 
     #[test]
-    fn open_hands_back_the_walk_a_load_would_take() {
+    fn open_recovers_the_append_side_bookkeeping() {
         let dir = tmp_dir("open-walk");
         let (mut c, cold) = ChainStore::open(&dir).unwrap();
         assert_eq!(cold.report.source, ChainSource::None);
         c.append(RecordKind::Full, b"gen0").unwrap();
         c.append(RecordKind::Delta, b"d1").unwrap();
         let (reopened, walk) = ChainStore::open(&dir).unwrap();
-        let again = reopened.load();
-        assert_eq!(walk.records, again.records);
-        assert_eq!(walk.report, again.report);
+        assert_eq!(reopened.files(), c.files());
+        assert_eq!(
+            walk.records[1].parent,
+            c.files()[0].check.as_ref().unwrap().body_checksum
+        );
         assert_eq!(reopened.head_generation(), Some(1));
         assert_eq!(reopened.last_full_payload_bytes(), 4);
         // The recovered head link is live: a delta appended after the
@@ -808,6 +819,44 @@ mod tests {
         let report = ChainStore::open(&dir).unwrap().1.report;
         assert_eq!(report.source, ChainSource::None);
         assert_eq!(report.older_layout().map(|d| d.generation), Some(0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn intact_deltas_without_a_lineage_are_orphans() {
+        let dir = tmp_dir("orphans");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
+        c.append(RecordKind::Full, b"state").unwrap();
+        c.append(RecordKind::Delta, b"d1").unwrap();
+        let p = dir.join(format!("chain-{:020}.full", 0));
+        let mut bytes = fs::read(&p).unwrap();
+        bytes[30] ^= 0x40;
+        fs::write(&p, &bytes).unwrap();
+        let report = ChainStore::open(&dir).unwrap().1.report;
+        assert_eq!(report.source, ChainSource::None);
+        assert!(report
+            .defects
+            .iter()
+            .any(|d| d.generation == 1 && d.error == RecordError::Orphaned));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_non_canonical_name_is_a_defect_that_quarantine_moves() {
+        let dir = tmp_dir("name");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
+        c.append(RecordKind::Full, b"state").unwrap();
+        fs::write(dir.join("chain-7.delta"), b"junk").unwrap();
+        let (c, load) = ChainStore::open(&dir).unwrap();
+        let defect = &load.report.defects[..];
+        assert_eq!(defect.len(), 1, "{defect:?}");
+        assert_eq!(defect[0].file, "chain-7.delta");
+        assert_eq!(defect[0].error, RecordError::NonCanonicalName);
+        let q = c.quarantine(&defect[0].file).unwrap();
+        assert_eq!(fs::read(q).unwrap(), b"junk");
+        let again = ChainStore::open(&dir).unwrap().1;
+        assert!(again.report.is_clean(), "{:?}", again.report);
+        assert_eq!(again.records.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

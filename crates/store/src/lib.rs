@@ -25,6 +25,7 @@ pub mod chain;
 pub mod record;
 
 pub use chain::{
-    ChainLoad, ChainRecord, ChainReport, ChainSource, ChainStore, RecordError, RecordKind,
+    ChainDefect, ChainFile, ChainLoad, ChainRecord, ChainReport, ChainSource, ChainStore,
+    RecordError, RecordKind, RecordMeta,
 };
 pub use record::EnvelopeError;

@@ -1,13 +1,23 @@
 //! Property suites for the delta-chain format: records round-trip
-//! exactly, and every byte-level damage mode — torn tails, flipped
-//! bits, truncated chains — produces a typed error, never a panic. Runs at `PROPTEST_CASES` like the snapshot suites.
+//! exactly, every byte-level damage mode — torn tails, flipped bits,
+//! truncated chains — produces a typed error, never a panic, and
+//! quarantining what an open reports leaves a chain that opens clean.
+//! Runs at `PROPTEST_CASES` like the snapshot suites.
 
 use proptest::prelude::*;
 use softborg_store::chain::{decode_record, encode_record, ChainSource, ChainStore, RecordKind};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
+/// Every file in `dir`, sorted by name.
+fn listing(dir: &Path) -> Vec<PathBuf> {
+    let entries = std::fs::read_dir(dir).unwrap().filter_map(Result::ok);
+    let mut files: Vec<PathBuf> = entries.map(|e| e.path()).collect();
+    files.sort();
+    files
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
@@ -131,6 +141,79 @@ proptest! {
         let loaded: Vec<&Vec<u8>> = load.records.iter().map(|r| &r.payload).collect();
         prop_assert_eq!(loaded, older.iter().collect::<Vec<_>>());
         prop_assert!(load.report.defects.iter().any(|d| d.generation == g));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Re-opening after quarantine is clean: a random chain (fulls,
+    /// deltas, rebases) under a random set of damage — bit flips, cuts,
+    /// removals, extra files, renames to a non-canonical name — opens
+    /// without a panic, and once every reported defect is quarantined a
+    /// fresh open reads clean and adopts the same lineage.
+    #[test]
+    fn reopening_after_quarantine_is_clean(
+        fulls in collection::vec(any::<bool>(), 1..10),
+        damage in collection::vec((0u8..5, any::<u32>(), any::<u32>(), 1u8..=255), 0..5),
+    ) {
+        let dir = scratch("quarantine");
+        let (mut c, _) = ChainStore::open(&dir).unwrap();
+        for (i, full) in fulls.iter().enumerate() {
+            let kind = if i == 0 || *full { RecordKind::Full } else { RecordKind::Delta };
+            c.append(kind, &(i as u64).to_le_bytes()).unwrap();
+        }
+        for (what, a, b, mask) in damage {
+            let files = listing(&dir);
+            let victim = files.get(a as usize % files.len().max(1));
+            match (what, victim) {
+                (0, Some(v)) => {
+                    let mut bytes = std::fs::read(v).unwrap();
+                    let len = bytes.len().max(1);
+                    if let Some(byte) = bytes.get_mut(b as usize % len) {
+                        *byte ^= mask;
+                    }
+                    std::fs::write(v, bytes).unwrap();
+                }
+                (1, Some(v)) => {
+                    let bytes = std::fs::read(v).unwrap();
+                    std::fs::write(v, &bytes[..b as usize % bytes.len().max(1)]).unwrap();
+                }
+                (2, Some(v)) => std::fs::remove_file(v).unwrap(),
+                (3, _) => {
+                    // An extra file: junk, an intact full (parent 0) or
+                    // delta, or a copy of another record's bytes.
+                    let g = u64::from(a % 12);
+                    let kind = if mask % 2 == 0 { RecordKind::Full } else { RecordKind::Delta };
+                    let bytes = match (b % 3, victim) {
+                        (1, _) => encode_record(kind, g, u64::from(b % 2) * u64::from(a), b"extra"),
+                        (2, Some(v)) => std::fs::read(v).unwrap(),
+                        _ => vec![mask; b as usize % 40],
+                    };
+                    let ext = if kind == RecordKind::Full { "full" } else { "delta" };
+                    std::fs::write(dir.join(format!("chain-{g:020}.{ext}")), bytes).unwrap();
+                }
+                (4, Some(v)) => {
+                    // The same generation and kind, without the padding.
+                    let name = v.file_name().unwrap().to_str().unwrap();
+                    let (g, ext) = name["chain-".len()..].split_once('.').unwrap();
+                    let g: u64 = g.parse().unwrap();
+                    std::fs::rename(v, dir.join(format!("chain-{g}.{ext}"))).unwrap();
+                }
+                _ => {}
+            }
+        }
+
+        let (c, load) = ChainStore::open(&dir).unwrap();
+        for d in &load.report.defects {
+            c.quarantine(&d.file).unwrap();
+        }
+        let again = ChainStore::open(&dir).unwrap().1;
+        prop_assert!(again.report.is_clean(), "{:?} after {:?}", again.report, load.report);
+        prop_assert_eq!(again.report.full_generation, load.report.full_generation);
+        prop_assert_eq!(again.report.head_generation, load.report.head_generation);
+        prop_assert_eq!(again.records, load.records);
+        // Without a lineage no record file can ever apply: none is left.
+        let quarantined = |p: &PathBuf| p.extension().is_some_and(|x| x == "quarantined");
+        let left = listing(&dir).iter().filter(|p| !quarantined(p)).count();
+        prop_assert!(again.report.source != ChainSource::None || left == 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -298,6 +298,91 @@ fn a_torn_round_log_tail_is_quarantined_and_flagged() {
 }
 
 #[test]
+fn a_lost_checkpoint_is_refused_not_cold_started() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "lost-full");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        let mut p = kind.start(&scs, &setup);
+        p.run(2);
+        p.checkpoint(); // a full record
+        p.run(2);
+        p.checkpoint(); // a delta on it; rounds 0..4 are in the round log
+        p.round();
+        drop(p);
+        // Every shard's full rots: no lineage validates, and its intact
+        // delta can never be applied again.
+        for i in 0..kind.shards() {
+            let records = chain_records(&shard_dir(&dir, i));
+            let full = records.iter().find(|p| p.extension().unwrap() == "full");
+            let full = full.unwrap();
+            let mut bytes = std::fs::read(full).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            std::fs::write(full, bytes).unwrap();
+        }
+        let reports = kind.scrub(&scs, &setup).unwrap();
+        for (i, report) in reports.iter().enumerate() {
+            let names: Vec<String> = (chain_records(&shard_dir(&dir, i)).iter())
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect();
+            assert!(names.is_empty(), "{kind:?} shard {i} kept {names:?}");
+            assert_eq!(report.chain.quarantined.len(), 2, "{kind:?}: {report:?}");
+        }
+        let again = kind.scrub(&scs, &setup).unwrap();
+        assert!(again.iter().all(ScrubReport::is_clean), "{kind:?}");
+        // Resuming at round 0 would drop every acked round quietly; it
+        // refuses, naming them, and moves no byte.
+        let before = tree(&dir);
+        match kind.resume(&scs, &setup) {
+            Err(DurabilityError::RoundsLost { committed }) => assert_eq!(committed, 4),
+            other => panic!(
+                "{kind:?}: expected RoundsLost, got {:?}",
+                other.map(|(_, r)| r)
+            ),
+        }
+        assert_eq!(tree(&dir), before, "{kind:?}: a refused resume moved bytes");
+    }
+}
+
+#[test]
+fn a_record_file_under_a_non_canonical_name_is_quarantined_once() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "odd-name");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        checkpointed_campaign(kind, &scs, &setup);
+        let healthy = |tag: &str| {
+            let twin = campaign_dir(kind, tag);
+            copy_tree(&dir, &twin);
+            let (p, report) = kind
+                .resume(&scs, &Setup::durable(uncompacted(twin)))
+                .unwrap();
+            (p.states(), p.history(), report.target_round)
+        };
+        let expected = healthy("odd-name-twin");
+        let chain = shard_dir(&dir, 0).join("chain");
+        std::fs::write(chain.join("chain-7.delta"), [1, 2, 3, 4]).unwrap();
+
+        let reports = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(
+            reports[0].chain.quarantined,
+            vec!["chain-7.delta"],
+            "{kind:?}"
+        );
+        assert!(!chain.join("chain-7.delta").exists());
+        let moved = std::fs::read(chain.join("chain-7.delta.quarantined")).unwrap();
+        assert_eq!(moved, [1, 2, 3, 4]);
+        let again = kind.scrub(&scs, &setup).unwrap();
+        assert!(
+            again.iter().all(ScrubReport::is_clean),
+            "{kind:?}: {again:?}"
+        );
+        assert_eq!(healthy("odd-name-after"), expected, "{kind:?}");
+    }
+}
+
+#[test]
 fn a_scrub_creates_nothing_on_a_root_without_a_campaign() {
     for kind in KINDS {
         let scs = kind.scenarios();
