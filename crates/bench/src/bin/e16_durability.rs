@@ -119,6 +119,9 @@ struct CrashRow {
     recovered_rounds: Option<u64>,
     replayed: u64,
     discarded: u64,
+    /// Rounds the files show committed that the resume does not reach
+    /// (`None` with the refusal).
+    rounds_lost: Option<u64>,
     identical: bool,
 }
 
@@ -287,6 +290,7 @@ fn main() {
         ("recovered", 10),
         ("replayed", 9),
         ("discarded", 10),
+        ("lost", 6),
         ("state", 10),
     ]);
     let mut rows: Vec<CrashRow> = Vec::new();
@@ -333,7 +337,7 @@ fn main() {
             DiskCrashPoint::AtRoundBoundary { .. } | DiskCrashPoint::BetweenRenameAndTruncate
         );
         let label = format!("{point:?}");
-        let (r, (replayed, discarded), identical) = match resumed {
+        let (r, (replayed, discarded), rounds_lost, identical) = match resumed {
             Ok((resumed, report)) => {
                 let r = resumed.committed_rounds();
                 // The universal crash-only invariant: whatever the
@@ -347,22 +351,24 @@ fn main() {
                 (
                     Some(r),
                     (shard.rounds_replayed, shard.records_discarded),
+                    Some(report.rounds_lost),
                     identical,
                 )
             }
             // Damage that took the checkpoint after the journal was
             // compacted may refuse, naming the rounds, but never resume
             // at round 0 quietly.
-            Err(DurabilityError::RoundsLost { .. }) if !clean_kill => (None, (0, 0), true),
+            Err(DurabilityError::RoundsLost { .. }) if !clean_kill => (None, (0, 0), None, true),
             Err(e) => panic!("resume after {label}: {e}"),
         };
         println!(
-            "{}{}{}{}{}{}",
+            "{}{}{}{}{}{}{}",
             cell(boundary, 9),
             cell(&label[..label.len().min(33)], 34),
             cell(r.map_or("refused".into(), |r| format!("r{r}")), 10),
             cell(replayed, 9),
             cell(discarded, 10),
+            cell(rounds_lost.map_or("-".into(), |n| n.to_string()), 6),
             cell(
                 match (r, identical) {
                     (None, _) => "REFUSED",
@@ -378,6 +384,7 @@ fn main() {
             recovered_rounds: r,
             replayed,
             discarded,
+            rounds_lost,
             identical,
         });
     }
@@ -419,19 +426,20 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"boundary\": {}, \"point\": \"{}\", \"recovered_rounds\": {}, \"rounds_replayed\": {}, \"records_discarded\": {}, \"state_identical\": {}}}",
+            "    {{\"boundary\": {}, \"point\": \"{}\", \"recovered_rounds\": {}, \"rounds_replayed\": {}, \"records_discarded\": {}, \"rounds_lost\": {}, \"state_identical\": {}}}",
             r.boundary,
             r.point.replace('"', "'"),
             r.recovered_rounds.map_or("null".into(), |r| r.to_string()),
             r.replayed,
             r.discarded,
+            r.rounds_lost.map_or("null".into(), |n| n.to_string()),
             r.identical
         );
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count; recovered_rounds null: the resume refused (RoundsLost) over committed rounds the damage lost\"\n",
+        "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count; recovered_rounds null: the resume refused (RoundsLost) over committed rounds the damage lost; rounds_lost: the committed rounds the files show (the round log's, and 0..r for a round record r) that the resume does not reach, null with the refusal\"\n",
     );
     json.push_str("}\n");
     write_json_part("BENCH_durability.json", &json);

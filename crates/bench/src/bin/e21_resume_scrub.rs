@@ -14,8 +14,10 @@
 //!   disk-fault sweep with **zero** divergences: every kill resumes
 //!   process-equivalent, every applied corruption is flagged.
 //! * **B — scrub sweep.** Each corruption kind (bit flip, zeroed
-//!   range, torn write) against each target (journal, head chain
-//!   record) is injected explicitly; zero silent acceptances allowed.
+//!   range, torn write) against each target (a journal that never
+//!   compacts, a journal past its checkpoint's coverage, the head chain
+//!   record) is injected explicitly; zero silent acceptances allowed,
+//!   and damage past a checkpoint is repaired and re-converges.
 //! * **C — canary detection.** Each recovery canary — a journal with
 //!   its pod-state records stripped, a skipped scrub pass, a dropped
 //!   chain delta — must be found, shrunk to a minimal plan, and pinned
@@ -107,26 +109,29 @@ fn main() {
     ];
     let mut scrub_rows = Vec::new();
     let mut applied_total = 0u64;
+    // Per target: the compaction ratio and the kill round. A journal
+    // that never compacts holds every round from round 0; a checkpoint
+    // target wants compaction on, so a chain record exists; and killed
+    // after round 2 the compacting campaign's journal holds the round
+    // past its checkpoint's coverage.
+    let targets = [("wal", 0, 3), ("wal_live", 2, 2), ("chain", 2, 3)];
     for (kname, kind) in kinds {
-        for (tname, wal) in [("wal", true), ("chain", false)] {
-            // Checkpoint targets want compaction on (so a chain record
-            // exists); journal targets want it off (so the journal is
-            // never truncated away underneath the corruption).
+        for (tname, compact_ratio, round) in targets {
             let workload = DurableWorkload {
-                compact_ratio: if wal { 0 } else { 2 },
+                compact_ratio,
                 ..DurableWorkload::default()
             };
-            let point = if wal {
-                DiskCrashPoint::CorruptWal { sector: 1, kind }
-            } else {
+            let point = if tname == "chain" {
                 DiskCrashPoint::CorruptChainRecord {
                     back: 0,
                     sector: 0,
                     kind,
                 }
+            } else {
+                DiskCrashPoint::CorruptWal { sector: 1, kind }
             };
             let plan = FaultPlan {
-                disk: vec![DiskCrashPoint::AtRoundBoundary { round: 3 }, point],
+                disk: vec![DiskCrashPoint::AtRoundBoundary { round }, point],
                 ..FaultPlan::default()
             };
             let out = workload.run(&plan);
@@ -143,12 +148,18 @@ fn main() {
             scrub_rows.push((kname, tname, out));
         }
     }
-    table_header(&[("kind", 12), ("target", 8), ("applied", 9), ("outcome", 24)]);
+    table_header(&[
+        ("kind", 12),
+        ("target", 10),
+        ("applied", 9),
+        ("outcome", 24),
+        ("resumed", 8),
+    ]);
     for (kname, tname, out) in &scrub_rows {
         println!(
-            "{}{}{}{}",
+            "{}{}{}{}{}",
             cell(*kname, 12),
-            cell(*tname, 8),
+            cell(*tname, 10),
             cell(out.corruptions_applied, 9),
             cell(
                 out.aborted
@@ -156,9 +167,22 @@ fn main() {
                     .map_or("repaired, re-converged", |_| "refused loudly"),
                 24
             ),
+            cell(out.last_resume.map_or("-".into(), |r| format!("r{r}")), 8),
         );
     }
-    println!("  {applied_total} corruptions applied, 0 silently accepted");
+    // A journal repair that re-converges: resumed past round 0.
+    let reconverged = (scrub_rows.iter())
+        .filter(|(_, t, out)| *t == "wal_live" && out.aborted.is_none())
+        .filter(|(.., out)| out.last_resume.is_some_and(|r| r > 0))
+        .count();
+    assert!(
+        reconverged > 0,
+        "no journal repair past a checkpoint re-converged"
+    );
+    println!(
+        "  {applied_total} corruptions applied, 0 silently accepted; \
+         {reconverged} journal repair(s) past a checkpoint re-converged"
+    );
 
     // ---- Phase C: every armed canary is found, shrunk, pinned ---------
     println!("\nphase C: recovery-canary detection");
@@ -257,7 +281,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"scrub_sweep\": {{\"points\": {}, \"applied\": {applied_total}, \"silent\": 0}},",
+        "    \"scrub_sweep\": {{\"points\": {}, \"applied\": {applied_total}, \"silent\": 0, \"wal_repairs_reconverged\": {reconverged}}},",
         scrub_rows.len()
     );
     let _ = writeln!(json, "    \"canaries\": [");

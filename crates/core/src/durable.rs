@@ -1,29 +1,31 @@
 //! One durable store: a shard directory's write-ahead journal
-//! (`hive.wal`) plus its delta-chain checkpoint records (`chain/`), and
-//! every decision about what is written there and what a resume trusts;
-//! plus the campaign's one append-only round log (`rounds.log`).
+//! (`hive.wal`) plus its delta-chain checkpoint records (`chain/`); the
+//! campaign's one append-only round log (`rounds.log`); and the one
+//! recovery [`plan`] that judges what a campaign directory holds.
 //!
 //! The campaign core ([`MultiPlatform`](crate::MultiPlatform)) holds one
 //! [`DurableStore`] per shard and adds only what is its own (lane→shard
-//! routing, the two-phase commit, the minimum-committed-round rule).
-//! Everything else lives here exactly once: fresh-open and
-//! campaign-exists detection, the legacy-layout refusal, checkpoint load
-//! (the chain's newest valid lineage, full→deltas), the journal's split
-//! into committed [`segments`], the compaction trigger, the checkpoint
-//! write, and the scrub's one read of a shard.
+//! routing, the two-phase commit, the replay of a plan). Everything else
+//! lives here exactly once: fresh-open and campaign-exists detection,
+//! the legacy-layout refusal, the journal's split into committed
+//! [`segments`], the compaction trigger, the checkpoint write, and the
+//! plan that both resume and scrub execute.
 
+use crate::fleet;
+use crate::multi::{decode_app_meta, decode_round_log, LanePods, MultiRoundReport};
 use softborg_hive::journal::{
-    self, JournalRecord, ScanReport, EMPTY_WAL_HASH, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND,
+    self, JournalRecord, EMPTY_WAL_HASH, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND,
     REC_TOMBSTONE, SESSION_ROUND,
 };
-use softborg_hive::{
-    FileJournal, HiveSnapshot, JournalIoError, JournalStore, ScrubError, ShardFiles,
-};
+use softborg_hive::{FileJournal, HiveSnapshot, JournalIoError, JournalStore};
+use softborg_obs::FlightRecorder;
+use softborg_pod::{PodDelta, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, ProgramId};
-use softborg_store::{ChainLoad, ChainReport, ChainStore, EnvelopeError, RecordKind};
+use softborg_store::{record, ChainLoad, ChainReport, ChainStore, EnvelopeError, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Where and how a durable campaign persists itself.
@@ -80,8 +82,9 @@ pub enum DurabilityError {
     /// build cannot read.
     Corrupt(String),
     /// A resume would start over at round 0 while the round log or a
-    /// shard journal shows the campaign committed rounds `0..committed`:
-    /// every acked round would be lost quietly, so nothing is touched.
+    /// shard journal shows the campaign committed rounds `0..committed`,
+    /// or a shard holds chain records no lineage restores: every acked
+    /// round would be lost quietly, so nothing is touched.
     RoundsLost {
         /// Rounds the campaign's files show committed.
         committed: u64,
@@ -123,17 +126,6 @@ impl From<CodecError> for DurabilityError {
     }
 }
 
-impl From<ScrubError> for DurabilityError {
-    fn from(e: ScrubError) -> Self {
-        match e {
-            ScrubError::Io(io) => DurabilityError::Io(io),
-            e @ (ScrubError::NothingRecoverable | ScrubError::OlderLayout(_)) => {
-                DurabilityError::Corrupt(e.to_string())
-            }
-        }
-    }
-}
-
 pub(crate) fn io_err(op: &'static str, e: &std::io::Error) -> DurabilityError {
     DurabilityError::Io(JournalIoError {
         op,
@@ -142,22 +134,31 @@ pub(crate) fn io_err(op: &'static str, e: &std::io::Error) -> DurabilityError {
     })
 }
 
+pub(crate) fn corrupt(what: &str, e: impl std::fmt::Display) -> DurabilityError {
+    DurabilityError::Corrupt(format!("{what}: {e}"))
+}
+
 fn wal_path(dir: &Path) -> PathBuf {
     dir.join("hive.wal")
 }
 
+/// Shard `shard`'s directory under the campaign root.
+pub(crate) fn shard_dir(root: &Path, shard: usize) -> PathBuf {
+    root.join(format!("shard-{shard}"))
+}
+
 /// The campaign's round log, at its root.
-pub(crate) fn round_log_path(root: &Path) -> PathBuf {
+fn round_log_path(root: &Path) -> PathBuf {
     root.join("rounds.log")
 }
 
-/// The round log's bytes (none when there is no log), read without
-/// opening anything for writing.
-pub(crate) fn read_round_log(root: &Path) -> Result<Vec<u8>, DurabilityError> {
-    match std::fs::read(round_log_path(root)) {
+/// The bytes of the file at `path` (none when there is no file), read
+/// without opening anything for writing.
+fn read_or_empty(path: &Path, op: &'static str) -> Result<Vec<u8>, DurabilityError> {
+    match std::fs::read(path) {
         Ok(bytes) => Ok(bytes),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(io_err("round-log-read", &e)),
+        Err(e) => Err(io_err(op, &e)),
     }
 }
 
@@ -165,8 +166,8 @@ pub(crate) fn read_round_log(root: &Path) -> Result<Vec<u8>, DurabilityError> {
 /// `REC_ROUND` journal record per committed round, from round 0 with no
 /// gap. Only compaction writes it — every committed round it lacks, then
 /// an fsync, before the chain append that relies on it — so a round
-/// that does not compact pays nothing here. Resume reads it back with
-/// shard 0's replayed round records; scrub quarantines a torn tail.
+/// that does not compact pays nothing here. The [`plan`] reads it back
+/// with shard 0's replayed round records and cuts a torn tail.
 #[derive(Debug)]
 pub(crate) struct RoundLog {
     root: PathBuf,
@@ -184,7 +185,7 @@ impl RoundLog {
     /// [`DurabilityError::CampaignExists`] when a log with records is
     /// already there.
     pub(crate) fn create(root: &Path) -> Result<Self, DurabilityError> {
-        if !read_round_log(root)?.is_empty() {
+        if !read_or_empty(&round_log_path(root), "round-log-read")?.is_empty() {
             return Err(DurabilityError::CampaignExists(root.to_path_buf()));
         }
         Ok(Self::holding(root, 0))
@@ -268,7 +269,7 @@ pub(crate) fn refuse_legacy(dir: &Path, names: &[&str]) -> Result<(), Durability
 
 /// Refuses a journaled frame in an older batch layout: this build
 /// cannot fold it, and it is no damage to count and cut past.
-pub(crate) fn refuse_older_frame(rec: &JournalRecord<'_>) -> Result<(), DurabilityError> {
+fn refuse_older_frame(rec: &JournalRecord<'_>) -> Result<(), DurabilityError> {
     match wire::older_layout(rec.frame) {
         Some(what) if rec.kind == REC_FRAME => Err(DurabilityError::Corrupt(format!(
             "journal frame (lane {}, seq {}) is in the older {what} batch layout; this \
@@ -288,23 +289,11 @@ pub(crate) fn older_records(path: &Path, at: usize) -> DurabilityError {
     ))
 }
 
-/// Refuses a chain holding a record in an older layout.
-fn refuse_older_chain(dir: &Path, report: &ChainReport) -> Result<(), DurabilityError> {
-    match report.older_layout() {
-        Some(d) => Err(DurabilityError::Corrupt(format!(
-            "{}: chain record {} is in an older layout; this build cannot resume it",
-            dir.display(),
-            d.file
-        ))),
-        None => Ok(()),
-    }
-}
-
 /// Refuses a campaign root whose `shard-<i>` directories do not fit
 /// `n_shards` — one at `i >= n_shards`, or one missing while another
 /// holds a journal or chain record — before anything is opened: the
 /// resume would silently lose a shard's hives or reset the others.
-pub(crate) fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), DurabilityError> {
+fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), DurabilityError> {
     let entries = match std::fs::read_dir(root) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -334,47 +323,10 @@ pub(crate) fn refuse_shard_count(root: &Path, n_shards: usize) -> Result<(), Dur
     Ok(())
 }
 
-/// What [`DurableStore::resume`] loaded: the newest valid checkpoint and
-/// the journal bytes behind it.
-#[derive(Debug)]
-pub(crate) struct Recovered {
-    /// Encoded states to rebuild from: one full, then its deltas in
-    /// order. Empty on a cold start.
-    pub(crate) states: Vec<Vec<u8>>,
-    /// The head checkpoint, its state moved into `states` and its frame
-    /// floors into the store (`None` on a cold start).
-    pub(crate) head: Option<HiveSnapshot>,
-    /// The whole journal.
-    wal: Vec<u8>,
-    /// The journal's path, for naming it in a refusal.
-    wal_path: PathBuf,
-    /// The chain walk: the lineage adopted and every damaged record.
-    pub(crate) chain: ChainReport,
-}
-
-impl Recovered {
-    /// Delta records folded on top of the chain's full record.
-    pub(crate) fn deltas_applied(&self) -> u64 {
-        self.states.len().saturating_sub(1) as u64
-    }
-
-    /// Scans the journal once: its intact records, borrowed in place,
-    /// the scan's report, and how many of the records the head
-    /// checkpoint covers — replay starts past them.
-    ///
-    /// # Errors
-    ///
-    /// [`DurabilityError::Corrupt`] on a journal in an older layout.
-    pub(crate) fn scan(
-        &self,
-    ) -> Result<(Vec<JournalRecord<'_>>, ScanReport, usize), DurabilityError> {
-        let (records, scan) = journal::scan(&self.wal);
-        if scan.tail_error == Some(EnvelopeError::OlderLayout) {
-            return Err(older_records(&self.wal_path, scan.valid_len));
-        }
-        let covered = self.head.as_ref().map_or(0, |h| h.replay_offset(&records));
-        Ok((records, scan, covered))
-    }
+/// Raises `session`'s frame floor past `seq`.
+fn raise_floor(floors: &mut BTreeMap<u64, u64>, session: u64, seq: u64) {
+    let floor = floors.entry(session).or_insert(0);
+    *floor = (*floor).max(seq + 1);
 }
 
 /// One open durable store. See the [module docs](self).
@@ -426,57 +378,39 @@ impl DurableStore {
         })
     }
 
-    /// Opens `cfg.dir` to continue a campaign and loads its newest valid
-    /// checkpoint lineage (a full record plus every delta after it). An
-    /// empty directory is a cold start. The caller scans the journal
-    /// ([`Recovered::scan`]) and hands back the records it keeps
-    /// ([`keep`](Self::keep)) before staging anything.
+    /// Opens `cfg.dir` to continue a campaign whose [`plan`] was
+    /// repaired and replayed: `chain` is the plan's open chain (opened
+    /// here when the shard had no chain directory), `frame_floors` what
+    /// the replay left, and the journal is cut to `keep`, the records
+    /// the resume keeps — a partial round or rounds past the campaign's
+    /// target go.
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Corrupt`] on an older layout (refused before
-    /// anything is opened) or a chain payload that is not a snapshot;
     /// [`DurabilityError::Io`] on filesystem failures.
-    pub(crate) fn resume(cfg: DurabilityConfig) -> Result<(Self, Recovered), DurabilityError> {
-        refuse_legacy(&cfg.dir, LEGACY_SHARD)?;
-        let (chain, ChainLoad { records, report }) = open_chain(&cfg.dir)?;
-        refuse_older_chain(&cfg.dir, &report)?;
-        // A full record, then deltas; only the head's metadata is kept.
-        let mut states = Vec::with_capacity(records.len());
-        let mut head = None;
-        for rec in records {
-            let mut snap = HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                DurabilityError::Corrupt(format!(
-                    "{}: chain record {}: {e}",
-                    cfg.dir.display(),
-                    rec.generation
-                ))
-            })?;
-            states.push(std::mem::take(&mut snap.state));
-            head = Some(snap);
+    pub(crate) fn reopen(
+        cfg: DurabilityConfig,
+        chain: Option<ChainStore>,
+        frame_floors: BTreeMap<u64, u64>,
+        keep: Cut,
+    ) -> Result<Self, DurabilityError> {
+        let chain = match chain {
+            Some(chain) => chain,
+            None => open_chain(&cfg.dir)?.0,
+        };
+        let mut journal =
+            FileJournal::open(wal_path(&cfg.dir)).map_err(|e| io_err("wal-open", &e))?;
+        if keep.bytes < journal.len() {
+            journal.truncate(keep.bytes)?;
         }
-        let journal = FileJournal::open(wal_path(&cfg.dir)).map_err(|e| io_err("wal-open", &e))?;
-        let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
-        let frame_floors =
-            (head.as_mut()).map_or_else(BTreeMap::new, |h| std::mem::take(&mut h.sessions));
-        let wal_path = wal_path(&cfg.dir);
-        Ok((
-            DurableStore {
-                cfg,
-                chain,
-                journal,
-                wal_hash: EMPTY_WAL_HASH, // set by `keep`
-                frame_floors,
-                staged: Vec::new(),
-            },
-            Recovered {
-                states,
-                head,
-                wal,
-                wal_path,
-                chain: report,
-            },
-        ))
+        Ok(DurableStore {
+            cfg,
+            chain,
+            journal,
+            wal_hash: keep.hash,
+            frame_floors,
+            staged: Vec::new(),
+        })
     }
 
     /// Stages one journal record; [`sync`](Self::sync) writes every
@@ -491,14 +425,7 @@ impl DurableStore {
     /// Stages one batch frame and raises its session's frame floor.
     pub(crate) fn stage_frame(&mut self, session: u64, seq: u64, frame: &[u8]) {
         self.stage(REC_FRAME, session, seq, frame);
-        self.raise_floor(session, seq);
-    }
-
-    /// Records that frame `seq` of `session` is journaled here (appended
-    /// now, or replayed from the journal by a resume).
-    pub(crate) fn raise_floor(&mut self, session: u64, seq: u64) {
-        let floor = self.frame_floors.entry(session).or_insert(0);
-        *floor = (*floor).max(seq + 1);
+        raise_floor(&mut self.frame_floors, session, seq);
     }
 
     /// Writes the staged records and fsyncs the journal: everything
@@ -511,20 +438,6 @@ impl DurableStore {
             self.staged.clear();
         }
         self.journal.sync()?;
-        Ok(())
-    }
-
-    /// Keeps `kept`, the journal's first records as a resume scanned
-    /// them, cutting whatever the file holds past them — a partial
-    /// round, a damaged tail, rounds past the campaign's minimum — and
-    /// dropping anything staged.
-    pub(crate) fn keep(&mut self, kept: &[JournalRecord<'_>]) -> Result<(), DurabilityError> {
-        let len: usize = kept.iter().map(JournalRecord::encoded_len).sum();
-        self.staged.clear();
-        if (len as u64) < self.journal.len() {
-            self.journal.truncate(len as u64)?;
-        }
-        self.wal_hash = journal::wal_hash(kept);
         Ok(())
     }
 
@@ -586,16 +499,6 @@ impl DurableStore {
     }
 }
 
-/// Reads the store at `cfg.dir` once for a scrub, creating nothing and
-/// refusing an older layout as [`DurableStore::resume`] does.
-pub(crate) fn scrub_files(cfg: &DurabilityConfig) -> Result<ShardFiles, DurabilityError> {
-    refuse_legacy(&cfg.dir, LEGACY_SHARD)?;
-    Ok(ShardFiles::read(
-        &wal_path(&cfg.dir),
-        &cfg.dir.join("chain"),
-    )?)
-}
-
 /// Encodes a `REC_PROMOTE` body: the program, the failure-mode
 /// signature, and the overlay distributed for it.
 pub(crate) fn put_promotion(buf: &mut Vec<u8>, program: u64, signature: &str, overlay: &Overlay) {
@@ -605,9 +508,7 @@ pub(crate) fn put_promotion(buf: &mut Vec<u8>, program: u64, signature: &str, ov
 }
 
 /// Decodes what [`put_promotion`] wrote.
-pub(crate) fn read_promotion(
-    bytes: &[u8],
-) -> Result<(ProgramId, String, Overlay), DurabilityError> {
+fn read_promotion(bytes: &[u8]) -> Result<(ProgramId, String, Overlay), DurabilityError> {
     let mut r = codec::Reader::new(bytes);
     let program = ProgramId(r.u64("promote.program")?);
     let signature = r.str("promote.signature")?.to_string();
@@ -617,36 +518,34 @@ pub(crate) fn read_promotion(
 /// One committed round's worth of journal records: everything since the
 /// previous `REC_ROUND`, closed by its own `REC_ROUND` record.
 #[derive(Debug)]
-pub(crate) struct Segment<'w> {
+struct Segment<'w> {
     /// Batch frames in merge order (`(session, seq)`).
-    pub(crate) frames: Vec<JournalRecord<'w>>,
+    frames: Vec<JournalRecord<'w>>,
     /// Fix promotions, in journal order.
-    pub(crate) promotes: Vec<JournalRecord<'w>>,
+    promotes: Vec<JournalRecord<'w>>,
     /// Pod-population records, in journal order.
-    pub(crate) pods: Vec<JournalRecord<'w>>,
+    pods: Vec<JournalRecord<'w>>,
     /// The `REC_ROUND` record closing the segment (the caller owns the
     /// report codec).
-    pub(crate) round: JournalRecord<'w>,
+    round: JournalRecord<'w>,
     /// Record index just past its `REC_ROUND` record: the cut point if
     /// nothing after it is applied.
-    pub(crate) end_idx: usize,
+    end_idx: usize,
 }
 
 /// Splits scanned journal records (the suffix a checkpoint does not
 /// cover) into committed rounds: `REC_FRAME` / `REC_PROMOTE` /
 /// `REC_PODS` records are grouped under the `REC_ROUND` that commits
-/// them. The caller decodes each segment's round record, decides whether
-/// it continues the recovered state, and applies it; records after the
-/// last segment it applies — an uncommitted partial round among them —
-/// are cut.
+/// them. The [`plan`] decodes each segment's round record, decides
+/// whether it continues the recovered state, and a resume applies it;
+/// records after the last segment it applies — an uncommitted partial
+/// round among them — are cut.
 ///
 /// # Errors
 ///
 /// [`DurabilityError::Corrupt`] on a record kind no platform journals,
 /// and on a frame in an older batch layout.
-pub(crate) fn segments<'w>(
-    records: &[JournalRecord<'w>],
-) -> Result<Vec<Segment<'w>>, DurabilityError> {
+fn segments<'w>(records: &[JournalRecord<'w>]) -> Result<Vec<Segment<'w>>, DurabilityError> {
     let mut out = Vec::new();
     let (mut frames, mut promotes, mut pods) = (Vec::new(), Vec::new(), Vec::new());
     for (idx, &rec) in records.iter().enumerate() {
@@ -676,6 +575,560 @@ pub(crate) fn segments<'w>(
         }
     }
     Ok(out)
+}
+
+/// How a repair leaves a shard's journal: the recovery plan's region
+/// judgement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalAction {
+    /// Every record verified, or there is no journal: nothing moves.
+    Clean,
+    /// The bytes from the first damaged record on move to
+    /// `hive.wal.quarantined` and the journal is cut there.
+    TailCut,
+    /// Damage inside the checkpoint-covered prefix: the prefix moves to
+    /// `hive.wal.quarantined` and the journal is rewritten to the intact
+    /// suffix the checkpoint does not cover.
+    PrefixDropped,
+}
+
+/// Where a journal is kept to: its first `records` records, `bytes`
+/// long, of running hash `hash` (the default, an empty journal's).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cut {
+    records: usize,
+    bytes: u64,
+    hash: u64,
+}
+
+const _: () = assert!(
+    EMPTY_WAL_HASH == 0,
+    "Cut::default is an empty journal's cut"
+);
+
+impl Cut {
+    /// The cut one record further on.
+    fn past(self, rec: &JournalRecord<'_>) -> Self {
+        let len = rec.encoded_len();
+        Cut {
+            records: self.records + 1,
+            bytes: self.bytes + len as u64,
+            hash: journal::fold_record(self.hash, rec.checksum, len),
+        }
+    }
+}
+
+/// One committed round past a checkpoint, decoded once: what a resume
+/// replays.
+#[derive(Debug)]
+pub(crate) struct Round {
+    pub(crate) report: MultiRoundReport,
+    /// Batch frames in merge order: lane, seq, and where the frame lies
+    /// in its shard's journal bytes.
+    pub(crate) frames: Vec<(u64, u64, Range<usize>)>,
+    /// Fix promotions in journal order: record seq, program, signature,
+    /// overlay.
+    pub(crate) promotions: Vec<(u64, ProgramId, String, Overlay)>,
+    /// Each lane's pod deltas.
+    pub(crate) pods: LanePods<PodDelta>,
+    /// The journal kept through this round.
+    cut: Cut,
+}
+
+/// What executing one shard's plan takes: the shard's files, read once,
+/// and what they decoded to. A resume consumes it.
+#[derive(Debug, Default)]
+pub(crate) struct ShardWork {
+    /// The open chain (none without a chain directory).
+    pub(crate) chain: Option<ChainStore>,
+    /// The journal's bytes as read.
+    pub(crate) wal: Vec<u8>,
+    /// Checkpoint states to rebuild from: the lineage's full, then its
+    /// deltas.
+    pub(crate) states: Vec<Vec<u8>>,
+    /// Each of the shard's lanes' pod images in the checkpoint.
+    pub(crate) lane_images: LanePods<PodState>,
+    /// Frame floors after the replay.
+    pub(crate) frame_floors: BTreeMap<u64, u64>,
+    /// The rounds a resume replays, in order.
+    pub(crate) rounds: Vec<Round>,
+    /// The journal a resume keeps.
+    pub(crate) keep: Cut,
+    /// Where the repair cuts the journal: the start of a damaged tail,
+    /// or the end of the covered prefix a prefix drop moves.
+    wal_cut: usize,
+    /// Intact records the journal holds after the repair.
+    records: usize,
+}
+
+/// One shard's part of a [`CampaignPlan`].
+#[derive(Debug, Clone)]
+pub struct ShardPlan {
+    /// Shard index.
+    pub shard: usize,
+    /// The chain's judgement: the lineage restored and every defect,
+    /// each a file the repair quarantines.
+    pub chain: ChainReport,
+    /// Delta records applied on top of the lineage's full record.
+    pub chain_deltas_applied: u64,
+    /// How the repair leaves the journal.
+    pub wal_action: WalAction,
+    /// Journal bytes the repair moves to `hive.wal.quarantined`: a
+    /// damaged or torn tail, or a damaged covered prefix.
+    pub wal_quarantined_bytes: u64,
+    /// Committed rounds restored from the checkpoint alone.
+    pub rounds_from_snapshot: u64,
+    /// Committed rounds replayed from the journal past the checkpoint.
+    pub rounds_replayed: u64,
+    /// Intact records a resume cuts because they lie past the target:
+    /// an uncommitted partial round, a round another shard never
+    /// fsynced (never acked), or a suffix disconnected from a fallback
+    /// lineage.
+    pub records_discarded: u64,
+    /// Rounds this shard's files show committed: the round log's, and
+    /// `0..r` for each round record `r` in its journal.
+    pub committed: u64,
+    /// `committed` rounds the target does not reach.
+    pub rounds_lost: u64,
+}
+
+/// The campaign's one recovery plan: what one read of a campaign
+/// directory holds, the repair it makes, and where a resume lands.
+/// [`MultiPlatform::resume`](crate::MultiPlatform::resume) and
+/// [`MultiPlatform::scrub`](crate::MultiPlatform::scrub) return the plan
+/// they executed.
+#[derive(Debug)]
+pub struct CampaignPlan {
+    /// The verdict: resume at this committed round, the minimum any
+    /// shard restores (a round is acked only once every shard fsynced
+    /// it). Every refusal is an `Err` of the plan instead.
+    pub target_round: u64,
+    /// Rounds the campaign's files show committed: the largest of the
+    /// shards' [`ShardPlan::committed`].
+    pub committed: u64,
+    /// `committed` rounds the target does not reach.
+    pub rounds_lost: u64,
+    /// Bytes of a torn `rounds.log` tail the repair moves to
+    /// `rounds.log.quarantined`.
+    pub round_log_quarantined_bytes: u64,
+    /// Per-shard judgement, in shard order.
+    pub shards: Vec<ShardPlan>,
+    /// What executing the plan takes; emptied once it ran.
+    pub(crate) work: CampaignWork,
+}
+
+/// The campaign-wide half of what executing a plan takes.
+#[derive(Debug, Default)]
+pub(crate) struct CampaignWork {
+    root: PathBuf,
+    /// The round log's bytes as read.
+    pub(crate) log: Vec<u8>,
+    /// The rounds of the log a resume keeps, and their bytes.
+    pub(crate) log_keep: (u64, usize),
+    /// The resumed campaign's round history.
+    pub(crate) history: Vec<MultiRoundReport>,
+    /// Per shard, in shard order.
+    pub(crate) shards: Vec<ShardWork>,
+}
+
+impl CampaignPlan {
+    /// `true` when the repair moves nothing.
+    pub fn is_clean(&self) -> bool {
+        self.round_log_quarantined_bytes == 0
+            && (self.shards.iter()).all(|s| s.chain.is_clean() && s.wal_action == WalAction::Clean)
+    }
+
+    /// Makes the plan's repair, each move a Warn event on `obs`: every
+    /// chain file a defect names is renamed to `<file>.quarantined`, and
+    /// a damaged journal region or a torn round-log tail moves to the
+    /// file's `.quarantined` twin. Quarantine never deletes. After it,
+    /// planning again finds the same target with nothing to repair.
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::Io`] on filesystem failures.
+    pub(crate) fn repair(&mut self, obs: &FlightRecorder) -> Result<(), DurabilityError> {
+        let work = &mut self.work;
+        for (s, w) in self.shards.iter().zip(&mut work.shards) {
+            let shard = s.shard as u64;
+            for d in &s.chain.defects {
+                let chain = w.chain.as_mut().expect("a defect comes from an open chain");
+                let q = chain
+                    .quarantine(&d.file)
+                    .map_err(|e| io_err("chain-quarantine", &e))?;
+                obs.warn_or_ops(
+                    REPAIR_SOURCE,
+                    "chain_record_quarantined",
+                    &[("shard", shard), ("generation", d.generation)],
+                    format!("{}: {}; moved to {}", d.file, d.error, q.display()),
+                );
+            }
+            let path = wal_path(&shard_dir(&work.root, s.shard));
+            let kind = match s.wal_action {
+                WalAction::Clean => continue,
+                WalAction::TailCut => {
+                    cut_tail(&path, &w.wal, w.wal_cut)?;
+                    "wal_tail_cut"
+                }
+                WalAction::PrefixDropped => {
+                    quarantine(&path, &w.wal[..w.wal_cut])?;
+                    let tmp = path.with_extension("wal.repair-tmp");
+                    (record::replace(&path, &tmp, &w.wal[w.wal_cut..]))
+                        .map_err(|e| io_err("wal-rewrite", &e))?;
+                    "wal_prefix_dropped"
+                }
+            };
+            let moved = s.wal_quarantined_bytes;
+            obs.warn_or_ops(
+                REPAIR_SOURCE,
+                kind,
+                &[("shard", shard), ("quarantined_bytes", moved)],
+                format_args!(
+                    "{}: {moved} damaged byte(s) moved to quarantine",
+                    path.display()
+                ),
+            );
+        }
+        let torn = self.round_log_quarantined_bytes;
+        if torn > 0 {
+            let valid = work.log.len() - torn as usize;
+            cut_tail(&round_log_path(&work.root), &work.log, valid)?;
+            obs.warn_or_ops(
+                REPAIR_SOURCE,
+                "round_log_tail_cut",
+                &[("bytes", torn)],
+                format_args!("a torn {torn}-byte tail of the round log moved to quarantine"),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Flight-recorder source of every repair move.
+const REPAIR_SOURCE: &str = "campaign.repair";
+
+/// Appends `bytes` to `<path>.quarantined`, next to the file they came
+/// from so the damage stays inspectable, and syncs it.
+fn quarantine(path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".quarantined");
+    let mut q = (FileJournal::open(path.with_file_name(name)))
+        .map_err(|e| io_err("quarantine-open", &e))?;
+    q.append(bytes)?;
+    q.sync()?;
+    Ok(())
+}
+
+/// The tail cut of a journal and of the round log: moves `bytes[at..]`
+/// of the file at `path` (holding `bytes`) to quarantine and cuts the
+/// file to `at` bytes.
+fn cut_tail(path: &Path, bytes: &[u8], at: usize) -> Result<(), DurabilityError> {
+    quarantine(path, &bytes[at..])?;
+    let mut file = FileJournal::open(path).map_err(|e| io_err("cut-open", &e))?;
+    Ok(file.truncate(at as u64)?)
+}
+
+/// Where `part`, a slice of `whole`, lies in it.
+fn span(whole: &[u8], part: &[u8]) -> Range<usize> {
+    let start = part.as_ptr() as usize - whole.as_ptr() as usize;
+    start..start + part.len()
+}
+
+/// The campaign's one recovery plan: judges the campaign at `root` with
+/// `n_shards` shards over one read of its files, creating and moving
+/// nothing. What it reads is each shard's chain (`ChainStore::open`'s
+/// lineage and defects, each lineage payload decoded once), each
+/// shard's journal (one scan, and the committed rounds past the
+/// checkpoint decoded once), and the round log.
+///
+/// `Ok` is the verdict "resume at [`CampaignPlan::target_round`]":
+/// [`MultiPlatform::scrub`](crate::MultiPlatform::scrub) makes its
+/// repair; [`MultiPlatform::resume`](crate::MultiPlatform::resume)
+/// makes the same repair, then restores, replays and cuts what lies
+/// past the target. An `Err` is a typed refusal, and neither moves a
+/// byte.
+///
+/// # The repair
+///
+/// A repair never reconstructs lost data; it moves bytes verification
+/// already rejected into `*.quarantined` files (see
+/// [`CampaignPlan::repair`]):
+///
+/// * every chain file the chain's one lineage rule condemns (damage, a
+///   broken link, an orphan, a non-canonical name) — the lineage the
+///   plan restores is the one a fresh open adopts afterwards;
+/// * a torn round-log tail (damage mid-log, with intact records after
+///   it, is refused);
+/// * a damaged journal region, judged against the restored
+///   checkpoint's claimed coverage `wal_covered`.
+///
+/// `wal_covered` cannot be taken at face value: after a *completed*
+/// compaction the journal restarts at byte 0 while `wal_covered` still
+/// describes the pre-truncate file, so a journal damaged before
+/// `wal_covered` may be freshly live from byte 0 (stale coverage) or a
+/// genuinely covered prefix that the damage itself un-hashed. The plan
+/// acts only on verifiable evidence:
+///
+/// * The damage is inside the claimed prefix, the file reaches
+///   `wal_covered`, and `bytes[wal_covered..]` scans as whole
+///   checksummed records: the covered offset lands on a true record
+///   boundary, which a regrown journal would only offer by 2⁻⁶⁴
+///   accident, so the prefix is summarized by the checkpoint. It moves
+///   to quarantine and the journal is rewritten to the suffix
+///   ([`WalAction::PrefixDropped`]), which replays onto the checkpoint
+///   exactly as it would have before the damage.
+/// * Otherwise everything from the damage on moves to quarantine
+///   ([`WalAction::TailCut`]): replaying across a hole would merge a
+///   different history than was acknowledged. The records before the
+///   damage stay, and only those that continue the checkpoint's rounds
+///   replay: a covered record's round precedes the checkpoint's, so a
+///   prefix that cannot be told covered is never applied twice.
+///
+/// # The target and the loss rule
+///
+/// A shard restores its checkpoint's rounds plus the connected rounds
+/// its journal commits past them; the target is the minimum over
+/// shards. The files show rounds `0..committed` committed: the round
+/// log's, and `0..r` for a round record `r` in any journal (a round
+/// record is written only after every shard acked the rounds before
+/// it). [`CampaignPlan::rounds_lost`] names what the target leaves out.
+///
+/// # Errors
+///
+/// [`DurabilityError::RoundsLost`] when the target is round 0 while the
+/// files show a committed round, or a shard holds chain records no
+/// lineage restores; [`DurabilityError::Corrupt`] on an older layout,
+/// another shard count, damage mid-round-log, a checksummed record that
+/// does not decode, a checkpoint ahead of the target, or a round log
+/// that disagrees with shard 0's journal or lacks rounds its checkpoint
+/// holds; [`DurabilityError::Io`] on a failed read.
+pub(crate) fn plan(root: &Path, n_shards: usize) -> Result<CampaignPlan, DurabilityError> {
+    refuse_legacy(root, LEGACY_ROOT)?;
+    refuse_shard_count(root, n_shards)?;
+    let log = read_or_empty(&round_log_path(root), "round-log-read")?;
+    let log_scan = decode_round_log(&log)?;
+    let log_rounds = log_scan.reports.len() as u64;
+    let (mut shards, mut works): (Vec<ShardPlan>, Vec<ShardWork>) = (0..n_shards)
+        .map(|i| plan_shard(i, &shard_dir(root, i)))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+
+    let restorable =
+        |(s, w): (&ShardPlan, &ShardWork)| s.rounds_from_snapshot + w.rounds.len() as u64;
+    let target = shards.iter().zip(&works).map(restorable).min().unwrap_or(0);
+    if let Some(s) = shards.iter().find(|s| s.rounds_from_snapshot > target) {
+        // Phase B follows phase A on every shard: impossible.
+        return Err(DurabilityError::Corrupt(format!(
+            "shard {} checkpoint is at round {} but the campaign minimum is {target}",
+            s.shard, s.rounds_from_snapshot
+        )));
+    }
+    for s in &mut shards {
+        s.committed = s.committed.max(log_rounds);
+        s.rounds_lost = s.committed.saturating_sub(target);
+    }
+    let committed = shards
+        .iter()
+        .map(|s| s.committed)
+        .max()
+        .unwrap_or(log_rounds);
+    let unrestored = |(s, w): (&ShardPlan, &ShardWork)| {
+        s.chain.records == 0 && w.chain.as_ref().is_some_and(|c| !c.files().is_empty())
+    };
+    if target == 0 && (committed > 0 || shards.iter().zip(&works).any(unrestored)) {
+        return Err(DurabilityError::RoundsLost { committed });
+    }
+
+    // History: the round log's rounds, then shard 0's replayed rounds
+    // past them. Where both hold a round they must agree.
+    let kept = log_rounds.min(target);
+    let snap0 = shards.first().map_or(0, |s| s.rounds_from_snapshot);
+    if kept < snap0 {
+        return Err(DurabilityError::Corrupt(format!(
+            "the round log holds rounds 0..{kept} but shard 0's checkpoint is at round {snap0}: \
+             rounds {kept}..{snap0} are lost"
+        )));
+    }
+    let replayed = works
+        .first()
+        .map_or(&[][..], |w| &w.rounds[..(target - snap0) as usize]);
+    for round in replayed.iter().filter(|r| r.report.round < kept) {
+        if log_scan.reports[round.report.round as usize] != round.report {
+            return Err(DurabilityError::Corrupt(format!(
+                "the round log and shard 0's journal disagree on round {}",
+                round.report.round
+            )));
+        }
+    }
+    let mut history = log_scan.reports;
+    history.truncate(kept as usize);
+    let newer = replayed.iter().filter(|r| r.report.round >= kept);
+    history.extend(newer.map(|r| r.report.clone()));
+
+    // Every shard replays up to the target and keeps its journal
+    // through the last round it replays.
+    for (s, w) in shards.iter_mut().zip(&mut works) {
+        w.rounds
+            .truncate((target - s.rounds_from_snapshot) as usize);
+        if let Some(last) = w.rounds.last() {
+            w.keep = last.cut;
+        }
+        for &(lane, seq, _) in w.rounds.iter().flat_map(|r| &r.frames) {
+            raise_floor(&mut w.frame_floors, lane, seq);
+        }
+        s.rounds_replayed = w.rounds.len() as u64;
+        s.records_discarded = (w.records - w.keep.records) as u64;
+    }
+    Ok(CampaignPlan {
+        target_round: target,
+        committed,
+        rounds_lost: committed.saturating_sub(target),
+        round_log_quarantined_bytes: (log.len() - log_scan.valid_len) as u64,
+        shards,
+        work: CampaignWork {
+            root: root.to_path_buf(),
+            log_keep: (kept, round_log_prefix(&log, kept)),
+            log,
+            history,
+            shards: works,
+        },
+    })
+}
+
+/// Byte length of the first `rounds` records of an intact round log.
+fn round_log_prefix(bytes: &[u8], rounds: u64) -> usize {
+    let mut at = 0;
+    for _ in 0..rounds {
+        match journal::FRAMING.read_at(bytes, at) {
+            Ok(rec) => at = rec.end,
+            Err(_) => break,
+        }
+    }
+    at
+}
+
+/// One shard's part of [`plan`], before the campaign's target is known.
+fn plan_shard(shard: usize, dir: &Path) -> Result<(ShardPlan, ShardWork), DurabilityError> {
+    refuse_legacy(dir, LEGACY_SHARD)?;
+    let chain_dir = dir.join("chain");
+    let (chain, ChainLoad { records, report }) = if chain_dir.is_dir() {
+        let (chain, load) = open_chain(dir)?;
+        (Some(chain), load)
+    } else {
+        (None, ChainLoad::default())
+    };
+    if let Some(d) = report.older_layout() {
+        return Err(DurabilityError::Corrupt(format!(
+            "{}: chain record {} is in an older layout; this build cannot resume it",
+            dir.display(),
+            d.file
+        )));
+    }
+    let mut work = ShardWork {
+        chain,
+        ..ShardWork::default()
+    };
+    // A full record, then deltas; only the head's metadata is kept.
+    let mut head = None;
+    for rec in records {
+        let mut snap = HiveSnapshot::decode(&rec.payload).map_err(|e| {
+            let what = format!("{}: chain record {}", dir.display(), rec.generation);
+            corrupt(&what, e)
+        })?;
+        work.states.push(std::mem::take(&mut snap.state));
+        head = Some(snap);
+    }
+    let mut snap_round = 0;
+    if let Some(head) = &mut head {
+        (snap_round, work.lane_images) = decode_app_meta(&head.app_meta)?;
+        work.frame_floors = std::mem::take(&mut head.sessions);
+    }
+
+    // The journal: one scan, then the region judgement.
+    let path = wal_path(dir);
+    let wal = read_or_empty(&path, "wal-read")?;
+    let (records, scan) = journal::scan(&wal);
+    if scan.tail_error == Some(EnvelopeError::OlderLayout) {
+        return Err(older_records(&path, scan.valid_len));
+    }
+    let last_round = |records: &[JournalRecord<'_>]| {
+        let rounds = records.iter().filter(|r| r.kind == REC_ROUND);
+        rounds.map(|r| r.seq).max().unwrap_or(0)
+    };
+    let mut committed = last_round(&records);
+    let covered_bytes = head.as_ref().map_or(0, |h| h.wal_covered as usize);
+    let (wal_action, live) = if scan.tail_dropped == 0 {
+        (WalAction::Clean, records)
+    } else {
+        work.wal_cut = scan.valid_len;
+        let (suffix, rest) = match wal.get(covered_bytes..) {
+            Some(suffix) if scan.valid_len < covered_bytes => journal::scan(suffix),
+            _ => Default::default(),
+        };
+        if rest.tail_dropped == 0 && !suffix.is_empty() {
+            work.wal_cut = covered_bytes;
+            committed = committed.max(last_round(&suffix));
+            (WalAction::PrefixDropped, suffix)
+        } else {
+            (WalAction::TailCut, records)
+        }
+    };
+    let wal_quarantined_bytes = match wal_action {
+        WalAction::Clean => 0,
+        WalAction::TailCut => wal.len() - work.wal_cut,
+        WalAction::PrefixDropped => work.wal_cut,
+    } as u64;
+
+    // The committed rounds past the checkpoint, decoded once, each with
+    // the journal cut just past it.
+    let covered = head.as_ref().map_or(0, |h| h.replay_offset(&live));
+    let (mut cut, mut at) = (Cut::default(), 0);
+    let mut cut_to = |n: usize| {
+        cut = live[at..n].iter().fold(cut, Cut::past);
+        at = n;
+        cut
+    };
+    work.keep = cut_to(covered);
+    for seg in segments(&live[covered..])? {
+        let report = MultiRoundReport::decode(seg.round.frame)?;
+        if report.round != snap_round + work.rounds.len() as u64 {
+            break; // disconnected: the checkpoint fell back a generation
+        }
+        let what = format!("shard {shard} round {} pods", report.round);
+        let pods = (seg.pods.iter())
+            .map(|r| Ok((r.session, fleet::decode_pod_deltas(r.frame)?)))
+            .collect::<Result<_, DurabilityError>>()
+            .map_err(|e| corrupt(&what, e))?;
+        let promotions = (seg.promotes.iter())
+            .map(|r| read_promotion(r.frame).map(|(p, s, o)| (r.seq, p, s, o)))
+            .collect::<Result<_, _>>()?;
+        let frames = (seg.frames.iter())
+            .map(|r| (r.session, r.seq, span(&wal, r.frame)))
+            .collect();
+        work.rounds.push(Round {
+            report,
+            frames,
+            promotions,
+            pods,
+            cut: cut_to(covered + seg.end_idx),
+        });
+    }
+    work.records = live.len();
+    work.wal = wal;
+    let plan = ShardPlan {
+        shard,
+        chain: report,
+        chain_deltas_applied: work.states.len().saturating_sub(1) as u64,
+        wal_action,
+        wal_quarantined_bytes,
+        rounds_from_snapshot: snap_round,
+        rounds_replayed: 0,
+        records_discarded: 0,
+        committed,
+        rounds_lost: 0,
+    };
+    Ok((plan, work))
 }
 
 #[cfg(test)]
@@ -765,6 +1218,246 @@ mod tests {
         }
     }
 
+    /// A report for round `round` with no program in it, encoded.
+    fn round_body(round: u64) -> Vec<u8> {
+        let mut body = Vec::new();
+        let report = MultiRoundReport {
+            round,
+            executions: 0,
+            failures: 0,
+            failure_rate_per_10k: 0.0,
+            fixes_promoted: 0,
+            programs: Vec::new(),
+        };
+        report.encode_into(&mut body);
+        body
+    }
+
+    /// A one-shard campaign written by hand: round 0 in the round log
+    /// and a full checkpoint at round 1 covering the journal's first
+    /// `covered` bytes (round 0's records); the journal holds round 1
+    /// past them.
+    struct Seeded {
+        root: PathBuf,
+        wal: Vec<u8>,
+        covered: usize,
+    }
+
+    impl Seeded {
+        fn new(tag: &str) -> Self {
+            let root =
+                std::env::temp_dir().join(format!("softborg-plan-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let mut wal = Vec::new();
+            journal::append_record(&mut wal, REC_FRAME, 0, 0, &[0xAA; 40]);
+            journal::append_record(&mut wal, REC_ROUND, SESSION_ROUND, 0, &round_body(0));
+            let covered = wal.len();
+            journal::append_record(&mut wal, REC_FRAME, 0, 1, &[0xBB; 40]);
+            journal::append_record(&mut wal, REC_ROUND, SESSION_ROUND, 1, &round_body(1));
+            let mut log = Vec::new();
+            journal::append_record(&mut log, REC_ROUND, SESSION_ROUND, 0, &round_body(0));
+            let seeded = Seeded { root, wal, covered };
+            let (mut chain, _) = open_chain(&seeded.shard()).unwrap();
+            chain
+                .append(RecordKind::Full, &seeded.snapshot(covered))
+                .unwrap();
+            std::fs::write(round_log_path(&seeded.root), log).unwrap();
+            std::fs::write(seeded.wal_path(), &seeded.wal).unwrap();
+            seeded
+        }
+
+        fn shard(&self) -> PathBuf {
+            shard_dir(&self.root, 0)
+        }
+
+        fn wal_path(&self) -> PathBuf {
+            wal_path(&self.shard())
+        }
+
+        /// A checkpoint at round 1 covering the journal's first `covered` bytes.
+        fn snapshot(&self, covered: usize) -> Vec<u8> {
+            let mut app_meta = crate::multi::APP_META_TAG.to_vec();
+            codec::put_u64(&mut app_meta, 1);
+            codec::put_u32(&mut app_meta, 0);
+            let snap = HiveSnapshot {
+                state: vec![1, 2, 3],
+                sessions: [(0, 1)].into_iter().collect(),
+                wal_covered: covered as u64,
+                wal_covered_hash: journal::wal_hash(&journal::scan(&self.wal[..covered]).0),
+                app_meta,
+            };
+            snap.encode()
+        }
+
+        fn plan(&self) -> Result<CampaignPlan, DurabilityError> {
+            plan(&self.root, 1)
+        }
+
+        /// Flips `mask` into journal byte `at` on disk; returns the bytes.
+        fn damage(&self, at: &[usize]) -> Vec<u8> {
+            let mut bytes = self.wal.clone();
+            for &at in at {
+                bytes[at] ^= 0x80;
+            }
+            std::fs::write(self.wal_path(), &bytes).unwrap();
+            bytes
+        }
+
+        fn quarantined(&self, path: &Path) -> Vec<u8> {
+            let mut name = path.file_name().unwrap().to_os_string();
+            name.push(".quarantined");
+            std::fs::read(path.with_file_name(name)).unwrap_or_default()
+        }
+
+        /// Repairs by the plan, then plans again: the same target with
+        /// nothing left to repair.
+        fn repair(&self, obs: &FlightRecorder) -> CampaignPlan {
+            let mut plan = self.plan().unwrap();
+            plan.repair(obs).unwrap();
+            let again = self.plan().unwrap();
+            assert!(again.is_clean(), "{again:?}");
+            assert_eq!(again.target_round, plan.target_round);
+            plan
+        }
+    }
+
+    #[test]
+    fn plan_of_a_clean_campaign_replays_past_its_checkpoint_and_moves_nothing() {
+        let s = Seeded::new("clean");
+        let plan = s.plan().unwrap();
+        assert!(plan.is_clean(), "{plan:?}");
+        assert_eq!(
+            (plan.target_round, plan.committed, plan.rounds_lost),
+            (2, 1, 0)
+        );
+        let shard = &plan.shards[0];
+        assert_eq!((shard.rounds_from_snapshot, shard.rounds_replayed), (1, 1));
+        assert_eq!(plan.work.history.len(), 2);
+        assert_eq!(std::fs::read(s.wal_path()).unwrap(), s.wal);
+    }
+
+    #[test]
+    fn plan_of_an_empty_root_is_a_cold_start_that_creates_nothing() {
+        let root = std::env::temp_dir().join(format!("softborg-plan-empty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let plan = plan(&root, 2).unwrap();
+        assert!(plan.is_clean());
+        assert_eq!((plan.target_round, plan.shards.len()), (0, 2));
+        assert!(!root.exists(), "planning created the root");
+    }
+
+    #[test]
+    fn plan_cuts_a_damaged_live_tail_into_quarantine() {
+        let s = Seeded::new("tail");
+        let bytes = s.damage(&[s.covered + 10]);
+        let plan = s.repair(&FlightRecorder::disabled());
+        assert_eq!(plan.shards[0].wal_action, WalAction::TailCut);
+        assert_eq!(
+            plan.shards[0].wal_quarantined_bytes,
+            (s.wal.len() - s.covered) as u64
+        );
+        assert_eq!(
+            plan.target_round, 1,
+            "round 1's records were behind the hole"
+        );
+        assert_eq!(std::fs::read(s.wal_path()).unwrap(), &s.wal[..s.covered]);
+        assert_eq!(s.quarantined(&s.wal_path()), &bytes[s.covered..]);
+    }
+
+    #[test]
+    fn plan_drops_a_damaged_covered_prefix_and_replays_the_suffix() {
+        let s = Seeded::new("prefix");
+        let bytes = s.damage(&[5]);
+        let plan = s.repair(&FlightRecorder::disabled());
+        assert_eq!(plan.shards[0].wal_action, WalAction::PrefixDropped);
+        assert_eq!((plan.target_round, plan.rounds_lost), (2, 0));
+        assert_eq!(std::fs::read(s.wal_path()).unwrap(), &s.wal[s.covered..]);
+        assert_eq!(s.quarantined(&s.wal_path()), &bytes[..s.covered]);
+    }
+
+    #[test]
+    fn plan_cuts_at_the_first_hole_when_both_regions_are_damaged() {
+        let s = Seeded::new("span");
+        s.damage(&[5, s.covered + 10]);
+        let plan = s.repair(&FlightRecorder::disabled());
+        assert_eq!(plan.shards[0].wal_action, WalAction::TailCut);
+        assert_eq!(plan.shards[0].wal_quarantined_bytes, s.wal.len() as u64);
+        assert_eq!(
+            plan.target_round, 1,
+            "the checkpoint alone resumes the campaign"
+        );
+        assert!(std::fs::read(s.wal_path()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn plan_refuses_an_older_layout_journal_untouched() {
+        let s = Seeded::new("older");
+        let mut bytes = s.wal.clone();
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let fnv = softborg_obs::fnv1a_step(softborg_obs::FNV_OFFSET, &bytes[12..12 + len]);
+        bytes[4..12].copy_from_slice(&fnv.to_le_bytes());
+        std::fs::write(s.wal_path(), &bytes).unwrap();
+        match s.plan() {
+            Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("older layout"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(s.wal_path()).unwrap(), bytes);
+    }
+
+    #[test]
+    fn plan_quarantines_a_corrupt_chain_record_never_deletes_it() {
+        let s = Seeded::new("record-rot");
+        // A newer delta covering the whole journal, then rot in it.
+        let (mut chain, _) = open_chain(&s.shard()).unwrap();
+        let g = chain
+            .append(RecordKind::Delta, &s.snapshot(s.wal.len()))
+            .unwrap();
+        let path = chain.dir().join(format!("chain-{g:020}.delta"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let plan = s.repair(&FlightRecorder::disabled());
+        let chain = &plan.shards[0].chain;
+        assert_eq!(chain.defects.len(), 1);
+        assert_eq!(chain.head_generation, Some(0), "the full's lineage resumes");
+        assert_eq!(plan.target_round, 2, "the journal replays onto the full");
+        assert!(!path.exists(), "corrupt record left in place");
+        assert_eq!(
+            s.quarantined(&path),
+            bytes,
+            "quarantine keeps the bytes exactly"
+        );
+    }
+
+    #[test]
+    fn plan_refuses_a_chain_payload_that_is_no_snapshot_untouched() {
+        let s = Seeded::new("bad-payload");
+        let (mut chain, _) = open_chain(&s.shard()).unwrap();
+        chain.append(RecordKind::Delta, b"not a snapshot").unwrap();
+        assert!(matches!(s.plan(), Err(DurabilityError::Corrupt(_))));
+        assert_eq!(ChainStore::open(chain.dir()).unwrap().1.records.len(), 2);
+    }
+
+    #[test]
+    fn plan_repair_records_a_warn_event_for_every_move() {
+        use softborg_obs::{ManualClock, Severity};
+        let s = Seeded::new("events");
+        std::fs::write(s.shard().join("chain").join("chain-7.delta"), b"junk").unwrap();
+        s.damage(&[s.covered + 10]);
+        let rec = FlightRecorder::new(std::sync::Arc::new(ManualClock::new(0)), 64);
+        s.repair(&rec);
+        let events = rec.events();
+        for kind in ["chain_record_quarantined", "wal_tail_cut"] {
+            let warned = |e: &&softborg_obs::Event| e.kind == kind && e.severity == Severity::Warn;
+            assert!(
+                events.iter().any(|e| warned(&e)),
+                "no Warn {kind} event: {events:?}"
+            );
+        }
+    }
+
     static NEXT_DIR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
     proptest! {
@@ -786,11 +1479,11 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = DurabilityConfig::new(&dir);
             let file = || std::fs::read(wal_path(&dir)).unwrap();
+            // A resume keeps the journal's intact records.
             let resume = || {
-                let (mut store, rec) = DurableStore::resume(cfg.clone()).unwrap();
-                let (records, _, _) = rec.scan().unwrap();
-                store.keep(&records).unwrap();
-                store
+                let bytes = file();
+                let keep = journal::scan(&bytes).0.iter().fold(Cut::default(), Cut::past);
+                DurableStore::reopen(cfg.clone(), None, BTreeMap::new(), keep).unwrap()
             };
             let mut store = DurableStore::create(cfg.clone()).unwrap();
             for (op, arg) in ops {

@@ -63,11 +63,10 @@ mod fleet;
 pub mod multi;
 pub mod platform;
 
-pub use durable::{DurabilityConfig, DurabilityError};
+pub use durable::{CampaignPlan, DurabilityConfig, DurabilityError, ShardPlan, WalAction};
 pub use multi::{
     decode_round_log, FleetSpec, IngestSettings, LaneTask, MultiDrivenExecution, MultiPlatform,
-    MultiPlatformConfig, MultiRoundReport, ProgramRoundReport, ResumeReport, RoundLogScan,
-    RoundTelemetry, ShardResumeReport,
+    MultiPlatformConfig, MultiRoundReport, ProgramRoundReport, RoundLogScan, RoundTelemetry,
 };
 pub use platform::{DrivenExecution, Platform, PlatformConfig, RoundReport};
 

@@ -26,7 +26,9 @@
 //! [`MultiPlatform::resume`] takes the *minimum* committed round as the
 //! campaign's truth and truncates what lies past it — unacked rounds
 //! and any uncommitted partial round — and rebuilds history from the
-//! round log plus shard 0's replayed round records.
+//! round log plus shard 0's replayed round records. What the directory
+//! holds is judged once, by the recovery plan ([`CampaignPlan`]) that
+//! [`MultiPlatform::resume`] and [`MultiPlatform::scrub`] both execute.
 //! Older layouts are refused with their bytes untouched: a root holding
 //! `hive.wal`, `chain/` or `hive.snap` (the single-program layout), a
 //! shard holding `hive.snap`, a round record this codec cannot read, a
@@ -36,22 +38,21 @@
 //! inside checkpoints).
 
 use crate::durable::{
-    older_records, put_promotion, read_promotion, read_round_log, refuse_legacy,
-    refuse_older_frame, refuse_shard_count, round_log_path, scrub_files, segments,
-    DurabilityConfig, DurabilityError, DurableStore, RoundLog, Segment, LEGACY_ROOT,
+    corrupt, older_records, plan, put_promotion, refuse_legacy, shard_dir, CampaignPlan,
+    DurabilityConfig, DurabilityError, DurableStore, RoundLog, LEGACY_ROOT,
 };
 use crate::fleet::{self, Counters, Fleet, Frame, PodSlot, Trial};
 use softborg_fix::FixCandidate;
 use softborg_hive::journal::{
-    self, JournalRecord, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
+    self, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE, SESSION_ROUND,
 };
-use softborg_hive::{scrub, Hive, HiveConfig, ScrubReport, ShardedHive};
+use softborg_hive::{Hive, HiveConfig, ShardedHive};
 use softborg_ingest::{IngestConfig, IngestStats, UnitFrames};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodDelta, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program, ProgramId};
-use softborg_store::{ChainReport, EnvelopeError, RecordKind};
+use softborg_store::{EnvelopeError, RecordKind};
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -367,57 +368,6 @@ pub fn decode_round_log(bytes: &[u8]) -> Result<RoundLogScan, DurabilityError> {
     })
 }
 
-/// Byte length of the first `rounds` records of an intact round log.
-fn round_log_prefix(bytes: &[u8], rounds: u64) -> usize {
-    let mut at = 0;
-    for _ in 0..rounds {
-        match journal::FRAMING.read_at(bytes, at) {
-            Ok(rec) => at = rec.end,
-            Err(_) => break,
-        }
-    }
-    at
-}
-
-fn corrupt(what: &str, e: impl std::fmt::Display) -> DurabilityError {
-    DurabilityError::Corrupt(format!("{what}: {e}"))
-}
-
-/// What a resume found and did on one shard.
-#[derive(Debug, Clone)]
-pub struct ShardResumeReport {
-    /// Shard index.
-    pub shard: usize,
-    /// This shard's chain walk: which lineage validated and every
-    /// damaged record file found.
-    pub chain: ChainReport,
-    /// Delta records applied on top of this shard's chain full record.
-    pub chain_deltas_applied: u64,
-    /// Committed rounds restored from the checkpoint alone.
-    pub rounds_from_snapshot: u64,
-    /// Committed rounds replayed from this shard's journal suffix.
-    pub rounds_replayed: u64,
-    /// Corrupt/unsynced journal-tail bytes dropped.
-    pub wal_tail_dropped: u64,
-    /// Intact records discarded because they belong past the campaign's
-    /// minimum committed round: an uncommitted partial round, a round
-    /// this shard journaled while another shard's fsync never happened
-    /// (the round was never acked), or a suffix disconnected from a
-    /// fallback chain lineage. All are truncated.
-    pub records_discarded: u64,
-}
-
-/// What [`MultiPlatform::resume`] or
-/// [`Platform::resume`](crate::Platform::resume) found and did.
-#[derive(Debug, Clone)]
-pub struct ResumeReport {
-    /// The campaign's recovered committed round: the *minimum* across
-    /// shards (a round is acked only once every shard fsynced it).
-    pub target_round: u64,
-    /// Per-shard recovery detail.
-    pub shards: Vec<ShardResumeReport>,
-}
-
 /// Per-round telemetry kept *beside* the journaled history, never in it:
 /// timings are host-dependent, and reports must stay byte-identical
 /// with telemetry on or off. `commit_ns` / `fsync_ns` come from the
@@ -500,7 +450,7 @@ pub struct MultiPlatform<'p> {
 /// its `shard-<i>/` subdirectory.
 fn shard_cfg(root: &DurabilityConfig, shard: usize) -> DurabilityConfig {
     DurabilityConfig {
-        dir: root.dir.join(format!("shard-{shard}")),
+        dir: shard_dir(&root.dir, shard),
         ..root.clone()
     }
 }
@@ -591,153 +541,45 @@ impl<'p> MultiPlatform<'p> {
     }
 
     /// Resumes (or, from an empty directory, cold-starts) a durable
-    /// campaign. Every shard loads its newest valid checkpoint (falling
-    /// back a chain lineage if torn) and replays its journal up to the
+    /// campaign by executing its recovery plan (see
+    /// [`CampaignPlan`]): the plan's repair first, then every shard
+    /// restores its checkpoint lineage and replays its journal up to the
     /// campaign's **minimum** committed round; anything past it is
     /// truncated. Shards and pods — RNG positions, repair-lab corpora,
     /// overlays, queued directives — come back byte-identical to the
-    /// uninterrupted run at that round.
+    /// uninterrupted run at that round. Returns the plan it executed.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] without a durability config;
+    /// every refusal of the plan, before anything on disk is touched;
     /// [`DurabilityError::Io`] on filesystem failures;
-    /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage (a frame its lane's hive cannot merge included), or when
-    /// the directory holds an older layout or another shard count —
-    /// refused before anything on disk is touched;
-    /// [`DurabilityError::RoundsLost`] when it would start over at round
-    /// 0 while the round log or a journal shows committed rounds, also
-    /// before anything is touched.
+    /// [`DurabilityError::Corrupt`] when a restored state or a journaled
+    /// frame does not fold into its hives.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
-    ) -> Result<(Self, ResumeReport), DurabilityError> {
+    ) -> Result<(Self, CampaignPlan), DurabilityError> {
         let root = config
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
-        refuse_legacy(&root.dir, LEGACY_ROOT)?;
-        refuse_shard_count(&root.dir, config.n_shards)?;
+        let mut plan = plan(&root.dir, config.n_shards)?;
         let mut platform = Self::base(specs, config);
         let recorder = platform.config.obs.recorder.clone();
-        let log_bytes = read_round_log(&root.dir)?;
-        let log = decode_round_log(&log_bytes)?;
+        plan.repair(&recorder)?;
+        let work = std::mem::take(&mut plan.work);
+        let target = plan.target_round;
 
-        // Pass 1: load every shard's checkpoint + journal, decode every
-        // round a replay could apply, and count the shard's committed
-        // rounds (checkpoint rounds + connected ROUND records). Nothing
-        // is written until every shard has decoded.
-        let (mut opened, mut recs) = (Vec::new(), Vec::new());
-        for i in 0..platform.sharded.n_shards() {
-            let (store, rec) = DurableStore::resume(shard_cfg(&root, i))?;
-            opened.push(store);
-            recs.push(rec);
-        }
-        /// One shard's journal, scanned in place from its `Recovered`.
-        struct ShardScan<'w> {
-            snap_round: u64,
-            lane_images: Vec<(u64, Vec<PodState>)>,
-            records: Vec<JournalRecord<'w>>,
-            /// Records the checkpoint covers: replay starts past them.
-            covered: usize,
-            /// The committed rounds after them.
-            segs: Vec<Segment<'w>>,
-            /// Connected rounds past the checkpoint: each report and its
-            /// lanes' pod deltas.
-            rounds: Vec<(MultiRoundReport, LanePods<PodDelta>)>,
-            tail_dropped: u64,
-        }
-        let mut scans = Vec::with_capacity(recs.len());
-        for (i, rec) in recs.iter().enumerate() {
-            let (snap_round, lane_images) = match &rec.head {
-                Some(head) => decode_app_meta(&head.app_meta)?,
-                None => (0, Vec::new()),
-            };
-            let (records, scan, covered) = rec.scan()?;
-            let segs = segments(&records[covered..])?;
-            let mut rounds = Vec::new();
-            for seg in &segs {
-                let report = MultiRoundReport::decode(seg.round.frame)?;
-                if report.round != snap_round + rounds.len() as u64 {
-                    break; // disconnected: the checkpoint fell back a generation
-                }
-                let pods = (seg.pods.iter())
-                    .map(|r| Ok((r.session, fleet::decode_pod_deltas(r.frame)?)))
-                    .collect::<Result<_, DurabilityError>>()
-                    .map_err(|e| corrupt(&format!("shard {i} round {} pods", report.round), e))?;
-                rounds.push((report, pods));
-            }
-            scans.push(ShardScan {
-                snap_round,
-                lane_images,
-                records,
-                covered,
-                segs,
-                rounds,
-                tail_dropped: scan.tail_dropped as u64,
-            });
-        }
-        let committed = |s: &ShardScan| s.snap_round + s.rounds.len() as u64;
-        let target = scans.iter().map(committed).min().unwrap_or(0);
-        if let Some((shard, sc)) = scans
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.snap_round > target)
-        {
-            // Phase B follows phase A on every shard: impossible.
-            return Err(DurabilityError::Corrupt(format!(
-                "shard {shard} checkpoint is at round {} but the campaign minimum is {target}",
-                sc.snap_round
-            )));
-        }
-        // A round record for round `r` in any journal means rounds
-        // `0..r` were acked on every shard before it was written.
-        let journaled = (scans.iter().flat_map(|s| &s.records))
-            .filter(|r| r.kind == REC_ROUND)
-            .map(|r| r.seq);
-        let committed = journaled.fold(log.reports.len() as u64, u64::max);
-        if target == 0 && committed > 0 {
-            return Err(DurabilityError::RoundsLost { committed });
-        }
-
-        // History: the round log's rounds, then shard 0's replayed
-        // rounds past them. Where both hold a round they must agree.
-        let kept = (log.reports.len() as u64).min(target);
-        let first = &scans[0];
-        if kept < first.snap_round {
-            return Err(DurabilityError::Corrupt(format!(
-                "the round log holds rounds 0..{kept} but shard 0's checkpoint is at round {}: \
-                 rounds {kept}..{} are lost",
-                first.snap_round, first.snap_round
-            )));
-        }
-        let replayed = &first.rounds[..(target - first.snap_round) as usize];
-        for (report, _) in replayed.iter().filter(|(r, _)| r.round < kept) {
-            if log.reports[report.round as usize] != *report {
-                return Err(DurabilityError::Corrupt(format!(
-                    "the round log and shard 0's journal disagree on round {}",
-                    report.round
-                )));
-            }
-        }
-        let mut history = log.reports;
-        history.truncate(kept as usize);
-        let newer = replayed.iter().filter(|(r, _)| r.round >= kept);
-        history.extend(newer.map(|(r, _)| r.clone()));
-
-        // Pass 2: restore each shard's checkpoint state and replay its
-        // journal up to (exactly) the target round, truncating whatever
-        // lies beyond — ahead rounds, partial rounds, damaged tails.
-        let mut shard_reports = Vec::with_capacity(scans.len());
-        let mut stores = Vec::with_capacity(scans.len());
+        // Restore each shard's checkpoint state and replay its journal up
+        // to (exactly) the target round, cutting whatever lies beyond.
+        let mut stores = Vec::with_capacity(work.shards.len());
         // Per lane: its shard's checkpointed images, and the last
         // committed delta its journal replays.
         let mut lane_images: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
         let mut lane_deltas: BTreeMap<u64, Vec<PodDelta>> = BTreeMap::new();
-        let shards = opened.into_iter().zip(&recs).zip(scans);
-        for (shard, ((mut store, rec), sc)) in shards.enumerate() {
-            if let Some((full, deltas)) = rec.states.split_first() {
+        for ((shard, sp), sw) in plan.shards.iter().enumerate().zip(work.shards) {
+            if let Some((full, deltas)) = sw.states.split_first() {
                 let what = format!("shard {shard} checkpoint state");
                 platform
                     .sharded
@@ -750,21 +592,13 @@ impl<'p> MultiPlatform<'p> {
                         .map_err(|e| corrupt(&what, e))?;
                 }
             }
-            lane_images.extend(sc.lane_images);
-            let apply = (target - sc.snap_round) as usize;
-            // Records past the checkpoint's that the applied rounds end at:
-            // the journal is cut after them.
-            let mut applied_records = 0;
-            for (seg, (report, pods)) in sc.segs.iter().zip(sc.rounds).take(apply) {
-                let round = report.round;
-                let frames = seg.frames.iter().map(|r| (r.session, r.seq, r.frame));
+            lane_images.extend(sw.lane_images);
+            for round in sw.rounds {
+                let r = round.report.round;
+                let frames = (round.frames.iter()).map(|(l, s, at)| (*l, *s, &sw.wal[at.clone()]));
                 (platform.fold_frames(frames))
-                    .map_err(|e| corrupt(&format!("shard {shard} round {round} frames"), e))?;
-                for fr in &seg.frames {
-                    store.raise_floor(fr.session, fr.seq);
-                }
-                for pr in &seg.promotes {
-                    let (program, signature, overlay) = read_promotion(pr.frame)?;
+                    .map_err(|e| corrupt(&format!("shard {shard} round {r} frames"), e))?;
+                for (seq, program, signature, overlay) in round.promotions {
                     let candidate = FixCandidate {
                         overlay,
                         description: String::new(),
@@ -774,7 +608,7 @@ impl<'p> MultiPlatform<'p> {
                         .hive_mut(program)
                         .map_err(|e| corrupt("promote record", e))?
                         .promote(&signature, &candidate);
-                    platform.promote_seq = platform.promote_seq.max(pr.seq + 1);
+                    platform.promote_seq = platform.promote_seq.max(seq + 1);
                 }
                 if platform.config.guidance_enabled {
                     // Advance hive-internal guidance state; the directives
@@ -783,39 +617,30 @@ impl<'p> MultiPlatform<'p> {
                         let _ = platform.sharded.hive_mut(id).expect("placed").guidance();
                     }
                 }
-                lane_deltas.extend(pods);
-                applied_records = seg.end_idx;
+                lane_deltas.extend(round.pods);
             }
-            let kept = sc.covered + applied_records;
-            let records_discarded = (sc.records.len() - kept) as u64;
-            if records_discarded > 0 || sc.tail_dropped > 0 {
+            if sp.records_discarded > 0 {
                 recorder.warn_or_ops(
                     "campaign.resume",
                     "journal_truncated",
                     &[
                         ("shard", shard as u64),
-                        ("tail_bytes", sc.tail_dropped),
-                        ("records", records_discarded),
+                        ("records", sp.records_discarded),
                         ("target_round", target),
                     ],
                     format_args!(
-                        "shard {shard} resume dropped {} damaged tail byte(s) and {records_discarded} \
-                         intact record(s) past committed round {target}",
-                        sc.tail_dropped
+                        "shard {shard} resume cut {} intact record(s) past committed round {target}",
+                        sp.records_discarded
                     ),
                 );
             }
-            store.keep(&sc.records[..kept])?;
-            shard_reports.push(ShardResumeReport {
-                shard,
-                chain_deltas_applied: rec.deltas_applied(),
-                chain: rec.chain.clone(),
-                rounds_from_snapshot: sc.snap_round,
-                rounds_replayed: target - sc.snap_round,
-                wal_tail_dropped: sc.tail_dropped,
-                records_discarded,
-            });
-            stores.push(store);
+            let cfg = shard_cfg(&root, shard);
+            stores.push(DurableStore::reopen(
+                cfg,
+                sw.chain,
+                sw.frame_floors,
+                sw.keep,
+            )?);
         }
 
         // Install the freshest committed pod images; lanes with neither
@@ -835,34 +660,28 @@ impl<'p> MultiPlatform<'p> {
         }
 
         // The round log keeps exactly the rounds the campaign resumes
-        // with: a torn tail, or rounds past a fallen-back target, go.
+        // with: rounds past a fallen-back target go.
+        let (kept, cut) = work.log_keep;
         let mut round_log = RoundLog::holding(&root.dir, kept);
-        let cut = round_log_prefix(&log_bytes, kept);
-        if cut < log_bytes.len() {
+        let valid = work.log.len() - plan.round_log_quarantined_bytes as usize;
+        if cut < valid {
             recorder.warn_or_ops(
                 "campaign.resume",
                 "round_log_truncated",
-                &[
-                    ("bytes", (log_bytes.len() - cut) as u64),
-                    ("target_round", target),
-                ],
+                &[("bytes", (valid - cut) as u64), ("target_round", target)],
                 format_args!(
                     "resume cut {} byte(s) of the round log past committed round {target}",
-                    log_bytes.len() - cut
+                    valid - cut
                 ),
             );
             round_log.truncate(cut as u64)?;
         }
 
         platform.round_idx = target;
-        platform.history = history;
+        platform.history = work.history;
         platform.durable = Some(stores);
         platform.round_log = Some(round_log);
-        let report = ResumeReport {
-            target_round: target,
-            shards: shard_reports,
-        };
-        Ok((platform, report))
+        Ok((platform, plan))
     }
 
     /// The sharded hive (read access for experiments).
@@ -918,64 +737,28 @@ impl<'p> MultiPlatform<'p> {
         self.fleets.iter().map(Fleet::export_pod_states).collect()
     }
 
-    /// Scrubs every shard for bit rot *before* a resume (see
-    /// [`softborg_hive::scrub`]), reading each file once and creating
-    /// nothing: corrupt chain records are quarantined, journal damage is
-    /// cut, a torn round-log tail is quarantined (on shard 0's report),
-    /// and each detection is a Warn event on the config's `obs`. One
-    /// [`ScrubReport`] per shard.
+    /// Scrubs the campaign *before* a resume: makes its recovery plan's
+    /// repair (see [`CampaignPlan`]) and nothing else — corrupt chain
+    /// records are quarantined, damaged journal regions and a torn
+    /// round-log tail move to quarantine, each a Warn event on the
+    /// config's `obs` — and returns the plan. Reads each file once and
+    /// creates nothing on a clean campaign; a resume afterwards lands
+    /// where a resume without the scrub would.
     ///
     /// # Errors
     ///
-    /// As [`resume`](Self::resume), and [`DurabilityError::Corrupt`]
-    /// when a shard's durable data was entirely destroyed.
-    pub fn scrub(config: &MultiPlatformConfig) -> Result<Vec<ScrubReport>, DurabilityError> {
+    /// [`DurabilityError::NotConfigured`] without a durability config;
+    /// every refusal of the plan, with no byte moved;
+    /// [`DurabilityError::Io`] on filesystem failures.
+    pub fn scrub(config: &MultiPlatformConfig) -> Result<CampaignPlan, DurabilityError> {
         let root = config
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
-        refuse_legacy(&root.dir, LEGACY_ROOT)?;
-        refuse_shard_count(&root.dir, config.n_shards)?;
-        // An older layout is not bit rot: refuse it before the scrub
-        // moves a byte — a round record this build cannot read, a
-        // pod-image `REC_PODS` body, a frame in the older batch layout, a
-        // checkpoint without this layout's app-meta. Damage mid-round-log
-        // is refused too.
-        let log_bytes = read_round_log(&root.dir)?;
-        let log = decode_round_log(&log_bytes)?;
-        let mut shards = Vec::with_capacity(config.n_shards);
-        for i in 0..config.n_shards {
-            let files = scrub_files(&shard_cfg(root, i))?;
-            let (records, scan) = files.scan()?;
-            for rec in &records {
-                match rec.kind {
-                    REC_ROUND => drop(MultiRoundReport::decode(rec.frame)?),
-                    REC_PODS => drop(fleet::decode_pod_deltas(rec.frame)?),
-                    _ => refuse_older_frame(rec)?,
-                }
-            }
-            for snap in files.snapshots() {
-                decode_app_meta(&snap.app_meta)?;
-            }
-            shards.push((files, scan));
-        }
-        let obs = &config.obs.recorder;
-        let mut reports = (shards.into_iter())
-            .map(|(files, scan)| scrub::scrub_campaign(files, &scan, obs))
-            .collect::<Result<Vec<_>, _>>()?;
-        if log.valid_len < log_bytes.len() {
-            let torn = scrub::cut_tail(&round_log_path(&root.dir), &log_bytes, log.valid_len)?;
-            obs.warn_or_ops(
-                "campaign.scrub",
-                "round_log_tail_cut",
-                &[("bytes", torn)],
-                format_args!("scrub moved a torn {torn}-byte tail of the round log to quarantine"),
-            );
-            if let Some(shard0) = reports.first_mut() {
-                shard0.round_log_quarantined_bytes = torn;
-            }
-        }
-        Ok(reports)
+        let mut plan = plan(&root.dir, config.n_shards)?;
+        plan.repair(&config.obs.recorder)?;
+        plan.work = Default::default();
+        Ok(plan)
     }
 
     /// Advances one round: distribute overlays, execute every fleet,
@@ -1398,7 +1181,7 @@ impl<'p> MultiPlatform<'p> {
 /// First eight bytes of a checkpoint's app-meta in this layout. Older
 /// builds began it with the committed-round count and kept round
 /// history behind it; their checkpoints are refused.
-const APP_META_TAG: &[u8; 8] = b"SBMETA02";
+pub(crate) const APP_META_TAG: &[u8; 8] = b"SBMETA02";
 
 /// A checkpoint's app-meta, as [`MultiPlatform::checkpoint_shard`]
 /// writes it: [`APP_META_TAG`], the committed-round counter, and the
@@ -1408,9 +1191,9 @@ const APP_META_TAG: &[u8; 8] = b"SBMETA02";
 type AppMeta = (u64, LanePods<PodState>);
 
 /// Per lane (by index), one pod record of each of its pods.
-type LanePods<T> = Vec<(u64, Vec<T>)>;
+pub(crate) type LanePods<T> = Vec<(u64, Vec<T>)>;
 
-fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
+pub(crate) fn decode_app_meta(bytes: &[u8]) -> Result<AppMeta, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
     if r.take(8, "app_meta.tag").ok() != Some(APP_META_TAG) {
         return Err(DurabilityError::Corrupt(

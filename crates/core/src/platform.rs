@@ -15,15 +15,15 @@
 //! ([`MultiPlatform`]): same round, ingest pipeline, journal layout and
 //! resume.
 
-use crate::durable::DurabilityError;
+use crate::durable::{CampaignPlan, DurabilityError};
 use crate::fleet::run_pod;
 use crate::multi::{
     failure_rate, FleetSpec, IngestSettings, MultiDrivenExecution, MultiPlatform,
-    MultiPlatformConfig, MultiRoundReport, ResumeReport, RoundTelemetry,
+    MultiPlatformConfig, MultiRoundReport, RoundTelemetry,
 };
 use crate::DurabilityConfig;
 use serde::{Deserialize, Serialize};
-use softborg_hive::{diagnosis_signature, Hive, HiveConfig, ScrubReport};
+use softborg_hive::{diagnosis_signature, Hive, HiveConfig};
 use softborg_ingest::IngestStats;
 use softborg_obs::ObsHandles;
 use softborg_pod::{Pod, PodConfig, PodState};
@@ -221,7 +221,7 @@ impl<'p> Platform<'p> {
     pub fn resume(
         program: &'p Program,
         config: PlatformConfig,
-    ) -> Result<(Self, ResumeReport), DurabilityError> {
+    ) -> Result<(Self, CampaignPlan), DurabilityError> {
         let spec = [FleetSpec {
             program,
             pod: config.pod.clone(),
@@ -318,8 +318,8 @@ impl<'p> Platform<'p> {
     /// # Errors
     ///
     /// As [`MultiPlatform::scrub`].
-    pub fn scrub(config: &PlatformConfig) -> Result<ScrubReport, DurabilityError> {
-        Ok(MultiPlatform::scrub(&core_config(config))?.remove(0))
+    pub fn scrub(config: &PlatformConfig) -> Result<CampaignPlan, DurabilityError> {
+        MultiPlatform::scrub(&core_config(config))
     }
 
     /// Current journal size in bytes (`None` when not durable): after a

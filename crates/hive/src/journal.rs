@@ -323,9 +323,9 @@ impl JournalStore for MemJournal {
 }
 
 /// A file-backed store for real deployments: appends buffer in the OS,
-/// `sync` issues `File::sync_data`. Load it back with
-/// [`FileJournal::read`] + [`scan`] — a torn tail from a real crash is
-/// dropped by the same scan logic the simulator exercises.
+/// `sync` issues `File::sync_data`. Load it back by reading the file at
+/// [`FileJournal::path`] and [`scan`]ning it — a torn tail from a real
+/// crash is dropped by the same scan logic the simulator exercises.
 #[derive(Debug)]
 pub struct FileJournal {
     file: std::fs::File,
@@ -358,15 +358,6 @@ impl FileJournal {
     /// The path this journal lives at.
     pub fn path(&self) -> &std::path::Path {
         &self.path
-    }
-
-    /// Reads the whole journal back for a [`scan`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn read(&self) -> std::io::Result<Vec<u8>> {
-        std::fs::read(&self.path)
     }
 
     /// Truncates the journal to `len` bytes and syncs — used after a
@@ -628,7 +619,7 @@ mod tests {
         {
             let j = FileJournal::open(&path).expect("reopen");
             assert_eq!(j.len(), rec.len() as u64, "length survives reopen");
-            let bytes = j.read().unwrap();
+            let bytes = std::fs::read(j.path()).unwrap();
             let (recs, report) = scan(&bytes);
             assert_eq!(recs.len(), 1);
             assert_eq!(recs[0].frame, b"keep");
@@ -653,7 +644,7 @@ mod tests {
             append_record(&mut rec2, REC_FRAME, 2, 0, b"new");
             j.append(&rec2).unwrap();
             j.sync().unwrap();
-            let bytes = j.read().unwrap();
+            let bytes = std::fs::read(j.path()).unwrap();
             let (recs, _) = scan(&bytes);
             assert_eq!(recs.len(), 1);
             assert_eq!(recs[0].session, 2);
@@ -672,7 +663,7 @@ mod tests {
             append_record(&mut rec, REC_FRAME, 3, 0, b"frame-bytes");
             j.append(&rec).unwrap();
             j.sync().unwrap();
-            let bytes = j.read().expect("read");
+            let bytes = std::fs::read(j.path()).expect("read");
             let (recs, report) = scan(&bytes);
             assert_eq!(recs.len(), 1);
             assert_eq!(recs[0].session, 3);

@@ -13,8 +13,6 @@
 //!   merge, and the crash-tolerant scan that rebuilds from it.
 //! * [`snapshot`] — the checksummed checkpoint payload every delta-chain
 //!   record carries, bounding journal growth via compaction.
-//! * [`scrub`] — the bit-rot scrubber for a campaign's journal and
-//!   chain.
 //! * [`transport`] — the reliable pod→hive session protocol
 //!   (ack/retry/backoff over the network simulator).
 
@@ -24,7 +22,6 @@
 pub mod hive;
 pub mod journal;
 pub mod proofs;
-pub mod scrub;
 pub mod sharded;
 pub mod snapshot;
 pub mod transport;
@@ -38,7 +35,6 @@ pub use journal::{
     MemJournal, ScanReport,
 };
 pub use proofs::{assemble, verify, ProofCertificate, ProofError};
-pub use scrub::{scrub_campaign, ChainScrub, ScrubError, ScrubReport, ShardFiles, WalScrubAction};
 pub use sharded::{ShardStateError, ShardedHive};
 pub use snapshot::{HiveSnapshot, SnapshotError};
 pub use transport::{run_reliable_ingest, CanaryBug, PodClient, TransportConfig, TransportReport};

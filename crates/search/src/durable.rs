@@ -143,6 +143,8 @@ pub struct DurableOutcome {
     pub rounds: u64,
     /// Fleet kills executed.
     pub kills: u64,
+    /// The committed round the last resume landed on, if one resumed.
+    pub last_resume: Option<u64>,
     /// Corruption points that actually changed stored bytes.
     pub corruptions_applied: u64,
     /// First applied corruption no scrub pass flagged, if any.
@@ -318,7 +320,7 @@ impl DurableWorkload {
             let mut flagged = false;
             if self.canary != Some(DurableCanary::BlindScrub) {
                 match MultiPlatform::scrub(&self.config(&run_dir)) {
-                    Ok(reports) => flagged = reports.iter().any(|r| !r.is_clean()),
+                    Ok(plan) => flagged = !plan.is_clean(),
                     Err(e) => {
                         flagged = true;
                         out.aborted = Some(format!("scrub refused: {e:?}"));
@@ -335,6 +337,7 @@ impl DurableWorkload {
             match MultiPlatform::resume(&specs, self.config(&run_dir)) {
                 Ok((p, report)) => {
                     let r = report.target_round;
+                    out.last_resume = Some(r);
                     if r == 0 && current > 0 && out.cold_start.is_none() {
                         out.cold_start = Some(current);
                     }

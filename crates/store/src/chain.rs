@@ -246,8 +246,9 @@ impl ChainReport {
     }
 }
 
-/// An open: the adopted lineage (full first) plus the report.
-#[derive(Debug, Clone)]
+/// An open: the adopted lineage (full first) plus the report; the
+/// default is a cold chain's.
+#[derive(Debug, Clone, Default)]
 pub struct ChainLoad {
     /// The lineage, full record first, deltas in generation order.
     pub records: Vec<ChainRecord>,
@@ -620,19 +621,20 @@ impl ChainStore {
         fsync_parent_dir(&self.dir.join("chain.tmp"))
     }
 
-    /// Quarantines the record file `file` (a [`ChainDefect::file`] or
-    /// [`ChainRecord::file`]) by renaming it to `<file>.quarantined` — the
-    /// scrubber's repair action — and returns the new path. The index then
-    /// no longer matches the directory: open the chain again to judge
-    /// what is left.
+    /// Quarantines the record file `file` (a [`ChainDefect::file`]) by
+    /// renaming it to `<file>.quarantined` — a repair's one chain move —
+    /// drops it from the index, and returns the new path. Quarantining
+    /// every defect leaves the index a fresh open would build, on the
+    /// same lineage.
     ///
     /// # Errors
     ///
     /// Propagates the rename failure.
-    pub fn quarantine(&self, file: &str) -> io::Result<PathBuf> {
+    pub fn quarantine(&mut self, file: &str) -> io::Result<PathBuf> {
         let q = self.dir.join(format!("{file}.quarantined"));
         fs::rename(self.dir.join(file), &q)?;
         fsync_parent_dir(&q)?;
+        self.files.retain(|f| f.name != file);
         Ok(q)
     }
 }
@@ -847,7 +849,7 @@ mod tests {
         let (mut c, _) = ChainStore::open(&dir).unwrap();
         c.append(RecordKind::Full, b"state").unwrap();
         fs::write(dir.join("chain-7.delta"), b"junk").unwrap();
-        let (c, load) = ChainStore::open(&dir).unwrap();
+        let (mut c, load) = ChainStore::open(&dir).unwrap();
         let defect = &load.report.defects[..];
         assert_eq!(defect.len(), 1, "{defect:?}");
         assert_eq!(defect[0].file, "chain-7.delta");

@@ -148,7 +148,8 @@ proptest! {
     /// deltas, rebases) under a random set of damage — bit flips, cuts,
     /// removals, extra files, renames to a non-canonical name — opens
     /// without a panic, and once every reported defect is quarantined a
-    /// fresh open reads clean and adopts the same lineage.
+    /// fresh open reads clean, adopts the same lineage and builds the
+    /// index the quarantining store kept.
     #[test]
     fn reopening_after_quarantine_is_clean(
         fulls in collection::vec(any::<bool>(), 1..10),
@@ -201,11 +202,12 @@ proptest! {
             }
         }
 
-        let (c, load) = ChainStore::open(&dir).unwrap();
+        let (mut c, load) = ChainStore::open(&dir).unwrap();
         for d in &load.report.defects {
             c.quarantine(&d.file).unwrap();
         }
-        let again = ChainStore::open(&dir).unwrap().1;
+        let (reopened, again) = ChainStore::open(&dir).unwrap();
+        prop_assert_eq!(c.files(), reopened.files(), "the index after quarantine is a fresh open's");
         prop_assert!(again.report.is_clean(), "{:?} after {:?}", again.report, load.report);
         prop_assert_eq!(again.report.full_generation, load.report.full_generation);
         prop_assert_eq!(again.report.head_generation, load.report.head_generation);

@@ -6,16 +6,14 @@
 
 #![allow(dead_code)]
 
-use softborg::hive::ScrubReport;
 use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
 use softborg::pod::{PodConfig, PodState};
 use softborg::program::scenarios::{self, Scenario};
 use softborg::store::chain::decode_record;
 use softborg::store::ChainSource;
 use softborg::{
-    DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings,
+    CampaignPlan, DrivenExecution, DurabilityConfig, DurabilityError, FleetSpec, IngestSettings,
     MultiDrivenExecution, MultiPlatform, MultiPlatformConfig, Platform, PlatformConfig,
-    ResumeReport,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -139,7 +137,7 @@ impl Kind {
         self,
         scs: &'p [Scenario],
         setup: &Setup,
-    ) -> Result<(Run<'p>, ResumeReport), DurabilityError> {
+    ) -> Result<(Run<'p>, CampaignPlan), DurabilityError> {
         match self {
             Kind::One => Platform::resume(&scs[0].program, Self::one_config(&scs[0], setup))
                 .map(|(p, r)| (Run::One(p), r)),
@@ -148,13 +146,9 @@ impl Kind {
         }
     }
 
-    pub fn scrub(
-        self,
-        scs: &[Scenario],
-        setup: &Setup,
-    ) -> Result<Vec<ScrubReport>, DurabilityError> {
+    pub fn scrub(self, scs: &[Scenario], setup: &Setup) -> Result<CampaignPlan, DurabilityError> {
         match self {
-            Kind::One => Platform::scrub(&Self::one_config(&scs[0], setup)).map(|r| vec![r]),
+            Kind::One => Platform::scrub(&Self::one_config(&scs[0], setup)),
             Kind::Fleet => MultiPlatform::scrub(&Self::fleet_config(setup)),
         }
     }
@@ -392,7 +386,7 @@ pub fn check_kill_recovers_state(kind: Kind) {
         assert_eq!(report.shards.len(), kind.shards());
         for sr in &report.shards {
             assert_eq!(sr.rounds_from_snapshot + sr.rounds_replayed, k);
-            assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
+            assert_eq!((sr.records_discarded, sr.wal_quarantined_bytes), (0, 0));
         }
         assert_eq!(resumed.states(), r.states[k as usize], "{kind:?} round {k}");
         assert_eq!(resumed.history(), r.history[..k as usize]);

@@ -14,12 +14,14 @@
 //! exactly the bytes a crash between those writes leaves. A crash
 //! inside the log append itself leaves a torn log tail, which scrub and
 //! resume cut as a journal's; damage with intact records after it is
-//! refused with every byte left as it was.
+//! refused with every byte left as it was. Damage inside the journal
+//! prefix a checkpoint covers costs no round: the prefix is dropped and
+//! the suffix past it replays.
 
 mod campaign;
 
 use campaign::*;
-use softborg::DurabilityConfig;
+use softborg::{DurabilityConfig, WalAction};
 use std::path::{Path, PathBuf};
 
 /// Copies the directory tree `from` to `to` (replacing `to`).
@@ -161,5 +163,46 @@ fn damage_inside_the_round_log_is_refused_untouched() {
             before,
             "{kind:?}: a refusal changed the directory"
         );
+    }
+}
+
+#[test]
+fn damage_in_a_covered_journal_prefix_drops_it_and_loses_no_round() {
+    const K: u64 = 2;
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let r = reference(kind, &scs, uncompacted(campaign_dir(kind, "prefix-ref")));
+        // Resumed in the second window, the campaign keeps the journal
+        // prefix its checkpoint covers and commits one round past it.
+        let [_, dir] = windows(kind, uncompacted, K, "prefix");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        kind.resume(&scs, &setup).unwrap().0.round();
+        // Rot in shard 0's first record, deep inside the covered prefix.
+        let wal = shard_dir(&dir, 0).join("hive.wal");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[20] ^= 0x10;
+        std::fs::write(&wal, bytes).unwrap();
+
+        let twin = campaign_dir(kind, "prefix-twin");
+        copy_tree(&dir, &twin);
+        let plan = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(
+            plan.shards[0].wal_action,
+            WalAction::PrefixDropped,
+            "{kind:?}"
+        );
+        assert_eq!(
+            (plan.target_round, plan.rounds_lost),
+            (K + 1, 0),
+            "{kind:?}"
+        );
+        // Scrubbed or not, the campaign resumes every round.
+        for dir in [dir, twin] {
+            let (resumed, _) = kind
+                .resume(&scs, &Setup::durable(uncompacted(dir)))
+                .unwrap();
+            assert_eq!(resumed.states(), r.states[K as usize + 1], "{kind:?}");
+            assert_eq!(resumed.history(), r.history[..K as usize + 1], "{kind:?}");
+        }
     }
 }

@@ -17,7 +17,7 @@ mod campaign;
 use campaign::*;
 use proptest::prelude::*;
 use softborg::hive::journal::{self, REC_FRAME, REC_PODS, REC_ROUND};
-use softborg::hive::{HiveSnapshot, ScrubReport};
+use softborg::hive::HiveSnapshot;
 use softborg::pod::PodState;
 use softborg::program::codec;
 use softborg::program::scenarios::Scenario;
@@ -25,7 +25,7 @@ use softborg::store::chain::{decode_record, encode_record};
 use softborg::store::ChainSource;
 use softborg::store::RecordKind;
 use softborg::trace::wire;
-use softborg::{DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
+use softborg::{CampaignPlan, DurabilityConfig, DurabilityError, IngestSettings, MultiRoundReport};
 use std::path::Path;
 
 #[test]
@@ -173,14 +173,17 @@ fn uncommitted_partial_round_is_truncated_and_corrupt_tail_is_dropped() {
 
         let (resumed, report) = kind.resume(&scs, &setup).unwrap();
         let shard0 = &report.shards[0];
-        assert_eq!((shard0.wal_tail_dropped, shard0.records_discarded), (3, 2));
+        assert_eq!(
+            (shard0.wal_quarantined_bytes, shard0.records_discarded),
+            (3, 2)
+        );
         assert_eq!(resumed.committed(), 2);
         assert_eq!(resumed.states(), r.states[2], "{kind:?}");
         drop(resumed);
         // The truncation is durable: a second resume finds nothing.
         let (again, report) = kind.resume(&scs, &setup).unwrap();
         for sr in &report.shards {
-            assert_eq!((sr.wal_tail_dropped, sr.records_discarded), (0, 0));
+            assert_eq!((sr.wal_quarantined_bytes, sr.records_discarded), (0, 0));
         }
         assert_eq!(again.states(), r.states[2]);
     }
@@ -188,8 +191,8 @@ fn uncommitted_partial_round_is_truncated_and_corrupt_tail_is_dropped() {
 
 #[test]
 fn sector_corruption_is_scrubbed_never_silently_accepted() {
-    use softborg::hive::WalScrubAction;
     use softborg::netsim::{SectorCorruption, SECTOR_BYTES};
+    use softborg::WalAction;
     for kind in KINDS {
         let scs = kind.scenarios();
         let r = reference(
@@ -210,11 +213,11 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
         assert!(sectors > 3, "campaign too small to corrupt mid-file");
         assert!(SectorCorruption::FlipBit { bit: 999 }.apply(&mut bytes, sectors - 2));
         std::fs::write(&wal, &bytes).unwrap();
-        let reports = kind.scrub(&scs, &setup).unwrap();
-        assert_eq!(reports.len(), kind.shards());
-        assert!(!reports[0].is_clean(), "corruption went undetected");
-        assert_eq!(reports[0].wal_action, WalScrubAction::TailCut);
-        assert!(reports[0].wal_quarantined_bytes > 0);
+        let plan = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(plan.shards.len(), kind.shards());
+        assert!(!plan.is_clean(), "corruption went undetected");
+        assert_eq!(plan.shards[0].wal_action, WalAction::TailCut);
+        assert!(plan.shards[0].wal_quarantined_bytes > 0);
         assert!(
             shard_dir(&dir, 0).join("hive.wal.quarantined").exists(),
             "damaged bytes must be preserved for post-mortem"
@@ -225,8 +228,7 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
         assert_eq!(resumed.states(), r.states[k as usize], "{kind:?}");
         drop(resumed);
         // A second scrub finds nothing: the repair is durable.
-        let again = kind.scrub(&scs, &setup).unwrap();
-        assert!(again.iter().all(ScrubReport::is_clean));
+        assert!(kind.scrub(&scs, &setup).unwrap().is_clean());
 
         // Checkpoint bit rot: every shard's newest chain record is
         // quarantined and recovery proceeds from the generation before.
@@ -242,12 +244,12 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
             std::fs::write(&head, &bytes).unwrap();
             heads.push((head, generation));
         }
-        let reports = kind.scrub(&scs, &setup).unwrap();
-        for (report, (head, generation)) in reports.iter().zip(&heads) {
+        let plan = kind.scrub(&scs, &setup).unwrap();
+        for (shard, (head, generation)) in plan.shards.iter().zip(&heads) {
             let name = head.file_name().unwrap().to_string_lossy().into_owned();
-            assert_eq!(report.chain.quarantined, vec![name.clone()]);
+            assert_eq!(defect_files(shard), [name.as_str()]);
             assert!(head.with_file_name(format!("{name}.quarantined")).exists());
-            assert!(report.chain.report.head_generation < Some(*generation));
+            assert!(shard.chain.head_generation < Some(*generation));
         }
         let (resumed, report) = kind.resume(&scs, &setup).unwrap();
         assert!(report.shards.iter().all(|s| s.chain.is_clean()));
@@ -274,12 +276,9 @@ fn a_torn_round_log_tail_is_quarantined_and_flagged() {
         let torn = [0xDE, 0xAD, 0xBE];
         std::fs::write(&log, [&intact[..], &torn[..]].concat()).unwrap();
 
-        let reports = kind.scrub(&scs, &setup).unwrap();
-        assert_eq!(reports[0].round_log_quarantined_bytes, 3, "{kind:?}");
-        assert!(
-            !reports[0].is_clean(),
-            "{kind:?}: the torn tail went unflagged"
-        );
+        let plan = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(plan.round_log_quarantined_bytes, 3, "{kind:?}");
+        assert!(!plan.is_clean(), "{kind:?}: the torn tail went unflagged");
         assert_eq!(std::fs::read(&log).unwrap(), intact);
         assert_eq!(
             std::fs::read(dir.join("rounds.log.quarantined")).unwrap(),
@@ -287,10 +286,7 @@ fn a_torn_round_log_tail_is_quarantined_and_flagged() {
         );
         let before = tree(&dir);
         let again = kind.scrub(&scs, &setup).unwrap();
-        assert!(
-            again.iter().all(ScrubReport::is_clean),
-            "{kind:?}: {again:?}"
-        );
+        assert!(again.is_clean(), "{kind:?}: {again:?}");
         assert_eq!(tree(&dir), before, "{kind:?}: a clean scrub moved bytes");
         let (resumed, _) = kind.resume(&scs, &setup).unwrap();
         assert_eq!(resumed.committed(), 3);
@@ -321,27 +317,42 @@ fn a_lost_checkpoint_is_refused_not_cold_started() {
             bytes[mid] ^= 0x01;
             std::fs::write(full, bytes).unwrap();
         }
-        let reports = kind.scrub(&scs, &setup).unwrap();
-        for (i, report) in reports.iter().enumerate() {
-            let names: Vec<String> = (chain_records(&shard_dir(&dir, i)).iter())
-                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-                .collect();
-            assert!(names.is_empty(), "{kind:?} shard {i} kept {names:?}");
-            assert_eq!(report.chain.quarantined.len(), 2, "{kind:?}: {report:?}");
-        }
-        let again = kind.scrub(&scs, &setup).unwrap();
-        assert!(again.iter().all(ScrubReport::is_clean), "{kind:?}");
-        // Resuming at round 0 would drop every acked round quietly; it
-        // refuses, naming them, and moves no byte.
+        // Resuming at round 0 would drop every acked round quietly: a
+        // scrub, a second scrub and a resume each refuse, naming them,
+        // and none moves a byte.
         let before = tree(&dir);
-        match kind.resume(&scs, &setup) {
-            Err(DurabilityError::RoundsLost { committed }) => assert_eq!(committed, 4),
-            other => panic!(
-                "{kind:?}: expected RoundsLost, got {:?}",
-                other.map(|(_, r)| r)
-            ),
+        for what in ["scrub", "second scrub", "resume"] {
+            let refusal = match what {
+                "resume" => kind.resume(&scs, &setup).err(),
+                _ => kind.scrub(&scs, &setup).err(),
+            };
+            let lost = Some(DurabilityError::RoundsLost { committed: 4 });
+            assert_eq!(refusal, lost, "{kind:?} {what}");
+            assert_eq!(tree(&dir), before, "{kind:?}: a refused {what} moved bytes");
         }
-        assert_eq!(tree(&dir), before, "{kind:?}: a refused resume moved bytes");
+    }
+}
+
+#[test]
+fn total_loss_is_refused_untouched_not_cold_started() {
+    for kind in KINDS {
+        let scs = kind.scenarios();
+        let dir = campaign_dir(kind, "total-loss");
+        let setup = Setup::durable(uncompacted(dir.clone()));
+        for i in 0..kind.shards() {
+            std::fs::create_dir_all(shard_dir(&dir, i).join("chain")).unwrap();
+        }
+        // Nothing intact is left of shard 0: a checkpoint-shaped and a
+        // journal-shaped file of garbage.
+        let shard = shard_dir(&dir, 0);
+        let record = shard.join("chain").join(format!("chain-{:020}.full", 0));
+        std::fs::write(record, b"checkpoint-shaped garbage").unwrap();
+        std::fs::write(shard.join("hive.wal"), b"journal-shaped garbage").unwrap();
+        let before = tree(&dir);
+        let lost = Some(DurabilityError::RoundsLost { committed: 0 });
+        assert_eq!(kind.scrub(&scs, &setup).err(), lost, "{kind:?}");
+        assert_eq!(kind.resume(&scs, &setup).err(), lost, "{kind:?}");
+        assert_eq!(tree(&dir), before, "{kind:?}: a refusal moved bytes");
     }
 }
 
@@ -364,20 +375,13 @@ fn a_record_file_under_a_non_canonical_name_is_quarantined_once() {
         let chain = shard_dir(&dir, 0).join("chain");
         std::fs::write(chain.join("chain-7.delta"), [1, 2, 3, 4]).unwrap();
 
-        let reports = kind.scrub(&scs, &setup).unwrap();
-        assert_eq!(
-            reports[0].chain.quarantined,
-            vec!["chain-7.delta"],
-            "{kind:?}"
-        );
+        let plan = kind.scrub(&scs, &setup).unwrap();
+        assert_eq!(defect_files(&plan.shards[0]), ["chain-7.delta"], "{kind:?}");
         assert!(!chain.join("chain-7.delta").exists());
         let moved = std::fs::read(chain.join("chain-7.delta.quarantined")).unwrap();
         assert_eq!(moved, [1, 2, 3, 4]);
         let again = kind.scrub(&scs, &setup).unwrap();
-        assert!(
-            again.iter().all(ScrubReport::is_clean),
-            "{kind:?}: {again:?}"
-        );
+        assert!(again.is_clean(), "{kind:?}: {again:?}");
         assert_eq!(healthy("odd-name-after"), expected, "{kind:?}");
     }
 }
@@ -387,10 +391,10 @@ fn a_scrub_creates_nothing_on_a_root_without_a_campaign() {
     for kind in KINDS {
         let scs = kind.scenarios();
         let dir = campaign_dir(kind, "scrub-empty-root");
-        let reports = kind.scrub(&scs, &Setup::durable(DurabilityConfig::new(&dir)));
-        let reports = reports.unwrap();
-        assert_eq!(reports.len(), kind.shards());
-        assert!(reports.iter().all(ScrubReport::is_clean));
+        let plan = kind.scrub(&scs, &Setup::durable(DurabilityConfig::new(&dir)));
+        let plan = plan.unwrap();
+        assert_eq!(plan.shards.len(), kind.shards());
+        assert!(plan.is_clean());
         assert_eq!(tree(&dir), Vec::new(), "{kind:?}: the scrub created files");
     }
 }
@@ -421,12 +425,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One bit flip, one cut or appended bytes in the round log, a
-    /// shard's journal or a chain record: the scrub returns `Ok` or a
-    /// typed error, never panics; after an `Ok` the change is flagged —
-    /// unless it cut an append-only file at a record boundary, which
-    /// leaves a shorter file of intact records — a second scrub is clean
-    /// and moves no byte, and a resume succeeds or refuses with a typed
-    /// error.
+    /// shard's journal or a chain record: scrub and resume execute one
+    /// plan. The scrub returns `Ok` or a typed error, never panics, and
+    /// a resume of an unscrubbed copy refuses exactly when the scrub
+    /// does, with the same error, while a refusing scrub moves no byte.
+    /// After an `Ok` the change is flagged — unless it cut an
+    /// append-only file at a record boundary, which leaves a shorter
+    /// file of intact records — a second scrub is clean and moves no
+    /// byte, and resuming the scrubbed campaign reaches the round,
+    /// shard states and history the unscrubbed copy's resume reached.
     #[test]
     fn scrub_is_total_over_one_mutation(
         kind in 0..2usize,
@@ -477,24 +484,51 @@ proptest! {
             }
         };
         std::fs::write(&path, &bytes).unwrap();
+        let twin = campaign_dir(kind, &format!("totality-{n}-twin"));
+        copy_tree(&dir, &twin);
+        let unscrubbed = kind.resume(&scs, &Setup::durable(uncompacted(twin.clone())));
 
-        if let Ok(reports) = kind.scrub(&scs, &setup) {
-            prop_assert!(
-                unseen || reports.iter().any(|r| !r.is_clean()),
-                "{kind:?}: {} changed unflagged: {reports:?}",
-                path.display()
-            );
-            let before = tree(&dir);
-            let again = kind.scrub(&scs, &setup);
-            prop_assert!(
-                again.as_ref().is_ok_and(|r| r.iter().all(ScrubReport::is_clean)),
-                "{kind:?}: second scrub {again:?}"
-            );
-            prop_assert!(tree(&dir) == before, "{kind:?}: a second scrub moved bytes");
+        let before = tree(&dir);
+        match (kind.scrub(&scs, &setup), unscrubbed) {
+            (Err(scrubbed), Err(resumed)) => {
+                let (dir, twin) = (dir.display().to_string(), twin.display().to_string());
+                prop_assert_eq!(scrubbed.to_string(), resumed.to_string().replace(&twin, &dir));
+                prop_assert!(tree(Path::new(&dir)) == before, "{kind:?}: a refused scrub moved bytes");
+            }
+            (Ok(plan), Ok((resumed, _))) => {
+                prop_assert!(
+                    unseen || !plan.is_clean(),
+                    "{kind:?}: {} changed unflagged: {plan:?}",
+                    path.display()
+                );
+                let before = tree(&dir);
+                let again = kind.scrub(&scs, &setup);
+                prop_assert!(
+                    again.as_ref().is_ok_and(CampaignPlan::is_clean),
+                    "{kind:?}: second scrub {again:?}"
+                );
+                prop_assert!(tree(&dir) == before, "{kind:?}: a second scrub moved bytes");
+                let after = kind.resume(&scs, &setup);
+                let (scrubbed, _) = after.unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+                prop_assert_eq!(scrubbed.committed(), resumed.committed(), "{:?}", kind);
+                prop_assert!(scrubbed.states() == resumed.states(), "{kind:?}: states");
+                prop_assert_eq!(scrubbed.history(), resumed.history());
+            }
+            (scrubbed, resumed) => prop_assert!(
+                false,
+                "{kind:?}: scrub {:?} but resume {:?}",
+                scrubbed.map(|p| p.target_round),
+                resumed.map(|(p, _)| p.committed())
+            ),
         }
-        let _ = kind.resume(&scs, &setup);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&twin);
     }
+}
+
+/// The chain files a shard's plan quarantines.
+fn defect_files(shard: &softborg::ShardPlan) -> Vec<String> {
+    shard.chain.defects.iter().map(|d| d.file.clone()).collect()
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
     let (again, report) = kind.resume(&scs, &setup).unwrap();
     assert_eq!(report.target_round, ROUNDS - 1);
     for sr in &report.shards {
-        assert_eq!((sr.records_discarded, sr.wal_tail_dropped), (0, 0));
+        assert_eq!((sr.records_discarded, sr.wal_quarantined_bytes), (0, 0));
     }
     assert_eq!(again.committed(), ROUNDS - 1);
 }
