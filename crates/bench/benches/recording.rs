@@ -1,6 +1,7 @@
 //! Criterion bench for E4 (§3.1): per-execution cost of each recording
 //! policy on the interpreter, plus trace wire encode/decode, plus the
-//! interpreter-versus-pod split of one `token_parser` execution, plus the
+//! interpreter-versus-pod split of one `token_parser` execution (and a
+//! pod's `run_once` against its `run_into`), plus the
 //! hive-side cost of reconstructing one trace of each E17 program and of
 //! folding one prepared trace into its hive.
 
@@ -18,6 +19,7 @@ use softborg_program::overlay::Overlay;
 use softborg_program::scenarios::{self, Scenario};
 use softborg_program::sched::{RandomSched, ScriptSched};
 use softborg_program::syscall::DefaultEnv;
+use softborg_trace::wire::BatchEncoder;
 use softborg_trace::{
     reconstruct, wire, ExecutionTrace, RecordingPolicy, ReplayScratch, TraceRecorder,
 };
@@ -98,21 +100,57 @@ fn bench_recording(c: &mut Criterion) {
     group.finish();
 }
 
+/// A pod of `s` at its natural input range.
+fn pod_of(s: &Scenario) -> Pod<'_> {
+    let config = PodConfig {
+        input_range: s.input_range,
+        ..PodConfig::default()
+    };
+    Pod::new(&s.program, config)
+}
+
 /// The cost split of one more execution on the benchmark's `closed_loop`
 /// program: the bare interpreter (no-op observer, fixed schedule) against
 /// a whole pod run (recorder, RNG, anonymizer, case retention). The
 /// interpreter also runs `record_processor` and `bank_transfer`, and
 /// `setup` runs a one-statement program: what a run costs before its
 /// steps, so the other rows split into set-up plus per-step work.
+///
+/// `pod_run_once` clones each trace and result out of the pod;
+/// `pod_run_into` is what a round runs: the trace recorded straight into
+/// a reused batch frame, sealed every 30 executions. Both run on
+/// `token_parser` (one thread) and `spin_wait` (two, the benchmark's
+/// `explore_deep` program).
 fn bench_attribution(c: &mut Criterion) {
     let s = scenarios::token_parser();
     let config = PodConfig {
         input_range: s.input_range,
         ..PodConfig::default()
     };
-    let mut pod = Pod::new(&s.program, config.clone());
+    let pods = [
+        ("token_parser", s.clone()),
+        ("spin_wait", scenarios::spin_wait()),
+    ];
     let mut group = c.benchmark_group("pod_run_once");
-    group.bench_function("token_parser", |b| b.iter(|| pod.run_once()));
+    for (name, s) in &pods {
+        let mut pod = pod_of(s);
+        group.bench_function(*name, |b| b.iter(|| pod.run_once()));
+    }
+    group.finish();
+    let mut group = c.benchmark_group("pod_run_into");
+    for (name, s) in &pods {
+        let mut pod = pod_of(s);
+        let mut frame = BatchEncoder::new();
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                let ran = pod.run_into(&mut frame);
+                if frame.len() == 30 {
+                    frame.finish();
+                }
+                ran
+            })
+        });
+    }
     group.finish();
 
     let mut pb = ProgramBuilder::new("one-statement");

@@ -1,7 +1,9 @@
 //! E14 — ingest engine scaling (new subsystem, this repro): throughput
 //! of `Hive::ingest_batch` (batched frames run as units by the engine's
 //! participants, memoized recycling, in-order merge) versus the serial
-//! per-trace `Hive::ingest` loop, swept over worker counts.
+//! per-trace `Hive::ingest` loop, swept over worker counts. A run starts
+//! at most one participant per CPU, so rows past the host's CPUs run
+//! that many (the `participants` column).
 //!
 //! Workload: the E2 population workload (token_parser pods with random
 //! inputs), where natural executions saturate a modest set of distinct
@@ -29,6 +31,8 @@ const MEMO_TOTAL: usize = 4096;
 struct Row {
     label: String,
     workers: usize,
+    /// Participants the run started: `workers`, at most one per CPU.
+    participants: usize,
     memo: bool,
     wall_ms: f64,
     traces_per_sec: f64,
@@ -109,6 +113,7 @@ fn main() {
 
     table_header(&[
         ("config", 14),
+        ("parts", 6),
         ("wall ms", 9),
         ("traces/s", 10),
         ("speedup", 8),
@@ -127,6 +132,7 @@ fn main() {
         let row = Row {
             label,
             workers,
+            participants: stats.workers,
             memo,
             wall_ms,
             traces_per_sec: stats.throughput_traces_per_sec(),
@@ -135,8 +141,9 @@ fn main() {
             mean_frame_latency_us: stats.mean_frame_latency_ns() as f64 / 1e3,
         };
         println!(
-            "{}{}{}{}{}{}",
+            "{}{}{}{}{}{}{}",
             cell(&row.label, 14),
+            cell(row.participants, 6),
             cell(format!("{:.1}", row.wall_ms), 9),
             cell(format!("{:.0}", row.traces_per_sec), 10),
             cell(format!("{:.2}x", row.speedup), 8),
@@ -151,6 +158,11 @@ fn main() {
     // Ablation: participants without recycling isolate what the memo
     // cache contributes.
     push_row("4w no-memo".to_string(), 4, false);
+    // Four workers per CPU start one participant per CPU: no frame waits
+    // behind a preempted participant.
+    push_row("4x-cpus+memo".to_string(), 4 * host_cpus, true);
+    let over = rows.last().expect("the over-subscribed row");
+    assert_eq!(over.participants, host_cpus, "one participant per CPU");
 
     let four = rows
         .iter()
@@ -188,9 +200,10 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"config\": \"{}\", \"workers\": {}, \"memo\": {}, \"wall_ms\": {:.3}, \"traces_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"cache_hit_rate\": {:.4}, \"mean_frame_latency_us\": {:.1}}}",
+            "    {{\"config\": \"{}\", \"workers\": {}, \"participants\": {}, \"memo\": {}, \"wall_ms\": {:.3}, \"traces_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"cache_hit_rate\": {:.4}, \"mean_frame_latency_us\": {:.1}}}",
             r.label,
             r.workers,
+            r.participants,
             r.memo,
             r.wall_ms,
             r.traces_per_sec,

@@ -78,7 +78,10 @@ fn main() {
         Anonymizer::OutcomeOnly,
     ];
     for level in levels {
-        let released: Vec<_> = raw_traces.iter().map(|t| level.apply(t.clone())).collect();
+        let mut released = raw_traces.clone();
+        for t in &mut released {
+            level.apply(t);
+        }
         let info: usize = released.iter().map(information_bits).sum::<usize>() / released.len();
         let bucketable = released.iter().filter(|t| t.is_failure()).count() as f64
             / crashes.max(1) as f64

@@ -16,7 +16,7 @@ use softborg_ingest::pool;
 use softborg_pod::{DeltaBase, Pod, PodConfig, PodDelta, PodState, PodStateError};
 use softborg_program::codec;
 use softborg_program::{Overlay, Program, ProgramId};
-use softborg_trace::wire;
+use softborg_trace::wire::BatchEncoder;
 
 /// `(executions, failures, directed)` counters of one or more pod runs.
 pub(crate) type Counters = (u64, u64, u64);
@@ -24,41 +24,40 @@ pub(crate) type Counters = (u64, u64, u64);
 /// One wire-encoded batch frame as journaled: `(session, seq, frame)`.
 pub(crate) type Frame = (u64, u64, Vec<u8>);
 
-/// The one pod-execution loop: runs `pod` `execs` times, bundling its
-/// traces into batch frames of `batch` (the last possibly short), and
-/// hands the `k`-th to `emit(first_seq + k, frame)`.
+/// The one pod-execution loop: runs `pod` `execs` times, recording its
+/// traces straight into batch frames of `batch` (the last possibly
+/// short) built in `frame`, and hands the `k`-th to
+/// `emit(first_seq + k, frame)`.
 pub(crate) fn run_pod(
     pod: &mut Pod<'_>,
+    frame: &mut BatchEncoder,
     execs: u32,
     batch: u64,
     first_seq: u64,
-    mut emit: impl FnMut(u64, Vec<u8>),
+    mut emit: impl FnMut(u64, &[u8]),
 ) -> Counters {
-    let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
+    let (mut failures, mut directed) = (0u64, 0u64);
     let mut next_seq = first_seq;
-    let mut buf = Vec::with_capacity(batch.min(u64::from(execs)) as usize);
     for left in (0..execs).rev() {
-        let run = pod.run_once();
-        executions += 1;
-        failures += u64::from(run.result.outcome.is_failure());
-        directed += u64::from(run.directed);
-        buf.push(run.trace);
-        if buf.len() as u64 == batch || left == 0 {
-            emit(next_seq, wire::encode_batch(&buf));
+        let (failing, was_directed) = pod.run_into(frame);
+        failures += u64::from(failing);
+        directed += u64::from(was_directed);
+        if frame.len() as u64 == batch || left == 0 {
+            emit(next_seq, frame.finish());
             next_seq += 1;
-            buf.clear();
         }
     }
-    (executions, failures, directed)
+    (u64::from(execs), failures, directed)
 }
 
 /// One pod's place in a round, the unit the ingest engine runs: the
-/// journal session its frames are filed under and the first frame
-/// sequence number it owns.
+/// journal session its frames are filed under, the first frame
+/// sequence number it owns, and the encoder its frames are built in.
 pub(crate) struct PodSlot<'a, 'p> {
     pub(crate) session: u64,
     pub(crate) first_seq: u64,
     pub(crate) pod: &'a mut Pod<'p>,
+    pub(crate) frame: &'a mut BatchEncoder,
 }
 
 /// Whether a validated candidate is pushed to every user. A
@@ -144,6 +143,9 @@ pub(crate) struct Fleet<'p> {
     pub(crate) id: ProgramId,
     pub(crate) program: &'p Program,
     pub(crate) pods: Vec<Pod<'p>>,
+    /// Per pod, the encoder its frames are built in, kept across rounds
+    /// (scratch, never durable).
+    pub(crate) encoders: Vec<BatchEncoder>,
     /// Per pod, the counts of its image in the newest checkpoint of the
     /// lane's shard (a fresh pod's on a cold chain).
     bases: Vec<DeltaBase>,
@@ -169,6 +171,7 @@ impl<'p> Fleet<'p> {
             id: program.id(),
             program,
             bases: vec![DeltaBase::default(); pods.len()],
+            encoders: pods.iter().map(|_| BatchEncoder::new()).collect(),
             pods,
         }
     }
@@ -361,6 +364,7 @@ pub(crate) fn decode_pod_deltas(bytes: &[u8]) -> Result<Vec<PodDelta>, Durabilit
 mod tests {
     use super::*;
     use softborg_program::scenarios;
+    use softborg_trace::wire;
 
     fn validation(verdict: Verdict, passing_preserved: u32, passing_total: u32) -> Validation {
         Validation {
@@ -450,10 +454,18 @@ mod tests {
         };
         let mut pod = Pod::new(&s.program, cfg);
         let mut frames = Vec::new();
-        let counters = run_pod(&mut pod, execs, batch, first_seq, |seq, frame| {
-            let traces = wire::decode_batch(&frame).expect("run_pod emits valid frames");
-            frames.push((seq, traces.len()));
-        });
+        let mut frame = BatchEncoder::new();
+        let counters = run_pod(
+            &mut pod,
+            &mut frame,
+            execs,
+            batch,
+            first_seq,
+            |seq, frame| {
+                let traces = wire::decode_batch(frame).expect("run_pod emits valid frames");
+                frames.push((seq, traces.len()));
+            },
+        );
         (counters, frames)
     }
 

@@ -883,22 +883,30 @@ impl<'p> MultiPlatform<'p> {
         let cfg = self.config.ingest.pipeline_with(&self.config.obs);
         let mut slots: Vec<PodSlot<'_, 'p>> = Vec::new();
         for (lane, fleet) in self.fleets.iter_mut().enumerate() {
-            slots.extend(fleet.pods.iter_mut().enumerate().map(|(j, pod)| PodSlot {
+            let pods = fleet.pods.iter_mut().zip(&mut fleet.encoders);
+            slots.extend(pods.enumerate().map(|(j, (pod, frame))| PodSlot {
                 session: lane as u64,
                 first_seq: j as u64 * frames_per_pod,
                 pod,
+                frame,
             }));
         }
         let run_slot = |slot: PodSlot<'_, 'p>, out: &mut UnitFrames<'_, '_>| {
-            let (session, program) = (slot.session, lanes[slot.session as usize]);
+            let PodSlot {
+                session,
+                first_seq,
+                pod,
+                frame,
+            } = slot;
+            let program = lanes[session as usize];
             let mut kept = Vec::new();
-            let emit = |seq, frame: Vec<u8>| {
-                (out.push(program, &frame)).expect("lane program is placed");
+            let emit = |seq, frame: &[u8]| {
+                (out.push(program, frame)).expect("lane program is placed");
                 if keep_frames {
-                    kept.push((session, seq, frame));
+                    kept.push((session, seq, frame.to_vec()));
                 }
             };
-            let ran = fleet::run_pod(slot.pod, execs_per_pod, batch, slot.first_seq, emit);
+            let ran = fleet::run_pod(pod, frame, execs_per_pod, batch, first_seq, emit);
             (session, ran, kept)
         };
         let (per_pod, stats) = self.sharded.ingest_units(&cfg, slots, run_slot);

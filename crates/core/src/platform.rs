@@ -28,6 +28,7 @@ use softborg_ingest::IngestStats;
 use softborg_obs::ObsHandles;
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::Program;
+use softborg_trace::wire::BatchEncoder;
 use softborg_tree::CoverageStats;
 
 /// Platform configuration: a [`MultiPlatformConfig`] for one fleet on
@@ -160,13 +161,20 @@ impl DrivenExecution {
         let batch = batch.max(1);
         let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
         let mut out = DrivenExecution::default();
+        let mut frame = BatchEncoder::new();
         for (i, pod) in pods.iter_mut().enumerate() {
             let frames = &mut out.frames;
             let first_seq = i as u64 * frames_per_pod;
-            let (executions, failures, directed) =
-                run_pod(pod, execs_per_pod, batch, first_seq, |seq, frame| {
-                    frames.push((0, seq, frame));
-                });
+            let (executions, failures, directed) = run_pod(
+                pod,
+                &mut frame,
+                execs_per_pod,
+                batch,
+                first_seq,
+                |seq, frame| {
+                    frames.push((0, seq, frame.to_vec()));
+                },
+            );
             out.executions += executions;
             out.failures += failures;
             out.directed += directed;

@@ -87,13 +87,15 @@ use softborg_trace::record::GlobalAccessSummary;
 use softborg_trace::{replay, wire, ExecutionTrace, ReplayScratch};
 use softborg_tree::path_hash;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Participants that run and prepare units (minimum 1): the calling
-    /// thread plus `workers − 1` pooled jobs.
+    /// Participants that run and prepare units (minimum 1, and at most
+    /// one per CPU this process may run on): the calling thread plus
+    /// `workers − 1` pooled jobs.
     pub workers: usize,
     /// Memo entries for recycling reconstructions, in total: the one
     /// memo every participant of a run shares, which the hive keeps
@@ -523,19 +525,28 @@ impl<R, S: FnMut(ProgramId, &MergeRecord)> Merger<'_, R, S> {
     }
 }
 
+/// The CPUs this process may run on, read once.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// Runs `units` to completion and returns each unit's result, in unit
 /// order, with the run's stats.
 ///
 /// `unit(units[i], frames)` runs unit `i`, yielding the frames of its
 /// claimed slots through `frames`; its frames are prepared on the thread
 /// that runs it. The units are claimed by index by `config.workers`
-/// participants: the calling thread and up to `workers − 1` jobs on the
-/// [`pool`] (never more participants than units, so `workers = 1` or a
-/// one-unit run spawns no job). `sinks[i]` is shard *i*'s sink, with
-/// exclusive access to whatever mutable state it captured (a hive passes
-/// its merge state; the sharded hive one closure per shard over that
-/// shard's hives); every sink runs on the calling thread, which merges
-/// unit `i` once units `0..=i` are ready. `ctxs` holds the
+/// participants, at most one per CPU: the calling thread and up to
+/// `workers − 1` jobs on the [`pool`] (never more participants than
+/// units, so `workers = 1` or a one-unit run spawns no job). More
+/// participants than CPUs would only stall the in-order merge behind
+/// whichever one is preempted; what a run merges, and in what order,
+/// does not depend on how many take part. `sinks[i]` is shard *i*'s
+/// sink, with exclusive access to whatever mutable state it captured (a
+/// hive passes its merge state; the sharded hive one closure per shard
+/// over that shard's hives); every sink runs on the calling thread,
+/// which merges unit `i` once units `0..=i` are ready. `ctxs` holds the
 /// reconstruction inputs of every program in `map`; `memo` is the memo
 /// the participants share and their replay tables, kept by the caller
 /// across runs.
@@ -559,10 +570,30 @@ where
     R: Send,
     S: FnMut(ProgramId, &MergeRecord),
 {
+    let participants = config.workers.clamp(1, cpus());
+    run_on(participants, config, map, ctxs, memo, units, unit, sinks)
+}
+
+/// [`run`] on exactly `n_workers` participants.
+#[allow(clippy::too_many_arguments)]
+fn run_on<T, R, S>(
+    n_workers: usize,
+    config: &IngestConfig,
+    map: &ShardMap,
+    ctxs: &BTreeMap<ProgramId, ReconstructContext<'_>>,
+    memo: &mut IngestMemo,
+    units: Vec<T>,
+    unit: impl Fn(T, &mut UnitFrames<'_, '_>) -> R + Sync,
+    sinks: Vec<S>,
+) -> (Vec<R>, IngestStats)
+where
+    T: Send,
+    R: Send,
+    S: FnMut(ProgramId, &MergeRecord),
+{
     assert_eq!(sinks.len(), map.n_shards(), "one sink per shard");
     let started = config.clock.now_ns();
     let stats = StatsCore::new(config.obs.registry.as_ref(), map.n_shards());
-    let n_workers = config.workers.max(1);
     let n_units = units.len();
     let (memo, scratch) = memo.fit(n_workers, config.memo_capacity, ctxs);
     let prep = Prep {
@@ -807,9 +838,9 @@ mod tests {
         }
     }
 
-    /// Runs the frames as one-frame units on 4 participants; the unit
-    /// of whichever participant `dies` picks panics, once another
-    /// participant has run a unit.
+    /// Runs the frames as one-frame units on 4 participants, whatever
+    /// the CPUs; the unit of whichever participant `dies` picks panics,
+    /// once another participant has run a unit.
     fn unit_panic(dies: fn(ThreadId, ThreadId) -> bool) -> Result<(), String> {
         on_two_shards(move |map, ctxs, frames| {
             let caller = std::thread::current().id();
@@ -836,7 +867,8 @@ mod tests {
                 }
                 out.push(*program, frame).expect("placed");
             };
-            run(
+            run_on(
+                4,
                 &config(4),
                 map,
                 ctxs,
@@ -846,6 +878,33 @@ mod tests {
                 sinks,
             );
         })
+    }
+
+    #[test]
+    fn a_run_starts_at_most_one_participant_per_cpu() {
+        let msg = on_two_shards(|map, ctxs, frames| {
+            let threads = Mutex::new(std::collections::HashSet::new());
+            let unit = |(program, frame): &(ProgramId, Vec<u8>), out: &mut UnitFrames| {
+                lock(&threads).insert(std::thread::current().id());
+                out.push(*program, frame).expect("placed");
+            };
+            let sinks = vec![dying_sink(0, None), dying_sink(1, None)];
+            let memo = &mut IngestMemo::default();
+            let workers = cpus() + 3;
+            let (_, stats) = run(
+                &config(workers),
+                map,
+                ctxs,
+                memo,
+                frames.iter().collect(),
+                unit,
+                sinks,
+            );
+            assert_eq!(stats.workers, cpus());
+            assert!(lock(&threads).len() <= cpus());
+            assert_eq!(stats.frames_merged, frames.len() as u64);
+        });
+        assert_eq!(msg, Ok(()));
     }
 
     #[test]

@@ -240,7 +240,8 @@ pub struct IngestStats {
     pub queue_high_water: usize,
     /// Wall-clock duration of the whole run, in ns.
     pub wall_ns: u64,
-    /// Participants the run was configured with (`IngestConfig::workers`).
+    /// Participants the run was configured with (`IngestConfig::workers`),
+    /// at most one per CPU.
     pub workers: usize,
     /// Per-shard breakdown, indexed by shard.
     pub per_shard: Vec<ShardStats>,

@@ -9,6 +9,16 @@
 //! user feedback of a hang (step-budget exhaustion stands in for "an
 //! erratically jerked mouse suggests a program is being unusually slow",
 //! §3.1).
+//!
+//! A pod runs under every end-user execution, so recording must cost as
+//! little as it can. A pod keeps one [`TraceRecorder`], one released
+//! trace, the interpreter's tables and its emitted-stream buffer for its
+//! whole life and refills them every run; [`Pod::run_into`] appends the
+//! released trace straight to the batch frame a [`BatchEncoder`] is
+//! building. Once warm, a successful execution that keeps no test case
+//! allocates nothing. [`Pod::run_once`] runs the same path and clones the
+//! trace out. None of these buffers is part of the pod's durable
+//! [`state`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,12 +33,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softborg_fix::TestCase;
 use softborg_guidance::Directive;
-use softborg_program::interp::{ExecConfig, ExecResult, Executor};
+use softborg_program::interp::{ExecConfig, ExecResult, Executor, Outcome};
 use softborg_program::overlay::Overlay;
 use softborg_program::sched::{PrioritySched, RandomSched, Scheduler};
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{Program, ProgramId, ThreadId};
 use softborg_trace::anonymize::Anonymizer;
+use softborg_trace::wire::BatchEncoder;
 use softborg_trace::{ExecutionTrace, RecordingPolicy, TraceRecorder};
 use std::collections::VecDeque;
 
@@ -38,13 +49,18 @@ const MAX_FAILING_CASES: usize = 8;
 const MAX_PASSING_CASES: usize = 16;
 
 enum PodSched {
+    /// A single-threaded program: every pick is its one thread, so no
+    /// randomness is drawn and no pick is recorded.
+    Single,
     Random(RandomSched),
     Priority(PrioritySched),
 }
 
 impl Scheduler for PodSched {
+    #[inline]
     fn pick(&mut self, runnable: &[ThreadId], step: u64) -> ThreadId {
         match self {
+            PodSched::Single => runnable[0],
             PodSched::Random(s) => s.pick(runnable, step),
             PodSched::Priority(s) => s.pick(runnable, step),
         }
@@ -54,6 +70,7 @@ impl Scheduler for PodSched {
 impl PodSched {
     fn into_picks(self) -> Vec<ThreadId> {
         match self {
+            PodSched::Single => Vec::new(),
             PodSched::Random(s) => s.into_picks(),
             PodSched::Priority(s) => s.into_picks(),
         }
@@ -123,22 +140,30 @@ pub struct Pod<'p> {
     rng: SmallRng,
     stats: PodStats,
     multi_threaded: bool,
-    failing_cases: Vec<(TestCase, softborg_program::interp::Outcome)>,
+    failing_cases: Vec<(TestCase, Outcome)>,
     passing_cases: Vec<TestCase>,
-    /// Buffers `run_once` refills every run.
+    /// Buffers every run refills.
     inputs: Vec<i64>,
+    /// The last run's thread picks (none on a single-threaded program,
+    /// whose schedule is thread 0 at every step).
     picks: Vec<ThreadId>,
     env: DefaultEnv,
+    recorder: TraceRecorder,
+    /// The last run's trace, anonymized: what the pod ships.
+    trace: ExecutionTrace,
 }
 
 impl<'p> Pod<'p> {
     /// Creates a pod for one program instance.
     pub fn new(program: &'p Program, config: PodConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed);
+        let multi_threaded = program.threads.len() > 1;
         Pod {
             program_id: program.id(),
             executor: Executor::new(program).with_config(config.exec),
-            multi_threaded: program.threads.len() > 1,
+            multi_threaded,
+            recorder: TraceRecorder::new(program.id(), config.policy, 0, multi_threaded),
+            trace: ExecutionTrace::empty(program.id(), config.policy),
             config,
             overlay: Overlay::empty(),
             overlay_version: 0,
@@ -185,6 +210,39 @@ impl<'p> Pod<'p> {
     /// Executes the program once — naturally, or per the next queued
     /// directive — and returns the trace plus raw result.
     pub fn run_once(&mut self) -> PodRun {
+        let (result, directed) = self.execute();
+        self.release(result.outcome.clone(), result.steps);
+        PodRun {
+            trace: self.trace.clone(),
+            result,
+            directed,
+        }
+    }
+
+    /// Executes the program once, as [`run_once`](Self::run_once) does,
+    /// and appends the trace to the frame `frame` is building instead of
+    /// returning it. Returns whether the execution failed and whether a
+    /// directive drove it. Once warm, a successful run that keeps no test
+    /// case allocates nothing.
+    pub fn run_into(&mut self, frame: &mut BatchEncoder) -> (bool, bool) {
+        let (result, directed) = self.execute();
+        let failing = result.outcome.is_failure();
+        self.release(result.outcome, result.steps);
+        self.executor.recycle(result.emitted);
+        frame.push(&self.trace);
+        (failing, directed)
+    }
+
+    /// Seals the recorder's run into the held trace and anonymizes it.
+    fn release(&mut self, outcome: Outcome, steps: u64) {
+        (self.recorder).finish_into(outcome, steps, &mut self.trace);
+        self.config.anonymizer.apply(&mut self.trace);
+    }
+
+    /// One execution under the recorder: the raw result and whether a
+    /// directive drove it. Counts it, and keeps its case if there is
+    /// room.
+    fn execute(&mut self) -> (ExecResult, bool) {
         let directive = self.directives.pop_front();
         let directed = directive.is_some();
 
@@ -215,14 +273,11 @@ impl<'p> Pod<'p> {
         }
 
         self.env.reset(env_config);
-        let mut recorder = TraceRecorder::new(
-            self.program_id,
-            self.config.policy,
-            self.overlay_version,
-            self.multi_threaded,
-        );
+        self.recorder.reset(self.overlay_version);
+        // Drawn whatever the scheduler, so the pod's stream is the same.
         let sched_seed = self.rng.gen();
         let mut sched = match schedule_hint {
+            _ if !self.multi_threaded => PodSched::Single,
             Some(hint) => PodSched::Priority(PrioritySched::new(hint, sched_seed)),
             None => PodSched::Random(RandomSched::with_picks(
                 sched_seed,
@@ -236,7 +291,7 @@ impl<'p> Pod<'p> {
                 &mut self.env,
                 &mut sched,
                 &self.overlay,
-                &mut recorder,
+                &mut self.recorder,
             )
             .expect("pod-generated inputs match program arity");
         self.picks = sched.into_picks();
@@ -261,9 +316,14 @@ impl<'p> Pod<'p> {
             self.passing_cases.len() < MAX_PASSING_CASES
         };
         if room {
+            let schedule = if self.multi_threaded {
+                self.picks.clone()
+            } else {
+                vec![ThreadId::new(0); result.steps as usize]
+            };
             let case = TestCase {
                 inputs: self.inputs.clone(),
-                schedule: self.picks.clone(),
+                schedule,
                 env: self.env.config().clone(),
             };
             if failing {
@@ -272,19 +332,12 @@ impl<'p> Pod<'p> {
                 self.passing_cases.push(case);
             }
         }
-
-        let raw = recorder.finish(result.outcome.clone(), result.steps);
-        let trace = self.config.anonymizer.apply(raw);
-        PodRun {
-            trace,
-            result,
-            directed,
-        }
+        (result, directed)
     }
 
     /// Locally retained failing cases with their outcomes (for pod-side
     /// fix validation and mode matching).
-    pub fn failing_cases(&self) -> &[(TestCase, softborg_program::interp::Outcome)] {
+    pub fn failing_cases(&self) -> &[(TestCase, Outcome)] {
         &self.failing_cases
     }
 
@@ -297,7 +350,6 @@ impl<'p> Pod<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softborg_program::interp::Outcome;
     use softborg_program::scenarios;
     use softborg_program::BranchSiteId;
 
@@ -327,6 +379,46 @@ mod tests {
             "parser has input-dependent sites"
         );
         assert_eq!(pod.stats().executions, 1);
+    }
+
+    #[test]
+    fn a_single_threaded_case_picks_thread_zero_every_step() {
+        let s = scenarios::token_parser();
+        let mut pod = Pod::new(&s.program, PodConfig::default());
+        let steps = pod.run_once().result.steps;
+        assert!(steps > 0);
+        let want = vec![ThreadId::new(0); steps as usize];
+        assert_eq!(pod.passing_cases()[0].schedule, want);
+    }
+
+    #[test]
+    fn run_into_appends_what_run_once_returns() {
+        let s = scenarios::bank_transfer();
+        let config = PodConfig {
+            input_range: s.input_range,
+            seed: 11,
+            ..PodConfig::default()
+        };
+        let (mut into, mut once) = (
+            Pod::new(&s.program, config.clone()),
+            Pod::new(&s.program, config),
+        );
+        let mut frame = BatchEncoder::new();
+        let mut traces = Vec::new();
+        for _ in 0..20 {
+            let (failing, directed) = into.run_into(&mut frame);
+            let run = once.run_once();
+            assert_eq!(
+                (failing, directed),
+                (run.result.outcome.is_failure(), run.directed)
+            );
+            traces.push(run.trace);
+        }
+        assert_eq!(
+            frame.finish(),
+            &softborg_trace::wire::encode_batch(&traces)[..]
+        );
+        assert_eq!(into.stats(), once.stats());
     }
 
     #[test]

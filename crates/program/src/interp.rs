@@ -606,6 +606,9 @@ pub struct Executor<'p> {
     config: ExecConfig,
     code: LoweredProgram,
     scratch: Scratch<i64>,
+    /// The emitted-stream buffer the next run fills (see
+    /// [`recycle`](Self::recycle)).
+    emitted: Vec<(ThreadId, i64)>,
 }
 
 impl<'p> Executor<'p> {
@@ -617,7 +620,14 @@ impl<'p> Executor<'p> {
             code: LoweredProgram::new(program),
             config: ExecConfig::default(),
             scratch: Scratch::default(),
+            emitted: Vec::new(),
         }
+    }
+
+    /// Hands a run's emitted stream back: the next run fills this buffer
+    /// (cleared) instead of allocating one.
+    pub fn recycle(&mut self, emitted: Vec<(ThreadId, i64)>) {
+        self.emitted = emitted;
     }
 
     /// Replaces the execution limits.
@@ -639,8 +649,9 @@ impl<'p> Executor<'p> {
     /// Executes the program once.
     ///
     /// After the first run, a run allocates only for what it returns (the
-    /// emitted stream, a deadlock cycle or hang report) and for what the
-    /// environment, scheduler and observer allocate themselves.
+    /// emitted stream, unless a [`recycle`](Self::recycle)d buffer holds
+    /// it; a deadlock cycle or hang report) and for what the environment,
+    /// scheduler and observer allocate themselves.
     ///
     /// # Errors
     ///
@@ -666,10 +677,12 @@ impl<'p> Executor<'p> {
                 got: inputs.len(),
             });
         }
+        let mut emitted = std::mem::take(&mut self.emitted);
+        emitted.clear();
         let mut live = Live {
             env,
             obs,
-            emitted: Vec::new(),
+            emitted,
             n_syscalls: 0,
             ctx: (),
         };

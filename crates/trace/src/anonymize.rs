@@ -29,9 +29,9 @@ pub enum Anonymizer {
 }
 
 impl Anonymizer {
-    /// Applies the anonymizer to a trace, producing the released form in
-    /// place of the raw one.
-    pub fn apply(&self, mut t: ExecutionTrace) -> ExecutionTrace {
+    /// Edits a raw trace into its released form, in place (its buffers
+    /// are kept).
+    pub fn apply(&self, t: &mut ExecutionTrace) {
         match self {
             Anonymizer::None => {}
             Anonymizer::CoarsenSyscalls => {
@@ -43,13 +43,12 @@ impl Anonymizer {
                 t.bits.truncate(*max_bits);
             }
             Anonymizer::OutcomeOnly => {
-                t.bits.truncate(0);
-                t.guard_bits.truncate(0);
+                t.bits.clear();
+                t.guard_bits.clear();
                 t.syscall_rets.clear();
                 t.schedule.clear();
             }
         }
-        t
     }
 
     /// A short label for reports.
@@ -104,6 +103,12 @@ mod tests {
     use softborg_program::interp::Outcome;
     use softborg_program::ProgramId;
 
+    /// What `a` releases of `t`.
+    fn released(a: Anonymizer, mut t: ExecutionTrace) -> ExecutionTrace {
+        a.apply(&mut t);
+        t
+    }
+
     fn trace(bits: &[bool], rets: Vec<i64>) -> ExecutionTrace {
         ExecutionTrace {
             program: ProgramId(1),
@@ -123,27 +128,27 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let t = trace(&[true, false], vec![64]);
-        assert_eq!(Anonymizer::None.apply(t.clone()), t);
+        assert_eq!(released(Anonymizer::None, t.clone()), t);
     }
 
     #[test]
     fn coarsen_maps_to_sign_classes() {
         let t = trace(&[], vec![64, 0, -1, 7]);
-        let a = Anonymizer::CoarsenSyscalls.apply(t);
+        let a = released(Anonymizer::CoarsenSyscalls, t);
         assert_eq!(a.syscall_rets, vec![1, 0, -1, 1]);
     }
 
     #[test]
     fn truncate_keeps_prefix() {
         let t = trace(&[true, false, true, true], vec![]);
-        let a = Anonymizer::TruncatePath { max_bits: 2 }.apply(t);
+        let a = released(Anonymizer::TruncatePath { max_bits: 2 }, t);
         assert_eq!(a.bits.iter().collect::<Vec<_>>(), vec![true, false]);
     }
 
     #[test]
     fn outcome_only_strips_everything_but_outcome() {
         let t = trace(&[true], vec![64]);
-        let a = Anonymizer::OutcomeOnly.apply(t.clone());
+        let a = released(Anonymizer::OutcomeOnly, t.clone());
         assert!(a.bits.is_empty());
         assert!(a.syscall_rets.is_empty());
         assert!(a.schedule.is_empty());
@@ -175,19 +180,21 @@ mod tests {
             Anonymizer::TruncatePath { max_bits: 8 },
             Anonymizer::OutcomeOnly,
         ] {
-            let released = information_bits(&a.apply(t.clone()));
+            let released = information_bits(&released(a, t.clone()));
             assert!(released < base, "{} did not reduce information", a.label());
         }
         // Composition is monotone: coarsen then truncate releases less
         // than either alone, and outcome-only releases only schedule-free
         // metadata.
-        let composed = Anonymizer::TruncatePath { max_bits: 8 }
-            .apply(Anonymizer::CoarsenSyscalls.apply(t.clone()));
+        let composed = released(
+            Anonymizer::TruncatePath { max_bits: 8 },
+            released(Anonymizer::CoarsenSyscalls, t.clone()),
+        );
         assert!(
             information_bits(&composed)
-                < information_bits(&Anonymizer::CoarsenSyscalls.apply(t.clone()))
+                < information_bits(&released(Anonymizer::CoarsenSyscalls, t.clone()))
         );
-        let stripped = Anonymizer::OutcomeOnly.apply(t);
+        let stripped = released(Anonymizer::OutcomeOnly, t);
         assert_eq!(information_bits(&stripped), 0);
     }
 

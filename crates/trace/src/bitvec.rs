@@ -95,6 +95,12 @@ impl BitVec {
         }
     }
 
+    /// Removes every bit, keeping the allocation for the next fill.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.len = 0;
+    }
+
     /// Iterates over the bits.
     pub fn iter(&self) -> Iter<'_> {
         Iter { bv: self, pos: 0 }
@@ -186,6 +192,16 @@ mod tests {
         let b: BitVec = [true; 3].iter().copied().collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn clear_empties_and_refills_like_new() {
+        let mut a: BitVec = [true; 12].iter().copied().collect();
+        a.clear();
+        assert_eq!(a, BitVec::new());
+        a.push(false);
+        a.push(true);
+        assert_eq!(a, [false, true].iter().copied().collect());
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //!
 //! * [`bitvec`] — packed bit vectors ([`bitvec::BitVec`]).
 //! * [`record`] — [`record::ExecutionTrace`] and [`record::RecordingPolicy`].
-//! * [`recorder`] — the [`recorder::TraceRecorder`] observer pods install.
-//! * [`wire`] — compact binary encoding (network payloads, size accounting).
+//! * [`recorder`] — the [`recorder::TraceRecorder`] observer pods install
+//!   (one per pod for its whole life, reset every run).
+//! * [`wire`] — compact binary encoding (network payloads, size
+//!   accounting) and [`wire::BatchEncoder`], the one batch-frame encoder,
+//!   which a pod appends each trace to as it is recorded.
 //! * [`mod@reconstruct`] — replay of a trace into the full decision path
 //!   (paper §3.2, "reconstructing the deterministic branches").
 //! * [`anonymize`] — the privacy ladder and k-anonymity batch filter.

@@ -94,6 +94,24 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
+    /// A successful trace of no steps that recorded nothing: the blank a
+    /// [`TraceRecorder`](crate::TraceRecorder) fills.
+    pub fn empty(program: ProgramId, policy: RecordingPolicy) -> Self {
+        ExecutionTrace {
+            program,
+            policy,
+            bits: BitVec::new(),
+            guard_bits: BitVec::new(),
+            syscall_rets: Vec::new(),
+            schedule: Vec::new(),
+            steps: 0,
+            outcome: Outcome::Success,
+            overlay_version: 0,
+            lock_pairs: Vec::new(),
+            global_summaries: Vec::new(),
+        }
+    }
+
     /// `true` when the execution failed.
     pub fn is_failure(&self) -> bool {
         self.outcome.is_failure()

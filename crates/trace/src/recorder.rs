@@ -2,7 +2,11 @@
 //!
 //! [`TraceRecorder`] implements [`Observer`] and captures exactly what the
 //! active [`RecordingPolicy`] asks for; [`TraceRecorder::finish`] seals the
-//! run into an [`ExecutionTrace`].
+//! run into an [`ExecutionTrace`]. A pod keeps one recorder for its whole
+//! life: [`TraceRecorder::reset`] starts the next run on the buffers the
+//! last one grew, and [`TraceRecorder::finish_into`] seals a run into a
+//! trace the caller keeps by swapping buffers with it, so a warm recorder
+//! allocates nothing.
 
 use crate::bitvec::BitVec;
 use crate::record::{ExecutionTrace, GlobalAccessSummary, RecordingPolicy};
@@ -14,9 +18,9 @@ use softborg_program::{BranchSiteId, GlobalId, LockId, ProgramId, ThreadId};
 struct GlobalStats {
     reader_mask: u32,
     writer_mask: u32,
-    /// `None` until the first access, then the running intersection
-    /// (ascending).
-    lockset: Option<Vec<u32>>,
+    /// The running intersection (ascending) of the locks held at each
+    /// access; meaningful once a mask is non-zero.
+    lockset: Vec<u32>,
 }
 
 /// Records by-products during one execution. See the [module docs](self).
@@ -34,8 +38,12 @@ pub struct TraceRecorder {
     n_branches: u64,
     /// Distinct `(held, then acquired)` pairs, ascending.
     lock_pairs: Vec<(u32, u32)>,
-    /// Indexed by global id; a global never accessed has both masks zero.
+    /// Indexed by global id; a global not accessed this run has both
+    /// masks zero.
     globals: Vec<GlobalStats>,
+    /// Lockset buffers of summaries a shorter trace dropped, for the
+    /// next longer one.
+    spare_locksets: Vec<Vec<u32>>,
 }
 
 impl TraceRecorder {
@@ -63,32 +71,74 @@ impl TraceRecorder {
             n_branches: 0,
             lock_pairs: Vec::new(),
             globals: Vec::new(),
+            spare_locksets: Vec::new(),
+        }
+    }
+
+    /// Starts a new recording under `overlay_version`, as a fresh
+    /// [`new`](Self::new) would, keeping every buffer's capacity.
+    pub fn reset(&mut self, overlay_version: u64) {
+        self.overlay_version = overlay_version;
+        self.bits.clear();
+        self.guard_bits.clear();
+        self.syscall_rets.clear();
+        self.schedule.clear();
+        self.dep_counter = 0;
+        self.n_branches = 0;
+        self.lock_pairs.clear();
+        for g in &mut self.globals {
+            g.reader_mask = 0;
+            g.writer_mask = 0;
         }
     }
 
     /// Seals the recording into a trace.
-    pub fn finish(self, outcome: Outcome, steps: u64) -> ExecutionTrace {
-        ExecutionTrace {
-            program: self.program,
-            policy: self.policy,
-            bits: self.bits,
-            guard_bits: self.guard_bits,
-            syscall_rets: self.syscall_rets,
-            schedule: self.schedule,
-            steps,
-            outcome,
-            overlay_version: self.overlay_version,
-            lock_pairs: self.lock_pairs,
-            global_summaries: (self.globals.into_iter().zip(0..))
-                .filter(|(g, _)| g.reader_mask | g.writer_mask != 0)
-                .map(|(g, global)| GlobalAccessSummary {
+    pub fn finish(mut self, outcome: Outcome, steps: u64) -> ExecutionTrace {
+        let mut trace = ExecutionTrace::empty(self.program, self.policy);
+        self.finish_into(outcome, steps, &mut trace);
+        trace
+    }
+
+    /// Seals the recording into `trace`, overwriting all of it: the
+    /// recorded buffers are swapped in, so the recorder keeps `trace`'s
+    /// old ones for its next run, and each global summary reuses an
+    /// earlier one's lockset. Call [`reset`](Self::reset) before
+    /// recording again.
+    pub fn finish_into(&mut self, outcome: Outcome, steps: u64, trace: &mut ExecutionTrace) {
+        use std::mem::swap;
+        trace.program = self.program;
+        trace.policy = self.policy;
+        swap(&mut trace.bits, &mut self.bits);
+        swap(&mut trace.guard_bits, &mut self.guard_bits);
+        swap(&mut trace.syscall_rets, &mut self.syscall_rets);
+        swap(&mut trace.schedule, &mut self.schedule);
+        swap(&mut trace.lock_pairs, &mut self.lock_pairs);
+        trace.steps = steps;
+        trace.outcome = outcome;
+        trace.overlay_version = self.overlay_version;
+        let summaries = &mut trace.global_summaries;
+        let mut n = 0;
+        for (g, global) in self.globals.iter().zip(0..) {
+            if g.reader_mask | g.writer_mask == 0 {
+                continue;
+            }
+            if n == summaries.len() {
+                summaries.push(GlobalAccessSummary {
                     global,
-                    reader_mask: g.reader_mask,
-                    writer_mask: g.writer_mask,
-                    lockset: g.lockset.unwrap_or_default(),
-                })
-                .collect(),
+                    reader_mask: 0,
+                    writer_mask: 0,
+                    lockset: self.spare_locksets.pop().unwrap_or_default(),
+                });
+            }
+            let s = &mut summaries[n];
+            s.global = global;
+            s.reader_mask = g.reader_mask;
+            s.writer_mask = g.writer_mask;
+            s.lockset.clear();
+            s.lockset.extend_from_slice(&g.lockset);
+            n += 1;
         }
+        (self.spare_locksets).extend(summaries.drain(n..).map(|s| s.lockset));
     }
 }
 
@@ -163,15 +213,17 @@ impl Observer for TraceRecorder {
                 .resize_with(global.index() + 1, GlobalStats::default);
         }
         let g = &mut self.globals[global.index()];
+        if g.reader_mask | g.writer_mask == 0 {
+            g.lockset.clear();
+            g.lockset.extend(locks_held.iter().map(|l| l.0));
+        } else {
+            g.lockset.retain(|&l| locks_held.contains(&LockId::new(l)));
+        }
         let bit = 1u32 << (thread.0 % 32);
         if is_write {
             g.writer_mask |= bit;
         } else {
             g.reader_mask |= bit;
-        }
-        match &mut g.lockset {
-            None => g.lockset = Some(locks_held.iter().map(|l| l.0).collect()),
-            Some(prev) => prev.retain(|&l| locks_held.contains(&LockId::new(l))),
         }
     }
 }
@@ -303,6 +355,51 @@ mod tests {
         );
         let trace = r.finish(Outcome::Success, 2);
         assert_eq!(trace.global_summaries[0].lockset, vec![3]);
+    }
+
+    /// Records one run of every by-product: `round` picks which
+    /// threads, locks and globals it touches.
+    fn record(r: &mut TraceRecorder, round: u32) {
+        for i in 0..round + 2 {
+            r.on_branch(t0(), site(i), i.is_multiple_of(2), !i.is_multiple_of(3));
+            r.on_schedule(ThreadId::new(i % 2));
+        }
+        r.on_syscall(t0(), SyscallKind::Read, 64, i64::from(round));
+        r.on_guard_eval(t0(), Loc::default(), round.is_multiple_of(2));
+        let (l0, l1) = (LockId::new(0), LockId::new(1 + round % 2));
+        r.on_lock_acquired(t0(), l1, Loc::default(), &[l0]);
+        for g in 0..3 - round % 3 {
+            let held = [l0, l1];
+            let held = &held[..(g as usize + round as usize) % 3];
+            r.on_global_access(
+                ThreadId::new(g),
+                GlobalId::new(2 * g),
+                g == 1,
+                Loc::default(),
+                held,
+            );
+            r.on_global_access(t0(), GlobalId::new(2 * g), false, Loc::default(), &[l0]);
+        }
+    }
+
+    #[test]
+    fn a_reset_recorder_seals_what_a_fresh_one_would() {
+        let policy = RecordingPolicy::Sampled {
+            period: 2,
+            phase: 1,
+        };
+        let mut reused = TraceRecorder::new(ProgramId(1), policy, 0, true);
+        let mut held = ExecutionTrace::empty(ProgramId(9), RecordingPolicy::OutcomeOnly);
+        for round in 0..7 {
+            let mut fresh = TraceRecorder::new(ProgramId(1), policy, u64::from(round), true);
+            record(&mut fresh, round);
+            let outcome = Outcome::Hang { stuck: vec![] };
+            let want = fresh.finish(outcome.clone(), u64::from(round));
+            reused.reset(u64::from(round));
+            record(&mut reused, round);
+            reused.finish_into(outcome, u64::from(round), &mut held);
+            assert_eq!(held, want, "round {round}");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   typed [`WireError`]; it never panics and never allocates more than
 //!   the input could justify (attacker-controlled length fields are
 //!   bounds-checked *before* any reservation).
-//! * **Batch frames** ([`encode_batch`] / [`decode_batch`]): a batch of
+//! * **Batch frames** ([`encode_batch`] / [`decode_batch`], or one
+//!   execution at a time through a reused [`BatchEncoder`]): a batch of
 //!   executions behind one magic + count + length header and a trailing
 //!   checksum ([`softborg_obs::checksum`]). A frame carries each distinct trace payload once,
 //!   in first-seen order, then one LEB128 index per execution naming its
@@ -272,7 +273,7 @@ fn decode_from(b: &mut Reader<'_>) -> Result<ExecutionTrace, WireError> {
 }
 
 /// Encodes many traces into one checksummed batch frame, each distinct
-/// payload once.
+/// payload once: a [`BatchEncoder`] fed the batch.
 ///
 /// Layout: `SBF3` magic (u32), execution count (u32), distinct count
 /// (u32), payload length (u64), payload, [`checksum`] of the counts,
@@ -294,81 +295,168 @@ where
 {
     let traces = traces.into_iter();
     let (n, hint) = (traces.clone()).fold((0, 0), |(n, hint), t| (n + 1, hint + 5 + size_hint(t)));
-    // Each payload is written straight into the frame behind a length
-    // slot, and taken back out when it repeats an earlier one; the
-    // counts and payload length are patched in once known.
-    let mut frame = Vec::with_capacity(BATCH_HEADER + 8 + hint);
-    codec::put_u32(&mut frame, BATCH_MAGIC);
-    codec::put_u32(&mut frame, 0);
-    codec::put_u32(&mut frame, 0);
-    codec::put_u64(&mut frame, 0);
-    // Per distinct payload: its hash and where its bytes sit in `frame`.
-    let mut distinct: Vec<(u64, usize, usize)> = Vec::with_capacity(n);
-    // `distinct` by hash, open-addressed and at most half full: a slot
-    // holds a payload's index + 1, or 0 when empty.
-    let mut table = vec![0u32; (2 * n).next_power_of_two().max(2)];
-    let mut indices: Vec<u32> = Vec::with_capacity(n);
+    let mut frame = BatchEncoder {
+        frame: Vec::with_capacity(BATCH_HEADER + 8 + hint),
+        distinct: Vec::with_capacity(n),
+        table: vec![0; (2 * n).next_power_of_two().max(2)],
+        indices: Vec::with_capacity(n),
+        open: false,
+    };
     for t in traces {
+        frame.push(t);
+    }
+    frame.finish();
+    frame.frame
+}
+
+/// Builds [`encode_batch`] frames one execution at a time, straight into
+/// the frame it is building, and keeps its buffers from one frame to the
+/// next: once they have grown to a frame's size, framing allocates
+/// nothing.
+///
+/// [`push`](Self::push) appends an execution to the open frame (opening
+/// one first if none is); [`finish`](Self::finish) seals it and lends
+/// its bytes until the next push. A frame is exactly what
+/// [`encode_batch`] makes of the executions pushed into it.
+#[derive(Debug, Default)]
+pub struct BatchEncoder {
+    /// The frame: its header, then each distinct payload behind its
+    /// length; once sealed, the indices and the checksum too.
+    frame: Vec<u8>,
+    /// Per distinct payload: its hash and where its bytes sit in `frame`.
+    distinct: Vec<(u64, usize, usize)>,
+    /// `distinct` by hash, open-addressed and at most half full: a slot
+    /// holds a payload's index + 1, or 0 when empty. A power of two.
+    table: Vec<u32>,
+    /// Per execution, the index of its payload in `distinct`.
+    indices: Vec<u32>,
+    /// Whether `frame` is being built (else it is sealed, or empty).
+    open: bool,
+}
+
+impl BatchEncoder {
+    /// An encoder with no buffers yet.
+    pub fn new() -> Self {
+        BatchEncoder::default()
+    }
+
+    /// Executions in the open frame (0 when none is open).
+    pub fn len(&self) -> usize {
+        if self.open {
+            self.indices.len()
+        } else {
+            0
+        }
+    }
+
+    /// `true` when no execution has been pushed since the last
+    /// [`finish`](Self::finish).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Clears the buffers and writes a header whose counts and payload
+    /// length [`finish`](Self::finish) patches in.
+    fn open(&mut self) {
+        self.frame.clear();
+        codec::put_u32(&mut self.frame, BATCH_MAGIC);
+        codec::put_u32(&mut self.frame, 0);
+        codec::put_u32(&mut self.frame, 0);
+        codec::put_u64(&mut self.frame, 0);
+        self.distinct.clear();
+        self.indices.clear();
+        if self.table.len() < 2 {
+            self.table.resize(2, 0);
+        }
+        self.table.fill(0);
+        self.open = true;
+    }
+
+    /// Appends one execution to the open frame. Its payload is written
+    /// into the frame behind a length slot and taken back out when it
+    /// repeats an earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics past one million executions in a frame, as
+    /// [`encode_batch`] does.
+    pub fn push(&mut self, t: &ExecutionTrace) {
+        if !self.open {
+            self.open();
+        }
         assert!(
-            indices.len() < MAX_BATCH as usize,
+            self.indices.len() < MAX_BATCH as usize,
             "batch frame over {MAX_BATCH} traces"
         );
-        if 2 * distinct.len() >= table.len() {
-            table = index_by_hash(&distinct, 2 * table.len());
+        if 2 * self.distinct.len() >= self.table.len() {
+            self.rehash(2 * self.table.len());
         }
+        let frame = &mut self.frame;
         let at = frame.len();
-        codec::put_u32(&mut frame, 0);
-        encode_into(&mut frame, t);
+        codec::put_u32(frame, 0);
+        encode_into(frame, t);
         let bytes = &frame[at + 4..];
         let hash = checksum(bytes);
         // Equal hashes are confirmed byte for byte.
-        let mut slot = hash as usize & (table.len() - 1);
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
         let earlier = loop {
-            let Some(i) = table[slot].checked_sub(1) else {
+            let Some(i) = self.table[slot].checked_sub(1) else {
                 break None;
             };
-            let (h, start, len) = distinct[i as usize];
+            let (h, start, len) = self.distinct[i as usize];
             if h == hash && frame[start..start + len] == *bytes {
                 break Some(i);
             }
-            slot = (slot + 1) & (table.len() - 1);
+            slot = (slot + 1) & mask;
         };
         if let Some(i) = earlier {
             frame.truncate(at);
-            indices.push(i);
+            self.indices.push(i);
         } else {
             let len = bytes.len();
             frame[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-            let next = distinct.len() as u32;
-            table[slot] = next + 1;
-            distinct.push((hash, at + 4, len));
-            indices.push(next);
+            let next = self.distinct.len() as u32;
+            self.table[slot] = next + 1;
+            self.distinct.push((hash, at + 4, len));
+            self.indices.push(next);
         }
     }
-    for &i in &indices {
-        codec::put_leb128(&mut frame, i);
-    }
-    let payload_len = (frame.len() - BATCH_HEADER) as u64;
-    frame[4..8].copy_from_slice(&(indices.len() as u32).to_le_bytes());
-    frame[8..12].copy_from_slice(&(distinct.len() as u32).to_le_bytes());
-    frame[12..20].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = checksum(&frame[4..]);
-    codec::put_u64(&mut frame, sum);
-    frame
-}
 
-/// A table of `slots` (a power of two) placing each of `distinct` by
-/// its hash, as `encode_batch` keeps one.
-fn index_by_hash(distinct: &[(u64, usize, usize)], slots: usize) -> Vec<u32> {
-    let mut table = vec![0u32; slots];
-    for (i, &(hash, ..)) in distinct.iter().enumerate() {
-        let mut slot = hash as usize & (slots - 1);
-        while table[slot] != 0 {
-            slot = (slot + 1) & (slots - 1);
+    /// Re-places every distinct payload in a table of `slots` (a power
+    /// of two).
+    fn rehash(&mut self, slots: usize) {
+        self.table.clear();
+        self.table.resize(slots, 0);
+        for (i, &(hash, ..)) in self.distinct.iter().enumerate() {
+            let mut slot = hash as usize & (slots - 1);
+            while self.table[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.table[slot] = i as u32 + 1;
         }
-        table[slot] = i as u32 + 1;
     }
-    table
+
+    /// Seals the open frame (an empty one if nothing was pushed) and
+    /// returns its bytes; the next [`push`](Self::push) starts a new
+    /// frame.
+    pub fn finish(&mut self) -> &[u8] {
+        if !self.open {
+            self.open();
+        }
+        let frame = &mut self.frame;
+        for &i in &self.indices {
+            codec::put_leb128(frame, i);
+        }
+        let payload_len = (frame.len() - BATCH_HEADER) as u64;
+        frame[4..8].copy_from_slice(&(self.indices.len() as u32).to_le_bytes());
+        frame[8..12].copy_from_slice(&(self.distinct.len() as u32).to_le_bytes());
+        frame[12..20].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = checksum(&frame[4..]);
+        codec::put_u64(frame, sum);
+        self.open = false;
+        &self.frame
+    }
 }
 
 /// Decodes a batch frame produced by [`encode_batch`], verifying the
@@ -867,6 +955,20 @@ mod tests {
     }
 
     #[test]
+    fn an_encoder_seals_empty_frames_and_starts_afresh_after_each() {
+        let ts = traces();
+        let mut frame = BatchEncoder::new();
+        assert_eq!(frame.finish(), &encode_batch([])[..]);
+        assert_eq!(frame.finish(), &encode_batch([])[..]);
+        frame.push(&ts[0]);
+        frame.push(&ts[0]);
+        assert_eq!(frame.len(), 2);
+        assert_eq!(frame.finish(), &encode_batch([&ts[0], &ts[0]])[..]);
+        frame.push(&ts[1]);
+        assert_eq!(frame.finish(), &encode_batch([&ts[1]])[..]);
+    }
+
+    #[test]
     fn batch_amortizes_per_message_overhead() {
         let ts = traces();
         let framed = encode_batch(&ts).len();
@@ -1143,11 +1245,19 @@ mod tests {
                 global_summaries: vec![],
             }));
             let batch: Vec<ExecutionTrace> = order.iter().map(|&i| ts[i % ts.len()].clone()).collect();
-            for n in 0..=batch.len() {
+            // One encoder for every frame, growing and then shrinking.
+            let mut reused = BatchEncoder::new();
+            for n in (0..=batch.len()).chain((0..batch.len()).rev()) {
                 let frame = encode_batch(&batch[..n]);
                 prop_assert_eq!(&frame, &composed_batch(&batch[..n]));
                 prop_assert_eq!(&encode_batch(Undercounted(batch[..n].iter())), &frame);
                 prop_assert_eq!(decode_batch(&frame).unwrap(), &batch[..n]);
+                for (k, t) in batch[..n].iter().enumerate() {
+                    prop_assert_eq!(reused.len(), k);
+                    reused.push(t);
+                }
+                prop_assert_eq!(reused.finish(), &frame[..]);
+                prop_assert!(reused.is_empty());
             }
         }
 

@@ -27,8 +27,12 @@
 //!
 //! Some gates pin counts outright: after its first run, an executor
 //! running a program that emits nothing allocates nothing; a warm pod's
-//! `closed_loop` execution allocates only the buffers it returns; a
-//! hive's round report reads (coverage and the proof count) of a
+//! `Pod::run_into` — the execution a round runs, recorded straight into
+//! the batch frame — allocates nothing at all on `token_parser`,
+//! `spin_wait` and `bank_transfer` (beyond a failure's own report), and
+//! sealing its frame allocates nothing however many executions it holds;
+//! `Pod::run_once`, which clones the trace out, allocates only the
+//! buffers it returns; a hive's round report reads (coverage and the proof count) of a
 //! 20,000-node tree allocate nothing, and neither does merging a path
 //! the tree already holds.
 
@@ -277,10 +281,11 @@ fn executor_runs_after_the_first_do_not_allocate() {
     }
 }
 
-/// Allocations one `closed_loop` execution makes once its pod's passing
-/// corpus is full: the trace's branch bits and the emitted stream. A run
-/// that keeps a failing case also copies its inputs and schedule and may
-/// grow the corpus.
+/// Allocations one warm `run_once` of `closed_loop`'s program makes once
+/// its pod's passing corpus is full: the returned trace's branch bits
+/// and emitted stream, which `run_into` does not return. A run that
+/// keeps a failing case also copies its inputs and schedule and may grow
+/// the corpus.
 const TOKEN_PARSER_RUN_ALLOCS: u64 = 2;
 const KEPT_CASE_ALLOCS: u64 = 3;
 
@@ -310,6 +315,66 @@ fn pod_run_once_allocates_only_what_it_returns() {
             "a warm token_parser run ({}) allocated {allocs} times",
             run.result.outcome
         );
+    }
+}
+
+/// A warm pod records into buffers it keeps and appends each trace
+/// straight to the frame being built, so `Pod::run_into` allocates
+/// nothing per execution — on a single-threaded program, on one with a
+/// spinning second thread, and on one with locks and shared globals —
+/// except for what a failure reports (its deadlock cycle or hang
+/// locations, one allocation) and for a case the pod keeps. Sealing a
+/// frame allocates nothing either, whether it holds 10 executions or
+/// 1,000.
+#[test]
+fn pod_run_into_allocates_nothing_once_warm() {
+    for s in [
+        scenarios::token_parser(),
+        scenarios::spin_wait(),
+        scenarios::bank_transfer(),
+    ] {
+        let mut pod = Pod::new(
+            &s.program,
+            PodConfig {
+                input_range: s.input_range,
+                ..PodConfig::default()
+            },
+        );
+        let mut frame = wire::BatchEncoder::new();
+        for _ in 0..4 {
+            for _ in 0..1_000 {
+                pod.run_into(&mut frame);
+            }
+            frame.finish();
+        }
+        let (mut counted, mut failing) = (0, 0);
+        for per_frame in [10, 1_000, 10] {
+            for _ in 0..per_frame {
+                let kept = pod.failing_cases().len() + pod.passing_cases().len();
+                let (allocs, (failed, _)) = allocs_of(|| pod.run_into(&mut frame));
+                if pod.failing_cases().len() + pod.passing_cases().len() > kept {
+                    continue;
+                }
+                counted += 1;
+                failing += u64::from(failed);
+                assert!(
+                    allocs <= u64::from(failed),
+                    "a warm {} execution (failing: {failed}) allocated {allocs} times",
+                    s.name
+                );
+            }
+            let (allocs, bytes) = allocs_of(|| frame.finish().len());
+            assert!(bytes > 0);
+            assert_eq!(
+                allocs, 0,
+                "sealing a {} frame of {per_frame} executions allocated {allocs} times",
+                s.name
+            );
+        }
+        assert!(counted > 1_000, "{}: {counted} executions counted", s.name);
+        if s.name == "bank" {
+            assert!(failing > 0, "bank deadlocks naturally");
+        }
     }
 }
 
